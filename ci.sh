@@ -13,8 +13,9 @@
 #   build        release build of the workspace + examples
 #   test         the whole test suite
 #   test-quick   the whole suite with property tests (including the
-#                VM-vs-interpreter differential suite) at a reduced
-#                case count (PROPTEST_CASES=8)
+#                differential suites that run the VM against the
+#                interpreter oracle) at a reduced case count
+#                (PROPTEST_CASES=8)
 #   stress       the concurrency stress suite (unrestricted test threads)
 #                plus the registry search-index differential proptests
 #   streaming    streaming + cancellation scenario tiers
@@ -25,14 +26,19 @@
 #                backpressure (PROPTEST_CASES env raises the depth)
 #   bench-smoke  bench compile, smoke runs, and the bench_check
 #                regression guard against the committed BENCH_PR*.json
-#   lint         rustfmt + clippy (warnings are errors)
+#   bench-e2e    the repo's benchmark (BENCHMARK.json, its own package
+#                under bench_e2e/): build, its tests, and one --smoke
+#                run of each workload
+#   lint         rustfmt + clippy (warnings are errors), and the guard
+#                that keeps the interpreter oracle out of every crate on
+#                the serving path
 #
 # Every run ends with a per-tier wall-clock timing summary and, when all
 # selected tiers passed, the line "CI GREEN".
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_TIERS=(build test test-quick stress streaming chaos bench-smoke lint)
+ALL_TIERS=(build test test-quick stress streaming chaos bench-smoke bench-e2e lint)
 QUICK_TIERS=(build test-quick)
 
 tier_build() {
@@ -46,7 +52,7 @@ tier_test() {
 
 tier_test_quick() {
   # Same suite, property tests at 8 cases instead of 64. The differential
-  # VM-vs-interpreter proptests still run — the quick gate trades fuzzing
+  # VM-vs-oracle proptests still run — the quick gate trades fuzzing
   # depth for latency, not coverage of the parity contract.
   PROPTEST_CASES=8 cargo test -q --workspace
 }
@@ -98,13 +104,29 @@ tier_bench_smoke() {
   cargo run --release -p laminar-bench --bin bench_check
 }
 
+tier_bench_e2e() {
+  local manifest=bench_e2e/Cargo.toml
+  cargo build --release --offline --manifest-path "$manifest"
+  cargo test --release --offline --manifest-path "$manifest"
+  for workload in serve_small enact_heavy stream_push registry_mixed; do
+    cargo run --release --offline --quiet --manifest-path "$manifest" -- --workload "$workload" --smoke
+  done
+}
+
 tier_lint() {
   cargo fmt --check
   cargo clippy --workspace --all-targets -- -D warnings
+  # One script backend: the tree-walker is the differential suites'
+  # oracle, so nothing an engine, server, registry or client is built
+  # from may name it.
+  if grep -rnE '\bInterp(PeFactory)?\b|\boracle::' crates/{client,core,engine,registry,server,workloads}/src; then
+    echo "ci.sh: the interpreter oracle is test-only; the lines above reach for it" >&2
+    return 1
+  fi
 }
 
 usage() {
-  sed -n '2,28p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,35p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 TIERS=()

@@ -61,8 +61,7 @@ const REGRESSION_FACTOR: f64 = 5.0;
 /// least this factor on the figure1_script workload. Both sides are
 /// measured in the same smoke run on the same machine, so the bound is
 /// tight by design: the VM's full-run advantage is well above 1.5x, and
-/// falling below it means the compiled path regressed (or silently fell
-/// back to the interpreter).
+/// falling below it means the compiled path regressed.
 const VM_SPEEDUP_FLOOR: f64 = 1.5;
 
 /// Floor for the streaming first-result-fraction limit: smoke runs are

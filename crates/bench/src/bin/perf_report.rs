@@ -26,15 +26,14 @@
 use laminar_bench::{
     astro_graph, bench_mapping, figure1_graph, figure1_script_graph, BenchRun, Table5Config,
 };
-use laminar_dataflow::MappingKind;
-use laminar_dataflow::RunOptions;
+use laminar_dataflow::{oracle, MappingKind, RunOptions, WorkflowGraph};
 use laminar_json::Value;
 use std::time::Duration;
 
 const ALL_MAPPINGS: [MappingKind; 4] =
     [MappingKind::Simple, MappingKind::Multi, MappingKind::Mpi, MappingKind::Redis];
 
-fn run_workload(graph: &laminar_dataflow::WorkflowGraph, options: &RunOptions, reps: usize) -> Value {
+fn run_workload(graph: &WorkflowGraph, options: &RunOptions, reps: usize) -> Value {
     let mut section = Value::Null;
     for kind in ALL_MAPPINGS {
         let run: BenchRun = bench_mapping(graph, kind, options, reps);
@@ -76,19 +75,23 @@ fn main() {
 
     // figure1_script: the same pipeline with LamScript bodies, enacted on
     // the Simple mapping (single-threaded, so script execution dominates
-    // and the backend comparison is clean) — once on the compiled VM
-    // (the default) and once on the tree-walking interpreter.
+    // and the backend comparison is clean) — once on the compiled VM and
+    // once on the tree-walking interpreter (the oracle graph).
     let (fs_iters, fs_reps) = if smoke { (300, 3) } else { (2000, 11) };
-    let fs_graph = figure1_script_graph();
-    let vm_opts = RunOptions::iterations(fs_iters);
-    let interp_opts = RunOptions::iterations(fs_iters).with_interpreter(true);
+    let fs_opts = RunOptions::iterations(fs_iters);
     eprintln!("figure1_script ({fs_iters} iterations, Simple mapping, {fs_reps} reps):");
-    let vm_run = bench_mapping(&fs_graph, MappingKind::Simple, &vm_opts, fs_reps);
+    let vm_run = bench_mapping(
+        &figure1_script_graph(WorkflowGraph::add_script_pe),
+        MappingKind::Simple,
+        &fs_opts,
+        fs_reps,
+    );
     eprintln!(
         "  vm     {:>9} inv  {:>12} us  {:>12.0}/s",
         vm_run.invocations, vm_run.elapsed_us, vm_run.throughput
     );
-    let interp_run = bench_mapping(&fs_graph, MappingKind::Simple, &interp_opts, fs_reps);
+    let interp_run =
+        bench_mapping(&figure1_script_graph(oracle::add_pe), MappingKind::Simple, &fs_opts, fs_reps);
     eprintln!(
         "  interp {:>9} inv  {:>12} us  {:>12.0}/s",
         interp_run.invocations, interp_run.elapsed_us, interp_run.throughput

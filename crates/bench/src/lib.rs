@@ -3,6 +3,7 @@
 //! paper's evaluation (see DESIGN.md §5 for the index).
 
 use laminar_dataflow::mapping::{Mapping, MultiMapping, SimpleMapping};
+use laminar_dataflow::oracle;
 use laminar_dataflow::{RunOptions, WorkflowGraph};
 use laminar_json::Value;
 use laminar_script::Host;
@@ -221,12 +222,14 @@ pe PE3 : iterative {
 }
 "#;
 
-/// Build the scripted Figure 1 pipeline ([`FIGURE1_SCRIPT`]).
-pub fn figure1_script_graph() -> WorkflowGraph {
+/// Build the scripted Figure 1 pipeline ([`FIGURE1_SCRIPT`]) with `add`:
+/// [`WorkflowGraph::add_script_pe`] for compiled PEs, [`oracle::add_pe`] for
+/// the same PEs on the tree-walking interpreter the VM's speedup is
+/// measured against.
+pub fn figure1_script_graph(add: oracle::AddPe) -> WorkflowGraph {
     let mut g = WorkflowGraph::new("figure1_script");
-    let p1 = g.add_script_pe(FIGURE1_SCRIPT, "PE1").unwrap();
-    let p2 = g.add_script_pe(FIGURE1_SCRIPT, "PE2").unwrap();
-    let p3 = g.add_script_pe(FIGURE1_SCRIPT, "PE3").unwrap();
+    let mut pe = |name: &str| add(&mut g, FIGURE1_SCRIPT, name).unwrap();
+    let (p1, p2, p3) = (pe("PE1"), pe("PE2"), pe("PE3"));
     g.connect(p1, "output", p2, "input").unwrap();
     g.connect(p2, "output", p3, "input").unwrap();
     g

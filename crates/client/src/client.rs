@@ -2,6 +2,7 @@
 
 use crate::web::{self, InProcessTransport, TcpTransport, Transport};
 use laminar_dataflow::MappingKind;
+use laminar_engine::request::SubmitOptions;
 use laminar_engine::ExecutionOutput;
 use laminar_json::Value;
 use laminar_server::{ApiResponse, LaminarServer};
@@ -244,26 +245,13 @@ impl LaminarClient {
         if resp.is_ok() {
             Ok(resp.body)
         } else {
-            // The unified v1 envelope nests the detail under "error":
-            // {"error":{"code","status","message","retryAfterMs"?}}. Pre-v1
-            // servers answered the flat {"error":"<kind>","message":…}
-            // shape — keep decoding it so old deployments stay reachable.
+            // The v1 envelope nests the detail under "error":
+            // {"error":{"code","status","message","retryAfterMs"?}}.
             let detail = &resp.body["error"];
-            let (kind, message) = if detail["code"].as_str().is_some() {
-                (
-                    detail["code"].as_str().unwrap_or("Unknown").to_string(),
-                    detail["message"].as_str().unwrap_or("").to_string(),
-                )
-            } else {
-                (
-                    resp.body["error"].as_str().unwrap_or("Unknown").to_string(),
-                    resp.body["message"].as_str().unwrap_or("").to_string(),
-                )
-            };
             Err(ClientError::Api {
                 status: resp.status,
-                kind,
-                message,
+                kind: detail["code"].as_str().unwrap_or("Unknown").to_string(),
+                message: detail["message"].as_str().unwrap_or("").to_string(),
                 retry_after_ms: detail["retryAfterMs"].as_i64().filter(|ms| *ms >= 0).map(|ms| ms as u64),
             })
         }
@@ -486,21 +474,13 @@ impl LaminarClient {
         body.set("input", config.input.clone())
             .set("mapping", config.mapping.as_str())
             .set("processes", config.processes);
-        // The v1 nested options object — the server still accepts the
-        // deprecated flat `events`/`checkpoint_every` fields from older
-        // clients, but this client speaks v1.
-        let mut options = Value::Null;
-        options.set("events", config.stream_events);
-        if config.checkpoint_every > 0 {
-            options.set("checkpointEvery", config.checkpoint_every);
-        }
-        if config.priority != 0 {
-            options.set("priority", config.priority);
-        }
-        if let Some(d) = config.deadline_ms {
-            options.set("deadlineMs", d as i64);
-        }
-        body.set("options", options);
+        let options = SubmitOptions {
+            events: config.stream_events,
+            checkpoint_every: config.checkpoint_every,
+            priority: config.priority,
+            deadline_ms: config.deadline_ms,
+        };
+        body.set("options", options.to_value());
         let resources: Value = config
             .resources
             .iter()
@@ -602,37 +582,17 @@ impl LaminarClient {
         self.call(&web::get("/execution/pool/stats"))
     }
 
-    /// Poll a job until it finishes or `timeout` passes. Polling backs
-    /// off exponentially (2 ms doubling to a 50 ms cap), so long jobs
-    /// cost a handful of requests instead of hammering the server. A
-    /// throttled poll (429) is not fatal: the server's `retryAfterMs`
-    /// advice replaces the fixed ladder for that round, so a saturated
-    /// server sets the pace instead of being hammered at 50 ms.
+    /// Wait until a job finishes or `timeout` passes:
+    /// [`LaminarClient::wait_job_with_progress`] with nobody watching. On a
+    /// job submitted with [`RunConfig::with_events`] that means fetching
+    /// and dropping every page of its log; when only the result of such a
+    /// job matters, poll [`LaminarClient::job_result`] instead.
     pub fn wait_job(
         &self,
         job_id: i64,
         timeout: std::time::Duration,
     ) -> Result<ExecutionOutput, ClientError> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut delay = std::time::Duration::from_millis(2);
-        loop {
-            let hint = match self.job_result(job_id) {
-                Ok(Some(output)) => return Ok(output),
-                Ok(None) => None,
-                Err(ClientError::Api { status: 429, retry_after_ms, .. }) => {
-                    Some(std::time::Duration::from_millis(retry_after_ms.unwrap_or(50).max(1)))
-                }
-                Err(e) => return Err(e),
-            };
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return Err(ClientError::Transport(format!("job {job_id} did not finish in {timeout:?}")));
-            }
-            std::thread::sleep(hint.unwrap_or(delay).min(deadline - now));
-            if hint.is_none() {
-                delay = (delay * 2).min(std::time::Duration::from_millis(50));
-            }
-        }
+        self.wait_job_with_progress(job_id, timeout, |_| {})
     }
 
     // ---- event stream -------------------------------------------------------------------
@@ -675,14 +635,15 @@ impl LaminarClient {
         })
     }
 
-    /// Iterate a job's events as they arrive, blocking between pages with
-    /// the same 2→50 ms backoff as [`LaminarClient::wait_job`] (reset
-    /// whenever events arrive). The iterator ends when the stream closes
-    /// (the last item is the `done`/`failed`/`cancelled` marker) or `timeout` passes
-    /// with the stream still open (final item: a transport error). A
-    /// transport error is also surfaced when the server's bounded log
-    /// evicted events past the cursor (truncation) — the stream would
-    /// otherwise silently diverge from the batch result.
+    /// Iterate a job's events as they arrive. Each page request long-polls
+    /// ([`LaminarClient::job_events_wait`]), so events are delivered the
+    /// moment the server appends them, with no client-side sleep between
+    /// pages. The iterator ends when the stream closes (the last item is
+    /// the `done`/`failed`/`cancelled` marker) or `timeout` passes with
+    /// the stream still open (final item: a transport error). A transport
+    /// error is also surfaced when the server's bounded log evicted events
+    /// past the cursor (truncation) — the stream would otherwise silently
+    /// diverge from the batch result.
     pub fn event_stream(&self, job_id: i64, timeout: std::time::Duration) -> JobEventStream<'_> {
         JobEventStream {
             client: self,
@@ -692,28 +653,33 @@ impl LaminarClient {
             closed: false,
             failed: false,
             deadline: std::time::Instant::now() + timeout,
-            wait: std::time::Duration::ZERO,
         }
     }
 
-    /// Like [`LaminarClient::event_stream`] but push-driven: each page
-    /// request long-polls ([`LaminarClient::job_events_wait`]) so events
-    /// are delivered the moment the server appends them, with no
-    /// client-side sleep between pages. Same items, same termination —
-    /// only the delivery latency and request count change.
+    /// [`LaminarClient::event_stream`] under the name it had while a
+    /// polling stream existed beside it. Kept only because the frozen
+    /// benchmark (`bench_e2e`) calls it; the next benchmark PR renames the
+    /// call and deletes this.
+    #[doc(hidden)]
     pub fn event_stream_push(&self, job_id: i64, timeout: std::time::Duration) -> JobEventStream<'_> {
-        let mut stream = self.event_stream(job_id, timeout);
-        stream.wait = std::time::Duration::from_millis(10_000);
-        stream
+        self.event_stream(job_id, timeout)
     }
 
-    /// Wait for a job like [`LaminarClient::wait_job`], invoking
-    /// `on_event` for every event of its stream as it arrives (progress
-    /// reporting). Requires the job to have been submitted with
+    /// Wait until a job finishes or `timeout` passes, invoking `on_event`
+    /// for every event of its stream as it arrives (progress reporting).
+    /// Requires the job to have been submitted with
     /// [`RunConfig::with_events`] for event granularity — without it the
-    /// callback only sees the terminal marker. Progress is best-effort:
-    /// a truncated or interrupted stream stops the callbacks but the
-    /// result is still awaited and returned.
+    /// callback only sees the terminal marker. The wait follows the job's
+    /// event log to its seal by long-poll (no client-side sleeps) and then
+    /// reads the result once. A throttled page (429) is not fatal: the
+    /// wait pauses for the server's `retryAfterMs` advice, so a saturated
+    /// server sets the pace instead of being hammered. Any other error on
+    /// a page (unknown job, a transport failure) ends the wait with that
+    /// error, as an error from `job/result` always ended `wait_job`; the
+    /// job itself is unaffected and can be waited on again. Progress is
+    /// best-effort: once the bounded log has evicted events this wait never
+    /// read, the callbacks stop — a stream with a hole in it is not
+    /// reported — but the result is still awaited and returned.
     pub fn wait_job_with_progress(
         &self,
         job_id: i64,
@@ -721,25 +687,41 @@ impl LaminarClient {
         mut on_event: impl FnMut(&Value),
     ) -> Result<ExecutionOutput, ClientError> {
         let deadline = std::time::Instant::now() + timeout;
-        for event in self.event_stream(job_id, timeout) {
-            match event {
-                Ok(event) => on_event(&event),
-                // The stream recovered from eviction at an epoch marker —
-                // keep reporting from there.
-                Err(ClientError::Resumed { .. }) => {}
-                // A lost stream (log truncation, transport hiccup) must
-                // not lose a retrievable result — fall through to the
-                // result poll below.
-                Err(_) => break,
+        let (mut cursor, mut truncated) = (0, false);
+        loop {
+            let budget = deadline.saturating_duration_since(std::time::Instant::now());
+            match self.job_events_wait(job_id, cursor, PAGE_WAIT.min(budget)) {
+                Ok(page) => {
+                    truncated |= cursor < page.first && page.retained_epoch.is_none();
+                    if !truncated {
+                        page.events.iter().for_each(&mut on_event);
+                    }
+                    cursor = page.next;
+                    if page.closed {
+                        break;
+                    }
+                }
+                Err(ClientError::Api { status: 429, retry_after_ms, .. }) => {
+                    let advised = std::time::Duration::from_millis(retry_after_ms.unwrap_or(50).max(1));
+                    std::thread::sleep(advised.min(budget));
+                }
+                Err(e) => return Err(e),
+            }
+            if std::time::Instant::now() >= deadline {
+                return Err(ClientError::Transport(format!("job {job_id} did not finish in {timeout:?}")));
             }
         }
-        let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-        // Stream closed normally → the terminal phase is committed and
-        // this returns on the first poll; stream lost → keep waiting out
-        // the caller's budget.
-        self.wait_job(job_id, remaining)
+        // The server commits a job's terminal phase and seals its log under
+        // one lock, so a sealed log means the result is there.
+        self.job_result(job_id)?
+            .ok_or(ClientError::Transport(format!("job {job_id} sealed its event log without a result")))
     }
 }
+
+/// How long one page request of the event stream may park server-side
+/// before it is re-issued (the server answers sooner the moment an event
+/// lands, and caps the park at its own limit).
+const PAGE_WAIT: std::time::Duration = std::time::Duration::from_secs(10);
 
 /// Blocking iterator over a job's event stream — see
 /// [`LaminarClient::event_stream`].
@@ -751,8 +733,6 @@ pub struct JobEventStream<'a> {
     closed: bool,
     failed: bool,
     deadline: std::time::Instant,
-    /// Per-page long-poll budget: zero polls, non-zero parks server-side.
-    wait: std::time::Duration,
 }
 
 impl JobEventStream<'_> {
@@ -781,7 +761,6 @@ impl Iterator for JobEventStream<'_> {
     type Item = Result<Value, ClientError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let mut delay = std::time::Duration::from_millis(2);
         loop {
             if let Some(event) = self.buffered.pop_front() {
                 return Some(Ok(event));
@@ -790,7 +769,7 @@ impl Iterator for JobEventStream<'_> {
                 return None;
             }
             let budget = self.deadline.saturating_duration_since(std::time::Instant::now());
-            match self.client.job_events_wait(self.job_id, self.cursor, self.wait.min(budget)) {
+            match self.client.job_events_wait(self.job_id, self.cursor, PAGE_WAIT.min(budget)) {
                 Ok(page) => {
                     // The server's log is bounded: if the oldest retained
                     // seq moved past our cursor, events were evicted before
@@ -842,19 +821,14 @@ impl Iterator for JobEventStream<'_> {
                     return Some(Err(e));
                 }
             }
-            let now = std::time::Instant::now();
-            if now >= self.deadline {
+            // The request already waited server-side; re-request straight
+            // away unless the caller's budget is spent.
+            if std::time::Instant::now() >= self.deadline {
                 self.failed = true;
                 return Some(Err(ClientError::Transport(format!(
                     "job {} event stream still open at timeout",
                     self.job_id
                 ))));
-            }
-            // Push mode already waited server-side; re-request straight
-            // away. Poll mode paces itself with the 2→50 ms ladder.
-            if self.wait.is_zero() {
-                std::thread::sleep(delay.min(self.deadline - now));
-                delay = (delay * 2).min(std::time::Duration::from_millis(50));
             }
         }
     }
@@ -1171,6 +1145,16 @@ mod tests {
     }
 
     #[test]
+    fn wait_job_ends_at_once_on_a_page_error_that_is_not_a_throttle() {
+        let c = logged_in_client();
+        let (t0, mut seen) = (std::time::Instant::now(), 0);
+        let r = c.wait_job_with_progress(4242, std::time::Duration::from_secs(30), |_| seen += 1);
+        assert!(matches!(r, Err(ClientError::Api { status: 404, .. })), "{r:?}");
+        assert_eq!(seen, 0);
+        assert!(t0.elapsed() < std::time::Duration::from_secs(10), "did not wait out the budget");
+    }
+
+    #[test]
     fn event_stream_for_unknown_job_errors_once() {
         let c = logged_in_client();
         let items: Vec<Result<Value, ClientError>> =
@@ -1334,7 +1318,7 @@ mod tests {
         c.wait_job(id, std::time::Duration::from_secs(20)).unwrap();
     }
 
-    /// A transport that answers the next `throttle_next` job-result GETs
+    /// A transport that answers the next `throttle_next` event-page GETs
     /// with a v1 429 envelope before delegating — the saturated-server
     /// model for the backoff test.
     struct ThrottlingTransport {
@@ -1347,7 +1331,7 @@ mod tests {
         fn call(&self, request: &laminar_server::ApiRequest) -> Result<ApiResponse, String> {
             use std::sync::atomic::Ordering;
             let remaining = self.throttle_next.load(Ordering::SeqCst);
-            if remaining > 0 && request.path.ends_with("/result") {
+            if remaining > 0 && request.path.contains("/events") {
                 self.throttle_next.store(remaining - 1, Ordering::SeqCst);
                 let mut detail = Value::Null;
                 detail
@@ -1382,7 +1366,7 @@ mod tests {
         c.login("zz46", "password").unwrap();
         c.register_workflow(WF_SRC, "isPrime", None).unwrap();
         let id = c.submit(RunTarget::Registered("isPrime".into()), RunConfig::iterations(10)).unwrap();
-        // Two throttled polls: wait_job must ride them out, pacing itself
+        // Two throttled pages: wait_job must ride them out, pacing itself
         // by the server's 40 ms advice instead of failing or hammering.
         throttle_next.store(2, Ordering::SeqCst);
         let t0 = std::time::Instant::now();
@@ -1392,41 +1376,11 @@ mod tests {
         assert_eq!(throttle_next.load(Ordering::SeqCst), 0, "both throttled responses were consumed");
     }
 
-    /// A transport answering the pre-v1 flat error shape
-    /// (`{"error":"<kind>","message":…}`) — the old-server model for the
-    /// envelope-compatibility test.
-    struct LegacyErrorTransport;
-
-    impl crate::web::Transport for LegacyErrorTransport {
-        fn call(&self, _request: &laminar_server::ApiRequest) -> Result<ApiResponse, String> {
-            let mut body = Value::Null;
-            body.set("error", "NotFound").set("message", "job '9' not found");
-            Ok(ApiResponse { status: 404, body })
-        }
-
-        fn endpoint(&self) -> String {
-            "legacy".to_string()
-        }
-    }
-
-    #[test]
-    fn legacy_flat_error_envelope_still_parses() {
-        let mut c = LaminarClient::with_transport(Box::new(LegacyErrorTransport));
-        c.user = Some("zz46".into());
-        match c.job_status(9) {
-            Err(ClientError::Api { status: 404, kind, message, retry_after_ms: None }) => {
-                assert_eq!(kind, "NotFound");
-                assert!(message.contains("not found"));
-            }
-            other => panic!("expected the decoded legacy envelope, got {other:?}"),
-        }
-    }
-
     #[test]
     fn push_event_stream_matches_polling_over_tcp() {
         // The long-poll `&wait_ms=` query rides inside the percent-encoded
-        // segment over real HTTP, and push delivery yields exactly the
-        // same items as polling — only the transport rhythm differs.
+        // segment over real HTTP, and the pushed stream yields exactly the
+        // pages a `wait = 0` poll of the sealed log reads back.
         let http = laminar_server::HttpServer::start(LaminarServer::in_memory()).unwrap();
         let mut c = LaminarClient::connect(http.addr());
         c.register("push-tcp", "password").unwrap();
@@ -1436,12 +1390,16 @@ mod tests {
             .submit(RunTarget::Registered("isPrime".into()), RunConfig::iterations(20).with_events(true))
             .unwrap();
         let pushed: Vec<Value> =
-            c.event_stream_push(id, std::time::Duration::from_secs(20)).collect::<Result<_, _>>().unwrap();
-        assert_eq!(pushed.last().unwrap()["type"].as_str(), Some("done"));
-        // Replaying the sealed stream by polling yields the identical
-        // sequence.
-        let polled: Vec<Value> =
             c.event_stream(id, std::time::Duration::from_secs(20)).collect::<Result<_, _>>().unwrap();
+        assert_eq!(pushed.last().unwrap()["type"].as_str(), Some("done"));
+        let mut polled: Vec<Value> = Vec::new();
+        loop {
+            let page = c.job_events(id, polled.len() as u64).unwrap();
+            polled.extend(page.events);
+            if page.closed {
+                break;
+            }
+        }
         assert_eq!(pushed, polled);
         let seqs: Vec<i64> = pushed.iter().filter_map(|e| e["seq"].as_i64()).collect();
         assert!(seqs.windows(2).all(|w| w[1] == w[0] + 1), "gap-free push stream: {seqs:?}");
@@ -1458,11 +1416,11 @@ mod tests {
         assert_eq!(body["options"]["deadlineMs"].as_i64(), Some(1500));
         assert_eq!(body["options"]["checkpointEvery"].as_i64(), Some(4));
         assert_eq!(body["options"]["events"].as_bool(), Some(false));
-        // The deprecated flat fields are gone from the wire form.
+        // Nothing rides the envelope flat.
         assert!(body["events"].is_null());
         assert!(body["checkpoint_every"].is_null());
         // And the engine-side parser reads the nested object back.
-        let opts = laminar_engine::request::SubmitOptions::from_request_value(&body);
+        let opts = SubmitOptions::from_request_value(&body);
         assert_eq!(opts.priority, 7);
         assert_eq!(opts.deadline_ms, Some(1500));
         assert_eq!(opts.checkpoint_every, 4);

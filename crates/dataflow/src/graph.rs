@@ -5,9 +5,10 @@ use crate::error::DataflowError;
 use crate::pe::{PeFactory, ScriptPeFactory};
 use crate::ports::PortTable;
 use crate::routing::Grouping;
-use laminar_script::{parse_script, Host, WorkflowDecl};
+use laminar_script::{compile, parse_script, Host, Script, WorkflowDecl};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Index of a node (PE) in a workflow graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -294,6 +295,17 @@ impl WorkflowGraph {
         host: Arc<dyn Host + Send + Sync>,
     ) -> Result<Self, DataflowError> {
         let script = parse_script(source).map_err(DataflowError::from)?;
+        Self::from_parsed(&script, workflow_name, host)
+    }
+
+    /// [`Self::from_script_with_host`] for a source the caller already
+    /// parsed. The script is compiled through the cache once; every PE
+    /// factory of the graph shares that program.
+    pub fn from_parsed(
+        script: &Script,
+        workflow_name: &str,
+        host: Arc<dyn Host + Send + Sync>,
+    ) -> Result<Self, DataflowError> {
         let decl: &WorkflowDecl = script
             .workflows()
             .find(|w| w.name == workflow_name)
@@ -302,15 +314,24 @@ impl WorkflowGraph {
         if let Some(doc) = &decl.doc {
             graph.set_description(doc.clone());
         }
+        let t0 = Instant::now();
+        let program = compile::shared(script).map_err(DataflowError::from)?;
+        // The one lookup's time, reported by the first factory only.
+        let mut compile_time = t0.elapsed();
         let mut alias_to_id: BTreeMap<String, NodeId> = BTreeMap::new();
         for node in &decl.nodes {
-            if script.pe(&node.pe_name).is_none() {
-                return Err(DataflowError::Graph(format!(
+            let pe = script.pe(&node.pe_name).ok_or_else(|| {
+                DataflowError::Graph(format!(
                     "workflow '{}' references undefined PE '{}'",
                     decl.name, node.pe_name
-                )));
-            }
-            let factory = ScriptPeFactory::from_source_with_host(source, &node.pe_name, Arc::clone(&host))?;
+                ))
+            })?;
+            let factory = ScriptPeFactory::with_program(
+                pe,
+                Arc::clone(&program),
+                std::mem::take(&mut compile_time),
+                Arc::clone(&host),
+            );
             let id = graph.add(Arc::new(factory));
             alias_to_id.insert(node.alias.clone(), id);
         }

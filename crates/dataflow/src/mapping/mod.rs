@@ -151,11 +151,6 @@ pub struct RunOptions {
     /// to a fresh token nobody cancels; [`RunInput::Unbounded`] runs end
     /// *only* through it.
     pub cancel: CancelToken,
-    /// Force scripted PEs onto the tree-walking interpreter instead of the
-    /// compiled bytecode VM. The interpreter is the differential oracle the
-    /// VM is tested against; this flag keeps it reachable end-to-end (and
-    /// is the escape hatch if a compiled body ever misbehaves).
-    pub interpret_scripts: bool,
     /// Checkpoint interval in source iterations. `0` (the default)
     /// disables checkpointing; `n > 0` makes the runtime enact in
     /// *rounds* of `n` iterations, draining to quiescence between rounds
@@ -197,7 +192,6 @@ impl Default for RunOptions {
             processes: 5,
             queue_timeout: Duration::from_secs(10),
             cancel: CancelToken::new(),
-            interpret_scripts: false,
             checkpoint_every: 0,
             faults: crate::fault::FaultPlan::default(),
             resume: None,
@@ -233,13 +227,6 @@ impl RunOptions {
     /// invocations.
     pub fn with_cancel(mut self, cancel: CancelToken) -> RunOptions {
         self.cancel = cancel;
-        self
-    }
-
-    /// Run scripted PEs on the tree-walking interpreter instead of the
-    /// compiled VM (see [`RunOptions::interpret_scripts`]).
-    pub fn with_interpreter(mut self, on: bool) -> RunOptions {
-        self.interpret_scripts = on;
         self
     }
 

@@ -340,7 +340,7 @@ impl<'a> Runtime<'a> {
     ) -> Result<Vec<InstanceRunner>, DataflowError> {
         let mut runners = Vec::with_capacity(plan.total_processes);
         for inst in plan.all_instances() {
-            let mut r = InstanceRunner::with_backend(self.graph, plan, inst, self.options.interpret_scripts)?;
+            let mut r = InstanceRunner::new(self.graph, plan, inst)?;
             if let Some(snap) = snapshots.and_then(|s| s.as_array()).and_then(|a| a.get(runners.len())) {
                 r.restore(snap);
             }

@@ -139,25 +139,11 @@ pub struct InstanceRunner {
 }
 
 impl InstanceRunner {
-    /// Build the runner for instance `inst` under `plan`, running scripted
-    /// PEs on the default backend (compiled VM when available).
+    /// Build the runner for instance `inst` under `plan`.
     pub fn new(
         graph: &WorkflowGraph,
         plan: &ConcretePlan,
         inst: InstanceId,
-    ) -> Result<InstanceRunner, DataflowError> {
-        Self::with_backend(graph, plan, inst, false)
-    }
-
-    /// Like [`InstanceRunner::new`], but when `interpret` is set the PE is
-    /// switched to its reference interpreter before setup
-    /// ([`Pe::use_interpreter`]) — the oracle/fallback path behind
-    /// [`super::RunOptions::interpret_scripts`].
-    pub fn with_backend(
-        graph: &WorkflowGraph,
-        plan: &ConcretePlan,
-        inst: InstanceId,
-        interpret: bool,
     ) -> Result<InstanceRunner, DataflowError> {
         let ports = Arc::clone(plan.ports());
         let intern = |name: &str| {
@@ -188,9 +174,6 @@ impl InstanceRunner {
         let expected_eos =
             graph.connections().iter().filter(|c| c.to == inst.node).map(|c| plan.count(c.from)).sum();
         let mut pe = factory.instantiate();
-        if interpret {
-            pe.use_interpreter();
-        }
         let mut sink =
             InternSink { ports: Arc::clone(&ports), emitted: Vec::new(), emit_calls: 0, printed: Vec::new() };
         pe.setup(inst.index, plan.count(inst.node), &mut sink)?;
@@ -693,7 +676,6 @@ mod tests {
             kind: PeKind::Producer,
             inputs: vec![],
             outputs: vec!["output".into()],
-            source: None,
             imports: vec![],
             description: None,
             stateful: false,

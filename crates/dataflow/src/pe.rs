@@ -2,18 +2,17 @@
 //!
 //! Two families implement the same [`Pe`] trait:
 //!
-//! * [`ScriptPe`] — a LamScript `pe` declaration interpreted at runtime.
+//! * [`ScriptPe`] — a LamScript `pe` declaration compiled to bytecode.
 //!   This is the serverless path: the source travels through the registry
-//!   and the engine, and each instance keeps its own interpreter state.
+//!   and the engine, and each instance keeps its own VM state.
 //! * [`NativePe`] / the [`producer_fn`]/[`iterative_fn`]/[`consumer_fn`]
 //!   builders — Rust closures, used by baselines and benchmarks where
-//!   interpreter overhead must be excluded.
+//!   script overhead must be excluded.
 
 use crate::error::DataflowError;
 use laminar_json::Value;
 use laminar_script::{
-    analysis, compile, parse_script, to_source, Host, Interp, NullHost, PeDecl, PeKind, PortDecl, Program,
-    Script, Sink, Vm,
+    analysis, compile, parse_script, Host, NullHost, PeDecl, PeKind, PortDecl, Program, Script, Sink, Vm,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -29,8 +28,6 @@ pub struct PeMeta {
     pub inputs: Vec<PortDecl>,
     /// Output port names.
     pub outputs: Vec<String>,
-    /// Canonical LamScript source, if this PE is scripted.
-    pub source: Option<String>,
     /// Declared + inferred library imports (drives the engine installer).
     pub imports: Vec<String>,
     /// Optional human description (the registry may overwrite with a
@@ -48,7 +45,6 @@ impl PeMeta {
             kind: decl.kind,
             inputs: decl.inputs.clone(),
             outputs: decl.outputs.clone(),
-            source: None,
             imports: analysis::pe_imports(decl),
             description: decl.doc.clone(),
             stateful: decl.is_stateful(),
@@ -92,16 +88,11 @@ pub trait Pe: Send {
         out: &mut dyn Sink,
     ) -> Result<(), DataflowError>;
 
-    /// Ask the instance to run on its reference implementation instead of
-    /// any compiled fast path (see [`crate::mapping::RunOptions::interpret_scripts`]).
-    /// Must be called before [`Pe::setup`]; no-op for PEs with one backend.
-    fn use_interpreter(&mut self) {}
-
     /// Capture the instance's durable cross-invocation state for an epoch
     /// checkpoint, or `None` if this PE kind has nothing snapshotable
     /// (native closure PEs). For scripted PEs the snapshot covers the
     /// script's `state.*` value — which is where group-by tables live —
-    /// plus the backend RNG, and both backends (VM and interpreter) must
+    /// plus the VM's RNG; the interpreter oracle ([`crate::oracle`]) must
     /// produce byte-identical snapshots for the same history.
     fn snapshot_state(&self) -> Option<Value> {
         None
@@ -121,9 +112,10 @@ pub trait PeFactory: Send + Sync {
     fn meta(&self) -> &PeMeta;
     /// Create a fresh instance with isolated state.
     fn instantiate(&self) -> Box<dyn Pe>;
-    /// Time spent compiling this PE when the factory was built: zero for
-    /// native PEs, near-zero on compile-cache hits — which is what makes it
-    /// a useful cache-effectiveness signal in [`crate::mapping::StageTimings`].
+    /// Time this factory spent on its compile-cache lookup when it was
+    /// built: zero for native PEs and for factories handed a program their
+    /// graph looked up, near-zero on a hit — which makes the sum over a
+    /// graph a cache-effectiveness signal in [`crate::mapping::StageTimings`].
     fn compile_time(&self) -> Duration {
         Duration::ZERO
     }
@@ -133,23 +125,19 @@ pub trait PeFactory: Send + Sync {
 // Scripted PEs
 // ---------------------------------------------------------------------------
 
-/// Factory for script-defined PEs.
-///
-/// Construction compiles the canonical source to bytecode through the
-/// process-wide compile cache ([`compile::shared`]); instances then run
-/// the [`Vm`] unless the run forces the interpreter or compilation was
-/// unavailable. Both engines execute the *canonical reparse* of the
-/// source, so their observable behaviour — including error line numbers —
-/// is identical, and equal canonical sources share one compiled program
-/// across factories and engine forks.
+/// RNG seed base of scripted PEs (instance `i` draws from `SEED + i`) —
+/// the oracle's too, so both backends draw one stream.
+pub(crate) const SEED: u64 = 0x1a31_4a12;
+
+/// Factory for script-defined PEs: a parsed declaration plus the compiled
+/// program its instances run on the [`Vm`]. A script the compiler rejects
+/// is an error here — there is no other way to run it. Equal canonical
+/// sources share one compiled program across factories and engine forks
+/// through the process-wide compile cache ([`compile::shared`]).
 pub struct ScriptPeFactory {
-    script: Arc<Script>,
-    decl: PeDecl,
     meta: PeMeta,
     host: Arc<dyn Host + Send + Sync>,
-    fuel: u64,
-    seed: u64,
-    program: Option<Arc<Program>>,
+    program: Arc<Program>,
     compile_time: Duration,
 }
 
@@ -166,51 +154,36 @@ impl ScriptPeFactory {
         pe_name: &str,
         host: Arc<dyn Host + Send + Sync>,
     ) -> Result<Self, DataflowError> {
-        let parsed =
+        let script =
             parse_script(source).map_err(|e| DataflowError::PeFailed { pe: pe_name.into(), error: e })?;
-        if parsed.pe(pe_name).is_none() {
-            return Err(DataflowError::Graph(format!("source defines no PE named '{pe_name}'")));
-        }
-        let canonical = to_source(&parsed);
-        // Execute the canonical reparse (not the original parse): the
-        // compiled program is cached under the canonical text, so running
-        // the interpreter on the same AST keeps the two backends
-        // observationally identical down to error line numbers.
-        let script = parse_script(&canonical).unwrap_or(parsed);
+        Self::from_parsed(&script, pe_name, host)
+    }
+
+    /// [`Self::from_source_with_host`] for a source the caller already
+    /// parsed: one cache lookup, timed as [`PeFactory::compile_time`].
+    pub fn from_parsed(
+        script: &Script,
+        pe_name: &str,
+        host: Arc<dyn Host + Send + Sync>,
+    ) -> Result<Self, DataflowError> {
         let decl = script
             .pe(pe_name)
-            .cloned()
             .ok_or_else(|| DataflowError::Graph(format!("source defines no PE named '{pe_name}'")))?;
-        let mut meta = PeMeta::from_decl(&decl);
-        meta.source = Some(canonical.clone());
         let t0 = Instant::now();
-        // Compilation failure (e.g. a pathologically large body overflowing
-        // the bytecode's index spaces) is not fatal: the tree-walking
-        // interpreter remains as the fallback backend.
-        let program = compile::shared(&canonical).ok();
-        let compile_time = t0.elapsed();
-        Ok(ScriptPeFactory {
-            script: Arc::new(script),
-            decl,
-            meta,
-            host,
-            fuel: laminar_script::interp::DEFAULT_FUEL,
-            seed: 0x1a31_4a12,
-            program,
-            compile_time,
-        })
+        let program =
+            compile::shared(script).map_err(|e| DataflowError::PeFailed { pe: pe_name.into(), error: e })?;
+        Ok(Self::with_program(decl, program, t0.elapsed(), host))
     }
 
-    /// Override the per-invocation fuel budget for instances.
-    pub fn with_fuel(mut self, fuel: u64) -> Self {
-        self.fuel = fuel;
-        self
-    }
-
-    /// Seed the per-instance RNGs (instance `i` gets `seed + i`).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
+    /// Factory over a program the caller already looked up — how a graph
+    /// shares one across its PEs. `program` must be `decl`'s script compiled.
+    pub(crate) fn with_program(
+        decl: &PeDecl,
+        program: Arc<Program>,
+        compile_time: Duration,
+        host: Arc<dyn Host + Send + Sync>,
+    ) -> Self {
+        ScriptPeFactory { meta: PeMeta::from_decl(decl), host, program, compile_time }
     }
 }
 
@@ -221,15 +194,10 @@ impl PeFactory for ScriptPeFactory {
 
     fn instantiate(&self) -> Box<dyn Pe> {
         Box::new(ScriptPe {
-            script: Arc::clone(&self.script),
-            decl: self.decl.clone(),
             meta: self.meta.clone(),
             host: Arc::clone(&self.host),
-            fuel: self.fuel,
-            seed: self.seed,
-            program: self.program.clone(),
-            prefer_interp: false,
-            backend: None,
+            program: Arc::clone(&self.program),
+            vm: None,
             state: Value::Null,
         })
     }
@@ -239,25 +207,12 @@ impl PeFactory for ScriptPeFactory {
     }
 }
 
-/// The engine executing one scripted instance.
-enum ScriptBackend {
-    /// Compiled register bytecode — the default.
-    Vm(Vm),
-    /// Tree-walking interpreter — the oracle/fallback.
-    Interp(Interp),
-}
-
 /// A running scripted PE instance.
 pub struct ScriptPe {
-    script: Arc<Script>,
-    decl: PeDecl,
     meta: PeMeta,
     host: Arc<dyn Host + Send + Sync>,
-    fuel: u64,
-    seed: u64,
-    program: Option<Arc<Program>>,
-    prefer_interp: bool,
-    backend: Option<ScriptBackend>,
+    program: Arc<Program>,
+    vm: Option<Vm>,
     state: Value,
 }
 
@@ -267,25 +222,11 @@ impl Pe for ScriptPe {
     }
 
     fn setup(&mut self, instance: usize, _total: usize, out: &mut dyn Sink) -> Result<(), DataflowError> {
-        let seed = self.seed.wrapping_add(instance as u64);
-        let pe_failed =
-            |e: laminar_script::ScriptError| DataflowError::PeFailed { pe: self.meta.name.clone(), error: e };
-        match (&self.program, self.prefer_interp) {
-            (Some(program), false) => {
-                let mut vm =
-                    Vm::new(Arc::clone(program), Arc::clone(&self.host)).with_fuel(self.fuel).with_seed(seed);
-                let r = vm.run_init(&self.meta.name, &mut self.state, out);
-                self.backend = Some(ScriptBackend::Vm(vm));
-                r.map_err(pe_failed)
-            }
-            _ => {
-                let mut interp =
-                    Interp::new(&self.script, Arc::clone(&self.host)).with_fuel(self.fuel).with_seed(seed);
-                let r = interp.run_init(&self.decl, &mut self.state, out);
-                self.backend = Some(ScriptBackend::Interp(interp));
-                r.map_err(pe_failed)
-            }
-        }
+        let mut vm = Vm::new(Arc::clone(&self.program), Arc::clone(&self.host))
+            .with_seed(SEED.wrapping_add(instance as u64));
+        let r = vm.run_init(&self.meta.name, &mut self.state, out);
+        self.vm = Some(vm);
+        r.map_err(|e| DataflowError::PeFailed { pe: self.meta.name.clone(), error: e })
     }
 
     fn process(
@@ -294,59 +235,43 @@ impl Pe for ScriptPe {
         iteration: i64,
         out: &mut dyn Sink,
     ) -> Result<(), DataflowError> {
-        if self.backend.is_none() {
+        if self.vm.is_none() {
             self.setup(0, 1, out)?;
         }
         let (value, port) = match input {
             Some((p, v)) => (Some(v), Some(p)),
             None => (None, None),
         };
-        let returned = match self.backend.as_mut().expect("setup ran") {
-            ScriptBackend::Vm(vm) => {
-                vm.run_process(&self.meta.name, value, port, iteration, &mut self.state, out)
-            }
-            ScriptBackend::Interp(interp) => {
-                interp.run_process(&self.decl, value, port, iteration, &mut self.state, out)
-            }
-        }
-        .map_err(|e| DataflowError::PeFailed { pe: self.meta.name.clone(), error: e })?;
+        let returned = self
+            .vm
+            .as_mut()
+            .expect("setup ran")
+            .run_process(&self.meta.name, value, port, iteration, &mut self.state, out)
+            .map_err(|e| DataflowError::PeFailed { pe: self.meta.name.clone(), error: e })?;
         // dispel4py shorthand: a returned value is written to the default
         // output port.
         if let Some(v) = returned {
-            if let Some(port) = self.decl.default_output() {
+            if let Some(port) = self.meta.outputs.first() {
                 out.emit(port, v);
             }
         }
         Ok(())
     }
 
-    fn use_interpreter(&mut self) {
-        self.prefer_interp = true;
-        debug_assert!(self.backend.is_none(), "use_interpreter must precede setup");
-    }
-
     fn snapshot_state(&self) -> Option<Value> {
-        // The backend's entire cross-invocation footprint: the script's
+        // The instance's entire cross-invocation footprint: the script's
         // `state.*` value and the RNG position. Fuel resets every
         // invocation and VM scratch buffers are cleared, so neither is
-        // state. The shape is backend-independent by construction — the
-        // parity proptests pin it byte-for-byte.
-        let rng = match self.backend.as_ref()? {
-            ScriptBackend::Vm(vm) => vm.rng_state(),
-            ScriptBackend::Interp(interp) => interp.rng_state(),
-        };
+        // state.
         let mut snap = Value::Null;
-        snap.set("state", self.state.clone()).set("rng", rng as i64);
+        snap.set("state", self.state.clone()).set("rng", self.vm.as_ref()?.rng_state() as i64);
         Some(snap)
     }
 
     fn restore_state(&mut self, snapshot: &Value) {
         self.state = snapshot["state"].clone();
-        let rng = snapshot["rng"].as_i64().unwrap_or(0) as u64;
-        match self.backend.as_mut() {
-            Some(ScriptBackend::Vm(vm)) => vm.set_rng_state(rng),
-            Some(ScriptBackend::Interp(interp)) => interp.set_rng_state(rng),
-            None => {}
+        if let Some(vm) = self.vm.as_mut() {
+            vm.set_rng_state(snapshot["rng"].as_i64().unwrap_or(0) as u64);
         }
     }
 }
@@ -410,16 +335,7 @@ fn native_meta(
     outputs: Vec<String>,
     stateful: bool,
 ) -> PeMeta {
-    PeMeta {
-        name: name.to_string(),
-        kind,
-        inputs,
-        outputs,
-        source: None,
-        imports: vec![],
-        description: None,
-        stateful,
-    }
+    PeMeta { name: name.to_string(), kind, inputs, outputs, imports: vec![], description: None, stateful }
 }
 
 /// Native producer: `f(iteration)` returns the datum for the default output.
@@ -507,7 +423,6 @@ mod tests {
         assert_eq!(m.name, "Stateful");
         assert_eq!(m.kind, PeKind::Iterative);
         assert!(m.stateful);
-        assert!(m.source.as_ref().unwrap().contains("pe Stateful"));
         assert!(m.has_input("x"));
         assert!(m.has_output("output"));
         assert!(!m.has_input("nope"));
@@ -548,7 +463,7 @@ mod tests {
     #[test]
     fn distinct_instances_get_distinct_rng_streams() {
         let src = "pe R : producer { output output; process { emit(randint(1, 1000000)); } }";
-        let f = ScriptPeFactory::from_source(src, "R").unwrap().with_seed(99);
+        let f = ScriptPeFactory::from_source(src, "R").unwrap();
         let mut a = f.instantiate();
         let mut b = f.instantiate();
         let mut sa = VecSink::default();
@@ -569,12 +484,12 @@ mod tests {
                 process { state.n = state.n + 1; emit([state.n, randint(0, 1000000)]); }
             }
         "#;
-        for interp in [false, true] {
-            let f = ScriptPeFactory::from_source(src, "S").unwrap().with_seed(7);
+        let backends: [(&str, Box<dyn PeFactory>); 2] = [
+            ("vm", Box::new(ScriptPeFactory::from_source(src, "S").unwrap())),
+            ("interp", Box::new(crate::oracle::InterpPeFactory::from_source(src, "S").unwrap())),
+        ];
+        for (backend, f) in &backends {
             let mut live = f.instantiate();
-            if interp {
-                live.use_interpreter();
-            }
             let mut sink = VecSink::default();
             live.setup(0, 1, &mut sink).unwrap();
             live.process(Some(("x", Value::Int(0))), 0, &mut sink).unwrap();
@@ -584,9 +499,6 @@ mod tests {
             // A fresh instance restored from the snapshot continues the
             // exact counter and RNG stream of the live one.
             let mut resumed = f.instantiate();
-            if interp {
-                resumed.use_interpreter();
-            }
             let mut rsink = VecSink::default();
             resumed.setup(0, 1, &mut rsink).unwrap();
             resumed.restore_state(&snap);
@@ -594,7 +506,7 @@ mod tests {
             let mut live_sink = VecSink::default();
             live.process(Some(("x", Value::Int(0))), 2, &mut live_sink).unwrap();
             resumed.process(Some(("x", Value::Int(0))), 2, &mut rsink).unwrap();
-            assert_eq!(live_sink.emitted, rsink.emitted, "interp={interp}");
+            assert_eq!(live_sink.emitted, rsink.emitted, "{backend}");
         }
     }
 

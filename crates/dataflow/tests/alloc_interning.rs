@@ -47,7 +47,6 @@ fn pipeline(port_name: &str) -> WorkflowGraph {
         kind,
         inputs: if inputs { vec![PortDecl { name: port_name.to_string(), groupby: None }] } else { vec![] },
         outputs: if outputs { vec![port_name.to_string()] } else { vec![] },
-        source: None,
         imports: vec![],
         description: None,
         stateful: false,

@@ -4,15 +4,16 @@
 //!
 //! `crates/script/tests/proptest_vm.rs` proves backend parity at the
 //! script level (lockstep invocations, fuel accounting, error objects).
-//! These properties prove the integration: a workflow run with the
-//! default compiled backend and the same run with
-//! `RunOptions::with_interpreter(true)` must produce identical results
-//! under Simple / Multi / MPI / Redis — including stateful group-by
-//! PEs, prints, seeded RNG, and scripts that fail mid-run.
+//! These properties prove the integration: a workflow built from
+//! compiled PEs and the same workflow built from the interpreter oracle
+//! (`laminar_dataflow::oracle`) must produce identical results under
+//! Simple / Multi / MPI / Redis — including stateful group-by PEs,
+//! prints, seeded RNG, and scripts that fail mid-run.
 
 use std::sync::Arc;
 
 use laminar_dataflow::mapping::{Mapping, MpiMapping, MultiMapping, RedisMapping, SimpleMapping};
+use laminar_dataflow::oracle;
 use laminar_dataflow::{RecordingObserver, RunEvent, RunObserver, RunOptions, RunResult, WorkflowGraph};
 use proptest::prelude::*;
 
@@ -53,14 +54,28 @@ fn workload_source(op: &str, k: i64, nkeys: usize) -> String {
     )
 }
 
-fn build_workload(src: &str) -> WorkflowGraph {
-    let mut g = WorkflowGraph::new("diff");
-    let a = g.add_script_pe(src, "Feed").unwrap();
-    let b = g.add_script_pe(src, "Agg").unwrap();
-    let c = g.add_script_pe(src, "Fmt").unwrap();
-    g.connect(a, "output", b, "input").unwrap();
-    g.connect(b, "output", c, "x").unwrap();
-    g
+/// A linear pipeline of `src`'s PEs, one `(name, input port)` per stage,
+/// each stage's `output` feeding the next, built on both backends:
+/// `(compiled, interpreter oracle)`.
+fn both_backends(src: &str, stages: &[(&str, &str)]) -> (WorkflowGraph, WorkflowGraph) {
+    let build = |add: oracle::AddPe| {
+        let mut g = WorkflowGraph::new("diff");
+        let mut upstream = None;
+        for (pe, port) in stages {
+            let id = add(&mut g, src, pe).unwrap();
+            if let Some(from) = upstream {
+                g.connect(from, "output", id, port).unwrap();
+            }
+            upstream = Some(id);
+        }
+        g
+    };
+    (build(WorkflowGraph::add_script_pe), build(oracle::add_pe))
+}
+
+/// [`workload_source`]'s pipeline on both backends.
+fn build_workload(src: &str) -> (WorkflowGraph, WorkflowGraph) {
+    both_backends(src, &[("Feed", ""), ("Agg", "input"), ("Fmt", "x")])
 }
 
 fn sorted_strings(r: &RunResult, pe: &str) -> Vec<String> {
@@ -109,20 +124,18 @@ proptest! {
         procs in 2..6usize,
     ) {
         let src = workload_source(op, k, nkeys);
-        let g = build_workload(&src);
+        let (vm_g, interp_g) = build_workload(&src);
 
-        let vm_opts = RunOptions::iterations(iters);
-        let interp_opts = RunOptions::iterations(iters).with_interpreter(true);
-        let vm = SimpleMapping.execute(&g, &vm_opts).unwrap();
-        let interp = SimpleMapping.execute(&g, &interp_opts).unwrap();
+        let opts = RunOptions::iterations(iters);
+        let vm = SimpleMapping.execute(&vm_g, &opts).unwrap();
+        let interp = SimpleMapping.execute(&interp_g, &opts).unwrap();
         prop_assert_eq!(&vm.outputs, &interp.outputs, "simple outputs diverged");
         prop_assert_eq!(&vm.printed, &interp.printed, "simple prints diverged");
 
-        let vm_opts = vm_opts.with_processes(procs);
-        let interp_opts = interp_opts.with_processes(procs);
+        let opts = opts.with_processes(procs);
         for mapping in [&MultiMapping as &dyn Mapping, &MpiMapping, &RedisMapping::default()] {
-            let vm = mapping.execute(&g, &vm_opts).unwrap();
-            let interp = mapping.execute(&g, &interp_opts).unwrap();
+            let vm = mapping.execute(&vm_g, &opts).unwrap();
+            let interp = mapping.execute(&interp_g, &opts).unwrap();
             prop_assert_eq!(
                 sorted_strings(&vm, "Fmt"),
                 sorted_strings(&interp, "Fmt"),
@@ -165,10 +178,7 @@ proptest! {
             }}
             "#
         );
-        let mut g = WorkflowGraph::new("rng");
-        let a = g.add_script_pe(&src, "Dice").unwrap();
-        let b = g.add_script_pe(&src, "Tag").unwrap();
-        g.connect(a, "output", b, "x").unwrap();
+        let (vm_g, interp_g) = both_backends(&src, &[("Dice", ""), ("Tag", "x")]);
 
         for mapping in [
             &SimpleMapping as &dyn Mapping,
@@ -177,8 +187,8 @@ proptest! {
             &RedisMapping::default(),
         ] {
             let opts = RunOptions::iterations(iters).with_processes(procs);
-            let vm = mapping.execute(&g, &opts).unwrap();
-            let interp = mapping.execute(&g, &opts.clone().with_interpreter(true)).unwrap();
+            let vm = mapping.execute(&vm_g, &opts).unwrap();
+            let interp = mapping.execute(&interp_g, &opts).unwrap();
             prop_assert_eq!(
                 sorted_strings(&vm, "Tag"),
                 sorted_strings(&interp, "Tag"),
@@ -206,7 +216,7 @@ proptest! {
         // must not grow an epoch of its own.
         let iters = (chunk as u64 * epochs) as i64 + 1;
         let src = workload_source(op, k, nkeys);
-        let g = build_workload(&src);
+        let (vm_g, interp_g) = build_workload(&src);
 
         for mapping in [
             &SimpleMapping as &dyn Mapping,
@@ -215,8 +225,8 @@ proptest! {
             &RedisMapping::default(),
         ] {
             let opts = RunOptions::iterations(iters).with_processes(procs).with_checkpoints(chunk);
-            let vm = epoch_states(mapping, &g, &opts);
-            let interp = epoch_states(mapping, &g, &opts.clone().with_interpreter(true));
+            let vm = epoch_states(mapping, &vm_g, &opts);
+            let interp = epoch_states(mapping, &interp_g, &opts);
             let ids: Vec<u64> = vm.iter().map(|(id, _)| *id).collect();
             prop_assert_eq!(
                 ids,
@@ -230,7 +240,8 @@ proptest! {
     /// Failure parity: a script that faults mid-run must fail on both
     /// backends, and under the deterministic Simple mapping the error
     /// text must match verbatim (same kind, message, and source line —
-    /// both backends execute the canonical reparse).
+    /// the oracle walks the canonical reparse the program was compiled
+    /// from).
     #[test]
     fn runtime_errors_agree_across_backends(
         fail_at in 0..8i64,
@@ -250,20 +261,17 @@ proptest! {
             }}
             "#
         );
-        let mut g = WorkflowGraph::new("trip");
-        let a = g.add_script_pe(&src, "Src").unwrap();
-        let b = g.add_script_pe(&src, "Trip").unwrap();
-        g.connect(a, "output", b, "x").unwrap();
+        let (vm_g, interp_g) = both_backends(&src, &[("Src", ""), ("Trip", "x")]);
         let opts = RunOptions::iterations(iters);
 
-        let vm = SimpleMapping.execute(&g, &opts).unwrap_err();
-        let interp = SimpleMapping.execute(&g, &opts.clone().with_interpreter(true)).unwrap_err();
+        let vm = SimpleMapping.execute(&vm_g, &opts).unwrap_err();
+        let interp = SimpleMapping.execute(&interp_g, &opts).unwrap_err();
         prop_assert_eq!(vm.to_string(), interp.to_string(), "simple error text diverged");
 
         for mapping in [&MultiMapping as &dyn Mapping, &MpiMapping, &RedisMapping::default()] {
             let opts = opts.clone().with_processes(procs);
-            let vm = mapping.execute(&g, &opts);
-            let interp = mapping.execute(&g, &opts.clone().with_interpreter(true));
+            let vm = mapping.execute(&vm_g, &opts);
+            let interp = mapping.execute(&interp_g, &opts);
             prop_assert!(vm.is_err(), "{} vm run should fail", mapping.kind());
             prop_assert!(interp.is_err(), "{} interp run should fail", mapping.kind());
         }

@@ -22,6 +22,7 @@
 use std::sync::Arc;
 
 use laminar_dataflow::mapping::{Mapping, MpiMapping, MultiMapping, RedisMapping, SimpleMapping};
+use laminar_dataflow::oracle;
 use laminar_dataflow::{
     DataflowError, FaultPlan, MappingKind, RecordingObserver, ResumePoint, RunEvent, RunObserver, RunOptions,
     RunResult, WorkflowGraph,
@@ -61,11 +62,11 @@ fn chaos_source(nkeys: usize, mix: i64) -> String {
     )
 }
 
-fn build(src: &str) -> WorkflowGraph {
+/// The chaos pipeline, on the backend `add` builds nodes for.
+fn build(src: &str, add: oracle::AddPe) -> WorkflowGraph {
     let mut g = WorkflowGraph::new("chaos");
-    let a = g.add_script_pe(src, "Pump").unwrap();
-    let b = g.add_script_pe(src, "Fold").unwrap();
-    let c = g.add_script_pe(src, "Tail").unwrap();
+    let mut pe = |name: &str| add(&mut g, src, name).unwrap();
+    let (a, b, c) = (pe("Pump"), pe("Fold"), pe("Tail"));
     g.connect(a, "output", b, "input").unwrap();
     g.connect(b, "output", c, "x").unwrap();
     g
@@ -171,7 +172,7 @@ proptest! {
         let kill_at = 1 + kill_pick % epochs;
         let iters = (chunk as u64 * epochs) as i64 + tail;
         let src = chaos_source(nkeys, mix);
-        let g = build(&src);
+        let g = build(&src, [WorkflowGraph::add_script_pe, oracle::add_pe][backend]);
 
         for mapping in [
             &SimpleMapping as &dyn Mapping,
@@ -179,12 +180,9 @@ proptest! {
             &MpiMapping,
             &RedisMapping::default(),
         ] {
-            let opts = RunOptions::iterations(iters)
-                .with_processes(procs)
-                .with_checkpoints(chunk)
-                .with_interpreter(backend == 1);
+            let opts = RunOptions::iterations(iters).with_processes(procs).with_checkpoints(chunk);
             let batch = mapping
-                .execute(&g, &RunOptions::iterations(iters).with_processes(procs).with_interpreter(backend == 1))
+                .execute(&g, &RunOptions::iterations(iters).with_processes(procs))
                 .unwrap();
             let (resume_opts, _) = crash_once(mapping, &g, &opts, kill_at, Vec::new());
             let resumed = mapping.execute(&g, &resume_opts).unwrap();
@@ -213,7 +211,7 @@ proptest! {
         let kill2 = kill1 + 1;
         let iters = (chunk as u64 * epochs) as i64 + 1;
         let src = chaos_source(nkeys, mix);
-        let g = build(&src);
+        let g = build(&src, WorkflowGraph::add_script_pe);
 
         for mapping in [
             &SimpleMapping as &dyn Mapping,

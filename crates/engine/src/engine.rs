@@ -266,7 +266,7 @@ impl ExecutionEngine {
         self.runs += 1;
 
         // 0. Network: the request crosses the link to the engine.
-        self.net.charge(req.wire_size());
+        self.net.charge(|| req.wire_size());
 
         // 1. Parse and analyze imports (the findimports pass runs client-
         //    side in the paper; the engine re-derives the list defensively).
@@ -321,8 +321,7 @@ impl ExecutionEngine {
         for ((pe, port), values) in result.outputs {
             output.outputs.insert(format!("{pe}.{port}"), Value::Array(values));
         }
-        let resp_bytes = laminar_json::to_string(&output.to_value()).len();
-        self.net.charge(resp_bytes);
+        self.net.charge(|| laminar_json::to_string(&output.to_value()).len());
         output.total_time = t0.elapsed();
         Ok(output)
     }
@@ -354,12 +353,12 @@ impl ExecutionEngine {
         options.resume = req.resume.clone();
 
         if let Some(wf) = target_workflow {
-            let graph = WorkflowGraph::from_script_with_host(&req.source, &wf, host)?;
+            let graph = WorkflowGraph::from_parsed(script, &wf, host)?;
             let mapping = req.mapping.build();
             mapping.execute_observed(&graph, &options, observer)
         } else if pe_names.len() == 1 {
             // FaaS-style single-PE execution (paper §3.4.1).
-            let result = self.run_single_pe(req, &pe_names[0], host, &options)?;
+            let result = self.run_single_pe(script, &pe_names[0], host, &options)?;
             if let Some(observer) = observer {
                 replay_result_as_events(&result, &observer);
             }
@@ -375,7 +374,7 @@ impl ExecutionEngine {
     /// input and collect everything it emits.
     fn run_single_pe(
         &self,
-        req: &ExecutionRequest,
+        script: &laminar_script::Script,
         pe_name: &str,
         host: Arc<dyn laminar_script::Host + Send + Sync>,
         options: &RunOptions,
@@ -390,7 +389,7 @@ impl ExecutionEngine {
                     .into(),
             ));
         }
-        let factory = ScriptPeFactory::from_source_with_host(&req.source, pe_name, host)?;
+        let factory = ScriptPeFactory::from_parsed(script, pe_name, host)?;
         let meta = factory.meta().clone();
         let mut pe: Box<dyn Pe> = factory.instantiate();
         let mut sink = VecSink::default();

@@ -41,10 +41,12 @@ impl NetModel {
         self.transfer_delay(req_bytes) + self.transfer_delay(resp_bytes)
     }
 
-    /// Sleep for the one-direction delay (used by the engine to charge the
-    /// cost for real).
-    pub fn charge(&self, bytes: usize) -> Duration {
-        let d = self.transfer_delay(bytes);
+    /// Sleep for the one-direction delay of a payload of `bytes()` bytes
+    /// (used by the engine to charge the cost for real). Sizing a payload
+    /// means serialising it, so `bytes` runs only when the link has a
+    /// bandwidth term to feed.
+    pub fn charge(&self, bytes: impl FnOnce() -> usize) -> Duration {
+        let d = self.transfer_delay(if self.bytes_per_ms == 0 { 0 } else { bytes() });
         if !d.is_zero() {
             std::thread::sleep(d);
         }
@@ -77,7 +79,9 @@ mod tests {
     fn charge_sleeps() {
         let m = NetModel { one_way_latency: Duration::from_millis(5), bytes_per_ms: 0 };
         let t0 = std::time::Instant::now();
-        m.charge(10);
+        m.charge(|| unreachable!("no bandwidth term, nothing to size"));
         assert!(t0.elapsed() >= Duration::from_millis(4));
+        let m = NetModel { one_way_latency: Duration::ZERO, bytes_per_ms: 1 };
+        assert_eq!(m.charge(|| 3), Duration::from_millis(3));
     }
 }

@@ -6,10 +6,9 @@ use laminar_dataflow::mapping::RunInput;
 use laminar_dataflow::MappingKind;
 use laminar_json::Value;
 
-/// Per-submission options: the v1 API's single carrier for the knobs
-/// that used to ride the request as loose flags (`events`,
-/// `checkpoint_every`) plus the scheduling hints introduced with fair
-/// queuing (`priority`, `deadline_ms`). Mirrors the registry's
+/// Per-submission options: the v1 API's single carrier for event
+/// streaming, checkpointing and the fair queue's scheduling hints
+/// (`priority`, `deadline_ms`). Mirrors the registry's
 /// `SearchOptions` pattern: one struct threaded end to end — client
 /// `RunConfig`, wire body, [`ExecutionRequest`] — instead of a growing
 /// list of positional/boolean parameters.
@@ -51,20 +50,11 @@ impl SubmitOptions {
         v
     }
 
-    /// Parse submission options out of a request envelope. Reads the v1
-    /// nested `options` object when present and falls back to the
-    /// deprecated flat fields (`events`, `checkpoint_every`) otherwise,
-    /// so pre-v1 wire bodies — and journals written by older pools —
-    /// keep parsing.
+    /// Parse submission options out of a request envelope: its nested
+    /// `options` object (absent fields, or no object at all, take the
+    /// defaults).
     pub fn from_request_value(v: &Value) -> SubmitOptions {
         let opts = &v["options"];
-        if opts.is_null() {
-            return SubmitOptions {
-                events: v["events"].as_bool().unwrap_or(false),
-                checkpoint_every: v["checkpoint_every"].as_i64().unwrap_or(0).max(0) as usize,
-                ..SubmitOptions::default()
-            };
-        }
         SubmitOptions {
             events: opts["events"].as_bool().unwrap_or(false),
             checkpoint_every: opts["checkpointEvery"].as_i64().unwrap_or(0).max(0) as usize,
@@ -350,29 +340,6 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_flat_wire_bodies_still_parse() {
-        // The pre-v1 wire form carried `events` and `checkpoint_every` as
-        // flat fields. Old clients — and journals written before the
-        // options object existed — must keep parsing. Pinned: this is the
-        // v1 API's compatibility contract.
-        let mut v = Value::Null;
-        v.set("user", "legacy")
-            .set("source", "pe X : producer { output o; process { emit(1); } }")
-            .set("events", true)
-            .set("checkpoint_every", 12i64);
-        let req = ExecutionRequest::from_value(&v).unwrap();
-        assert!(req.options.events);
-        assert_eq!(req.options.checkpoint_every, 12);
-        assert_eq!(req.options.priority, 0, "flat form has no priority; defaults apply");
-        assert_eq!(req.options.deadline_ms, None);
-        // When both forms appear, the nested v1 object wins.
-        v.set("options", laminar_json::jobj! { "events" => false, "checkpointEvery" => 3i64 });
-        let req = ExecutionRequest::from_value(&v).unwrap();
-        assert!(!req.options.events);
-        assert_eq!(req.options.checkpoint_every, 3);
-    }
-
-    #[test]
     fn defaults_applied() {
         let mut v = Value::Null;
         v.set("source", "pe X : producer { output o; process { emit(1); } }");
@@ -381,6 +348,7 @@ mod tests {
         assert_eq!(req.processes, 5);
         assert!(matches!(req.input, RunInput::Iterations(5)));
         assert_eq!(req.user, "anonymous");
+        assert_eq!(req.options, SubmitOptions::default(), "no options object, no options");
     }
 
     #[test]

@@ -11,13 +11,14 @@
 //!
 //! The index declines queries it cannot answer exactly (disabled, or a
 //! degraded/dimension-mismatched vector matrix) and the scan takes over,
-//! so callers never see a behaviour difference.
+//! so callers never see a behaviour difference; `indexed` counts each
+//! decline for the registry (`scan_fallbacks` in `/registry/stats`).
 
 use crate::dao::Dao;
 use crate::entities::{PeEntity, WorkflowEntity};
 pub use crate::index::VecField;
-use laminar_embed::models::EmbeddingModel;
 use laminar_embed::{cosine, Embedding};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What to search over (the client's `search_type` parameter).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,7 +109,8 @@ pub const DEFAULT_SEARCH_LIMIT: usize = 25;
 pub struct SearchOptions {
     /// Maximum hits to return; only winners are materialized.
     pub limit: usize,
-    /// Bypass the index and run the linear-scan oracle.
+    /// Bypass the index and run the linear-scan oracle. A Rust-level
+    /// switch for the differential suites; the wire cannot set it.
     pub force_scan: bool,
 }
 
@@ -145,17 +147,36 @@ fn contains_normalized(needle_norm: &str, haystack: &str) -> bool {
     normalize_text(haystack).contains(needle_norm)
 }
 
+/// The index's answer to `ask`, unless the caller forced the scan. When
+/// the index itself declines (disabled, degraded matrix, dimension
+/// mismatch) the scan takes over silently, so that is counted in
+/// `declines`; `force_scan` is the caller's own choice and is not.
+fn indexed<T>(opts: &SearchOptions, declines: &AtomicU64, ask: impl FnOnce() -> Option<T>) -> Option<T> {
+    if opts.force_scan {
+        return None;
+    }
+    let answer = ask();
+    if answer.is_none() {
+        declines.fetch_add(1, Ordering::Relaxed);
+    }
+    answer
+}
+
 /// Text search over workflows (Figure 6) — names, entry points and
 /// descriptions.
-pub fn text_search_workflows(dao: &Dao, user_id: i64, query: &str, opts: &SearchOptions) -> Vec<SearchHit> {
+pub fn text_search_workflows(
+    dao: &Dao,
+    user_id: i64,
+    query: &str,
+    opts: &SearchOptions,
+    declines: &AtomicU64,
+) -> Vec<SearchHit> {
     let needle = normalize_text(query);
     if needle.is_empty() {
         return Vec::new();
     }
-    if !opts.force_scan {
-        if let Some(ids) = dao.index().text_workflows(user_id, &needle, opts.limit) {
-            return ids.into_iter().filter_map(|id| indexed_workflow_hit(dao, id, 1.0)).collect();
-        }
+    if let Some(ids) = indexed(opts, declines, || dao.index().text_workflows(user_id, &needle, opts.limit)) {
+        return ids.into_iter().filter_map(|id| indexed_workflow_hit(dao, id, 1.0)).collect();
     }
     let mut hits = Vec::new();
     for wf in dao.workflows_of_user(user_id) {
@@ -173,15 +194,19 @@ pub fn text_search_workflows(dao: &Dao, user_id: i64, query: &str, opts: &Search
 }
 
 /// Text search over PE names/descriptions (non-semantic fallback).
-pub fn text_search_pes(dao: &Dao, user_id: i64, query: &str, opts: &SearchOptions) -> Vec<SearchHit> {
+pub fn text_search_pes(
+    dao: &Dao,
+    user_id: i64,
+    query: &str,
+    opts: &SearchOptions,
+    declines: &AtomicU64,
+) -> Vec<SearchHit> {
     let needle = normalize_text(query);
     if needle.is_empty() {
         return Vec::new();
     }
-    if !opts.force_scan {
-        if let Some(ids) = dao.index().text_pes(user_id, &needle, opts.limit) {
-            return ids.into_iter().filter_map(|id| indexed_pe_hit(dao, id, 1.0)).collect();
-        }
+    if let Some(ids) = indexed(opts, declines, || dao.index().text_pes(user_id, &needle, opts.limit)) {
+        return ids.into_iter().filter_map(|id| indexed_pe_hit(dao, id, 1.0)).collect();
     }
     let mut hits = Vec::new();
     for pe in dao.pes_of_user(user_id) {
@@ -193,33 +218,6 @@ pub fn text_search_pes(dao: &Dao, user_id: i64, query: &str, opts: &SearchOption
         }
     }
     hits
-}
-
-/// Semantic code search (Figure 7): embed the query with the search model
-/// and rank the user's PEs by cosine against their *stored* description
-/// embeddings (computed once at registration — paper §3.1.1).
-pub fn semantic_search_pes(
-    dao: &Dao,
-    user_id: i64,
-    query: &str,
-    model: &dyn EmbeddingModel,
-    opts: &SearchOptions,
-) -> Vec<SearchHit> {
-    let q = model.embed_text(query);
-    ranked_pe_hits(dao, user_id, &q, VecField::Desc, opts)
-}
-
-/// Code completion retrieval (Figure 8): embed the snippet with the
-/// completion model and rank by stored code embeddings.
-pub fn completion_search_pes(
-    dao: &Dao,
-    user_id: i64,
-    snippet: &str,
-    model: &dyn EmbeddingModel,
-    opts: &SearchOptions,
-) -> Vec<SearchHit> {
-    let q = model.embed_code(snippet);
-    ranked_pe_hits(dao, user_id, &q, VecField::Code, opts)
 }
 
 /// Rank a user's PEs by cosine against `query` in `field` space and
@@ -236,11 +234,10 @@ pub fn ranked_pe_hits(
     query: &Embedding,
     field: VecField,
     opts: &SearchOptions,
+    declines: &AtomicU64,
 ) -> Vec<SearchHit> {
-    if !opts.force_scan {
-        if let Some(ranked) = dao.index().top_pes(user_id, field, query, opts.limit) {
-            return ranked.into_iter().filter_map(|(id, score)| indexed_pe_hit(dao, id, score)).collect();
-        }
+    if let Some(ranked) = indexed(opts, declines, || dao.index().top_pes(user_id, field, query, opts.limit)) {
+        return ranked.into_iter().filter_map(|(id, score)| indexed_pe_hit(dao, id, score)).collect();
     }
     let pes = dao.pes_of_user(user_id);
     let mut scored: Vec<(f64, i64, usize)> =
@@ -307,6 +304,32 @@ mod tests {
         assert!(text_matches("PRIME", "Workflow that prints random prime numbers"));
         assert!(!text_matches("prime", "wordcount"));
         assert!(!text_matches("", "anything"));
+    }
+
+    #[test]
+    fn a_degraded_matrix_is_a_counted_decline_and_a_forced_scan_is_not() {
+        let pe = |id: i64, desc: &[f32]| PeEntity {
+            pe_id: id,
+            pe_name: format!("P{id}"),
+            description: String::new(),
+            description_generated: false,
+            pe_code: String::new(),
+            pe_imports: vec![],
+            code_embedding: Embedding { values: vec![1.0, 0.0] },
+            desc_embedding: Embedding { values: desc.to_vec() },
+        };
+        let mut idx = crate::index::SearchIndex::new();
+        idx.add_pe(1, &pe(1, &[1.0, 0.0]));
+        idx.add_pe(1, &pe(2, &[1.0, 0.0, 0.0]));
+        let q = Embedding { values: vec![1.0, 0.0] };
+        let (declines, opts) = (AtomicU64::new(0), SearchOptions::default());
+        assert!(indexed(&opts, &declines, || idx.top_pes(1, VecField::Code, &q, 5)).is_some());
+        assert_eq!(declines.load(Ordering::Relaxed), 0, "the homogeneous code space is served");
+        assert!(indexed(&opts, &declines, || idx.top_pes(1, VecField::Desc, &q, 5)).is_none());
+        assert_eq!(declines.load(Ordering::Relaxed), 1, "the mixed-dimension description space declines");
+        let forced = SearchOptions { force_scan: true, ..opts };
+        assert!(indexed(&forced, &declines, || idx.top_pes(1, VecField::Code, &q, 5)).is_none());
+        assert_eq!(declines.load(Ordering::Relaxed), 1, "the caller's own choice is not counted");
     }
 
     #[test]

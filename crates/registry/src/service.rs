@@ -85,6 +85,8 @@ pub struct Registry {
     session_counter: u64,
     /// Total search calls served (atomic: search holds only a read lock).
     searches: AtomicU64,
+    /// Index queries the index declined and left to the linear scan.
+    scan_fallbacks: AtomicU64,
 }
 
 impl Registry {
@@ -108,6 +110,7 @@ impl Registry {
             sessions: HashMap::new(),
             session_counter: 0,
             searches: AtomicU64::new(0),
+            scan_fallbacks: AtomicU64::new(0),
         }
     }
 
@@ -227,13 +230,11 @@ impl Registry {
                 message: "source contains no PE declaration".into(),
             })?
             .clone();
+        // Compile to validate only: a run looks its program up under the
+        // text of the whole workflow it enacts, never under one PE's.
+        laminar_script::compile_script(&script)
+            .map_err(|e| RegistryError::Invalid { field: "peCode", message: e.to_string() })?;
         let canonical = to_source(&script);
-        // Warm the process-wide compile cache at registration time so the
-        // first workflow that enacts this PE gets a bytecode cache hit
-        // instead of paying the lowering cost on the serving path. A compile
-        // error is not a registration error: the PE still registers and will
-        // fall back to the interpreter at enactment.
-        let _ = laminar_script::compile::warm(&canonical);
 
         if let Ok(existing) = self.dao.pe_by_name(&decl.name) {
             if existing.source().as_deref() == Some(canonical.as_str()) {
@@ -316,6 +317,10 @@ impl Registry {
                 message: "source contains no workflow declaration".into(),
             })?
             .clone();
+        // Validates the code and warms the compile cache under the stored
+        // text — the source every run of this workflow looks up.
+        laminar_script::compile::shared(&script)
+            .map_err(|e| RegistryError::Invalid { field: "workflowCode", message: e.to_string() })?;
         let canonical = to_source(&script);
         if self.dao.workflow_by_entry(entry_point).is_ok() {
             return Err(RegistryError::Duplicate {
@@ -431,6 +436,7 @@ impl Registry {
     ) -> Result<SearchResponse, RegistryError> {
         let uid = self.user_id(user)?;
         self.searches.fetch_add(1, Ordering::Relaxed);
+        let declines = &self.scan_fallbacks;
         let mut embed_us = 0u64;
         let mut embed = |model: &dyn EmbeddingModel, code: bool| {
             let t = Instant::now();
@@ -442,24 +448,24 @@ impl Registry {
         let hits = match (search_type, query_type) {
             (SearchType::Workflow, _) => {
                 rank_start = Instant::now();
-                text_search_workflows(&self.dao, uid, query, opts)
+                text_search_workflows(&self.dao, uid, query, opts, declines)
             }
             (SearchType::Pe, QueryType::Text) => {
                 let q = embed(self.search_model.as_ref(), false);
                 rank_start = Instant::now();
-                ranked_pe_hits(&self.dao, uid, &q, VecField::Desc, opts)
+                ranked_pe_hits(&self.dao, uid, &q, VecField::Desc, opts, declines)
             }
             (SearchType::Pe, QueryType::Code) | (SearchType::Both, QueryType::Code) => {
                 let q = embed(self.completion_model.as_ref(), true);
                 rank_start = Instant::now();
-                ranked_pe_hits(&self.dao, uid, &q, VecField::Code, opts)
+                ranked_pe_hits(&self.dao, uid, &q, VecField::Code, opts, declines)
             }
             (SearchType::Both, QueryType::Text) => {
                 // Figure 6 behaviour: plain text match on both kinds, PE
                 // hits first; the limit applies to the combined list.
                 rank_start = Instant::now();
-                let mut hits = text_search_pes(&self.dao, uid, query, opts);
-                hits.extend(text_search_workflows(&self.dao, uid, query, opts));
+                let mut hits = text_search_pes(&self.dao, uid, query, opts, declines);
+                hits.extend(text_search_workflows(&self.dao, uid, query, opts, declines));
                 hits.truncate(opts.limit);
                 hits
             }
@@ -469,13 +475,15 @@ impl Registry {
     }
 
     /// Registry observability (`GET /registry/stats`): entity counts, the
-    /// search counter and the index's shape.
+    /// search counter, how many index queries the index declined and left
+    /// to the linear scan, and the index's shape.
     pub fn stats(&self) -> Value {
         let mut v = Value::Null;
         v.set("users", self.dao.store.users.len() as i64)
             .set("pes", self.dao.store.pes.len() as i64)
             .set("workflows", self.dao.store.workflows.len() as i64)
             .set("searches", self.searches.load(Ordering::Relaxed) as i64)
+            .set("scan_fallbacks", self.scan_fallbacks.load(Ordering::Relaxed) as i64)
             .set("index", self.dao.index().stats());
         v
     }
@@ -728,6 +736,27 @@ mod tests {
         r.register_pe("zz46", PRIME_SRC, None).unwrap();
         let hits = r.search("zz46", "randint(1, 1000)", SearchType::Pe, QueryType::Code).unwrap();
         assert_eq!(hits[0].name, "NumberProducer", "hits: {hits:?}");
+    }
+
+    #[test]
+    fn stats_count_the_index_own_declines_and_nothing_else() {
+        let mut r = reg_with_user();
+        r.register_pe("zz46", PRIME_SRC, None).unwrap();
+        let fallbacks = |r: &Registry| r.stats()["scan_fallbacks"].as_i64().unwrap();
+        r.search("zz46", "prime", SearchType::Both, QueryType::Text).unwrap();
+        r.search("zz46", "checks primes", SearchType::Pe, QueryType::Text).unwrap();
+        assert_eq!(fallbacks(&r), 0, "indexed searches");
+        let scan = SearchOptions { force_scan: true, ..SearchOptions::default() };
+        r.search_with("zz46", "checks primes", SearchType::Pe, QueryType::Text, &scan).unwrap();
+        assert_eq!(fallbacks(&r), 0, "an explicit scan is not a decline");
+        r.set_index_enabled(false);
+        r.search("zz46", "checks primes", SearchType::Pe, QueryType::Code).unwrap();
+        assert_eq!(fallbacks(&r), 1, "the disabled index declined the ranked query");
+        r.search("zz46", "prime", SearchType::Both, QueryType::Text).unwrap();
+        assert_eq!(fallbacks(&r), 3, "and both text queries of a both-kinds search");
+        r.set_index_enabled(true);
+        assert_eq!(fallbacks(&r), 3, "rebuilding the index does not restart the count");
+        assert_eq!(r.stats()["searches"].as_i64(), Some(5));
     }
 
     #[test]

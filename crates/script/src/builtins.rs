@@ -212,7 +212,7 @@ fn call_global(name: &str, args: &[Value]) -> Option<R> {
             _ => Err(arg_err("reverse(list|string)")),
         },
         "contains" => match args {
-            [Value::Array(a), v] => Ok(Value::Bool(a.iter().any(|x| crate::interp::value_eq(x, v)))),
+            [Value::Array(a), v] => Ok(Value::Bool(a.iter().any(|x| crate::runtime::value_eq(x, v)))),
             [Value::Str(s), Value::Str(sub)] => Ok(Value::Bool(s.contains(sub.as_str()))),
             [Value::Object(m), Value::Str(k)] => Ok(Value::Bool(m.contains_key(k))),
             _ => Err(arg_err("contains(list|string|map, value)")),

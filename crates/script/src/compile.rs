@@ -14,7 +14,7 @@
 //!   dispatch order (`print` → RNG builtins → user functions → builtin
 //!   table → host), so dispatch is a direct instruction;
 //! * `emit`/`print` are fused instructions that hand `Value`s straight to
-//!   the [`crate::interp::Sink`].
+//!   the [`crate::runtime::Sink`].
 //!
 //! The lowering is *semantics-preserving by construction*: fuel is burned by
 //! explicit [`Instr::Fuel`] instructions (and fused into the leaf loads)
@@ -25,15 +25,15 @@
 //! [`Instr::Dynamic`] lookups. `tests/proptest_vm.rs` differential-tests
 //! the VM against the interpreter over generated programs.
 //!
-//! Compiled programs are cached process-wide, keyed by the canonical
-//! pretty-printed source ([`source_hash`]), so a PE registered once is
-//! compiled once and every engine fork reuses the same `Arc<Program>`.
+//! Compiled programs are cached process-wide ([`shared`]), keyed by the
+//! canonical pretty-printed source and bounded in size, so a workflow
+//! registered once is compiled once and every engine fork reuses the same
+//! `Arc<Program>`.
 
 use crate::ast::*;
 use crate::error::{ErrorKind, ScriptError};
 use laminar_json::Value;
 use std::collections::HashMap;
-use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -190,7 +190,8 @@ fn u32x(n: usize) -> Result<u32, ScriptError> {
 
 /// Compile a whole script. The only compile-time failures are size
 /// overflows (register/constant/name pools beyond `u16`), reported as
-/// [`ErrorKind::Parse`] so callers can fall back to the interpreter.
+/// [`ErrorKind::Parse`]: such a script is refused wherever it enters
+/// (registration, graph construction), never run some other way.
 pub fn compile_script(script: &Script) -> Result<Program, ScriptError> {
     // Function table: first-declaration index order, later decl wins in
     // place (the interpreter's HashMap insert-overwrite has the same
@@ -855,56 +856,40 @@ impl<'a> Lowerer<'a> {
 
 // ---- process-wide compile cache ---------------------------------------
 
-type CacheMap = HashMap<u64, Vec<(String, Arc<Program>)>>;
+/// Most programs the cache holds. Its keys are client-supplied text (every
+/// distinct inline `source` a client POSTs compiles to one), so it may not
+/// grow with them; a hit is an optimisation, never a correctness
+/// dependency, so on overflow the map simply starts over.
+const CACHE_CAP: usize = 256;
 
-static CACHE: OnceLock<Mutex<CacheMap>> = OnceLock::new();
+static CACHE: OnceLock<Mutex<HashMap<String, Arc<Program>>>> = OnceLock::new();
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 
-/// Hash of a canonical (pretty-printed) source — the compile-cache key.
-pub fn source_hash(canonical: &str) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    h.write(canonical.as_bytes());
-    h.finish()
-}
-
-/// Compile or return the cached program for `canonical` (which must be
-/// `pretty::to_source` output; the round-trip property test pins that
-/// canonicalization is stable). On a miss the canonical text itself is
-/// parsed and compiled, so the cached program — including the source line
-/// numbers baked into its error tables — is a pure function of the cache
-/// key, not of whichever formatting variant reached the cache first.
-pub fn shared(canonical: &str) -> Result<Arc<Program>, ScriptError> {
-    let key = source_hash(canonical);
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    {
-        let guard = cache.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(entries) = guard.get(&key) {
-            for (src, program) in entries {
-                if src == canonical {
-                    HITS.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Arc::clone(program));
-                }
-            }
-        }
+/// The compiled program for `script`: one pretty-print, one lookup in the
+/// process-wide cache keyed by that canonical text (the round-trip property
+/// test pins that canonicalization is stable). On a miss the canonical text
+/// itself is parsed and compiled, so the cached program — including the
+/// source line numbers baked into its error tables — is a pure function of
+/// the cache key, not of whichever formatting variant reached the cache
+/// first.
+pub fn shared(script: &Script) -> Result<Arc<Program>, ScriptError> {
+    let canonical = crate::pretty::to_source(script);
+    let cache = CACHE.get_or_init(Mutex::default);
+    if let Some(program) = cache.lock().unwrap_or_else(|e| e.into_inner()).get(&canonical) {
+        HITS.fetch_add(1, Ordering::Relaxed);
+        return Ok(Arc::clone(program));
     }
     MISSES.fetch_add(1, Ordering::Relaxed);
-    let canonical_script = crate::parser::parse_script(canonical)?;
-    let program = Arc::new(compile_script(&canonical_script)?);
+    let program = Arc::new(compile_script(&crate::parser::parse_script(&canonical)?)?);
     let mut guard = cache.lock().unwrap_or_else(|e| e.into_inner());
-    let entries = guard.entry(key).or_default();
-    // Another thread may have compiled the same source concurrently; keep
-    // one entry per canonical text.
-    if !entries.iter().any(|(src, _)| src == canonical) {
-        entries.push((canonical.to_string(), Arc::clone(&program)));
+    if guard.len() >= CACHE_CAP {
+        guard.clear();
     }
+    // Another thread may have compiled the same source concurrently; either
+    // program is the same pure function of the key.
+    guard.insert(canonical, Arc::clone(&program));
     Ok(program)
-}
-
-/// Alias for [`shared`] named for its call site: the registry warms the
-/// cache at PE-registration time so engine forks start hot.
-pub fn warm(canonical: &str) -> Result<Arc<Program>, ScriptError> {
-    shared(canonical)
 }
 
 /// `(hits, misses)` of the process-wide compile cache.
@@ -945,22 +930,41 @@ mod tests {
         assert_eq!(pe.default_input.as_deref(), Some("num"));
     }
 
+    /// The cache tests share one process-wide map; the overflow test
+    /// empties it, so they take turns.
+    static CACHE_TESTS: Mutex<()> = Mutex::new(());
+
     #[test]
     fn cache_hits_on_same_canonical_source() {
-        let src = "pe CacheProbe : iterative { input x; output o; process { emit(x); } }";
-        let script = parse_script(src).unwrap();
-        let canonical = crate::pretty::to_source(&script);
-        let a = shared(&canonical).unwrap();
+        let _turn = CACHE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+        let script =
+            parse_script("pe CacheProbe : iterative { input x; output o; process { emit(x); } }").unwrap();
+        let a = shared(&script).unwrap();
         let (_, m0) = cache_stats();
-        let b = shared(&canonical).unwrap();
+        let b = shared(&script).unwrap();
         let (_, m1) = cache_stats();
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(m0, m1, "second lookup must not recompile");
         // A formatting variant of the same program shares the entry.
-        let variant = "pe CacheProbe : iterative {\n  input x;\n  output o;\n  process { emit(x); }\n}";
-        assert_eq!(crate::canonicalize(variant).unwrap(), canonical);
-        let c = shared(&canonical).unwrap();
-        assert!(Arc::ptr_eq(&a, &c));
+        let variant =
+            parse_script("pe CacheProbe : iterative {\n  input x;\n  output o;\n  process { emit(x); }\n}")
+                .unwrap();
+        assert!(Arc::ptr_eq(&a, &shared(&variant).unwrap()));
+    }
+
+    #[test]
+    fn cache_stays_bounded_and_correct_past_its_cap() {
+        let _turn = CACHE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+        let source = |i: usize| format!("pe Cap{i} : producer {{ output o; process {{ emit({i}); }} }}");
+        for i in 0..2 * CACHE_CAP {
+            let program = shared(&parse_script(&source(i)).unwrap()).unwrap();
+            let pe = &program.pes[&format!("Cap{i}")];
+            assert_eq!(pe.process.consts, vec![Value::Int(i as i64)], "program {i} is its own source's");
+            let held = CACHE.get().unwrap().lock().unwrap_or_else(|e| e.into_inner()).len();
+            assert!(held <= CACHE_CAP, "{held} programs cached after {i} sources");
+        }
+        // An entry dropped by the overflow is recompiled, not lost.
+        assert!(shared(&parse_script(&source(0)).unwrap()).unwrap().pes.contains_key("Cap0"));
     }
 
     #[test]

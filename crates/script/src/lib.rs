@@ -31,13 +31,14 @@
 //! ## Pipeline
 //!
 //! [`lex`](lexer::lex) → [`parse`](parser::parse_script) →
-//! [`Interp`](interp::Interp) (tree-walking, fuel-bounded) or
 //! [`compile`](compile::compile_script) → [`Vm`](vm::Vm) (register
-//! bytecode, cached per canonical source, differential-tested against the
-//! interpreter) plus [`analysis`] (imports à la `findimports`, identifier
-//! and def-use extraction for the embedding models) and [`pretty`]
-//! (canonical source form stored in the registry and used as the compile
-//! cache key).
+//! bytecode, fuel-bounded, cached per canonical source) is the one way a
+//! script runs. [`Interp`](interp::Interp), the tree-walking interpreter,
+//! is the language's plain reference semantics: the oracle the
+//! differential suites compare the VM against, never a serving backend.
+//! Beside them: [`analysis`] (imports à la `findimports`, identifier and
+//! def-use extraction for the embedding models) and [`pretty`] (canonical
+//! source form stored in the registry and used as the compile cache key).
 
 pub mod analysis;
 pub mod ast;
@@ -48,15 +49,17 @@ pub mod interp;
 pub mod lexer;
 pub mod parser;
 pub mod pretty;
+pub mod runtime;
 pub mod vm;
 
 pub use ast::{Block, Expr, Item, PeDecl, PeKind, PortDecl, Script, Stmt, WorkflowDecl};
 pub use compile::{compile_script, Program};
 pub use error::{ErrorKind, ScriptError};
-pub use interp::{Host, Interp, NullHost, Sink, VecSink};
+pub use interp::Interp;
 pub use lexer::{lex, Token, TokenKind};
 pub use parser::{parse_expr, parse_script};
 pub use pretty::to_source;
+pub use runtime::{Host, NullHost, Sink, VecSink};
 pub use vm::Vm;
 
 /// Parse and pretty-print: the canonical form of a script, used when the

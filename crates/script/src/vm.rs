@@ -17,7 +17,7 @@
 use crate::builtins;
 use crate::compile::{Chunk, Instr, PathAcc, Program, RandKind};
 use crate::error::{ErrorKind, ScriptError};
-use crate::interp::{binary_op, display_value, truthy, Host, Sink, DEFAULT_FUEL, MAX_CALL_DEPTH};
+use crate::runtime::{binary_op, display_value, truthy, Host, Sink, DEFAULT_FUEL, MAX_CALL_DEPTH};
 use laminar_json::{Map, Value};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -630,8 +630,9 @@ fn index_owned(base: Value, index: Value) -> Result<Value, ScriptError> {
 mod tests {
     use super::*;
     use crate::compile::compile_script;
-    use crate::interp::{Interp, NullHost, VecSink};
+    use crate::interp::Interp;
     use crate::parser::parse_script;
+    use crate::runtime::{NullHost, VecSink};
 
     type Observed = (Vec<(String, Value)>, Vec<String>, Value);
 

@@ -154,7 +154,7 @@ impl LaminarServer {
             // `tail` is "events" or "events?since=<seq>&wait_ms=<ms>" —
             // the query stays inside the percent-decoded final segment.
             (Method::Get, ["execution", user, "job", id, tail]) if is_events_segment(tail) => {
-                self.job_events(user, id, tail, &req.body)
+                self.job_events(user, id, tail)
             }
 
             _ => return ApiResponse::not_found(&req.path),
@@ -299,9 +299,6 @@ impl LaminarServer {
             )?;
             opts.limit = limit as usize;
         }
-        if body["forceScan"].as_bool() == Some(true) {
-            opts.force_scan = true;
-        }
         let started = std::time::Instant::now();
         let resp = self.registry.read().search_with(user, search, search_type, query_type, &opts)?;
         let search_us = started.elapsed().as_micros() as i64;
@@ -417,8 +414,8 @@ impl LaminarServer {
     }
 
     /// Read a page of a job's sequenced event log. Cursor protocol:
-    /// `?since=<seq>` (or a `since` body field) names the first wanted
-    /// sequence number; the response's `next` is the cursor for the next
+    /// `?since=<seq>` names the first wanted sequence number (default 0);
+    /// the response's `next` is the cursor for the next
     /// poll, `first` the oldest retained seq (truncation detection), and
     /// `closed` flags a complete stream (its last event is the
     /// `done`/`failed` marker). When eviction overtook the cursor but a
@@ -426,32 +423,14 @@ impl LaminarServer {
     /// the page restarts at — engine-side recovery for checkpointed jobs.
     /// Touches only the pool — never the registry lock — so event polling
     /// overlaps every other endpoint.
-    fn job_events(&self, user: &str, id: &str, tail: &str, body: &Value) -> Result<Value, RegistryError> {
+    fn job_events(&self, user: &str, id: &str, tail: &str) -> Result<Value, RegistryError> {
         let id = Self::parse_job_id(id)?;
-        let since = match events_query(tail, "since") {
-            Some(Ok(s)) => s,
-            Some(Err(())) => {
-                return Err(RegistryError::Invalid {
-                    field: "since",
-                    message: "must be a non-negative integer".into(),
-                })
-            }
-            None => body["since"].as_i64().unwrap_or(0).max(0) as u64,
-        };
-        // Push mode: `wait_ms` parks the handler on the job log's condvar
+        let since = events_query(tail, "since")?;
+        // Long-poll: `wait_ms` parks the handler on the job log's condvar
         // until something lands past the cursor, the stream seals, or the
         // wait elapses. 0 (the default) is a plain poll; the cap keeps a
         // parked connection thread bounded.
-        let wait_ms = match events_query(tail, "wait_ms") {
-            Some(Ok(w)) => w,
-            Some(Err(())) => {
-                return Err(RegistryError::Invalid {
-                    field: "wait_ms",
-                    message: "must be a non-negative integer".into(),
-                })
-            }
-            None => body["wait_ms"].as_i64().unwrap_or(0).max(0) as u64,
-        };
+        let wait_ms = events_query(tail, "wait_ms")?;
         let wait = std::time::Duration::from_millis(wait_ms.min(LONG_POLL_MAX_WAIT_MS));
         let page = self
             .pool
@@ -534,17 +513,18 @@ fn is_events_segment(tail: &str) -> bool {
 /// the client asked for.
 pub const LONG_POLL_MAX_WAIT_MS: u64 = 30_000;
 
-/// Parse `<key>=<n>` out of an `events?...` segment. `None` when no
-/// query carries the key; `Some(Err(()))` when it is present but not a
+/// Parse `<key>=<n>` out of an `events?...` segment: 0 when no query
+/// carries the key, the 400 envelope when it is present but not a
 /// non-negative integer.
-fn events_query(tail: &str, key: &str) -> Option<Result<u64, ()>> {
-    let query = tail.strip_prefix("events?")?;
-    for pair in query.split('&') {
-        if let Some(raw) = pair.strip_prefix(key).and_then(|r| r.strip_prefix('=')) {
-            return Some(raw.parse::<u64>().map_err(|_| ()));
-        }
+fn events_query(tail: &str, key: &'static str) -> Result<u64, RegistryError> {
+    let query = tail.strip_prefix("events?").unwrap_or("");
+    match query.split('&').find_map(|pair| pair.strip_prefix(key)?.strip_prefix('=')) {
+        Some(raw) => raw.parse().map_err(|_| RegistryError::Invalid {
+            field: key,
+            message: "must be a non-negative integer".into(),
+        }),
+        None => Ok(0),
     }
-    None
 }
 
 fn str_field(body: &Value, field: &'static str) -> Result<String, RegistryError> {
@@ -707,13 +687,6 @@ mod tests {
         assert_eq!(r.body["hits"][0]["name"].as_str(), Some("isPrime"));
         assert!(r.body["search_us"].as_i64().is_some(), "timing on the wire: {:?}", r.body);
         assert!(r.body["rank_us"].as_i64().is_some());
-        // The scan oracle answers identically through the escape hatch.
-        let scan = s.handle(&ApiRequest::new(
-            Method::Get,
-            "/registry/zz46/search/prime/type/workflow",
-            jobj! { "forceScan" => true },
-        ));
-        assert_eq!(scan.body["hits"], r.body["hits"]);
         // Unknown search type → 400; bad limit → 400.
         let r = s.handle(&ApiRequest::new(Method::Get, "/registry/zz46/search/x/type/weird", Value::Null));
         assert_eq!(r.status, 400);
@@ -748,6 +721,7 @@ mod tests {
         assert!(stats.is_ok());
         assert_eq!(stats.body["pes"].as_i64(), Some(4));
         assert_eq!(stats.body["searches"].as_i64(), Some(1));
+        assert_eq!(stats.body["scan_fallbacks"].as_i64(), Some(0), "the index served it");
         assert_eq!(stats.body["index"]["enabled"].as_bool(), Some(true));
         assert!(stats.body["index"]["vectors"].as_i64().unwrap() >= 8);
     }
@@ -961,7 +935,10 @@ mod tests {
         let r = s.handle(&ApiRequest::new(
             Method::Post,
             "/execution/zz46/submit",
-            jobj! { "source" => WF_SRC, "input" => 10, "mapping" => "SIMPLE", "events" => true },
+            jobj! {
+                "source" => WF_SRC, "input" => 10, "mapping" => "SIMPLE",
+                "options" => jobj! { "events" => true }
+            },
         ));
         assert!(r.is_ok(), "{r:?}");
         let id = r.body["jobId"].as_i64().unwrap();
@@ -1051,7 +1028,7 @@ mod tests {
         let r = s.handle(&ApiRequest::new(
             Method::Post,
             "/execution/zz46/submit",
-            jobj! { "source" => WF_SRC, "input" => 5, "events" => true },
+            jobj! { "source" => WF_SRC, "input" => 5, "options" => jobj! { "events" => true } },
         ));
         let id = r.body["jobId"].as_i64().unwrap();
         let page = get(&s, &format!("/execution/zz46/job/{id}/events?since=0&wait_ms=20000"));
@@ -1129,7 +1106,7 @@ mod tests {
             slow.handle(&ApiRequest::new(
                 Method::Post,
                 "/execution/zz46/submit",
-                jobj! { "source" => WF_SRC, "input" => 1, "events" => events },
+                jobj! { "source" => WF_SRC, "input" => 1, "options" => jobj! { "events" => events } },
             ))
         };
         let first = submit(false).body["jobId"].as_i64().unwrap();
@@ -1174,7 +1151,7 @@ mod tests {
             jobj! {
                 "source" => src,
                 "input" => jobj! { "mode" => "unbounded", "pace_us" => 300 },
-                "events" => true
+                "options" => jobj! { "events" => true }
             },
         ));
         assert!(r.is_ok(), "{r:?}");

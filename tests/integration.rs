@@ -175,6 +175,42 @@ fn execution_failures_surface_as_structured_errors() {
 }
 
 #[test]
+fn a_script_too_large_to_compile_is_refused_wherever_it_enters() {
+    // 70k `let`s overflow the bytecode's u16 register file: the source
+    // parses but cannot compile, and there is no second backend to run it
+    // on — so every door answers the typed error and nothing enacts.
+    let lets: String = (0..70_000).map(|i| format!("let v{i} = 0;")).collect();
+    let pe = format!("pe Big : producer {{ output output; process {{ {lets} print(\"ran\"); }} }}");
+    let wf = format!("{pe} workflow BigFlow {{ nodes {{ b = Big; }} }}");
+    let mut sys = system(Deployment::Test);
+    let c = login(&mut sys, "zz46");
+    for (result, parameter) in [
+        (c.register_pe(&pe, None).map(drop), "peCode"),
+        (c.register_workflow(&wf, "big", None).map(drop), "workflowCode"),
+        (c.run_source(&wf, RunConfig::iterations(1)).map(drop), "execution"),
+        (c.run_source(&pe, RunConfig::iterations(1)).map(drop), "execution"),
+    ] {
+        match result {
+            Err(ClientError::Api { status: 400, kind, message, .. }) => {
+                assert_eq!(kind, "Invalid");
+                assert!(message.contains(parameter), "{parameter}: {message}");
+                assert!(message.contains("program too large to compile"), "{parameter}: {message}");
+            }
+            other => panic!("{parameter}: expected the 400 envelope, got {other:?}"),
+        }
+    }
+    assert!(c.get_registry().unwrap()["pes"].as_array().unwrap().is_empty(), "nothing registered");
+    match WorkflowGraph::from_script(&wf, "BigFlow") {
+        Err(laminar::dataflow::DataflowError::PeFailed { error, .. }) => {
+            assert_eq!(error.kind, laminar::script::ErrorKind::Parse);
+            assert!(error.message.contains("program too large to compile"), "{error}");
+        }
+        other => panic!("expected the compile error, got {:?}", other.map(|g| g.len())),
+    }
+    sys.stop();
+}
+
+#[test]
 fn runaway_pe_is_killed_by_fuel() {
     let mut sys = system(Deployment::Test);
     let c = login(&mut sys, "zz46");
