@@ -29,9 +29,10 @@
 #   bench-e2e    the repo's benchmark (BENCHMARK.json, its own package
 #                under bench_e2e/): build, its tests, and one --smoke
 #                run of each workload
-#   lint         rustfmt + clippy (warnings are errors), and the guard
-#                that keeps the interpreter oracle out of every crate on
-#                the serving path
+#   lint         rustfmt + clippy (warnings are errors), the guard that
+#                keeps the interpreter oracle out of every crate on the
+#                serving path, and the guard that keeps the registry's
+#                JSON row form below its persistence boundary
 #
 # Every run ends with a per-tier wall-clock timing summary and, when all
 # selected tiers passed, the line "CI GREEN".
@@ -123,10 +124,19 @@ tier_lint() {
     echo "ci.sh: the interpreter oracle is test-only; the lines above reach for it" >&2
     return 1
   fi
+  # One in-memory form of a registry entity: the JSON row form is for
+  # the disk (entities.rs, store.rs, wal.rs), so nothing above the
+  # persistence boundary may encode or decode one outside its tests.
+  if awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
+          !test && /(from|to)_row\(/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+          END { exit !hit }' crates/registry/src/{dao,service,search,index}.rs; then
+    echo "ci.sh: the row form stops at the WAL/snapshot boundary; the lines above use it past there" >&2
+    return 1
+  fi
 }
 
 usage() {
-  sed -n '2,35p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,36p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 TIERS=()

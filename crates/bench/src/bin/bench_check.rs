@@ -32,12 +32,14 @@
 //!   its own polling leg and config); the committed `BENCH_PR10.json`
 //!   full run must additionally hold the tighter 0.5× ratio it was
 //!   gated on when it was produced;
-//! * **registry search** — `search_scale` indexed-vs-scan speedup must
-//!   stay at or above [`SEARCH_SPEEDUP_FLOOR`] per mode, indexed p99
-//!   at or below [`SEARCH_P99_CEILING_US`], per-registration index
-//!   maintenance at or below [`INDEX_MAINTENANCE_CEILING`], and the
+//! * **registry search** — in `search_scale`, the index must answer
+//!   every indexed query itself (the registry's `scan_fallbacks` does
+//!   not move across the indexed reps), the text indexed-vs-scan speedup
+//!   must stay at or above [`SEARCH_SPEEDUP_FLOOR`], indexed p99 at or
+//!   below [`SEARCH_P99_CEILING_US`] per mode, per-registration index
+//!   maintenance at or below [`INDEX_MAINTENANCE_CEILING_US`], and the
 //!   indexed hits must match the scan oracle exactly (all from the same
-//!   fresh smoke run; the tighter full-corpus gates — 5x speedup,
+//!   fresh smoke run; the tighter full-corpus gates — 5x text speedup,
 //!   sub-ms p99 — are enforced by `search_scale` itself on full runs).
 //!
 //! The 5× margin is deliberately coarse: smoke configs are smaller than
@@ -75,11 +77,13 @@ const MIN_FRACTION_LIMIT: f64 = 0.20;
 /// costing a re-enactment instead of a snapshot and a reconnect.
 const CHECKPOINT_OVERHEAD_CEILING: f64 = 1.25;
 
-/// Indexed search must beat the linear scan by at least this factor in
-/// the smoke run. The full-corpus floor is 5x (enforced by
+/// Indexed *text* search must beat the linear scan by at least this
+/// factor in the smoke run. The full-corpus floor is 5x (enforced by
 /// `search_scale` on full runs); the smoke corpus is 50x smaller, so the
-/// scan side is proportionally cheaper and the observable gap narrower —
-/// this bound catches the index silently degrading to the scan path.
+/// scan side is proportionally cheaper and the observable gap narrower.
+/// The semantic scan runs the index's own kernel over the same vectors,
+/// so no floor is set on its ratio; for both modes the index silently
+/// degrading to the scan path is caught by counting its declines.
 const SEARCH_SPEEDUP_FLOOR: f64 = 2.0;
 
 /// Indexed search p99 in the smoke run must stay below this (µs). The
@@ -87,11 +91,14 @@ const SEARCH_SPEEDUP_FLOOR: f64 = 2.0;
 /// can't answer in 2ms means the indexed path itself regressed.
 const SEARCH_P99_CEILING_US: f64 = 2000.0;
 
-/// Incremental index maintenance may cost at most this factor over
-/// registration with the index disabled. Both sides come from the same
-/// fresh `search_scale` run, warm-cache best-of-n, so the bound is tight
-/// by design.
-const INDEX_MAINTENANCE_CEILING: f64 = 1.25;
+/// Incremental index maintenance may add at most this much (µs) to one
+/// PE's registration: index-on minus index-off, both sides from the same
+/// fresh `search_scale` run, warm-cache best-of-n. The same bound
+/// `search_scale` enforces on full runs — the cost is per PE (one
+/// tokenisation, ~7 KB of new matrix rows), not per corpus, so the smoke
+/// run needs no looser one. An absolute difference rather than a ratio,
+/// so a cheaper write path around the index does not move the gate.
+const INDEX_MAINTENANCE_CEILING_US: f64 = 15.0;
 
 /// Push-mode p99 first-event latency in the sustained_load smoke run may
 /// cost at most this fraction of the polling baseline's. The full-run
@@ -265,9 +272,10 @@ fn main() {
         higher_is_better: true,
     });
 
-    // Registry search: indexed-vs-scan speedup, indexed tail latency,
-    // index-maintenance overhead and the differential oracle verdict —
-    // all fresh-vs-fresh from the same search_scale smoke run.
+    // Registry search: the index answering for itself, text
+    // indexed-vs-scan speedup, indexed tail latency, index-maintenance
+    // overhead and the differential oracle verdict — all fresh-vs-fresh
+    // from the same search_scale smoke run.
     for mode in ["semantic", "text"] {
         let metric = |key: &str| {
             search[mode][key]
@@ -276,11 +284,19 @@ fn main() {
                 .unwrap_or_else(|| panic!("{fresh_search}: missing {mode}.{key}"))
         };
         checks.push(Check {
-            name: format!("search speedup indexed vs scan [{mode}]"),
-            fresh: metric("speedup"),
-            limit: SEARCH_SPEEDUP_FLOOR,
-            higher_is_better: true,
+            name: format!("search queries the index left to the scan [{mode}]"),
+            fresh: metric("index_declines"),
+            limit: 0.0,
+            higher_is_better: false,
         });
+        if mode == "text" {
+            checks.push(Check {
+                name: format!("search speedup indexed vs scan [{mode}]"),
+                fresh: metric("speedup"),
+                limit: SEARCH_SPEEDUP_FLOOR,
+                higher_is_better: true,
+            });
+        }
         checks.push(Check {
             name: format!("search indexed p99 [{mode}] (us)"),
             fresh: metric("indexed_p99_us"),
@@ -289,11 +305,11 @@ fn main() {
         });
     }
     checks.push(Check {
-        name: "search index maintenance overhead per registration".into(),
-        fresh: search["registration"]["overhead_ratio"]
+        name: "search index maintenance per registration (us)".into(),
+        fresh: search["registration"]["maintenance_per_pe_us"]
             .as_f64()
-            .unwrap_or_else(|| panic!("{fresh_search}: missing registration.overhead_ratio")),
-        limit: INDEX_MAINTENANCE_CEILING,
+            .unwrap_or_else(|| panic!("{fresh_search}: missing registration.maintenance_per_pe_us")),
+        limit: INDEX_MAINTENANCE_CEILING_US,
         higher_is_better: false,
     });
     checks.push(Check {

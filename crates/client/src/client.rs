@@ -198,23 +198,22 @@ pub use laminar_engine::EventPage;
 pub struct LaminarClient {
     transport: Box<dyn Transport>,
     user: Option<String>,
-    token: Option<String>,
 }
 
 impl LaminarClient {
     /// Client bound to an in-process server (local deployment).
     pub fn in_process(server: LaminarServer) -> LaminarClient {
-        LaminarClient { transport: Box::new(InProcessTransport::new(server)), user: None, token: None }
+        LaminarClient { transport: Box::new(InProcessTransport::new(server)), user: None }
     }
 
     /// Client bound to a shared in-process transport.
     pub fn with_transport(transport: Box<dyn Transport>) -> LaminarClient {
-        LaminarClient { transport, user: None, token: None }
+        LaminarClient { transport, user: None }
     }
 
     /// Client talking HTTP to a remote server.
     pub fn connect(addr: std::net::SocketAddr) -> LaminarClient {
-        LaminarClient { transport: Box::new(TcpTransport::new(addr)), user: None, token: None }
+        LaminarClient { transport: Box::new(TcpTransport::new(addr)), user: None }
     }
 
     /// The logged-in user name.
@@ -276,13 +275,14 @@ impl LaminarClient {
         Ok(())
     }
 
-    /// `client.login("zz46", "password")` (fn 2). Stores the session.
+    /// `client.login("zz46", "password")` (fn 2). Checks the credentials
+    /// and remembers the user name, which every later call sends as its
+    /// `{user}` path segment.
     pub fn login(&mut self, user_name: &str, password: &str) -> Result<(), ClientError> {
         let mut body = Value::Null;
         body.set("userName", user_name).set("password", password);
-        let resp = self.call(&web::post("/auth/login", body))?;
+        self.call(&web::post("/auth/login", body))?;
         self.user = Some(user_name.to_string());
-        self.token = resp["token"].as_str().map(str::to_string);
         Ok(())
     }
 

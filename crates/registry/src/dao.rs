@@ -4,7 +4,7 @@
 use crate::entities::{PeEntity, UserEntity, WorkflowEntity};
 use crate::error::RegistryError;
 use crate::index::SearchIndex;
-use crate::store::Store;
+use crate::store::{Row, Store, Table};
 use crate::wal::{ops, WalStore};
 
 /// DAO facade bundling the store, its journal and the search index.
@@ -15,12 +15,26 @@ use crate::wal::{ops, WalStore};
 /// replay mutates the store *below* this layer, so [`Dao::new`] rebuilds
 /// the index from whatever store it is handed (fresh or recovered); the
 /// incremental hooks keep it exact from then on.
+///
+/// Reads hand out references into the store's typed tables: nothing is
+/// decoded or cloned until a caller needs to own the entity.
 pub struct Dao {
     /// The table store.
     pub store: Store,
     /// The journal.
     pub wal: WalStore,
     index: SearchIndex,
+}
+
+fn by_id<T: Row>(table: &Table<T>, id: i64) -> Result<&T, RegistryError> {
+    table.get(id).ok_or_else(|| RegistryError::NotFound { entity: T::ENTITY, key: id.to_string() })
+}
+
+fn by_unique<'a, T: Row>(table: &'a Table<T>, key: &str) -> Result<&'a T, RegistryError> {
+    table
+        .find_unique(key)
+        .and_then(|id| table.get(id))
+        .ok_or_else(|| RegistryError::NotFound { entity: T::ENTITY, key: key.to_string() })
 }
 
 impl Dao {
@@ -52,117 +66,58 @@ impl Dao {
     // ---- users -----------------------------------------------------------
 
     /// Insert a user row.
-    pub fn insert_user(&mut self, mut user: UserEntity) -> Result<UserEntity, RegistryError> {
-        let id = self.store.users.insert(user.to_row(), "userId").map_err(|e| match e {
-            RegistryError::Duplicate { .. } => {
-                RegistryError::Duplicate { entity: "User", field: "userName", value: user.user_name.clone() }
-            }
-            other => other,
-        })?;
-        user.user_id = id;
-        self.wal.append(
-            &self.store,
-            &ops::insert("users", id, self.store.users.get(id).expect("just inserted")),
-        )?;
+    pub fn insert_user(&mut self, user: UserEntity) -> Result<&UserEntity, RegistryError> {
+        let id = self.store.users.insert(user)?;
+        let user = self.store.users.get(id).expect("just inserted");
+        self.wal.append(&self.store, || ops::insert(user))?;
         Ok(user)
     }
 
     /// Find a user by login name.
-    pub fn user_by_name(&self, name: &str) -> Result<UserEntity, RegistryError> {
-        let id = self
-            .store
-            .users
-            .find_unique("userName", name)
-            .ok_or(RegistryError::NotFound { entity: "User", key: name.to_string() })?;
-        UserEntity::from_row(self.store.users.get(id).expect("indexed"))
-            .ok_or(RegistryError::Storage("corrupt user row".into()))
+    pub fn user_by_name(&self, name: &str) -> Result<&UserEntity, RegistryError> {
+        by_unique(&self.store.users, name)
     }
 
     /// All users.
-    pub fn all_users(&self) -> Vec<UserEntity> {
-        self.store.users.scan().filter_map(|(_, row)| UserEntity::from_row(row)).collect()
+    pub fn all_users(&self) -> impl Iterator<Item = &UserEntity> {
+        self.store.users.scan()
     }
 
     // ---- PEs ---------------------------------------------------------------
 
     /// Insert a PE row and link its owner.
-    pub fn insert_pe(&mut self, mut pe: PeEntity, owner_id: i64) -> Result<PeEntity, RegistryError> {
-        let id = self.store.pes.insert(pe.to_row(), "peId").map_err(|e| match e {
-            RegistryError::Duplicate { .. } => {
-                RegistryError::Duplicate { entity: "PE", field: "peName", value: pe.pe_name.clone() }
-            }
-            other => other,
-        })?;
-        pe.pe_id = id;
-        self.wal
-            .append(&self.store, &ops::insert("pes", id, self.store.pes.get(id).expect("just inserted")))?;
+    pub fn insert_pe(&mut self, pe: PeEntity, owner_id: i64) -> Result<&PeEntity, RegistryError> {
+        let id = self.store.pes.insert(pe)?;
+        let pe = self.store.pes.get(id).expect("just inserted");
+        self.wal.append(&self.store, || ops::insert(pe))?;
         self.link_user_pe(owner_id, id)?;
-        Ok(pe)
+        self.pe_by_id(id)
     }
 
     /// Add an ownership link (idempotent — the paper's shared-owner rule).
     pub fn link_user_pe(&mut self, user_id: i64, pe_id: i64) -> Result<(), RegistryError> {
         if self.store.user_pes.link(user_id, pe_id) {
-            self.wal.append(&self.store, &ops::link("user_pes", user_id, pe_id))?;
-            if let Ok(pe) = self.pe_by_id(pe_id) {
-                self.index.add_pe(user_id, &pe);
+            self.wal.append(&self.store, || ops::link("user_pes", user_id, pe_id))?;
+            if let Some(pe) = self.store.pes.get(pe_id) {
+                self.index.add_pe(user_id, pe);
             }
         }
         Ok(())
     }
 
     /// PE by id.
-    pub fn pe_by_id(&self, id: i64) -> Result<PeEntity, RegistryError> {
-        let row =
-            self.store.pes.get(id).ok_or(RegistryError::NotFound { entity: "PE", key: id.to_string() })?;
-        PeEntity::from_row(row).ok_or(RegistryError::Storage("corrupt PE row".into()))
-    }
-
-    /// The hit-visible fields of a PE row — `(name, description,
-    /// description_generated)` — read straight off the stored row.
-    /// The winners' materialization path after ranking: unlike
-    /// [`pe_by_id`](Dao::pe_by_id) it decodes neither embedding vector
-    /// nor the code blob, which dominate `from_row` cost and are not
-    /// part of a [`SearchHit`](crate::SearchHit).
-    pub fn pe_hit_fields(&self, id: i64) -> Option<(String, String, bool)> {
-        let row = self.store.pes.get(id)?;
-        Some((
-            row["peName"].as_str()?.to_string(),
-            row["description"].as_str().unwrap_or("").to_string(),
-            row["descriptionGenerated"].as_bool().unwrap_or(false),
-        ))
-    }
-
-    /// The hit-visible fields of a workflow row — `(entry_point,
-    /// description)` — without materializing the full entity.
-    pub fn workflow_hit_fields(&self, id: i64) -> Option<(String, String)> {
-        let row = self.store.workflows.get(id)?;
-        Some((row["entryPoint"].as_str()?.to_string(), row["description"].as_str().unwrap_or("").to_string()))
+    pub fn pe_by_id(&self, id: i64) -> Result<&PeEntity, RegistryError> {
+        by_id(&self.store.pes, id)
     }
 
     /// PE by unique name.
-    pub fn pe_by_name(&self, name: &str) -> Result<PeEntity, RegistryError> {
-        let id = self
-            .store
-            .pes
-            .find_unique("peName", name)
-            .ok_or(RegistryError::NotFound { entity: "PE", key: name.to_string() })?;
-        self.pe_by_id(id)
-    }
-
-    /// Update a PE row in place.
-    pub fn update_pe(&mut self, pe: &PeEntity) -> Result<(), RegistryError> {
-        self.store.pes.update(pe.pe_id, pe.to_row())?;
-        self.wal.append(&self.store, &ops::update("pes", pe.pe_id, &pe.to_row()))?;
-        for owner in self.store.user_pes.lefts_of(pe.pe_id) {
-            self.index.update_pe(owner, pe);
-        }
-        Ok(())
+    pub fn pe_by_name(&self, name: &str) -> Result<&PeEntity, RegistryError> {
+        by_unique(&self.store.pes, name)
     }
 
     /// PEs owned by a user.
-    pub fn pes_of_user(&self, user_id: i64) -> Vec<PeEntity> {
-        self.store.user_pes.rights_of(user_id).into_iter().filter_map(|id| self.pe_by_id(id).ok()).collect()
+    pub fn pes_of_user(&self, user_id: i64) -> impl Iterator<Item = &PeEntity> {
+        self.store.user_pes.rights_of(user_id).into_iter().filter_map(|id| self.store.pes.get(id))
     }
 
     /// Remove a user's ownership of a PE; the row itself is deleted only
@@ -172,13 +127,13 @@ impl Dao {
             return Err(RegistryError::NotFound { entity: "PE", key: pe_id.to_string() });
         }
         self.store.user_pes.unlink(user_id, pe_id);
-        self.wal.append(&self.store, &ops::unlink("user_pes", user_id, pe_id))?;
+        self.wal.append(&self.store, || ops::unlink("user_pes", user_id, pe_id))?;
         self.index.remove_pe(user_id, pe_id);
         if self.store.user_pes.lefts_of(pe_id).is_empty() {
             self.store.pes.delete(pe_id)?;
-            self.wal.append(&self.store, &ops::delete("pes", pe_id))?;
+            self.wal.append(&self.store, || ops::delete("pes", pe_id))?;
             self.store.workflow_pes.remove_right(pe_id);
-            self.wal.append(&self.store, &ops::remove_right("workflow_pes", pe_id))?;
+            self.wal.append(&self.store, || ops::remove_right("workflow_pes", pe_id))?;
         }
         Ok(())
     }
@@ -188,57 +143,32 @@ impl Dao {
     /// Insert a workflow row and link its owner.
     pub fn insert_workflow(
         &mut self,
-        mut wf: WorkflowEntity,
+        wf: WorkflowEntity,
         owner_id: i64,
-    ) -> Result<WorkflowEntity, RegistryError> {
-        let id = self.store.workflows.insert(wf.to_row(), "workflowId").map_err(|e| match e {
-            RegistryError::Duplicate { .. } => RegistryError::Duplicate {
-                entity: "Workflow",
-                field: "entryPoint",
-                value: wf.entry_point.clone(),
-            },
-            other => other,
-        })?;
-        wf.workflow_id = id;
-        self.wal.append(
-            &self.store,
-            &ops::insert("workflows", id, self.store.workflows.get(id).expect("just inserted")),
-        )?;
+    ) -> Result<&WorkflowEntity, RegistryError> {
+        let id = self.store.workflows.insert(wf)?;
+        let wf = self.store.workflows.get(id).expect("just inserted");
+        self.wal.append(&self.store, || ops::insert(wf))?;
         if self.store.user_workflows.link(owner_id, id) {
-            self.wal.append(&self.store, &ops::link("user_workflows", owner_id, id))?;
-            self.index.add_workflow(owner_id, &wf);
+            self.wal.append(&self.store, || ops::link("user_workflows", owner_id, id))?;
+            self.index.add_workflow(owner_id, wf);
         }
         Ok(wf)
     }
 
     /// Workflow by id.
-    pub fn workflow_by_id(&self, id: i64) -> Result<WorkflowEntity, RegistryError> {
-        let row = self
-            .store
-            .workflows
-            .get(id)
-            .ok_or(RegistryError::NotFound { entity: "Workflow", key: id.to_string() })?;
-        WorkflowEntity::from_row(row).ok_or(RegistryError::Storage("corrupt workflow row".into()))
+    pub fn workflow_by_id(&self, id: i64) -> Result<&WorkflowEntity, RegistryError> {
+        by_id(&self.store.workflows, id)
     }
 
     /// Workflow by unique entry point.
-    pub fn workflow_by_entry(&self, entry: &str) -> Result<WorkflowEntity, RegistryError> {
-        let id = self
-            .store
-            .workflows
-            .find_unique("entryPoint", entry)
-            .ok_or(RegistryError::NotFound { entity: "Workflow", key: entry.to_string() })?;
-        self.workflow_by_id(id)
+    pub fn workflow_by_entry(&self, entry: &str) -> Result<&WorkflowEntity, RegistryError> {
+        by_unique(&self.store.workflows, entry)
     }
 
     /// Workflows owned by a user.
-    pub fn workflows_of_user(&self, user_id: i64) -> Vec<WorkflowEntity> {
-        self.store
-            .user_workflows
-            .rights_of(user_id)
-            .into_iter()
-            .filter_map(|id| self.workflow_by_id(id).ok())
-            .collect()
+    pub fn workflows_of_user(&self, user_id: i64) -> impl Iterator<Item = &WorkflowEntity> {
+        self.store.user_workflows.rights_of(user_id).into_iter().filter_map(|id| self.store.workflows.get(id))
     }
 
     /// Link a PE into a workflow (the two-way many-to-many of §3.1).
@@ -247,19 +177,14 @@ impl Dao {
         self.workflow_by_id(workflow_id)?;
         self.pe_by_id(pe_id)?;
         if self.store.workflow_pes.link(workflow_id, pe_id) {
-            self.wal.append(&self.store, &ops::link("workflow_pes", workflow_id, pe_id))?;
+            self.wal.append(&self.store, || ops::link("workflow_pes", workflow_id, pe_id))?;
         }
         Ok(())
     }
 
     /// PEs belonging to a workflow.
-    pub fn pes_of_workflow(&self, workflow_id: i64) -> Vec<PeEntity> {
-        self.store
-            .workflow_pes
-            .rights_of(workflow_id)
-            .into_iter()
-            .filter_map(|id| self.pe_by_id(id).ok())
-            .collect()
+    pub fn pes_of_workflow(&self, workflow_id: i64) -> impl Iterator<Item = &PeEntity> {
+        self.store.workflow_pes.rights_of(workflow_id).into_iter().filter_map(|id| self.store.pes.get(id))
     }
 
     /// Remove a user's workflow (row deleted when last owner leaves).
@@ -268,13 +193,13 @@ impl Dao {
             return Err(RegistryError::NotFound { entity: "Workflow", key: workflow_id.to_string() });
         }
         self.store.user_workflows.unlink(user_id, workflow_id);
-        self.wal.append(&self.store, &ops::unlink("user_workflows", user_id, workflow_id))?;
+        self.wal.append(&self.store, || ops::unlink("user_workflows", user_id, workflow_id))?;
         self.index.remove_workflow(user_id, workflow_id);
         if self.store.user_workflows.lefts_of(workflow_id).is_empty() {
             self.store.workflows.delete(workflow_id)?;
-            self.wal.append(&self.store, &ops::delete("workflows", workflow_id))?;
+            self.wal.append(&self.store, || ops::delete("workflows", workflow_id))?;
             self.store.workflow_pes.remove_left(workflow_id);
-            self.wal.append(&self.store, &ops::remove_left("workflow_pes", workflow_id))?;
+            self.wal.append(&self.store, || ops::remove_left("workflow_pes", workflow_id))?;
         }
         Ok(())
     }
@@ -320,80 +245,68 @@ mod tests {
     #[test]
     fn user_crud() {
         let mut d = dao();
-        let u = d.insert_user(user("zz46")).unwrap();
-        assert_eq!(u.user_id, 1);
+        assert_eq!(d.insert_user(user("zz46")).unwrap().user_id, 1);
         assert_eq!(d.user_by_name("zz46").unwrap().user_id, 1);
         assert!(matches!(d.insert_user(user("zz46")), Err(RegistryError::Duplicate { entity: "User", .. })));
-        assert_eq!(d.all_users().len(), 1);
+        assert_eq!(d.all_users().count(), 1);
         assert!(d.user_by_name("nobody").is_err());
     }
 
     #[test]
     fn pe_ownership_lifecycle() {
         let mut d = dao();
-        let u1 = d.insert_user(user("a")).unwrap();
-        let u2 = d.insert_user(user("b")).unwrap();
-        let p = d.insert_pe(pe("IsPrime"), u1.user_id).unwrap();
-        assert_eq!(d.pes_of_user(u1.user_id).len(), 1);
+        let u1 = d.insert_user(user("a")).unwrap().user_id;
+        let u2 = d.insert_user(user("b")).unwrap().user_id;
+        let p = d.insert_pe(pe("IsPrime"), u1).unwrap().pe_id;
+        assert_eq!(d.pes_of_user(u1).count(), 1);
         // Second owner joins rather than duplicating (paper §3.1).
-        d.link_user_pe(u2.user_id, p.pe_id).unwrap();
-        assert_eq!(d.pes_of_user(u2.user_id).len(), 1);
+        d.link_user_pe(u2, p).unwrap();
+        assert_eq!(d.pes_of_user(u2).count(), 1);
         // First owner leaves: the row survives for the second owner.
-        d.remove_pe_for_user(u1.user_id, p.pe_id).unwrap();
-        assert!(d.pe_by_id(p.pe_id).is_ok());
+        d.remove_pe_for_user(u1, p).unwrap();
+        assert!(d.pe_by_id(p).is_ok());
         // Last owner leaves: the row is gone.
-        d.remove_pe_for_user(u2.user_id, p.pe_id).unwrap();
-        assert!(d.pe_by_id(p.pe_id).is_err());
+        d.remove_pe_for_user(u2, p).unwrap();
+        assert!(d.pe_by_id(p).is_err());
         // Removing twice errors.
-        assert!(d.remove_pe_for_user(u2.user_id, p.pe_id).is_err());
+        assert!(d.remove_pe_for_user(u2, p).is_err());
     }
 
     #[test]
     fn workflow_pe_links() {
         let mut d = dao();
-        let u = d.insert_user(user("a")).unwrap();
-        let p1 = d.insert_pe(pe("P1"), u.user_id).unwrap();
-        let p2 = d.insert_pe(pe("P2"), u.user_id).unwrap();
-        let w = d.insert_workflow(wf("flow"), u.user_id).unwrap();
-        d.link_workflow_pe(w.workflow_id, p1.pe_id).unwrap();
-        d.link_workflow_pe(w.workflow_id, p2.pe_id).unwrap();
-        let members = d.pes_of_workflow(w.workflow_id);
-        assert_eq!(members.len(), 2);
+        let u = d.insert_user(user("a")).unwrap().user_id;
+        let p1 = d.insert_pe(pe("P1"), u).unwrap().pe_id;
+        let p2 = d.insert_pe(pe("P2"), u).unwrap().pe_id;
+        let w = d.insert_workflow(wf("flow"), u).unwrap().workflow_id;
+        d.link_workflow_pe(w, p1).unwrap();
+        d.link_workflow_pe(w, p2).unwrap();
+        assert_eq!(d.pes_of_workflow(w).count(), 2);
         // Linking an unknown PE fails cleanly.
-        assert!(d.link_workflow_pe(w.workflow_id, 999).is_err());
-        assert!(d.link_workflow_pe(999, p1.pe_id).is_err());
+        assert!(d.link_workflow_pe(w, 999).is_err());
+        assert!(d.link_workflow_pe(999, p1).is_err());
     }
 
     #[test]
     fn pe_deletion_detaches_from_workflows() {
         let mut d = dao();
-        let u = d.insert_user(user("a")).unwrap();
-        let p = d.insert_pe(pe("P"), u.user_id).unwrap();
-        let w = d.insert_workflow(wf("f"), u.user_id).unwrap();
-        d.link_workflow_pe(w.workflow_id, p.pe_id).unwrap();
-        d.remove_pe_for_user(u.user_id, p.pe_id).unwrap();
-        assert!(d.pes_of_workflow(w.workflow_id).is_empty());
+        let u = d.insert_user(user("a")).unwrap().user_id;
+        let p = d.insert_pe(pe("P"), u).unwrap().pe_id;
+        let w = d.insert_workflow(wf("f"), u).unwrap().workflow_id;
+        d.link_workflow_pe(w, p).unwrap();
+        d.remove_pe_for_user(u, p).unwrap();
+        assert_eq!(d.pes_of_workflow(w).count(), 0);
     }
 
     #[test]
     fn workflow_removal() {
         let mut d = dao();
-        let u = d.insert_user(user("a")).unwrap();
-        let w = d.insert_workflow(wf("f"), u.user_id).unwrap();
-        assert_eq!(d.workflows_of_user(u.user_id).len(), 1);
-        assert_eq!(d.workflow_by_entry("f").unwrap().workflow_id, w.workflow_id);
-        d.remove_workflow_for_user(u.user_id, w.workflow_id).unwrap();
-        assert!(d.workflow_by_id(w.workflow_id).is_err());
+        let u = d.insert_user(user("a")).unwrap().user_id;
+        let w = d.insert_workflow(wf("f"), u).unwrap().workflow_id;
+        assert_eq!(d.workflows_of_user(u).count(), 1);
+        assert_eq!(d.workflow_by_entry("f").unwrap().workflow_id, w);
+        d.remove_workflow_for_user(u, w).unwrap();
+        assert!(d.workflow_by_id(w).is_err());
         assert!(d.workflow_by_entry("f").is_err());
-    }
-
-    #[test]
-    fn update_pe_description() {
-        let mut d = dao();
-        let u = d.insert_user(user("a")).unwrap();
-        let mut p = d.insert_pe(pe("P"), u.user_id).unwrap();
-        p.description = "new words".into();
-        d.update_pe(&p).unwrap();
-        assert_eq!(d.pe_by_id(p.pe_id).unwrap().description, "new words");
     }
 }

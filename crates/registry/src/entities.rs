@@ -1,5 +1,6 @@
-//! Registry entities (paper Table 2) and their row conversions.
+//! Registry entities (paper Table 2) and their on-disk row conversions.
 
+use crate::store::Row;
 use laminar_embed::Embedding;
 use laminar_json::Value;
 
@@ -14,21 +15,36 @@ pub struct UserEntity {
     pub password_hash: String,
 }
 
-impl UserEntity {
-    /// Row → entity.
-    pub fn from_row(row: &Value) -> Option<UserEntity> {
+impl Row for UserEntity {
+    const TABLE: &'static str = "users";
+    const ID: &'static str = "userId";
+    const UNIQUE: &'static str = "userName";
+    const ENTITY: &'static str = "User";
+
+    fn id(&self) -> i64 {
+        self.user_id
+    }
+
+    fn set_id(&mut self, id: i64) {
+        self.user_id = id;
+    }
+
+    fn unique_key(&self) -> &str {
+        &self.user_name
+    }
+
+    fn from_row(row: &Value) -> Option<UserEntity> {
         Some(UserEntity {
-            user_id: row["userId"].as_i64()?,
-            user_name: row["userName"].as_str()?.to_string(),
+            user_id: row[Self::ID].as_i64()?,
+            user_name: row[Self::UNIQUE].as_str()?.to_string(),
             password_hash: row["password"].as_str()?.to_string(),
         })
     }
 
-    /// Entity → row.
-    pub fn to_row(&self) -> Value {
+    fn to_row(&self) -> Value {
         let mut v = Value::Null;
-        v.set("userId", self.user_id)
-            .set("userName", self.user_name.as_str())
+        v.set(Self::ID, self.user_id)
+            .set(Self::UNIQUE, self.user_name.as_str())
             .set("password", self.password_hash.as_str());
         v
     }
@@ -73,12 +89,28 @@ pub struct PeEntity {
     pub desc_embedding: Embedding,
 }
 
-impl PeEntity {
-    /// Row → entity.
-    pub fn from_row(row: &Value) -> Option<PeEntity> {
+impl Row for PeEntity {
+    const TABLE: &'static str = "pes";
+    const ID: &'static str = "peId";
+    const UNIQUE: &'static str = "peName";
+    const ENTITY: &'static str = "PE";
+
+    fn id(&self) -> i64 {
+        self.pe_id
+    }
+
+    fn set_id(&mut self, id: i64) {
+        self.pe_id = id;
+    }
+
+    fn unique_key(&self) -> &str {
+        &self.pe_name
+    }
+
+    fn from_row(row: &Value) -> Option<PeEntity> {
         Some(PeEntity {
-            pe_id: row["peId"].as_i64()?,
-            pe_name: row["peName"].as_str()?.to_string(),
+            pe_id: row[Self::ID].as_i64()?,
+            pe_name: row[Self::UNIQUE].as_str()?.to_string(),
             description: row["description"].as_str().unwrap_or("").to_string(),
             description_generated: row["descriptionGenerated"].as_bool().unwrap_or(false),
             pe_code: row["peCode"].as_str()?.to_string(),
@@ -93,11 +125,10 @@ impl PeEntity {
         })
     }
 
-    /// Entity → row.
-    pub fn to_row(&self) -> Value {
+    fn to_row(&self) -> Value {
         let mut v = Value::Null;
-        v.set("peId", self.pe_id)
-            .set("peName", self.pe_name.as_str())
+        v.set(Self::ID, self.pe_id)
+            .set(Self::UNIQUE, self.pe_name.as_str())
             .set("description", self.description.as_str())
             .set("descriptionGenerated", self.description_generated)
             .set("peCode", self.pe_code.as_str())
@@ -106,7 +137,9 @@ impl PeEntity {
             .set("descEmbedding", self.desc_embedding.to_value());
         v
     }
+}
 
+impl PeEntity {
     /// Decode the stored source code.
     pub fn source(&self) -> Option<String> {
         let v = laminar_codec::pickle::loads_b64(&self.pe_code).ok()?;
@@ -143,29 +176,46 @@ pub struct WorkflowEntity {
     pub workflow_code: String,
 }
 
-impl WorkflowEntity {
-    /// Row → entity.
-    pub fn from_row(row: &Value) -> Option<WorkflowEntity> {
+impl Row for WorkflowEntity {
+    const TABLE: &'static str = "workflows";
+    const ID: &'static str = "workflowId";
+    const UNIQUE: &'static str = "entryPoint";
+    const ENTITY: &'static str = "Workflow";
+
+    fn id(&self) -> i64 {
+        self.workflow_id
+    }
+
+    fn set_id(&mut self, id: i64) {
+        self.workflow_id = id;
+    }
+
+    fn unique_key(&self) -> &str {
+        &self.entry_point
+    }
+
+    fn from_row(row: &Value) -> Option<WorkflowEntity> {
         Some(WorkflowEntity {
-            workflow_id: row["workflowId"].as_i64()?,
+            workflow_id: row[Self::ID].as_i64()?,
             workflow_name: row["workflowName"].as_str()?.to_string(),
-            entry_point: row["entryPoint"].as_str()?.to_string(),
+            entry_point: row[Self::UNIQUE].as_str()?.to_string(),
             description: row["description"].as_str().unwrap_or("").to_string(),
             workflow_code: row["workflowCode"].as_str()?.to_string(),
         })
     }
 
-    /// Entity → row.
-    pub fn to_row(&self) -> Value {
+    fn to_row(&self) -> Value {
         let mut v = Value::Null;
-        v.set("workflowId", self.workflow_id)
+        v.set(Self::ID, self.workflow_id)
             .set("workflowName", self.workflow_name.as_str())
-            .set("entryPoint", self.entry_point.as_str())
+            .set(Self::UNIQUE, self.entry_point.as_str())
             .set("description", self.description.as_str())
             .set("workflowCode", self.workflow_code.as_str());
         v
     }
+}
 
+impl WorkflowEntity {
     /// Decode the stored source.
     pub fn source(&self) -> Option<String> {
         decode_code(&self.workflow_code)

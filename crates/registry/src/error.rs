@@ -14,7 +14,7 @@ pub enum RegistryError {
     NotFound { entity: &'static str, key: String },
     /// Unique constraint violated; carries (table, column, value).
     Duplicate { entity: &'static str, field: &'static str, value: String },
-    /// Login failed or session invalid.
+    /// Login failed.
     Unauthorized(String),
     /// Input failed validation (bad name, unparsable code…).
     Invalid { field: &'static str, message: String },

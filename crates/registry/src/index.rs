@@ -1,8 +1,8 @@
 //! The incrementally-maintained search index (ROADMAP item 4).
 //!
-//! Registry search used to be a linear scan: every query cloned the
-//! user's whole PE set out of the store (`pes_of_user` re-parses each
-//! row's JSON embeddings), re-normalized text per entity per field, and
+//! Registry search used to be a linear scan: every query walked the
+//! user's whole PE set, re-normalized text per entity per field,
+//! recomputed every vector's norm (and the query's, per vector) and
 //! sorted *all* hits. This module makes each search mode sub-linear in
 //! everything but the unavoidable score loop:
 //!
@@ -12,24 +12,24 @@
 //!   cached normalized field strings per entity. A space-free normalized
 //!   needle can never cross a token boundary (normalization joins tokens
 //!   with single spaces), so single-token queries reduce to a vocabulary
-//!   scan — no row touched until hit materialization. Multi-token
+//!   scan — no entity touched until hit materialization. Multi-token
 //!   needles fall back to a substring scan over the *cached* normalized
-//!   fields, still never re-normalizing or re-parsing a row.
+//!   fields, still never re-normalizing an entity's text.
 //! * **Semantic / code** — per-user structure-of-arrays `f32` matrices
 //!   (one row per PE, `desc`/`code` embedding spaces kept separately)
 //!   with per-row L2 norms cached at insert. Ranking is one fused
-//!   dot/norm cosine kernel pass and a bounded top-`k` heap: no entity
-//!   clone, no JSON parse, no full sort. Matrices live behind `Arc`, so
-//!   cloning an index (e.g. snapshotting for an offline consumer) shares
-//!   the vector storage copy-on-write.
+//!   dot/norm cosine kernel pass over contiguous rows and a bounded
+//!   top-`k` heap: no norm recomputed, no full sort. Matrices live
+//!   behind `Arc`, so cloning an index (e.g. snapshotting for an offline
+//!   consumer) shares the vector storage copy-on-write.
 //!
 //! **Consistency.** The index is owned by the DAO and mutated in the
 //! same call that journals the mutation, under the registry's outer
 //! `RwLock` write guard — readers never observe an index that disagrees
 //! with the store. WAL replay rebuilds the store *below* the DAO, so
-//! recovery rebuilds the index from the recovered store
+//! recovery rebuilds the index from the recovered store's typed rows
 //! ([`SearchIndex::build`]); JSON float serialization is
-//! shortest-round-trip, so rebuilt vectors (and therefore scores) are
+//! shortest-round-trip, so recovered vectors (and therefore scores) are
 //! bit-identical to the pre-crash ones.
 //!
 //! **Exactness.** Every query path here is an exact replacement for the
@@ -38,7 +38,8 @@
 //! pinned by the differential proptest in `tests/proptest_search.rs`.
 //! When a user's vectors are heterogeneous in dimension (possible only
 //! for hand-built entities; real models are fixed-dimension) the vector
-//! side marks itself degraded and search falls back to the scan.
+//! side marks itself degraded and search falls back to the scan, which
+//! skips the vectors it cannot compare with the query.
 
 use crate::entities::{PeEntity, WorkflowEntity};
 use crate::search::normalize_text;
@@ -214,8 +215,8 @@ impl VecIndex {
     /// Best `k` rows by cosine against `query`, best-first with ties
     /// toward the lower id — the oracle's sort-then-truncate order.
     /// `None` when degraded or the query dimension mismatches the matrix
-    /// (the scan then reproduces the legacy behaviour, including the
-    /// dimension-mismatch panic).
+    /// (the scan then answers with the vectors the query can be compared
+    /// with).
     fn top(&self, query: &Embedding, k: usize) -> Option<Vec<(i64, f64)>> {
         if self.degraded {
             return None;
@@ -274,13 +275,13 @@ impl SearchIndex {
     pub fn build(store: &Store) -> SearchIndex {
         let mut index = SearchIndex::new();
         for (user_id, pe_id) in store.user_pes.iter() {
-            if let Some(pe) = store.pes.get(pe_id).and_then(PeEntity::from_row) {
-                index.add_pe(user_id, &pe);
+            if let Some(pe) = store.pes.get(pe_id) {
+                index.add_pe(user_id, pe);
             }
         }
         for (user_id, wf_id) in store.user_workflows.iter() {
-            if let Some(wf) = store.workflows.get(wf_id).and_then(WorkflowEntity::from_row) {
-                index.add_workflow(user_id, &wf);
+            if let Some(wf) = store.workflows.get(wf_id) {
+                index.add_workflow(user_id, wf);
             }
         }
         index
@@ -314,12 +315,6 @@ impl SearchIndex {
             user.desc.remove(pe_id);
             user.code.remove(pe_id);
         }
-    }
-
-    /// Re-index a PE after an in-place row update, for one owner.
-    pub fn update_pe(&mut self, user_id: i64, pe: &PeEntity) {
-        self.remove_pe(user_id, pe.pe_id);
-        self.add_pe(user_id, pe);
     }
 
     /// Index a workflow for one owner.

@@ -41,4 +41,4 @@ pub use error::RegistryError;
 pub use index::{SearchIndex, VecField};
 pub use search::{QueryType, SearchHit, SearchOptions, SearchType, DEFAULT_SEARCH_LIMIT};
 pub use service::{Registry, SearchResponse};
-pub use store::{Store, Table};
+pub use store::{Row, Store, Table};

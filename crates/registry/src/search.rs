@@ -8,11 +8,16 @@
 //! * the **linear scan** is the original O(corpus) implementation, kept
 //!   as the differential oracle behind [`SearchOptions::force_scan`]
 //!   (the same oracle pattern the script VM uses for the tree-walker).
+//!   It walks the same typed entities the index was built from, by
+//!   reference: what it pays per entity is text normalization or a
+//!   from-scratch cosine, not a decode.
 //!
 //! The index declines queries it cannot answer exactly (disabled, or a
 //! degraded/dimension-mismatched vector matrix) and the scan takes over,
-//! so callers never see a behaviour difference; `indexed` counts each
+//! ranking the vectors of the query's dimension; `indexed` counts each
 //! decline for the registry (`scan_fallbacks` in `/registry/stats`).
+//! Both paths materialize winners through the same `pe_hit` /
+//! `workflow_hit`.
 
 use crate::dao::Dao;
 use crate::entities::{PeEntity, WorkflowEntity};
@@ -176,7 +181,11 @@ pub fn text_search_workflows(
         return Vec::new();
     }
     if let Some(ids) = indexed(opts, declines, || dao.index().text_workflows(user_id, &needle, opts.limit)) {
-        return ids.into_iter().filter_map(|id| indexed_workflow_hit(dao, id, 1.0)).collect();
+        return ids
+            .into_iter()
+            .filter_map(|id| dao.store.workflows.get(id))
+            .map(|wf| workflow_hit(wf, 1.0))
+            .collect();
     }
     let mut hits = Vec::new();
     for wf in dao.workflows_of_user(user_id) {
@@ -187,7 +196,7 @@ pub fn text_search_workflows(
             || contains_normalized(&needle, &wf.entry_point)
             || contains_normalized(&needle, &wf.description)
         {
-            hits.push(workflow_hit(&wf, 1.0));
+            hits.push(workflow_hit(wf, 1.0));
         }
     }
     hits
@@ -206,7 +215,7 @@ pub fn text_search_pes(
         return Vec::new();
     }
     if let Some(ids) = indexed(opts, declines, || dao.index().text_pes(user_id, &needle, opts.limit)) {
-        return ids.into_iter().filter_map(|id| indexed_pe_hit(dao, id, 1.0)).collect();
+        return ids.into_iter().filter_map(|id| dao.store.pes.get(id)).map(|pe| pe_hit(pe, 1.0)).collect();
     }
     let mut hits = Vec::new();
     for pe in dao.pes_of_user(user_id) {
@@ -214,7 +223,7 @@ pub fn text_search_pes(
             break;
         }
         if contains_normalized(&needle, &pe.pe_name) || contains_normalized(&needle, &pe.description) {
-            hits.push(pe_hit(&pe, 1.0));
+            hits.push(pe_hit(pe, 1.0));
         }
     }
     hits
@@ -225,9 +234,15 @@ pub fn text_search_pes(
 ///
 /// Indexed path: one pass of the fused cosine kernel over the user's
 /// dense matrix into a bounded top-k heap; the scan path scores every
-/// cloned entity and sorts. Both share the same kernel and the same
-/// `(score desc, id asc)` order, so their results are identical — only
-/// the winners' name/description strings are ever cloned into hits.
+/// entity it borrows from the store and sorts. Both share the same kernel
+/// and the same `(score desc, id asc)` order, so their results are
+/// identical — only the winners' name/description strings are ever
+/// cloned into hits.
+///
+/// The scan is also where the index sends what it declines — a matrix
+/// degraded by mixed dimensions, a query of another dimension — so it
+/// leaves out any vector whose dimension differs from the query's: the
+/// two cannot be compared, and [`cosine`] asserts they are not.
 pub fn ranked_pe_hits(
     dao: &Dao,
     user_id: i64,
@@ -237,27 +252,21 @@ pub fn ranked_pe_hits(
     declines: &AtomicU64,
 ) -> Vec<SearchHit> {
     if let Some(ranked) = indexed(opts, declines, || dao.index().top_pes(user_id, field, query, opts.limit)) {
-        return ranked.into_iter().filter_map(|(id, score)| indexed_pe_hit(dao, id, score)).collect();
+        return ranked
+            .into_iter()
+            .filter_map(|(id, score)| Some(pe_hit(dao.store.pes.get(id)?, score)))
+            .collect();
     }
-    let pes = dao.pes_of_user(user_id);
-    let mut scored: Vec<(f64, i64, usize)> =
-        pes.iter().enumerate().map(|(i, pe)| (cosine(query, field.of(pe)) as f64, pe.pe_id, i)).collect();
-    scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1)));
+    let mut scored: Vec<(f64, &PeEntity)> = dao
+        .pes_of_user(user_id)
+        .filter(|pe| field.of(pe).dim() == query.dim())
+        .map(|pe| (cosine(query, field.of(pe)) as f64, pe))
+        .collect();
+    scored.sort_by(|a, b| {
+        b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.pe_id.cmp(&b.1.pe_id))
+    });
     scored.truncate(opts.limit);
-    scored.into_iter().map(|(score, _, i)| pe_hit(&pes[i], score)).collect()
-}
-
-/// Winner materialization for the indexed paths: hit fields straight off
-/// the stored row, skipping the embedding/code decode `from_row` pays.
-/// Field-for-field identical to `pe_hit(&dao.pe_by_id(id)?, score)`.
-fn indexed_pe_hit(dao: &Dao, id: i64, score: f64) -> Option<SearchHit> {
-    let (name, description, auto_described) = dao.pe_hit_fields(id)?;
-    Some(SearchHit { id, name, kind: "pe", description, auto_described, score })
-}
-
-fn indexed_workflow_hit(dao: &Dao, id: i64, score: f64) -> Option<SearchHit> {
-    let (name, description) = dao.workflow_hit_fields(id)?;
-    Some(SearchHit { id, name, kind: "workflow", description, auto_described: false, score })
+    scored.into_iter().map(|(score, pe)| pe_hit(pe, score)).collect()
 }
 
 fn pe_hit(pe: &PeEntity, score: f64) -> SearchHit {
@@ -309,7 +318,7 @@ mod tests {
     #[test]
     fn a_degraded_matrix_is_a_counted_decline_and_a_forced_scan_is_not() {
         let pe = |id: i64, desc: &[f32]| PeEntity {
-            pe_id: id,
+            pe_id: 0,
             pe_name: format!("P{id}"),
             description: String::new(),
             description_generated: false,
@@ -318,18 +327,26 @@ mod tests {
             code_embedding: Embedding { values: vec![1.0, 0.0] },
             desc_embedding: Embedding { values: desc.to_vec() },
         };
-        let mut idx = crate::index::SearchIndex::new();
-        idx.add_pe(1, &pe(1, &[1.0, 0.0]));
-        idx.add_pe(1, &pe(2, &[1.0, 0.0, 0.0]));
+        let mut dao = Dao::new(crate::store::Store::new(), crate::wal::WalStore::ephemeral());
+        dao.insert_pe(pe(1, &[1.0, 0.0]), 1).unwrap();
+        dao.insert_pe(pe(2, &[1.0, 0.0, 0.0]), 1).unwrap();
         let q = Embedding { values: vec![1.0, 0.0] };
         let (declines, opts) = (AtomicU64::new(0), SearchOptions::default());
-        assert!(indexed(&opts, &declines, || idx.top_pes(1, VecField::Code, &q, 5)).is_some());
+        let names = |field, q: &Embedding, opts: &SearchOptions| -> Vec<String> {
+            ranked_pe_hits(&dao, 1, q, field, opts, &declines).into_iter().map(|h| h.name).collect()
+        };
+        assert_eq!(names(VecField::Code, &q, &opts), ["P1", "P2"]);
         assert_eq!(declines.load(Ordering::Relaxed), 0, "the homogeneous code space is served");
-        assert!(indexed(&opts, &declines, || idx.top_pes(1, VecField::Desc, &q, 5)).is_none());
+        // The scan the index declines to answers with what the query can
+        // be compared with, where `cosine` over all of it would panic.
+        assert_eq!(names(VecField::Desc, &q, &opts), ["P1"]);
         assert_eq!(declines.load(Ordering::Relaxed), 1, "the mixed-dimension description space declines");
+        let one_d = Embedding { values: vec![1.0] };
+        assert_eq!(names(VecField::Code, &one_d, &opts), [""; 0]);
+        assert_eq!(declines.load(Ordering::Relaxed), 2, "so does a query of another dimension");
         let forced = SearchOptions { force_scan: true, ..opts };
-        assert!(indexed(&forced, &declines, || idx.top_pes(1, VecField::Code, &q, 5)).is_none());
-        assert_eq!(declines.load(Ordering::Relaxed), 1, "the caller's own choice is not counted");
+        assert_eq!(names(VecField::Code, &q, &forced), ["P1", "P2"]);
+        assert_eq!(declines.load(Ordering::Relaxed), 2, "the caller's own choice is not counted");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! summarizer.
 
 use crate::dao::Dao;
-use crate::entities::{decode_code, encode_code, hash_password, PeEntity, UserEntity, WorkflowEntity};
+use crate::entities::{encode_code, hash_password, PeEntity, UserEntity, WorkflowEntity};
 use crate::error::RegistryError;
 use crate::search::{
     ranked_pe_hits, text_search_pes, text_search_workflows, QueryType, SearchHit, SearchOptions, SearchType,
@@ -15,7 +15,6 @@ use laminar_embed::models::{model_by_name, EmbeddingModel};
 use laminar_embed::summarize::summarize_pe_source;
 use laminar_json::Value;
 use laminar_script::{parse_script, to_source};
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -81,8 +80,6 @@ pub struct Registry {
     dao: Dao,
     search_model: Box<dyn EmbeddingModel>,
     completion_model: Box<dyn EmbeddingModel>,
-    sessions: HashMap<String, i64>,
-    session_counter: u64,
     /// Total search calls served (atomic: search holds only a read lock).
     searches: AtomicU64,
     /// Index queries the index declined and left to the linear scan.
@@ -107,22 +104,9 @@ impl Registry {
             dao,
             search_model: model_by_name("unixcoder-code-search").expect("model exists"),
             completion_model: model_by_name("ReACC-retriever-py").expect("model exists"),
-            sessions: HashMap::new(),
-            session_counter: 0,
             searches: AtomicU64::new(0),
             scan_fallbacks: AtomicU64::new(0),
         }
-    }
-
-    /// Swap the search/completion models (used by the model ablations).
-    pub fn with_models(
-        mut self,
-        search: Box<dyn EmbeddingModel>,
-        completion: Box<dyn EmbeddingModel>,
-    ) -> Registry {
-        self.search_model = search;
-        self.completion_model = completion;
-        self
     }
 
     /// Access the DAO (tests and server-internal queries).
@@ -156,47 +140,28 @@ impl Registry {
                 message: "must be at least 4 characters".into(),
             });
         }
-        self.dao.insert_user(UserEntity {
-            user_id: 0,
-            user_name: name.to_string(),
-            password_hash: hash_password(name, password),
-        })
+        self.dao
+            .insert_user(UserEntity {
+                user_id: 0,
+                user_name: name.to_string(),
+                password_hash: hash_password(name, password),
+            })
+            .cloned()
     }
 
-    /// Login: verify credentials and mint a session token (client fn 2).
-    pub fn login(&mut self, name: &str, password: &str) -> Result<String, RegistryError> {
-        let user = self
-            .dao
-            .user_by_name(name)
-            .map_err(|_| RegistryError::Unauthorized("unknown user or wrong password".into()))?;
-        if user.password_hash != hash_password(name, password) {
-            return Err(RegistryError::Unauthorized("unknown user or wrong password".into()));
+    /// Login: verify credentials (client fn 2). This is the whole of it:
+    /// no session is minted, and every other endpoint takes the `{user}`
+    /// path segment as the caller's identity (DESIGN §3.2).
+    pub fn login(&self, name: &str, password: &str) -> Result<(), RegistryError> {
+        match self.dao.user_by_name(name) {
+            Ok(user) if user.password_hash == hash_password(name, password) => Ok(()),
+            _ => Err(RegistryError::Unauthorized("unknown user or wrong password".into())),
         }
-        self.session_counter += 1;
-        let token = format!("tok-{}", hash_password(name, &format!("session{}", self.session_counter)));
-        self.sessions.insert(token.clone(), user.user_id);
-        Ok(token)
-    }
-
-    /// Resolve a session token to its user.
-    pub fn auth(&self, token: &str) -> Result<UserEntity, RegistryError> {
-        let id = self
-            .sessions
-            .get(token)
-            .ok_or_else(|| RegistryError::Unauthorized("invalid or expired session".into()))?;
-        UserEntity::from_row(
-            self.dao
-                .store
-                .users
-                .get(*id)
-                .ok_or_else(|| RegistryError::Unauthorized("session user vanished".into()))?,
-        )
-        .ok_or(RegistryError::Storage("corrupt user row".into()))
     }
 
     /// All user names (the `/auth/all` endpoint).
     pub fn all_user_names(&self) -> Vec<String> {
-        self.dao.all_users().into_iter().map(|u| u.user_name).collect()
+        self.dao.all_users().map(|u| u.user_name.clone()).collect()
     }
 
     fn user_id(&self, user: &str) -> Result<i64, RegistryError> {
@@ -239,6 +204,7 @@ impl Registry {
         if let Ok(existing) = self.dao.pe_by_name(&decl.name) {
             if existing.source().as_deref() == Some(canonical.as_str()) {
                 // Shared-owner rule: same PE, new owner.
+                let existing = existing.clone();
                 self.dao.link_user_pe(uid, existing.pe_id)?;
                 return Ok(existing);
             }
@@ -263,35 +229,40 @@ impl Registry {
             code_embedding: self.completion_model.embed_code(&canonical),
             desc_embedding: self.search_model.embed_text(&description),
         };
-        self.dao.insert_pe(pe, uid)
+        self.dao.insert_pe(pe, uid).cloned()
     }
 
-    /// Fetch a PE by id or name (client fn 7); ownership enforced.
-    pub fn get_pe(&self, user: &str, key: &EntityKey) -> Result<PeEntity, RegistryError> {
+    /// The PE `key` names, borrowed from the store; ownership enforced.
+    fn owned_pe(&self, user: &str, key: &EntityKey) -> Result<&PeEntity, RegistryError> {
         let uid = self.user_id(user)?;
         let pe = match key {
             EntityKey::Id(id) => self.dao.pe_by_id(*id)?,
             EntityKey::Name(name) => self.dao.pe_by_name(name)?,
         };
         if !self.dao.store.user_pes.linked(uid, pe.pe_id) {
-            return Err(RegistryError::NotFound { entity: "PE", key: pe.pe_name });
+            return Err(RegistryError::NotFound { entity: "PE", key: pe.pe_name.clone() });
         }
         Ok(pe)
     }
 
+    /// Fetch a PE by id or name (client fn 7); ownership enforced.
+    pub fn get_pe(&self, user: &str, key: &EntityKey) -> Result<PeEntity, RegistryError> {
+        self.owned_pe(user, key).cloned()
+    }
+
     /// All PEs owned by a user.
     pub fn all_pes(&self, user: &str) -> Result<Vec<PeEntity>, RegistryError> {
-        Ok(self.dao.pes_of_user(self.user_id(user)?))
+        Ok(self.dao.pes_of_user(self.user_id(user)?).cloned().collect())
     }
 
     /// Remove a PE from a user's registry (client fn 5).
     pub fn remove_pe(&mut self, user: &str, key: &EntityKey) -> Result<(), RegistryError> {
         let uid = self.user_id(user)?;
-        let pe = match key {
-            EntityKey::Id(id) => self.dao.pe_by_id(*id)?,
-            EntityKey::Name(name) => self.dao.pe_by_name(name)?,
+        let pe_id = match key {
+            EntityKey::Id(id) => *id,
+            EntityKey::Name(name) => self.dao.pe_by_name(name)?.pe_id,
         };
-        self.dao.remove_pe_for_user(uid, pe.pe_id)
+        self.dao.remove_pe_for_user(uid, pe_id)
     }
 
     // ---- workflows ----------------------------------------------------------
@@ -333,16 +304,19 @@ impl Registry {
             .map(str::to_string)
             .or_else(|| decl.doc.clone())
             .unwrap_or_else(|| format!("Workflow {}", decl.name));
-        let wf = self.dao.insert_workflow(
-            WorkflowEntity {
-                workflow_id: 0,
-                workflow_name: decl.name.clone(),
-                entry_point: entry_point.to_string(),
-                description,
-                workflow_code: encode_code(&canonical),
-            },
-            uid,
-        )?;
+        let wf = self
+            .dao
+            .insert_workflow(
+                WorkflowEntity {
+                    workflow_id: 0,
+                    workflow_name: decl.name.clone(),
+                    entry_point: entry_point.to_string(),
+                    description,
+                    workflow_code: encode_code(&canonical),
+                },
+                uid,
+            )?
+            .clone();
         // Register each referenced PE (if new) and link membership.
         for node in &decl.nodes {
             let pe_source = {
@@ -360,38 +334,44 @@ impl Registry {
         Ok(wf)
     }
 
-    /// Fetch a workflow by id or entry point (client fn 8).
-    pub fn get_workflow(&self, user: &str, key: &EntityKey) -> Result<WorkflowEntity, RegistryError> {
+    /// The workflow `key` names, borrowed from the store; ownership
+    /// enforced.
+    fn owned_workflow(&self, user: &str, key: &EntityKey) -> Result<&WorkflowEntity, RegistryError> {
         let uid = self.user_id(user)?;
         let wf = match key {
             EntityKey::Id(id) => self.dao.workflow_by_id(*id)?,
             EntityKey::Name(name) => self.dao.workflow_by_entry(name)?,
         };
         if !self.dao.store.user_workflows.linked(uid, wf.workflow_id) {
-            return Err(RegistryError::NotFound { entity: "Workflow", key: wf.entry_point });
+            return Err(RegistryError::NotFound { entity: "Workflow", key: wf.entry_point.clone() });
         }
         Ok(wf)
     }
 
+    /// Fetch a workflow by id or entry point (client fn 8).
+    pub fn get_workflow(&self, user: &str, key: &EntityKey) -> Result<WorkflowEntity, RegistryError> {
+        self.owned_workflow(user, key).cloned()
+    }
+
     /// All workflows owned by a user.
     pub fn all_workflows(&self, user: &str) -> Result<Vec<WorkflowEntity>, RegistryError> {
-        Ok(self.dao.workflows_of_user(self.user_id(user)?))
+        Ok(self.dao.workflows_of_user(self.user_id(user)?).cloned().collect())
     }
 
     /// PEs belonging to a workflow (client fn 9).
     pub fn pes_by_workflow(&self, user: &str, key: &EntityKey) -> Result<Vec<PeEntity>, RegistryError> {
-        let wf = self.get_workflow(user, key)?;
-        Ok(self.dao.pes_of_workflow(wf.workflow_id))
+        let wf = self.owned_workflow(user, key)?;
+        Ok(self.dao.pes_of_workflow(wf.workflow_id).cloned().collect())
     }
 
     /// Remove a workflow (client fn 6).
     pub fn remove_workflow(&mut self, user: &str, key: &EntityKey) -> Result<(), RegistryError> {
         let uid = self.user_id(user)?;
-        let wf = match key {
-            EntityKey::Id(id) => self.dao.workflow_by_id(*id)?,
-            EntityKey::Name(name) => self.dao.workflow_by_entry(name)?,
+        let workflow_id = match key {
+            EntityKey::Id(id) => *id,
+            EntityKey::Name(name) => self.dao.workflow_by_entry(name)?.workflow_id,
         };
-        self.dao.remove_workflow_for_user(uid, wf.workflow_id)
+        self.dao.remove_workflow_for_user(uid, workflow_id)
     }
 
     /// Attach an existing PE to an existing workflow (the PUT endpoint of
@@ -490,9 +470,10 @@ impl Registry {
 
     /// Registry dump (client fn 12 / `GET /registry/{user}/all`).
     pub fn dump(&self, user: &str) -> Result<Value, RegistryError> {
+        let uid = self.user_id(user)?;
         let pes: Value = self
-            .all_pes(user)?
-            .into_iter()
+            .dao
+            .pes_of_user(uid)
             .map(|p| {
                 let mut v = Value::Null;
                 v.set("peId", p.pe_id)
@@ -502,8 +483,8 @@ impl Registry {
             })
             .collect();
         let wfs: Value = self
-            .all_workflows(user)?
-            .into_iter()
+            .dao
+            .workflows_of_user(uid)
             .map(|w| {
                 let mut v = Value::Null;
                 v.set("workflowId", w.workflow_id)
@@ -519,7 +500,7 @@ impl Registry {
 
     /// `describe`: human text for a PE or workflow (client fn 11).
     pub fn describe(&self, user: &str, key: &EntityKey) -> Result<String, RegistryError> {
-        if let Ok(pe) = self.get_pe(user, key) {
+        if let Ok(pe) = self.owned_pe(user, key) {
             return Ok(format!(
                 "PE {} (id {}): {}{}",
                 pe.pe_name,
@@ -528,9 +509,8 @@ impl Registry {
                 if pe.description_generated { " [auto-generated]" } else { "" }
             ));
         }
-        let wf = self.get_workflow(user, key)?;
-        let members = self.dao.pes_of_workflow(wf.workflow_id);
-        let names: Vec<&str> = members.iter().map(|p| p.pe_name.as_str()).collect();
+        let wf = self.owned_workflow(user, key)?;
+        let names: Vec<&str> = self.dao.pes_of_workflow(wf.workflow_id).map(|p| p.pe_name.as_str()).collect();
         Ok(format!(
             "Workflow {} (id {}, entry '{}'): {} — PEs: [{}]",
             wf.workflow_name,
@@ -541,10 +521,12 @@ impl Registry {
         ))
     }
 
-    /// Decode stored workflow source for execution.
-    pub fn workflow_source(&self, user: &str, key: &EntityKey) -> Result<String, RegistryError> {
-        let wf = self.get_workflow(user, key)?;
-        decode_code(&wf.workflow_code).ok_or(RegistryError::Storage("corrupt workflow code".into()))
+    /// What running a registered workflow needs — its name and decoded
+    /// source — from one lookup and one ownership check.
+    pub fn workflow_to_run(&self, user: &str, key: &EntityKey) -> Result<(String, String), RegistryError> {
+        let wf = self.owned_workflow(user, key)?;
+        let source = wf.source().ok_or(RegistryError::Storage("corrupt workflow code".into()))?;
+        Ok((wf.workflow_name.clone(), source))
     }
 }
 
@@ -598,15 +580,10 @@ mod tests {
 
     #[test]
     fn login_and_sessions() {
-        let mut r = reg_with_user();
-        assert!(r.login("zz46", "wrong").is_err());
-        assert!(r.login("ghost", "password").is_err());
-        let tok = r.login("zz46", "password").unwrap();
-        assert_eq!(r.auth(&tok).unwrap().user_name, "zz46");
-        assert!(r.auth("tok-bogus").is_err());
-        // Tokens are unique per login.
-        let tok2 = r.login("zz46", "password").unwrap();
-        assert_ne!(tok, tok2);
+        let r = reg_with_user();
+        assert!(matches!(r.login("zz46", "wrong"), Err(RegistryError::Unauthorized(_))));
+        assert!(matches!(r.login("ghost", "password"), Err(RegistryError::Unauthorized(_))));
+        r.login("zz46", "password").unwrap();
     }
 
     #[test]
@@ -669,7 +646,8 @@ mod tests {
         assert!(names.contains(&"IsPrime"));
         assert!(names.contains(&"PrintPrime"));
         // The stored source re-parses and still contains the workflow.
-        let src = r.workflow_source("zz46", &"isPrime".into()).unwrap();
+        let (name, src) = r.workflow_to_run("zz46", &"isPrime".into()).unwrap();
+        assert_eq!(name, "IsPrimeFlow");
         assert!(laminar_script::parse_script(&src).is_ok());
         assert!(src.contains("workflow IsPrimeFlow"));
     }

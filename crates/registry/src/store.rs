@@ -1,39 +1,65 @@
-//! The embedded table store: typed tables of JSON rows with auto-increment
-//! primary keys, unique indexes and junction (many-to-many) tables.
+//! The embedded table store: typed entity tables with auto-increment
+//! primary keys and one unique column each, plus junction (many-to-many)
+//! tables.
 //!
 //! This is the MySQL substitution (DESIGN.md): the DAO layer above it
 //! performs the same CRUD it would against the paper's hosted database.
+//!
+//! This module owns how an entity is held in memory: tables hold the
+//! typed entities themselves. The JSON row form ([`Row::to_row`] /
+//! [`Row::from_row`]) exists only where bytes meet the disk — WAL append
+//! and replay, snapshot write and load — so a row that does not decode is
+//! rejected when the store is opened, never on a later read.
 
+use crate::entities::{PeEntity, UserEntity, WorkflowEntity};
 use crate::error::RegistryError;
 use laminar_json::Value;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// One table: rows keyed by auto-increment id, with declared unique
-/// columns.
-#[derive(Debug, Clone)]
-pub struct Table {
-    name: String,
-    next_id: i64,
-    rows: BTreeMap<i64, Value>,
-    unique_columns: Vec<String>,
-    unique_index: BTreeMap<String, BTreeMap<String, i64>>,
+/// What a [`Table`] needs from the entity it holds: its place in the
+/// schema and its on-disk row form.
+pub trait Row: Clone {
+    /// Table name in snapshots and WAL ops (`"pes"`).
+    const TABLE: &'static str;
+    /// Primary-key column of the row form (`"peId"`).
+    const ID: &'static str;
+    /// The table's one unique column (`"peName"`).
+    const UNIQUE: &'static str;
+    /// Entity name in errors (`"PE"`).
+    const ENTITY: &'static str;
+
+    /// Primary key.
+    fn id(&self) -> i64;
+    /// Assign the primary key (insertion).
+    fn set_id(&mut self, id: i64);
+    /// Value of the unique column.
+    fn unique_key(&self) -> &str;
+    /// Entity → on-disk row.
+    fn to_row(&self) -> Value;
+    /// On-disk row → entity; `None` when a required column is missing or
+    /// mistyped.
+    fn from_row(row: &Value) -> Option<Self>;
 }
 
-impl Table {
-    /// Create a table with the given unique columns.
-    pub fn new(name: &str, unique_columns: &[&str]) -> Table {
-        Table {
-            name: name.to_string(),
-            next_id: 1,
-            rows: BTreeMap::new(),
-            unique_columns: unique_columns.iter().map(|s| s.to_string()).collect(),
-            unique_index: unique_columns.iter().map(|c| (c.to_string(), BTreeMap::new())).collect(),
-        }
-    }
+/// One table: entities keyed by auto-increment id, with an index over the
+/// unique column.
+#[derive(Debug, Clone)]
+pub struct Table<T: Row> {
+    next_id: i64,
+    rows: BTreeMap<i64, T>,
+    unique: BTreeMap<String, i64>,
+}
 
-    /// Table name.
-    pub fn name(&self) -> &str {
-        &self.name
+impl<T: Row> Default for Table<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T: Row> Table<T> {
+    /// Empty table.
+    pub fn new() -> Table<T> {
+        Table { next_id: 1, rows: BTreeMap::new(), unique: BTreeMap::new() }
     }
 
     /// Number of rows.
@@ -46,112 +72,61 @@ impl Table {
         self.rows.is_empty()
     }
 
-    fn unique_key(row: &Value, col: &str) -> Option<String> {
-        row.get(col).map(|v| match v {
-            Value::Str(s) => s.clone(),
-            other => other.to_string(),
-        })
-    }
-
-    /// Insert a row (object), assigning and returning its id. The id is
-    /// also written into the row under `id_column`.
-    pub fn insert(&mut self, mut row: Value, id_column: &str) -> Result<i64, RegistryError> {
-        for col in &self.unique_columns {
-            if let Some(key) = Self::unique_key(&row, col) {
-                if self.unique_index[col].contains_key(&key) {
-                    return Err(RegistryError::Duplicate {
-                        entity: "row",
-                        field: Box::leak(col.clone().into_boxed_str()),
-                        value: key,
-                    });
-                }
-            }
+    /// Insert an entity, assigning and returning its id.
+    pub fn insert(&mut self, mut row: T) -> Result<i64, RegistryError> {
+        if self.unique.contains_key(row.unique_key()) {
+            return Err(RegistryError::Duplicate {
+                entity: T::ENTITY,
+                field: T::UNIQUE,
+                value: row.unique_key().to_string(),
+            });
         }
         let id = self.next_id;
         self.next_id += 1;
-        row.set(id_column, id);
-        for col in &self.unique_columns {
-            if let Some(key) = Self::unique_key(&row, col) {
-                self.unique_index.get_mut(col).expect("declared column").insert(key, id);
-            }
-        }
+        row.set_id(id);
+        self.unique.insert(row.unique_key().to_string(), id);
         self.rows.insert(id, row);
         Ok(id)
     }
 
-    /// Insert with a caller-chosen id (used by WAL replay).
-    pub fn insert_with_id(&mut self, id: i64, row: Value) -> Result<(), RegistryError> {
+    /// Decode an on-disk row and insert it under the id it was journaled
+    /// with (WAL replay and snapshot load).
+    pub fn restore(&mut self, id: i64, row: &Value) -> Result<(), RegistryError> {
+        let row = T::from_row(row)
+            .filter(|r| r.id() == id)
+            .ok_or_else(|| RegistryError::Storage(format!("corrupt {} row {id}", T::TABLE)))?;
         if self.rows.contains_key(&id) {
-            return Err(RegistryError::Duplicate { entity: "row", field: "id", value: id.to_string() });
+            return Err(RegistryError::Duplicate { entity: T::ENTITY, field: T::ID, value: id.to_string() });
         }
-        for col in &self.unique_columns {
-            if let Some(key) = Self::unique_key(&row, col) {
-                self.unique_index.get_mut(col).expect("declared column").insert(key, id);
-            }
-        }
-        self.next_id = self.next_id.max(id + 1);
+        self.unique.insert(row.unique_key().to_string(), id);
+        self.next_id = self.next_id.max(id.saturating_add(1));
         self.rows.insert(id, row);
         Ok(())
     }
 
-    /// Fetch a row by id.
-    pub fn get(&self, id: i64) -> Option<&Value> {
+    /// Fetch an entity by id.
+    pub fn get(&self, id: i64) -> Option<&T> {
         self.rows.get(&id)
     }
 
-    /// Look up a row id via a unique column.
-    pub fn find_unique(&self, column: &str, key: &str) -> Option<i64> {
-        self.unique_index.get(column)?.get(key).copied()
+    /// Look up a row id by the unique column.
+    pub fn find_unique(&self, key: &str) -> Option<i64> {
+        self.unique.get(key).copied()
     }
 
-    /// Replace a row in place. Unique indexes are maintained.
-    pub fn update(&mut self, id: i64, new_row: Value) -> Result<(), RegistryError> {
-        let old = self
+    /// Delete a row, returning the entity.
+    pub fn delete(&mut self, id: i64) -> Result<T, RegistryError> {
+        let row = self
             .rows
-            .get(&id)
-            .cloned()
-            .ok_or(RegistryError::NotFound { entity: "row", key: id.to_string() })?;
-        // Check unique conflicts against OTHER rows first.
-        for col in &self.unique_columns {
-            if let Some(new_key) = Self::unique_key(&new_row, col) {
-                if let Some(&owner) = self.unique_index[col].get(&new_key) {
-                    if owner != id {
-                        return Err(RegistryError::Duplicate {
-                            entity: "row",
-                            field: Box::leak(col.clone().into_boxed_str()),
-                            value: new_key,
-                        });
-                    }
-                }
-            }
-        }
-        for col in &self.unique_columns {
-            if let Some(old_key) = Self::unique_key(&old, col) {
-                self.unique_index.get_mut(col).expect("declared").remove(&old_key);
-            }
-            if let Some(new_key) = Self::unique_key(&new_row, col) {
-                self.unique_index.get_mut(col).expect("declared").insert(new_key, id);
-            }
-        }
-        self.rows.insert(id, new_row);
-        Ok(())
-    }
-
-    /// Delete a row.
-    pub fn delete(&mut self, id: i64) -> Result<Value, RegistryError> {
-        let row =
-            self.rows.remove(&id).ok_or(RegistryError::NotFound { entity: "row", key: id.to_string() })?;
-        for col in &self.unique_columns {
-            if let Some(key) = Self::unique_key(&row, col) {
-                self.unique_index.get_mut(col).expect("declared").remove(&key);
-            }
-        }
+            .remove(&id)
+            .ok_or(RegistryError::NotFound { entity: T::ENTITY, key: id.to_string() })?;
+        self.unique.remove(row.unique_key());
         Ok(row)
     }
 
-    /// Iterate `(id, row)` in id order.
-    pub fn scan(&self) -> impl Iterator<Item = (i64, &Value)> {
-        self.rows.iter().map(|(k, v)| (*k, v))
+    /// Iterate the entities in id order.
+    pub fn scan(&self) -> impl Iterator<Item = &T> {
+        self.rows.values()
     }
 
     /// Serialize the table for snapshots.
@@ -161,27 +136,27 @@ impl Table {
             .iter()
             .map(|(id, row)| {
                 let mut v = Value::Null;
-                v.set("id", *id).set("row", row.clone());
+                v.set("id", *id).set("row", row.to_row());
                 v
             })
             .collect();
         let mut v = Value::Null;
-        v.set("name", self.name.as_str())
+        v.set("name", T::TABLE)
             .set("next_id", self.next_id)
-            .set("unique", Value::Array(self.unique_columns.iter().map(|c| Value::Str(c.clone())).collect()))
+            .set("unique", Value::Array(vec![Value::Str(T::UNIQUE.to_string())]))
             .set("rows", rows);
         v
     }
 
     /// Rebuild from a snapshot value.
-    pub fn from_value(v: &Value) -> Result<Table, RegistryError> {
-        let name = v["name"].as_str().ok_or(RegistryError::Storage("table missing name".into()))?;
-        let unique: Vec<&str> =
-            v["unique"].as_array().unwrap_or(&[]).iter().filter_map(|u| u.as_str()).collect();
-        let mut t = Table::new(name, &unique);
+    pub fn from_value(v: &Value) -> Result<Table<T>, RegistryError> {
+        if v["name"].as_str() != Some(T::TABLE) {
+            return Err(RegistryError::Storage(format!("snapshot is missing table '{}'", T::TABLE)));
+        }
+        let mut t = Table::new();
         for entry in v["rows"].as_array().unwrap_or(&[]) {
             let id = entry["id"].as_i64().ok_or(RegistryError::Storage("row missing id".into()))?;
-            t.insert_with_id(id, entry["row"].clone())?;
+            t.restore(id, &entry["row"])?;
         }
         t.next_id = v["next_id"].as_i64().unwrap_or(t.next_id);
         Ok(t)
@@ -270,14 +245,14 @@ impl Junction {
 
 /// The registry's full schema (paper Figure 4): three entity tables and
 /// three junction tables.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Store {
     /// Users (unique `userName`).
-    pub users: Table,
+    pub users: Table<UserEntity>,
     /// Processing Elements (unique `peName`).
-    pub pes: Table,
+    pub pes: Table<PeEntity>,
     /// Workflows (unique `entryPoint`).
-    pub workflows: Table,
+    pub workflows: Table<WorkflowEntity>,
     /// user ↔ PE ownership (one-way many-to-many).
     pub user_pes: Junction,
     /// user ↔ workflow ownership.
@@ -286,23 +261,10 @@ pub struct Store {
     pub workflow_pes: Junction,
 }
 
-impl Default for Store {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Store {
     /// Empty store with the registry schema.
     pub fn new() -> Store {
-        Store {
-            users: Table::new("users", &["userName"]),
-            pes: Table::new("pes", &["peName"]),
-            workflows: Table::new("workflows", &["entryPoint"]),
-            user_pes: Junction::new(),
-            user_workflows: Junction::new(),
-            workflow_pes: Junction::new(),
-        }
+        Store::default()
     }
 
     /// Serialize the whole store (snapshot format).
@@ -333,77 +295,93 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use laminar_json::jobj;
+
+    fn user(name: &str) -> UserEntity {
+        UserEntity { user_id: 0, user_name: name.into(), password_hash: "h".into() }
+    }
+
+    fn workflow(entry: &str) -> WorkflowEntity {
+        WorkflowEntity {
+            workflow_id: 0,
+            workflow_name: "Wf".into(),
+            entry_point: entry.into(),
+            description: String::new(),
+            workflow_code: String::new(),
+        }
+    }
 
     #[test]
-    fn insert_get_update_delete() {
-        let mut t = Table::new("pes", &["peName"]);
-        let id = t.insert(jobj! { "peName" => "IsPrime", "description" => "d" }, "peId").unwrap();
+    fn insert_get_delete() {
+        let mut t = Table::new();
+        let id = t.insert(user("zz46")).unwrap();
         assert_eq!(id, 1);
-        assert_eq!(t.get(id).unwrap()["peId"].as_i64(), Some(1));
-        assert_eq!(t.find_unique("peName", "IsPrime"), Some(1));
-
-        let mut row = t.get(id).unwrap().clone();
-        row.set("description", "updated");
-        t.update(id, row).unwrap();
-        assert_eq!(t.get(id).unwrap()["description"].as_str(), Some("updated"));
+        assert_eq!(t.get(id).unwrap().user_id, 1);
+        assert_eq!(t.find_unique("zz46"), Some(1));
 
         let removed = t.delete(id).unwrap();
-        assert_eq!(removed["peName"].as_str(), Some("IsPrime"));
-        assert_eq!(t.find_unique("peName", "IsPrime"), None);
+        assert_eq!(removed.user_name, "zz46");
+        assert_eq!(t.find_unique("zz46"), None);
+        assert!(t.get(id).is_none());
         assert!(t.delete(id).is_err());
     }
 
     #[test]
     fn unique_violation() {
-        let mut t = Table::new("users", &["userName"]);
-        t.insert(jobj! { "userName" => "zz46" }, "userId").unwrap();
-        let err = t.insert(jobj! { "userName" => "zz46" }, "userId").unwrap_err();
+        let mut t = Table::new();
+        t.insert(user("zz46")).unwrap();
+        let err = t.insert(user("zz46")).unwrap_err();
         assert_eq!(err.code(), 409);
-    }
-
-    #[test]
-    fn unique_index_follows_rename() {
-        let mut t = Table::new("pes", &["peName"]);
-        let id = t.insert(jobj! { "peName" => "A" }, "peId").unwrap();
-        let mut row = t.get(id).unwrap().clone();
-        row.set("peName", "B");
-        t.update(id, row).unwrap();
-        assert_eq!(t.find_unique("peName", "A"), None);
-        assert_eq!(t.find_unique("peName", "B"), Some(id));
-        // Renaming onto an existing unique key fails.
-        let id2 = t.insert(jobj! { "peName" => "C" }, "peId").unwrap();
-        let mut row2 = t.get(id2).unwrap().clone();
-        row2.set("peName", "B");
-        assert!(t.update(id2, row2).is_err());
+        assert!(
+            matches!(err, RegistryError::Duplicate { entity: "User", field: "userName", .. }),
+            "the table names the entity and column itself: {err:?}"
+        );
     }
 
     #[test]
     fn ids_monotonic_after_delete() {
-        let mut t = Table::new("t", &[]);
-        let a = t.insert(jobj! { "x" => 1 }, "id").unwrap();
+        let mut t = Table::new();
+        let a = t.insert(user("a")).unwrap();
         t.delete(a).unwrap();
-        let b = t.insert(jobj! { "x" => 2 }, "id").unwrap();
+        let b = t.insert(user("b")).unwrap();
         assert!(b > a, "ids never reused");
+    }
+
+    #[test]
+    fn restore_rejects_a_row_that_does_not_decode() {
+        let mut t = Table::<UserEntity>::new();
+        let mut row = user("zz46").to_row();
+        row.set("userId", 4);
+        t.restore(4, &row).unwrap();
+        assert_eq!(t.find_unique("zz46"), Some(4));
+        assert!(t.restore(4, &row).is_err(), "an id is restored once");
+        assert!(
+            matches!(t.restore(5, &row), Err(RegistryError::Storage(_))),
+            "row and record disagree on id"
+        );
+        assert!(matches!(t.restore(6, &Value::Null), Err(RegistryError::Storage(_))));
+        assert_eq!(t.insert(user("next")).unwrap(), 5, "next_id follows the restored ids");
     }
 
     #[test]
     fn snapshot_round_trip() {
         let mut s = Store::new();
-        let uid = s.users.insert(jobj! { "userName" => "zz46" }, "userId").unwrap();
-        let pid = s.pes.insert(jobj! { "peName" => "IsPrime" }, "peId").unwrap();
-        let wid = s.workflows.insert(jobj! { "entryPoint" => "isPrime" }, "workflowId").unwrap();
-        s.user_pes.link(uid, pid);
-        s.workflow_pes.link(wid, pid);
+        let uid = s.users.insert(user("zz46")).unwrap();
+        let wid = s.workflows.insert(workflow("isPrime")).unwrap();
+        s.user_workflows.link(uid, wid);
+        s.workflow_pes.link(wid, 7);
         let v = s.to_value();
-        let back = Store::from_value(&v).unwrap();
-        assert_eq!(back.users.find_unique("userName", "zz46"), Some(uid));
-        assert!(back.user_pes.linked(uid, pid));
-        assert!(back.workflow_pes.linked(wid, pid));
+        let mut back = Store::from_value(&v).unwrap();
+        assert_eq!(back.users.find_unique("zz46"), Some(uid));
+        assert_eq!(back.workflows.get(wid), s.workflows.get(wid));
+        assert!(back.user_workflows.linked(uid, wid));
+        assert!(back.workflow_pes.linked(wid, 7));
         // next_id preserved: a new insert gets a fresh id.
-        let mut back = back;
-        let pid2 = back.pes.insert(jobj! { "peName" => "Other" }, "peId").unwrap();
-        assert!(pid2 > pid);
+        let wid2 = back.workflows.insert(workflow("other")).unwrap();
+        assert!(wid2 > wid);
+        // A table filed under another table's key is not loaded as that table.
+        let mut swapped = v.clone();
+        swapped.set("users", v["workflows"].clone());
+        assert!(matches!(Store::from_value(&swapped), Err(RegistryError::Storage(_))));
     }
 
     #[test]

@@ -4,6 +4,10 @@
 //! `<dir>/registry.wal` (one JSON op per line, appended before each
 //! mutation is acknowledged). Recovery loads the snapshot then replays the
 //! WAL; a torn final line (simulated crash) is tolerated and discarded.
+//!
+//! This is the boundary where entities take their JSON row form: append
+//! and snapshot encode them, replay and snapshot load decode them, and a
+//! well-formed record whose row does not decode fails the open.
 
 use crate::error::RegistryError;
 use crate::store::Store;
@@ -132,10 +136,11 @@ impl WalStore {
     }
 
     /// Record one mutation. Call *before* acknowledging the mutation.
-    /// Triggers snapshot compaction when the WAL grows long.
-    pub fn append(&mut self, store: &Store, op: &Value) -> Result<(), RegistryError> {
+    /// Triggers snapshot compaction when the WAL grows long. The record is
+    /// built only when there is a file to write it to.
+    pub fn append(&mut self, store: &Store, op: impl FnOnce() -> Value) -> Result<(), RegistryError> {
         let Some(wal) = self.wal.as_mut() else { return Ok(()) };
-        writeln!(wal, "{}", to_string(op)).map_err(|e| RegistryError::Storage(e.to_string()))?;
+        writeln!(wal, "{}", to_string(&op())).map_err(|e| RegistryError::Storage(e.to_string()))?;
         wal.flush().map_err(|e| RegistryError::Storage(e.to_string()))?;
         self.ops_since_snapshot += 1;
         if self.ops_since_snapshot >= self.snapshot_every {
@@ -171,14 +176,6 @@ impl WalStore {
 /// Replay one WAL op onto a store. Ops are self-describing:
 /// `{"op": "...", ...}`.
 pub fn apply_op(store: &mut Store, op: &Value) -> Result<(), RegistryError> {
-    fn table<'a>(store: &'a mut Store, name: &str) -> Result<&'a mut crate::store::Table, RegistryError> {
-        match name {
-            "users" => Ok(&mut store.users),
-            "pes" => Ok(&mut store.pes),
-            "workflows" => Ok(&mut store.workflows),
-            other => Err(RegistryError::Storage(format!("unknown table '{other}'"))),
-        }
-    }
     fn junction<'a>(
         store: &'a mut Store,
         name: &str,
@@ -190,18 +187,25 @@ pub fn apply_op(store: &mut Store, op: &Value) -> Result<(), RegistryError> {
             other => Err(RegistryError::Storage(format!("unknown junction '{other}'"))),
         }
     }
+    let unknown_table = |name: &str| Err(RegistryError::Storage(format!("unknown table '{name}'")));
     match op["op"].as_str() {
         Some("insert") => {
             let id = op["id"].as_i64().ok_or(RegistryError::Storage("insert missing id".into()))?;
-            table(store, op["table"].as_str().unwrap_or(""))?.insert_with_id(id, op["row"].clone())?;
-        }
-        Some("update") => {
-            let id = op["id"].as_i64().ok_or(RegistryError::Storage("update missing id".into()))?;
-            table(store, op["table"].as_str().unwrap_or(""))?.update(id, op["row"].clone())?;
+            match op["table"].as_str().unwrap_or("") {
+                "users" => store.users.restore(id, &op["row"])?,
+                "pes" => store.pes.restore(id, &op["row"])?,
+                "workflows" => store.workflows.restore(id, &op["row"])?,
+                other => return unknown_table(other),
+            }
         }
         Some("delete") => {
             let id = op["id"].as_i64().ok_or(RegistryError::Storage("delete missing id".into()))?;
-            let _ = table(store, op["table"].as_str().unwrap_or(""))?.delete(id);
+            match op["table"].as_str().unwrap_or("") {
+                "users" => drop(store.users.delete(id)),
+                "pes" => drop(store.pes.delete(id)),
+                "workflows" => drop(store.workflows.delete(id)),
+                other => return unknown_table(other),
+            }
         }
         Some("link") => {
             junction(store, op["junction"].as_str().unwrap_or(""))?
@@ -226,19 +230,13 @@ pub fn apply_op(store: &mut Store, op: &Value) -> Result<(), RegistryError> {
 
 /// Helper to build WAL op records.
 pub mod ops {
+    use crate::store::Row;
     use laminar_json::Value;
 
-    /// Insert record.
-    pub fn insert(table: &str, id: i64, row: &Value) -> Value {
+    /// Insert record: the entity in its row form.
+    pub fn insert<T: Row>(row: &T) -> Value {
         let mut v = Value::Null;
-        v.set("op", "insert").set("table", table).set("id", id).set("row", row.clone());
-        v
-    }
-
-    /// Update record.
-    pub fn update(table: &str, id: i64, row: &Value) -> Value {
-        let mut v = Value::Null;
-        v.set("op", "update").set("table", table).set("id", id).set("row", row.clone());
+        v.set("op", "insert").set("table", T::TABLE).set("id", row.id()).set("row", row.to_row());
         v
     }
 
@@ -281,7 +279,11 @@ pub mod ops {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use laminar_json::jobj;
+    use crate::entities::UserEntity;
+
+    fn user(name: &str) -> UserEntity {
+        UserEntity { user_id: 0, user_name: name.into(), password_hash: "h".into() }
+    }
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("laminar-wal-test-{tag}-{}", std::process::id()));
@@ -294,14 +296,14 @@ mod tests {
         let dir = tmpdir("replay");
         {
             let (mut store, mut wal) = WalStore::open(&dir).unwrap();
-            let id = store.users.insert(jobj! { "userName" => "zz46" }, "userId").unwrap();
-            wal.append(&store, &ops::insert("users", id, store.users.get(id).unwrap())).unwrap();
+            let id = store.users.insert(user("zz46")).unwrap();
+            wal.append(&store, || ops::insert(store.users.get(id).unwrap())).unwrap();
             store.user_pes.link(id, 7);
-            wal.append(&store, &ops::link("user_pes", id, 7)).unwrap();
+            wal.append(&store, || ops::link("user_pes", id, 7)).unwrap();
             // No snapshot: recovery must come from the WAL alone.
         }
         let (store, _) = WalStore::open(&dir).unwrap();
-        assert_eq!(store.users.find_unique("userName", "zz46"), Some(1));
+        assert_eq!(store.users.find_unique("zz46"), Some(1));
         assert!(store.user_pes.linked(1, 7));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -312,8 +314,8 @@ mod tests {
         {
             let (mut store, mut wal) = WalStore::open(&dir).unwrap();
             for i in 0..5 {
-                let id = store.users.insert(jobj! { "userName" => format!("u{i}") }, "userId").unwrap();
-                wal.append(&store, &ops::insert("users", id, store.users.get(id).unwrap())).unwrap();
+                let id = store.users.insert(user(&format!("u{i}"))).unwrap();
+                wal.append(&store, || ops::insert(store.users.get(id).unwrap())).unwrap();
             }
             wal.snapshot(&store).unwrap();
             // WAL is now empty.
@@ -330,8 +332,8 @@ mod tests {
         let dir = tmpdir("torn");
         {
             let (mut store, mut wal) = WalStore::open(&dir).unwrap();
-            let id = store.users.insert(jobj! { "userName" => "ok" }, "userId").unwrap();
-            wal.append(&store, &ops::insert("users", id, store.users.get(id).unwrap())).unwrap();
+            let id = store.users.insert(user("ok")).unwrap();
+            wal.append(&store, || ops::insert(store.users.get(id).unwrap())).unwrap();
         }
         // Simulate a crash mid-append: garbage partial line at the end.
         {
@@ -358,11 +360,11 @@ mod tests {
         let dir = tmpdir("everybyte");
         let (full, second_start) = {
             let (mut store, mut wal) = WalStore::open(&dir).unwrap();
-            let a = store.users.insert(jobj! { "userName" => "first" }, "userId").unwrap();
-            wal.append(&store, &ops::insert("users", a, store.users.get(a).unwrap())).unwrap();
+            let a = store.users.insert(user("first")).unwrap();
+            wal.append(&store, || ops::insert(store.users.get(a).unwrap())).unwrap();
             let second_start = std::fs::metadata(dir.join("registry.wal")).unwrap().len();
-            let b = store.users.insert(jobj! { "userName" => "second" }, "userId").unwrap();
-            wal.append(&store, &ops::insert("users", b, store.users.get(b).unwrap())).unwrap();
+            let b = store.users.insert(user("second")).unwrap();
+            wal.append(&store, || ops::insert(store.users.get(b).unwrap())).unwrap();
             (std::fs::metadata(dir.join("registry.wal")).unwrap().len(), second_start)
         };
         let pristine = std::fs::read(dir.join("registry.wal")).unwrap();
@@ -373,7 +375,7 @@ mod tests {
             // are on disk.
             let expected = if cut >= full - 1 { 2 } else { 1 };
             assert_eq!(store.users.len(), expected, "cut at byte {cut} of {full}");
-            assert_eq!(store.users.find_unique("userName", "first"), Some(1));
+            assert_eq!(store.users.find_unique("first"), Some(1));
             // Whatever recovery left behind must itself recover: the torn
             // tail was cut (or the newline restored), so a *second* open
             // sees a clean log and agrees.
@@ -392,13 +394,13 @@ mod tests {
         let dir = tmpdir("midfile");
         {
             let (mut store, mut wal) = WalStore::open(&dir).unwrap();
-            let a = store.users.insert(jobj! { "userName" => "ok" }, "userId").unwrap();
-            wal.append(&store, &ops::insert("users", a, store.users.get(a).unwrap())).unwrap();
+            let a = store.users.insert(user("ok")).unwrap();
+            wal.append(&store, || ops::insert(store.users.get(a).unwrap())).unwrap();
         }
         {
             let mut f = OpenOptions::new().append(true).open(dir.join("registry.wal")).unwrap();
             writeln!(f, "this is not json").unwrap();
-            let op = ops::insert("users", 2, &jobj! { "userName" => "after", "userId" => 2 });
+            let op = ops::insert(&UserEntity { user_id: 2, ..user("after") });
             writeln!(f, "{}", to_string(&op)).unwrap();
         }
         match WalStore::open(&dir) {
@@ -416,8 +418,8 @@ mod tests {
             let (mut store, mut wal) = WalStore::open(&dir).unwrap();
             wal.snapshot_every = 3;
             for i in 0..4 {
-                let id = store.users.insert(jobj! { "userName" => format!("u{i}") }, "userId").unwrap();
-                wal.append(&store, &ops::insert("users", id, store.users.get(id).unwrap())).unwrap();
+                let id = store.users.insert(user(&format!("u{i}"))).unwrap();
+                wal.append(&store, || ops::insert(store.users.get(id).unwrap())).unwrap();
             }
             // Threshold crossed at op 3: snapshot exists and WAL was reset.
             assert!(dir.join("registry.snapshot").exists());
@@ -432,16 +434,16 @@ mod tests {
         let dir = tmpdir("del");
         {
             let (mut store, mut wal) = WalStore::open(&dir).unwrap();
-            let a = store.users.insert(jobj! { "userName" => "a" }, "userId").unwrap();
-            wal.append(&store, &ops::insert("users", a, store.users.get(a).unwrap())).unwrap();
-            let b = store.users.insert(jobj! { "userName" => "b" }, "userId").unwrap();
-            wal.append(&store, &ops::insert("users", b, store.users.get(b).unwrap())).unwrap();
+            let a = store.users.insert(user("a")).unwrap();
+            wal.append(&store, || ops::insert(store.users.get(a).unwrap())).unwrap();
+            let b = store.users.insert(user("b")).unwrap();
+            wal.append(&store, || ops::insert(store.users.get(b).unwrap())).unwrap();
             store.users.delete(a).unwrap();
-            wal.append(&store, &ops::delete("users", a)).unwrap();
+            wal.append(&store, || ops::delete("users", a)).unwrap();
         }
         let (store, _) = WalStore::open(&dir).unwrap();
         assert_eq!(store.users.len(), 1);
-        assert_eq!(store.users.find_unique("userName", "b"), Some(2));
+        assert_eq!(store.users.find_unique("b"), Some(2));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -454,13 +456,13 @@ mod tests {
         {
             let (mut store, mut wal) = WalStore::open(&dir).unwrap();
             store.workflow_pes.link(1, 10);
-            wal.append(&store, &ops::link("workflow_pes", 1, 10)).unwrap();
+            wal.append(&store, || ops::link("workflow_pes", 1, 10)).unwrap();
             store.workflow_pes.link(1, 11);
-            wal.append(&store, &ops::link("workflow_pes", 1, 11)).unwrap();
+            wal.append(&store, || ops::link("workflow_pes", 1, 11)).unwrap();
             store.workflow_pes.link(2, 10);
-            wal.append(&store, &ops::link("workflow_pes", 2, 10)).unwrap();
+            wal.append(&store, || ops::link("workflow_pes", 2, 10)).unwrap();
             store.workflow_pes.remove_left(1);
-            wal.append(&store, &ops::remove_left("workflow_pes", 1)).unwrap();
+            wal.append(&store, || ops::remove_left("workflow_pes", 1)).unwrap();
         }
         let (store, _) = WalStore::open(&dir).unwrap();
         assert!(!store.workflow_pes.linked(1, 10));
@@ -473,7 +475,7 @@ mod tests {
     fn ephemeral_mode_never_touches_disk() {
         let mut wal = WalStore::ephemeral();
         let store = Store::new();
-        wal.append(&store, &ops::delete("users", 1)).unwrap();
+        wal.append(&store, || unreachable!("with no file to write to, the op is never built")).unwrap();
         wal.snapshot(&store).unwrap();
     }
 }

@@ -92,7 +92,6 @@ fn tenant_workload(addr: SocketAddr, tenant: usize) -> (String, i64) {
         jobj! { "userName" => user.as_str(), "password" => "password" },
     );
     assert!(r.is_ok(), "login {user}: {r:?}");
-    assert!(r.body["token"].as_str().unwrap().starts_with("tok-"));
 
     // Register the tenant's workflow (registers its PEs too).
     let r = call(
