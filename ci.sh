@@ -31,8 +31,9 @@
 #                run of each workload
 #   lint         rustfmt + clippy (warnings are errors), the guard that
 #                keeps the interpreter oracle out of every crate on the
-#                serving path, and the guard that keeps the registry's
-#                JSON row form below its persistence boundary
+#                serving path, the guard that keeps the registry's JSON
+#                row form below its persistence boundary, and the guard
+#                that keeps script parsing and compiling behind prepare()
 #
 # Every run ends with a per-tier wall-clock timing summary and, when all
 # selected tiers passed, the line "CI GREEN".
@@ -133,10 +134,19 @@ tier_lint() {
     echo "ci.sh: the row form stops at the WAL/snapshot boundary; the lines above use it past there" >&2
     return 1
   fi
+  # A script is prepared once, where it enters: `laminar_script::prepare`
+  # is the only way text becomes runnable, so no engine, server or
+  # registry code parses or compiles one itself outside its tests.
+  if awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
+          !test && /(parse|compile)_script\(/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+          END { exit !hit }' crates/{engine,server,registry}/src/*.rs; then
+    echo "ci.sh: text becomes runnable through prepare() only; the lines above parse or compile it themselves" >&2
+    return 1
+  fi
 }
 
 usage() {
-  sed -n '2,36p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,37p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 TIERS=()

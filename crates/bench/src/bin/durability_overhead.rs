@@ -152,7 +152,7 @@ fn main() {
     for kind in [MappingKind::Simple, MappingKind::Multi, MappingKind::Mpi, MappingKind::Redis] {
         let plain_opts = RunOptions::iterations(iterations).with_processes(processes);
         let ck_opts = plain_opts.clone().with_checkpoints(chunk);
-        // Warm the script compile cache so neither side pays it.
+        // Warm up so neither side pays first-run costs.
         kind.build().execute(&g, &RunOptions::iterations(16).with_processes(processes)).unwrap();
         let (plain, checkpointed) = time_pair(kind, &g, &plain_opts, &ck_opts, reps);
         let recovery = time_recovery(kind, &g, &ck_opts, epochs / 2);

@@ -164,7 +164,7 @@ fn main() {
          log capacity {capacity}, reader {slowdown}x slower than the producer"
     );
 
-    // Warm the compile cache, then calibrate the producer's natural pace.
+    // Warm up, then calibrate the producer's natural pace.
     let _ = calibrate(32, 8);
     let (natural, total_events) = calibrate(iterations, checkpoint_every);
     let per_event = natural / (total_events.max(1) as u32);

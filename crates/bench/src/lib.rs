@@ -254,8 +254,9 @@ pub struct BenchRun {
     pub enact_us: u64,
     /// See [`BenchRun::plan_us`].
     pub collect_us: u64,
-    /// One-time script-compilation cost the graph paid at construction
-    /// (zero for native-PE workloads; near-zero on compile-cache hits).
+    /// The median repetition's `StageTimings::compile`: zero here, since
+    /// these runs drive a graph directly and only an engine request
+    /// carries a prepare time.
     pub compile_us: u64,
     /// Producer invocations per second (median repetition).
     pub throughput: f64,

@@ -5,10 +5,9 @@ use crate::error::DataflowError;
 use crate::pe::{PeFactory, ScriptPeFactory};
 use crate::ports::PortTable;
 use crate::routing::Grouping;
-use laminar_script::{compile, parse_script, Host, Script, WorkflowDecl};
+use laminar_script::{prepare, Host, Prepared, WorkflowDecl};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Index of a node (PE) in a workflow graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -64,7 +63,7 @@ impl WorkflowGraph {
         NodeId(self.nodes.len() - 1)
     }
 
-    /// Convenience: parse LamScript source and add the PE named `pe_name`.
+    /// Convenience: prepare LamScript source and add the PE named `pe_name`.
     pub fn add_script_pe(&mut self, source: &str, pe_name: &str) -> Result<NodeId, DataflowError> {
         let f = ScriptPeFactory::from_source(source, pe_name)?;
         Ok(self.add(Arc::new(f)))
@@ -199,7 +198,10 @@ impl WorkflowGraph {
     }
 
     /// Validate the graph for enactment: non-empty, has at least one root
-    /// producer, acyclic, and every non-root input port is fed.
+    /// producer, acyclic, and every non-root input port is fed. A graph of
+    /// one node is a function — its declared input is the run's input — so
+    /// only a root that something else could have been wired to is refused
+    /// for declaring inputs.
     pub fn validate(&self) -> Result<(), DataflowError> {
         if self.nodes.is_empty() {
             return Err(DataflowError::Validation("workflow has no PEs".into()));
@@ -212,7 +214,7 @@ impl WorkflowGraph {
         }
         for r in &roots {
             let meta = self.nodes[r.0].meta();
-            if !meta.inputs.is_empty() {
+            if !meta.inputs.is_empty() && self.nodes.len() > 1 {
                 return Err(DataflowError::Validation(format!(
                     "initial PE '{}' declares input ports but nothing feeds them",
                     meta.name
@@ -294,18 +296,19 @@ impl WorkflowGraph {
         workflow_name: &str,
         host: Arc<dyn Host + Send + Sync>,
     ) -> Result<Self, DataflowError> {
-        let script = parse_script(source).map_err(DataflowError::from)?;
-        Self::from_parsed(&script, workflow_name, host)
+        let prepared = prepare(source)?;
+        Self::from_prepared(&prepared, workflow_name, host)
     }
 
-    /// [`Self::from_script_with_host`] for a source the caller already
-    /// parsed. The script is compiled through the cache once; every PE
-    /// factory of the graph shares that program.
-    pub fn from_parsed(
-        script: &Script,
+    /// The graph of workflow `workflow_name` of a prepared script (the
+    /// serverless path: the registry and the request hand one over). Every
+    /// PE factory of the graph shares its program.
+    pub fn from_prepared(
+        prepared: &Prepared,
         workflow_name: &str,
         host: Arc<dyn Host + Send + Sync>,
     ) -> Result<Self, DataflowError> {
+        let script = prepared.script();
         let decl: &WorkflowDecl = script
             .workflows()
             .find(|w| w.name == workflow_name)
@@ -314,10 +317,6 @@ impl WorkflowGraph {
         if let Some(doc) = &decl.doc {
             graph.set_description(doc.clone());
         }
-        let t0 = Instant::now();
-        let program = compile::shared(script).map_err(DataflowError::from)?;
-        // The one lookup's time, reported by the first factory only.
-        let mut compile_time = t0.elapsed();
         let mut alias_to_id: BTreeMap<String, NodeId> = BTreeMap::new();
         for node in &decl.nodes {
             let pe = script.pe(&node.pe_name).ok_or_else(|| {
@@ -326,13 +325,7 @@ impl WorkflowGraph {
                     decl.name, node.pe_name
                 ))
             })?;
-            let factory = ScriptPeFactory::with_program(
-                pe,
-                Arc::clone(&program),
-                std::mem::take(&mut compile_time),
-                Arc::clone(&host),
-            );
-            let id = graph.add(Arc::new(factory));
+            let id = graph.add(Arc::new(ScriptPeFactory::new(pe, prepared, Arc::clone(&host))));
             alias_to_id.insert(node.alias.clone(), id);
         }
         for c in &decl.connects {
@@ -438,6 +431,10 @@ mod tests {
         let _b = g.add(iterative_fn("B", Some));
         // B has an input but no edge: it's a root with inputs → invalid.
         assert!(g.validate().is_err());
+        // Alone, B is a function of the run's input.
+        let mut lone = WorkflowGraph::new("lone");
+        lone.add(iterative_fn("B", Some));
+        assert!(lone.validate().is_ok());
     }
 
     #[test]

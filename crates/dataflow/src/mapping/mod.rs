@@ -309,10 +309,11 @@ pub struct StageTimings {
     pub enact: Duration,
     /// Result collection: folding worker outcomes into a [`RunResult`].
     pub collect: Duration,
-    /// Script-to-bytecode compilation for the graph's scripted PEs. Paid
-    /// once when each factory is built (and amortized across runs by the
-    /// process-wide compile cache), so it is reported alongside — not
-    /// inside — the per-run stages above.
+    /// Time the request spent in `laminar_script::prepare` (parse +
+    /// compile), reported alongside — not inside — the per-run stages
+    /// above. The engine stamps it from the request: zero for a registered
+    /// workflow, which was prepared at registration, and for a run driven
+    /// straight off a graph.
     pub compile: Duration,
 }
 

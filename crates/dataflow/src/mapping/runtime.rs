@@ -229,7 +229,7 @@ impl<'a> Runtime<'a> {
         }
         let enact_time = enact_t0.elapsed();
 
-        Ok(Self::collect(&sink, t0, plan_time, enact_time, self.compile_time()))
+        Ok(Self::collect(&sink, t0, plan_time, enact_time))
     }
 
     /// Parallel enactment: distribute `options.processes` across the graph,
@@ -312,7 +312,7 @@ impl<'a> Runtime<'a> {
         }
         let enact_time = enact_t0.elapsed();
 
-        Ok(Self::collect(&sink, t0, plan_time, enact_time, self.compile_time()))
+        Ok(Self::collect(&sink, t0, plan_time, enact_time))
     }
 
     /// Apply a resume point: fold the journaled event prefix into the sink
@@ -410,13 +410,6 @@ impl<'a> Runtime<'a> {
         Ok(RoundOutcome::Continue)
     }
 
-    /// Total script-compilation time across the graph's factories — paid at
-    /// graph construction (amortized by the compile cache), reported with
-    /// every run's timings.
-    fn compile_time(&self) -> std::time::Duration {
-        self.graph.nodes().iter().map(|n| n.compile_time()).sum()
-    }
-
     /// The collect stage: fold the event stream into the [`RunResult`],
     /// stamp the stage timings, and emit the terminal
     /// [`RunEvent::Finished`] to the observer.
@@ -425,7 +418,6 @@ impl<'a> Runtime<'a> {
         t0: Instant,
         plan_time: std::time::Duration,
         enact_time: std::time::Duration,
-        compile_time: std::time::Duration,
     ) -> RunResult {
         let collect_t0 = Instant::now();
         let (fold, first_output) = sink.take_fold();
@@ -435,7 +427,7 @@ impl<'a> Runtime<'a> {
             plan: plan_time,
             enact: enact_time,
             collect: collect_t0.elapsed(),
-            compile: compile_time,
+            ..StageTimings::default()
         };
         result.stats.elapsed = t0.elapsed();
         sink.emit_finished(&result.stats);

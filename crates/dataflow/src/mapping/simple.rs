@@ -151,9 +151,15 @@ mod tests {
 
     #[test]
     fn consumer_only_graph_invalid() {
+        // Two consumers and nothing to feed them: user wiring gone wrong.
         let mut g = WorkflowGraph::new("c");
         g.add(consumer_fn("C", |_, _| {}));
+        g.add(consumer_fn("D", |_, _| {}));
         assert!(SimpleMapping.execute(&g, &RunOptions::iterations(1)).is_err());
+        // One consumer alone is a function of the run's input.
+        let mut lone = WorkflowGraph::new("f");
+        lone.add(consumer_fn("C", |v, out| out.print(&v.to_string())));
+        assert_eq!(SimpleMapping.execute(&lone, &RunOptions::iterations(2)).unwrap().printed, ["0", "1"]);
     }
 
     #[test]

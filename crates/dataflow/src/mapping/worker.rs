@@ -132,8 +132,12 @@ pub struct InstanceRunner {
     iteration: i64,
     sink: InternSink,
     ports: Arc<PortTable>,
-    /// Interned `"input"`: the implicit port driving data-fed producers.
+    /// The port a source's datum arrives on: its first declared input,
+    /// else the implicit `"input"` that drives data-fed producers.
     input_port: PortId,
+    /// A root that declares inputs (a lone PE run as a function) is fed
+    /// the iteration index when the run supplies no datum.
+    feeds_iteration: bool,
     /// Scratch for router destination indices, reused across datums.
     route_scratch: Vec<usize>,
 }
@@ -180,7 +184,8 @@ impl InstanceRunner {
         // Anything emitted during setup would have nowhere to go; prints
         // are preserved.
         sink.emitted.clear();
-        let input_port = intern("input")?;
+        let input_port = intern(meta.inputs.first().map_or("input", |p| p.name.as_str()))?;
+        let feeds_iteration = !meta.inputs.is_empty();
         Ok(InstanceRunner {
             inst,
             node_name,
@@ -193,6 +198,7 @@ impl InstanceRunner {
             sink,
             ports,
             input_port,
+            feeds_iteration,
             route_scratch: Vec::new(),
         })
     }
@@ -209,8 +215,8 @@ impl InstanceRunner {
 
     /// Run one producer iteration (sources only), filling `out`.
     pub fn run_iteration(&mut self, datum: Option<Value>, out: &mut Emissions) -> Result<(), DataflowError> {
-        let input = datum.map(|v| (self.input_port, v));
-        self.invoke(input, out)
+        let datum = datum.or_else(|| self.feeds_iteration.then_some(Value::Int(self.iteration)));
+        self.invoke(datum.map(|v| (self.input_port, v)), out)
     }
 
     /// Process one incoming datum, filling `out`.

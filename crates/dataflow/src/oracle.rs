@@ -10,7 +10,7 @@ use crate::error::DataflowError;
 use crate::graph::{NodeId, WorkflowGraph};
 use crate::pe::{Pe, PeFactory, PeMeta, SEED};
 use laminar_json::Value;
-use laminar_script::{canonicalize, parse_script, Interp, NullHost, PeDecl, Script, Sink};
+use laminar_script::{parse_script, Interp, NullHost, PeDecl, Script, Sink};
 use std::sync::Arc;
 
 /// How a differential suite puts one scripted PE of `source` into a graph:
@@ -33,11 +33,11 @@ pub struct InterpPeFactory {
 }
 
 impl InterpPeFactory {
-    /// Oracle factory for the PE named `pe_name`. The interpreter walks the
-    /// *canonical reparse* of `source` — the text compiled programs are
-    /// built from — so the line numbers in its errors are the VM's.
+    /// Oracle factory for the PE named `pe_name`. The interpreter walks a
+    /// parse of the very text the VM side prepares, so the line numbers in
+    /// its errors are the VM's.
     pub fn from_source(source: &str, pe_name: &str) -> Result<Self, DataflowError> {
-        let script = canonicalize(source).and_then(|canonical| parse_script(&canonical))?;
+        let script = parse_script(source)?;
         let decl = script
             .pe(pe_name)
             .cloned()

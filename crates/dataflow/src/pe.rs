@@ -12,10 +12,9 @@
 use crate::error::DataflowError;
 use laminar_json::Value;
 use laminar_script::{
-    analysis, compile, parse_script, Host, NullHost, PeDecl, PeKind, PortDecl, Program, Script, Sink, Vm,
+    analysis, prepare, Host, NullHost, PeDecl, PeKind, PortDecl, Prepared, Program, Sink, Vm,
 };
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Static description of a PE: ports, kind, provenance.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,13 +111,6 @@ pub trait PeFactory: Send + Sync {
     fn meta(&self) -> &PeMeta;
     /// Create a fresh instance with isolated state.
     fn instantiate(&self) -> Box<dyn Pe>;
-    /// Time this factory spent on its compile-cache lookup when it was
-    /// built: zero for native PEs and for factories handed a program their
-    /// graph looked up, near-zero on a hit — which makes the sum over a
-    /// graph a cache-effectiveness signal in [`crate::mapping::StageTimings`].
-    fn compile_time(&self) -> Duration {
-        Duration::ZERO
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -129,20 +121,18 @@ pub trait PeFactory: Send + Sync {
 /// the oracle's too, so both backends draw one stream.
 pub(crate) const SEED: u64 = 0x1a31_4a12;
 
-/// Factory for script-defined PEs: a parsed declaration plus the compiled
-/// program its instances run on the [`Vm`]. A script the compiler rejects
-/// is an error here — there is no other way to run it. Equal canonical
-/// sources share one compiled program across factories and engine forks
-/// through the process-wide compile cache ([`compile::shared`]).
+/// Factory for script-defined PEs: a declaration's metadata plus the
+/// compiled program of the [`Prepared`] script it came from, which its
+/// instances run on the [`Vm`]. A script the compiler rejects never gets
+/// this far — [`prepare`] is the only way to a program.
 pub struct ScriptPeFactory {
     meta: PeMeta,
     host: Arc<dyn Host + Send + Sync>,
     program: Arc<Program>,
-    compile_time: Duration,
 }
 
 impl ScriptPeFactory {
-    /// Parse `source` and build a factory for the PE named `pe_name`.
+    /// Prepare `source` and build a factory for the PE named `pe_name`.
     pub fn from_source(source: &str, pe_name: &str) -> Result<Self, DataflowError> {
         Self::from_source_with_host(source, pe_name, Arc::new(NullHost))
     }
@@ -154,36 +144,27 @@ impl ScriptPeFactory {
         pe_name: &str,
         host: Arc<dyn Host + Send + Sync>,
     ) -> Result<Self, DataflowError> {
-        let script =
-            parse_script(source).map_err(|e| DataflowError::PeFailed { pe: pe_name.into(), error: e })?;
-        Self::from_parsed(&script, pe_name, host)
+        let prepared =
+            prepare(source).map_err(|e| DataflowError::PeFailed { pe: pe_name.into(), error: e })?;
+        Self::from_prepared(&prepared, pe_name, host)
     }
 
-    /// [`Self::from_source_with_host`] for a source the caller already
-    /// parsed: one cache lookup, timed as [`PeFactory::compile_time`].
-    pub fn from_parsed(
-        script: &Script,
+    /// Factory for the PE named `pe_name` of a prepared script.
+    pub fn from_prepared(
+        prepared: &Prepared,
         pe_name: &str,
         host: Arc<dyn Host + Send + Sync>,
     ) -> Result<Self, DataflowError> {
-        let decl = script
+        let decl = prepared
+            .script()
             .pe(pe_name)
             .ok_or_else(|| DataflowError::Graph(format!("source defines no PE named '{pe_name}'")))?;
-        let t0 = Instant::now();
-        let program =
-            compile::shared(script).map_err(|e| DataflowError::PeFailed { pe: pe_name.into(), error: e })?;
-        Ok(Self::with_program(decl, program, t0.elapsed(), host))
+        Ok(Self::new(decl, prepared, host))
     }
 
-    /// Factory over a program the caller already looked up — how a graph
-    /// shares one across its PEs. `program` must be `decl`'s script compiled.
-    pub(crate) fn with_program(
-        decl: &PeDecl,
-        program: Arc<Program>,
-        compile_time: Duration,
-        host: Arc<dyn Host + Send + Sync>,
-    ) -> Self {
-        ScriptPeFactory { meta: PeMeta::from_decl(decl), host, program, compile_time }
+    /// `decl` must be a declaration of `prepared`'s script.
+    pub(crate) fn new(decl: &PeDecl, prepared: &Prepared, host: Arc<dyn Host + Send + Sync>) -> Self {
+        ScriptPeFactory { meta: PeMeta::from_decl(decl), host, program: Arc::clone(prepared.program()) }
     }
 }
 
@@ -200,10 +181,6 @@ impl PeFactory for ScriptPeFactory {
             vm: None,
             state: Value::Null,
         })
-    }
-
-    fn compile_time(&self) -> Duration {
-        self.compile_time
     }
 }
 

@@ -240,7 +240,7 @@ proptest! {
     /// Failure parity: a script that faults mid-run must fail on both
     /// backends, and under the deterministic Simple mapping the error
     /// text must match verbatim (same kind, message, and source line —
-    /// the oracle walks the canonical reparse the program was compiled
+    /// the oracle walks a parse of the very text the program was prepared
     /// from).
     #[test]
     fn runtime_errors_agree_across_backends(

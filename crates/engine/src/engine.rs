@@ -6,14 +6,12 @@ use crate::netmodel::NetModel;
 use crate::request::ExecutionRequest;
 use laminar_dataflow::mapping::{RunOptions, RunResult};
 use laminar_dataflow::{
-    CancelToken, DataflowError, RunEvent, RunObserver, ScriptPeFactory, StageTimings, WorkflowGraph,
+    CancelToken, DataflowError, RunObserver, ScriptPeFactory, StageTimings, WorkflowGraph,
 };
 use laminar_json::Value;
-use laminar_script::{analysis, parse_script, VecSink};
+use laminar_script::{analysis, Prepared};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use laminar_dataflow::pe::{Pe, PeFactory as _};
 
 /// Outcome of a serverless execution, returned to the client
 /// (paper Figure 9 shows `printed` forwarded verbatim).
@@ -268,11 +266,14 @@ impl ExecutionEngine {
         // 0. Network: the request crosses the link to the engine.
         self.net.charge(|| req.wire_size());
 
-        // 1. Parse and analyze imports (the findimports pass runs client-
-        //    side in the paper; the engine re-derives the list defensively).
-        let script = parse_script(&req.source)
-            .map_err(|e| DataflowError::PeFailed { pe: "<request>".into(), error: e })?;
-        let imports = analysis::imports(&script);
+        // 1. The script arrives prepared; a source `prepare` refused fails
+        //    here. Analyze imports (the findimports pass runs client-side in
+        //    the paper; the engine re-derives the list defensively).
+        let prepared = req.script.as_ref().map_err(|rejected| DataflowError::PeFailed {
+            pe: "<request>".into(),
+            error: rejected.error.clone(),
+        })?;
+        let imports = analysis::imports(prepared.script());
 
         // 2. Provision the environment and install libraries.
         let report = self.env.provision(&imports);
@@ -287,7 +288,7 @@ impl ExecutionEngine {
         //    computes its roots during validation (paper §3.3).
         let host: Arc<dyn laminar_script::Host + Send + Sync> = Arc::new(self.hosts.clone());
         let exec_t0 = Instant::now();
-        let result = self.enact(req, &script, host, observer, cancel);
+        let result = self.enact(req, prepared, host, observer, cancel);
         // Cancelled or failed runs must not leak staged state into the
         // worker's next job: tear down before propagating the error.
         let result = match result {
@@ -311,7 +312,7 @@ impl ExecutionEngine {
             provision_time,
             execute_time,
             total_time: Duration::ZERO,
-            stages: result.stats.timings,
+            stages: StageTimings { compile: req.prepare_time, ..result.stats.timings },
             processed: result.stats.processed,
             emitted: result.stats.emitted,
             events: result.stats.events,
@@ -329,20 +330,12 @@ impl ExecutionEngine {
     fn enact(
         &self,
         req: &ExecutionRequest,
-        script: &laminar_script::Script,
+        prepared: &Prepared,
         host: Arc<dyn laminar_script::Host + Send + Sync>,
         observer: Option<Arc<dyn RunObserver>>,
         cancel: &CancelToken,
     ) -> Result<RunResult, DataflowError> {
-        let workflow_names: Vec<String> = script.workflows().map(|w| w.name.clone()).collect();
-        let pe_names: Vec<String> = script.pes().map(|p| p.name.clone()).collect();
-
-        let target_workflow = match (&req.workflow, workflow_names.len()) {
-            (Some(name), _) => Some(name.clone()),
-            (None, 0) => None,
-            (None, _) => Some(workflow_names[0].clone()),
-        };
-
+        let script = prepared.script();
         let mut options = RunOptions::iterations(0).with_processes(req.processes).with_cancel(cancel.clone());
         options.input = req.input.clone();
         options.checkpoint_every = req.options.checkpoint_every;
@@ -352,120 +345,31 @@ impl ExecutionEngine {
         options.faults = req.faults.clone().unwrap_or_else(laminar_dataflow::FaultPlan::from_env);
         options.resume = req.resume.clone();
 
-        if let Some(wf) = target_workflow {
-            let graph = WorkflowGraph::from_parsed(script, &wf, host)?;
-            let mapping = req.mapping.build();
-            mapping.execute_observed(&graph, &options, observer)
-        } else if pe_names.len() == 1 {
-            // FaaS-style single-PE execution (paper §3.4.1).
-            let result = self.run_single_pe(script, &pe_names[0], host, &options)?;
-            if let Some(observer) = observer {
-                replay_result_as_events(&result, &observer);
+        let named = req.workflow.as_deref().or_else(|| script.workflows().next().map(|w| w.name.as_str()));
+        let graph = match named {
+            Some(wf) => WorkflowGraph::from_prepared(prepared, wf, host)?,
+            None => {
+                // FaaS-style use (paper §3.4.1): a lone PE is a one-node
+                // graph, a function of the run's input.
+                let mut pes = script.pes();
+                let (Some(pe), None) = (pes.next(), pes.next()) else {
+                    return Err(DataflowError::Options(
+                        "request has no workflow and more than one PE; name the workflow to run".into(),
+                    ));
+                };
+                let mut graph = WorkflowGraph::new(&pe.name);
+                graph.add(Arc::new(ScriptPeFactory::from_prepared(prepared, &pe.name, host)?));
+                graph
             }
-            Ok(result)
-        } else {
-            Err(DataflowError::Options(
-                "request has no workflow and more than one PE; name the workflow to run".into(),
-            ))
-        }
+        };
+        req.mapping.build().execute_observed(&graph, &options, observer)
     }
-
-    /// Run one PE like a traditional FaaS function: drive it with the
-    /// input and collect everything it emits.
-    fn run_single_pe(
-        &self,
-        script: &laminar_script::Script,
-        pe_name: &str,
-        host: Arc<dyn laminar_script::Host + Send + Sync>,
-        options: &RunOptions,
-    ) -> Result<RunResult, DataflowError> {
-        if options.is_unbounded() {
-            // The FaaS path buffers everything and replays it at
-            // completion — an unbounded run would never surface a single
-            // result. Only workflow enactments stream.
-            return Err(DataflowError::Options(
-                "unbounded input requires a workflow enactment; a single-PE (FaaS) run only returns \
-                 results at completion"
-                    .into(),
-            ));
-        }
-        let factory = ScriptPeFactory::from_parsed(script, pe_name, host)?;
-        let meta = factory.meta().clone();
-        let mut pe: Box<dyn Pe> = factory.instantiate();
-        let mut sink = VecSink::default();
-        pe.setup(0, 1, &mut sink)?;
-        let is_producer = meta.inputs.is_empty();
-        let default_in = meta.inputs.first().map(|p| p.name.clone()).unwrap_or_else(|| "input".into());
-        let mut invoked = 0usize;
-        // Same cooperative contract as the dataflow runtime: the token is
-        // checked between invocations, so DELETE stops a long bounded
-        // FaaS run at a clean boundary. (Unbounded input was rejected
-        // above — this loop always has a limit.)
-        let limit = options.bounded_invocations().expect("unbounded rejected above");
-        while invoked < limit {
-            if options.cancel.is_cancelled() {
-                return Err(DataflowError::Cancelled);
-            }
-            let i = invoked;
-            let datum = options.datum_for(i);
-            let input = match (&datum, is_producer) {
-                (Some(v), _) => Some((default_in.as_str(), v.clone())),
-                (None, true) => None,
-                (None, false) => Some((default_in.as_str(), Value::Int(i as i64))),
-            };
-            pe.process(input, i as i64, &mut sink)?;
-            invoked += 1;
-        }
-        let mut result = RunResult::default();
-        for (port, value) in sink.emitted {
-            result.outputs.entry((meta.name.clone(), port.to_string())).or_default().push(value);
-        }
-        result.printed = sink.printed;
-        result.stats.processed.insert(meta.name.clone(), invoked as u64);
-        result.stats.instances.insert(meta.name.clone(), 1);
-        // The stream a replay of this result synthesizes: plan + started +
-        // one event per output/print + instance-finished.
-        result.stats.events = 3 + result.total_outputs() as u64 + result.printed.len() as u64;
-        Ok(result)
-    }
-}
-
-/// Synthesize the event stream of a completed single-PE (FaaS) run. The
-/// FaaS path has no enactment runtime to stream from, so its events reach
-/// the observer at completion, in result order — same contract
-/// (`fold(events) == result`), degenerate granularity.
-fn replay_result_as_events(result: &RunResult, observer: &Arc<dyn RunObserver>) {
-    let mut seq = 0u64;
-    let mut emit = |ev: RunEvent| {
-        observer.on_event(seq, &ev);
-        seq += 1;
-    };
-    let pes: Vec<(Arc<str>, usize)> =
-        result.stats.instances.iter().map(|(k, &n)| (Arc::from(k.as_str()), n)).collect();
-    let pe: Arc<str> = pes.first().map(|(p, _)| Arc::clone(p)).unwrap_or_else(|| Arc::from("pe"));
-    emit(RunEvent::PlanReady { pes });
-    emit(RunEvent::InstanceStarted { pe: Arc::clone(&pe), instance: 0 });
-    for ((pe_name, port), values) in &result.outputs {
-        for value in values {
-            emit(RunEvent::Output {
-                pe: Arc::from(pe_name.as_str()),
-                instance: 0,
-                port: Arc::from(port.as_str()),
-                value: value.clone(),
-            });
-        }
-    }
-    for line in &result.printed {
-        emit(RunEvent::Print { pe: Arc::clone(&pe), instance: 0, line: line.clone() });
-    }
-    let processed = result.stats.processed.values().sum();
-    emit(RunEvent::InstanceFinished { pe, instance: 0, processed, emitted: result.total_outputs() as u64 });
-    emit(RunEvent::Finished { stats: result.stats.clone() });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use laminar_dataflow::mapping::RunInput;
     use laminar_dataflow::MappingKind;
 
     const WF_SRC: &str = r#"
@@ -547,6 +451,86 @@ mod tests {
         assert_eq!(vals.iter().filter_map(Value::as_i64).collect::<Vec<_>>(), vec![10, 18]);
     }
 
+    /// A lone PE runs as a one-node graph. These expectations were first
+    /// checked against the private FaaS loop this path replaced
+    /// (`run_single_pe`), on every mapping, before that loop was deleted:
+    /// the datum arrives on the first declared input, a PE with inputs and
+    /// no data is fed the iteration index, and a failure is the PE's own.
+    #[test]
+    fn a_lone_pe_is_a_function_of_the_runs_input_on_every_mapping() {
+        let gen = "pe Gen : producer { output output; process { print(\"it\", iteration); emit(iteration * iteration); } }";
+        let double = "pe Double : iterative { input x; output output; process { emit(x * 2); } }";
+        let split = "pe Split : generic { input reading; output low; output high; init { state.n = 0; } \
+            process { state.n = state.n + 1; if input < 2 { emit(\"low\", [state.n, input]); } else { emit(\"high\", reading); } } }";
+        let show = "pe Show : consumer { input v; process { print(\"got\", v, iteration); } }";
+        let boom = "pe Boom : iterative { input x; output output; process { emit(1 / (2 - iteration)); } }";
+        let iterations = RunInput::Iterations(4);
+        let data = RunInput::Data(vec![Value::Int(5), Value::Int(1), Value::Str("x".into())]);
+        // (source, input) -> outputs as JSON, printed lines, invocations.
+        type Expected = Result<(&'static str, &'static [&'static str], u64), &'static str>;
+        let cases: [(&str, &RunInput, Expected); 10] = [
+            (gen, &iterations, Ok((r#"{"Gen.output":[0,1,4,9]}"#, &["it 0", "it 1", "it 2", "it 3"], 4))),
+            (gen, &data, Ok((r#"{"Gen.output":[0,1,4]}"#, &["it 0", "it 1", "it 2"], 3))),
+            (double, &iterations, Ok((r#"{"Double.output":[0,2,4,6]}"#, &[], 4))),
+            (double, &data, Ok((r#"{"Double.output":[10,2,"xx"]}"#, &[], 3))),
+            (split, &iterations, Ok((r#"{"Split.high":[2,3],"Split.low":[[1,0],[2,1]]}"#, &[], 4))),
+            (split, &data, Err("type error at line 1, column 0: cannot compare string and int")),
+            (show, &iterations, Ok(("{}", &["got 0 0", "got 1 1", "got 2 2", "got 3 3"], 4))),
+            (show, &data, Ok(("{}", &["got 5 0", "got 1 1", "got x 2"], 3))),
+            (boom, &iterations, Err("division by zero at line 1, column 0: integer division by zero")),
+            (boom, &data, Err("division by zero at line 1, column 0: integer division by zero")),
+        ];
+        for (src, input, expected) in cases {
+            for (mapping, processes) in [
+                (MappingKind::Simple, 1),
+                (MappingKind::Multi, 3),
+                (MappingKind::Mpi, 3),
+                (MappingKind::Redis, 3),
+            ] {
+                let mut req = ExecutionRequest::simple("u", src, 0).with_mapping(mapping, processes);
+                req.input = input.clone();
+                let got = ExecutionEngine::instant().run(&req);
+                let what = format!("{src} {input:?} {mapping:?}");
+                match expected {
+                    Ok((outputs, printed, invocations)) => {
+                        let out = got.unwrap_or_else(|e| panic!("{what}: {e}"));
+                        assert_eq!(laminar_json::to_string(&Value::Object(out.outputs)), outputs, "{what}");
+                        assert_eq!(out.printed, printed, "{what}");
+                        assert_eq!(out.processed.values().sum::<u64>(), invocations, "{what}");
+                    }
+                    Err(message) => {
+                        let DataflowError::PeFailed { error, .. } = got.expect_err(&what) else {
+                            panic!("{what}: not a PE failure")
+                        };
+                        assert_eq!(error.to_string(), message, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The lone PE's stream is the runtime's own, not a reconstruction:
+    /// folding what the observer saw gives the result, and `events` counts
+    /// it.
+    #[test]
+    fn a_lone_pes_event_stream_folds_to_its_result() {
+        let src = "pe Gen : producer { output output; init { print(\"up\"); } process { emit(iteration); } }";
+        let recorder = laminar_dataflow::RecordingObserver::new();
+        let out = ExecutionEngine::instant()
+            .run_streaming(&ExecutionRequest::simple("u", src, 3), recorder.clone())
+            .unwrap();
+        let events: Vec<_> = recorder.take().into_iter().map(|(_, _, e)| e).collect();
+        assert_eq!(events.len() as u64, out.events + 1, "every event but the terminal `Finished` is counted");
+        let folded = laminar_dataflow::fold_events(events);
+        assert_eq!(folded.printed, out.printed);
+        assert_eq!(
+            folded.outputs[&("Gen".to_string(), "output".to_string())],
+            out.port_values("Gen", "output")
+        );
+        assert_eq!(out.port_values("Gen", "output"), [Value::Int(0), Value::Int(1), Value::Int(2)]);
+        assert_eq!(out.printed, ["up"]);
+    }
+
     #[test]
     fn resources_staged_and_cleared() {
         let src = r#"
@@ -572,29 +556,38 @@ mod tests {
 
     #[test]
     fn single_pe_unbounded_rejected_and_workflow_unbounded_cancels() {
-        // FaaS path: unbounded input is a structural error.
-        let src = "pe Gen : producer { output output; process { emit(iteration); } }";
-        let mut engine = ExecutionEngine::instant();
-        let req = ExecutionRequest::simple("u", src, 0).with_unbounded(Duration::from_micros(100));
-        let err = engine.run(&req).unwrap_err();
-        assert!(matches!(err, DataflowError::Options(_)), "{err}");
-
-        // Workflow path: runs until the token fires, then reports
-        // Cancelled (not a failure).
-        let token = CancelToken::new();
+        // Nothing is rejected any more: a lone producer and a one-node
+        // workflow both run unbounded, stream while they run, and end
+        // `Cancelled` (not a failure) when the token fires.
+        let lone = "pe Gen : producer { output output; process { emit(iteration); } }";
         let wf = r#"
             pe Gen : producer { output output; process { emit(iteration); } }
             workflow Forever { nodes { g = Gen; } }
         "#;
-        let req = ExecutionRequest::simple("u", wf, 0).with_unbounded(Duration::from_micros(100));
-        let handle = {
-            let token = token.clone();
-            std::thread::spawn(move || ExecutionEngine::instant().run_controlled(&req, None, &token))
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        token.cancel();
-        let result = handle.join().unwrap();
-        assert_eq!(result.unwrap_err(), DataflowError::Cancelled);
+        for src in [lone, wf] {
+            let token = CancelToken::new();
+            let recorder = laminar_dataflow::RecordingObserver::new();
+            let req = ExecutionRequest::simple("u", src, 0).with_unbounded(Duration::from_micros(100));
+            let handle = {
+                let (token, recorder) = (token.clone(), recorder.clone());
+                std::thread::spawn(move || {
+                    ExecutionEngine::instant().run_controlled(&req, Some(recorder), &token)
+                })
+            };
+            // Outputs reach the observer while the run is still going.
+            let mut outputs = 0;
+            while outputs < 3 {
+                assert!(!handle.is_finished(), "an unbounded run ended on its own");
+                let page = recorder.take();
+                outputs += page
+                    .iter()
+                    .filter(|(_, _, e)| matches!(e, laminar_dataflow::RunEvent::Output { .. }))
+                    .count();
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            token.cancel();
+            assert_eq!(handle.join().unwrap().unwrap_err(), DataflowError::Cancelled);
+        }
     }
 
     #[test]

@@ -27,6 +27,6 @@ pub use hosts::HostRegistry;
 pub use journal::{JournalError, JournalStore, ResumeData};
 pub use netmodel::NetModel;
 pub use pool::{EnginePool, EventPage, JobEventLog, JobInfo, JobPhase, JobResult, PoolError, PoolStats};
-pub use request::{ExecutionRequest, SubmitOptions};
+pub use request::{ExecutionRequest, RejectedSource, SubmitOptions};
 
 pub use laminar_dataflow::{CancelToken, FaultPlan, RunInput};

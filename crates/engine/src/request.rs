@@ -5,6 +5,19 @@
 use laminar_dataflow::mapping::RunInput;
 use laminar_dataflow::MappingKind;
 use laminar_json::Value;
+use laminar_script::{prepare, Prepared, ScriptError};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// A source text [`prepare`] refused, kept with the reason: the request
+/// that carries it still serialises, and running it fails with `error`.
+#[derive(Debug, Clone)]
+pub struct RejectedSource {
+    /// The text as it was given.
+    pub text: String,
+    /// Why it does not parse or compile.
+    pub error: ScriptError,
+}
 
 /// Per-submission options: the v1 API's single carrier for event
 /// streaming, checkpointing and the fair queue's scheduling hints
@@ -69,11 +82,19 @@ impl SubmitOptions {
 pub struct ExecutionRequest {
     /// Requesting user.
     pub user: String,
-    /// LamScript source defining the PEs and the workflow to run.
-    pub source: String,
-    /// Workflow name inside the source; `None` runs the only workflow
-    /// present, or a single PE if the source defines exactly one PE and no
-    /// workflow (the FaaS-style path of §3.4.1).
+    /// The script defining the PEs and the workflow to run, prepared once
+    /// where the request was built — by [`Self::simple`] /
+    /// [`Self::from_value`] from source text, or handed over already
+    /// prepared by the registry ([`Self::with_script`]). However often the
+    /// request then runs, nothing is parsed or compiled again.
+    pub script: Result<Arc<Prepared>, RejectedSource>,
+    /// Time [`Self::script`] took to prepare *for this request*: zero when
+    /// the registry handed it over. Reported as the run's `compile_us`.
+    pub prepare_time: Duration,
+    /// Workflow name inside the script; `None` runs the first workflow
+    /// present, or the single PE — as a one-node graph — if the script
+    /// defines exactly one PE and no workflow (the FaaS-style use of
+    /// §3.4.1).
     pub workflow: Option<String>,
     /// Mapping to enact with.
     pub mapping: MappingKind,
@@ -99,14 +120,26 @@ pub struct ExecutionRequest {
 
 impl ExecutionRequest {
     /// Minimal request: run `source` with the Simple mapping for `n`
-    /// iterations.
+    /// iterations. The source is prepared here; one that is refused fails
+    /// the run, not this call.
     pub fn simple(user: &str, source: &str, iterations: i64) -> ExecutionRequest {
+        let t0 = Instant::now();
+        let script = prepare(source).map_err(|error| RejectedSource { text: source.to_string(), error });
+        let mut req = Self::around(user, script);
+        req.prepare_time = t0.elapsed();
+        req.input = RunInput::Iterations(iterations);
+        req
+    }
+
+    /// The defaults around a script: Simple mapping, one process, no input.
+    fn around(user: &str, script: Result<Arc<Prepared>, RejectedSource>) -> ExecutionRequest {
         ExecutionRequest {
             user: user.to_string(),
-            source: source.to_string(),
+            script,
+            prepare_time: Duration::ZERO,
             workflow: None,
             mapping: MappingKind::Simple,
-            input: RunInput::Iterations(iterations),
+            input: RunInput::Iterations(0),
             processes: 1,
             resources: Vec::new(),
             options: SubmitOptions::default(),
@@ -187,11 +220,19 @@ impl ExecutionRequest {
         self
     }
 
+    /// The source text of [`Self::script`].
+    pub fn source(&self) -> &str {
+        match &self.script {
+            Ok(prepared) => prepared.text(),
+            Err(rejected) => &rejected.text,
+        }
+    }
+
     /// Serialize to the JSON envelope the wire protocol uses.
     pub fn to_value(&self) -> Value {
         let mut v = Value::Null;
         v.set("user", self.user.as_str())
-            .set("source", self.source.as_str())
+            .set("source", self.source())
             .set("workflow", self.workflow.clone())
             .set("mapping", self.mapping.as_str())
             .set("processes", self.processes)
@@ -222,16 +263,33 @@ impl ExecutionRequest {
         v
     }
 
-    /// Parse the JSON envelope. Defaults mirror the client: SIMPLE mapping,
+    /// Parse the JSON envelope, preparing its `source` (a journaled request
+    /// resumes this way). Defaults mirror the client: SIMPLE mapping,
     /// 5 iterations, 5 processes.
     pub fn from_value(v: &Value) -> Option<ExecutionRequest> {
+        let mut req = Self::simple(v["user"].as_str().unwrap_or("anonymous"), v["source"].as_str()?, 0);
+        req.workflow = v["workflow"].as_str().map(str::to_string);
+        req.with_envelope(v)
+    }
+
+    /// A request for `user` to run an already-prepared `script` — the
+    /// registered-workflow path — with everything else (mapping, input,
+    /// processes, resources, options) read from the envelope `v`.
+    pub fn with_script(user: &str, script: Arc<Prepared>, workflow: &str, v: &Value) -> Option<Self> {
+        let mut req = Self::around(user, Ok(script));
+        req.workflow = Some(workflow.to_string());
+        req.with_envelope(v)
+    }
+
+    /// Fill in what an envelope says besides who runs which script.
+    fn with_envelope(mut self, v: &Value) -> Option<ExecutionRequest> {
         let input = match &v["input"] {
             Value::Int(n) => RunInput::Iterations(*n),
             Value::Array(a) => RunInput::Data(a.clone()),
             Value::Null => RunInput::Iterations(5),
             obj @ Value::Object(_) if obj["mode"].as_str() == Some("unbounded") => RunInput::Unbounded {
                 generator: None,
-                pace: std::time::Duration::from_micros(obj["pace_us"].as_i64().unwrap_or(0).max(0) as u64),
+                pace: Duration::from_micros(obj["pace_us"].as_i64().unwrap_or(0).max(0) as u64),
             },
             _ => return None,
         };
@@ -241,18 +299,12 @@ impl ExecutionRequest {
             let bytes = laminar_codec::base64::decode(r["data"].as_str()?).ok()?;
             resources.push((name.to_string(), bytes));
         }
-        Some(ExecutionRequest {
-            user: v["user"].as_str().unwrap_or("anonymous").to_string(),
-            source: v["source"].as_str()?.to_string(),
-            workflow: v["workflow"].as_str().map(str::to_string),
-            mapping: MappingKind::parse(v["mapping"].as_str().unwrap_or("SIMPLE"))?,
-            input,
-            processes: v["processes"].as_i64().unwrap_or(5).max(1) as usize,
-            resources,
-            options: SubmitOptions::from_request_value(v),
-            resume: None,
-            faults: None,
-        })
+        self.mapping = MappingKind::parse(v["mapping"].as_str().unwrap_or("SIMPLE"))?;
+        self.input = input;
+        self.processes = v["processes"].as_i64().unwrap_or(5).max(1) as usize;
+        self.resources = resources;
+        self.options = SubmitOptions::from_request_value(v);
+        Some(self)
     }
 
     /// Approximate wire size in bytes (drives the WAN transfer model).

@@ -233,13 +233,12 @@ mod tests {
     }
 
     fn wf(entry: &str) -> WorkflowEntity {
-        WorkflowEntity {
-            workflow_id: 0,
-            workflow_name: format!("{entry}Wf"),
-            entry_point: entry.into(),
-            description: String::new(),
-            workflow_code: encode_code("workflow X { }"),
-        }
+        WorkflowEntity::new(
+            &format!("{entry}Wf"),
+            entry,
+            "",
+            laminar_script::prepare("workflow X { }").unwrap(),
+        )
     }
 
     #[test]

@@ -3,6 +3,8 @@
 use crate::store::Row;
 use laminar_embed::Embedding;
 use laminar_json::Value;
+use laminar_script::{prepare, Prepared};
+use std::sync::Arc;
 
 /// A registered user.
 #[derive(Debug, Clone, PartialEq)]
@@ -174,6 +176,10 @@ pub struct WorkflowEntity {
     pub description: String,
     /// Serialized code (`workflowCode`).
     pub workflow_code: String,
+    /// The source inside `workflow_code`, prepared: what a run of this
+    /// workflow executes. Not a column — built with the entity, at
+    /// registration and whenever a row is decoded.
+    prepared: Arc<Prepared>,
 }
 
 impl Row for WorkflowEntity {
@@ -195,12 +201,14 @@ impl Row for WorkflowEntity {
     }
 
     fn from_row(row: &Value) -> Option<WorkflowEntity> {
+        let workflow_code = row["workflowCode"].as_str()?.to_string();
         Some(WorkflowEntity {
             workflow_id: row[Self::ID].as_i64()?,
             workflow_name: row["workflowName"].as_str()?.to_string(),
             entry_point: row[Self::UNIQUE].as_str()?.to_string(),
             description: row["description"].as_str().unwrap_or("").to_string(),
-            workflow_code: row["workflowCode"].as_str()?.to_string(),
+            prepared: prepare(&decode_code(&workflow_code)?).ok()?,
+            workflow_code,
         })
     }
 
@@ -216,9 +224,28 @@ impl Row for WorkflowEntity {
 }
 
 impl WorkflowEntity {
-    /// Decode the stored source.
-    pub fn source(&self) -> Option<String> {
-        decode_code(&self.workflow_code)
+    /// A workflow not yet inserted (id 0) over a prepared script; its text
+    /// is stored as given — the registry prepares the canonical form.
+    pub fn new(
+        workflow_name: &str,
+        entry_point: &str,
+        description: &str,
+        prepared: Arc<Prepared>,
+    ) -> WorkflowEntity {
+        WorkflowEntity {
+            workflow_id: 0,
+            workflow_name: workflow_name.to_string(),
+            entry_point: entry_point.to_string(),
+            description: description.to_string(),
+            workflow_code: encode_code(prepared.text()),
+            prepared,
+        }
+    }
+
+    /// The stored source, prepared — its text is what `workflow_code`
+    /// decodes to.
+    pub fn prepared(&self) -> &Arc<Prepared> {
+        &self.prepared
     }
 }
 
@@ -263,15 +290,16 @@ mod tests {
 
     #[test]
     fn workflow_round_trip() {
-        let w = WorkflowEntity {
-            workflow_id: 2,
-            workflow_name: "IsPrimeWf".into(),
-            entry_point: "isPrime".into(),
-            description: "prints primes".into(),
-            workflow_code: encode_code("workflow IsPrimeWf { nodes { } }"),
-        };
+        let source = "workflow IsPrimeWf { nodes { } }";
+        let mut w = WorkflowEntity::new("IsPrimeWf", "isPrime", "prints primes", prepare(source).unwrap());
+        w.workflow_id = 2;
         assert_eq!(WorkflowEntity::from_row(&w.to_row()), Some(w.clone()));
-        assert!(w.source().unwrap().contains("IsPrimeWf"));
+        assert_eq!(w.prepared().text(), source);
+        assert_eq!(decode_code(&w.workflow_code).as_deref(), Some(source));
+        // A row whose code does not prepare is corrupt, not an entity.
+        let mut row = w.to_row();
+        row.set("workflowCode", encode_code("workflow {"));
+        assert_eq!(WorkflowEntity::from_row(&row), None);
     }
 
     #[test]

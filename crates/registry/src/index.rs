@@ -423,13 +423,9 @@ mod tests {
     }
 
     fn wf(id: i64, name: &str, entry: &str, desc: &str) -> WorkflowEntity {
-        WorkflowEntity {
-            workflow_id: id,
-            workflow_name: name.into(),
-            entry_point: entry.into(),
-            description: desc.into(),
-            workflow_code: String::new(),
-        }
+        let mut wf = WorkflowEntity::new(name, entry, desc, laminar_script::prepare("").unwrap());
+        wf.workflow_id = id;
+        wf
     }
 
     #[test]

@@ -14,9 +14,10 @@ use crate::wal::WalStore;
 use laminar_embed::models::{model_by_name, EmbeddingModel};
 use laminar_embed::summarize::summarize_pe_source;
 use laminar_json::Value;
-use laminar_script::{parse_script, to_source};
+use laminar_script::{canonicalize, prepare, to_source, Item, PeDecl, Prepared, Script};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Key used by clients to address a PE or workflow: numeric id or name
@@ -185,22 +186,24 @@ impl Registry {
         description: Option<&str>,
     ) -> Result<PeEntity, RegistryError> {
         let uid = self.user_id(user)?;
-        let script = parse_script(source)
+        let prepared = prepare(source)
             .map_err(|e| RegistryError::Invalid { field: "peCode", message: e.to_string() })?;
-        let decl = script
-            .pes()
-            .next()
-            .ok_or(RegistryError::Invalid {
-                field: "peCode",
-                message: "source contains no PE declaration".into(),
-            })?
-            .clone();
-        // Compile to validate only: a run looks its program up under the
-        // text of the whole workflow it enacts, never under one PE's.
-        laminar_script::compile_script(&script)
-            .map_err(|e| RegistryError::Invalid { field: "peCode", message: e.to_string() })?;
-        let canonical = to_source(&script);
+        let decl = prepared.script().pes().next().ok_or(RegistryError::Invalid {
+            field: "peCode",
+            message: "source contains no PE declaration".into(),
+        })?;
+        self.insert_pe_decl(uid, decl, to_source(prepared.script()), description)
+    }
 
+    /// [`Self::register_pe`] past the door: `decl` comes from a prepared
+    /// script and `canonical` is the text to store for it.
+    fn insert_pe_decl(
+        &mut self,
+        uid: i64,
+        decl: &PeDecl,
+        canonical: String,
+        description: Option<&str>,
+    ) -> Result<PeEntity, RegistryError> {
         if let Ok(existing) = self.dao.pe_by_name(&decl.name) {
             if existing.source().as_deref() == Some(canonical.as_str()) {
                 // Shared-owner rule: same PE, new owner.
@@ -225,7 +228,7 @@ impl Registry {
             description: description.clone(),
             description_generated: generated,
             pe_code: encode_code(&canonical),
-            pe_imports: laminar_script::analysis::pe_imports(&decl),
+            pe_imports: laminar_script::analysis::pe_imports(decl),
             code_embedding: self.completion_model.embed_code(&canonical),
             desc_embedding: self.search_model.embed_text(&description),
         };
@@ -278,21 +281,16 @@ impl Registry {
         description: Option<&str>,
     ) -> Result<WorkflowEntity, RegistryError> {
         let uid = self.user_id(user)?;
-        let script = parse_script(source)
+        // The stored text is the canonical one, and it is the stored text
+        // that is prepared: a run's error positions point into what
+        // `get_workflow` returns.
+        let prepared = canonicalize(source)
+            .and_then(|canonical| prepare(&canonical))
             .map_err(|e| RegistryError::Invalid { field: "workflowCode", message: e.to_string() })?;
-        let decl = script
-            .workflows()
-            .next()
-            .ok_or(RegistryError::Invalid {
-                field: "workflowCode",
-                message: "source contains no workflow declaration".into(),
-            })?
-            .clone();
-        // Validates the code and warms the compile cache under the stored
-        // text — the source every run of this workflow looks up.
-        laminar_script::compile::shared(&script)
-            .map_err(|e| RegistryError::Invalid { field: "workflowCode", message: e.to_string() })?;
-        let canonical = to_source(&script);
+        let decl = prepared.script().workflows().next().ok_or(RegistryError::Invalid {
+            field: "workflowCode",
+            message: "source contains no workflow declaration".into(),
+        })?;
         if self.dao.workflow_by_entry(entry_point).is_ok() {
             return Err(RegistryError::Duplicate {
                 entity: "Workflow",
@@ -307,28 +305,18 @@ impl Registry {
         let wf = self
             .dao
             .insert_workflow(
-                WorkflowEntity {
-                    workflow_id: 0,
-                    workflow_name: decl.name.clone(),
-                    entry_point: entry_point.to_string(),
-                    description,
-                    workflow_code: encode_code(&canonical),
-                },
+                WorkflowEntity::new(&decl.name, entry_point, &description, Arc::clone(&prepared)),
                 uid,
             )?
             .clone();
         // Register each referenced PE (if new) and link membership.
         for node in &decl.nodes {
-            let pe_source = {
-                let pe_decl = script.pe(&node.pe_name).ok_or(RegistryError::Invalid {
-                    field: "workflowCode",
-                    message: format!("workflow references undefined PE '{}'", node.pe_name),
-                })?;
-                let single =
-                    laminar_script::Script { items: vec![laminar_script::Item::Pe(pe_decl.clone())] };
-                to_source(&single)
-            };
-            let pe = self.register_pe(user, &pe_source, None)?;
+            let pe_decl = prepared.script().pe(&node.pe_name).ok_or(RegistryError::Invalid {
+                field: "workflowCode",
+                message: format!("workflow references undefined PE '{}'", node.pe_name),
+            })?;
+            let single = to_source(&Script { items: vec![Item::Pe(pe_decl.clone())] });
+            let pe = self.insert_pe_decl(uid, pe_decl, single, None)?;
             self.dao.link_workflow_pe(wf.workflow_id, pe.pe_id)?;
         }
         Ok(wf)
@@ -521,12 +509,15 @@ impl Registry {
         ))
     }
 
-    /// What running a registered workflow needs — its name and decoded
-    /// source — from one lookup and one ownership check.
-    pub fn workflow_to_run(&self, user: &str, key: &EntityKey) -> Result<(String, String), RegistryError> {
+    /// What running a registered workflow needs — its name and its
+    /// prepared script — from one lookup and one ownership check.
+    pub fn workflow_to_run(
+        &self,
+        user: &str,
+        key: &EntityKey,
+    ) -> Result<(String, Arc<Prepared>), RegistryError> {
         let wf = self.owned_workflow(user, key)?;
-        let source = wf.source().ok_or(RegistryError::Storage("corrupt workflow code".into()))?;
-        Ok((wf.workflow_name.clone(), source))
+        Ok((wf.workflow_name.clone(), Arc::clone(wf.prepared())))
     }
 }
 
@@ -646,10 +637,10 @@ mod tests {
         assert!(names.contains(&"IsPrime"));
         assert!(names.contains(&"PrintPrime"));
         // The stored source re-parses and still contains the workflow.
-        let (name, src) = r.workflow_to_run("zz46", &"isPrime".into()).unwrap();
+        let (name, prepared) = r.workflow_to_run("zz46", &"isPrime".into()).unwrap();
         assert_eq!(name, "IsPrimeFlow");
-        assert!(laminar_script::parse_script(&src).is_ok());
-        assert!(src.contains("workflow IsPrimeFlow"));
+        assert!(prepared.text().contains("workflow IsPrimeFlow"));
+        assert!(prepared.script().workflows().any(|w| w.name == "IsPrimeFlow"));
     }
 
     #[test]

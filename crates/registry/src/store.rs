@@ -301,13 +301,7 @@ mod tests {
     }
 
     fn workflow(entry: &str) -> WorkflowEntity {
-        WorkflowEntity {
-            workflow_id: 0,
-            workflow_name: "Wf".into(),
-            entry_point: entry.into(),
-            description: String::new(),
-            workflow_code: String::new(),
-        }
+        WorkflowEntity::new("Wf", entry, "", laminar_script::prepare("").unwrap())
     }
 
     #[test]

@@ -78,13 +78,8 @@ fn pe(
 }
 
 fn wf(name: &str, entry: &str, description: &str) -> WorkflowEntity {
-    WorkflowEntity {
-        workflow_id: 0,
-        workflow_name: name.into(),
-        entry_point: entry.into(),
-        description: description.into(),
-        workflow_code: encode_code(&format!("workflow {name} {{ }}")),
-    }
+    let code = laminar_script::prepare(&format!("workflow {name} {{ }}")).unwrap();
+    WorkflowEntity::new(name, entry, description, code)
 }
 
 /// The operations `WAL` journals, run live against a durable DAO.

@@ -24,18 +24,11 @@
 //! resolve (the datum's per-invocation port binding) fall back to
 //! [`Instr::Dynamic`] lookups. `tests/proptest_vm.rs` differential-tests
 //! the VM against the interpreter over generated programs.
-//!
-//! Compiled programs are cached process-wide ([`shared`]), keyed by the
-//! canonical pretty-printed source and bounded in size, so a workflow
-//! registered once is compiled once and every engine fork reuses the same
-//! `Arc<Program>`.
 
 use crate::ast::*;
 use crate::error::{ErrorKind, ScriptError};
 use laminar_json::Value;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
 
 /// RNG-backed builtins that consume the VM's seeded generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -854,47 +847,11 @@ impl<'a> Lowerer<'a> {
     }
 }
 
-// ---- process-wide compile cache ---------------------------------------
-
-/// Most programs the cache holds. Its keys are client-supplied text (every
-/// distinct inline `source` a client POSTs compiles to one), so it may not
-/// grow with them; a hit is an optimisation, never a correctness
-/// dependency, so on overflow the map simply starts over.
-const CACHE_CAP: usize = 256;
-
-static CACHE: OnceLock<Mutex<HashMap<String, Arc<Program>>>> = OnceLock::new();
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// The compiled program for `script`: one pretty-print, one lookup in the
-/// process-wide cache keyed by that canonical text (the round-trip property
-/// test pins that canonicalization is stable). On a miss the canonical text
-/// itself is parsed and compiled, so the cached program — including the
-/// source line numbers baked into its error tables — is a pure function of
-/// the cache key, not of whichever formatting variant reached the cache
-/// first.
-pub fn shared(script: &Script) -> Result<Arc<Program>, ScriptError> {
-    let canonical = crate::pretty::to_source(script);
-    let cache = CACHE.get_or_init(Mutex::default);
-    if let Some(program) = cache.lock().unwrap_or_else(|e| e.into_inner()).get(&canonical) {
-        HITS.fetch_add(1, Ordering::Relaxed);
-        return Ok(Arc::clone(program));
-    }
-    MISSES.fetch_add(1, Ordering::Relaxed);
-    let program = Arc::new(compile_script(&crate::parser::parse_script(&canonical)?)?);
-    let mut guard = cache.lock().unwrap_or_else(|e| e.into_inner());
-    if guard.len() >= CACHE_CAP {
-        guard.clear();
-    }
-    // Another thread may have compiled the same source concurrently; either
-    // program is the same pure function of the key.
-    guard.insert(canonical, Arc::clone(&program));
-    Ok(program)
-}
-
-/// `(hits, misses)` of the process-wide compile cache.
+/// `(0, prepares)`: the compile cache is gone; the frozen benchmark still
+/// calls this name. Use [`crate::prepare_count`].
+#[doc(hidden)]
 pub fn cache_stats() -> (u64, u64) {
-    (HITS.load(Ordering::Relaxed), MISSES.load(Ordering::Relaxed))
+    (0, crate::prepare_count())
 }
 
 #[cfg(test)]
@@ -928,43 +885,6 @@ mod tests {
         assert!(pe.process.n_regs >= 4);
         assert_eq!(pe.process.default_output.as_deref(), Some("output"));
         assert_eq!(pe.default_input.as_deref(), Some("num"));
-    }
-
-    /// The cache tests share one process-wide map; the overflow test
-    /// empties it, so they take turns.
-    static CACHE_TESTS: Mutex<()> = Mutex::new(());
-
-    #[test]
-    fn cache_hits_on_same_canonical_source() {
-        let _turn = CACHE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
-        let script =
-            parse_script("pe CacheProbe : iterative { input x; output o; process { emit(x); } }").unwrap();
-        let a = shared(&script).unwrap();
-        let (_, m0) = cache_stats();
-        let b = shared(&script).unwrap();
-        let (_, m1) = cache_stats();
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(m0, m1, "second lookup must not recompile");
-        // A formatting variant of the same program shares the entry.
-        let variant =
-            parse_script("pe CacheProbe : iterative {\n  input x;\n  output o;\n  process { emit(x); }\n}")
-                .unwrap();
-        assert!(Arc::ptr_eq(&a, &shared(&variant).unwrap()));
-    }
-
-    #[test]
-    fn cache_stays_bounded_and_correct_past_its_cap() {
-        let _turn = CACHE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
-        let source = |i: usize| format!("pe Cap{i} : producer {{ output o; process {{ emit({i}); }} }}");
-        for i in 0..2 * CACHE_CAP {
-            let program = shared(&parse_script(&source(i)).unwrap()).unwrap();
-            let pe = &program.pes[&format!("Cap{i}")];
-            assert_eq!(pe.process.consts, vec![Value::Int(i as i64)], "program {i} is its own source's");
-            let held = CACHE.get().unwrap().lock().unwrap_or_else(|e| e.into_inner()).len();
-            assert!(held <= CACHE_CAP, "{held} programs cached after {i} sources");
-        }
-        // An entry dropped by the overflow is recompiled, not lost.
-        assert!(shared(&parse_script(&source(0)).unwrap()).unwrap().pes.contains_key("Cap0"));
     }
 
     #[test]

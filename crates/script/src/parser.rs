@@ -18,10 +18,17 @@ use crate::ast::*;
 use crate::error::{ErrorKind, ScriptError};
 use crate::lexer::{lex, Token, TokenKind};
 
+/// Deepest nesting the parser accepts — of blocks, of parenthesised, list,
+/// map, index and call expressions, and of operator and `else if` chains.
+/// The parser, the compiler, the printer, the analyses and `Drop` all
+/// recurse over the tree, and source text arrives from the network onto
+/// 2 MiB thread stacks; this bound on the tree's depth bounds them all.
+pub const MAX_NESTING: usize = 64;
+
 /// Parse a full script (imports, functions, PEs, workflows).
 pub fn parse_script(source: &str) -> Result<Script, ScriptError> {
     let tokens = lex(source)?;
-    let mut p = P { tokens, pos: 0 };
+    let mut p = P { tokens, pos: 0, depth: 0 };
     let mut items = Vec::new();
     while !p.check(&TokenKind::Eof) {
         items.push(p.item()?);
@@ -33,15 +40,41 @@ pub fn parse_script(source: &str) -> Result<Script, ScriptError> {
 /// tooling).
 pub fn parse_expr(source: &str) -> Result<Expr, ScriptError> {
     let tokens = lex(source)?;
-    let mut p = P { tokens, pos: 0 };
+    let mut p = P { tokens, pos: 0, depth: 0 };
     let e = p.expr()?;
     p.expect(TokenKind::Eof, "end of input")?;
     Ok(e)
 }
 
+/// Precedence level of the `not` prefix: below the comparisons, above
+/// `and`.
+const NOT_LEVEL: u8 = 2;
+
+/// The binary operator a token is, with its precedence level.
+fn binary_op(kind: &TokenKind) -> Option<(BinOp, u8)> {
+    Some(match kind {
+        TokenKind::Or => (BinOp::Or, 0),
+        TokenKind::And => (BinOp::And, 1),
+        TokenKind::Eq => (BinOp::Eq, 3),
+        TokenKind::Ne => (BinOp::Ne, 3),
+        TokenKind::Lt => (BinOp::Lt, 3),
+        TokenKind::Le => (BinOp::Le, 3),
+        TokenKind::Gt => (BinOp::Gt, 3),
+        TokenKind::Ge => (BinOp::Ge, 3),
+        TokenKind::Plus => (BinOp::Add, 4),
+        TokenKind::Minus => (BinOp::Sub, 4),
+        TokenKind::Star => (BinOp::Mul, 5),
+        TokenKind::Slash => (BinOp::Div, 5),
+        TokenKind::Percent => (BinOp::Mod, 5),
+        _ => return None,
+    })
+}
+
 struct P {
     tokens: Vec<Token>,
     pos: usize,
+    /// Levels of the tree above the node being parsed.
+    depth: usize,
 }
 
 impl P {
@@ -73,6 +106,15 @@ impl P {
     fn err(&self, msg: impl Into<String>) -> ScriptError {
         let t = self.peek();
         ScriptError::at(ErrorKind::Parse, msg, t.line, t.column)
+    }
+
+    /// Go one level deeper; the caller restores `depth` on its way out.
+    fn descend(&mut self) -> Result<(), ScriptError> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        Ok(())
     }
 
     fn expect(&mut self, kind: TokenKind, what: &str) -> Result<Token, ScriptError> {
@@ -304,6 +346,7 @@ impl P {
 
     fn block(&mut self) -> Result<Block, ScriptError> {
         self.expect(TokenKind::LBrace, "'{'")?;
+        self.descend()?;
         let mut stmts = Vec::new();
         while !self.check(&TokenKind::RBrace) {
             if self.check(&TokenKind::Eof) {
@@ -312,6 +355,7 @@ impl P {
             stmts.push(self.stmt()?);
         }
         self.expect(TokenKind::RBrace, "'}'")?;
+        self.depth -= 1;
         Ok(Block { stmts })
     }
 
@@ -402,7 +446,9 @@ impl P {
         let else_block = if self.eat(&TokenKind::Else) {
             if self.check(&TokenKind::If) {
                 // else-if chain desugars to a nested single-statement block.
+                self.descend()?;
                 let nested = self.if_stmt()?;
+                self.depth -= 1;
                 Some(Block { stmts: vec![nested] })
             } else {
                 Some(self.block()?)
@@ -416,90 +462,42 @@ impl P {
     // ---- expressions ---------------------------------------------------
 
     fn expr(&mut self) -> Result<Expr, ScriptError> {
-        self.or_expr()
+        self.descend()?;
+        let e = self.binary(0)?;
+        self.depth -= 1;
+        Ok(e)
     }
 
-    fn or_expr(&mut self) -> Result<Expr, ScriptError> {
-        let mut lhs = self.and_expr()?;
-        while self.check(&TokenKind::Or) {
+    /// Precedence climbing over the left-associative binary levels and the
+    /// `not` prefix that sits between `and` and the comparisons: parse an
+    /// expression whose operators all bind at least as tightly as `min`.
+    /// Every link of a chain puts the tree built so far one level deeper.
+    fn binary(&mut self, min: u8) -> Result<Expr, ScriptError> {
+        let outer = self.depth;
+        let mut lhs = if min <= NOT_LEVEL && self.check(&TokenKind::Not) {
             let line = self.bump().line;
-            let rhs = self.and_expr()?;
-            lhs = Expr::Binary { op: BinOp::Or, lhs: Box::new(lhs), rhs: Box::new(rhs), line };
-        }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> Result<Expr, ScriptError> {
-        let mut lhs = self.not_expr()?;
-        while self.check(&TokenKind::And) {
-            let line = self.bump().line;
-            let rhs = self.not_expr()?;
-            lhs = Expr::Binary { op: BinOp::And, lhs: Box::new(lhs), rhs: Box::new(rhs), line };
-        }
-        Ok(lhs)
-    }
-
-    fn not_expr(&mut self) -> Result<Expr, ScriptError> {
-        if self.check(&TokenKind::Not) {
-            let line = self.bump().line;
-            let operand = self.not_expr()?;
-            Ok(Expr::Unary { op: UnOp::Not, operand: Box::new(operand), line })
+            self.descend()?;
+            let operand = self.binary(NOT_LEVEL)?;
+            Expr::Unary { op: UnOp::Not, operand: Box::new(operand), line }
         } else {
-            self.comparison()
-        }
-    }
-
-    fn comparison(&mut self) -> Result<Expr, ScriptError> {
-        let mut lhs = self.additive()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Eq => BinOp::Eq,
-                TokenKind::Ne => BinOp::Ne,
-                TokenKind::Lt => BinOp::Lt,
-                TokenKind::Le => BinOp::Le,
-                TokenKind::Gt => BinOp::Gt,
-                TokenKind::Ge => BinOp::Ge,
-                _ => return Ok(lhs),
-            };
+            self.unary()?
+        };
+        while let Some((op, level)) = binary_op(&self.peek().kind).filter(|(_, level)| *level >= min) {
+            self.descend()?;
             let line = self.bump().line;
-            let rhs = self.additive()?;
+            let rhs = self.binary(level + 1)?;
             lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs), line };
         }
-    }
-
-    fn additive(&mut self) -> Result<Expr, ScriptError> {
-        let mut lhs = self.multiplicative()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                _ => return Ok(lhs),
-            };
-            let line = self.bump().line;
-            let rhs = self.multiplicative()?;
-            lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs), line };
-        }
-    }
-
-    fn multiplicative(&mut self) -> Result<Expr, ScriptError> {
-        let mut lhs = self.unary()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                TokenKind::Percent => BinOp::Mod,
-                _ => return Ok(lhs),
-            };
-            let line = self.bump().line;
-            let rhs = self.unary()?;
-            lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs), line };
-        }
+        self.depth = outer;
+        Ok(lhs)
     }
 
     fn unary(&mut self) -> Result<Expr, ScriptError> {
         if self.check(&TokenKind::Minus) {
             let line = self.bump().line;
+            self.descend()?;
             let operand = self.unary()?;
+            self.depth -= 1;
             Ok(Expr::Unary { op: UnOp::Neg, operand: Box::new(operand), line })
         } else {
             self.postfix()
@@ -507,11 +505,15 @@ impl P {
     }
 
     fn postfix(&mut self) -> Result<Expr, ScriptError> {
+        let outer = self.depth;
         let mut e = self.primary()?;
-        loop {
-            match self.peek().kind {
+        while matches!(self.peek().kind, TokenKind::LParen | TokenKind::LBracket | TokenKind::Dot) {
+            // Every accessor puts the expression so far one level deeper.
+            self.descend()?;
+            let accessor = self.bump();
+            let line = accessor.line;
+            e = match accessor.kind {
                 TokenKind::LParen => {
-                    let line = self.bump().line;
                     let mut args = Vec::new();
                     if !self.check(&TokenKind::RParen) {
                         loop {
@@ -522,7 +524,7 @@ impl P {
                         }
                     }
                     self.expect(TokenKind::RParen, "')'")?;
-                    e = match e {
+                    match e {
                         Expr::Var { name, .. } => Expr::Call { module: None, name, args, line },
                         Expr::Field { base, field, .. } => match *base {
                             Expr::Var { name: module, .. } => {
@@ -531,22 +533,18 @@ impl P {
                             _ => return Err(self.err("only `f(..)` and `module.f(..)` calls are supported")),
                         },
                         _ => return Err(self.err("this expression is not callable")),
-                    };
+                    }
                 }
                 TokenKind::LBracket => {
-                    let line = self.bump().line;
                     let index = self.expr()?;
                     self.expect(TokenKind::RBracket, "']'")?;
-                    e = Expr::Index { base: Box::new(e), index: Box::new(index), line };
+                    Expr::Index { base: Box::new(e), index: Box::new(index), line }
                 }
-                TokenKind::Dot => {
-                    let line = self.bump().line;
-                    let field = self.ident("field name")?;
-                    e = Expr::Field { base: Box::new(e), field, line };
-                }
-                _ => return Ok(e),
-            }
+                _ => Expr::Field { base: Box::new(e), field: self.ident("field name")?, line },
+            };
         }
+        self.depth = outer;
+        Ok(e)
     }
 
     fn primary(&mut self) -> Result<Expr, ScriptError> {
@@ -805,5 +803,46 @@ mod tests {
     #[test]
     fn trailing_garbage_rejected() {
         assert!(parse_expr("1 + 2 extra").is_err());
+    }
+
+    /// `(name, prefix, open, core, close, suffix, levels)`: `levels`
+    /// repetitions of `open`/`close` around `core` reach [`MAX_NESTING`]
+    /// exactly. A function body sits one level down and its `return`
+    /// expression two; an index or a call costs two levels (the accessor,
+    /// then the expression inside it), every other construct one.
+    const NESTS: &[(&str, &str, &str, &str, &str, &str, usize)] = &[
+        ("parens", "fn f() { return ", "(", "1", ")", "; }", MAX_NESTING - 2),
+        ("list", "fn f() { return ", "[", "1", "]", "; }", MAX_NESTING - 2),
+        ("map", "fn f() { return ", "{k: ", "1", "}", "; }", MAX_NESTING - 2),
+        ("index", "fn f() { return ", "x[", "0", "]", "; }", (MAX_NESTING - 2) / 2),
+        ("call", "fn f() { return ", "f(", "0", ")", "; }", (MAX_NESTING - 2) / 2),
+        ("neg", "fn f() { return ", "- ", "1", "", "; }", MAX_NESTING - 2),
+        ("not", "fn f() { return ", "not ", "true", "", "; }", MAX_NESTING - 2),
+        ("binary chain", "fn f() { return 1", "", "", " + 1", "; }", MAX_NESTING - 2),
+        ("field chain", "fn f() { return x", "", "", ".a", "; }", MAX_NESTING - 2),
+        ("blocks", "fn f() { ", "if true { ", "", "} ", "}", MAX_NESTING - 1),
+        ("else-if chain", "fn f() { if true { } ", "", "", "else if true { } ", "}", MAX_NESTING - 2),
+    ];
+
+    #[test]
+    fn nesting_is_bounded_for_every_recursive_construct() {
+        // The stack a server thread has. At the bound the whole pipeline —
+        // parse, compile, print, analyse, drop — must fit; one level past
+        // it the parser refuses, at a position, before any of them recurse.
+        let on_server_stack = std::thread::Builder::new().stack_size(2 << 20).spawn(|| {
+            for &(name, prefix, open, core, close, suffix, levels) in NESTS {
+                let nest = |n: usize| [prefix, &open.repeat(n), core, &close.repeat(n), suffix].concat();
+                let prepared =
+                    crate::prepare(&nest(levels)).unwrap_or_else(|e| panic!("{name} at bound: {e}"));
+                assert!(!crate::to_source(prepared.script()).is_empty());
+                assert!(crate::analysis::imports(prepared.script()).is_empty());
+                let err = crate::prepare(&nest(levels + 1)).expect_err(name);
+                assert_eq!(err.kind, ErrorKind::Parse, "{name}: {err}");
+                assert!(err.message.contains("nesting") && err.line == 1 && err.column > 0, "{name}: {err}");
+                // Far past the bound: refused just the same, never a crash.
+                assert_eq!(parse_script(&nest(100_000)).expect_err(name).kind, ErrorKind::Parse);
+            }
+        });
+        on_server_stack.unwrap().join().unwrap();
     }
 }

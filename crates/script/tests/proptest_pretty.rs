@@ -2,8 +2,9 @@
 //! source yields the same AST (modulo line-number bookkeeping, which the
 //! printer legitimately rewrites), and the printer is a fixed point.
 //!
-//! The compile cache keys on the canonical form, so these properties are
-//! what make "same canonical source ⇒ same compiled program" sound.
+//! The registry stores — and runs — the canonical form of what was
+//! registered, so these properties are what make "the stored text means
+//! what the registered text meant" sound.
 
 mod common;
 

@@ -101,8 +101,9 @@ proptest! {
     }
 
     /// The compiled program re-derived from the canonical form behaves the
-    /// same as one compiled from the original source (the cache keys on the
-    /// canonical form, so this is the soundness condition for sharing).
+    /// same as one compiled from the original source (a registered workflow
+    /// is prepared from the canonical form the registry stores, so this is
+    /// the soundness condition for running it by name).
     /// Error *lines* are excluded: they are positions in the respective
     /// source text, which canonicalization legitimately reflows.
     #[test]

@@ -326,24 +326,32 @@ impl LaminarServer {
     // ---- execution handlers -------------------------------------------------------------
 
     /// Resolve the request body into an [`ExecutionRequest`], fetching the
-    /// stored source when the body names a registered workflow. Takes only
+    /// prepared script when the body names a registered workflow. Takes only
     /// a short registry *read* lock — the enactment itself never holds any
     /// registry lock, so reads and other executions proceed concurrently.
     fn resolve_request(&self, user: &str, body: &Value) -> Result<ExecutionRequest, RegistryError> {
-        let mut body = body.clone();
-        body.set("user", user);
+        let malformed =
+            || RegistryError::Invalid { field: "request", message: "malformed execution request".into() };
         // `workflow` may name a registered workflow instead of shipping
-        // source — the serverless retrieve-then-run path (paper §5.2).
+        // source — the serverless retrieve-then-run path (paper §5.2). Its
+        // script was prepared at registration; the run prepares nothing.
         if body["source"].is_null() {
             let key = EntityKey::from_value(&body["workflow"]).ok_or(RegistryError::Invalid {
                 field: "workflow",
                 message: "request needs either 'source' or a registered 'workflow' id/name".into(),
             })?;
-            let (name, source) = self.registry.read().workflow_to_run(user, &key)?;
-            body.set("source", source).set("workflow", name);
+            let (name, script) = self.registry.read().workflow_to_run(user, &key)?;
+            return ExecutionRequest::with_script(user, script, &name, body).ok_or_else(malformed);
         }
-        ExecutionRequest::from_value(&body)
-            .ok_or(RegistryError::Invalid { field: "request", message: "malformed execution request".into() })
+        // An inline source is prepared here, where it enters: one the
+        // parser or compiler refuses is this request's 400, not a job that
+        // fails on a worker.
+        let mut req = ExecutionRequest::from_value(body).ok_or_else(malformed)?;
+        if let Err(rejected) = &req.script {
+            return Err(RegistryError::Invalid { field: "source", message: rejected.error.to_string() });
+        }
+        req.user = user.to_string();
+        Ok(req)
     }
 
     fn pool_error(&self, e: PoolError) -> RegistryError {
@@ -1134,14 +1142,25 @@ mod tests {
 
     #[test]
     fn cancel_endpoint_stops_a_running_unbounded_job() {
-        let s = server_with_user();
-        // An unbounded producer: runs until cancelled, streaming outputs.
-        // (Wrapped in a workflow: only workflow enactments stream, the
-        // single-PE FaaS path rejects unbounded input.)
-        let src = r#"
+        streams_until_cancelled(
+            r#"
             pe Gen : producer { output o; process { emit(iteration); } }
             workflow Forever { nodes { g = Gen; } }
-        "#;
+        "#,
+        );
+    }
+
+    /// A lone PE is a one-node graph on the same runtime, so its events
+    /// are live too: an `output` is delivered while the job is running.
+    #[test]
+    fn a_lone_pe_job_delivers_outputs_before_it_finishes() {
+        streams_until_cancelled("pe Gen : producer { output o; process { emit(iteration); } }");
+    }
+
+    /// Submit `src` unbounded with `events = true`: outputs stream while
+    /// the job runs, and it runs until cancelled.
+    fn streams_until_cancelled(src: &str) {
+        let s = server_with_user();
         let r = s.handle(&ApiRequest::new(
             Method::Post,
             "/execution/zz46/submit",
@@ -1165,6 +1184,8 @@ mod tests {
             assert!(std::time::Instant::now() < deadline, "unbounded job never produced");
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
+        let st = get(&s, &format!("/execution/zz46/job/{id}/status"));
+        assert_eq!(st.body["status"].as_str(), Some("running"), "outputs arrived before the job ended");
         let r = delete(&s, &format!("/execution/zz46/job/{id}"));
         assert_eq!(r.status, 200, "{r:?}");
         // Cooperative: the job commits `cancelled` at its next boundary.

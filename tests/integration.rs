@@ -187,8 +187,8 @@ fn a_script_too_large_to_compile_is_refused_wherever_it_enters() {
     for (result, parameter) in [
         (c.register_pe(&pe, None).map(drop), "peCode"),
         (c.register_workflow(&wf, "big", None).map(drop), "workflowCode"),
-        (c.run_source(&wf, RunConfig::iterations(1)).map(drop), "execution"),
-        (c.run_source(&pe, RunConfig::iterations(1)).map(drop), "execution"),
+        (c.run_source(&wf, RunConfig::iterations(1)).map(drop), "source"),
+        (c.run_source(&pe, RunConfig::iterations(1)).map(drop), "source"),
     ] {
         match result {
             Err(ClientError::Api { status: 400, kind, message, .. }) => {
@@ -537,4 +537,74 @@ fn four_mappings_same_graph_same_outputs_and_counts() {
         assert_eq!(emitted, base_emitted, "{kind}: emitted counts diverged");
         assert!(timings.enact > std::time::Duration::ZERO, "{kind}: stages not timed");
     }
+}
+
+/// An inline run's errors point into the text the client sent; a
+/// registered run's into the text the registry stored — what
+/// `get_workflow` returns. (Before PR 21 both named a line of a canonical
+/// reparse nobody had seen: this `1 / 0` came back as `line 4`.)
+#[test]
+fn runtime_error_positions_point_into_the_text_that_was_prepared() {
+    let padded = format!(
+        "pe Bad : producer {{\n  output output;\n  process {{{}    emit(1 / 0);\n  }}\n}}\n\
+         workflow BadFlow {{ nodes {{ b = Bad; }} }}\n",
+        "\n".repeat(12)
+    );
+    assert_eq!(padded.lines().position(|l| l.contains("1 / 0")), Some(14), "the fault sits on line 15");
+
+    let mut engine = laminar::engine::ExecutionEngine::instant();
+    let err = engine.run(&laminar::engine::ExecutionRequest::simple("u", &padded, 1)).unwrap_err();
+    let laminar::dataflow::DataflowError::PeFailed { error, .. } = err else { panic!("not a PE failure") };
+    assert_eq!((error.kind, error.line), (laminar::script::ErrorKind::DivisionByZero, 15));
+
+    let mut sys = system(Deployment::Test);
+    let c = login(&mut sys, "zz46");
+    let line_of = |err: ClientError| match err {
+        ClientError::Api { status: 400, message, .. } => {
+            let tail = message.split("at line ").nth(1).unwrap_or_else(|| panic!("no position: {message}"));
+            tail.split(',').next().unwrap().parse::<usize>().unwrap()
+        }
+        other => panic!("expected the 400 envelope, got {other:?}"),
+    };
+    assert_eq!(line_of(c.run_source(&padded, RunConfig::iterations(1)).unwrap_err()), 15);
+
+    c.register_workflow(&padded, "bad", None).unwrap();
+    let (_, stored) = c.get_workflow("bad").unwrap();
+    let stored_line = stored.lines().position(|l| l.contains("1 / 0")).unwrap() + 1;
+    assert_ne!(stored_line, 15, "the registry stores the canonical text, not the padded one");
+    assert_eq!(line_of(c.run_registered("bad", RunConfig::iterations(1)).unwrap_err()), stored_line);
+    sys.stop();
+}
+
+/// Hostile nesting over real TCP: 100,000 × `(` used to end the whole
+/// server process with a stack overflow. Every door that takes source
+/// text answers the parser's 400 and the same server serves the next
+/// request.
+#[test]
+fn deep_nesting_is_a_400_on_every_entry_point_and_the_server_keeps_serving() {
+    let deep = format!("{}1{}", "(".repeat(100_000), ")".repeat(100_000));
+    let pe = format!("pe Deep : producer {{ output output; process {{ emit({deep}); }} }}");
+    let wf = format!("{pe} workflow DeepFlow {{ nodes {{ d = Deep; }} }}");
+    let mut sys = system(Deployment::RemoteSimulated);
+    let c = login(&mut sys, "zz46");
+    for (door, result) in [
+        ("register_pe", c.register_pe(&pe, None).map(drop)),
+        ("register_workflow", c.register_workflow(&wf, "deep", None).map(drop)),
+        ("run", c.run_source(&wf, RunConfig::iterations(1)).map(drop)),
+    ] {
+        match result {
+            Err(ClientError::Api { status: 400, kind, message, .. }) => {
+                assert_eq!(kind, "Invalid", "{door}");
+                assert!(
+                    message.contains("parse error at line 1") && message.contains("nesting"),
+                    "{door}: {message}"
+                );
+            }
+            other => panic!("{door}: expected the 400 envelope, got {other:?}"),
+        }
+        let ok = "pe Gen : producer { output output; process { emit(((iteration))); } }";
+        let out = c.run_source(ok, RunConfig::iterations(2)).unwrap_or_else(|e| panic!("after {door}: {e}"));
+        assert_eq!(out.port_values("Gen", "output").len(), 2, "after {door}");
+    }
+    sys.stop();
 }
