@@ -13,13 +13,18 @@
 //! WAN delay — together these reproduce the overhead structure that
 //! Table 5 measures.
 
+mod admission;
 pub mod engine;
 pub mod env;
+mod event_log;
+mod fair_queue;
 pub mod hosts;
+mod jobs;
 pub mod journal;
 pub mod netmodel;
 pub mod pool;
 pub mod request;
+mod worker;
 
 pub use engine::{ExecutionEngine, ExecutionOutput};
 pub use env::{EnvironmentManager, InstallReport};

@@ -13,12 +13,16 @@
 //! queue full is rejected immediately ([`PoolError::QueueFull`], surfaced
 //! as HTTP 429 by the server) instead of building unbounded backlog.
 
+use crate::admission::RateLimiter;
 use crate::engine::{ExecutionEngine, ExecutionOutput};
-use crate::journal::{JournalError, JournalStore, JournalWriter, ResumeData};
+use crate::event_log::{BACKPRESSURE_WAIT, EVENT_LOG_CAPACITY};
+use crate::fair_queue::FairQueue;
+use crate::jobs::JobRecord;
+use crate::journal::{JournalError, JournalStore, ResumeData};
 use crate::request::ExecutionRequest;
+use crate::worker::{evict_finished, worker_loop};
 use laminar_dataflow::mapping::ResumePoint;
-use laminar_dataflow::{CancelToken, DataflowError, FaultPlan, RunEvent, RunObserver};
-use laminar_json::Value;
+use laminar_dataflow::{CancelToken, FaultPlan, RunEvent};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;
@@ -26,864 +30,55 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering}
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Finished jobs retained for polling before the oldest are evicted.
-const RETAIN_FINISHED: usize = 4096;
+pub use crate::event_log::{EventPage, JobEventLog};
+pub use crate::jobs::{JobInfo, JobPhase, JobResult, PoolError, PoolStats};
 
-/// Events retained per job before the oldest are evicted (cursor clients
-/// detect the truncation via [`EventPage::first`]). Checkpointed jobs use
-/// the capacity as a *horizon* instead: undelivered events are never
-/// evicted while a consumer is live — the producer is throttled — and a
-/// dead consumer degrades the log to epoch granularity, never to silent
-/// data loss (see [`JobEventLog::wait_capacity`]).
-const EVENT_LOG_CAPACITY: usize = 8192;
-
-/// Default bounded wait a throttled producer spends on a full horizon log
-/// before declaring the consumer dead and degrading to epoch-granularity
-/// eviction. Cancel-aware — a DELETE lands within one wait slice — so a
-/// vanished reader can delay a worker, never wedge it.
-const BACKPRESSURE_WAIT: Duration = Duration::from_secs(5);
-
-/// Slice of one backpressure wait between cancellation re-checks
-/// ([`CancelToken`] has no waitable primitive to park on directly).
-const BACKPRESSURE_SLICE: Duration = Duration::from_millis(20);
-
-/// Finished streamed jobs whose full event logs stay replayable. Older
-/// finished logs are expired — events dropped, sequence bookkeeping kept
-/// — so large streamed payloads can't pin memory for as long as the
-/// job *records* are retained ([`RETAIN_FINISHED`]).
-const RETAIN_STREAMED_LOGS: usize = 256;
-
-/// Upper bound on events returned per [`EnginePool::events`] page.
-const EVENT_PAGE_LIMIT: usize = 512;
-
-/// One page of a job's sequenced event log, addressed by cursor.
-#[derive(Debug, Clone)]
-pub struct EventPage {
-    /// Events with `seq >= since`, in sequence order (wire form).
-    pub events: Vec<Value>,
-    /// Cursor for the next poll: pass as the next `since`.
-    pub next: u64,
-    /// Oldest sequence number still retained. `since < first` means the
-    /// bounded log evicted events this client never saw.
-    pub first: u64,
-    /// Whether the stream is complete (the job reached a terminal phase
-    /// and its last event is the `done`/`failed` marker).
-    pub closed: bool,
-    /// Set when the caller's cursor fell below [`EventPage::first`] but a
-    /// checkpoint survived the eviction: the page starts at a retained
-    /// `epoch` marker (its first event) and this is that epoch's id. The
-    /// client re-anchors its fold at the checkpoint — engine-side
-    /// recovery at epoch granularity instead of unrecoverable data loss.
-    pub retained_epoch: Option<u64>,
-}
-
-struct EventLogInner {
-    events: VecDeque<Value>,
-    /// Sequence number of `events[0]`.
-    first_seq: u64,
-    closed: bool,
-    /// Retained `epoch` markers as `(seq, epoch id)`, in stream order.
-    /// Front entries are dropped as eviction overtakes their seq.
-    epoch_marks: VecDeque<(u64, u64)>,
-    /// High-water mark of delivery: the largest `next` cursor any
-    /// [`JobEventLog::page`] call has returned. Events below it have been
-    /// handed to a reader, so evicting them loses nothing.
-    reads: u64,
-    /// A `cancelled` marker was appended. Tracked as a flag (not by
-    /// inspecting the deque back) so the dedup in
-    /// [`JobEventLog::close_cancelled`] stays correct even after the
-    /// marker's neighbours — or, in a torn state, the region around it —
-    /// have been evicted.
-    has_cancelled: bool,
-    /// The backpressure wait expired on this horizon log: the consumer is
-    /// presumed dead and eviction has degraded to epoch granularity.
-    degraded: bool,
-}
-
-/// A bounded, sequenced log of one job's run events. Written by the
-/// worker's streaming observer, read by cursor through the `/events`
-/// endpoint.
-///
-/// Two retention policies share the structure:
-///
-/// * **Evict-and-truncate** (non-checkpointed jobs, `horizon = false`):
-///   over capacity, the oldest events are dropped; cursor clients detect
-///   the gap via [`EventPage::first`]. Today's behavior, kept as the
-///   documented fallback — without checkpoints there is nothing better
-///   to degrade to.
-/// * **Checkpoint horizon** (`horizon = true`): undelivered events are
-///   never evicted while the consumer is live; instead the producer is
-///   throttled ([`JobEventLog::wait_capacity`], reached through the
-///   [`RunObserver::throttle`] seam). If the bounded wait expires the
-///   consumer is presumed dead and the log *degrades*: events below the
-///   most recent retained `epoch` marker become evictable (the marker
-///   survives as the recovery anchor surfaced via
-///   [`EventPage::retained_epoch`]). Terminal markers are never evicted
-///   under either policy.
-pub struct JobEventLog {
-    inner: Mutex<EventLogInner>,
-    /// Signalled when a reader advances `reads` (and on close), waking
-    /// producers parked in [`JobEventLog::wait_capacity`].
-    space_cv: Condvar,
-    /// The read-direction twin of `space_cv`: signalled when the producer
-    /// appends (and on close/cancel/expiry), waking readers parked in
-    /// [`JobEventLog::page_wait`] — the long-poll `wait_ms` machinery.
-    data_cv: Condvar,
-    /// Whether the checkpoint-horizon policy applies (jobs submitted with
-    /// `checkpoint_every > 0`).
-    horizon: bool,
-    /// Retention bound (soft for horizon logs: a producer may overshoot
-    /// by its burst between two throttle points).
-    capacity: usize,
-    /// Bounded backpressure wait before a horizon log degrades.
-    max_wait: Duration,
-}
-
-impl JobEventLog {
-    fn new(horizon: bool, capacity: usize, max_wait: Duration) -> Arc<JobEventLog> {
-        Arc::new(JobEventLog {
-            inner: Mutex::new(EventLogInner {
-                events: VecDeque::new(),
-                first_seq: 0,
-                closed: false,
-                epoch_marks: VecDeque::new(),
-                reads: 0,
-                has_cancelled: false,
-                degraded: false,
-            }),
-            space_cv: Condvar::new(),
-            data_cv: Condvar::new(),
-            horizon,
-            capacity: capacity.max(1),
-            max_wait,
-        })
-    }
-
-    /// Track policy-relevant markers of a just-stamped event.
-    fn note_markers(inner: &mut EventLogInner, event: &Value, seq: u64) {
-        match event["type"].as_str() {
-            Some("epoch") => {
-                let id = event["epoch"].as_i64().unwrap_or(0).max(0) as u64;
-                inner.epoch_marks.push_back((seq, id));
-            }
-            Some("cancelled") => inner.has_cancelled = true,
-            _ => {}
-        }
-    }
-
-    /// Evict from the front down to `capacity`, honoring the policy:
-    /// terminal markers are exempt; horizon logs evict only delivered
-    /// events (`seq < reads`) until degraded, then anything below the
-    /// latest retained epoch marker — and if a single round overflows the
-    /// whole log (no marker to anchor on), blindly, which is exactly the
-    /// non-checkpointed fallback.
-    fn evict(inner: &mut EventLogInner, horizon: bool, capacity: usize) {
-        while inner.events.len() > capacity {
-            let front_seq = inner.first_seq;
-            let front_type = inner.events.front().and_then(|e| e["type"].as_str());
-            if matches!(front_type, Some("cancelled" | "done" | "failed")) {
-                break;
-            }
-            if horizon && !inner.degraded && front_seq >= inner.reads {
-                break; // undelivered and the consumer is (still) live
-            }
-            inner.events.pop_front();
-            inner.first_seq += 1;
-            while inner.epoch_marks.front().is_some_and(|&(seq, _)| seq < inner.first_seq) {
-                inner.epoch_marks.pop_front();
-            }
-        }
-    }
-
-    /// Append one wire-form event, stamping it with the next sequence
-    /// number (overwriting any `seq` the value carried — the log is the
-    /// authority on ordering). Never blocks: a horizon log over capacity
-    /// overshoots softly here and relies on the producer's next
-    /// [`JobEventLog::wait_capacity`] to park.
-    fn append(&self, mut event: Value) {
-        let mut inner = self.inner.lock();
-        if inner.closed {
-            return;
-        }
-        let seq = inner.first_seq + inner.events.len() as u64;
-        event.set("seq", seq as i64);
-        Self::note_markers(&mut inner, &event, seq);
-        inner.events.push_back(event);
-        Self::evict(&mut inner, self.horizon, self.capacity);
-        drop(inner);
-        self.data_cv.notify_all();
-    }
-
-    /// Pre-fill a resumed job's log with its journaled prefix, honoring
-    /// the seqs the journal recorded — a resumed log must *not* restart
-    /// at `first_seq = 0` with re-stamped events, or a client holding an
-    /// attempt-1 cursor can be handed `next < since` and silently re-fold
-    /// duplicates. Journaled streams are contiguous in every normal flow;
-    /// on a discontinuity (a hand-mangled journal) stamping falls back to
-    /// sequential from that point so the log stays internally consistent.
-    ///
-    /// The prefix already streamed live once and is durable on disk, so
-    /// it counts as delivered: horizon eviction may reclaim it without
-    /// waiting on a cursor client that may be long gone.
-    fn preload_journal(&self, events: Vec<Value>) {
-        let mut inner = self.inner.lock();
-        let mut expected: Option<u64> = None;
-        for mut event in events {
-            let recorded = event["seq"].as_i64().map(|s| s.max(0) as u64);
-            let seq = match (recorded, expected) {
-                (Some(s), None) => s,              // first event seeds first_seq
-                (Some(s), Some(e)) if s == e => s, // contiguous: honor the record
-                (_, Some(e)) => e,                 // discontinuity: re-stamp
-                (None, None) => 0,
-            };
-            if expected.is_none() {
-                inner.first_seq = seq;
-            }
-            event.set("seq", seq as i64);
-            Self::note_markers(&mut inner, &event, seq);
-            inner.events.push_back(event);
-            expected = Some(seq + 1);
-        }
-        inner.reads = inner.first_seq + inner.events.len() as u64;
-        Self::evict(&mut inner, self.horizon, self.capacity);
-        drop(inner);
-        self.data_cv.notify_all();
-    }
-
-    /// Park the producer until the log has capacity again — the
-    /// backpressure half of the horizon policy, called from the job
-    /// observer's [`RunObserver::throttle`] at source-iteration
-    /// boundaries. Returns immediately for non-horizon, closed, degraded
-    /// or cancelled logs. When `max_wait` expires without the reader
-    /// catching up, the log flips to degraded (epoch-granularity
-    /// eviction) so a dead consumer delays a worker once, never wedges
-    /// it.
-    fn wait_capacity(&self, cancel: &CancelToken) {
-        if !self.horizon {
-            return;
-        }
-        let mut inner = self.inner.lock();
-        let deadline = Instant::now() + self.max_wait;
-        loop {
-            Self::evict(&mut inner, self.horizon, self.capacity);
-            if inner.events.len() <= self.capacity || inner.closed || inner.degraded || cancel.is_cancelled()
-            {
-                return;
-            }
-            if Instant::now() >= deadline {
-                inner.degraded = true;
-                Self::evict(&mut inner, self.horizon, self.capacity);
-                return;
-            }
-            // Sliced so cancellation lands promptly: CancelToken has no
-            // waitable primitive, and a reader's notify can race the park.
-            self.space_cv.wait_for(&mut inner, BACKPRESSURE_SLICE);
-        }
-    }
-
-    /// Append the terminal marker and seal the log.
-    fn close(&self, terminal: Value) {
-        self.append(terminal);
-        self.inner.lock().closed = true;
-        self.space_cv.notify_all();
-        self.data_cv.notify_all();
-    }
-
-    /// Seal the log as cancelled. The [`RunEvent::Cancelled`] marker may
-    /// already be present (the enactment runtime emits it through the
-    /// streaming observer before unwinding); when it is not — queued jobs
-    /// cancelled before a worker picked them, non-streamed jobs, shutdown
-    /// — append it first, so a cancelled stream always ends in exactly
-    /// one `cancelled` marker. The dedup keys off the `has_cancelled`
-    /// flag, not the deque back: eviction can never strip the marker
-    /// (terminal markers are exempt) nor fool the check.
-    fn close_cancelled(&self) {
-        let mut inner = self.inner.lock();
-        if inner.closed {
-            return;
-        }
-        if !inner.has_cancelled {
-            let seq = inner.first_seq + inner.events.len() as u64;
-            inner.events.push_back(RunEvent::Cancelled.to_value(seq));
-            inner.has_cancelled = true;
-        }
-        inner.closed = true;
-        drop(inner);
-        self.space_cv.notify_all();
-        self.data_cv.notify_all();
-    }
-
-    /// Drop every retained event, keeping the sequence bookkeeping (and
-    /// closed-ness), so cursor clients observe truncation rather than a
-    /// silently emptied stream.
-    fn expire(&self) {
-        let mut inner = self.inner.lock();
-        inner.first_seq += inner.events.len() as u64;
-        inner.events.clear();
-        inner.epoch_marks.clear();
-        drop(inner);
-        // A parked long-poll whose cursor just fell below `first` must
-        // observe the truncation, not sleep through it.
-        self.data_cv.notify_all();
-    }
-
-    /// Read a page of events starting at `since`.
-    ///
-    /// Honest at both edges: a cursor beyond the end returns an empty
-    /// page with `next = since` (never clamped backwards, never falsely
-    /// `closed` — the caller has not seen the trailing events); a cursor
-    /// below `first` re-anchors at the oldest retained epoch marker when
-    /// one survives, reported via [`EventPage::retained_epoch`].
-    fn page(&self, since: u64) -> EventPage {
-        let mut inner = self.inner.lock();
-        let first = inner.first_seq;
-        let end_seq = first + inner.events.len() as u64;
-        if since > end_seq {
-            return EventPage { events: Vec::new(), next: since, first, closed: false, retained_epoch: None };
-        }
-        let mut retained_epoch = None;
-        let mut start = since;
-        if since < first {
-            // The bounded log evicted events this cursor never saw. When a
-            // checkpoint survives, recovery is engine-side: restart the
-            // page at the oldest retained epoch marker.
-            if let Some(&(mark_seq, mark_id)) = inner.epoch_marks.front() {
-                start = mark_seq;
-                retained_epoch = Some(mark_id);
-            } else {
-                start = first;
-            }
-        }
-        let take = ((end_seq - start) as usize).min(EVENT_PAGE_LIMIT);
-        let offset = (start - first) as usize;
-        let events: Vec<Value> = inner.events.iter().skip(offset).take(take).cloned().collect();
-        let next = start + events.len() as u64;
-        let closed = inner.closed && next == end_seq;
-        let advanced = next > inner.reads;
-        if advanced {
-            inner.reads = next;
-        }
-        drop(inner);
-        if advanced {
-            // Delivery frees horizon capacity: wake throttled producers.
-            self.space_cv.notify_all();
-        }
-        EventPage { events, next, first, closed, retained_epoch }
-    }
-
-    /// [`JobEventLog::page`], in push mode: when the cursor is at the live
-    /// edge of an open stream, park on `data_cv` until the producer
-    /// appends, the log seals (terminal marker, cancel, shutdown), the
-    /// retained window truncates past the cursor, or `wait` elapses —
-    /// then answer exactly like a poll. `wait = 0` never parks and is
-    /// byte-identical to [`JobEventLog::page`]; an already-closed or
-    /// already-readable log answers immediately. This is the `wait_ms`
-    /// long-poll: PR 8's backpressure Condvar machinery run in the read
-    /// direction.
-    fn page_wait(&self, since: u64, wait: Duration) -> EventPage {
-        if !wait.is_zero() {
-            let deadline = Instant::now() + wait;
-            let mut inner = self.inner.lock();
-            loop {
-                let end_seq = inner.first_seq + inner.events.len() as u64;
-                let readable = inner.closed || since < inner.first_seq || since < end_seq;
-                if readable || self.data_cv.wait_until(&mut inner, deadline).timed_out() {
-                    break;
-                }
-            }
-        }
-        // Build the page through the one poll path so push and poll can
-        // never drift apart (re-locks; anything appended in the gap is a
-        // bonus, not a bug).
-        self.page(since)
-    }
-
-    /// The retained window as `(first, end)` sequence numbers —
-    /// `end - first` is the in-memory event count. Observability for the
-    /// slow-consumer bench and tests, which assert the window stays
-    /// bounded by the checkpoint horizon.
-    fn window(&self) -> (u64, u64) {
-        let inner = self.inner.lock();
-        (inner.first_seq, inner.first_seq + inner.events.len() as u64)
-    }
-}
-
-/// The worker-side bridge: converts each [`RunEvent`] to its wire form
-/// and fans it out to the job's in-memory log (streamed jobs) and its
-/// on-disk journal (checkpointed jobs under a durable pool).
-///
-/// The journal is written *first*: by the time an epoch marker becomes
-/// observable through `/events`, its snapshot is already durable, so the
-/// injected-kill fault (which fires right after the marker) models a
-/// crash strictly after persistence. Journal I/O errors are swallowed —
-/// a failing disk degrades durability, it must not kill a healthy run —
-/// but counted, so operators can see the degradation in pool stats
-/// ([`PoolStats::journal_errors`]) instead of discovering it at resume
-/// time.
-struct JobObserver {
-    log: Option<Arc<JobEventLog>>,
-    journal: Option<Mutex<JournalWriter>>,
-    /// The job's cooperative stop signal: a backpressure park must abort
-    /// when the job is cancelled.
-    cancel: CancelToken,
-    /// Pool-wide count of swallowed journal I/O errors.
-    journal_errors: Arc<AtomicU64>,
-}
-
-impl RunObserver for JobObserver {
-    fn on_event(&self, seq: u64, event: &RunEvent) {
-        let wire = event.to_value(seq);
-        if let Some(journal) = &self.journal {
-            if journal.lock().record(&wire).is_err() {
-                self.journal_errors.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        if let Some(log) = &self.log {
-            log.append(wire);
-        }
-    }
-
-    /// The backpressure seam: the runtime calls this at source-iteration
-    /// boundaries; the horizon log parks the producer until the consumer
-    /// catches up (or the bounded wait degrades the log).
-    fn throttle(&self) {
-        if let Some(log) = &self.log {
-            log.wait_capacity(&self.cancel);
-        }
-    }
-}
-
-/// Coarse lifecycle phase of a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobPhase {
-    /// Waiting in the queue.
-    Queued,
-    /// Picked by a worker, currently enacting.
-    Running,
-    /// Finished successfully; the output is available.
-    Done,
-    /// Finished with an execution error.
-    Failed,
-    /// Stopped on request (`DELETE /execution/{user}/job/{id}` or pool
-    /// shutdown) before completing. Terminal, but not a failure: the
-    /// job's event log is a valid stream prefix sealed by the
-    /// `cancelled` marker.
-    Cancelled,
-}
-
-impl JobPhase {
-    /// Wire form (the `status` field of the job endpoints).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            JobPhase::Queued => "queued",
-            JobPhase::Running => "running",
-            JobPhase::Done => "done",
-            JobPhase::Failed => "failed",
-            JobPhase::Cancelled => "cancelled",
-        }
-    }
-}
-
-/// Point-in-time public view of a job (the `status` endpoint's payload).
-#[derive(Debug, Clone)]
-pub struct JobInfo {
-    /// Job id (unique per pool).
-    pub id: i64,
-    /// Lifecycle phase.
-    pub phase: JobPhase,
-    /// Time spent waiting in the queue (final once picked).
-    pub queue_wait: Duration,
-    /// Wall-clock run time (final once finished; zero while queued).
-    pub run_time: Duration,
-    /// Worker that picked the job, once one has.
-    pub worker: Option<usize>,
-    /// Failure message when `phase == Failed`.
-    pub error: Option<String>,
-}
-
-impl JobInfo {
-    /// Whether the job reached a terminal phase.
-    pub fn is_finished(&self) -> bool {
-        matches!(self.phase, JobPhase::Done | JobPhase::Failed | JobPhase::Cancelled)
-    }
-
-    /// Serialize for the wire.
-    pub fn to_value(&self) -> Value {
-        let mut v = Value::Null;
-        v.set("jobId", self.id)
-            .set("status", self.phase.as_str())
-            .set("queue_us", self.queue_wait.as_micros() as i64)
-            .set("run_us", self.run_time.as_micros() as i64);
-        if let Some(w) = self.worker {
-            v.set("engine", w as i64);
-        }
-        if let Some(e) = &self.error {
-            v.set("error_message", e.as_str());
-        }
-        v
-    }
-}
-
-/// Outcome of polling a job for its result. The output is shared, not
-/// copied: polls bump a refcount instead of deep-cloning result trees
-/// under the pool's job lock.
-#[derive(Debug, Clone)]
-pub enum JobResult {
-    /// Still queued or running.
-    Pending(JobInfo),
-    /// Finished successfully.
-    Done(Arc<ExecutionOutput>, JobInfo),
-    /// Finished with an error.
-    Failed(String, JobInfo),
-    /// Stopped on request before completing; no output exists. Consume
-    /// what the job produced through its event log instead.
-    Cancelled(JobInfo),
-}
-
-/// Errors the pool surfaces to callers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PoolError {
-    /// Admission control: the queue is at capacity (HTTP 429 upstream).
-    QueueFull {
-        /// The configured queue bound.
-        capacity: usize,
-    },
-    /// Per-tenant admission control: the submitting tenant's token bucket
-    /// is empty — it exceeded its sustained submission rate (HTTP 429
-    /// upstream, with the retry hint in the envelope).
-    RateLimited {
-        /// The bucket's own estimate of when its next token lands.
-        retry_after_ms: u64,
-    },
-    /// The execution itself failed.
-    Failed(String),
-    /// The job id is unknown (or belongs to another owner).
-    Unknown(i64),
-    /// The job was cancelled before completing.
-    Cancelled(i64),
-    /// The pool is shutting down and no longer accepts jobs.
-    ShutDown,
-}
-
-impl std::fmt::Display for PoolError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PoolError::QueueFull { capacity } => {
-                write!(f, "engine pool queue is full ({capacity} jobs); retry later")
-            }
-            PoolError::RateLimited { retry_after_ms } => {
-                write!(f, "tenant rate limit exceeded; retry in {retry_after_ms}ms")
-            }
-            PoolError::Failed(m) => write!(f, "execution failed: {m}"),
-            PoolError::Unknown(id) => write!(f, "no such job {id}"),
-            PoolError::Cancelled(id) => write!(f, "job {id} was cancelled"),
-            PoolError::ShutDown => write!(f, "engine pool is shut down"),
-        }
-    }
-}
-
-impl std::error::Error for PoolError {}
-
-/// Aggregate pool counters (the `/execution/pool/stats` payload).
-#[derive(Debug, Clone, Default)]
-pub struct PoolStats {
-    /// Worker threads (= engines).
-    pub workers: usize,
-    /// Queue bound.
-    pub capacity: usize,
-    /// Jobs currently waiting.
-    pub queued: usize,
-    /// Jobs currently enacting.
-    pub running: usize,
-    /// Total accepted submissions.
-    pub submitted: u64,
-    /// Total successful completions.
-    pub completed: u64,
-    /// Total failed executions.
-    pub failed: u64,
-    /// Total jobs cancelled (while queued or mid-run).
-    pub cancelled: u64,
-    /// Total submissions rejected by admission control.
-    pub rejected: u64,
-    /// Total submissions rejected by per-tenant rate limiting (counted
-    /// separately from queue-full `rejected`: a rate-limited tenant is
-    /// over *its* budget, not evidence the pool is saturated).
-    pub rate_limited: u64,
-    /// Tenants with jobs currently waiting (fair-queue lanes with work).
-    pub queued_tenants: usize,
-    /// Journal I/O errors swallowed by job observers (a failing disk
-    /// degrades durability silently; this makes it visible).
-    pub journal_errors: u64,
-}
-
-impl PoolStats {
-    /// Serialize for the wire.
-    pub fn to_value(&self) -> Value {
-        let mut v = Value::Null;
-        v.set("workers", self.workers)
-            .set("capacity", self.capacity)
-            .set("queued", self.queued)
-            .set("running", self.running)
-            .set("submitted", self.submitted as i64)
-            .set("completed", self.completed as i64)
-            .set("failed", self.failed as i64)
-            .set("cancelled", self.cancelled as i64)
-            .set("rejected", self.rejected as i64)
-            .set("rate_limited", self.rate_limited as i64)
-            .set("queued_tenants", self.queued_tenants)
-            .set("journal_errors", self.journal_errors as i64);
-        v
-    }
-}
-
-/// One job waiting in a tenant's lane.
-struct QueuedJob {
-    id: i64,
-    priority: i64,
-    req: ExecutionRequest,
-}
-
-/// One tenant's pending-job lane. Intra-tenant order is descending
-/// priority, FIFO among equals — priority jumps the tenant's *own* line,
-/// never another tenant's.
-#[derive(Default)]
-struct Lane {
-    jobs: VecDeque<QueuedJob>,
-    /// Remaining service credit in the lane's current scheduler visit.
-    credit: u64,
-}
-
-/// The pool's weighted-fair job queue: per-tenant FIFO lanes drained by
-/// deficit round-robin instead of one global FIFO. Each scheduler visit
-/// grants a lane `weight` pops (unit job cost), then rotates to the next
-/// lane with work — so a tenant that floods the queue gets exactly its
-/// share of worker pulls and can no longer starve the rest. Lanes exist
-/// only while they hold work; the map stays bounded by the number of
-/// tenants with queued jobs.
-struct FairQueue {
-    lanes: HashMap<String, Lane>,
-    /// Round-robin service order over lanes that currently hold work.
-    active: VecDeque<String>,
-    /// Configured per-tenant weights (jobs served per visit; default 1).
-    weights: HashMap<String, u64>,
-    len: usize,
-}
-
-impl FairQueue {
-    fn new() -> FairQueue {
-        FairQueue { lanes: HashMap::new(), active: VecDeque::new(), weights: HashMap::new(), len: 0 }
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Tenants with work queued right now.
-    fn tenants(&self) -> usize {
-        self.lanes.len()
-    }
-
-    fn set_weight(&mut self, owner: &str, weight: u64) {
-        self.weights.insert(owner.to_string(), weight.max(1));
-    }
-
-    fn push(&mut self, owner: &str, id: i64, priority: i64, req: ExecutionRequest) {
-        let lane = self.lanes.entry(owner.to_string()).or_default();
-        if lane.jobs.is_empty() {
-            self.active.push_back(owner.to_string());
-            lane.credit = 0;
-        }
-        // Stable priority insert: after every job with >= priority.
-        let at = lane.jobs.iter().position(|j| j.priority < priority).unwrap_or(lane.jobs.len());
-        lane.jobs.insert(at, QueuedJob { id, priority, req });
-        self.len += 1;
-    }
-
-    /// Next job under the deficit-round-robin discipline.
-    fn pop(&mut self) -> Option<(i64, ExecutionRequest)> {
-        loop {
-            let owner = self.active.front()?.clone();
-            let Some(lane) = self.lanes.get_mut(&owner) else {
-                self.active.pop_front();
-                continue;
-            };
-            if lane.jobs.is_empty() {
-                self.lanes.remove(&owner);
-                self.active.pop_front();
-                continue;
-            }
-            if lane.credit == 0 {
-                lane.credit = self.weights.get(&owner).copied().unwrap_or(1).max(1);
-            }
-            let job = lane.jobs.pop_front().expect("non-empty lane");
-            lane.credit -= 1;
-            self.len -= 1;
-            let drained = lane.jobs.is_empty();
-            if drained {
-                self.lanes.remove(&owner);
-            }
-            if drained || self.lanes.get(&owner).is_none_or(|l| l.credit == 0) {
-                // Visit over: rotate to the next tenant with work.
-                self.active.pop_front();
-                if !drained {
-                    self.active.push_back(owner);
-                }
-            }
-            return Some((job.id, job.req));
-        }
-    }
-
-    /// Remove a queued job by id (cancellation frees the queue slot).
-    fn remove(&mut self, id: i64) {
-        let mut emptied: Option<String> = None;
-        for (owner, lane) in self.lanes.iter_mut() {
-            if let Some(pos) = lane.jobs.iter().position(|j| j.id == id) {
-                lane.jobs.remove(pos);
-                self.len -= 1;
-                if lane.jobs.is_empty() {
-                    emptied = Some(owner.clone());
-                }
-                break;
-            }
-        }
-        if let Some(owner) = emptied {
-            self.lanes.remove(&owner);
-            self.active.retain(|o| *o != owner);
-        }
-    }
-
-    /// Drain every lane (shutdown), returning the orphaned job ids.
-    fn drain(&mut self) -> Vec<i64> {
-        let ids: Vec<i64> = self.lanes.values().flat_map(|lane| lane.jobs.iter().map(|j| j.id)).collect();
-        self.lanes.clear();
-        self.active.clear();
-        self.len = 0;
-        ids
-    }
-}
-
-/// Token-bucket state for one tenant.
-struct TokenBucket {
-    tokens: f64,
-    last: Instant,
-}
-
-/// Pool-wide per-tenant rate limiting (disabled by default — see
-/// [`EnginePool::set_tenant_rate`]). Classic token bucket: each tenant
-/// accrues `per_sec` tokens up to `burst`; a submission costs one. An
-/// empty bucket rejects with the bucket's own estimate of when the next
-/// token lands — the `retryAfterMs` hint clients back off on.
-struct RateLimiter {
-    enabled: bool,
-    per_sec: f64,
-    burst: f64,
-    buckets: HashMap<String, TokenBucket>,
-}
-
-impl RateLimiter {
-    fn new() -> RateLimiter {
-        RateLimiter { enabled: false, per_sec: 0.0, burst: 0.0, buckets: HashMap::new() }
-    }
-
-    /// Take one token for `owner`, or report how long until one lands.
-    fn try_take(&mut self, owner: &str) -> Result<(), u64> {
-        if !self.enabled {
-            return Ok(());
-        }
-        let now = Instant::now();
-        let bucket =
-            self.buckets.entry(owner.to_string()).or_insert(TokenBucket { tokens: self.burst, last: now });
-        let elapsed = now.duration_since(bucket.last).as_secs_f64();
-        bucket.tokens = (bucket.tokens + elapsed * self.per_sec).min(self.burst);
-        bucket.last = now;
-        if bucket.tokens >= 1.0 {
-            bucket.tokens -= 1.0;
-            Ok(())
-        } else {
-            let wait_s = (1.0 - bucket.tokens) / self.per_sec.max(1e-9);
-            Err((wait_s * 1000.0).ceil().max(1.0) as u64)
-        }
-    }
-}
-
-struct JobRecord {
-    owner: String,
-    phase: JobPhase,
-    submitted: Instant,
-    queue_wait: Duration,
-    run_time: Duration,
-    worker: Option<usize>,
-    output: Option<Arc<ExecutionOutput>>,
-    error: Option<String>,
-    /// The job's sequenced event stream (terminal marker only, unless the
-    /// request asked for live events).
-    events: Arc<JobEventLog>,
-    /// Whether the request asked for a live event stream.
-    streaming: bool,
-    /// Cooperative stop signal, shared with the enactment once a worker
-    /// picks the job.
-    cancel: CancelToken,
-}
-
-impl JobRecord {
-    fn info(&self, id: i64) -> JobInfo {
-        JobInfo {
-            id,
-            phase: self.phase,
-            queue_wait: self.queue_wait,
-            run_time: self.run_time,
-            worker: self.worker,
-            error: self.error.clone(),
-        }
-    }
-}
-
-struct PoolInner {
+pub(crate) struct PoolInner {
     /// Pending jobs, one lane per tenant, drained by deficit round-robin.
     /// Lock order: `queue` before `jobs` when both are held.
-    queue: Mutex<FairQueue>,
+    pub(crate) queue: Mutex<FairQueue>,
     /// Per-tenant token buckets (checked before the queue; no-op unless
     /// [`EnginePool::set_tenant_rate`] enabled them).
-    rate: Mutex<RateLimiter>,
+    pub(crate) rate: Mutex<RateLimiter>,
     /// All known jobs (queued, running and a bounded tail of finished).
-    jobs: Mutex<HashMap<i64, JobRecord>>,
+    pub(crate) jobs: Mutex<HashMap<i64, JobRecord>>,
     /// Finished ids in completion order, for eviction.
-    finished_order: Mutex<VecDeque<i64>>,
+    pub(crate) finished_order: Mutex<VecDeque<i64>>,
     /// Finished *streamed* ids in completion order, for log expiry.
-    streamed_order: Mutex<VecDeque<i64>>,
+    pub(crate) streamed_order: Mutex<VecDeque<i64>>,
     /// Workers wait here for queue items.
-    work_cv: Condvar,
+    pub(crate) work_cv: Condvar,
     /// Result waiters wait here (paired with `jobs`).
-    done_cv: Condvar,
-    shutdown: AtomicBool,
-    capacity: usize,
+    pub(crate) done_cv: Condvar,
+    pub(crate) shutdown: AtomicBool,
+    pub(crate) capacity: usize,
     /// Per-job epoch journals (durable pools only). Jobs with
     /// `checkpoint_every > 0` journal their event stream here and can be
     /// resumed across pool restarts.
-    journal: Option<JournalStore>,
-    next_id: AtomicI64,
-    running: AtomicU64,
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    cancelled: AtomicU64,
-    rejected: AtomicU64,
-    rate_limited: AtomicU64,
+    pub(crate) journal: Option<JournalStore>,
+    pub(crate) next_id: AtomicI64,
+    pub(crate) running: AtomicU64,
+    pub(crate) submitted: AtomicU64,
+    pub(crate) completed: AtomicU64,
+    pub(crate) failed: AtomicU64,
+    pub(crate) cancelled: AtomicU64,
+    pub(crate) rejected: AtomicU64,
+    pub(crate) rate_limited: AtomicU64,
     /// Total measured run time (ms) across completed/failed jobs, for the
     /// queue-full `retryAfterMs` hint.
-    run_ms_total: AtomicU64,
+    pub(crate) run_ms_total: AtomicU64,
     /// Worker count, cached for the retry hint (the `workers` Vec lives
     /// on `EnginePool`, not here).
-    worker_count: usize,
+    pub(crate) worker_count: usize,
     /// Journal I/O errors swallowed by job observers.
-    journal_errors: Arc<AtomicU64>,
+    pub(crate) journal_errors: Arc<AtomicU64>,
     /// Per-job event-log capacity for jobs submitted from now on
     /// (tests/benches shrink it to exercise the horizon policy without
     /// producing 8k+ events).
-    event_log_capacity: AtomicUsize,
+    pub(crate) event_log_capacity: AtomicUsize,
     /// Bounded backpressure wait (milliseconds) before a horizon log
     /// degrades, for jobs submitted from now on.
-    backpressure_wait_ms: AtomicU64,
+    pub(crate) backpressure_wait_ms: AtomicU64,
 }
 
 impl PoolInner {
@@ -1410,198 +605,13 @@ impl Drop for EnginePool {
     }
 }
 
-/// The wire-form terminal event sealing a job's stream.
-fn terminal_event(status: &str, error: Option<&str>) -> Value {
-    let mut v = Value::Null;
-    v.set("type", status);
-    if let Some(e) = error {
-        v.set("error", e);
-    }
-    v
-}
-
-fn worker_loop(inner: &PoolInner, mut engine: ExecutionEngine, worker_id: usize) {
-    loop {
-        let job = {
-            let mut queue = inner.queue.lock();
-            loop {
-                // Checked before popping: once shutdown lands, queued jobs
-                // belong to `stop()`, which fails them deterministically.
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    break None;
-                }
-                if let Some(job) = queue.pop() {
-                    break Some(job);
-                }
-                inner.work_cv.wait(&mut queue);
-            }
-        };
-        let Some((id, req)) = job else { return };
-
-        let picked = Instant::now();
-        let mut deadline_missed = false;
-        let (log, streaming, cancel, owner) = {
-            let mut jobs = inner.jobs.lock();
-            match jobs.get_mut(&id) {
-                // A job cancelled while queued stays cancelled: its
-                // record is already terminal and sealed, so the popped
-                // queue entry is simply dropped.
-                Some(rec) if rec.phase != JobPhase::Queued => continue,
-                Some(rec) => {
-                    rec.queue_wait = picked.duration_since(rec.submitted);
-                    // A submission deadline bounds *queue wait*: a job
-                    // that waited past it fails fast instead of burning a
-                    // worker on a result the submitter stopped wanting.
-                    if let Some(deadline_ms) = req.options.deadline_ms {
-                        if rec.queue_wait > Duration::from_millis(deadline_ms) {
-                            let msg = format!(
-                                "deadline exceeded: {deadline_ms}ms budget, \
-                                 {}ms in queue",
-                                rec.queue_wait.as_millis()
-                            );
-                            rec.events.close(terminal_event("failed", Some(&msg)));
-                            rec.error = Some(msg);
-                            rec.phase = JobPhase::Failed;
-                            inner.failed.fetch_add(1, Ordering::SeqCst);
-                            deadline_missed = true;
-                        }
-                    }
-                    if deadline_missed {
-                        (Arc::clone(&rec.events), false, CancelToken::new(), String::new())
-                    } else {
-                        rec.phase = JobPhase::Running;
-                        rec.worker = Some(worker_id);
-                        (Arc::clone(&rec.events), rec.streaming, rec.cancel.clone(), rec.owner.clone())
-                    }
-                }
-                None => (
-                    JobEventLog::new(false, EVENT_LOG_CAPACITY, BACKPRESSURE_WAIT),
-                    false,
-                    CancelToken::new(),
-                    String::new(),
-                ),
-            }
-        };
-        if deadline_missed {
-            if let Some(journal) = &inner.journal {
-                journal.mark_failed(id);
-            }
-            inner.done_cv.notify_all();
-            evict_finished(inner, id);
-            continue;
-        }
-        inner.running.fetch_add(1, Ordering::SeqCst);
-        // Durable pools journal checkpointed jobs: the journal writer sits
-        // behind the same observer as the event log, so epochs hit disk in
-        // stream order. `create` reopens an existing journal on resume
-        // (truncating the stale partial-round tail).
-        let journaled = inner.journal.is_some() && req.options.checkpoint_every > 0;
-        let journal_writer = inner.journal.as_ref().filter(|_| journaled).and_then(|store| {
-            let mut meta = Value::Null;
-            meta.set("owner", owner.as_str()).set("request", req.to_value());
-            store.create(id, &meta).map_err(|e| eprintln!("journal: job {id}: {e}")).ok()
-        });
-        let observer: Option<Arc<dyn RunObserver>> = (streaming || journal_writer.is_some()).then(|| {
-            Arc::new(JobObserver {
-                log: streaming.then(|| Arc::clone(&log)),
-                journal: journal_writer.map(Mutex::new),
-                cancel: cancel.clone(),
-                journal_errors: Arc::clone(&inner.journal_errors),
-            }) as Arc<dyn RunObserver>
-        });
-        let result = engine.run_controlled(&req, observer, &cancel);
-        inner.running.fetch_sub(1, Ordering::SeqCst);
-        let run_time = picked.elapsed();
-
-        {
-            let mut jobs = inner.jobs.lock();
-            if let Some(rec) = jobs.get_mut(&id) {
-                rec.run_time = run_time;
-                match result {
-                    Ok(mut out) => {
-                        out.queue_wait = rec.queue_wait;
-                        out.worker = Some(worker_id);
-                        rec.output = Some(Arc::new(out));
-                        rec.phase = JobPhase::Done;
-                        log.close(terminal_event("done", None));
-                        inner.completed.fetch_add(1, Ordering::SeqCst);
-                        inner.run_ms_total.fetch_add(run_time.as_millis() as u64, Ordering::SeqCst);
-                        // A completed job needs no recovery state.
-                        if let Some(journal) = &inner.journal {
-                            journal.remove(id);
-                        }
-                    }
-                    Err(DataflowError::Cancelled) => {
-                        // The streaming observer already logged the
-                        // runtime's Cancelled marker; close_cancelled
-                        // appends it for non-streamed jobs and seals.
-                        rec.phase = JobPhase::Cancelled;
-                        log.close_cancelled();
-                        inner.cancelled.fetch_add(1, Ordering::SeqCst);
-                        // User cancellation abandons the job — drop its
-                        // journal. Shutdown cancellation keeps it so a
-                        // restarted durable pool auto-resumes the run.
-                        if !inner.shutdown.load(Ordering::SeqCst) {
-                            if let Some(journal) = &inner.journal {
-                                journal.remove(id);
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        let message = e.to_string();
-                        log.close(terminal_event("failed", Some(&message)));
-                        rec.error = Some(message);
-                        rec.phase = JobPhase::Failed;
-                        inner.failed.fetch_add(1, Ordering::SeqCst);
-                        inner.run_ms_total.fetch_add(run_time.as_millis() as u64, Ordering::SeqCst);
-                        // Keep the journal for post-mortems and explicit
-                        // resume, but flag it so auto-resume skips a job
-                        // that would just crash again.
-                        if let Some(journal) = &inner.journal {
-                            journal.mark_failed(id);
-                        }
-                    }
-                }
-            }
-        }
-        inner.done_cv.notify_all();
-        if streaming {
-            expire_old_streamed_logs(inner, id);
-        }
-        evict_finished(inner, id);
-    }
-}
-
-/// Bound the finished-job tail so long-lived servers don't leak records.
-fn evict_finished(inner: &PoolInner, just_finished: i64) {
-    let mut order = inner.finished_order.lock();
-    order.push_back(just_finished);
-    while order.len() > RETAIN_FINISHED {
-        if let Some(old) = order.pop_front() {
-            inner.jobs.lock().remove(&old);
-        }
-    }
-}
-
-/// Bound the memory held by finished streamed logs: only the most recent
-/// [`RETAIN_STREAMED_LOGS`] keep their events; older ones are expired
-/// (cursor clients see truncation, the terminal phase stays pollable).
-fn expire_old_streamed_logs(inner: &PoolInner, just_finished: i64) {
-    let mut order = inner.streamed_order.lock();
-    order.push_back(just_finished);
-    while order.len() > RETAIN_STREAMED_LOGS {
-        if let Some(old) = order.pop_front() {
-            let log = inner.jobs.lock().get(&old).map(|rec| Arc::clone(&rec.events));
-            if let Some(log) = log {
-                log.expire();
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event_log::JobObserver;
+    use crate::worker::RETAIN_STREAMED_LOGS;
+    use laminar_dataflow::RunObserver;
+    use laminar_json::Value;
 
     const WF_SRC: &str = r#"
         pe Seq : producer { output output; process { emit(iteration + 1); } }
@@ -2170,71 +1180,6 @@ mod tests {
     }
 
     // ---- checkpoint-horizon backpressure & cursor honesty -------------------------------
-
-    fn data_event() -> Value {
-        let mut v = Value::Null;
-        v.set("type", "output").set("value", 1i64);
-        v
-    }
-
-    #[test]
-    fn page_is_honest_at_and_past_the_end() {
-        let log = JobEventLog::new(false, 16, Duration::from_millis(10));
-        for _ in 0..3 {
-            log.append(data_event()); // seqs 0, 1, 2
-        }
-        // since == end_seq: empty page, cursor parked, stream open.
-        let at_end = log.page(3);
-        assert!(at_end.events.is_empty());
-        assert_eq!(at_end.next, 3);
-        assert!(!at_end.closed);
-        // since == end_seq + 1: the cursor is preserved, never clamped
-        // backwards (the old clamp handed back `next < since`, silently
-        // re-folding duplicates) and never falsely closed.
-        let past = log.page(4);
-        assert!(past.events.is_empty());
-        assert_eq!(past.next, 4, "cursor preserved, not clamped to the end");
-        assert!(!past.closed, "closed must not be reported for events the client never saw");
-        assert!(past.retained_epoch.is_none());
-
-        log.close(terminal_event("done", None)); // seq 3; end_seq = 4
-        let at_end = log.page(4);
-        assert!(at_end.closed, "cursor at the end of a closed stream sees closure");
-        assert_eq!(at_end.next, 4);
-        let beyond = log.page(5);
-        assert!(!beyond.closed, "a cursor past the end has unseen (non-existent) events");
-        assert_eq!(beyond.next, 5);
-        assert!(beyond.events.is_empty());
-    }
-
-    #[test]
-    fn preload_honors_journal_seqs_and_tracks_epoch_marks() {
-        let log = JobEventLog::new(true, 16, Duration::from_millis(10));
-        let mut journaled: Vec<Value> = (0..4i64)
-            .map(|i| {
-                let mut v = data_event();
-                v.set("seq", i);
-                v
-            })
-            .collect();
-        journaled.insert(2, {
-            let mut v = RunEvent::Epoch { id: 1, state: Value::Null }.to_value(2);
-            v.set("seq", 2i64);
-            v
-        });
-        for (i, v) in journaled.iter_mut().enumerate() {
-            v.set("seq", i as i64);
-        }
-        log.preload_journal(journaled);
-        assert_eq!(log.window(), (0, 5));
-        let page = log.page(0);
-        let seqs: Vec<i64> = page.events.iter().filter_map(|e| e["seq"].as_i64()).collect();
-        assert_eq!(seqs, vec![0, 1, 2, 3, 4], "recorded seqs honored");
-        assert_eq!(log.inner.lock().epoch_marks.front(), Some(&(2, 1)), "epoch mark recovered");
-        // Live appends continue the numbering.
-        log.append(data_event());
-        assert_eq!(log.page(5).events[0]["seq"].as_i64(), Some(5));
-    }
 
     #[test]
     fn resumed_job_cursors_never_move_backwards() {
