@@ -32,8 +32,10 @@
 #   lint         rustfmt + clippy (warnings are errors), the guard that
 #                keeps the interpreter oracle out of every crate on the
 #                serving path, the guard that keeps the registry's JSON
-#                row form below its persistence boundary, and the guard
-#                that keeps script parsing and compiling behind prepare()
+#                row form below its persistence boundary, the guard that
+#                keeps script parsing and compiling behind prepare(), and
+#                the guard that keeps the engine matching run events by
+#                type, not by their JSON "type" field
 #
 # Every run ends with a per-tier wall-clock timing summary and, when all
 # selected tiers passed, the line "CI GREEN".
@@ -143,10 +145,19 @@ tier_lint() {
     echo "ci.sh: text becomes runnable through prepare() only; the lines above parse or compile it themselves" >&2
     return 1
   fi
+  # One form for a run event: the job log and the pool hold and match the
+  # typed `RunEvent`. Only the journal, whose records are JSON on disk,
+  # may read an event's "type" field outside its tests.
+  if awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
+          !test && /\["type"\]/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+          END { exit !hit }' $(ls crates/engine/src/*.rs | grep -v '/journal\.rs$'); then
+    echo "ci.sh: a run event is matched as a RunEvent; the lines above probe its JSON form" >&2
+    return 1
+  fi
 }
 
 usage() {
-  sed -n '2,37p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,39p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 TIERS=()

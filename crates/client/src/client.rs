@@ -771,32 +771,19 @@ impl Iterator for JobEventStream<'_> {
             let budget = self.deadline.saturating_duration_since(std::time::Instant::now());
             match self.client.job_events_wait(self.job_id, self.cursor, PAGE_WAIT.min(budget)) {
                 Ok(page) => {
-                    // The server's log is bounded: if the oldest retained
-                    // seq moved past our cursor, events were evicted before
-                    // we read them. Recovery is engine-side for checkpointed
-                    // jobs: the horizon policy keeps an epoch marker as the
-                    // anchor and `retained_epoch` names it — the page
-                    // already starts at the marker, so re-anchor the fold
-                    // there (non-fatal, iteration continues). The marker
-                    // scan below is the fallback for older servers that
-                    // evict blindly but still retain a marker mid-window.
-                    // Without a checkpoint the gap is unrecoverable:
-                    // surface it instead of silently yielding a divergent
-                    // stream.
+                    // The server's log is bounded: a cursor below `first`
+                    // means events were evicted before we read them. For a
+                    // checkpointed job the page restarts at a retained epoch
+                    // marker and `retained_epoch` names it: re-anchor the
+                    // fold there (non-fatal, iteration continues). Without
+                    // one the gap is unrecoverable: surface it instead of
+                    // silently yielding a divergent stream.
                     if self.cursor < page.first {
-                        let epoch_at = match page.retained_epoch {
-                            Some(_) => Some(0),
-                            None => page.events.iter().position(|e| e["type"].as_str() == Some("epoch")),
-                        };
-                        if let Some(pos) = epoch_at {
-                            let at_epoch = page
-                                .retained_epoch
-                                .map(|e| e as i64)
-                                .or_else(|| page.events.get(pos)?["epoch"].as_i64())
-                                .unwrap_or(0);
-                            self.buffered.extend(page.events.into_iter().skip(pos));
+                        if let Some(epoch) = page.retained_epoch {
+                            self.buffered.extend(page.events);
                             self.cursor = page.next;
                             self.closed = page.closed;
+                            let at_epoch = epoch as i64;
                             return Some(Err(ClientError::Resumed { job: self.job_id, at_epoch }));
                         }
                         self.failed = true;

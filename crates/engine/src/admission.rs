@@ -11,7 +11,7 @@ pub(crate) struct TokenBucket {
 }
 
 /// Pool-wide per-tenant rate limiting (disabled by default — see
-/// [`EnginePool::set_tenant_rate`]). Classic token bucket: each tenant
+/// [`crate::EnginePool::set_tenant_rate`]). Classic token bucket: each tenant
 /// accrues `per_sec` tokens up to `burst`; a submission costs one. An
 /// empty bucket rejects with the bucket's own estimate of when the next
 /// token lands — the `retryAfterMs` hint clients back off on.

@@ -1,5 +1,7 @@
-//! A job's sequenced event log and the observer that feeds it: what a run
-//! event is while it waits to be read.
+//! What a run event is while it waits to be read: a job's sequenced event
+//! log holds the typed [`RunEvent`] its observer was handed, and the wire
+//! `Value` of an event is built in one place, [`JobEventLog::page`], after
+//! the log lock is released.
 
 use crate::journal::JournalWriter;
 use laminar_dataflow::{CancelToken, RunEvent, RunObserver};
@@ -20,15 +22,11 @@ pub(crate) const EVENT_LOG_CAPACITY: usize = 8192;
 
 /// Default bounded wait a throttled producer spends on a full horizon log
 /// before declaring the consumer dead and degrading to epoch-granularity
-/// eviction. Cancel-aware — a DELETE lands within one wait slice — so a
-/// vanished reader can delay a worker, never wedge it.
+/// eviction. A cancel wakes the park ([`JobEventLog::wake_producer`]), so
+/// a vanished reader can delay a worker, never wedge it.
 pub(crate) const BACKPRESSURE_WAIT: Duration = Duration::from_secs(5);
 
-/// Slice of one backpressure wait between cancellation re-checks
-/// ([`CancelToken`] has no waitable primitive to park on directly).
-const BACKPRESSURE_SLICE: Duration = Duration::from_millis(20);
-
-/// Upper bound on events returned per [`EnginePool::events`] page.
+/// Upper bound on events returned per [`crate::EnginePool::events`] page.
 const EVENT_PAGE_LIMIT: usize = 512;
 
 /// One page of a job's sequenced event log, addressed by cursor.
@@ -52,8 +50,35 @@ pub struct EventPage {
     pub retained_epoch: Option<u64>,
 }
 
+/// One retained event: the run event the observer was handed, or one of
+/// the pool's own two terminal markers. Its sequence number is its
+/// position — entry `i` of the deque is `first_seq + i`.
+#[derive(Clone)]
+pub(crate) enum Entry {
+    Run(RunEvent),
+    /// The job completed (`{"type":"done"}`).
+    Done,
+    /// The job failed, with its message (`{"type":"failed","error":…}`).
+    Failed(String),
+}
+
+impl Entry {
+    /// The one wire encoder of a logged event.
+    fn to_value(&self, seq: u64) -> Value {
+        let mut v = Value::Null;
+        match self {
+            Entry::Run(event) => return event.to_value(seq),
+            Entry::Done => v.set("type", "done"),
+            Entry::Failed(message) => v.set("type", "failed").set("error", message.as_str()),
+        };
+        v.set("seq", seq as i64);
+        v
+    }
+}
+
+#[derive(Default)]
 struct EventLogInner {
-    events: VecDeque<Value>,
+    events: VecDeque<Entry>,
     /// Sequence number of `events[0]`.
     first_seq: u64,
     closed: bool,
@@ -75,6 +100,45 @@ struct EventLogInner {
     degraded: bool,
 }
 
+impl EventLogInner {
+    fn end_seq(&self) -> u64 {
+        self.first_seq + self.events.len() as u64
+    }
+
+    /// Take the next sequence number for `entry`, tracking the markers the
+    /// retention policy keys on.
+    fn push(&mut self, entry: Entry) {
+        match &entry {
+            Entry::Run(RunEvent::Epoch { id, .. }) => self.epoch_marks.push_back((self.end_seq(), *id)),
+            Entry::Run(RunEvent::Cancelled) => self.has_cancelled = true,
+            _ => {}
+        }
+        self.events.push_back(entry);
+    }
+
+    /// Evict from the front down to `capacity`, honoring the policy:
+    /// terminal markers are exempt; horizon logs evict only delivered
+    /// events (`seq < reads`) until degraded, then anything below the
+    /// latest retained epoch marker — and if a single round overflows the
+    /// whole log (no marker to anchor on), blindly, which is exactly the
+    /// non-checkpointed fallback.
+    fn evict(&mut self, horizon: bool, capacity: usize) {
+        while self.events.len() > capacity {
+            if matches!(self.events[0], Entry::Run(RunEvent::Cancelled) | Entry::Done | Entry::Failed(_)) {
+                break;
+            }
+            if horizon && !self.degraded && self.first_seq >= self.reads {
+                break; // undelivered and the consumer is (still) live
+            }
+            self.events.pop_front();
+            self.first_seq += 1;
+            while self.epoch_marks.front().is_some_and(|&(seq, _)| seq < self.first_seq) {
+                self.epoch_marks.pop_front();
+            }
+        }
+    }
+}
+
 /// A bounded, sequenced log of one job's run events. Written by the
 /// worker's streaming observer, read by cursor through the `/events`
 /// endpoint.
@@ -83,9 +147,8 @@ struct EventLogInner {
 ///
 /// * **Evict-and-truncate** (non-checkpointed jobs, `horizon = false`):
 ///   over capacity, the oldest events are dropped; cursor clients detect
-///   the gap via [`EventPage::first`]. Today's behavior, kept as the
-///   documented fallback — without checkpoints there is nothing better
-///   to degrade to.
+///   the gap via [`EventPage::first`] — without checkpoints there is
+///   nothing better to degrade to.
 /// * **Checkpoint horizon** (`horizon = true`): undelivered events are
 ///   never evicted while the consumer is live; instead the producer is
 ///   throttled ([`JobEventLog::wait_capacity`], reached through the
@@ -95,10 +158,10 @@ struct EventLogInner {
 ///   survives as the recovery anchor surfaced via
 ///   [`EventPage::retained_epoch`]). Terminal markers are never evicted
 ///   under either policy.
-pub struct JobEventLog {
+pub(crate) struct JobEventLog {
     inner: Mutex<EventLogInner>,
-    /// Signalled when a reader advances `reads` (and on close), waking
-    /// producers parked in [`JobEventLog::wait_capacity`].
+    /// Signalled when a reader advances `reads` (and on close and cancel),
+    /// waking producers parked in [`JobEventLog::wait_capacity`].
     space_cv: Condvar,
     /// The read-direction twin of `space_cv`: signalled when the producer
     /// appends (and on close/cancel/expiry), waking readers parked in
@@ -117,15 +180,7 @@ pub struct JobEventLog {
 impl JobEventLog {
     pub(crate) fn new(horizon: bool, capacity: usize, max_wait: Duration) -> Arc<JobEventLog> {
         Arc::new(JobEventLog {
-            inner: Mutex::new(EventLogInner {
-                events: VecDeque::new(),
-                first_seq: 0,
-                closed: false,
-                epoch_marks: VecDeque::new(),
-                reads: 0,
-                has_cancelled: false,
-                degraded: false,
-            }),
+            inner: Mutex::new(EventLogInner::default()),
             space_cv: Condvar::new(),
             data_cv: Condvar::new(),
             horizon,
@@ -134,93 +189,41 @@ impl JobEventLog {
         })
     }
 
-    /// Track policy-relevant markers of a just-stamped event.
-    fn note_markers(inner: &mut EventLogInner, event: &Value, seq: u64) {
-        match event["type"].as_str() {
-            Some("epoch") => {
-                let id = event["epoch"].as_i64().unwrap_or(0).max(0) as u64;
-                inner.epoch_marks.push_back((seq, id));
-            }
-            Some("cancelled") => inner.has_cancelled = true,
-            _ => {}
-        }
-    }
-
-    /// Evict from the front down to `capacity`, honoring the policy:
-    /// terminal markers are exempt; horizon logs evict only delivered
-    /// events (`seq < reads`) until degraded, then anything below the
-    /// latest retained epoch marker — and if a single round overflows the
-    /// whole log (no marker to anchor on), blindly, which is exactly the
-    /// non-checkpointed fallback.
-    fn evict(inner: &mut EventLogInner, horizon: bool, capacity: usize) {
-        while inner.events.len() > capacity {
-            let front_seq = inner.first_seq;
-            let front_type = inner.events.front().and_then(|e| e["type"].as_str());
-            if matches!(front_type, Some("cancelled" | "done" | "failed")) {
-                break;
-            }
-            if horizon && !inner.degraded && front_seq >= inner.reads {
-                break; // undelivered and the consumer is (still) live
-            }
-            inner.events.pop_front();
-            inner.first_seq += 1;
-            while inner.epoch_marks.front().is_some_and(|&(seq, _)| seq < inner.first_seq) {
-                inner.epoch_marks.pop_front();
-            }
-        }
-    }
-
-    /// Append one wire-form event, stamping it with the next sequence
-    /// number (overwriting any `seq` the value carried — the log is the
-    /// authority on ordering). Never blocks: a horizon log over capacity
-    /// overshoots softly here and relies on the producer's next
-    /// [`JobEventLog::wait_capacity`] to park.
-    pub(crate) fn append(&self, mut event: Value) {
+    /// Append one event under the next sequence number — the log, not the
+    /// sink that produced the event, is the authority on ordering. Never
+    /// blocks: a horizon log over capacity overshoots softly here and
+    /// relies on the producer's next [`JobEventLog::wait_capacity`] to
+    /// park.
+    pub(crate) fn append(&self, event: &RunEvent) {
         let mut inner = self.inner.lock();
         if inner.closed {
             return;
         }
-        let seq = inner.first_seq + inner.events.len() as u64;
-        event.set("seq", seq as i64);
-        Self::note_markers(&mut inner, &event, seq);
-        inner.events.push_back(event);
-        Self::evict(&mut inner, self.horizon, self.capacity);
+        inner.push(Entry::Run(event.clone()));
+        inner.evict(self.horizon, self.capacity);
         drop(inner);
         self.data_cv.notify_all();
     }
 
-    /// Pre-fill a resumed job's log with its journaled prefix, honoring
-    /// the seqs the journal recorded — a resumed log must *not* restart
-    /// at `first_seq = 0` with re-stamped events, or a client holding an
-    /// attempt-1 cursor can be handed `next < since` and silently re-fold
-    /// duplicates. Journaled streams are contiguous in every normal flow;
-    /// on a discontinuity (a hand-mangled journal) stamping falls back to
-    /// sequential from that point so the log stays internally consistent.
+    /// Pre-fill a resumed job's log with its journaled prefix, numbered
+    /// from the first record's seq — a resumed log must *not* restart at
+    /// `first_seq = 0`, or a client holding an attempt-1 cursor can be
+    /// handed `next < since` and silently re-fold duplicates. Position
+    /// numbers the rest: the recorded seqs wherever the journal is
+    /// contiguous (every normal flow), a re-stamp from the discontinuity
+    /// on in a hand-mangled one, so the log stays internally consistent.
     ///
     /// The prefix already streamed live once and is durable on disk, so
     /// it counts as delivered: horizon eviction may reclaim it without
     /// waiting on a cursor client that may be long gone.
-    pub(crate) fn preload_journal(&self, events: Vec<Value>) {
+    pub(crate) fn preload_journal(&self, events: Vec<(u64, RunEvent)>) {
         let mut inner = self.inner.lock();
-        let mut expected: Option<u64> = None;
-        for mut event in events {
-            let recorded = event["seq"].as_i64().map(|s| s.max(0) as u64);
-            let seq = match (recorded, expected) {
-                (Some(s), None) => s,              // first event seeds first_seq
-                (Some(s), Some(e)) if s == e => s, // contiguous: honor the record
-                (_, Some(e)) => e,                 // discontinuity: re-stamp
-                (None, None) => 0,
-            };
-            if expected.is_none() {
-                inner.first_seq = seq;
-            }
-            event.set("seq", seq as i64);
-            Self::note_markers(&mut inner, &event, seq);
-            inner.events.push_back(event);
-            expected = Some(seq + 1);
+        inner.first_seq = events.first().map_or(0, |&(seq, _)| seq);
+        for (_, event) in events {
+            inner.push(Entry::Run(event));
         }
-        inner.reads = inner.first_seq + inner.events.len() as u64;
-        Self::evict(&mut inner, self.horizon, self.capacity);
+        inner.reads = inner.end_seq();
+        inner.evict(self.horizon, self.capacity);
         drop(inner);
         self.data_cv.notify_all();
     }
@@ -240,47 +243,44 @@ impl JobEventLog {
         let mut inner = self.inner.lock();
         let deadline = Instant::now() + self.max_wait;
         loop {
-            Self::evict(&mut inner, self.horizon, self.capacity);
+            inner.evict(self.horizon, self.capacity);
             if inner.events.len() <= self.capacity || inner.closed || inner.degraded || cancel.is_cancelled()
             {
                 return;
             }
             if Instant::now() >= deadline {
                 inner.degraded = true;
-                Self::evict(&mut inner, self.horizon, self.capacity);
+                inner.evict(self.horizon, self.capacity);
                 return;
             }
-            // Sliced so cancellation lands promptly: CancelToken has no
-            // waitable primitive, and a reader's notify can race the park.
-            self.space_cv.wait_for(&mut inner, BACKPRESSURE_SLICE);
+            self.space_cv.wait_until(&mut inner, deadline);
         }
     }
 
-    /// Append the terminal marker and seal the log.
-    pub(crate) fn close(&self, terminal: Value) {
-        self.append(terminal);
-        self.inner.lock().closed = true;
+    /// Wake a producer parked in [`JobEventLog::wait_capacity`] so it sees
+    /// the cancel token its caller just fired. The notify is sent under
+    /// the log lock: the producer checks the token and parks under that
+    /// same lock, so it either sees the token or is already parked.
+    pub(crate) fn wake_producer(&self) {
+        let _inner = self.inner.lock();
         self.space_cv.notify_all();
-        self.data_cv.notify_all();
     }
 
-    /// Seal the log as cancelled. The [`RunEvent::Cancelled`] marker may
-    /// already be present (the enactment runtime emits it through the
-    /// streaming observer before unwinding); when it is not — queued jobs
-    /// cancelled before a worker picked them, non-streamed jobs, shutdown
-    /// — append it first, so a cancelled stream always ends in exactly
-    /// one `cancelled` marker. The dedup keys off the `has_cancelled`
-    /// flag, not the deque back: eviction can never strip the marker
-    /// (terminal markers are exempt) nor fool the check.
-    pub(crate) fn close_cancelled(&self) {
+    /// Append the terminal `marker` and seal the log — both under one
+    /// lock, notifying after: a reader is never handed the marker on a
+    /// page that still says `closed: false`. A `cancelled` marker the
+    /// enactment runtime already streamed is not appended twice; the dedup
+    /// keys off the `has_cancelled` flag, not the deque back, so eviction
+    /// can neither strip the marker (terminal markers are exempt) nor fool
+    /// the check.
+    pub(crate) fn close(&self, marker: Entry) {
         let mut inner = self.inner.lock();
         if inner.closed {
             return;
         }
-        if !inner.has_cancelled {
-            let seq = inner.first_seq + inner.events.len() as u64;
-            inner.events.push_back(RunEvent::Cancelled.to_value(seq));
-            inner.has_cancelled = true;
+        if !(inner.has_cancelled && matches!(marker, Entry::Run(RunEvent::Cancelled))) {
+            inner.push(marker);
+            inner.evict(self.horizon, self.capacity);
         }
         inner.closed = true;
         drop(inner);
@@ -288,12 +288,19 @@ impl JobEventLog {
         self.data_cv.notify_all();
     }
 
+    /// Seal the log as cancelled: the marker is appended here for queued
+    /// jobs cancelled before a worker picked them, non-streamed jobs and
+    /// shutdown, so a cancelled stream always ends in exactly one.
+    pub(crate) fn close_cancelled(&self) {
+        self.close(Entry::Run(RunEvent::Cancelled));
+    }
+
     /// Drop every retained event, keeping the sequence bookkeeping (and
     /// closed-ness), so cursor clients observe truncation rather than a
     /// silently emptied stream.
     pub(crate) fn expire(&self) {
         let mut inner = self.inner.lock();
-        inner.first_seq += inner.events.len() as u64;
+        inner.first_seq = inner.end_seq();
         inner.events.clear();
         inner.epoch_marks.clear();
         drop(inner);
@@ -309,10 +316,13 @@ impl JobEventLog {
     /// `closed` — the caller has not seen the trailing events); a cursor
     /// below `first` re-anchors at the oldest retained epoch marker when
     /// one survives, reported via [`EventPage::retained_epoch`].
+    ///
+    /// Only the typed entries are cloned under the log lock the producer
+    /// appends through; their `Value` trees are built after it is released.
     pub(crate) fn page(&self, since: u64) -> EventPage {
         let mut inner = self.inner.lock();
         let first = inner.first_seq;
-        let end_seq = first + inner.events.len() as u64;
+        let end_seq = inner.end_seq();
         if since > end_seq {
             return EventPage { events: Vec::new(), next: since, first, closed: false, retained_epoch: None };
         }
@@ -331,8 +341,8 @@ impl JobEventLog {
         }
         let take = ((end_seq - start) as usize).min(EVENT_PAGE_LIMIT);
         let offset = (start - first) as usize;
-        let events: Vec<Value> = inner.events.iter().skip(offset).take(take).cloned().collect();
-        let next = start + events.len() as u64;
+        let entries: Vec<Entry> = inner.events.range(offset..offset + take).cloned().collect();
+        let next = start + entries.len() as u64;
         let closed = inner.closed && next == end_seq;
         let advanced = next > inner.reads;
         if advanced {
@@ -343,6 +353,7 @@ impl JobEventLog {
             // Delivery frees horizon capacity: wake throttled producers.
             self.space_cv.notify_all();
         }
+        let events = entries.iter().zip(start..).map(|(entry, seq)| entry.to_value(seq)).collect();
         EventPage { events, next, first, closed, retained_epoch }
     }
 
@@ -353,15 +364,13 @@ impl JobEventLog {
     /// then answer exactly like a poll. `wait = 0` never parks and is
     /// byte-identical to [`JobEventLog::page`]; an already-closed or
     /// already-readable log answers immediately. This is the `wait_ms`
-    /// long-poll: PR 8's backpressure Condvar machinery run in the read
-    /// direction.
+    /// long-poll.
     pub(crate) fn page_wait(&self, since: u64, wait: Duration) -> EventPage {
         if !wait.is_zero() {
             let deadline = Instant::now() + wait;
             let mut inner = self.inner.lock();
             loop {
-                let end_seq = inner.first_seq + inner.events.len() as u64;
-                let readable = inner.closed || since < inner.first_seq || since < end_seq;
+                let readable = inner.closed || since < inner.first_seq || since < inner.end_seq();
                 if readable || self.data_cv.wait_until(&mut inner, deadline).timed_out() {
                     break;
                 }
@@ -379,13 +388,13 @@ impl JobEventLog {
     /// bounded by the checkpoint horizon.
     pub(crate) fn window(&self) -> (u64, u64) {
         let inner = self.inner.lock();
-        (inner.first_seq, inner.first_seq + inner.events.len() as u64)
+        (inner.first_seq, inner.end_seq())
     }
 }
 
-/// The worker-side bridge: converts each [`RunEvent`] to its wire form
-/// and fans it out to the job's in-memory log (streamed jobs) and its
-/// on-disk journal (checkpointed jobs under a durable pool).
+/// The worker-side bridge: fans each [`RunEvent`] out to the job's
+/// in-memory log (streamed jobs) and, in its wire form, to its on-disk
+/// journal (checkpointed jobs under a durable pool).
 ///
 /// The journal is written *first*: by the time an epoch marker becomes
 /// observable through `/events`, its snapshot is already durable, so the
@@ -393,8 +402,8 @@ impl JobEventLog {
 /// crash strictly after persistence. Journal I/O errors are swallowed —
 /// a failing disk degrades durability, it must not kill a healthy run —
 /// but counted, so operators can see the degradation in pool stats
-/// ([`PoolStats::journal_errors`]) instead of discovering it at resume
-/// time.
+/// ([`crate::PoolStats::journal_errors`]) instead of discovering it at
+/// resume time.
 pub(crate) struct JobObserver {
     pub(crate) log: Option<Arc<JobEventLog>>,
     pub(crate) journal: Option<Mutex<JournalWriter>>,
@@ -407,14 +416,13 @@ pub(crate) struct JobObserver {
 
 impl RunObserver for JobObserver {
     fn on_event(&self, seq: u64, event: &RunEvent) {
-        let wire = event.to_value(seq);
         if let Some(journal) = &self.journal {
-            if journal.lock().record(&wire).is_err() {
+            if journal.lock().record(&event.to_value(seq)).is_err() {
                 self.journal_errors.fetch_add(1, Ordering::SeqCst);
             }
         }
         if let Some(log) = &self.log {
-            log.append(wire);
+            log.append(event);
         }
     }
 
@@ -431,19 +439,17 @@ impl RunObserver for JobObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::worker::terminal_event;
+    use crate::{EnginePool, ExecutionEngine, ExecutionRequest};
 
-    fn data_event() -> Value {
-        let mut v = Value::Null;
-        v.set("type", "output").set("value", 1i64);
-        v
+    fn data_event() -> RunEvent {
+        RunEvent::Output { pe: "P".into(), instance: 0, port: "o".into(), value: Value::Int(1) }
     }
 
     #[test]
     fn page_is_honest_at_and_past_the_end() {
         let log = JobEventLog::new(false, 16, Duration::from_millis(10));
         for _ in 0..3 {
-            log.append(data_event()); // seqs 0, 1, 2
+            log.append(&data_event()); // seqs 0, 1, 2
         }
         // since == end_seq: empty page, cursor parked, stream open.
         let at_end = log.page(3);
@@ -459,7 +465,7 @@ mod tests {
         assert!(!past.closed, "closed must not be reported for events the client never saw");
         assert!(past.retained_epoch.is_none());
 
-        log.close(terminal_event("done", None)); // seq 3; end_seq = 4
+        log.close(Entry::Done); // seq 3; end_seq = 4
         let at_end = log.page(4);
         assert!(at_end.closed, "cursor at the end of a closed stream sees closure");
         assert_eq!(at_end.next, 4);
@@ -472,29 +478,52 @@ mod tests {
     #[test]
     fn preload_honors_journal_seqs_and_tracks_epoch_marks() {
         let log = JobEventLog::new(true, 16, Duration::from_millis(10));
-        let mut journaled: Vec<Value> = (0..4i64)
-            .map(|i| {
-                let mut v = data_event();
-                v.set("seq", i);
-                v
-            })
-            .collect();
-        journaled.insert(2, {
-            let mut v = RunEvent::Epoch { id: 1, state: Value::Null }.to_value(2);
-            v.set("seq", 2i64);
-            v
-        });
-        for (i, v) in journaled.iter_mut().enumerate() {
-            v.set("seq", i as i64);
-        }
-        log.preload_journal(journaled);
+        let mut journaled: Vec<RunEvent> = (0..4).map(|_| data_event()).collect();
+        journaled.insert(2, RunEvent::Epoch { id: 1, state: Value::Null });
+        log.preload_journal((0..).zip(journaled).collect());
         assert_eq!(log.window(), (0, 5));
         let page = log.page(0);
         let seqs: Vec<i64> = page.events.iter().filter_map(|e| e["seq"].as_i64()).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3, 4], "recorded seqs honored");
         assert_eq!(log.inner.lock().epoch_marks.front(), Some(&(2, 1)), "epoch mark recovered");
         // Live appends continue the numbering.
-        log.append(data_event());
+        log.append(&data_event());
         assert_eq!(log.page(5).events[0]["seq"].as_i64(), Some(5));
+    }
+
+    #[test]
+    fn preload_numbers_from_the_first_recorded_seq_and_restamps_a_gap() {
+        let log = JobEventLog::new(true, 16, Duration::from_millis(10));
+        log.preload_journal(vec![(7, data_event()), (8, data_event()), (11, data_event())]);
+        assert_eq!(log.window(), (7, 10));
+        let seqs: Vec<i64> = log.page(7).events.iter().filter_map(|e| e["seq"].as_i64()).collect();
+        assert_eq!(seqs, vec![7, 8, 9]);
+    }
+
+    /// The page that carries a stream's terminal marker is the closed one:
+    /// a reader that re-requests without sleeping, and is therefore parked
+    /// on `data_cv` when the marker lands, never needs a further page.
+    #[test]
+    fn the_page_carrying_the_terminal_marker_is_closed() {
+        let pool = EnginePool::start(ExecutionEngine::instant(), 1, 8);
+        let src = "pe G : producer { output o; process { emit(iteration); } }";
+        for job in 0..500 {
+            let req = match job % 10 {
+                0 => ExecutionRequest::simple("u", "not a script !!", 1),
+                _ => ExecutionRequest::simple("u", src, 4),
+            };
+            let id = pool.submit("u", req.with_events(true)).unwrap();
+            let mut since = 0;
+            loop {
+                let page = pool.events_wait("u", id, since, Duration::from_secs(20)).unwrap();
+                since = page.next;
+                let marker = page.events.last().and_then(|e| e["type"].as_str());
+                let sealed = matches!(marker, Some("done" | "failed" | "cancelled"));
+                assert_eq!(page.closed, sealed, "job {job}: page ending in {marker:?}");
+                if sealed {
+                    break;
+                }
+            }
+        }
     }
 }

@@ -22,15 +22,17 @@
 //! # Recovery
 //!
 //! [`JournalStore::load`] replays sealed segments in epoch order. The
-//! highest *complete* segment (its last record is the matching epoch
-//! marker, every CRC checks out) defines the resume point: its epoch id,
-//! the instance snapshots carried by the epoch record, and the full event
-//! prefix `seg-1..seg-k` concatenated. A truncated or corrupt `seg-k`
-//! falls back to `seg-(k-1)` — crash-torn bytes cost at most one epoch.
+//! highest *complete* segment (every CRC checks out, every record decodes
+//! as a run event, the last is the matching epoch marker) defines the
+//! resume point: its epoch id, the instance snapshots carried by the epoch
+//! record, and the full event prefix `seg-1..seg-k` concatenated. A
+//! truncated or corrupt `seg-k` falls back to `seg-(k-1)` — crash-torn
+//! bytes cost at most one epoch.
 //! `tail.log` is never replayed: a resumed run re-executes the partial
 //! round deterministically from the checkpoint instead.
 
 use laminar_codec::crc32;
+use laminar_dataflow::RunEvent;
 use laminar_json::{parse, to_string, Value};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -62,9 +64,10 @@ pub struct ResumeData {
     pub epoch: u64,
     /// Dense per-instance snapshot array from the epoch record.
     pub snapshots: Value,
-    /// Wire-form events `seg-1..seg-k` in order — the exact stream prefix
-    /// the original run produced up to and including epoch `k`.
-    pub events: Vec<Value>,
+    /// The records of `seg-1..seg-k` in order, each decoded once, here, as
+    /// `(recorded seq, event)` — the exact stream prefix the original run
+    /// produced up to and including epoch `k`.
+    pub events: Vec<(u64, RunEvent)>,
 }
 
 /// The journal root: one directory per checkpointed job.
@@ -162,26 +165,25 @@ impl JournalStore {
         seg_epochs.sort_unstable();
         let mut epoch = 0u64;
         let mut snapshots = Value::Null;
-        let mut events: Vec<Value> = Vec::new();
+        let mut events: Vec<(u64, RunEvent)> = Vec::new();
         for want in seg_epochs {
             if want != epoch + 1 {
                 break;
             }
-            // A sealed segment is complete iff every record frames and its
-            // last record is the matching epoch marker. Anything less —
-            // torn tail bytes, CRC failure, missing marker — invalidates
-            // this segment only: resume falls back to the previous epoch.
+            // A sealed segment is complete iff every record frames and
+            // decodes and its last record is the matching epoch marker.
+            // Anything less — torn tail bytes, CRC failure, a record that
+            // is no run event, missing marker — invalidates this segment
+            // only: resume falls back to the previous epoch.
             let Ok(bytes) = std::fs::read(dir.join(format!("seg-{want}.log"))) else { break };
             let (records, torn) = read_records(&bytes);
-            let complete = !torn
-                && records.last().is_some_and(|r| {
-                    r["type"].as_str() == Some("epoch") && r["epoch"].as_i64() == Some(want as i64)
-                });
-            if !complete {
-                eprintln!("journal: job {id} segment {want} incomplete; resuming from epoch {epoch}");
-                break;
-            }
-            snapshots = records.last().map(|r| r["state"].clone()).unwrap_or(Value::Null);
+            snapshots = match records.last() {
+                Some((_, RunEvent::Epoch { id, state })) if !torn && *id == want => state.clone(),
+                _ => {
+                    eprintln!("journal: job {id} segment {want} incomplete; resuming from epoch {epoch}");
+                    break;
+                }
+            };
             events.extend(records);
             epoch = want;
         }
@@ -243,10 +245,11 @@ impl JournalWriter {
     }
 }
 
-/// Decode CRC-framed records from `bytes`. Returns the cleanly-decoded
-/// prefix and whether trailing bytes were torn (incomplete header,
-/// short payload, CRC mismatch, or unparseable JSON).
-fn read_records(bytes: &[u8]) -> (Vec<Value>, bool) {
+/// Decode CRC-framed records from `bytes`, each once, as `(recorded seq,
+/// event)`. Returns the cleanly-decoded prefix and whether trailing bytes
+/// were torn (incomplete header, short payload, CRC mismatch, unparseable
+/// JSON, or a record that is not a run event under its `seq`).
+fn read_records(bytes: &[u8]) -> (Vec<(u64, RunEvent)>, bool) {
     let mut records = Vec::new();
     let mut at = 0usize;
     while at + 8 <= bytes.len() {
@@ -258,22 +261,16 @@ fn read_records(bytes: &[u8]) -> (Vec<Value>, bool) {
         if crc32::checksum(payload) != crc {
             return (records, true);
         }
-        let Ok(text) = std::str::from_utf8(payload) else {
+        let value = std::str::from_utf8(payload).ok().and_then(|text| parse(text).ok());
+        let record =
+            value.and_then(|v| Some((u64::try_from(v["seq"].as_i64()?).ok()?, RunEvent::from_value(&v)?)));
+        let Some(record) = record else {
             return (records, true);
         };
-        let Ok(value) = parse(text) else {
-            return (records, true);
-        };
-        records.push(value);
+        records.push(record);
         at += 8 + len;
     }
     (records, at != bytes.len())
-}
-
-/// Read one segment file's records directly (tests and tooling).
-pub fn read_segment(path: &Path) -> Result<(Vec<Value>, bool), JournalError> {
-    let bytes = std::fs::read(path).map_err(io_err("read segment"))?;
-    Ok(read_records(&bytes))
 }
 
 #[cfg(test)]
@@ -286,16 +283,12 @@ mod tests {
         dir
     }
 
-    fn ev(kind: &str, n: i64) -> Value {
-        let mut v = Value::Null;
-        v.set("type", kind).set("n", n);
-        v
+    fn output_ev(n: i64) -> Value {
+        RunEvent::Output { pe: "P".into(), instance: 0, port: "o".into(), value: Value::Int(n) }.to_value(0)
     }
 
     fn epoch_ev(id: i64, state: i64) -> Value {
-        let mut v = Value::Null;
-        v.set("type", "epoch").set("epoch", id).set("state", state);
-        v
+        RunEvent::Epoch { id: id as u64, state: Value::Int(state) }.to_value(0)
     }
 
     #[test]
@@ -305,18 +298,18 @@ mod tests {
         let mut meta = Value::Null;
         meta.set("owner", "u");
         let mut w = store.create(7, &meta).unwrap();
-        w.record(&ev("output", 1)).unwrap();
+        w.record(&output_ev(1)).unwrap();
         w.record(&epoch_ev(1, 10)).unwrap();
-        w.record(&ev("output", 2)).unwrap();
+        w.record(&output_ev(2)).unwrap();
         w.record(&epoch_ev(2, 20)).unwrap();
-        w.record(&ev("output", 3)).unwrap(); // tail: never replayed
+        w.record(&output_ev(3)).unwrap(); // tail: never replayed
 
         let r = store.load(7).unwrap();
         assert_eq!(r.epoch, 2);
         assert_eq!(r.snapshots.as_i64(), Some(20));
         assert_eq!(r.meta["owner"].as_str(), Some("u"));
-        let kinds: Vec<&str> = r.events.iter().filter_map(|e| e["type"].as_str()).collect();
-        assert_eq!(kinds, vec!["output", "epoch", "output", "epoch"]);
+        let kinds: Vec<Value> = r.events.iter().map(|(seq, e)| e.to_value(*seq)["type"].clone()).collect();
+        assert_eq!(kinds, ["output", "epoch", "output", "epoch"].map(Value::from));
         assert_eq!(store.jobs().len(), 1);
 
         store.remove(7);
@@ -329,9 +322,9 @@ mod tests {
         let root = tmpdir("trunc");
         let store = JournalStore::open(&root).unwrap();
         let mut w = store.create(1, &Value::Null).unwrap();
-        w.record(&ev("output", 1)).unwrap();
+        w.record(&output_ev(1)).unwrap();
         w.record(&epoch_ev(1, 10)).unwrap();
-        w.record(&ev("output", 2)).unwrap();
+        w.record(&output_ev(2)).unwrap();
         w.record(&epoch_ev(2, 20)).unwrap();
 
         // Chop bytes off seg-2 at *every* possible depth: recovery must
@@ -354,7 +347,7 @@ mod tests {
         let root = tmpdir("crc");
         let store = JournalStore::open(&root).unwrap();
         let mut w = store.create(1, &Value::Null).unwrap();
-        w.record(&ev("output", 1)).unwrap();
+        w.record(&output_ev(1)).unwrap();
         w.record(&epoch_ev(1, 10)).unwrap();
         let seg1 = store.root().join("job-1").join("seg-1.log");
         let mut bytes = std::fs::read(&seg1).unwrap();
@@ -364,6 +357,30 @@ mod tests {
         let r = store.load(1).unwrap();
         assert_eq!(r.epoch, 0, "flipped byte detected by CRC");
         assert!(r.events.is_empty());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn record_that_is_no_run_event_invalidates_its_segment() {
+        let root = tmpdir("foreign");
+        let store = JournalStore::open(&root).unwrap();
+        let mut w = store.create(1, &Value::Null).unwrap();
+        w.record(&output_ev(1)).unwrap();
+        w.record(&epoch_ev(1, 10)).unwrap();
+        // Well framed, CRC intact, sealed by its epoch marker — but one
+        // record is the pool's `done` marker, another has no `seq`.
+        let mut done = Value::Null;
+        done.set("seq", 2i64).set("type", "done");
+        w.record(&done).unwrap();
+        w.record(&epoch_ev(2, 20)).unwrap();
+        let mut unnumbered = Value::Null;
+        unnumbered.set("type", "cancelled");
+        w.record(&unnumbered).unwrap();
+        w.record(&epoch_ev(3, 30)).unwrap();
+        let r = store.load(1).unwrap();
+        assert_eq!(r.epoch, 1, "the log and the sink must replay the same prefix");
+        assert_eq!(r.snapshots.as_i64(), Some(10));
+        assert_eq!(r.events.len(), 2);
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -387,7 +404,7 @@ mod tests {
         let store = JournalStore::open(&root).unwrap();
         let mut w = store.create(1, &Value::Null).unwrap();
         w.record(&epoch_ev(1, 10)).unwrap();
-        w.record(&ev("output", 99)).unwrap(); // partial round in the tail
+        w.record(&output_ev(99)).unwrap(); // partial round in the tail
         drop(w);
         let w2 = store.create(1, &Value::Null).unwrap();
         drop(w2);

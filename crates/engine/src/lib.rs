@@ -31,7 +31,7 @@ pub use env::{EnvironmentManager, InstallReport};
 pub use hosts::HostRegistry;
 pub use journal::{JournalError, JournalStore, ResumeData};
 pub use netmodel::NetModel;
-pub use pool::{EnginePool, EventPage, JobEventLog, JobInfo, JobPhase, JobResult, PoolError, PoolStats};
+pub use pool::{EnginePool, EventPage, JobInfo, JobPhase, JobResult, PoolError, PoolStats};
 pub use request::{ExecutionRequest, RejectedSource, SubmitOptions};
 
 pub use laminar_dataflow::{CancelToken, FaultPlan, RunInput};

@@ -15,7 +15,7 @@
 
 use crate::admission::RateLimiter;
 use crate::engine::{ExecutionEngine, ExecutionOutput};
-use crate::event_log::{BACKPRESSURE_WAIT, EVENT_LOG_CAPACITY};
+use crate::event_log::{JobEventLog, BACKPRESSURE_WAIT, EVENT_LOG_CAPACITY};
 use crate::fair_queue::FairQueue;
 use crate::jobs::JobRecord;
 use crate::journal::{JournalError, JournalStore, ResumeData};
@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering}
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-pub use crate::event_log::{EventPage, JobEventLog};
+pub use crate::event_log::EventPage;
 pub use crate::jobs::{JobInfo, JobPhase, JobResult, PoolError, PoolStats};
 
 pub(crate) struct PoolInner {
@@ -81,18 +81,10 @@ pub(crate) struct PoolInner {
     pub(crate) backpressure_wait_ms: AtomicU64,
 }
 
-impl PoolInner {
-    /// A fresh per-job log under the pool's current retention config.
-    /// `horizon` is true for checkpointed jobs (`checkpoint_every > 0`),
-    /// whose epochs give the log something better than eviction to
-    /// degrade to.
-    fn new_log(&self, horizon: bool) -> Arc<JobEventLog> {
-        JobEventLog::new(
-            horizon,
-            self.event_log_capacity.load(Ordering::SeqCst),
-            Duration::from_millis(self.backpressure_wait_ms.load(Ordering::SeqCst)),
-        )
-    }
+/// The record of job `id` if `owner` owns it: tenants cannot observe each
+/// other's jobs.
+fn owned<'a>(jobs: &'a HashMap<i64, JobRecord>, owner: &str, id: i64) -> Option<&'a JobRecord> {
+    jobs.get(&id).filter(|rec| rec.owner == owner)
 }
 
 /// A pool of engines serving jobs from a bounded queue.
@@ -211,12 +203,42 @@ impl EnginePool {
             self.inner.rate_limited.fetch_add(1, Ordering::SeqCst);
             return Err(PoolError::RateLimited { retry_after_ms });
         }
+        self.enqueue(owner, None, req)
+    }
+
+    /// The one way a job enters the queue: fresh under the next id, or —
+    /// `resumed` — under its original id with its log pre-filled from the
+    /// journaled prefix. Refused with [`PoolError::QueueFull`] at capacity.
+    fn enqueue(
+        &self,
+        owner: &str,
+        resumed: Option<(i64, Vec<(u64, RunEvent)>)>,
+        req: ExecutionRequest,
+    ) -> Result<i64, PoolError> {
         let mut queue = self.inner.queue.lock();
         if queue.len() >= self.inner.capacity {
             self.inner.rejected.fetch_add(1, Ordering::SeqCst);
             return Err(PoolError::QueueFull { capacity: self.inner.capacity });
         }
-        let id = self.inner.next_id.fetch_add(1, Ordering::SeqCst);
+        // Checkpointed jobs get the horizon policy: their epochs give the
+        // log something better than eviction to degrade to.
+        let events = JobEventLog::new(
+            req.options.checkpoint_every > 0,
+            self.inner.event_log_capacity.load(Ordering::SeqCst),
+            Duration::from_millis(self.inner.backpressure_wait_ms.load(Ordering::SeqCst)),
+        );
+        let id = match resumed {
+            None => self.inner.next_id.fetch_add(1, Ordering::SeqCst),
+            Some((id, journaled)) => {
+                // Keep the id allocator ahead of resurrected ids so fresh
+                // submissions never collide with a journaled job, and seed
+                // the log at the recorded seqs so attempt-1 cursors stay
+                // monotone across the resume.
+                self.inner.next_id.fetch_max(id + 1, Ordering::SeqCst);
+                events.preload_journal(journaled);
+                id
+            }
+        };
         self.inner.jobs.lock().insert(
             id,
             JobRecord {
@@ -228,13 +250,12 @@ impl EnginePool {
                 worker: None,
                 output: None,
                 error: None,
-                events: self.inner.new_log(req.options.checkpoint_every > 0),
+                events,
                 streaming: req.options.events,
                 cancel: CancelToken::new(),
             },
         );
-        let priority = req.options.priority;
-        queue.push(owner, id, priority, req);
+        queue.push(owner, id, req.options.priority, req);
         drop(queue);
         self.inner.submitted.fetch_add(1, Ordering::SeqCst);
         self.inner.work_cv.notify_one();
@@ -294,35 +315,19 @@ impl EnginePool {
     /// horizon policy: the slow-consumer gates assert `end - first` stays
     /// bounded by the configured capacity (plus one producer burst).
     pub fn event_log_window(&self, owner: &str, id: i64) -> Option<(u64, u64)> {
-        let jobs = self.inner.jobs.lock();
-        let rec = jobs.get(&id)?;
-        if rec.owner != owner {
-            return None;
-        }
-        let log = Arc::clone(&rec.events);
-        drop(jobs);
+        let log = Arc::clone(&owned(&self.inner.jobs.lock(), owner, id)?.events);
         Some(log.window())
     }
 
     /// Current view of a job. `None` when the id is unknown or owned by
     /// someone else (tenants cannot observe each other's jobs).
     pub fn status(&self, owner: &str, id: i64) -> Option<JobInfo> {
-        let jobs = self.inner.jobs.lock();
-        let rec = jobs.get(&id)?;
-        if rec.owner != owner {
-            return None;
-        }
-        Some(rec.info(id))
+        Some(owned(&self.inner.jobs.lock(), owner, id)?.info(id))
     }
 
     /// Poll a job for its result.
     pub fn result(&self, owner: &str, id: i64) -> Option<JobResult> {
-        let jobs = self.inner.jobs.lock();
-        let rec = jobs.get(&id)?;
-        if rec.owner != owner {
-            return None;
-        }
-        Some(Self::result_of(rec, id))
+        Some(Self::result_of(owned(&self.inner.jobs.lock(), owner, id)?, id))
     }
 
     fn result_of(rec: &JobRecord, id: i64) -> JobResult {
@@ -342,14 +347,9 @@ impl EnginePool {
         let deadline = Instant::now() + timeout;
         let mut jobs = self.inner.jobs.lock();
         loop {
-            match jobs.get(&id) {
-                None => return None,
-                Some(rec) if rec.owner != owner => return None,
-                Some(rec) => {
-                    if rec.info(id).is_finished() || Instant::now() >= deadline {
-                        return Some(Self::result_of(rec, id));
-                    }
-                }
+            let rec = owned(&jobs, owner, id)?;
+            if rec.info(id).is_finished() || Instant::now() >= deadline {
+                return Some(Self::result_of(rec, id));
             }
             self.inner.done_cv.wait_until(&mut jobs, deadline);
         }
@@ -403,6 +403,7 @@ impl EnginePool {
                 }
                 JobPhase::Running => {
                     rec.cancel.cancel();
+                    rec.events.wake_producer();
                     false
                 }
                 _ => false,
@@ -438,14 +439,7 @@ impl EnginePool {
     /// or `wait` elapses. `wait = 0` is byte-identical to a plain poll.
     /// No job lock is held while parked — only the per-job log's.
     pub fn events_wait(&self, owner: &str, id: i64, since: u64, wait: Duration) -> Option<EventPage> {
-        let log = {
-            let jobs = self.inner.jobs.lock();
-            let rec = jobs.get(&id)?;
-            if rec.owner != owner {
-                return None;
-            }
-            Arc::clone(&rec.events)
-        };
+        let log = Arc::clone(&owned(&self.inner.jobs.lock(), owner, id)?.events);
         Some(log.page_wait(since, wait))
     }
 
@@ -490,45 +484,10 @@ impl EnginePool {
     fn enqueue_resume(&self, id: i64, data: ResumeData) -> Result<i64, PoolError> {
         let mut req = ExecutionRequest::from_value(&data.meta["request"])
             .ok_or_else(|| PoolError::Failed(format!("job {id}: corrupt journal meta")))?;
-        let owner = data.meta["owner"].as_str().unwrap_or("anonymous").to_string();
-        let lane_owner = owner.clone();
-        let replayed: Vec<RunEvent> = data.events.iter().filter_map(RunEvent::from_value).collect();
+        let owner = data.meta["owner"].as_str().unwrap_or("anonymous");
+        let replayed = data.events.iter().map(|(_, event)| event.clone()).collect();
         req.resume = Some(ResumePoint { epoch: data.epoch, snapshots: data.snapshots, events: replayed });
-
-        let mut queue = self.inner.queue.lock();
-        if queue.len() >= self.inner.capacity {
-            self.inner.rejected.fetch_add(1, Ordering::SeqCst);
-            return Err(PoolError::QueueFull { capacity: self.inner.capacity });
-        }
-        // Keep the id allocator ahead of resurrected ids so fresh
-        // submissions never collide with a journaled job.
-        self.inner.next_id.fetch_max(id + 1, Ordering::SeqCst);
-        // Seed the resumed log from the journal *honoring recorded seqs*,
-        // so attempt-1 cursors stay monotone across the resume.
-        let log = self.inner.new_log(req.options.checkpoint_every > 0);
-        log.preload_journal(data.events);
-        self.inner.jobs.lock().insert(
-            id,
-            JobRecord {
-                owner,
-                phase: JobPhase::Queued,
-                submitted: Instant::now(),
-                queue_wait: Duration::ZERO,
-                run_time: Duration::ZERO,
-                worker: None,
-                output: None,
-                error: None,
-                events: log,
-                streaming: req.options.events,
-                cancel: CancelToken::new(),
-            },
-        );
-        let priority = req.options.priority;
-        queue.push(&lane_owner, id, priority, req);
-        drop(queue);
-        self.inner.submitted.fetch_add(1, Ordering::SeqCst);
-        self.inner.work_cv.notify_one();
-        Ok(id)
+        self.enqueue(owner, Some((id, data.events)), req)
     }
 
     /// Deterministic shutdown: every job still queued is *cancelled*
@@ -567,6 +526,7 @@ impl EnginePool {
         for rec in self.inner.jobs.lock().values() {
             if matches!(rec.phase, JobPhase::Queued | JobPhase::Running) {
                 rec.cancel.cancel();
+                rec.events.wake_producer();
             }
         }
         self.inner.done_cv.notify_all();
@@ -610,7 +570,7 @@ mod tests {
     use super::*;
     use crate::event_log::JobObserver;
     use crate::worker::RETAIN_STREAMED_LOGS;
-    use laminar_dataflow::RunObserver;
+    use laminar_dataflow::{RunEvent, RunObserver};
     use laminar_json::Value;
 
     const WF_SRC: &str = r#"
@@ -1002,6 +962,41 @@ mod tests {
         assert_eq!(pool.stats().cancelled, 1);
         // The record stays pollable after cancellation.
         assert!(pool.status("u", id).unwrap().is_finished());
+    }
+
+    #[test]
+    fn cancel_wakes_a_producer_parked_on_a_full_horizon_log() {
+        let pool = instant_pool(1, 4);
+        let capacity = 16;
+        pool.set_event_log_capacity(capacity);
+        pool.set_backpressure_wait(Duration::from_secs(30));
+        let req = ExecutionRequest::simple("u", WF_SRC, 0)
+            .with_unbounded(Duration::from_micros(100))
+            .with_checkpoints(4)
+            .with_events(true);
+        let id = pool.submit("u", req).unwrap();
+        // Nobody reads. Once the log is over its horizon the producer parks
+        // at its next source iteration, and the window stops moving.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let mut last = (0, 0);
+        loop {
+            let window = pool.event_log_window("u", id).unwrap();
+            if (window.1 - window.0) as usize > capacity && window == last {
+                break;
+            }
+            last = window;
+            assert!(Instant::now() < deadline, "the producer never filled its log");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let cancelled_at = Instant::now();
+        pool.cancel("u", id).expect("own job");
+        match pool.wait("u", id, Duration::from_secs(20)).unwrap() {
+            JobResult::Cancelled(_) => {}
+            other => panic!("expected Cancelled, got {other:?}"),
+        }
+        let took = cancelled_at.elapsed();
+        assert!(took < Duration::from_millis(100), "cancel must wake the park, not wait it out: {took:?}");
+        assert_eq!(pool.event_log_window("u", id).unwrap().0, 0, "parked, never degraded: nothing evicted");
     }
 
     #[test]

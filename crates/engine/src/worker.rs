@@ -2,7 +2,7 @@
 //! retention bounds applied as jobs finish.
 
 use crate::engine::ExecutionEngine;
-use crate::event_log::{JobEventLog, JobObserver, BACKPRESSURE_WAIT, EVENT_LOG_CAPACITY};
+use crate::event_log::{Entry, JobEventLog, JobObserver, BACKPRESSURE_WAIT, EVENT_LOG_CAPACITY};
 use crate::jobs::JobPhase;
 use crate::pool::PoolInner;
 use laminar_dataflow::{CancelToken, DataflowError, RunObserver};
@@ -20,16 +20,6 @@ const RETAIN_FINISHED: usize = 4096;
 /// — so large streamed payloads can't pin memory for as long as the
 /// job *records* are retained ([`RETAIN_FINISHED`]).
 pub(crate) const RETAIN_STREAMED_LOGS: usize = 256;
-
-/// The wire-form terminal event sealing a job's stream.
-pub(crate) fn terminal_event(status: &str, error: Option<&str>) -> Value {
-    let mut v = Value::Null;
-    v.set("type", status);
-    if let Some(e) = error {
-        v.set("error", e);
-    }
-    v
-}
 
 pub(crate) fn worker_loop(inner: &PoolInner, mut engine: ExecutionEngine, worker_id: usize) {
     loop {
@@ -70,7 +60,7 @@ pub(crate) fn worker_loop(inner: &PoolInner, mut engine: ExecutionEngine, worker
                                  {}ms in queue",
                                 rec.queue_wait.as_millis()
                             );
-                            rec.events.close(terminal_event("failed", Some(&msg)));
+                            rec.events.close(Entry::Failed(msg.clone()));
                             rec.error = Some(msg);
                             rec.phase = JobPhase::Failed;
                             inner.failed.fetch_add(1, Ordering::SeqCst);
@@ -106,8 +96,8 @@ pub(crate) fn worker_loop(inner: &PoolInner, mut engine: ExecutionEngine, worker
         // behind the same observer as the event log, so epochs hit disk in
         // stream order. `create` reopens an existing journal on resume
         // (truncating the stale partial-round tail).
-        let journaled = inner.journal.is_some() && req.options.checkpoint_every > 0;
-        let journal_writer = inner.journal.as_ref().filter(|_| journaled).and_then(|store| {
+        let journal = inner.journal.as_ref().filter(|_| req.options.checkpoint_every > 0);
+        let journal_writer = journal.and_then(|store| {
             let mut meta = Value::Null;
             meta.set("owner", owner.as_str()).set("request", req.to_value());
             store.create(id, &meta).map_err(|e| eprintln!("journal: job {id}: {e}")).ok()
@@ -134,7 +124,7 @@ pub(crate) fn worker_loop(inner: &PoolInner, mut engine: ExecutionEngine, worker
                         out.worker = Some(worker_id);
                         rec.output = Some(Arc::new(out));
                         rec.phase = JobPhase::Done;
-                        log.close(terminal_event("done", None));
+                        log.close(Entry::Done);
                         inner.completed.fetch_add(1, Ordering::SeqCst);
                         inner.run_ms_total.fetch_add(run_time.as_millis() as u64, Ordering::SeqCst);
                         // A completed job needs no recovery state.
@@ -160,7 +150,7 @@ pub(crate) fn worker_loop(inner: &PoolInner, mut engine: ExecutionEngine, worker
                     }
                     Err(e) => {
                         let message = e.to_string();
-                        log.close(terminal_event("failed", Some(&message)));
+                        log.close(Entry::Failed(message.clone()));
                         rec.error = Some(message);
                         rec.phase = JobPhase::Failed;
                         inner.failed.fetch_add(1, Ordering::SeqCst);
