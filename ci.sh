@@ -18,6 +18,9 @@
 #                (PROPTEST_CASES=8)
 #   stress       the concurrency stress suite (unrestricted test threads)
 #                plus the registry search-index differential proptests
+#   edge         the HTTP edge: http.rs unit tests (cap, deadlines, idle
+#                close), the public-surface edge tests, and the client's
+#                kept-connection reconnect rule against a fake server
 #   streaming    streaming + cancellation scenario tiers
 #   chaos        durability fault-injection suite at full proptest depth:
 #                crash/resume chaos, cross-backend epoch parity, torn
@@ -33,16 +36,17 @@
 #                keeps the interpreter oracle out of every crate on the
 #                serving path, the guard that keeps the registry's JSON
 #                row form below its persistence boundary, the guard that
-#                keeps script parsing and compiling behind prepare(), and
-#                the guard that keeps the engine matching run events by
-#                type, not by their JSON "type" field
+#                keeps script parsing and compiling behind prepare(), the
+#                guard that keeps the engine matching run events by type,
+#                not by their JSON "type" field, and the guard that keeps
+#                every client and server socket opened in http.rs
 #
 # Every run ends with a per-tier wall-clock timing summary and, when all
 # selected tiers passed, the line "CI GREEN".
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_TIERS=(build test test-quick stress streaming chaos bench-smoke bench-e2e lint)
+ALL_TIERS=(build test test-quick stress edge streaming chaos bench-smoke bench-e2e lint)
 QUICK_TIERS=(build test-quick)
 
 tier_build() {
@@ -66,6 +70,12 @@ tier_stress() {
   # Registry search differential: indexed answers must equal the linear
   # scan under randomized mutation histories, and survive WAL replay.
   cargo test -q -p laminar-registry --test proptest_search
+}
+
+tier_edge() {
+  cargo test -q -p laminar-server --lib http::
+  cargo test -q -p laminar-server --test edge
+  cargo test -q -p laminar-client --lib web::tests::kept_connection
 }
 
 tier_streaming() {
@@ -154,10 +164,19 @@ tier_lint() {
     echo "ci.sh: a run event is matched as a RunEvent; the lines above probe its JSON form" >&2
     return 1
   fi
+  # One place opens sockets: http.rs sets TCP_NODELAY and the deadlines on
+  # every one it connects or accepts, so no other client or server file
+  # may connect or bind outside its tests.
+  if awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
+          !test && /TcpStream::connect|TcpListener::bind/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+          END { exit !hit }' $(ls crates/{client,server}/src/*.rs | grep -v '/http\.rs$'); then
+    echo "ci.sh: sockets are opened in http.rs, where their deadlines are set; the lines above open one elsewhere" >&2
+    return 1
+  fi
 }
 
 usage() {
-  sed -n '2,39p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,43p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 TIERS=()

@@ -2,7 +2,9 @@
 //! envelope shaping between the client functions and the server API.
 
 use laminar_json::Value;
+use laminar_server::http::HttpConnection;
 use laminar_server::{api::Method, ApiRequest, ApiResponse, LaminarServer};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// A transport carrying API requests to a Laminar server.
@@ -45,22 +47,33 @@ impl Transport for InProcessTransport {
 }
 
 /// TCP transport: talks HTTP to a remote [`laminar_server::HttpServer`]
-/// (the "remote execution" configuration of Table 5).
-#[derive(Clone)]
+/// (the "remote execution" configuration of Table 5) over one kept
+/// connection, opened on first use and reopened once if the server closed
+/// it between calls ([`HttpConnection::call`] has the rule).
 pub struct TcpTransport {
     addr: std::net::SocketAddr,
+    // `call` takes `&self`; a transport is `Send`, not `Sync`, so one
+    // caller at a time is all the cell has to allow.
+    connection: RefCell<HttpConnection>,
 }
 
 impl TcpTransport {
-    /// Connect to a server address.
+    /// A transport to a server address; connects on the first call.
     pub fn new(addr: std::net::SocketAddr) -> TcpTransport {
-        TcpTransport { addr }
+        TcpTransport { addr, connection: RefCell::new(HttpConnection::new(addr)) }
+    }
+}
+
+impl Clone for TcpTransport {
+    /// A transport to the same address, with no connection yet.
+    fn clone(&self) -> TcpTransport {
+        TcpTransport::new(self.addr)
     }
 }
 
 impl Transport for TcpTransport {
     fn call(&self, request: &ApiRequest) -> Result<ApiResponse, String> {
-        laminar_server::http::http_call(self.addr, request).map_err(|e| format!("transport error: {e}"))
+        self.connection.borrow_mut().call(request).map_err(|e| format!("transport error: {e}"))
     }
 
     fn endpoint(&self) -> String {
@@ -107,6 +120,9 @@ pub fn put(path: impl Into<String>) -> ApiRequest {
 mod tests {
     use super::*;
     use laminar_json::jobj;
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::net::{TcpListener, TcpStream};
+    use std::time::Duration;
 
     #[test]
     fn in_process_transport_round_trip() {
@@ -146,6 +162,96 @@ mod tests {
             t.call(&post("/auth/register", jobj! { "userName" => "tcp", "password" => "password" })).unwrap();
         assert!(r.is_ok(), "{r:?}");
         assert!(t.endpoint().starts_with("http://127.0.0.1"));
+        http.stop();
+    }
+
+    /// What the fake servers below read off a socket: one request, whose
+    /// path is returned. `None` on EOF.
+    fn read_fake_request(reader: &mut BufReader<TcpStream>) -> Option<String> {
+        let mut request_line = String::new();
+        if reader.read_line(&mut request_line).unwrap() == 0 {
+            return None;
+        }
+        let mut length = 0;
+        loop {
+            let mut header = String::new();
+            reader.read_line(&mut header).unwrap();
+            if header.trim().is_empty() {
+                break;
+            }
+            if let Some(v) = header.to_ascii_lowercase().strip_prefix("content-length:") {
+                length = v.trim().parse().unwrap();
+            }
+        }
+        reader.read_exact(&mut vec![0u8; length]).unwrap();
+        Some(request_line.split_whitespace().nth(1).unwrap().to_string())
+    }
+
+    const FAKE_OK: &[u8] = b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\nConnection: keep-alive\r\n\r\ntrue";
+
+    #[test]
+    fn kept_connection_closed_by_the_server_is_reopened_once() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let transport = TcpTransport::new(listener.local_addr().unwrap());
+        // The peer promises keep-alive, answers one request per connection
+        // and hangs up; it records every request it reads.
+        let (closed_tx, closed_rx) = std::sync::mpsc::channel();
+        let peer = std::thread::spawn(move || {
+            let mut seen = Vec::new();
+            for _ in 0..2 {
+                let mut reader = BufReader::new(listener.accept().unwrap().0);
+                seen.push(read_fake_request(&mut reader).unwrap());
+                reader.get_mut().write_all(FAKE_OK).unwrap();
+                drop(reader);
+                closed_tx.send(()).unwrap();
+            }
+            listener.set_nonblocking(true).unwrap();
+            std::thread::sleep(Duration::from_millis(100));
+            assert!(listener.accept().is_err(), "a third connection");
+            seen
+        });
+        assert!(transport.call(&get("/one")).unwrap().is_ok());
+        closed_rx.recv().unwrap();
+        // The kept socket is dead, which only the second call can find out.
+        assert!(transport.call(&get("/two")).unwrap().is_ok());
+        assert_eq!(peer.join().unwrap(), ["/one", "/two"], "two accepts, each request read once");
+    }
+
+    #[test]
+    fn kept_connection_failing_mid_response_is_not_retried() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let transport = TcpTransport::new(listener.local_addr().unwrap());
+        let peer = std::thread::spawn(move || {
+            let mut reader = BufReader::new(listener.accept().unwrap().0);
+            let mut seen = vec![read_fake_request(&mut reader).unwrap()];
+            reader.get_mut().write_all(FAKE_OK).unwrap();
+            // The second request is read — so possibly acted on — and the
+            // answer dies half way through its status line.
+            seen.push(read_fake_request(&mut reader).unwrap());
+            reader.get_mut().write_all(b"HTTP/1.").unwrap();
+            drop(reader);
+            listener.set_nonblocking(true).unwrap();
+            std::thread::sleep(Duration::from_millis(100));
+            assert!(listener.accept().is_err(), "the request was sent a second time");
+            seen
+        });
+        assert!(transport.call(&post("/one", jobj! { "n" => 1 })).unwrap().is_ok());
+        let error = transport.call(&post("/two", jobj! { "n" => 2 })).unwrap_err();
+        assert!(error.starts_with("transport error"), "{error}");
+        assert_eq!(peer.join().unwrap(), ["/one", "/two"]);
+    }
+
+    #[test]
+    fn kept_connection_serves_sequential_calls() {
+        let http = laminar_server::HttpServer::start(LaminarServer::in_memory()).unwrap();
+        let transport = TcpTransport::new(http.addr());
+        for _ in 0..200 {
+            assert!(transport.call(&get("/auth/all")).unwrap().is_ok());
+        }
+        assert_eq!(http.connections_accepted(), 1);
+        // A clone is a transport of its own: same address, no connection yet.
+        assert!(transport.clone().call(&get("/auth/all")).unwrap().is_ok());
+        assert_eq!(http.connections_accepted(), 2);
         http.stop();
     }
 }

@@ -18,13 +18,9 @@ pub enum Method {
 impl Method {
     /// Parse the wire form.
     pub fn parse(s: &str) -> Option<Method> {
-        Some(match s.to_ascii_uppercase().as_str() {
-            "GET" => Method::Get,
-            "POST" => Method::Post,
-            "PUT" => Method::Put,
-            "DELETE" => Method::Delete,
-            _ => return None,
-        })
+        [Method::Get, Method::Post, Method::Put, Method::Delete]
+            .into_iter()
+            .find(|method| s.eq_ignore_ascii_case(method.as_str()))
     }
 
     /// Wire form.

@@ -9,8 +9,10 @@
 //!   execution to the engine;
 //! * standardized **error envelopes** (§3.2.5) via
 //!   [`laminar_registry::RegistryError::to_value`];
-//! * an **HTTP/1.0-subset TCP front-end** ([`http`]) so remote clients
-//!   exercise real sockets, plus an in-process path for local deployments.
+//! * an **HTTP/1.1-subset TCP front-end** ([`http`]) with persistent
+//!   connections, a connection cap and a deadline on every socket wait, so
+//!   remote clients exercise real sockets, plus an in-process path for
+//!   local deployments.
 
 pub mod api;
 pub mod http;

@@ -513,9 +513,10 @@ fn is_events_segment(tail: &str) -> bool {
     tail == "events" || tail.strip_prefix("events?").is_some()
 }
 
-/// Ceiling on `wait_ms` long-poll parks: one HTTP/1.0 connection thread
-/// is held for the duration, so the server bounds it regardless of what
-/// the client asked for.
+/// Ceiling on `wait_ms` long-poll parks: the connection's handler thread
+/// is held for the duration — a parked reader counts against the HTTP
+/// edge's connection cap like any other live connection — so the server
+/// bounds it regardless of what the client asked for.
 pub const LONG_POLL_MAX_WAIT_MS: u64 = 30_000;
 
 /// Parse `<key>=<n>` out of an `events?...` segment: 0 when no query
