@@ -19,9 +19,12 @@
 #   stress       the concurrency stress suite (unrestricted test threads)
 #                plus the registry search-index differential proptests
 #   edge         the HTTP edge: http.rs unit tests (cap, deadlines, idle
-#                close), the public-surface edge tests, and the client's
-#                kept-connection reconnect rule against a fake server
-#   streaming    streaming + cancellation scenario tiers
+#                close), the public-surface edge tests (among them: every
+#                event page on the wire is byte for byte the in-process
+#                body), and the client's kept-connection reconnect rule
+#                against a fake server
+#   streaming    streaming + cancellation scenario tiers, and the
+#                allocator calls one delivered event costs end to end
 #   chaos        durability fault-injection suite at full proptest depth:
 #                crash/resume chaos, cross-backend epoch parity, torn
 #                journal segments, the mid-stream worker-failure
@@ -38,8 +41,10 @@
 #                row form below its persistence boundary, the guard that
 #                keeps script parsing and compiling behind prepare(), the
 #                guard that keeps the engine matching run events by type,
-#                not by their JSON "type" field, and the guard that keeps
-#                every client and server socket opened in http.rs
+#                not by their JSON "type" field, the guard that keeps
+#                every client and server socket opened in http.rs, and the
+#                guard that keeps the per-event tree off the server's
+#                /events route
 #
 # Every run ends with a per-tier wall-clock timing summary and, when all
 # selected tiers passed, the line "CI GREEN".
@@ -85,6 +90,7 @@ tier_streaming() {
   cargo test -q -p laminar-dataflow --test proptest_mappings fold_of_recorded_stream
   cargo test -q -p laminar-dataflow --test proptest_cancel
   cargo test -q -p laminar-engine pool::tests::cancel
+  cargo test -q --test delivery_allocs
 }
 
 tier_chaos() {
@@ -173,10 +179,20 @@ tier_lint() {
     echo "ci.sh: sockets are opened in http.rs, where their deadlines are set; the lines above open one elsewhere" >&2
     return 1
   fi
+  # One tree per delivered event, and it is the client's: the server sends
+  # an event page as the text the pool wrote from the typed log
+  # (`events_text_wait`), so nothing it is built from may ask the pool for
+  # the page of trees outside its tests.
+  if awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
+          !test && /\.events(_wait)?\(|EventPage/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+          END { exit !hit }' crates/server/src/*.rs; then
+    echo "ci.sh: the /events route sends text, not trees; the lines above reach for the pool's tree page" >&2
+    return 1
+  fi
 }
 
 usage() {
-  sed -n '2,43p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,48p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 TIERS=()

@@ -621,18 +621,21 @@ impl LaminarClient {
         if wait_ms > 0 {
             path.push_str(&format!("&wait_ms={wait_ms}"));
         }
-        let resp = self.call(&web::get(path))?;
-        let events = resp["events"]
-            .as_array()
-            .ok_or(ClientError::Transport("server returned a malformed event page".into()))?
-            .to_vec();
-        Ok(EventPage {
-            events,
-            next: resp["next"].as_i64().unwrap_or(0).max(0) as u64,
-            first: resp["first"].as_i64().unwrap_or(0).max(0) as u64,
-            closed: resp["closed"].as_bool().unwrap_or(false),
-            retained_epoch: resp["retained_epoch"].as_i64().map(|e| e.max(0) as u64),
-        })
+        // The page is taken apart, not copied: the events the caller gets
+        // are the trees the transport parsed. A page without one of its
+        // cursor fields is refused whole — read as a default, a missing
+        // `next` would send the stream back to `since=0`, again and again.
+        let mut resp = self.call(&web::get(path))?;
+        let malformed = || ClientError::Transport("server returned a malformed event page".into());
+        let cursor = |field: &str| resp[field].as_i64().and_then(|n| u64::try_from(n).ok());
+        let next = cursor("next").ok_or_else(malformed)?;
+        let first = cursor("first").ok_or_else(malformed)?;
+        let closed = resp["closed"].as_bool().ok_or_else(malformed)?;
+        let retained_epoch = resp["retained_epoch"].as_i64().map(|e| e.max(0) as u64);
+        match resp.as_object_mut().and_then(|page| page.remove("events")) {
+            Some(Value::Array(events)) => Ok(EventPage { events, next, first, closed, retained_epoch }),
+            _ => Err(malformed()),
+        }
     }
 
     /// Iterate a job's events as they arrive. Each page request long-polls
@@ -1361,6 +1364,71 @@ mod tests {
         assert_eq!(out.printed.len(), 4);
         assert!(t0.elapsed() >= std::time::Duration::from_millis(80), "slept 2×40 ms: {:?}", t0.elapsed());
         assert_eq!(throttle_next.load(Ordering::SeqCst), 0, "both throttled responses were consumed");
+    }
+
+    /// A transport in front of a real server that strips one field from
+    /// every event page — the page a broken or foreign server would send.
+    struct PageManglingTransport {
+        inner: InProcessTransport,
+        strip: &'static str,
+    }
+
+    impl crate::web::Transport for PageManglingTransport {
+        fn call(&self, request: &laminar_server::ApiRequest) -> Result<ApiResponse, String> {
+            let mut response = self.inner.call(request)?;
+            if request.path.contains("/events") {
+                response.body.as_object_mut().expect("a page is an object").remove(self.strip);
+            }
+            Ok(response)
+        }
+
+        fn endpoint(&self) -> String {
+            "page-mangling".to_string()
+        }
+    }
+
+    #[test]
+    fn a_page_missing_a_cursor_field_ends_the_stream_with_one_error() {
+        for strip in ["next", "first", "closed", "events"] {
+            let transport =
+                PageManglingTransport { inner: InProcessTransport::new(LaminarServer::in_memory()), strip };
+            let mut c = LaminarClient::with_transport(Box::new(transport));
+            c.register("zz46", "password").unwrap();
+            c.login("zz46", "password").unwrap();
+            let id = c
+                .submit(RunTarget::Source(WF_SRC.into()), RunConfig::iterations(3).with_events(true))
+                .unwrap();
+            // Read as defaults, a page with events and no `next` sent the
+            // stream back to `since=0`: the first page over and over, until
+            // the deadline.
+            let items: Vec<_> = c.event_stream(id, std::time::Duration::from_millis(300)).collect();
+            match items.as_slice() {
+                [Err(ClientError::Transport(message))] => {
+                    assert!(message.contains("malformed event page"), "{strip}: {message}")
+                }
+                other => panic!("{strip}: expected the one error, got {} items: {other:?}", other.len()),
+            }
+        }
+        // A field of the wrong type or sign is as malformed as a missing one.
+        struct Fixed(Value);
+        impl crate::web::Transport for Fixed {
+            fn call(&self, _: &laminar_server::ApiRequest) -> Result<ApiResponse, String> {
+                Ok(ApiResponse::ok(self.0.clone()))
+            }
+            fn endpoint(&self) -> String {
+                "fixed".to_string()
+            }
+        }
+        for (field, bad) in
+            [("next", Value::Int(-1)), ("first", Value::Str("0".into())), ("closed", Value::Int(1))]
+        {
+            let mut page =
+                laminar_json::parse(r#"{"closed":false,"events":[],"first":0,"jobId":1,"next":0}"#).unwrap();
+            page.set(field, bad);
+            let mut c = LaminarClient::with_transport(Box::new(Fixed(page)));
+            c.user = Some("zz46".into());
+            assert!(matches!(c.job_events(1, 0), Err(ClientError::Transport(_))), "{field}");
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //!   zero-allocation datapath property (`alloc_interning.rs`).
 
 use super::{RunResult, RunStats};
-use laminar_json::Value;
+use laminar_json::{write_string, write_value, Value};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -171,6 +171,117 @@ impl RunEvent {
             }
         }
         v
+    }
+
+    /// The wire form as text, appended to `out`: byte for byte
+    /// `laminar_json::to_string(&self.to_value(seq))`, without the tree.
+    /// The `/events` route and the journal encode through here;
+    /// [`RunEvent::to_value`] stays as the embedding API, the inverse of
+    /// [`RunEvent::from_value`], and the reference this is tested against
+    /// (`tests/proptest_event_text.rs`). A `Value` object serializes its
+    /// keys sorted, so each arm writes its keys in that order: a key
+    /// added to `to_value` goes in its sorted place here.
+    pub fn write_json(&self, seq: u64, out: &mut String) {
+        // A member's key as one literal, punctuation included: `{"name":`
+        // opens the object, `,"name":` follows another member.
+        macro_rules! first {
+            ($name:literal) => {
+                concat!("{\"", $name, "\":")
+            };
+        }
+        macro_rules! next {
+            ($name:literal) => {
+                concat!(",\"", $name, "\":")
+            };
+        }
+        fn int(out: &mut String, key: &str, i: i64) {
+            out.push_str(key);
+            write_value(out, &Value::Int(i));
+        }
+        fn string(out: &mut String, key: &str, s: &str) {
+            out.push_str(key);
+            write_string(out, s);
+        }
+        fn micros(out: &mut String, key: &str, d: Duration) {
+            int(out, key, d.as_micros() as i64);
+        }
+        match self {
+            RunEvent::PlanReady { pes } => {
+                // As the map `to_value` builds: names sorted, a repeated
+                // name keeping its last count, `null` when there is none.
+                let mut sorted: Vec<&(Arc<str>, usize)> = pes.iter().collect();
+                sorted.sort_by(|a, b| a.0.cmp(&b.0));
+                out.push_str(first!("pes"));
+                let mut open = "{";
+                for (i, (pe, n)) in sorted.iter().enumerate() {
+                    if sorted.get(i + 1).is_none_or(|next| next.0 != *pe) {
+                        out.push_str(open);
+                        open = ",";
+                        write_string(out, pe);
+                        out.push(':');
+                        write_value(out, &Value::Int(*n as i64));
+                    }
+                }
+                out.push_str(if sorted.is_empty() { "null" } else { "}" });
+                int(out, next!("seq"), seq as i64);
+                string(out, next!("type"), "plan");
+            }
+            RunEvent::InstanceStarted { pe, instance } => {
+                int(out, first!("instance"), *instance as i64);
+                string(out, next!("pe"), pe);
+                int(out, next!("seq"), seq as i64);
+                string(out, next!("type"), "started");
+            }
+            RunEvent::Output { pe, instance, port, value } => {
+                int(out, first!("instance"), *instance as i64);
+                string(out, next!("pe"), pe);
+                string(out, next!("port"), port);
+                int(out, next!("seq"), seq as i64);
+                string(out, next!("type"), "output");
+                out.push_str(next!("value"));
+                write_value(out, value);
+            }
+            RunEvent::Print { pe, instance, line } => {
+                int(out, first!("instance"), *instance as i64);
+                string(out, next!("line"), line);
+                string(out, next!("pe"), pe);
+                int(out, next!("seq"), seq as i64);
+                string(out, next!("type"), "print");
+            }
+            RunEvent::InstanceFinished { pe, instance, processed, emitted } => {
+                int(out, first!("emitted"), *emitted as i64);
+                int(out, next!("instance"), *instance as i64);
+                string(out, next!("pe"), pe);
+                int(out, next!("processed"), *processed as i64);
+                int(out, next!("seq"), seq as i64);
+                string(out, next!("type"), "instance_done");
+            }
+            RunEvent::Epoch { id, state } => {
+                int(out, first!("epoch"), *id as i64);
+                int(out, next!("seq"), seq as i64);
+                out.push_str(next!("state"));
+                write_value(out, state);
+                string(out, next!("type"), "epoch");
+            }
+            RunEvent::Finished { stats } => {
+                micros(out, first!("collect_us"), stats.timings.collect);
+                micros(out, next!("compile_us"), stats.timings.compile);
+                micros(out, next!("elapsed_us"), stats.elapsed);
+                micros(out, next!("enact_us"), stats.timings.enact);
+                int(out, next!("events"), stats.events as i64);
+                if let Some(d) = stats.first_output {
+                    micros(out, next!("first_output_us"), d);
+                }
+                micros(out, next!("plan_us"), stats.timings.plan);
+                int(out, next!("seq"), seq as i64);
+                string(out, next!("type"), "finished");
+            }
+            RunEvent::Cancelled => {
+                int(out, first!("seq"), seq as i64);
+                string(out, next!("type"), "cancelled");
+            }
+        }
+        out.push('}');
     }
 
     /// Parse the wire form back into an event (the inverse of

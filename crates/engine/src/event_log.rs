@@ -1,11 +1,13 @@
 //! What a run event is while it waits to be read: a job's sequenced event
-//! log holds the typed [`RunEvent`] its observer was handed, and the wire
-//! `Value` of an event is built in one place, [`JobEventLog::page`], after
-//! the log lock is released.
+//! log holds the typed [`RunEvent`] its observer was handed. A page leaves
+//! in one of two forms, both made after the log lock is released: JSON
+//! text written straight from the typed entries
+//! ([`JobEventLog::page_text_wait`], what the `/events` route sends) or
+//! one `Value` tree per event ([`JobEventLog::page`], the embedding API).
 
 use crate::journal::JournalWriter;
 use laminar_dataflow::{CancelToken, RunEvent, RunObserver};
-use laminar_json::Value;
+use laminar_json::{write_string, write_value, Value};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,9 +33,10 @@ const EVENT_PAGE_LIMIT: usize = 512;
 
 /// One page of a job's sequenced event log, addressed by cursor.
 #[derive(Debug, Clone)]
-pub struct EventPage {
-    /// Events with `seq >= since`, in sequence order (wire form).
-    pub events: Vec<Value>,
+pub struct EventPage<E = Vec<Value>> {
+    /// Events with `seq >= since`, in sequence order: each one's wire form
+    /// as a tree or, as a `String`, the text of the JSON array of them.
+    pub events: E,
     /// Cursor for the next poll: pass as the next `since`.
     pub next: u64,
     /// Oldest sequence number still retained. `since < first` means the
@@ -63,7 +66,7 @@ pub(crate) enum Entry {
 }
 
 impl Entry {
-    /// The one wire encoder of a logged event.
+    /// The wire form of a logged event as a tree.
     fn to_value(&self, seq: u64) -> Value {
         let mut v = Value::Null;
         match self {
@@ -73,6 +76,26 @@ impl Entry {
         };
         v.set("seq", seq as i64);
         v
+    }
+
+    /// The wire form as text, appended to `out`: the bytes `to_value`'s
+    /// tree serializes to, keys in sorted order.
+    fn write_json(&self, seq: u64, out: &mut String) {
+        let tail = match self {
+            Entry::Run(event) => return event.write_json(seq, out),
+            Entry::Done => {
+                out.push_str("{\"seq\":");
+                ",\"type\":\"done\"}"
+            }
+            Entry::Failed(message) => {
+                out.push_str("{\"error\":");
+                write_string(out, message);
+                out.push_str(",\"seq\":");
+                ",\"type\":\"failed\"}"
+            }
+        };
+        write_value(out, &Value::Int(seq as i64));
+        out.push_str(tail);
     }
 }
 
@@ -309,7 +332,15 @@ impl JobEventLog {
         self.data_cv.notify_all();
     }
 
-    /// Read a page of events starting at `since`.
+    /// Read a page of events starting at `since`, each as its wire tree.
+    pub(crate) fn page(&self, since: u64) -> EventPage {
+        self.page_with(since, |entries, start| {
+            entries.iter().zip(start..).map(|(entry, seq)| entry.to_value(seq)).collect()
+        })
+    }
+
+    /// The one cursor and retention body behind both forms of a page;
+    /// `encode` is handed the page's entries and the first one's seq.
     ///
     /// Honest at both edges: a cursor beyond the end returns an empty
     /// page with `next = since` (never clamped backwards, never falsely
@@ -318,13 +349,15 @@ impl JobEventLog {
     /// one survives, reported via [`EventPage::retained_epoch`].
     ///
     /// Only the typed entries are cloned under the log lock the producer
-    /// appends through; their `Value` trees are built after it is released.
-    pub(crate) fn page(&self, since: u64) -> EventPage {
+    /// appends through; they are encoded after it is released.
+    fn page_with<E>(&self, since: u64, encode: impl FnOnce(&[Entry], u64) -> E) -> EventPage<E> {
         let mut inner = self.inner.lock();
         let first = inner.first_seq;
         let end_seq = inner.end_seq();
         if since > end_seq {
-            return EventPage { events: Vec::new(), next: since, first, closed: false, retained_epoch: None };
+            drop(inner);
+            let events = encode(&[], since);
+            return EventPage { events, next: since, first, closed: false, retained_epoch: None };
         }
         let mut retained_epoch = None;
         let mut start = since;
@@ -353,33 +386,55 @@ impl JobEventLog {
             // Delivery frees horizon capacity: wake throttled producers.
             self.space_cv.notify_all();
         }
-        let events = entries.iter().zip(start..).map(|(entry, seq)| entry.to_value(seq)).collect();
-        EventPage { events, next, first, closed, retained_epoch }
+        EventPage { events: encode(&entries, start), next, first, closed, retained_epoch }
     }
 
-    /// [`JobEventLog::page`], in push mode: when the cursor is at the live
-    /// edge of an open stream, park on `data_cv` until the producer
-    /// appends, the log seals (terminal marker, cancel, shutdown), the
-    /// retained window truncates past the cursor, or `wait` elapses —
-    /// then answer exactly like a poll. `wait = 0` never parks and is
-    /// byte-identical to [`JobEventLog::page`]; an already-closed or
-    /// already-readable log answers immediately. This is the `wait_ms`
-    /// long-poll.
-    pub(crate) fn page_wait(&self, since: u64, wait: Duration) -> EventPage {
-        if !wait.is_zero() {
-            let deadline = Instant::now() + wait;
-            let mut inner = self.inner.lock();
-            loop {
-                let readable = inner.closed || since < inner.first_seq || since < inner.end_seq();
-                if readable || self.data_cv.wait_until(&mut inner, deadline).timed_out() {
-                    break;
-                }
+    /// Push mode: when the cursor is at the live edge of an open stream,
+    /// park on `data_cv` until the producer appends, the log seals
+    /// (terminal marker, cancel, shutdown), the retained window truncates
+    /// past the cursor, or `wait` elapses. `wait = 0` never parks; an
+    /// already-closed or already-readable log returns immediately. This
+    /// is the `wait_ms` long-poll; what it returns to is always the one
+    /// poll path, [`JobEventLog::page_with`], so push and poll can never
+    /// drift apart (the page re-locks; anything appended in the gap is a
+    /// bonus, not a bug).
+    fn park(&self, since: u64, wait: Duration) {
+        if wait.is_zero() {
+            return;
+        }
+        let deadline = Instant::now() + wait;
+        let mut inner = self.inner.lock();
+        loop {
+            let readable = inner.closed || since < inner.first_seq || since < inner.end_seq();
+            if readable || self.data_cv.wait_until(&mut inner, deadline).timed_out() {
+                break;
             }
         }
-        // Build the page through the one poll path so push and poll can
-        // never drift apart (re-locks; anything appended in the gap is a
-        // bonus, not a bug).
+    }
+
+    /// [`JobEventLog::page`] after a [`JobEventLog::park`]; with
+    /// `wait = 0`, exactly [`JobEventLog::page`].
+    pub(crate) fn page_wait(&self, since: u64, wait: Duration) -> EventPage {
+        self.park(since, wait);
         self.page(since)
+    }
+
+    /// [`JobEventLog::page_wait`] with the events as the text of their
+    /// JSON array, written from the typed entries: no tree is built.
+    pub(crate) fn page_text_wait(&self, since: u64, wait: Duration) -> EventPage<String> {
+        self.park(since, wait);
+        self.page_with(since, |entries, start| {
+            let mut text = String::with_capacity(2 + entries.len() * 96);
+            text.push('[');
+            for (entry, seq) in entries.iter().zip(start..) {
+                if seq > start {
+                    text.push(',');
+                }
+                entry.write_json(seq, &mut text);
+            }
+            text.push(']');
+            text
+        })
     }
 
     /// The retained window as `(first, end)` sequence numbers —
@@ -393,8 +448,8 @@ impl JobEventLog {
 }
 
 /// The worker-side bridge: fans each [`RunEvent`] out to the job's
-/// in-memory log (streamed jobs) and, in its wire form, to its on-disk
-/// journal (checkpointed jobs under a durable pool).
+/// in-memory log (streamed jobs) and to its on-disk journal (checkpointed
+/// jobs under a durable pool), which frames its wire text.
 ///
 /// The journal is written *first*: by the time an epoch marker becomes
 /// observable through `/events`, its snapshot is already durable, so the
@@ -417,7 +472,7 @@ pub(crate) struct JobObserver {
 impl RunObserver for JobObserver {
     fn on_event(&self, seq: u64, event: &RunEvent) {
         if let Some(journal) = &self.journal {
-            if journal.lock().record(&event.to_value(seq)).is_err() {
+            if journal.lock().record_event(seq, event).is_err() {
                 self.journal_errors.fetch_add(1, Ordering::SeqCst);
             }
         }
@@ -498,6 +553,33 @@ mod tests {
         assert_eq!(log.window(), (7, 10));
         let seqs: Vec<i64> = log.page(7).events.iter().filter_map(|e| e["seq"].as_i64()).collect();
         assert_eq!(seqs, vec![7, 8, 9]);
+    }
+
+    /// The two forms of a page are one page: the same cursor fields, and
+    /// the text is what the trees serialize to — at every cursor, with
+    /// both pool markers, below the retained window and past the end.
+    #[test]
+    fn the_text_page_is_the_tree_page_serialized() {
+        for marker in [Entry::Done, Entry::Failed("line 1: unexpected '\"' \\ \n\u{1} ∆".into())] {
+            let log = JobEventLog::new(false, 600, Duration::from_millis(10));
+            log.append(&RunEvent::Epoch { id: 1, state: Value::Array(vec![Value::Float(0.5)]) });
+            for _ in 0..700 {
+                log.append(&data_event());
+            }
+            log.close(marker);
+            let (first, end) = log.window();
+            assert!(first > 0 && end == 702, "the epoch marker and then some were evicted");
+            for since in [0, first - 1, first, first + 1, end - 513, end - 512, end - 1, end, end + 1] {
+                let tree = log.page(since);
+                let text = log.page_text_wait(since, Duration::ZERO);
+                assert_eq!(text.events, laminar_json::to_string(&Value::Array(tree.events)), "since {since}");
+                assert_eq!(
+                    (text.next, text.first, text.closed, text.retained_epoch),
+                    (tree.next, tree.first, tree.closed, tree.retained_epoch),
+                    "since {since}"
+                );
+            }
+        }
     }
 
     /// The page that carries a stream's terminal marker is the closed one:

@@ -214,20 +214,35 @@ impl JournalWriter {
     /// tail: once this returns, the epoch — snapshots and the full round
     /// that produced it — is durably renamed into place.
     pub fn record(&mut self, event: &Value) -> Result<(), JournalError> {
-        let payload = to_string(event);
+        self.append(&to_string(event))?;
+        match (event["type"].as_str(), event["epoch"].as_i64()) {
+            (Some("epoch"), Some(epoch)) => self.seal(epoch.max(0) as u64),
+            _ => Ok(()),
+        }
+    }
+
+    /// [`JournalWriter::record`] for the event as the observer was handed
+    /// it: the record is [`RunEvent::write_json`]'s text, the bytes
+    /// `record(&event.to_value(seq))` frames, with no tree built.
+    pub(crate) fn record_event(&mut self, seq: u64, event: &RunEvent) -> Result<(), JournalError> {
+        let mut payload = String::new();
+        event.write_json(seq, &mut payload);
+        self.append(&payload)?;
+        match event {
+            RunEvent::Epoch { id, .. } => self.seal(*id),
+            _ => Ok(()),
+        }
+    }
+
+    /// Frame `payload` as one record and append it to the tail.
+    fn append(&mut self, payload: &str) -> Result<(), JournalError> {
         let bytes = payload.as_bytes();
         let mut frame = Vec::with_capacity(8 + bytes.len());
         frame.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc32::checksum(bytes).to_le_bytes());
         frame.extend_from_slice(bytes);
         self.tail.write_all(&frame).map_err(io_err("append record"))?;
-        self.tail.flush().map_err(io_err("flush record"))?;
-        if event["type"].as_str() == Some("epoch") {
-            if let Some(epoch) = event["epoch"].as_i64() {
-                self.seal(epoch.max(0) as u64)?;
-            }
-        }
-        Ok(())
+        self.tail.flush().map_err(io_err("flush record"))
     }
 
     /// Rename the current tail to `seg-<epoch>.log` and start a new tail.

@@ -443,6 +443,21 @@ impl EnginePool {
         Some(log.page_wait(since, wait))
     }
 
+    /// [`EnginePool::events_wait`] for a caller that sends the page on as
+    /// JSON: `events` is the text of the page's JSON array, written from
+    /// the typed log with no `Value` built per event — the bytes
+    /// `events_wait`'s trees serialize to. The `/events` route reads this.
+    pub fn events_text_wait(
+        &self,
+        owner: &str,
+        id: i64,
+        since: u64,
+        wait: Duration,
+    ) -> Option<EventPage<String>> {
+        let log = Arc::clone(&owned(&self.inner.jobs.lock(), owner, id)?.events);
+        Some(log.page_text_wait(since, wait))
+    }
+
     /// Resume an interrupted checkpointed job from its journal (the
     /// `POST .../job/{id}/resume` path). The job is re-enqueued **under
     /// its original id** with its event log pre-filled from the journaled

@@ -27,7 +27,7 @@ mod value;
 
 pub use error::{JsonError, Result};
 pub use parse::{parse, Parser};
-pub use ser::{to_string, to_string_pretty};
+pub use ser::{to_string, to_string_pretty, write_string, write_value};
 pub use value::{Map, SharedValue, Value};
 
 /// Construct a [`Value::Object`] from `key => value` pairs.

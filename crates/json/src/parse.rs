@@ -30,14 +30,14 @@ pub fn parse(input: &str) -> Result<Value> {
 /// Streaming-ish parser over a borrowed input. Exposed so the HTTP layer can
 /// parse a value and then inspect the remaining offset.
 pub struct Parser<'a> {
-    bytes: &'a [u8],
+    input: &'a str,
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
     /// Create a parser over `input`.
     pub fn new(input: &'a str) -> Self {
-        Parser { bytes: input.as_bytes(), pos: 0 }
+        Parser { input, pos: 0 }
     }
 
     /// Byte offset of the next unconsumed byte.
@@ -47,11 +47,11 @@ impl<'a> Parser<'a> {
 
     /// True when all input has been consumed.
     pub fn at_end(&self) -> bool {
-        self.pos >= self.bytes.len()
+        self.pos >= self.input.len()
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.input.as_bytes().get(self.pos).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -76,7 +76,7 @@ impl<'a> Parser<'a> {
     fn err(&self, msg: impl Into<String>) -> JsonError {
         let mut line = 1;
         let mut col = 1;
-        for &b in &self.bytes[..self.pos.min(self.bytes.len())] {
+        for &b in &self.input.as_bytes()[..self.pos.min(self.input.len())] {
             if b == b'\n' {
                 line += 1;
                 col = 1;
@@ -116,7 +116,7 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_keyword(&mut self, kw: &str, value: Value) -> Result<Value> {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
+        if self.input.as_bytes()[self.pos..].starts_with(kw.as_bytes()) {
             self.pos += kw.len();
             Ok(value)
         } else {
@@ -174,6 +174,14 @@ impl<'a> Parser<'a> {
         self.expect(b'"', "'\"'")?;
         let mut out = String::new();
         loop {
+            // The run up to the next quote, backslash or control byte is
+            // copied in one piece; each of the three is ASCII, so the run
+            // ends on a character boundary.
+            let start = self.pos;
+            while self.peek().is_some_and(|b| b >= 0x20 && b != b'"' && b != b'\\') {
+                self.pos += 1;
+            }
+            out.push_str(&self.input[start..self.pos]);
             match self.bump() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => return Ok(out),
@@ -207,21 +215,7 @@ impl<'a> Parser<'a> {
                     }
                     _ => return Err(self.err("invalid escape sequence")),
                 },
-                Some(b) if b < 0x20 => return Err(self.err("control character in string")),
-                Some(b) if b < 0x80 => out.push(b as char),
-                Some(b) => {
-                    // Multi-byte UTF-8: re-decode from the source slice.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b).ok_or_else(|| self.err("invalid UTF-8 byte"))?;
-                    let end = start + len;
-                    if end > self.bytes.len() {
-                        return Err(self.err("truncated UTF-8 sequence"));
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| self.err("invalid UTF-8 sequence"))?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
+                Some(_) => return Err(self.err("control character in string")),
             }
         }
     }
@@ -277,7 +271,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number slice");
+        let text = &self.input[start..self.pos];
         if !is_float {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Value::Int(i));
@@ -289,15 +283,6 @@ impl<'a> Parser<'a> {
             return Err(self.err("number out of range"));
         }
         Ok(Value::Float(f))
-    }
-}
-
-fn utf8_len(first: u8) -> Option<usize> {
-    match first {
-        0xC2..=0xDF => Some(2),
-        0xE0..=0xEF => Some(3),
-        0xF0..=0xF4 => Some(4),
-        _ => None,
     }
 }
 

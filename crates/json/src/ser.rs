@@ -9,25 +9,30 @@ use std::fmt::Write;
 /// Serialize to the compact single-line form.
 pub fn to_string(v: &Value) -> String {
     let mut out = String::new();
-    write_value(&mut out, v, None, 0);
+    write_value(&mut out, v);
     out
 }
 
 /// Serialize with two-space indentation, for logs and fixtures.
 pub fn to_string_pretty(v: &Value) -> String {
     let mut out = String::new();
-    write_value(&mut out, v, Some(2), 0);
+    write(&mut out, v, Some(2), 0);
     out
 }
 
-fn write_value(out: &mut String, v: &Value, indent: Option<usize>, level: usize) {
+/// Append the compact form of `v` to `out` — [`to_string`] without a
+/// `String` of its own, for a caller that writes JSON text around values
+/// it holds as trees.
+pub fn write_value(out: &mut String, v: &Value) {
+    write(out, v, None, 0);
+}
+
+fn write(out: &mut String, v: &Value, indent: Option<usize>, level: usize) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
         Value::Bool(false) => out.push_str("false"),
-        Value::Int(i) => {
-            let _ = write!(out, "{i}");
-        }
+        Value::Int(i) => write_int(out, *i),
         Value::Float(f) => write_float(out, *f),
         Value::Str(s) => write_string(out, s),
         Value::Array(a) => {
@@ -41,7 +46,7 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, level: usize)
                     out.push(',');
                 }
                 newline_indent(out, indent, level + 1);
-                write_value(out, e, indent, level + 1);
+                write(out, e, indent, level + 1);
             }
             newline_indent(out, indent, level);
             out.push(']');
@@ -62,7 +67,7 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, level: usize)
                 if indent.is_some() {
                     out.push(' ');
                 }
-                write_value(out, e, indent, level + 1);
+                write(out, e, indent, level + 1);
             }
             newline_indent(out, indent, level);
             out.push('}');
@@ -79,35 +84,64 @@ fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
     }
 }
 
+/// Decimal digits straight into `out`: an event page is mostly small
+/// integers, and `fmt` costs more than the digits do.
+fn write_int(out: &mut String, i: i64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut left = i.unsigned_abs();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (left % 10) as u8;
+        left /= 10;
+        if left == 0 {
+            break;
+        }
+    }
+    if i < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
 fn write_float(out: &mut String, f: f64) {
     debug_assert!(f.is_finite(), "non-finite floats cannot enter a Value");
     // `{}` on f64 prints the shortest representation that round-trips,
     // but prints integral floats without a dot; add ".0" so the value
     // re-parses as Float, keeping parse∘print = id.
-    let s = format!("{f}");
-    out.push_str(&s);
-    if !s.contains(['.', 'e', 'E']) {
+    let start = out.len();
+    let _ = write!(out, "{f}");
+    if !out[start..].contains(['.', 'e', 'E']) {
         out.push_str(".0");
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// Append `s` as a JSON string literal, quotes and escapes included.
+pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{0008}' => out.push_str("\\b"),
-            '\u{000C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    // Everything that needs an escape is one ASCII byte, so the text
+    // between two of them is copied as it stands, in one piece.
+    let mut copied = 0;
+    for (at, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[copied..at]);
+        copied = at + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0C => out.push_str("\\f"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[copied..]);
     out.push('"');
 }
 

@@ -14,7 +14,7 @@
 //! deadlines are set.
 
 use crate::api::{ApiRequest, ApiResponse, Method};
-use crate::server::LaminarServer;
+use crate::server::{LaminarServer, Routed};
 use laminar_json::{parse, to_string, Value};
 use laminar_registry::RegistryError;
 use parking_lot::{Condvar, Mutex};
@@ -176,12 +176,14 @@ pub struct HttpServer {
 }
 
 impl HttpServer {
-    /// Bind to `127.0.0.1:0` (ephemeral port) and start serving.
-    pub fn start(server: LaminarServer) -> io::Result<HttpServer> {
+    /// Bind to `127.0.0.1:0` (ephemeral port) and start serving `server`:
+    /// a `LaminarServer` of its own, or an `Arc` of one that in-process
+    /// callers keep routing to beside the edge.
+    pub fn start(server: impl Into<Arc<LaminarServer>>) -> io::Result<HttpServer> {
         Self::start_with(server, LIMITS)
     }
 
-    fn start_with(server: LaminarServer, limits: Limits) -> io::Result<HttpServer> {
+    fn start_with(server: impl Into<Arc<LaminarServer>>, limits: Limits) -> io::Result<HttpServer> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
         let edge = Arc::new(Edge {
@@ -192,7 +194,7 @@ impl HttpServer {
             refused: AtomicU64::new(0),
         });
         let acceptor = Arc::clone(&edge);
-        let server = Arc::new(server);
+        let server = server.into();
         // Handler threads carry the port in their name, so a process
         // listing tells one server's connections from another's.
         let handler_name = format!("http-{}", addr.port());
@@ -323,14 +325,19 @@ impl Edge {
                 _ => return,
             }
             reader.get_mut().deadline = Instant::now() + self.limits.request_deadline;
-            let (response, keep_alive) = match read_request(&mut reader) {
+            let (routed, keep_alive) = match read_request(&mut reader) {
                 Ok((request, keep_alive)) => {
-                    (server.handle(&request), keep_alive && !self.shutdown.load(Ordering::SeqCst))
+                    (server.route(&request), keep_alive && !self.shutdown.load(Ordering::SeqCst))
                 }
                 // The framing is lost, so the connection cannot be reused.
-                Err(e) => (ApiResponse::bad_request(&e.to_string()), false),
+                Err(e) => (Routed::Tree(ApiResponse::bad_request(&e.to_string())), false),
             };
-            if write_response(&mut reader.get_mut().stream, &response, keep_alive).is_err() || !keep_alive {
+            let stream = &mut reader.get_mut().stream;
+            let written = match &routed {
+                Routed::Tree(response) => write_response(stream, response, keep_alive),
+                Routed::Page(text) => write_message(stream, 200, "", text, keep_alive),
+            };
+            if written.is_err() || !keep_alive {
                 return;
             }
             if fresh {
@@ -453,19 +460,9 @@ fn read_request(reader: &mut impl BufRead) -> io::Result<(ApiRequest, bool)> {
     Ok((ApiRequest { method, path, body }, framing.keep_alive.unwrap_or(persistent)))
 }
 
-/// Send one response as one buffer in one `write_all`.
+/// Send a response whose body is a tree: serialize it, then
+/// [`write_message`].
 fn write_response(stream: &mut TcpStream, response: &ApiResponse, keep_alive: bool) -> io::Result<()> {
-    let body = to_string(&response.body);
-    let reason = match response.status {
-        200 => "OK",
-        400 => "Bad Request",
-        401 => "Unauthorized",
-        404 => "Not Found",
-        409 => "Conflict",
-        429 => "Too Many Requests",
-        500 => "Internal Server Error",
-        _ => "Error",
-    };
     // 429s advertise the envelope's backoff as standard headers too, so
     // plain HTTP clients back off without parsing the body. Retry-After
     // is whole seconds (ceiling); the millisecond-precision hint rides
@@ -475,12 +472,35 @@ fn write_response(stream: &mut TcpStream, response: &ApiResponse, keep_alive: bo
         .filter(|ms| *ms >= 0)
         .map(|ms| format!("Retry-After: {}\r\nRetry-After-Ms: {ms}\r\n", (ms as u64).div_ceil(1000)))
         .unwrap_or_default();
+    write_message(stream, response.status, &retry_after, &to_string(&response.body), keep_alive)
+}
+
+/// Send one response as one buffer in one `write_all`: the status line,
+/// the headers (`extra_headers` among them, each ending in CRLF) and
+/// `body`, which is JSON text and goes out as it was given.
+fn write_message(
+    stream: &mut TcpStream,
+    status: u16,
+    extra_headers: &str,
+    body: &str,
+    keep_alive: bool,
+) -> io::Result<()> {
+    let reason = match status {
+        200 => "OK",
+        400 => "Bad Request",
+        401 => "Unauthorized",
+        404 => "Not Found",
+        409 => "Conflict",
+        429 => "Too Many Requests",
+        500 => "Internal Server Error",
+        _ => "Error",
+    };
     let message = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{}Connection: {}\r\n\r\n{}",
-        response.status,
+        status,
         reason,
         body.len(),
-        retry_after,
+        extra_headers,
         if keep_alive { "keep-alive" } else { "close" },
         body
     );

@@ -8,7 +8,7 @@
 
 use crate::api::{ApiRequest, ApiResponse, Method};
 use laminar_engine::{EnginePool, ExecutionEngine, ExecutionRequest, JobResult, PoolError};
-use laminar_json::Value;
+use laminar_json::{parse, write_value, Value};
 use laminar_registry::service::EntityKey;
 use laminar_registry::{QueryType, Registry, RegistryError, SearchOptions, SearchType};
 use parking_lot::RwLock;
@@ -18,6 +18,16 @@ use parking_lot::RwLock;
 pub const DEFAULT_POOL_WORKERS: usize = 4;
 /// Default admission-control bound on queued (not yet running) jobs.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 256;
+
+/// What a route answers with. Every route builds the tree its callers
+/// index into, except an event page: that one is sent far more often than
+/// it is looked into, so its route writes the JSON text once, the HTTP
+/// edge sends it as it is, and only [`LaminarServer::handle`] parses it.
+pub(crate) enum Routed {
+    Tree(ApiResponse),
+    /// The body of a 200, as JSON text.
+    Page(String),
+}
 
 /// The Laminar server: registry + engine worker pool behind the REST API.
 pub struct LaminarServer {
@@ -90,6 +100,17 @@ impl LaminarServer {
 
     /// Controller entry point: route a request (paper §3.2.1).
     pub fn handle(&self, req: &ApiRequest) -> ApiResponse {
+        match self.route(req) {
+            Routed::Tree(response) => response,
+            // In-process callers and the TCP ones see the same bytes by
+            // construction: this is the text the edge would have sent.
+            Routed::Page(text) => ApiResponse::ok(parse(&text).expect("an event page is written as JSON")),
+        }
+    }
+
+    /// [`LaminarServer::handle`] with the body in the form its route made
+    /// it — the HTTP edge's entry.
+    pub(crate) fn route(&self, req: &ApiRequest) -> Routed {
         let segments = req.segments();
         let result = match (req.method, segments.as_slice()) {
             // ---- User controller -----------------------------------------
@@ -154,15 +175,18 @@ impl LaminarServer {
             // `tail` is "events" or "events?since=<seq>&wait_ms=<ms>" —
             // the query stays inside the percent-decoded final segment.
             (Method::Get, ["execution", user, "job", id, tail]) if is_events_segment(tail) => {
-                self.job_events(user, id, tail)
+                match self.job_events(user, id, tail) {
+                    Ok(page) => return Routed::Page(page),
+                    Err(e) => Err(e),
+                }
             }
 
-            _ => return ApiResponse::not_found(&req.path),
+            _ => return Routed::Tree(ApiResponse::not_found(&req.path)),
         };
-        match result {
+        Routed::Tree(match result {
             Ok(body) => ApiResponse::ok(body),
             Err(e) => ApiResponse::error(&e),
-        }
+        })
     }
 
     // ---- user handlers -------------------------------------------------------
@@ -418,7 +442,8 @@ impl LaminarServer {
         Ok(info.to_value())
     }
 
-    /// Read a page of a job's sequenced event log. Cursor protocol:
+    /// Read a page of a job's sequenced event log, as the JSON text of the
+    /// response body. Cursor protocol:
     /// `?since=<seq>` names the first wanted sequence number (default 0);
     /// the response's `next` is the cursor for the next
     /// poll, `first` the oldest retained seq (truncation detection), and
@@ -428,7 +453,11 @@ impl LaminarServer {
     /// the page restarts at — engine-side recovery for checkpointed jobs.
     /// Touches only the pool — never the registry lock — so event polling
     /// overlaps every other endpoint.
-    fn job_events(&self, user: &str, id: &str, tail: &str) -> Result<Value, RegistryError> {
+    ///
+    /// This is the one encoder of a page: the pool hands over the events
+    /// as text and the envelope is written around them, keys in the
+    /// sorted order a `Value` object would serialize them in.
+    fn job_events(&self, user: &str, id: &str, tail: &str) -> Result<String, RegistryError> {
         let id = Self::parse_job_id(id)?;
         let since = events_query(tail, "since")?;
         // Long-poll: `wait_ms` parks the handler on the job log's condvar
@@ -439,18 +468,24 @@ impl LaminarServer {
         let wait = std::time::Duration::from_millis(wait_ms.min(LONG_POLL_MAX_WAIT_MS));
         let page = self
             .pool
-            .events_wait(user, id, since, wait)
+            .events_text_wait(user, id, since, wait)
             .ok_or(RegistryError::NotFound { entity: "Job", key: id.to_string() })?;
-        let mut v = Value::Null;
-        v.set("jobId", id)
-            .set("events", Value::Array(page.events))
-            .set("next", page.next as i64)
-            .set("first", page.first as i64)
-            .set("closed", page.closed);
+        let mut text = String::with_capacity(page.events.len() + 128);
+        text.push_str(if page.closed { "{\"closed\":true" } else { "{\"closed\":false" });
+        text.push_str(",\"events\":");
+        text.push_str(&page.events);
+        let mut int = |key: &str, n: i64| {
+            text.push_str(key);
+            write_value(&mut text, &Value::Int(n));
+        };
+        int(",\"first\":", page.first as i64);
+        int(",\"jobId\":", id);
+        int(",\"next\":", page.next as i64);
         if let Some(epoch) = page.retained_epoch {
-            v.set("retained_epoch", epoch as i64);
+            int(",\"retained_epoch\":", epoch as i64);
         }
-        Ok(v)
+        text.push('}');
+        Ok(text)
     }
 
     /// Poll a job's result. While the job is pending this returns the

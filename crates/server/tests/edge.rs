@@ -167,3 +167,145 @@ fn stop_does_not_wait_for_idle_kept_connections() {
     // so is the listener, so the one reconnect fails too.
     assert!(clients[0].call(&list_users).is_err());
 }
+
+/// The body of the answer to `GET path`, as the bytes the socket carried.
+fn get_body(connection: &mut BufReader<TcpStream>, path: &str) -> (String, String) {
+    connection.get_mut().write_all(format!("GET {path} HTTP/1.1\r\n\r\n").as_bytes()).unwrap();
+    let mut status = String::new();
+    connection.read_line(&mut status).unwrap();
+    let mut length = 0;
+    loop {
+        let mut line = String::new();
+        connection.read_line(&mut line).unwrap();
+        if line.trim().is_empty() {
+            break;
+        }
+        if let Some(value) = line.to_ascii_lowercase().strip_prefix("content-length:") {
+            length = value.trim().parse().unwrap();
+        }
+    }
+    let mut body = vec![0u8; length];
+    connection.read_exact(&mut body).unwrap();
+    (status.trim().to_string(), String::from_utf8(body).unwrap())
+}
+
+/// An event page is text from the typed log on the TCP route and that text
+/// parsed on the in-process one. Over a real socket, every page of every
+/// kind of stream — and the error answers of the same route — is byte for
+/// byte the body `LaminarServer::handle` returns, serialized.
+#[test]
+fn event_pages_on_the_wire_are_the_handled_body_serialized() {
+    use laminar_json::{jobj, to_string};
+    use std::sync::Arc;
+
+    const SRC: &str = r#"
+        pe Seq : producer { output output; process { emit(iteration + 1); } }
+        pe Sq : iterative { input num; output output; process { print("sq \"" + str(num) + "\""); emit(num * num); } }
+        workflow Squares {
+            nodes { s = Seq; q = Sq; }
+            connect s.output -> q.num;
+        }
+    "#;
+    let server = Arc::new(LaminarServer::with_pool(
+        laminar_registry::Registry::in_memory(),
+        laminar_engine::ExecutionEngine::instant(),
+        1,
+        8,
+    ));
+    let http = HttpServer::start(Arc::clone(&server)).unwrap();
+    let submit = |body: Value| {
+        let r = server.handle(&ApiRequest::new(Method::Post, "/execution/u/submit", body));
+        assert!(r.is_ok(), "{r:?}");
+        r.body["jobId"].as_i64().unwrap()
+    };
+    let wait = |id: i64| {
+        let done = server.pool().wait("u", id, Duration::from_secs(30));
+        assert!(done.is_some(), "job {id} did not finish");
+    };
+
+    // The three streams `event_wire.rs` pins: completed and checkpointed,
+    // failed, cancelled while queued (the one worker held by an unbounded
+    // run). The fourth spans several pages.
+    let options = jobj! { "events" => true, "checkpointEvery" => 2 };
+    let completed = submit(jobj! { "source" => SRC, "input" => 3, "options" => options });
+    wait(completed);
+    let failing = "pe Boom : producer { output o; process { emit(1 / 0); } }";
+    let failed = submit(jobj! { "source" => failing, "input" => 1, "options" => jobj! { "events" => true } });
+    wait(failed);
+    let long = submit(jobj! { "source" => SRC, "input" => 700, "options" => jobj! { "events" => true } });
+    wait(long);
+    let unbounded = jobj! { "mode" => "unbounded", "pace_us" => 200 };
+    let blocker = submit(jobj! { "source" => SRC, "input" => unbounded });
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while server.pool().status("u", blocker).unwrap().phase == laminar_engine::JobPhase::Queued {
+        assert!(Instant::now() < deadline, "the blocker never started");
+        std::thread::yield_now();
+    }
+    let cancelled = submit(jobj! { "source" => SRC, "input" => 3, "options" => jobj! { "events" => true } });
+    server.pool().cancel("u", cancelled).unwrap();
+    server.pool().cancel("u", blocker).unwrap();
+    wait(blocker);
+    // A checkpointed run nobody read, in a small log: its first page
+    // re-anchors at a retained epoch.
+    server.pool().set_event_log_capacity(64);
+    server.pool().set_backpressure_wait(Duration::from_millis(100));
+    let options = jobj! { "events" => true, "checkpointEvery" => 10 };
+    let evicted = submit(jobj! { "source" => SRC, "input" => 200, "options" => options });
+    wait(evicted);
+
+    let mut connection = BufReader::new(TcpStream::connect(http.addr()).unwrap());
+    let mut same = |path: String, status: &str| -> Value {
+        let (wire_status, wire) = get_body(&mut connection, &path);
+        let handled = server.handle(&ApiRequest::new(Method::Get, path.replace("%3F", "?"), Value::Null));
+        assert_eq!(wire_status, status, "{path}");
+        assert_eq!(wire, to_string(&handled.body), "{path}");
+        assert_eq!(handled.status.to_string(), status.split(' ').nth(1).unwrap(), "{path}");
+        handled.body
+    };
+    let mut types: Vec<String> = Vec::new();
+    for id in [completed, failed, long, cancelled, evicted] {
+        let (mut since, mut pages) = (0, 0);
+        loop {
+            let page = same(format!("/execution/u/job/{id}/events%3Fsince={since}"), "HTTP/1.1 200 OK");
+            types.extend(
+                page["events"].as_array().unwrap().iter().map(|e| e["type"].as_str().unwrap().to_string()),
+            );
+            if id == evicted && since == 0 {
+                assert!(page["retained_epoch"].as_i64().is_some(), "{page:?}");
+            }
+            since = page["next"].as_i64().unwrap();
+            pages += 1;
+            if page["closed"].as_bool().unwrap() {
+                break;
+            }
+        }
+        assert!(id != long || pages > 1, "the long stream spans pages");
+        // Past the end, and the bare segment.
+        same(format!("/execution/u/job/{id}/events%3Fsince={}", since + 5), "HTTP/1.1 200 OK");
+        same(format!("/execution/u/job/{id}/events"), "HTTP/1.1 200 OK");
+    }
+    for kind in [
+        "plan",
+        "started",
+        "output",
+        "print",
+        "instance_done",
+        "epoch",
+        "finished",
+        "done",
+        "failed",
+        "cancelled",
+    ] {
+        assert!(types.iter().any(|t| t == kind), "no {kind} event crossed the wire");
+    }
+    same(format!("/execution/u/job/{completed}/events%3Fsince=banana"), "HTTP/1.1 400 Bad Request");
+    same(format!("/execution/u/job/{completed}/events%3Fwait_ms=soon"), "HTTP/1.1 400 Bad Request");
+    same("/execution/u/job/abc/events".to_string(), "HTTP/1.1 400 Bad Request");
+    same("/execution/u/job/999/events".to_string(), "HTTP/1.1 404 Not Found");
+    same(format!("/execution/mallory/job/{completed}/events"), "HTTP/1.1 404 Not Found");
+    same("/execution/u/job/1/eventss".to_string(), "HTTP/1.1 404 Not Found");
+
+    drop(connection);
+    await_no_handlers(&http);
+    http.stop();
+}
