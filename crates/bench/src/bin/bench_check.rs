@@ -32,15 +32,13 @@
 //!   its own polling leg and config); the committed `BENCH_PR10.json`
 //!   full run must additionally hold the tighter 0.5× ratio it was
 //!   gated on when it was produced;
-//! * **registry search** — in `search_scale`, the index must answer
-//!   every indexed query itself (the registry's `scan_fallbacks` does
-//!   not move across the indexed reps), the text indexed-vs-scan speedup
-//!   must stay at or above [`SEARCH_SPEEDUP_FLOOR`], indexed p99 at or
-//!   below [`SEARCH_P99_CEILING_US`] per mode, per-registration index
-//!   maintenance at or below [`INDEX_MAINTENANCE_CEILING_US`], and the
-//!   indexed hits must match the scan oracle exactly (all from the same
-//!   fresh smoke run; the tighter full-corpus gates — 5x text speedup,
-//!   sub-ms p99 — are enforced by `search_scale` itself on full runs).
+//! * **registry search** — in `search_scale`, the text indexed-vs-scan
+//!   speedup must stay at or above [`SEARCH_SPEEDUP_FLOOR`], indexed p99
+//!   at or below [`SEARCH_P99_CEILING_US`] per mode, index maintenance per
+//!   PE link at or below [`INDEX_MAINTENANCE_CEILING_US`], and the indexed
+//!   hits must match the scan oracle exactly (all from the same fresh
+//!   smoke run; the tighter full-corpus gates — 5x text speedup, sub-ms
+//!   p99 — are enforced by `search_scale` itself on full runs).
 //!
 //! The 5× margin is deliberately coarse: smoke configs are smaller than
 //! the committed full runs and CI machines are noisy — this gate exists
@@ -82,8 +80,7 @@ const CHECKPOINT_OVERHEAD_CEILING: f64 = 1.25;
 /// `search_scale` on full runs); the smoke corpus is 50x smaller, so the
 /// scan side is proportionally cheaper and the observable gap narrower.
 /// The semantic scan runs the index's own kernel over the same vectors,
-/// so no floor is set on its ratio; for both modes the index silently
-/// degrading to the scan path is caught by counting its declines.
+/// so no floor is set on its ratio.
 const SEARCH_SPEEDUP_FLOOR: f64 = 2.0;
 
 /// Indexed search p99 in the smoke run must stay below this (µs). The
@@ -91,12 +88,12 @@ const SEARCH_SPEEDUP_FLOOR: f64 = 2.0;
 /// can't answer in 2ms means the indexed path itself regressed.
 const SEARCH_P99_CEILING_US: f64 = 2000.0;
 
-/// Incremental index maintenance may add at most this much (µs) to one
-/// PE's registration: index-on minus index-off, both sides from the same
-/// fresh `search_scale` run, warm-cache best-of-n. The same bound
-/// `search_scale` enforces on full runs — the cost is per PE (one
+/// Incremental index maintenance may cost at most this much (µs) per PE
+/// link: `search_scale` times one `SearchIndex::build` over its finished
+/// corpus, the same `add_pe` per link that registration runs. The same
+/// bound `search_scale` enforces on full runs — the cost is per PE (one
 /// tokenisation, ~7 KB of new matrix rows), not per corpus, so the smoke
-/// run needs no looser one. An absolute difference rather than a ratio,
+/// run needs no looser one. Absolute, not a ratio over a registration,
 /// so a cheaper write path around the index does not move the gate.
 const INDEX_MAINTENANCE_CEILING_US: f64 = 15.0;
 
@@ -272,10 +269,9 @@ fn main() {
         higher_is_better: true,
     });
 
-    // Registry search: the index answering for itself, text
-    // indexed-vs-scan speedup, indexed tail latency, index-maintenance
-    // overhead and the differential oracle verdict — all fresh-vs-fresh
-    // from the same search_scale smoke run.
+    // Registry search: text indexed-vs-scan speedup, indexed tail
+    // latency, index-maintenance cost and the differential oracle verdict
+    // — all fresh-vs-fresh from the same search_scale smoke run.
     for mode in ["semantic", "text"] {
         let metric = |key: &str| {
             search[mode][key]
@@ -283,12 +279,6 @@ fn main() {
                 .or_else(|| search[mode][key].as_i64().map(|v| v as f64))
                 .unwrap_or_else(|| panic!("{fresh_search}: missing {mode}.{key}"))
         };
-        checks.push(Check {
-            name: format!("search queries the index left to the scan [{mode}]"),
-            fresh: metric("index_declines"),
-            limit: 0.0,
-            higher_is_better: false,
-        });
         if mode == "text" {
             checks.push(Check {
                 name: format!("search speedup indexed vs scan [{mode}]"),
@@ -305,7 +295,7 @@ fn main() {
         });
     }
     checks.push(Check {
-        name: "search index maintenance per registration (us)".into(),
+        name: "search index maintenance per PE link (us)".into(),
         fresh: search["registration"]["maintenance_per_pe_us"]
             .as_f64()
             .unwrap_or_else(|| panic!("{fresh_search}: missing registration.maintenance_per_pe_us")),

@@ -32,6 +32,7 @@
 //! run in CI against the same bounds (0.75× for the latency ratio —
 //! smoke samples are small).
 
+use laminar_bench::percentile;
 use laminar_engine::{EnginePool, ExecutionEngine, ExecutionRequest, JobPhase, PoolError};
 use laminar_json::Value;
 use laminar_server::api::Method;
@@ -211,11 +212,6 @@ fn latency_job(addr: SocketAddr, user: &str, iterations: i64, push: bool) -> Lat
     LatencySample { first_event: first_event.expect("stream had events"), outputs, gap_free }
 }
 
-fn percentile(sorted_us: &[u64], p: f64) -> u64 {
-    let idx = ((sorted_us.len() as f64 * p).ceil() as usize).clamp(1, sorted_us.len()) - 1;
-    sorted_us[idx]
-}
-
 struct LatencyRun {
     push_p50_us: u64,
     push_p99_us: u64,
@@ -268,12 +264,12 @@ fn latency_phase(jobs_per_mode: usize, iterations: i64, provision_scale: u64) ->
 
     push_us.sort_unstable();
     poll_us.sort_unstable();
-    let push_p99 = percentile(&push_us, 0.99);
-    let poll_p99 = percentile(&poll_us, 0.99);
+    let push_p99 = percentile(&push_us, 99.0);
+    let poll_p99 = percentile(&poll_us, 99.0);
     LatencyRun {
-        push_p50_us: percentile(&push_us, 0.50),
+        push_p50_us: percentile(&push_us, 50.0),
         push_p99_us: push_p99,
-        poll_p50_us: percentile(&poll_us, 0.50),
+        poll_p50_us: percentile(&poll_us, 50.0),
         poll_p99_us: poll_p99,
         p99_ratio: push_p99 as f64 / poll_p99.max(1) as f64,
         lost_events,

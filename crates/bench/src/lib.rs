@@ -155,6 +155,19 @@ pub fn fmt_secs(d: Duration) -> String {
     format!("{:.2} sec.", d.as_secs_f64())
 }
 
+/// Nearest-rank percentile of an ascending slice: the smallest sample
+/// with at least `p` percent of the samples at or below it, `p` in
+/// `(0, 100]`; 0 for an empty slice. The definition `bench_e2e` uses; the
+/// small slack keeps `99.9 % of 10 000` at rank 9 990 although the product
+/// is not exact in binary.
+pub fn percentile(sorted: &[u64], p: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let rank = ((p * sorted.len() as f64 / 100.0 - 1e-9).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1]
+}
+
 // ---------------------------------------------------------------------------
 // Perf-report harness (BENCH_*.json trajectory)
 // ---------------------------------------------------------------------------
@@ -307,5 +320,22 @@ pub fn bench_mapping(
         collect_us: median.timings.collect.as_micros() as u64,
         compile_us: median.timings.compile.as_micros() as u64,
         throughput: options.invocations() as f64 / secs,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::percentile;
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        let s: Vec<u64> = (1..=10).collect();
+        assert_eq!(percentile(&s, 50.0), 5);
+        assert_eq!(percentile(&s, 51.0), 6);
+        assert_eq!(percentile(&s, 99.0), 10);
+        assert_eq!(percentile(&s, 0.001), 1);
+        let hundred: Vec<u64> = (1..=100).collect();
+        assert_eq!(percentile(&hundred, 99.0), 99);
+        assert_eq!(percentile(&[], 50.0), 0);
     }
 }

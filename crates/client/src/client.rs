@@ -1518,4 +1518,40 @@ mod tests {
         assert_eq!(hits.len(), 1);
         http.stop();
     }
+
+    #[test]
+    fn a_search_query_holding_a_slash_is_a_search_on_both_transports() {
+        let http = laminar_server::HttpServer::start(LaminarServer::in_memory()).unwrap();
+        let clients = [
+            ("in-process", LaminarClient::in_process(LaminarServer::in_memory())),
+            ("tcp", LaminarClient::connect(http.addr())),
+        ];
+        for (transport, mut c) in clients {
+            c.register("slash", "password").unwrap();
+            c.login("slash", "password").unwrap();
+            c.register_pe(
+                "pe Halve : iterative { input x; output output; process { emit(x / 2); } }",
+                Some("halves every input/output value"),
+            )
+            .unwrap();
+            c.register_pe(
+                "pe Shout : iterative { input text; output output; process { emit(text + \"!\"); } }",
+                Some("appends an exclamation mark to a line of text"),
+            )
+            .unwrap();
+            for (query, search_type, query_type) in
+                [("emit(x / 2)", "pe", "code"), ("input/output", "both", "text")]
+            {
+                let hits = c
+                    .search_registry(query, search_type, query_type)
+                    .unwrap_or_else(|e| panic!("{transport}: {query:?} failed: {e:?}"));
+                assert_eq!(
+                    hits[0]["name"].as_str(),
+                    Some("Halve"),
+                    "{transport}: {query:?} answered {hits:?}"
+                );
+            }
+        }
+        http.stop();
+    }
 }

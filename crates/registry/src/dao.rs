@@ -50,14 +50,6 @@ impl Dao {
         &self.index
     }
 
-    /// Enable or disable index maintenance. Disabling drops the index
-    /// (searches fall back to the linear scan); re-enabling rebuilds it
-    /// from the store. This is the bench's baseline knob — production
-    /// code never turns it off.
-    pub fn set_index_enabled(&mut self, enabled: bool) {
-        self.index = if enabled { SearchIndex::build(&self.store) } else { SearchIndex::disabled() };
-    }
-
     /// Force a snapshot to disk (durable mode only).
     pub fn checkpoint(&mut self) -> Result<(), RegistryError> {
         self.wal.snapshot(&self.store)

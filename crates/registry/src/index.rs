@@ -1,4 +1,5 @@
-//! The incrementally-maintained search index (ROADMAP item 4).
+//! The incrementally-maintained search index: what every registry search
+//! is served from.
 //!
 //! Registry search used to be a linear scan: every query walked the
 //! user's whole PE set, re-normalized text per entity per field,
@@ -15,13 +16,16 @@
 //!   scan — no entity touched until hit materialization. Multi-token
 //!   needles fall back to a substring scan over the *cached* normalized
 //!   fields, still never re-normalizing an entity's text.
-//! * **Semantic / code** — per-user structure-of-arrays `f32` matrices
-//!   (one row per PE, `desc`/`code` embedding spaces kept separately)
-//!   with per-row L2 norms cached at insert. Ranking is one fused
-//!   dot/norm cosine kernel pass over contiguous rows and a bounded
-//!   top-`k` heap: no norm recomputed, no full sort. Matrices live
-//!   behind `Arc`, so cloning an index (e.g. snapshotting for an offline
-//!   consumer) shares the vector storage copy-on-write.
+//! * **Semantic / code** — per user and per embedding space
+//!   (`desc`/`code`), one structure-of-arrays `f32` matrix per embedding
+//!   dimension present, with per-row L2 norms cached at insert. A query
+//!   ranks the matrix of its own dimension: one fused dot/norm cosine
+//!   kernel pass over contiguous rows and a bounded top-`k` heap, no norm
+//!   recomputed, no full sort. Vectors of another dimension cannot be
+//!   compared with the query, and are exactly what the scan leaves out
+//!   too. Real models are fixed-dimension, so a user normally has one
+//!   matrix per space; a second appears for hand-built entities or a
+//!   durable registry reopened after a model change.
 //!
 //! **Consistency.** The index is owned by the DAO and mutated in the
 //! same call that journals the mutation, under the registry's outer
@@ -32,14 +36,11 @@
 //! shortest-round-trip, so recovered vectors (and therefore scores) are
 //! bit-identical to the pre-crash ones.
 //!
-//! **Exactness.** Every query path here is an exact replacement for the
-//! linear scan it shadows — same hits, same scores (the scan and the
-//! index share one cosine kernel), same score-then-id order — which is
-//! pinned by the differential proptest in `tests/proptest_search.rs`.
-//! When a user's vectors are heterogeneous in dimension (possible only
-//! for hand-built entities; real models are fixed-dimension) the vector
-//! side marks itself degraded and search falls back to the scan, which
-//! skips the vectors it cannot compare with the query.
+//! **Exactness.** Every query here answers exactly what the linear scan
+//! behind `SearchOptions::force_scan` answers — same hits, same scores
+//! (the scan and the index share one cosine kernel), same score-then-id
+//! order — which is pinned by the differential proptests in
+//! `tests/proptest_search.rs`.
 
 use crate::entities::{PeEntity, WorkflowEntity};
 use crate::search::normalize_text;
@@ -48,7 +49,6 @@ use laminar_embed::embedding::{cosine_prenorm, l2_norm, TopK};
 use laminar_embed::Embedding;
 use laminar_json::Value;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::Arc;
 
 /// Which embedding space a ranked query runs over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,7 +70,7 @@ impl VecField {
 }
 
 /// Per-user inverted token index over one entity kind's text fields.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct TextIndex {
     /// token → ids of entities containing it (in any indexed field).
     postings: BTreeMap<Box<str>, BTreeSet<i64>>,
@@ -142,54 +142,37 @@ impl TextIndex {
     }
 }
 
-/// Per-user dense-vector matrix for one embedding space: row-major
-/// structure-of-arrays with cached norms and a dense-row ↔ peId map.
-#[derive(Debug, Clone)]
+/// Per-user dense-vector matrix for one embedding space and dimension:
+/// row-major structure-of-arrays with cached norms and a dense-row ↔
+/// peId map.
+#[derive(Debug)]
 struct VecIndex {
     dim: usize,
-    /// `ids.len() * dim` floats, row-major; Arc for copy-on-write shares.
-    data: Arc<Vec<f32>>,
+    /// `ids.len() * dim` floats, row-major.
+    data: Vec<f32>,
     /// Per-row L2 norm, computed once at insert by the same kernel the
     /// scoring kernel divides by — scores stay bit-identical to a
     /// from-scratch cosine.
-    norms: Arc<Vec<f32>>,
+    norms: Vec<f32>,
     /// Row → peId.
     ids: Vec<i64>,
     /// peId → row.
     row_of: HashMap<i64, usize>,
-    /// Set when an insert saw a dimension mismatching the matrix; ranked
-    /// queries then decline (`None`) and search falls back to the scan.
-    degraded: bool,
-}
-
-impl Default for VecIndex {
-    fn default() -> Self {
-        VecIndex {
-            dim: 0,
-            data: Arc::new(Vec::new()),
-            norms: Arc::new(Vec::new()),
-            ids: Vec::new(),
-            row_of: HashMap::new(),
-            degraded: false,
-        }
-    }
 }
 
 impl VecIndex {
+    fn new(dim: usize) -> VecIndex {
+        VecIndex { dim, data: Vec::new(), norms: Vec::new(), ids: Vec::new(), row_of: HashMap::new() }
+    }
+
+    /// Append a row for `id`, which the matrix does not hold: the DAO
+    /// indexes a (user, PE) pair once, when the link is made.
     fn add(&mut self, id: i64, e: &Embedding) {
-        if self.row_of.contains_key(&id) {
-            self.remove(id);
-        }
-        if self.ids.is_empty() {
-            self.dim = e.dim();
-        }
-        if e.dim() != self.dim {
-            self.degraded = true;
-            return;
-        }
-        Arc::make_mut(&mut self.data).extend_from_slice(&e.values);
-        Arc::make_mut(&mut self.norms).push(l2_norm(&e.values));
-        self.row_of.insert(id, self.ids.len());
+        debug_assert_eq!(e.dim(), self.dim, "a row joins the matrix of its own dimension");
+        let fresh = self.row_of.insert(id, self.ids.len()).is_none();
+        debug_assert!(fresh, "PE {id} indexed twice for one owner");
+        self.data.extend_from_slice(&e.values);
+        self.norms.push(l2_norm(&e.values));
         self.ids.push(id);
     }
 
@@ -197,36 +180,23 @@ impl VecIndex {
     fn remove(&mut self, id: i64) {
         let Some(row) = self.row_of.remove(&id) else { return };
         let last = self.ids.len() - 1;
-        let data = Arc::make_mut(&mut self.data);
-        let norms = Arc::make_mut(&mut self.norms);
         if row != last {
-            let (head, tail) = data.split_at_mut(last * self.dim);
+            let (head, tail) = self.data.split_at_mut(last * self.dim);
             head[row * self.dim..(row + 1) * self.dim].copy_from_slice(&tail[..self.dim]);
-            norms[row] = norms[last];
+            self.norms[row] = self.norms[last];
             let moved = self.ids[last];
             self.ids[row] = moved;
             self.row_of.insert(moved, row);
         }
         self.ids.pop();
-        norms.pop();
-        data.truncate(last * self.dim);
+        self.norms.pop();
+        self.data.truncate(last * self.dim);
     }
 
-    /// Best `k` rows by cosine against `query`, best-first with ties
-    /// toward the lower id — the oracle's sort-then-truncate order.
-    /// `None` when degraded or the query dimension mismatches the matrix
-    /// (the scan then answers with the vectors the query can be compared
-    /// with).
-    fn top(&self, query: &Embedding, k: usize) -> Option<Vec<(i64, f64)>> {
-        if self.degraded {
-            return None;
-        }
-        if self.ids.is_empty() {
-            return Some(Vec::new());
-        }
-        if query.dim() != self.dim {
-            return None;
-        }
+    /// Best `k` rows by cosine against `query` (of this matrix's
+    /// dimension), best-first with ties toward the lower id — the
+    /// oracle's sort-then-truncate order.
+    fn top(&self, query: &Embedding, k: usize) -> Vec<(i64, f64)> {
         let qnorm = l2_norm(&query.values);
         let mut top = TopK::new(k);
         for (row, &id) in self.ids.iter().enumerate() {
@@ -236,37 +206,45 @@ impl VecIndex {
                     as f64;
             top.push(id, score);
         }
-        Some(top.into_sorted())
+        top.into_sorted()
     }
 }
 
+/// One user's matrices for one embedding space, keyed by dimension.
+type Matrices = BTreeMap<usize, VecIndex>;
+
+fn add_row(matrices: &mut Matrices, id: i64, e: &Embedding) {
+    matrices.entry(e.dim()).or_insert_with(|| VecIndex::new(e.dim())).add(id, e);
+}
+
+/// Drop `id`'s row, and with it a matrix left empty.
+fn remove_row(matrices: &mut Matrices, id: i64) {
+    matrices.retain(|_, matrix| {
+        matrix.remove(id);
+        !matrix.ids.is_empty()
+    });
+}
+
 /// One user's slice of the index.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct UserIndex {
     pe_text: TextIndex,
     wf_text: TextIndex,
-    desc: VecIndex,
-    code: VecIndex,
+    desc: Matrices,
+    code: Matrices,
 }
 
 /// The registry-wide search index: one [`UserIndex`] per user that owns
 /// at least one entity. Owned and maintained by the DAO.
-#[derive(Debug, Clone)]
+#[derive(Debug, Default)]
 pub struct SearchIndex {
-    enabled: bool,
     users: HashMap<i64, UserIndex>,
 }
 
 impl SearchIndex {
-    /// An empty, enabled index.
+    /// An empty index.
     pub fn new() -> SearchIndex {
-        SearchIndex { enabled: true, users: HashMap::new() }
-    }
-
-    /// A disabled index: maintenance hooks no-op and every query
-    /// declines, forcing the scan path (the bench baseline).
-    pub fn disabled() -> SearchIndex {
-        SearchIndex { enabled: false, users: HashMap::new() }
+        SearchIndex::default()
     }
 
     /// Rebuild from a (recovered) store — the WAL-replay consistency
@@ -287,50 +265,33 @@ impl SearchIndex {
         index
     }
 
-    /// Whether queries are served from the index.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     // ---- maintenance (DAO write path) ---------------------------------
 
     /// Index a PE for one owner (registration or shared-owner link).
     pub fn add_pe(&mut self, user_id: i64, pe: &PeEntity) {
-        if !self.enabled {
-            return;
-        }
         let user = self.users.entry(user_id).or_default();
         user.pe_text.add(pe.pe_id, &[&pe.pe_name, &pe.description]);
-        user.desc.add(pe.pe_id, &pe.desc_embedding);
-        user.code.add(pe.pe_id, &pe.code_embedding);
+        add_row(&mut user.desc, pe.pe_id, &pe.desc_embedding);
+        add_row(&mut user.code, pe.pe_id, &pe.code_embedding);
     }
 
     /// Drop a PE from one owner's slice (unlink or deletion).
     pub fn remove_pe(&mut self, user_id: i64, pe_id: i64) {
-        if !self.enabled {
-            return;
-        }
         if let Some(user) = self.users.get_mut(&user_id) {
             user.pe_text.remove(pe_id);
-            user.desc.remove(pe_id);
-            user.code.remove(pe_id);
+            remove_row(&mut user.desc, pe_id);
+            remove_row(&mut user.code, pe_id);
         }
     }
 
     /// Index a workflow for one owner.
     pub fn add_workflow(&mut self, user_id: i64, wf: &WorkflowEntity) {
-        if !self.enabled {
-            return;
-        }
         let user = self.users.entry(user_id).or_default();
         user.wf_text.add(wf.workflow_id, &[&wf.workflow_name, &wf.entry_point, &wf.description]);
     }
 
     /// Drop a workflow from one owner's slice.
     pub fn remove_workflow(&mut self, user_id: i64, workflow_id: i64) {
-        if !self.enabled {
-            return;
-        }
         if let Some(user) = self.users.get_mut(&user_id) {
             user.wf_text.remove(workflow_id);
         }
@@ -339,42 +300,25 @@ impl SearchIndex {
     // ---- queries ------------------------------------------------------
 
     /// PE ids text-matching `needle` (already normalized, non-empty),
-    /// ascending, at most `limit`. `None` when the index is disabled.
-    pub fn text_pes(&self, user_id: i64, needle: &str, limit: usize) -> Option<Vec<i64>> {
-        if !self.enabled {
-            return None;
-        }
-        Some(self.users.get(&user_id).map(|u| u.pe_text.matching(needle, limit)).unwrap_or_default())
+    /// ascending, at most `limit`.
+    pub fn text_pes(&self, user_id: i64, needle: &str, limit: usize) -> Vec<i64> {
+        self.users.get(&user_id).map(|u| u.pe_text.matching(needle, limit)).unwrap_or_default()
     }
 
     /// Workflow ids text-matching `needle`, ascending, at most `limit`.
-    pub fn text_workflows(&self, user_id: i64, needle: &str, limit: usize) -> Option<Vec<i64>> {
-        if !self.enabled {
-            return None;
-        }
-        Some(self.users.get(&user_id).map(|u| u.wf_text.matching(needle, limit)).unwrap_or_default())
+    pub fn text_workflows(&self, user_id: i64, needle: &str, limit: usize) -> Vec<i64> {
+        self.users.get(&user_id).map(|u| u.wf_text.matching(needle, limit)).unwrap_or_default()
     }
 
-    /// Best `limit` PEs by cosine in `field` space, best-first. `None`
-    /// when the index is disabled or that user's matrix is degraded /
-    /// dimension-mismatched (callers fall back to the scan).
-    pub fn top_pes(
-        &self,
-        user_id: i64,
-        field: VecField,
-        query: &Embedding,
-        limit: usize,
-    ) -> Option<Vec<(i64, f64)>> {
-        if !self.enabled {
-            return None;
-        }
-        match self.users.get(&user_id) {
-            None => Some(Vec::new()),
-            Some(user) => match field {
-                VecField::Desc => user.desc.top(query, limit),
-                VecField::Code => user.code.top(query, limit),
-            },
-        }
+    /// Best `limit` PEs by cosine in `field` space, best-first, among the
+    /// user's vectors of the query's dimension.
+    pub fn top_pes(&self, user_id: i64, field: VecField, query: &Embedding, limit: usize) -> Vec<(i64, f64)> {
+        let Some(user) = self.users.get(&user_id) else { return Vec::new() };
+        let matrices = match field {
+            VecField::Desc => &user.desc,
+            VecField::Code => &user.code,
+        };
+        matrices.get(&query.dim()).map(|m| m.top(query, limit)).unwrap_or_default()
     }
 
     /// Observability snapshot for `/registry/stats`.
@@ -383,20 +327,13 @@ impl SearchIndex {
         let mut vectors = 0usize;
         for user in self.users.values() {
             tokens += user.pe_text.token_count() + user.wf_text.token_count();
-            vectors += user.desc.ids.len() + user.code.ids.len();
+            vectors += user.desc.values().chain(user.code.values()).map(|m| m.ids.len()).sum::<usize>();
         }
         let mut v = Value::Null;
-        v.set("enabled", self.enabled)
-            .set("indexed_users", self.users.len() as i64)
+        v.set("indexed_users", self.users.len() as i64)
             .set("text_tokens", tokens as i64)
             .set("vectors", vectors as i64);
         v
-    }
-}
-
-impl Default for SearchIndex {
-    fn default() -> Self {
-        SearchIndex::new()
     }
 }
 
@@ -434,21 +371,21 @@ mod tests {
         idx.add_pe(1, &pe(10, "IsPrime", "checks primality", &[1.0], &[1.0]));
         idx.add_pe(1, &pe(11, "WordCount", "counts words", &[1.0], &[1.0]));
         // "prime" occurs inside the token "isprime".
-        assert_eq!(idx.text_pes(1, "prime", 25).unwrap(), vec![10]);
+        assert_eq!(idx.text_pes(1, "prime", 25), vec![10]);
         // Substring of a description token.
-        assert_eq!(idx.text_pes(1, "ount", 25).unwrap(), vec![11]);
+        assert_eq!(idx.text_pes(1, "ount", 25), vec![11]);
         // Both match "s": ascending id order, limit applies.
-        assert_eq!(idx.text_pes(1, "s", 1).unwrap(), vec![10]);
+        assert_eq!(idx.text_pes(1, "s", 1), vec![10]);
         // Other users see nothing.
-        assert_eq!(idx.text_pes(2, "prime", 25).unwrap(), Vec::<i64>::new());
+        assert_eq!(idx.text_pes(2, "prime", 25), Vec::<i64>::new());
     }
 
     #[test]
     fn text_multi_token_spans_boundaries() {
         let mut idx = SearchIndex::new();
         idx.add_pe(1, &pe(10, "IsPrime", "checks prime numbers fast", &[1.0], &[1.0]));
-        assert_eq!(idx.text_pes(1, "prime numbers", 25).unwrap(), vec![10]);
-        assert_eq!(idx.text_pes(1, "numbers prime", 25).unwrap(), Vec::<i64>::new());
+        assert_eq!(idx.text_pes(1, "prime numbers", 25), vec![10]);
+        assert_eq!(idx.text_pes(1, "numbers prime", 25), Vec::<i64>::new());
     }
 
     #[test]
@@ -457,9 +394,9 @@ mod tests {
         idx.add_pe(1, &pe(10, "IsPrime", "d", &[1.0], &[1.0]));
         idx.add_pe(1, &pe(11, "IsPrimeFast", "d", &[1.0], &[1.0]));
         idx.remove_pe(1, 10);
-        assert_eq!(idx.text_pes(1, "prime", 25).unwrap(), vec![11]);
+        assert_eq!(idx.text_pes(1, "prime", 25), vec![11]);
         idx.remove_pe(1, 11);
-        assert_eq!(idx.text_pes(1, "prime", 25).unwrap(), Vec::<i64>::new());
+        assert_eq!(idx.text_pes(1, "prime", 25), Vec::<i64>::new());
         let user = idx.users.get(&1).unwrap();
         assert_eq!(user.pe_text.token_count(), 0, "posting lists garbage-collected");
     }
@@ -468,9 +405,9 @@ mod tests {
     fn workflow_text_covers_entry_point() {
         let mut idx = SearchIndex::new();
         idx.add_workflow(1, &wf(5, "IsPrimeFlow", "isPrime", "prints random primes"));
-        assert_eq!(idx.text_workflows(1, "isprime", 25).unwrap(), vec![5]);
+        assert_eq!(idx.text_workflows(1, "isprime", 25), vec![5]);
         idx.remove_workflow(1, 5);
-        assert_eq!(idx.text_workflows(1, "isprime", 25).unwrap(), Vec::<i64>::new());
+        assert_eq!(idx.text_workflows(1, "isprime", 25), Vec::<i64>::new());
     }
 
     #[test]
@@ -487,7 +424,7 @@ mod tests {
         }
         let q = emb(&[0.3, -1.2, 0.7, 2.0]);
         for field in [VecField::Desc, VecField::Code] {
-            let got = idx.top_pes(1, field, &q, 5).unwrap();
+            let got = idx.top_pes(1, field, &q, 5);
             let mut oracle: Vec<(i64, f64)> =
                 pes.iter().map(|p| (p.pe_id, cosine(&q, field.of(p)) as f64)).collect();
             oracle.sort_by(|a, b| {
@@ -506,7 +443,7 @@ mod tests {
         }
         idx.remove_pe(1, 1); // middle row: row 3 swaps into slot 1
         let q = emb(&[1.0, 0.0]);
-        let top = idx.top_pes(1, VecField::Desc, &q, 10).unwrap();
+        let top = idx.top_pes(1, VecField::Desc, &q, 10);
         let ids: Vec<i64> = top.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids.len(), 3);
         assert!(!ids.contains(&1));
@@ -518,24 +455,29 @@ mod tests {
     }
 
     #[test]
-    fn mixed_dimensions_degrade_to_scan() {
+    fn mixed_dimensions_rank_within_their_own_dimension() {
+        fn ids(idx: &SearchIndex, field: VecField, q: &[f32]) -> Vec<i64> {
+            idx.top_pes(1, field, &emb(q), 5).into_iter().map(|(id, _)| id).collect()
+        }
         let mut idx = SearchIndex::new();
         idx.add_pe(1, &pe(1, "A", "d", &[1.0, 0.0], &[1.0, 0.0]));
         idx.add_pe(1, &pe(2, "B", "d", &[1.0, 0.0, 0.0], &[1.0, 0.0]));
-        assert!(idx.top_pes(1, VecField::Desc, &emb(&[1.0, 0.0]), 5).is_none(), "degraded");
-        // The code space stayed homogeneous and still serves.
-        assert_eq!(idx.top_pes(1, VecField::Code, &emb(&[1.0, 0.0]), 5).unwrap().len(), 2);
-        // Query dimension mismatch also declines instead of panicking.
-        assert!(idx.top_pes(1, VecField::Code, &emb(&[1.0]), 5).is_none());
-    }
-
-    #[test]
-    fn disabled_index_declines_everything() {
-        let mut idx = SearchIndex::disabled();
-        idx.add_pe(1, &pe(1, "A", "d", &[1.0], &[1.0]));
-        assert!(idx.text_pes(1, "a", 25).is_none());
-        assert!(idx.top_pes(1, VecField::Desc, &emb(&[1.0]), 5).is_none());
-        assert_eq!(idx.stats()["enabled"].as_bool(), Some(false));
+        idx.add_pe(1, &pe(3, "C", "d", &[0.0, 1.0, 0.0], &[0.0, 1.0]));
+        // Each description dimension has its own matrix and answers alone.
+        assert_eq!(ids(&idx, VecField::Desc, &[1.0, 0.0]), [1]);
+        assert_eq!(ids(&idx, VecField::Desc, &[1.0, 0.0, 0.0]), [2, 3]);
+        // The homogeneous code space holds all three.
+        assert_eq!(ids(&idx, VecField::Code, &[1.0, 0.0]), [1, 2, 3]);
+        // No vector of the query's dimension: no hits, no panic.
+        assert_eq!(ids(&idx, VecField::Code, &[1.0]), [0i64; 0]);
+        // Swap-remove inside the 3-d matrix leaves the 2-d one alone, and
+        // removing the last 2-d row drops that matrix.
+        idx.remove_pe(1, 2);
+        assert_eq!(ids(&idx, VecField::Desc, &[1.0, 0.0, 0.0]), [3]);
+        assert_eq!(ids(&idx, VecField::Desc, &[1.0, 0.0]), [1]);
+        idx.remove_pe(1, 1);
+        assert_eq!(idx.users[&1].desc.keys().copied().collect::<Vec<_>>(), [3]);
+        assert_eq!(idx.stats()["vectors"].as_i64(), Some(2));
     }
 
     #[test]

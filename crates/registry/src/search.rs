@@ -3,19 +3,15 @@
 //! Each mode has two implementations with an identical result contract —
 //! same hits, same scores, same score-then-id order:
 //!
-//! * the **indexed path** (default) serves from the DAO's
+//! * the **index** serves every query, from the DAO's
 //!   incrementally-maintained [`SearchIndex`](crate::index::SearchIndex);
 //! * the **linear scan** is the original O(corpus) implementation, kept
-//!   as the differential oracle behind [`SearchOptions::force_scan`]
+//!   only as the differential oracle behind [`SearchOptions::force_scan`]
 //!   (the same oracle pattern the script VM uses for the tree-walker).
 //!   It walks the same typed entities the index was built from, by
 //!   reference: what it pays per entity is text normalization or a
 //!   from-scratch cosine, not a decode.
 //!
-//! The index declines queries it cannot answer exactly (disabled, or a
-//! degraded/dimension-mismatched vector matrix) and the scan takes over,
-//! ranking the vectors of the query's dimension; `indexed` counts each
-//! decline for the registry (`scan_fallbacks` in `/registry/stats`).
 //! Both paths materialize winners through the same `pe_hit` /
 //! `workflow_hit`.
 
@@ -23,7 +19,6 @@ use crate::dao::Dao;
 use crate::entities::{PeEntity, WorkflowEntity};
 pub use crate::index::VecField;
 use laminar_embed::{cosine, Embedding};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What to search over (the client's `search_type` parameter).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,36 +147,17 @@ fn contains_normalized(needle_norm: &str, haystack: &str) -> bool {
     normalize_text(haystack).contains(needle_norm)
 }
 
-/// The index's answer to `ask`, unless the caller forced the scan. When
-/// the index itself declines (disabled, degraded matrix, dimension
-/// mismatch) the scan takes over silently, so that is counted in
-/// `declines`; `force_scan` is the caller's own choice and is not.
-fn indexed<T>(opts: &SearchOptions, declines: &AtomicU64, ask: impl FnOnce() -> Option<T>) -> Option<T> {
-    if opts.force_scan {
-        return None;
-    }
-    let answer = ask();
-    if answer.is_none() {
-        declines.fetch_add(1, Ordering::Relaxed);
-    }
-    answer
-}
-
 /// Text search over workflows (Figure 6) — names, entry points and
 /// descriptions.
-pub fn text_search_workflows(
-    dao: &Dao,
-    user_id: i64,
-    query: &str,
-    opts: &SearchOptions,
-    declines: &AtomicU64,
-) -> Vec<SearchHit> {
+pub fn text_search_workflows(dao: &Dao, user_id: i64, query: &str, opts: &SearchOptions) -> Vec<SearchHit> {
     let needle = normalize_text(query);
     if needle.is_empty() {
         return Vec::new();
     }
-    if let Some(ids) = indexed(opts, declines, || dao.index().text_workflows(user_id, &needle, opts.limit)) {
-        return ids
+    if !opts.force_scan {
+        return dao
+            .index()
+            .text_workflows(user_id, &needle, opts.limit)
             .into_iter()
             .filter_map(|id| dao.store.workflows.get(id))
             .map(|wf| workflow_hit(wf, 1.0))
@@ -203,19 +179,19 @@ pub fn text_search_workflows(
 }
 
 /// Text search over PE names/descriptions (non-semantic fallback).
-pub fn text_search_pes(
-    dao: &Dao,
-    user_id: i64,
-    query: &str,
-    opts: &SearchOptions,
-    declines: &AtomicU64,
-) -> Vec<SearchHit> {
+pub fn text_search_pes(dao: &Dao, user_id: i64, query: &str, opts: &SearchOptions) -> Vec<SearchHit> {
     let needle = normalize_text(query);
     if needle.is_empty() {
         return Vec::new();
     }
-    if let Some(ids) = indexed(opts, declines, || dao.index().text_pes(user_id, &needle, opts.limit)) {
-        return ids.into_iter().filter_map(|id| dao.store.pes.get(id)).map(|pe| pe_hit(pe, 1.0)).collect();
+    if !opts.force_scan {
+        return dao
+            .index()
+            .text_pes(user_id, &needle, opts.limit)
+            .into_iter()
+            .filter_map(|id| dao.store.pes.get(id))
+            .map(|pe| pe_hit(pe, 1.0))
+            .collect();
     }
     let mut hits = Vec::new();
     for pe in dao.pes_of_user(user_id) {
@@ -239,20 +215,21 @@ pub fn text_search_pes(
 /// identical — only the winners' name/description strings are ever
 /// cloned into hits.
 ///
-/// The scan is also where the index sends what it declines — a matrix
-/// degraded by mixed dimensions, a query of another dimension — so it
-/// leaves out any vector whose dimension differs from the query's: the
-/// two cannot be compared, and [`cosine`] asserts they are not.
+/// Both rank only the vectors of the query's dimension: the index holds
+/// one matrix per dimension and ranks the query's, the scan leaves the
+/// others out — they cannot be compared with the query, and [`cosine`]
+/// asserts they are not.
 pub fn ranked_pe_hits(
     dao: &Dao,
     user_id: i64,
     query: &Embedding,
     field: VecField,
     opts: &SearchOptions,
-    declines: &AtomicU64,
 ) -> Vec<SearchHit> {
-    if let Some(ranked) = indexed(opts, declines, || dao.index().top_pes(user_id, field, query, opts.limit)) {
-        return ranked
+    if !opts.force_scan {
+        return dao
+            .index()
+            .top_pes(user_id, field, query, opts.limit)
             .into_iter()
             .filter_map(|(id, score)| Some(pe_hit(dao.store.pes.get(id)?, score)))
             .collect();
@@ -316,7 +293,7 @@ mod tests {
     }
 
     #[test]
-    fn a_degraded_matrix_is_a_counted_decline_and_a_forced_scan_is_not() {
+    fn mixed_dimensions_rank_the_query_dimension_on_both_paths() {
         let pe = |id: i64, desc: &[f32]| PeEntity {
             pe_id: 0,
             pe_name: format!("P{id}"),
@@ -330,23 +307,21 @@ mod tests {
         let mut dao = Dao::new(crate::store::Store::new(), crate::wal::WalStore::ephemeral());
         dao.insert_pe(pe(1, &[1.0, 0.0]), 1).unwrap();
         dao.insert_pe(pe(2, &[1.0, 0.0, 0.0]), 1).unwrap();
-        let q = Embedding { values: vec![1.0, 0.0] };
-        let (declines, opts) = (AtomicU64::new(0), SearchOptions::default());
-        let names = |field, q: &Embedding, opts: &SearchOptions| -> Vec<String> {
-            ranked_pe_hits(&dao, 1, q, field, opts, &declines).into_iter().map(|h| h.name).collect()
-        };
-        assert_eq!(names(VecField::Code, &q, &opts), ["P1", "P2"]);
-        assert_eq!(declines.load(Ordering::Relaxed), 0, "the homogeneous code space is served");
-        // The scan the index declines to answers with what the query can
-        // be compared with, where `cosine` over all of it would panic.
-        assert_eq!(names(VecField::Desc, &q, &opts), ["P1"]);
-        assert_eq!(declines.load(Ordering::Relaxed), 1, "the mixed-dimension description space declines");
-        let one_d = Embedding { values: vec![1.0] };
-        assert_eq!(names(VecField::Code, &one_d, &opts), [""; 0]);
-        assert_eq!(declines.load(Ordering::Relaxed), 2, "so does a query of another dimension");
-        let forced = SearchOptions { force_scan: true, ..opts };
-        assert_eq!(names(VecField::Code, &q, &forced), ["P1", "P2"]);
-        assert_eq!(declines.load(Ordering::Relaxed), 2, "the caller's own choice is not counted");
+        let (two_d, one_d) = (Embedding { values: vec![1.0, 0.0] }, Embedding { values: vec![1.0] });
+        // `cosine` over the whole mixed description space would panic.
+        let cases: [(VecField, &Embedding, &[&str]); 3] = [
+            (VecField::Code, &two_d, &["P1", "P2"]),
+            (VecField::Desc, &two_d, &["P1"]),
+            (VecField::Code, &one_d, &[]),
+        ];
+        for (field, q, expected) in cases {
+            for force_scan in [false, true] {
+                let opts = SearchOptions { force_scan, ..SearchOptions::default() };
+                let names: Vec<String> =
+                    ranked_pe_hits(&dao, 1, q, field, &opts).into_iter().map(|h| h.name).collect();
+                assert_eq!(names, expected, "{field:?} at dim {}, force_scan {force_scan}", q.dim());
+            }
+        }
     }
 
     #[test]

@@ -83,8 +83,6 @@ pub struct Registry {
     completion_model: Box<dyn EmbeddingModel>,
     /// Total search calls served (atomic: search holds only a read lock).
     searches: AtomicU64,
-    /// Index queries the index declined and left to the linear scan.
-    scan_fallbacks: AtomicU64,
 }
 
 impl Registry {
@@ -106,7 +104,6 @@ impl Registry {
             search_model: model_by_name("unixcoder-code-search").expect("model exists"),
             completion_model: model_by_name("ReACC-retriever-py").expect("model exists"),
             searches: AtomicU64::new(0),
-            scan_fallbacks: AtomicU64::new(0),
         }
     }
 
@@ -118,11 +115,6 @@ impl Registry {
     /// Force a snapshot to disk (durable mode only).
     pub fn checkpoint(&mut self) -> Result<(), RegistryError> {
         self.dao.checkpoint()
-    }
-
-    /// Enable or disable the search index (bench baseline knob).
-    pub fn set_index_enabled(&mut self, enabled: bool) {
-        self.dao.set_index_enabled(enabled);
     }
 
     // ---- auth -------------------------------------------------------------
@@ -404,7 +396,6 @@ impl Registry {
     ) -> Result<SearchResponse, RegistryError> {
         let uid = self.user_id(user)?;
         self.searches.fetch_add(1, Ordering::Relaxed);
-        let declines = &self.scan_fallbacks;
         let mut embed_us = 0u64;
         let mut embed = |model: &dyn EmbeddingModel, code: bool| {
             let t = Instant::now();
@@ -416,24 +407,24 @@ impl Registry {
         let hits = match (search_type, query_type) {
             (SearchType::Workflow, _) => {
                 rank_start = Instant::now();
-                text_search_workflows(&self.dao, uid, query, opts, declines)
+                text_search_workflows(&self.dao, uid, query, opts)
             }
             (SearchType::Pe, QueryType::Text) => {
                 let q = embed(self.search_model.as_ref(), false);
                 rank_start = Instant::now();
-                ranked_pe_hits(&self.dao, uid, &q, VecField::Desc, opts, declines)
+                ranked_pe_hits(&self.dao, uid, &q, VecField::Desc, opts)
             }
             (SearchType::Pe, QueryType::Code) | (SearchType::Both, QueryType::Code) => {
                 let q = embed(self.completion_model.as_ref(), true);
                 rank_start = Instant::now();
-                ranked_pe_hits(&self.dao, uid, &q, VecField::Code, opts, declines)
+                ranked_pe_hits(&self.dao, uid, &q, VecField::Code, opts)
             }
             (SearchType::Both, QueryType::Text) => {
                 // Figure 6 behaviour: plain text match on both kinds, PE
                 // hits first; the limit applies to the combined list.
                 rank_start = Instant::now();
-                let mut hits = text_search_pes(&self.dao, uid, query, opts, declines);
-                hits.extend(text_search_workflows(&self.dao, uid, query, opts, declines));
+                let mut hits = text_search_pes(&self.dao, uid, query, opts);
+                hits.extend(text_search_workflows(&self.dao, uid, query, opts));
                 hits.truncate(opts.limit);
                 hits
             }
@@ -443,15 +434,13 @@ impl Registry {
     }
 
     /// Registry observability (`GET /registry/stats`): entity counts, the
-    /// search counter, how many index queries the index declined and left
-    /// to the linear scan, and the index's shape.
+    /// search counter and the index's shape.
     pub fn stats(&self) -> Value {
         let mut v = Value::Null;
         v.set("users", self.dao.store.users.len() as i64)
             .set("pes", self.dao.store.pes.len() as i64)
             .set("workflows", self.dao.store.workflows.len() as i64)
             .set("searches", self.searches.load(Ordering::Relaxed) as i64)
-            .set("scan_fallbacks", self.scan_fallbacks.load(Ordering::Relaxed) as i64)
             .set("index", self.dao.index().stats());
         v
     }
@@ -705,27 +694,6 @@ mod tests {
         r.register_pe("zz46", PRIME_SRC, None).unwrap();
         let hits = r.search("zz46", "randint(1, 1000)", SearchType::Pe, QueryType::Code).unwrap();
         assert_eq!(hits[0].name, "NumberProducer", "hits: {hits:?}");
-    }
-
-    #[test]
-    fn stats_count_the_index_own_declines_and_nothing_else() {
-        let mut r = reg_with_user();
-        r.register_pe("zz46", PRIME_SRC, None).unwrap();
-        let fallbacks = |r: &Registry| r.stats()["scan_fallbacks"].as_i64().unwrap();
-        r.search("zz46", "prime", SearchType::Both, QueryType::Text).unwrap();
-        r.search("zz46", "checks primes", SearchType::Pe, QueryType::Text).unwrap();
-        assert_eq!(fallbacks(&r), 0, "indexed searches");
-        let scan = SearchOptions { force_scan: true, ..SearchOptions::default() };
-        r.search_with("zz46", "checks primes", SearchType::Pe, QueryType::Text, &scan).unwrap();
-        assert_eq!(fallbacks(&r), 0, "an explicit scan is not a decline");
-        r.set_index_enabled(false);
-        r.search("zz46", "checks primes", SearchType::Pe, QueryType::Code).unwrap();
-        assert_eq!(fallbacks(&r), 1, "the disabled index declined the ranked query");
-        r.search("zz46", "prime", SearchType::Both, QueryType::Text).unwrap();
-        assert_eq!(fallbacks(&r), 3, "and both text queries of a both-kinds search");
-        r.set_index_enabled(true);
-        assert_eq!(fallbacks(&r), 3, "rebuilding the index does not restart the count");
-        assert_eq!(r.stats()["searches"].as_i64(), Some(5));
     }
 
     #[test]

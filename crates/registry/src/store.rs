@@ -190,9 +190,10 @@ impl Junction {
         self.pairs.contains(&(left, right))
     }
 
-    /// All right-ids linked to `left`.
+    /// All right-ids linked to `left`, ascending: one range of the ordered
+    /// pairs, not a walk over every link.
     pub fn rights_of(&self, left: i64) -> Vec<i64> {
-        self.pairs.iter().filter(|(l, _)| *l == left).map(|(_, r)| *r).collect()
+        self.pairs.range((left, i64::MIN)..=(left, i64::MAX)).map(|&(_, r)| r).collect()
     }
 
     /// All left-ids linked to `right`.
@@ -392,5 +393,23 @@ mod tests {
         assert!(!j.linked(2, 10));
         j.remove_left(1);
         assert!(j.rights_of(1).is_empty());
+    }
+
+    #[test]
+    fn rights_of_answers_what_filtering_every_pair_answers() {
+        let mut j = Junction::new();
+        // Users interleaved in link order, rights at both ends of i64.
+        let lefts = [i64::MIN, -3, 0, 1, 2, 7, i64::MAX];
+        for right in [5, i64::MIN, 0, i64::MAX, -9, 42, 1] {
+            for (k, &left) in lefts.iter().enumerate() {
+                if (right as i128 + k as i128) % 3 != 0 {
+                    j.link(left, right);
+                }
+            }
+        }
+        for left in lefts.into_iter().chain([-4, 3, 8]) {
+            let filtered: Vec<i64> = j.iter().filter(|&(l, _)| l == left).map(|(_, r)| r).collect();
+            assert_eq!(j.rights_of(left), filtered, "left {left}");
+        }
     }
 }

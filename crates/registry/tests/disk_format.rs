@@ -16,7 +16,6 @@ use laminar_registry::{
     WorkflowEntity,
 };
 use std::path::PathBuf;
-use std::sync::atomic::AtomicU64;
 
 const WAL: &str = r#"{"id":1,"op":"insert","row":{"password":"cdf9e6d7b7ba924b5ce7a5c5a57e9b37","userId":1,"userName":"alice"},"table":"users"}
 {"id":2,"op":"insert","row":{"password":"b183b976966a533871920e9fe9239e51","userId":2,"userName":"bob"},"table":"users"}
@@ -121,17 +120,16 @@ fn live(dir: &std::path::Path) -> Dao {
 /// Every search mode for both tenants, through the index and through the
 /// scan.
 fn searches(dao: &Dao) -> Vec<Vec<SearchHit>> {
-    let declines = AtomicU64::new(0);
     let mut out = Vec::new();
     for force_scan in [false, true] {
         let opts = SearchOptions { force_scan, ..SearchOptions::default() };
         for uid in [1, 2] {
             let desc = Embedding { values: vec![0.9, 0.1] };
             let code = Embedding { values: vec![0.2, 0.2, 0.4] };
-            out.push(ranked_pe_hits(dao, uid, &desc, VecField::Desc, &opts, &declines));
-            out.push(ranked_pe_hits(dao, uid, &code, VecField::Code, &opts, &declines));
-            out.push(text_search_pes(dao, uid, "prime", &opts, &declines));
-            out.push(text_search_workflows(dao, uid, "prime numbers", &opts, &declines));
+            out.push(ranked_pe_hits(dao, uid, &desc, VecField::Desc, &opts));
+            out.push(ranked_pe_hits(dao, uid, &code, VecField::Code, &opts));
+            out.push(text_search_pes(dao, uid, "prime", &opts));
+            out.push(text_search_workflows(dao, uid, "prime numbers", &opts));
         }
     }
     out

@@ -8,9 +8,19 @@
 //! This is the read-path analogue of `proptest_interleaved` (which pins
 //! the WAL journal itself) and the same differential-oracle pattern the
 //! script VM uses against the tree-walker.
+//!
+//! The model-built corpus has one embedding dimension per space, so the
+//! third property drives the DAO with hand-built entities of mixed
+//! dimensions, where the index keeps one matrix per dimension.
 
+use laminar_embed::Embedding;
+use laminar_registry::dao::Dao;
+use laminar_registry::entities::encode_code;
+use laminar_registry::search::ranked_pe_hits;
 use laminar_registry::service::EntityKey;
-use laminar_registry::{QueryType, Registry, SearchHit, SearchOptions, SearchType};
+use laminar_registry::store::Store;
+use laminar_registry::wal::WalStore;
+use laminar_registry::{PeEntity, QueryType, Registry, SearchHit, SearchOptions, SearchType, VecField};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -151,6 +161,99 @@ fn all_answers(reg: &Registry) -> Vec<(String, Vec<SearchHit>)> {
     out
 }
 
+/// One DAO mutation over two users and hand-built PEs whose description
+/// and code vectors are each of dimension 2 or 3.
+#[derive(Debug, Clone)]
+enum VecOp {
+    /// A new PE owned by `owner`.
+    Insert { owner: i64, desc: Vec<f32>, code: Vec<f32> },
+    /// `user` becomes an owner of the `pick`-th live PE (a no-op link
+    /// when they already are).
+    Link { user: i64, pick: usize },
+    /// `user` gives up the `pick`-th PE they own: an unlink, or the row's
+    /// deletion when they were its last owner.
+    Remove { user: i64, pick: usize },
+}
+
+/// Coordinates in {-2, -1.5, ..., 2}: zero vectors, parallel vectors and
+/// equal scores all occur, so ties must break the same way on both paths.
+fn arb_vector() -> impl Strategy<Value = Vec<f32>> {
+    prop::collection::vec((-4i64..5).prop_map(|x| x as f32 * 0.5), 2..4)
+}
+
+fn arb_vec_op() -> impl Strategy<Value = VecOp> {
+    prop_oneof![
+        (1i64..3, arb_vector(), arb_vector()).prop_map(|(owner, desc, code)| VecOp::Insert {
+            owner,
+            desc,
+            code
+        }),
+        (1i64..3, 0usize..16).prop_map(|(user, pick)| VecOp::Link { user, pick }),
+        (1i64..3, 0usize..16).prop_map(|(user, pick)| VecOp::Remove { user, pick }),
+    ]
+}
+
+fn apply_vec_op(dao: &mut Dao, step: usize, op: &VecOp) {
+    match op {
+        VecOp::Insert { owner, desc, code } => {
+            let name = format!("Mixed{step}");
+            let pe = PeEntity {
+                pe_id: 0,
+                pe_code: encode_code(&format!("pe {name} : producer {{ output o; process {{ emit(1); }} }}")),
+                pe_name: name,
+                description: String::new(),
+                description_generated: false,
+                pe_imports: vec![],
+                code_embedding: Embedding { values: code.clone() },
+                desc_embedding: Embedding { values: desc.clone() },
+            };
+            dao.insert_pe(pe, *owner).unwrap();
+        }
+        VecOp::Link { user, pick } => {
+            let live: Vec<i64> = dao.store.pes.scan().map(|pe| pe.pe_id).collect();
+            if !live.is_empty() {
+                dao.link_user_pe(*user, live[pick % live.len()]).unwrap();
+            }
+        }
+        VecOp::Remove { user, pick } => {
+            let owned: Vec<i64> = dao.pes_of_user(*user).map(|pe| pe.pe_id).collect();
+            if !owned.is_empty() {
+                dao.remove_pe_for_user(*user, owned[pick % owned.len()]).unwrap();
+            }
+        }
+    }
+}
+
+/// Every (user, space, query dimension, limit) ranked by the index and by
+/// the scan: the same hits, and scores equal to the bit.
+fn assert_ranked_index_matches_scan(dao: &Dao) {
+    let queries = [vec![0.5], vec![1.0, -0.5], vec![0.5, 1.0, -1.0]];
+    for user in 1..3 {
+        for field in [VecField::Desc, VecField::Code] {
+            for query in &queries {
+                let query = Embedding { values: query.clone() };
+                for limit in [1usize, 25] {
+                    let ranked = |force_scan| {
+                        let hits =
+                            ranked_pe_hits(dao, user, &query, field, &SearchOptions { limit, force_scan });
+                        let bits: Vec<(i64, u64)> = hits.iter().map(|h| (h.id, h.score.to_bits())).collect();
+                        (hits, bits)
+                    };
+                    prop_assert_eq!(
+                        ranked(false),
+                        ranked(true),
+                        "index != scan for user {} {:?} dim {} limit {}",
+                        user,
+                        field,
+                        query.dim(),
+                        limit
+                    );
+                }
+            }
+        }
+    }
+}
+
 fn tmpdir(tag: &str, case: u64) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("laminar-search-{tag}-{}-{case}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -201,5 +304,17 @@ proptest! {
         prop_assert_eq!(before, after, "recovered index diverged from the live one");
         assert_index_matches_scan(&reopened);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Mixed embedding dimensions across insert / shared-link / unlink /
+    /// remove histories — swap-removes inside one dimension's matrix while
+    /// another's stays put — checked after every step.
+    #[test]
+    fn mixed_dimension_ranking_equals_linear_scan(script in prop::collection::vec(arb_vec_op(), 1..40)) {
+        let mut dao = Dao::new(Store::new(), WalStore::ephemeral());
+        for (step, op) in script.iter().enumerate() {
+            apply_vec_op(&mut dao, step, op);
+            assert_ranked_index_matches_scan(&dao);
+        }
     }
 }
