@@ -30,8 +30,9 @@
 #                journal segments, the mid-stream worker-failure
 #                regression, and randomized slow/dead-consumer
 #                backpressure (PROPTEST_CASES env raises the depth)
-#   bench-smoke  bench compile, smoke runs, and the bench_check
-#                regression guard against the committed BENCH_PR*.json
+#   bench-smoke  bench compile, five --smoke runs writing
+#                target/bench/<bin>.json, and the bench_check guard over
+#                them (committed baselines: BENCH_PR2.json, BENCH_PR10.json)
 #   bench-e2e    the repo's benchmark (BENCHMARK.json, its own package
 #                under bench_e2e/): build, its tests, and one --smoke
 #                run of each workload
@@ -42,9 +43,10 @@
 #                keeps script parsing and compiling behind prepare(), the
 #                guard that keeps the engine matching run events by type,
 #                not by their JSON "type" field, the guard that keeps
-#                every client and server socket opened in http.rs, and the
+#                every client and server socket opened in http.rs, the
 #                guard that keeps the per-event tree off the server's
-#                /events route
+#                /events route, and the guard that keeps every bench bin's
+#                command line and report file in laminar_bench
 #
 # Every run ends with a per-tier wall-clock timing summary and, when all
 # selected tiers passed, the line "CI GREEN".
@@ -95,8 +97,8 @@ tier_streaming() {
 
 tier_chaos() {
   # Durability under injected faults, at full property-test depth
-  # (export PROPTEST_CASES to push deeper). chaos_truncation is its own
-  # integration binary because it arms process-global LAMINAR_FAULTS.
+  # (export PROPTEST_CASES to push deeper). chaos_truncation tears a
+  # sealed journal segment on disk and resumes past it.
   cargo test -q -p laminar-dataflow --test proptest_chaos
   cargo test -q -p laminar-dataflow --test proptest_backends
   cargo test -q -p laminar-engine --test chaos_truncation
@@ -106,21 +108,10 @@ tier_chaos() {
 
 tier_bench_smoke() {
   cargo bench --no-run --workspace
-  cargo run --release -p laminar-bench --bin perf_report -- --smoke --out target/bench_smoke.json
-  test -s target/bench_smoke.json
-  cargo run --release -p laminar-bench --bin concurrent_serving -- --smoke --out target/bench_concurrent_smoke.json
-  test -s target/bench_concurrent_smoke.json
-  cargo run --release -p laminar-bench --bin streaming_latency -- --smoke --out target/bench_streaming_smoke.json
-  test -s target/bench_streaming_smoke.json
-  cargo run --release -p laminar-bench --bin durability_overhead -- --smoke --out target/bench_durability_smoke.json
-  test -s target/bench_durability_smoke.json
-  cargo run --release -p laminar-bench --bin slow_consumer -- --smoke --out target/bench_slow_consumer_smoke.json
-  test -s target/bench_slow_consumer_smoke.json
-  cargo run --release -p laminar-bench --bin search_scale -- --smoke --out target/bench_search_smoke.json
-  test -s target/bench_search_smoke.json
-  cargo run --release -p laminar-bench --bin sustained_load -- --smoke --out target/bench_sustained_smoke.json
-  test -s target/bench_sustained_smoke.json
-  # The regression guard: fresh smoke vs the committed trajectory.
+  # Each bin writes target/bench/<bin>.json; bench_check reads them there.
+  for bin in perf_report durability_overhead slow_consumer search_scale sustained_load; do
+    cargo run --release -p laminar-bench --bin "$bin" -- --smoke
+  done
   cargo run --release -p laminar-bench --bin bench_check
 }
 
@@ -189,10 +180,17 @@ tier_lint() {
     echo "ci.sh: the /events route sends text, not trees; the lines above reach for the pool's tree page" >&2
     return 1
   fi
+  # One bench harness: bins take their flags and write their reports
+  # through `laminar_bench::Flags`, never by hand.
+  if awk '/std::env::args|std::fs::write/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+          END { exit !hit }' crates/bench/src/bin/*.rs; then
+    echo "ci.sh: bench bins parse flags and write reports through laminar_bench; the lines above do it themselves" >&2
+    return 1
+  fi
 }
 
 usage() {
-  sed -n '2,48p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,50p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 TIERS=()

@@ -6,16 +6,22 @@
 //! crash/resume cycle takes against the batch reference.
 //!
 //! ```text
-//! cargo run -p laminar-bench --release --bin durability_overhead             # BENCH_PR7.json
+//! cargo run -p laminar-bench --release --bin durability_overhead             # target/bench/durability_overhead.json
 //! cargo run -p laminar-bench --release --bin durability_overhead -- --smoke # quick CI gate
 //! ```
 //!
 //! Acceptance (enforced here on the full run and by `bench_check` on the
 //! smoke run): checkpointed runtime ≤ 1.25× plain runtime per mapping.
-//! Both sides are measured fresh in the same process, so the bound needs
-//! no committed baseline — it guards the *structure* (an epoch must cost
-//! a snapshot and a reconnect, not a re-enactment), not machine speed.
+//! The ratio is the median over interleaved checkpointed/plain pairs
+//! ([`laminar_bench::paired_ratio`]) of process CPU time
+//! ([`laminar_bench::process_cpu_time`]), both sides measured fresh in the
+//! same process, so the bound needs no committed baseline — it guards the
+//! *structure* (an epoch must cost a snapshot and a reconnect, not a
+//! re-enactment), not machine speed. CPU time, not wall time: on a shared
+//! machine a checkpointed run's extra epoch barriers each wait out
+//! whatever holds the CPU, which measures the neighbours, not the epoch.
 
+use laminar_bench::{paired_ratio, process_cpu_time, Flags};
 use laminar_dataflow::mapping::MappingKind;
 use laminar_dataflow::{
     DataflowError, FaultPlan, RecordingObserver, ResumePoint, RunEvent, RunObserver, RunOptions,
@@ -57,51 +63,47 @@ fn build() -> WorkflowGraph {
     g
 }
 
-/// Best-of-n wall clock for the two run configurations, interleaved
-/// (plain, checkpointed, plain, ...) so a noisy stretch on a shared CI
-/// machine lands on both sides of the ratio. The minimum, not the
-/// median: the ratio gate guards *structure* (an epoch must cost a
-/// snapshot and a reconnect, not a re-enactment), and the fastest
-/// observed run is the measurement least polluted by scheduler noise.
-fn time_pair(
+/// Median CPU time of each configuration and the median of the paired
+/// checkpointed/plain ratios, over `pairs` interleaved pairs.
+fn time_pairs(
     kind: MappingKind,
     g: &WorkflowGraph,
     plain: &RunOptions,
     checkpointed: &RunOptions,
-    reps: usize,
-) -> (Duration, Duration) {
-    let once = |opts: &RunOptions| {
-        let t0 = Instant::now();
+    pairs: usize,
+) -> (Duration, Duration, f64) {
+    let once = |opts: &RunOptions, times: &mut Vec<Duration>| {
+        let cpu = process_cpu_time();
         kind.build().execute(g, opts).expect("bench run");
-        t0.elapsed()
+        let used = process_cpu_time() - cpu;
+        times.push(used);
+        used
     };
-    let mut best = (Duration::MAX, Duration::MAX);
-    for _ in 0..reps {
-        best.0 = best.0.min(once(plain));
-        best.1 = best.1.min(once(checkpointed));
-    }
-    best
+    let (mut plain_times, mut ck_times) = (Vec::new(), Vec::new());
+    let ratio = paired_ratio(pairs, || once(checkpointed, &mut ck_times), || once(plain, &mut plain_times));
+    let median = |mut times: Vec<Duration>| {
+        times.sort_unstable();
+        times[times.len() / 2]
+    };
+    (median(plain_times), median(ck_times), ratio)
 }
 
 struct Row {
     mapping: String,
     plain: Duration,
     checkpointed: Duration,
+    ratio: f64,
     epochs: u64,
     recovery: Duration,
 }
 
 impl Row {
-    fn ratio(&self) -> f64 {
-        self.checkpointed.as_secs_f64() / self.plain.as_secs_f64().max(1e-9)
-    }
-
     fn to_value(&self) -> Value {
         let mut v = Value::Null;
         v.set("mapping", self.mapping.as_str())
             .set("plain_us", self.plain.as_micros() as i64)
             .set("checkpointed_us", self.checkpointed.as_micros() as i64)
-            .set("checkpoint_overhead_ratio", (self.ratio() * 10000.0).round() / 10000.0)
+            .set("checkpoint_overhead_ratio", (self.ratio * 10000.0).round() / 10000.0)
             .set("epochs", self.epochs as i64)
             .set("crash_resume_us", self.recovery.as_micros() as i64);
         v
@@ -131,20 +133,17 @@ fn time_recovery(kind: MappingKind, g: &WorkflowGraph, opts: &RunOptions, kill_a
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let flag_value =
-        |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::to_string);
-    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_PR7.json".to_string());
+    let flags = Flags::parse("durability_overhead", &[]);
+    let smoke = flags.smoke;
 
     let iterations: i64 = if smoke { 20_000 } else { 40_000 };
     let chunk: usize = if smoke { 5_000 } else { 8_000 };
-    let reps = if smoke { 4 } else { 6 };
+    let pairs = 11;
     let processes = 4;
     let epochs = iterations as u64 / chunk as u64;
     eprintln!(
         "durability_overhead: {iterations} iterations, checkpoint every {chunk} ({epochs} epochs), \
-         {processes} processes, best of {reps}"
+         {processes} processes, median of {pairs} interleaved pairs of process CPU time"
     );
 
     let g = build();
@@ -154,21 +153,17 @@ fn main() {
         let ck_opts = plain_opts.clone().with_checkpoints(chunk);
         // Warm up so neither side pays first-run costs.
         kind.build().execute(&g, &RunOptions::iterations(16).with_processes(processes)).unwrap();
-        let (plain, checkpointed) = time_pair(kind, &g, &plain_opts, &ck_opts, reps);
+        let (plain, checkpointed, ratio) = time_pairs(kind, &g, &plain_opts, &ck_opts, pairs);
         let recovery = time_recovery(kind, &g, &ck_opts, epochs / 2);
-        let row = Row { mapping: kind.as_str().to_string(), plain, checkpointed, epochs, recovery };
+        let row = Row { mapping: kind.as_str().to_string(), plain, checkpointed, ratio, epochs, recovery };
         eprintln!(
-            "  {:<6} plain {:>9.1?}  checkpointed {:>9.1?}  ratio {:>5.3}  crash+resume {:>9.1?}",
-            row.mapping,
-            row.plain,
-            row.checkpointed,
-            row.ratio(),
-            row.recovery
+            "  {:<6} plain cpu {:>9.1?}  checkpointed cpu {:>9.1?}  ratio {:>5.3}  crash+resume {:>9.1?}",
+            row.mapping, row.plain, row.checkpointed, row.ratio, row.recovery
         );
         rows.push(row);
     }
 
-    let worst = rows.iter().map(Row::ratio).fold(0.0f64, f64::max);
+    let worst = rows.iter().map(|r| r.ratio).fold(0.0f64, f64::max);
     if !smoke {
         assert!(
             worst <= 1.25,
@@ -188,7 +183,8 @@ fn main() {
                 "checkpoint_every" => chunk,
                 "epochs" => epochs as i64,
                 "processes" => processes,
-                "reps" => reps,
+                "pairs" => pairs,
+                "timing" => "process CPU time",
                 "workload" => "Feed -> Fold (stateful group-by with RNG)"
             },
         )
@@ -202,6 +198,5 @@ fn main() {
             },
         );
 
-    std::fs::write(&out_path, laminar_json::to_string_pretty(&report)).expect("write report");
-    eprintln!("report written to {out_path}");
+    flags.write_report(&report);
 }

@@ -1,31 +1,26 @@
-//! Generates the `BENCH_*.json` perf trajectory report: throughput and
-//! per-stage timings of the figure1 and table5 workloads across all four
-//! mappings, plus the scripted-figure1 VM-vs-interpreter comparison
-//! (PR 6's headline: the same LamScript pipeline enacted on the compiled
-//! bytecode backend and on the tree-walking interpreter).
+//! The perf trajectory report: throughput and per-stage timings of the
+//! figure1 and table5 workloads across all four mappings, plus the
+//! scripted-figure1 VM-vs-interpreter comparison (the same LamScript
+//! pipeline enacted on the compiled bytecode backend and on the
+//! tree-walking interpreter oracle).
 //!
 //! ```text
-//! cargo run -p laminar-bench --release --bin perf_report             # BENCH_PR6.json
+//! cargo run -p laminar-bench --release --bin perf_report             # target/bench/perf_report.json
 //! cargo run -p laminar-bench --release --bin perf_report -- --smoke  # quick CI gate
 //! ```
 //!
-//! Flags:
-//! * `--smoke` — small iteration counts / few reps; exercises the harness,
-//!   numbers are not meaningful.
-//! * `--out PATH` — where to write the report (default `BENCH_PR6.json`).
-//! * `--save-baseline PATH` — additionally save the measured runs (without
-//!   the baseline section) to PATH; used to record a pre-refactor baseline
-//!   that later reports embed for comparison.
-//!
-//! The committed `crates/bench/data/baseline_pre_pr2.json` was produced by
-//! running this harness at the PR 1 tree (before the interned/batched
-//! datapath) with `--save-baseline`; every fresh report embeds it under
-//! `"baseline"` so the figure1 Multi throughput delta is visible in one
-//! file.
+//! Flags (see [`laminar_bench::Flags`]): `--smoke` runs small iteration
+//! counts and few reps; `--out PATH` overrides the report path.
+//! `bench_check` gates the smoke report: figure1 throughput against the
+//! committed `BENCH_PR2.json`, and `vm_speedup_vs_interp` — the median
+//! over interleaved pairs of interpreter / VM process CPU time — against
+//! its floor.
 
 use laminar_bench::{
-    astro_graph, bench_mapping, figure1_graph, figure1_script_graph, BenchRun, Table5Config,
+    astro_graph, bench_mapping, figure1_graph, figure1_script_graph, paired_ratio, process_cpu_time,
+    BenchRun, Flags, Table5Config,
 };
+use laminar_dataflow::mapping::RunStats;
 use laminar_dataflow::{oracle, MappingKind, RunOptions, WorkflowGraph};
 use laminar_json::Value;
 use std::time::Duration;
@@ -47,12 +42,8 @@ fn run_workload(graph: &WorkflowGraph, options: &RunOptions, reps: usize) -> Val
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let flag_value =
-        |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::to_string);
-    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_PR6.json".to_string());
-    let baseline_out = flag_value("--save-baseline");
+    let flags = Flags::parse("perf_report", &[]);
+    let smoke = flags.smoke;
 
     // figure1: the paper's showcase deployment is 500 iterations over
     // 5 processes (Figure 1's 1/2/2 split).
@@ -75,29 +66,36 @@ fn main() {
 
     // figure1_script: the same pipeline with LamScript bodies, enacted on
     // the Simple mapping (single-threaded, so script execution dominates
-    // and the backend comparison is clean) — once on the compiled VM and
-    // once on the tree-walking interpreter (the oracle graph).
-    let (fs_iters, fs_reps) = if smoke { (300, 3) } else { (2000, 11) };
+    // and the backend comparison is clean) — on the compiled VM and on the
+    // tree-walking interpreter (the oracle graph), in interleaved pairs
+    // timed by CPU time. Smoke and full runs alike: a run of ~10 ms spans
+    // several scheduler slices, so one preemption's cache cost stays small.
+    let (fs_iters, fs_pairs) = (2000, 11);
     let fs_opts = RunOptions::iterations(fs_iters);
-    eprintln!("figure1_script ({fs_iters} iterations, Simple mapping, {fs_reps} reps):");
-    let vm_run = bench_mapping(
-        &figure1_script_graph(WorkflowGraph::add_script_pe),
-        MappingKind::Simple,
-        &fs_opts,
-        fs_reps,
-    );
-    eprintln!(
-        "  vm     {:>9} inv  {:>12} us  {:>12.0}/s",
-        vm_run.invocations, vm_run.elapsed_us, vm_run.throughput
-    );
-    let interp_run =
-        bench_mapping(&figure1_script_graph(oracle::add_pe), MappingKind::Simple, &fs_opts, fs_reps);
-    eprintln!(
-        "  interp {:>9} inv  {:>12} us  {:>12.0}/s",
-        interp_run.invocations, interp_run.elapsed_us, interp_run.throughput
-    );
-    let vm_speedup = vm_run.throughput / interp_run.throughput.max(1e-9);
-    eprintln!("  vm speedup vs interp: {vm_speedup:.2}x");
+    eprintln!("figure1_script ({fs_iters} iterations, Simple mapping, {fs_pairs} interleaved pairs):");
+    let simple = MappingKind::Simple.build();
+    let vm_graph = figure1_script_graph(WorkflowGraph::add_script_pe);
+    let interp_graph = figure1_script_graph(oracle::add_pe);
+    let once = |graph: &WorkflowGraph, stats: &mut Vec<RunStats>| {
+        let cpu = process_cpu_time();
+        stats.push(simple.execute(graph, &fs_opts).expect("bench run").stats);
+        process_cpu_time() - cpu
+    };
+    // Warm-up, one run a side, unrecorded.
+    once(&vm_graph, &mut Vec::new());
+    once(&interp_graph, &mut Vec::new());
+    let (mut vm_stats, mut interp_stats) = (Vec::new(), Vec::new());
+    let vm_speedup =
+        paired_ratio(fs_pairs, || once(&interp_graph, &mut interp_stats), || once(&vm_graph, &mut vm_stats));
+    let vm_run = BenchRun::median(MappingKind::Simple, &fs_opts, vm_stats);
+    let interp_run = BenchRun::median(MappingKind::Simple, &fs_opts, interp_stats);
+    for (name, run) in [("vm", &vm_run), ("interp", &interp_run)] {
+        eprintln!(
+            "  {name:<6} {:>9} inv  {:>12} us  {:>12.0}/s",
+            run.invocations, run.elapsed_us, run.throughput
+        );
+    }
+    eprintln!("  vm speedup vs interp (median of pairs): {vm_speedup:.2}x");
     let mut figure1_script = Value::Null;
     figure1_script
         .set("vm", vm_run.to_value())
@@ -106,11 +104,6 @@ fn main() {
 
     let mut runs = Value::Null;
     runs.set("figure1", figure1).set("figure1_script", figure1_script).set("table5", table5);
-
-    if let Some(path) = &baseline_out {
-        std::fs::write(path, laminar_json::to_string_pretty(&runs)).expect("write baseline");
-        eprintln!("baseline saved to {path}");
-    }
 
     let mut report = Value::Null;
     report
@@ -126,27 +119,5 @@ fn main() {
             },
         )
         .set("runs", runs);
-
-    // Embed the recorded pre-refactor baseline, if present.
-    let baseline_path = concat!(env!("CARGO_MANIFEST_DIR"), "/data/baseline_pre_pr2.json");
-    match std::fs::read_to_string(baseline_path) {
-        Ok(text) => match laminar_json::parse(&text) {
-            Ok(v) => {
-                // Comparison headline: figure1/MULTI throughput now vs then.
-                let now = report["runs"]["figure1"]["MULTI"]["throughput_per_sec"].as_f64();
-                let then = v["figure1"]["MULTI"]["throughput_per_sec"].as_f64();
-                if let (Some(now), Some(then)) = (now, then) {
-                    let speedup = now / then.max(1e-9);
-                    eprintln!("figure1/MULTI: {then:.0}/s (pre-PR2) -> {now:.0}/s  ({speedup:.2}x)");
-                    report.set("figure1_multi_speedup_vs_baseline", (speedup * 1000.0).round() / 1000.0);
-                }
-                report.set("baseline", v);
-            }
-            Err(e) => eprintln!("warning: baseline file unparseable: {e}"),
-        },
-        Err(_) => eprintln!("note: no recorded baseline at {baseline_path}"),
-    }
-
-    std::fs::write(&out_path, laminar_json::to_string_pretty(&report)).expect("write report");
-    eprintln!("report written to {out_path}");
+    flags.write_report(&report);
 }

@@ -1,4 +1,4 @@
-//! `search_scale`: the PR-9 registry-search benchmark.
+//! `search_scale`: the registry-search benchmark.
 //!
 //! Registers a large multi-tenant PE corpus (100 tenants x 1000 PEs =
 //! 100k PEs on the full run), then answers the same query pool twice per
@@ -12,9 +12,8 @@
 //! hit-for-hit, so the run doubles as a large-corpus differential check.
 //!
 //! ```text
-//! cargo run -p laminar-bench --release --bin search_scale                  # full, writes BENCH_PR9.json
-//! cargo run -p laminar-bench --release --bin search_scale -- --smoke \
-//!     --out target/bench_search_smoke.json
+//! cargo run -p laminar-bench --release --bin search_scale             # target/bench/search_scale.json
+//! cargo run -p laminar-bench --release --bin search_scale -- --smoke # quick CI gate
 //! ```
 //!
 //! Full runs enforce the acceptance gates in-process (indexed p99 under
@@ -29,7 +28,7 @@
 //! still normalizes every field of every entity per query, so its floor
 //! stays.
 
-use laminar_bench::percentile;
+use laminar_bench::{percentile, Flags};
 use laminar_json::Value;
 use laminar_registry::{QueryType, Registry, SearchIndex, SearchOptions, SearchType};
 use std::time::Instant;
@@ -215,18 +214,10 @@ fn maintenance_per_pe_us(reg: &Registry) -> (f64, usize) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let flag_value =
-        |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::to_string);
-    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_PR9.json".to_string());
+    let flags = Flags::parse("search_scale", &[]);
+    let smoke = flags.smoke;
 
-    // Corpus shape is overridable (`--tenants N --per-tenant M`) for quick
-    // profiling runs; defaults are the committed configurations.
-    let tenants: usize =
-        flag_value("--tenants").and_then(|v| v.parse().ok()).unwrap_or(if smoke { 8 } else { 100 });
-    let per_tenant: usize =
-        flag_value("--per-tenant").and_then(|v| v.parse().ok()).unwrap_or(if smoke { 250 } else { 1000 });
+    let (tenants, per_tenant) = if smoke { (8, 250) } else { (100, 1000) };
     let reps = if smoke { 3 } else { 5 };
     eprintln!(
         "search_scale: {tenants} tenants x {per_tenant} PEs = {} PEs, best of {reps}",
@@ -287,11 +278,7 @@ fn main() {
         .set("registration", registration)
         .set("differential_match", differential_match);
 
-    if let Some(parent) = std::path::Path::new(&out_path).parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    std::fs::write(&out_path, laminar_json::to_string_pretty(&report)).expect("write report");
-    eprintln!("  wrote {out_path}");
+    flags.write_report(&report);
 
     // The acceptance gates, enforced only on the full configuration: the
     // smoke corpus is too small for the text speedup floor to be

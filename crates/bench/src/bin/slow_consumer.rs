@@ -6,7 +6,7 @@
 //! events.
 //!
 //! ```text
-//! cargo run -p laminar-bench --release --bin slow_consumer             # BENCH_PR8.json
+//! cargo run -p laminar-bench --release --bin slow_consumer             # target/bench/slow_consumer.json
 //! cargo run -p laminar-bench --release --bin slow_consumer -- --smoke # quick CI gate
 //! ```
 //!
@@ -23,6 +23,7 @@
 //! gate needs no committed baseline — it guards the *policy* (throttle,
 //! don't drop), not machine speed.
 
+use laminar_bench::Flags;
 use laminar_dataflow::{fold_events, RunEvent};
 use laminar_engine::{EnginePool, ExecutionEngine, ExecutionRequest, JobResult};
 use laminar_json::Value;
@@ -149,11 +150,8 @@ fn paced_run(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let flag_value =
-        |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::to_string);
-    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_PR8.json".to_string());
+    let flags = Flags::parse("slow_consumer", &[]);
+    let smoke = flags.smoke;
 
     let iterations: i64 = if smoke { 600 } else { 3_000 };
     let checkpoint_every: usize = if smoke { 25 } else { 100 };
@@ -256,6 +254,5 @@ fn main() {
             },
         );
 
-    std::fs::write(&out_path, laminar_json::to_string_pretty(&report)).expect("write report");
-    eprintln!("report written to {out_path}");
+    flags.write_report(&report);
 }

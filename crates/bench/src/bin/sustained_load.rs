@@ -2,7 +2,7 @@
 //! PR 10 acceptance bench for push delivery and fair admission control.
 //!
 //! ```text
-//! cargo run -p laminar-bench --release --bin sustained_load             # BENCH_PR10.json
+//! cargo run -p laminar-bench --release --bin sustained_load             # target/bench/sustained_load.json
 //! cargo run -p laminar-bench --release --bin sustained_load -- --smoke # quick CI gate
 //! ```
 //!
@@ -32,7 +32,7 @@
 //! run in CI against the same bounds (0.75× for the latency ratio —
 //! smoke samples are small).
 
-use laminar_bench::percentile;
+use laminar_bench::{percentile, Flags};
 use laminar_engine::{EnginePool, ExecutionEngine, ExecutionRequest, JobPhase, PoolError};
 use laminar_json::Value;
 use laminar_server::api::Method;
@@ -321,11 +321,8 @@ fn admission_phase(attempts: u64) -> AdmissionRun {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let flag_value =
-        |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::to_string);
-    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_PR10.json".to_string());
+    let flags = Flags::parse("sustained_load", &[]);
+    let smoke = flags.smoke;
 
     let tenants: usize = 16;
     let jobs_per_tenant: usize = if smoke { 24 } else { 625 };
@@ -452,6 +449,5 @@ fn main() {
             },
         );
 
-    std::fs::write(&out_path, laminar_json::to_string_pretty(&report)).expect("write report");
-    eprintln!("report written to {out_path}");
+    flags.write_report(&report);
 }

@@ -1,13 +1,19 @@
 //! Shared harness code for the table/figure regeneration binaries and the
 //! criterion benches. Each function reproduces one experiment from the
 //! paper's evaluation (see DESIGN.md §5 for the index).
+//!
+//! The report-writing bins (`perf_report`, `durability_overhead`,
+//! `slow_consumer`, `search_scale`, `sustained_load`, `bench_check`) share
+//! one command line and one report writer ([`Flags`]); the two gates that
+//! compare a run with itself share one estimator ([`paired_ratio`]).
 
-use laminar_dataflow::mapping::{Mapping, MultiMapping, SimpleMapping};
+use laminar_dataflow::mapping::{Mapping, MultiMapping, RunStats, SimpleMapping};
 use laminar_dataflow::oracle;
 use laminar_dataflow::{RunOptions, WorkflowGraph};
 use laminar_json::Value;
 use laminar_script::Host;
 use laminar_workloads::astro::{coordinates_file, VoService, SOURCE as ASTRO_SOURCE};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -168,6 +174,125 @@ pub fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[rank - 1]
 }
 
+/// CPU time this process has used so far, every thread included (exited
+/// ones too). A run timed by it is not charged for the time it sat
+/// descheduled behind other work on a shared machine, which a wall clock
+/// charges at random to whichever side of a comparison was running.
+pub fn process_cpu_time() -> Duration {
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: std::ffi::c_long,
+        tv_nsec: std::ffi::c_long,
+    }
+    extern "C" {
+        fn clock_gettime(clock: std::ffi::c_int, ts: *mut Timespec) -> std::ffi::c_int;
+    }
+    /// `CLOCK_PROCESS_CPUTIME_ID` in Linux's `<time.h>`.
+    const CLOCK_PROCESS_CPUTIME_ID: std::ffi::c_int = 2;
+    let mut ts = Timespec { tv_sec: 0, tv_nsec: 0 };
+    // SAFETY: `ts` is a live, writable `struct timespec` (both fields are
+    // a C `long` on Linux, where `time_t` is `long`), and `clock_gettime`
+    // writes nothing but that struct through the pointer.
+    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime(CLOCK_PROCESS_CPUTIME_ID) failed");
+    Duration::new(ts.tv_sec as u64, ts.tv_nsec as u32)
+}
+
+/// The median over `pairs` of `a`'s time divided by `b`'s. Each call of
+/// `a` or `b` runs its side once and returns the time it took. The two
+/// sides of a pair run back to back, and the side that goes first swaps
+/// on every pair (`a b`, `b a`, `a b`, ...), so drift and a noisy stretch
+/// on a shared machine land on both sides of a ratio instead of on one
+/// side of the comparison.
+pub fn paired_ratio(pairs: usize, mut a: impl FnMut() -> Duration, mut b: impl FnMut() -> Duration) -> f64 {
+    let mut ratios: Vec<f64> = (0..pairs.max(1))
+        .map(|i| {
+            let (ta, tb) = if i % 2 == 0 {
+                let ta = a();
+                (ta, b())
+            } else {
+                let tb = b();
+                (a(), tb)
+            };
+            ta.as_secs_f64() / tb.as_secs_f64().max(1e-9)
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let mid = ratios.len() / 2;
+    if ratios.len() % 2 == 1 {
+        ratios[mid]
+    } else {
+        (ratios[mid - 1] + ratios[mid]) / 2.0
+    }
+}
+
+/// Where a bin's report goes unless `--out` says otherwise:
+/// `target/bench/<bin>.json` under the working directory. `bench_check`
+/// reads the fresh reports from here.
+pub fn report_path(bin: &str) -> PathBuf {
+    Path::new("target/bench").join(format!("{bin}.json"))
+}
+
+/// The command line every report-writing bin takes: `--smoke` (the small
+/// configuration CI runs) and `--out PATH` (default [`report_path`]),
+/// plus the value flags a bin names itself. An unknown argument is an
+/// error, so a flag that was removed cannot be passed and ignored.
+#[derive(Debug)]
+pub struct Flags {
+    /// `--smoke` was given.
+    pub smoke: bool,
+    /// Where [`Flags::write_report`] writes.
+    pub out: PathBuf,
+    values: Vec<(String, String)>,
+}
+
+impl Flags {
+    /// Parse the process arguments of `bin`, which also takes the value
+    /// flags `extra`; exits with status 2 on a bad command line.
+    pub fn parse(bin: &str, extra: &[&str]) -> Flags {
+        Flags::from_args(bin, extra, std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("{bin}: {e}");
+            std::process::exit(2);
+        })
+    }
+
+    fn from_args(bin: &str, extra: &[&str], args: impl IntoIterator<Item = String>) -> Result<Flags, String> {
+        let mut flags = Flags { smoke: false, out: report_path(bin), values: Vec::new() };
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            if arg == "--smoke" {
+                flags.smoke = true;
+            } else if arg == "--out" || extra.contains(&arg.as_str()) {
+                let value = args.next().ok_or_else(|| format!("{arg} needs a value"))?;
+                if arg == "--out" {
+                    flags.out = value.into();
+                } else {
+                    flags.values.push((arg, value));
+                }
+            } else {
+                return Err(format!("unknown argument {arg:?}"));
+            }
+        }
+        Ok(flags)
+    }
+
+    /// The value of one of the bin's own flags, if given.
+    pub fn value(&self, name: &str) -> Option<&str> {
+        self.values.iter().rev().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
+    }
+
+    /// Write `report` as pretty JSON to [`Flags::out`], creating its
+    /// directory.
+    pub fn write_report(&self, report: &Value) {
+        if let Some(dir) = self.out.parent() {
+            std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
+        }
+        std::fs::write(&self.out, laminar_json::to_string_pretty(report))
+            .unwrap_or_else(|e| panic!("write {}: {e}", self.out.display()));
+        eprintln!("report written to {}", self.out.display());
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Perf-report harness (BENCH_*.json trajectory)
 // ---------------------------------------------------------------------------
@@ -276,6 +401,32 @@ pub struct BenchRun {
 }
 
 impl BenchRun {
+    /// The run with the median elapsed time among `stats`, measured
+    /// enactments of `kind` under `options`.
+    pub fn median(
+        kind: laminar_dataflow::MappingKind,
+        options: &RunOptions,
+        mut stats: Vec<RunStats>,
+    ) -> BenchRun {
+        assert!(!stats.is_empty(), "a median needs at least one run");
+        let reps = stats.len();
+        stats.sort_by_key(|s| s.elapsed);
+        let median = stats.swap_remove(reps / 2);
+        let secs = median.elapsed.as_secs_f64().max(1e-9);
+        BenchRun {
+            mapping: kind.as_str().to_string(),
+            invocations: options.invocations(),
+            processes: options.processes,
+            reps,
+            elapsed_us: median.elapsed.as_micros() as u64,
+            plan_us: median.timings.plan.as_micros() as u64,
+            enact_us: median.timings.enact.as_micros() as u64,
+            collect_us: median.timings.collect.as_micros() as u64,
+            compile_us: median.timings.compile.as_micros() as u64,
+            throughput: options.invocations() as f64 / secs,
+        }
+    }
+
     /// Serialize for the `BENCH_*.json` report.
     pub fn to_value(&self) -> Value {
         let mut v = Value::Null;
@@ -304,28 +455,67 @@ pub fn bench_mapping(
 ) -> BenchRun {
     let mapping = kind.build();
     mapping.execute(graph, options).expect("warm-up run");
-    let mut stats: Vec<laminar_dataflow::mapping::RunStats> =
-        (0..reps.max(1)).map(|_| mapping.execute(graph, options).expect("bench run").stats).collect();
-    stats.sort_by_key(|s| s.elapsed);
-    let median = stats.swap_remove(stats.len() / 2);
-    let secs = median.elapsed.as_secs_f64().max(1e-9);
-    BenchRun {
-        mapping: kind.as_str().to_string(),
-        invocations: options.invocations(),
-        processes: options.processes,
-        reps: reps.max(1),
-        elapsed_us: median.elapsed.as_micros() as u64,
-        plan_us: median.timings.plan.as_micros() as u64,
-        enact_us: median.timings.enact.as_micros() as u64,
-        collect_us: median.timings.collect.as_micros() as u64,
-        compile_us: median.timings.compile.as_micros() as u64,
-        throughput: options.invocations() as f64 / secs,
-    }
+    let stats = (0..reps.max(1)).map(|_| mapping.execute(graph, options).expect("bench run").stats).collect();
+    BenchRun::median(kind, options, stats)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::percentile;
+    use super::{paired_ratio, percentile, report_path, Flags};
+    use std::cell::RefCell;
+    use std::time::Duration;
+
+    #[test]
+    fn paired_ratio_swaps_the_leader_every_pair_and_takes_the_median() {
+        let order = RefCell::new(String::new());
+        let canned = |side: char, ms: &'static [u64]| {
+            let order = &order;
+            let mut next = ms.iter();
+            move || {
+                order.borrow_mut().push(side);
+                Duration::from_millis(*next.next().expect("one duration per call"))
+            }
+        };
+        // Ratios a/b per pair: 1, 3, 2, 5, 4 — median 3.
+        let ratio = paired_ratio(5, canned('a', &[10, 30, 20, 50, 40]), canned('b', &[10; 5]));
+        assert_eq!(order.borrow().as_str(), "abbaabbaab");
+        assert_eq!(ratio, 3.0);
+        // An even count takes the mean of the middle two: 1, 2, 4, 8 -> 3.
+        order.borrow_mut().clear();
+        let ratio = paired_ratio(4, canned('a', &[10, 20, 40, 80]), canned('b', &[10; 4]));
+        assert_eq!(order.borrow().as_str(), "abbaabba");
+        assert_eq!(ratio, 3.0);
+    }
+
+    #[test]
+    fn process_cpu_time_counts_work_not_sleep() {
+        let t0 = super::process_cpu_time();
+        std::thread::sleep(Duration::from_millis(50));
+        let slept = super::process_cpu_time() - t0;
+        assert!(slept < Duration::from_millis(25), "a 50 ms sleep cost {slept:?} of CPU");
+        let t1 = super::process_cpu_time();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while super::process_cpu_time() - t1 < Duration::from_millis(10) {
+            assert!(std::time::Instant::now() < deadline, "10 s of spinning never cost 10 ms of CPU");
+        }
+    }
+
+    #[test]
+    fn flags_take_smoke_out_and_only_the_named_extras() {
+        let parse =
+            |args: &[&str]| Flags::from_args("demo", &["--baseline-dir"], args.iter().map(|a| a.to_string()));
+        let plain = parse(&[]).unwrap();
+        assert!(!plain.smoke);
+        assert_eq!(plain.out, report_path("demo"));
+        assert_eq!(plain.out, std::path::Path::new("target/bench/demo.json"));
+        let all = parse(&["--smoke", "--out", "x/y.json", "--baseline-dir", "base"]).unwrap();
+        assert!(all.smoke);
+        assert_eq!(all.out, std::path::Path::new("x/y.json"));
+        assert_eq!(all.value("--baseline-dir"), Some("base"));
+        assert_eq!(all.value("--other"), None);
+        assert!(parse(&["--per-tenant", "4"]).is_err(), "a removed flag is refused, not ignored");
+        assert!(parse(&["--out"]).is_err(), "a value flag needs its value");
+    }
 
     #[test]
     fn percentile_is_nearest_rank() {

@@ -7,14 +7,13 @@
 //! identity `fold(checkpoint + replayed events) == fold(batch)` on the
 //! resumed run.
 //!
-//! The plan travels on [`crate::RunOptions`] (tests, benches) or via the
-//! `LAMINAR_FAULTS` environment variable (engine-pool processes, where
-//! the test cannot reach into the forked worker): a comma-separated list
-//! of `key=value` pairs, e.g.
-//!
-//! ```text
-//! LAMINAR_FAULTS=kill_at_epoch=3,delay_send_us=200
-//! ```
+//! The plan travels on [`crate::RunOptions`] (tests, benches) or on an
+//! engine request's `faults` (in-process engine tests); nothing reads one
+//! from the environment or the wire, so a serving process runs with none.
+//! [`FaultPlan::parse`] builds one from a comma-separated list of
+//! `key=value` pairs, e.g. `kill_at_epoch=3,delay_send_us=200`. A torn
+//! journal segment is not a plan fault: a test tears one on disk itself
+//! (`JournalStore::truncate_segment` in `laminar-engine`).
 //!
 //! Faults are *deterministic seams*, not random chaos: every injected
 //! failure is a plain error or sleep at a well-defined point in the
@@ -38,10 +37,6 @@ pub struct FaultPlan {
     /// Sleep this long before every transport send (parallel mappings),
     /// widening the in-flight windows that epoch quiescence must drain.
     pub delay_send: Option<Duration>,
-    /// Journal corruption: after finalizing epoch `n`'s segment, chop
-    /// this many bytes off its tail — a torn write the resume path must
-    /// degrade around (fall back to epoch `n - 1`), not crash on.
-    pub truncate_segment: Option<(u64, u64)>,
 }
 
 impl FaultPlan {
@@ -55,9 +50,9 @@ impl FaultPlan {
         *self == FaultPlan::default()
     }
 
-    /// Parse the `LAMINAR_FAULTS` wire syntax. Unknown keys and
-    /// malformed numbers are ignored (a fault plan must never take down
-    /// a production run that happens to inherit a stale variable).
+    /// Parse `key=value` pairs (`kill_at_epoch`, `stop_at_epoch`,
+    /// `delay_send_us`) separated by commas. Unknown keys and malformed
+    /// numbers are ignored.
     pub fn parse(spec: &str) -> FaultPlan {
         let mut plan = FaultPlan::default();
         for pair in spec.split(',') {
@@ -67,45 +62,10 @@ impl FaultPlan {
                 "kill_at_epoch" => plan.kill_at_epoch = value.parse().ok(),
                 "stop_at_epoch" => plan.stop_at_epoch = value.parse().ok(),
                 "delay_send_us" => plan.delay_send = value.parse().ok().map(Duration::from_micros),
-                "truncate_segment" => {
-                    if let Some((epoch, bytes)) = value.split_once(':') {
-                        if let (Ok(e), Ok(b)) = (epoch.parse(), bytes.parse()) {
-                            plan.truncate_segment = Some((e, b));
-                        }
-                    }
-                }
                 _ => {}
             }
         }
         plan
-    }
-
-    /// The wire syntax for [`FaultPlan::parse`] (what the engine pool
-    /// exports to its workers via `LAMINAR_FAULTS`).
-    pub fn to_spec(&self) -> String {
-        let mut parts = Vec::new();
-        if let Some(n) = self.kill_at_epoch {
-            parts.push(format!("kill_at_epoch={n}"));
-        }
-        if let Some(n) = self.stop_at_epoch {
-            parts.push(format!("stop_at_epoch={n}"));
-        }
-        if let Some(d) = self.delay_send {
-            parts.push(format!("delay_send_us={}", d.as_micros()));
-        }
-        if let Some((e, b)) = self.truncate_segment {
-            parts.push(format!("truncate_segment={e}:{b}"));
-        }
-        parts.join(",")
-    }
-
-    /// The plan in the process environment (`LAMINAR_FAULTS`), or an
-    /// empty plan when unset/empty.
-    pub fn from_env() -> FaultPlan {
-        match std::env::var("LAMINAR_FAULTS") {
-            Ok(spec) if !spec.trim().is_empty() => FaultPlan::parse(&spec),
-            _ => FaultPlan::default(),
-        }
     }
 
     /// Should the run die now, having just sealed `epoch`?
@@ -124,14 +84,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_round_trips_through_spec() {
+    fn parse_reads_every_key() {
         let plan = FaultPlan {
             kill_at_epoch: Some(3),
             stop_at_epoch: Some(7),
             delay_send: Some(Duration::from_micros(250)),
-            truncate_segment: Some((2, 9)),
         };
-        assert_eq!(FaultPlan::parse(&plan.to_spec()), plan);
+        assert_eq!(FaultPlan::parse("kill_at_epoch=3, stop_at_epoch=7,delay_send_us=250"), plan);
     }
 
     #[test]

@@ -582,8 +582,7 @@ impl EventSink {
 }
 
 /// An observer that records the stream (with arrival offsets) — the
-/// harness behind the equivalence suites and the `streaming_latency`
-/// bench.
+/// harness behind the equivalence suites.
 pub struct RecordingObserver {
     started: Instant,
     events: Mutex<Vec<(u64, Duration, RunEvent)>>,

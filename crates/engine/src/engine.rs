@@ -340,9 +340,9 @@ impl ExecutionEngine {
         options.input = req.input.clone();
         options.checkpoint_every = req.options.checkpoint_every;
         // Fault injection never crosses the wire, so no remote request can
-        // ask the engine to kill itself: in-process chaos tests set
-        // `req.faults`; deployments arm `LAMINAR_FAULTS` in the environment.
-        options.faults = req.faults.clone().unwrap_or_else(laminar_dataflow::FaultPlan::from_env);
+        // ask the engine to kill itself: only in-process chaos tests set
+        // `req.faults`.
+        options.faults = req.faults.clone().unwrap_or_default();
         options.resume = req.resume.clone();
 
         let named = req.workflow.as_deref().or_else(|| script.workflows().next().map(|w| w.name.as_str()));

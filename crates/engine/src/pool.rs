@@ -22,7 +22,7 @@ use crate::journal::{JournalError, JournalStore, ResumeData};
 use crate::request::ExecutionRequest;
 use crate::worker::{evict_finished, worker_loop};
 use laminar_dataflow::mapping::ResumePoint;
-use laminar_dataflow::{CancelToken, FaultPlan, RunEvent};
+use laminar_dataflow::{CancelToken, RunEvent};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;
@@ -474,12 +474,6 @@ impl EnginePool {
             return Err(PoolError::ShutDown);
         }
         let journal = self.inner.journal.as_ref().ok_or(PoolError::Unknown(id))?;
-        // Chaos harness: an env-armed truncation fault tears the segment
-        // tail before recovery reads it, modelling a crash that raced the
-        // sealing rename.
-        if let Some((epoch, bytes)) = FaultPlan::from_env().truncate_segment {
-            let _ = journal.truncate_segment(id, epoch, bytes);
-        }
         let data = journal.load(id).ok_or(PoolError::Unknown(id))?;
         if data.meta["owner"].as_str() != Some(owner) {
             return Err(PoolError::Unknown(id));
@@ -513,12 +507,18 @@ impl EnginePool {
     /// first and stay `done`); all worker threads are joined. Idempotent
     /// — [`Drop`] calls this too.
     pub fn stop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        // Set the flag under the queue lock: a worker checks it and parks
+        // on `work_cv` under that lock, so a flag set between the two would
+        // miss the notify below and leave the join waiting forever. Jobs no
+        // worker picked are cancelled; one popped before the flag landed
+        // terminates through its token — every submitted job reaches a
+        // terminal phase.
+        let orphaned: Vec<i64> = {
+            let mut queue = self.inner.queue.lock();
+            self.inner.shutdown.store(true, Ordering::SeqCst);
+            queue.drain()
+        };
         self.inner.work_cv.notify_all();
-        // Cancel everything a worker hasn't picked. A job popped before
-        // the flag landed terminates through its token — either way every
-        // submitted job reaches a terminal phase.
-        let orphaned: Vec<i64> = self.inner.queue.lock().drain();
         for id in orphaned {
             let mut jobs = self.inner.jobs.lock();
             if let Some(rec) = jobs.get_mut(&id) {
@@ -585,7 +585,7 @@ mod tests {
     use super::*;
     use crate::event_log::JobObserver;
     use crate::worker::RETAIN_STREAMED_LOGS;
-    use laminar_dataflow::{RunEvent, RunObserver};
+    use laminar_dataflow::{FaultPlan, RunEvent, RunObserver};
     use laminar_json::Value;
 
     const WF_SRC: &str = r#"

@@ -112,9 +112,9 @@ pub struct ExecutionRequest {
     /// reconstructs this from the job's journal.
     pub resume: Option<laminar_dataflow::mapping::ResumePoint>,
     /// Fault plan for the chaos harness. Never crosses the wire (a remote
-    /// request cannot ask the engine to kill itself): in-process tests set
-    /// it directly; deployments arm `LAMINAR_FAULTS` in the environment,
-    /// which applies when this is `None`.
+    /// request cannot ask the engine to kill itself) and is read from
+    /// nowhere else: in-process tests set it directly, and `None` runs
+    /// with no faults.
     pub faults: Option<laminar_dataflow::FaultPlan>,
 }
 

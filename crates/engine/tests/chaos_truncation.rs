@@ -1,18 +1,17 @@
 //! End-to-end journal-corruption chaos: a checkpointed job is killed by
-//! an injected crash, its *latest sealed segment* is then torn by the
-//! env-armed `truncate_segment` fault (the on-disk shape of a crash
-//! racing the sealing rename), and `resume_job` must degrade to the
-//! previous epoch — re-running one extra chunk — and still refold to
-//! exactly the uninterrupted batch result.
+//! an injected crash, the test then tears its *latest sealed segment* on
+//! disk with `JournalStore::truncate_segment` (the shape of a crash racing
+//! the sealing rename), and `resume_job` must degrade to the previous
+//! epoch — re-running one extra chunk — and still refold to exactly the
+//! uninterrupted batch result.
 //!
-//! This lives in its own integration binary on purpose: `LAMINAR_FAULTS`
-//! is process-global, and the engine's unit tests exercise resume paths
-//! that read it. Keeping the only env-setting test in a separate test
-//! process makes the arming race-free.
+//! The tear and the check that recovery sees it both happen before the
+//! resume, while no worker owns the job, so nothing can re-seal the
+//! segment between them.
 
 use std::time::Duration;
 
-use laminar_engine::{EnginePool, ExecutionEngine, ExecutionRequest, FaultPlan, JobResult};
+use laminar_engine::{EnginePool, ExecutionEngine, ExecutionRequest, FaultPlan, JobResult, JournalStore};
 
 const SRC: &str = r#"
     pe Words : producer {
@@ -64,20 +63,15 @@ fn torn_segment_resume_falls_back_an_epoch_and_refolds() {
         JobResult::Failed(msg, _) => assert!(msg.contains("injected"), "{msg}"),
         _ => unreachable!(),
     }
-    let seg3 = root.join(format!("job-{id}")).join("seg-3.log");
-    let intact = std::fs::metadata(&seg3).expect("sealed segment on disk").len();
+    // Tear the write: chop 5 bytes off seg-3, which invalidates its
+    // trailing CRC frame. Recovery must fall back to epoch 2 rather than
+    // trust the damaged epoch-3 checkpoint.
+    let journal = JournalStore::open(&root).unwrap();
+    assert_eq!(journal.load(id).expect("journaled").epoch, 3, "epochs 1..=3 sealed before the kill");
+    journal.truncate_segment(id, 3, 5).unwrap();
+    assert_eq!(journal.load(id).expect("journaled").epoch, 2, "a torn seg-3 falls back to epoch 2");
 
-    // Arm the torn write for the resume: chop 5 bytes off seg-3, which
-    // invalidates its trailing CRC frame. Recovery must fall back to
-    // epoch 2 rather than trust the damaged epoch-3 checkpoint.
-    std::env::set_var("LAMINAR_FAULTS", "truncate_segment=3:5");
-    let resumed = pool.resume_job("u", id);
-    std::env::remove_var("LAMINAR_FAULTS");
-    assert_eq!(resumed.unwrap(), id, "resume keeps the original job id");
-    assert!(
-        std::fs::metadata(&seg3).map_or(true, |m| m.len() < intact),
-        "the fault should have torn the sealed segment"
-    );
+    assert_eq!(pool.resume_job("u", id).unwrap(), id, "resume keeps the original job id");
 
     let out = match wait_phase(&pool, id, false) {
         JobResult::Done(out, _) => out,

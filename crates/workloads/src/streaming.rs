@@ -7,9 +7,10 @@
 //! *during* the run: the window PE emits an aggregate every
 //! [`WINDOW`] readings per sensor, so the first terminal output appears
 //! after a small prefix of the input while the source keeps producing.
-//! "Time to first result" is therefore a small fraction of total runtime
-//! — the property `streaming_latency` (BENCH_PR4.json) measures and the
-//! tests below pin.
+//! "Time to first result" is therefore a small fraction of total runtime.
+//! `first_window_streams_long_before_completion` below pins that on every
+//! mapping without a clock: the fleet will not serve the second half of
+//! the readings until a window aggregate has been observed.
 //!
 //! Since the cancellation PR the scenario runs in its natural mode:
 //! **unbounded** ([`unbounded_options`]) — the fleet is polled until the
@@ -177,7 +178,7 @@ pub fn expected_windows(readings: usize, sensors: usize) -> usize {
 mod tests {
     use super::*;
     use laminar_dataflow::mapping::{Mapping, MpiMapping, MultiMapping, RedisMapping, SimpleMapping};
-    use laminar_dataflow::{fold_events, RecordingObserver, RunEvent, RunOptions};
+    use laminar_dataflow::{fold_events, RunEvent, RunOptions};
     use std::sync::Arc;
 
     fn run(
@@ -253,29 +254,85 @@ mod tests {
 
     #[test]
     fn first_window_streams_long_before_completion() {
-        // The scenario's defining property: with 25 windows' worth of
-        // input, the first aggregate is observable after ~1/25th of the
-        // run. Assert by stream position (deterministic), not wall clock.
-        let graph = build_graph(Arc::new(SensorFleet::instant(2)));
-        let recorder = RecordingObserver::new();
-        let result = MultiMapping
-            .execute_observed(
-                &graph,
-                &RunOptions::iterations(400).with_processes(4),
-                Some(recorder.clone() as Arc<dyn laminar_dataflow::RunObserver>),
-            )
-            .unwrap();
-        let events = recorder.take();
-        let total = events.len();
-        let first_output = events
-            .iter()
-            .position(|(_, _, e)| matches!(e, RunEvent::Output { .. }))
-            .expect("windows were emitted");
-        assert!(first_output * 4 < total, "first window at event {first_output}/{total} — not streaming");
-        // And the recorded stream folds back to the batch result exactly.
-        let refolded = fold_events(events.into_iter().map(|(_, _, e)| e));
-        assert_eq!(refolded.outputs, result.outputs);
-        assert_eq!(refolded.stats, result.stats);
+        // The scenario's defining property, proved without a clock: the
+        // fleet will not serve reading `READINGS / 2` until the observer has
+        // seen a terminal output. A mapping that streams has long since
+        // delivered one (the first window closes after 2 * WINDOW
+        // readings); a mapping that holds outputs until the source finishes
+        // never delivers one in time, and the read fails the run instead.
+        use laminar_dataflow::RunObserver;
+        use std::sync::{Condvar, Mutex as StdMutex};
+
+        const READINGS: i64 = 400;
+
+        #[derive(Default)]
+        struct FirstOutput {
+            seen: StdMutex<bool>,
+            wake: Condvar,
+            events: Mutex<Vec<RunEvent>>,
+        }
+        impl RunObserver for FirstOutput {
+            fn on_event(&self, _seq: u64, event: &RunEvent) {
+                self.events.lock().push(event.clone());
+                if matches!(event, RunEvent::Output { .. }) {
+                    *self.seen.lock().unwrap() = true;
+                    self.wake.notify_all();
+                }
+            }
+        }
+
+        struct GatedFleet {
+            fleet: SensorFleet,
+            gate: Arc<FirstOutput>,
+        }
+        impl Host for GatedFleet {
+            fn call(&self, module: &str, name: &str, args: &[Value]) -> Result<Value, ScriptError> {
+                if args.first().and_then(Value::as_i64) == Some(READINGS / 2) {
+                    let seen = self.gate.seen.lock().unwrap();
+                    let (seen, _) = self
+                        .gate
+                        .wake
+                        .wait_timeout_while(seen, Duration::from_secs(30), |seen| !*seen)
+                        .unwrap();
+                    if !*seen {
+                        return Err(ScriptError::new(
+                            ErrorKind::HostError,
+                            "no window reached the observer while the source ran: outputs are not streamed",
+                        ));
+                    }
+                }
+                self.fleet.call(module, name, args)
+            }
+        }
+
+        for kind in [
+            laminar_dataflow::MappingKind::Simple,
+            laminar_dataflow::MappingKind::Multi,
+            laminar_dataflow::MappingKind::Mpi,
+            laminar_dataflow::MappingKind::Redis,
+        ] {
+            let gate = Arc::new(FirstOutput::default());
+            let host = Arc::new(GatedFleet { fleet: SensorFleet::instant(2), gate: Arc::clone(&gate) });
+            let graph = laminar_dataflow::WorkflowGraph::from_script_with_host(SOURCE, "SensorWindows", host)
+                .expect("streaming source is valid");
+            let result = kind
+                .build()
+                .execute_observed(
+                    &graph,
+                    &RunOptions::iterations(READINGS).with_processes(4),
+                    Some(Arc::clone(&gate) as Arc<dyn RunObserver>),
+                )
+                .unwrap_or_else(|e| panic!("{kind}: {e}"));
+            assert_eq!(
+                result.port_values("WindowStats", "output").len(),
+                expected_windows(READINGS as usize, 2),
+                "{kind}"
+            );
+            // And the observed stream folds back to the batch result exactly.
+            let refolded = fold_events(std::mem::take(&mut *gate.events.lock()));
+            assert_eq!(refolded.outputs, result.outputs, "{kind}");
+            assert_eq!(refolded.stats, result.stats, "{kind}");
+        }
     }
 
     #[test]
