@@ -23,13 +23,17 @@
 #                event page on the wire is byte for byte the in-process
 #                body), and the client's kept-connection reconnect rule
 #                against a fake server
-#   streaming    streaming + cancellation scenario tiers, and the
-#                allocator calls one delivered event costs end to end
+#   streaming    streaming + cancellation scenario tiers, the allocator
+#                calls one delivered event costs end to end, and the
+#                allocator calls one reading of the group-by workload
+#                costs enacted
 #   chaos        durability fault-injection suite at full proptest depth:
 #                crash/resume chaos, cross-backend epoch parity, torn
 #                journal segments, the mid-stream worker-failure
-#                regression, and randomized slow/dead-consumer
-#                backpressure (PROPTEST_CASES env raises the depth)
+#                regression, randomized slow/dead-consumer
+#                backpressure (PROPTEST_CASES env raises the depth), and
+#                the VM's read paths and lent builtin arguments against
+#                the interpreter oracle at 512 cases
 #   bench-smoke  bench compile, five --smoke runs writing
 #                target/bench/<bin>.json, and the bench_check guard over
 #                them (committed baselines: BENCH_PR2.json, BENCH_PR10.json)
@@ -93,6 +97,7 @@ tier_streaming() {
   cargo test -q -p laminar-dataflow --test proptest_cancel
   cargo test -q -p laminar-engine pool::tests::cancel
   cargo test -q --test delivery_allocs
+  cargo test -q --test enact_allocs
 }
 
 tier_chaos() {
@@ -104,6 +109,9 @@ tier_chaos() {
   cargo test -q -p laminar-engine --test chaos_truncation
   cargo test -q -p laminar-dataflow mid_stream_worker_error
   cargo test -q -p laminar-engine --test proptest_slow_consumer
+  # A read through a path borrows its root and a builtin borrows its
+  # first path argument: differential against the interpreter oracle.
+  PROPTEST_CASES=512 cargo test -q -p laminar-script --test proptest_paths
 }
 
 tier_bench_smoke() {
@@ -190,7 +198,7 @@ tier_lint() {
 }
 
 usage() {
-  sed -n '2,50p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,56p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 TIERS=()

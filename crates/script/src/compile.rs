@@ -14,16 +14,26 @@
 //!   dispatch order (`print` → RNG builtins → user functions → builtin
 //!   table → host), so dispatch is a direct instruction;
 //! * `emit`/`print` are fused instructions that hand `Value`s straight to
-//!   the [`crate::runtime::Sink`].
+//!   the [`crate::runtime::Sink`];
+//! * a `.f`/`[i]` chain rooted at a name, with literal or local operands,
+//!   is a [`ReadPath`]: [`Instr::LoadPath`] walks the root by reference and
+//!   clones only the leaf (the read twin of [`Instr::StorePath`]), and a
+//!   builtin's first such argument is *lent* — [`Instr::CheckPath`] walks
+//!   it at its turn in the argument order without copying, and the call
+//!   moves the leaf into the argument register and back. Builtins see
+//!   `&[Value]` and no expression assigns a local or the port binding, so
+//!   the call finds the leaf the check found (DESIGN.md §3.5).
 //!
 //! The lowering is *semantics-preserving by construction*: fuel is burned by
-//! explicit [`Instr::Fuel`] instructions (and fused into the leaf loads)
-//! in exactly the order the interpreter burns it, runtime checks (call
-//! depth, arity, undeclared ports) stay runtime checks with the
+//! explicit [`Instr::Fuel`] instructions (and fused into the leaf loads and
+//! path walks) in exactly the order the interpreter burns it, runtime
+//! checks (call depth, arity, undeclared ports) stay runtime checks with the
 //! interpreter's error kinds and messages, and names the compiler cannot
 //! resolve (the datum's per-invocation port binding) fall back to
 //! [`Instr::Dynamic`] lookups. `tests/proptest_vm.rs` differential-tests
-//! the VM against the interpreter over generated programs.
+//! the VM against the interpreter over generated programs, and
+//! `tests/proptest_paths.rs` over programs built around read paths and
+//! lent arguments.
 
 use crate::ast::*;
 use crate::error::{ErrorKind, ScriptError};
@@ -50,6 +60,52 @@ pub enum PathAcc {
     Index(u16),
 }
 
+/// Where a read path starts.
+#[derive(Debug, Clone, Copy)]
+pub enum PathRoot {
+    /// A local register slot.
+    Local(u16),
+    /// The dynamic port binding named `names[i]`, else `NameError`.
+    Dynamic(u16),
+}
+
+/// One accessor step of a compiled read path (`x.f[i]` read in place).
+#[derive(Debug, Clone, Copy)]
+pub enum ReadAcc {
+    /// `.names[name]`; `line` is the field expression's (its `TypeError`).
+    Field { name: u16, line: u32 },
+    /// `[consts[idx]]`: a literal operand (burns one unit, like `Const`).
+    Const(u16),
+    /// `[regs[slot]]`: a local operand (burns one unit at `line`, like
+    /// `Local`).
+    Local { slot: u16, line: u32 },
+}
+
+/// A name followed by zero or more accessors whose operands are literals
+/// or locals other than the root, walked by reference (referenced by
+/// [`Instr::LoadPath`], [`Instr::CheckPath`] and a lent builtin argument).
+#[derive(Debug, Clone)]
+pub struct ReadPath {
+    /// The root variable.
+    pub root: PathRoot,
+    /// The root variable's line (its burn and `NameError`).
+    pub line: u32,
+    /// Accessors in application order (innermost first).
+    pub accs: Vec<ReadAcc>,
+}
+
+/// A builtin call site (referenced by [`Instr::CallBuiltin`]).
+#[derive(Debug, Clone, Copy)]
+pub struct BuiltinCall {
+    /// Module name in [`Chunk::names`]; `None` for an unqualified call.
+    pub module: Option<u16>,
+    /// Function name in [`Chunk::names`].
+    pub name: u16,
+    /// The argument lent in place of a copy: its position among the
+    /// arguments and its path in [`Chunk::reads`].
+    pub lend: Option<(u16, u16)>,
+}
+
 /// Bytecode instructions. Registers (`dst`, `src`, …) are frame-relative
 /// slots; `line` mirrors the AST node's source line for error parity with
 /// the interpreter.
@@ -71,6 +127,14 @@ pub enum Instr {
     /// Assignment through an accessor path rooted at a local slot
     /// (`root_local`) or the dynamic binding.
     StorePath { root_local: bool, root: u16, path_start: u16, path_len: u16, src: u16 },
+    /// `dst = reads[path]`, walked by reference and cloning only the leaf
+    /// (burns the root's and each operand's unit).
+    LoadPath { dst: u16, path: u16 },
+    /// [`Instr::LoadPath`]'s burns and errors without the copy: the lent
+    /// argument's turn in the argument order. A leaf a step made fresh
+    /// (missing key, string char) is written to `dst`; a borrowed one is
+    /// lent by the call.
+    CheckPath { dst: u16, path: u16 },
     /// `dst = [regs[start..start+n]]`.
     MakeList { dst: u16, start: u16, n: u16 },
     /// `dst = {names[keys_start+i]: regs[start+i]}`.
@@ -95,9 +159,9 @@ pub enum Instr {
     FieldGet { dst: u16, obj: u16, name: u16, line: u32 },
     /// Call user function `fns[fidx]` with `regs[start..start+argc]`.
     CallFn { dst: u16, fidx: u16, start: u16, argc: u16, line: u32 },
-    /// Call a builtin-table function (`module == u16::MAX` means
-    /// unqualified).
-    CallBuiltin { dst: u16, module: u16, name: u16, start: u16, argc: u16, line: u32 },
+    /// Call the builtin-table function `builtins[call]`, lending its lent
+    /// argument's leaf for the call's duration.
+    CallBuiltin { dst: u16, call: u16, start: u16, argc: u16, line: u32 },
     /// Call a host function `names[module].names[name]`.
     CallHost { dst: u16, module: u16, name: u16, start: u16, argc: u16 },
     /// Fused `print(...)`: join args, hand to the sink, `dst = null`.
@@ -140,6 +204,11 @@ pub struct Chunk {
     pub names: Vec<String>,
     /// Assignment path accessors (referenced by [`Instr::StorePath`]).
     pub paths: Vec<PathAcc>,
+    /// Read paths (referenced by [`Instr::LoadPath`], [`Instr::CheckPath`]
+    /// and [`BuiltinCall::lend`]).
+    pub reads: Vec<ReadPath>,
+    /// Builtin call sites (referenced by [`Instr::CallBuiltin`]).
+    pub builtins: Vec<BuiltinCall>,
     /// Precomputed errors (referenced by [`Instr::Raise`]).
     pub errors: Vec<ScriptError>,
     /// Frame size: number of registers this chunk needs.
@@ -273,6 +342,33 @@ struct Lowerer<'a> {
     err: Option<ScriptError>,
 }
 
+/// A read path found in the AST, before interning: the root's name and
+/// line, and the accessors outermost first, each with its line.
+struct PathShape<'e> {
+    root: &'e str,
+    line: usize,
+    steps: Vec<(usize, Step<'e>)>,
+}
+
+enum Step<'e> {
+    Field(&'e str),
+    Const(Value),
+    /// A local operand's slot and line.
+    Local(u16, usize),
+}
+
+/// The value a literal expression evaluates to.
+fn literal(e: &Expr) -> Option<Value> {
+    Some(match e {
+        Expr::Int(n) => Value::Int(*n),
+        Expr::Float(f) => Value::Float(*f),
+        Expr::Str(s) => Value::Str(s.clone()),
+        Expr::Bool(b) => Value::Bool(*b),
+        Expr::Null => Value::Null,
+        _ => return None,
+    })
+}
+
 enum CallKind {
     Print,
     Rand(RandKind),
@@ -298,6 +394,8 @@ impl<'a> Lowerer<'a> {
                 consts: Vec::new(),
                 names: Vec::new(),
                 paths: Vec::new(),
+                reads: Vec::new(),
+                builtins: Vec::new(),
                 errors: Vec::new(),
                 n_regs: 0,
                 default_output,
@@ -665,24 +763,8 @@ impl<'a> Lowerer<'a> {
     fn expr(&mut self, e: &Expr, dst: u16) -> Result<(), ScriptError> {
         let mark = self.next_reg;
         match e {
-            Expr::Int(n) => {
-                let idx = self.add_const(Value::Int(*n))?;
-                self.emit(Instr::Const { dst, idx });
-            }
-            Expr::Float(f) => {
-                let idx = self.add_const(Value::Float(*f))?;
-                self.emit(Instr::Const { dst, idx });
-            }
-            Expr::Str(s) => {
-                let idx = self.add_const(Value::Str(s.clone()))?;
-                self.emit(Instr::Const { dst, idx });
-            }
-            Expr::Bool(b) => {
-                let idx = self.add_const(Value::Bool(*b))?;
-                self.emit(Instr::Const { dst, idx });
-            }
-            Expr::Null => {
-                let idx = self.add_const(Value::Null)?;
+            Expr::Int(_) | Expr::Float(_) | Expr::Str(_) | Expr::Bool(_) | Expr::Null => {
+                let idx = self.add_const(literal(e).expect("a literal"))?;
                 self.emit(Instr::Const { dst, idx });
             }
             Expr::Var { name, line } => {
@@ -749,31 +831,61 @@ impl<'a> Lowerer<'a> {
                 self.expr(rhs, b)?;
                 self.emit(Instr::Bin { op: *op, dst, a, b, line: u32x(*line)? });
             }
-            Expr::Index { base, index, line } => {
-                self.emit(Instr::Fuel { line: u32x(*line)? });
-                let obj = self.alloc()?;
-                self.expr(base, obj)?;
-                let idx = self.alloc()?;
-                self.expr(index, idx)?;
-                self.emit(Instr::IndexGet { dst, obj, idx });
-            }
-            Expr::Field { base, field, line } => {
-                self.emit(Instr::Fuel { line: u32x(*line)? });
-                let obj = self.alloc()?;
-                self.expr(base, obj)?;
-                let name = self.add_name(field)?;
-                self.emit(Instr::FieldGet { dst, obj, name, line: u32x(*line)? });
-            }
+            Expr::Index { base, index, line } => match self.path_shape(e) {
+                Some(shape) => {
+                    let path = self.lower_path(shape)?;
+                    self.emit(Instr::LoadPath { dst, path });
+                }
+                None => {
+                    self.emit(Instr::Fuel { line: u32x(*line)? });
+                    let obj = self.alloc()?;
+                    self.expr(base, obj)?;
+                    let idx = self.alloc()?;
+                    self.expr(index, idx)?;
+                    self.emit(Instr::IndexGet { dst, obj, idx });
+                }
+            },
+            Expr::Field { base, field, line } => match self.path_shape(e) {
+                Some(shape) => {
+                    let path = self.lower_path(shape)?;
+                    self.emit(Instr::LoadPath { dst, path });
+                }
+                None => {
+                    self.emit(Instr::Fuel { line: u32x(*line)? });
+                    let obj = self.alloc()?;
+                    self.expr(base, obj)?;
+                    let name = self.add_name(field)?;
+                    self.emit(Instr::FieldGet { dst, obj, name, line: u32x(*line)? });
+                }
+            },
             Expr::Call { module, name, args, line } => {
                 self.emit(Instr::Fuel { line: u32x(*line)? });
+                let kind = self.classify(module.as_deref(), name);
+                // A builtin borrows its first path argument instead of a
+                // copy: the walk's burns and errors keep their turn in the
+                // argument order, the leaf is lent at the call.
+                let mut lent = match kind {
+                    CallKind::Builtin => {
+                        args.iter().enumerate().find_map(|(i, a)| self.path_shape(a).map(|s| (i, s)))
+                    }
+                    _ => None,
+                };
+                let mut lend = None;
                 let start = self.next_reg;
-                for a in args {
+                for (i, a) in args.iter().enumerate() {
                     let r = self.alloc()?;
-                    self.expr(a, r)?;
+                    match lent.take_if(|(at, _)| *at == i) {
+                        Some((_, shape)) => {
+                            let path = self.lower_path(shape)?;
+                            self.emit(Instr::CheckPath { dst: r, path });
+                            lend = Some((u16x(i)?, path));
+                        }
+                        None => self.expr(a, r)?,
+                    }
                 }
                 let argc = u16x(args.len())?;
                 let line32 = u32x(*line)?;
-                match self.classify(module.as_deref(), name) {
+                match kind {
                     CallKind::Print => {
                         self.emit(Instr::Print { dst, start, argc });
                     }
@@ -784,12 +896,11 @@ impl<'a> Lowerer<'a> {
                         self.emit(Instr::CallFn { dst, fidx, start, argc, line: line32 });
                     }
                     CallKind::Builtin => {
-                        let m = match module {
-                            Some(m) => self.add_name(m)?,
-                            None => u16::MAX,
-                        };
-                        let n = self.add_name(name)?;
-                        self.emit(Instr::CallBuiltin { dst, module: m, name: n, start, argc, line: line32 });
+                        let module = module.as_deref().map(|m| self.add_name(m)).transpose()?;
+                        let name = self.add_name(name)?;
+                        let call = u16x(self.chunk.builtins.len())?;
+                        self.chunk.builtins.push(BuiltinCall { module, name, lend });
+                        self.emit(Instr::CallBuiltin { dst, call, start, argc, line: line32 });
                     }
                     CallKind::Host => {
                         let m = self.add_name(module.as_deref().expect("host call has module"))?;
@@ -812,6 +923,60 @@ impl<'a> Lowerer<'a> {
         }
         self.next_reg = mark;
         Ok(())
+    }
+
+    /// The read path `e` spells, if any (see [`ReadPath`]).
+    fn path_shape<'e>(&self, e: &'e Expr) -> Option<PathShape<'e>> {
+        let mut steps = Vec::new();
+        let mut cur = e;
+        let (root, line) = loop {
+            match cur {
+                Expr::Var { name, line } => break (name.as_str(), *line),
+                Expr::Field { base, field, line } => {
+                    steps.push((*line, Step::Field(field)));
+                    cur = base;
+                }
+                Expr::Index { base, index, line } => {
+                    let operand = match &**index {
+                        Expr::Var { name, line } => Step::Local(self.resolve(name)?, *line),
+                        other => Step::Const(literal(other)?),
+                    };
+                    steps.push((*line, operand));
+                    cur = base;
+                }
+                _ => return None,
+            }
+        };
+        // The lend walks its root mutably while it reads the operands.
+        let root_slot = self.resolve(root);
+        if steps.iter().any(|(_, s)| matches!(s, Step::Local(slot, _) if Some(*slot) == root_slot)) {
+            return None;
+        }
+        Some(PathShape { root, line, steps })
+    }
+
+    /// Lower a read path: its accessors' entry burns, outermost first as
+    /// the nested lowering emits them, then its walk into
+    /// [`Chunk::reads`]. Returns the walk's index.
+    fn lower_path(&mut self, shape: PathShape<'_>) -> Result<u16, ScriptError> {
+        let mut accs = Vec::with_capacity(shape.steps.len());
+        for (line, step) in shape.steps {
+            let line = u32x(line)?;
+            self.emit(Instr::Fuel { line });
+            accs.push(match step {
+                Step::Field(f) => ReadAcc::Field { name: self.add_name(f)?, line },
+                Step::Const(v) => ReadAcc::Const(self.add_const(v)?),
+                Step::Local(slot, at) => ReadAcc::Local { slot, line: u32x(at)? },
+            });
+        }
+        accs.reverse(); // walk order → application order
+        let root = match self.resolve(shape.root) {
+            Some(slot) => PathRoot::Local(slot),
+            None => PathRoot::Dynamic(self.add_name(shape.root)?),
+        };
+        let i = u16x(self.chunk.reads.len())?;
+        self.chunk.reads.push(ReadPath { root, line: u32x(shape.line)?, accs });
+        Ok(i)
     }
 
     /// Compile-time call classification, in `Interp::call`'s dispatch
@@ -885,6 +1050,50 @@ mod tests {
         assert!(pe.process.n_regs >= 4);
         assert_eq!(pe.process.default_output.as_deref(), Some("output"));
         assert_eq!(pe.default_input.as_deref(), Some("num"));
+    }
+
+    #[test]
+    fn path_side_data_keeps_instructions_sixteen_bytes() {
+        assert!(std::mem::size_of::<Instr>() <= 16, "{} bytes", std::mem::size_of::<Instr>());
+    }
+
+    #[test]
+    fn reads_through_paths_walk_in_place_and_builtins_borrow_the_first() {
+        let src = r#"
+            pe W : generic {
+                input reading;
+                output output;
+                process {
+                    let id = reading[0];
+                    state.n[id] = get(state.n, id, 0) + 1;
+                    emit([state.n[id], f(reading)[0], state.c[reading[0]], get(state.n, state.n)]);
+                }
+            }
+            fn f(v) { return v; }
+        "#;
+        let program = compile_script(&parse_script(src).unwrap()).unwrap();
+        let chunk = &program.pes["W"].process;
+        let loads = chunk.instrs.iter().filter(|i| matches!(i, Instr::LoadPath { .. })).count();
+        let checks = chunk.instrs.iter().filter(|i| matches!(i, Instr::CheckPath { .. })).count();
+        // Both get calls lend their first state.n. f(reading)[0] has a
+        // call for a base and state.c[reading[0]] a non-local operand, so
+        // both index a copy. Loaded in place: reading[0] twice (once as
+        // that operand), state.c, state.n[id] and get's second state.n.
+        assert_eq!((loads, checks), (5, 2));
+        assert_eq!(chunk.instrs.iter().filter(|i| matches!(i, Instr::IndexGet { .. })).count(), 2);
+        let lent: Vec<_> = chunk.builtins.iter().map(|b| b.lend.map(|(arg, _)| arg)).collect();
+        assert_eq!(lent, [Some(0), Some(0)]);
+        let dynamic_root = chunk.reads.iter().filter(|r| matches!(r.root, PathRoot::Dynamic(_))).count();
+        assert_eq!(dynamic_root, 2, "reading[0] reads the port binding");
+    }
+
+    #[test]
+    fn a_path_indexed_by_its_own_root_is_copied() {
+        let src = "pe P : generic { input i; output o; process { let x = [1]; emit(x[x]); } }";
+        let program = compile_script(&parse_script(src).unwrap()).unwrap();
+        let chunk = &program.pes["P"].process;
+        assert!(chunk.reads.is_empty());
+        assert!(chunk.instrs.iter().any(|i| matches!(i, Instr::IndexGet { .. })));
     }
 
     #[test]

@@ -12,12 +12,17 @@
 //! by a base offset. User-function calls place the callee frame directly
 //! above the caller's registers; `for` loops keep their materialized
 //! iterators on a side stack so `break`/`return` can unwind them exactly
-//! like the interpreter dropping its eager item vector.
+//! like the interpreter dropping its eager item vector. A read through a
+//! path borrows its root (`walk`) and clones only the leaf; a builtin's
+//! lent argument is moved into its register for the call and back after
+//! (`lend_leaf`).
 
 use crate::builtins;
-use crate::compile::{Chunk, Instr, PathAcc, Program, RandKind};
+use crate::compile::{Chunk, Instr, PathAcc, PathRoot, Program, RandKind, ReadAcc, ReadPath};
 use crate::error::{ErrorKind, ScriptError};
-use crate::runtime::{binary_op, display_value, truthy, Host, Sink, DEFAULT_FUEL, MAX_CALL_DEPTH};
+use crate::runtime::{
+    binary_op, display_value, index_value, truthy, Host, Sink, DEFAULT_FUEL, MAX_CALL_DEPTH,
+};
 use laminar_json::{Map, Value};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -26,7 +31,45 @@ use std::sync::Arc;
 /// The per-invocation binding of the datum under its input-port name
 /// (`input words;` makes the datum visible as `words`). The port is only
 /// known at runtime, so the compiler routes unresolved names here.
-type Dynamic = Option<(String, Value)>;
+type Dynamic<'p> = Option<(&'p str, Value)>;
+
+/// The dynamic binding's value when it is bound under `name`.
+fn bound<'d>(dynamic: &'d Dynamic<'_>, name: &str) -> Option<&'d Value> {
+    match dynamic {
+        Some((n, v)) if *n == name => Some(v),
+        _ => None,
+    }
+}
+
+/// [`bound`], for writing.
+fn bound_mut<'d>(dynamic: &'d mut Dynamic<'_>, name: &str) -> Option<&'d mut Value> {
+    match dynamic {
+        Some((n, v)) if *n == name => Some(v),
+        _ => None,
+    }
+}
+
+/// An invocation's fuel budget: one unit per statement, expression and
+/// loop step, in the interpreter's order.
+struct Fuel {
+    left: u64,
+    limit: u64,
+}
+
+impl Fuel {
+    fn burn(&mut self, line: usize) -> Result<(), ScriptError> {
+        if self.left == 0 {
+            return Err(ScriptError::at(
+                ErrorKind::FuelExhausted,
+                format!("fuel budget of {} exhausted", self.limit),
+                line,
+                0,
+            ));
+        }
+        self.left -= 1;
+        Ok(())
+    }
+}
 
 /// A bytecode executor bound to a compiled program.
 ///
@@ -37,8 +80,7 @@ type Dynamic = Option<(String, Value)>;
 pub struct Vm {
     program: Arc<Program>,
     host: Arc<dyn Host + Send + Sync>,
-    fuel: u64,
-    fuel_limit: u64,
+    fuel: Fuel,
     rng: StdRng,
     stack: Vec<Value>,
     iters: Vec<std::vec::IntoIter<Value>>,
@@ -50,8 +92,7 @@ impl Vm {
         Vm {
             program,
             host,
-            fuel: DEFAULT_FUEL,
-            fuel_limit: DEFAULT_FUEL,
+            fuel: Fuel { left: DEFAULT_FUEL, limit: DEFAULT_FUEL },
             rng: StdRng::seed_from_u64(0x1a31_4a12),
             stack: Vec::new(),
             iters: Vec::new(),
@@ -60,8 +101,7 @@ impl Vm {
 
     /// Override the per-invocation fuel budget.
     pub fn with_fuel(mut self, fuel: u64) -> Self {
-        self.fuel_limit = fuel;
-        self.fuel = fuel;
+        self.fuel = Fuel { left: fuel, limit: fuel };
         self
     }
 
@@ -73,7 +113,7 @@ impl Vm {
 
     /// Fuel left after the last invocation (differential testing).
     pub fn fuel_remaining(&self) -> u64 {
-        self.fuel
+        self.fuel.left
     }
 
     /// Current RNG state, for checkpointing. The state word plus the
@@ -88,19 +128,6 @@ impl Vm {
         self.rng.set_state(state);
     }
 
-    fn burn(&mut self, line: usize) -> Result<(), ScriptError> {
-        if self.fuel == 0 {
-            return Err(ScriptError::at(
-                ErrorKind::FuelExhausted,
-                format!("fuel budget of {} exhausted", self.fuel_limit),
-                line,
-                0,
-            ));
-        }
-        self.fuel -= 1;
-        Ok(())
-    }
-
     /// Run a PE's `init` block against `state`. Mirrors
     /// `Interp::run_init`, including the error path leaving `state` null.
     pub fn run_init(&mut self, pe: &str, state: &mut Value, sink: &mut dyn Sink) -> Result<(), ScriptError> {
@@ -113,7 +140,7 @@ impl Vm {
             .get(pe)
             .ok_or_else(|| ScriptError::new(ErrorKind::NameError, format!("unknown PE '{pe}'")))?;
         let Some(init) = &pp.init else { return Ok(()) };
-        self.fuel = self.fuel_limit;
+        self.fuel.left = self.fuel.limit;
         self.stack.clear();
         self.stack.resize(init.n_regs as usize, Value::Null);
         self.iters.clear();
@@ -135,7 +162,7 @@ impl Vm {
         state: &mut Value,
         sink: &mut dyn Sink,
     ) -> Result<Option<Value>, ScriptError> {
-        self.fuel = self.fuel_limit;
+        self.fuel.left = self.fuel.limit;
         if state.is_null() {
             *state = Value::Object(Map::new());
         }
@@ -156,16 +183,13 @@ impl Vm {
         self.stack[0] = std::mem::take(state);
         let datum = input.unwrap_or(Value::Null);
         let mut dynamic: Dynamic = None;
-        let pv = input_port.map(str::to_string).or_else(|| pp.default_input.clone());
-        if let Some(pv) = pv {
-            match pv.as_str() {
-                // `input` is skipped outright; `input_port` and
-                // `iteration` are defined after the alias in the
-                // interpreter and thus shadow it.
-                "input" | "input_port" | "iteration" => {}
-                "state" => self.stack[0] = datum.clone(),
-                _ => dynamic = Some((pv, datum.clone())),
-            }
+        match input_port.or(pp.default_input.as_deref()) {
+            // `input` is skipped outright; `input_port` and `iteration`
+            // are defined after the alias in the interpreter and thus
+            // shadow it.
+            None | Some("input" | "input_port" | "iteration") => {}
+            Some("state") => self.stack[0] = datum.clone(),
+            Some(port) => dynamic = Some((port, datum.clone())),
         }
         self.stack[1] = datum;
         self.stack[2] = input_port.map(Value::from).unwrap_or(Value::Null);
@@ -184,7 +208,7 @@ impl Vm {
         base: usize,
         depth: usize,
         sink: &mut dyn Sink,
-        dynamic: &mut Dynamic,
+        dynamic: &mut Dynamic<'_>,
     ) -> Result<Value, ScriptError> {
         let iter_base = self.iters.len();
         let r = self.exec_inner(program, chunk, base, depth, sink, dynamic);
@@ -199,7 +223,7 @@ impl Vm {
         base: usize,
         depth: usize,
         sink: &mut dyn Sink,
-        dynamic: &mut Dynamic,
+        dynamic: &mut Dynamic<'_>,
     ) -> Result<Value, ScriptError> {
         if self.stack.len() < base + chunk.n_regs as usize {
             self.stack.resize(base + chunk.n_regs as usize, Value::Null);
@@ -209,33 +233,21 @@ impl Vm {
             let instr = chunk.instrs[pc];
             pc += 1;
             match instr {
-                Instr::Fuel { line } => self.burn(line as usize)?,
+                Instr::Fuel { line } => self.fuel.burn(line as usize)?,
                 Instr::Const { dst, idx } => {
-                    self.burn(0)?;
+                    self.fuel.burn(0)?;
                     self.stack[base + dst as usize] = chunk.consts[idx as usize].clone();
                 }
                 Instr::Local { dst, slot, line } => {
-                    self.burn(line as usize)?;
+                    self.fuel.burn(line as usize)?;
                     let v = self.stack[base + slot as usize].clone();
                     self.stack[base + dst as usize] = v;
                 }
                 Instr::Dynamic { dst, name, line } => {
-                    self.burn(line as usize)?;
+                    self.fuel.burn(line as usize)?;
                     let wanted = &chunk.names[name as usize];
-                    match dynamic {
-                        Some((n, v)) if n == wanted => {
-                            let v = v.clone();
-                            self.stack[base + dst as usize] = v;
-                        }
-                        _ => {
-                            return Err(ScriptError::at(
-                                ErrorKind::NameError,
-                                format!("undefined variable '{wanted}'"),
-                                line as usize,
-                                0,
-                            ))
-                        }
-                    }
+                    let v = bound(dynamic, wanted).ok_or_else(|| undefined(wanted, line))?.clone();
+                    self.stack[base + dst as usize] = v;
                 }
                 Instr::StoreLocal { slot, src } => {
                     let v = std::mem::take(&mut self.stack[base + src as usize]);
@@ -243,20 +255,25 @@ impl Vm {
                 }
                 Instr::StoreDynamic { name, src } => {
                     let wanted = &chunk.names[name as usize];
-                    match dynamic {
-                        Some((n, v)) if n == wanted => {
-                            *v = std::mem::take(&mut self.stack[base + src as usize]);
-                        }
-                        _ => {
-                            return Err(ScriptError::new(
-                                ErrorKind::NameError,
-                                format!("assignment to undefined variable '{wanted}'"),
-                            ))
-                        }
-                    }
+                    let place = bound_mut(dynamic, wanted).ok_or_else(|| unassignable(wanted))?;
+                    *place = std::mem::take(&mut self.stack[base + src as usize]);
                 }
                 Instr::StorePath { root_local, root, path_start, path_len, src } => {
                     self.store_path(chunk, base, root_local, root, path_start, path_len, src, dynamic)?;
+                }
+                Instr::LoadPath { dst, path } => {
+                    let path = &chunk.reads[path as usize];
+                    let v = match walk(path, chunk, &self.stack[base..], dynamic, &mut self.fuel)? {
+                        Leaf::Borrowed(v) => v.clone(),
+                        Leaf::Fresh(v) => v,
+                    };
+                    self.stack[base + dst as usize] = v;
+                }
+                Instr::CheckPath { dst, path } => {
+                    let path = &chunk.reads[path as usize];
+                    if let Leaf::Fresh(v) = walk(path, chunk, &self.stack[base..], dynamic, &mut self.fuel)? {
+                        self.stack[base + dst as usize] = v;
+                    }
                 }
                 Instr::MakeList { dst, start, n } => {
                     let mut out = Vec::with_capacity(n as usize);
@@ -319,21 +336,14 @@ impl Vm {
                 Instr::IndexGet { dst, obj, idx } => {
                     let b = std::mem::take(&mut self.stack[base + obj as usize]);
                     let i = std::mem::take(&mut self.stack[base + idx as usize]);
-                    self.stack[base + dst as usize] = index_owned(b, i)?;
+                    self.stack[base + dst as usize] = index_owned(b, &i)?;
                 }
                 Instr::FieldGet { dst, obj, name, line } => {
                     let b = std::mem::take(&mut self.stack[base + obj as usize]);
                     let field = &chunk.names[name as usize];
                     self.stack[base + dst as usize] = match b {
                         Value::Object(mut m) => m.remove(field.as_str()).unwrap_or(Value::Null),
-                        other => {
-                            return Err(ScriptError::at(
-                                ErrorKind::TypeError,
-                                format!("cannot access field '{field}' on {}", other.type_name()),
-                                line as usize,
-                                0,
-                            ))
-                        }
+                        other => return Err(field_error(field, &other, line)),
                     };
                 }
                 Instr::CallFn { dst, fidx, start, argc, line } => {
@@ -369,13 +379,27 @@ impl Vm {
                     let v = self.exec(program, callee, callee_base, depth + 1, sink, &mut none)?;
                     self.stack[base + dst as usize] = v;
                 }
-                Instr::CallBuiltin { dst, module, name, start, argc, line } => {
-                    let module_s =
-                        if module == u16::MAX { None } else { Some(chunk.names[module as usize].as_str()) };
-                    let name_s = &chunk.names[name as usize];
-                    let lo = base + start as usize;
-                    let args = &self.stack[lo..lo + argc as usize];
-                    match builtins::call(module_s, name_s, args) {
+                Instr::CallBuiltin { dst, call, start, argc, line } => {
+                    let call = &chunk.builtins[call as usize];
+                    let module_s = call.module.map(|m| chunk.names[m as usize].as_str());
+                    let name_s = &chunk.names[call.name as usize];
+                    // Every local sits below the arguments, so the frame
+                    // below them holds the lent leaf's root and operands.
+                    let (below, above) = self.stack.split_at_mut(base + start as usize);
+                    let args = &mut above[..argc as usize];
+                    let mut lent = None;
+                    if let Some((arg, path)) = call.lend {
+                        let path = &chunk.reads[path as usize];
+                        if let Some(leaf) = lend_leaf(path, chunk, &mut below[base..], dynamic) {
+                            args[arg as usize] = std::mem::take(leaf);
+                            lent = Some((leaf, arg as usize));
+                        }
+                    }
+                    let r = builtins::call(module_s, name_s, args);
+                    if let Some((leaf, arg)) = lent {
+                        *leaf = std::mem::take(&mut args[arg]);
+                    }
+                    match r {
                         Some(r) => {
                             let v = r.map_err(|mut e| {
                                 if e.line == 0 {
@@ -479,7 +503,7 @@ impl Vm {
                 }
                 Instr::ForNext { slot, exit } => match self.iters.last_mut().and_then(Iterator::next) {
                     Some(item) => {
-                        self.burn(0)?;
+                        self.fuel.burn(0)?;
                         self.stack[base + slot as usize] = item;
                     }
                     None => {
@@ -513,39 +537,23 @@ impl Vm {
         path_start: u16,
         path_len: u16,
         src: u16,
-        dynamic: &mut Dynamic,
+        dynamic: &mut Dynamic<'_>,
     ) -> Result<(), ScriptError> {
-        enum OAcc<'c> {
-            Field(&'c str),
-            Index(Value),
-        }
         let value = std::mem::take(&mut self.stack[base + src as usize]);
-        let mut accs = Vec::with_capacity(path_len as usize);
-        for p in &chunk.paths[path_start as usize..(path_start + path_len) as usize] {
-            match p {
-                PathAcc::Field(n) => accs.push(OAcc::Field(chunk.names[*n as usize].as_str())),
-                PathAcc::Index(r) => {
-                    accs.push(OAcc::Index(std::mem::take(&mut self.stack[base + *r as usize])))
-                }
-            }
-        }
-        let mut place: &mut Value = if root_local {
-            &mut self.stack[base + root as usize]
+        // The index registers are temporaries, above every local and so
+        // above a local root: `regs` starts at stack index `regs_at`.
+        let (mut place, regs, regs_at): (&mut Value, &mut [Value], usize) = if root_local {
+            let at = base + root as usize;
+            let (below, above) = self.stack.split_at_mut(at + 1);
+            (&mut below[at], above, at + 1)
         } else {
             let wanted = &chunk.names[root as usize];
-            match dynamic {
-                Some((n, v)) if n == wanted => v,
-                _ => {
-                    return Err(ScriptError::new(
-                        ErrorKind::NameError,
-                        format!("assignment to undefined variable '{wanted}'"),
-                    ))
-                }
-            }
+            (bound_mut(dynamic, wanted).ok_or_else(|| unassignable(wanted))?, &mut self.stack[..], 0)
         };
-        for acc in accs {
-            match acc {
-                OAcc::Field(f) => {
+        for p in &chunk.paths[path_start as usize..(path_start + path_len) as usize] {
+            match *p {
+                PathAcc::Field(n) => {
+                    let f = chunk.names[n as usize].as_str();
                     if place.is_null() {
                         *place = Value::Object(Map::new());
                     }
@@ -555,9 +563,15 @@ impl Vm {
                             format!("cannot set field '{f}' on non-object"),
                         )
                     })?;
-                    place = m.entry(f.to_string()).or_insert(Value::Null);
+                    // The key is allocated only when the field is new.
+                    place = if m.contains_key(f) {
+                        m.get_mut(f).expect("present")
+                    } else {
+                        m.entry(f.to_string()).or_insert(Value::Null)
+                    };
                 }
-                OAcc::Index(idx) => {
+                PathAcc::Index(r) => {
+                    let idx = std::mem::take(&mut regs[base + r as usize - regs_at]);
                     if place.is_null() && matches!(idx, Value::Str(_)) {
                         *place = Value::Object(Map::new());
                     }
@@ -569,17 +583,15 @@ impl Vm {
                             };
                             place = m.entry(k).or_insert(Value::Null);
                         }
-                        (Value::Array(a), Value::Int(i)) => {
-                            let len = a.len() as i64;
-                            let real = if i < 0 { i + len } else { i };
-                            if real < 0 || real >= len {
+                        (Value::Array(a), Value::Int(i)) => match position(i, a.len()) {
+                            Some(p) => place = &mut a[p],
+                            None => {
                                 return Err(ScriptError::new(
                                     ErrorKind::IndexError,
-                                    format!("list index {i} out of range (len {len})"),
-                                ));
+                                    format!("list index {i} out of range (len {})", a.len()),
+                                ))
                             }
-                            place = &mut a[real as usize];
-                        }
+                        },
                         (other, idx) => {
                             return Err(ScriptError::new(
                                 ErrorKind::TypeError,
@@ -595,35 +607,156 @@ impl Vm {
     }
 }
 
-/// Owned-value indexing with the interpreter's exact error messages
-/// (`index_value` clones; owning the operands lets the VM move instead).
-fn index_owned(base: Value, index: Value) -> Result<Value, ScriptError> {
-    match (base, index) {
-        (Value::Array(mut a), Value::Int(i)) => {
-            let len = a.len() as i64;
-            let real = if i < 0 { i + len } else { i };
-            if real < 0 || real >= len {
-                return Err(ScriptError::new(
-                    ErrorKind::IndexError,
-                    format!("list index {i} out of range (len {len})"),
-                ));
+/// Where a read path's walk stands: inside its root, or on a value a step
+/// made (a missing key's `null`, a string's char).
+enum Leaf<'a> {
+    Borrowed(&'a Value),
+    Fresh(Value),
+}
+
+/// Walk `path` from its root by reference. The root's unit and each
+/// operand's unit burn where the copying sequence (`Local`/`Dynamic`, then
+/// per accessor `FieldGet`, or the operand's `Const`/`Local` and
+/// `IndexGet`) burned them, and every error is that sequence's. `frame`
+/// is the current frame's registers.
+fn walk<'a>(
+    path: &ReadPath,
+    chunk: &'a Chunk,
+    frame: &'a [Value],
+    dynamic: &'a Dynamic<'_>,
+    fuel: &mut Fuel,
+) -> Result<Leaf<'a>, ScriptError> {
+    fuel.burn(path.line as usize)?;
+    let mut leaf = Leaf::Borrowed(match path.root {
+        PathRoot::Local(slot) => &frame[slot as usize],
+        PathRoot::Dynamic(name) => {
+            let wanted = &chunk.names[name as usize];
+            bound(dynamic, wanted).ok_or_else(|| undefined(wanted, path.line))?
+        }
+    });
+    for acc in &path.accs {
+        leaf = match *acc {
+            ReadAcc::Field { name, line } => {
+                let field = chunk.names[name as usize].as_str();
+                match leaf {
+                    Leaf::Borrowed(Value::Object(m)) => {
+                        m.get(field).map_or(Leaf::Fresh(Value::Null), Leaf::Borrowed)
+                    }
+                    Leaf::Fresh(Value::Object(mut m)) => Leaf::Fresh(m.remove(field).unwrap_or(Value::Null)),
+                    Leaf::Borrowed(other) => return Err(field_error(field, other, line)),
+                    Leaf::Fresh(other) => return Err(field_error(field, &other, line)),
+                }
             }
-            Ok(a.swap_remove(real as usize))
-        }
-        (Value::Str(s), Value::Int(i)) => {
-            let chars: Vec<char> = s.chars().collect();
-            let len = chars.len() as i64;
-            let real = if i < 0 { i + len } else { i };
-            chars.get(real as usize).map(|c| Value::Str(c.to_string())).ok_or_else(|| {
-                ScriptError::new(ErrorKind::IndexError, format!("string index {i} out of range"))
-            })
-        }
-        (Value::Object(mut m), Value::Str(k)) => Ok(m.remove(&k).unwrap_or(Value::Null)),
-        (b, i) => Err(ScriptError::new(
-            ErrorKind::TypeError,
-            format!("cannot index {} with {}", b.type_name(), i.type_name()),
-        )),
+            ReadAcc::Const(idx) => {
+                fuel.burn(0)?;
+                index(leaf, &chunk.consts[idx as usize])?
+            }
+            ReadAcc::Local { slot, line } => {
+                fuel.burn(line as usize)?;
+                index(leaf, &frame[slot as usize])?
+            }
+        };
     }
+    Ok(leaf)
+}
+
+/// One index step of [`walk`]: in place while inside the root, else on the
+/// owned value.
+fn index<'a>(leaf: Leaf<'a>, i: &Value) -> Result<Leaf<'a>, ScriptError> {
+    let b = match leaf {
+        Leaf::Borrowed(b) => b,
+        Leaf::Fresh(b) => return index_owned(b, i).map(Leaf::Fresh),
+    };
+    let inside = match (b, i) {
+        (Value::Array(a), Value::Int(n)) => position(*n, a.len()).map(|p| &a[p]),
+        (Value::Object(m), Value::Str(k)) => m.get(k.as_str()),
+        _ => None,
+    };
+    match inside {
+        Some(v) => Ok(Leaf::Borrowed(v)),
+        None => index_value(b, i).map(Leaf::Fresh),
+    }
+}
+
+/// The leaf a [`walk`] that passed borrows, found again without burns for
+/// the builtin call that lends it; `None` when a step made it fresh.
+/// `frame` is the current frame's registers below the call's arguments,
+/// which holds every local.
+fn lend_leaf<'a>(
+    path: &ReadPath,
+    chunk: &Chunk,
+    frame: &'a mut [Value],
+    dynamic: &'a mut Dynamic<'_>,
+) -> Option<&'a mut Value> {
+    // A path's operands are locals other than its root (`path_shape`):
+    // split the frame around a local root to read them beside it.
+    let (mut leaf, below, above): (&mut Value, &[Value], &[Value]) = match path.root {
+        PathRoot::Local(slot) => {
+            let (below, rest) = frame.split_at_mut(slot as usize);
+            let (root, above) = rest.split_first_mut()?;
+            (root, below, above)
+        }
+        PathRoot::Dynamic(name) => (bound_mut(dynamic, &chunk.names[name as usize])?, frame, &[]),
+    };
+    let operand = |slot: u16| match (slot as usize).checked_sub(below.len()) {
+        None => &below[slot as usize],
+        Some(k) => &above[k - 1],
+    };
+    for acc in &path.accs {
+        leaf = match *acc {
+            ReadAcc::Field { name, .. } => {
+                leaf.as_object_mut()?.get_mut(chunk.names[name as usize].as_str())?
+            }
+            ReadAcc::Const(idx) => index_mut(leaf, &chunk.consts[idx as usize])?,
+            ReadAcc::Local { slot, .. } => index_mut(leaf, operand(slot))?,
+        };
+    }
+    Some(leaf)
+}
+
+/// [`index`]'s in-place case, for writing.
+fn index_mut<'a>(b: &'a mut Value, i: &Value) -> Option<&'a mut Value> {
+    match (b, i) {
+        (Value::Array(a), Value::Int(n)) => position(*n, a.len()).map(|p| &mut a[p]),
+        (Value::Object(m), Value::Str(k)) => m.get_mut(k.as_str()),
+        _ => None,
+    }
+}
+
+/// A list index's position, a negative one counting from the end.
+fn position(i: i64, len: usize) -> Option<usize> {
+    let real = if i < 0 { i + len as i64 } else { i };
+    (0..len as i64).contains(&real).then_some(real as usize)
+}
+
+/// Owned-value indexing with the interpreter's exact error messages
+/// (`index_value` clones; owning the base lets the VM move instead).
+fn index_owned(base: Value, index: &Value) -> Result<Value, ScriptError> {
+    match (base, index) {
+        (Value::Array(mut a), Value::Int(i)) => match position(*i, a.len()) {
+            Some(p) => Ok(a.swap_remove(p)),
+            None => index_value(&Value::Array(a), index),
+        },
+        (Value::Object(mut m), Value::Str(k)) => Ok(m.remove(k.as_str()).unwrap_or(Value::Null)),
+        (b, _) => index_value(&b, index),
+    }
+}
+
+fn undefined(name: &str, line: u32) -> ScriptError {
+    ScriptError::at(ErrorKind::NameError, format!("undefined variable '{name}'"), line as usize, 0)
+}
+
+fn unassignable(name: &str) -> ScriptError {
+    ScriptError::new(ErrorKind::NameError, format!("assignment to undefined variable '{name}'"))
+}
+
+fn field_error(field: &str, on: &Value, line: u32) -> ScriptError {
+    ScriptError::at(
+        ErrorKind::TypeError,
+        format!("cannot access field '{field}' on {}", on.type_name()),
+        line as usize,
+        0,
+    )
 }
 
 #[cfg(test)]
