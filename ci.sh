@@ -31,9 +31,11 @@
 #                crash/resume chaos, cross-backend epoch parity, torn
 #                journal segments, the mid-stream worker-failure
 #                regression, randomized slow/dead-consumer
-#                backpressure (PROPTEST_CASES env raises the depth), and
-#                the VM's read paths and lent builtin arguments against
-#                the interpreter oracle at 512 cases
+#                backpressure (PROPTEST_CASES env raises the depth), the
+#                VM's read paths and lent builtin arguments against the
+#                interpreter oracle at 512 cases, and the pool's
+#                end-of-job faults (a panicking PE, a resumed job's
+#                retention, every terminal path settling once)
 #   bench-smoke  bench compile, five --smoke runs writing
 #                target/bench/<bin>.json, and the bench_check guard over
 #                them (committed baselines: BENCH_PR2.json, BENCH_PR10.json)
@@ -112,6 +114,12 @@ tier_chaos() {
   # A read through a path borrows its root and a builtin borrows its
   # first path argument: differential against the interpreter oracle.
   PROPTEST_CASES=512 cargo test -q -p laminar-script --test proptest_paths
+  # A job ends in one place: a panic fails it, a resume outlives its first
+  # attempt's retention entry, and each of the seven ends settles once.
+  cargo test -q -p laminar-engine --lib -- \
+    pool::tests::a_panicking_pe_fails_its_job_and_the_worker_serves_the_next \
+    pool::tests::a_resumed_job_is_not_evicted_by_its_own_earlier_finish \
+    pool::tests::every_terminal_path_settles_exactly_once
 }
 
 tier_bench_smoke() {
@@ -198,7 +206,7 @@ tier_lint() {
 }
 
 usage() {
-  sed -n '2,56p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,58p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 TIERS=()

@@ -1,10 +1,12 @@
 //! A job as the pool records and reports it: phase, public view, result,
-//! errors and the pool's counters.
+//! errors and the pool's counters — and [`Jobs`], the one place a job's
+//! phase changes and finished jobs are retained.
 
 use crate::engine::ExecutionOutput;
-use crate::event_log::JobEventLog;
+use crate::event_log::{Entry, JobEventLog};
 use laminar_dataflow::CancelToken;
 use laminar_json::Value;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -191,15 +193,33 @@ impl PoolStats {
     }
 }
 
+/// Finished jobs retained for polling before the oldest are evicted.
+pub(crate) const RETAIN_FINISHED: usize = 4096;
+
+/// Finished streamed jobs whose full event logs stay replayable. Older
+/// finished logs are expired — events dropped, sequence bookkeeping kept
+/// — so large streamed payloads can't pin memory for as long as the
+/// job *records* are retained ([`RETAIN_FINISHED`]).
+pub(crate) const RETAIN_STREAMED_LOGS: usize = 256;
+
+/// How a job ends: the one input of [`Jobs::settle`].
+pub(crate) enum End {
+    /// The run's output, not yet shared with anyone.
+    Done(Arc<ExecutionOutput>),
+    Failed(String),
+    Cancelled,
+}
+
 pub(crate) struct JobRecord {
     pub(crate) owner: String,
-    pub(crate) phase: JobPhase,
-    pub(crate) submitted: Instant,
-    pub(crate) queue_wait: Duration,
-    pub(crate) run_time: Duration,
-    pub(crate) worker: Option<usize>,
-    pub(crate) output: Option<Arc<ExecutionOutput>>,
-    pub(crate) error: Option<String>,
+    /// Written by [`Jobs::start`] and [`Jobs::settle`] only.
+    phase: JobPhase,
+    submitted: Instant,
+    queue_wait: Duration,
+    run_time: Duration,
+    worker: Option<usize>,
+    output: Option<Arc<ExecutionOutput>>,
+    error: Option<String>,
     /// The job's sequenced event stream (terminal marker only, unless the
     /// request asked for live events).
     pub(crate) events: Arc<JobEventLog>,
@@ -220,5 +240,216 @@ impl JobRecord {
             worker: self.worker,
             error: self.error.clone(),
         }
+    }
+
+    pub(crate) fn result(&self, id: i64) -> JobResult {
+        match self.phase {
+            JobPhase::Done => {
+                JobResult::Done(self.output.clone().expect("done job has output"), self.info(id))
+            }
+            JobPhase::Failed => {
+                JobResult::Failed(self.error.clone().unwrap_or_else(|| "unknown".into()), self.info(id))
+            }
+            JobPhase::Cancelled => JobResult::Cancelled(self.info(id)),
+            _ => JobResult::Pending(self.info(id)),
+        }
+    }
+
+    fn is_finished(&self) -> bool {
+        matches!(self.phase, JobPhase::Done | JobPhase::Failed | JobPhase::Cancelled)
+    }
+
+    /// Fire the cancel token and wake a producer parked on a full log, so
+    /// the enactment stops at its next invocation boundary.
+    fn interrupt(&self) {
+        self.cancel.cancel();
+        self.events.wake_producer();
+    }
+}
+
+/// Every job the pool knows — queued, running and a bounded tail of
+/// finished — with the counters of their phases and the two retention
+/// tails, all behind the pool's one `jobs` lock. A job's phase changes
+/// here and nowhere else: [`Jobs::start`] takes it `Queued → Running`,
+/// [`Jobs::settle`] to its end.
+#[derive(Default)]
+pub(crate) struct Jobs {
+    records: HashMap<i64, JobRecord>,
+    /// Settled ids, oldest first: the record of the front one is evicted
+    /// past [`RETAIN_FINISHED`].
+    finished: VecDeque<i64>,
+    /// Settled streamed ids, oldest first: the log of the front one is
+    /// expired past [`RETAIN_STREAMED_LOGS`].
+    streamed: VecDeque<i64>,
+    submitted: u64,
+    running: usize,
+    completed: u64,
+    failed: u64,
+    cancelled: u64,
+    /// Measured run time (ms) across completed and failed jobs, for the
+    /// queue-full retry hint.
+    run_ms_total: u64,
+}
+
+impl Jobs {
+    /// Record a submitted job, queued. A resumed job replaces its earlier
+    /// attempt's record under the same id, so that attempt's places in the
+    /// retention tails go with it: they must not evict or expire the live
+    /// job.
+    pub(crate) fn insert(&mut self, id: i64, owner: &str, events: Arc<JobEventLog>, streaming: bool) {
+        let rec = JobRecord {
+            owner: owner.to_string(),
+            phase: JobPhase::Queued,
+            submitted: Instant::now(),
+            queue_wait: Duration::ZERO,
+            run_time: Duration::ZERO,
+            worker: None,
+            output: None,
+            error: None,
+            events,
+            streaming,
+            cancel: CancelToken::new(),
+        };
+        if self.records.insert(id, rec).is_some() {
+            self.finished.retain(|&f| f != id);
+            self.streamed.retain(|&s| s != id);
+        }
+        self.submitted += 1;
+    }
+
+    /// The record of job `id` if `owner` owns it: tenants cannot observe
+    /// each other's jobs.
+    pub(crate) fn get(&self, owner: &str, id: i64) -> Option<&JobRecord> {
+        self.records.get(&id).filter(|rec| rec.owner == owner)
+    }
+
+    /// `Queued → Running` on `worker`. `None` when the job is no longer
+    /// queued (it was cancelled while queued: its record is already
+    /// terminal and sealed). `Err` with the failure message when it waited
+    /// past its deadline: a submission deadline bounds *queue wait*, so the
+    /// job fails instead of burning a worker on a result its submitter
+    /// stopped wanting (the caller settles it).
+    pub(crate) fn start(
+        &mut self,
+        id: i64,
+        worker: usize,
+        deadline_ms: Option<u64>,
+    ) -> Option<Result<&JobRecord, String>> {
+        let rec = self.records.get_mut(&id).filter(|rec| rec.phase == JobPhase::Queued)?;
+        rec.queue_wait = rec.submitted.elapsed();
+        if let Some(ms) = deadline_ms.filter(|&ms| rec.queue_wait > Duration::from_millis(ms)) {
+            let waited = rec.queue_wait.as_millis();
+            return Some(Err(format!("deadline exceeded: {ms}ms budget, {waited}ms in queue")));
+        }
+        rec.phase = JobPhase::Running;
+        rec.worker = Some(worker);
+        self.running += 1;
+        Some(Ok(rec))
+    }
+
+    /// End job `id`: write its terminal phase, seal its log, move its
+    /// counter and apply retention, in the caller's one hold of the `jobs`
+    /// lock — so a sealed log always means a terminal result. `false` (a
+    /// no-op) when the job is unknown or already ended.
+    ///
+    /// | end | log marker | counter | `run_ms_total` |
+    /// |---|---|---|---|
+    /// | `Done` | `done` | `completed` | + run time |
+    /// | `Failed` | `failed` + message | `failed` | + run time (0 if it never ran) |
+    /// | `Cancelled` | `cancelled`, exactly once | `cancelled` | — |
+    ///
+    /// The journal's half of the table is the caller's, outside the lock
+    /// (`PoolInner::journal_end`).
+    pub(crate) fn settle(&mut self, id: i64, end: End) -> bool {
+        let Some(rec) = self.records.get_mut(&id).filter(|rec| !rec.is_finished()) else { return false };
+        if rec.phase == JobPhase::Running {
+            self.running -= 1;
+            rec.run_time = rec.submitted.elapsed().saturating_sub(rec.queue_wait);
+        }
+        let run_ms = rec.run_time.as_millis() as u64;
+        match end {
+            End::Done(mut out) => {
+                let metrics = Arc::get_mut(&mut out).expect("a run's output is not shared before it settles");
+                metrics.queue_wait = rec.queue_wait;
+                metrics.worker = rec.worker;
+                rec.output = Some(out);
+                rec.phase = JobPhase::Done;
+                rec.events.close(Entry::Done);
+                self.completed += 1;
+                self.run_ms_total += run_ms;
+            }
+            End::Failed(message) => {
+                rec.phase = JobPhase::Failed;
+                rec.events.close(Entry::Failed(message.clone()));
+                rec.error = Some(message);
+                self.failed += 1;
+                self.run_ms_total += run_ms;
+            }
+            End::Cancelled => {
+                rec.phase = JobPhase::Cancelled;
+                // A streamed run may have logged the runtime's `cancelled`
+                // already; `close_cancelled` appends it only if not.
+                rec.cancel.cancel();
+                rec.events.close_cancelled();
+                self.cancelled += 1;
+            }
+        }
+        if rec.streaming {
+            self.streamed.push_back(id);
+            if self.streamed.len() > RETAIN_STREAMED_LOGS {
+                if let Some(old) = self.streamed.pop_front().and_then(|old| self.records.get(&old)) {
+                    old.events.expire();
+                }
+            }
+        }
+        self.finished.push_back(id);
+        if self.finished.len() > RETAIN_FINISHED {
+            if let Some(old) = self.finished.pop_front() {
+                self.records.remove(&old);
+            }
+        }
+        true
+    }
+
+    /// An owner's cancel request: a queued job is settled `Cancelled` on the
+    /// spot, a running one has its token fired (its worker settles it), a
+    /// finished one is left alone. Returns the job's view after the request
+    /// and whether this call settled it; `None` when the id is unknown or
+    /// owned by someone else.
+    pub(crate) fn cancel(&mut self, owner: &str, id: i64) -> Option<(JobInfo, bool)> {
+        let rec = self.get(owner, id)?;
+        let settled = match rec.phase {
+            JobPhase::Queued => self.settle(id, End::Cancelled),
+            JobPhase::Running => {
+                rec.interrupt();
+                false
+            }
+            _ => false,
+        };
+        Some((self.records[&id].info(id), settled))
+    }
+
+    /// Interrupt every job not yet ended (shutdown). This covers `Queued`
+    /// too: a worker may have popped a job without having started it yet.
+    pub(crate) fn interrupt_unfinished(&self) {
+        self.records.values().filter(|rec| !rec.is_finished()).for_each(JobRecord::interrupt);
+    }
+
+    /// The job counters, in a [`PoolStats`] the pool completes.
+    pub(crate) fn counts(&self) -> PoolStats {
+        PoolStats {
+            running: self.running,
+            submitted: self.submitted,
+            completed: self.completed,
+            failed: self.failed,
+            cancelled: self.cancelled,
+            ..PoolStats::default()
+        }
+    }
+
+    /// Mean run time (ms) of the completed and failed jobs; `None` before
+    /// the first.
+    pub(crate) fn mean_run_ms(&self) -> Option<u64> {
+        self.run_ms_total.checked_div(self.completed + self.failed)
     }
 }

@@ -17,14 +17,13 @@ use crate::admission::RateLimiter;
 use crate::engine::{ExecutionEngine, ExecutionOutput};
 use crate::event_log::{JobEventLog, BACKPRESSURE_WAIT, EVENT_LOG_CAPACITY};
 use crate::fair_queue::FairQueue;
-use crate::jobs::JobRecord;
+use crate::jobs::{End, Jobs};
 use crate::journal::{JournalError, JournalStore, ResumeData};
 use crate::request::ExecutionRequest;
-use crate::worker::{evict_finished, worker_loop};
+use crate::worker::worker_loop;
 use laminar_dataflow::mapping::ResumePoint;
-use laminar_dataflow::{CancelToken, RunEvent};
+use laminar_dataflow::RunEvent;
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -34,18 +33,15 @@ pub use crate::event_log::EventPage;
 pub use crate::jobs::{JobInfo, JobPhase, JobResult, PoolError, PoolStats};
 
 pub(crate) struct PoolInner {
-    /// Pending jobs, one lane per tenant, drained by deficit round-robin.
+    /// Pending jobs, one lane per tenant, served round-robin.
     /// Lock order: `queue` before `jobs` when both are held.
     pub(crate) queue: Mutex<FairQueue>,
     /// Per-tenant token buckets (checked before the queue; no-op unless
     /// [`EnginePool::set_tenant_rate`] enabled them).
     pub(crate) rate: Mutex<RateLimiter>,
-    /// All known jobs (queued, running and a bounded tail of finished).
-    pub(crate) jobs: Mutex<HashMap<i64, JobRecord>>,
-    /// Finished ids in completion order, for eviction.
-    pub(crate) finished_order: Mutex<VecDeque<i64>>,
-    /// Finished *streamed* ids in completion order, for log expiry.
-    pub(crate) streamed_order: Mutex<VecDeque<i64>>,
+    /// All known jobs, their counters and retention. Lock order: `jobs`
+    /// before a job's event log.
+    pub(crate) jobs: Mutex<Jobs>,
     /// Workers wait here for queue items.
     pub(crate) work_cv: Condvar,
     /// Result waiters wait here (paired with `jobs`).
@@ -57,19 +53,8 @@ pub(crate) struct PoolInner {
     /// resumed across pool restarts.
     pub(crate) journal: Option<JournalStore>,
     pub(crate) next_id: AtomicI64,
-    pub(crate) running: AtomicU64,
-    pub(crate) submitted: AtomicU64,
-    pub(crate) completed: AtomicU64,
-    pub(crate) failed: AtomicU64,
-    pub(crate) cancelled: AtomicU64,
     pub(crate) rejected: AtomicU64,
     pub(crate) rate_limited: AtomicU64,
-    /// Total measured run time (ms) across completed/failed jobs, for the
-    /// queue-full `retryAfterMs` hint.
-    pub(crate) run_ms_total: AtomicU64,
-    /// Worker count, cached for the retry hint (the `workers` Vec lives
-    /// on `EnginePool`, not here).
-    pub(crate) worker_count: usize,
     /// Journal I/O errors swallowed by job observers.
     pub(crate) journal_errors: Arc<AtomicU64>,
     /// Per-job event-log capacity for jobs submitted from now on
@@ -81,10 +66,30 @@ pub(crate) struct PoolInner {
     pub(crate) backpressure_wait_ms: AtomicU64,
 }
 
-/// The record of job `id` if `owner` owns it: tenants cannot observe each
-/// other's jobs.
-fn owned<'a>(jobs: &'a HashMap<i64, JobRecord>, owner: &str, id: i64) -> Option<&'a JobRecord> {
-    jobs.get(&id).filter(|rec| rec.owner == owner)
+impl PoolInner {
+    /// End job `id` from its worker: the journal takes the end's step
+    /// first, outside the `jobs` lock and before any waiter can see the
+    /// phase; then [`Jobs::settle`]; then result waiters wake.
+    pub(crate) fn settle(&self, id: i64, end: End) {
+        self.journal_end(id, &end);
+        self.jobs.lock().settle(id, end);
+        self.done_cv.notify_all();
+    }
+
+    /// The journal's half of a job's end.
+    fn journal_end(&self, id: i64, end: &End) {
+        let Some(journal) = &self.journal else { return };
+        match end {
+            // Kept for post-mortems and explicit resume, but flagged so
+            // auto-resume skips a job that would just fail again.
+            End::Failed(_) => journal.mark_failed(id),
+            // Shutdown keeps it, so a restarted durable pool resumes the run.
+            End::Cancelled if self.shutdown.load(Ordering::SeqCst) => {}
+            // A completed job needs no recovery state; a user cancel
+            // abandons it.
+            _ => journal.remove(id),
+        }
+    }
 }
 
 /// A pool of engines serving jobs from a bounded queue.
@@ -144,24 +149,15 @@ impl EnginePool {
         let inner = Arc::new(PoolInner {
             queue: Mutex::new(FairQueue::new()),
             rate: Mutex::new(RateLimiter::new()),
-            jobs: Mutex::new(HashMap::new()),
-            finished_order: Mutex::new(VecDeque::new()),
-            streamed_order: Mutex::new(VecDeque::new()),
+            jobs: Mutex::new(Jobs::default()),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             capacity: queue_capacity.max(1),
             journal,
             next_id: AtomicI64::new(1),
-            running: AtomicU64::new(0),
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             rate_limited: AtomicU64::new(0),
-            run_ms_total: AtomicU64::new(0),
-            worker_count: workers,
             journal_errors: Arc::new(AtomicU64::new(0)),
             event_log_capacity: AtomicUsize::new(EVENT_LOG_CAPACITY),
             backpressure_wait_ms: AtomicU64::new(BACKPRESSURE_WAIT.as_millis() as u64),
@@ -185,11 +181,6 @@ impl EnginePool {
     /// travel with each execution request, never through this handle.
     pub fn hosts(&self) -> &crate::hosts::HostRegistry {
         &self.hosts
-    }
-
-    /// Number of worker engines.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
     }
 
     /// Enqueue a job. Fails fast with [`PoolError::RateLimited`] when the
@@ -239,25 +230,9 @@ impl EnginePool {
                 id
             }
         };
-        self.inner.jobs.lock().insert(
-            id,
-            JobRecord {
-                owner: owner.to_string(),
-                phase: JobPhase::Queued,
-                submitted: Instant::now(),
-                queue_wait: Duration::ZERO,
-                run_time: Duration::ZERO,
-                worker: None,
-                output: None,
-                error: None,
-                events,
-                streaming: req.options.events,
-                cancel: CancelToken::new(),
-            },
-        );
+        self.inner.jobs.lock().insert(id, owner, events, req.options.events);
         queue.push(owner, id, req.options.priority, req);
         drop(queue);
-        self.inner.submitted.fetch_add(1, Ordering::SeqCst);
         self.inner.work_cv.notify_one();
         Ok(id)
     }
@@ -274,23 +249,14 @@ impl EnginePool {
         rate.buckets.clear();
     }
 
-    /// Set a tenant's fair-share weight: how many queued jobs the
-    /// scheduler serves from that tenant's lane per round-robin visit
-    /// (default 1; values below 1 clamp to 1).
-    pub fn set_tenant_weight(&self, owner: &str, weight: u64) {
-        self.inner.queue.lock().set_weight(owner, weight);
-    }
-
     /// How long a queue-full rejectee should plausibly wait before
     /// retrying, from live queue depth and observed mean job runtime:
     /// `queued × mean_run_ms / workers`, clamped to [25ms, 10s]. Crude,
     /// but it scales with actual saturation instead of being a constant.
     pub fn queue_retry_hint_ms(&self) -> u64 {
         let queued = self.inner.queue.lock().len() as u64;
-        let done = self.inner.completed.load(Ordering::SeqCst) + self.inner.failed.load(Ordering::SeqCst);
-        let mean_run_ms =
-            self.inner.run_ms_total.load(Ordering::SeqCst).checked_div(done).map_or(25, |mean| mean.max(1));
-        (queued.max(1) * mean_run_ms / self.inner.worker_count.max(1) as u64).clamp(25, 10_000)
+        let mean_run_ms = self.inner.jobs.lock().mean_run_ms().map_or(25, |mean| mean.max(1));
+        (queued.max(1) * mean_run_ms / self.workers.len().max(1) as u64).clamp(25, 10_000)
     }
 
     /// Override the per-job event-log capacity for jobs submitted after
@@ -315,30 +281,19 @@ impl EnginePool {
     /// horizon policy: the slow-consumer gates assert `end - first` stays
     /// bounded by the configured capacity (plus one producer burst).
     pub fn event_log_window(&self, owner: &str, id: i64) -> Option<(u64, u64)> {
-        let log = Arc::clone(&owned(&self.inner.jobs.lock(), owner, id)?.events);
+        let log = Arc::clone(&self.inner.jobs.lock().get(owner, id)?.events);
         Some(log.window())
     }
 
     /// Current view of a job. `None` when the id is unknown or owned by
     /// someone else (tenants cannot observe each other's jobs).
     pub fn status(&self, owner: &str, id: i64) -> Option<JobInfo> {
-        Some(owned(&self.inner.jobs.lock(), owner, id)?.info(id))
+        Some(self.inner.jobs.lock().get(owner, id)?.info(id))
     }
 
     /// Poll a job for its result.
     pub fn result(&self, owner: &str, id: i64) -> Option<JobResult> {
-        Some(Self::result_of(owned(&self.inner.jobs.lock(), owner, id)?, id))
-    }
-
-    fn result_of(rec: &JobRecord, id: i64) -> JobResult {
-        match rec.phase {
-            JobPhase::Done => JobResult::Done(rec.output.clone().expect("done job has output"), rec.info(id)),
-            JobPhase::Failed => {
-                JobResult::Failed(rec.error.clone().unwrap_or_else(|| "unknown".into()), rec.info(id))
-            }
-            JobPhase::Cancelled => JobResult::Cancelled(rec.info(id)),
-            _ => JobResult::Pending(rec.info(id)),
-        }
+        Some(self.inner.jobs.lock().get(owner, id)?.result(id))
     }
 
     /// Block until the job finishes or `timeout` passes; returns the
@@ -347,9 +302,9 @@ impl EnginePool {
         let deadline = Instant::now() + timeout;
         let mut jobs = self.inner.jobs.lock();
         loop {
-            let rec = owned(&jobs, owner, id)?;
+            let rec = jobs.get(owner, id)?;
             if rec.info(id).is_finished() || Instant::now() >= deadline {
-                return Some(Self::result_of(rec, id));
+                return Some(rec.result(id));
             }
             self.inner.done_cv.wait_until(&mut jobs, deadline);
         }
@@ -387,40 +342,15 @@ impl EnginePool {
     /// Returns the job's post-request view, or `None` when the id is
     /// unknown or owned by someone else.
     pub fn cancel(&self, owner: &str, id: i64) -> Option<JobInfo> {
-        let (info, newly_cancelled) = {
-            let mut jobs = self.inner.jobs.lock();
-            let rec = jobs.get_mut(&id)?;
-            if rec.owner != owner {
-                return None;
-            }
-            let newly = match rec.phase {
-                JobPhase::Queued => {
-                    rec.phase = JobPhase::Cancelled;
-                    rec.cancel.cancel();
-                    rec.events.close_cancelled();
-                    self.inner.cancelled.fetch_add(1, Ordering::SeqCst);
-                    true
-                }
-                JobPhase::Running => {
-                    rec.cancel.cancel();
-                    rec.events.wake_producer();
-                    false
-                }
-                _ => false,
-            };
-            (rec.info(id), newly)
-        };
-        if newly_cancelled {
-            // Free the queue slot (admission control) — the worker-side
-            // phase check makes this safe against a concurrent pop.
+        let (info, settled) = self.inner.jobs.lock().cancel(owner, id)?;
+        if settled {
+            // Free the queue slot (admission control) — a worker that
+            // popped the job concurrently finds it no longer queued.
             self.inner.queue.lock().remove(id);
             // An explicit cancel abandons the job's journal too (a queued
             // resumed job still has one from its interrupted run).
-            if let Some(journal) = &self.inner.journal {
-                journal.remove(id);
-            }
+            self.inner.journal_end(id, &End::Cancelled);
             self.inner.done_cv.notify_all();
-            evict_finished(&self.inner, id);
         }
         Some(info)
     }
@@ -439,7 +369,7 @@ impl EnginePool {
     /// or `wait` elapses. `wait = 0` is byte-identical to a plain poll.
     /// No job lock is held while parked — only the per-job log's.
     pub fn events_wait(&self, owner: &str, id: i64, since: u64, wait: Duration) -> Option<EventPage> {
-        let log = Arc::clone(&owned(&self.inner.jobs.lock(), owner, id)?.events);
+        let log = Arc::clone(&self.inner.jobs.lock().get(owner, id)?.events);
         Some(log.page_wait(since, wait))
     }
 
@@ -454,7 +384,7 @@ impl EnginePool {
         since: u64,
         wait: Duration,
     ) -> Option<EventPage<String>> {
-        let log = Arc::clone(&owned(&self.inner.jobs.lock(), owner, id)?.events);
+        let log = Arc::clone(&self.inner.jobs.lock().get(owner, id)?.events);
         Some(log.page_text_wait(since, wait))
     }
 
@@ -478,11 +408,12 @@ impl EnginePool {
         if data.meta["owner"].as_str() != Some(owner) {
             return Err(PoolError::Unknown(id));
         }
-        if let Some(rec) = self.inner.jobs.lock().get(&id) {
-            if !matches!(rec.phase, JobPhase::Failed | JobPhase::Cancelled) {
+        if let Some(rec) = self.inner.jobs.lock().get(owner, id) {
+            let phase = rec.info(id).phase;
+            if !matches!(phase, JobPhase::Failed | JobPhase::Cancelled) {
                 return Err(PoolError::Failed(format!(
                     "job {id} is {}; only interrupted jobs can be resumed",
-                    rec.phase.as_str()
+                    phase.as_str()
                 )));
             }
         }
@@ -519,30 +450,18 @@ impl EnginePool {
             queue.drain()
         };
         self.inner.work_cv.notify_all();
-        for id in orphaned {
+        {
             let mut jobs = self.inner.jobs.lock();
-            if let Some(rec) = jobs.get_mut(&id) {
-                if rec.phase == JobPhase::Queued {
-                    rec.phase = JobPhase::Cancelled;
-                    rec.cancel.cancel();
-                    rec.events.close_cancelled();
-                    self.inner.cancelled.fetch_add(1, Ordering::SeqCst);
-                }
+            // An orphan a racing `cancel` already settled is left alone.
+            // Shutdown keeps the orphans' journals: nothing for the journal
+            // to do.
+            for id in orphaned {
+                jobs.settle(id, End::Cancelled);
             }
-            drop(jobs);
-            evict_finished(&self.inner, id);
-        }
-        // Fire in-flight tokens so the join below terminates even when a
-        // worker is running an unbounded (run-until-cancelled) job. This
-        // covers `Queued` too: a worker may have popped a job from the
-        // queue (so the orphan drain above missed it) without having
-        // marked it `Running` yet — skipping it would hand that worker an
-        // unbounded enactment nobody can ever stop.
-        for rec in self.inner.jobs.lock().values() {
-            if matches!(rec.phase, JobPhase::Queued | JobPhase::Running) {
-                rec.cancel.cancel();
-                rec.events.wake_producer();
-            }
+            // Fire in-flight tokens so the join below terminates even when
+            // a worker is running an unbounded (run-until-cancelled) job —
+            // or has popped one it has not started yet.
+            jobs.interrupt_unfinished();
         }
         self.inner.done_cv.notify_all();
         for handle in self.workers.drain(..) {
@@ -560,15 +479,11 @@ impl EnginePool {
             workers: self.workers.len(),
             capacity: self.inner.capacity,
             queued,
-            running: self.inner.running.load(Ordering::SeqCst) as usize,
-            submitted: self.inner.submitted.load(Ordering::SeqCst),
-            completed: self.inner.completed.load(Ordering::SeqCst),
-            failed: self.inner.failed.load(Ordering::SeqCst),
-            cancelled: self.inner.cancelled.load(Ordering::SeqCst),
             rejected: self.inner.rejected.load(Ordering::SeqCst),
             rate_limited: self.inner.rate_limited.load(Ordering::SeqCst),
             queued_tenants,
             journal_errors: self.inner.journal_errors.load(Ordering::SeqCst),
+            ..self.inner.jobs.lock().counts()
         }
     }
 }
@@ -584,8 +499,8 @@ impl Drop for EnginePool {
 mod tests {
     use super::*;
     use crate::event_log::JobObserver;
-    use crate::worker::RETAIN_STREAMED_LOGS;
-    use laminar_dataflow::{FaultPlan, RunEvent, RunObserver};
+    use crate::jobs::{RETAIN_FINISHED, RETAIN_STREAMED_LOGS};
+    use laminar_dataflow::{CancelToken, FaultPlan, RunEvent, RunObserver};
     use laminar_json::Value;
 
     const WF_SRC: &str = r#"
@@ -1434,21 +1349,6 @@ mod tests {
     }
 
     #[test]
-    fn fair_queue_weight_scales_service_share() {
-        // Weight 2 for a: the scheduler serves two of a's jobs per visit.
-        let mut q = FairQueue::new();
-        q.set_weight("a", 2);
-        for id in [1, 2, 3, 4] {
-            q.push("a", id, 0, queued_req());
-        }
-        for id in [10, 11] {
-            q.push("b", id, 0, queued_req());
-        }
-        let order: Vec<i64> = std::iter::from_fn(|| q.pop().map(|(id, _)| id)).collect();
-        assert_eq!(order, vec![1, 2, 10, 3, 4, 11]);
-    }
-
-    #[test]
     fn fair_queue_priority_jumps_own_lane_only() {
         let mut q = FairQueue::new();
         q.push("a", 1, 0, queued_req());
@@ -1644,7 +1544,7 @@ mod tests {
         let id = pool.submit("u", queued_req().with_events(true)).unwrap();
         let log = {
             let jobs = pool.inner.jobs.lock();
-            Arc::clone(&jobs.get(&id).unwrap().events)
+            Arc::clone(&jobs.get("u", id).unwrap().events)
         };
         let waiter = std::thread::spawn(move || {
             let t0 = Instant::now();
@@ -1658,5 +1558,149 @@ mod tests {
         let types: Vec<&str> = page.events.iter().filter_map(|e| e["type"].as_str()).collect();
         assert_eq!(types, vec!["cancelled"]);
         assert!(waited < Duration::from_secs(10), "woke by stop, not timeout: {waited:?}");
+    }
+
+    /// A host module whose every function panics, as a buggy native
+    /// service binding would.
+    struct Boom;
+
+    impl laminar_script::Host for Boom {
+        fn call(&self, _: &str, _: &str, _: &[Value]) -> Result<Value, laminar_script::ScriptError> {
+            panic!("boom");
+        }
+    }
+
+    const BOOM_SRC: &str = "pe P : producer { output o; process { emit(boom.now()); } }";
+
+    fn boom_pool(capacity: usize) -> EnginePool {
+        let engine = ExecutionEngine::instant();
+        engine.hosts().register("boom", Arc::new(Boom));
+        EnginePool::start(engine, 1, capacity)
+    }
+
+    fn wait_until_running(pool: &EnginePool, id: i64) {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while pool.status("u", id).unwrap().phase != JobPhase::Running {
+            assert!(Instant::now() < deadline, "job {id} never started");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_panicking_pe_fails_its_job_and_the_worker_serves_the_next() {
+        let pool = boom_pool(4);
+        let id = pool.submit("u", ExecutionRequest::simple("u", BOOM_SRC, 1)).unwrap();
+        match pool.wait("u", id, Duration::from_secs(10)).unwrap() {
+            JobResult::Failed(message, _) => assert!(message.contains("panicked"), "{message}"),
+            other => panic!("expected Failed, got {other:?}"),
+        }
+        let next = pool.submit("u", ExecutionRequest::simple("u", WF_SRC, 2)).unwrap();
+        match pool.wait("u", next, Duration::from_secs(10)).unwrap() {
+            JobResult::Done(..) => {}
+            other => panic!("the one worker must serve the next job, got {other:?}"),
+        }
+        assert_eq!(pool.stats().running, 0);
+    }
+
+    #[test]
+    fn a_resumed_job_is_not_evicted_by_its_own_earlier_finish() {
+        let dir = journal_dir("reevict");
+        let pool = EnginePool::start_durable(ExecutionEngine::instant(), 2, 8, &dir).unwrap();
+        let unbounded = || {
+            ExecutionRequest::simple("u", STATEFUL_SRC, 0)
+                .with_unbounded(Duration::from_millis(10))
+                .with_checkpoints(2)
+        };
+        let faults = FaultPlan { kill_at_epoch: Some(1), ..FaultPlan::default() };
+        let id = pool.submit("u", unbounded().with_faults(faults)).unwrap();
+        match pool.wait("u", id, Duration::from_secs(20)).unwrap() {
+            JobResult::Failed(..) => {}
+            other => panic!("expected the injected kill, got {other:?}"),
+        }
+        // The first attempt's finish is in the retention tail; the resumed
+        // attempt runs under the same id, unbounded, on one worker while
+        // the other serves a full tail's worth of finishes.
+        assert_eq!(pool.resume_job("u", id).unwrap(), id);
+        let tiny = "pe G : producer { output o; process { emit(1); } }";
+        for _ in 0..RETAIN_FINISHED {
+            let other = pool.submit("u", ExecutionRequest::simple("u", tiny, 1)).unwrap();
+            pool.wait("u", other, Duration::from_secs(10)).unwrap();
+        }
+        let info = pool.status("u", id).expect("the live resumed job keeps its record");
+        assert_eq!(info.phase, JobPhase::Running);
+        pool.cancel("u", id).unwrap();
+        match pool.wait("u", id, Duration::from_secs(20)).unwrap() {
+            JobResult::Cancelled(_) => {}
+            other => panic!("expected Cancelled, got {other:?}"),
+        }
+        drop(pool);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_terminal_path_settles_exactly_once() {
+        let mut pool = boom_pool(16);
+        let submit =
+            |pool: &EnginePool, req: ExecutionRequest| pool.submit("u", req.with_events(true)).unwrap();
+        let simple = |src| ExecutionRequest::simple("u", src, 1);
+        let unbounded = || ExecutionRequest::simple("u", WF_SRC, 0).with_unbounded(Duration::from_millis(1));
+        let panicked = submit(&pool, simple(BOOM_SRC));
+        let done = submit(&pool, simple(WF_SRC));
+        let failed = submit(&pool, simple("pe Z : producer { output o; process { emit(1 / 0); } }"));
+        for id in [panicked, done, failed] {
+            pool.wait("u", id, Duration::from_secs(10)).unwrap();
+        }
+        // One worker: behind the running job queue one job with a deadline
+        // it will have missed, one to cancel, one that will be running at
+        // shutdown and one that will still be queued.
+        let running = submit(&pool, unbounded());
+        wait_until_running(&pool, running);
+        let expired = submit(&pool, simple(WF_SRC).with_deadline_ms(1));
+        let queued = submit(&pool, simple(WF_SRC));
+        let in_flight = submit(&pool, unbounded());
+        let orphan = submit(&pool, simple(WF_SRC));
+        assert_eq!(pool.cancel("u", queued).unwrap().phase, JobPhase::Cancelled);
+        std::thread::sleep(Duration::from_millis(5));
+        pool.cancel("u", running).unwrap();
+        wait_until_running(&pool, in_flight);
+        pool.stop();
+
+        use JobPhase::{Cancelled, Done, Failed};
+        let ends = [
+            (panicked, Failed),
+            (done, Done),
+            (failed, Failed),
+            (running, Cancelled),
+            (expired, Failed),
+            (queued, Cancelled),
+            (in_flight, Cancelled),
+            (orphan, Cancelled),
+        ];
+        for (id, phase) in ends {
+            let info = pool.status("u", id).unwrap();
+            assert_eq!(info.phase, phase, "job {id}");
+            assert_eq!(info.error.is_some(), phase == Failed, "job {id}: {:?}", info.error);
+            let mut types: Vec<String> = Vec::new();
+            let mut since = 0;
+            let closed = loop {
+                let page = pool.events("u", id, since).unwrap();
+                types.extend(page.events.iter().filter_map(|e| e["type"].as_str().map(str::to_string)));
+                since = page.next;
+                if page.events.is_empty() {
+                    break page.closed;
+                }
+            };
+            assert!(closed, "job {id}: log sealed");
+            let terminal: Vec<&str> = types
+                .iter()
+                .map(String::as_str)
+                .filter(|t| matches!(*t, "done" | "failed" | "cancelled"))
+                .collect();
+            assert_eq!(terminal, vec![phase.as_str()], "job {id}: exactly one terminal marker");
+            assert_eq!(types.last().map(String::as_str), Some(phase.as_str()), "job {id}: the marker seals");
+        }
+        let stats = pool.stats();
+        assert_eq!(stats.submitted, stats.completed + stats.failed + stats.cancelled);
+        assert_eq!((stats.completed, stats.failed, stats.cancelled), (1, 3, 4));
     }
 }
