@@ -16,13 +16,16 @@
 #                differential suites that run the VM against the
 #                interpreter oracle) at a reduced case count
 #                (PROPTEST_CASES=8)
-#   stress       the concurrency stress suite (unrestricted test threads)
-#                plus the registry search-index differential proptests
+#   stress       the concurrency stress suite (unrestricted test threads),
+#                the registry search-index differential proptests, and
+#                concurrent Redis runs on one shared broker (each must get
+#                back only its own data)
 #   edge         the HTTP edge: http.rs unit tests (cap, deadlines, idle
 #                close), the public-surface edge tests (among them: every
 #                event page on the wire is byte for byte the in-process
-#                body), and the client's kept-connection reconnect rule
-#                against a fake server
+#                body), the client's kept-connection reconnect rule
+#                against a fake server, and a run asking for more than 256
+#                processes refused with a 400 on both transports
 #   streaming    streaming + cancellation scenario tiers, the allocator
 #                calls one delivered event costs end to end, and the
 #                allocator calls one reading of the group-by workload
@@ -83,12 +86,15 @@ tier_stress() {
   # Registry search differential: indexed answers must equal the linear
   # scan under randomized mutation histories, and survive WAL replay.
   cargo test -q -p laminar-registry --test proptest_search
+  # Runs sharing one broker keep their queues apart.
+  cargo test -q -p laminar-dataflow --lib mapping::redis::tests::concurrent_runs_on_one_broker_keep_their_own_queues
 }
 
 tier_edge() {
   cargo test -q -p laminar-server --lib http::
   cargo test -q -p laminar-server --test edge
   cargo test -q -p laminar-client --lib web::tests::kept_connection
+  cargo test -q -p laminar-client --lib client::tests::a_run_asking_for_more_than_256_processes_is_a_400_on_both_transports
 }
 
 tier_streaming() {
@@ -206,7 +212,7 @@ tier_lint() {
 }
 
 usage() {
-  sed -n '2,58p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,61p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 TIERS=()

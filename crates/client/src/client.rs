@@ -1554,4 +1554,38 @@ mod tests {
         }
         http.stop();
     }
+
+    #[test]
+    fn a_run_asking_for_more_than_256_processes_is_a_400_on_both_transports() {
+        let http = laminar_server::HttpServer::start(LaminarServer::in_memory()).unwrap();
+        let clients = [
+            ("in-process", LaminarClient::in_process(LaminarServer::in_memory())),
+            ("tcp", LaminarClient::connect(http.addr())),
+        ];
+        let src = "pe Say : producer { output output; process { print(iteration); } }";
+        for (transport, mut c) in clients {
+            c.register("procs", "password").unwrap();
+            c.login("procs", "password").unwrap();
+            // Refused before anything is planned, on the sync and the async
+            // path alike.
+            let too_many = RunConfig::iterations(3).with_mapping(MappingKind::Multi, 257);
+            let refused = [
+                c.run_source(src, too_many.clone()).map(|_| ()),
+                c.submit(RunTarget::Source(src.into()), too_many).map(|_| ()),
+            ];
+            for r in refused {
+                match r {
+                    Err(ClientError::Api { status: 400, message, .. }) => {
+                        assert!(message.contains("processes"), "{transport}: {message}")
+                    }
+                    other => panic!("{transport}: expected a 400, got {other:?}"),
+                }
+            }
+            // The bound itself runs.
+            let out =
+                c.run_source(src, RunConfig::iterations(3).with_mapping(MappingKind::Multi, 256)).unwrap();
+            assert_eq!(out.printed, ["0", "1", "2"], "{transport}");
+        }
+        http.stop();
+    }
 }

@@ -221,24 +221,8 @@ impl WorkflowGraph {
                 )));
             }
         }
-        // Kahn's algorithm for cycle detection.
-        let mut indeg = vec![0usize; self.nodes.len()];
-        for c in &self.connections {
-            indeg[c.to.0] += 1;
-        }
-        let mut queue: VecDeque<usize> =
-            indeg.iter().enumerate().filter(|(_, d)| **d == 0).map(|(i, _)| i).collect();
-        let mut seen = 0;
-        while let Some(n) = queue.pop_front() {
-            seen += 1;
-            for c in self.connections.iter().filter(|c| c.from.0 == n) {
-                indeg[c.to.0] -= 1;
-                if indeg[c.to.0] == 0 {
-                    queue.push_back(c.to.0);
-                }
-            }
-        }
-        if seen != self.nodes.len() {
+        // A node on a cycle never reaches in-degree zero.
+        if self.kahn_order().len() != self.nodes.len() {
             return Err(DataflowError::Validation("workflow graph contains a cycle".into()));
         }
         // Every input port of every non-root node must be connected.
@@ -264,8 +248,15 @@ impl WorkflowGraph {
     /// Topological order of node ids (valid graphs only).
     pub fn topo_order(&self) -> Result<Vec<NodeId>, DataflowError> {
         self.validate()?;
+        Ok(self.kahn_order())
+    }
+
+    /// Kahn's algorithm over the connections: every node that is neither on
+    /// nor downstream of a cycle, in topological order — so the order is
+    /// shorter than the node list exactly when the graph has a cycle.
+    fn kahn_order(&self) -> Vec<NodeId> {
         let mut indeg = vec![0usize; self.nodes.len()];
-        // Count distinct *edges* (a node pair may have several port pairs).
+        // Count every connection (a node pair may have several port pairs).
         for c in &self.connections {
             indeg[c.to.0] += 1;
         }
@@ -281,7 +272,7 @@ impl WorkflowGraph {
                 }
             }
         }
-        Ok(order)
+        order
     }
 
     /// Build a graph from a LamScript `workflow` declaration plus the PE

@@ -21,8 +21,8 @@
 //!   routing, built automatically at enactment.
 //! * **Mapping** — the enactment backend: [`mapping::SimpleMapping`]
 //!   (sequential), [`mapping::MultiMapping`] (threads + channels),
-//!   [`mapping::MpiMapping`] (rank/tag message passing over a simulated
-//!   communicator), [`mapping::RedisMapping`] (work queues on a
+//!   [`mapping::MpiMapping`] (serialized frames between ranks over the
+//!   same channels), [`mapping::RedisMapping`] (work queues on a
 //!   [`laminar_redisim::Broker`]).
 //!
 //! ## Quick start

@@ -6,15 +6,14 @@
 //! | Mapping  | Paper equivalent        | Transport                          |
 //! |----------|-------------------------|------------------------------------|
 //! | [`SimpleMapping`] | Simple (sequential) | in-process FIFO queue        |
-//! | [`MultiMapping`]  | Multi(processing)   | threads + `std::sync::mpsc` channels |
-//! | [`MpiMapping`]    | MPI                 | rank/tag messages, serialized payloads |
-//! | [`RedisMapping`]  | Redis               | broker work queues, serialized payloads |
+//! | [`MultiMapping`]  | Multi(processing)   | threads + a mesh of `std::sync::mpsc` channels |
+//! | [`MpiMapping`]    | MPI                 | the same mesh, lampickle byte frames |
+//! | [`RedisMapping`]  | Redis               | broker work queues, lampickle byte frames |
 //!
 //! The orchestration they share — planning, source driving, routing, EOS
-//! propagation, output/stats collection — lives in [`runtime::Runtime`];
-//! each mapping only supplies a [`runtime::Connector`] describing its
-//! transport. See the [`runtime`] module docs for how to add a fifth
-//! back-end.
+//! propagation, output/stats collection — lives in [`runtime::Runtime`].
+//! A parallel mapping is a [`worker::Transport`] plus the function that
+//! wires one per planned instance (see the [`runtime`] module docs).
 
 pub mod cancel;
 pub mod events;
@@ -27,10 +26,10 @@ pub mod worker;
 
 pub use cancel::CancelToken;
 pub use events::{fold_events, EventFold, EventSink, RecordingObserver, RunEvent, RunObserver};
-pub use mpi::{Communicator, Envelope, MpiMapping, RankEndpoint, TAG_DATA, TAG_EOS};
+pub use mpi::MpiMapping;
 pub use multi::MultiMapping;
 pub use redis::RedisMapping;
-pub use runtime::{Connector, Runtime};
+pub use runtime::Runtime;
 pub use simple::SimpleMapping;
 
 use crate::error::DataflowError;
@@ -48,7 +47,7 @@ pub enum MappingKind {
     Simple,
     /// Shared-memory parallel execution.
     Multi,
-    /// Message-passing execution over a simulated communicator.
+    /// Message-passing execution: serialized frames between ranks.
     Mpi,
     /// Broker-queue execution over laminar-redisim.
     Redis,

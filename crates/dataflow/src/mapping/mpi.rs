@@ -1,118 +1,35 @@
-//! The MPI mapping: message-passing enactment over a simulated
-//! communicator.
+//! The MPI mapping: message-passing enactment.
 //!
-//! Each PE instance is a *rank*. Ranks share nothing; every datum is
-//! serialized to a byte buffer (lampickle) and sent as a tagged
-//! point-to-point message, exactly the discipline a real
-//! `mpi4py`-backed dispel4py enactment follows. The communicator is the
-//! substrate substitution for MPI itself (see DESIGN.md).
+//! Each PE instance is a *rank*, numbered by its dense plan id. Ranks
+//! share nothing: every burst is serialized to one lampickle byte frame
+//! (a list of `[port_id, value]` pairs) and sent point-to-point down the
+//! receiving rank's channel, the discipline a real `mpi4py`-backed
+//! dispel4py enactment follows. The channels are the Multi mapping's mesh
+//! ([`super::multi::mesh`]), which stands in for MPI itself (see
+//! DESIGN.md).
 
-use super::runtime::{Connector, Runtime};
-use super::worker::{drain_batch_groups, RoutedDatum, Transport, TransportMsg};
+use super::multi::{mesh, Burst};
+use super::runtime::Runtime;
 use super::{Mapping, MappingKind, RunOptions, RunResult};
 use crate::error::DataflowError;
 use crate::graph::WorkflowGraph;
-use crate::planner::{ConcretePlan, InstanceId};
+use crate::planner::ConcretePlan;
 use crate::ports::PortId;
 use laminar_codec::pickle;
 use laminar_json::{jarr, Value};
-use std::sync::mpsc::{channel, Receiver, Sender};
-
-/// Message tag for data payloads.
-pub const TAG_DATA: u32 = 1;
-/// Message tag for end-of-stream.
-pub const TAG_EOS: u32 = 2;
-
-/// A tagged point-to-point message.
-#[derive(Debug, Clone)]
-pub struct Envelope {
-    /// Sending rank.
-    pub src: usize,
-    /// Message tag ([`TAG_DATA`] or [`TAG_EOS`]).
-    pub tag: u32,
-    /// Serialized payload (empty for EOS).
-    pub payload: Vec<u8>,
-}
-
-/// The simulated communicator: `size` ranks with point-to-point channels.
-pub struct Communicator {
-    senders: Vec<Sender<Envelope>>,
-    receivers: Vec<Option<Receiver<Envelope>>>,
-}
-
-impl Communicator {
-    /// Create a communicator with `size` ranks.
-    pub fn new(size: usize) -> Communicator {
-        let mut senders = Vec::with_capacity(size);
-        let mut receivers = Vec::with_capacity(size);
-        for _ in 0..size {
-            let (tx, rx) = channel();
-            senders.push(tx);
-            receivers.push(Some(rx));
-        }
-        Communicator { senders, receivers }
-    }
-
-    /// Number of ranks.
-    pub fn size(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// Take the per-rank endpoint (each rank calls this exactly once).
-    pub fn endpoint(&mut self, rank: usize) -> RankEndpoint {
-        RankEndpoint {
-            rank,
-            senders: self.senders.clone(),
-            receiver: self.receivers[rank].take().expect("endpoint taken once"),
-        }
-    }
-}
-
-/// One rank's view of the communicator.
-pub struct RankEndpoint {
-    /// This rank's id.
-    pub rank: usize,
-    senders: Vec<Sender<Envelope>>,
-    receiver: Receiver<Envelope>,
-}
-
-impl RankEndpoint {
-    /// Send `payload` to `dest` with `tag`.
-    pub fn send(&self, dest: usize, tag: u32, payload: Vec<u8>) -> Result<(), DataflowError> {
-        self.senders[dest]
-            .send(Envelope { src: self.rank, tag, payload })
-            .map_err(|_| DataflowError::Enactment(format!("rank {dest} is gone")))
-    }
-
-    /// Blocking receive of the next message for this rank.
-    pub fn recv(&self) -> Result<Envelope, DataflowError> {
-        self.receiver.recv().map_err(|_| DataflowError::Enactment("communicator closed without EOS".into()))
-    }
-}
-
-struct MpiTransport {
-    endpoint: RankEndpoint,
-    /// Rank of an instance is its dense plan id: an array-offset
-    /// computation, not a map lookup.
-    plan: ConcretePlan,
-}
 
 /// Serialize one destination's burst as a list of `[port_id, value]`
 /// pairs. Port ids are the plan's interned [`PortId`]s — both ends hold the
 /// same plan, so a small integer is the whole port encoding. Shared with
 /// the Redis mapping's queue frames.
-pub(crate) fn encode_pairs(group: Vec<(PortId, laminar_json::SharedValue)>) -> Value {
+pub(crate) fn encode_pairs(group: Burst) -> Value {
     Value::Array(group.into_iter().map(|(pid, v)| jarr![pid.0 as i64, Value::unshare(v)]).collect())
 }
 
 /// Decode a burst's `[port_id, value]` pairs, validating every port id
 /// against the plan's port table. Corrupt frames are enactment errors —
 /// data is never silently re-routed to a default port.
-pub(crate) fn decode_pairs(
-    items: Value,
-    plan: &ConcretePlan,
-    what: &str,
-) -> Result<Vec<(PortId, laminar_json::SharedValue)>, DataflowError> {
+pub(crate) fn decode_pairs(items: Value, plan: &ConcretePlan, what: &str) -> Result<Burst, DataflowError> {
     let corrupt = |detail: &str| DataflowError::Enactment(format!("corrupt {what} frame: {detail}"));
     let Value::Array(items) = items else {
         return Err(corrupt("expected a batch list"));
@@ -136,58 +53,6 @@ pub(crate) fn decode_pairs(
     Ok(out)
 }
 
-impl Transport for MpiTransport {
-    fn send_batch(&mut self, batch: &mut Vec<RoutedDatum>) -> Result<(), DataflowError> {
-        let endpoint = &self.endpoint;
-        let plan = &self.plan;
-        drain_batch_groups(batch, |dest, group| {
-            // Serialize through the byte boundary — ranks share no memory.
-            endpoint.send(plan.dense(dest), TAG_DATA, pickle::dumps(&encode_pairs(group)))
-        })
-    }
-
-    fn send_eos(&mut self, dest: InstanceId) -> Result<(), DataflowError> {
-        self.endpoint.send(self.plan.dense(dest), TAG_EOS, Vec::new())
-    }
-
-    fn recv(&mut self) -> Result<TransportMsg, DataflowError> {
-        let env = self.endpoint.recv()?;
-        match env.tag {
-            TAG_EOS => Ok(TransportMsg::Eos),
-            TAG_DATA => {
-                let v = pickle::loads(&env.payload)
-                    .map_err(|e| DataflowError::Enactment(format!("corrupt MPI frame: {e}")))?;
-                Ok(TransportMsg::Data(decode_pairs(v, &self.plan, "MPI")?))
-            }
-            t => Err(DataflowError::Enactment(format!("unknown MPI tag {t}"))),
-        }
-    }
-}
-
-/// Assigns each planned instance a rank (its dense plan id) and hands out
-/// communicator endpoints.
-#[derive(Default)]
-struct MpiConnector {
-    comm: Option<Communicator>,
-    plan: Option<ConcretePlan>,
-}
-
-impl Connector for MpiConnector {
-    type Transport = MpiTransport;
-
-    fn connect(&mut self, _graph: &WorkflowGraph, plan: &ConcretePlan) -> Result<(), DataflowError> {
-        self.comm = Some(Communicator::new(plan.total_processes));
-        self.plan = Some(plan.clone());
-        Ok(())
-    }
-
-    fn endpoint(&mut self, inst: InstanceId) -> Result<MpiTransport, DataflowError> {
-        let comm = self.comm.as_mut().expect("connect ran first");
-        let plan = self.plan.clone().expect("connect ran first");
-        Ok(MpiTransport { endpoint: comm.endpoint(plan.dense(inst)), plan })
-    }
-}
-
 /// Message-passing enactment.
 pub struct MpiMapping;
 
@@ -202,7 +67,20 @@ impl Mapping for MpiMapping {
         options: &RunOptions,
         observer: Option<std::sync::Arc<dyn super::RunObserver>>,
     ) -> Result<RunResult, DataflowError> {
-        Runtime::new(graph, options).threaded_observed(MpiConnector::default(), observer)
+        Runtime::new(graph, options).threaded_observed(
+            |plan| {
+                Ok(mesh(
+                    plan,
+                    |burst| pickle::dumps(&encode_pairs(burst)),
+                    |bytes, plan| {
+                        let v = pickle::loads(&bytes)
+                            .map_err(|e| DataflowError::Enactment(format!("corrupt MPI frame: {e}")))?;
+                        decode_pairs(v, plan, "MPI")
+                    },
+                ))
+            },
+            observer,
+        )
     }
 }
 
@@ -211,19 +89,6 @@ mod tests {
     use super::*;
     use crate::mapping::SimpleMapping;
     use crate::pe::{iterative_fn, producer_fn};
-
-    #[test]
-    fn communicator_point_to_point() {
-        let mut comm = Communicator::new(2);
-        assert_eq!(comm.size(), 2);
-        let e0 = comm.endpoint(0);
-        let e1 = comm.endpoint(1);
-        e0.send(1, TAG_DATA, b"hello".to_vec()).unwrap();
-        let env = e1.recv().unwrap();
-        assert_eq!(env.src, 0);
-        assert_eq!(env.tag, TAG_DATA);
-        assert_eq!(env.payload, b"hello");
-    }
 
     #[test]
     fn decode_pairs_rejects_corrupt_ports() {

@@ -1,7 +1,13 @@
 //! The Multi mapping: one thread per PE instance, `std::sync::mpsc`
 //! channels as the transport (the paper's multiprocessing back-end).
+//!
+//! The channel mesh here is shared with the MPI mapping: one unbounded
+//! channel per instance, every endpoint holding a sender to each channel
+//! and its own receiver. What differs is the frame a burst travels as —
+//! Multi moves the `Arc`-shared burst itself, MPI a lampickle byte frame
+//! (see [`mesh`]).
 
-use super::runtime::{Connector, Runtime};
+use super::runtime::Runtime;
 use super::worker::{drain_batch_groups, RoutedDatum, Transport, TransportMsg};
 use super::{Mapping, MappingKind, RunOptions, RunResult};
 use crate::error::DataflowError;
@@ -14,93 +20,72 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 /// Shared-memory parallel enactment.
 pub struct MultiMapping;
 
-enum Msg {
-    /// One emission burst for this instance. Payloads are `Arc`-shared:
-    /// broadcast fan-out moves refcounts through the channel, never copies.
-    Data(Vec<(PortId, SharedValue)>),
+/// One emission burst for one instance: `(port, payload)` in send order.
+pub(super) type Burst = Vec<(PortId, SharedValue)>;
+
+enum Msg<F> {
+    /// One burst, as the mesh's frame type.
+    Data(F),
     Eos,
 }
 
-struct ChannelTransport {
+/// One instance's end of a channel mesh, carrying bursts as frames of
+/// type `F`.
+pub(super) struct MeshTransport<F> {
     /// Senders indexed by dense instance id — a per-burst array index, not
     /// a per-datum map lookup.
-    senders: Vec<Sender<Msg>>,
+    senders: Vec<Sender<Msg<F>>>,
     plan: ConcretePlan,
-    receiver: Receiver<Msg>,
+    receiver: Receiver<Msg<F>>,
+    encode: fn(Burst) -> F,
+    decode: fn(F, &ConcretePlan) -> Result<Burst, DataflowError>,
 }
 
-impl ChannelTransport {
-    fn sender(&self, dest: InstanceId) -> &Sender<Msg> {
-        &self.senders[self.plan.dense(dest)]
-    }
+/// Wire a channel mesh for `plan`: one transport per instance, in dense
+/// plan order. `encode` turns a burst into the frame its channel carries
+/// and `decode` turns a received frame back into a burst. The mesh keeps
+/// no sender of its own, so a channel closes once every worker holding it
+/// is gone.
+pub(super) fn mesh<F>(
+    plan: &ConcretePlan,
+    encode: fn(Burst) -> F,
+    decode: fn(F, &ConcretePlan) -> Result<Burst, DataflowError>,
+) -> Vec<MeshTransport<F>> {
+    let (senders, receivers): (Vec<_>, Vec<_>) = (0..plan.total_processes).map(|_| channel()).unzip();
+    receivers
+        .into_iter()
+        .map(|receiver| MeshTransport {
+            senders: senders.clone(),
+            plan: plan.clone(),
+            receiver,
+            encode,
+            decode,
+        })
+        .collect()
 }
 
 fn closed() -> DataflowError {
     DataflowError::Enactment("channel closed mid-run (peer worker died)".into())
 }
 
-impl Transport for ChannelTransport {
+impl<F> Transport for MeshTransport<F> {
     fn send_batch(&mut self, batch: &mut Vec<RoutedDatum>) -> Result<(), DataflowError> {
-        let senders = &self.senders;
-        let plan = &self.plan;
+        let MeshTransport { senders, plan, encode, .. } = self;
         drain_batch_groups(batch, |dest, group| {
-            senders[plan.dense(dest)].send(Msg::Data(group)).map_err(|_| closed())
+            senders[plan.dense(dest)].send(Msg::Data(encode(group))).map_err(|_| closed())
         })
     }
 
     fn send_eos(&mut self, dest: InstanceId) -> Result<(), DataflowError> {
-        self.sender(dest).send(Msg::Eos).map_err(|_| closed())
+        self.senders[self.plan.dense(dest)].send(Msg::Eos).map_err(|_| closed())
     }
 
     fn recv(&mut self) -> Result<TransportMsg, DataflowError> {
         match self.receiver.recv() {
-            Ok(Msg::Data(items)) => Ok(TransportMsg::Data(items)),
+            Ok(Msg::Data(frame)) => Ok(TransportMsg::Data((self.decode)(frame, &self.plan)?)),
             Ok(Msg::Eos) => Ok(TransportMsg::Eos),
             Err(_) => Err(DataflowError::Enactment("all upstream channels closed without EOS".into())),
         }
-    }
-}
-
-/// One unbounded channel per instance; every worker holds clones of all
-/// senders plus its own receiver.
-#[derive(Default)]
-struct ChannelConnector {
-    senders: Vec<Sender<Msg>>,
-    receivers: Vec<Option<Receiver<Msg>>>,
-    plan: Option<ConcretePlan>,
-}
-
-impl Connector for ChannelConnector {
-    type Transport = ChannelTransport;
-
-    fn connect(&mut self, _graph: &WorkflowGraph, plan: &ConcretePlan) -> Result<(), DataflowError> {
-        // Checkpointed runs reconnect once per round: start from a clean
-        // slate so dense indices line up with the fresh channels.
-        self.senders.clear();
-        self.receivers.clear();
-        for _ in 0..plan.total_processes {
-            let (tx, rx) = channel();
-            self.senders.push(tx);
-            self.receivers.push(Some(rx));
-        }
-        self.plan = Some(plan.clone());
-        Ok(())
-    }
-
-    fn endpoint(&mut self, inst: InstanceId) -> Result<ChannelTransport, DataflowError> {
-        let plan = self.plan.clone().expect("connect ran first");
-        let dense = plan.dense(inst);
-        Ok(ChannelTransport {
-            senders: self.senders.clone(),
-            plan,
-            receiver: self.receivers[dense].take().expect("endpoint taken once per instance"),
-        })
-    }
-
-    fn on_workers_started(&mut self) {
-        // Drop the main thread's senders so channel closure propagates if a
-        // worker dies.
-        self.senders.clear();
     }
 }
 
@@ -115,7 +100,10 @@ impl Mapping for MultiMapping {
         options: &RunOptions,
         observer: Option<std::sync::Arc<dyn super::RunObserver>>,
     ) -> Result<RunResult, DataflowError> {
-        Runtime::new(graph, options).threaded_observed(ChannelConnector::default(), observer)
+        // Bursts cross the channel as they are: broadcast fan-out moves
+        // refcounts, never copies.
+        Runtime::new(graph, options)
+            .threaded_observed(|plan| Ok(mesh(plan, |burst| burst, |burst, _| Ok(burst))), observer)
     }
 }
 

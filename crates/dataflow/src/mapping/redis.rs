@@ -2,11 +2,14 @@
 //!
 //! Every PE instance owns one broker list used as its work queue; workers
 //! communicate exclusively through the broker (serialized payloads), the
-//! way dispel4py's Redis mapping coordinates its worker processes.
+//! way dispel4py's Redis mapping coordinates its worker processes. Each
+//! run takes a fresh number from the broker's `laminar:runs` counter and
+//! keeps its queues under it (`laminar:q:{run}:{node}:{index}`), so runs
+//! sharing one broker never see each other's data.
 
 use super::cancel::CancelToken;
 use super::mpi::{decode_pairs, encode_pairs};
-use super::runtime::{Connector, Runtime};
+use super::runtime::Runtime;
 use super::worker::{drain_batch_groups, RoutedDatum, Transport, TransportMsg};
 use super::{Mapping, MappingKind, RunOptions, RunResult};
 use crate::error::DataflowError;
@@ -32,15 +35,17 @@ impl RedisMapping {
     }
 }
 
-fn queue_key(inst: InstanceId) -> String {
-    format!("laminar:q:{}:{}", inst.node.0, inst.index)
+fn queue_key(run: i64, inst: InstanceId) -> String {
+    format!("laminar:q:{run}:{}:{}", inst.node.0, inst.index)
 }
 
 struct RedisTransport {
     client: RedisClient,
+    /// This run's queue namespace.
+    run: i64,
     my_queue: String,
     plan: ConcretePlan,
-    timeout: std::time::Duration,
+    timeout: Duration,
     /// Unbounded (run-until-cancelled) runs retry an empty-queue pop
     /// instead of treating it as starvation: with no invocation bound
     /// there is no moment by which a message *must* have arrived, and
@@ -55,7 +60,7 @@ struct RedisTransport {
 impl RedisTransport {
     fn push(&self, dest: InstanceId, frame: Vec<u8>) -> Result<(), DataflowError> {
         self.client
-            .rpush(&queue_key(dest), frame)
+            .rpush(&queue_key(self.run, dest), frame)
             .map(|_| ())
             .map_err(|e| DataflowError::Enactment(format!("broker push failed: {e}")))
     }
@@ -118,36 +123,6 @@ impl Transport for RedisTransport {
     }
 }
 
-/// Hands every instance a broker client pointed at its own work queue.
-struct BrokerConnector<'b> {
-    broker: &'b Broker,
-    timeout: Duration,
-    retry_on_timeout: bool,
-    cancel: CancelToken,
-    plan: Option<ConcretePlan>,
-}
-
-impl Connector for BrokerConnector<'_> {
-    type Transport = RedisTransport;
-
-    fn connect(&mut self, _graph: &WorkflowGraph, plan: &ConcretePlan) -> Result<(), DataflowError> {
-        // Queues materialize lazily on first push; nothing to pre-create.
-        self.plan = Some(plan.clone());
-        Ok(())
-    }
-
-    fn endpoint(&mut self, inst: InstanceId) -> Result<RedisTransport, DataflowError> {
-        Ok(RedisTransport {
-            client: self.broker.client(),
-            my_queue: queue_key(inst),
-            plan: self.plan.clone().expect("connect ran first"),
-            timeout: self.timeout,
-            retry_on_timeout: self.retry_on_timeout,
-            cancel: self.cancel.clone(),
-        })
-    }
-}
-
 impl Mapping for RedisMapping {
     fn kind(&self) -> MappingKind {
         MappingKind::Redis
@@ -167,19 +142,30 @@ impl Mapping for RedisMapping {
                 &owned_broker
             }
         };
-        Runtime::new(graph, options).threaded_observed(
-            BrokerConnector {
-                broker,
+        // The counter sits outside the `laminar:q:` prefix, so a drained
+        // broker holds no queue key.
+        let run = broker
+            .client()
+            .incr("laminar:runs")
+            .map_err(|e| DataflowError::Enactment(format!("broker run counter failed: {e}")))?;
+        // Queues materialize lazily on first push; wiring only hands every
+        // instance a broker client pointed at its own work queue.
+        let wire = |plan: &ConcretePlan| {
+            let transport = |inst| RedisTransport {
+                client: broker.client(),
+                run,
+                my_queue: queue_key(run, inst),
+                plan: plan.clone(),
                 timeout: options.queue_timeout,
                 // An unbounded source may legitimately pause longer than
                 // any safety timeout (its pace is caller-chosen), so
                 // empty-queue pops retry until data or EOS arrives.
                 retry_on_timeout: options.is_unbounded(),
                 cancel: options.cancel.clone(),
-                plan: None,
-            },
-            observer,
-        )
+            };
+            Ok(plan.all_instances().into_iter().map(transport).collect())
+        };
+        Runtime::new(graph, options).threaded_observed(wire, observer)
     }
 }
 
@@ -309,8 +295,8 @@ mod tests {
         let b = g.add(iterative_fn("Id", Some));
         g.connect(a, "output", b, "input").unwrap();
         let legacy = pickle::dumps(&jobj! { "kind" => "data", "port" => "input", "value" => 1 });
-        client.rpush("laminar:q:1:0", legacy).unwrap();
-        client.rpush("laminar:q:1:1", b"not a pickle".to_vec()).unwrap();
+        client.rpush("laminar:q:1:1:0", legacy).unwrap();
+        client.rpush("laminar:q:1:1:1", b"not a pickle".to_vec()).unwrap();
         let mapping = RedisMapping::with_broker(broker);
         let err = mapping.execute(&g, &RunOptions::iterations(5).with_processes(3)).unwrap_err();
         match err {
@@ -332,5 +318,30 @@ mod tests {
         g.connect(a, "output", b, "input").unwrap();
         let r = RedisMapping::default().execute(&g, &RunOptions::iterations(0).with_processes(3)).unwrap();
         assert_eq!(r.total_outputs(), 0);
+    }
+
+    #[test]
+    fn concurrent_runs_on_one_broker_keep_their_own_queues() {
+        // Two runs at a time through one shared broker, each emitting its
+        // own value range: every run must get back exactly its own values,
+        // none of the other run's.
+        let mapping = RedisMapping::with_broker(Broker::new());
+        let run = |base: i64| {
+            let mut g = WorkflowGraph::new("p");
+            let a = g.add(producer_fn("Nums", move |i| Value::Int(base + i)));
+            let b = g.add(iterative_fn("Id", Some));
+            g.connect(a, "output", b, "input").unwrap();
+            let r = mapping.execute(&g, &RunOptions::iterations(200).with_processes(3)).unwrap();
+            let mut got: Vec<i64> =
+                r.port_values("Id", "output").iter().map(|v| v.as_i64().unwrap()).collect();
+            got.sort();
+            assert_eq!(got, (base..base + 200).collect::<Vec<_>>(), "run {base} got another run's data");
+        };
+        for _ in 0..20 {
+            std::thread::scope(|s| {
+                s.spawn(|| run(0));
+                s.spawn(|| run(1000));
+            });
+        }
     }
 }

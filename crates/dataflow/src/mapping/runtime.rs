@@ -6,8 +6,8 @@
 //! carries the data:
 //!
 //! 1. **Plan** — turn the abstract graph into a [`ConcretePlan`]
-//!    (instances per PE), instantiate an [`InstanceRunner`] per instance,
-//!    and set up the transport substrate.
+//!    (instances per PE) and instantiate an [`InstanceRunner`] per
+//!    instance.
 //! 2. **Enact** — drive source instances through the configured
 //!    invocations, stream routed data downstream, propagate end-of-stream
 //!    once every upstream instance finishes. Terminal outputs, prints and
@@ -16,45 +16,22 @@
 //! 3. **Collect** — fold the event stream into one [`RunResult`]
 //!    ([`super::events::EventFold`]): the batch result *is* the fold.
 //!
-//! [`Runtime`] owns all three stages and times each one
+//! [`Runtime`] owns all three stages in one frame and times each one
 //! ([`super::StageTimings`] — the overhead structure the paper's Table 5
-//! measures). A mapping contributes *only* the transport:
+//! measures). The frame runs the input in rounds (one, unless the run
+//! checkpoints) and each entry point supplies only what one round does:
 //!
-//! * [`Runtime::sequential`] — the Simple mapping's deterministic
-//!   in-process schedule; the "transport" is a FIFO the runtime drains
-//!   between producer iterations.
-//! * [`Runtime::threaded`] — one thread per instance, connected by a
-//!   mapping-supplied [`Connector`].
-//!
-//! # Adding a fifth back-end
-//!
-//! Implement [`Connector`] (plus its [`Transport`]) and delegate from a new
-//! [`super::Mapping`]:
-//!
-//! ```ignore
-//! struct ZmqConnector { /* sockets, endpoints, ... */ }
-//!
-//! impl Connector for ZmqConnector {
-//!     type Transport = ZmqTransport;
-//!     fn connect(&mut self, graph: &WorkflowGraph, plan: &ConcretePlan)
-//!         -> Result<(), DataflowError> { /* bind one inbox per instance */ }
-//!     fn endpoint(&mut self, inst: InstanceId)
-//!         -> Result<ZmqTransport, DataflowError> { /* that instance's view */ }
-//! }
-//!
-//! impl Mapping for ZmqMapping {
-//!     fn kind(&self) -> MappingKind { /* extend the enum */ }
-//!     fn execute_observed(&self, graph: &WorkflowGraph, options: &RunOptions,
-//!                         observer: Option<Arc<dyn RunObserver>>)
-//!         -> Result<RunResult, DataflowError> {
-//!         Runtime::new(graph, options).threaded_observed(ZmqConnector::new(), observer)
-//!     }
-//! }
-//! ```
+//! * [`Runtime::sequential_observed`] — the Simple mapping's
+//!   deterministic in-process schedule; the "transport" is a FIFO the
+//!   runtime drains breadth-first between producer iterations.
+//! * [`Runtime::threaded_observed`] — one thread per instance. A mapping
+//!   is a [`Transport`] plus the function that wires one per instance:
+//!   `wire(plan)` returns one transport per planned instance, in dense
+//!   plan order, and is called afresh for every round.
 //!
 //! The runtime guarantees the rest: identical routing, grouping, EOS,
-//! event-stream and stats semantics as the other back-ends, which is what
-//! lets the cross-mapping equivalence suites assert output parity and
+//! event-stream and stats semantics on every back-end, which is what lets
+//! the cross-mapping equivalence suites assert output parity and
 //! `fold(events) == batch result`.
 
 use super::events::{EventSink, RunEvent, RunObserver};
@@ -64,35 +41,11 @@ use super::worker::{
 use super::{RunOptions, RunResult, StageTimings};
 use crate::error::DataflowError;
 use crate::graph::WorkflowGraph;
-use crate::planner::{ConcretePlan, InstanceId};
+use crate::planner::ConcretePlan;
 use laminar_json::Value;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// A mapping's transport factory: how instances get wired together.
-pub trait Connector {
-    /// The per-instance transport handle workers communicate through.
-    type Transport: Transport + Send;
-
-    /// Set up the shared substrate (channels, rank tables, queues) once the
-    /// concrete plan is known. Called once per enactment *round* — plain
-    /// runs have exactly one; checkpointed runs reconnect between epochs
-    /// (each round drains to EOS, so the previous substrate is empty and
-    /// fully consumed when this is called again). Implementations must
-    /// rebuild from scratch on every call.
-    fn connect(&mut self, graph: &WorkflowGraph, plan: &ConcretePlan) -> Result<(), DataflowError>;
-
-    /// Produce the transport endpoint for one instance. Called exactly once
-    /// per planned instance per round, after that round's
-    /// [`Connector::connect`].
-    fn endpoint(&mut self, inst: InstanceId) -> Result<Self::Transport, DataflowError>;
-
-    /// Hook invoked after every worker holds its endpoint; connectors drop
-    /// main-thread senders here so channel closure propagates when a worker
-    /// dies. Default: nothing.
-    fn on_workers_started(&mut self) {}
-}
 
 /// The shared execution pipeline. Borrows the graph and options for the
 /// duration of one enactment.
@@ -110,14 +63,9 @@ impl<'a> Runtime<'a> {
     /// Deterministic single-threaded enactment (the Simple mapping): one
     /// instance per PE, producers run iteration by iteration, and the
     /// in-process FIFO is drained breadth-first between iterations so
-    /// memory stays flat (streaming, not batch).
-    pub fn sequential(&self) -> Result<RunResult, DataflowError> {
-        self.sequential_observed(None)
-    }
-
-    /// [`Runtime::sequential`] with a live event stream: every
-    /// [`RunEvent`] reaches `observer` the moment it happens, and the
-    /// returned result is the fold over that same stream.
+    /// memory stays flat (streaming, not batch). Every [`RunEvent`]
+    /// reaches `observer` the moment it happens, and the returned result
+    /// is the fold over that same stream.
     pub fn sequential_observed(
         &self,
         observer: Option<Arc<dyn RunObserver>>,
@@ -128,35 +76,16 @@ impl<'a> Runtime<'a> {
         // The sequential drain pushes events in execution order, so first-
         // output timing is real even without an observer.
         sink.set_realtime();
-        let (mut epoch, mut snapshots) = self.resume_into(&sink);
-        if self.options.resume.is_none() {
-            sink.push(RunEvent::PlanReady { pes: plan_pes(self.graph, &plan) });
-        }
-        // Flat runner storage indexed by the plan's dense instance id — the
-        // per-datum lookup is an array index, not a `BTreeMap` walk.
-        let mut runners = self.build_runners(&plan, snapshots.as_ref())?;
-        let sources: Vec<usize> =
-            runners.iter().enumerate().filter(|(_, r)| r.is_source()).map(|(i, _)| i).collect();
-        let plan_time = t0.elapsed();
-
-        sink.start_enact();
-        let enact_t0 = Instant::now();
         let ports = Arc::clone(plan.ports());
         let mut queue: VecDeque<RoutedDatum> = VecDeque::new();
         let mut emissions = Emissions::default();
         let mut scratch: Vec<RunEvent> = Vec::new();
         let cancel = &self.options.cancel;
-        let chunk = self.options.checkpoint_every;
-        let limit = self.options.bounded_invocations();
         let pace = self.options.pace();
-        // The round loop: with checkpointing off there is exactly one
-        // round covering the whole input; otherwise each round drives
-        // `chunk` global iterations, drains to quiescence, snapshots, and
-        // rebuilds its runners from the snapshot — so the restore path is
-        // exercised at every epoch, not only after a crash.
-        loop {
-            let range = Self::round_range(chunk, limit, epoch);
-            for r in &runners {
+        self.enact(t0, &plan, &sink, |runners, range| {
+            let sources: Vec<usize> =
+                runners.iter().enumerate().filter(|(_, r)| r.is_source()).map(|(i, _)| i).collect();
+            for r in runners.iter() {
                 sink.push(RunEvent::InstanceStarted { pe: Arc::clone(&r.node_name), instance: r.inst.index });
             }
             // Absorb one invocation's emissions: routed data queues for the
@@ -212,7 +141,7 @@ impl<'a> Runtime<'a> {
             }
             // Per-round counters: the event fold sums `instance_done`
             // deltas, so round totals add up to exactly the batch figures.
-            for r in &runners {
+            for r in runners.iter() {
                 sink.push(RunEvent::InstanceFinished {
                     pe: Arc::clone(&r.node_name),
                     instance: r.inst.index,
@@ -220,99 +149,105 @@ impl<'a> Runtime<'a> {
                     emitted: r.stats.emitted,
                 });
             }
-            match self.seal_round(&sink, &runners, chunk, limit, range, &mut epoch, &mut snapshots)? {
-                RoundOutcome::Continue => {
-                    runners = self.build_runners(&plan, snapshots.as_ref())?;
-                }
-                RoundOutcome::Done => break,
-            }
-        }
-        let enact_time = enact_t0.elapsed();
-
-        Ok(Self::collect(&sink, t0, plan_time, enact_time))
+            Ok(())
+        })
     }
 
-    /// Parallel enactment: distribute `options.processes` across the graph,
-    /// run one worker thread per instance, and connect them through
-    /// `connector`'s transport.
-    pub fn threaded<C: Connector>(&self, connector: C) -> Result<RunResult, DataflowError> {
-        self.threaded_observed(connector, None)
-    }
-
-    /// [`Runtime::threaded`] with a live event stream: workers flush their
-    /// events to `observer` per emission burst, so terminal outputs are
-    /// visible while upstream instances are still producing.
-    pub fn threaded_observed<C: Connector>(
+    /// Parallel enactment: distribute `options.processes` across the graph
+    /// and run one worker thread per instance, each on the transport
+    /// `wire` built for it. `wire` is called once per round and returns
+    /// one transport per planned instance, in dense plan order. With an
+    /// observer, workers flush their events per emission burst, so
+    /// terminal outputs are visible while upstream instances are still
+    /// producing.
+    pub fn threaded_observed<T: Transport + Send>(
         &self,
-        mut connector: C,
+        mut wire: impl FnMut(&ConcretePlan) -> Result<Vec<T>, DataflowError>,
         observer: Option<Arc<dyn RunObserver>>,
     ) -> Result<RunResult, DataflowError> {
         let t0 = Instant::now();
         let plan = ConcretePlan::distribute(self.graph, self.options.processes)?;
         let sink = EventSink::new(observer);
-        let (mut epoch, mut snapshots) = self.resume_into(&sink);
-        if self.options.resume.is_none() {
-            sink.push(RunEvent::PlanReady { pes: plan_pes(self.graph, &plan) });
-        }
-        // Build runners up-front so graph errors surface before spawning.
-        let mut runners = self.build_runners(&plan, snapshots.as_ref())?;
-        let plan_time = t0.elapsed();
-
-        sink.start_enact();
-        let enact_t0 = Instant::now();
-        let chunk = self.options.checkpoint_every;
-        let limit = self.options.bounded_invocations();
         let options = self.options;
-        let plan_ref = &plan;
-        let sink_ref = &sink;
-        // The round loop: each round is a full sub-enactment — connect,
-        // spawn, drain to EOS, join — so the post-join point is globally
-        // quiescent: no datum is in flight on any transport, making the
-        // epoch snapshot consistent without a barrier protocol.
-        loop {
-            let range = Self::round_range(chunk, limit, epoch);
-            connector.connect(self.graph, &plan)?;
-            let mut endpoints = Vec::with_capacity(runners.len());
-            for runner in &runners {
-                endpoints.push(connector.endpoint(runner.inst)?);
-            }
+        // Each round is a full sub-enactment — wire, spawn, drain to EOS,
+        // join — so the post-join point is globally quiescent: no datum is
+        // in flight on any transport, making the epoch snapshot consistent
+        // without a barrier protocol.
+        self.enact(t0, &plan, &sink, |runners, range| {
+            let transports = wire(&plan)?;
+            assert_eq!(transports.len(), runners.len(), "wire returns one transport per instance");
+            let (plan, sink) = (&plan, &sink);
             let buffers = std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(runners.len());
-                for (runner, transport) in runners.iter_mut().zip(endpoints) {
-                    handles
-                        .push(scope.spawn(move || {
-                            run_worker(runner, transport, plan_ref, options, range, sink_ref)
-                        }));
-                }
-                connector.on_workers_started();
+                let handles: Vec<_> = runners
+                    .iter_mut()
+                    .zip(transports)
+                    .map(|(runner, transport)| {
+                        scope.spawn(move || run_worker(runner, transport, plan, options, range, sink))
+                    })
+                    .collect();
                 join_workers(handles)
             })?;
-
             // Workers wind down cooperatively on cancellation (sources stop
             // producing and propagate EOS, relays drain-and-discard), so the
             // join above is clean — but the run did not complete: seal the
             // stream with the Cancelled marker instead of folding a result.
-            if self.options.cancel.is_cancelled() {
+            if options.cancel.is_cancelled() {
                 sink.emit_cancelled();
                 return Err(DataflowError::Cancelled);
             }
-
             // Unobserved workers returned their buffered events; fold them in
             // dense-instance (spawn) order so the batch result is
             // deterministic. Observed workers already flushed (empty buffers).
             for mut events in buffers {
                 sink.extend(&mut events);
             }
-            match self.seal_round(&sink, &runners, chunk, limit, range, &mut epoch, &mut snapshots)? {
+            Ok(())
+        })
+    }
+
+    /// The frame every enactment shares. Plan stage: apply a resume point,
+    /// announce the plan and build the runners. Enact stage: run `round`
+    /// over each round's source window, sealing each round and rebuilding
+    /// the runners from its snapshot while checkpointing continues — so
+    /// the restore path is exercised at every epoch, not only after a
+    /// crash. Collect stage: fold the stream into the result.
+    fn enact(
+        &self,
+        t0: Instant,
+        plan: &ConcretePlan,
+        sink: &EventSink,
+        mut round: impl FnMut(&mut [InstanceRunner], SourceRange) -> Result<(), DataflowError>,
+    ) -> Result<RunResult, DataflowError> {
+        let (mut epoch, mut snapshots) = self.resume_into(sink);
+        if self.options.resume.is_none() {
+            sink.push(RunEvent::PlanReady { pes: plan_pes(self.graph, plan) });
+        }
+        // Flat runner storage indexed by the plan's dense instance id — the
+        // per-datum lookup is an array index, not a `BTreeMap` walk. Built
+        // up-front so graph errors surface before enacting.
+        let mut runners = self.build_runners(plan, snapshots.as_ref())?;
+        let plan_time = t0.elapsed();
+
+        sink.start_enact();
+        let enact_t0 = Instant::now();
+        let chunk = self.options.checkpoint_every;
+        let limit = self.options.bounded_invocations();
+        // With checkpointing off there is exactly one round covering the
+        // whole input; otherwise each round drives `chunk` global
+        // iterations, drains to quiescence and snapshots.
+        loop {
+            let range = Self::round_range(chunk, limit, epoch);
+            round(&mut runners, range)?;
+            match self.seal_round(sink, &runners, chunk, limit, range, &mut epoch, &mut snapshots)? {
                 RoundOutcome::Continue => {
-                    runners = self.build_runners(&plan, snapshots.as_ref())?;
+                    runners = self.build_runners(plan, snapshots.as_ref())?;
                 }
                 RoundOutcome::Done => break,
             }
         }
         let enact_time = enact_t0.elapsed();
 
-        Ok(Self::collect(&sink, t0, plan_time, enact_time))
+        Ok(Self::collect(sink, t0, plan_time, enact_time))
     }
 
     /// Apply a resume point: fold the journaled event prefix into the sink
@@ -508,7 +443,7 @@ mod tests {
     fn sequential_runtime_is_simple_mapping() {
         let g = square_graph();
         let opts = RunOptions::iterations(10);
-        let via_runtime = Runtime::new(&g, &opts).sequential().unwrap();
+        let via_runtime = Runtime::new(&g, &opts).sequential_observed(None).unwrap();
         let via_mapping = SimpleMapping.execute(&g, &opts).unwrap();
         assert_eq!(via_runtime.outputs, via_mapping.outputs);
         assert_eq!(via_runtime.stats.processed, via_mapping.stats.processed);
@@ -777,7 +712,7 @@ mod tests {
             snapshots,
             events,
         });
-        let resumed = Runtime::new(&g, &opts).sequential().unwrap();
+        let resumed = Runtime::new(&g, &opts).sequential_observed(None).unwrap();
         assert_eq!(resumed.outputs, batch.outputs, "resume diverged from batch outputs");
         assert_eq!(resumed.printed, batch.printed, "resume diverged from batch prints");
         assert_eq!(resumed.stats.processed, batch.stats.processed);
@@ -797,7 +732,7 @@ mod tests {
         let opts = RunOptions::unbounded(std::time::Duration::ZERO, token)
             .with_checkpoints(5)
             .with_faults(FaultPlan { stop_at_epoch: Some(2), ..FaultPlan::none() });
-        let stopped = Runtime::new(&g, &opts).sequential().unwrap();
+        let stopped = Runtime::new(&g, &opts).sequential_observed(None).unwrap();
         let bounded = SimpleMapping.execute(&g, &RunOptions::iterations(10)).unwrap();
         assert_eq!(stopped.outputs, bounded.outputs);
         assert_eq!(stopped.stats.processed, bounded.stats.processed);
@@ -854,5 +789,73 @@ mod tests {
                 "{kind}: {calls} throttle calls for {iterations} source iterations"
             );
         }
+    }
+
+    /// Records every datum its runner sends, tagged with the dense id the
+    /// transport was wired for, and answers every `recv` with end-of-stream
+    /// — so a transport handed to the wrong runner shows up as a wrong
+    /// tag, never as a hang.
+    struct Tagged {
+        wired_for: usize,
+        sent: Arc<Mutex<Vec<(usize, i64)>>>,
+        received: Arc<Mutex<Vec<usize>>>,
+    }
+
+    impl Transport for Tagged {
+        fn send_batch(&mut self, batch: &mut Vec<RoutedDatum>) -> Result<(), DataflowError> {
+            let values = batch.drain(..).map(|d| (self.wired_for, d.value.as_i64().unwrap()));
+            self.sent.lock().extend(values);
+            Ok(())
+        }
+
+        fn send_eos(&mut self, _dest: crate::planner::InstanceId) -> Result<(), DataflowError> {
+            Ok(())
+        }
+
+        fn recv(&mut self) -> Result<super::super::worker::TransportMsg, DataflowError> {
+            self.received.lock().push(self.wired_for);
+            Ok(super::super::worker::TransportMsg::Eos)
+        }
+    }
+
+    #[test]
+    fn wire_hands_each_instance_its_own_transport_fresh_every_round() {
+        let mut g = WorkflowGraph::new("wire");
+        let a = g.add(producer_fn("A", Value::Int));
+        let b = g.add(producer_fn("B", |i| Value::Int(100 + i)));
+        let c = g.add(iterative_fn("C", Some));
+        g.connect(a, "output", c, "input").unwrap();
+        g.connect(b, "output", c, "input").unwrap();
+        let sent = Arc::new(Mutex::new(Vec::new()));
+        let received = Arc::new(Mutex::new(Vec::new()));
+        let mut wirings = 0;
+        // Four processes: A and B one instance each (dense ids 0 and 1),
+        // C two (2 and 3). Six iterations in checkpoint rounds of two.
+        let opts = RunOptions::iterations(6).with_processes(4).with_checkpoints(2);
+        let wire = |plan: &ConcretePlan| {
+            wirings += 1;
+            let tagged =
+                |wired_for| Tagged { wired_for, sent: Arc::clone(&sent), received: Arc::clone(&received) };
+            Ok((0..plan.total_processes).map(tagged).collect())
+        };
+        Runtime::new(&g, &opts).threaded_observed(wire, None).unwrap();
+        assert_eq!(wirings, 3, "one wiring per round");
+        // A's data leaves through the transport wired for A, B's through B's.
+        let sent = sent.lock();
+        assert_eq!(sent.len(), 12);
+        for &(wired_for, v) in sent.iter() {
+            assert_eq!(
+                wired_for,
+                usize::from(v >= 100),
+                "value {v} left through instance {wired_for}'s transport"
+            );
+        }
+        // Each C instance takes its two upstream EOS per round on its own
+        // transport; sources never receive.
+        let mut recvs = [0; 4];
+        for &w in received.lock().iter() {
+            recvs[w] += 1;
+        }
+        assert_eq!(recvs, [0, 0, 6, 6]);
     }
 }

@@ -7,7 +7,7 @@ use crate::graph::WorkflowGraph;
 
 /// Sequential enactment. Deterministic: producers run iteration by
 /// iteration and data flows breadth-first through the runtime's in-process
-/// FIFO (see [`Runtime::sequential`]).
+/// FIFO (see [`Runtime::sequential_observed`]).
 pub struct SimpleMapping;
 
 impl Mapping for SimpleMapping {

@@ -30,7 +30,7 @@ use crate::graph::{NodeId, WorkflowGraph};
 use crate::pe::Pe;
 use crate::planner::{ConcretePlan, InstanceId};
 use crate::ports::{PortId, PortTable};
-use crate::routing::{Grouping, Router};
+use crate::routing::Router;
 use laminar_json::{SharedValue, Value};
 use laminar_script::Sink;
 use std::sync::Arc;
@@ -314,12 +314,6 @@ impl InstanceRunner {
         }
         out
     }
-
-    /// Grouping of the first outgoing edge on `port` (used by tests).
-    pub fn grouping_of(&self, port: &str) -> Option<Grouping> {
-        let pid = self.ports.id(port)?;
-        self.outgoing.iter().find(|e| e.from_port == pid).map(|e| e.router.grouping())
-    }
 }
 
 /// Plan-level instance counts in node order — the payload of
@@ -414,13 +408,6 @@ pub struct SourceRange {
     pub base: usize,
     /// One past the last iteration, `None` for unbounded.
     pub end: Option<usize>,
-}
-
-impl SourceRange {
-    /// The whole input as one window (the non-checkpointed path).
-    pub fn full(options: &super::RunOptions) -> SourceRange {
-        SourceRange { base: 0, end: options.bounded_invocations() }
-    }
 }
 
 /// Drive one instance to completion over `transport`, emitting

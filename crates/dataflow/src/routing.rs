@@ -32,11 +32,6 @@ impl Router {
         Router { grouping, n_dest, cursor: 0 }
     }
 
-    /// The grouping this router applies.
-    pub fn grouping(&self) -> Grouping {
-        self.grouping
-    }
-
     /// The round-robin cursor — the router's only mutable state, captured
     /// by epoch checkpoints so a resumed shuffle continues where the
     /// original left off.
@@ -72,8 +67,8 @@ impl Router {
         }
     }
 
-    /// The group-by hash rule, exposed so distributed mappings (Redis) can
-    /// route identically without sharing a `Router`.
+    /// The group-by hash rule: the index among `n_dest` instances that
+    /// the datum's key maps to. [`Router::route_into`] routes by it.
     pub fn groupby_index(datum: &Value, key_index: usize, n_dest: usize) -> usize {
         // The key is datum[key_index] for tuples/lists; scalar datums group
         // by their own value (a convenient degenerate case). Hashed by

@@ -18,6 +18,10 @@ use parking_lot::RwLock;
 pub const DEFAULT_POOL_WORKERS: usize = 4;
 /// Default admission-control bound on queued (not yet running) jobs.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 256;
+/// The most instances a run may ask for: a parallel mapping runs one
+/// thread per instance, so the bound keeps one request from exhausting
+/// the server.
+const MAX_PROCESSES: i64 = 256;
 
 /// What a route answers with. Every route builds the tree its callers
 /// index into, except an event page: that one is sent far more often than
@@ -358,6 +362,12 @@ impl LaminarServer {
     /// a short registry *read* lock — the enactment itself never holds any
     /// registry lock, so reads and other executions proceed concurrently.
     fn resolve_request(&self, user: &str, body: &Value) -> Result<ExecutionRequest, RegistryError> {
+        if body["processes"].as_i64().is_some_and(|n| n > MAX_PROCESSES) {
+            return Err(RegistryError::Invalid {
+                field: "processes",
+                message: format!("must be at most {MAX_PROCESSES}"),
+            });
+        }
         let malformed =
             || RegistryError::Invalid { field: "request", message: "malformed execution request".into() };
         // `workflow` may name a registered workflow instead of shipping
