@@ -34,14 +34,15 @@
 #                crash/resume chaos, cross-backend epoch parity, torn
 #                journal segments, the mid-stream worker-failure
 #                regression, randomized slow/dead-consumer
-#                backpressure (PROPTEST_CASES env raises the depth), the
-#                VM's read paths and lent builtin arguments against the
-#                interpreter oracle at 512 cases, and the pool's
-#                end-of-job faults (a panicking PE, a resumed job's
+#                backpressure (PROPTEST_CASES env raises the depth) and a
+#                throttled producer losing nothing for a live slow
+#                consumer, the VM's read paths and lent builtin arguments
+#                against the interpreter oracle at 512 cases, and the
+#                pool's end-of-job faults (a panicking PE, a resumed job's
 #                retention, every terminal path settling once)
-#   bench-smoke  bench compile, five --smoke runs writing
-#                target/bench/<bin>.json, and the bench_check guard over
-#                them (committed baselines: BENCH_PR2.json, BENCH_PR10.json)
+#   bench-smoke  four --smoke bench runs writing target/bench/<bin>.json,
+#                and the bench_check guard over them (committed
+#                baselines: BENCH_PR2.json, BENCH_PR10.json)
 #   bench-e2e    the repo's benchmark (BENCHMARK.json, its own package
 #                under bench_e2e/): build, its tests, and one --smoke
 #                run of each workload
@@ -117,6 +118,7 @@ tier_chaos() {
   cargo test -q -p laminar-engine --test chaos_truncation
   cargo test -q -p laminar-dataflow mid_stream_worker_error
   cargo test -q -p laminar-engine --test proptest_slow_consumer
+  cargo test -q -p laminar-engine --lib pool::tests::throttled_producer_loses_nothing_for_a_live_slow_consumer
   # A read through a path borrows its root and a builtin borrows its
   # first path argument: differential against the interpreter oracle.
   PROPTEST_CASES=512 cargo test -q -p laminar-script --test proptest_paths
@@ -129,9 +131,8 @@ tier_chaos() {
 }
 
 tier_bench_smoke() {
-  cargo bench --no-run --workspace
   # Each bin writes target/bench/<bin>.json; bench_check reads them there.
-  for bin in perf_report durability_overhead slow_consumer search_scale sustained_load; do
+  for bin in perf_report durability_overhead search_scale sustained_load; do
     cargo run --release -p laminar-bench --bin "$bin" -- --smoke
   done
   cargo run --release -p laminar-bench --bin bench_check
@@ -212,7 +213,7 @@ tier_lint() {
 }
 
 usage() {
-  sed -n '2,61p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,62p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 TIERS=()

@@ -15,10 +15,6 @@
 //!   [`CHECKPOINT_OVERHEAD_CEILING`] (the median over interleaved pairs of
 //!   process CPU time in one fresh run, so no committed baseline is
 //!   needed);
-//! * **slow-consumer policy** — `slow_consumer` must report zero lost
-//!   events, a matching refold, and a retained window within its own
-//!   configured horizon bound (all fresh-vs-config, no baseline: these
-//!   gate the backpressure *policy*, not machine speed);
 //! * **sustained load** — `sustained_load` push-mode p99 first-event
 //!   latency must stay at or below [`SUSTAINED_RATIO_CEILING`]× the
 //!   polling baseline's, the cross-tenant fairness spread at or below
@@ -39,12 +35,15 @@
 //! gate exists to catch order-of-magnitude regressions (a serialized
 //! datapath), not percent-level drift.
 //!
-//! Streaming and serving concurrency are pinned by tests, not here:
-//! `first_window_streams_long_before_completion`
-//! (`crates/workloads/src/streaming.rs`) on every mapping, and
+//! Streaming, serving concurrency and the slow-consumer policy are pinned
+//! by tests, not here: `first_window_streams_long_before_completion`
+//! (`crates/workloads/src/streaming.rs`) on every mapping,
 //! `parallel_jobs_overlap_on_sleeping_engines` (`pool.rs`) and
 //! `reads_do_not_serialize_behind_executions`
-//! (`crates/server/tests/concurrent.rs`).
+//! (`crates/server/tests/concurrent.rs`), and no lost event, refold ==
+//! batch and a window within the checkpoint horizon by
+//! `crates/engine/tests/proptest_slow_consumer.rs` and
+//! `throttled_producer_loses_nothing_for_a_live_slow_consumer` (`pool.rs`).
 //!
 //! ```text
 //! cargo run -p laminar-bench --release --bin bench_check
@@ -153,7 +152,6 @@ fn main() {
 
     let perf = load(&report_path("perf_report"));
     let durability = load(&report_path("durability_overhead"));
-    let slow_consumer = load(&report_path("slow_consumer"));
     let search = load(&report_path("search_scale"));
     let sustained = load(&report_path("sustained_load"));
     let committed_perf = load(&baseline_dir.join("BENCH_PR2.json"));
@@ -197,19 +195,6 @@ fn main() {
             .unwrap_or_else(|| panic!("durability_overhead: missing mapping {mapping}"));
         check(format!("checkpoint overhead ratio [{mapping}]"), fresh, CHECKPOINT_OVERHEAD_CEILING, false);
     }
-
-    // Slow consumer: the checkpoint-horizon backpressure policy. All
-    // three bounds compare the fresh run against its own configuration —
-    // they hold at any machine speed or fail because the policy broke.
-    let paced = |key: &str| number(&slow_consumer, "slow_consumer", &["paced", key]);
-    check("slow consumer lost events (live reader)".into(), paced("lost_events"), 0.0, false);
-    check("slow consumer max window / horizon bound".into(), paced("max_window_ratio"), 1.0, false);
-    check(
-        "slow consumer refold matches batch (1 = yes)".into(),
-        verdict(&slow_consumer, &["paced", "refold_matches"]),
-        1.0,
-        true,
-    );
 
     // Registry search: text indexed-vs-scan speedup, indexed tail
     // latency, index-maintenance cost and the differential oracle verdict

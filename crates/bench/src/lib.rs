@@ -1,11 +1,11 @@
-//! Shared harness code for the table/figure regeneration binaries and the
-//! criterion benches. Each function reproduces one experiment from the
-//! paper's evaluation (see DESIGN.md §5 for the index).
+//! Shared harness code for the table/figure regeneration binaries. Each
+//! function reproduces one experiment from the paper's evaluation (see
+//! DESIGN.md §5 for the index); one bin runs each experiment.
 //!
 //! The report-writing bins (`perf_report`, `durability_overhead`,
-//! `slow_consumer`, `search_scale`, `sustained_load`, `bench_check`) share
-//! one command line and one report writer ([`Flags`]); the two gates that
-//! compare a run with itself share one estimator ([`paired_ratio`]).
+//! `search_scale`, `sustained_load`, `bench_check`) share one command line
+//! and one report writer ([`Flags`]); the two gates that compare a run
+//! with itself share one estimator ([`paired_ratio`]).
 
 use laminar_dataflow::mapping::{Mapping, MultiMapping, RunStats, SimpleMapping};
 use laminar_dataflow::oracle;
@@ -33,11 +33,6 @@ impl Table5Config {
     /// stable ratios, small enough to run in seconds.
     pub fn default_profile() -> Table5Config {
         Table5Config { coordinates: 60, vo_latency: Duration::from_millis(12), processes: 5 }
-    }
-
-    /// Fast profile for criterion (sub-second per iteration).
-    pub fn quick() -> Table5Config {
-        Table5Config { coordinates: 10, vo_latency: Duration::from_millis(2), processes: 5 }
     }
 }
 
@@ -83,18 +78,13 @@ pub fn run_astro_direct(cfg: &Table5Config, multi: bool) -> Duration {
 }
 
 /// Run the workflow through the full Laminar stack (client → server →
-/// registry → engine) — the "with Laminar" rows of Table 5.
+/// registry → engine) — the "with Laminar" rows of Table 5. Returns the
+/// elapsed time and the engine's [`laminar_engine::ExecutionOutput`],
+/// whose stage timings (`stages.plan`/`enact`/`collect`, plus
+/// provisioning) break it into the overhead structure Table 5 measures.
 ///
 /// `remote` switches the in-process transport for HTTP over loopback plus
 /// the WAN-modelled engine.
-pub fn run_astro_laminar(cfg: &Table5Config, multi: bool, remote: bool) -> Duration {
-    run_astro_laminar_detailed(cfg, multi, remote).0
-}
-
-/// Like [`run_astro_laminar`], additionally returning the engine's
-/// [`laminar_engine::ExecutionOutput`] whose stage timings
-/// (`stages.plan`/`enact`/`collect`, plus provisioning) break the elapsed
-/// time into the overhead structure Table 5 measures.
 pub fn run_astro_laminar_detailed(
     cfg: &Table5Config,
     multi: bool,

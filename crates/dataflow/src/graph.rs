@@ -69,17 +69,6 @@ impl WorkflowGraph {
         Ok(self.add(Arc::new(f)))
     }
 
-    /// Like [`Self::add_script_pe`] with a host for external services.
-    pub fn add_script_pe_with_host(
-        &mut self,
-        source: &str,
-        pe_name: &str,
-        host: Arc<dyn Host + Send + Sync>,
-    ) -> Result<NodeId, DataflowError> {
-        let f = ScriptPeFactory::from_source_with_host(source, pe_name, host)?;
-        Ok(self.add(Arc::new(f)))
-    }
-
     /// Connect `from.from_port -> to.to_port`. The grouping defaults to the
     /// destination port's declared `groupby` (if any), else shuffle.
     pub fn connect(

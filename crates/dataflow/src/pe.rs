@@ -134,19 +134,9 @@ pub struct ScriptPeFactory {
 impl ScriptPeFactory {
     /// Prepare `source` and build a factory for the PE named `pe_name`.
     pub fn from_source(source: &str, pe_name: &str) -> Result<Self, DataflowError> {
-        Self::from_source_with_host(source, pe_name, Arc::new(NullHost))
-    }
-
-    /// Like [`Self::from_source`] but with a host providing external
-    /// (simulated) services to the script.
-    pub fn from_source_with_host(
-        source: &str,
-        pe_name: &str,
-        host: Arc<dyn Host + Send + Sync>,
-    ) -> Result<Self, DataflowError> {
         let prepared =
             prepare(source).map_err(|e| DataflowError::PeFailed { pe: pe_name.into(), error: e })?;
-        Self::from_prepared(&prepared, pe_name, host)
+        Self::from_prepared(&prepared, pe_name, Arc::new(NullHost))
     }
 
     /// Factory for the PE named `pe_name` of a prepared script.

@@ -260,9 +260,9 @@ impl EnginePool {
     }
 
     /// Override the per-job event-log capacity for jobs submitted after
-    /// the call (the checkpoint horizon for checkpointed jobs). Tests and
-    /// the `slow_consumer` bench shrink it to exercise the retention
-    /// policy without producing tens of thousands of events.
+    /// the call (the checkpoint horizon for checkpointed jobs). Tests
+    /// shrink it to exercise the retention policy without producing tens
+    /// of thousands of events.
     pub fn set_event_log_capacity(&self, capacity: usize) {
         self.inner.event_log_capacity.store(capacity.max(1), Ordering::SeqCst);
     }

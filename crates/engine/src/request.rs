@@ -182,12 +182,6 @@ impl ExecutionRequest {
         self
     }
 
-    /// Replace the submission options wholesale.
-    pub fn with_options(mut self, options: SubmitOptions) -> Self {
-        self.options = options;
-        self
-    }
-
     /// Request a live event stream (the `/events` endpoint's source).
     pub fn with_events(mut self, stream: bool) -> Self {
         self.options.events = stream;

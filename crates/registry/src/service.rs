@@ -196,14 +196,11 @@ impl Registry {
         canonical: String,
         description: Option<&str>,
     ) -> Result<PeEntity, RegistryError> {
-        if let Ok(existing) = self.dao.pe_by_name(&decl.name) {
-            if existing.source().as_deref() == Some(canonical.as_str()) {
-                // Shared-owner rule: same PE, new owner.
-                let existing = existing.clone();
-                self.dao.link_user_pe(uid, existing.pe_id)?;
-                return Ok(existing);
-            }
-            return Err(RegistryError::Duplicate { entity: "PE", field: "peName", value: decl.name.clone() });
+        if let Some(existing) = self.same_pe(decl, &canonical)? {
+            // Shared-owner rule: same PE, new owner.
+            let existing = existing.clone();
+            self.dao.link_user_pe(uid, existing.pe_id)?;
+            return Ok(existing);
         }
 
         let (description, generated) = match description {
@@ -225,6 +222,19 @@ impl Registry {
             desc_embedding: self.search_model.embed_text(&description),
         };
         self.dao.insert_pe(pe, uid).cloned()
+    }
+
+    /// The stored PE that `decl`, stored as `canonical`, would share: the
+    /// one with its name and identical text. `None` when the name is free;
+    /// `Duplicate` when it is taken by different code.
+    fn same_pe(&self, decl: &PeDecl, canonical: &str) -> Result<Option<&PeEntity>, RegistryError> {
+        match self.dao.pe_by_name(&decl.name) {
+            Ok(existing) if existing.source().as_deref() == Some(canonical) => Ok(Some(existing)),
+            Ok(_) => {
+                Err(RegistryError::Duplicate { entity: "PE", field: "peName", value: decl.name.clone() })
+            }
+            Err(_) => Ok(None),
+        }
     }
 
     /// The PE `key` names, borrowed from the store; ownership enforced.
@@ -264,7 +274,9 @@ impl Registry {
 
     /// Register a workflow (client fn 4). Also registers every PE the
     /// workflow declaration references (the paper's `run()` does this
-    /// automatically) and links them to the workflow.
+    /// automatically) and links them to the workflow. Every member is
+    /// checked before the first write, so a refused workflow stores
+    /// nothing: neither itself nor any member PE.
     pub fn register_workflow(
         &mut self,
         user: &str,
@@ -294,6 +306,19 @@ impl Registry {
             .map(str::to_string)
             .or_else(|| decl.doc.clone())
             .unwrap_or_else(|| format!("Workflow {}", decl.name));
+        let members = decl
+            .nodes
+            .iter()
+            .map(|node| {
+                let pe_decl = prepared.script().pe(&node.pe_name).ok_or(RegistryError::Invalid {
+                    field: "workflowCode",
+                    message: format!("workflow references undefined PE '{}'", node.pe_name),
+                })?;
+                let single = to_source(&Script { items: vec![Item::Pe(pe_decl.clone())] });
+                self.same_pe(pe_decl, &single)?;
+                Ok((pe_decl, single))
+            })
+            .collect::<Result<Vec<_>, RegistryError>>()?;
         let wf = self
             .dao
             .insert_workflow(
@@ -302,12 +327,7 @@ impl Registry {
             )?
             .clone();
         // Register each referenced PE (if new) and link membership.
-        for node in &decl.nodes {
-            let pe_decl = prepared.script().pe(&node.pe_name).ok_or(RegistryError::Invalid {
-                field: "workflowCode",
-                message: format!("workflow references undefined PE '{}'", node.pe_name),
-            })?;
-            let single = to_source(&Script { items: vec![Item::Pe(pe_decl.clone())] });
+        for (pe_decl, single) in members {
             let pe = self.insert_pe_decl(uid, pe_decl, single, None)?;
             self.dao.link_workflow_pe(wf.workflow_id, pe.pe_id)?;
         }
@@ -640,6 +660,42 @@ mod tests {
             r.register_workflow("zz46", WF_SRC, "isPrime", None),
             Err(RegistryError::Duplicate { .. })
         ));
+    }
+
+    #[test]
+    fn a_refused_workflow_stores_neither_itself_nor_a_member_pe() {
+        let dir = std::env::temp_dir().join(format!("laminar-reg-refused-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let doubler = |factor: i64| {
+            format!("pe Doubler : iterative {{ input input; output output; process {{ emit(input * {factor}); }} }}")
+        };
+        let pipe = |factor: i64| {
+            format!(
+                "pe Source : producer {{ output output; process {{ emit(iteration); }} }}
+                 {}
+                 workflow Pipe {{ nodes {{ s = Source; d = Doubler; }} connect s.output -> d.input; }}",
+                doubler(factor)
+            )
+        };
+        {
+            let mut r = Registry::open(&dir).unwrap();
+            r.register_user("zz46", "password").unwrap();
+            r.register_pe("zz46", &doubler(2), None).unwrap();
+            // `Source` comes first, so a write before the check would store it.
+            assert!(matches!(
+                r.register_workflow("zz46", &pipe(3), "pipe", None),
+                Err(RegistryError::Duplicate { entity: "PE", .. })
+            ));
+        }
+        let mut r = Registry::open(&dir).unwrap();
+        assert!(r.get_workflow("zz46", &"pipe".into()).is_err());
+        assert!(r.all_workflows("zz46").unwrap().is_empty());
+        let names: Vec<String> = r.all_pes("zz46").unwrap().into_iter().map(|pe| pe.pe_name).collect();
+        assert_eq!(names, ["Doubler"]);
+        assert!(r.dao().pe_by_name("Source").is_err());
+        r.register_workflow("zz46", &pipe(2), "pipe", None).unwrap();
+        assert_eq!(r.pes_by_workflow("zz46", &"pipe".into()).unwrap().len(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

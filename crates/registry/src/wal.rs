@@ -16,13 +16,17 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+/// A durable store snapshots automatically after this many WAL ops
+/// (compaction).
+const SNAPSHOT_EVERY: usize = 256;
+
 /// Snapshot + WAL persistence for a [`Store`].
 pub struct WalStore {
     dir: PathBuf,
     wal: Option<File>,
     ops_since_snapshot: usize,
-    /// Snapshot automatically after this many WAL ops (compaction).
-    pub snapshot_every: usize,
+    /// [`SNAPSHOT_EVERY`] when durable; never when ephemeral.
+    snapshot_every: usize,
 }
 
 impl WalStore {
@@ -126,7 +130,12 @@ impl WalStore {
             .map_err(|e| RegistryError::Storage(e.to_string()))?;
         Ok((
             store,
-            WalStore { dir: dir.to_path_buf(), wal: Some(wal), ops_since_snapshot: 0, snapshot_every: 256 },
+            WalStore {
+                dir: dir.to_path_buf(),
+                wal: Some(wal),
+                ops_since_snapshot: 0,
+                snapshot_every: SNAPSHOT_EVERY,
+            },
         ))
     }
 

@@ -83,11 +83,6 @@ impl LaminarServer {
         })
     }
 
-    /// Direct registry access (workload setup, tests).
-    pub fn registry_mut(&mut self) -> &mut Registry {
-        self.registry.get_mut()
-    }
-
     /// The shared module-host registry. Module hosts registered here
     /// (simulated services) are visible to every pool worker; the
     /// *resource* store is NOT shared — each worker stages its own
