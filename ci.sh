@@ -14,8 +14,9 @@
 #   test         the whole test suite
 #   test-quick   the whole suite with property tests (including the
 #                differential suites that run the VM against the
-#                interpreter oracle) at a reduced case count
-#                (PROPTEST_CASES=8)
+#                interpreter and the search index against the linear
+#                scan, both from the dev-only laminar-oracle crate) at a
+#                reduced case count (PROPTEST_CASES=8)
 #   stress       the concurrency stress suite (unrestricted test threads),
 #                the registry search-index differential proptests, and
 #                concurrent Redis runs on one shared broker (each must get
@@ -23,9 +24,11 @@
 #   edge         the HTTP edge: http.rs unit tests (cap, deadlines, idle
 #                close), the public-surface edge tests (among them: every
 #                event page on the wire is byte for byte the in-process
-#                body), the client's kept-connection reconnect rule
-#                against a fake server, and a run asking for more than 256
-#                processes refused with a 400 on both transports
+#                body; a run whose script asks for a huge allocation is
+#                refused and the next run served), the client's
+#                kept-connection reconnect rule against a fake server, and
+#                a run asking for more than 256 processes refused with a
+#                400 on both transports
 #   streaming    streaming + cancellation scenario tiers, the allocator
 #                calls one delivered event costs end to end, and the
 #                allocator calls one reading of the group-by workload
@@ -46,9 +49,10 @@
 #   bench-e2e    the repo's benchmark (BENCHMARK.json, its own package
 #                under bench_e2e/): build, its tests, and one --smoke
 #                run of each workload
-#   lint         rustfmt + clippy (warnings are errors), the guard that
-#                keeps the interpreter oracle out of every crate on the
-#                serving path, the guard that keeps the registry's JSON
+#   lint         rustfmt + clippy (warnings are errors), the check that
+#                laminar-oracle is in no product crate's dependency tree
+#                (`cargo tree` of the laminar facade), the guard that
+#                keeps the registry's JSON
 #                row form below its persistence boundary, the guard that
 #                keeps script parsing and compiling behind prepare(), the
 #                guard that keeps the engine matching run events by type,
@@ -150,11 +154,14 @@ tier_bench_e2e() {
 tier_lint() {
   cargo fmt --check
   cargo clippy --workspace --all-targets -- -D warnings
-  # One script backend: the tree-walker is the differential suites'
-  # oracle, so nothing an engine, server, registry or client is built
-  # from may name it.
-  if grep -rnE '\bInterp(PeFactory)?\b|\boracle::' crates/{client,core,engine,registry,server,workloads}/src; then
-    echo "ci.sh: the interpreter oracle is test-only; the lines above reach for it" >&2
+  # One script backend, one search path: the tree-walker and the linear
+  # scan live in laminar-oracle, for the differential suites and the bench
+  # bins. The `laminar` facade re-exports every product crate, so its
+  # normal dependency tree must not hold that crate.
+  local tree
+  tree=$(cargo tree --offline -e normal -p laminar --prefix none)
+  if grep '^laminar-oracle ' <<<"$tree"; then
+    echo "ci.sh: laminar-oracle is test-only; a product crate depends on it" >&2
     return 1
   fi
   # One in-memory form of a registry entity: the JSON row form is for
@@ -213,7 +220,7 @@ tier_lint() {
 }
 
 usage() {
-  sed -n '2,62p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,66p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 TIERS=()

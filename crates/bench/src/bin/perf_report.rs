@@ -21,7 +21,7 @@ use laminar_bench::{
     BenchRun, Flags, Table5Config,
 };
 use laminar_dataflow::mapping::RunStats;
-use laminar_dataflow::{oracle, MappingKind, RunOptions, WorkflowGraph};
+use laminar_dataflow::{MappingKind, RunOptions, WorkflowGraph};
 use laminar_json::Value;
 use std::time::Duration;
 
@@ -75,7 +75,7 @@ fn main() {
     eprintln!("figure1_script ({fs_iters} iterations, Simple mapping, {fs_pairs} interleaved pairs):");
     let simple = MappingKind::Simple.build();
     let vm_graph = figure1_script_graph(WorkflowGraph::add_script_pe);
-    let interp_graph = figure1_script_graph(oracle::add_pe);
+    let interp_graph = figure1_script_graph(laminar_oracle::add_pe);
     let once = |graph: &WorkflowGraph, stats: &mut Vec<RunStats>| {
         let cpu = process_cpu_time();
         stats.push(simple.execute(graph, &fs_opts).expect("bench run").stats);

@@ -3,7 +3,7 @@
 //! Registers a large multi-tenant PE corpus (100 tenants x 1000 PEs =
 //! 100k PEs on the full run), then answers the same query pool twice per
 //! mode — once through the search index, once through the linear-scan
-//! oracle (`force_scan`) — and reports p50/p99 wall latency plus the
+//! oracle (`laminar_oracle::scan`) — and reports p50/p99 wall latency plus the
 //! indexed-vs-scan speedup for both the semantic (embedding top-k) and
 //! text (inverted-token) paths. It prices the incremental maintenance the
 //! write path pays with one timed `SearchIndex::build` over the finished
@@ -30,6 +30,7 @@
 
 use laminar_bench::{percentile, Flags};
 use laminar_json::Value;
+use laminar_oracle::scan;
 use laminar_registry::{QueryType, Registry, SearchIndex, SearchOptions, SearchType};
 use std::time::Instant;
 
@@ -163,15 +164,14 @@ fn measure_mode(
 ) -> ModeStats {
     let mut stats =
         ModeStats { indexed_us: Vec::new(), indexed_rank_us: Vec::new(), scan_us: Vec::new(), mismatches: 0 };
-    let indexed_opts = SearchOptions::default();
-    let scan_opts = SearchOptions { force_scan: true, ..SearchOptions::default() };
+    let opts = SearchOptions::default();
     for user in sample_users {
         for &query in queries {
             let mut best = (u64::MAX, u64::MAX, u64::MAX);
             let mut indexed_hits = Vec::new();
             for _ in 0..reps {
                 let t0 = Instant::now();
-                let indexed = reg.search_with(user, query, st, qt, &indexed_opts).expect("indexed search");
+                let indexed = reg.search_with(user, query, st, qt, &opts).expect("indexed search");
                 best.0 = best.0.min(t0.elapsed().as_micros() as u64);
                 best.2 = best.2.min(indexed.rank_us);
                 indexed_hits = indexed.hits;
@@ -179,9 +179,9 @@ fn measure_mode(
             let mut matched = true;
             for _ in 0..reps {
                 let t0 = Instant::now();
-                let scanned = reg.search_with(user, query, st, qt, &scan_opts).expect("scan search");
+                let scanned = scan::search(reg, user, query, st, qt, opts.limit).expect("scan search");
                 best.1 = best.1.min(t0.elapsed().as_micros() as u64);
-                matched &= indexed_hits == scanned.hits;
+                matched &= indexed_hits == scanned;
             }
             stats.indexed_us.push(best.0);
             stats.scan_us.push(best.1);

@@ -8,7 +8,6 @@
 //! with itself share one estimator ([`paired_ratio`]).
 
 use laminar_dataflow::mapping::{Mapping, MultiMapping, RunStats, SimpleMapping};
-use laminar_dataflow::oracle;
 use laminar_dataflow::{RunOptions, WorkflowGraph};
 use laminar_json::Value;
 use laminar_script::Host;
@@ -351,10 +350,10 @@ pe PE3 : iterative {
 "#;
 
 /// Build the scripted Figure 1 pipeline ([`FIGURE1_SCRIPT`]) with `add`:
-/// [`WorkflowGraph::add_script_pe`] for compiled PEs, [`oracle::add_pe`] for
+/// [`WorkflowGraph::add_script_pe`] for compiled PEs, [`laminar_oracle::add_pe`] for
 /// the same PEs on the tree-walking interpreter the VM's speedup is
 /// measured against.
-pub fn figure1_script_graph(add: oracle::AddPe) -> WorkflowGraph {
+pub fn figure1_script_graph(add: laminar_oracle::AddPe) -> WorkflowGraph {
     let mut g = WorkflowGraph::new("figure1_script");
     let mut pe = |name: &str| add(&mut g, FIGURE1_SCRIPT, name).unwrap();
     let (p1, p2, p3) = (pe("PE1"), pe("PE2"), pe("PE3"));

@@ -49,7 +49,6 @@ pub mod error;
 pub mod fault;
 pub mod graph;
 pub mod mapping;
-pub mod oracle;
 pub mod pe;
 pub mod planner;
 pub mod ports;

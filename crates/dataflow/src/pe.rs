@@ -11,6 +11,7 @@
 
 use crate::error::DataflowError;
 use laminar_json::Value;
+use laminar_script::runtime::DEFAULT_SEED;
 use laminar_script::{
     analysis, prepare, Host, NullHost, PeDecl, PeKind, PortDecl, Prepared, Program, Sink, Vm,
 };
@@ -91,7 +92,7 @@ pub trait Pe: Send {
     /// checkpoint, or `None` if this PE kind has nothing snapshotable
     /// (native closure PEs). For scripted PEs the snapshot covers the
     /// script's `state.*` value — which is where group-by tables live —
-    /// plus the VM's RNG; the interpreter oracle ([`crate::oracle`]) must
+    /// plus the VM's RNG; the interpreter oracle (`laminar_oracle`) must
     /// produce byte-identical snapshots for the same history.
     fn snapshot_state(&self) -> Option<Value> {
         None
@@ -116,10 +117,6 @@ pub trait PeFactory: Send + Sync {
 // ---------------------------------------------------------------------------
 // Scripted PEs
 // ---------------------------------------------------------------------------
-
-/// RNG seed base of scripted PEs (instance `i` draws from `SEED + i`) —
-/// the oracle's too, so both backends draw one stream.
-pub(crate) const SEED: u64 = 0x1a31_4a12;
 
 /// Factory for script-defined PEs: a declaration's metadata plus the
 /// compiled program of the [`Prepared`] script it came from, which its
@@ -190,7 +187,7 @@ impl Pe for ScriptPe {
 
     fn setup(&mut self, instance: usize, _total: usize, out: &mut dyn Sink) -> Result<(), DataflowError> {
         let mut vm = Vm::new(Arc::clone(&self.program), Arc::clone(&self.host))
-            .with_seed(SEED.wrapping_add(instance as u64));
+            .with_seed(DEFAULT_SEED.wrapping_add(instance as u64));
         let r = vm.run_init(&self.meta.name, &mut self.state, out);
         self.vm = Some(vm);
         r.map_err(|e| DataflowError::PeFailed { pe: self.meta.name.clone(), error: e })
@@ -440,41 +437,6 @@ mod tests {
         a.process(None, 0, &mut sa).unwrap();
         b.process(None, 0, &mut sb).unwrap();
         assert_ne!(sa.emitted, sb.emitted, "instance RNGs must differ");
-    }
-
-    #[test]
-    fn snapshot_roundtrip_resumes_state_and_rng_on_both_backends() {
-        let src = r#"
-            pe S : iterative {
-                input x; output output;
-                init { state.n = 0; }
-                process { state.n = state.n + 1; emit([state.n, randint(0, 1000000)]); }
-            }
-        "#;
-        let backends: [(&str, Box<dyn PeFactory>); 2] = [
-            ("vm", Box::new(ScriptPeFactory::from_source(src, "S").unwrap())),
-            ("interp", Box::new(crate::oracle::InterpPeFactory::from_source(src, "S").unwrap())),
-        ];
-        for (backend, f) in &backends {
-            let mut live = f.instantiate();
-            let mut sink = VecSink::default();
-            live.setup(0, 1, &mut sink).unwrap();
-            live.process(Some(("x", Value::Int(0))), 0, &mut sink).unwrap();
-            live.process(Some(("x", Value::Int(0))), 1, &mut sink).unwrap();
-            let snap = live.snapshot_state().expect("scripted PEs snapshot");
-            assert_eq!(snap["state"]["n"].as_i64(), Some(2));
-            // A fresh instance restored from the snapshot continues the
-            // exact counter and RNG stream of the live one.
-            let mut resumed = f.instantiate();
-            let mut rsink = VecSink::default();
-            resumed.setup(0, 1, &mut rsink).unwrap();
-            resumed.restore_state(&snap);
-            rsink.emitted.clear();
-            let mut live_sink = VecSink::default();
-            live.process(Some(("x", Value::Int(0))), 2, &mut live_sink).unwrap();
-            resumed.process(Some(("x", Value::Int(0))), 2, &mut rsink).unwrap();
-            assert_eq!(live_sink.emitted, rsink.emitted, "{backend}");
-        }
     }
 
     #[test]

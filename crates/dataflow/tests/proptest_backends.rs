@@ -6,15 +6,15 @@
 //! script level (lockstep invocations, fuel accounting, error objects).
 //! These properties prove the integration: a workflow built from
 //! compiled PEs and the same workflow built from the interpreter oracle
-//! (`laminar_dataflow::oracle`) must produce identical results under
+//! (`laminar_oracle`) must produce identical results under
 //! Simple / Multi / MPI / Redis — including stateful group-by PEs,
 //! prints, seeded RNG, and scripts that fail mid-run.
 
 use std::sync::Arc;
 
 use laminar_dataflow::mapping::{Mapping, MpiMapping, MultiMapping, RedisMapping, SimpleMapping};
-use laminar_dataflow::oracle;
 use laminar_dataflow::{RecordingObserver, RunEvent, RunObserver, RunOptions, RunResult, WorkflowGraph};
+use laminar_oracle as oracle;
 use proptest::prelude::*;
 
 /// Producer → stateful group-by aggregator → formatter with prints.

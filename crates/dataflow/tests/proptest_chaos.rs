@@ -22,11 +22,11 @@
 use std::sync::Arc;
 
 use laminar_dataflow::mapping::{Mapping, MpiMapping, MultiMapping, RedisMapping, SimpleMapping};
-use laminar_dataflow::oracle;
 use laminar_dataflow::{
     DataflowError, FaultPlan, MappingKind, RecordingObserver, ResumePoint, RunEvent, RunObserver, RunOptions,
     RunResult, WorkflowGraph,
 };
+use laminar_oracle as oracle;
 use proptest::prelude::*;
 
 /// Producer → stateful group-by fold → formatter. State tables, seeded

@@ -93,14 +93,6 @@ impl Value {
         }
     }
 
-    /// Mutable array access.
-    pub fn as_array_mut(&mut self) -> Option<&mut Vec<Value>> {
-        match self {
-            Value::Array(a) => Some(a),
-            _ => None,
-        }
-    }
-
     /// Borrow as a map if this is an `Object`.
     pub fn as_object(&self) -> Option<&Map> {
         match self {

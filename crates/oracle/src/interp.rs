@@ -1,5 +1,5 @@
 //! Tree-walking interpreter for LamScript: the language's reference
-//! semantics, kept as the oracle the compiled [`crate::vm::Vm`] is
+//! semantics, kept as the oracle the compiled [`laminar_script::Vm`] is
 //! differential-tested against. No engine, server or registry path runs
 //! scripts on it.
 //!
@@ -7,13 +7,14 @@
 //! an output [`Sink`]. Execution is *fuel-bounded*: every statement and
 //! operator costs one unit, exactly as the VM burns it.
 
-use crate::ast::*;
-use crate::builtins;
-use crate::error::{ErrorKind, ScriptError};
-use crate::runtime::{
-    binary_op, display_value, index_value, truthy, Host, Sink, VecSink, DEFAULT_FUEL, MAX_CALL_DEPTH,
-};
 use laminar_json::{Map, Value};
+use laminar_script::ast::*;
+use laminar_script::builtins;
+use laminar_script::runtime::{
+    binary_op, display_value, index_value, truthy, Host, Sink, VecSink, DEFAULT_FUEL, DEFAULT_SEED,
+    MAX_CALL_DEPTH,
+};
+use laminar_script::{ErrorKind, ScriptError};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
@@ -52,7 +53,7 @@ impl Interp {
             host,
             fuel: DEFAULT_FUEL,
             fuel_limit: DEFAULT_FUEL,
-            rng: StdRng::seed_from_u64(0x1a31_4a12),
+            rng: StdRng::seed_from_u64(DEFAULT_SEED),
         }
     }
 
@@ -160,8 +161,7 @@ impl Interp {
         })
     }
 
-    /// Evaluate a standalone expression with pre-bound variables. Used by
-    /// tests and by the registry's `describe` tooling.
+    /// Evaluate a standalone expression with pre-bound variables.
     pub fn eval_expr(&mut self, expr: &Expr, vars: &[(&str, Value)]) -> Result<Value, ScriptError> {
         self.fuel = self.fuel_limit;
         let mut env = Env::new();
@@ -665,9 +665,8 @@ impl Env {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::{parse_expr, parse_script};
-    use crate::runtime::NullHost;
     use laminar_json::{jarr, jobj};
+    use laminar_script::{parse_expr, parse_script, NullHost};
     use std::sync::Arc;
 
     fn eval(src: &str) -> Value {

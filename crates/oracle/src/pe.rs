@@ -3,14 +3,14 @@
 //!
 //! No engine, server or registry path reaches this module. A differential
 //! suite builds a *second* graph from [`InterpPeFactory`] nodes and requires
-//! it to agree with the [`crate::ScriptPeFactory`] one: outputs, prints,
-//! counters, epoch snapshots byte for byte, error text verbatim.
+//! it to agree with the [`laminar_dataflow::ScriptPeFactory`] one: outputs,
+//! prints, counters, epoch snapshots byte for byte, error text verbatim.
 
-use crate::error::DataflowError;
-use crate::graph::{NodeId, WorkflowGraph};
-use crate::pe::{Pe, PeFactory, PeMeta, SEED};
+use crate::Interp;
+use laminar_dataflow::{DataflowError, NodeId, Pe, PeFactory, PeMeta, WorkflowGraph};
 use laminar_json::Value;
-use laminar_script::{parse_script, Interp, NullHost, PeDecl, Script, Sink};
+use laminar_script::runtime::DEFAULT_SEED;
+use laminar_script::{parse_script, NullHost, PeDecl, Script, Sink};
 use std::sync::Arc;
 
 /// How a differential suite puts one scripted PE of `source` into a graph:
@@ -76,8 +76,8 @@ impl Pe for InterpPe {
     }
 
     fn setup(&mut self, instance: usize, _total: usize, out: &mut dyn Sink) -> Result<(), DataflowError> {
-        let mut interp =
-            Interp::new(&self.script, Arc::new(NullHost)).with_seed(SEED.wrapping_add(instance as u64));
+        let mut interp = Interp::new(&self.script, Arc::new(NullHost))
+            .with_seed(DEFAULT_SEED.wrapping_add(instance as u64));
         let r = interp.run_init(&self.decl, &mut self.state, out);
         self.interp = Some(interp);
         r.map_err(|e| DataflowError::PeFailed { pe: self.meta.name.clone(), error: e })

@@ -37,9 +37,9 @@
 //! bit-identical to the pre-crash ones.
 //!
 //! **Exactness.** Every query here answers exactly what the linear scan
-//! behind `SearchOptions::force_scan` answers — same hits, same scores
-//! (the scan and the index share one cosine kernel), same score-then-id
-//! order — which is pinned by the differential proptests in
+//! (`laminar_oracle::scan`, a dev-only crate) answers — same hits, same
+//! scores (the scan and the index share one cosine kernel), same
+//! score-then-id order — which is pinned by the differential proptests in
 //! `tests/proptest_search.rs`.
 
 use crate::entities::{PeEntity, WorkflowEntity};
@@ -108,9 +108,11 @@ impl TextIndex {
     }
 
     /// Ids whose normalized fields contain `needle` (itself already
-    /// normalized and non-empty), ascending, at most `limit`.
+    /// normalized), ascending, at most `limit`; none for an empty needle.
     fn matching(&self, needle: &str, limit: usize) -> Vec<i64> {
-        if needle.contains(' ') {
+        if needle.is_empty() {
+            Vec::new()
+        } else if needle.contains(' ') {
             // A needle with internal spaces can span token boundaries:
             // scan the cached normalized fields in id order.
             let mut out = Vec::new();
@@ -299,8 +301,8 @@ impl SearchIndex {
 
     // ---- queries ------------------------------------------------------
 
-    /// PE ids text-matching `needle` (already normalized, non-empty),
-    /// ascending, at most `limit`.
+    /// PE ids text-matching `needle` (already normalized), ascending, at
+    /// most `limit`.
     pub fn text_pes(&self, user_id: i64, needle: &str, limit: usize) -> Vec<i64> {
         self.users.get(&user_id).map(|u| u.pe_text.matching(needle, limit)).unwrap_or_default()
     }

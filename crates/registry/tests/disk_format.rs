@@ -7,6 +7,7 @@
 //! does, and write the same bytes back.
 
 use laminar_embed::Embedding;
+use laminar_oracle::scan;
 use laminar_registry::dao::Dao;
 use laminar_registry::entities::{encode_code, hash_password};
 use laminar_registry::search::{ranked_pe_hits, text_search_pes, text_search_workflows};
@@ -121,16 +122,20 @@ fn live(dir: &std::path::Path) -> Dao {
 /// scan.
 fn searches(dao: &Dao) -> Vec<Vec<SearchHit>> {
     let mut out = Vec::new();
-    for force_scan in [false, true] {
-        let opts = SearchOptions { force_scan, ..SearchOptions::default() };
-        for uid in [1, 2] {
-            let desc = Embedding { values: vec![0.9, 0.1] };
-            let code = Embedding { values: vec![0.2, 0.2, 0.4] };
-            out.push(ranked_pe_hits(dao, uid, &desc, VecField::Desc, &opts));
-            out.push(ranked_pe_hits(dao, uid, &code, VecField::Code, &opts));
-            out.push(text_search_pes(dao, uid, "prime", &opts));
-            out.push(text_search_workflows(dao, uid, "prime numbers", &opts));
-        }
+    let opts = SearchOptions::default();
+    let desc = Embedding { values: vec![0.9, 0.1] };
+    let code = Embedding { values: vec![0.2, 0.2, 0.4] };
+    for uid in [1, 2] {
+        out.push(ranked_pe_hits(dao, uid, &desc, VecField::Desc, &opts));
+        out.push(ranked_pe_hits(dao, uid, &code, VecField::Code, &opts));
+        out.push(text_search_pes(dao, uid, "prime", &opts));
+        out.push(text_search_workflows(dao, uid, "prime numbers", &opts));
+    }
+    for uid in [1, 2] {
+        out.push(scan::ranked_pe_hits(dao, uid, &desc, VecField::Desc, opts.limit));
+        out.push(scan::ranked_pe_hits(dao, uid, &code, VecField::Code, opts.limit));
+        out.push(scan::text_search_pes(dao, uid, "prime", opts.limit));
+        out.push(scan::text_search_workflows(dao, uid, "prime numbers", opts.limit));
     }
     out
 }

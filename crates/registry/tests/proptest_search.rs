@@ -14,6 +14,7 @@
 //! dimensions, where the index keeps one matrix per dimension.
 
 use laminar_embed::Embedding;
+use laminar_oracle::scan;
 use laminar_registry::dao::Dao;
 use laminar_registry::entities::encode_code;
 use laminar_registry::search::ranked_pe_hits;
@@ -122,14 +123,9 @@ fn assert_index_matches_scan(reg: &Registry) {
         for query in QUERIES {
             for (st, qt) in MODES {
                 for limit in [2usize, 25] {
-                    let indexed = reg
-                        .search_with(&user, query, st, qt, &SearchOptions { limit, force_scan: false })
-                        .unwrap()
-                        .hits;
-                    let scanned = reg
-                        .search_with(&user, query, st, qt, &SearchOptions { limit, force_scan: true })
-                        .unwrap()
-                        .hits;
+                    let indexed =
+                        reg.search_with(&user, query, st, qt, &SearchOptions { limit }).unwrap().hits;
+                    let scanned = scan::search(reg, &user, query, st, qt, limit).unwrap();
                     prop_assert_eq!(
                         &indexed,
                         &scanned,
@@ -234,8 +230,11 @@ fn assert_ranked_index_matches_scan(dao: &Dao) {
                 let query = Embedding { values: query.clone() };
                 for limit in [1usize, 25] {
                     let ranked = |force_scan| {
-                        let hits =
-                            ranked_pe_hits(dao, user, &query, field, &SearchOptions { limit, force_scan });
+                        let hits = if force_scan {
+                            scan::ranked_pe_hits(dao, user, &query, field, limit)
+                        } else {
+                            ranked_pe_hits(dao, user, &query, field, &SearchOptions { limit })
+                        };
                         let bits: Vec<(i64, u64)> = hits.iter().map(|h| (h.id, h.score.to_bits())).collect();
                         (hits, bits)
                     };

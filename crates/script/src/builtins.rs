@@ -1,12 +1,13 @@
 //! Builtin function table for LamScript.
 //!
-//! Builtins are pure (the RNG-backed ones live in the interpreter). They are
+//! Builtins are pure (the RNG-backed ones are VM instructions). They are
 //! grouped into an unqualified global namespace plus `math` and `strings`
 //! module namespaces — the "standard library" that the engine treats as
 //! pre-installed, in contrast to user imports which trigger the simulated
 //! library installer.
 
 use crate::error::{ErrorKind, ScriptError};
+use crate::runtime::MAX_ALLOC_BYTES;
 use laminar_json::{Map, Value};
 
 type R = Result<Value, ScriptError>;
@@ -24,7 +25,7 @@ fn type_err(msg: impl Into<String>) -> ScriptError {
     ScriptError::new(ErrorKind::TypeError, msg)
 }
 
-/// Extract two integer arguments (used by the interpreter's `randint`).
+/// Extract two integer arguments (`randint`'s).
 pub fn two_ints(args: &[Value], name: &str) -> Result<(i64, i64), ScriptError> {
     match args {
         [Value::Int(a), Value::Int(b)] => Ok((*a, *b)),
@@ -141,19 +142,13 @@ fn call_global(name: &str, args: &[Value]) -> Option<R> {
             _ => Err(arg_err("sum(list)")),
         },
         "range" => match args {
-            [Value::Int(b)] => Ok(Value::Array((0..*b).map(Value::Int).collect())),
-            [Value::Int(a), Value::Int(b)] => Ok(Value::Array((*a..*b).map(Value::Int).collect())),
+            [Value::Int(b)] => range(0, *b, 1),
+            [Value::Int(a), Value::Int(b)] => range(*a, *b, 1),
             [Value::Int(a), Value::Int(b), Value::Int(s)] => {
                 if *s == 0 {
                     return Some(Err(arg_err("range: step must be non-zero")));
                 }
-                let mut out = Vec::new();
-                let mut i = *a;
-                while (*s > 0 && i < *b) || (*s < 0 && i > *b) {
-                    out.push(Value::Int(i));
-                    i += s;
-                }
-                Ok(Value::Array(out))
+                range(*a, *b, *s)
             }
             _ => Err(arg_err("range(stop) | range(start, stop) | range(start, stop, step)")),
         },
@@ -278,6 +273,17 @@ fn call_global(name: &str, args: &[Value]) -> Option<R> {
         _ => return None,
     };
     Some(r)
+}
+
+/// `range(start, stop, step)`, `step` non-zero. Its length is computed
+/// first, so a list too large to hold is refused before it is allocated.
+fn range(start: i64, stop: i64, step: i64) -> R {
+    let (span, stride) = (stop as i128 - start as i128, step as i128);
+    let len = if span.signum() == stride.signum() { (span.abs() - 1) / stride.abs() + 1 } else { 0 };
+    if len * std::mem::size_of::<Value>() as i128 > MAX_ALLOC_BYTES as i128 {
+        return Err(arg_err(format!("range: {len} elements exceed {MAX_ALLOC_BYTES} bytes")));
+    }
+    Ok(Value::Array((0..len as i64).map(|k| Value::Int(start.wrapping_add(k.wrapping_mul(step)))).collect()))
 }
 
 fn call_math(name: &str, args: &[Value]) -> Option<R> {
@@ -437,6 +443,9 @@ mod tests {
         assert_eq!(c("len", &[jarr![1, 2]]), Value::Int(2));
         assert_eq!(c("range", &[Value::Int(3)]), jarr![0, 1, 2]);
         assert_eq!(c("range", &[Value::Int(5), Value::Int(1), Value::Int(-2)]), jarr![5, 3]);
+        let (min, max) = (Value::Int(i64::MIN), Value::Int(i64::MAX));
+        assert_eq!(c("range", &[min, max.clone(), max]), jarr![i64::MIN, -1, i64::MAX - 1]);
+        assert!(call(None, "range", &[Value::Int(1 << 40)]).unwrap().is_err());
         assert_eq!(c("push", &[jarr![1], Value::Int(2)]), jarr![1, 2]);
         assert_eq!(c("sort", &[jarr![3, 1, 2]]), jarr![1, 2, 3]);
         assert_eq!(c("reverse", &[jarr![1, 2]]), jarr![2, 1]);

@@ -1,8 +1,9 @@
 //! AST → register-bytecode compiler for LamScript.
 //!
-//! The tree-walking [`crate::interp::Interp`] re-traverses the AST and
-//! re-resolves every identifier per `process` invocation — the innermost
-//! loop of every enactment. This module lowers a parsed [`Script`] once into
+//! A tree-walker (the reference interpreter, `laminar_oracle::Interp`)
+//! re-traverses the AST and re-resolves every identifier per `process`
+//! invocation — the innermost loop of every enactment. This module lowers a
+//! parsed [`Script`] once into
 //! a compact register machine ([`Program`]) that the [`crate::vm::Vm`]
 //! executes:
 //!
@@ -31,9 +32,9 @@
 //! interpreter's error kinds and messages, and names the compiler cannot
 //! resolve (the datum's per-invocation port binding) fall back to
 //! [`Instr::Dynamic`] lookups. `tests/proptest_vm.rs` differential-tests
-//! the VM against the interpreter over generated programs, and
+//! the VM against the interpreter over generated programs,
 //! `tests/proptest_paths.rs` over programs built around read paths and
-//! lent arguments.
+//! lent arguments, and `tests/vm_parity.rs` over a few fixed ones.
 
 use crate::ast::*;
 use crate::error::{ErrorKind, ScriptError};

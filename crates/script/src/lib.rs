@@ -34,19 +34,18 @@
 //! [`lex`](lexer::lex) → [`parse`](parser::parse_script) (nesting bounded
 //! by [`parser::MAX_NESTING`]) → [`compile`](compile::compile_script),
 //! kept together as a [`Prepared`] that the [`Vm`](vm::Vm) (register
-//! bytecode, fuel-bounded) runs. [`Interp`](interp::Interp), the
-//! tree-walking interpreter, is the language's plain reference semantics:
-//! the oracle the differential suites compare the VM against, never a
-//! serving backend. Beside them: [`analysis`] (imports à la `findimports`,
-//! identifier and def-use extraction for the embedding models) and
-//! [`pretty`] (canonical source form stored in the registry).
+//! bytecode, fuel-bounded) runs — the one backend. The language's plain
+//! reference semantics, a tree-walking interpreter the differential suites
+//! compare the VM against, lives in the dev-only `laminar-oracle` crate.
+//! Beside them: [`analysis`] (imports à la `findimports`, identifier and
+//! def-use extraction for the embedding models) and [`pretty`] (canonical
+//! source form stored in the registry).
 
 pub mod analysis;
 pub mod ast;
 pub mod builtins;
 pub mod compile;
 pub mod error;
-pub mod interp;
 pub mod lexer;
 pub mod parser;
 pub mod pretty;
@@ -56,7 +55,6 @@ pub mod vm;
 pub use ast::{Block, Expr, Item, PeDecl, PeKind, PortDecl, Script, Stmt, WorkflowDecl};
 pub use compile::{compile_script, Program};
 pub use error::{ErrorKind, ScriptError};
-pub use interp::Interp;
 pub use lexer::{lex, Token, TokenKind};
 pub use parser::{parse_expr, parse_script};
 pub use pretty::to_source;

@@ -1,7 +1,8 @@
-//! What both backends — the compiled [`crate::vm::Vm`] and the reference
-//! [`crate::interp::Interp`] — share: the [`Sink`] and [`Host`] seams, the
-//! fuel and call-depth limits, and the value operations with their error
-//! kinds and messages.
+//! What the compiled [`crate::vm::Vm`] and the reference interpreter (in
+//! the dev-only `laminar-oracle` crate) share: the [`Sink`] and [`Host`]
+//! seams, the fuel, call-depth and seed constants, and the value
+//! operations with their error kinds and messages — public so the two
+//! backends run one definition of each.
 
 use crate::ast::BinOp;
 use crate::error::{ErrorKind, ScriptError};
@@ -86,8 +87,14 @@ impl Host for NullHost {
 
 /// Default fuel budget per `process` invocation.
 pub const DEFAULT_FUEL: u64 = 2_000_000;
+/// RNG seed of a fresh backend; scripted PE instance `i` draws from
+/// `DEFAULT_SEED + i`.
+pub const DEFAULT_SEED: u64 = 0x1a31_4a12;
 /// Maximum user-function call depth.
 pub const MAX_CALL_DEPTH: usize = 128;
+/// The most one operation may allocate: a failed allocation aborts the
+/// process and every tenant's jobs with it, so a larger result is an error.
+pub(crate) const MAX_ALLOC_BYTES: usize = 1 << 26;
 
 /// Python-style truthiness.
 pub fn truthy(v: &Value) -> bool {
@@ -110,14 +117,16 @@ pub fn value_eq(a: &Value, b: &Value) -> bool {
     }
 }
 
-pub(crate) fn display_value(v: &Value) -> String {
+/// `print`'s rendering: strings bare, everything else as JSON.
+pub fn display_value(v: &Value) -> String {
     match v {
         Value::Str(s) => s.clone(),
         other => other.to_string(),
     }
 }
 
-pub(crate) fn index_value(base: &Value, index: &Value) -> Result<Value, ScriptError> {
+/// `base[index]` on a list (negative counts from the end), string or map.
+pub fn index_value(base: &Value, index: &Value) -> Result<Value, ScriptError> {
     match (base, index) {
         (Value::Array(a), Value::Int(i)) => {
             let len = a.len() as i64;
@@ -142,7 +151,8 @@ pub(crate) fn index_value(base: &Value, index: &Value) -> Result<Value, ScriptEr
     }
 }
 
-pub(crate) fn binary_op(op: BinOp, l: &Value, r: &Value, line: usize) -> Result<Value, ScriptError> {
+/// Every binary operator but the short-circuiting `and`/`or`.
+pub fn binary_op(op: BinOp, l: &Value, r: &Value, line: usize) -> Result<Value, ScriptError> {
     use BinOp::*;
     use Value::*;
     let type_err = |msg: String| ScriptError::at(ErrorKind::TypeError, msg, line, 0);
@@ -168,6 +178,9 @@ pub(crate) fn binary_op(op: BinOp, l: &Value, r: &Value, line: usize) -> Result<
             (Str(s), Int(n)) | (Int(n), Str(s)) => {
                 if *n < 0 || *n > 1_000_000 {
                     return Err(type_err("string repetition count out of range".into()));
+                }
+                if s.len().saturating_mul(*n as usize) > MAX_ALLOC_BYTES {
+                    return Err(type_err(format!("string repetition over {MAX_ALLOC_BYTES} bytes")));
                 }
                 Ok(Str(s.repeat(*n as usize)))
             }

@@ -21,7 +21,8 @@
 //! on every burn of a walk.
 
 use laminar_json::Value;
-use laminar_script::{compile_script, parse_script, Interp, NullHost, VecSink, Vm};
+use laminar_oracle::Interp;
+use laminar_script::{compile_script, parse_script, NullHost, VecSink, Vm};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::sample::select;

@@ -2,7 +2,8 @@
 //! robustness.
 
 use laminar_json::Value;
-use laminar_script::{parse_script, to_source, Interp, NullHost, Script, VecSink};
+use laminar_oracle::Interp;
+use laminar_script::{parse_script, to_source, NullHost, Script, VecSink};
 use proptest::prelude::*;
 
 /// Generate random (syntactically valid) PE sources from a grammar-directed

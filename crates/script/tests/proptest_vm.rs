@@ -13,7 +13,8 @@
 mod common;
 
 use laminar_json::Value;
-use laminar_script::{compile_script, parse_script, Interp, NullHost, VecSink, Vm};
+use laminar_oracle::Interp;
+use laminar_script::{compile_script, parse_script, NullHost, VecSink, Vm};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::sync::Arc;

@@ -168,6 +168,33 @@ fn stop_does_not_wait_for_idle_kept_connections() {
     assert!(clients[0].call(&list_users).is_err());
 }
 
+/// A script asking for a huge allocation is an error answer, not an abort
+/// (which no `catch_unwind` survives): the next run is served.
+#[test]
+fn a_run_asking_for_a_huge_allocation_is_refused_and_the_next_run_is_served() {
+    const IS_PRIME: &str = r#"
+        pe Seq : producer { output output; process { emit(iteration + 1); } }
+        pe IsPrime : iterative { input num; output output; process {
+            let i = 2; let prime = num > 1;
+            while i * i <= num { if num % i == 0 { prime = false; } i = i + 1; }
+            if prime { print(num); } } }
+        workflow Primes { nodes { s = Seq; i = IsPrime; } connect s.output -> i.num; }
+    "#;
+    let http = HttpServer::start(LaminarServer::in_memory()).unwrap();
+    let mut client = HttpConnection::new(http.addr());
+    let mut run = |source: &str| {
+        let body = laminar_json::jobj! { "source" => source, "input" => 10 };
+        client.call(&ApiRequest::new(Method::Post, "/execution/u/run", body)).unwrap()
+    };
+    for greedy in ["emit(range(1099511627776));", r#"let s = "aaaaaaaaaa" * 1000000; emit(s * 1000000);"#] {
+        let r = run(&format!("pe Greedy : producer {{ output o; process {{ {greedy} }} }}"));
+        assert!(r.body["error"]["message"].as_str().unwrap().contains("67108864"), "{greedy}: {r:?}");
+    }
+    let r = run(IS_PRIME);
+    assert_eq!(r.body["printed"].as_array().unwrap().len(), 4, "{r:?}");
+    http.stop();
+}
+
 /// The body of the answer to `GET path`, as the bytes the socket carried.
 fn get_body(connection: &mut BufReader<TcpStream>, path: &str) -> (String, String) {
     connection.get_mut().write_all(format!("GET {path} HTTP/1.1\r\n\r\n").as_bytes()).unwrap();
