@@ -45,7 +45,9 @@
 #                retention, every terminal path settling once)
 #   bench-smoke  four --smoke bench runs writing target/bench/<bin>.json,
 #                and the bench_check guard over them (committed
-#                baselines: BENCH_PR2.json, BENCH_PR10.json)
+#                baselines: BENCH_PR2.json, BENCH_PR10.json), then the
+#                table6 and table7 bins, each failing when the paper's
+#                shape is VIOLATED
 #   bench-e2e    the repo's benchmark (BENCHMARK.json, its own package
 #                under bench_e2e/): build, its tests, and one --smoke
 #                run of each workload
@@ -140,6 +142,10 @@ tier_bench_smoke() {
     cargo run --release -p laminar-bench --bin "$bin" -- --smoke
   done
   cargo run --release -p laminar-bench --bin bench_check
+  # The paper's Tables 6 and 7: each exits non-zero when its shape is
+  # violated (tests/paper_tables.rs pins every figure they print).
+  cargo run --release -q -p laminar-bench --bin table6
+  cargo run --release -q -p laminar-bench --bin table7
 }
 
 tier_bench_e2e() {
@@ -220,7 +226,7 @@ tier_lint() {
 }
 
 usage() {
-  sed -n '2,66p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,68p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 TIERS=()

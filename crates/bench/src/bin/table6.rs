@@ -1,32 +1,25 @@
 //! Regenerates **Table 6**: zero-shot text-to-code search MRR on the
 //! CosQA-like and CSN-like datasets for unixcoder-base vs the fine-tuned
-//! unixcoder-code-search.
+//! unixcoder-code-search. Exits 1 when the shape is violated.
 //!
 //! ```text
 //! cargo run -p laminar-bench --bin table6 --release
 //! ```
 
-use laminar_bench::table6_mrr;
+use laminar_bench::{table6, Verdict};
 
 fn main() {
-    const N: usize = 400;
-    const SEED: u64 = 42;
-
     println!("== Table 6: Results on zero-shot text-to-code search (MRR x100) ==");
     println!("(paper: unixcoder-base 43.1 / 44.7 ; unixcoder-code-search 58.8 / 72.2)");
     println!("(shape target: fine-tuned > base on both; CSN > CosQA for fine-tuned)\n");
     println!("{:<28} {:>10} {:>10}", "Model", "CosQA", "CSN");
 
-    let mut scores = std::collections::BTreeMap::new();
-    for model in ["unixcoder-base", "unixcoder-code-search"] {
-        let cosqa = table6_mrr(model, "CosQA", N, SEED) * 100.0;
-        let csn = table6_mrr(model, "CSN", N, SEED) * 100.0;
+    let table = table6();
+    for (model, cosqa, csn) in &table.rows {
         println!("{model:<28} {cosqa:>10.1} {csn:>10.1}");
-        scores.insert(model, (cosqa, csn));
     }
-
-    let base = scores["unixcoder-base"];
-    let tuned = scores["unixcoder-code-search"];
-    let ok = tuned.0 > base.0 && tuned.1 > base.1 && tuned.1 > tuned.0;
-    println!("\nshape {}", if ok { "HOLDS" } else { "VIOLATED" });
+    println!("\nshape {}", table.verdict.as_str());
+    if table.verdict == Verdict::Violated {
+        std::process::exit(1);
+    }
 }

@@ -1,52 +1,29 @@
 //! Regenerates **Table 7**: zero-shot clone detection (MAP@100 and
 //! Precision@1) for the seven candidate models on the CodeNet-like clone
-//! corpus.
+//! corpus. Exits 1 when the shape is violated.
 //!
 //! ```text
 //! cargo run -p laminar-bench --bin table7 --release
 //! ```
 
-use laminar_bench::table7_clone;
-
-/// The models of Table 7, in the paper's row order, with the paper's
-/// reported (MAP@100, P@1).
-const ROWS: &[(&str, f64, f64)] = &[
-    ("CodeBERT", 1.47, 4.75),
-    ("GraphCodeBERT", 5.31, 15.68),
-    ("ReACC-retriever-py", 9.60, 27.04),
-    ("thenlper/gte-large", 1.9, 7.0),
-    ("BAAI/bge-large-en", 8.17, 20.0),
-    ("unixcoder-clone-detection", 10.4, 17.0),
-    ("unixcoder-code-search", 8.53, 22.84),
-];
+use laminar_bench::{table7, Verdict, TABLE7_CORPUS};
 
 fn main() {
-    const PROBLEMS: usize = 120;
-    const VARIANTS: usize = 6;
-    const SEED: u64 = 7;
-
+    let (problems, variants, _) = TABLE7_CORPUS;
     println!("== Table 7: Zero-shot clone detection evaluation results ==");
-    println!("(measured on the synthetic CodeNet-like corpus: {PROBLEMS} problems x {VARIANTS} variants)");
+    println!("(measured on the synthetic CodeNet-like corpus: {problems} problems x {variants} variants)");
     println!("(shape targets: ReACC best P@1; CodeBERT & gte worst; structure models strong MAP)\n");
     println!("{:<28} {:>9} {:>7}   {:>11} {:>9}", "Model", "MAP@100", "P@1", "paper MAP", "paper P@1");
 
-    let mut measured = Vec::new();
-    for (model, paper_map, paper_p1) in ROWS {
-        let (map, p1) = table7_clone(model, PROBLEMS, VARIANTS, SEED);
-        println!("{model:<28} {:>9.2} {:>7.2}   {paper_map:>11.2} {paper_p1:>9.2}", map * 100.0, p1 * 100.0);
-        measured.push((*model, map * 100.0, p1 * 100.0));
+    let table = table7();
+    for r in &table.rows {
+        println!("{:<28} {:>9.2} {:>7.2}   {:>11.2} {:>9.2}", r.model, r.map, r.p1, r.paper_map, r.paper_p1);
     }
-
-    // Shape checks against the paper's key qualitative claims.
-    let get = |name: &str| measured.iter().find(|(m, _, _)| *m == name).expect("model in table");
-    let reacc = get("ReACC-retriever-py");
-    let codebert = get("CodeBERT");
-    let gte = get("thenlper/gte-large");
-    let best_p1 = measured.iter().all(|(m, _, p1)| *m == "ReACC-retriever-py" || *p1 <= reacc.2);
-    let worst_pair = measured
-        .iter()
-        .all(|(m, map, _)| *m == "CodeBERT" || *m == "thenlper/gte-large" || *map >= codebert.1.min(gte.1));
-    println!("\nReACC has best Precision@1: {}", if best_p1 { "yes" } else { "NO" });
-    println!("CodeBERT/gte-large weakest MAP: {}", if worst_pair { "yes" } else { "NO" });
-    println!("\nshape {}", if best_p1 && worst_pair { "HOLDS" } else { "VIOLATED" });
+    let yes = |ok: bool| if ok { "yes" } else { "NO" };
+    println!("\nReACC has best Precision@1: {}", yes(table.reacc_best_p1));
+    println!("CodeBERT/gte-large weakest MAP: {}", yes(table.weakest_map));
+    println!("\nshape {}", table.verdict.as_str());
+    if table.verdict == Verdict::Violated {
+        std::process::exit(1);
+    }
 }
