@@ -37,10 +37,11 @@ impl Embedding {
     }
 }
 
-/// FNV-1a, 64-bit — the feature hash.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a, 64-bit — the feature hash — over the concatenation of `parts`,
+/// so a prefixed feature hashes without being built as one string.
+fn fnv1a(parts: &[&[u8]]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
+    for &b in parts.iter().flat_map(|part| part.iter()) {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -63,24 +64,20 @@ impl FeatureHasher {
     /// the bucket; a second hash bit picks the sign (reduces collision
     /// bias).
     pub fn add(&mut self, feature: &str, weight: f32) {
-        let h = fnv1a(feature.as_bytes());
+        self.add_hashed(fnv1a(&[feature.as_bytes()]), weight);
+    }
+
+    /// Add one occurrence of `feature` in channel `prefix`: the feature
+    /// `prefix:feature`, hashed as it streams.
+    pub fn add_channel(&mut self, prefix: &str, feature: &str, weight: f32) {
+        self.add_hashed(fnv1a(&[prefix.as_bytes(), b":", feature.as_bytes()]), weight);
+    }
+
+    fn add_hashed(&mut self, h: u64, weight: f32) {
         let dim = self.values.len() as u64;
         let bucket = (h % dim) as usize;
         let sign = if (h >> 63) & 1 == 1 { -1.0 } else { 1.0 };
         self.values[bucket] += sign * weight;
-    }
-
-    /// Add a whole channel of `(feature, weight)` pairs scaled by
-    /// `channel_weight`.
-    pub fn add_channel(
-        &mut self,
-        features: impl IntoIterator<Item = (String, f32)>,
-        channel_weight: f32,
-        prefix: &str,
-    ) {
-        for (f, w) in features {
-            self.add(&format!("{prefix}:{f}"), w * channel_weight);
-        }
     }
 
     /// Finish: L2-normalize and return the embedding.

@@ -78,7 +78,7 @@ impl HashedModel {
         };
         if ch.raw_tokens > 0.0 {
             for t in &toks {
-                h.add_channel([(t.text.clone(), 1.0)], ch.raw_tokens, "raw");
+                h.add_channel("raw", &t.text, ch.raw_tokens);
             }
         }
         if ch.subtokens > 0.0 {
@@ -86,54 +86,54 @@ impl HashedModel {
                 match t.class {
                     TokenClass::Word if !is_keyword(&t.text) => {
                         for sub in subtokens(&t.text) {
-                            h.add_channel([(sub, 1.0)], ch.subtokens, "sub");
+                            h.add_channel("sub", &sub, ch.subtokens);
                         }
                     }
                     TokenClass::Str => {
                         // Words inside string literals align with queries too
                         // (docstring-like evidence).
                         for w in text_words(&t.text) {
-                            h.add_channel([(w, 1.0)], ch.subtokens * 0.75, "sub");
+                            h.add_channel("sub", &w, ch.subtokens * 0.75);
                         }
                     }
                     // Numeric literals share the NL space too: the query
                     // "sum of the first 7 numbers" must match the constant 7.
                     TokenClass::Number => {
-                        h.add_channel([(t.text.clone(), 1.0)], ch.subtokens * 1.5, "sub");
+                        h.add_channel("sub", &t.text, ch.subtokens * 1.5);
                     }
                     _ => {}
                 }
             }
         }
         if ch.structure > 0.0 {
-            let shapes: Vec<String> = toks
+            let shapes: Vec<&str> = toks
                 .iter()
                 .map(|t| match t.class {
-                    TokenClass::Word if is_keyword(&t.text) => t.text.clone(),
-                    TokenClass::Word => "V".to_string(),
+                    TokenClass::Word if is_keyword(&t.text) => t.text.as_str(),
+                    TokenClass::Word => "V",
                     // Constants stay literal: clones share them, sibling
                     // problems (same template, different parameter) do not.
-                    TokenClass::Number => t.text.clone(),
-                    TokenClass::Str => "S".to_string(),
-                    TokenClass::Punct => t.text.clone(),
+                    TokenClass::Number => &t.text,
+                    TokenClass::Str => "S",
+                    TokenClass::Punct => &t.text,
                 })
                 .collect();
             for w in shapes.windows(3) {
-                h.add_channel([(w.join("_"), 1.0)], ch.structure, "st");
+                h.add_channel("st", &w.join("_"), ch.structure);
             }
         }
         if ch.lines > 0.0 {
             let lines = normalized_lines(code);
             for l in &lines {
-                h.add_channel([(l.clone(), 1.0)], ch.lines, "ln");
+                h.add_channel("ln", l, ch.lines);
             }
             for w in lines.windows(2) {
-                h.add_channel([(format!("{}|{}", w[0], w[1]), 1.0)], ch.lines * 0.5, "lb");
+                h.add_channel("lb", &format!("{}|{}", w[0], w[1]), ch.lines * 0.5);
             }
         }
         if ch.char3 > 0.0 {
             for g in char_trigrams(code) {
-                h.add_channel([(g, 1.0)], ch.char3, "c3");
+                h.add_channel("c3", &g, ch.char3);
             }
         }
         if ch.defuse > 0.0 {
@@ -141,14 +141,14 @@ impl HashedModel {
             if let Ok(script) = parse_script(code) {
                 for pe in script.pes() {
                     for edge in def_use_pairs(pe) {
-                        h.add_channel([(format!("{}>{}", edge.def_var, edge.use_var), 1.0)], ch.defuse, "du");
+                        h.add_channel("du", &format!("{}>{}", edge.def_var, edge.use_var), ch.defuse);
                     }
                 }
             }
         }
         if ch.prose > 0.0 {
             for w in code.split_whitespace() {
-                h.add_channel([(w.to_lowercase(), 1.0)], ch.prose, "pw");
+                h.add_channel("pw", &w.to_lowercase(), ch.prose);
             }
         }
     }
@@ -176,17 +176,17 @@ impl EmbeddingModel for HashedModel {
             for w in &words {
                 // Same "sub" prefix as code subtokens: this alignment IS the
                 // cross-modal fine-tuning.
-                h.add_channel([(w.clone(), 1.0)], self.text_words, "sub");
+                h.add_channel("sub", w, self.text_words);
             }
         }
         if self.text_bigrams > 0.0 {
             for w in words.windows(2) {
-                h.add_channel([(format!("{}_{}", w[0], w[1]), 1.0)], self.text_bigrams, "wb");
+                h.add_channel("wb", &format!("{}_{}", w[0], w[1]), self.text_bigrams);
             }
         }
         if self.text_char3 > 0.0 {
             for g in char_trigrams(text) {
-                h.add_channel([(g, 1.0)], self.text_char3, "c3");
+                h.add_channel("c3", &g, self.text_char3);
             }
         }
         h.finish()
@@ -397,6 +397,60 @@ mod tests {
         let wc = lexical.embed_code(WORDCOUNT_PE);
         let prime = lexical.embed_code(PRIME_PE);
         assert!(cosine(&q, &wc) > cosine(&q, &prime) + 0.1);
+    }
+
+    /// FNV-1a over the dimension and every stored `(bucket, weight bits)`
+    /// of each model's embeddings of this module's test inputs.
+    fn fingerprint(m: &dyn EmbeddingModel) -> u64 {
+        const CODE: [&str; 4] = [
+            PRIME_PE,
+            WORDCOUNT_PE,
+            "state.count[word] = get(state.count, word, 0) + input[1];",
+            "@@@ not code at all ∆∆∆ \"unterminated",
+        ];
+        const TEXT: [&str; 4] = [
+            "a PE that checks if a number is prime",
+            "count the occurrences of each word",
+            "count words",
+            "",
+        ];
+        let embeddings = CODE.map(|c| m.embed_code(c)).into_iter().chain(TEXT.map(|t| m.embed_text(t)));
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for e in embeddings {
+            eat(&(e.dim() as u32).to_le_bytes());
+            for (bucket, w) in e.values.iter().enumerate().filter(|(_, w)| w.to_bits() != 0) {
+                eat(&(bucket as u32).to_le_bytes());
+                eat(&w.to_bits().to_le_bytes());
+            }
+        }
+        h
+    }
+
+    /// The feature hash and the normalization are a contract with every
+    /// stored embedding and with Tables 6–7: each model's vectors of the
+    /// inputs above keep these fingerprints.
+    #[test]
+    fn embeddings_keep_their_bits() {
+        let expected: [(&str, u64); 8] = [
+            ("CodeBERT", 0x3fbf_a9eb_199e_481c),
+            ("GraphCodeBERT", 0xdd4e_8070_49af_9133),
+            ("ReACC-retriever-py", 0xbfe4_b7e0_0dce_073f),
+            ("thenlper/gte-large", 0xf971_f174_41c7_ce2a),
+            ("BAAI/bge-large-en", 0x1003_9b40_869c_50d0),
+            ("unixcoder-base", 0x543b_a04e_bb77_264d),
+            ("unixcoder-code-search", 0xd459_16f4_a8b3_d839),
+            ("unixcoder-clone-detection", 0xaa51_0fb4_2aa2_7897),
+        ];
+        let got: Vec<(String, u64)> =
+            all_models().iter().map(|m| (m.name().to_string(), fingerprint(m.as_ref()))).collect();
+        let expected: Vec<(String, u64)> = expected.iter().map(|(n, fp)| (n.to_string(), *fp)).collect();
+        assert_eq!(got, expected);
     }
 
     #[test]
