@@ -75,8 +75,8 @@ const CHECKPOINT_OVERHEAD_CEILING: f64 = 1.25;
 /// factor in the smoke run. The full-corpus floor is 5x (enforced by
 /// `search_scale` on full runs); the smoke corpus is 50x smaller, so the
 /// scan side is proportionally cheaper and the observable gap narrower.
-/// The semantic scan runs the index's own kernel over the same vectors,
-/// so no floor is set on its ratio.
+/// The semantic ratio has no floor: both paths compute the same sparse
+/// score, so it only compares postings with a per-entity merge.
 const SEARCH_SPEEDUP_FLOOR: f64 = 2.0;
 
 /// Indexed search p99 in the smoke run must stay below this (µs). The
@@ -88,7 +88,7 @@ const SEARCH_P99_CEILING_US: f64 = 2000.0;
 /// link: `search_scale` times one `SearchIndex::build` over its finished
 /// corpus, the same `add_pe` per link that registration runs. The same
 /// bound `search_scale` enforces on full runs — the cost is per PE (one
-/// tokenisation, ~7 KB of new matrix rows), not per corpus, so the smoke
+/// tokenisation, ~150 new postings), not per corpus, so the smoke
 /// run needs no looser one. Absolute, not a ratio over a registration,
 /// so a cheaper write path around the index does not move the gate.
 const INDEX_MAINTENANCE_CEILING_US: f64 = 15.0;

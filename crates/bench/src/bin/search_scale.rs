@@ -21,10 +21,11 @@
 //! differential match); smoke runs only emit the report, which
 //! `bench_check` then gates with looser smoke-sized bounds.
 //!
-//! The semantic speedup is reported but not gated. Both paths run the
-//! same cosine kernel over the same `f32` vectors — the scan through each
-//! entity in the store, the index over one contiguous matrix with cached
-//! norms — so the ratio is small and mostly memory layout. The text scan
+//! The semantic speedup is reported but not gated. Both paths compute the
+//! same score, `laminar_embed::cosine`'s ascending sum over the buckets a
+//! PE shares with the query: the scan merges the query with each entity's
+//! sparse vector and recomputes both norms, the index reads only the
+//! postings of the query's buckets and caches the norms. The text scan
 //! still normalizes every field of every entity per query, so its floor
 //! stays.
 
@@ -151,7 +152,7 @@ impl ModeStats {
 /// wall time kept (the corpus is immutable during measurement, so the
 /// minimum is the honest cost). Each path's reps run consecutively so
 /// both are measured at their own steady state: a scan rep streams the
-/// user's entire row set and would otherwise evict the index's matrix
+/// user's entire row set and would otherwise evict the index's postings
 /// from cache right before every indexed rep — an artifact of the
 /// interleaving, not a cost either path pays in serving.
 fn measure_mode(
@@ -196,8 +197,8 @@ fn measure_mode(
 }
 
 /// Index maintenance may cost at most this much per PE link (µs), full
-/// and smoke runs alike: the cost is per PE (one tokenisation, ~7 KB of
-/// new matrix rows), not per corpus.
+/// and smoke runs alike: the cost is per PE (one tokenisation, ~150 new
+/// postings), not per corpus.
 const INDEX_MAINTENANCE_CEILING_US: f64 = 15.0;
 
 /// Index maintenance per owner link (µs): one timed rebuild of the whole

@@ -1,29 +1,85 @@
-//! Dense embeddings via feature hashing (the "hashing trick").
+//! Sparse embeddings via feature hashing (the "hashing trick").
 //!
 //! Every model maps an input to a bag of weighted string features; features
 //! are hashed into a fixed-dimension vector with a sign hash, then
-//! L2-normalized. Cosine similarity over these vectors is exactly the
-//! bi-encoder retrieval rule of paper §2.4.
+//! L2-normalized. A description or a PE's code touches tens to about a
+//! hundred of the 768–1,024 buckets, so an [`Embedding`] holds only its
+//! non-zero `(bucket, weight)` pairs, in ascending bucket order. That
+//! sparsity belongs to these stand-in models: a real encoder's vectors are
+//! dense, and would bring the dense cost back (DESIGN §2).
+//!
+//! Cosine similarity over these vectors is exactly the bi-encoder
+//! retrieval rule of paper §2.4. [`cosine`] is its one definition, with a
+//! fixed summation order, so every ranking built on it — [`top_k`], the
+//! registry's scan oracle and its per-bucket index — scores to the same
+//! bits.
 
 use laminar_json::Value;
 
-/// A dense embedding vector (always L2-normalized unless all-zero).
+/// A vector of dimension `dim` stored as its `(bucket, weight)` pairs in
+/// strictly ascending bucket order. Every component other than `+0.0` is
+/// stored, so `-0.0` survives a round trip through the dense row form.
+/// A model's embedding is L2-normalized unless all-zero.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Embedding {
-    /// Vector components.
-    pub values: Vec<f32>,
+    dim: usize,
+    entries: Box<[(u32, f32)]>,
 }
 
 impl Embedding {
+    /// The vector of dimension `dim` whose components are `entries`;
+    /// pairs whose weight is `+0.0` are dropped.
+    ///
+    /// # Panics
+    /// If the buckets are not strictly ascending or not below `dim`.
+    pub fn new(dim: usize, entries: Vec<(u32, f32)>) -> Embedding {
+        for pair in entries.windows(2) {
+            assert!(
+                pair[0].0 < pair[1].0,
+                "buckets must be strictly ascending: {} then {}",
+                pair[0].0,
+                pair[1].0
+            );
+        }
+        if let Some(&(last, _)) = entries.last() {
+            assert!((last as usize) < dim, "bucket {last} out of range for dimension {dim}");
+        }
+        let entries = entries.into_iter().filter(|&(_, w)| w.to_bits() != 0).collect();
+        Embedding { dim, entries }
+    }
+
+    /// The vector whose components are `values`.
+    pub fn from_dense(values: &[f32]) -> Embedding {
+        let bucket = |i: usize| u32::try_from(i).expect("dimension fits a u32 bucket");
+        let entries =
+            values.iter().enumerate().filter(|(_, w)| w.to_bits() != 0).map(|(i, &w)| (bucket(i), w));
+        Embedding { dim: values.len(), entries: entries.collect() }
+    }
+
     /// Dimension.
     pub fn dim(&self) -> usize {
-        self.values.len()
+        self.dim
+    }
+
+    /// The stored `(bucket, weight)` pairs, ascending by bucket.
+    pub fn entries(&self) -> &[(u32, f32)] {
+        &self.entries
+    }
+
+    /// L2 norm: the square root of the sum of squared weights, added in
+    /// ascending bucket order from `+0.0`.
+    pub fn norm(&self) -> f32 {
+        self.entries.iter().fold(0.0f32, |sum, &(_, w)| sum + w * w).sqrt()
     }
 
     /// Serialize for registry storage (the `codeEmbedding` /
-    /// `descEmbedding` columns).
+    /// `descEmbedding` columns): the dense array of all `dim` components.
     pub fn to_value(&self) -> Value {
-        Value::Array(self.values.iter().map(|f| Value::Float(*f as f64)).collect())
+        let mut dense = vec![Value::Float(0.0); self.dim];
+        for &(bucket, w) in self.entries.iter() {
+            dense[bucket as usize] = Value::Float(w as f64);
+        }
+        Value::Array(dense)
     }
 
     /// Inverse of [`Self::to_value`].
@@ -33,7 +89,7 @@ impl Embedding {
         for e in arr {
             values.push(e.as_f64()? as f32);
         }
-        Some(Embedding { values })
+        Some(Embedding::from_dense(&values))
     }
 }
 
@@ -80,125 +136,54 @@ impl FeatureHasher {
         self.values[bucket] += sign * weight;
     }
 
-    /// Finish: L2-normalize and return the embedding.
-    pub fn finish(mut self) -> Embedding {
-        let norm: f32 = self.values.iter().map(|v| v * v).sum::<f32>().sqrt();
+    /// Finish: keep the buckets the features reached, L2-normalized.
+    pub fn finish(self) -> Embedding {
+        let raw = Embedding::from_dense(&self.values);
+        let norm = raw.norm();
         if norm > 0.0 {
-            for v in &mut self.values {
-                *v /= norm;
-            }
-        }
-        Embedding { values: self.values }
-    }
-}
-
-/// Fused dot product over raw slices.
-///
-/// Dispatches once per process: an AVX2+FMA kernel when the CPU has it
-/// (rustc's baseline x86-64 target only emits SSE2, which leaves ~8× on
-/// the table for the registry's 768/1024-dim matrix scans), otherwise
-/// the eight-accumulator scalar kernel. The chosen path is a pure
-/// function of the CPU, so within a process every caller — the
-/// linear-scan oracle and the registry's dense-vector index alike —
-/// gets bit-identical scores; that per-process consistency (not
-/// cross-machine bit equality, which floating point never promised) is
-/// the contract the differential search tests rely on.
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len(), "dot over mismatched lengths");
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
-        // SAFETY: the required CPU features were just detected.
-        return unsafe { dot_avx2(a, b) };
-    }
-    dot_scalar(a, b)
-}
-
-/// Portable kernel, eight parallel accumulators.
-///
-/// A single `zip().map().sum()` chain is latency-bound: every add waits on
-/// the previous one, which caps a 768-dim dot at roughly one add-latency
-/// per element. Eight independent accumulator lanes let the FPU pipeline
-/// them. The lane structure (not the data order) fixes the rounding, so
-/// the result is deterministic.
-fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
-    let mut acc = [0.0f32; 8];
-    let mut ca = a.chunks_exact(8);
-    let mut cb = b.chunks_exact(8);
-    for (xa, xb) in (&mut ca).zip(&mut cb) {
-        for lane in 0..8 {
-            acc[lane] += xa[lane] * xb[lane];
+            Embedding::new(raw.dim, raw.entries.iter().map(|&(bucket, w)| (bucket, w / norm)).collect())
+        } else {
+            raw
         }
     }
-    let mut tail = 0.0f32;
-    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-        tail += x * y;
-    }
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + tail
 }
 
-/// AVX2+FMA kernel: four 8-lane FMA accumulators (32 floats per
-/// iteration) to hide the ~4-cycle FMA latency, an 8-wide cleanup loop,
-/// a lane-tree horizontal reduction, and a scalar tail. Deterministic
-/// for a given input length — the block structure fixes the rounding.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
-    use std::arch::x86_64::*;
-    let n = a.len().min(b.len());
-    let ap = a.as_ptr();
-    let bp = b.as_ptr();
-    let mut acc0 = _mm256_setzero_ps();
-    let mut acc1 = _mm256_setzero_ps();
-    let mut acc2 = _mm256_setzero_ps();
-    let mut acc3 = _mm256_setzero_ps();
-    let mut i = 0usize;
-    while i + 32 <= n {
-        acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(ap.add(i)), _mm256_loadu_ps(bp.add(i)), acc0);
-        acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(ap.add(i + 8)), _mm256_loadu_ps(bp.add(i + 8)), acc1);
-        acc2 = _mm256_fmadd_ps(_mm256_loadu_ps(ap.add(i + 16)), _mm256_loadu_ps(bp.add(i + 16)), acc2);
-        acc3 = _mm256_fmadd_ps(_mm256_loadu_ps(ap.add(i + 24)), _mm256_loadu_ps(bp.add(i + 24)), acc3);
-        i += 32;
-    }
-    let mut acc = _mm256_add_ps(_mm256_add_ps(acc0, acc1), _mm256_add_ps(acc2, acc3));
-    while i + 8 <= n {
-        acc = _mm256_fmadd_ps(_mm256_loadu_ps(ap.add(i)), _mm256_loadu_ps(bp.add(i)), acc);
-        i += 8;
-    }
-    let quad = _mm_add_ps(_mm256_castps256_ps128(acc), _mm256_extractf128_ps::<1>(acc));
-    let pair = _mm_add_ps(quad, _mm_movehl_ps(quad, quad));
-    let one = _mm_add_ss(pair, _mm_shuffle_ps::<1>(pair, pair));
-    let mut sum = _mm_cvtss_f32(one);
-    while i < n {
-        sum += *ap.add(i) * *bp.add(i);
-        i += 1;
-    }
-    sum
-}
-
-/// L2 norm via the fused kernel — the norm the cosine family caches.
-pub fn l2_norm(v: &[f32]) -> f32 {
-    dot(v, v).sqrt()
-}
-
-/// Cosine with both norms supplied by the caller. The registry's vector
-/// index caches per-row norms at insert time and calls this per candidate,
-/// paying one fused dot instead of three passes. [`cosine`] routes through
-/// here, so precomputed-norm and from-scratch scores are bit-identical as
-/// long as the cached norms came from [`l2_norm`].
-pub fn cosine_prenorm(a: &[f32], na: f32, b: &[f32], nb: f32) -> f32 {
-    let d = dot(a, b);
-    if na == 0.0 || nb == 0.0 {
-        0.0
-    } else {
-        d / (na * nb)
-    }
-}
-
-/// Cosine similarity. Normalized inputs make this a dot product, but the
-/// full formula keeps the function safe for un-normalized vectors too.
+/// Cosine similarity, the one definition of a search score: an `f32`
+/// accumulator starts at `+0.0` and adds `a_b * b_b` over the buckets both
+/// vectors store, in ascending bucket order (a merge of the two sorted
+/// lists); [`cosine_of`] then divides by the two norms. Normalized inputs
+/// make this a dot product, but the full formula keeps the function safe
+/// for un-normalized vectors too.
+///
+/// # Panics
+/// If the dimensions differ.
 pub fn cosine(a: &Embedding, b: &Embedding) -> f32 {
     assert_eq!(a.dim(), b.dim(), "cosine over mismatched dimensions");
-    cosine_prenorm(&a.values, l2_norm(&a.values), &b.values, l2_norm(&b.values))
+    let (x, y) = (a.entries(), b.entries());
+    let (mut i, mut j, mut dot) = (0, 0, 0.0f32);
+    while i < x.len() && j < y.len() {
+        match x[i].0.cmp(&y[j].0) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                dot += x[i].1 * y[j].1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    cosine_of(dot, a.norm(), b.norm())
+}
+
+/// [`cosine`]'s last step: `dot / (norm_a * norm_b)`, or `0.0` when
+/// either norm is 0. A caller that accumulates `dot` in [`cosine`]'s order
+/// and takes the norms from [`Embedding::norm`] gets [`cosine`]'s bits.
+pub fn cosine_of(dot: f32, norm_a: f32, norm_b: f32) -> f32 {
+    if norm_a == 0.0 || norm_b == 0.0 {
+        0.0
+    } else {
+        dot / (norm_a * norm_b)
+    }
 }
 
 /// A bounded best-`k` selector over `(id, score)` pairs.
@@ -278,6 +263,7 @@ pub fn top_k(query: &Embedding, corpus: &[Embedding], k: usize) -> Vec<(usize, f
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn embed(features: &[(&str, f32)], dim: usize) -> Embedding {
         let mut h = FeatureHasher::new(dim);
@@ -290,8 +276,8 @@ mod tests {
     #[test]
     fn normalization() {
         let e = embed(&[("a", 3.0), ("b", 4.0)], 64);
-        let norm: f32 = e.values.iter().map(|v| v * v).sum::<f32>().sqrt();
-        assert!((norm - 1.0).abs() < 1e-5);
+        assert!((e.norm() - 1.0).abs() < 1e-5);
+        assert!(e.entries().len() <= 2, "two features reach at most two buckets");
     }
 
     #[test]
@@ -312,7 +298,8 @@ mod tests {
 
     #[test]
     fn zero_vector_cosine_is_zero() {
-        let z = Embedding { values: vec![0.0; 8] };
+        let z = Embedding::from_dense(&[0.0; 8]);
+        assert!(z.entries().is_empty());
         let e = embed(&[("a", 1.0)], 8);
         assert_eq!(cosine(&z, &e), 0.0);
     }
@@ -338,52 +325,21 @@ mod tests {
     }
 
     #[test]
+    fn new_keeps_signed_zeros_and_refuses_unsorted_buckets() {
+        let e = Embedding::new(4, vec![(0, 0.0), (1, -0.0), (3, 0.5)]);
+        assert_eq!(e.entries().iter().map(|&(b, _)| b).collect::<Vec<_>>(), [1, 3]);
+        assert_eq!(e, Embedding::from_dense(&[0.0, -0.0, 0.0, 0.5]));
+        for bad in [vec![(2, 1.0), (1, 1.0)], vec![(1, 1.0), (1, 2.0)], vec![(4, 1.0)]] {
+            assert!(std::panic::catch_unwind(|| Embedding::new(4, bad)).is_err());
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "mismatched dimensions")]
     fn dim_mismatch_panics() {
         let a = embed(&[("a", 1.0)], 8);
         let b = embed(&[("a", 1.0)], 16);
         let _ = cosine(&a, &b);
-    }
-
-    #[test]
-    fn dot_handles_tails_and_matches_norm() {
-        // Exercise the remainder path (lengths not divisible by 8).
-        for len in [0usize, 1, 7, 8, 9, 16, 19] {
-            let a: Vec<f32> = (0..len).map(|i| (i as f32) * 0.25 - 1.0).collect();
-            let b: Vec<f32> = (0..len).map(|i| 1.5 - (i as f32) * 0.5).collect();
-            let naive: f32 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
-            assert!((dot(&a, &b) - naive).abs() < 1e-4, "len {len}");
-        }
-        let v = vec![3.0f32, 4.0];
-        assert!((l2_norm(&v) - 5.0).abs() < 1e-6);
-        assert_eq!(l2_norm(&[]), 0.0);
-    }
-
-    #[test]
-    fn simd_and_scalar_kernels_agree() {
-        // The dispatched kernel (AVX2 where the CPU has it) must agree
-        // with the portable one to FP tolerance at every tail shape; the
-        // *bit*-level contract is only per-process consistency, which
-        // holds because dispatch is a pure function of the CPU.
-        for len in [0usize, 1, 7, 8, 15, 31, 32, 33, 40, 63, 768, 1024, 1027] {
-            let a: Vec<f32> = (0..len).map(|i| ((i * 37 + 11) % 97) as f32 * 0.021 - 1.0).collect();
-            let b: Vec<f32> = (0..len).map(|i| ((i * 53 + 29) % 89) as f32 * 0.017 - 0.7).collect();
-            let dispatched = dot(&a, &b);
-            let scalar = dot_scalar(&a, &b);
-            let tol = 1e-4 * (len as f32 + 1.0);
-            assert!((dispatched - scalar).abs() < tol, "len {len}: {dispatched} vs {scalar}");
-        }
-    }
-
-    #[test]
-    fn cosine_prenorm_is_bit_identical_to_cosine() {
-        let a = embed(&[("a", 1.0), ("b", 2.0)], 100);
-        let b = embed(&[("a", 1.0), ("c", 3.0)], 100);
-        let full = cosine(&a, &b);
-        let pre = cosine_prenorm(&a.values, l2_norm(&a.values), &b.values, l2_norm(&b.values));
-        assert_eq!(full.to_bits(), pre.to_bits());
-        // Zero-norm guard matches cosine's.
-        assert_eq!(cosine_prenorm(&[0.0; 4], 0.0, &b.values[..4], 1.0), 0.0);
     }
 
     #[test]
@@ -401,6 +357,69 @@ mod tests {
             });
             oracle.truncate(k);
             assert_eq!(sel.into_sorted(), oracle, "k = {k}");
+        }
+    }
+
+    /// One component: mostly an exact zero of either sign, otherwise a
+    /// value whose products and sums round.
+    fn arb_component() -> impl Strategy<Value = f32> {
+        (0u8..8, -1000i32..1000).prop_map(|(kind, x)| match kind {
+            0..=3 => 0.0,
+            4 => -0.0,
+            _ => x as f32 * 0.0137,
+        })
+    }
+
+    /// Two dense vectors of one dimension; sometimes the first is all
+    /// `+0.0` or all `-0.0`.
+    fn arb_pair() -> impl Strategy<Value = (Vec<f32>, Vec<f32>)> {
+        (prop::collection::vec((arb_component(), arb_component()), 1..48), 0u8..8).prop_map(
+            |(pairs, zero)| {
+                let (mut a, b): (Vec<f32>, Vec<f32>) = pairs.into_iter().unzip();
+                match zero {
+                    0 => a.fill(0.0),
+                    1 => a.fill(-0.0),
+                    _ => {}
+                }
+                (a, b)
+            },
+        )
+    }
+
+    /// The score written out over the dense components: one ascending
+    /// sequential `f32` pass for the dot and each sum of squares.
+    fn naive_cosine(a: &[f32], b: &[f32]) -> f32 {
+        let (mut dot, mut aa, mut bb) = (0.0f32, 0.0f32, 0.0f32);
+        for (x, y) in a.iter().zip(b) {
+            dot += x * y;
+            aa += x * x;
+            bb += y * y;
+        }
+        let (na, nb) = (aa.sqrt(), bb.sqrt());
+        if na == 0.0 || nb == 0.0 {
+            0.0
+        } else {
+            dot / (na * nb)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `cosine` is symmetric to the bit and equals the naive dense
+        /// reference to the bit; the row form is the dense array and reads
+        /// back to the same vector.
+        #[test]
+        fn sparse_cosine_is_the_naive_dense_score((a, b) in arb_pair()) {
+            let (ea, eb) = (Embedding::from_dense(&a), Embedding::from_dense(&b));
+            let reference = naive_cosine(&a, &b).to_bits();
+            prop_assert_eq!(cosine(&ea, &eb).to_bits(), reference, "{:?} . {:?}", a, b);
+            prop_assert_eq!(cosine(&eb, &ea).to_bits(), reference);
+            for (e, dense) in [(&ea, &a), (&eb, &b)] {
+                prop_assert_eq!(&Embedding::from_value(&e.to_value()).unwrap(), e);
+                let today = Value::Array(dense.iter().map(|f| Value::Float(*f as f64)).collect());
+                prop_assert_eq!(laminar_json::to_string(&e.to_value()), laminar_json::to_string(&today));
+            }
         }
     }
 }

@@ -37,6 +37,6 @@ pub mod summarize;
 pub mod tokenizer;
 pub mod xencoder;
 
-pub use embedding::{cosine, cosine_prenorm, dot, l2_norm, top_k, Embedding, TopK};
+pub use embedding::{cosine, top_k, Embedding, TopK};
 pub use models::{all_models, model_by_name, EmbeddingModel};
 pub use summarize::summarize_pe_source;

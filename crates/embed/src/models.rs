@@ -424,8 +424,8 @@ mod tests {
         };
         for e in embeddings {
             eat(&(e.dim() as u32).to_le_bytes());
-            for (bucket, w) in e.values.iter().enumerate().filter(|(_, w)| w.to_bits() != 0) {
-                eat(&(bucket as u32).to_le_bytes());
+            for (bucket, w) in e.entries() {
+                eat(&bucket.to_le_bytes());
                 eat(&w.to_bits().to_le_bytes());
             }
         }

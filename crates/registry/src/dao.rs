@@ -120,7 +120,9 @@ impl Dao {
         }
         self.store.user_pes.unlink(user_id, pe_id);
         self.wal.append(&self.store, || ops::unlink("user_pes", user_id, pe_id))?;
-        self.index.remove_pe(user_id, pe_id);
+        if let Some(pe) = self.store.pes.get(pe_id) {
+            self.index.remove_pe(user_id, pe);
+        }
         if self.store.user_pes.lefts_of(pe_id).is_empty() {
             self.store.pes.delete(pe_id)?;
             self.wal.append(&self.store, || ops::delete("pes", pe_id))?;
@@ -219,8 +221,8 @@ mod tests {
             description_generated: false,
             pe_code: encode_code(&format!("pe {name} : producer {{ output o; process {{ emit(1); }} }}")),
             pe_imports: vec![],
-            code_embedding: Embedding { values: vec![1.0, 0.0] },
-            desc_embedding: Embedding { values: vec![0.0, 1.0] },
+            code_embedding: Embedding::from_dense(&[1.0, 0.0]),
+            desc_embedding: Embedding::from_dense(&[0.0, 1.0]),
         }
     }
 

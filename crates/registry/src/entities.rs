@@ -280,8 +280,8 @@ mod tests {
             description_generated: true,
             pe_code: encode_code("pe IsPrime : iterative { input n; output output; process { emit(n); } }"),
             pe_imports: vec!["math".into()],
-            code_embedding: Embedding { values: vec![0.5, -0.5] },
-            desc_embedding: Embedding { values: vec![1.0, 0.0] },
+            code_embedding: Embedding::from_dense(&[0.5, -0.5]),
+            desc_embedding: Embedding::from_dense(&[1.0, 0.0]),
         };
         let back = PeEntity::from_row(&e.to_row()).unwrap();
         assert_eq!(back, e);

@@ -17,15 +17,22 @@
 //!   needles fall back to a substring scan over the *cached* normalized
 //!   fields, still never re-normalizing an entity's text.
 //! * **Semantic / code** — per user and per embedding space
-//!   (`desc`/`code`), one structure-of-arrays `f32` matrix per embedding
-//!   dimension present, with per-row L2 norms cached at insert. A query
-//!   ranks the matrix of its own dimension: one fused dot/norm cosine
-//!   kernel pass over contiguous rows and a bounded top-`k` heap, no norm
-//!   recomputed, no full sort. Vectors of another dimension cannot be
-//!   compared with the query, and are exactly what the scan leaves out
-//!   too. Real models are fixed-dimension, so a user normally has one
-//!   matrix per space; a second appears for hand-built entities or a
-//!   durable registry reopened after a model change.
+//!   (`desc`/`code`), one set of per-bucket postings per embedding
+//!   dimension present: for each bucket, the `(slot, weight)` of every
+//!   vector storing it, with each slot's PE id and L2 norm cached at
+//!   insert. The stand-in models' vectors are sparse (tens of the 768
+//!   description buckets, about a hundred of the 1,024 code buckets), so
+//!   a query is answered term at a time (Turtle & Flood, "Query
+//!   Evaluation: Strategies and Optimizations", IP&M 1995): only the
+//!   postings of the query's own buckets are read, then every live slot
+//!   goes through a bounded top-`k` heap, no norm recomputed, no full
+//!   sort. Vectors of another dimension cannot be compared with the
+//!   query, and are exactly what the scan leaves out too. Real models are
+//!   fixed-dimension, so a user normally has one set of postings per
+//!   space; a second appears for hand-built entities or a durable
+//!   registry reopened after a model change. A dense encoder would fill
+//!   every posting list, and this layout would then cost more than the
+//!   row-major matrix it replaced (DESIGN §3.8).
 //!
 //! **Consistency.** The index is owned by the DAO and mutated in the
 //! same call that journals the mutation, under the registry's outer
@@ -38,14 +45,15 @@
 //!
 //! **Exactness.** Every query here answers exactly what the linear scan
 //! (`laminar_oracle::scan`, a dev-only crate) answers — same hits, same
-//! scores (the scan and the index share one cosine kernel), same
+//! scores (each slot sums its shared buckets in ascending order, which is
+//! how [`cosine`](laminar_embed::cosine) defines the score), same
 //! score-then-id order — which is pinned by the differential proptests in
 //! `tests/proptest_search.rs`.
 
 use crate::entities::{PeEntity, WorkflowEntity};
 use crate::search::normalize_text;
 use crate::store::Store;
-use laminar_embed::embedding::{cosine_prenorm, l2_norm, TopK};
+use laminar_embed::embedding::{cosine_of, TopK};
 use laminar_embed::Embedding;
 use laminar_json::Value;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -144,87 +152,123 @@ impl TextIndex {
     }
 }
 
-/// Per-user dense-vector matrix for one embedding space and dimension:
-/// row-major structure-of-arrays with cached norms and a dense-row ↔
-/// peId map.
+/// One live vector of a [`VecIndex`]: its PE and its cached norm.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    id: i64,
+    /// [`Embedding::norm`], computed once at insert: the norm
+    /// [`cosine`](laminar_embed::cosine) divides by, so scores stay
+    /// bit-identical to a from-scratch cosine.
+    norm: f32,
+}
+
+/// Per-user postings for one embedding space and dimension: for every
+/// bucket, the `(slot, weight)` of each vector that stores it. A slot is
+/// a vector's number for as long as it is indexed; a removed vector's
+/// slot goes on the free list and the next insert takes it, so no other
+/// vector is ever renumbered.
 #[derive(Debug)]
 struct VecIndex {
-    dim: usize,
-    /// `ids.len() * dim` floats, row-major.
-    data: Vec<f32>,
-    /// Per-row L2 norm, computed once at insert by the same kernel the
-    /// scoring kernel divides by — scores stay bit-identical to a
-    /// from-scratch cosine.
-    norms: Vec<f32>,
-    /// Row → peId.
-    ids: Vec<i64>,
-    /// peId → row.
-    row_of: HashMap<i64, usize>,
+    /// bucket → `(slot, weight)`, in no particular slot order.
+    postings: Vec<Vec<(u32, f32)>>,
+    /// slot → its vector, or `None` while free.
+    slots: Vec<Option<Slot>>,
+    /// Free slots, the most recently freed last.
+    free: Vec<u32>,
+    /// peId → slot.
+    slot_of: HashMap<i64, u32>,
 }
 
 impl VecIndex {
     fn new(dim: usize) -> VecIndex {
-        VecIndex { dim, data: Vec::new(), norms: Vec::new(), ids: Vec::new(), row_of: HashMap::new() }
+        VecIndex {
+            postings: vec![Vec::new(); dim],
+            slots: Vec::new(),
+            free: Vec::new(),
+            slot_of: HashMap::new(),
+        }
     }
 
-    /// Append a row for `id`, which the matrix does not hold: the DAO
+    /// Index `e` for `id`, which the postings do not hold: the DAO
     /// indexes a (user, PE) pair once, when the link is made.
     fn add(&mut self, id: i64, e: &Embedding) {
-        debug_assert_eq!(e.dim(), self.dim, "a row joins the matrix of its own dimension");
-        let fresh = self.row_of.insert(id, self.ids.len()).is_none();
+        debug_assert_eq!(e.dim(), self.postings.len(), "a vector joins the postings of its own dimension");
+        let live = Some(Slot { id, norm: e.norm() });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = live;
+                slot
+            }
+            None => {
+                self.slots.push(live);
+                u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 vectors per user")
+            }
+        };
+        let fresh = self.slot_of.insert(id, slot).is_none();
         debug_assert!(fresh, "PE {id} indexed twice for one owner");
-        self.data.extend_from_slice(&e.values);
-        self.norms.push(l2_norm(&e.values));
-        self.ids.push(id);
-    }
-
-    /// Swap-remove: the last row moves into the vacated slot.
-    fn remove(&mut self, id: i64) {
-        let Some(row) = self.row_of.remove(&id) else { return };
-        let last = self.ids.len() - 1;
-        if row != last {
-            let (head, tail) = self.data.split_at_mut(last * self.dim);
-            head[row * self.dim..(row + 1) * self.dim].copy_from_slice(&tail[..self.dim]);
-            self.norms[row] = self.norms[last];
-            let moved = self.ids[last];
-            self.ids[row] = moved;
-            self.row_of.insert(moved, row);
+        for &(bucket, w) in e.entries() {
+            self.postings[bucket as usize].push((slot, w));
         }
-        self.ids.pop();
-        self.norms.pop();
-        self.data.truncate(last * self.dim);
     }
 
-    /// Best `k` rows by cosine against `query` (of this matrix's
-    /// dimension), best-first with ties toward the lower id — the
-    /// oracle's sort-then-truncate order.
+    /// Unindex `id`, whose vector is `e`: its postings go and its slot is
+    /// freed. A posting list is searched from its end, where the newest
+    /// vectors are.
+    fn remove(&mut self, id: i64, e: &Embedding) {
+        let Some(slot) = self.slot_of.remove(&id) else { return };
+        for &(bucket, _) in e.entries() {
+            let list = &mut self.postings[bucket as usize];
+            let at = list.iter().rposition(|&(s, _)| s == slot).expect("every stored bucket has a posting");
+            list.swap_remove(at);
+        }
+        self.slots[slot as usize] = None;
+        self.free.push(slot);
+    }
+
+    /// Best `k` vectors by cosine against `query` (of this dimension),
+    /// best-first with ties toward the lower id — the oracle's
+    /// sort-then-truncate order.
+    ///
+    /// Term at a time: the query's buckets, ascending, each add
+    /// `q_b * w` into the score of every slot on the bucket's list, so
+    /// each slot sums its shared buckets in [`cosine`]'s order and gets
+    /// its bits. Every live slot is then offered, so a vector sharing no
+    /// bucket with the query still ranks, at 0.
+    ///
+    /// [`cosine`]: laminar_embed::cosine
     fn top(&self, query: &Embedding, k: usize) -> Vec<(i64, f64)> {
-        let qnorm = l2_norm(&query.values);
+        let mut dots = vec![0.0f32; self.slots.len()];
+        for &(bucket, q) in query.entries() {
+            for &(slot, w) in &self.postings[bucket as usize] {
+                dots[slot as usize] += q * w;
+            }
+        }
+        let qnorm = query.norm();
         let mut top = TopK::new(k);
-        for (row, &id) in self.ids.iter().enumerate() {
-            let start = row * self.dim;
-            let score =
-                cosine_prenorm(&query.values, qnorm, &self.data[start..start + self.dim], self.norms[row])
-                    as f64;
-            top.push(id, score);
+        for (slot, dot) in self.slots.iter().zip(dots) {
+            if let Some(Slot { id, norm }) = *slot {
+                top.push(id, cosine_of(dot, qnorm, norm) as f64);
+            }
         }
         top.into_sorted()
     }
 }
 
-/// One user's matrices for one embedding space, keyed by dimension.
-type Matrices = BTreeMap<usize, VecIndex>;
+/// One user's postings for one embedding space, keyed by dimension.
+type ByDim = BTreeMap<usize, VecIndex>;
 
-fn add_row(matrices: &mut Matrices, id: i64, e: &Embedding) {
-    matrices.entry(e.dim()).or_insert_with(|| VecIndex::new(e.dim())).add(id, e);
+fn add_vector(space: &mut ByDim, id: i64, e: &Embedding) {
+    space.entry(e.dim()).or_insert_with(|| VecIndex::new(e.dim())).add(id, e);
 }
 
-/// Drop `id`'s row, and with it a matrix left empty.
-fn remove_row(matrices: &mut Matrices, id: i64) {
-    matrices.retain(|_, matrix| {
-        matrix.remove(id);
-        !matrix.ids.is_empty()
-    });
+/// Drop `id`'s vector `e`, and with it postings left empty.
+fn remove_vector(space: &mut ByDim, id: i64, e: &Embedding) {
+    if let Some(index) = space.get_mut(&e.dim()) {
+        index.remove(id, e);
+        if index.slot_of.is_empty() {
+            space.remove(&e.dim());
+        }
+    }
 }
 
 /// One user's slice of the index.
@@ -232,8 +276,8 @@ fn remove_row(matrices: &mut Matrices, id: i64) {
 struct UserIndex {
     pe_text: TextIndex,
     wf_text: TextIndex,
-    desc: Matrices,
-    code: Matrices,
+    desc: ByDim,
+    code: ByDim,
 }
 
 /// The registry-wide search index: one [`UserIndex`] per user that owns
@@ -273,16 +317,18 @@ impl SearchIndex {
     pub fn add_pe(&mut self, user_id: i64, pe: &PeEntity) {
         let user = self.users.entry(user_id).or_default();
         user.pe_text.add(pe.pe_id, &[&pe.pe_name, &pe.description]);
-        add_row(&mut user.desc, pe.pe_id, &pe.desc_embedding);
-        add_row(&mut user.code, pe.pe_id, &pe.code_embedding);
+        add_vector(&mut user.desc, pe.pe_id, &pe.desc_embedding);
+        add_vector(&mut user.code, pe.pe_id, &pe.code_embedding);
     }
 
-    /// Drop a PE from one owner's slice (unlink or deletion).
-    pub fn remove_pe(&mut self, user_id: i64, pe_id: i64) {
+    /// Drop a PE from one owner's slice (unlink or deletion). `pe` is the
+    /// entity [`add_pe`](Self::add_pe) indexed: its vectors name the
+    /// postings to drop.
+    pub fn remove_pe(&mut self, user_id: i64, pe: &PeEntity) {
         if let Some(user) = self.users.get_mut(&user_id) {
-            user.pe_text.remove(pe_id);
-            remove_row(&mut user.desc, pe_id);
-            remove_row(&mut user.code, pe_id);
+            user.pe_text.remove(pe.pe_id);
+            remove_vector(&mut user.desc, pe.pe_id, &pe.desc_embedding);
+            remove_vector(&mut user.code, pe.pe_id, &pe.code_embedding);
         }
     }
 
@@ -316,11 +362,11 @@ impl SearchIndex {
     /// user's vectors of the query's dimension.
     pub fn top_pes(&self, user_id: i64, field: VecField, query: &Embedding, limit: usize) -> Vec<(i64, f64)> {
         let Some(user) = self.users.get(&user_id) else { return Vec::new() };
-        let matrices = match field {
+        let space = match field {
             VecField::Desc => &user.desc,
             VecField::Code => &user.code,
         };
-        matrices.get(&query.dim()).map(|m| m.top(query, limit)).unwrap_or_default()
+        space.get(&query.dim()).map(|index| index.top(query, limit)).unwrap_or_default()
     }
 
     /// Observability snapshot for `/registry/stats`.
@@ -329,7 +375,7 @@ impl SearchIndex {
         let mut vectors = 0usize;
         for user in self.users.values() {
             tokens += user.pe_text.token_count() + user.wf_text.token_count();
-            vectors += user.desc.values().chain(user.code.values()).map(|m| m.ids.len()).sum::<usize>();
+            vectors += user.desc.values().chain(user.code.values()).map(|v| v.slot_of.len()).sum::<usize>();
         }
         let mut v = Value::Null;
         v.set("indexed_users", self.users.len() as i64)
@@ -345,7 +391,7 @@ mod tests {
     use laminar_embed::cosine;
 
     fn emb(values: &[f32]) -> Embedding {
-        Embedding { values: values.to_vec() }
+        Embedding::from_dense(values)
     }
 
     fn pe(id: i64, name: &str, desc: &str, dvec: &[f32], cvec: &[f32]) -> PeEntity {
@@ -393,11 +439,12 @@ mod tests {
     #[test]
     fn text_remove_cleans_postings() {
         let mut idx = SearchIndex::new();
-        idx.add_pe(1, &pe(10, "IsPrime", "d", &[1.0], &[1.0]));
-        idx.add_pe(1, &pe(11, "IsPrimeFast", "d", &[1.0], &[1.0]));
-        idx.remove_pe(1, 10);
+        let (a, b) = (pe(10, "IsPrime", "d", &[1.0], &[1.0]), pe(11, "IsPrimeFast", "d", &[1.0], &[1.0]));
+        idx.add_pe(1, &a);
+        idx.add_pe(1, &b);
+        idx.remove_pe(1, &a);
         assert_eq!(idx.text_pes(1, "prime", 25), vec![11]);
-        idx.remove_pe(1, 11);
+        idx.remove_pe(1, &b);
         assert_eq!(idx.text_pes(1, "prime", 25), Vec::<i64>::new());
         let user = idx.users.get(&1).unwrap();
         assert_eq!(user.pe_text.token_count(), 0, "posting lists garbage-collected");
@@ -440,20 +487,59 @@ mod tests {
     #[test]
     fn vector_swap_remove_keeps_rows_consistent() {
         let mut idx = SearchIndex::new();
-        for i in 0..4 {
-            idx.add_pe(1, &pe(i, &format!("P{i}"), "d", &[i as f32, 1.0], &[1.0, i as f32]));
+        let pes: Vec<PeEntity> =
+            (0..4).map(|i| pe(i, &format!("P{i}"), "d", &[i as f32, 1.0], &[1.0, i as f32])).collect();
+        for p in &pes {
+            idx.add_pe(1, p);
         }
-        idx.remove_pe(1, 1); // middle row: row 3 swaps into slot 1
+        // Frees slot 1; the postings of bucket 1 swap-remove its entry.
+        idx.remove_pe(1, &pes[1]);
         let q = emb(&[1.0, 0.0]);
-        let top = idx.top_pes(1, VecField::Desc, &q, 10);
-        let ids: Vec<i64> = top.iter().map(|(id, _)| *id).collect();
-        assert_eq!(ids.len(), 3);
-        assert!(!ids.contains(&1));
-        // Scores still match a from-scratch cosine per id.
-        for (id, score) in top {
-            let p = pe(id, "x", "d", &[id as f32, 1.0], &[1.0, id as f32]);
-            assert_eq!(score, cosine(&q, &p.desc_embedding) as f64);
+        let scored = |idx: &SearchIndex| {
+            let top = idx.top_pes(1, VecField::Desc, &q, 10);
+            // Scores still match a from-scratch cosine per id.
+            for &(id, score) in &top {
+                let p = pe(id, "x", "d", &[id as f32, 1.0], &[1.0, id as f32]);
+                assert_eq!(score, cosine(&q, &p.desc_embedding) as f64);
+            }
+            top.into_iter().map(|(id, _)| id).collect::<Vec<i64>>()
+        };
+        assert_eq!(scored(&idx), [3, 2, 0]);
+        let slots = |idx: &SearchIndex| {
+            idx.users[&1].desc[&2].slots.iter().map(|s| s.map(|s| s.id)).collect::<Vec<_>>()
+        };
+        assert_eq!(slots(&idx), [Some(0), None, Some(2), Some(3)], "no other vector renumbered");
+        // The next vector takes the freed slot.
+        idx.add_pe(1, &pe(9, "P9", "d", &[9.0, 1.0], &[1.0, 9.0]));
+        assert_eq!(slots(&idx), [Some(0), Some(9), Some(2), Some(3)]);
+        assert_eq!(scored(&idx), [9, 3, 2, 0]);
+    }
+
+    #[test]
+    fn identical_vectors_tie_toward_the_lower_id() {
+        // The same words give the same description vector, so ties are
+        // exact; insertion order and slot reuse must not break them.
+        let model = laminar_embed::model_by_name("unixcoder-code-search").unwrap();
+        let same = model.embed_text("amber basalt cobalt");
+        let other = model.embed_text("amber dune flint");
+        let entity = |id: i64, desc: &Embedding| {
+            let mut p = pe(id, &format!("P{id}"), "d", &[1.0], &[1.0]);
+            p.desc_embedding = desc.clone();
+            p
+        };
+        let (p7, p3, p5, p4) = (entity(7, &same), entity(3, &same), entity(5, &same), entity(4, &other));
+        let mut idx = SearchIndex::new();
+        for p in [&p7, &p4, &p3] {
+            idx.add_pe(1, p);
         }
+        idx.remove_pe(1, &p4);
+        idx.add_pe(1, &p5); // takes p4's slot, after 7 and before 3
+        idx.add_pe(1, &p4);
+        let top = idx.top_pes(1, VecField::Desc, &same, 10);
+        assert_eq!(top.iter().map(|(id, _)| *id).collect::<Vec<_>>(), [3, 5, 7, 4]);
+        let score = cosine(&same, &same) as f64;
+        assert!(top[..3].iter().all(|&(_, s)| s.to_bits() == score.to_bits()), "{top:?}");
+        assert_eq!(top[3].1.to_bits(), (cosine(&same, &other) as f64).to_bits());
     }
 
     #[test]
@@ -462,22 +548,24 @@ mod tests {
             idx.top_pes(1, field, &emb(q), 5).into_iter().map(|(id, _)| id).collect()
         }
         let mut idx = SearchIndex::new();
-        idx.add_pe(1, &pe(1, "A", "d", &[1.0, 0.0], &[1.0, 0.0]));
-        idx.add_pe(1, &pe(2, "B", "d", &[1.0, 0.0, 0.0], &[1.0, 0.0]));
+        let a = pe(1, "A", "d", &[1.0, 0.0], &[1.0, 0.0]);
+        let b = pe(2, "B", "d", &[1.0, 0.0, 0.0], &[1.0, 0.0]);
+        idx.add_pe(1, &a);
+        idx.add_pe(1, &b);
         idx.add_pe(1, &pe(3, "C", "d", &[0.0, 1.0, 0.0], &[0.0, 1.0]));
-        // Each description dimension has its own matrix and answers alone.
+        // Each description dimension has its own postings and answers alone.
         assert_eq!(ids(&idx, VecField::Desc, &[1.0, 0.0]), [1]);
         assert_eq!(ids(&idx, VecField::Desc, &[1.0, 0.0, 0.0]), [2, 3]);
         // The homogeneous code space holds all three.
         assert_eq!(ids(&idx, VecField::Code, &[1.0, 0.0]), [1, 2, 3]);
         // No vector of the query's dimension: no hits, no panic.
         assert_eq!(ids(&idx, VecField::Code, &[1.0]), [0i64; 0]);
-        // Swap-remove inside the 3-d matrix leaves the 2-d one alone, and
-        // removing the last 2-d row drops that matrix.
-        idx.remove_pe(1, 2);
+        // A remove inside the 3-d postings leaves the 2-d ones alone, and
+        // removing the last 2-d vector drops those postings.
+        idx.remove_pe(1, &b);
         assert_eq!(ids(&idx, VecField::Desc, &[1.0, 0.0, 0.0]), [3]);
         assert_eq!(ids(&idx, VecField::Desc, &[1.0, 0.0]), [1]);
-        idx.remove_pe(1, 1);
+        idx.remove_pe(1, &a);
         assert_eq!(idx.users[&1].desc.keys().copied().collect::<Vec<_>>(), [3]);
         assert_eq!(idx.stats()["vectors"].as_i64(), Some(2));
     }

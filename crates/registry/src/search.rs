@@ -1,10 +1,12 @@
 //! The three registry search modes (paper §4), each served from the DAO's
-//! incrementally-maintained [`SearchIndex`](crate::index::SearchIndex).
-//! Only the winners are materialized into hits, through `pe_hit` /
-//! `workflow_hit`.
+//! incrementally-maintained [`SearchIndex`](crate::index::SearchIndex):
+//! an inverted token index for text, per-bucket postings of the sparse
+//! embeddings for semantic and code search. Only the winners are
+//! materialized into hits, through `pe_hit` / `workflow_hit`.
 //!
 //! The linear scan the index replaced is the differential oracle these
-//! functions are held to — same hits, same scores, same score-then-id
+//! functions are held to — same hits, same scores to the bit (both rank
+//! with [`laminar_embed::cosine`]'s summation order), same score-then-id
 //! order. It lives in the dev-only `laminar-oracle` crate, beside the
 //! suites that run it, so no product build links it.
 
@@ -136,10 +138,10 @@ pub fn text_search_pes(dao: &Dao, user_id: i64, query: &str, opts: &SearchOption
 /// Rank a user's PEs by cosine against `query` in `field` space and
 /// materialize the best `opts.limit` as hits, `(score desc, id asc)`.
 ///
-/// One pass of the fused cosine kernel over the user's dense matrix of
-/// the query's dimension into a bounded top-k heap: vectors of another
-/// dimension cannot be compared with the query. Only the winners'
-/// name/description strings are ever cloned into hits.
+/// The user's postings of the query's dimension are read for the query's
+/// buckets only, and every PE then goes through a bounded top-k heap:
+/// vectors of another dimension cannot be compared with the query. Only
+/// the winners' name/description strings are ever cloned into hits.
 pub fn ranked_pe_hits(
     dao: &Dao,
     user_id: i64,

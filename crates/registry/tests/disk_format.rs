@@ -72,8 +72,8 @@ fn pe(
         description_generated: generated,
         pe_code: encode_code(&format!("pe {name} : producer {{ output o; process {{ emit(1); }} }}")),
         pe_imports: imports.iter().map(|s| s.to_string()).collect(),
-        code_embedding: Embedding { values: code.to_vec() },
-        desc_embedding: Embedding { values: desc.to_vec() },
+        code_embedding: Embedding::from_dense(code),
+        desc_embedding: Embedding::from_dense(desc),
     }
 }
 
@@ -123,8 +123,8 @@ fn live(dir: &std::path::Path) -> Dao {
 fn searches(dao: &Dao) -> Vec<Vec<SearchHit>> {
     let mut out = Vec::new();
     let opts = SearchOptions::default();
-    let desc = Embedding { values: vec![0.9, 0.1] };
-    let code = Embedding { values: vec![0.2, 0.2, 0.4] };
+    let desc = Embedding::from_dense(&[0.9, 0.1]);
+    let code = Embedding::from_dense(&[0.2, 0.2, 0.4]);
     for uid in [1, 2] {
         out.push(ranked_pe_hits(dao, uid, &desc, VecField::Desc, &opts));
         out.push(ranked_pe_hits(dao, uid, &code, VecField::Code, &opts));

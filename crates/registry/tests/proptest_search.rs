@@ -200,8 +200,8 @@ fn apply_vec_op(dao: &mut Dao, step: usize, op: &VecOp) {
                 description: String::new(),
                 description_generated: false,
                 pe_imports: vec![],
-                code_embedding: Embedding { values: code.clone() },
-                desc_embedding: Embedding { values: desc.clone() },
+                code_embedding: Embedding::from_dense(code),
+                desc_embedding: Embedding::from_dense(desc),
             };
             dao.insert_pe(pe, *owner).unwrap();
         }
@@ -227,7 +227,7 @@ fn assert_ranked_index_matches_scan(dao: &Dao) {
     for user in 1..3 {
         for field in [VecField::Desc, VecField::Code] {
             for query in &queries {
-                let query = Embedding { values: query.clone() };
+                let query = Embedding::from_dense(query);
                 for limit in [1usize, 25] {
                     let ranked = |force_scan| {
                         let hits = if force_scan {

@@ -1,8 +1,12 @@
-//! What one registered PE costs in resident memory. A PE is held twice —
-//! the typed entity in its table (two `f32` embeddings, 768 + 1024
-//! floats, ~7 KB) and its two rows of the index's matrices (another
-//! ~7 KB) — plus text. The same embeddings as a `laminar_json::Value` row
-//! are 57 KB of boxed floats; this pins that the row form stays on disk.
+//! What one registered PE costs in resident memory. Its two embeddings are
+//! sparse: the stand-in models fill 149 of a PE's 768 + 1,024 buckets
+//! here. Each stored `(bucket, weight)` pair is held twice, 8 bytes a
+//! time — once in the typed entity in its table, once as a posting in the
+//! index — so the four vectors take ~2.4 KB, and text and bookkeeping
+//! bring a PE to ~4.1 KB. The same embeddings as a
+//! `laminar_json::Value` row are 57 KB of boxed floats; this pins that the
+//! row form stays on disk, and that neither copy goes back to dense `f32`
+//! rows (7 KB each).
 
 use laminar_registry::Registry;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -32,8 +36,11 @@ unsafe impl GlobalAlloc for LiveBytes {
 #[global_allocator]
 static ALLOC: LiveBytes = LiveBytes;
 
+/// 4,225 bytes measured per PE, plus 25 %.
+const CEILING: i64 = 4_225 * 5 / 4;
+
 #[test]
-fn a_registered_pe_retains_under_24_kb() {
+fn a_registered_pe_retains_about_4_kb() {
     const PES: usize = 200;
     let mut reg = Registry::in_memory();
     reg.register_user("zz46", "password").unwrap();
@@ -46,7 +53,15 @@ fn a_registered_pe_retains_under_24_kb() {
         reg.register_pe("zz46", &source, Some("scales a sensor stream by a constant")).unwrap();
     }
     let per_pe = (LIVE.load(Ordering::Relaxed) - before) / PES as i64;
-    assert!(per_pe < 24 * 1024, "{per_pe} bytes retained per registered PE");
-    assert!(per_pe > 14 * 1024, "{per_pe} bytes cannot hold four embedding vectors: the measure is broken");
-    assert_eq!(reg.all_pes("zz46").unwrap().len(), PES);
+    let pes = reg.all_pes("zz46").unwrap();
+    assert_eq!(pes.len(), PES);
+    let pairs: usize =
+        pes.iter().map(|pe| pe.desc_embedding.entries().len() + pe.code_embedding.entries().len()).sum();
+    // Four embedding vectors: each stored pair twice, 8 bytes a time.
+    let floor = (2 * 8 * pairs / PES) as i64;
+    assert!(per_pe < CEILING, "{per_pe} bytes retained per registered PE");
+    assert!(
+        per_pe > floor,
+        "{per_pe} bytes cannot hold four embedding vectors ({floor}): the measure is broken"
+    );
 }

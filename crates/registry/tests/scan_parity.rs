@@ -18,13 +18,13 @@ fn mixed_dimensions_rank_the_query_dimension_on_both_paths() {
         description_generated: false,
         pe_code: String::new(),
         pe_imports: vec![],
-        code_embedding: Embedding { values: vec![1.0, 0.0] },
-        desc_embedding: Embedding { values: desc.to_vec() },
+        code_embedding: Embedding::from_dense(&[1.0, 0.0]),
+        desc_embedding: Embedding::from_dense(desc),
     };
     let mut dao = Dao::new(Store::new(), WalStore::ephemeral());
     dao.insert_pe(pe(1, &[1.0, 0.0]), 1).unwrap();
     dao.insert_pe(pe(2, &[1.0, 0.0, 0.0]), 1).unwrap();
-    let (two_d, one_d) = (Embedding { values: vec![1.0, 0.0] }, Embedding { values: vec![1.0] });
+    let (two_d, one_d) = (Embedding::from_dense(&[1.0, 0.0]), Embedding::from_dense(&[1.0]));
     // `cosine` over the whole mixed description space would panic.
     let cases: [(VecField, &Embedding, &[&str]); 3] = [
         (VecField::Code, &two_d, &["P1", "P2"]),
