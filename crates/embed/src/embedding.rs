@@ -27,27 +27,6 @@ pub struct Embedding {
 }
 
 impl Embedding {
-    /// The vector of dimension `dim` whose components are `entries`;
-    /// pairs whose weight is `+0.0` are dropped.
-    ///
-    /// # Panics
-    /// If the buckets are not strictly ascending or not below `dim`.
-    pub fn new(dim: usize, entries: Vec<(u32, f32)>) -> Embedding {
-        for pair in entries.windows(2) {
-            assert!(
-                pair[0].0 < pair[1].0,
-                "buckets must be strictly ascending: {} then {}",
-                pair[0].0,
-                pair[1].0
-            );
-        }
-        if let Some(&(last, _)) = entries.last() {
-            assert!((last as usize) < dim, "bucket {last} out of range for dimension {dim}");
-        }
-        let entries = entries.into_iter().filter(|&(_, w)| w.to_bits() != 0).collect();
-        Embedding { dim, entries }
-    }
-
     /// The vector whose components are `values`.
     pub fn from_dense(values: &[f32]) -> Embedding {
         let bucket = |i: usize| u32::try_from(i).expect("dimension fits a u32 bucket");
@@ -136,15 +115,15 @@ impl FeatureHasher {
         self.values[bucket] += sign * weight;
     }
 
-    /// Finish: keep the buckets the features reached, L2-normalized.
-    pub fn finish(self) -> Embedding {
-        let raw = Embedding::from_dense(&self.values);
-        let norm = raw.norm();
+    /// Finish: L2-normalize, and keep the non-zero buckets.
+    pub fn finish(mut self) -> Embedding {
+        let norm: f32 = self.values.iter().map(|v| v * v).sum::<f32>().sqrt();
         if norm > 0.0 {
-            Embedding::new(raw.dim, raw.entries.iter().map(|&(bucket, w)| (bucket, w / norm)).collect())
-        } else {
-            raw
+            for v in &mut self.values {
+                *v /= norm;
+            }
         }
+        Embedding::from_dense(&self.values)
     }
 }
 
@@ -322,16 +301,6 @@ mod tests {
         let back = Embedding::from_value(&e.to_value()).unwrap();
         assert_eq!(back, e);
         assert!(Embedding::from_value(&Value::Str("no".into())).is_none());
-    }
-
-    #[test]
-    fn new_keeps_signed_zeros_and_refuses_unsorted_buckets() {
-        let e = Embedding::new(4, vec![(0, 0.0), (1, -0.0), (3, 0.5)]);
-        assert_eq!(e.entries().iter().map(|&(b, _)| b).collect::<Vec<_>>(), [1, 3]);
-        assert_eq!(e, Embedding::from_dense(&[0.0, -0.0, 0.0, 0.5]));
-        for bad in [vec![(2, 1.0), (1, 1.0)], vec![(1, 1.0), (1, 2.0)], vec![(4, 1.0)]] {
-            assert!(std::panic::catch_unwind(|| Embedding::new(4, bad)).is_err());
-        }
     }
 
     #[test]
