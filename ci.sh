@@ -26,13 +26,16 @@
 #                event page on the wire is byte for byte the in-process
 #                body; a run whose script asks for a huge allocation is
 #                refused and the next run served), the client's
-#                kept-connection reconnect rule against a fake server, and
-#                a run asking for more than 256 processes refused with a
-#                400 on both transports
-#   streaming    streaming + cancellation scenario tiers, the allocator
-#                calls one delivered event costs end to end, and the
-#                allocator calls one reading of the group-by workload
-#                costs enacted
+#                kept-connection reconnect rule against a fake server, a
+#                fake server's lying Content-Length failing the call
+#                instead of the client, and a run asking for more than
+#                256 processes refused with a 400 on both transports
+#   streaming    streaming + cancellation scenario tiers, the event log's
+#                wake protocol (1,000 rounds each of parked readers and a
+#                throttled producer with no lost wake-up, and one notify
+#                per park, not per event), the allocator calls one
+#                delivered event costs end to end, and the allocator calls
+#                one reading of the group-by workload costs enacted
 #   chaos        durability fault-injection suite at full proptest depth:
 #                crash/resume chaos, cross-backend epoch parity, torn
 #                journal segments, the mid-stream worker-failure
@@ -101,6 +104,7 @@ tier_edge() {
   cargo test -q -p laminar-server --lib http::
   cargo test -q -p laminar-server --test edge
   cargo test -q -p laminar-client --lib web::tests::kept_connection
+  cargo test -q -p laminar-client --lib web::tests::a_lying_content_length_is_an_error_not_an_abort
   cargo test -q -p laminar-client --lib client::tests::a_run_asking_for_more_than_256_processes_is_a_400_on_both_transports
 }
 
@@ -111,6 +115,7 @@ tier_streaming() {
   cargo test -q -p laminar-dataflow --test proptest_mappings fold_of_recorded_stream
   cargo test -q -p laminar-dataflow --test proptest_cancel
   cargo test -q -p laminar-engine pool::tests::cancel
+  cargo test -q -p laminar-engine --lib event_log::tests::
   cargo test -q --test delivery_allocs
   cargo test -q --test enact_allocs
 }

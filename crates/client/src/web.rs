@@ -241,6 +241,26 @@ mod tests {
         assert_eq!(peer.join().unwrap(), ["/one", "/two"]);
     }
 
+    /// A `Content-Length` the peer never sends is a transport error: the
+    /// client neither allocates the claim up front nor waits past the
+    /// peer's hang-up.
+    #[test]
+    fn a_lying_content_length_is_an_error_not_an_abort() {
+        for length in ["100000000000", "18446744073709551615"] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let transport = TcpTransport::new(listener.local_addr().unwrap());
+            let peer = std::thread::spawn(move || {
+                let mut reader = BufReader::new(listener.accept().unwrap().0);
+                read_fake_request(&mut reader).unwrap();
+                let head = format!("HTTP/1.1 200 OK\r\nContent-Length: {length}\r\n\r\ntrue");
+                reader.get_mut().write_all(head.as_bytes()).unwrap();
+            });
+            let error = transport.call(&get("/lie")).unwrap_err();
+            assert!(error.starts_with("transport error"), "{length}: {error}");
+            peer.join().unwrap();
+        }
+    }
+
     #[test]
     fn kept_connection_serves_sequential_calls() {
         let http = laminar_server::HttpServer::start(LaminarServer::in_memory()).unwrap();

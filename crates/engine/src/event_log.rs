@@ -8,7 +8,7 @@
 use crate::journal::JournalWriter;
 use laminar_dataflow::{CancelToken, RunEvent, RunObserver};
 use laminar_json::{write_string, write_value, Value};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -121,6 +121,34 @@ struct EventLogInner {
     /// The backpressure wait expired on this horizon log: the consumer is
     /// presumed dead and eviction has degraded to epoch granularity.
     degraded: bool,
+    /// A reader parked on `data_cv` since the last wake. Set by
+    /// [`JobEventLog::park`] before each wait, taken by the next writer
+    /// in [`JobEventLog::unlock_and_wake`].
+    reader_waiting: bool,
+    /// The same for a producer parked on `space_cv` in
+    /// [`JobEventLog::wait_capacity`].
+    producer_waiting: bool,
+    #[cfg(test)]
+    counts: WakeCounts,
+}
+
+/// Parks begun and notifies issued, per condvar: what the wake-protocol
+/// tests spin on and bound.
+#[cfg(test)]
+#[derive(Default, Clone, Copy, Debug)]
+struct WakeCounts {
+    reader_parks: u64,
+    producer_parks: u64,
+    data_wakes: u64,
+    space_wakes: u64,
+}
+
+/// Which condvars a write may have unblocked a waiter on.
+#[derive(Clone, Copy)]
+enum Wake {
+    Readers,
+    Producer,
+    Both,
 }
 
 impl EventLogInner {
@@ -183,12 +211,16 @@ impl EventLogInner {
 ///   under either policy.
 pub(crate) struct JobEventLog {
     inner: Mutex<EventLogInner>,
-    /// Signalled when a reader advances `reads` (and on close and cancel),
-    /// waking producers parked in [`JobEventLog::wait_capacity`].
+    /// Where a producer throttled by [`JobEventLog::wait_capacity`] parks.
+    /// Notified when a page advances `reads`, on close and on cancel
+    /// ([`JobEventLog::wake_producer`]) — and then only if the producer
+    /// set `producer_waiting`, so a log whose producer never parks (every
+    /// non-horizon log) makes no syscall per page.
     space_cv: Condvar,
-    /// The read-direction twin of `space_cv`: signalled when the producer
-    /// appends (and on close/cancel/expiry), waking readers parked in
-    /// [`JobEventLog::page_wait`] — the long-poll `wait_ms` machinery.
+    /// Where a long-poll reader ([`JobEventLog::page_wait`], the `wait_ms`
+    /// machinery) parks. Notified on append, journal preload, close and
+    /// expiry — and then only if a reader set `reader_waiting`: one wake
+    /// per park, not one per event.
     data_cv: Condvar,
     /// Whether the checkpoint-horizon policy applies (jobs submitted with
     /// `checkpoint_every > 0`).
@@ -224,8 +256,31 @@ impl JobEventLog {
         }
         inner.push(Entry::Run(event.clone()));
         inner.evict(self.horizon, self.capacity);
+        self.unlock_and_wake(inner, Wake::Readers);
+    }
+
+    /// Release the log lock after a write and wake the threads parked on
+    /// the condvars `wake` names — if any parked since the last wake. A
+    /// parker sets its flag under this lock just before its wait releases
+    /// it, so a flag taken set here means a thread already queued on the
+    /// condvar: the notify cannot be lost. `notify_all`, because one flag
+    /// stands for every thread parked on that condvar.
+    fn unlock_and_wake(&self, mut inner: MutexGuard<'_, EventLogInner>, wake: Wake) {
+        let readers = matches!(wake, Wake::Readers | Wake::Both) && std::mem::take(&mut inner.reader_waiting);
+        let producer =
+            matches!(wake, Wake::Producer | Wake::Both) && std::mem::take(&mut inner.producer_waiting);
+        #[cfg(test)]
+        {
+            inner.counts.data_wakes += readers as u64;
+            inner.counts.space_wakes += producer as u64;
+        }
         drop(inner);
-        self.data_cv.notify_all();
+        if readers {
+            self.data_cv.notify_all();
+        }
+        if producer {
+            self.space_cv.notify_all();
+        }
     }
 
     /// Pre-fill a resumed job's log with its journaled prefix, numbered
@@ -247,8 +302,7 @@ impl JobEventLog {
         }
         inner.reads = inner.end_seq();
         inner.evict(self.horizon, self.capacity);
-        drop(inner);
-        self.data_cv.notify_all();
+        self.unlock_and_wake(inner, Wake::Readers);
     }
 
     /// Park the producer until the log has capacity again — the
@@ -276,17 +330,21 @@ impl JobEventLog {
                 inner.evict(self.horizon, self.capacity);
                 return;
             }
+            inner.producer_waiting = true;
+            #[cfg(test)]
+            {
+                inner.counts.producer_parks += 1;
+            }
             self.space_cv.wait_until(&mut inner, deadline);
         }
     }
 
     /// Wake a producer parked in [`JobEventLog::wait_capacity`] so it sees
-    /// the cancel token its caller just fired. The notify is sent under
-    /// the log lock: the producer checks the token and parks under that
-    /// same lock, so it either sees the token or is already parked.
+    /// the cancel token its caller just fired. The flag is read under the
+    /// log lock: the producer checks the token and parks under that same
+    /// lock, so it either sees the token or has already set the flag.
     pub(crate) fn wake_producer(&self) {
-        let _inner = self.inner.lock();
-        self.space_cv.notify_all();
+        self.unlock_and_wake(self.inner.lock(), Wake::Producer);
     }
 
     /// Append the terminal `marker` and seal the log — both under one
@@ -306,9 +364,7 @@ impl JobEventLog {
             inner.evict(self.horizon, self.capacity);
         }
         inner.closed = true;
-        drop(inner);
-        self.space_cv.notify_all();
-        self.data_cv.notify_all();
+        self.unlock_and_wake(inner, Wake::Both);
     }
 
     /// Seal the log as cancelled: the marker is appended here for queued
@@ -326,10 +382,9 @@ impl JobEventLog {
         inner.first_seq = inner.end_seq();
         inner.events.clear();
         inner.epoch_marks.clear();
-        drop(inner);
         // A parked long-poll whose cursor just fell below `first` must
         // observe the truncation, not sleep through it.
-        self.data_cv.notify_all();
+        self.unlock_and_wake(inner, Wake::Readers);
     }
 
     /// Read a page of events starting at `since`, each as its wire tree.
@@ -377,14 +432,12 @@ impl JobEventLog {
         let entries: Vec<Entry> = inner.events.range(offset..offset + take).cloned().collect();
         let next = start + entries.len() as u64;
         let closed = inner.closed && next == end_seq;
-        let advanced = next > inner.reads;
-        if advanced {
+        if next > inner.reads {
             inner.reads = next;
-        }
-        drop(inner);
-        if advanced {
-            // Delivery frees horizon capacity: wake throttled producers.
-            self.space_cv.notify_all();
+            // Delivery frees horizon capacity: wake a throttled producer.
+            self.unlock_and_wake(inner, Wake::Producer);
+        } else {
+            drop(inner);
         }
         EventPage { events: encode(&entries, start), next, first, closed, retained_epoch }
     }
@@ -405,8 +458,15 @@ impl JobEventLog {
         let deadline = Instant::now() + wait;
         let mut inner = self.inner.lock();
         loop {
-            let readable = inner.closed || since < inner.first_seq || since < inner.end_seq();
-            if readable || self.data_cv.wait_until(&mut inner, deadline).timed_out() {
+            if inner.closed || since < inner.first_seq || since < inner.end_seq() {
+                break;
+            }
+            inner.reader_waiting = true;
+            #[cfg(test)]
+            {
+                inner.counts.reader_parks += 1;
+            }
+            if self.data_cv.wait_until(&mut inner, deadline).timed_out() {
                 break;
             }
         }
@@ -607,5 +667,140 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn counts(log: &JobEventLog) -> WakeCounts {
+        log.inner.lock().counts
+    }
+
+    /// Spin until `parked` holds of the log, failing after 10 s.
+    fn spin_until(log: &JobEventLog, parked: impl Fn(&EventLogInner) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !parked(&log.inner.lock()) {
+            assert!(Instant::now() < deadline, "no park within 10 s: {:?}", counts(log));
+            std::thread::yield_now();
+        }
+    }
+
+    /// `readers` threads each page the log's live edge: first with a 1 ms
+    /// wait when `time_out_first` (the park times out and leaves its flag
+    /// set), then with a 20 s one. Once every reader has parked, one
+    /// event is appended; each reader must return it within 1 s. A lost
+    /// wake leaves a reader asleep for the 20 s.
+    fn readers_wake_on_every_append(readers: usize, time_out_first: bool) {
+        use std::sync::mpsc::channel;
+        let log = JobEventLog::new(false, 16, Duration::from_secs(20));
+        let (page_tx, page_rx) = channel();
+        let mut go = Vec::new();
+        for _ in 0..readers {
+            let (go_tx, go_rx) = channel::<()>();
+            go.push(go_tx);
+            let (log, page_tx) = (log.clone(), page_tx.clone());
+            std::thread::spawn(move || {
+                let mut since = 0;
+                let first_wait = Duration::from_millis(if time_out_first { 1 } else { 20_000 });
+                while go_rx.recv().is_ok() {
+                    let mut page = log.page_text_wait(since, first_wait);
+                    if page.next == since {
+                        page = log.page_text_wait(since, Duration::from_secs(20));
+                    }
+                    since = page.next;
+                    page_tx.send(page).unwrap();
+                }
+            });
+        }
+        let parks_per_round = readers as u64 * if time_out_first { 2 } else { 1 };
+        for round in 0..1000u64 {
+            let parked = counts(&log).reader_parks + parks_per_round;
+            go.iter().for_each(|go| go.send(()).unwrap());
+            spin_until(&log, |inner| inner.reader_waiting && inner.counts.reader_parks >= parked);
+            log.append(&data_event());
+            for _ in 0..readers {
+                let page =
+                    page_rx.recv_timeout(Duration::from_secs(1)).expect("a parked reader slept through");
+                assert_eq!(page.next, round + 1, "round {round}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_parked_reader_wakes_on_the_append() {
+        readers_wake_on_every_append(1, false);
+    }
+
+    #[test]
+    fn two_parked_readers_both_wake_on_the_append() {
+        readers_wake_on_every_append(2, false);
+    }
+
+    #[test]
+    fn a_reader_that_timed_out_and_reparked_wakes_on_the_append() {
+        readers_wake_on_every_append(1, true);
+    }
+
+    /// The producer's twin: each round it appends two events to a
+    /// horizon log of capacity 1 and parks in `wait_capacity`; once it
+    /// has, one page is read, and the producer must be back within 1 s.
+    #[test]
+    fn a_throttled_producer_wakes_on_the_page() {
+        use std::sync::mpsc::channel;
+        let log = JobEventLog::new(true, 1, Duration::from_secs(20));
+        let (go_tx, go_rx) = channel::<()>();
+        let (done_tx, done_rx) = channel();
+        let producer = {
+            let log = log.clone();
+            std::thread::spawn(move || {
+                let cancel = CancelToken::new();
+                while go_rx.recv().is_ok() {
+                    log.append(&data_event());
+                    log.append(&data_event());
+                    log.wait_capacity(&cancel);
+                    done_tx.send(()).unwrap();
+                }
+            })
+        };
+        let mut since = 0;
+        for round in 0..1000 {
+            let parked = counts(&log).producer_parks + 1;
+            go_tx.send(()).unwrap();
+            spin_until(&log, |inner| inner.producer_waiting && inner.counts.producer_parks >= parked);
+            since = log.page(since).next;
+            done_rx
+                .recv_timeout(Duration::from_secs(1))
+                .unwrap_or_else(|_| panic!("round {round}: producer slept"));
+        }
+        drop(go_tx);
+        producer.join().unwrap();
+    }
+
+    /// One wake per park, not one per event: a reader parked once at the
+    /// live edge of a 2,000-event run costs the writer one notify, and a
+    /// producer that never parks costs none, however many pages are read.
+    #[test]
+    fn a_run_notifies_once_per_park_not_once_per_event() {
+        let log = JobEventLog::new(false, EVENT_LOG_CAPACITY, Duration::from_secs(20));
+        let reader = {
+            let log = log.clone();
+            std::thread::spawn(move || {
+                let mut page = log.page_text_wait(0, Duration::from_secs(20));
+                while !page.closed {
+                    page = log.page_text_wait(page.next, Duration::ZERO);
+                }
+                page.next
+            })
+        };
+        spin_until(&log, |inner| inner.reader_waiting);
+        for _ in 0..2000 {
+            log.append(&data_event());
+        }
+        log.close(Entry::Done);
+        assert_eq!(reader.join().unwrap(), 2001);
+        // A spurious wake-up re-parks, and each park is worth one wake.
+        let counts = counts(&log);
+        assert!(
+            (1..=4).contains(&counts.data_wakes) && counts.data_wakes <= counts.reader_parks,
+            "{counts:?}"
+        );
+        assert_eq!(counts.space_wakes, 0, "{counts:?}");
     }
 }

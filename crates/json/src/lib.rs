@@ -26,7 +26,7 @@ mod ser;
 mod value;
 
 pub use error::{JsonError, Result};
-pub use parse::{parse, Parser};
+pub use parse::parse;
 pub use ser::{to_string, to_string_pretty, write_string, write_value};
 pub use value::{Map, SharedValue, Value};
 

@@ -18,38 +18,22 @@ pub const MAX_DEPTH: usize = 256;
 /// assert_eq!(v[0].as_i64(), Some(1));
 /// ```
 pub fn parse(input: &str) -> Result<Value> {
-    let mut p = Parser::new(input);
+    let mut p = Parser { input, pos: 0 };
     let v = p.parse_value(0)?;
     p.skip_ws();
-    if !p.at_end() {
+    if p.pos < input.len() {
         return Err(p.err("trailing characters after JSON value"));
     }
     Ok(v)
 }
 
-/// Streaming-ish parser over a borrowed input. Exposed so the HTTP layer can
-/// parse a value and then inspect the remaining offset.
-pub struct Parser<'a> {
+/// The parser's state: the input and the offset of its next byte.
+struct Parser<'a> {
     input: &'a str,
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
-    /// Create a parser over `input`.
-    pub fn new(input: &'a str) -> Self {
-        Parser { input, pos: 0 }
-    }
-
-    /// Byte offset of the next unconsumed byte.
-    pub fn offset(&self) -> usize {
-        self.pos
-    }
-
-    /// True when all input has been consumed.
-    pub fn at_end(&self) -> bool {
-        self.pos >= self.input.len()
-    }
-
     fn peek(&self) -> Option<u8> {
         self.input.as_bytes().get(self.pos).copied()
     }
@@ -62,17 +46,16 @@ impl<'a> Parser<'a> {
         b
     }
 
-    /// Skip JSON whitespace.
-    pub fn skip_ws(&mut self) {
-        while let Some(b) = self.peek() {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+    fn skip_ws(&mut self) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
+            self.pos += 1;
         }
     }
 
+    /// The error at the current offset. Every error is built here, off
+    /// the path a well-formed document takes.
+    #[cold]
+    #[inline(never)]
     fn err(&self, msg: impl Into<String>) -> JsonError {
         let mut line = 1;
         let mut col = 1;
@@ -87,17 +70,8 @@ impl<'a> Parser<'a> {
         JsonError::new(msg, line, col, self.pos)
     }
 
-    fn expect(&mut self, b: u8, what: &str) -> Result<()> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!("expected {what}")))
-        }
-    }
-
     /// Parse one JSON value starting at the current position.
-    pub fn parse_value(&mut self, depth: usize) -> Result<Value> {
+    fn parse_value(&mut self, depth: usize) -> Result<Value> {
         if depth > MAX_DEPTH {
             return Err(self.err("maximum nesting depth exceeded"));
         }
@@ -124,8 +98,9 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// An object; the caller saw its `{`.
     fn parse_object(&mut self, depth: usize) -> Result<Value> {
-        self.expect(b'{', "'{'")?;
+        self.pos += 1;
         let mut map = Map::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -139,20 +114,31 @@ impl<'a> Parser<'a> {
             }
             let key = self.parse_string()?;
             self.skip_ws();
-            self.expect(b':', "':' after object key")?;
+            if self.peek() != Some(b':') {
+                return Err(self.err("expected ':' after object key"));
+            }
+            self.pos += 1;
             let value = self.parse_value(depth + 1)?;
             map.insert(key, value);
             self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(Value::Object(map)),
-                _ => return Err(self.err("expected ',' or '}' in object")),
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Value::Object(map));
+                }
+                _ => {
+                    // Reported past the offending byte.
+                    self.bump();
+                    return Err(self.err("expected ',' or '}' in object"));
+                }
             }
         }
     }
 
+    /// An array; the caller saw its `[`.
     fn parse_array(&mut self, depth: usize) -> Result<Value> {
-        self.expect(b'[', "'['")?;
+        self.pos += 1;
         let mut out = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
@@ -162,62 +148,87 @@ impl<'a> Parser<'a> {
         loop {
             out.push(self.parse_value(depth + 1)?);
             self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(Value::Array(out)),
-                _ => return Err(self.err("expected ',' or ']' in array")),
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Value::Array(out));
+                }
+                _ => {
+                    // Reported past the offending byte.
+                    self.bump();
+                    return Err(self.err("expected ',' or ']' in array"));
+                }
             }
         }
     }
 
+    /// The run from the current offset up to the next quote, backslash or
+    /// control byte (or the end), consumed. Each of the three is ASCII, so
+    /// the run ends on a character boundary.
+    fn run(&mut self) -> &'a str {
+        let input = self.input;
+        let rest = &input.as_bytes()[self.pos..];
+        let len = rest.iter().position(|&b| b < 0x20 || b == b'"' || b == b'\\').unwrap_or(rest.len());
+        let start = self.pos;
+        self.pos += len;
+        &input[start..self.pos]
+    }
+
+    /// A string; the caller saw its opening quote. One without escapes is
+    /// copied in one piece.
     fn parse_string(&mut self) -> Result<String> {
-        self.expect(b'"', "'\"'")?;
-        let mut out = String::new();
+        self.pos += 1;
+        let run = self.run();
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(run.to_owned());
+        }
+        let mut out = run.to_owned();
         loop {
-            // The run up to the next quote, backslash or control byte is
-            // copied in one piece; each of the three is ASCII, so the run
-            // ends on a character boundary.
-            let start = self.pos;
-            while self.peek().is_some_and(|b| b >= 0x20 && b != b'"' && b != b'\\') {
-                self.pos += 1;
-            }
-            out.push_str(&self.input[start..self.pos]);
             match self.bump() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{0008}'),
-                    Some(b'f') => out.push('\u{000C}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let cp = self.parse_hex4()?;
-                        if (0xD800..0xDC00).contains(&cp) {
-                            // High surrogate: require a following \uXXXX low half.
-                            if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
-                                return Err(self.err("unpaired surrogate escape"));
-                            }
-                            let lo = self.parse_hex4()?;
-                            if !(0xDC00..0xE000).contains(&lo) {
-                                return Err(self.err("invalid low surrogate"));
-                            }
-                            let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                            out.push(char::from_u32(c).ok_or_else(|| self.err("invalid surrogate pair"))?);
-                        } else if (0xDC00..0xE000).contains(&cp) {
-                            return Err(self.err("unexpected low surrogate"));
-                        } else {
-                            out.push(char::from_u32(cp).ok_or_else(|| self.err("invalid codepoint"))?);
-                        }
-                    }
-                    _ => return Err(self.err("invalid escape sequence")),
-                },
+                Some(b'\\') => self.parse_escape(&mut out)?,
                 Some(_) => return Err(self.err("control character in string")),
             }
+            out.push_str(self.run());
         }
+    }
+
+    /// The escape after a backslash, pushed onto `out`.
+    fn parse_escape(&mut self, out: &mut String) -> Result<()> {
+        match self.bump() {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'b') => out.push('\u{0008}'),
+            Some(b'f') => out.push('\u{000C}'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'u') => {
+                let cp = self.parse_hex4()?;
+                if (0xD800..0xDC00).contains(&cp) {
+                    // High surrogate: require a following \uXXXX low half.
+                    if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
+                        return Err(self.err("unpaired surrogate escape"));
+                    }
+                    let lo = self.parse_hex4()?;
+                    if !(0xDC00..0xE000).contains(&lo) {
+                        return Err(self.err("invalid low surrogate"));
+                    }
+                    let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+                    out.push(char::from_u32(c).ok_or_else(|| self.err("invalid surrogate pair"))?);
+                } else if (0xDC00..0xE000).contains(&cp) {
+                    return Err(self.err("unexpected low surrogate"));
+                } else {
+                    out.push(char::from_u32(cp).ok_or_else(|| self.err("invalid codepoint"))?);
+                }
+            }
+            _ => return Err(self.err("invalid escape sequence")),
+        }
+        Ok(())
     }
 
     fn parse_hex4(&mut self) -> Result<u32> {
@@ -232,21 +243,25 @@ impl<'a> Parser<'a> {
 
     fn parse_number(&mut self) -> Result<Value> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        // Integer part: 0 alone, or non-zero leading digit.
+        // Integer part: 0 alone, or non-zero leading digit. Up to 18
+        // digits always fit an i64, so they are summed as they are read.
+        let digits = self.pos;
+        let mut magnitude = 0u64;
         match self.peek() {
-            Some(b'0') => {
-                self.pos += 1;
-            }
-            Some(b) if b.is_ascii_digit() => {
-                while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => {
+                while let Some(d @ b'0'..=b'9') = self.peek() {
+                    magnitude = magnitude.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
                     self.pos += 1;
                 }
             }
             _ => return Err(self.err("invalid number")),
         }
+        let digits = self.pos - digits;
         let mut is_float = false;
         if self.peek() == Some(b'.') {
             is_float = true;
@@ -270,6 +285,10 @@ impl<'a> Parser<'a> {
             while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
                 self.pos += 1;
             }
+        }
+        if !is_float && digits <= 18 {
+            let magnitude = magnitude as i64;
+            return Ok(Value::Int(if negative { -magnitude } else { magnitude }));
         }
         let text = &self.input[start..self.pos];
         if !is_float {
@@ -378,6 +397,11 @@ mod tests {
     fn int_overflow_degrades_to_float() {
         let v = parse("99999999999999999999999").unwrap();
         assert!(matches!(v, Value::Float(_)));
+        // Either side of the 18 digits summed as they are read.
+        assert_eq!(parse("-999999999999999999").unwrap(), Value::Int(-999_999_999_999_999_999));
+        assert_eq!(parse("1000000000000000000").unwrap(), Value::Int(1_000_000_000_000_000_000));
+        assert_eq!(parse("-0").unwrap(), Value::Int(0));
+        assert_eq!(parse("9223372036854775808").unwrap(), Value::Float(9223372036854775808.0));
     }
 
     #[test]
@@ -391,5 +415,23 @@ mod tests {
         let e = parse("{\n  \"a\": @\n}").unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.column >= 8, "column was {}", e.column);
+        // A byte that is neither ',' nor the closer is reported past
+        // itself; the other errors at the byte.
+        for (text, message, offset) in [
+            ("[1 2]", "expected ',' or ']' in array", 4),
+            ("[1", "expected ',' or ']' in array", 2),
+            ("{\"a\" 1}", "expected ':' after object key", 5),
+            ("{\"a\":1 \"b\"", "expected ',' or '}' in object", 8),
+            ("{\"a\":1", "expected ',' or '}' in object", 6),
+            ("{1:2}", "expected string key in object", 1),
+            ("[-]", "invalid number", 2),
+        ] {
+            let e = parse(text).unwrap_err();
+            assert_eq!(
+                (e.message.as_str(), e.line, e.column, e.offset),
+                (message, 1, offset + 1, offset),
+                "{text}"
+            );
+        }
     }
 }

@@ -55,6 +55,9 @@ const MAX_LINE: usize = 8 * 1024;
 const MAX_HEADERS: usize = 64;
 /// Request bodies: the registry stores code, not blobs.
 const MAX_BODY: usize = 16 * 1024 * 1024;
+/// Most a body's buffer reserves before its bytes arrive; the client
+/// trusts a response's `Content-Length` no further than this.
+const BODY_RESERVE: usize = 64 * 1024;
 /// The client's connect; its writes share `LIMITS.write_timeout`.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -433,8 +436,12 @@ fn read_body(reader: &mut impl BufRead, content_length: usize) -> io::Result<Val
     if content_length == 0 {
         return Ok(Value::Null);
     }
-    let mut buf = vec![0u8; content_length];
-    reader.read_exact(&mut buf)?;
+    // The length is the peer's claim: memory is committed as bytes arrive.
+    let mut buf = Vec::with_capacity(content_length.min(BODY_RESERVE));
+    reader.take(content_length as u64).read_to_end(&mut buf)?;
+    if buf.len() < content_length {
+        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed mid-body"));
+    }
     let text = String::from_utf8(buf).map_err(|_| invalid("body is not UTF-8"))?;
     parse(&text).map_err(|e| invalid(format!("body is not valid JSON: {e}")))
 }
