@@ -43,9 +43,14 @@
 #                backpressure (PROPTEST_CASES env raises the depth) and a
 #                throttled producer losing nothing for a live slow
 #                consumer, the VM's read paths and lent builtin arguments
-#                against the interpreter oracle at 512 cases, and the
+#                against the interpreter oracle at 512 cases, the
 #                pool's end-of-job faults (a panicking PE, a resumed job's
-#                retention, every terminal path settling once)
+#                retention, every terminal path settling once), and the
+#                registry's write path: the literal on-disk WAL and
+#                snapshot, interleaved writers against WAL replay, a
+#                write the journal refuses leaving no trace, the
+#                auto-snapshot after 256 ops of ordinary writes, and
+#                corrupt WAL ops and snapshots refused on open
 #   bench-smoke  four --smoke bench runs writing target/bench/<bin>.json,
 #                and the bench_check guard over them (committed
 #                baselines: BENCH_PR2.json, BENCH_PR10.json), then the
@@ -139,6 +144,13 @@ tier_chaos() {
     pool::tests::a_panicking_pe_fails_its_job_and_the_worker_serves_the_next \
     pool::tests::a_resumed_job_is_not_evicted_by_its_own_earlier_finish \
     pool::tests::every_terminal_path_settles_exactly_once
+  # The registry's one write path: literal on-disk bytes replay to a
+  # literal store, interleaved writers replay to the live store, and the
+  # WAL's own cases (a refused write leaves no trace, the auto-snapshot
+  # follows apply, corrupt input on open is a Storage error).
+  cargo test -q -p laminar-registry --test disk_format
+  cargo test -q -p laminar-registry --test proptest_interleaved
+  cargo test -q -p laminar-registry --lib wal::tests::
 }
 
 tier_bench_smoke() {
@@ -231,7 +243,7 @@ tier_lint() {
 }
 
 usage() {
-  sed -n '2,68p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,76p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 TIERS=()

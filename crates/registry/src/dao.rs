@@ -1,11 +1,16 @@
 //! Data Access Object layer (paper §3.2.3): CRUD over the store, with
-//! every mutation journaled through the WAL before acknowledgment.
+//! every mutation journaled through the WAL before it reaches the store.
+//!
+//! A write checks its preconditions, builds its `Op`s and hands them to
+//! `commit`: the WAL records them, then `Store::apply` (which WAL replay
+//! runs too) and the search index take each, then the WAL may snapshot.
 
 use crate::entities::{PeEntity, UserEntity, WorkflowEntity};
 use crate::error::RegistryError;
 use crate::index::SearchIndex;
-use crate::store::{Row, Store, Table};
-use crate::wal::{ops, WalStore};
+use crate::store::JunctionName::{UserPes, UserWorkflows, WorkflowPes};
+use crate::store::{Op, Row, Store, Table};
+use crate::wal::WalStore;
 
 /// DAO facade bundling the store, its journal and the search index.
 ///
@@ -19,10 +24,9 @@ use crate::wal::{ops, WalStore};
 /// Reads hand out references into the store's typed tables: nothing is
 /// decoded or cloned until a caller needs to own the entity.
 pub struct Dao {
-    /// The table store.
+    /// The table store; it changes only through this DAO's writes.
     pub store: Store,
-    /// The journal.
-    pub wal: WalStore,
+    wal: WalStore,
     index: SearchIndex,
 }
 
@@ -55,14 +59,36 @@ impl Dao {
         self.wal.snapshot(&self.store)
     }
 
+    /// Carry out one write: journal `ops`, then run each on the store,
+    /// keeping the index in step, then snapshot if the WAL is due.
+    fn commit<const N: usize>(&mut self, ops: [Op; N]) -> Result<(), RegistryError> {
+        self.wal.append(&ops)?;
+        for op in ops {
+            // The index keys on owner links; a link's entity outlives the op.
+            let (pes, index) = (&self.store.pes, &mut self.index);
+            match op {
+                Op::Link(UserPes, user, pe) => pes.get(pe).into_iter().for_each(|pe| index.add_pe(user, pe)),
+                Op::Unlink(UserPes, user, pe) => {
+                    pes.get(pe).into_iter().for_each(|pe| index.remove_pe(user, pe))
+                }
+                Op::Link(UserWorkflows, user, wf) => {
+                    self.store.workflows.get(wf).into_iter().for_each(|wf| index.add_workflow(user, wf))
+                }
+                Op::Unlink(UserWorkflows, user, wf) => index.remove_workflow(user, wf),
+                _ => {}
+            }
+            self.store.apply(op)?;
+        }
+        self.wal.snapshot_if_due(&self.store)
+    }
+
     // ---- users -----------------------------------------------------------
 
     /// Insert a user row.
-    pub fn insert_user(&mut self, user: UserEntity) -> Result<&UserEntity, RegistryError> {
-        let id = self.store.users.insert(user)?;
-        let user = self.store.users.get(id).expect("just inserted");
-        self.wal.append(&self.store, || ops::insert(user))?;
-        Ok(user)
+    pub fn insert_user(&mut self, mut user: UserEntity) -> Result<&UserEntity, RegistryError> {
+        let id = self.store.users.assign_id(&mut user)?;
+        self.commit([Op::InsertUser(user)])?;
+        by_id(&self.store.users, id)
     }
 
     /// Find a user by login name.
@@ -78,23 +104,18 @@ impl Dao {
     // ---- PEs ---------------------------------------------------------------
 
     /// Insert a PE row and link its owner.
-    pub fn insert_pe(&mut self, pe: PeEntity, owner_id: i64) -> Result<&PeEntity, RegistryError> {
-        let id = self.store.pes.insert(pe)?;
-        let pe = self.store.pes.get(id).expect("just inserted");
-        self.wal.append(&self.store, || ops::insert(pe))?;
-        self.link_user_pe(owner_id, id)?;
+    pub fn insert_pe(&mut self, mut pe: PeEntity, owner_id: i64) -> Result<&PeEntity, RegistryError> {
+        let id = self.store.pes.assign_id(&mut pe)?;
+        self.commit([Op::InsertPe(pe), Op::Link(UserPes, owner_id, id)])?;
         self.pe_by_id(id)
     }
 
     /// Add an ownership link (idempotent — the paper's shared-owner rule).
     pub fn link_user_pe(&mut self, user_id: i64, pe_id: i64) -> Result<(), RegistryError> {
-        if self.store.user_pes.link(user_id, pe_id) {
-            self.wal.append(&self.store, || ops::link("user_pes", user_id, pe_id))?;
-            if let Some(pe) = self.store.pes.get(pe_id) {
-                self.index.add_pe(user_id, pe);
-            }
+        if self.store.user_pes.linked(user_id, pe_id) {
+            return Ok(());
         }
-        Ok(())
+        self.commit([Op::Link(UserPes, user_id, pe_id)])
     }
 
     /// PE by id.
@@ -118,18 +139,12 @@ impl Dao {
         if !self.store.user_pes.linked(user_id, pe_id) {
             return Err(RegistryError::NotFound { entity: "PE", key: pe_id.to_string() });
         }
-        self.store.user_pes.unlink(user_id, pe_id);
-        self.wal.append(&self.store, || ops::unlink("user_pes", user_id, pe_id))?;
-        if let Some(pe) = self.store.pes.get(pe_id) {
-            self.index.remove_pe(user_id, pe);
+        let unlink = Op::Unlink(UserPes, user_id, pe_id);
+        if self.store.user_pes.lefts_of(pe_id) == [user_id] {
+            self.commit([unlink, Op::DeletePe(pe_id), Op::RemoveRight(WorkflowPes, pe_id)])
+        } else {
+            self.commit([unlink])
         }
-        if self.store.user_pes.lefts_of(pe_id).is_empty() {
-            self.store.pes.delete(pe_id)?;
-            self.wal.append(&self.store, || ops::delete("pes", pe_id))?;
-            self.store.workflow_pes.remove_right(pe_id);
-            self.wal.append(&self.store, || ops::remove_right("workflow_pes", pe_id))?;
-        }
-        Ok(())
     }
 
     // ---- workflows ----------------------------------------------------------
@@ -137,17 +152,12 @@ impl Dao {
     /// Insert a workflow row and link its owner.
     pub fn insert_workflow(
         &mut self,
-        wf: WorkflowEntity,
+        mut wf: WorkflowEntity,
         owner_id: i64,
     ) -> Result<&WorkflowEntity, RegistryError> {
-        let id = self.store.workflows.insert(wf)?;
-        let wf = self.store.workflows.get(id).expect("just inserted");
-        self.wal.append(&self.store, || ops::insert(wf))?;
-        if self.store.user_workflows.link(owner_id, id) {
-            self.wal.append(&self.store, || ops::link("user_workflows", owner_id, id))?;
-            self.index.add_workflow(owner_id, wf);
-        }
-        Ok(wf)
+        let id = self.store.workflows.assign_id(&mut wf)?;
+        self.commit([Op::InsertWorkflow(wf), Op::Link(UserWorkflows, owner_id, id)])?;
+        self.workflow_by_id(id)
     }
 
     /// Workflow by id.
@@ -170,10 +180,10 @@ impl Dao {
         // Both sides must exist.
         self.workflow_by_id(workflow_id)?;
         self.pe_by_id(pe_id)?;
-        if self.store.workflow_pes.link(workflow_id, pe_id) {
-            self.wal.append(&self.store, || ops::link("workflow_pes", workflow_id, pe_id))?;
+        if self.store.workflow_pes.linked(workflow_id, pe_id) {
+            return Ok(());
         }
-        Ok(())
+        self.commit([Op::Link(WorkflowPes, workflow_id, pe_id)])
     }
 
     /// PEs belonging to a workflow.
@@ -186,16 +196,12 @@ impl Dao {
         if !self.store.user_workflows.linked(user_id, workflow_id) {
             return Err(RegistryError::NotFound { entity: "Workflow", key: workflow_id.to_string() });
         }
-        self.store.user_workflows.unlink(user_id, workflow_id);
-        self.wal.append(&self.store, || ops::unlink("user_workflows", user_id, workflow_id))?;
-        self.index.remove_workflow(user_id, workflow_id);
-        if self.store.user_workflows.lefts_of(workflow_id).is_empty() {
-            self.store.workflows.delete(workflow_id)?;
-            self.wal.append(&self.store, || ops::delete("workflows", workflow_id))?;
-            self.store.workflow_pes.remove_left(workflow_id);
-            self.wal.append(&self.store, || ops::remove_left("workflow_pes", workflow_id))?;
+        let unlink = Op::Unlink(UserWorkflows, user_id, workflow_id);
+        if self.store.user_workflows.lefts_of(workflow_id) == [user_id] {
+            self.commit([unlink, Op::DeleteWorkflow(workflow_id), Op::RemoveLeft(WorkflowPes, workflow_id)])
+        } else {
+            self.commit([unlink])
         }
-        Ok(())
     }
 }
 

@@ -10,10 +10,15 @@
 //! [`Row::from_row`]) exists only where bytes meet the disk — WAL append
 //! and replay, snapshot write and load — so a row that does not decode is
 //! rejected when the store is opened, never on a later read.
+//!
+//! A loaded store changes in one place, `Store::apply`, which runs one
+//! `Op`: live, after the WAL has taken it (`Dao::commit`), and on WAL
+//! replay. The table and junction mutators are private to this module, so
+//! no other write path can exist.
 
 use crate::entities::{PeEntity, UserEntity, WorkflowEntity};
 use crate::error::RegistryError;
-use laminar_json::Value;
+use laminar_json::{to_string, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// What a [`Table`] needs from the entity it holds: its place in the
@@ -39,6 +44,13 @@ pub trait Row: Clone {
     /// On-disk row → entity; `None` when a required column is missing or
     /// mistyped.
     fn from_row(row: &Value) -> Option<Self>;
+}
+
+/// Decode the on-disk row journaled under `id`.
+fn decode<T: Row>(id: i64, row: &Value) -> Result<T, RegistryError> {
+    T::from_row(row)
+        .filter(|r| r.id() == id)
+        .ok_or_else(|| RegistryError::Storage(format!("corrupt {} row {id}", T::TABLE)))
 }
 
 /// One table: entities keyed by auto-increment id, with an index over the
@@ -72,8 +84,9 @@ impl<T: Row> Table<T> {
         self.rows.is_empty()
     }
 
-    /// Insert an entity, assigning and returning its id.
-    pub fn insert(&mut self, mut row: T) -> Result<i64, RegistryError> {
+    /// Give `row` the id an insert of it gets, and return that id;
+    /// `Duplicate` when its unique key is taken.
+    pub(crate) fn assign_id(&self, row: &mut T) -> Result<i64, RegistryError> {
         if self.unique.contains_key(row.unique_key()) {
             return Err(RegistryError::Duplicate {
                 entity: T::ENTITY,
@@ -81,20 +94,13 @@ impl<T: Row> Table<T> {
                 value: row.unique_key().to_string(),
             });
         }
-        let id = self.next_id;
-        self.next_id += 1;
-        row.set_id(id);
-        self.unique.insert(row.unique_key().to_string(), id);
-        self.rows.insert(id, row);
-        Ok(id)
+        row.set_id(self.next_id);
+        Ok(self.next_id)
     }
 
-    /// Decode an on-disk row and insert it under the id it was journaled
-    /// with (WAL replay and snapshot load).
-    pub fn restore(&mut self, id: i64, row: &Value) -> Result<(), RegistryError> {
-        let row = T::from_row(row)
-            .filter(|r| r.id() == id)
-            .ok_or_else(|| RegistryError::Storage(format!("corrupt {} row {id}", T::TABLE)))?;
+    /// Add `row` under the id it carries.
+    fn put(&mut self, row: T) -> Result<(), RegistryError> {
+        let id = row.id();
         if self.rows.contains_key(&id) {
             return Err(RegistryError::Duplicate { entity: T::ENTITY, field: T::ID, value: id.to_string() });
         }
@@ -115,13 +121,10 @@ impl<T: Row> Table<T> {
     }
 
     /// Delete a row, returning the entity.
-    pub fn delete(&mut self, id: i64) -> Result<T, RegistryError> {
-        let row = self
-            .rows
-            .remove(&id)
-            .ok_or(RegistryError::NotFound { entity: T::ENTITY, key: id.to_string() })?;
+    fn delete(&mut self, id: i64) -> Option<T> {
+        let row = self.rows.remove(&id)?;
         self.unique.remove(row.unique_key());
-        Ok(row)
+        Some(row)
     }
 
     /// Iterate the entities in id order.
@@ -148,7 +151,8 @@ impl<T: Row> Table<T> {
         v
     }
 
-    /// Rebuild from a snapshot value.
+    /// Rebuild from a snapshot value. `next_id` never falls below a
+    /// restored id, whatever the snapshot says.
     pub fn from_value(v: &Value) -> Result<Table<T>, RegistryError> {
         if v["name"].as_str() != Some(T::TABLE) {
             return Err(RegistryError::Storage(format!("snapshot is missing table '{}'", T::TABLE)));
@@ -156,9 +160,9 @@ impl<T: Row> Table<T> {
         let mut t = Table::new();
         for entry in v["rows"].as_array().unwrap_or(&[]) {
             let id = entry["id"].as_i64().ok_or(RegistryError::Storage("row missing id".into()))?;
-            t.restore(id, &entry["row"])?;
+            t.put(decode(id, &entry["row"])?)?;
         }
-        t.next_id = v["next_id"].as_i64().unwrap_or(t.next_id);
+        t.next_id = t.next_id.max(v["next_id"].as_i64().unwrap_or(1));
         Ok(t)
     }
 }
@@ -176,12 +180,12 @@ impl Junction {
     }
 
     /// Link `left` and `right`. Returns false if already linked.
-    pub fn link(&mut self, left: i64, right: i64) -> bool {
+    fn link(&mut self, left: i64, right: i64) -> bool {
         self.pairs.insert((left, right))
     }
 
     /// Remove a link.
-    pub fn unlink(&mut self, left: i64, right: i64) -> bool {
+    fn unlink(&mut self, left: i64, right: i64) -> bool {
         self.pairs.remove(&(left, right))
     }
 
@@ -202,12 +206,12 @@ impl Junction {
     }
 
     /// Remove every pair touching `left` on the left side.
-    pub fn remove_left(&mut self, left: i64) {
+    fn remove_left(&mut self, left: i64) {
         self.pairs.retain(|(l, _)| *l != left);
     }
 
     /// Remove every pair touching `right` on the right side.
-    pub fn remove_right(&mut self, right: i64) {
+    fn remove_right(&mut self, right: i64) {
         self.pairs.retain(|(_, r)| *r != right);
     }
 
@@ -232,15 +236,102 @@ impl Junction {
         self.pairs.iter().map(|(l, r)| Value::Array(vec![Value::Int(*l), Value::Int(*r)])).collect()
     }
 
-    /// Rebuild from a snapshot value.
-    pub fn from_value(v: &Value) -> Junction {
-        let mut j = Junction::new();
-        for pair in v.as_array().unwrap_or(&[]) {
-            if let (Some(l), Some(r)) = (pair[0].as_i64(), pair[1].as_i64()) {
-                j.link(l, r);
-            }
+    /// Rebuild from a snapshot value; every pair must be two integers.
+    pub fn from_value(v: &Value) -> Result<Junction, RegistryError> {
+        let pair = |p: &Value| match p.as_array() {
+            Some([l, r]) => l.as_i64().zip(r.as_i64()),
+            _ => None,
+        };
+        let corrupt = |p: &Value| RegistryError::Storage(format!("corrupt junction pair {}", to_string(p)));
+        let pairs = v.as_array().unwrap_or(&[]).iter().map(|p| pair(p).ok_or_else(|| corrupt(p)));
+        Ok(Junction { pairs: pairs.collect::<Result<_, _>>()? })
+    }
+}
+
+/// A junction table, as a link op names it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum JunctionName {
+    UserPes,
+    UserWorkflows,
+    WorkflowPes,
+}
+
+impl JunctionName {
+    fn as_str(self) -> &'static str {
+        match self {
+            JunctionName::UserPes => "user_pes",
+            JunctionName::UserWorkflows => "user_workflows",
+            JunctionName::WorkflowPes => "workflow_pes",
         }
-        j
+    }
+}
+
+/// One registry mutation: what the WAL records, one JSON line each, and
+/// what [`Store::apply`] runs. An insert carries its entity with its id
+/// already assigned.
+#[derive(Debug)]
+pub(crate) enum Op {
+    InsertUser(UserEntity),
+    InsertPe(PeEntity),
+    InsertWorkflow(WorkflowEntity),
+    DeleteUser(i64),
+    DeletePe(i64),
+    DeleteWorkflow(i64),
+    Link(JunctionName, i64, i64),
+    Unlink(JunctionName, i64, i64),
+    RemoveLeft(JunctionName, i64),
+    RemoveRight(JunctionName, i64),
+}
+
+impl Op {
+    /// The WAL record, `{"op": "...", ...}`.
+    pub(crate) fn to_value(&self) -> Value {
+        fn insert<'a, T: Row>(v: &'a mut Value, row: &T) -> &'a mut Value {
+            v.set("op", "insert").set("table", T::TABLE).set("id", row.id()).set("row", row.to_row())
+        }
+        let mut v = Value::Null;
+        match *self {
+            Op::InsertUser(ref row) => insert(&mut v, row),
+            Op::InsertPe(ref row) => insert(&mut v, row),
+            Op::InsertWorkflow(ref row) => insert(&mut v, row),
+            Op::DeleteUser(id) => v.set("op", "delete").set("table", UserEntity::TABLE).set("id", id),
+            Op::DeletePe(id) => v.set("op", "delete").set("table", PeEntity::TABLE).set("id", id),
+            Op::DeleteWorkflow(id) => v.set("op", "delete").set("table", WorkflowEntity::TABLE).set("id", id),
+            Op::Link(j, l, r) => {
+                v.set("op", "link").set("junction", j.as_str()).set("left", l).set("right", r)
+            }
+            Op::Unlink(j, l, r) => {
+                v.set("op", "unlink").set("junction", j.as_str()).set("left", l).set("right", r)
+            }
+            Op::RemoveLeft(j, l) => v.set("op", "remove_left").set("junction", j.as_str()).set("left", l),
+            Op::RemoveRight(j, r) => v.set("op", "remove_right").set("junction", j.as_str()).set("right", r),
+        };
+        v
+    }
+
+    /// Read a WAL record back. A record that names no known op, table or
+    /// junction, or lacks an integer its op needs, is corruption.
+    pub(crate) fn from_value(v: &Value) -> Result<Op, RegistryError> {
+        let corrupt = || RegistryError::Storage(format!("corrupt WAL op {}", to_string(v)));
+        let int = |key: &str| v[key].as_i64().ok_or_else(corrupt);
+        let junction = [JunctionName::UserPes, JunctionName::UserWorkflows, JunctionName::WorkflowPes]
+            .into_iter()
+            .find(|j| Some(j.as_str()) == v["junction"].as_str())
+            .ok_or_else(corrupt);
+        let id = || int("id");
+        Ok(match (v["op"].as_str().unwrap_or(""), v["table"].as_str().unwrap_or("")) {
+            ("insert", UserEntity::TABLE) => Op::InsertUser(decode(id()?, &v["row"])?),
+            ("insert", PeEntity::TABLE) => Op::InsertPe(decode(id()?, &v["row"])?),
+            ("insert", WorkflowEntity::TABLE) => Op::InsertWorkflow(decode(id()?, &v["row"])?),
+            ("delete", UserEntity::TABLE) => Op::DeleteUser(id()?),
+            ("delete", PeEntity::TABLE) => Op::DeletePe(id()?),
+            ("delete", WorkflowEntity::TABLE) => Op::DeleteWorkflow(id()?),
+            ("link", _) => Op::Link(junction?, int("left")?, int("right")?),
+            ("unlink", _) => Op::Unlink(junction?, int("left")?, int("right")?),
+            ("remove_left", _) => Op::RemoveLeft(junction?, int("left")?),
+            ("remove_right", _) => Op::RemoveRight(junction?, int("right")?),
+            _ => return Err(corrupt()),
+        })
     }
 }
 
@@ -268,6 +359,33 @@ impl Store {
         Store::default()
     }
 
+    /// Run one op: the only change a loaded store takes, live (after the
+    /// WAL took the op) and on WAL replay. An insert fails on an id the
+    /// table holds; a delete or unlink of what is absent changes nothing.
+    pub(crate) fn apply(&mut self, op: Op) -> Result<(), RegistryError> {
+        match op {
+            Op::InsertUser(row) => return self.users.put(row),
+            Op::InsertPe(row) => return self.pes.put(row),
+            Op::InsertWorkflow(row) => return self.workflows.put(row),
+            Op::DeleteUser(id) => drop(self.users.delete(id)),
+            Op::DeletePe(id) => drop(self.pes.delete(id)),
+            Op::DeleteWorkflow(id) => drop(self.workflows.delete(id)),
+            Op::Link(j, left, right) => _ = self.junction(j).link(left, right),
+            Op::Unlink(j, left, right) => _ = self.junction(j).unlink(left, right),
+            Op::RemoveLeft(j, left) => self.junction(j).remove_left(left),
+            Op::RemoveRight(j, right) => self.junction(j).remove_right(right),
+        }
+        Ok(())
+    }
+
+    fn junction(&mut self, j: JunctionName) -> &mut Junction {
+        match j {
+            JunctionName::UserPes => &mut self.user_pes,
+            JunctionName::UserWorkflows => &mut self.user_workflows,
+            JunctionName::WorkflowPes => &mut self.workflow_pes,
+        }
+    }
+
     /// Serialize the whole store (snapshot format).
     pub fn to_value(&self) -> Value {
         let mut v = Value::Null;
@@ -286,9 +404,9 @@ impl Store {
             users: Table::from_value(&v["users"])?,
             pes: Table::from_value(&v["pes"])?,
             workflows: Table::from_value(&v["workflows"])?,
-            user_pes: Junction::from_value(&v["user_pes"]),
-            user_workflows: Junction::from_value(&v["user_workflows"]),
-            workflow_pes: Junction::from_value(&v["workflow_pes"]),
+            user_pes: Junction::from_value(&v["user_pes"])?,
+            user_workflows: Junction::from_value(&v["user_workflows"])?,
+            workflow_pes: Junction::from_value(&v["workflow_pes"])?,
         })
     }
 }
@@ -305,10 +423,17 @@ mod tests {
         WorkflowEntity::new("Wf", entry, "", laminar_script::prepare("").unwrap())
     }
 
+    /// What an insert does: take the next id, then add the row.
+    fn insert<T: Row>(t: &mut Table<T>, mut row: T) -> Result<i64, RegistryError> {
+        let id = t.assign_id(&mut row)?;
+        t.put(row)?;
+        Ok(id)
+    }
+
     #[test]
     fn insert_get_delete() {
         let mut t = Table::new();
-        let id = t.insert(user("zz46")).unwrap();
+        let id = insert(&mut t, user("zz46")).unwrap();
         assert_eq!(id, 1);
         assert_eq!(t.get(id).unwrap().user_id, 1);
         assert_eq!(t.find_unique("zz46"), Some(1));
@@ -317,14 +442,14 @@ mod tests {
         assert_eq!(removed.user_name, "zz46");
         assert_eq!(t.find_unique("zz46"), None);
         assert!(t.get(id).is_none());
-        assert!(t.delete(id).is_err());
+        assert!(t.delete(id).is_none());
     }
 
     #[test]
     fn unique_violation() {
         let mut t = Table::new();
-        t.insert(user("zz46")).unwrap();
-        let err = t.insert(user("zz46")).unwrap_err();
+        insert(&mut t, user("zz46")).unwrap();
+        let err = insert(&mut t, user("zz46")).unwrap_err();
         assert_eq!(err.code(), 409);
         assert!(
             matches!(err, RegistryError::Duplicate { entity: "User", field: "userName", .. }),
@@ -335,33 +460,34 @@ mod tests {
     #[test]
     fn ids_monotonic_after_delete() {
         let mut t = Table::new();
-        let a = t.insert(user("a")).unwrap();
+        let a = insert(&mut t, user("a")).unwrap();
         t.delete(a).unwrap();
-        let b = t.insert(user("b")).unwrap();
+        let b = insert(&mut t, user("b")).unwrap();
         assert!(b > a, "ids never reused");
     }
 
     #[test]
     fn restore_rejects_a_row_that_does_not_decode() {
         let mut t = Table::<UserEntity>::new();
+        let restore = |t: &mut Table<UserEntity>, id, row: &Value| decode(id, row).and_then(|r| t.put(r));
         let mut row = user("zz46").to_row();
         row.set("userId", 4);
-        t.restore(4, &row).unwrap();
+        restore(&mut t, 4, &row).unwrap();
         assert_eq!(t.find_unique("zz46"), Some(4));
-        assert!(t.restore(4, &row).is_err(), "an id is restored once");
+        assert!(restore(&mut t, 4, &row).is_err(), "an id is restored once");
         assert!(
-            matches!(t.restore(5, &row), Err(RegistryError::Storage(_))),
+            matches!(restore(&mut t, 5, &row), Err(RegistryError::Storage(_))),
             "row and record disagree on id"
         );
-        assert!(matches!(t.restore(6, &Value::Null), Err(RegistryError::Storage(_))));
-        assert_eq!(t.insert(user("next")).unwrap(), 5, "next_id follows the restored ids");
+        assert!(matches!(restore(&mut t, 6, &Value::Null), Err(RegistryError::Storage(_))));
+        assert_eq!(insert(&mut t, user("next")).unwrap(), 5, "next_id follows the restored ids");
     }
 
     #[test]
     fn snapshot_round_trip() {
         let mut s = Store::new();
-        let uid = s.users.insert(user("zz46")).unwrap();
-        let wid = s.workflows.insert(workflow("isPrime")).unwrap();
+        let uid = insert(&mut s.users, user("zz46")).unwrap();
+        let wid = insert(&mut s.workflows, workflow("isPrime")).unwrap();
         s.user_workflows.link(uid, wid);
         s.workflow_pes.link(wid, 7);
         let v = s.to_value();
@@ -371,7 +497,7 @@ mod tests {
         assert!(back.user_workflows.linked(uid, wid));
         assert!(back.workflow_pes.linked(wid, 7));
         // next_id preserved: a new insert gets a fresh id.
-        let wid2 = back.workflows.insert(workflow("other")).unwrap();
+        let wid2 = insert(&mut back.workflows, workflow("other")).unwrap();
         assert!(wid2 > wid);
         // A table filed under another table's key is not loaded as that table.
         let mut swapped = v.clone();
