@@ -34,8 +34,10 @@
 #                wake protocol (1,000 rounds each of parked readers and a
 #                throttled producer with no lost wake-up, and one notify
 #                per park, not per event), the allocator calls one
-#                delivered event costs end to end, and the allocator calls
-#                one reading of the group-by workload costs enacted
+#                delivered event costs end to end, the allocator calls
+#                one reading of the group-by workload costs enacted, and
+#                the live bytes a retained event holds and an expired log
+#                gives back
 #   chaos        durability fault-injection suite at full proptest depth:
 #                crash/resume chaos, cross-backend epoch parity, torn
 #                journal segments, the mid-stream worker-failure
@@ -123,6 +125,7 @@ tier_streaming() {
   cargo test -q -p laminar-engine --lib event_log::tests::
   cargo test -q --test delivery_allocs
   cargo test -q --test enact_allocs
+  cargo test -q -p laminar-engine --test retained_bytes
 }
 
 tier_chaos() {

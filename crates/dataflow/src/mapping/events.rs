@@ -105,10 +105,11 @@ pub enum RunEvent {
         state: Value,
     },
     /// The run completed: final stats (timings are only known here).
-    /// Terminal event of a successful stream.
+    /// Terminal event of a successful stream. The stats are boxed: a run
+    /// emits one, and inline their maps would make every event this big.
     Finished {
         /// The completed run's statistics.
-        stats: RunStats,
+        stats: Box<RunStats>,
     },
     /// The run was stopped by its [`super::CancelToken`] before
     /// completing. Terminal event of a cancelled stream — everything
@@ -117,6 +118,9 @@ pub enum RunEvent {
     /// on request" from a failure.
     Cancelled,
 }
+
+// Every buffered and logged event pays the largest variant's size.
+const _: () = assert!(size_of::<RunEvent>() <= 72);
 
 impl RunEvent {
     /// Wire form of one event (the `/events` endpoint's array elements).
@@ -327,7 +331,7 @@ impl RunEvent {
             "finished" => {
                 let us = |field: &str| Duration::from_micros(v[field].as_i64().unwrap_or(0).max(0) as u64);
                 RunEvent::Finished {
-                    stats: RunStats {
+                    stats: Box::new(RunStats {
                         elapsed: us("elapsed_us"),
                         timings: super::StageTimings {
                             plan: us("plan_us"),
@@ -340,7 +344,7 @@ impl RunEvent {
                             .as_i64()
                             .map(|d| Duration::from_micros(d.max(0) as u64)),
                         ..Default::default()
-                    },
+                    }),
                 }
             }
             "cancelled" => RunEvent::Cancelled,
@@ -557,9 +561,10 @@ impl EventSink {
     }
 
     /// Emit the terminal event carrying the completed run's stats. Only
-    /// the observer sees it — the fold was already taken.
+    /// the observer sees it — the fold was already taken — so the stats
+    /// are copied only when there is one.
     pub fn emit_finished(&self, stats: &RunStats) {
-        self.emit_terminal(&RunEvent::Finished { stats: stats.clone() });
+        self.emit_terminal(|| RunEvent::Finished { stats: Box::new(stats.clone()) });
     }
 
     /// Emit the [`RunEvent::Cancelled`] terminal marker sealing a
@@ -567,16 +572,16 @@ impl EventSink {
     /// [`crate::DataflowError::Cancelled`] instead of a result, so there
     /// is no fold to feed.
     pub fn emit_cancelled(&self) {
-        self.emit_terminal(&RunEvent::Cancelled);
+        self.emit_terminal(|| RunEvent::Cancelled);
     }
 
-    fn emit_terminal(&self, event: &RunEvent) {
+    fn emit_terminal(&self, event: impl FnOnce() -> RunEvent) {
         if let Some(observer) = &self.observer {
             let mut inner = self.inner.lock();
             let seq = inner.seq;
             inner.seq += 1;
             drop(inner);
-            observer.on_event(seq, event);
+            observer.on_event(seq, &event());
         }
     }
 }
@@ -646,7 +651,7 @@ mod tests {
         };
         let result = fold_events(vec![
             RunEvent::InstanceStarted { pe: arc("A"), instance: 0 },
-            RunEvent::Finished { stats },
+            RunEvent::Finished { stats: Box::new(stats) },
         ]);
         assert_eq!(result.stats.elapsed, Duration::from_millis(7));
         assert_eq!(result.stats.first_output, Some(Duration::from_millis(2)));
@@ -691,7 +696,7 @@ mod tests {
                 "instance_done",
             ),
             (RunEvent::Epoch { id: 3, state: Value::Array(vec![Value::Int(1)]) }, "epoch"),
-            (RunEvent::Finished { stats: RunStats::default() }, "finished"),
+            (RunEvent::Finished { stats: Box::default() }, "finished"),
             (RunEvent::Cancelled, "cancelled"),
         ];
         for (i, (ev, tag)) in cases.into_iter().enumerate() {
@@ -724,7 +729,7 @@ mod tests {
             events: 9,
             ..Default::default()
         };
-        match RunEvent::from_value(&RunEvent::Finished { stats }.to_value(0)).unwrap() {
+        match RunEvent::from_value(&RunEvent::Finished { stats: Box::new(stats) }.to_value(0)).unwrap() {
             RunEvent::Finished { stats } => {
                 assert_eq!(stats.elapsed, Duration::from_micros(1234));
                 assert_eq!(stats.first_output, Some(Duration::from_micros(56)));

@@ -71,13 +71,13 @@ fn arb_event() -> impl Strategy<Value = RunEvent> {
         )
             .prop_map(|(elapsed, plan, enact, collect, compile, events, has_first, first)| {
                 RunEvent::Finished {
-                    stats: RunStats {
+                    stats: Box::new(RunStats {
                         elapsed,
                         timings: StageTimings { plan, enact, collect, compile },
                         events,
                         first_output: has_first.then_some(first),
                         ..Default::default()
-                    },
+                    }),
                 }
             }),
         Just(RunEvent::Cancelled),

@@ -65,6 +65,9 @@ pub(crate) enum Entry {
     Failed(String),
 }
 
+// The deque and every page's copy pay this per event.
+const _: () = assert!(size_of::<Entry>() <= 72);
+
 impl Entry {
     /// The wire form of a logged event as a tree.
     fn to_value(&self, seq: u64) -> Value {
@@ -374,14 +377,16 @@ impl JobEventLog {
         self.close(Entry::Run(RunEvent::Cancelled));
     }
 
-    /// Drop every retained event, keeping the sequence bookkeeping (and
-    /// closed-ness), so cursor clients observe truncation rather than a
-    /// silently emptied stream.
+    /// Drop every retained event and free the buffer that held them,
+    /// keeping the sequence bookkeeping (and closed-ness), so cursor
+    /// clients observe truncation rather than a silently emptied stream.
+    /// `clear` would keep the capacity, and an expired log stays in its
+    /// job record for as long as the record is retained.
     pub(crate) fn expire(&self) {
         let mut inner = self.inner.lock();
         inner.first_seq = inner.end_seq();
-        inner.events.clear();
-        inner.epoch_marks.clear();
+        inner.events = VecDeque::new();
+        inner.epoch_marks = VecDeque::new();
         // A parked long-poll whose cursor just fell below `first` must
         // observe the truncation, not sleep through it.
         self.unlock_and_wake(inner, Wake::Readers);

@@ -197,9 +197,11 @@ impl PoolStats {
 pub(crate) const RETAIN_FINISHED: usize = 4096;
 
 /// Finished streamed jobs whose full event logs stay replayable. Older
-/// finished logs are expired — events dropped, sequence bookkeeping kept
-/// — so large streamed payloads can't pin memory for as long as the
-/// job *records* are retained ([`RETAIN_FINISHED`]).
+/// finished logs are expired — events dropped and their buffer freed,
+/// sequence bookkeeping kept — so large streamed payloads can't pin
+/// memory for as long as the job *records* are retained
+/// ([`RETAIN_FINISHED`]): in steady state a node holds this many logs
+/// plus each retained record's output.
 pub(crate) const RETAIN_STREAMED_LOGS: usize = 256;
 
 /// How a job ends: the one input of [`Jobs::settle`].

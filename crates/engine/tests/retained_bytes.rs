@@ -1,13 +1,18 @@
-//! What one retained event costs in resident memory. A finished streamed
+//! What a finished stream keeps in resident memory. A finished streamed
 //! job keeps its log for replay (the newest 256 of them), so the form the
 //! log holds sets a serving node's footprint: Beat's `output` event is 83
-//! bytes on the wire and ~0.94 KB as a `laminar_json::Value` tree. This
-//! pins that the tree is built per page, not kept per event.
+//! bytes on the wire, ~0.94 KB as a `laminar_json::Value` tree, and 108
+//! bytes in all as the typed entry the log keeps (a 72-byte deque slot,
+//! the deque's growth slack and the job's own output). These pin that the
+//! tree is built per page, not kept per event, that an event is no bigger
+//! than its own variant, and that a log past the 256 gives its buffer back
+//! while its job record stays.
 
 use laminar_engine::{EnginePool, ExecutionEngine, ExecutionRequest};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering};
-use std::time::Duration;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 struct LiveBytes;
 
@@ -33,15 +38,24 @@ unsafe impl GlobalAlloc for LiveBytes {
 #[global_allocator]
 static ALLOC: LiveBytes = LiveBytes;
 
+/// The counter is process-wide: each test holds this while it measures,
+/// so a concurrent test's allocations are not charged to it.
+static MEASURING: Mutex<()> = Mutex::new(());
+
+fn measuring() -> MutexGuard<'static, ()> {
+    MEASURING.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 const BEAT: &str = r#"
     pe Pulse : producer { output output; process { emit(iteration + 1); } }
     workflow Beat { nodes { p = Pulse; } }
 "#;
 
 #[test]
-fn a_retained_event_holds_under_300_bytes() {
+fn a_retained_event_holds_under_135_bytes() {
     const JOBS: i64 = 32;
     const ITERATIONS: i64 = 2_000;
+    let _serial = measuring();
     let pool = EnginePool::start(ExecutionEngine::instant(), 1, 8);
     // One unstreamed run first, so what the worker and the pool allocate
     // once is not charged to the logs.
@@ -57,6 +71,42 @@ fn a_retained_event_holds_under_300_bytes() {
     }
     let per_event = (LIVE.load(Ordering::Relaxed) - before) / events as i64;
     assert!(events >= (JOBS * ITERATIONS) as u64);
-    assert!(per_event < 300, "{per_event} bytes retained per logged event");
+    assert!(per_event < 135, "{per_event} bytes retained per logged event");
     assert!(per_event > 40, "{per_event} bytes cannot hold an event: the measure is broken");
+}
+
+#[test]
+fn an_expired_log_returns_its_buffer() {
+    // The pool keeps the newest 256 streamed logs replayable; past that
+    // each finished streamed job expires the oldest log. In steady state a
+    // job adds one log and frees one, so what stays per job is its record
+    // and output, not a log's buffer (512 slots of 72 bytes for 500 events).
+    const STREAMED_LOGS: usize = 256;
+    const MEASURED: usize = 64;
+    const ITERATIONS: i64 = 500;
+    let _serial = measuring();
+    let pool = EnginePool::start(ExecutionEngine::instant(), 1, 8);
+    let run = || {
+        let id = pool.submit("u", ExecutionRequest::simple("u", BEAT, ITERATIONS).with_events(true)).unwrap();
+        pool.wait("u", id, Duration::from_secs(60)).unwrap();
+        id
+    };
+    let mut ids: Vec<i64> = (0..STREAMED_LOGS).map(|_| run()).collect();
+    let before = LIVE.load(Ordering::Relaxed);
+    ids.extend((0..MEASURED).map(|_| run()));
+    // The last job's settle expires the log `STREAMED_LOGS` jobs older;
+    // the wait can return just before it does.
+    let last_expired = ids[ids.len() - 1 - STREAMED_LOGS];
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while pool.event_log_window("u", last_expired).is_some_and(|(first, end)| first < end) {
+        assert!(Instant::now() < deadline, "the oldest retained log never expired");
+        std::thread::yield_now();
+    }
+    for &id in &ids[..MEASURED] {
+        let (first, end) = pool.event_log_window("u", id).unwrap();
+        assert!(first == end && end as i64 > ITERATIONS, "job {id}'s log expired, its cursor kept");
+    }
+    let per_job = (LIVE.load(Ordering::Relaxed) - before) / MEASURED as i64;
+    assert!(per_job < 40_000, "{per_job} bytes stay per job past the log retention bound");
+    assert!(per_job > 1_000, "{per_job} bytes cannot hold a job's record: the measure is broken");
 }
