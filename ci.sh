@@ -62,8 +62,9 @@
 #                under bench_e2e/): build, its tests, and one --smoke
 #                run of each workload
 #   lint         rustfmt + clippy (warnings are errors), the check that
-#                laminar-oracle is in no product crate's dependency tree
-#                (`cargo tree` of the laminar facade), the guard that
+#                neither laminar-oracle nor laminar-bench is in any product
+#                crate's dependency tree (`cargo tree` of the laminar
+#                facade), the guard that
 #                keeps the registry's JSON
 #                row form below its persistence boundary, the guard that
 #                keeps script parsing and compiling behind prepare(), the
@@ -182,12 +183,14 @@ tier_lint() {
   cargo clippy --workspace --all-targets -- -D warnings
   # One script backend, one search path: the tree-walker and the linear
   # scan live in laminar-oracle, for the differential suites and the bench
-  # bins. The `laminar` facade re-exports every product crate, so its
-  # normal dependency tree must not hold that crate.
+  # bins. The paper's offline evaluation (dataset generators, ranking
+  # metrics, cross-encoder) lives in laminar-bench. The `laminar` facade
+  # re-exports every product crate, so its normal dependency tree must
+  # hold neither crate.
   local tree
   tree=$(cargo tree --offline -e normal -p laminar --prefix none)
-  if grep '^laminar-oracle ' <<<"$tree"; then
-    echo "ci.sh: laminar-oracle is test-only; a product crate depends on it" >&2
+  if grep -E '^laminar-(oracle|bench) ' <<<"$tree"; then
+    echo "ci.sh: laminar-oracle and laminar-bench are not product crates; a product crate depends on one" >&2
     return 1
   fi
   # One in-memory form of a registry entity: the JSON row form is for

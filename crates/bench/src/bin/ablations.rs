@@ -10,9 +10,10 @@
 //! cargo run -p laminar-bench --bin ablations --release
 //! ```
 
+use laminar_bench::datasets::{gen_csn, rank_corpus};
+use laminar_bench::xencoder::cross_rank;
 use laminar_dataflow::mapping::{Mapping, MpiMapping, MultiMapping, RedisMapping, SimpleMapping};
 use laminar_dataflow::{RunOptions, WorkflowGraph};
-use laminar_embed::xencoder::cross_rank;
 use laminar_embed::{cosine, model_by_name};
 use std::time::Instant;
 
@@ -24,7 +25,7 @@ fn main() {
 }
 
 fn corpus() -> Vec<String> {
-    let ds = laminar_embed::datasets::gen_csn(200, 9);
+    let ds = gen_csn(200, 9);
     ds.examples.into_iter().map(|e| e.code).collect()
 }
 
@@ -65,7 +66,7 @@ fn d1_stored_embeddings() {
 fn d2_bi_vs_cross() {
     println!("== D2: bi-encoder vs cross-encoder (paper §2.4 trade-off) ==");
     let model = model_by_name("unixcoder-code-search").unwrap();
-    let ds = laminar_embed::datasets::gen_csn(150, 13);
+    let ds = gen_csn(150, 13);
     let corpus: Vec<String> = ds.examples.iter().map(|e| e.code.clone()).collect();
     let embedded: Vec<_> = corpus.iter().map(|c| model.embed_code(c)).collect();
 
@@ -73,7 +74,7 @@ fn d2_bi_vs_cross() {
     let t0 = Instant::now();
     for (i, ex) in ds.examples.iter().enumerate() {
         let qe = model.embed_text(&ex.query);
-        let ranked = laminar_embed::top_k(&qe, &embedded, embedded.len());
+        let ranked = rank_corpus(&qe, &embedded, embedded.len());
         let rank = ranked.iter().position(|(idx, _)| *idx == i).unwrap() + 1;
         bi_rank_sum += 1.0 / rank as f64;
     }

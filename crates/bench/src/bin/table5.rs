@@ -1,12 +1,13 @@
 //! Regenerates **Table 5** (and the Table 4 environment header): execution
 //! times of the Internal Extinction workflow under
 //! {original dispel4py, Laminar local, Laminar remote} × {Simple, Multi}.
+//! Exits 1 when the shape is violated.
 //!
 //! ```text
 //! cargo run -p laminar-bench --bin table5 --release
 //! ```
 
-use laminar_bench::{fmt_secs, run_astro_direct, run_astro_laminar_detailed, Table5Config};
+use laminar_bench::{fmt_secs, run_astro_direct, run_astro_laminar_detailed, Table5Config, Verdict};
 
 fn main() {
     let cfg = Table5Config::default_profile();
@@ -60,6 +61,9 @@ fn main() {
     let remote_delta = r_simple.as_secs_f64() / l_simple.as_secs_f64().max(1e-9);
     println!("Remote vs local (Simple): {remote_delta:.2}x  (paper: 1.08x — 'no substantial increase')");
 
-    let ok = d_multi < d_simple && l_simple > d_simple && r_simple >= l_simple.mul_f64(0.9);
-    println!("\nshape {}", if ok { "HOLDS" } else { "VIOLATED" });
+    let verdict = Verdict::of(d_multi < d_simple && l_simple > d_simple && r_simple >= l_simple.mul_f64(0.9));
+    println!("\nshape {}", verdict.as_str());
+    if verdict == Verdict::Violated {
+        std::process::exit(1);
+    }
 }

@@ -13,9 +13,8 @@
 //! * **query paraphrasing** with a synonym table reproduces CSN's curated
 //!   queries (light noise) vs CosQA's web queries (heavy noise).
 
-use crate::embedding::top_k;
-use crate::metrics::{map_at_k, mrr, precision_at_1};
-use crate::models::EmbeddingModel;
+use crate::metrics::{map_at_k, mrr, precision_at_1, rank};
+use laminar_embed::{cosine, Embedding, EmbeddingModel};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::{RngExt, SeedableRng};
@@ -407,15 +406,20 @@ pub fn gen_csn(n: usize, seed: u64) -> SearchDataset {
     gen_search("CSN", n, 0.35, seed)
 }
 
+/// The `k` corpus embeddings closest to `query` by [`cosine`], as
+/// [`rank`] orders them. An `f32` score widens to `f64` exactly, so this is
+/// the order of the scores themselves.
+pub fn rank_corpus(query: &Embedding, corpus: &[Embedding], k: usize) -> Vec<(usize, f64)> {
+    rank(corpus.iter().map(|e| f64::from(cosine(query, e))), k)
+}
+
 /// Evaluate zero-shot text-to-code search: MRR of the matching document.
 pub fn eval_search(model: &dyn EmbeddingModel, ds: &SearchDataset) -> f64 {
     let corpus: Vec<_> = ds.examples.iter().map(|e| model.embed_code(&e.code)).collect();
     let mut ranks = Vec::with_capacity(ds.examples.len());
     for (i, ex) in ds.examples.iter().enumerate() {
-        let q = model.embed_text(&ex.query);
-        let ranked = top_k(&q, &corpus, corpus.len());
-        let rank = ranked.iter().position(|(idx, _)| *idx == i).map(|p| p + 1);
-        ranks.push(rank);
+        let ranked = rank_corpus(&model.embed_text(&ex.query), &corpus, corpus.len());
+        ranks.push(ranked.iter().position(|(idx, _)| *idx == i).map(|p| p + 1));
     }
     mrr(&ranks)
 }
@@ -488,7 +492,7 @@ pub fn eval_clone(model: &dyn EmbeddingModel, ds: &CloneDataset, k: usize) -> (f
     let mut top1 = Vec::with_capacity(ds.queries.len());
     for q in &ds.queries {
         let qe = model.embed_code(&q.partial_code);
-        let ranked = top_k(&qe, &corpus, k);
+        let ranked = rank_corpus(&qe, &corpus, k);
         let rel: Vec<bool> = ranked.iter().map(|(i, _)| ds.programs[*i].problem == q.problem).collect();
         top1.push(rel.first().copied().unwrap_or(false));
         let total_relevant = ds.programs.iter().filter(|p| p.problem == q.problem).count();
@@ -500,7 +504,7 @@ pub fn eval_clone(model: &dyn EmbeddingModel, ds: &CloneDataset, k: usize) -> (f
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::model_by_name;
+    use laminar_embed::model_by_name;
 
     #[test]
     fn generated_code_parses() {

@@ -1,5 +1,19 @@
 //! Information-retrieval metrics used in the paper's evaluation:
-//! MRR (Table 6), MAP@100 and Precision@1 (Table 7).
+//! MRR (Table 6), MAP@100 and Precision@1 (Table 7), and the one ranking
+//! they read.
+
+use laminar_embed::TopK;
+
+/// Corpus indices of the `k` best `scores` with their scores, best first,
+/// ties toward the lower index: the registry index's [`TopK`] over the
+/// scores in corpus order.
+pub fn rank(scores: impl IntoIterator<Item = f64>, k: usize) -> Vec<(usize, f64)> {
+    let mut top = TopK::new(k);
+    for (id, score) in (0..).zip(scores) {
+        top.push(id, score);
+    }
+    top.into_sorted().into_iter().map(|(id, score)| (id as usize, score)).collect()
+}
 
 /// Mean Reciprocal Rank over per-query ranks of the first relevant result
 /// (1-based). `None` means the relevant item never appeared.

@@ -7,7 +7,8 @@
 //! so query latency scales with corpus size — exactly the trade-off the
 //! paper describes when justifying the bi-encoder choice.
 
-use crate::tokenizer::{code_tokens, is_keyword, text_words, TokenClass};
+use crate::metrics::rank;
+use laminar_embed::tokenizer::{code_tokens, is_keyword, text_words, TokenClass};
 use laminar_script::analysis::subtokens;
 use std::collections::HashMap;
 
@@ -74,10 +75,7 @@ pub fn cross_score(query: &str, code: &str) -> f64 {
 /// is O(|corpus| × pair-cost) per query — the latency the ablation
 /// measures against the bi-encoder's precomputed-embedding lookup.
 pub fn cross_rank(query: &str, corpus: &[String]) -> Vec<(usize, f64)> {
-    let mut scored: Vec<(usize, f64)> =
-        corpus.iter().enumerate().map(|(i, c)| (i, cross_score(query, c))).collect();
-    scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0)));
-    scored
+    rank(corpus.iter().map(|c| cross_score(query, c)), corpus.len())
 }
 
 #[cfg(test)]

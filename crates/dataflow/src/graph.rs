@@ -140,11 +140,6 @@ impl WorkflowGraph {
         self.nodes.is_empty()
     }
 
-    /// Find a node by PE name.
-    pub fn find_by_name(&self, name: &str) -> Option<NodeId> {
-        self.nodes.iter().position(|n| n.meta().name == name).map(NodeId)
-    }
-
     /// Initial PEs: nodes with no incoming connections. The execution
     /// engine uses this for its automatic initial-PE detection (paper §3.3).
     pub fn roots(&self) -> Vec<NodeId> {
@@ -232,12 +227,6 @@ impl WorkflowGraph {
             }
         }
         Ok(())
-    }
-
-    /// Topological order of node ids (valid graphs only).
-    pub fn topo_order(&self) -> Result<Vec<NodeId>, DataflowError> {
-        self.validate()?;
-        Ok(self.kahn_order())
     }
 
     /// Kahn's algorithm over the connections: every node that is neither on
@@ -427,7 +416,7 @@ mod tests {
     #[test]
     fn topo_order_respects_edges() {
         let (g, a, b, c) = three_stage();
-        let order = g.topo_order().unwrap();
+        let order = g.kahn_order();
         let pos = |id: NodeId| order.iter().position(|x| *x == id).unwrap();
         assert!(pos(a) < pos(b));
         assert!(pos(b) < pos(c));
@@ -487,12 +476,5 @@ mod tests {
         assert!(dot.contains("digraph abstract"));
         assert!(dot.contains("\"A\""));
         assert!(dot.contains("n0 -> n1"));
-    }
-
-    #[test]
-    fn find_by_name() {
-        let (g, a, ..) = three_stage();
-        assert_eq!(g.find_by_name("A"), Some(a));
-        assert_eq!(g.find_by_name("Z"), None);
     }
 }

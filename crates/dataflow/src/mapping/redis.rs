@@ -21,7 +21,7 @@ use laminar_redisim::{Broker, BrokerError, RedisClient};
 use std::time::Duration;
 
 /// Broker-queue enactment. By default each run spins up a private broker;
-/// inject one with [`RedisMapping::with_broker`] to observe queue stats or
+/// inject one with [`RedisMapping::with_broker`] to observe its queues or
 /// to share a broker across runs (closer to a real deployment).
 #[derive(Default)]
 pub struct RedisMapping {

@@ -10,9 +10,9 @@
 //!
 //! Cosine similarity over these vectors is exactly the bi-encoder
 //! retrieval rule of paper §2.4. [`cosine`] is its one definition, with a
-//! fixed summation order, so every ranking built on it — [`top_k`], the
-//! registry's scan oracle and its per-bucket index — scores to the same
-//! bits.
+//! fixed summation order, so every ranking built on it — the registry's
+//! per-bucket index, its scan oracle and the bench's evaluation — scores
+//! to the same bits, and [`TopK`] is the one selection they rank through.
 
 use laminar_json::Value;
 
@@ -229,16 +229,6 @@ impl TopK {
     }
 }
 
-/// Indices of the `k` corpus embeddings most similar to `query`, best
-/// first. Ties break toward the lower index (deterministic).
-pub fn top_k(query: &Embedding, corpus: &[Embedding], k: usize) -> Vec<(usize, f32)> {
-    let mut scored: Vec<(usize, f32)> =
-        corpus.iter().enumerate().map(|(i, e)| (i, cosine(query, e))).collect();
-    scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0)));
-    scored.truncate(k);
-    scored
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,13 +276,23 @@ mod tests {
     #[test]
     fn top_k_ordering_and_ties() {
         let q = embed(&[("a", 1.0)], 256);
-        let corpus =
-            vec![embed(&[("b", 1.0)], 256), embed(&[("a", 1.0)], 256), embed(&[("a", 1.0), ("b", 1.0)], 256)];
-        let top = top_k(&q, &corpus, 2);
-        assert_eq!(top[0].0, 1, "exact match first");
-        assert_eq!(top[1].0, 2, "partial overlap second");
+        let corpus = [
+            embed(&[("b", 1.0)], 256),
+            embed(&[("a", 1.0)], 256),
+            embed(&[("a", 1.0), ("b", 1.0)], 256),
+            embed(&[("a", 1.0)], 256),
+        ];
+        let ranked = |k| {
+            let mut top = TopK::new(k);
+            for (id, e) in (0..).zip(&corpus) {
+                top.push(id, f64::from(cosine(&q, e)));
+            }
+            top.into_sorted().into_iter().map(|(id, _)| id).collect::<Vec<_>>()
+        };
+        assert_eq!(ranked(2), [1, 3], "exact matches first, the tie toward the lower id");
+        assert_eq!(ranked(3), [1, 3, 2], "partial overlap next");
         // k larger than corpus is fine.
-        assert_eq!(top_k(&q, &corpus, 10).len(), 3);
+        assert_eq!(ranked(10), [1, 3, 2, 0]);
     }
 
     #[test]

@@ -13,10 +13,12 @@
 //! * **code summarization** (codet5-base-multi-sum) — code → English
 //!   description used to fill missing registry descriptions (§3.1.1).
 //!
-//! This crate provides all three plus the evaluation harness: seven
-//! [`models`] with distinct feature pipelines, [`metrics`] (MRR, MAP@k,
-//! Precision@1), [`datasets`] generators standing in for CosQA / CSN /
-//! CodeNet, and the [`summarize`] rule-based summarizer.
+//! This crate holds what the registry calls: seven [`models`] with
+//! distinct feature pipelines over one [`tokenizer`], the sparse
+//! [`embedding`] with its one score ([`cosine`]) and its one best-`k`
+//! selection ([`TopK`]), and the [`summarize`] rule-based summarizer. The
+//! paper's offline evaluation — the CosQA / CSN / CodeNet generators, the
+//! ranking metrics and the cross-encoder — lives in `laminar-bench`.
 //!
 //! ```
 //! use laminar_embed::models::{model_by_name, EmbeddingModel};
@@ -29,14 +31,11 @@
 //! assert!(cosine(&code, &query) > cosine(&code, &unrelated));
 //! ```
 
-pub mod datasets;
 pub mod embedding;
-pub mod metrics;
 pub mod models;
 pub mod summarize;
 pub mod tokenizer;
-pub mod xencoder;
 
-pub use embedding::{cosine, top_k, Embedding, TopK};
+pub use embedding::{cosine, Embedding, TopK};
 pub use models::{all_models, model_by_name, EmbeddingModel};
 pub use summarize::summarize_pe_source;

@@ -174,11 +174,6 @@ pub fn text_words(text: &str) -> Vec<String> {
         .collect()
 }
 
-/// Word tokens including stopwords (for models that embed raw prose).
-pub fn text_words_raw(text: &str) -> Vec<String> {
-    text.split(|c: char| !c.is_alphanumeric()).filter(|w| !w.is_empty()).map(|w| w.to_lowercase()).collect()
-}
-
 /// Normalized source lines: whitespace squeezed, comments removed, empties
 /// dropped. The lexical retrieval channel (ReACC-style) hashes these.
 pub fn normalized_lines(code: &str) -> Vec<String> {
@@ -243,7 +238,6 @@ mod tests {
             vec!["checks", "number", "prime"],
             "stopwords removed"
         );
-        assert_eq!(text_words_raw("A PE that checks"), vec!["a", "pe", "that", "checks"]);
         assert_eq!(text_words(""), Vec::<String>::new());
         assert!(is_stopword("the"));
         assert!(!is_stopword("prime"));

@@ -124,13 +124,6 @@ impl ExecutionOutput {
         Some(out)
     }
 
-    /// Total data processed per second of pure enactment — the headline
-    /// number the `BENCH_*.json` perf trajectory tracks.
-    pub fn enact_throughput(&self) -> f64 {
-        let total: u64 = self.processed.values().sum();
-        total as f64 / self.stages.enact.as_secs_f64().max(1e-9)
-    }
-
     /// Values emitted on a terminal port.
     pub fn port_values(&self, pe: &str, port: &str) -> Vec<Value> {
         self.outputs
@@ -610,7 +603,6 @@ mod tests {
         assert_eq!(back.processed, out.processed);
         assert_eq!(back.emitted, out.emitted);
         assert!(back.emitted["IsPrime"] > 0, "emitted counts travel the wire");
-        assert!(out.enact_throughput() > 0.0);
         // Stage timings survive the wire at microsecond resolution.
         assert!(back.stages.enact <= out.stages.enact);
         assert!(out.stages.enact - back.stages.enact < Duration::from_micros(1));

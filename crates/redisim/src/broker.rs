@@ -1,9 +1,7 @@
-//! The broker core: keyspace, list/hash/string values, blocking pops, TTLs.
+//! The broker core: a keyspace of lists and counters, and blocking pops.
 
-use crate::stats::BrokerStats;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -15,8 +13,6 @@ pub enum BrokerError {
     WrongType { key: String, expected: &'static str, actual: &'static str },
     /// Blocking pop timed out.
     Timeout,
-    /// The broker was shut down while the call was blocked.
-    Closed,
 }
 
 impl std::fmt::Display for BrokerError {
@@ -26,7 +22,6 @@ impl std::fmt::Display for BrokerError {
                 write!(f, "WRONGTYPE key '{key}': expected {expected}, holds {actual}")
             }
             BrokerError::Timeout => write!(f, "blocking operation timed out"),
-            BrokerError::Closed => write!(f, "broker closed"),
         }
     }
 }
@@ -35,8 +30,6 @@ impl std::error::Error for BrokerError {}
 
 enum Entry {
     List(VecDeque<Vec<u8>>),
-    Hash(HashMap<String, Vec<u8>>),
-    Str(Vec<u8>),
     Counter(i64),
 }
 
@@ -44,26 +37,19 @@ impl Entry {
     fn kind(&self) -> &'static str {
         match self {
             Entry::List(_) => "list",
-            Entry::Hash(_) => "hash",
-            Entry::Str(_) => "string",
             Entry::Counter(_) => "counter",
         }
     }
-}
 
-struct Keyspace {
-    entries: HashMap<String, Entry>,
-    expiries: HashMap<String, Instant>,
-    closed: bool,
+    fn wrong_type(&self, key: &str, expected: &'static str) -> BrokerError {
+        BrokerError::WrongType { key: key.into(), expected, actual: self.kind() }
+    }
 }
 
 struct Inner {
-    keyspace: Mutex<Keyspace>,
-    /// Woken whenever a list grows or the broker closes.
+    keyspace: Mutex<HashMap<String, Entry>>,
+    /// Woken whenever a list grows.
     list_grew: Condvar,
-    ops: AtomicU64,
-    blocked_peak: AtomicU64,
-    blocked_now: AtomicU64,
 }
 
 /// The broker itself. Cheap to clone via [`Broker::client`].
@@ -80,41 +66,12 @@ impl Default for Broker {
 impl Broker {
     /// Start an empty broker.
     pub fn new() -> Self {
-        Broker {
-            inner: Arc::new(Inner {
-                keyspace: Mutex::new(Keyspace {
-                    entries: HashMap::new(),
-                    expiries: HashMap::new(),
-                    closed: false,
-                }),
-                list_grew: Condvar::new(),
-                ops: AtomicU64::new(0),
-                blocked_peak: AtomicU64::new(0),
-                blocked_now: AtomicU64::new(0),
-            }),
-        }
+        Broker { inner: Arc::new(Inner { keyspace: Mutex::new(HashMap::new()), list_grew: Condvar::new() }) }
     }
 
     /// A client handle; clone freely across threads ("connections").
     pub fn client(&self) -> RedisClient {
         RedisClient { inner: Arc::clone(&self.inner) }
-    }
-
-    /// Close the broker: all blocked pops return [`BrokerError::Closed`],
-    /// all future blocking calls fail fast. Idempotent.
-    pub fn close(&self) {
-        let mut ks = self.inner.keyspace.lock();
-        ks.closed = true;
-        drop(ks);
-        self.inner.list_grew.notify_all();
-    }
-
-    /// Operation counters for the ablation benches.
-    pub fn stats(&self) -> BrokerStats {
-        BrokerStats {
-            total_ops: self.inner.ops.load(Ordering::Relaxed),
-            peak_blocked_clients: self.inner.blocked_peak.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -125,231 +82,61 @@ pub struct RedisClient {
 }
 
 impl RedisClient {
-    fn bump(&self) {
-        self.inner.ops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn purge_expired(ks: &mut Keyspace, key: &str) {
-        if let Some(t) = ks.expiries.get(key) {
-            if Instant::now() >= *t {
-                ks.entries.remove(key);
-                ks.expiries.remove(key);
-            }
-        }
-    }
-
-    // ---- lists ----------------------------------------------------------
-
     /// Append to the tail of a list, creating it if absent. Returns the new
     /// length.
     pub fn rpush(&self, key: &str, value: Vec<u8>) -> Result<usize, BrokerError> {
-        self.push_impl(key, value, false)
-    }
-
-    /// Prepend to the head of a list. Returns the new length.
-    pub fn lpush(&self, key: &str, value: Vec<u8>) -> Result<usize, BrokerError> {
-        self.push_impl(key, value, true)
-    }
-
-    fn push_impl(&self, key: &str, value: Vec<u8>, front: bool) -> Result<usize, BrokerError> {
-        self.bump();
         let mut ks = self.inner.keyspace.lock();
-        Self::purge_expired(&mut ks, key);
-        let entry = ks.entries.entry(key.to_string()).or_insert_with(|| Entry::List(VecDeque::new()));
+        let entry = ks.entry(key.to_string()).or_insert_with(|| Entry::List(VecDeque::new()));
         let Entry::List(list) = entry else {
-            return Err(BrokerError::WrongType { key: key.into(), expected: "list", actual: entry.kind() });
+            return Err(entry.wrong_type(key, "list"));
         };
-        if front {
-            list.push_front(value);
-        } else {
-            list.push_back(value);
-        }
+        list.push_back(value);
         let len = list.len();
         drop(ks);
         self.inner.list_grew.notify_all();
         Ok(len)
     }
 
-    /// Non-blocking pop from the head. `None` when empty/absent.
-    pub fn lpop(&self, key: &str) -> Result<Option<Vec<u8>>, BrokerError> {
-        self.bump();
-        let mut ks = self.inner.keyspace.lock();
-        Self::purge_expired(&mut ks, key);
-        match ks.entries.get_mut(key) {
-            None => Ok(None),
-            Some(Entry::List(list)) => {
-                let v = list.pop_front();
-                if list.is_empty() {
-                    ks.entries.remove(key);
-                }
-                Ok(v)
-            }
-            Some(e) => Err(BrokerError::WrongType { key: key.into(), expected: "list", actual: e.kind() }),
-        }
-    }
-
-    /// Blocking pop from the head: waits up to `timeout` for an element.
+    /// Blocking pop from the head: waits up to `timeout` for an element. A
+    /// list that empties is removed, as Redis removes it.
     pub fn blpop(&self, key: &str, timeout: Duration) -> Result<Vec<u8>, BrokerError> {
-        self.bump();
         let deadline = Instant::now() + timeout;
         let mut ks = self.inner.keyspace.lock();
-        let now_blocked = self.inner.blocked_now.fetch_add(1, Ordering::Relaxed) + 1;
-        self.inner.blocked_peak.fetch_max(now_blocked, Ordering::Relaxed);
-        let result = loop {
-            if ks.closed {
-                break Err(BrokerError::Closed);
-            }
-            Self::purge_expired(&mut ks, key);
-            if let Some(Entry::List(list)) = ks.entries.get_mut(key) {
-                if let Some(v) = list.pop_front() {
+        loop {
+            match ks.get_mut(key) {
+                Some(Entry::List(list)) => {
+                    let v = list.pop_front().expect("an empty list is removed");
                     if list.is_empty() {
-                        ks.entries.remove(key);
+                        ks.remove(key);
                     }
-                    break Ok(v);
+                    return Ok(v);
                 }
-            } else if let Some(e) = ks.entries.get(key) {
-                break Err(BrokerError::WrongType { key: key.into(), expected: "list", actual: e.kind() });
+                Some(e) => return Err(e.wrong_type(key, "list")),
+                None => {}
             }
             if self.inner.list_grew.wait_until(&mut ks, deadline).timed_out() {
-                break Err(BrokerError::Timeout);
+                return Err(BrokerError::Timeout);
             }
-        };
-        self.inner.blocked_now.fetch_sub(1, Ordering::Relaxed);
-        result
-    }
-
-    /// Length of a list (0 for absent).
-    pub fn llen(&self, key: &str) -> Result<usize, BrokerError> {
-        self.bump();
-        let mut ks = self.inner.keyspace.lock();
-        Self::purge_expired(&mut ks, key);
-        match ks.entries.get(key) {
-            None => Ok(0),
-            Some(Entry::List(l)) => Ok(l.len()),
-            Some(e) => Err(BrokerError::WrongType { key: key.into(), expected: "list", actual: e.kind() }),
         }
     }
 
-    // ---- hashes ---------------------------------------------------------
-
-    /// Set a hash field. Returns true if the field was newly created.
-    pub fn hset(&self, key: &str, field: &str, value: Vec<u8>) -> Result<bool, BrokerError> {
-        self.bump();
-        let mut ks = self.inner.keyspace.lock();
-        Self::purge_expired(&mut ks, key);
-        let entry = ks.entries.entry(key.to_string()).or_insert_with(|| Entry::Hash(HashMap::new()));
-        let Entry::Hash(h) = entry else {
-            return Err(BrokerError::WrongType { key: key.into(), expected: "hash", actual: entry.kind() });
-        };
-        Ok(h.insert(field.to_string(), value).is_none())
-    }
-
-    /// Read a hash field.
-    pub fn hget(&self, key: &str, field: &str) -> Result<Option<Vec<u8>>, BrokerError> {
-        self.bump();
-        let mut ks = self.inner.keyspace.lock();
-        Self::purge_expired(&mut ks, key);
-        match ks.entries.get(key) {
-            None => Ok(None),
-            Some(Entry::Hash(h)) => Ok(h.get(field).cloned()),
-            Some(e) => Err(BrokerError::WrongType { key: key.into(), expected: "hash", actual: e.kind() }),
-        }
-    }
-
-    /// All fields of a hash, sorted by field name for determinism.
-    pub fn hgetall(&self, key: &str) -> Result<Vec<(String, Vec<u8>)>, BrokerError> {
-        self.bump();
-        let mut ks = self.inner.keyspace.lock();
-        Self::purge_expired(&mut ks, key);
-        match ks.entries.get(key) {
-            None => Ok(vec![]),
-            Some(Entry::Hash(h)) => {
-                let mut out: Vec<(String, Vec<u8>)> = h.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-                out.sort_by(|a, b| a.0.cmp(&b.0));
-                Ok(out)
-            }
-            Some(e) => Err(BrokerError::WrongType { key: key.into(), expected: "hash", actual: e.kind() }),
-        }
-    }
-
-    // ---- strings / counters ----------------------------------------------
-
-    /// Set a string key.
-    pub fn set(&self, key: &str, value: Vec<u8>) {
-        self.bump();
-        let mut ks = self.inner.keyspace.lock();
-        ks.expiries.remove(key);
-        ks.entries.insert(key.to_string(), Entry::Str(value));
-    }
-
-    /// Read a string key.
-    pub fn get(&self, key: &str) -> Result<Option<Vec<u8>>, BrokerError> {
-        self.bump();
-        let mut ks = self.inner.keyspace.lock();
-        Self::purge_expired(&mut ks, key);
-        match ks.entries.get(key) {
-            None => Ok(None),
-            Some(Entry::Str(v)) => Ok(Some(v.clone())),
-            Some(e) => Err(BrokerError::WrongType { key: key.into(), expected: "string", actual: e.kind() }),
-        }
-    }
-
-    /// Atomically increment a counter key, creating it at 0 first.
+    /// Atomically increment a counter key, creating it at 0 first. Returns
+    /// the new value.
     pub fn incr(&self, key: &str) -> Result<i64, BrokerError> {
-        self.incr_by(key, 1)
-    }
-
-    /// Atomically add `delta` to a counter key.
-    pub fn incr_by(&self, key: &str, delta: i64) -> Result<i64, BrokerError> {
-        self.bump();
         let mut ks = self.inner.keyspace.lock();
-        Self::purge_expired(&mut ks, key);
-        let entry = ks.entries.entry(key.to_string()).or_insert(Entry::Counter(0));
+        let entry = ks.entry(key.to_string()).or_insert(Entry::Counter(0));
         let Entry::Counter(c) = entry else {
-            return Err(BrokerError::WrongType {
-                key: key.into(),
-                expected: "counter",
-                actual: entry.kind(),
-            });
+            return Err(entry.wrong_type(key, "counter"));
         };
-        *c += delta;
+        *c += 1;
         Ok(*c)
-    }
-
-    // ---- keyspace ---------------------------------------------------------
-
-    /// Delete a key. Returns true if it existed.
-    pub fn del(&self, key: &str) -> bool {
-        self.bump();
-        let mut ks = self.inner.keyspace.lock();
-        ks.expiries.remove(key);
-        ks.entries.remove(key).is_some()
-    }
-
-    /// Set a time-to-live on an existing key. Returns false if absent.
-    pub fn expire(&self, key: &str, ttl: Duration) -> bool {
-        self.bump();
-        let mut ks = self.inner.keyspace.lock();
-        if ks.entries.contains_key(key) {
-            ks.expiries.insert(key.to_string(), Instant::now() + ttl);
-            true
-        } else {
-            false
-        }
     }
 
     /// Keys with the given prefix (the subset of `KEYS pattern*` the
     /// mapping needs), sorted.
     pub fn keys_with_prefix(&self, prefix: &str) -> Vec<String> {
-        self.bump();
-        let mut ks = self.inner.keyspace.lock();
-        let stale: Vec<String> =
-            ks.expiries.iter().filter(|(_, t)| Instant::now() >= **t).map(|(k, _)| k.clone()).collect();
-        for k in stale {
-            ks.entries.remove(&k);
-            ks.expiries.remove(&k);
-        }
-        let mut out: Vec<String> = ks.entries.keys().filter(|k| k.starts_with(prefix)).cloned().collect();
+        let ks = self.inner.keyspace.lock();
+        let mut out: Vec<String> = ks.keys().filter(|k| k.starts_with(prefix)).cloned().collect();
         out.sort();
         out
     }
@@ -364,15 +151,12 @@ mod tests {
     fn list_fifo_order() {
         let b = Broker::new();
         let c = b.client();
-        c.rpush("q", b"1".to_vec()).unwrap();
-        c.rpush("q", b"2".to_vec()).unwrap();
-        c.lpush("q", b"0".to_vec()).unwrap();
-        assert_eq!(c.llen("q").unwrap(), 3);
-        assert_eq!(c.lpop("q").unwrap().unwrap(), b"0");
-        assert_eq!(c.lpop("q").unwrap().unwrap(), b"1");
-        assert_eq!(c.lpop("q").unwrap().unwrap(), b"2");
-        assert_eq!(c.lpop("q").unwrap(), None);
-        assert_eq!(c.llen("q").unwrap(), 0);
+        assert_eq!(c.rpush("q", b"1".to_vec()).unwrap(), 1);
+        assert_eq!(c.rpush("q", b"2".to_vec()).unwrap(), 2);
+        assert_eq!(c.blpop("q", Duration::ZERO).unwrap(), b"1");
+        assert_eq!(c.blpop("q", Duration::ZERO).unwrap(), b"2");
+        assert_eq!(c.blpop("q", Duration::ZERO).unwrap_err(), BrokerError::Timeout);
+        assert!(c.keys_with_prefix("q").is_empty(), "a drained list is removed");
     }
 
     #[test]
@@ -395,41 +179,14 @@ mod tests {
     }
 
     #[test]
-    fn close_unblocks_waiters() {
-        let b = Broker::new();
-        let c = b.client();
-        let waiter = thread::spawn(move || c.blpop("jobs", Duration::from_secs(30)));
-        thread::sleep(Duration::from_millis(20));
-        b.close();
-        assert_eq!(waiter.join().unwrap().unwrap_err(), BrokerError::Closed);
-        // Subsequent blocking calls fail fast.
-        let c2 = b.client();
-        assert_eq!(c2.blpop("jobs", Duration::from_secs(30)).unwrap_err(), BrokerError::Closed);
-    }
-
-    #[test]
     fn wrong_type_detected() {
         let b = Broker::new();
         let c = b.client();
-        c.set("s", b"v".to_vec());
-        assert!(matches!(c.rpush("s", b"x".to_vec()), Err(BrokerError::WrongType { .. })));
-        assert!(matches!(c.hget("s", "f"), Err(BrokerError::WrongType { .. })));
         c.rpush("l", b"x".to_vec()).unwrap();
         assert!(matches!(c.incr("l"), Err(BrokerError::WrongType { .. })));
-    }
-
-    #[test]
-    fn hashes() {
-        let b = Broker::new();
-        let c = b.client();
-        assert!(c.hset("h", "a", b"1".to_vec()).unwrap());
-        assert!(!c.hset("h", "a", b"2".to_vec()).unwrap());
-        c.hset("h", "b", b"3".to_vec()).unwrap();
-        assert_eq!(c.hget("h", "a").unwrap().unwrap(), b"2");
-        assert_eq!(c.hget("h", "missing").unwrap(), None);
-        let all = c.hgetall("h").unwrap();
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[0].0, "a");
+        c.incr("n").unwrap();
+        assert!(matches!(c.rpush("n", b"x".to_vec()), Err(BrokerError::WrongType { .. })));
+        assert!(matches!(c.blpop("n", Duration::ZERO), Err(BrokerError::WrongType { .. })));
     }
 
     #[test]
@@ -448,38 +205,17 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(b.client().incr_by("n", 0).unwrap(), 8000);
-    }
-
-    #[test]
-    fn expiry() {
-        let b = Broker::new();
-        let c = b.client();
-        c.set("k", b"v".to_vec());
-        assert!(c.expire("k", Duration::from_millis(10)));
-        assert!(!c.expire("absent", Duration::from_secs(1)));
-        thread::sleep(Duration::from_millis(25));
-        assert_eq!(c.get("k").unwrap(), None);
+        assert_eq!(b.client().incr("n").unwrap(), 8001);
     }
 
     #[test]
     fn keys_with_prefix_sorted() {
         let b = Broker::new();
         let c = b.client();
-        c.set("queue:b", vec![]);
-        c.set("queue:a", vec![]);
-        c.set("other", vec![]);
+        c.rpush("queue:b", vec![]).unwrap();
+        c.rpush("queue:a", vec![]).unwrap();
+        c.incr("other").unwrap();
         assert_eq!(c.keys_with_prefix("queue:"), vec!["queue:a", "queue:b"]);
-    }
-
-    #[test]
-    fn del_and_stats() {
-        let b = Broker::new();
-        let c = b.client();
-        c.set("k", b"v".to_vec());
-        assert!(c.del("k"));
-        assert!(!c.del("k"));
-        assert!(b.stats().total_ops >= 3);
     }
 
     #[test]

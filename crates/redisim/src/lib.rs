@@ -4,8 +4,8 @@
 //!
 //! dispel4py's Redis mapping enacts a workflow by letting worker processes
 //! coordinate exclusively through Redis lists used as work queues. This
-//! crate reproduces the slice of Redis that mapping needs — lists with
-//! blocking pops, hashes, counters, string keys and TTL expiry — behind a
+//! crate reproduces the slice of Redis that mapping sends — `RPUSH`,
+//! `BLPOP` and `INCR`, plus the `KEYS prefix*` its tests read — behind a
 //! cloneable client handle, so the `laminar-dataflow` Redis mapping can run
 //! workers that share nothing but the broker.
 //!
@@ -21,7 +21,5 @@
 //! ```
 
 mod broker;
-mod stats;
 
 pub use broker::{Broker, BrokerError, RedisClient};
-pub use stats::BrokerStats;

@@ -1,9 +1,6 @@
 //! The stateful word-count workload (paper Listing 2 grown into a
 //! workflow): sentence producer → tokenizer → group-by counter.
 
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
-
 /// The workflow source. `CountWords` is the Listing 2 PE: stateful, with
 /// MapReduce-style `groupby 0` routing on the word.
 pub const SOURCE: &str = r#"
@@ -67,18 +64,6 @@ pub fn reference_counts(iterations: usize) -> std::collections::BTreeMap<String,
     counts
 }
 
-/// Generate a random text corpus (used by benches needing bigger streams).
-pub fn random_corpus(sentences: usize, vocab: usize, seed: u64) -> Vec<String> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let words: Vec<String> = (0..vocab).map(|i| format!("word{i}")).collect();
-    (0..sentences)
-        .map(|_| {
-            let len = rng.random_range(4..12);
-            (0..len).map(|_| words[rng.random_range(0..vocab)].clone()).collect::<Vec<_>>().join(" ")
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,12 +96,5 @@ mod tests {
             let r = mapping.execute(&g, &RunOptions::iterations(12).with_processes(6)).unwrap();
             assert_eq!(final_counts(&r), expected, "{} diverged", mapping.kind());
         }
-    }
-
-    #[test]
-    fn random_corpus_is_deterministic() {
-        assert_eq!(random_corpus(5, 10, 3), random_corpus(5, 10, 3));
-        assert_ne!(random_corpus(5, 10, 3), random_corpus(5, 10, 4));
-        assert_eq!(random_corpus(5, 10, 3).len(), 5);
     }
 }

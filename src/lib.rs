@@ -13,7 +13,7 @@
 //! | [`script`] | laminar-script | LamScript language (PE code as data) |
 //! | [`redisim`] | laminar-redisim | Redis-like broker |
 //! | [`dataflow`] | laminar-dataflow | PEs, graphs, the four mappings |
-//! | [`embed`] | laminar-embed | embedding models, summarizer, IR metrics |
+//! | [`embed`] | laminar-embed | embedding models, summarizer (the evaluation's generators and metrics are in laminar-bench) |
 //! | [`registry`] | laminar-registry | entities, storage, searches |
 //! | [`engine`] | laminar-engine | serverless execution engine |
 //! | [`server`] | laminar-server | REST API + HTTP front-end |
