@@ -72,8 +72,10 @@
 #                not by their JSON "type" field, the guard that keeps
 #                every client and server socket opened in http.rs, the
 #                guard that keeps the per-event tree off the server's
-#                /events route, and the guard that keeps every bench bin's
-#                command line and report file in laminar_bench
+#                /events route, the guard that keeps a run envelope's keys
+#                in RunConfig's one codec (engine request.rs), and the
+#                guard that keeps every bench bin's command line and report
+#                file in laminar_bench
 #
 # Every run ends with a per-tier wall-clock timing summary and, when all
 # selected tiers passed, the line "CI GREEN".
@@ -239,6 +241,18 @@ tier_lint() {
     echo "ci.sh: the /events route sends text, not trees; the lines above reach for the pool's tree page" >&2
     return 1
   fi
+  # One codec for a run's settings: `RunConfig::write_envelope` and
+  # `from_envelope` (engine request.rs) are the only code that writes or
+  # reads a run envelope's keys, for the client's POST body, the server's
+  # decode and the journal's job meta alike, so no other client, server or
+  # engine file may set or index one outside its tests.
+  if awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
+          !test && /(\[|set\()"(input|mapping|processes|resources|options|checkpointEvery|deadlineMs|pace_us)"/ {
+            print FILENAME ":" FNR ": " $0; hit = 1 }
+          END { exit !hit }' $(ls crates/{client,server,engine}/src/*.rs | grep -v '/engine/src/request\.rs$'); then
+    echo "ci.sh: a run envelope is written and read by RunConfig in request.rs; the lines above spell its keys elsewhere" >&2
+    return 1
+  fi
   # One bench harness: bins take their flags and write their reports
   # through `laminar_bench::Flags`, never by hand.
   if awk '/std::env::args|std::fs::write/ { print FILENAME ":" FNR ": " $0; hit = 1 }
@@ -249,7 +263,7 @@ tier_lint() {
 }
 
 usage() {
-  sed -n '2,76p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,78p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 TIERS=()

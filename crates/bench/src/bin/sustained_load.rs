@@ -33,7 +33,7 @@
 //! smoke samples are small).
 
 use laminar_bench::{percentile, Flags};
-use laminar_engine::{EnginePool, ExecutionEngine, ExecutionRequest, JobPhase, PoolError};
+use laminar_engine::{EnginePool, ExecutionEngine, ExecutionRequest, JobPhase, PoolError, RunConfig};
 use laminar_json::Value;
 use laminar_server::api::Method;
 use laminar_server::http::http_call;
@@ -44,9 +44,8 @@ use std::time::{Duration, Instant};
 
 /// Per-job request: the sustained pulse, events optional.
 fn request(iterations: i64, events: bool) -> ExecutionRequest {
-    ExecutionRequest::simple("bench", sustained::SOURCE, iterations)
+    ExecutionRequest::new("bench", sustained::SOURCE, RunConfig::iterations(iterations).with_events(events))
         .with_workflow(sustained::WORKFLOW)
-        .with_events(events)
 }
 
 // ---- phase 1: fairness under open-loop arrival --------------------------

@@ -1,11 +1,17 @@
 //! The client layer: the thirteen user-facing functions of paper §3.4.1.
+//!
+//! A run's settings are a [`RunConfig`], the engine's own type re-exported
+//! here. `run` and `submit` send the target key (`workflow` or `source`)
+//! plus what [`RunConfig::write_envelope`] writes: the codec the server
+//! decodes the body with and the journal stores a job's request by. The
+//! event stream and `wait_job` read a job's log through one page fetch,
+//! which long-polls and waits out a throttled (429) page.
 
 use crate::web::{self, InProcessTransport, TcpTransport, Transport};
-use laminar_dataflow::MappingKind;
-use laminar_engine::request::SubmitOptions;
 use laminar_engine::ExecutionOutput;
 use laminar_json::Value;
 use laminar_server::{ApiResponse, LaminarServer};
+use std::time::{Duration, Instant};
 
 /// Client-side error: either a transport failure or a structured server
 /// error envelope (paper §3.2.5).
@@ -71,123 +77,11 @@ pub enum RunTarget {
     Source(String),
 }
 
-/// Execution configuration for [`LaminarClient::run`] — mirrors the
-/// paper's `run(workflow, input, process, args, resources)` signature.
-#[derive(Debug, Clone)]
-pub struct RunConfig {
-    /// Iteration count, or explicit input data.
-    pub input: Value,
-    /// Mapping (`process=` parameter; SIMPLE is inferred when omitted).
-    pub mapping: MappingKind,
-    /// Process count (`args={'num': N}`).
-    pub processes: usize,
-    /// Resources to stage, as (name, bytes).
-    pub resources: Vec<(String, Vec<u8>)>,
-    /// Ask the server to log the run's live event stream (consumed via
-    /// [`LaminarClient::job_events`] / [`LaminarClient::event_stream`]).
-    pub stream_events: bool,
-    /// Checkpoint interval in source iterations (0 = off): the enactment
-    /// emits an epoch snapshot every `n` iterations, journaled per-job on
-    /// durable servers and resumable via [`LaminarClient::resume_job`].
-    pub checkpoint_every: usize,
-    /// Intra-tenant scheduling priority (default 0): higher-priority jobs
-    /// run first within this user's queue lane, FIFO among equals. The
-    /// cross-tenant order is the server's fair scheduler's — priority
-    /// never cuts another tenant's line.
-    pub priority: i64,
-    /// Queue-wait deadline in milliseconds: a job still queued when the
-    /// deadline passes is failed fast (`deadline exceeded`) instead of
-    /// running uselessly late. `None` (default) waits indefinitely.
-    pub deadline_ms: Option<u64>,
-}
-
-impl RunConfig {
-    /// Run for `n` iterations with the Simple mapping.
-    pub fn iterations(n: i64) -> RunConfig {
-        RunConfig {
-            input: Value::Int(n),
-            mapping: MappingKind::Simple,
-            processes: 1,
-            resources: vec![],
-            stream_events: false,
-            checkpoint_every: 0,
-            priority: 0,
-            deadline_ms: None,
-        }
-    }
-
-    /// Feed explicit data.
-    pub fn data(values: Vec<Value>) -> RunConfig {
-        RunConfig {
-            input: Value::Array(values),
-            mapping: MappingKind::Simple,
-            processes: 1,
-            resources: vec![],
-            stream_events: false,
-            checkpoint_every: 0,
-            priority: 0,
-            deadline_ms: None,
-        }
-    }
-
-    /// Run unbounded (until cancelled via [`LaminarClient::cancel_job`]),
-    /// pacing each source instance by `pace` between iterations. Only
-    /// valid with the async submit path — the sync `run` endpoint
-    /// rejects inputs that never complete — so this also turns on the
-    /// event stream, the one place an unbounded run's results can be
-    /// consumed.
-    pub fn unbounded(pace: std::time::Duration) -> RunConfig {
-        let mut input = Value::Null;
-        input.set("mode", "unbounded").set("pace_us", pace.as_micros() as i64);
-        RunConfig {
-            input,
-            mapping: MappingKind::Simple,
-            processes: 1,
-            resources: vec![],
-            stream_events: true,
-            checkpoint_every: 0,
-            priority: 0,
-            deadline_ms: None,
-        }
-    }
-
-    /// Choose the mapping and process count.
-    pub fn with_mapping(mut self, mapping: MappingKind, processes: usize) -> RunConfig {
-        self.mapping = mapping;
-        self.processes = processes;
-        self
-    }
-
-    /// Stage a resource file.
-    pub fn with_resource(mut self, name: &str, bytes: Vec<u8>) -> RunConfig {
-        self.resources.push((name.to_string(), bytes));
-        self
-    }
-
-    /// Request a live event stream for the job.
-    pub fn with_events(mut self, stream: bool) -> RunConfig {
-        self.stream_events = stream;
-        self
-    }
-
-    /// Checkpoint the enactment every `n` source iterations (0 = off).
-    pub fn with_checkpoints(mut self, n: usize) -> RunConfig {
-        self.checkpoint_every = n;
-        self
-    }
-
-    /// Scheduling priority within this user's lane (higher runs first).
-    pub fn with_priority(mut self, priority: i64) -> RunConfig {
-        self.priority = priority;
-        self
-    }
-
-    /// Fail the job fast if it is still queued after `ms` milliseconds.
-    pub fn with_deadline_ms(mut self, ms: u64) -> RunConfig {
-        self.deadline_ms = Some(ms);
-        self
-    }
-}
+/// Execution configuration for [`LaminarClient::run`] — the paper's
+/// `run(workflow, input, process, args, resources)` without the workflow.
+/// The engine's own type, so the POST body is written by the codec the
+/// server reads it with ([`RunConfig::write_envelope`]).
+pub use laminar_engine::RunConfig;
 
 /// One page of a job's event stream (`/events` response) — the same
 /// shape the pool serves, reused so the cursor protocol has one
@@ -228,7 +122,7 @@ impl LaminarClient {
         // PUTs and DELETEs are never retried — a request that mutates
         // state may have been applied before the connection dropped.
         let attempts = if request.method == laminar_server::api::Method::Get { 3 } else { 1 };
-        let mut delay = std::time::Duration::from_millis(2);
+        let mut delay = Duration::from_millis(2);
         let mut resp: Result<ApiResponse, String>;
         let mut attempt = 0;
         loop {
@@ -238,7 +132,7 @@ impl LaminarClient {
                 break;
             }
             std::thread::sleep(delay);
-            delay = (delay * 2).min(std::time::Duration::from_millis(50));
+            delay = (delay * 2).min(Duration::from_millis(50));
         }
         let resp = resp.map_err(ClientError::Transport)?;
         if resp.is_ok() {
@@ -464,33 +358,10 @@ impl LaminarClient {
     fn run_body(target: RunTarget, config: &RunConfig) -> Value {
         let mut body = Value::Null;
         match target {
-            RunTarget::Registered(key) => {
-                body.set("workflow", key.as_str());
-            }
-            RunTarget::Source(src) => {
-                body.set("source", src.as_str());
-            }
-        }
-        body.set("input", config.input.clone())
-            .set("mapping", config.mapping.as_str())
-            .set("processes", config.processes);
-        let options = SubmitOptions {
-            events: config.stream_events,
-            checkpoint_every: config.checkpoint_every,
-            priority: config.priority,
-            deadline_ms: config.deadline_ms,
+            RunTarget::Registered(key) => body.set("workflow", key),
+            RunTarget::Source(src) => body.set("source", src),
         };
-        body.set("options", options.to_value());
-        let resources: Value = config
-            .resources
-            .iter()
-            .map(|(name, bytes)| {
-                let mut r = Value::Null;
-                r.set("name", name.as_str()).set("data", laminar_codec::base64::encode(bytes));
-                r
-            })
-            .collect();
-        body.set("resources", resources);
+        config.write_envelope(&mut body);
         body
     }
 
@@ -587,11 +458,7 @@ impl LaminarClient {
     /// job submitted with [`RunConfig::with_events`] that means fetching
     /// and dropping every page of its log; when only the result of such a
     /// job matters, poll [`LaminarClient::job_result`] instead.
-    pub fn wait_job(
-        &self,
-        job_id: i64,
-        timeout: std::time::Duration,
-    ) -> Result<ExecutionOutput, ClientError> {
+    pub fn wait_job(&self, job_id: i64, timeout: Duration) -> Result<ExecutionOutput, ClientError> {
         self.wait_job_with_progress(job_id, timeout, |_| {})
     }
 
@@ -600,7 +467,7 @@ impl LaminarClient {
     /// Read one page of a job's event stream starting at cursor `since`
     /// (`GET /execution/{user}/job/{id}/events?since=<seq>`).
     pub fn job_events(&self, job_id: i64, since: u64) -> Result<EventPage, ClientError> {
-        self.job_events_wait(job_id, since, std::time::Duration::ZERO)
+        self.job_events_wait(job_id, since, Duration::ZERO)
     }
 
     /// Read one page of a job's event stream, long-polling: when no event
@@ -609,12 +476,7 @@ impl LaminarClient {
     /// one arrives — or immediately if the stream is already sealed
     /// (`GET …/events?since=<seq>&wait_ms=<ms>`). `wait` of zero is a
     /// plain poll, byte-identical to [`LaminarClient::job_events`].
-    pub fn job_events_wait(
-        &self,
-        job_id: i64,
-        since: u64,
-        wait: std::time::Duration,
-    ) -> Result<EventPage, ClientError> {
+    pub fn job_events_wait(&self, job_id: i64, since: u64, wait: Duration) -> Result<EventPage, ClientError> {
         let user = self.current_user()?.to_string();
         let mut path = format!("/execution/{user}/job/{job_id}/events?since={since}");
         let wait_ms = wait.as_millis() as u64;
@@ -641,21 +503,20 @@ impl LaminarClient {
     /// Iterate a job's events as they arrive. Each page request long-polls
     /// ([`LaminarClient::job_events_wait`]), so events are delivered the
     /// moment the server appends them, with no client-side sleep between
-    /// pages. The iterator ends when the stream closes (the last item is
-    /// the `done`/`failed`/`cancelled` marker) or `timeout` passes with
-    /// the stream still open (final item: a transport error). A transport
-    /// error is also surfaced when the server's bounded log evicted events
-    /// past the cursor (truncation) — the stream would otherwise silently
-    /// diverge from the batch result.
-    pub fn event_stream(&self, job_id: i64, timeout: std::time::Duration) -> JobEventStream<'_> {
+    /// pages. A throttled page (429) is not fatal: the stream pauses for the
+    /// server's `retryAfterMs` advice and asks again. The iterator ends when
+    /// the stream closes (the last item is the `done`/`failed`/`cancelled`
+    /// marker) or `timeout` passes with the stream still open (final item: a
+    /// transport error). A transport error is also surfaced when the
+    /// server's bounded log evicted events past the cursor (truncation) —
+    /// the stream would otherwise silently diverge from the batch result.
+    pub fn event_stream(&self, job_id: i64, timeout: Duration) -> JobEventStream<'_> {
         JobEventStream {
             client: self,
-            job_id,
-            cursor: 0,
+            pages: Pages::new(job_id, timeout),
             buffered: std::collections::VecDeque::new(),
             closed: false,
             failed: false,
-            deadline: std::time::Instant::now() + timeout,
         }
     }
 
@@ -664,7 +525,7 @@ impl LaminarClient {
     /// benchmark (`bench_e2e`) calls it; the next benchmark PR renames the
     /// call and deletes this.
     #[doc(hidden)]
-    pub fn event_stream_push(&self, job_id: i64, timeout: std::time::Duration) -> JobEventStream<'_> {
+    pub fn event_stream_push(&self, job_id: i64, timeout: Duration) -> JobEventStream<'_> {
         self.event_stream(job_id, timeout)
     }
 
@@ -673,10 +534,9 @@ impl LaminarClient {
     /// Requires the job to have been submitted with
     /// [`RunConfig::with_events`] for event granularity — without it the
     /// callback only sees the terminal marker. The wait follows the job's
-    /// event log to its seal by long-poll (no client-side sleeps) and then
-    /// reads the result once. A throttled page (429) is not fatal: the
-    /// wait pauses for the server's `retryAfterMs` advice, so a saturated
-    /// server sets the pace instead of being hammered. Any other error on
+    /// event log to its seal through the same page reads as
+    /// [`LaminarClient::event_stream`] (long-poll, a 429 waited out for the
+    /// server's advice) and then reads the result once. Any other error on
     /// a page (unknown job, a transport failure) ends the wait with that
     /// error, as an error from `job/result` always ended `wait_job`; the
     /// job itself is unaffected and can be waited on again. Progress is
@@ -686,32 +546,18 @@ impl LaminarClient {
     pub fn wait_job_with_progress(
         &self,
         job_id: i64,
-        timeout: std::time::Duration,
+        timeout: Duration,
         mut on_event: impl FnMut(&Value),
     ) -> Result<ExecutionOutput, ClientError> {
-        let deadline = std::time::Instant::now() + timeout;
-        let (mut cursor, mut truncated) = (0, false);
+        let (mut pages, mut truncated) = (Pages::new(job_id, timeout), false);
         loop {
-            let budget = deadline.saturating_duration_since(std::time::Instant::now());
-            match self.job_events_wait(job_id, cursor, PAGE_WAIT.min(budget)) {
-                Ok(page) => {
-                    truncated |= cursor < page.first && page.retained_epoch.is_none();
-                    if !truncated {
-                        page.events.iter().for_each(&mut on_event);
-                    }
-                    cursor = page.next;
-                    if page.closed {
-                        break;
-                    }
-                }
-                Err(ClientError::Api { status: 429, retry_after_ms, .. }) => {
-                    let advised = std::time::Duration::from_millis(retry_after_ms.unwrap_or(50).max(1));
-                    std::thread::sleep(advised.min(budget));
-                }
-                Err(e) => return Err(e),
+            let (since, page) = pages.next(self)?;
+            truncated |= since < page.first && page.retained_epoch.is_none();
+            if !truncated {
+                page.events.iter().for_each(&mut on_event);
             }
-            if std::time::Instant::now() >= deadline {
-                return Err(ClientError::Transport(format!("job {job_id} did not finish in {timeout:?}")));
+            if page.closed {
+                break;
             }
         }
         // The server commits a job's terminal phase and seals its log under
@@ -724,24 +570,67 @@ impl LaminarClient {
 /// How long one page request of the event stream may park server-side
 /// before it is re-issued (the server answers sooner the moment an event
 /// lands, and caps the park at its own limit).
-const PAGE_WAIT: std::time::Duration = std::time::Duration::from_secs(10);
+const PAGE_WAIT: Duration = Duration::from_secs(10);
+
+/// A job's event log read page after page from seq 0 within a deadline:
+/// the one read loop under [`LaminarClient::event_stream`] and
+/// [`LaminarClient::wait_job_with_progress`].
+struct Pages {
+    job_id: i64,
+    cursor: u64,
+    timeout: Duration,
+    deadline: Instant,
+    asked: bool,
+}
+
+impl Pages {
+    fn new(job_id: i64, timeout: Duration) -> Pages {
+        Pages { job_id, cursor: 0, timeout, deadline: Instant::now() + timeout, asked: false }
+    }
+
+    /// The next page, with the cursor it was read from (a cursor below the
+    /// page's `first` means the log evicted events before they were read).
+    /// Each request long-polls within what is left of the deadline. A
+    /// throttled one (429) is asked again after the server's `retryAfterMs`
+    /// advice (50 ms without one), so a saturated server sets the pace. The
+    /// first call always asks; a later one past the deadline is a transport
+    /// error.
+    fn next(&mut self, client: &LaminarClient) -> Result<(u64, EventPage), ClientError> {
+        loop {
+            let budget = self.deadline.saturating_duration_since(Instant::now());
+            if self.asked && budget.is_zero() {
+                let (job, timeout) = (self.job_id, self.timeout);
+                return Err(ClientError::Transport(format!(
+                    "job {job} event stream still open after {timeout:?}"
+                )));
+            }
+            self.asked = true;
+            match client.job_events_wait(self.job_id, self.cursor, PAGE_WAIT.min(budget)) {
+                Ok(page) => return Ok((std::mem::replace(&mut self.cursor, page.next), page)),
+                Err(ClientError::Api { status: 429, retry_after_ms, .. }) => {
+                    let advised = Duration::from_millis(retry_after_ms.unwrap_or(50).max(1));
+                    std::thread::sleep(advised.min(budget));
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
 
 /// Blocking iterator over a job's event stream — see
 /// [`LaminarClient::event_stream`].
 pub struct JobEventStream<'a> {
     client: &'a LaminarClient,
-    job_id: i64,
-    cursor: u64,
+    pages: Pages,
     buffered: std::collections::VecDeque<Value>,
     closed: bool,
     failed: bool,
-    deadline: std::time::Instant,
 }
 
 impl JobEventStream<'_> {
     /// The job this stream follows.
     pub fn job_id(&self) -> i64 {
-        self.job_id
+        self.pages.job_id
     }
 
     /// Request cancellation of the job being streamed — the idiomatic way
@@ -756,7 +645,7 @@ impl JobEventStream<'_> {
     /// }
     /// ```
     pub fn cancel(&self) -> Result<Value, ClientError> {
-        self.client.cancel_job(self.job_id)
+        self.client.cancel_job(self.job_id())
     }
 }
 
@@ -771,54 +660,34 @@ impl Iterator for JobEventStream<'_> {
             if self.closed || self.failed {
                 return None;
             }
-            let budget = self.deadline.saturating_duration_since(std::time::Instant::now());
-            match self.client.job_events_wait(self.job_id, self.cursor, PAGE_WAIT.min(budget)) {
-                Ok(page) => {
-                    // The server's log is bounded: a cursor below `first`
-                    // means events were evicted before we read them. For a
-                    // checkpointed job the page restarts at a retained epoch
-                    // marker and `retained_epoch` names it: re-anchor the
-                    // fold there (non-fatal, iteration continues). Without
-                    // one the gap is unrecoverable: surface it instead of
-                    // silently yielding a divergent stream.
-                    if self.cursor < page.first {
-                        if let Some(epoch) = page.retained_epoch {
-                            self.buffered.extend(page.events);
-                            self.cursor = page.next;
-                            self.closed = page.closed;
-                            let at_epoch = epoch as i64;
-                            return Some(Err(ClientError::Resumed { job: self.job_id, at_epoch }));
-                        }
-                        self.failed = true;
-                        return Some(Err(ClientError::Transport(format!(
-                            "job {} event log truncated: events {}..{} were evicted before they were \
-                             read (poll faster, checkpoint the run, or fold from the job result)",
-                            self.job_id, self.cursor, page.first
-                        ))));
-                    }
-                    self.cursor = page.next;
-                    self.closed = page.closed;
-                    if !page.events.is_empty() {
-                        self.buffered.extend(page.events);
-                        continue;
-                    }
-                    if self.closed {
-                        return None;
-                    }
-                }
+            let (since, page) = match self.pages.next(self.client) {
+                Ok(read) => read,
                 Err(e) => {
                     self.failed = true;
                     return Some(Err(e));
                 }
-            }
-            // The request already waited server-side; re-request straight
-            // away unless the caller's budget is spent.
-            if std::time::Instant::now() >= self.deadline {
+            };
+            // The server's log is bounded: a cursor below `first` means
+            // events were evicted before we read them. For a checkpointed
+            // job the page restarts at a retained epoch marker and
+            // `retained_epoch` names it: re-anchor the fold there (non-fatal,
+            // iteration continues). Without one the gap is unrecoverable:
+            // surface it instead of silently yielding a divergent stream.
+            let evicted = since < page.first;
+            if evicted && page.retained_epoch.is_none() {
                 self.failed = true;
                 return Some(Err(ClientError::Transport(format!(
-                    "job {} event stream still open at timeout",
-                    self.job_id
+                    "job {} event log truncated: events {}..{} were evicted before they were \
+                     read (poll faster, checkpoint the run, or fold from the job result)",
+                    self.job_id(),
+                    since,
+                    page.first
                 ))));
+            }
+            self.closed = page.closed;
+            self.buffered.extend(page.events);
+            if let (true, Some(epoch)) = (evicted, page.retained_epoch) {
+                return Some(Err(ClientError::Resumed { job: self.job_id(), at_epoch: epoch as i64 }));
             }
         }
     }
@@ -827,6 +696,7 @@ impl Iterator for JobEventStream<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use laminar_dataflow::MappingKind;
 
     const WF_SRC: &str = r#"
         pe Seq : producer { output output; process { emit(iteration + 1); } }
@@ -1364,6 +1234,15 @@ mod tests {
         assert_eq!(out.printed.len(), 4);
         assert!(t0.elapsed() >= std::time::Duration::from_millis(80), "slept 2×40 ms: {:?}", t0.elapsed());
         assert_eq!(throttle_next.load(Ordering::SeqCst), 0, "both throttled responses were consumed");
+        // The event stream reads its pages the same way: the same two
+        // throttled pages pause it, and it still ends at the marker.
+        throttle_next.store(2, Ordering::SeqCst);
+        let t0 = std::time::Instant::now();
+        let events: Vec<Value> =
+            c.event_stream(id, std::time::Duration::from_secs(20)).collect::<Result<_, _>>().unwrap();
+        assert_eq!(events.last().unwrap()["type"].as_str(), Some("done"));
+        assert!(t0.elapsed() >= std::time::Duration::from_millis(80), "slept 2×40 ms: {:?}", t0.elapsed());
+        assert_eq!(throttle_next.load(Ordering::SeqCst), 0, "both throttled responses were consumed");
     }
 
     /// A transport in front of a real server that strips one field from
@@ -1474,11 +1353,59 @@ mod tests {
         // Nothing rides the envelope flat.
         assert!(body["events"].is_null());
         assert!(body["checkpoint_every"].is_null());
-        // And the engine-side parser reads the nested object back.
-        let opts = SubmitOptions::from_request_value(&body);
-        assert_eq!(opts.priority, 7);
-        assert_eq!(opts.deadline_ms, Some(1500));
-        assert_eq!(opts.checkpoint_every, 4);
+        // And the engine-side decoder reads the nested object back.
+        let back = RunConfig::from_envelope(&body).unwrap();
+        assert_eq!(back.priority, 7);
+        assert_eq!(back.deadline_ms, Some(1500));
+        assert_eq!(back.checkpoint_every, 4);
+    }
+
+    /// The POST bodies of the three constructors with every builder set,
+    /// byte for byte: the client's part of the submit wire.
+    #[test]
+    fn run_bodies_are_these_bytes() {
+        let all = |c: RunConfig| {
+            c.with_mapping(MappingKind::Mpi, 3)
+                .with_resource("a.txt", b"hi\n".to_vec())
+                .with_resource("b.bin", vec![0, 255, 7])
+                .with_events(true)
+                .with_checkpoints(4)
+                .with_priority(-2)
+                .with_deadline_ms(1500)
+        };
+        let src = "pe X : producer { output o; process { emit(1); } }";
+        let data = vec![Value::Int(1), Value::Str("x".into()), Value::Float(0.5)];
+        let pace = std::time::Duration::from_micros(750);
+        let cases = [
+            (
+                RunTarget::Registered("wf".into()),
+                all(RunConfig::iterations(7)),
+                r#"{"input":7,"mapping":"MPI","options":{"checkpointEvery":4,"deadlineMs":1500,"events":true,"priority":-2},"processes":3,"resources":[{"data":"aGkK","name":"a.txt"},{"data":"AP8H","name":"b.bin"}],"workflow":"wf"}"#,
+            ),
+            (
+                RunTarget::Source(src.into()),
+                all(RunConfig::data(data)),
+                r#"{"input":[1,"x",0.5],"mapping":"MPI","options":{"checkpointEvery":4,"deadlineMs":1500,"events":true,"priority":-2},"processes":3,"resources":[{"data":"aGkK","name":"a.txt"},{"data":"AP8H","name":"b.bin"}],"source":"pe X : producer { output o; process { emit(1); } }"}"#,
+            ),
+            (
+                RunTarget::Registered("17".into()),
+                all(RunConfig::unbounded(pace)).with_events(false),
+                r#"{"input":{"mode":"unbounded","pace_us":750},"mapping":"MPI","options":{"checkpointEvery":4,"deadlineMs":1500,"events":false,"priority":-2},"processes":3,"resources":[{"data":"aGkK","name":"a.txt"},{"data":"AP8H","name":"b.bin"}],"workflow":"17"}"#,
+            ),
+            (
+                RunTarget::Registered("wf".into()),
+                RunConfig::iterations(3),
+                r#"{"input":3,"mapping":"SIMPLE","options":{"events":false},"processes":1,"resources":[],"workflow":"wf"}"#,
+            ),
+            (
+                RunTarget::Registered("wf".into()),
+                RunConfig::unbounded(pace),
+                r#"{"input":{"mode":"unbounded","pace_us":750},"mapping":"SIMPLE","options":{"events":true},"processes":1,"resources":[],"workflow":"wf"}"#,
+            ),
+        ];
+        for (target, config, expected) in cases {
+            assert_eq!(laminar_json::to_string(&LaminarClient::run_body(target, &config)), expected);
+        }
     }
 
     #[test]

@@ -136,6 +136,28 @@ impl std::fmt::Debug for RunInput {
     }
 }
 
+/// Two inputs are equal when they drive a run the same way; generators
+/// are compared by identity.
+impl PartialEq for RunInput {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (RunInput::Iterations(a), RunInput::Iterations(b)) => a == b,
+            (RunInput::Data(a), RunInput::Data(b)) => a == b,
+            (
+                RunInput::Unbounded { generator: g, pace: p },
+                RunInput::Unbounded { generator: h, pace: q },
+            ) => {
+                p == q
+                    && match (g, h) {
+                        (Some(g), Some(h)) => Arc::ptr_eq(g, h),
+                        (g, h) => g.is_none() && h.is_none(),
+                    }
+            }
+            _ => false,
+        }
+    }
+}
+
 /// Options for one enactment.
 #[derive(Debug, Clone)]
 pub struct RunOptions {

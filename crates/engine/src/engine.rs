@@ -245,7 +245,7 @@ impl ExecutionEngine {
     /// [`DataflowError::Cancelled`]; the events emitted up to that point
     /// (observer-visible, sealed by [`RunEvent::Cancelled`]) are a valid
     /// prefix of the run's stream. Unbounded requests
-    /// ([`ExecutionRequest::with_unbounded`]) terminate *only* through
+    /// ([`crate::RunConfig::unbounded`]) terminate *only* through
     /// the token.
     pub fn run_controlled(
         &mut self,
@@ -273,7 +273,7 @@ impl ExecutionEngine {
         let provision_time = report.setup_time + report.install_time;
 
         // 3. Stage resources.
-        for (name, bytes) in &req.resources {
+        for (name, bytes) in &req.run.resources {
             self.hosts.stage_resource(name, bytes.clone());
         }
 
@@ -329,9 +329,10 @@ impl ExecutionEngine {
         cancel: &CancelToken,
     ) -> Result<RunResult, DataflowError> {
         let script = prepared.script();
-        let mut options = RunOptions::iterations(0).with_processes(req.processes).with_cancel(cancel.clone());
-        options.input = req.input.clone();
-        options.checkpoint_every = req.options.checkpoint_every;
+        let mut options =
+            RunOptions::iterations(0).with_processes(req.run.processes).with_cancel(cancel.clone());
+        options.input = req.run.input.clone();
+        options.checkpoint_every = req.run.checkpoint_every;
         // Fault injection never crosses the wire, so no remote request can
         // ask the engine to kill itself: only in-process chaos tests set
         // `req.faults`.
@@ -355,13 +356,14 @@ impl ExecutionEngine {
                 graph
             }
         };
-        req.mapping.build().execute_observed(&graph, &options, observer)
+        req.run.mapping.build().execute_observed(&graph, &options, observer)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::RunConfig;
     use laminar_dataflow::mapping::RunInput;
     use laminar_dataflow::MappingKind;
 
@@ -400,7 +402,11 @@ mod tests {
     #[test]
     fn multi_mapping_run() {
         let mut engine = ExecutionEngine::instant();
-        let req = ExecutionRequest::simple("zz46", WF_SRC, 20).with_mapping(MappingKind::Multi, 5);
+        let req = ExecutionRequest::new(
+            "zz46",
+            WF_SRC,
+            RunConfig::iterations(20).with_mapping(MappingKind::Multi, 5),
+        );
         let out = engine.run(&req).unwrap();
         assert_eq!(out.printed.len(), 8, "primes up to 20");
         assert_eq!(out.processed["IsPrime"], 20);
@@ -438,7 +444,7 @@ mod tests {
     fn single_pe_faas_with_data() {
         let src = r#"pe Double : iterative { input x; output output; process { emit(x * 2); } }"#;
         let mut engine = ExecutionEngine::instant();
-        let req = ExecutionRequest::simple("u", src, 0).with_data(vec![Value::Int(5), Value::Int(9)]);
+        let req = ExecutionRequest::new("u", src, RunConfig::data(vec![Value::Int(5), Value::Int(9)]));
         let out = engine.run(&req).unwrap();
         let vals = out.port_values("Double", "output");
         assert_eq!(vals.iter().filter_map(Value::as_i64).collect::<Vec<_>>(), vec![10, 18]);
@@ -480,8 +486,12 @@ mod tests {
                 (MappingKind::Mpi, 3),
                 (MappingKind::Redis, 3),
             ] {
-                let mut req = ExecutionRequest::simple("u", src, 0).with_mapping(mapping, processes);
-                req.input = input.clone();
+                let mut req = ExecutionRequest::new(
+                    "u",
+                    src,
+                    RunConfig::iterations(0).with_mapping(mapping, processes),
+                );
+                req.run.input = input.clone();
                 let got = ExecutionEngine::instant().run(&req);
                 let what = format!("{src} {input:?} {mapping:?}");
                 match expected {
@@ -537,7 +547,11 @@ mod tests {
             workflow R { nodes { r = Reader; } }
         "#;
         let mut engine = ExecutionEngine::instant();
-        let req = ExecutionRequest::simple("u", src, 1).with_resource("coords.txt", b"a b\nc d\n".to_vec());
+        let req = ExecutionRequest::new(
+            "u",
+            src,
+            RunConfig::iterations(1).with_resource("coords.txt", b"a b\nc d\n".to_vec()),
+        );
         let out = engine.run(&req).unwrap();
         assert_eq!(out.port_values("Reader", "output").len(), 2);
         // Ephemerality: resources are gone after the run.
@@ -560,7 +574,11 @@ mod tests {
         for src in [lone, wf] {
             let token = CancelToken::new();
             let recorder = laminar_dataflow::RecordingObserver::new();
-            let req = ExecutionRequest::simple("u", src, 0).with_unbounded(Duration::from_micros(100));
+            let req = ExecutionRequest::new(
+                "u",
+                src,
+                RunConfig::unbounded(Duration::from_micros(100)).with_events(false),
+            );
             let handle = {
                 let (token, recorder) = (token.clone(), recorder.clone());
                 std::thread::spawn(move || {

@@ -559,7 +559,7 @@ impl RunObserver for JobObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EnginePool, ExecutionEngine, ExecutionRequest};
+    use crate::{EnginePool, ExecutionEngine, ExecutionRequest, RunConfig};
 
     fn data_event() -> RunEvent {
         RunEvent::Output { pe: "P".into(), instance: 0, port: "o".into(), value: Value::Int(1) }
@@ -656,10 +656,12 @@ mod tests {
         let src = "pe G : producer { output o; process { emit(iteration); } }";
         for job in 0..500 {
             let req = match job % 10 {
-                0 => ExecutionRequest::simple("u", "not a script !!", 1),
-                _ => ExecutionRequest::simple("u", src, 4),
+                0 => {
+                    ExecutionRequest::new("u", "not a script !!", RunConfig::iterations(1).with_events(true))
+                }
+                _ => ExecutionRequest::new("u", src, RunConfig::iterations(4).with_events(true)),
             };
-            let id = pool.submit("u", req.with_events(true)).unwrap();
+            let id = pool.submit("u", req).unwrap();
             let mut since = 0;
             loop {
                 let page = pool.events_wait("u", id, since, Duration::from_secs(20)).unwrap();

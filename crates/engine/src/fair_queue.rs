@@ -6,7 +6,6 @@ use std::collections::{HashMap, VecDeque};
 /// One job waiting in a tenant's lane.
 struct QueuedJob {
     id: i64,
-    priority: i64,
     req: ExecutionRequest,
 }
 
@@ -14,10 +13,11 @@ struct QueuedJob {
 /// of one global FIFO. Each pop serves the front lane once and rotates it
 /// to the back — so a tenant that floods the queue gets exactly its share
 /// of worker pulls and can no longer starve the rest. Within a lane the
-/// order is descending priority, FIFO among equals: priority jumps the
-/// tenant's *own* line, never another tenant's. A lane exists only while it
-/// holds work, and `active` names exactly those lanes, so the map stays
-/// bounded by the number of tenants with queued jobs.
+/// order is descending priority (the request's `RunConfig::priority`), FIFO
+/// among equals: priority jumps the tenant's *own* line, never another
+/// tenant's. A lane exists only while it holds work, and `active` names
+/// exactly those lanes, so the map stays bounded by the number of tenants
+/// with queued jobs.
 pub(crate) struct FairQueue {
     lanes: HashMap<String, VecDeque<QueuedJob>>,
     /// Round-robin service order over the lanes.
@@ -39,14 +39,15 @@ impl FairQueue {
         self.lanes.len()
     }
 
-    pub(crate) fn push(&mut self, owner: &str, id: i64, priority: i64, req: ExecutionRequest) {
+    pub(crate) fn push(&mut self, owner: &str, id: i64, req: ExecutionRequest) {
         let lane = self.lanes.entry(owner.to_string()).or_default();
         if lane.is_empty() {
             self.active.push_back(owner.to_string());
         }
         // Stable priority insert: after every job with >= priority.
-        let at = lane.iter().position(|j| j.priority < priority).unwrap_or(lane.len());
-        lane.insert(at, QueuedJob { id, priority, req });
+        let priority = req.run.priority;
+        let at = lane.iter().position(|j| j.req.run.priority < priority).unwrap_or(lane.len());
+        lane.insert(at, QueuedJob { id, req });
         self.len += 1;
     }
 

@@ -32,6 +32,6 @@ pub use hosts::HostRegistry;
 pub use journal::{JournalError, JournalStore, ResumeData};
 pub use netmodel::NetModel;
 pub use pool::{EnginePool, EventPage, JobInfo, JobPhase, JobResult, PoolError, PoolStats};
-pub use request::{ExecutionRequest, RejectedSource, SubmitOptions};
+pub use request::{ExecutionRequest, RejectedSource, RunConfig};
 
 pub use laminar_dataflow::{CancelToken, FaultPlan, RunInput};

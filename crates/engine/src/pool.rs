@@ -214,7 +214,7 @@ impl EnginePool {
         // Checkpointed jobs get the horizon policy: their epochs give the
         // log something better than eviction to degrade to.
         let events = JobEventLog::new(
-            req.options.checkpoint_every > 0,
+            req.run.checkpoint_every > 0,
             self.inner.event_log_capacity.load(Ordering::SeqCst),
             Duration::from_millis(self.inner.backpressure_wait_ms.load(Ordering::SeqCst)),
         );
@@ -230,8 +230,8 @@ impl EnginePool {
                 id
             }
         };
-        self.inner.jobs.lock().insert(id, owner, events, req.options.events);
-        queue.push(owner, id, req.options.priority, req);
+        self.inner.jobs.lock().insert(id, owner, events, req.run.events);
+        queue.push(owner, id, req);
         drop(queue);
         self.inner.work_cv.notify_one();
         Ok(id)
@@ -500,6 +500,7 @@ mod tests {
     use super::*;
     use crate::event_log::JobObserver;
     use crate::jobs::{RETAIN_FINISHED, RETAIN_STREAMED_LOGS};
+    use crate::request::RunConfig;
     use laminar_dataflow::{CancelToken, FaultPlan, RunEvent, RunObserver};
     use laminar_json::Value;
 
@@ -628,7 +629,9 @@ mod tests {
     #[test]
     fn streamed_job_logs_cursor_addressable_events() {
         let pool = instant_pool(1, 8);
-        let id = pool.submit("u", ExecutionRequest::simple("u", WF_SRC, 4).with_events(true)).unwrap();
+        let id = pool
+            .submit("u", ExecutionRequest::new("u", WF_SRC, RunConfig::iterations(4).with_events(true)))
+            .unwrap();
         pool.wait("u", id, Duration::from_secs(10)).unwrap();
         // Page from the start: plan, started×N, outputs, instance_done×N,
         // finished, done.
@@ -671,8 +674,12 @@ mod tests {
     #[test]
     fn failed_job_stream_ends_with_failed_marker() {
         let pool = instant_pool(1, 4);
-        let id =
-            pool.submit("u", ExecutionRequest::simple("u", "not a script !!", 1).with_events(true)).unwrap();
+        let id = pool
+            .submit(
+                "u",
+                ExecutionRequest::new("u", "not a script !!", RunConfig::iterations(1).with_events(true)),
+            )
+            .unwrap();
         match pool.wait("u", id, Duration::from_secs(10)).unwrap() {
             JobResult::Failed(..) => {}
             other => panic!("expected Failed, got {other:?}"),
@@ -691,12 +698,16 @@ mod tests {
         // terminal phase and truncation-honest cursor survive.
         let pool = instant_pool(1, RETAIN_STREAMED_LOGS + 8);
         let src = "pe G : producer { output o; process { emit(1); } }";
-        let first = pool.submit("u", ExecutionRequest::simple("u", src, 1).with_events(true)).unwrap();
+        let first = pool
+            .submit("u", ExecutionRequest::new("u", src, RunConfig::iterations(1).with_events(true)))
+            .unwrap();
         pool.wait("u", first, Duration::from_secs(10)).unwrap();
         let before = pool.events("u", first, 0).unwrap();
         assert!(!before.events.is_empty(), "fresh log is replayable");
         for _ in 0..RETAIN_STREAMED_LOGS {
-            let id = pool.submit("u", ExecutionRequest::simple("u", src, 1).with_events(true)).unwrap();
+            let id = pool
+                .submit("u", ExecutionRequest::new("u", src, RunConfig::iterations(1).with_events(true)))
+                .unwrap();
             pool.wait("u", id, Duration::from_secs(10)).unwrap();
         }
         // Expiry runs just after the terminal phase is committed (the
@@ -726,7 +737,13 @@ mod tests {
         let engine = ExecutionEngine::instant().with_provision_scale(500);
         let mut pool = EnginePool::start(engine, 1, 16);
         let ids: Vec<i64> = (0..6)
-            .map(|_| pool.submit("u", ExecutionRequest::simple("u", WF_SRC, 1).with_events(true)).unwrap())
+            .map(|_| {
+                pool.submit(
+                    "u",
+                    ExecutionRequest::new("u", WF_SRC, RunConfig::iterations(1).with_events(true)),
+                )
+                .unwrap()
+            })
             .collect();
         // Wait until the worker picked the first job.
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -826,7 +843,9 @@ mod tests {
         while pool.status("u", first).unwrap().phase == JobPhase::Queued && Instant::now() < deadline {
             std::thread::yield_now();
         }
-        let queued = pool.submit("u", ExecutionRequest::simple("u", WF_SRC, 1).with_events(true)).unwrap();
+        let queued = pool
+            .submit("u", ExecutionRequest::new("u", WF_SRC, RunConfig::iterations(1).with_events(true)))
+            .unwrap();
         let info = pool.cancel("u", queued).expect("own job");
         assert_eq!(info.phase, JobPhase::Cancelled);
         assert!(info.error.is_none());
@@ -850,9 +869,7 @@ mod tests {
     #[test]
     fn cancel_running_unbounded_job_stops_it_mid_stream() {
         let pool = instant_pool(1, 4);
-        let req = ExecutionRequest::simple("u", WF_SRC, 0)
-            .with_unbounded(Duration::from_micros(200))
-            .with_events(true);
+        let req = ExecutionRequest::new("u", WF_SRC, RunConfig::unbounded(Duration::from_micros(200)));
         let id = pool.submit("u", req).unwrap();
         // Wait until the stream proves the job is producing.
         let deadline = Instant::now() + Duration::from_secs(20);
@@ -900,10 +917,11 @@ mod tests {
         let capacity = 16;
         pool.set_event_log_capacity(capacity);
         pool.set_backpressure_wait(Duration::from_secs(30));
-        let req = ExecutionRequest::simple("u", WF_SRC, 0)
-            .with_unbounded(Duration::from_micros(100))
-            .with_checkpoints(4)
-            .with_events(true);
+        let req = ExecutionRequest::new(
+            "u",
+            WF_SRC,
+            RunConfig::unbounded(Duration::from_micros(100)).with_checkpoints(4),
+        );
         let id = pool.submit("u", req).unwrap();
         // Nobody reads. Once the log is over its horizon the producer parks
         // at its next source iteration, and the window stops moving.
@@ -985,8 +1003,7 @@ mod tests {
     fn durable_pool_resumes_a_killed_job_and_refolds_to_batch() {
         let dir = journal_dir("refold");
         let pool = EnginePool::start_durable(ExecutionEngine::instant(), 2, 16, &dir).unwrap();
-        let req = ExecutionRequest::simple("u", STATEFUL_SRC, 10)
-            .with_checkpoints(3)
+        let req = ExecutionRequest::new("u", STATEFUL_SRC, RunConfig::iterations(10).with_checkpoints(3))
             .with_faults(FaultPlan::parse("kill_at_epoch=2"));
         let id = pool.submit("u", req).unwrap();
         match pool.wait("u", id, Duration::from_secs(20)).unwrap() {
@@ -1021,10 +1038,11 @@ mod tests {
         let dir = journal_dir("restart");
         let engine = ExecutionEngine::instant();
         let mut pool = EnginePool::start_durable(engine.fork(), 1, 8, &dir).unwrap();
-        let req = ExecutionRequest::simple("u", STATEFUL_SRC, 0)
-            .with_unbounded(Duration::from_micros(200))
-            .with_checkpoints(4)
-            .with_events(true);
+        let req = ExecutionRequest::new(
+            "u",
+            STATEFUL_SRC,
+            RunConfig::unbounded(Duration::from_micros(200)).with_checkpoints(4),
+        );
         let id = pool.submit("u", req).unwrap();
         // Let the run cross at least one epoch so there is a snapshot to
         // resume from, then shut the pool down mid-stream.
@@ -1083,8 +1101,7 @@ mod tests {
         let dir = journal_dir("reject");
         let pool = EnginePool::start_durable(ExecutionEngine::instant(), 1, 8, &dir).unwrap();
         assert_eq!(pool.resume_job("u", 42), Err(PoolError::Unknown(42)), "no journal on disk");
-        let req = ExecutionRequest::simple("alice", STATEFUL_SRC, 8)
-            .with_checkpoints(3)
+        let req = ExecutionRequest::new("alice", STATEFUL_SRC, RunConfig::iterations(8).with_checkpoints(3))
             .with_faults(FaultPlan::parse("kill_at_epoch=1"));
         let id = pool.submit("alice", req).unwrap();
         match pool.wait("alice", id, Duration::from_secs(20)).unwrap() {
@@ -1094,8 +1111,12 @@ mod tests {
         // Tenant isolation mirrors every other job endpoint.
         assert_eq!(pool.resume_job("mallory", id), Err(PoolError::Unknown(id)));
         // A completed job's journal is removed, so resume finds nothing.
-        let done =
-            pool.submit("u", ExecutionRequest::simple("u", STATEFUL_SRC, 6).with_checkpoints(3)).unwrap();
+        let done = pool
+            .submit(
+                "u",
+                ExecutionRequest::new("u", STATEFUL_SRC, RunConfig::iterations(6).with_checkpoints(3)),
+            )
+            .unwrap();
         match pool.wait("u", done, Duration::from_secs(20)).unwrap() {
             JobResult::Done(..) => {}
             other => panic!("expected Done, got {other:?}"),
@@ -1110,10 +1131,12 @@ mod tests {
     fn resumed_job_cursors_never_move_backwards() {
         let dir = journal_dir("monotone");
         let pool = EnginePool::start_durable(ExecutionEngine::instant(), 1, 8, &dir).unwrap();
-        let req = ExecutionRequest::simple("u", STATEFUL_SRC, 10)
-            .with_checkpoints(3)
-            .with_events(true)
-            .with_faults(FaultPlan::parse("kill_at_epoch=2"));
+        let req = ExecutionRequest::new(
+            "u",
+            STATEFUL_SRC,
+            RunConfig::iterations(10).with_checkpoints(3).with_events(true),
+        )
+        .with_faults(FaultPlan::parse("kill_at_epoch=2"));
         let id = pool.submit("u", req).unwrap();
         match pool.wait("u", id, Duration::from_secs(20)).unwrap() {
             JobResult::Failed(..) => {}
@@ -1186,10 +1209,11 @@ mod tests {
         ] {
             let pool = instant_pool(1, 4);
             pool.set_event_log_capacity(24);
-            let req = ExecutionRequest::simple("u", WF_SRC, 0)
-                .with_mapping(mapping, processes)
-                .with_unbounded(Duration::from_micros(100))
-                .with_events(true);
+            let req = ExecutionRequest::new(
+                "u",
+                WF_SRC,
+                RunConfig::unbounded(Duration::from_micros(100)).with_mapping(mapping, processes),
+            );
             let id = pool.submit("u", req).unwrap();
             // Let the bounded log wrap (non-checkpointed: blind eviction).
             let deadline = Instant::now() + Duration::from_secs(20);
@@ -1235,8 +1259,11 @@ mod tests {
         // zero loss, with the producer paced to the consumer.
         pool.set_backpressure_wait(Duration::from_secs(30));
         let iterations = 120;
-        let req =
-            ExecutionRequest::simple("u", STATEFUL_SRC, iterations).with_checkpoints(10).with_events(true);
+        let req = ExecutionRequest::new(
+            "u",
+            STATEFUL_SRC,
+            RunConfig::iterations(iterations).with_checkpoints(10).with_events(true),
+        );
         let id = pool.submit("u", req).unwrap();
         let mut since = 0;
         let mut events: Vec<Value> = Vec::new();
@@ -1272,7 +1299,11 @@ mod tests {
         let capacity = 64;
         pool.set_event_log_capacity(capacity);
         pool.set_backpressure_wait(Duration::from_millis(100));
-        let req = ExecutionRequest::simple("u", STATEFUL_SRC, 200).with_checkpoints(10).with_events(true);
+        let req = ExecutionRequest::new(
+            "u",
+            STATEFUL_SRC,
+            RunConfig::iterations(200).with_checkpoints(10).with_events(true),
+        );
         let id = pool.submit("u", req).unwrap();
         // Nobody reads: the producer parks once for the bounded wait, the
         // log degrades, and the job still completes (a dead consumer can
@@ -1327,7 +1358,11 @@ mod tests {
     }
 
     fn queued_req() -> ExecutionRequest {
-        ExecutionRequest::simple("u", WF_SRC, 1)
+        queued(RunConfig::iterations(1))
+    }
+
+    fn queued(run: RunConfig) -> ExecutionRequest {
+        ExecutionRequest::new("u", WF_SRC, run)
     }
 
     #[test]
@@ -1336,12 +1371,12 @@ mod tests {
         // a,b,c,a,b,a,a — no tenant drains another's backlog position.
         let mut q = FairQueue::new();
         for id in [1, 2, 3, 4] {
-            q.push("a", id, 0, queued_req());
+            q.push("a", id, queued_req());
         }
         for id in [10, 11] {
-            q.push("b", id, 0, queued_req());
+            q.push("b", id, queued_req());
         }
-        q.push("c", 20, 0, queued_req());
+        q.push("c", 20, queued_req());
         let order: Vec<i64> = std::iter::from_fn(|| q.pop().map(|(id, _)| id)).collect();
         assert_eq!(order, vec![1, 10, 20, 2, 11, 3, 4]);
         assert_eq!(q.len(), 0);
@@ -1351,10 +1386,11 @@ mod tests {
     #[test]
     fn fair_queue_priority_jumps_own_lane_only() {
         let mut q = FairQueue::new();
-        q.push("a", 1, 0, queued_req());
-        q.push("a", 2, 5, queued_req()); // jumps a's lane
-        q.push("a", 3, 5, queued_req()); // FIFO among equal priority
-        q.push("b", 10, 100, queued_req()); // cannot jump a's round-robin turn
+        let prioritized = |priority| queued(RunConfig::iterations(1).with_priority(priority));
+        q.push("a", 1, queued_req());
+        q.push("a", 2, prioritized(5)); // jumps a's lane
+        q.push("a", 3, prioritized(5)); // FIFO among equal priority
+        q.push("b", 10, prioritized(100)); // cannot jump a's round-robin turn
         let order: Vec<i64> = std::iter::from_fn(|| q.pop().map(|(id, _)| id)).collect();
         assert_eq!(order, vec![2, 10, 3, 1]);
     }
@@ -1362,8 +1398,8 @@ mod tests {
     #[test]
     fn fair_queue_remove_frees_slot_and_lane() {
         let mut q = FairQueue::new();
-        q.push("a", 1, 0, queued_req());
-        q.push("b", 2, 0, queued_req());
+        q.push("a", 1, queued_req());
+        q.push("b", 2, queued_req());
         q.remove(1);
         assert_eq!(q.len(), 1);
         assert_eq!(q.tenants(), 1);
@@ -1432,7 +1468,14 @@ mod tests {
         let pool = EnginePool::start(engine, 1, 8);
         pool.submit("u", ExecutionRequest::simple("u", WF_SRC, 1)).unwrap();
         let doomed = pool
-            .submit("u", ExecutionRequest::simple("u", WF_SRC, 1).with_events(true).with_deadline_ms(1))
+            .submit(
+                "u",
+                ExecutionRequest::new(
+                    "u",
+                    WF_SRC,
+                    RunConfig::iterations(1).with_events(true).with_deadline_ms(1),
+                ),
+            )
             .unwrap();
         match pool.wait("u", doomed, Duration::from_secs(30)).unwrap() {
             JobResult::Failed(msg, info) => {
@@ -1452,7 +1495,7 @@ mod tests {
     #[test]
     fn long_poll_on_closed_log_returns_immediately() {
         let pool = instant_pool(1, 4);
-        let id = pool.submit("u", queued_req().with_events(true)).unwrap();
+        let id = pool.submit("u", queued(RunConfig::iterations(1).with_events(true))).unwrap();
         pool.wait("u", id, Duration::from_secs(10)).unwrap();
         let t0 = Instant::now();
         let page = pool.events_wait("u", id, 0, Duration::from_secs(10)).unwrap();
@@ -1474,7 +1517,7 @@ mod tests {
     #[test]
     fn long_poll_zero_wait_is_byte_identical_to_poll() {
         let pool = instant_pool(1, 4);
-        let id = pool.submit("u", queued_req().with_events(true)).unwrap();
+        let id = pool.submit("u", queued(RunConfig::iterations(1).with_events(true))).unwrap();
         pool.wait("u", id, Duration::from_secs(10)).unwrap();
         for since in [0u64, 2, 1_000] {
             let poll = pool.events("u", id, since).unwrap();
@@ -1494,7 +1537,7 @@ mod tests {
         let engine = ExecutionEngine::instant().with_provision_scale(100);
         let pool = Arc::new(EnginePool::start(engine, 1, 8));
         pool.submit("u", ExecutionRequest::simple("u", WF_SRC, 1)).unwrap();
-        let id = pool.submit("u", queued_req().with_events(true)).unwrap();
+        let id = pool.submit("u", queued(RunConfig::iterations(1).with_events(true))).unwrap();
         let empty_now = pool.events("u", id, 0).unwrap();
         assert!(empty_now.events.is_empty() && !empty_now.closed, "job not yet started");
         let waiter = {
@@ -1513,7 +1556,7 @@ mod tests {
         let engine = ExecutionEngine::instant().with_provision_scale(200);
         let pool = Arc::new(EnginePool::start(engine, 1, 8));
         pool.submit("u", ExecutionRequest::simple("u", WF_SRC, 1)).unwrap();
-        let id = pool.submit("u", queued_req().with_events(true)).unwrap();
+        let id = pool.submit("u", queued(RunConfig::iterations(1).with_events(true))).unwrap();
         let waiter = {
             let pool = Arc::clone(&pool);
             std::thread::spawn(move || {
@@ -1541,7 +1584,7 @@ mod tests {
         let engine = ExecutionEngine::instant().with_provision_scale(200);
         let mut pool = EnginePool::start(engine, 1, 8);
         pool.submit("u", ExecutionRequest::simple("u", WF_SRC, 1)).unwrap();
-        let id = pool.submit("u", queued_req().with_events(true)).unwrap();
+        let id = pool.submit("u", queued(RunConfig::iterations(1).with_events(true))).unwrap();
         let log = {
             let jobs = pool.inner.jobs.lock();
             Arc::clone(&jobs.get("u", id).unwrap().events)
@@ -1607,9 +1650,11 @@ mod tests {
         let dir = journal_dir("reevict");
         let pool = EnginePool::start_durable(ExecutionEngine::instant(), 2, 8, &dir).unwrap();
         let unbounded = || {
-            ExecutionRequest::simple("u", STATEFUL_SRC, 0)
-                .with_unbounded(Duration::from_millis(10))
-                .with_checkpoints(2)
+            ExecutionRequest::new(
+                "u",
+                STATEFUL_SRC,
+                RunConfig::unbounded(Duration::from_millis(10)).with_checkpoints(2).with_events(false),
+            )
         };
         let faults = FaultPlan { kill_at_epoch: Some(1), ..FaultPlan::default() };
         let id = pool.submit("u", unbounded().with_faults(faults)).unwrap();
@@ -1640,10 +1685,12 @@ mod tests {
     #[test]
     fn every_terminal_path_settles_exactly_once() {
         let mut pool = boom_pool(16);
-        let submit =
-            |pool: &EnginePool, req: ExecutionRequest| pool.submit("u", req.with_events(true)).unwrap();
+        let submit = |pool: &EnginePool, mut req: ExecutionRequest| {
+            req.run.events = true;
+            pool.submit("u", req).unwrap()
+        };
         let simple = |src| ExecutionRequest::simple("u", src, 1);
-        let unbounded = || ExecutionRequest::simple("u", WF_SRC, 0).with_unbounded(Duration::from_millis(1));
+        let unbounded = || ExecutionRequest::new("u", WF_SRC, RunConfig::unbounded(Duration::from_millis(1)));
         let panicked = submit(&pool, simple(BOOM_SRC));
         let done = submit(&pool, simple(WF_SRC));
         let failed = submit(&pool, simple("pe Z : producer { output o; process { emit(1 / 0); } }"));
@@ -1655,7 +1702,8 @@ mod tests {
         // shutdown and one that will still be queued.
         let running = submit(&pool, unbounded());
         wait_until_running(&pool, running);
-        let expired = submit(&pool, simple(WF_SRC).with_deadline_ms(1));
+        let expired =
+            submit(&pool, ExecutionRequest::new("u", WF_SRC, RunConfig::iterations(1).with_deadline_ms(1)));
         let queued = submit(&pool, simple(WF_SRC));
         let in_flight = submit(&pool, unbounded());
         let orphan = submit(&pool, simple(WF_SRC));

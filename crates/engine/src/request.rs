@@ -1,6 +1,14 @@
 //! The execution request: everything `/execution/{user}/run` carries
 //! (paper §3.3 — workflows, PEs, runtime configs, arguments, imports and
 //! mappings).
+//!
+//! The paper's client call `run(workflow, input, process, args,
+//! resources)` (§3.4.1) splits in two here. Who runs which script is the
+//! [`ExecutionRequest`]'s; how to run it is one [`RunConfig`], the type the
+//! client builds (`laminar_client::RunConfig` is this one) and the engine
+//! reads. [`RunConfig::write_envelope`] and [`RunConfig::from_envelope`]
+//! are the one codec of its JSON form: the client's POST body, the server's
+//! decode and the journal's job meta all go through them.
 
 use laminar_dataflow::mapping::RunInput;
 use laminar_dataflow::MappingKind;
@@ -19,16 +27,25 @@ pub struct RejectedSource {
     pub error: ScriptError,
 }
 
-/// Per-submission options: the v1 API's single carrier for event
-/// streaming, checkpointing and the fair queue's scheduling hints
-/// (`priority`, `deadline_ms`). Mirrors the registry's
-/// `SearchOptions` pattern: one struct threaded end to end — client
-/// `RunConfig`, wire body, [`ExecutionRequest`] — instead of a growing
-/// list of positional/boolean parameters.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SubmitOptions {
+/// How to run a workflow: the paper's `run(workflow, input, process, args,
+/// resources)` without the workflow. Built from one of the three
+/// constructors ([`Self::iterations`], [`Self::data`], [`Self::unbounded`])
+/// and the builders; every constructor starts from the Simple mapping, one
+/// process, no resources and the default options.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunConfig {
+    /// Producer drive: iterations, explicit data, or unbounded.
+    pub input: RunInput,
+    /// Mapping (`process=` parameter; SIMPLE is inferred when omitted).
+    pub mapping: MappingKind,
+    /// Process count for parallel mappings (`args={'num': N}`).
+    pub processes: usize,
+    /// Named resources to stage, as (name, bytes) (`resources=True` +
+    /// resources dir).
+    pub resources: Vec<(String, Vec<u8>)>,
     /// Log the run's live event stream for the `/events` endpoint. Off by
-    /// default: batch jobs skip per-event wire conversion.
+    /// default except for [`Self::unbounded`]: batch jobs skip per-event
+    /// wire conversion.
     pub events: bool,
     /// Checkpoint interval in source iterations: `n > 0` makes the
     /// enactment emit an epoch snapshot every `n` iterations, journaled
@@ -46,34 +63,156 @@ pub struct SubmitOptions {
     pub deadline_ms: Option<u64>,
 }
 
-impl SubmitOptions {
-    /// Serialize as the nested `options` object of the v1 wire form.
-    pub fn to_value(&self) -> Value {
-        let mut v = Value::Null;
-        v.set("events", self.events);
-        if self.checkpoint_every > 0 {
-            v.set("checkpointEvery", self.checkpoint_every);
-        }
-        if self.priority != 0 {
-            v.set("priority", self.priority);
-        }
-        if let Some(d) = self.deadline_ms {
-            v.set("deadlineMs", d as i64);
-        }
-        v
+impl RunConfig {
+    /// Run for `n` iterations.
+    pub fn iterations(n: i64) -> RunConfig {
+        RunConfig::driven_by(RunInput::Iterations(n))
     }
 
-    /// Parse submission options out of a request envelope: its nested
-    /// `options` object (absent fields, or no object at all, take the
-    /// defaults).
-    pub fn from_request_value(v: &Value) -> SubmitOptions {
+    /// Feed explicit data, one producer invocation per datum.
+    pub fn data(values: Vec<Value>) -> RunConfig {
+        RunConfig::driven_by(RunInput::Data(values))
+    }
+
+    /// Run unbounded (until the job is cancelled), pacing each source
+    /// instance by `pace` between iterations. Only the async submit path
+    /// takes it — the sync `run` endpoint rejects inputs that never
+    /// complete — so this also turns on the event stream, the one place an
+    /// unbounded run's results can be consumed. Generator callbacks do not
+    /// cross the wire: a server-side unbounded run drives its producers by
+    /// iteration count or host calls.
+    pub fn unbounded(pace: Duration) -> RunConfig {
+        RunConfig { events: true, ..RunConfig::driven_by(RunInput::Unbounded { generator: None, pace }) }
+    }
+
+    fn driven_by(input: RunInput) -> RunConfig {
+        RunConfig {
+            input,
+            mapping: MappingKind::Simple,
+            processes: 1,
+            resources: Vec::new(),
+            events: false,
+            checkpoint_every: 0,
+            priority: 0,
+            deadline_ms: None,
+        }
+    }
+
+    /// Choose the mapping and process count.
+    pub fn with_mapping(mut self, mapping: MappingKind, processes: usize) -> RunConfig {
+        self.mapping = mapping;
+        self.processes = processes;
+        self
+    }
+
+    /// Stage a resource file.
+    pub fn with_resource(mut self, name: &str, bytes: Vec<u8>) -> RunConfig {
+        self.resources.push((name.to_string(), bytes));
+        self
+    }
+
+    /// Request a live event stream for the job (the `/events` endpoint's
+    /// source).
+    pub fn with_events(mut self, stream: bool) -> RunConfig {
+        self.events = stream;
+        self
+    }
+
+    /// Checkpoint the enactment every `n` source iterations (0 = off).
+    pub fn with_checkpoints(mut self, n: usize) -> RunConfig {
+        self.checkpoint_every = n;
+        self
+    }
+
+    /// Scheduling priority within the submitting user's lane (higher runs
+    /// first).
+    pub fn with_priority(mut self, priority: i64) -> RunConfig {
+        self.priority = priority;
+        self
+    }
+
+    /// Fail the job fast if it is still queued after `ms` milliseconds.
+    pub fn with_deadline_ms(mut self, ms: u64) -> RunConfig {
+        self.deadline_ms = Some(ms);
+        self
+    }
+
+    /// Write this configuration into the request envelope `v`: `input`,
+    /// `mapping`, `processes`, `resources` (base64 data) and the nested
+    /// `options` object (`events`, then `checkpointEvery`, `priority` and
+    /// `deadlineMs` when they differ from their defaults).
+    pub fn write_envelope(&self, v: &mut Value) {
+        let input = match &self.input {
+            RunInput::Iterations(n) => Value::Int(*n),
+            RunInput::Data(d) => Value::Array(d.clone()),
+            RunInput::Unbounded { pace, .. } => {
+                let mut u = Value::Null;
+                u.set("mode", "unbounded").set("pace_us", pace.as_micros() as i64);
+                u
+            }
+        };
+        let resources: Value = self
+            .resources
+            .iter()
+            .map(|(name, bytes)| {
+                let mut r = Value::Null;
+                r.set("name", name.as_str()).set("data", laminar_codec::base64::encode(bytes));
+                r
+            })
+            .collect();
+        let mut options = Value::Null;
+        options.set("events", self.events);
+        if self.checkpoint_every > 0 {
+            options.set("checkpointEvery", self.checkpoint_every);
+        }
+        if self.priority != 0 {
+            options.set("priority", self.priority);
+        }
+        if let Some(d) = self.deadline_ms {
+            options.set("deadlineMs", d as i64);
+        }
+        v.set("input", input)
+            .set("mapping", self.mapping.as_str())
+            .set("processes", self.processes)
+            .set("resources", resources)
+            .set("options", options);
+    }
+
+    /// Read the configuration out of a request envelope. An absent field
+    /// takes the envelope's default, which is not a constructor's: `input`
+    /// 5 iterations, `mapping` SIMPLE, `processes` 5 (0 reads as 1), no
+    /// resources, and each option its default (no `options` object at all
+    /// is every default). `None` when a field is malformed: an unknown
+    /// mapping, an object input without the unbounded mode tag, or a
+    /// resource without a name or with bad base64.
+    pub fn from_envelope(v: &Value) -> Option<RunConfig> {
+        let input = match &v["input"] {
+            Value::Int(n) => RunInput::Iterations(*n),
+            Value::Array(a) => RunInput::Data(a.clone()),
+            Value::Null => RunInput::Iterations(5),
+            obj @ Value::Object(_) if obj["mode"].as_str() == Some("unbounded") => RunInput::Unbounded {
+                generator: None,
+                pace: Duration::from_micros(obj["pace_us"].as_i64().unwrap_or(0).max(0) as u64),
+            },
+            _ => return None,
+        };
+        let mut resources = Vec::new();
+        for r in v["resources"].as_array().unwrap_or(&[]) {
+            let name = r["name"].as_str()?;
+            let bytes = laminar_codec::base64::decode(r["data"].as_str()?).ok()?;
+            resources.push((name.to_string(), bytes));
+        }
         let opts = &v["options"];
-        SubmitOptions {
+        Some(RunConfig {
+            input,
+            mapping: MappingKind::parse(v["mapping"].as_str().unwrap_or("SIMPLE"))?,
+            processes: v["processes"].as_i64().unwrap_or(5).max(1) as usize,
+            resources,
             events: opts["events"].as_bool().unwrap_or(false),
             checkpoint_every: opts["checkpointEvery"].as_i64().unwrap_or(0).max(0) as usize,
             priority: opts["priority"].as_i64().unwrap_or(0),
             deadline_ms: opts["deadlineMs"].as_i64().filter(|d| *d >= 0).map(|d| d as u64),
-        }
+        })
     }
 }
 
@@ -83,10 +222,10 @@ pub struct ExecutionRequest {
     /// Requesting user.
     pub user: String,
     /// The script defining the PEs and the workflow to run, prepared once
-    /// where the request was built — by [`Self::simple`] /
-    /// [`Self::from_value`] from source text, or handed over already
-    /// prepared by the registry ([`Self::with_script`]). However often the
-    /// request then runs, nothing is parsed or compiled again.
+    /// where the request was built — by [`Self::new`] / [`Self::from_value`]
+    /// from source text, or handed over already prepared by the registry
+    /// ([`Self::with_script`]). However often the request then runs,
+    /// nothing is parsed or compiled again.
     pub script: Result<Arc<Prepared>, RejectedSource>,
     /// Time [`Self::script`] took to prepare *for this request*: zero when
     /// the registry handed it over. Reported as the run's `compile_us`.
@@ -96,17 +235,8 @@ pub struct ExecutionRequest {
     /// defines exactly one PE and no workflow (the FaaS-style use of
     /// §3.4.1).
     pub workflow: Option<String>,
-    /// Mapping to enact with.
-    pub mapping: MappingKind,
-    /// Producer drive: iterations or explicit data.
-    pub input: RunInput,
-    /// Process count for parallel mappings (`args={'num': N}`).
-    pub processes: usize,
-    /// Named resources to stage (`resources=True` + resources dir).
-    pub resources: Vec<(String, Vec<u8>)>,
-    /// Submission options: event streaming, checkpointing and scheduling
-    /// hints, carried as one struct (see [`SubmitOptions`]).
-    pub options: SubmitOptions,
+    /// How to run it: mapping, processes, input, resources and options.
+    pub run: RunConfig,
     /// Resume point injected by [`crate::EnginePool`]'s resume path.
     /// Never crosses the wire: clients POST `/resume` and the pool
     /// reconstructs this from the job's journal.
@@ -119,40 +249,26 @@ pub struct ExecutionRequest {
 }
 
 impl ExecutionRequest {
-    /// Minimal request: run `source` with the Simple mapping for `n`
-    /// iterations. The source is prepared here; one that is refused fails
-    /// the run, not this call.
-    pub fn simple(user: &str, source: &str, iterations: i64) -> ExecutionRequest {
+    /// A request for `user` to run `source` as `run` says. The source is
+    /// prepared here; one that is refused fails the run, not this call.
+    pub fn new(user: &str, source: &str, run: RunConfig) -> ExecutionRequest {
         let t0 = Instant::now();
         let script = prepare(source).map_err(|error| RejectedSource { text: source.to_string(), error });
-        let mut req = Self::around(user, script);
-        req.prepare_time = t0.elapsed();
-        req.input = RunInput::Iterations(iterations);
-        req
-    }
-
-    /// The defaults around a script: Simple mapping, one process, no input.
-    fn around(user: &str, script: Result<Arc<Prepared>, RejectedSource>) -> ExecutionRequest {
         ExecutionRequest {
             user: user.to_string(),
             script,
-            prepare_time: Duration::ZERO,
+            prepare_time: t0.elapsed(),
             workflow: None,
-            mapping: MappingKind::Simple,
-            input: RunInput::Iterations(0),
-            processes: 1,
-            resources: Vec::new(),
-            options: SubmitOptions::default(),
+            run,
             resume: None,
             faults: None,
         }
     }
 
-    /// Switch the mapping.
-    pub fn with_mapping(mut self, mapping: MappingKind, processes: usize) -> Self {
-        self.mapping = mapping;
-        self.processes = processes;
-        self
+    /// Minimal request: run `source` with the Simple mapping for `n`
+    /// iterations.
+    pub fn simple(user: &str, source: &str, iterations: i64) -> ExecutionRequest {
+        Self::new(user, source, RunConfig::iterations(iterations))
     }
 
     /// Name the workflow to run.
@@ -161,50 +277,12 @@ impl ExecutionRequest {
         self
     }
 
-    /// Feed explicit data instead of iteration counts.
-    pub fn with_data(mut self, data: Vec<Value>) -> Self {
-        self.input = RunInput::Data(data);
-        self
-    }
-
-    /// Run the producers unbounded (until the job is cancelled), pacing
-    /// each source instance by `pace` between iterations. Generator
-    /// callbacks do not cross the wire: server-side unbounded runs drive
-    /// producers by iteration count or host calls.
-    pub fn with_unbounded(mut self, pace: std::time::Duration) -> Self {
-        self.input = RunInput::Unbounded { generator: None, pace };
-        self
-    }
-
-    /// Stage a resource.
-    pub fn with_resource(mut self, name: &str, bytes: Vec<u8>) -> Self {
-        self.resources.push((name.to_string(), bytes));
-        self
-    }
-
-    /// Request a live event stream (the `/events` endpoint's source).
+    /// [`RunConfig::with_events`] on [`Self::run`]. Kept only because the
+    /// frozen benchmark (`bench_e2e`) calls it; the next benchmark PR
+    /// builds its request with [`Self::new`] and deletes this.
+    #[doc(hidden)]
     pub fn with_events(mut self, stream: bool) -> Self {
-        self.options.events = stream;
-        self
-    }
-
-    /// Checkpoint the enactment every `n` source iterations (0 = off).
-    pub fn with_checkpoints(mut self, n: usize) -> Self {
-        self.options.checkpoint_every = n;
-        self
-    }
-
-    /// Intra-tenant scheduling priority (higher runs first in the
-    /// tenant's lane).
-    pub fn with_priority(mut self, priority: i64) -> Self {
-        self.options.priority = priority;
-        self
-    }
-
-    /// Queue-wait deadline: fail the job fast if no worker picks it
-    /// within `ms` milliseconds.
-    pub fn with_deadline_ms(mut self, ms: u64) -> Self {
-        self.options.deadline_ms = Some(ms);
+        self.run.events = stream;
         self
     }
 
@@ -225,80 +303,35 @@ impl ExecutionRequest {
     /// Serialize to the JSON envelope the wire protocol uses.
     pub fn to_value(&self) -> Value {
         let mut v = Value::Null;
-        v.set("user", self.user.as_str())
-            .set("source", self.source())
-            .set("workflow", self.workflow.clone())
-            .set("mapping", self.mapping.as_str())
-            .set("processes", self.processes)
-            .set("options", self.options.to_value());
-        match &self.input {
-            RunInput::Iterations(n) => {
-                v.set("input", *n);
-            }
-            RunInput::Data(d) => {
-                v.set("input", Value::Array(d.clone()));
-            }
-            RunInput::Unbounded { pace, .. } => {
-                let mut u = Value::Null;
-                u.set("mode", "unbounded").set("pace_us", pace.as_micros() as i64);
-                v.set("input", u);
-            }
-        }
-        let resources: Value = self
-            .resources
-            .iter()
-            .map(|(name, bytes)| {
-                let mut r = Value::Null;
-                r.set("name", name.as_str()).set("data", laminar_codec::base64::encode(bytes));
-                r
-            })
-            .collect();
-        v.set("resources", resources);
+        v.set("user", self.user.as_str()).set("source", self.source()).set("workflow", self.workflow.clone());
+        self.run.write_envelope(&mut v);
         v
     }
 
     /// Parse the JSON envelope, preparing its `source` (a journaled request
-    /// resumes this way). Defaults mirror the client: SIMPLE mapping,
-    /// 5 iterations, 5 processes.
+    /// resumes this way). `source` is required; an absent `user` is
+    /// `anonymous`, an absent `workflow` runs the script's first, and the
+    /// run configuration takes [`RunConfig::from_envelope`]'s defaults.
     pub fn from_value(v: &Value) -> Option<ExecutionRequest> {
-        let mut req = Self::simple(v["user"].as_str().unwrap_or("anonymous"), v["source"].as_str()?, 0);
+        let source = v["source"].as_str()?;
+        let run = RunConfig::from_envelope(v)?;
+        let mut req = Self::new(v["user"].as_str().unwrap_or("anonymous"), source, run);
         req.workflow = v["workflow"].as_str().map(str::to_string);
-        req.with_envelope(v)
+        Some(req)
     }
 
     /// A request for `user` to run an already-prepared `script` — the
-    /// registered-workflow path — with everything else (mapping, input,
-    /// processes, resources, options) read from the envelope `v`.
-    pub fn with_script(user: &str, script: Arc<Prepared>, workflow: &str, v: &Value) -> Option<Self> {
-        let mut req = Self::around(user, Ok(script));
-        req.workflow = Some(workflow.to_string());
-        req.with_envelope(v)
-    }
-
-    /// Fill in what an envelope says besides who runs which script.
-    fn with_envelope(mut self, v: &Value) -> Option<ExecutionRequest> {
-        let input = match &v["input"] {
-            Value::Int(n) => RunInput::Iterations(*n),
-            Value::Array(a) => RunInput::Data(a.clone()),
-            Value::Null => RunInput::Iterations(5),
-            obj @ Value::Object(_) if obj["mode"].as_str() == Some("unbounded") => RunInput::Unbounded {
-                generator: None,
-                pace: Duration::from_micros(obj["pace_us"].as_i64().unwrap_or(0).max(0) as u64),
-            },
-            _ => return None,
-        };
-        let mut resources = Vec::new();
-        for r in v["resources"].as_array().unwrap_or(&[]) {
-            let name = r["name"].as_str()?;
-            let bytes = laminar_codec::base64::decode(r["data"].as_str()?).ok()?;
-            resources.push((name.to_string(), bytes));
+    /// registered-workflow path — as `run` says.
+    pub fn with_script(user: &str, script: Arc<Prepared>, workflow: &str, run: RunConfig) -> Self {
+        ExecutionRequest {
+            user: user.to_string(),
+            script: Ok(script),
+            prepare_time: Duration::ZERO,
+            workflow: Some(workflow.to_string()),
+            run,
+            resume: None,
+            faults: None,
         }
-        self.mapping = MappingKind::parse(v["mapping"].as_str().unwrap_or("SIMPLE"))?;
-        self.input = input;
-        self.processes = v["processes"].as_i64().unwrap_or(5).max(1) as usize;
-        self.resources = resources;
-        self.options = SubmitOptions::from_request_value(v);
-        Some(self)
     }
 
     /// Approximate wire size in bytes (drives the WAN transfer model).
@@ -313,27 +346,31 @@ mod tests {
 
     #[test]
     fn round_trip_via_value() {
-        let req = ExecutionRequest::simple("zz46", "pe X : producer { output o; process { emit(1); } }", 7)
-            .with_mapping(MappingKind::Multi, 5)
-            .with_workflow("main")
-            .with_resource("coords.txt", b"1 2".to_vec());
+        let req = ExecutionRequest::new(
+            "zz46",
+            "pe X : producer { output o; process { emit(1); } }",
+            RunConfig::iterations(7)
+                .with_mapping(MappingKind::Multi, 5)
+                .with_resource("coords.txt", b"1 2".to_vec()),
+        )
+        .with_workflow("main");
         let v = req.to_value();
         let back = ExecutionRequest::from_value(&v).unwrap();
         assert_eq!(back.user, "zz46");
         assert_eq!(back.workflow.as_deref(), Some("main"));
-        assert_eq!(back.mapping, MappingKind::Multi);
-        assert_eq!(back.processes, 5);
-        assert!(matches!(back.input, RunInput::Iterations(7)));
-        assert_eq!(back.resources[0].0, "coords.txt");
-        assert_eq!(back.resources[0].1, b"1 2");
+        assert_eq!(back.run.mapping, MappingKind::Multi);
+        assert_eq!(back.run.processes, 5);
+        assert!(matches!(back.run.input, RunInput::Iterations(7)));
+        assert_eq!(back.run.resources[0].0, "coords.txt");
+        assert_eq!(back.run.resources[0].1, b"1 2");
     }
 
     #[test]
     fn data_input_round_trip() {
         let req =
-            ExecutionRequest::simple("u", "src", 0).with_data(vec![Value::Int(1), Value::Str("x".into())]);
+            ExecutionRequest::new("u", "src", RunConfig::data(vec![Value::Int(1), Value::Str("x".into())]));
         let back = ExecutionRequest::from_value(&req.to_value()).unwrap();
-        match back.input {
+        match back.run.input {
             RunInput::Data(d) => assert_eq!(d.len(), 2),
             other => panic!("expected data input, got {other:?}"),
         }
@@ -341,18 +378,16 @@ mod tests {
 
     #[test]
     fn unbounded_input_round_trip() {
-        let req = ExecutionRequest::simple("u", "src", 0)
-            .with_unbounded(std::time::Duration::from_micros(750))
-            .with_events(true);
+        let req = ExecutionRequest::new("u", "src", RunConfig::unbounded(Duration::from_micros(750)));
         let back = ExecutionRequest::from_value(&req.to_value()).unwrap();
-        match back.input {
+        match back.run.input {
             RunInput::Unbounded { pace, generator } => {
                 assert_eq!(pace, std::time::Duration::from_micros(750));
                 assert!(generator.is_none(), "generators never cross the wire");
             }
             other => panic!("expected unbounded input, got {other:?}"),
         }
-        assert!(back.options.events);
+        assert!(back.run.events);
         // An object input without the unbounded mode tag is malformed.
         let mut v = req.to_value();
         v.set("input", laminar_json::jobj! { "mode" => "mystery" });
@@ -361,28 +396,32 @@ mod tests {
 
     #[test]
     fn checkpoint_interval_round_trips_but_resume_never_crosses_the_wire() {
-        let req = ExecutionRequest::simple("u", "src", 5).with_checkpoints(32);
+        let req = ExecutionRequest::new("u", "src", RunConfig::iterations(5).with_checkpoints(32));
         let v = req.to_value();
         let back = ExecutionRequest::from_value(&v).unwrap();
-        assert_eq!(back.options.checkpoint_every, 32);
+        assert_eq!(back.run.checkpoint_every, 32);
         assert!(back.resume.is_none());
         // Absent field defaults to off.
         let plain =
             ExecutionRequest::from_value(&ExecutionRequest::simple("u", "src", 5).to_value()).unwrap();
-        assert_eq!(plain.options.checkpoint_every, 0);
+        assert_eq!(plain.run.checkpoint_every, 0);
     }
 
     #[test]
     fn submit_options_round_trip() {
-        let req = ExecutionRequest::simple("u", "src", 5)
-            .with_events(true)
-            .with_checkpoints(16)
-            .with_priority(3)
-            .with_deadline_ms(2500);
+        let req = ExecutionRequest::new(
+            "u",
+            "src",
+            RunConfig::iterations(5)
+                .with_events(true)
+                .with_checkpoints(16)
+                .with_priority(3)
+                .with_deadline_ms(2500),
+        );
         let back = ExecutionRequest::from_value(&req.to_value()).unwrap();
-        assert_eq!(back.options, req.options);
-        assert_eq!(back.options.priority, 3);
-        assert_eq!(back.options.deadline_ms, Some(2500));
+        assert_eq!(back.run, req.run);
+        assert_eq!(back.run.priority, 3);
+        assert_eq!(back.run.deadline_ms, Some(2500));
     }
 
     #[test]
@@ -390,11 +429,16 @@ mod tests {
         let mut v = Value::Null;
         v.set("source", "pe X : producer { output o; process { emit(1); } }");
         let req = ExecutionRequest::from_value(&v).unwrap();
-        assert_eq!(req.mapping, MappingKind::Simple);
-        assert_eq!(req.processes, 5);
-        assert!(matches!(req.input, RunInput::Iterations(5)));
+        assert_eq!(req.run.mapping, MappingKind::Simple);
+        assert_eq!(req.run.processes, 5);
+        assert!(matches!(req.run.input, RunInput::Iterations(5)));
         assert_eq!(req.user, "anonymous");
-        assert_eq!(req.options, SubmitOptions::default(), "no options object, no options");
+        let run = &req.run;
+        assert_eq!(
+            (run.events, run.checkpoint_every, run.priority, run.deadline_ms),
+            (false, 0, 0, None),
+            "no options object, no options"
+        );
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub(crate) fn worker_loop(inner: &PoolInner, mut engine: ExecutionEngine, worker
         };
         let Some((id, req)) = job else { return };
 
-        let started = inner.jobs.lock().start(id, worker_id, req.options.deadline_ms).map(|started| {
+        let started = inner.jobs.lock().start(id, worker_id, req.run.deadline_ms).map(|started| {
             started.map(|rec| {
                 (rec.streaming.then(|| Arc::clone(&rec.events)), rec.cancel.clone(), rec.owner.clone())
             })
@@ -48,7 +48,7 @@ pub(crate) fn worker_loop(inner: &PoolInner, mut engine: ExecutionEngine, worker
         // behind the same observer as the event log, so epochs hit disk in
         // stream order. `create` reopens an existing journal on resume
         // (truncating the stale partial-round tail).
-        let journal = inner.journal.as_ref().filter(|_| req.options.checkpoint_every > 0);
+        let journal = inner.journal.as_ref().filter(|_| req.run.checkpoint_every > 0);
         let journal_writer = journal.and_then(|store| {
             let mut meta = Value::Null;
             meta.set("owner", owner.as_str()).set("request", req.to_value());

@@ -11,7 +11,9 @@
 
 use std::time::Duration;
 
-use laminar_engine::{EnginePool, ExecutionEngine, ExecutionRequest, FaultPlan, JobResult, JournalStore};
+use laminar_engine::{
+    EnginePool, ExecutionEngine, ExecutionRequest, FaultPlan, JobResult, JournalStore, RunConfig,
+};
 
 const SRC: &str = r#"
     pe Words : producer {
@@ -54,9 +56,8 @@ fn torn_segment_resume_falls_back_an_epoch_and_refolds() {
     let pool = EnginePool::start_durable(ExecutionEngine::instant(), 2, 8, &root).unwrap();
     // 14 iterations, chunk 3: epochs 1..=4 seal, the kill lands after
     // epoch 3 (9 iterations journaled).
-    let req = ExecutionRequest::simple("u", SRC, 14)
+    let req = ExecutionRequest::new("u", SRC, RunConfig::iterations(14).with_checkpoints(3))
         .with_workflow("TallyRun")
-        .with_checkpoints(3)
         .with_faults(FaultPlan::parse("kill_at_epoch=3"));
     let id = pool.submit("u", req).unwrap();
     match wait_phase(&pool, id, true) {

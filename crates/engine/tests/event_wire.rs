@@ -4,7 +4,7 @@
 //! a checkpointed run that prints, outputs, crosses an epoch and
 //! completes; one that fails; one cancelled while queued.
 
-use laminar_engine::{EnginePool, ExecutionEngine, ExecutionRequest, JobPhase};
+use laminar_engine::{EnginePool, ExecutionEngine, ExecutionRequest, JobPhase, RunConfig};
 use laminar_json::{to_string, Value};
 use std::time::{Duration, Instant};
 
@@ -39,7 +39,7 @@ fn drain(pool: &EnginePool, id: i64) -> Vec<Value> {
 #[test]
 fn a_completed_checkpointed_stream_is_these_bytes() {
     let pool = EnginePool::start(ExecutionEngine::instant(), 1, 8);
-    let req = ExecutionRequest::simple("u", SRC, 3).with_checkpoints(2).with_events(true);
+    let req = ExecutionRequest::new("u", SRC, RunConfig::iterations(3).with_checkpoints(2).with_events(true));
     let id = pool.submit("u", req).unwrap();
     pool.wait("u", id, Duration::from_secs(20)).unwrap();
     let events = drain(&pool, id);
@@ -91,7 +91,12 @@ fn a_completed_checkpointed_stream_is_these_bytes() {
 #[test]
 fn a_failed_stream_is_these_bytes() {
     let pool = EnginePool::start(ExecutionEngine::instant(), 1, 8);
-    let id = pool.submit("u", ExecutionRequest::simple("u", "not a script !!", 1).with_events(true)).unwrap();
+    let id = pool
+        .submit(
+            "u",
+            ExecutionRequest::new("u", "not a script !!", RunConfig::iterations(1).with_events(true)),
+        )
+        .unwrap();
     pool.wait("u", id, Duration::from_secs(20)).unwrap();
     let events: Vec<String> = drain(&pool, id).iter().map(to_string).collect();
     assert_eq!(
@@ -108,14 +113,23 @@ fn a_stream_cancelled_while_queued_is_these_bytes() {
     // still queued when the cancel lands.
     let pool = EnginePool::start(ExecutionEngine::instant(), 1, 8);
     let blocker = pool
-        .submit("u", ExecutionRequest::simple("u", SRC, 0).with_unbounded(Duration::from_micros(200)))
+        .submit(
+            "u",
+            ExecutionRequest::new(
+                "u",
+                SRC,
+                RunConfig::unbounded(Duration::from_micros(200)).with_events(false),
+            ),
+        )
         .unwrap();
     let deadline = Instant::now() + Duration::from_secs(20);
     while pool.status("u", blocker).unwrap().phase == JobPhase::Queued {
         assert!(Instant::now() < deadline, "the blocker never started");
         std::thread::yield_now();
     }
-    let id = pool.submit("u", ExecutionRequest::simple("u", SRC, 3).with_events(true)).unwrap();
+    let id = pool
+        .submit("u", ExecutionRequest::new("u", SRC, RunConfig::iterations(3).with_events(true)))
+        .unwrap();
     assert_eq!(pool.cancel("u", id).unwrap().phase, JobPhase::Cancelled);
     let events: Vec<String> = drain(&pool, id).iter().map(to_string).collect();
     assert_eq!(events, [r#"{"seq":0,"type":"cancelled"}"#]);

@@ -6,7 +6,9 @@
 //! batch result, and write the same bytes for the same run.
 
 use laminar_dataflow::{fold_events, RunEvent};
-use laminar_engine::{EnginePool, ExecutionEngine, ExecutionRequest, FaultPlan, JobResult, JournalStore};
+use laminar_engine::{
+    EnginePool, ExecutionEngine, ExecutionRequest, FaultPlan, JobResult, JournalStore, RunConfig,
+};
 use laminar_json::{to_string, Value};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -45,7 +47,7 @@ const SEG_1: &[&[u8]] = &[
 ];
 
 fn request() -> ExecutionRequest {
-    ExecutionRequest::simple("u", SRC, 5).with_checkpoints(2).with_events(true)
+    ExecutionRequest::new("u", SRC, RunConfig::iterations(5).with_checkpoints(2).with_events(true))
 }
 
 fn tmpdir(tag: &str) -> PathBuf {

@@ -17,7 +17,7 @@
 use std::time::{Duration, Instant};
 
 use laminar_dataflow::{fold_events, RunEvent};
-use laminar_engine::{EnginePool, ExecutionEngine, ExecutionRequest, JobResult};
+use laminar_engine::{EnginePool, ExecutionEngine, ExecutionRequest, JobResult, RunConfig};
 use laminar_json::Value;
 use proptest::prelude::*;
 
@@ -63,9 +63,8 @@ proptest! {
         // matter how slow: give the producer an effectively infinite
         // patience so only reader progress releases it.
         pool.set_backpressure_wait(Duration::from_secs(60));
-        let req = ExecutionRequest::simple("u", SRC, iterations as i64)
-            .with_checkpoints(checkpoint_every as usize)
-            .with_events(true);
+        let run = RunConfig::iterations(iterations as i64).with_checkpoints(checkpoint_every as usize);
+        let req = ExecutionRequest::new("u", SRC, run.with_events(true));
         let id = pool.submit("u", req).unwrap();
 
         let mut since = 0u64;
@@ -137,9 +136,8 @@ proptest! {
         pool.set_event_log_capacity(capacity);
         pool.set_backpressure_wait(Duration::from_millis(50));
         let iterations = 150i64;
-        let req = ExecutionRequest::simple("u", SRC, iterations)
-            .with_checkpoints(checkpoint_every as usize)
-            .with_events(true);
+        let run = RunConfig::iterations(iterations).with_checkpoints(checkpoint_every as usize);
+        let req = ExecutionRequest::new("u", SRC, run.with_events(true));
         let id = pool.submit("u", req).unwrap();
         // Nobody reads: after one bounded wait the log degrades and the
         // job must still run to completion.

@@ -5,10 +5,12 @@
 //! first-output latency). The properties below generate arbitrary outputs
 //! at wire granularity (durations in whole ms/µs — what the format can
 //! represent) and require a lossless round-trip, plus tolerance for
-//! foreign/missing fields.
+//! foreign/missing fields. A request's run configuration gets the same
+//! treatment through its one codec, `RunConfig::{write_envelope,
+//! from_envelope}`.
 
-use laminar_dataflow::StageTimings;
-use laminar_engine::ExecutionOutput;
+use laminar_dataflow::{MappingKind, RunInput, StageTimings};
+use laminar_engine::{ExecutionOutput, RunConfig};
 use laminar_json::Value;
 use proptest::prelude::*;
 use std::time::Duration;
@@ -115,5 +117,55 @@ proptest! {
         let back = ExecutionOutput::from_value(&old).expect("old envelopes still parse");
         prop_assert_eq!(back.events, 0);
         prop_assert_eq!(back.first_output, None);
+    }
+
+    /// Every run configuration the envelope can carry survives
+    /// `write_envelope → from_envelope` exactly: the three input kinds,
+    /// every mapping, resources of any bytes and every option. What it can
+    /// carry: a process count of at least 1 (0 reads as 1), a pace in whole
+    /// µs, a deadline up to `i64::MAX` ms (a JSON integer), and no
+    /// generator (a generator never crosses the wire).
+    #[test]
+    fn run_config_round_trips(
+        kind in 0..3i64,
+        n in any::<i64>(),
+        data in prop::collection::vec((0..4i64, any::<i64>()), 0..5),
+        pace_us in 0..100_000_000u64,
+        mapping in prop::sample::select(vec![
+            MappingKind::Simple, MappingKind::Multi, MappingKind::Mpi, MappingKind::Redis,
+        ]),
+        processes in 1..=4096usize,
+        resources in prop::collection::vec(("[ -~]{0,12}", prop::collection::vec(any::<u8>(), 0..40)), 0..4),
+        events in any::<bool>(),
+        checkpoint_every in 0..100_000usize,
+        priority in any::<i64>(),
+        deadline in (any::<bool>(), 0..=i64::MAX as u64),
+    ) {
+        let input = match kind {
+            0 => RunInput::Iterations(n),
+            1 => RunInput::Data(data.iter().map(|(tag, n)| leaf_value(*tag, *n)).collect()),
+            _ => RunInput::Unbounded { generator: None, pace: Duration::from_micros(pace_us) },
+        };
+        let config = RunConfig {
+            input,
+            mapping,
+            processes,
+            resources,
+            events,
+            checkpoint_every,
+            priority,
+            deadline_ms: deadline.0.then_some(deadline.1),
+        };
+        let mut wire = Value::Null;
+        config.write_envelope(&mut wire);
+        prop_assert_eq!(RunConfig::from_envelope(&wire), Some(config.clone()));
+
+        // Through the text too: parsing the JSON and writing it again is a
+        // fixed point.
+        let text = laminar_json::to_string(&wire);
+        let back = RunConfig::from_envelope(&laminar_json::parse(&text).unwrap()).expect("text parses");
+        let mut again = Value::Null;
+        back.write_envelope(&mut again);
+        prop_assert_eq!(laminar_json::to_string(&again), text);
     }
 }

@@ -8,7 +8,7 @@
 //! than its own variant, and that a log past the 256 gives its buffer back
 //! while its job record stays.
 
-use laminar_engine::{EnginePool, ExecutionEngine, ExecutionRequest};
+use laminar_engine::{EnginePool, ExecutionEngine, ExecutionRequest, RunConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -63,7 +63,12 @@ fn a_retained_event_holds_under_135_bytes() {
     let before = LIVE.load(Ordering::Relaxed);
     let mut events = 0;
     for _ in 0..JOBS {
-        let id = pool.submit("u", ExecutionRequest::simple("u", BEAT, ITERATIONS).with_events(true)).unwrap();
+        let id = pool
+            .submit(
+                "u",
+                ExecutionRequest::new("u", BEAT, RunConfig::iterations(ITERATIONS).with_events(true)),
+            )
+            .unwrap();
         pool.wait("u", id, Duration::from_secs(60)).unwrap();
         let (first, end) = pool.event_log_window("u", id).unwrap();
         assert_eq!(first, 0, "nothing evicted");
@@ -87,7 +92,12 @@ fn an_expired_log_returns_its_buffer() {
     let _serial = measuring();
     let pool = EnginePool::start(ExecutionEngine::instant(), 1, 8);
     let run = || {
-        let id = pool.submit("u", ExecutionRequest::simple("u", BEAT, ITERATIONS).with_events(true)).unwrap();
+        let id = pool
+            .submit(
+                "u",
+                ExecutionRequest::new("u", BEAT, RunConfig::iterations(ITERATIONS).with_events(true)),
+            )
+            .unwrap();
         pool.wait("u", id, Duration::from_secs(60)).unwrap();
         id
     };

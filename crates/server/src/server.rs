@@ -7,7 +7,7 @@
 //! so any number of connection handlers can route requests at once.
 
 use crate::api::{ApiRequest, ApiResponse, Method};
-use laminar_engine::{EnginePool, ExecutionEngine, ExecutionRequest, JobResult, PoolError};
+use laminar_engine::{EnginePool, ExecutionEngine, ExecutionRequest, JobResult, PoolError, RunConfig};
 use laminar_json::{parse, write_value, Value};
 use laminar_registry::service::EntityKey;
 use laminar_registry::{QueryType, Registry, RegistryError, SearchOptions, SearchType};
@@ -21,7 +21,7 @@ pub const DEFAULT_QUEUE_CAPACITY: usize = 256;
 /// The most instances a run may ask for: a parallel mapping runs one
 /// thread per instance, so the bound keeps one request from exhausting
 /// the server.
-const MAX_PROCESSES: i64 = 256;
+const MAX_PROCESSES: usize = 256;
 
 /// What a route answers with. Every route builds the tree its callers
 /// index into, except an event page: that one is sent far more often than
@@ -357,14 +357,15 @@ impl LaminarServer {
     /// a short registry *read* lock — the enactment itself never holds any
     /// registry lock, so reads and other executions proceed concurrently.
     fn resolve_request(&self, user: &str, body: &Value) -> Result<ExecutionRequest, RegistryError> {
-        if body["processes"].as_i64().is_some_and(|n| n > MAX_PROCESSES) {
+        let malformed =
+            || RegistryError::Invalid { field: "request", message: "malformed execution request".into() };
+        let run = RunConfig::from_envelope(body).ok_or_else(malformed)?;
+        if run.processes > MAX_PROCESSES {
             return Err(RegistryError::Invalid {
                 field: "processes",
                 message: format!("must be at most {MAX_PROCESSES}"),
             });
         }
-        let malformed =
-            || RegistryError::Invalid { field: "request", message: "malformed execution request".into() };
         // `workflow` may name a registered workflow instead of shipping
         // source — the serverless retrieve-then-run path (paper §5.2). Its
         // script was prepared at registration; the run prepares nothing.
@@ -374,16 +375,17 @@ impl LaminarServer {
                 message: "request needs either 'source' or a registered 'workflow' id/name".into(),
             })?;
             let (name, script) = self.registry.read().workflow_to_run(user, &key)?;
-            return ExecutionRequest::with_script(user, script, &name, body).ok_or_else(malformed);
+            return Ok(ExecutionRequest::with_script(user, script, &name, run));
         }
         // An inline source is prepared here, where it enters: one the
         // parser or compiler refuses is this request's 400, not a job that
         // fails on a worker.
-        let mut req = ExecutionRequest::from_value(body).ok_or_else(malformed)?;
+        let source = body["source"].as_str().ok_or_else(malformed)?;
+        let mut req = ExecutionRequest::new(user, source, run);
         if let Err(rejected) = &req.script {
             return Err(RegistryError::Invalid { field: "source", message: rejected.error.to_string() });
         }
-        req.user = user.to_string();
+        req.workflow = body["workflow"].as_str().map(str::to_string);
         Ok(req)
     }
 
@@ -414,7 +416,7 @@ impl LaminarServer {
     /// submit/events path and stopped via `DELETE .../job/{id}`.
     fn execution_run(&self, user: &str, body: &Value) -> Result<Value, RegistryError> {
         let req = self.resolve_request(user, body)?;
-        if matches!(req.input, laminar_engine::RunInput::Unbounded { .. }) {
+        if matches!(req.run.input, laminar_engine::RunInput::Unbounded { .. }) {
             return Err(RegistryError::Invalid {
                 field: "input",
                 message: "unbounded input never completes; use POST .../submit and stop it with \
@@ -1333,9 +1335,8 @@ mod tests {
                 .unwrap();
         // Fault plans never cross the wire: arm the kill by submitting
         // directly to the pool, then drive recovery through the API.
-        let req = ExecutionRequest::simple("zz46", WF_SRC, 9)
+        let req = ExecutionRequest::new("zz46", WF_SRC, RunConfig::iterations(9).with_checkpoints(3))
             .with_workflow("IsPrimeFlow")
-            .with_checkpoints(3)
             .with_faults(laminar_engine::FaultPlan::parse("kill_at_epoch=1"));
         let id = s.pool().submit("zz46", req).unwrap();
         match s.pool().wait("zz46", id, std::time::Duration::from_secs(20)).unwrap() {
