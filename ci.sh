@@ -73,9 +73,10 @@
 #                every client and server socket opened in http.rs, the
 #                guard that keeps the per-event tree off the server's
 #                /events route, the guard that keeps a run envelope's keys
-#                in RunConfig's one codec (engine request.rs), and the
-#                guard that keeps every bench bin's command line and report
-#                file in laminar_bench
+#                in RunConfig's one codec (engine request.rs), the guard
+#                that keeps every bench bin's command line and report file
+#                in laminar_bench, and the guard that keeps `unsafe` out of
+#                the product crates' sources
 #
 # Every run ends with a per-tier wall-clock timing summary and, when all
 # selected tiers passed, the line "CI GREEN".
@@ -253,6 +254,16 @@ tier_lint() {
     echo "ci.sh: a run envelope is written and read by RunConfig in request.rs; the lines above spell its keys elsewhere" >&2
     return 1
   fi
+  # Safe Rust only in the product: every crate's src but the dev-only
+  # oracle, the bench bins and the offline shims, the facade's included,
+  # holds no `unsafe` (the JSON map's inline keys read their text back
+  # through `str::from_utf8`). Comment lines are not code.
+  if awk '!/^[[:space:]]*\/\// && /(^|[^A-Za-z0-9_])unsafe([^A-Za-z0-9_]|$)/ {
+            print FILENAME ":" FNR ": " $0; hit = 1 }
+          END { exit !hit }' $(find src crates/*/src -name '*.rs' | grep -Ev '^crates/(bench|oracle|shims)/'); then
+    echo "ci.sh: the product crates are safe Rust; the lines above add unsafe code" >&2
+    return 1
+  fi
   # One bench harness: bins take their flags and write their reports
   # through `laminar_bench::Flags`, never by hand.
   if awk '/std::env::args|std::fs::write/ { print FILENAME ":" FNR ": " $0; hit = 1 }
@@ -263,7 +274,7 @@ tier_lint() {
 }
 
 usage() {
-  sed -n '2,78p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,79p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 TIERS=()

@@ -113,12 +113,12 @@ impl ExecutionOutput {
         };
         if let Some(m) = v["processed"].as_object() {
             for (k, n) in m {
-                out.processed.insert(k.clone(), n.as_i64().unwrap_or(0).max(0) as u64);
+                out.processed.insert(k.as_str().to_owned(), n.as_i64().unwrap_or(0).max(0) as u64);
             }
         }
         if let Some(m) = v["emitted"].as_object() {
             for (k, n) in m {
-                out.emitted.insert(k.clone(), n.as_i64().unwrap_or(0).max(0) as u64);
+                out.emitted.insert(k.as_str().to_owned(), n.as_i64().unwrap_or(0).max(0) as u64);
             }
         }
         Some(out)

@@ -68,7 +68,7 @@ fn a_completed_checkpointed_stream_is_these_bytes() {
     // `finished` carries timings: its key set and its non-timing fields
     // are the literal part.
     let finished = &events[16];
-    let keys: Vec<&str> = finished.as_object().unwrap().keys().map(String::as_str).collect();
+    let keys: Vec<&str> = finished.as_object().unwrap().keys().map(laminar_json::Key::as_str).collect();
     assert_eq!(
         keys,
         [

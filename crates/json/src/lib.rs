@@ -21,14 +21,16 @@
 //! ```
 
 mod error;
+mod map;
 mod parse;
 mod ser;
 mod value;
 
 pub use error::{JsonError, Result};
+pub use map::{Entry, IntoIter, Iter, Key, Map};
 pub use parse::parse;
 pub use ser::{to_string, to_string_pretty, write_string, write_value};
-pub use value::{Map, SharedValue, Value};
+pub use value::{SharedValue, Value};
 
 /// Construct a [`Value::Object`] from `key => value` pairs.
 ///
@@ -41,8 +43,9 @@ pub use value::{Map, SharedValue, Value};
 macro_rules! jobj {
     () => { $crate::Value::Object($crate::Map::new()) };
     ( $( $k:expr => $v:expr ),+ $(,)? ) => {{
-        let mut m = $crate::Map::new();
-        $( m.insert(::std::string::String::from($k), $crate::Value::from($v)); )+
+        // Room for every pair up front: one allocation.
+        let mut m = $crate::Map::with_capacity([$(::std::stringify!($k)),+].len());
+        $( m.insert($crate::Key::from($k), $crate::Value::from($v)); )+
         $crate::Value::Object(m)
     }};
 }

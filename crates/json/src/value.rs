@@ -5,7 +5,7 @@
 //! extension used internally by the dataflow layer: integers and floats are
 //! kept distinct so that group-by keys hash stably.
 
-use std::collections::BTreeMap;
+use crate::map::Map;
 use std::fmt;
 use std::ops::Index;
 use std::sync::Arc;
@@ -17,13 +17,6 @@ use std::sync::Arc;
 /// copies. Use [`Value::into_shared`] / [`Value::unshare`] to cross between
 /// the owned and shared worlds.
 pub type SharedValue = Arc<Value>;
-
-/// Ordered map used for JSON objects.
-///
-/// A `BTreeMap` keeps serialization deterministic, which matters for
-/// embedding stability (the registry hashes serialized PE specs) and for
-/// reproducible tests.
-pub type Map = BTreeMap<String, Value>;
 
 /// A dynamically-typed JSON value.
 #[derive(Clone, Default, PartialEq)]
@@ -130,7 +123,7 @@ impl Value {
         }
         match self {
             Value::Object(m) => {
-                m.insert(key.to_string(), value.into());
+                m.insert(key, value.into());
             }
             other => panic!("Value::set on non-object {}", other.type_name()),
         }

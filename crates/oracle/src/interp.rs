@@ -279,7 +279,7 @@ impl Interp {
                 let items: Vec<Value> = match seq {
                     Value::Array(a) => a,
                     Value::Str(s) => s.chars().map(|c| Value::Str(c.to_string())).collect(),
-                    Value::Object(m) => m.into_keys().map(Value::Str).collect(),
+                    Value::Object(m) => m.into_keys().map(|k| Value::Str(k.into())).collect(),
                     other => {
                         return Err(ScriptError::new(
                             ErrorKind::TypeError,

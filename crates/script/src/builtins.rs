@@ -7,7 +7,7 @@
 //! library installer.
 
 use crate::error::{ErrorKind, ScriptError};
-use crate::runtime::MAX_ALLOC_BYTES;
+use crate::runtime::{finite, MAX_ALLOC_BYTES};
 use laminar_json::{Map, Value};
 
 type R = Result<Value, ScriptError>;
@@ -78,11 +78,11 @@ fn call_global(name: &str, args: &[Value]) -> Option<R> {
         "float" => match args {
             [Value::Int(i)] => Ok(Value::Float(*i as f64)),
             [Value::Float(f)] => Ok(Value::Float(*f)),
-            [Value::Str(s)] => s
-                .trim()
-                .parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| arg_err(format!("float: cannot parse '{s}'"))),
+            [Value::Str(s)] => match s.trim().parse::<f64>() {
+                Ok(f) if f.is_finite() => Ok(Value::Float(f)),
+                Ok(_) => Err(arg_err(format!("float: '{s}' is not a finite number"))),
+                Err(_) => Err(arg_err(format!("float: cannot parse '{s}'"))),
+            },
             _ => Err(arg_err("float(value)")),
         },
         "abs" => match args {
@@ -134,7 +134,7 @@ fn call_global(name: &str, args: &[Value]) -> Option<R> {
                     }
                 }
                 if any_float {
-                    Ok(Value::Float(float_sum + int_sum as f64))
+                    finite(float_sum + int_sum as f64, "sum", 0)
                 } else {
                     Ok(Value::Int(int_sum))
                 }
@@ -228,7 +228,9 @@ fn call_global(name: &str, args: &[Value]) -> Option<R> {
             _ => Err(arg_err("get(map|list, key, default?)")),
         },
         "keys" => match args {
-            [Value::Object(m)] => Ok(Value::Array(m.keys().cloned().map(Value::Str).collect())),
+            [Value::Object(m)] => {
+                Ok(Value::Array(m.keys().map(|k| Value::Str(k.as_str().to_owned())).collect()))
+            }
             _ => Err(arg_err("keys(map)")),
         },
         "values" => match args {
@@ -261,7 +263,7 @@ fn call_global(name: &str, args: &[Value]) -> Option<R> {
             [v] => arm(|| Ok(Value::Int(num(v, "round")?.round() as i64))),
             [v, Value::Int(d)] => arm(|| {
                 let m = 10f64.powi(*d as i32);
-                Ok(Value::Float((num(v, "round")? * m).round() / m))
+                finite((num(v, "round")? * m).round() / m, "round", 0)
             }),
             _ => Err(arg_err("round(number, digits?)")),
         },
@@ -309,11 +311,11 @@ fn call_math(name: &str, args: &[Value]) -> Option<R> {
         },
         "pow" => match args {
             [Value::Int(b), Value::Int(e)] if *e >= 0 && *e < 63 => Ok(Value::Int(b.wrapping_pow(*e as u32))),
-            [a, b] => arm(|| Ok(Value::Float(num(a, "pow")?.powf(num(b, "pow")?)))),
+            [a, b] => arm(|| finite(num(a, "pow")?.powf(num(b, "pow")?), "pow", 0)),
             _ => Err(arg_err("pow(base, exp)")),
         },
         "exp" => match args {
-            [v] => arm(|| Ok(Value::Float(num(v, "exp")?.exp()))),
+            [v] => arm(|| finite(num(v, "exp")?.exp(), "exp", 0)),
             _ => Err(arg_err("exp(number)")),
         },
         "log" => match args {
@@ -498,6 +500,19 @@ mod tests {
         assert!(call(Some("math"), "log", &[Value::Int(0)]).unwrap().is_err());
         // unqualified aliases
         assert_eq!(c("sqrt", &[Value::Int(4)]), Value::Float(2.0));
+    }
+
+    #[test]
+    fn a_non_finite_float_is_an_error_where_it_is_made() {
+        let kind = |name: &str, args: &[Value]| call(None, name, args).unwrap().unwrap_err().kind;
+        assert_eq!(kind("exp", &[Value::Int(1000)]), ErrorKind::Overflow);
+        assert_eq!(kind("pow", &[Value::Float(10.0), Value::Int(400)]), ErrorKind::Overflow);
+        assert_eq!(kind("sum", &[jarr![1e308, 1e308]]), ErrorKind::Overflow);
+        assert_eq!(kind("round", &[Value::Float(1.5), Value::Int(400)]), ErrorKind::Overflow);
+        for text in ["nan", "inf", "-infinity", "1e400"] {
+            assert_eq!(kind("float", &[Value::Str(text.into())]), ErrorKind::ArgumentError, "{text}");
+        }
+        assert_eq!(c("float", &[Value::Str("1e308".into())]), Value::Float(1e308));
     }
 
     #[test]

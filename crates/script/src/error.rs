@@ -17,6 +17,9 @@ pub enum ErrorKind {
     IndexError,
     /// Division or modulo by zero.
     DivisionByZero,
+    /// A float result too large to be a finite number, which JSON cannot
+    /// carry (e.g. `exp(1000)`).
+    Overflow,
     /// Wrong arity or bad argument to a builtin/host function.
     ArgumentError,
     /// The fuel budget was exhausted — runaway loop protection.
@@ -38,6 +41,7 @@ impl fmt::Display for ErrorKind {
             ErrorKind::TypeError => "type error",
             ErrorKind::IndexError => "index error",
             ErrorKind::DivisionByZero => "division by zero",
+            ErrorKind::Overflow => "overflow error",
             ErrorKind::ArgumentError => "argument error",
             ErrorKind::FuelExhausted => "fuel exhausted",
             ErrorKind::StackOverflow => "stack overflow",

@@ -420,6 +420,9 @@ fn lex_number(bytes: &[u8], line: usize, col: usize) -> Result<(TokenKind, usize
     if is_float {
         let f: f64 =
             text.parse().map_err(|_| ScriptError::at(ErrorKind::Lex, "invalid float literal", line, col))?;
+        if !f.is_finite() {
+            return Err(ScriptError::at(ErrorKind::Lex, "float literal out of range", line, col));
+        }
         Ok((TokenKind::Float(f), i))
     } else {
         let n: i64 = text
@@ -524,6 +527,7 @@ mod tests {
         assert!(lex("a ! b").is_err());
         assert!(lex("€").is_err());
         assert!(lex("99999999999999999999999999").is_err());
+        assert!(lex("1e400").is_err(), "a float literal JSON cannot carry");
         assert!(lex(r#""bad \q escape""#).is_err());
     }
 }

@@ -166,12 +166,14 @@ pub fn binary_op(op: BinOp, l: &Value, r: &Value, line: usize) -> Result<Value, 
                 Ok(Array(out))
             }
             _ => num_op(l, r, |a, b| a + b)
-                .ok_or_else(|| type_err(format!("cannot add {} and {}", l.type_name(), r.type_name()))),
+                .ok_or_else(|| type_err(format!("cannot add {} and {}", l.type_name(), r.type_name())))
+                .and_then(|f| finite(f, "float", line)),
         },
         Sub => match (l, r) {
             (Int(a), Int(b)) => Ok(Int(a.wrapping_sub(*b))),
             _ => num_op(l, r, |a, b| a - b)
-                .ok_or_else(|| type_err(format!("cannot subtract {} from {}", r.type_name(), l.type_name()))),
+                .ok_or_else(|| type_err(format!("cannot subtract {} from {}", r.type_name(), l.type_name())))
+                .and_then(|f| finite(f, "float", line)),
         },
         Mul => match (l, r) {
             (Int(a), Int(b)) => Ok(Int(a.wrapping_mul(*b))),
@@ -185,7 +187,8 @@ pub fn binary_op(op: BinOp, l: &Value, r: &Value, line: usize) -> Result<Value, 
                 Ok(Str(s.repeat(*n as usize)))
             }
             _ => num_op(l, r, |a, b| a * b)
-                .ok_or_else(|| type_err(format!("cannot multiply {} and {}", l.type_name(), r.type_name()))),
+                .ok_or_else(|| type_err(format!("cannot multiply {} and {}", l.type_name(), r.type_name())))
+                .and_then(|f| finite(f, "float", line)),
         },
         Div => match (l, r) {
             (Int(_), Int(0)) => {
@@ -193,14 +196,13 @@ pub fn binary_op(op: BinOp, l: &Value, r: &Value, line: usize) -> Result<Value, 
             }
             (Int(a), Int(b)) => Ok(Int(a.wrapping_div(*b))),
             _ => {
-                let v = num_op(l, r, |a, b| a / b).ok_or_else(|| {
+                let f = num_op(l, r, |a, b| a / b).ok_or_else(|| {
                     type_err(format!("cannot divide {} by {}", l.type_name(), r.type_name()))
                 })?;
-                match v {
-                    Float(f) if f.is_nan() || f.is_infinite() => {
-                        Err(ScriptError::at(ErrorKind::DivisionByZero, "float division by zero", line, 0))
-                    }
-                    ok => Ok(ok),
+                if f.is_nan() || f.is_infinite() {
+                    Err(ScriptError::at(ErrorKind::DivisionByZero, "float division by zero", line, 0))
+                } else {
+                    Ok(Float(f))
                 }
             }
         },
@@ -234,9 +236,22 @@ pub fn binary_op(op: BinOp, l: &Value, r: &Value, line: usize) -> Result<Value, 
     }
 }
 
-fn num_op(l: &Value, r: &Value, f: impl Fn(f64, f64) -> f64) -> Option<Value> {
+/// A float result, refused where it overflowed: no `Value` may hold a NaN
+/// or an infinity, which JSON cannot carry to the wire or the journal.
+/// `what` names the operation; a builtin passes line 0, which the caller
+/// fills in.
+#[inline]
+pub(crate) fn finite(f: f64, what: &str, line: usize) -> Result<Value, ScriptError> {
+    if f.is_finite() {
+        Ok(Value::Float(f))
+    } else {
+        Err(ScriptError::at(ErrorKind::Overflow, format!("{what} result out of range"), line, 0))
+    }
+}
+
+fn num_op(l: &Value, r: &Value, f: impl Fn(f64, f64) -> f64) -> Option<f64> {
     match (l.as_f64(), r.as_f64()) {
-        (Some(a), Some(b)) => Some(Value::Float(f(a, b))),
+        (Some(a), Some(b)) => Some(f(a, b)),
         _ => None,
     }
 }

@@ -490,7 +490,7 @@ impl Vm {
                     let items: Vec<Value> = match seq {
                         Value::Array(a) => a,
                         Value::Str(s) => s.chars().map(|c| Value::Str(c.to_string())).collect(),
-                        Value::Object(m) => m.into_keys().map(Value::Str).collect(),
+                        Value::Object(m) => m.into_keys().map(|k| Value::Str(k.into())).collect(),
                         other => {
                             return Err(ScriptError::new(
                                 ErrorKind::TypeError,
@@ -562,12 +562,7 @@ impl Vm {
                             format!("cannot set field '{f}' on non-object"),
                         )
                     })?;
-                    // The key is allocated only when the field is new.
-                    place = if m.contains_key(f) {
-                        m.get_mut(f).expect("present")
-                    } else {
-                        m.entry(f.to_string()).or_insert(Value::Null)
-                    };
+                    place = m.get_or_insert_with(f, || Value::Null);
                 }
                 PathAcc::Index(r) => {
                     let idx = std::mem::take(&mut regs[base + r as usize - regs_at]);
@@ -580,7 +575,7 @@ impl Vm {
                                 Value::Str(s) => s,
                                 other => other.to_string(),
                             };
-                            place = m.entry(k).or_insert(Value::Null);
+                            place = m.get_or_insert_with(&k, || Value::Null);
                         }
                         (Value::Array(a), Value::Int(i)) => match position(i, a.len()) {
                             Some(p) => place = &mut a[p],

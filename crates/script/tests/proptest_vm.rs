@@ -14,7 +14,7 @@ mod common;
 
 use laminar_json::Value;
 use laminar_oracle::Interp;
-use laminar_script::{compile_script, parse_script, NullHost, VecSink, Vm};
+use laminar_script::{compile_script, parse_script, ErrorKind, NullHost, VecSink, Vm};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -77,6 +77,40 @@ fn check_differential(src: &str, runs: &[(Value, u8)], fuel: u64, seed: u64) {
 
     assert_eq!(isink.port_values(), vsink.port_values(), "emissions diverged\n--- source ---\n{src}");
     assert_eq!(isink.printed, vsink.printed, "prints diverged\n--- source ---\n{src}");
+}
+
+/// A float that overflows, or a NaN parsed from text, is the same typed
+/// error in both engines, at the operation that made it: JSON could not
+/// carry the value to the wire.
+#[test]
+fn a_non_finite_float_is_the_same_error_in_both_engines() {
+    for (expr, kind) in [
+        ("exp(1000)", ErrorKind::Overflow),
+        ("pow(10.0, 400)", ErrorKind::Overflow),
+        ("2.0 * 1e308", ErrorKind::Overflow),
+        ("-1e308 - 1e308", ErrorKind::Overflow),
+        ("sum([1e308, 1e308])", ErrorKind::Overflow),
+        ("float(\"nan\")", ErrorKind::ArgumentError),
+    ] {
+        let src = format!(
+            "pe {} : generic {{ input input; output output; process {{ emit({expr}); }} }}",
+            common::PE_NAME
+        );
+        check_differential(&src, &[(Value::Int(1), 0)], 10_000, 0);
+        let program = Arc::new(compile_script(&parse_script(&src).unwrap()).unwrap());
+        let mut vm = Vm::new(program, Arc::new(NullHost));
+        let err = vm
+            .run_process(
+                common::PE_NAME,
+                Some(Value::Int(1)),
+                None,
+                0,
+                &mut Value::Null,
+                &mut VecSink::default(),
+            )
+            .unwrap_err();
+        assert_eq!(err.kind, kind, "{expr}: {err}");
+    }
 }
 
 proptest! {

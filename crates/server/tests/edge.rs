@@ -169,7 +169,9 @@ fn stop_does_not_wait_for_idle_kept_connections() {
 }
 
 /// A script asking for a huge allocation is an error answer, not an abort
-/// (which no `catch_unwind` survives): the next run is served.
+/// (which no `catch_unwind` survives), and so is one whose float overflows
+/// (JSON has no NaN or infinity to put on the wire): the next run is
+/// served.
 #[test]
 fn a_run_asking_for_a_huge_allocation_is_refused_and_the_next_run_is_served() {
     const IS_PRIME: &str = r#"
@@ -189,6 +191,16 @@ fn a_run_asking_for_a_huge_allocation_is_refused_and_the_next_run_is_served() {
     for greedy in ["emit(range(1099511627776));", r#"let s = "aaaaaaaaaa" * 1000000; emit(s * 1000000);"#] {
         let r = run(&format!("pe Greedy : producer {{ output o; process {{ {greedy} }} }}"));
         assert!(r.body["error"]["message"].as_str().unwrap().contains("67108864"), "{greedy}: {r:?}");
+    }
+    for (overflow, kind, message) in [
+        (r#"emit(float("nan"));"#, "argument error", "float: 'nan' is not a finite number"),
+        ("emit(exp(1000));", "overflow error", "exp result out of range"),
+        ("emit(2.0 * 1e308);", "overflow error", "float result out of range"),
+        ("emit(pow(10.0, 400));", "overflow error", "pow result out of range"),
+    ] {
+        let r = run(&format!("pe Overflow : producer {{ output o; process {{ {overflow} }} }}"));
+        let error = r.body["error"]["message"].as_str().unwrap_or_default();
+        assert!(error.contains(kind) && error.contains(message), "{overflow}: {r:?}");
     }
     let r = run(IS_PRIME);
     assert_eq!(r.body["printed"].as_array().unwrap().len(), 4, "{r:?}");

@@ -3,9 +3,10 @@
 //! `HttpServer` in this process, so the count covers the producer, the
 //! log, the page encoder, both ends of the edge and the client's parse.
 //! The client hands its caller one tree per event — an object of six keys
-//! and three strings, ten allocations — and that is meant to be all an
-//! event costs after the run that made it: no tree on the server, no copy
-//! on the client. Its own binary: the counter is process-wide.
+//! and three strings: one allocation for the object's entries, whose keys
+//! are inline, and one per string, four in all — and that is meant to be
+//! all an event costs after the run that made it: no tree on the server,
+//! no copy on the client. Its own binary: the counter is process-wide.
 
 use laminar::prelude::*;
 use laminar::server::HttpServer;
@@ -73,8 +74,11 @@ fn delivering_an_event_costs_the_clients_tree_and_little_else() {
     let mut ops: Vec<f64> = (0..5).map(|_| calls_per_event(&mut client)).collect();
     ops.sort_by(f64::total_cmp);
     let median = ops[2];
-    assert!(median < 14.0, "{median:.1} allocator calls per delivered event (five ops: {ops:?})");
-    assert!(median > 9.0, "{median:.1} calls cannot build the client's tree: the measure is broken");
+    assert!(median < CEILING, "{median:.1} allocator calls per delivered event (five ops: {ops:?})");
+    assert!(median > 3.0, "{median:.1} calls cannot build the client's three strings: the measure is broken");
     drop(client);
     http.stop();
 }
+
+/// The median measured when the gate was set (4.3), plus 3.
+const CEILING: f64 = 7.3;
