@@ -27,7 +27,7 @@ mod ser;
 mod value;
 
 pub use error::{JsonError, Result};
-pub use map::{Entry, IntoIter, Iter, Key, Map};
+pub use map::{IntoIter, Iter, Key, Map};
 pub use parse::parse;
 pub use ser::{to_string, to_string_pretty, write_string, write_value};
 pub use value::{SharedValue, Value};

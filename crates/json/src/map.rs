@@ -18,7 +18,6 @@ use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::{btree_map, BTreeMap};
 use std::fmt;
-use std::mem::ManuallyDrop;
 use std::ops::Deref;
 
 /// The longest key held inline, in bytes.
@@ -27,8 +26,9 @@ const INLINE: usize = 16;
 /// An object key: text of up to 16 bytes inline, a longer one boxed.
 ///
 /// Keys order as their UTF-8 bytes, which is `str`'s order. Two inline
-/// keys compare as one big-endian 128-bit word (two `u64`s) and then their
-/// length, without a byte loop.
+/// keys are equal when their zero-padded bytes, read as one 128-bit word,
+/// and their lengths are; they order as that word read big-endian (two
+/// `u64`s) and then their length. Neither needs a byte loop.
 #[derive(Clone)]
 pub struct Key(KeyRepr);
 
@@ -72,13 +72,12 @@ impl Key {
         }
     }
 
-    /// Whether this is the key being looked up: one compare of two words
-    /// and a length, without a branch between them.
+    /// Whether this is the key being looked up.
     #[inline]
     fn eq_probe(&self, probe: &Probe<'_>) -> bool {
         match (&self.0, probe.word) {
             (KeyRepr::Inline { len, bytes }, Some(word)) => {
-                (u128::from_le_bytes(*bytes) ^ word) | (*len as usize ^ probe.bytes.len()) as u128 == 0
+                u128::from_le_bytes(*bytes) == word && *len as usize == probe.bytes.len()
             }
             _ => self.as_bytes() == probe.bytes,
         }
@@ -96,35 +95,19 @@ impl Key {
     }
 }
 
-/// Up to 16 bytes zero-padded, read as one little-endian word, put
-/// together from at most four overlapping loads: copying them into a
-/// padded buffer would cost a `memcpy` call per lookup.
+/// Up to 16 bytes, zero-padded.
 #[inline]
-fn padded(b: &[u8]) -> u128 {
-    let n = b.len();
-    match n {
-        8..=INLINE => {
-            let head = u64::from_le_bytes(b[..8].try_into().expect("8 bytes"));
-            let end = u64::from_le_bytes(b[n - 8..].try_into().expect("8 bytes"));
-            u128::from(head) | u128::from(end) << (8 * (n - 8))
-        }
-        4..=7 => {
-            let head = u32::from_le_bytes(b[..4].try_into().expect("4 bytes"));
-            let end = u32::from_le_bytes(b[n - 4..].try_into().expect("4 bytes"));
-            u128::from(head) | u128::from(end) << (8 * (n - 4))
-        }
-        1..=3 => {
-            u128::from(b[0]) | u128::from(b[n / 2]) << (8 * (n / 2)) | u128::from(b[n - 1]) << (8 * (n - 1))
-        }
-        _ => 0,
-    }
+fn padded(b: &[u8]) -> [u8; INLINE] {
+    let mut bytes = [0; INLINE];
+    bytes[..b.len()].copy_from_slice(b);
+    bytes
 }
 
 impl From<&str> for Key {
     #[inline]
     fn from(s: &str) -> Key {
         if s.len() <= INLINE {
-            Key(KeyRepr::Inline { len: s.len() as u8, bytes: padded(s.as_bytes()).to_le_bytes() })
+            Key(KeyRepr::Inline { len: s.len() as u8, bytes: padded(s.as_bytes()) })
         } else {
             Key(KeyRepr::Boxed(s.into()))
         }
@@ -168,7 +151,7 @@ impl Borrow<[u8]> for Key {
 impl PartialEq for Key {
     #[inline]
     fn eq(&self, other: &Key) -> bool {
-        self.cmp(other) == Ordering::Equal
+        self.eq_probe(&other.probe())
     }
 }
 
@@ -193,13 +176,12 @@ impl fmt::Debug for Key {
     }
 }
 
-/// A key being looked up, in the forms an inline key compares in, built
+/// A key being looked up, in the form an inline key compares in, built
 /// once before the search rather than at every step of it.
 struct Probe<'a> {
     bytes: &'a [u8],
-    /// For a text of up to 16 bytes, its [`padded`] word: equality
-    /// compares it, order its bytes reversed (a big-endian number orders
-    /// as its bytes do).
+    /// For a text of up to 16 bytes, its [`padded`] bytes as one
+    /// little-endian word.
     word: Option<u128>,
 }
 
@@ -207,136 +189,67 @@ impl<'a> Probe<'a> {
     #[inline]
     fn new(text: &'a str) -> Probe<'a> {
         let bytes = text.as_bytes();
-        Probe { bytes, word: (bytes.len() <= INLINE).then(|| padded(bytes)) }
+        Probe { bytes, word: (bytes.len() <= INLINE).then(|| u128::from_le_bytes(padded(bytes))) }
     }
 }
 
 /// A JSON object: keys in ascending byte order, each once.
 ///
 /// It keeps `BTreeMap`'s method names. Up to [`Map::FLAT_MAX`] entries it is
-/// one sorted `Vec`, scanned while short and bisected past that; beyond
-/// them a `BTreeMap`, which it stays until [`clear`](Map::clear)ed. Which
-/// side holds the entries never shows: iteration, equality and every
-/// serialized byte are the same.
-#[derive(Default)]
+/// one sorted `Vec`; beyond them a `BTreeMap`, which it stays until
+/// [`clear`](Map::clear)ed. Which side holds the entries never shows:
+/// iteration, equality and every serialized byte are the same.
+#[derive(Clone, Default)]
 pub struct Map(Repr);
 
-/// Either side is dropped by [`Map`]'s `Drop`, out of line; see there.
 #[derive(Clone)]
 enum Repr {
-    Flat(ManuallyDrop<Vec<(Key, Value)>>),
+    Flat(Vec<(Key, Value)>),
     /// Boxed so that a `Map` is three words (the `Vec`'s) and a `Value`
     /// four: an unboxed tree would make every `Value` a word larger.
     #[expect(clippy::box_collection, reason = "the box keeps `Map` the size of the `Vec`")]
-    Tree(ManuallyDrop<Box<BTreeMap<Key, Value>>>),
-}
-
-impl Repr {
-    const fn flat(entries: Vec<(Key, Value)>) -> Repr {
-        Repr::Flat(ManuallyDrop::new(entries))
-    }
-
-    fn tree(entries: Vec<(Key, Value)>) -> Repr {
-        Repr::Tree(ManuallyDrop::new(Box::new(entries.into_iter().collect())))
-    }
+    Tree(Box<BTreeMap<Key, Value>>),
 }
 
 impl Default for Repr {
     fn default() -> Repr {
-        Repr::flat(Vec::new())
+        Repr::Flat(Vec::new())
     }
 }
 
-// A map's clone and drop stay out of line, as `BTreeMap`'s do. Inlined,
-// they made every `Value`'s clone and drop glue big enough that the
-// callers on the VM's hot path (a register file's resize and clear)
-// stopped inlining those, and paid a call per register.
-impl Clone for Map {
-    #[inline(never)]
-    fn clone(&self) -> Map {
-        Map(self.0.clone())
-    }
+/// The flat side's index of `probe`. The entries are scanned for an
+/// equal key, as a `BTreeMap` scans each of its nodes: each compare is one
+/// word and a length, and none waits on the one before it, as each step
+/// of a bisection does.
+#[inline]
+fn position(entries: &[(Key, Value)], probe: &Probe<'_>) -> Option<usize> {
+    entries.iter().position(|(k, _)| k.eq_probe(probe))
 }
 
-impl Drop for Map {
-    #[inline(never)]
-    fn drop(&mut self) {
-        match std::mem::take(&mut self.0) {
-            Repr::Flat(v) => drop(ManuallyDrop::into_inner(v)),
-            Repr::Tree(t) => drop(ManuallyDrop::into_inner(t)),
-        }
-    }
-}
-
-/// The most entries [`find`] scans rather than bisects.
-const SCAN_MAX: usize = 16;
-
-/// The flat side's slot for `probe`: its index, or where it would go.
-/// A short map is scanned for an equal key, inline: its compares do not
-/// wait on each other as each step of a bisection waits on the last.
-#[inline(always)]
-fn find(entries: &[(Key, Value)], probe: &Probe<'_>) -> Result<usize, usize> {
-    if entries.len() <= SCAN_MAX {
-        if let Some(i) = entries.iter().position(|(k, _)| k.eq_probe(probe)) {
-            return Ok(i);
-        }
-    }
-    place(entries, probe)
-}
-
-/// [`find`] by order: a bisection of a long map, or where a short one
-/// lacking the key would hold it.
-#[inline(never)]
-fn place(entries: &[(Key, Value)], probe: &Probe<'_>) -> Result<usize, usize> {
-    if entries.len() <= SCAN_MAX {
-        return Err(entries.partition_point(|(k, _)| k.cmp_probe(probe) == Ordering::Less));
-    }
-    entries.binary_search_by(|(k, _)| k.cmp_probe(probe))
-}
-
-// The tree side's lookups, out of line: inlined, the B-tree walk gave
-// `get`, `get_mut` and `get_or_insert_with` a frame that every flat
-// lookup paid to set up.
-#[inline(never)]
-fn tree_get<'a>(tree: &'a BTreeMap<Key, Value>, key: &str) -> Option<&'a Value> {
-    tree.get(key.as_bytes())
-}
-
-#[inline(never)]
-fn tree_get_mut<'a>(tree: &'a mut BTreeMap<Key, Value>, key: &str) -> Option<&'a mut Value> {
-    tree.get_mut(key.as_bytes())
-}
-
-#[inline(never)]
-fn tree_get_or_insert_with<'a>(
-    tree: &'a mut BTreeMap<Key, Value>,
-    key: &str,
-    default: impl FnOnce() -> Value,
-) -> &'a mut Value {
-    if !tree.contains_key(key.as_bytes()) {
-        tree.insert(Key::from(key), default());
-    }
-    tree.get_mut(key.as_bytes()).expect("present")
+/// Where a key that is not among `entries` goes, to keep them sorted.
+fn place(entries: &[(Key, Value)], probe: &Probe<'_>) -> usize {
+    entries.partition_point(|(k, _)| k.cmp_probe(probe) == Ordering::Less)
 }
 
 impl Map {
     /// The most entries the flat side holds; inserting into a full flat
-    /// map moves it into the tree. A random-order insert into the flat
-    /// side moves half its entries up, and at this size that still costs
-    /// less than the tree's node walk: on an x86-64 container, inserting
-    /// 11-byte keys in random order took 75 ns an entry flat and 80–88 ns
-    /// in the tree at 128 entries, about the same near 192, and 98 against
-    /// 85 ns at 256. A lookup stays cheaper flat at every size up to 1,024.
-    pub const FLAT_MAX: usize = 128;
+    /// map moves it into the tree. A flat lookup scans every entry before
+    /// the one it finds, and a new key moves every entry after its place;
+    /// the tree walks a few nodes of at most 11. Near this size the two
+    /// cost the same: on a 2-vCPU x86-64 container, with 9-byte keys, a
+    /// lookup took 20 ns flat and 38 in the tree at 16 entries, 59 and 60
+    /// at 64, and 83 and 67 at 80; building a map in random key order took
+    /// 92 and 97 ns an entry at 32, and 121 and 109 at 64.
+    pub const FLAT_MAX: usize = 64;
 
     /// An empty map; allocates nothing.
     pub const fn new() -> Map {
-        Map(Repr::flat(Vec::new()))
+        Map(Repr::Flat(Vec::new()))
     }
 
     /// An empty map with room for `n` entries before it reallocates.
     pub fn with_capacity(n: usize) -> Map {
-        Map(Repr::flat(Vec::with_capacity(n.min(Map::FLAT_MAX))))
+        Map(Repr::Flat(Vec::with_capacity(n.min(Map::FLAT_MAX))))
     }
 
     /// A map of `entries`, in any order; of two equal keys the later wins.
@@ -354,9 +267,9 @@ impl Map {
             });
         }
         if entries.len() > Map::FLAT_MAX {
-            Map(Repr::tree(entries))
+            Map(Repr::Tree(Box::new(entries.into_iter().collect())))
         } else {
-            Map(Repr::flat(entries))
+            Map(Repr::Flat(entries))
         }
     }
 
@@ -380,16 +293,16 @@ impl Map {
     #[inline]
     pub fn get(&self, key: &str) -> Option<&Value> {
         match &self.0 {
-            Repr::Flat(v) => find(v, &Probe::new(key)).ok().map(|i| &v[i].1),
-            Repr::Tree(t) => tree_get(t, key),
+            Repr::Flat(v) => position(v, &Probe::new(key)).map(|i| &v[i].1),
+            Repr::Tree(t) => t.get(key.as_bytes()),
         }
     }
 
     #[inline]
     pub fn get_mut(&mut self, key: &str) -> Option<&mut Value> {
         match &mut self.0 {
-            Repr::Flat(v) => find(v, &Probe::new(key)).ok().map(|i| &mut v[i].1),
-            Repr::Tree(t) => tree_get_mut(t, key),
+            Repr::Flat(v) => position(v, &Probe::new(key)).map(|i| &mut v[i].1),
+            Repr::Tree(t) => t.get_mut(key.as_bytes()),
         }
     }
 
@@ -401,14 +314,16 @@ impl Map {
     pub fn insert(&mut self, key: impl Into<Key>, value: Value) -> Option<Value> {
         let key = key.into();
         if let Repr::Flat(v) = &mut self.0 {
-            match find(v, &key.probe()) {
-                Ok(i) => return Some(std::mem::replace(&mut v[i].1, value)),
-                Err(i) if v.len() < Map::FLAT_MAX => {
-                    v.insert(i, (key, value));
-                    return None;
-                }
-                Err(_) => self.grow(),
+            let probe = key.probe();
+            if let Some(i) = position(v, &probe) {
+                return Some(std::mem::replace(&mut v[i].1, value));
             }
+            if v.len() < Map::FLAT_MAX {
+                let i = place(v, &probe);
+                v.insert(i, (key, value));
+                return None;
+            }
+            self.grow();
         }
         match &mut self.0 {
             Repr::Tree(t) => t.insert(key, value),
@@ -420,56 +335,47 @@ impl Map {
     #[cold]
     fn grow(&mut self) {
         if let Repr::Flat(v) = &mut self.0 {
-            let entries = std::mem::take(&mut **v);
-            self.0 = Repr::tree(entries);
+            let entries = std::mem::take(v);
+            self.0 = Repr::Tree(Box::new(entries.into_iter().collect()));
         }
     }
 
     /// Take `key` out; the value it had, if any.
     pub fn remove(&mut self, key: &str) -> Option<Value> {
         match &mut self.0 {
-            Repr::Flat(v) => find(v, &Probe::new(key)).ok().map(|i| v.remove(i).1),
+            Repr::Flat(v) => position(v, &Probe::new(key)).map(|i| v.remove(i).1),
             Repr::Tree(t) => t.remove(key.as_bytes()),
         }
     }
 
-    /// The slot of `key`, to read, change or fill.
-    pub fn entry(&mut self, key: impl Into<Key>) -> Entry<'_> {
-        let key = key.into();
-        if let Repr::Flat(v) = &self.0 {
-            if v.len() >= Map::FLAT_MAX && find(v, &key.probe()).is_err() {
-                self.grow();
-            }
-        }
-        Entry(match &mut self.0 {
-            Repr::Flat(v) => {
-                let at = find(v, &key.probe()).map_err(|i| (i, key));
-                EntryRepr::Flat { entries: v, at }
-            }
-            Repr::Tree(t) => EntryRepr::Tree(t.entry(key)),
-        })
-    }
-
     /// The value at `key`, inserting `default()` first if there is none.
-    /// One search, and a key is built only when one is inserted.
+    /// A key that is there costs one scan, and a key is built only when
+    /// one is inserted.
     pub fn get_or_insert_with(&mut self, key: &str, default: impl FnOnce() -> Value) -> &mut Value {
+        let probe = Probe::new(key);
         if let Repr::Flat(v) = &self.0 {
-            if v.len() >= Map::FLAT_MAX && find(v, &Probe::new(key)).is_err() {
+            if v.len() >= Map::FLAT_MAX && position(v, &probe).is_none() {
                 self.grow();
             }
         }
         match &mut self.0 {
             Repr::Flat(v) => {
-                let i = match find(v, &Probe::new(key)) {
-                    Ok(i) => i,
-                    Err(i) => {
+                let i = match position(v, &probe) {
+                    Some(i) => i,
+                    None => {
+                        let i = place(v, &probe);
                         v.insert(i, (Key::from(key), default()));
                         i
                     }
                 };
                 &mut v[i].1
             }
-            Repr::Tree(t) => tree_get_or_insert_with(t, key, default),
+            Repr::Tree(t) => {
+                if !t.contains_key(key.as_bytes()) {
+                    t.insert(Key::from(key), default());
+                }
+                t.get_mut(key.as_bytes()).expect("present")
+            }
         }
     }
 
@@ -524,36 +430,6 @@ impl<K: Into<Key>> Extend<(K, Value)> for Map {
     fn extend<I: IntoIterator<Item = (K, Value)>>(&mut self, iter: I) {
         for (k, v) in iter {
             self.insert(k, v);
-        }
-    }
-}
-
-/// The slot [`Map::entry`] found: a value, or the place a new one goes.
-pub struct Entry<'a>(EntryRepr<'a>);
-
-enum EntryRepr<'a> {
-    Flat { entries: &'a mut Vec<(Key, Value)>, at: Result<usize, (usize, Key)> },
-    Tree(btree_map::Entry<'a, Key, Value>),
-}
-
-impl<'a> Entry<'a> {
-    pub fn or_insert(self, default: Value) -> &'a mut Value {
-        self.or_insert_with(|| default)
-    }
-
-    pub fn or_insert_with(self, default: impl FnOnce() -> Value) -> &'a mut Value {
-        match self.0 {
-            EntryRepr::Flat { entries, at } => {
-                let i = match at {
-                    Ok(i) => i,
-                    Err((i, key)) => {
-                        entries.insert(i, (key, default()));
-                        i
-                    }
-                };
-                &mut entries[i].1
-            }
-            EntryRepr::Tree(e) => e.or_insert_with(default),
         }
     }
 }
@@ -613,10 +489,10 @@ impl<'a> IntoIterator for &'a Map {
 impl IntoIterator for Map {
     type Item = (Key, Value);
     type IntoIter = IntoIter;
-    fn into_iter(mut self) -> IntoIter {
-        IntoIter(match std::mem::take(&mut self.0) {
-            Repr::Flat(v) => IntoIterRepr::Flat(ManuallyDrop::into_inner(v).into_iter()),
-            Repr::Tree(t) => IntoIterRepr::Tree(ManuallyDrop::into_inner(t).into_iter()),
+    fn into_iter(self) -> IntoIter {
+        IntoIter(match self.0 {
+            Repr::Flat(v) => IntoIterRepr::Flat(v.into_iter()),
+            Repr::Tree(t) => IntoIterRepr::Tree(t.into_iter()),
         })
     }
 }
@@ -631,7 +507,7 @@ mod tests {
 
     #[test]
     fn inline_and_boxed_keys_order_and_match_as_their_bytes() {
-        // Every length from 0 to 17 (each of `padded`'s loads), and texts
+        // Every length from 0 to 17, and texts
         // that differ only past a prefix, by a NUL, or by their length.
         let long = "abcdefghijklmnopq";
         let mut texts: Vec<&str> = (0..=long.len()).map(|n| &long[..n]).collect();

@@ -49,8 +49,6 @@ enum Op {
     Remove(usize),
     Get(usize),
     GetMut(usize, i64),
-    Entry(usize, i64),
-    EntryWith(usize, i64),
     GetOrInsert(usize, i64),
     Retain(i64),
     Extend(Vec<(usize, i64)>),
@@ -73,8 +71,6 @@ fn arb_op(grow: bool) -> BoxedStrategy<Op> {
     let others = prop_oneof![
         arb_key().prop_map(Op::Get),
         (arb_key(), 0..1000i64).prop_map(|(k, v)| Op::GetMut(k, v)),
-        (arb_key(), 0..1000i64).prop_map(|(k, v)| Op::Entry(k, v)),
-        (arb_key(), 0..1000i64).prop_map(|(k, v)| Op::EntryWith(k, v)),
         (arb_key(), 0..1000i64).prop_map(|(k, v)| Op::GetOrInsert(k, v)),
         (2..5i64).prop_map(Op::Retain),
         arb_pairs(60).prop_map(Op::Extend),
@@ -114,14 +110,6 @@ fn step(map: &mut Map, oracle: &mut Oracle, keys: &[String], op: &Op) {
             }
             (a, b) => assert_eq!(a, b),
         },
-        Op::Entry(k, v) => {
-            let a = map.entry(key(k)).or_insert(Value::Int(*v)).clone();
-            assert_eq!(&a, oracle.entry(key(k).into()).or_insert(Value::Int(*v)));
-        }
-        Op::EntryWith(k, v) => {
-            let a = map.entry(keys[*k].clone()).or_insert_with(|| Value::Int(*v)).clone();
-            assert_eq!(&a, oracle.entry(key(k).into()).or_insert_with(|| Value::Int(*v)));
-        }
         Op::GetOrInsert(k, v) => {
             let a = map.get_or_insert_with(key(k), || Value::Int(*v)).clone();
             assert_eq!(&a, oracle.entry(key(k).into()).or_insert(Value::Int(*v)));

@@ -384,7 +384,7 @@ impl Interp {
                             format!("cannot set field '{f}' on non-object"),
                         )
                     })?;
-                    place = m.entry(f.clone()).or_insert(Value::Null);
+                    place = m.get_or_insert_with(f, || Value::Null);
                 }
                 Acc::Index(idx) => {
                     if place.is_null() && matches!(idx, Value::Str(_)) {
@@ -396,7 +396,7 @@ impl Interp {
                                 Value::Str(s) => s.clone(),
                                 other => other.to_string(),
                             };
-                            place = m.entry(k).or_insert(Value::Null);
+                            place = m.get_or_insert_with(&k, || Value::Null);
                         }
                         (Value::Array(a), Value::Int(i)) => {
                             let len = a.len() as i64;

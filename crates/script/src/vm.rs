@@ -141,7 +141,7 @@ impl Vm {
         let Some(init) = &pp.init else { return Ok(()) };
         self.fuel.left = self.fuel.limit;
         self.stack.clear();
-        self.stack.resize(init.n_regs as usize, Value::Null);
+        self.stack.resize_with(init.n_regs as usize, || Value::Null);
         self.iters.clear();
         self.stack[0] = std::mem::take(state);
         let mut dynamic: Dynamic = None;
@@ -172,7 +172,7 @@ impl Vm {
             .ok_or_else(|| ScriptError::new(ErrorKind::NameError, format!("unknown PE '{pe}'")))?;
         let chunk = &pp.process;
         self.stack.clear();
-        self.stack.resize(chunk.n_regs as usize, Value::Null);
+        self.stack.resize_with(chunk.n_regs as usize, || Value::Null);
         self.iters.clear();
         // Root frame mirrors the interpreter's root scope definitions, in
         // order: state, port-named datum alias, input, input_port,
@@ -225,7 +225,7 @@ impl Vm {
         dynamic: &mut Dynamic<'_>,
     ) -> Result<Value, ScriptError> {
         if self.stack.len() < base + chunk.n_regs as usize {
-            self.stack.resize(base + chunk.n_regs as usize, Value::Null);
+            self.stack.resize_with(base + chunk.n_regs as usize, || Value::Null);
         }
         let mut pc = 0usize;
         while pc < chunk.instrs.len() {
@@ -366,7 +366,7 @@ impl Vm {
                     let callee_base = base + chunk.n_regs as usize;
                     let need = callee_base + callee.n_regs as usize;
                     if self.stack.len() < need {
-                        self.stack.resize(need, Value::Null);
+                        self.stack.resize_with(need, || Value::Null);
                     }
                     for i in 0..argc as usize {
                         self.stack[callee_base + i] =

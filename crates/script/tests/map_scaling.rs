@@ -1,5 +1,5 @@
 //! A script's map write `m[k] = v` stays O(log n) as the map grows: the
-//! VM writes through `Map::entry`, which moves a map past
+//! VM writes through `Map::get_or_insert_with`, which moves a map past
 //! `Map::FLAT_MAX` entries into a B-tree. Filling a map with 2^17 keys in
 //! random order must take near 2^17·17 / (2^14·14) ≈ 9.7 times as long as
 //! 2^14; one sorted `Vec`, each insert moving half of it, would take about
