@@ -72,11 +72,14 @@
 #                not by their JSON "type" field, the guard that keeps
 #                every client and server socket opened in http.rs, the
 #                guard that keeps the per-event tree off the server's
-#                /events route, the guard that keeps a run envelope's keys
-#                in RunConfig's one codec (engine request.rs), the guard
-#                that keeps every bench bin's command line and report file
-#                in laminar_bench, and the guard that keeps `unsafe` out of
-#                the product crates' sources
+#                /events route, the guard that keeps a run event's wire
+#                form in RunEvent::write_json (no dataflow or engine
+#                source builds its tree), the guard that keeps a run
+#                envelope's keys in RunConfig's one codec (engine
+#                request.rs), the guard that keeps every bench bin's
+#                command line and report file in laminar_bench, and the
+#                guard that keeps `unsafe` out of the product crates'
+#                sources
 #
 # Every run ends with a per-tier wall-clock timing summary and, when all
 # selected tiers passed, the line "CI GREEN".
@@ -223,6 +226,16 @@ tier_lint() {
     echo "ci.sh: a run event is matched as a RunEvent; the lines above probe its JSON form" >&2
     return 1
   fi
+  # One writer of a run event's wire form: `RunEvent::write_json` writes
+  # the text and `to_value` parses it, so no dataflow or engine source
+  # builds an event's tree outside its tests (the reference tree the text
+  # is checked against is laminar-oracle's).
+  if awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
+          !test && /set\("type"/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+          END { exit !hit }' $(find crates/dataflow/src crates/engine/src -name '*.rs'); then
+    echo "ci.sh: a run event's wire form is written by RunEvent::write_json only; the lines above build its tree" >&2
+    return 1
+  fi
   # One place opens sockets: http.rs sets TCP_NODELAY and the deadlines on
   # every one it connects or accepts, so no other client or server file
   # may connect or bind outside its tests.
@@ -274,7 +287,7 @@ tier_lint() {
 }
 
 usage() {
-  sed -n '2,79p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,82p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 TIERS=()

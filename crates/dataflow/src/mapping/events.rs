@@ -25,18 +25,16 @@
 //! * Event `seq` numbers are assigned at the sink: a single total order
 //!   per run, per-instance emission order preserved (each worker emits its
 //!   own events in program order).
-//! * Without an observer the parallel runtime buffers each worker's events
-//!   locally and folds them at join time in dense-instance order — the
-//!   pre-stream accumulate-then-collect cost profile (one lock per worker,
-//!   deterministic result order). With an observer attached, workers flush
-//!   per emission burst so events become visible while upstream instances
-//!   are still producing.
+//! * Every worker flushes its events into the sink per emission burst,
+//!   observed or not, so outputs reach the fold (and any observer) while
+//!   upstream instances are still producing, and every run reports
+//!   `first_output`.
 //! * Events carry `Arc<str>` PE/port names cloned from the plan's interned
 //!   tables — emitting an event never allocates a name, preserving the
 //!   zero-allocation datapath property (`alloc_interning.rs`).
 
 use super::{RunResult, RunStats};
-use laminar_json::{write_string, write_value, Value};
+use laminar_json::{parse, write_string, write_value, Value};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -123,68 +121,22 @@ pub enum RunEvent {
 const _: () = assert!(size_of::<RunEvent>() <= 72);
 
 impl RunEvent {
-    /// Wire form of one event (the `/events` endpoint's array elements).
+    /// Wire form of one event (the `/events` endpoint's array elements)
+    /// as a tree: the parse of [`RunEvent::write_json`]'s text, so the
+    /// two cannot disagree.
     pub fn to_value(&self, seq: u64) -> Value {
-        let mut v = Value::Null;
-        v.set("seq", seq as i64);
-        match self {
-            RunEvent::PlanReady { pes } => {
-                let mut m = Value::Null;
-                for (pe, n) in pes {
-                    m.set(pe, *n);
-                }
-                v.set("type", "plan").set("pes", m);
-            }
-            RunEvent::InstanceStarted { pe, instance } => {
-                v.set("type", "started").set("pe", &**pe).set("instance", *instance);
-            }
-            RunEvent::Output { pe, instance, port, value } => {
-                v.set("type", "output")
-                    .set("pe", &**pe)
-                    .set("instance", *instance)
-                    .set("port", &**port)
-                    .set("value", value.clone());
-            }
-            RunEvent::Print { pe, instance, line } => {
-                v.set("type", "print").set("pe", &**pe).set("instance", *instance).set("line", line.as_str());
-            }
-            RunEvent::InstanceFinished { pe, instance, processed, emitted } => {
-                v.set("type", "instance_done")
-                    .set("pe", &**pe)
-                    .set("instance", *instance)
-                    .set("processed", *processed as i64)
-                    .set("emitted", *emitted as i64);
-            }
-            RunEvent::Epoch { id, state } => {
-                v.set("type", "epoch").set("epoch", *id as i64).set("state", state.clone());
-            }
-            RunEvent::Finished { stats } => {
-                v.set("type", "finished")
-                    .set("elapsed_us", stats.elapsed.as_micros() as i64)
-                    .set("plan_us", stats.timings.plan.as_micros() as i64)
-                    .set("enact_us", stats.timings.enact.as_micros() as i64)
-                    .set("collect_us", stats.timings.collect.as_micros() as i64)
-                    .set("compile_us", stats.timings.compile.as_micros() as i64)
-                    .set("events", stats.events as i64);
-                if let Some(d) = stats.first_output {
-                    v.set("first_output_us", d.as_micros() as i64);
-                }
-            }
-            RunEvent::Cancelled => {
-                v.set("type", "cancelled");
-            }
-        }
-        v
+        let mut text = String::new();
+        self.write_json(seq, &mut text);
+        parse(&text).expect("a run event is written as JSON")
     }
 
-    /// The wire form as text, appended to `out`: byte for byte
-    /// `laminar_json::to_string(&self.to_value(seq))`, without the tree.
-    /// The `/events` route and the journal encode through here;
-    /// [`RunEvent::to_value`] stays as the embedding API, the inverse of
-    /// [`RunEvent::from_value`], and the reference this is tested against
-    /// (`tests/proptest_event_text.rs`). A `Value` object serializes its
-    /// keys sorted, so each arm writes its keys in that order: a key
-    /// added to `to_value` goes in its sorted place here.
+    /// The wire form as text, appended to `out`: the product's one writer
+    /// of it. The `/events` route and the journal encode through here and
+    /// [`RunEvent::to_value`] parses it. `tests/proptest_event_text.rs`
+    /// checks it byte for byte against the hand-built tree of
+    /// `laminar-oracle`. A `Value` object serializes its keys sorted, so
+    /// each arm writes its keys in that order: a new key goes in its
+    /// sorted place.
     pub fn write_json(&self, seq: u64, out: &mut String) {
         // A member's key as one literal, punctuation included: `{"name":`
         // opens the object, `,"name":` follows another member.
@@ -211,8 +163,8 @@ impl RunEvent {
         }
         match self {
             RunEvent::PlanReady { pes } => {
-                // As the map `to_value` builds: names sorted, a repeated
-                // name keeping its last count, `null` when there is none.
+                // As a map of the counts: names sorted, a repeated name
+                // keeping its last count, `null` when there is none.
                 let mut sorted: Vec<&(Arc<str>, usize)> = pes.iter().collect();
                 sorted.sort_by(|a, b| a.0.cmp(&b.0));
                 out.push_str(first!("pes"));
@@ -452,11 +404,6 @@ struct SinkInner {
     seq: u64,
     enact_start: Option<Instant>,
     first_output: Option<Duration>,
-    /// Whether events reach the sink as they happen. True for the
-    /// sequential runtime (always) and for observed parallel runs;
-    /// false for unobserved parallel runs, whose workers buffer until
-    /// join — there a first-output timestamp would be meaningless.
-    realtime: bool,
 }
 
 /// The runtime's event funnel: assigns sequence numbers, tees each event
@@ -470,7 +417,6 @@ pub struct EventSink {
 impl EventSink {
     /// A sink for one enactment.
     pub fn new(observer: Option<Arc<dyn RunObserver>>) -> EventSink {
-        let realtime = observer.is_some();
         EventSink {
             observer,
             inner: Mutex::new(SinkInner {
@@ -478,21 +424,8 @@ impl EventSink {
                 seq: 0,
                 enact_start: None,
                 first_output: None,
-                realtime,
             }),
         }
-    }
-
-    /// Whether an observer is attached — workers flush per burst when
-    /// live, at end-of-instance otherwise.
-    pub fn live(&self) -> bool {
-        self.observer.is_some()
-    }
-
-    /// Declare that events reach this sink as they happen even without an
-    /// observer (the sequential runtime), enabling `first_output` timing.
-    pub fn set_realtime(&self) {
-        self.inner.lock().realtime = true;
     }
 
     /// Mark the start of the enact stage (the zero of `first_output`).
@@ -506,13 +439,10 @@ impl EventSink {
         self.push_locked(&mut inner, event);
     }
 
-    /// Push a worker's buffered events under one lock, draining `buf`.
-    pub fn extend(&self, buf: &mut Vec<RunEvent>) {
-        if buf.is_empty() {
-            return;
-        }
+    /// Push one burst of events under one lock.
+    pub fn extend(&self, events: impl IntoIterator<Item = RunEvent>) {
         let mut inner = self.inner.lock();
-        for ev in buf.drain(..) {
+        for ev in events {
             self.push_locked(&mut inner, ev);
         }
     }
@@ -541,7 +471,7 @@ impl EventSink {
     }
 
     fn push_locked(&self, inner: &mut SinkInner, event: RunEvent) {
-        if inner.realtime && inner.first_output.is_none() {
+        if inner.first_output.is_none() {
             if let RunEvent::Output { .. } = &event {
                 inner.first_output = Some(inner.enact_start.map(|t| t.elapsed()).unwrap_or_default());
             }
@@ -664,12 +594,10 @@ mod tests {
         let sink = EventSink::new(Some(Arc::clone(&recorder) as Arc<dyn RunObserver>));
         sink.start_enact();
         sink.push(RunEvent::InstanceStarted { pe: arc("A"), instance: 0 });
-        let mut buf = vec![
+        sink.extend([
             RunEvent::Output { pe: arc("A"), instance: 0, port: arc("out"), value: Value::Int(9) },
             RunEvent::InstanceFinished { pe: arc("A"), instance: 0, processed: 1, emitted: 1 },
-        ];
-        sink.extend(&mut buf);
-        assert!(buf.is_empty());
+        ]);
         let (fold, first_output) = sink.take_fold();
         assert!(first_output.is_some(), "first Output timestamped");
         let result = fold.finish();

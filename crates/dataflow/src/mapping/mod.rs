@@ -361,9 +361,8 @@ pub struct RunStats {
     /// Events the enactment's stream carried (excluding the terminal
     /// [`events::RunEvent::Finished`]).
     pub events: u64,
-    /// Time from enact start to the first terminal-port output, when the
-    /// stream was real-time (sequential runs and observed parallel runs).
-    /// `None` when nothing was emitted or the run buffered until join.
+    /// Time from enact start to the first terminal-port output, on every
+    /// mapping, observed or not. `None` when nothing was emitted.
     pub first_output: Option<Duration>,
 }
 

@@ -36,7 +36,7 @@
 
 use super::events::{EventSink, RunEvent, RunObserver};
 use super::worker::{
-    emissions_to_events, plan_pes, run_worker, Emissions, InstanceRunner, RoutedDatum, SourceRange, Transport,
+    flush_emissions, plan_pes, run_worker, Emissions, InstanceRunner, RoutedDatum, SourceRange, Transport,
 };
 use super::{RunOptions, RunResult, StageTimings};
 use crate::error::DataflowError;
@@ -73,13 +73,9 @@ impl<'a> Runtime<'a> {
         let t0 = Instant::now();
         let plan = ConcretePlan::sequential(self.graph)?;
         let sink = EventSink::new(observer);
-        // The sequential drain pushes events in execution order, so first-
-        // output timing is real even without an observer.
-        sink.set_realtime();
         let ports = Arc::clone(plan.ports());
         let mut queue: VecDeque<RoutedDatum> = VecDeque::new();
         let mut emissions = Emissions::default();
-        let mut scratch: Vec<RunEvent> = Vec::new();
         let cancel = &self.options.cancel;
         let pace = self.options.pace();
         self.enact(t0, &plan, &sink, |runners, range| {
@@ -90,14 +86,11 @@ impl<'a> Runtime<'a> {
             }
             // Absorb one invocation's emissions: routed data queues for the
             // breadth-first drain, terminal outputs and prints become events.
-            let absorb = |runner: &InstanceRunner,
-                          emissions: &mut Emissions,
-                          queue: &mut VecDeque<RoutedDatum>,
-                          scratch: &mut Vec<RunEvent>| {
-                queue.extend(emissions.routed.drain(..));
-                emissions_to_events(&runner.node_name, runner.inst.index, &ports, emissions, scratch);
-                sink.extend(scratch);
-            };
+            let absorb =
+                |runner: &InstanceRunner, emissions: &mut Emissions, queue: &mut VecDeque<RoutedDatum>| {
+                    queue.extend(emissions.routed.drain(..));
+                    flush_emissions(&sink, &runner.node_name, runner.inst.index, &ports, emissions);
+                };
             // The drive loop. Cancellation is checked before every PE
             // invocation, so a cancelled run stops at an invocation
             // boundary: the events it emitted are exactly a prefix of the
@@ -114,7 +107,7 @@ impl<'a> Runtime<'a> {
                 }
                 for &s in &sources {
                     runners[s].run_iteration(self.options.datum_for(i), &mut emissions)?;
-                    absorb(&runners[s], &mut emissions, &mut queue, &mut scratch);
+                    absorb(&runners[s], &mut emissions, &mut queue);
                     while let Some(d) = queue.pop_front() {
                         if cancel.is_cancelled() {
                             sink.emit_cancelled();
@@ -122,7 +115,7 @@ impl<'a> Runtime<'a> {
                         }
                         let dense = plan.dense(d.dest);
                         runners[dense].run_datum(d.port, Value::unshare(d.value), &mut emissions)?;
-                        absorb(&runners[dense], &mut emissions, &mut queue, &mut scratch);
+                        absorb(&runners[dense], &mut emissions, &mut queue);
                     }
                     if cancel.is_cancelled() {
                         continue 'drive; // re-check at the loop head, which stops the run
@@ -156,9 +149,9 @@ impl<'a> Runtime<'a> {
     /// Parallel enactment: distribute `options.processes` across the graph
     /// and run one worker thread per instance, each on the transport
     /// `wire` built for it. `wire` is called once per round and returns
-    /// one transport per planned instance, in dense plan order. With an
-    /// observer, workers flush their events per emission burst, so
-    /// terminal outputs are visible while upstream instances are still
+    /// one transport per planned instance, in dense plan order. Workers
+    /// flush their events per emission burst, so terminal outputs reach
+    /// the fold and any observer while upstream instances are still
     /// producing.
     pub fn threaded_observed<T: Transport + Send>(
         &self,
@@ -177,7 +170,7 @@ impl<'a> Runtime<'a> {
             let transports = wire(&plan)?;
             assert_eq!(transports.len(), runners.len(), "wire returns one transport per instance");
             let (plan, sink) = (&plan, &sink);
-            let buffers = std::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = runners
                     .iter_mut()
                     .zip(transports)
@@ -194,12 +187,6 @@ impl<'a> Runtime<'a> {
             if options.cancel.is_cancelled() {
                 sink.emit_cancelled();
                 return Err(DataflowError::Cancelled);
-            }
-            // Unobserved workers returned their buffered events; fold them in
-            // dense-instance (spawn) order so the batch result is
-            // deterministic. Observed workers already flushed (empty buffers).
-            for mut events in buffers {
-                sink.extend(&mut events);
             }
             Ok(())
         })
@@ -382,9 +369,8 @@ enum RoundOutcome {
 /// stopped waiting because the token fired must not mask the PE error
 /// that actually killed the run).
 fn join_workers(
-    handles: Vec<std::thread::ScopedJoinHandle<'_, Result<Vec<RunEvent>, DataflowError>>>,
-) -> Result<Vec<Vec<RunEvent>>, DataflowError> {
-    let mut buffers = Vec::with_capacity(handles.len());
+    handles: Vec<std::thread::ScopedJoinHandle<'_, Result<(), DataflowError>>>,
+) -> Result<(), DataflowError> {
     let mut first_err: Option<DataflowError> = None;
     let note = |e: DataflowError, first_err: &mut Option<DataflowError>| match first_err {
         None => *first_err = Some(e),
@@ -393,15 +379,12 @@ fn join_workers(
     };
     for h in handles {
         match h.join() {
-            Ok(Ok(events)) => buffers.push(events),
+            Ok(Ok(())) => {}
             Ok(Err(e)) => note(e, &mut first_err),
             Err(_) => note(DataflowError::Enactment("worker thread panicked".into()), &mut first_err),
         }
     }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(buffers),
-    }
+    first_err.map_or(Ok(()), Err)
 }
 
 #[cfg(test)]
@@ -436,6 +419,10 @@ mod tests {
                 r.stats.elapsed
             );
             assert!(t.enact > std::time::Duration::ZERO, "{kind}: enact stage not timed");
+            // No observer is attached, and every mapping's events still
+            // reach the sink as they happen.
+            let first = r.stats.first_output;
+            assert!(first.is_some_and(|f| f <= r.stats.elapsed), "{kind}: first_output {first:?}");
         }
     }
 

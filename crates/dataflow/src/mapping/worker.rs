@@ -327,22 +327,28 @@ pub fn plan_pes(graph: &WorkflowGraph, plan: &ConcretePlan) -> Vec<(Arc<str>, us
         .collect()
 }
 
-/// Convert one invocation's terminal emissions and prints into events,
-/// appending to `events`. Shared by the sequential drain and the worker
-/// loop.
-pub(super) fn emissions_to_events(
+/// Flush one invocation's terminal emissions and prints into `sink` as
+/// events, under one sink lock (none when there are none). Shared by the
+/// sequential drain and the worker loop.
+pub(super) fn flush_emissions(
+    sink: &EventSink,
     pe: &Arc<str>,
     instance: usize,
     ports: &PortTable,
     emissions: &mut Emissions,
-    events: &mut Vec<RunEvent>,
 ) {
-    for (pid, value) in emissions.collected.drain(..) {
-        events.push(RunEvent::Output { pe: Arc::clone(pe), instance, port: ports.shared_name(pid), value });
+    if emissions.collected.is_empty() && emissions.printed.is_empty() {
+        return;
     }
-    for line in emissions.printed.drain(..) {
-        events.push(RunEvent::Print { pe: Arc::clone(pe), instance, line });
-    }
+    let outputs = emissions.collected.drain(..).map(|(pid, value)| RunEvent::Output {
+        pe: Arc::clone(pe),
+        instance,
+        port: ports.shared_name(pid),
+        value,
+    });
+    let prints =
+        emissions.printed.drain(..).map(|line| RunEvent::Print { pe: Arc::clone(pe), instance, line });
+    sink.extend(outputs.chain(prints));
 }
 
 // ---------------------------------------------------------------------------
@@ -410,20 +416,14 @@ pub struct SourceRange {
     pub end: Option<usize>,
 }
 
-/// Drive one instance to completion over `transport`, emitting
-/// [`RunEvent`]s as they happen.
+/// Drive one instance to completion over `transport`, flushing its
+/// [`RunEvent`]s into `sink` per emission burst, as they happen.
 ///
 /// Sources run the `range` window of global invocations (striped across
 /// sibling source instances), then signal EOS downstream. Sinks/relays
 /// consume data until every upstream instance has signalled EOS, then
 /// propagate EOS. The runner is borrowed, not consumed, so the checkpoint
 /// driver can snapshot it at the post-join quiescent point.
-///
-/// When the sink is live (an observer is attached) events are flushed into
-/// it per emission burst, so downstream consumers see outputs while the
-/// run is still in flight. Otherwise the worker buffers its events locally
-/// and returns them for the runtime to fold at join time in dense-instance
-/// order — the deterministic batch profile, with one sink lock per worker.
 pub fn run_worker<T: Transport>(
     runner: &mut InstanceRunner,
     mut transport: T,
@@ -431,22 +431,14 @@ pub fn run_worker<T: Transport>(
     options: &super::RunOptions,
     range: SourceRange,
     sink: &EventSink,
-) -> Result<Vec<RunEvent>, DataflowError> {
+) -> Result<(), DataflowError> {
     let pe = Arc::clone(&runner.node_name);
     let instance = runner.inst.index;
     let ports = Arc::clone(runner.ports());
-    let live = sink.live();
-    let mut events: Vec<RunEvent> = Vec::new();
-    events.push(RunEvent::InstanceStarted { pe: Arc::clone(&pe), instance });
-    if live {
-        sink.extend(&mut events);
-    }
+    sink.push(RunEvent::InstanceStarted { pe: Arc::clone(&pe), instance });
     let mut emissions = Emissions::default();
     let send_delay = options.faults.delay_send;
-    let deliver = |emissions: &mut Emissions,
-                   transport: &mut T,
-                   events: &mut Vec<RunEvent>|
-     -> Result<(), DataflowError> {
+    let deliver = |emissions: &mut Emissions, transport: &mut T| -> Result<(), DataflowError> {
         if !emissions.routed.is_empty() {
             // Injected latency seam: widen the in-flight window the epoch
             // quiescence drain has to absorb (chaos tests only).
@@ -455,7 +447,7 @@ pub fn run_worker<T: Transport>(
             }
             transport.send_batch(&mut emissions.routed)?;
         }
-        emissions_to_events(&pe, instance, &ports, emissions, events);
+        flush_emissions(sink, &pe, instance, &ports, emissions);
         Ok(())
     };
 
@@ -463,10 +455,7 @@ pub fn run_worker<T: Transport>(
     // Outstanding upstream EOS signals, tracked outside the drive phase so
     // the failure wind-down below knows how much is left to drain.
     let mut remaining = runner.expected_eos;
-    let mut drive = |runner: &mut InstanceRunner,
-                     transport: &mut T,
-                     events: &mut Vec<RunEvent>|
-     -> Result<(), DataflowError> {
+    let mut drive = |runner: &mut InstanceRunner, transport: &mut T| -> Result<(), DataflowError> {
         if runner.is_source() {
             let siblings = plan.count(runner.inst.node);
             let my_index = runner.inst.index;
@@ -486,15 +475,12 @@ pub fn run_worker<T: Transport>(
                 }
                 if i % siblings == my_index {
                     runner.run_iteration(options.datum_for(i), &mut emissions)?;
-                    deliver(&mut emissions, transport, events)?;
-                    if live {
-                        sink.extend(events);
-                        // Backpressure seam: sources (the rate-setters) park
-                        // here when the observer's consumer is behind. Relay
-                        // instances never throttle — they must keep draining
-                        // so upstream EOS always lands (deadlock freedom).
-                        sink.throttle();
-                    }
+                    deliver(&mut emissions, transport)?;
+                    // Backpressure seam: sources (the rate-setters) park
+                    // here when the observer's consumer is behind. Relay
+                    // instances never throttle — they must keep draining
+                    // so upstream EOS always lands (deadlock freedom).
+                    sink.throttle();
                     if !pace.is_zero() && cancel.sleep_cancellable(pace) {
                         break; // cancelled mid-pace: don't run another iteration
                     }
@@ -518,10 +504,7 @@ pub fn run_worker<T: Transport>(
                                 continue;
                             }
                             runner.run_datum(port, Value::unshare(value), &mut emissions)?;
-                            deliver(&mut emissions, transport, events)?;
-                            if live {
-                                sink.extend(events);
-                            }
+                            deliver(&mut emissions, transport)?;
                         }
                     }
                     TransportMsg::Eos => remaining -= 1,
@@ -530,7 +513,7 @@ pub fn run_worker<T: Transport>(
         }
         Ok(())
     };
-    let failure = drive(runner, &mut transport, &mut events).err();
+    let failure = drive(runner, &mut transport).err();
     if failure.is_some() {
         // A failing instance must not strand its peers: its receiver stays
         // open while it drains the remaining upstream EOS signals
@@ -562,17 +545,14 @@ pub fn run_worker<T: Transport>(
     // the runtime's `Cancelled` marker, never by partial `instance_done`
     // events that would fold into misleading totals).
     if !cancel.is_cancelled() {
-        events.push(RunEvent::InstanceFinished {
+        sink.push(RunEvent::InstanceFinished {
             pe,
             instance,
             processed: runner.stats.processed,
             emitted: runner.stats.emitted,
         });
-        if live {
-            sink.extend(&mut events);
-        }
     }
-    Ok(events)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,11 +1,13 @@
 //! `RunEvent::write_json` against its reference: for every variant, over
 //! names and lines that need every kind of escape and payloads of every
 //! `Value` shape, the text it appends is byte for byte what serializing
-//! `RunEvent::to_value`'s tree gives. The `/events` route and the journal
-//! ship the former; `event_wire.rs` and `journal_format.rs` pin the latter.
+//! the oracle's hand-built tree (`laminar_oracle::event_tree`) gives, and
+//! `RunEvent::to_value` is that tree. The `/events` route and the journal
+//! ship the text; `event_wire.rs` and `journal_format.rs` pin its bytes.
 
 use laminar_dataflow::{RunEvent, RunStats, StageTimings};
 use laminar_json::{to_string, Map, Value};
+use laminar_oracle::event_tree;
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -92,6 +94,8 @@ proptest! {
         // Appended after what the caller already wrote, as on a page.
         let mut text = String::from("[");
         event.write_json(seq, &mut text);
-        prop_assert_eq!(&text[1..], to_string(&event.to_value(seq)), "{:?}", event);
+        let tree = event_tree(&event, seq);
+        prop_assert_eq!(&text[1..], to_string(&tree), "{:?}", event);
+        prop_assert_eq!(event.to_value(seq), tree, "{:?}", event);
     }
 }

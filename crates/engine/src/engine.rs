@@ -44,8 +44,8 @@ pub struct ExecutionOutput {
     pub worker: Option<usize>,
     /// Events the enactment's stream carried (plan/lifecycle/output/print).
     pub events: u64,
-    /// Time from enact start to the first terminal-port output, when the
-    /// event stream was real-time (Simple runs and streamed executions).
+    /// Time from enact start to the first terminal-port output (`None`
+    /// when the run emitted none).
     pub first_output: Option<Duration>,
 }
 

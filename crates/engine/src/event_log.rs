@@ -1,13 +1,13 @@
 //! What a run event is while it waits to be read: a job's sequenced event
 //! log holds the typed [`RunEvent`] its observer was handed. A page leaves
-//! in one of two forms, both made after the log lock is released: JSON
-//! text written straight from the typed entries
-//! ([`JobEventLog::page_text_wait`], what the `/events` route sends) or
-//! one `Value` tree per event ([`JobEventLog::page`], the embedding API).
+//! as one body, the JSON text of its events written straight from the
+//! typed entries after the log lock is released ([`JobEventLog::page`]):
+//! the `/events` route sends it, and [`crate::EnginePool::events`] parses
+//! it for an embedding caller.
 
 use crate::journal::JournalWriter;
 use laminar_dataflow::{CancelToken, RunEvent, RunObserver};
-use laminar_json::{write_string, write_value, Value};
+use laminar_json::{parse, write_string, write_value, Value};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,6 +53,17 @@ pub struct EventPage<E = Vec<Value>> {
     pub retained_epoch: Option<u64>,
 }
 
+impl EventPage<String> {
+    /// The page with its text parsed into one tree per event.
+    pub(crate) fn parsed(self) -> EventPage {
+        let Ok(Value::Array(events)) = parse(&self.events) else {
+            unreachable!("an event page is written as a JSON array")
+        };
+        let EventPage { next, first, closed, retained_epoch, .. } = self;
+        EventPage { events, next, first, closed, retained_epoch }
+    }
+}
+
 /// One retained event: the run event the observer was handed, or one of
 /// the pool's own two terminal markers. Its sequence number is its
 /// position — entry `i` of the deque is `first_seq + i`.
@@ -69,20 +80,7 @@ pub(crate) enum Entry {
 const _: () = assert!(size_of::<Entry>() <= 72);
 
 impl Entry {
-    /// The wire form of a logged event as a tree.
-    fn to_value(&self, seq: u64) -> Value {
-        let mut v = Value::Null;
-        match self {
-            Entry::Run(event) => return event.to_value(seq),
-            Entry::Done => v.set("type", "done"),
-            Entry::Failed(message) => v.set("type", "failed").set("error", message.as_str()),
-        };
-        v.set("seq", seq as i64);
-        v
-    }
-
-    /// The wire form as text, appended to `out`: the bytes `to_value`'s
-    /// tree serializes to, keys in sorted order.
+    /// The wire form as text, appended to `out`, keys in sorted order.
     fn write_json(&self, seq: u64, out: &mut String) {
         let tail = match self {
             Entry::Run(event) => return event.write_json(seq, out),
@@ -392,15 +390,8 @@ impl JobEventLog {
         self.unlock_and_wake(inner, Wake::Readers);
     }
 
-    /// Read a page of events starting at `since`, each as its wire tree.
-    pub(crate) fn page(&self, since: u64) -> EventPage {
-        self.page_with(since, |entries, start| {
-            entries.iter().zip(start..).map(|(entry, seq)| entry.to_value(seq)).collect()
-        })
-    }
-
-    /// The one cursor and retention body behind both forms of a page;
-    /// `encode` is handed the page's entries and the first one's seq.
+    /// Read a page of events starting at `since`, as the text of their
+    /// JSON array.
     ///
     /// Honest at both edges: a cursor beyond the end returns an empty
     /// page with `next = since` (never clamped backwards, never falsely
@@ -409,15 +400,20 @@ impl JobEventLog {
     /// one survives, reported via [`EventPage::retained_epoch`].
     ///
     /// Only the typed entries are cloned under the log lock the producer
-    /// appends through; they are encoded after it is released.
-    fn page_with<E>(&self, since: u64, encode: impl FnOnce(&[Entry], u64) -> E) -> EventPage<E> {
+    /// appends through; they are written after it is released.
+    pub(crate) fn page(&self, since: u64) -> EventPage<String> {
         let mut inner = self.inner.lock();
         let first = inner.first_seq;
         let end_seq = inner.end_seq();
         if since > end_seq {
             drop(inner);
-            let events = encode(&[], since);
-            return EventPage { events, next: since, first, closed: false, retained_epoch: None };
+            return EventPage {
+                events: "[]".into(),
+                next: since,
+                first,
+                closed: false,
+                retained_epoch: None,
+            };
         }
         let mut retained_epoch = None;
         let mut start = since;
@@ -444,7 +440,16 @@ impl JobEventLog {
         } else {
             drop(inner);
         }
-        EventPage { events: encode(&entries, start), next, first, closed, retained_epoch }
+        let mut text = String::with_capacity(2 + entries.len() * 96);
+        text.push('[');
+        for (entry, seq) in entries.iter().zip(start..) {
+            if seq > start {
+                text.push(',');
+            }
+            entry.write_json(seq, &mut text);
+        }
+        text.push(']');
+        EventPage { events: text, next, first, closed, retained_epoch }
     }
 
     /// Push mode: when the cursor is at the live edge of an open stream,
@@ -453,7 +458,7 @@ impl JobEventLog {
     /// past the cursor, or `wait` elapses. `wait = 0` never parks; an
     /// already-closed or already-readable log returns immediately. This
     /// is the `wait_ms` long-poll; what it returns to is always the one
-    /// poll path, [`JobEventLog::page_with`], so push and poll can never
+    /// poll path, [`JobEventLog::page`], so push and poll can never
     /// drift apart (the page re-locks; anything appended in the gap is a
     /// bonus, not a bug).
     fn park(&self, since: u64, wait: Duration) {
@@ -479,27 +484,9 @@ impl JobEventLog {
 
     /// [`JobEventLog::page`] after a [`JobEventLog::park`]; with
     /// `wait = 0`, exactly [`JobEventLog::page`].
-    pub(crate) fn page_wait(&self, since: u64, wait: Duration) -> EventPage {
+    pub(crate) fn page_wait(&self, since: u64, wait: Duration) -> EventPage<String> {
         self.park(since, wait);
         self.page(since)
-    }
-
-    /// [`JobEventLog::page_wait`] with the events as the text of their
-    /// JSON array, written from the typed entries: no tree is built.
-    pub(crate) fn page_text_wait(&self, since: u64, wait: Duration) -> EventPage<String> {
-        self.park(since, wait);
-        self.page_with(since, |entries, start| {
-            let mut text = String::with_capacity(2 + entries.len() * 96);
-            text.push('[');
-            for (entry, seq) in entries.iter().zip(start..) {
-                if seq > start {
-                    text.push(',');
-                }
-                entry.write_json(seq, &mut text);
-            }
-            text.push(']');
-            text
-        })
     }
 
     /// The retained window as `(first, end)` sequence numbers —
@@ -572,24 +559,24 @@ mod tests {
             log.append(&data_event()); // seqs 0, 1, 2
         }
         // since == end_seq: empty page, cursor parked, stream open.
-        let at_end = log.page(3);
+        let at_end = log.page(3).parsed();
         assert!(at_end.events.is_empty());
         assert_eq!(at_end.next, 3);
         assert!(!at_end.closed);
         // since == end_seq + 1: the cursor is preserved, never clamped
         // backwards (the old clamp handed back `next < since`, silently
         // re-folding duplicates) and never falsely closed.
-        let past = log.page(4);
+        let past = log.page(4).parsed();
         assert!(past.events.is_empty());
         assert_eq!(past.next, 4, "cursor preserved, not clamped to the end");
         assert!(!past.closed, "closed must not be reported for events the client never saw");
         assert!(past.retained_epoch.is_none());
 
         log.close(Entry::Done); // seq 3; end_seq = 4
-        let at_end = log.page(4);
+        let at_end = log.page(4).parsed();
         assert!(at_end.closed, "cursor at the end of a closed stream sees closure");
         assert_eq!(at_end.next, 4);
-        let beyond = log.page(5);
+        let beyond = log.page(5).parsed();
         assert!(!beyond.closed, "a cursor past the end has unseen (non-existent) events");
         assert_eq!(beyond.next, 5);
         assert!(beyond.events.is_empty());
@@ -602,13 +589,13 @@ mod tests {
         journaled.insert(2, RunEvent::Epoch { id: 1, state: Value::Null });
         log.preload_journal((0..).zip(journaled).collect());
         assert_eq!(log.window(), (0, 5));
-        let page = log.page(0);
+        let page = log.page(0).parsed();
         let seqs: Vec<i64> = page.events.iter().filter_map(|e| e["seq"].as_i64()).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3, 4], "recorded seqs honored");
         assert_eq!(log.inner.lock().epoch_marks.front(), Some(&(2, 1)), "epoch mark recovered");
         // Live appends continue the numbering.
         log.append(&data_event());
-        assert_eq!(log.page(5).events[0]["seq"].as_i64(), Some(5));
+        assert_eq!(log.page(5).parsed().events[0]["seq"].as_i64(), Some(5));
     }
 
     #[test]
@@ -616,35 +603,8 @@ mod tests {
         let log = JobEventLog::new(true, 16, Duration::from_millis(10));
         log.preload_journal(vec![(7, data_event()), (8, data_event()), (11, data_event())]);
         assert_eq!(log.window(), (7, 10));
-        let seqs: Vec<i64> = log.page(7).events.iter().filter_map(|e| e["seq"].as_i64()).collect();
+        let seqs: Vec<i64> = log.page(7).parsed().events.iter().filter_map(|e| e["seq"].as_i64()).collect();
         assert_eq!(seqs, vec![7, 8, 9]);
-    }
-
-    /// The two forms of a page are one page: the same cursor fields, and
-    /// the text is what the trees serialize to — at every cursor, with
-    /// both pool markers, below the retained window and past the end.
-    #[test]
-    fn the_text_page_is_the_tree_page_serialized() {
-        for marker in [Entry::Done, Entry::Failed("line 1: unexpected '\"' \\ \n\u{1} ∆".into())] {
-            let log = JobEventLog::new(false, 600, Duration::from_millis(10));
-            log.append(&RunEvent::Epoch { id: 1, state: Value::Array(vec![Value::Float(0.5)]) });
-            for _ in 0..700 {
-                log.append(&data_event());
-            }
-            log.close(marker);
-            let (first, end) = log.window();
-            assert!(first > 0 && end == 702, "the epoch marker and then some were evicted");
-            for since in [0, first - 1, first, first + 1, end - 513, end - 512, end - 1, end, end + 1] {
-                let tree = log.page(since);
-                let text = log.page_text_wait(since, Duration::ZERO);
-                assert_eq!(text.events, laminar_json::to_string(&Value::Array(tree.events)), "since {since}");
-                assert_eq!(
-                    (text.next, text.first, text.closed, text.retained_epoch),
-                    (tree.next, tree.first, tree.closed, tree.retained_epoch),
-                    "since {since}"
-                );
-            }
-        }
     }
 
     /// The page that carries a stream's terminal marker is the closed one:
@@ -707,9 +667,9 @@ mod tests {
                 let mut since = 0;
                 let first_wait = Duration::from_millis(if time_out_first { 1 } else { 20_000 });
                 while go_rx.recv().is_ok() {
-                    let mut page = log.page_text_wait(since, first_wait);
+                    let mut page = log.page_wait(since, first_wait);
                     if page.next == since {
-                        page = log.page_text_wait(since, Duration::from_secs(20));
+                        page = log.page_wait(since, Duration::from_secs(20));
                     }
                     since = page.next;
                     page_tx.send(page).unwrap();
@@ -789,9 +749,9 @@ mod tests {
         let reader = {
             let log = log.clone();
             std::thread::spawn(move || {
-                let mut page = log.page_text_wait(0, Duration::from_secs(20));
+                let mut page = log.page_wait(0, Duration::from_secs(20));
                 while !page.closed {
-                    page = log.page_text_wait(page.next, Duration::ZERO);
+                    page = log.page_wait(page.next, Duration::ZERO);
                 }
                 page.next
             })

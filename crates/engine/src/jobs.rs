@@ -297,8 +297,24 @@ impl Jobs {
     /// Record a submitted job, queued. A resumed job replaces its earlier
     /// attempt's record under the same id, so that attempt's places in the
     /// retention tails go with it: they must not evict or expire the live
-    /// job.
-    pub(crate) fn insert(&mut self, id: i64, owner: &str, events: Arc<JobEventLog>, streaming: bool) {
+    /// job. Only an interrupted attempt (failed or cancelled) is replaced:
+    /// a record still queued, running or done is kept and the insert
+    /// refused, which is what makes a resume of one job at most one run.
+    pub(crate) fn insert(
+        &mut self,
+        id: i64,
+        owner: &str,
+        events: Arc<JobEventLog>,
+        streaming: bool,
+    ) -> Result<(), PoolError> {
+        if let Some(phase) = self.records.get(&id).map(|rec| rec.phase) {
+            if !matches!(phase, JobPhase::Failed | JobPhase::Cancelled) {
+                let phase = phase.as_str();
+                return Err(PoolError::Failed(format!(
+                    "job {id} is {phase}; only interrupted jobs can be resumed"
+                )));
+            }
+        }
         let rec = JobRecord {
             owner: owner.to_string(),
             phase: JobPhase::Queued,
@@ -317,6 +333,7 @@ impl Jobs {
             self.streamed.retain(|&s| s != id);
         }
         self.submitted += 1;
+        Ok(())
     }
 
     /// The record of job `id` if `owner` owns it: tenants cannot observe

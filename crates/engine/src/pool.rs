@@ -199,7 +199,8 @@ impl EnginePool {
 
     /// The one way a job enters the queue: fresh under the next id, or —
     /// `resumed` — under its original id with its log pre-filled from the
-    /// journaled prefix. Refused with [`PoolError::QueueFull`] at capacity.
+    /// journaled prefix. Refused with [`PoolError::QueueFull`] at capacity,
+    /// and a resume of a job still queued, running or done is refused.
     fn enqueue(
         &self,
         owner: &str,
@@ -230,7 +231,7 @@ impl EnginePool {
                 id
             }
         };
-        self.inner.jobs.lock().insert(id, owner, events, req.run.events);
+        self.inner.jobs.lock().insert(id, owner, events, req.run.events)?;
         queue.push(owner, id, req);
         drop(queue);
         self.inner.work_cv.notify_one();
@@ -311,16 +312,13 @@ impl EnginePool {
     }
 
     /// The synchronous path: submit and wait to completion. The existing
-    /// blocking endpoint is a thin wrapper over this.
-    pub fn run_sync(&self, owner: &str, req: ExecutionRequest) -> Result<ExecutionOutput, PoolError> {
+    /// blocking endpoint is a thin wrapper over this. The output is the
+    /// one the job's retained record shares, not a copy of it.
+    pub fn run_sync(&self, owner: &str, req: ExecutionRequest) -> Result<Arc<ExecutionOutput>, PoolError> {
         let id = self.submit(owner, req)?;
         // Generous bound: a job that takes this long is lost anyway.
         match self.wait(owner, id, Duration::from_secs(24 * 3600)) {
-            Some(JobResult::Done(out, _)) => {
-                // The sync caller owns the result in the common case; only
-                // a concurrent poller holding a reference forces a copy.
-                Ok(Arc::try_unwrap(out).unwrap_or_else(|shared| (*shared).clone()))
-            }
+            Some(JobResult::Done(out, _)) => Ok(out),
             Some(JobResult::Failed(msg, _)) => Err(PoolError::Failed(msg)),
             Some(JobResult::Cancelled(_)) => Err(PoolError::Cancelled(id)),
             Some(JobResult::Pending(_)) | None => Err(PoolError::Unknown(id)),
@@ -367,16 +365,16 @@ impl EnginePool {
     /// log's condvar until something lands past the cursor, the stream
     /// seals (done/failed/cancelled — including via [`EnginePool::stop`]),
     /// or `wait` elapses. `wait = 0` is byte-identical to a plain poll.
-    /// No job lock is held while parked — only the per-job log's.
+    /// No job lock is held while parked — only the per-job log's. The
+    /// events are the parse of [`EnginePool::events_text_wait`]'s page.
     pub fn events_wait(&self, owner: &str, id: i64, since: u64, wait: Duration) -> Option<EventPage> {
-        let log = Arc::clone(&self.inner.jobs.lock().get(owner, id)?.events);
-        Some(log.page_wait(since, wait))
+        Some(self.events_text_wait(owner, id, since, wait)?.parsed())
     }
 
     /// [`EnginePool::events_wait`] for a caller that sends the page on as
     /// JSON: `events` is the text of the page's JSON array, written from
-    /// the typed log with no `Value` built per event — the bytes
-    /// `events_wait`'s trees serialize to. The `/events` route reads this.
+    /// the typed log with no `Value` built per event. The `/events` route
+    /// reads this.
     pub fn events_text_wait(
         &self,
         owner: &str,
@@ -385,7 +383,7 @@ impl EnginePool {
         wait: Duration,
     ) -> Option<EventPage<String>> {
         let log = Arc::clone(&self.inner.jobs.lock().get(owner, id)?.events);
-        Some(log.page_text_wait(since, wait))
+        Some(log.page_wait(since, wait))
     }
 
     /// Resume an interrupted checkpointed job from its journal (the
@@ -398,7 +396,8 @@ impl EnginePool {
     /// Fails with [`PoolError::Unknown`] when the pool has no journal,
     /// the job was never journaled (or already completed and was cleaned
     /// up), or the owner does not match. A job currently queued, running
-    /// or done in *this* pool is refused — resume is for interrupted jobs.
+    /// or done in *this* pool is refused (`Jobs::insert` will not replace
+    /// its record) — resume is for interrupted jobs.
     pub fn resume_job(&self, owner: &str, id: i64) -> Result<i64, PoolError> {
         if self.inner.shutdown.load(Ordering::SeqCst) {
             return Err(PoolError::ShutDown);
@@ -407,15 +406,6 @@ impl EnginePool {
         let data = journal.load(id).ok_or(PoolError::Unknown(id))?;
         if data.meta["owner"].as_str() != Some(owner) {
             return Err(PoolError::Unknown(id));
-        }
-        if let Some(rec) = self.inner.jobs.lock().get(owner, id) {
-            let phase = rec.info(id).phase;
-            if !matches!(phase, JobPhase::Failed | JobPhase::Cancelled) {
-                return Err(PoolError::Failed(format!(
-                    "job {id} is {}; only interrupted jobs can be resumed",
-                    phase.as_str()
-                )));
-            }
         }
         self.enqueue_resume(id, data)
     }
@@ -543,6 +533,16 @@ mod tests {
         assert_eq!(pooled.port_values("Sq", "output"), direct.port_values("Sq", "output"));
         assert_eq!(pooled.processed, direct.processed);
         assert!(pooled.overhead_report().contains("enact"));
+    }
+
+    #[test]
+    fn run_sync_hands_over_the_retained_output_uncopied() {
+        let pool = instant_pool(1, 4);
+        let out = pool.run_sync("u", ExecutionRequest::simple("u", WF_SRC, 3)).unwrap();
+        match pool.result("u", 1) {
+            Some(JobResult::Done(retained, _)) => assert!(Arc::ptr_eq(&out, &retained)),
+            other => panic!("job 1 should be done: {other:?}"),
+        }
     }
 
     #[test]
@@ -1125,6 +1125,55 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    #[test]
+    fn concurrent_resumes_of_one_job_run_it_once() {
+        let dir = journal_dir("race");
+        let pool = EnginePool::start_durable(ExecutionEngine::instant(), 2, 16, &dir).unwrap();
+        let run = RunConfig::iterations(40).with_checkpoints(3).with_events(true);
+        let req =
+            ExecutionRequest::new("u", STATEFUL_SRC, run).with_faults(FaultPlan::parse("kill_at_epoch=4"));
+        let id = pool.submit("u", req).unwrap();
+        match pool.wait("u", id, Duration::from_secs(20)).unwrap() {
+            JobResult::Failed(..) => {}
+            other => panic!("expected the injected kill, got {other:?}"),
+        }
+        // Eight `POST .../resume` of the killed job at once.
+        let gate = std::sync::Barrier::new(8);
+        let answers: Vec<Result<i64, PoolError>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        gate.wait();
+                        pool.resume_job("u", id)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(answers.iter().filter(|a| a.is_ok()).count(), 1, "{answers:?}");
+        match pool.wait("u", id, Duration::from_secs(20)).unwrap() {
+            JobResult::Done(..) => {}
+            other => panic!("expected the resumed job to finish, got {other:?}"),
+        }
+        assert_eq!(pool.stats().running, 0, "the run settled the record it started");
+        // The run's live events reached the log a reader can page.
+        let mut events: Vec<Value> = Vec::new();
+        let mut since = 0;
+        loop {
+            let page = pool.events("u", id, since).unwrap();
+            let drained = page.events.is_empty();
+            events.extend(page.events);
+            since = page.next;
+            if page.closed && drained {
+                break;
+            }
+        }
+        let folded = laminar_dataflow::fold_events(events.iter().filter_map(RunEvent::from_value));
+        let batch = ExecutionEngine::instant().run(&ExecutionRequest::simple("u", STATEFUL_SRC, 40)).unwrap();
+        assert_eq!(folded.port_values("Tally", "output"), batch.port_values("Tally", "output").as_slice());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     // ---- checkpoint-horizon backpressure & cursor honesty -------------------------------
 
     #[test]
@@ -1591,7 +1640,7 @@ mod tests {
         };
         let waiter = std::thread::spawn(move || {
             let t0 = Instant::now();
-            let page = log.page_wait(0, Duration::from_secs(30));
+            let page = log.page_wait(0, Duration::from_secs(30)).parsed();
             (page, t0.elapsed())
         });
         std::thread::sleep(Duration::from_millis(30));
