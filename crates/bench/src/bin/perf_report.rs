@@ -15,6 +15,12 @@
 //! committed `BENCH_PR2.json`, and `vm_speedup_vs_interp` — the median
 //! over interleaved pairs of interpreter / VM process CPU time — against
 //! its floor.
+//!
+//! `vm_state` attributes the group-by workload's script time: the sensor
+//! workflow (`SensorWindows`, 2,000 readings from 16 sensors, Simple
+//! mapping) with `WindowStats`' body as shipped and cut down statement by
+//! statement, run in interleaved rounds; it reports each body's median
+//! process CPU time per reading. `bench_check` does not gate it.
 
 use laminar_bench::{
     astro_graph, bench_mapping, figure1_graph, figure1_script_graph, paired_ratio, process_cpu_time,
@@ -23,6 +29,8 @@ use laminar_bench::{
 use laminar_dataflow::mapping::RunStats;
 use laminar_dataflow::{MappingKind, RunOptions, WorkflowGraph};
 use laminar_json::Value;
+use laminar_workloads::streaming::{SensorFleet, SOURCE as SENSOR_SOURCE};
+use std::sync::Arc;
 use std::time::Duration;
 
 const ALL_MAPPINGS: [MappingKind; 4] =
@@ -38,6 +46,90 @@ fn run_workload(graph: &WorkflowGraph, options: &RunOptions, reps: usize) -> Val
         );
         section.set(kind.as_str(), run.to_value());
     }
+    section
+}
+
+/// `WindowStats`' statements in [`SENSOR_SOURCE`], as the cut-down bodies
+/// remove them: the window check, its two emits, the sum's and the
+/// count's read-modify-write.
+const WINDOW_CHECK: &str = "        if state.n[id] % 8 == 0 {
+            let mean = state.sum[id] / 8;
+            emit([id, state.n[id], mean]);
+            if mean > 0.75 { emit(\"alerts\", [id, mean]); }
+            state.sum[id] = 0;
+        }
+";
+const EMITS: [&str; 2] = [
+    "            emit([id, state.n[id], mean]);\n",
+    "            if mean > 0.75 { emit(\"alerts\", [id, mean]); }\n",
+];
+const SUM: &str = "        state.sum[id] = get(state.sum, id, 0) + reading[1];\n";
+const COUNT: &str = "        state.n[id] = get(state.n, id, 0) + 1;\n";
+
+/// [`SENSOR_SOURCE`] without `pieces`, each of which it must contain.
+fn cut(pieces: &[&str]) -> String {
+    pieces.iter().fold(SENSOR_SOURCE.to_string(), |src, piece| {
+        assert!(src.contains(piece), "the sensor workflow no longer has {piece:?}");
+        src.replacen(piece, "", 1)
+    })
+}
+
+/// The `vm_state` section: median µs of process CPU time per reading for
+/// each `WindowStats` body, over `rounds` interleaved rounds.
+fn vm_state(rounds: usize) -> Value {
+    const READINGS: i64 = 2000;
+    const SENSORS: usize = 16;
+    let bodies = [
+        ("let_id", cut(&[WINDOW_CHECK, SUM, COUNT])),
+        ("plus_count", cut(&[WINDOW_CHECK, SUM])),
+        ("plus_sum", cut(&[WINDOW_CHECK])),
+        ("plus_window_no_emits", cut(&EMITS)),
+        ("shipped", SENSOR_SOURCE.to_string()),
+    ];
+    let graphs: Vec<WorkflowGraph> = bodies
+        .iter()
+        .map(|(_, src)| {
+            WorkflowGraph::from_script_with_host(
+                src,
+                "SensorWindows",
+                Arc::new(SensorFleet::instant(SENSORS)),
+            )
+            .expect("a cut-down sensor workflow is valid")
+        })
+        .collect();
+    let simple = MappingKind::Simple.build();
+    let options = RunOptions::iterations(READINGS);
+    let once = |graph: &WorkflowGraph| {
+        let cpu = process_cpu_time();
+        simple.execute(graph, &options).expect("bench run");
+        process_cpu_time() - cpu
+    };
+    // Warm-up, one run a body, unrecorded.
+    for graph in &graphs {
+        once(graph);
+    }
+    let mut times: Vec<Vec<Duration>> = vec![Vec::new(); graphs.len()];
+    // Each round starts at the next body, so no body always runs first.
+    for round in 0..rounds {
+        for k in 0..graphs.len() {
+            let b = (round + k) % graphs.len();
+            times[b].push(once(&graphs[b]));
+        }
+    }
+    eprintln!(
+        "vm_state (SensorWindows, {READINGS} readings, {SENSORS} sensors, Simple mapping, {rounds} rounds):"
+    );
+    let mut ladder = Vec::new();
+    for ((name, _), mut t) in bodies.iter().zip(times) {
+        t.sort();
+        let us = t[t.len() / 2].as_secs_f64() * 1e6 / READINGS as f64;
+        eprintln!("  {name:<22} {us:>8.3} us/reading");
+        let mut row = Value::Null;
+        row.set("body", *name).set("us_per_reading", (us * 1000.0).round() / 1000.0);
+        ladder.push(row);
+    }
+    let mut section = Value::Null;
+    section.set("readings", READINGS).set("sensors", SENSORS).set("rounds", rounds).set("bodies", ladder);
     section
 }
 
@@ -102,8 +194,13 @@ fn main() {
         .set("interp", interp_run.to_value())
         .set("vm_speedup_vs_interp", (vm_speedup * 1000.0).round() / 1000.0);
 
+    let vm_state = vm_state(if smoke { 21 } else { 101 });
+
     let mut runs = Value::Null;
-    runs.set("figure1", figure1).set("figure1_script", figure1_script).set("table5", table5);
+    runs.set("figure1", figure1)
+        .set("figure1_script", figure1_script)
+        .set("table5", table5)
+        .set("vm_state", vm_state);
 
     let mut report = Value::Null;
     report
@@ -115,7 +212,8 @@ fn main() {
             laminar_json::jobj! {
                 "figure1" => format!("native PE1->PE2->PE3 pipeline, {fig_iters} iterations, 5 processes"),
                 "figure1_script" => format!("LamScript PE1->PE2->PE3 pipeline, {fs_iters} iterations, Simple mapping, VM vs interpreter"),
-                "table5" => format!("Internal Extinction, {} coordinates, zero VO latency", t5_cfg.coordinates)
+                "table5" => format!("Internal Extinction, {} coordinates, zero VO latency", t5_cfg.coordinates),
+                "vm_state" => "SensorWindows, 2000 readings, 16 sensors, Simple mapping, WindowStats cut down statement by statement"
             },
         )
         .set("runs", runs);

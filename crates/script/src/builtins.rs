@@ -213,19 +213,9 @@ fn call_global(name: &str, args: &[Value]) -> Option<R> {
             _ => Err(arg_err("contains(list|string|map, value)")),
         },
         "get" => match args {
-            // Null is treated as an empty map: uninitialized state reads
-            // fall back to the default instead of erroring.
-            [Value::Null, _] => Ok(Value::Null),
-            [Value::Null, _, default] => Ok(default.clone()),
-            [Value::Object(m), Value::Str(k)] => Ok(m.get(k).cloned().unwrap_or(Value::Null)),
-            [Value::Object(m), Value::Str(k), default] => {
-                Ok(m.get(k).cloned().unwrap_or_else(|| default.clone()))
-            }
-            [Value::Array(a), Value::Int(i)] => Ok(a.get(*i as usize).cloned().unwrap_or(Value::Null)),
-            [Value::Array(a), Value::Int(i), default] => {
-                Ok(a.get(*i as usize).cloned().unwrap_or_else(|| default.clone()))
-            }
-            _ => Err(arg_err("get(map|list, key, default?)")),
+            [c, k] => get(c, k, None),
+            [c, k, d] => get(c, k, Some(d)),
+            _ => Err(get_err()),
         },
         "keys" => match args {
             [Value::Object(m)] => {
@@ -275,6 +265,23 @@ fn call_global(name: &str, args: &[Value]) -> Option<R> {
         _ => return None,
     };
     Some(r)
+}
+
+/// `get(container, key, default?)`: the table's `get` and the VM's fused
+/// one. Null is treated as an empty map: uninitialized state reads fall
+/// back to the default instead of erroring.
+pub fn get(container: &Value, key: &Value, default: Option<&Value>) -> R {
+    let found = match (container, key) {
+        (Value::Null, _) => None,
+        (Value::Object(m), Value::Str(k)) => m.get(k),
+        (Value::Array(a), Value::Int(i)) => a.get(*i as usize),
+        _ => return Err(get_err()),
+    };
+    Ok(found.or(default).cloned().unwrap_or(Value::Null))
+}
+
+fn get_err() -> ScriptError {
+    arg_err("get(map|list, key, default?)")
 }
 
 /// `range(start, stop, step)`, `step` non-zero. Its length is computed

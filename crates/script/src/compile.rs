@@ -23,7 +23,17 @@
 //!   it at its turn in the argument order without copying, and the call
 //!   moves the leaf into the argument register and back. Builtins see
 //!   `&[Value]` and no expression assigns a local or the port binding, so
-//!   the call finds the leaf the check found (DESIGN.md §3.5).
+//!   the call finds the leaf the check found (DESIGN.md §3.5);
+//! * the group-by read `get(path, key, default?)` with a literal or local
+//!   key and default is one [`Instr::Get`] (after the path's entry burns):
+//!   it walks the path and reads both operands in place and calls
+//!   [`crate::builtins::get`], the table's own `get`;
+//! * an assignment's index that is a local other than its root is read in
+//!   place by the store ([`PathAcc::Local`]), not copied into a register;
+//! * a PE records whether its `process` names `input_port`
+//!   ([`PeProgram::names_input_port`]), so a run builds that string only
+//!   for a body that reads it; the datum's port-named alias shares the
+//!   `input` slot until the body assigns to either name.
 //!
 //! The lowering is *semantics-preserving by construction*: fuel is burned by
 //! explicit [`Instr::Fuel`] instructions (and fused into the leaf loads and
@@ -39,6 +49,7 @@
 use crate::ast::*;
 use crate::error::{ErrorKind, ScriptError};
 use laminar_json::Value;
+use std::cell::Cell;
 use std::collections::HashMap;
 
 /// RNG-backed builtins that consume the VM's seeded generator.
@@ -57,8 +68,11 @@ pub enum RandKind {
 pub enum PathAcc {
     /// Field access; index into [`Chunk::names`].
     Field(u16),
-    /// Index access; the register holding the evaluated index value.
+    /// Index access; the temporary register the index was evaluated into.
     Index(u16),
+    /// Index access by a local other than the path's root, read in place
+    /// (its unit burns in an [`Instr::Fuel`] where a copy would have).
+    Local(u16),
 }
 
 /// Where a read path starts.
@@ -70,16 +84,33 @@ pub enum PathRoot {
     Dynamic(u16),
 }
 
+/// An operand read in place: an index in a read path, or a `get` key or
+/// default.
+#[derive(Debug, Clone, Copy)]
+pub enum Operand {
+    /// `consts[idx]`: a literal (burns one unit, like `Const`).
+    Const(u16),
+    /// `regs[slot]`: a local (burns one unit at `line`, like `Local`).
+    Local { slot: u16, line: u32 },
+}
+
+impl Operand {
+    /// The line its unit burns at.
+    pub fn line(self) -> u32 {
+        match self {
+            Operand::Const(_) => 0,
+            Operand::Local { line, .. } => line,
+        }
+    }
+}
+
 /// One accessor step of a compiled read path (`x.f[i]` read in place).
 #[derive(Debug, Clone, Copy)]
 pub enum ReadAcc {
     /// `.names[name]`; `line` is the field expression's (its `TypeError`).
     Field { name: u16, line: u32 },
-    /// `[consts[idx]]`: a literal operand (burns one unit, like `Const`).
-    Const(u16),
-    /// `[regs[slot]]`: a local operand (burns one unit at `line`, like
-    /// `Local`).
-    Local { slot: u16, line: u32 },
+    /// `[operand]`.
+    Index(Operand),
 }
 
 /// A name followed by zero or more accessors whose operands are literals
@@ -105,6 +136,19 @@ pub struct BuiltinCall {
     /// The argument lent in place of a copy: its position among the
     /// arguments and its path in [`Chunk::reads`].
     pub lend: Option<(u16, u16)>,
+}
+
+/// A fused `get(path, key, default?)` call (referenced by [`Instr::Get`]).
+#[derive(Debug, Clone, Copy)]
+pub struct GetCall {
+    /// The container's path in [`Chunk::reads`].
+    pub path: u16,
+    /// The key.
+    pub key: Operand,
+    /// The default, when given.
+    pub default: Option<Operand>,
+    /// The call's line (its `ArgumentError`).
+    pub line: u32,
 }
 
 /// Bytecode instructions. Registers (`dst`, `src`, …) are frame-relative
@@ -163,6 +207,10 @@ pub enum Instr {
     /// Call the builtin-table function `builtins[call]`, lending its lent
     /// argument's leaf for the call's duration.
     CallBuiltin { dst: u16, call: u16, start: u16, argc: u16, line: u32 },
+    /// `dst = get(..)` per `gets[call]`: walks the container's path and
+    /// reads the key and default in place, burning what [`Instr::CheckPath`]
+    /// and their `Local`/`Const` would have, in that order.
+    Get { dst: u16, call: u16 },
     /// Call a host function `names[module].names[name]`.
     CallHost { dst: u16, module: u16, name: u16, start: u16, argc: u16 },
     /// Fused `print(...)`: join args, hand to the sink, `dst = null`.
@@ -210,6 +258,8 @@ pub struct Chunk {
     pub reads: Vec<ReadPath>,
     /// Builtin call sites (referenced by [`Instr::CallBuiltin`]).
     pub builtins: Vec<BuiltinCall>,
+    /// Fused `get` calls (referenced by [`Instr::Get`]).
+    pub gets: Vec<GetCall>,
     /// Precomputed errors (referenced by [`Instr::Raise`]).
     pub errors: Vec<ScriptError>,
     /// Frame size: number of registers this chunk needs.
@@ -218,15 +268,29 @@ pub struct Chunk {
     pub default_output: Option<String>,
 }
 
+/// A `process` chunk's fixed slots, in the interpreter's definition order:
+/// `state`, `input`, `input_port`, `iteration`.
+pub(crate) const STATE: u16 = 0;
+/// `input`'s slot (see [`STATE`]).
+pub(crate) const INPUT: u16 = 1;
+/// `input_port`'s slot (see [`STATE`]).
+pub(crate) const INPUT_PORT: u16 = 2;
+/// `iteration`'s slot (see [`STATE`]).
+pub(crate) const ITERATION: u16 = 3;
+
 /// A compiled PE: optional `init` plus the `process` body.
 #[derive(Debug, Clone)]
 pub struct PeProgram {
+    /// The PE's name.
+    pub name: String,
     /// Compiled `init { ... }` block, when declared.
     pub init: Option<Chunk>,
     /// Compiled `process { ... }` body.
     pub process: Chunk,
     /// Declared default input port (the datum's fallback binding name).
     pub default_input: Option<String>,
+    /// Whether `process` names `input_port`; if not, the slot stays null.
+    pub names_input_port: bool,
 }
 
 /// A fully compiled script: shared function table plus per-PE chunks.
@@ -235,8 +299,16 @@ pub struct Program {
     /// User functions in first-declaration order (later same-name
     /// declarations overwrite in place, like the interpreter's map).
     pub fns: Vec<Chunk>,
-    /// Compiled PEs by name (first declaration wins, like `Script::pe`).
-    pub pes: HashMap<String, PeProgram>,
+    /// Compiled PEs, one per name (first declaration wins, like
+    /// `Script::pe`).
+    pub pes: Vec<PeProgram>,
+}
+
+impl Program {
+    /// The position of the PE named `name` in [`Program::pes`].
+    pub(crate) fn pe_index(&self, name: &str) -> Option<usize> {
+        self.pes.iter().position(|p| p.name == name)
+    }
 }
 
 fn too_large() -> ScriptError {
@@ -282,14 +354,14 @@ pub fn compile_script(script: &Script) -> Result<Program, ScriptError> {
         lw.block(&f.body)?;
         fns.push(lw.finish());
     }
-    let mut pes = HashMap::new();
+    let mut program = Program { fns, pes: Vec::new() };
     for pe in script.pes() {
-        if pes.contains_key(&pe.name) {
-            continue; // Script::pe finds the first declaration.
+        if program.pe_index(&pe.name).is_none() {
+            // Script::pe finds the first declaration.
+            program.pes.push(compile_pe(pe, &fn_index)?);
         }
-        pes.insert(pe.name.clone(), compile_pe(pe, &fn_index)?);
     }
-    Ok(Program { fns, pes })
+    Ok(program)
 }
 
 fn compile_pe(pe: &PeDecl, fn_index: &HashMap<String, u16>) -> Result<PeProgram, ScriptError> {
@@ -315,7 +387,16 @@ fn compile_pe(pe: &PeDecl, fn_index: &HashMap<String, u16>) -> Result<PeProgram,
         lw.define(name, slot);
     }
     lw.block(&pe.process)?;
-    Ok(PeProgram { init, process: lw.finish(), default_input: pe.default_input().map(str::to_string) })
+    // Every later register lies above the fixed slots, so a name that
+    // resolved to `INPUT_PORT` was the port label.
+    let names_input_port = lw.resolved_input_port.get();
+    Ok(PeProgram {
+        name: pe.name.clone(),
+        init,
+        process: lw.finish(),
+        default_input: pe.default_input().map(str::to_string),
+        names_input_port,
+    })
 }
 
 struct Scope {
@@ -341,6 +422,8 @@ struct Lowerer<'a> {
     end_jumps: Vec<usize>,
     outputs: &'a [String],
     err: Option<ScriptError>,
+    /// Whether a name resolved to slot [`INPUT_PORT`].
+    resolved_input_port: Cell<bool>,
 }
 
 /// A read path found in the AST, before interning: the root's name and
@@ -353,8 +436,13 @@ struct PathShape<'e> {
 
 enum Step<'e> {
     Field(&'e str),
+    Index(Arg),
+}
+
+/// An [`Operand`] found in the AST, before interning.
+enum Arg {
     Const(Value),
-    /// A local operand's slot and line.
+    /// A local's slot and line.
     Local(u16, usize),
 }
 
@@ -397,6 +485,7 @@ impl<'a> Lowerer<'a> {
                 paths: Vec::new(),
                 reads: Vec::new(),
                 builtins: Vec::new(),
+                gets: Vec::new(),
                 errors: Vec::new(),
                 n_regs: 0,
                 default_output,
@@ -409,6 +498,7 @@ impl<'a> Lowerer<'a> {
             end_jumps: Vec::new(),
             outputs,
             err: None,
+            resolved_input_port: Cell::new(false),
         }
     }
 
@@ -450,10 +540,15 @@ impl<'a> Lowerer<'a> {
     /// Innermost-scope-first, latest-binding-first — mirrors the
     /// interpreter's `Env::lookup` over insert-overwrite maps.
     fn resolve(&self, name: &str) -> Option<u16> {
-        self.scopes
+        let slot = self
+            .scopes
             .iter()
             .rev()
-            .find_map(|s| s.vars.iter().rev().find(|(n, _)| n == name).map(|(_, slot)| *slot))
+            .find_map(|s| s.vars.iter().rev().find(|(n, _)| n == name).map(|(_, slot)| *slot));
+        if slot == Some(INPUT_PORT) {
+            self.resolved_input_port.set(true);
+        }
+        slot
     }
 
     // ---- pools ---------------------------------------------------------
@@ -696,25 +791,46 @@ impl<'a> Lowerer<'a> {
 
     /// Lower `target = regs[v]`. The value is already evaluated; accessor
     /// index expressions evaluate here, outermost-first, exactly like
-    /// `Interp::assign`'s walk.
+    /// `Interp::assign`'s walk. An index that is a local other than the
+    /// root is read in place by the store ([`PathAcc::Local`]): its unit
+    /// burns here, where its copy's `Local` burned, and no expression
+    /// between here and the store can assign it.
     fn assign(&mut self, target: &Expr, v: u16) -> Result<(), ScriptError> {
-        enum CAcc<'e> {
-            Index(u16),
-            Field(&'e str),
-        }
-        let mut accs: Vec<CAcc<'_>> = Vec::new();
+        let mut cur = target;
+        let root_slot = loop {
+            match cur {
+                Expr::Var { name, .. } => break self.resolve(name),
+                Expr::Index { base, .. } | Expr::Field { base, .. } => cur = base,
+                _ => break None,
+            }
+        };
+        let mut accs = Vec::new();
         let mut cur = target;
         let root = loop {
             match cur {
                 Expr::Var { name, .. } => break name,
                 Expr::Index { base, index, .. } => {
-                    let r = self.alloc()?;
-                    self.expr(index, r)?;
-                    accs.push(CAcc::Index(r));
+                    let in_place = match &**index {
+                        Expr::Var { name, line } => {
+                            self.resolve(name).filter(|s| Some(*s) != root_slot).map(|s| (s, *line))
+                        }
+                        _ => None,
+                    };
+                    match in_place {
+                        Some((slot, line)) => {
+                            self.emit(Instr::Fuel { line: u32x(line)? });
+                            accs.push(PathAcc::Local(slot));
+                        }
+                        None => {
+                            let r = self.alloc()?;
+                            self.expr(index, r)?;
+                            accs.push(PathAcc::Index(r));
+                        }
+                    }
                     cur = base;
                 }
                 Expr::Field { base, field, .. } => {
-                    accs.push(CAcc::Field(field));
+                    accs.push(PathAcc::Field(self.add_name(field)?));
                     cur = base;
                 }
                 _ => {
@@ -729,7 +845,7 @@ impl<'a> Lowerer<'a> {
         };
         accs.reverse(); // walk order → application order
         if accs.is_empty() {
-            match self.resolve(root) {
+            match root_slot {
                 Some(slot) => {
                     self.emit(Instr::StoreLocal { slot, src: v });
                 }
@@ -742,14 +858,8 @@ impl<'a> Lowerer<'a> {
         }
         let path_start = u16x(self.chunk.paths.len())?;
         let path_len = u16x(accs.len())?;
-        for acc in accs {
-            let p = match acc {
-                CAcc::Index(r) => PathAcc::Index(r),
-                CAcc::Field(f) => PathAcc::Field(self.add_name(f)?),
-            };
-            self.chunk.paths.push(p);
-        }
-        let (root_local, root) = match self.resolve(root) {
+        self.chunk.paths.extend(accs);
+        let (root_local, root) = match root_slot {
             Some(slot) => (true, slot),
             None => (false, self.add_name(root)?),
         };
@@ -862,6 +972,13 @@ impl<'a> Lowerer<'a> {
             Expr::Call { module, name, args, line } => {
                 self.emit(Instr::Fuel { line: u32x(*line)? });
                 let kind = self.classify(module.as_deref(), name);
+                if matches!(kind, CallKind::Builtin) && module.is_none() && name == "get" {
+                    if let Some(call) = self.lower_get(args, *line)? {
+                        // No register was allocated.
+                        self.emit(Instr::Get { dst, call });
+                        return Ok(());
+                    }
+                }
                 // A builtin borrows its first path argument instead of a
                 // copy: the walk's burns and errors keep their turn in the
                 // argument order, the leaf is lent at the call.
@@ -938,22 +1055,35 @@ impl<'a> Lowerer<'a> {
                     cur = base;
                 }
                 Expr::Index { base, index, line } => {
-                    let operand = match &**index {
-                        Expr::Var { name, line } => Step::Local(self.resolve(name)?, *line),
-                        other => Step::Const(literal(other)?),
-                    };
-                    steps.push((*line, operand));
+                    steps.push((*line, Step::Index(self.arg(index)?)));
                     cur = base;
                 }
                 _ => return None,
             }
         };
-        // The lend walks its root mutably while it reads the operands.
-        let root_slot = self.resolve(root);
-        if steps.iter().any(|(_, s)| matches!(s, Step::Local(slot, _) if Some(*slot) == root_slot)) {
+        // The lend walks its root mutably while it reads the operands. An
+        // unresolved root is the datum's alias, which may read the `input`
+        // slot.
+        let root_slot = self.resolve(root).unwrap_or(INPUT);
+        if steps.iter().any(|(_, s)| matches!(s, Step::Index(Arg::Local(slot, _)) if *slot == root_slot)) {
             return None;
         }
         Some(PathShape { root, line, steps })
+    }
+
+    /// The in-place operand `e` spells, if any: a literal or a local.
+    fn arg(&self, e: &Expr) -> Option<Arg> {
+        match e {
+            Expr::Var { name, line } => Some(Arg::Local(self.resolve(name)?, *line)),
+            other => literal(other).map(Arg::Const),
+        }
+    }
+
+    fn lower_arg(&mut self, arg: Arg) -> Result<Operand, ScriptError> {
+        Ok(match arg {
+            Arg::Const(v) => Operand::Const(self.add_const(v)?),
+            Arg::Local(slot, line) => Operand::Local { slot, line: u32x(line)? },
+        })
     }
 
     /// Lower a read path: its accessors' entry burns, outermost first as
@@ -966,8 +1096,7 @@ impl<'a> Lowerer<'a> {
             self.emit(Instr::Fuel { line });
             accs.push(match step {
                 Step::Field(f) => ReadAcc::Field { name: self.add_name(f)?, line },
-                Step::Const(v) => ReadAcc::Const(self.add_const(v)?),
-                Step::Local(slot, at) => ReadAcc::Local { slot, line: u32x(at)? },
+                Step::Index(arg) => ReadAcc::Index(self.lower_arg(arg)?),
             });
         }
         accs.reverse(); // walk order → application order
@@ -978,6 +1107,28 @@ impl<'a> Lowerer<'a> {
         let i = u16x(self.chunk.reads.len())?;
         self.chunk.reads.push(ReadPath { root, line: u32x(shape.line)?, accs });
         Ok(i)
+    }
+
+    /// `get(path, key, default?)` whose key and default are literals or
+    /// locals: the path's entry burns, then the side data of one
+    /// [`Instr::Get`]. `None`, with nothing emitted, for any other shape.
+    fn lower_get(&mut self, args: &[Expr], line: usize) -> Result<Option<u16>, ScriptError> {
+        let (path, key, default) = match args {
+            [p, k] => (p, k, None),
+            [p, k, d] => (p, k, Some(d)),
+            _ => return Ok(None),
+        };
+        let (Some(shape), Some(key)) = (self.path_shape(path), self.arg(key)) else { return Ok(None) };
+        let default = match default.map(|d| self.arg(d)) {
+            Some(None) => return Ok(None),
+            d => d.flatten(),
+        };
+        let path = self.lower_path(shape)?;
+        let key = self.lower_arg(key)?;
+        let default = default.map(|d| self.lower_arg(d)).transpose()?;
+        let call = u16x(self.chunk.gets.len())?;
+        self.chunk.gets.push(GetCall { path, key, default, line: u32x(line)? });
+        Ok(Some(call))
     }
 
     /// Compile-time call classification, in `Interp::call`'s dispatch
@@ -1025,6 +1176,10 @@ mod tests {
     use super::*;
     use crate::parser::parse_script;
 
+    fn pe<'p>(program: &'p Program, name: &str) -> &'p PeProgram {
+        &program.pes[program.pe_index(name).expect("PE compiled")]
+    }
+
     #[test]
     fn compiles_representative_pe() {
         let src = r#"
@@ -1046,7 +1201,7 @@ mod tests {
         assert_eq!(program.fns.len(), 1);
         assert_eq!(program.fns[0].name, "fact");
         assert_eq!(program.fns[0].arity, 1);
-        let pe = program.pes.get("P").unwrap();
+        let pe = pe(&program, "P");
         assert!(pe.init.is_some());
         assert!(pe.process.n_regs >= 4);
         assert_eq!(pe.process.default_output.as_deref(), Some("output"));
@@ -1073,28 +1228,43 @@ mod tests {
             fn f(v) { return v; }
         "#;
         let program = compile_script(&parse_script(src).unwrap()).unwrap();
-        let chunk = &program.pes["W"].process;
-        let loads = chunk.instrs.iter().filter(|i| matches!(i, Instr::LoadPath { .. })).count();
-        let checks = chunk.instrs.iter().filter(|i| matches!(i, Instr::CheckPath { .. })).count();
-        // Both get calls lend their first state.n. f(reading)[0] has a
+        let chunk = &pe(&program, "W").process;
+        let count = |f: fn(&Instr) -> bool| chunk.instrs.iter().filter(|i| f(i)).count();
+        let loads = count(|i| matches!(i, Instr::LoadPath { .. }));
+        let checks = count(|i| matches!(i, Instr::CheckPath { .. }));
+        // get(state.n, id, 0) is one Get; get(state.n, state.n) has a path
+        // for a key, so it lends its first state.n. f(reading)[0] has a
         // call for a base and state.c[reading[0]] a non-local operand, so
         // both index a copy. Loaded in place: reading[0] twice (once as
         // that operand), state.c, state.n[id] and get's second state.n.
-        assert_eq!((loads, checks), (5, 2));
-        assert_eq!(chunk.instrs.iter().filter(|i| matches!(i, Instr::IndexGet { .. })).count(), 2);
+        assert_eq!((loads, checks, count(|i| matches!(i, Instr::Get { .. }))), (5, 1, 1));
+        assert_eq!(count(|i| matches!(i, Instr::IndexGet { .. })), 2);
         let lent: Vec<_> = chunk.builtins.iter().map(|b| b.lend.map(|(arg, _)| arg)).collect();
-        assert_eq!(lent, [Some(0), Some(0)]);
+        assert_eq!(lent, [Some(0)]);
         let dynamic_root = chunk.reads.iter().filter(|r| matches!(r.root, PathRoot::Dynamic(_))).count();
         assert_eq!(dynamic_root, 2, "reading[0] reads the port binding");
+        // state.n[id] = … reads id in place, and no Local copies it.
+        assert!(matches!(chunk.paths[..], [PathAcc::Field(_), PathAcc::Local(_)]));
+        assert_eq!(count(|i| matches!(i, Instr::Local { .. })), 0);
+        // Nothing names input_port, so no run builds it.
+        assert!(!pe(&program, "W").names_input_port);
     }
 
     #[test]
     fn a_path_indexed_by_its_own_root_is_copied() {
-        let src = "pe P : generic { input i; output o; process { let x = [1]; emit(x[x]); } }";
+        let src = "pe P : generic { input i; output o; process { let x = [1]; emit(x[x]); x[x] = 2; } }";
         let program = compile_script(&parse_script(src).unwrap()).unwrap();
-        let chunk = &program.pes["P"].process;
+        let chunk = &pe(&program, "P").process;
         assert!(chunk.reads.is_empty());
         assert!(chunk.instrs.iter().any(|i| matches!(i, Instr::IndexGet { .. })));
+        assert!(matches!(chunk.paths[..], [PathAcc::Index(_)]));
+    }
+
+    #[test]
+    fn a_chunk_that_names_input_port_builds_it() {
+        let src = "pe P : generic { input i; output o; process { emit(input_port); } }";
+        let program = compile_script(&parse_script(src).unwrap()).unwrap();
+        assert!(pe(&program, "P").names_input_port);
     }
 
     #[test]

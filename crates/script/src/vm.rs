@@ -15,37 +15,58 @@
 //! like the interpreter dropping its eager item vector. A read through a
 //! path borrows its root (`walk`) and clones only the leaf; a builtin's
 //! lent argument is moved into its register for the call and back after
-//! (`lend_leaf`).
+//! (`lend_leaf`); a fused `get` reads its container, key and default in
+//! place. An invocation copies only what it writes: the datum's port-named
+//! alias reads the `input` slot until either name is assigned.
 
 use crate::builtins;
-use crate::compile::{Chunk, Instr, PathAcc, PathRoot, Program, RandKind, ReadAcc, ReadPath};
+use crate::compile::{
+    Chunk, Instr, Operand, PathAcc, PathRoot, Program, RandKind, ReadAcc, ReadPath, INPUT, INPUT_PORT,
+    ITERATION, STATE,
+};
 use crate::error::{ErrorKind, ScriptError};
 use crate::runtime::{
-    binary_op, display_value, index_value, truthy, Host, Sink, DEFAULT_FUEL, DEFAULT_SEED, MAX_CALL_DEPTH,
+    binary_op, index_value, truthy, Host, Sink, DEFAULT_FUEL, DEFAULT_SEED, MAX_CALL_DEPTH,
 };
 use laminar_json::{Map, Value};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::fmt::Write;
 use std::sync::Arc;
 
-/// The per-invocation binding of the datum under its input-port name
-/// (`input words;` makes the datum visible as `words`). The port is only
-/// known at runtime, so the compiler routes unresolved names here.
-type Dynamic<'p> = Option<(&'p str, Value)>;
+/// The datum's binding under its input-port name (`input words;` makes
+/// the datum visible as `words`). The port is only known at runtime, so
+/// the compiler routes unresolved names here. The alias reads the `input`
+/// slot until the script assigns to either name; that first write gives
+/// it its own value (`own`).
+struct Alias<'p> {
+    name: &'p str,
+    own: Option<Value>,
+}
 
-/// The dynamic binding's value when it is bound under `name`.
-fn bound<'d>(dynamic: &'d Dynamic<'_>, name: &str) -> Option<&'d Value> {
+/// The root frame's alias; `None` in `init` and in user functions.
+type Dynamic<'p> = Option<Alias<'p>>;
+
+/// The alias when it is bound under `name`.
+fn named<'d, 'p>(dynamic: &'d mut Dynamic<'p>, name: &str) -> Option<&'d mut Alias<'p>> {
+    dynamic.as_mut().filter(|a| a.name == name)
+}
+
+/// The alias's value when it is bound under `name`. `frame` is the root
+/// frame, whose `input` slot a sharing alias reads.
+fn bound<'d>(dynamic: &'d Dynamic<'_>, frame: &'d [Value], name: &str) -> Option<&'d Value> {
     match dynamic {
-        Some((n, v)) if *n == name => Some(v),
+        Some(a) if a.name == name => Some(a.own.as_ref().unwrap_or(&frame[INPUT as usize])),
         _ => None,
     }
 }
 
-/// [`bound`], for writing.
-fn bound_mut<'d>(dynamic: &'d mut Dynamic<'_>, name: &str) -> Option<&'d mut Value> {
-    match dynamic {
-        Some((n, v)) if *n == name => Some(v),
-        _ => None,
+/// Before the `input` slot is written: a sharing alias keeps the datum,
+/// moved out of the slot when the write replaces it whole (`take`), else
+/// copied.
+fn unshare(dynamic: &mut Dynamic<'_>, input: &mut Value, take: bool) {
+    if let Some(a @ Alias { own: None, .. }) = dynamic {
+        a.own = Some(if take { std::mem::take(input) } else { input.clone() });
     }
 }
 
@@ -78,6 +99,14 @@ impl Fuel {
 /// register stack is reused between invocations.
 pub struct Vm {
     program: Arc<Program>,
+    /// The PE the last run resolved: its position in `program.pes`. A PE
+    /// instance's VM runs one PE, so its name is looked up once.
+    pe: Option<usize>,
+    m: Machine,
+}
+
+/// The VM's mutable half, borrowed beside its program.
+struct Machine {
     host: Arc<dyn Host + Send + Sync>,
     fuel: Fuel,
     rng: StdRng,
@@ -90,41 +119,59 @@ impl Vm {
     pub fn new(program: Arc<Program>, host: Arc<dyn Host + Send + Sync>) -> Self {
         Vm {
             program,
-            host,
-            fuel: Fuel { left: DEFAULT_FUEL, limit: DEFAULT_FUEL },
-            rng: StdRng::seed_from_u64(DEFAULT_SEED),
-            stack: Vec::new(),
-            iters: Vec::new(),
+            pe: None,
+            m: Machine {
+                host,
+                fuel: Fuel { left: DEFAULT_FUEL, limit: DEFAULT_FUEL },
+                rng: StdRng::seed_from_u64(DEFAULT_SEED),
+                stack: Vec::new(),
+                iters: Vec::new(),
+            },
         }
     }
 
     /// Override the per-invocation fuel budget.
     pub fn with_fuel(mut self, fuel: u64) -> Self {
-        self.fuel = Fuel { left: fuel, limit: fuel };
+        self.m.fuel = Fuel { left: fuel, limit: fuel };
         self
     }
 
     /// Seed the RNG (tests and reproducible benchmarks).
     pub fn with_seed(mut self, seed: u64) -> Self {
-        self.rng = StdRng::seed_from_u64(seed);
+        self.m.rng = StdRng::seed_from_u64(seed);
         self
     }
 
     /// Fuel left after the last invocation (differential testing).
     pub fn fuel_remaining(&self) -> u64 {
-        self.fuel.left
+        self.m.fuel.left
     }
 
     /// Current RNG state, for checkpointing. The state word plus the
     /// PE's `state.*` value is the VM's entire cross-invocation
     /// footprint (fuel resets per invocation; stack/iters are scratch).
     pub fn rng_state(&self) -> u64 {
-        self.rng.state()
+        self.m.rng.state()
     }
 
     /// Restore an RNG state captured by [`Vm::rng_state`].
     pub fn set_rng_state(&mut self, state: u64) {
-        self.rng.set_state(state);
+        self.m.rng.set_state(state);
+    }
+
+    /// The position of the compiled PE named `pe`, looked up only when it
+    /// is not the one the last run resolved.
+    fn bind(&mut self, pe: &str) -> Result<usize, ScriptError> {
+        match self.pe {
+            Some(i) if self.program.pes[i].name == pe => Ok(i),
+            _ => {
+                let i = self
+                    .program
+                    .pe_index(pe)
+                    .ok_or_else(|| ScriptError::new(ErrorKind::NameError, format!("unknown PE '{pe}'")))?;
+                Ok(*self.pe.insert(i))
+            }
+        }
     }
 
     /// Run a PE's `init` block against `state`. Mirrors
@@ -133,20 +180,16 @@ impl Vm {
         if state.is_null() {
             *state = Value::Object(Map::new());
         }
-        let program = Arc::clone(&self.program);
-        let pp = program
-            .pes
-            .get(pe)
-            .ok_or_else(|| ScriptError::new(ErrorKind::NameError, format!("unknown PE '{pe}'")))?;
-        let Some(init) = &pp.init else { return Ok(()) };
-        self.fuel.left = self.fuel.limit;
-        self.stack.clear();
-        self.stack.resize_with(init.n_regs as usize, || Value::Null);
-        self.iters.clear();
-        self.stack[0] = std::mem::take(state);
-        let mut dynamic: Dynamic = None;
-        self.exec(&program, init, 0, 0, sink, &mut dynamic)?;
-        *state = std::mem::take(&mut self.stack[0]);
+        let at = self.bind(pe)?;
+        let (program, m) = (&*self.program, &mut self.m);
+        let Some(init) = &program.pes[at].init else { return Ok(()) };
+        m.fuel.left = m.fuel.limit;
+        m.stack.clear();
+        m.stack.resize_with(init.n_regs as usize, || Value::Null);
+        m.iters.clear();
+        m.stack[STATE as usize] = std::mem::take(state);
+        m.exec(program, init, 0, 0, sink, &mut None)?;
+        *state = std::mem::take(&mut m.stack[STATE as usize]);
         Ok(())
     }
 
@@ -161,25 +204,23 @@ impl Vm {
         state: &mut Value,
         sink: &mut dyn Sink,
     ) -> Result<Option<Value>, ScriptError> {
-        self.fuel.left = self.fuel.limit;
+        self.m.fuel.left = self.m.fuel.limit;
         if state.is_null() {
             *state = Value::Object(Map::new());
         }
-        let program = Arc::clone(&self.program);
-        let pp = program
-            .pes
-            .get(pe)
-            .ok_or_else(|| ScriptError::new(ErrorKind::NameError, format!("unknown PE '{pe}'")))?;
+        let at = self.bind(pe)?;
+        let (program, m) = (&*self.program, &mut self.m);
+        let pp = &program.pes[at];
         let chunk = &pp.process;
-        self.stack.clear();
-        self.stack.resize_with(chunk.n_regs as usize, || Value::Null);
-        self.iters.clear();
+        m.stack.clear();
+        m.stack.resize_with(chunk.n_regs as usize, || Value::Null);
+        m.iters.clear();
         // Root frame mirrors the interpreter's root scope definitions, in
         // order: state, port-named datum alias, input, input_port,
         // iteration. The alias either collides with a fixed slot (where a
         // later define overwrites or is overwritten) or becomes the
-        // dynamic binding.
-        self.stack[0] = std::mem::take(state);
+        // dynamic binding, which reads the `input` slot.
+        m.stack[STATE as usize] = std::mem::take(state);
         let datum = input.unwrap_or(Value::Null);
         let mut dynamic: Dynamic = None;
         match input_port.or(pp.default_input.as_deref()) {
@@ -187,17 +228,21 @@ impl Vm {
             // are defined after the alias in the interpreter and thus
             // shadow it.
             None | Some("input" | "input_port" | "iteration") => {}
-            Some("state") => self.stack[0] = datum.clone(),
-            Some(port) => dynamic = Some((port, datum.clone())),
+            Some("state") => m.stack[STATE as usize] = datum.clone(),
+            Some(port) => dynamic = Some(Alias { name: port, own: None }),
         }
-        self.stack[1] = datum;
-        self.stack[2] = input_port.map(Value::from).unwrap_or(Value::Null);
-        self.stack[3] = Value::Int(iteration);
-        let v = self.exec(&program, chunk, 0, 0, sink, &mut dynamic)?;
-        *state = std::mem::take(&mut self.stack[0]);
+        m.stack[INPUT as usize] = datum;
+        if pp.names_input_port {
+            m.stack[INPUT_PORT as usize] = input_port.map(Value::from).unwrap_or(Value::Null);
+        }
+        m.stack[ITERATION as usize] = Value::Int(iteration);
+        let v = m.exec(program, chunk, 0, 0, sink, &mut dynamic)?;
+        *state = std::mem::take(&mut m.stack[STATE as usize]);
         Ok(if v.is_null() { None } else { Some(v) })
     }
+}
 
+impl Machine {
     /// Execute one chunk frame; unwinds this frame's `for` iterators on
     /// both exits.
     fn exec(
@@ -245,17 +290,22 @@ impl Vm {
                 Instr::Dynamic { dst, name, line } => {
                     self.fuel.burn(line as usize)?;
                     let wanted = &chunk.names[name as usize];
-                    let v = bound(dynamic, wanted).ok_or_else(|| undefined(wanted, line))?.clone();
+                    let v = bound(dynamic, &self.stack[base..], wanted)
+                        .ok_or_else(|| undefined(wanted, line))?
+                        .clone();
                     self.stack[base + dst as usize] = v;
                 }
                 Instr::StoreLocal { slot, src } => {
+                    if slot == INPUT {
+                        unshare(dynamic, &mut self.stack[base + INPUT as usize], true);
+                    }
                     let v = std::mem::take(&mut self.stack[base + src as usize]);
                     self.stack[base + slot as usize] = v;
                 }
                 Instr::StoreDynamic { name, src } => {
                     let wanted = &chunk.names[name as usize];
-                    let place = bound_mut(dynamic, wanted).ok_or_else(|| unassignable(wanted))?;
-                    *place = std::mem::take(&mut self.stack[base + src as usize]);
+                    let alias = named(dynamic, wanted).ok_or_else(|| unassignable(wanted))?;
+                    alias.own = Some(std::mem::take(&mut self.stack[base + src as usize]));
                 }
                 Instr::StorePath { root_local, root, path_start, path_len, src } => {
                     self.store_path(chunk, base, root_local, root, path_start, path_len, src, dynamic)?;
@@ -399,15 +449,7 @@ impl Vm {
                         *leaf = std::mem::take(&mut args[arg]);
                     }
                     match r {
-                        Some(r) => {
-                            let v = r.map_err(|mut e| {
-                                if e.line == 0 {
-                                    e.line = line as usize;
-                                }
-                                e
-                            })?;
-                            self.stack[base + dst as usize] = v;
-                        }
+                        Some(r) => self.stack[base + dst as usize] = r.map_err(|e| at_call(e, line))?,
                         // Unreachable: classification probed the same table
                         // at compile time.
                         None => {
@@ -420,6 +462,20 @@ impl Vm {
                         }
                     }
                 }
+                Instr::Get { dst, call } => {
+                    let call = &chunk.gets[call as usize];
+                    let frame = &self.stack[base..];
+                    let fuel = &mut self.fuel;
+                    let leaf = walk(&chunk.reads[call.path as usize], chunk, frame, dynamic, fuel)?;
+                    let key = operand(call.key, chunk, frame, fuel)?;
+                    let default = call.default.map(|d| operand(d, chunk, frame, fuel)).transpose()?;
+                    let container = match &leaf {
+                        Leaf::Borrowed(v) => v,
+                        Leaf::Fresh(v) => v,
+                    };
+                    let v = builtins::get(container, key, default).map_err(|e| at_call(e, call.line))?;
+                    self.stack[base + dst as usize] = v;
+                }
                 Instr::CallHost { dst, module, name, start, argc } => {
                     let lo = base + start as usize;
                     let v = self.host.call(
@@ -431,11 +487,16 @@ impl Vm {
                 }
                 Instr::Print { dst, start, argc } => {
                     let lo = base + start as usize;
-                    let text = self.stack[lo..lo + argc as usize]
-                        .iter()
-                        .map(display_value)
-                        .collect::<Vec<_>>()
-                        .join(" ");
+                    let mut text = String::new();
+                    for (i, v) in self.stack[lo..lo + argc as usize].iter().enumerate() {
+                        if i > 0 {
+                            text.push(' ');
+                        }
+                        match v {
+                            Value::Str(s) => text.push_str(s),
+                            other => write!(text, "{other}").expect("a String takes any write"),
+                        }
+                    }
                     sink.print(&text);
                     self.stack[base + dst as usize] = Value::Null;
                 }
@@ -525,7 +586,8 @@ impl Vm {
     }
 
     /// Assignment through an accessor path — `Interp::assign`'s walk with
-    /// the indices pre-evaluated into registers.
+    /// the indices pre-evaluated into registers or read from locals in
+    /// place.
     #[allow(clippy::too_many_arguments)] // unpacked StorePath operands
     fn store_path(
         &mut self,
@@ -539,15 +601,17 @@ impl Vm {
         dynamic: &mut Dynamic<'_>,
     ) -> Result<(), ScriptError> {
         let value = std::mem::take(&mut self.stack[base + src as usize]);
-        // The index registers are temporaries, above every local and so
-        // above a local root: `regs` starts at stack index `regs_at`.
-        let (mut place, regs, regs_at): (&mut Value, &mut [Value], usize) = if root_local {
-            let at = base + root as usize;
-            let (below, above) = self.stack.split_at_mut(at + 1);
-            (&mut below[at], above, at + 1)
+        let frame = &mut self.stack[base..];
+        let (mut place, regs) = if root_local {
+            if root == INPUT {
+                unshare(dynamic, &mut frame[INPUT as usize], false);
+            }
+            Beside::split(frame, root)
         } else {
             let wanted = &chunk.names[root as usize];
-            (bound_mut(dynamic, wanted).ok_or_else(|| unassignable(wanted))?, &mut self.stack[..], 0)
+            let alias = named(dynamic, wanted).ok_or_else(|| unassignable(wanted))?;
+            let own = alias.own.get_or_insert_with(|| frame[INPUT as usize].clone());
+            (own, Beside { below: frame, above: &[] })
         };
         for p in &chunk.paths[path_start as usize..(path_start + path_len) as usize] {
             match *p {
@@ -564,20 +628,17 @@ impl Vm {
                     })?;
                     place = m.get_or_insert_with(f, || Value::Null);
                 }
-                PathAcc::Index(r) => {
-                    let idx = std::mem::take(&mut regs[base + r as usize - regs_at]);
+                PathAcc::Index(r) | PathAcc::Local(r) => {
+                    let idx = regs.get(r);
                     if place.is_null() && matches!(idx, Value::Str(_)) {
                         *place = Value::Object(Map::new());
                     }
                     match (&mut *place, idx) {
+                        (Value::Object(m), Value::Str(k)) => place = m.get_or_insert_with(k, || Value::Null),
                         (Value::Object(m), key) => {
-                            let k = match key {
-                                Value::Str(s) => s,
-                                other => other.to_string(),
-                            };
-                            place = m.get_or_insert_with(&k, || Value::Null);
+                            place = m.get_or_insert_with(&key.to_string(), || Value::Null)
                         }
-                        (Value::Array(a), Value::Int(i)) => match position(i, a.len()) {
+                        (Value::Array(a), Value::Int(i)) => match position(*i, a.len()) {
                             Some(p) => place = &mut a[p],
                             None => {
                                 return Err(ScriptError::new(
@@ -601,11 +662,49 @@ impl Vm {
     }
 }
 
+/// A frame's registers beside one that is lent out mutably: those below
+/// it and those above it.
+struct Beside<'a> {
+    below: &'a [Value],
+    above: &'a [Value],
+}
+
+impl<'a> Beside<'a> {
+    /// Lend out `frame[slot]`.
+    fn split(frame: &'a mut [Value], slot: u16) -> (&'a mut Value, Beside<'a>) {
+        let (below, rest) = frame.split_at_mut(slot as usize);
+        let (lent, above) = rest.split_first_mut().expect("a slot inside the frame");
+        (lent, Beside { below, above })
+    }
+
+    /// Register `slot`, which is not the lent one.
+    fn get(&self, slot: u16) -> &'a Value {
+        match (slot as usize).checked_sub(self.below.len()) {
+            None => &self.below[slot as usize],
+            Some(k) => &self.above[k - 1],
+        }
+    }
+}
+
 /// Where a read path's walk stands: inside its root, or on a value a step
 /// made (a missing key's `null`, a string's char).
 enum Leaf<'a> {
     Borrowed(&'a Value),
     Fresh(Value),
+}
+
+/// An operand's value, read in place after burning its unit.
+fn operand<'a>(
+    op: Operand,
+    chunk: &'a Chunk,
+    frame: &'a [Value],
+    fuel: &mut Fuel,
+) -> Result<&'a Value, ScriptError> {
+    fuel.burn(op.line() as usize)?;
+    Ok(match op {
+        Operand::Const(idx) => &chunk.consts[idx as usize],
+        Operand::Local { slot, .. } => &frame[slot as usize],
+    })
 }
 
 /// Walk `path` from its root by reference. The root's unit and each
@@ -625,7 +724,7 @@ fn walk<'a>(
         PathRoot::Local(slot) => &frame[slot as usize],
         PathRoot::Dynamic(name) => {
             let wanted = &chunk.names[name as usize];
-            bound(dynamic, wanted).ok_or_else(|| undefined(wanted, path.line))?
+            bound(dynamic, frame, wanted).ok_or_else(|| undefined(wanted, path.line))?
         }
     });
     for acc in &path.accs {
@@ -641,14 +740,7 @@ fn walk<'a>(
                     Leaf::Fresh(other) => return Err(field_error(field, &other, line)),
                 }
             }
-            ReadAcc::Const(idx) => {
-                fuel.burn(0)?;
-                index(leaf, &chunk.consts[idx as usize])?
-            }
-            ReadAcc::Local { slot, line } => {
-                fuel.burn(line as usize)?;
-                index(leaf, &frame[slot as usize])?
-            }
+            ReadAcc::Index(op) => index(leaf, operand(op, chunk, frame, fuel)?)?,
         };
     }
     Ok(leaf)
@@ -678,31 +770,27 @@ fn index<'a>(leaf: Leaf<'a>, i: &Value) -> Result<Leaf<'a>, ScriptError> {
 /// which holds every local.
 fn lend_leaf<'a>(
     path: &ReadPath,
-    chunk: &Chunk,
+    chunk: &'a Chunk,
     frame: &'a mut [Value],
     dynamic: &'a mut Dynamic<'_>,
 ) -> Option<&'a mut Value> {
-    // A path's operands are locals other than its root (`path_shape`):
-    // split the frame around a local root to read them beside it.
-    let (mut leaf, below, above): (&mut Value, &[Value], &[Value]) = match path.root {
-        PathRoot::Local(slot) => {
-            let (below, rest) = frame.split_at_mut(slot as usize);
-            let (root, above) = rest.split_first_mut()?;
-            (root, below, above)
-        }
-        PathRoot::Dynamic(name) => (bound_mut(dynamic, &chunk.names[name as usize])?, frame, &[]),
-    };
-    let operand = |slot: u16| match (slot as usize).checked_sub(below.len()) {
-        None => &below[slot as usize],
-        Some(k) => &above[k - 1],
+    // A path's operands are locals other than its root, and other than
+    // `input` when the root is the alias (`path_shape`): split the frame
+    // around the root's slot to read them beside it.
+    let (mut leaf, regs) = match path.root {
+        PathRoot::Local(slot) => Beside::split(frame, slot),
+        PathRoot::Dynamic(name) => match &mut named(dynamic, &chunk.names[name as usize])?.own {
+            Some(own) => (own, Beside { below: frame, above: &[] }),
+            None => Beside::split(frame, INPUT),
+        },
     };
     for acc in &path.accs {
         leaf = match *acc {
             ReadAcc::Field { name, .. } => {
                 leaf.as_object_mut()?.get_mut(chunk.names[name as usize].as_str())?
             }
-            ReadAcc::Const(idx) => index_mut(leaf, &chunk.consts[idx as usize])?,
-            ReadAcc::Local { slot, .. } => index_mut(leaf, operand(slot))?,
+            ReadAcc::Index(Operand::Const(idx)) => index_mut(leaf, &chunk.consts[idx as usize])?,
+            ReadAcc::Index(Operand::Local { slot, .. }) => index_mut(leaf, regs.get(slot))?,
         };
     }
     Some(leaf)
@@ -734,6 +822,14 @@ fn index_owned(base: Value, index: &Value) -> Result<Value, ScriptError> {
         (Value::Object(mut m), Value::Str(k)) => Ok(m.remove(k.as_str()).unwrap_or(Value::Null)),
         (b, _) => index_value(&b, index),
     }
+}
+
+/// A builtin's error, placed at its call's line when it has none.
+fn at_call(mut e: ScriptError, line: u32) -> ScriptError {
+    if e.line == 0 {
+        e.line = line as usize;
+    }
+    e
 }
 
 fn undefined(name: &str, line: u32) -> ScriptError {

@@ -333,3 +333,142 @@ fn group_by_counts_survive_lending() {
         .collect();
     check_differential(&src, &runs, 200_000, 0);
 }
+
+/// The shapes an invocation reads in place instead of copying: the alias
+/// `data`, which shares the `input` slot until either name is assigned;
+/// `input_port`, built only when the body names it; an assignment's index
+/// that is a local other than its root; and a fused
+/// `get(path, key, default?)` whose key and default are literals or
+/// locals, over every container kind and followed by a fallible operand.
+fn arb_in_place_stmt() -> BoxedStrategy<String> {
+    let writes = select(vec![
+        "input = 5;",
+        "input = [7, {\"a\": 1}];",
+        "input[0] = 9;",
+        "input.a = 1;",
+        "input[i] = data;",
+        "data = 7;",
+        "data = input;",
+        "data[0] = 1;",
+        "data.k = 2;",
+        "data[i] = input;",
+        "input_port = 1;",
+        "input_port.x = 1;",
+        "state.m[key] = 1;",
+        "state.m[miss] = data;",
+        "state.l[i] = j;",
+        "x[i] = 2;",
+        "x[key] = i;",
+        "x[x] = 4;",
+        "xl[i] = xl;",
+        "xl[j][i] = 3;",
+        "xm.m[key] = key;",
+        "data[j] = 3;",
+    ]);
+    let reads = select(vec![
+        "emit(data);",
+        "emit(input);",
+        "emit(data[0]);",
+        "emit([input, data]);",
+        "emit(len(data));",
+        "emit(input_port);",
+        "print(\"p\", input_port, data);",
+        "emit(state);",
+        "emit([x, xl, xm]);",
+    ]);
+    let container = select(vec![
+        "state.m", "state.l", "state.zz", "state.s", "state.n", "xl", "xm.m", "xl[2]", "data", "input", "x",
+    ]);
+    let key = select(vec!["key", "miss", "i", "j", "\"a\"", "0", "-1", "7", "null", "x"]);
+    let default = select(vec!["", ", 0", ", i", ", key", ", null", ", x"]);
+    let fallible = select(vec!["data[0]", "data[1]", "input[i]", "1"]);
+    let gets = (container, key, default, fallible)
+        .prop_map(|(c, k, d, f)| format!("state.m[key] = get({c}, {k}{d}) + {f}; emit(get({c}, {k}{d}));"));
+    prop_oneof![writes.prop_map(str::to_string), reads.prop_map(str::to_string), gets].boxed()
+}
+
+fn arb_in_place_script() -> BoxedStrategy<String> {
+    let full = "init { state.m = {\"a\": 1, \"k\": 2}; state.l = [3, [4, 5], \"x\"]; state.s = \"héllo\"; \
+                state.n = 7; }";
+    (arb_x(), select(vec![0, 1, 2, -1, -2, 5]), select(vec![0, 1, -1, 4]), vec(arb_in_place_stmt(), 1..7))
+        .prop_map(move |(x, i, j, body)| {
+            format!(
+                "pe {PE_NAME} : generic {{ input data; output output; {full} \
+                 process {{ let i = {i}; let j = {j}; let key = \"a\"; let miss = \"nope\"; \
+                 let xm = {XM}; let xl = {XL}; let x = {x}; {} }} }}",
+                body.join(" ")
+            )
+        })
+        .boxed()
+}
+
+proptest! {
+    /// VM == interpreter on the shapes read in place.
+    #[test]
+    fn in_place_reads_match_interp(
+        src in arb_in_place_script(),
+        runs in vec((arb_input(), arb_port()), 1..4),
+    ) {
+        check_differential(&src, &runs, 200_000, 0);
+    }
+
+    /// Same, under tight budgets: a fused `get` and an in-place index burn
+    /// where their copies did.
+    #[test]
+    fn in_place_reads_match_interp_under_fuel_pressure(
+        src in arb_in_place_script(),
+        runs in vec((arb_input(), arb_port()), 1..3),
+        fuel in 1..200u64,
+    ) {
+        check_differential(&src, &runs, fuel, 0);
+    }
+}
+
+/// Every datum under every label, for a fixed body.
+fn check_every_datum(body: &str) {
+    let src = format!(
+        "pe {PE_NAME} : generic {{ input data; output output; init {{ state.m = {{\"a\": 1}}; }} \
+         process {{ let i = 0; let k = \"a\"; let x = [1, 2]; {body} }} }}"
+    );
+    let inputs = ["[\"a\", [2, 3]]", "{\"a\": [1, 2], \"k\": \"zz\"}", "\"abc\"", "3", "null"];
+    for input in inputs {
+        let runs: Vec<(Value, u8)> =
+            (0..3).map(|port| (laminar_json::parse(input).expect("literal datum"), port)).collect();
+        check_differential(&src, &runs, 200_000, 0);
+    }
+}
+
+#[test]
+fn the_alias_is_copied_on_the_first_write_to_either_name() {
+    check_every_datum("input = 5; emit(data); emit(input);");
+    check_every_datum("input[0] = 9; emit(data); emit(data[0]); emit(input);");
+    check_every_datum("input.a = 9; emit(data); emit(input);");
+    check_every_datum("data = 7; emit(input); emit(data);");
+    check_every_datum("data[0] = 7; emit(input); emit(data);");
+    check_every_datum("emit(len(data)); input = 1; emit(len(data)); data = 2; emit([input, data]);");
+}
+
+#[test]
+fn input_port_is_the_label_whether_or_not_the_body_names_it() {
+    check_every_datum("emit(input_port);");
+    check_every_datum("input_port.x = 1; emit(input_port);");
+    check_every_datum("emit(data);");
+}
+
+#[test]
+fn an_assignment_indexed_by_a_local_writes_in_place() {
+    check_every_datum("state.m[k] = 2; x[i] = 3; emit([state.m, x]);");
+    check_every_datum("data[i] = 3; emit([data, input]);");
+    check_every_datum("x[x] = 3; emit(x);");
+}
+
+#[test]
+fn a_fused_get_reads_every_container_and_then_fails_like_the_call() {
+    for container in ["state.m", "state.zz", "x", "data", "input", "k"] {
+        for key in ["k", "i", "\"a\"", "0", "null"] {
+            check_every_datum(&format!(
+                "state.m[k] = get({container}, {key}, 0) + data[0]; emit(get({container}, {key})); emit(state.m);"
+            ));
+        }
+    }
+}

@@ -3,11 +3,15 @@
 //! Simple mapping over 2,000 readings from 16 sensors. `WindowStats` does
 //! `state.n[id] = get(state.n, id, 0) + 1` and reads `state.n[id]` and
 //! `state.sum[id]`, the shape every stateful PE here uses. A read through a
-//! path clones only its leaf and a builtin borrows its first path
-//! argument, so a reading no longer copies the PE's per-sensor maps: it
-//! cost about 154 allocator calls before that, and about 12 after (the
-//! reading, its copies into the PE's bindings and registers, routing, and
-//! the window's emissions).
+//! path clones only its leaf, so a reading does not copy the PE's
+//! per-sensor maps (about 154 allocator calls a reading when it did). An
+//! invocation copies only what it writes: the port-named alias `reading`
+//! shares the datum, `input_port` is not built for a body that never
+//! names it, an assignment's local index and a fused `get`'s operands are
+//! read in place. What is left, about 4.7 calls: the reading the host
+//! makes (a list and a sensor id) and the `Arc` it is routed in, the
+//! `let id` copy of the sensor id, and an eighth of a window's emissions
+//! and alert lines.
 //! Its own binary: the counter is process-wide.
 
 use laminar::prelude::*;
@@ -65,5 +69,5 @@ fn a_reading_does_not_copy_the_group_by_state() {
     );
 }
 
-/// The median measured when the gate was set (11.8), plus 3.
-const CEILING: f64 = 14.8;
+/// The median measured when the gate was set (4.66), plus 3.
+const CEILING: f64 = 7.66;
