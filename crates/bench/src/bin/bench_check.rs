@@ -85,8 +85,9 @@ const SEARCH_SPEEDUP_FLOOR: f64 = 2.0;
 const SEARCH_P99_CEILING_US: f64 = 2000.0;
 
 /// Incremental index maintenance may cost at most this much (µs) per PE
-/// link: `search_scale` times one `SearchIndex::build` over its finished
-/// corpus, the same `add_pe` per link that registration runs. The same
+/// link: `search_scale` reports the median of its timed `SearchIndex::build`s
+/// over its finished corpus, the same `add_pe` per link that registration
+/// runs. The same
 /// bound `search_scale` enforces on full runs — the cost is per PE (one
 /// tokenisation, ~150 new postings), not per corpus, so the smoke
 /// run needs no looser one. Absolute, not a ratio over a registration,

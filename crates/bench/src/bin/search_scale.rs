@@ -6,9 +6,9 @@
 //! oracle (`laminar_oracle::scan`) — and reports p50/p99 wall latency plus the
 //! indexed-vs-scan speedup for both the semantic (embedding top-k) and
 //! text (inverted-token) paths. It prices the incremental maintenance the
-//! write path pays with one timed `SearchIndex::build` over the finished
-//! corpus's store: the same `add_pe` per owner link that registration
-//! runs, divided by the links. Every measured query pair is also compared
+//! write path pays with the median of `reps` timed `SearchIndex::build`s
+//! over the finished corpus's store: the same `add_pe` per owner link
+//! that registration runs, divided by the links. Every measured query pair is also compared
 //! hit-for-hit, so the run doubles as a large-corpus differential check.
 //!
 //! ```text
@@ -201,17 +201,24 @@ fn measure_mode(
 /// postings), not per corpus.
 const INDEX_MAINTENANCE_CEILING_US: f64 = 15.0;
 
-/// Index maintenance per owner link (µs): one timed rebuild of the whole
-/// index from the finished corpus's store, which runs exactly the
-/// `add_pe` per link that registration runs, divided by the links.
-fn maintenance_per_pe_us(reg: &Registry) -> (f64, usize) {
+/// Index maintenance per owner link (µs): the median of `reps` timed
+/// rebuilds of the whole index from the finished corpus's store, each of
+/// which runs exactly the `add_pe` per link that registration runs,
+/// divided by the links. One rebuild is a few milliseconds, so a single
+/// timing reads whatever else the machine did in them; the median does not.
+fn maintenance_per_pe_us(reg: &Registry, reps: usize) -> (f64, usize) {
     let store = &reg.dao().store;
-    let t0 = Instant::now();
-    // Bound, not `_`: the index is dropped after the clock stops.
-    let _index = std::hint::black_box(SearchIndex::build(store));
-    let elapsed = t0.elapsed();
+    let mut rebuild_ns: Vec<u64> = (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            // Bound, not `_`: the index is dropped after the clock stops.
+            let _index = std::hint::black_box(SearchIndex::build(store));
+            t0.elapsed().as_nanos() as u64
+        })
+        .collect();
+    rebuild_ns.sort_unstable();
     let links = store.user_pes.len();
-    (elapsed.as_secs_f64() * 1e6 / links.max(1) as f64, links)
+    (percentile(&rebuild_ns, 50.0) as f64 / 1e3 / links.max(1) as f64, links)
 }
 
 fn main() {
@@ -238,7 +245,7 @@ fn main() {
 
     let semantic = measure_mode(&reg, &sample, &SEMANTIC_QUERIES, SearchType::Pe, QueryType::Text, reps);
     let text = measure_mode(&reg, &sample, &TEXT_QUERIES, SearchType::Both, QueryType::Text, reps);
-    let (maintenance_per_pe, pe_links) = maintenance_per_pe_us(&reg);
+    let (maintenance_per_pe, pe_links) = maintenance_per_pe_us(&reg, reps);
     let differential_match = semantic.mismatches == 0 && text.mismatches == 0;
 
     let semantic_v = semantic.into_value();

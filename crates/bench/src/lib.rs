@@ -350,6 +350,7 @@ pub struct Flags {
 impl Flags {
     /// Parse the process arguments of `bin`, which also takes the value
     /// flags `extra`; exits with status 2 on a bad command line.
+    #[expect(clippy::disallowed_methods, reason = "the one reader of a bench bin's command line")]
     pub fn parse(bin: &str, extra: &[&str]) -> Flags {
         Flags::from_args(bin, extra, std::env::args().skip(1)).unwrap_or_else(|e| {
             eprintln!("{bin}: {e}");
@@ -388,6 +389,7 @@ impl Flags {
         if let Some(dir) = self.out.parent() {
             std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
         }
+        #[expect(clippy::disallowed_methods, reason = "the one writer of a bench bin's report")]
         std::fs::write(&self.out, laminar_json::to_string_pretty(report))
             .unwrap_or_else(|e| panic!("write {}: {e}", self.out.display()));
         eprintln!("report written to {}", self.out.display());

@@ -27,6 +27,8 @@
 //! assert_eq!(out.port_values("Gen", "output").len(), 3);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod web;
 

@@ -117,6 +117,7 @@ pub fn put(path: impl Into<String>) -> ApiRequest {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "tests stand up fake servers on raw sockets")]
 mod tests {
     use super::*;
     use laminar_json::jobj;

@@ -25,6 +25,8 @@
 //! assert_eq!(laminar_codec::base64::decode(&text).unwrap(), frame);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod base64;
 pub mod crc32;
 pub mod pickle;

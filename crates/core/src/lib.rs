@@ -21,6 +21,8 @@
 //! client.login("zz46", "password").unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
+
 use laminar_client::LaminarClient;
 use laminar_engine::{ExecutionEngine, NetModel};
 use laminar_registry::Registry;

@@ -45,6 +45,8 @@
 //! assert_eq!(doubled, vec![0, 2, 4, 6, 8]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod fault;
 pub mod graph;

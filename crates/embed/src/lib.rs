@@ -31,6 +31,8 @@
 //! assert!(cosine(&code, &query) > cosine(&code, &unrelated));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod embedding;
 pub mod models;
 pub mod summarize;

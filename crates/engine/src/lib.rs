@@ -13,6 +13,8 @@
 //! WAN delay — together these reproduce the overhead structure that
 //! Table 5 measures.
 
+#![forbid(unsafe_code)]
+
 mod admission;
 pub mod engine;
 pub mod env;

@@ -20,6 +20,8 @@
 //! assert_eq!(round, v);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod error;
 mod map;
 mod parse;

@@ -20,6 +20,8 @@
 //! assert_eq!(got, b"datum");
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod broker;
 
 pub use broker::{Broker, BrokerError, RedisClient};

@@ -1,4 +1,5 @@
-//! Registry entities (paper Table 2) and their on-disk row conversions.
+//! Registry entities (paper Table 2). Their on-disk row form lives with
+//! the store, the one module that reads or writes it.
 
 use crate::store::Row;
 use laminar_embed::Embedding;
@@ -33,22 +34,6 @@ impl Row for UserEntity {
 
     fn unique_key(&self) -> &str {
         &self.user_name
-    }
-
-    fn from_row(row: &Value) -> Option<UserEntity> {
-        Some(UserEntity {
-            user_id: row[Self::ID].as_i64()?,
-            user_name: row[Self::UNIQUE].as_str()?.to_string(),
-            password_hash: row["password"].as_str()?.to_string(),
-        })
-    }
-
-    fn to_row(&self) -> Value {
-        let mut v = Value::Null;
-        v.set(Self::ID, self.user_id)
-            .set(Self::UNIQUE, self.user_name.as_str())
-            .set("password", self.password_hash.as_str());
-        v
     }
 }
 
@@ -107,37 +92,6 @@ impl Row for PeEntity {
 
     fn unique_key(&self) -> &str {
         &self.pe_name
-    }
-
-    fn from_row(row: &Value) -> Option<PeEntity> {
-        Some(PeEntity {
-            pe_id: row[Self::ID].as_i64()?,
-            pe_name: row[Self::UNIQUE].as_str()?.to_string(),
-            description: row["description"].as_str().unwrap_or("").to_string(),
-            description_generated: row["descriptionGenerated"].as_bool().unwrap_or(false),
-            pe_code: row["peCode"].as_str()?.to_string(),
-            pe_imports: row["peImports"]
-                .as_array()
-                .unwrap_or(&[])
-                .iter()
-                .filter_map(|v| v.as_str().map(str::to_string))
-                .collect(),
-            code_embedding: Embedding::from_value(&row["codeEmbedding"])?,
-            desc_embedding: Embedding::from_value(&row["descEmbedding"])?,
-        })
-    }
-
-    fn to_row(&self) -> Value {
-        let mut v = Value::Null;
-        v.set(Self::ID, self.pe_id)
-            .set(Self::UNIQUE, self.pe_name.as_str())
-            .set("description", self.description.as_str())
-            .set("descriptionGenerated", self.description_generated)
-            .set("peCode", self.pe_code.as_str())
-            .set("peImports", Value::Array(self.pe_imports.iter().map(|i| Value::Str(i.clone())).collect()))
-            .set("codeEmbedding", self.code_embedding.to_value())
-            .set("descEmbedding", self.desc_embedding.to_value());
-        v
     }
 }
 
@@ -199,28 +153,6 @@ impl Row for WorkflowEntity {
     fn unique_key(&self) -> &str {
         &self.entry_point
     }
-
-    fn from_row(row: &Value) -> Option<WorkflowEntity> {
-        let workflow_code = row["workflowCode"].as_str()?.to_string();
-        Some(WorkflowEntity {
-            workflow_id: row[Self::ID].as_i64()?,
-            workflow_name: row["workflowName"].as_str()?.to_string(),
-            entry_point: row[Self::UNIQUE].as_str()?.to_string(),
-            description: row["description"].as_str().unwrap_or("").to_string(),
-            prepared: prepare(&decode_code(&workflow_code)?).ok()?,
-            workflow_code,
-        })
-    }
-
-    fn to_row(&self) -> Value {
-        let mut v = Value::Null;
-        v.set(Self::ID, self.workflow_id)
-            .set("workflowName", self.workflow_name.as_str())
-            .set(Self::UNIQUE, self.entry_point.as_str())
-            .set("description", self.description.as_str())
-            .set("workflowCode", self.workflow_code.as_str());
-        v
-    }
 }
 
 impl WorkflowEntity {
@@ -242,6 +174,25 @@ impl WorkflowEntity {
         }
     }
 
+    /// A workflow as its row stored it: `workflow_code` kept as written and
+    /// prepared again; `None` when the code does not decode or prepare.
+    pub(crate) fn stored(
+        workflow_id: i64,
+        workflow_name: &str,
+        entry_point: &str,
+        description: &str,
+        workflow_code: &str,
+    ) -> Option<WorkflowEntity> {
+        Some(WorkflowEntity {
+            workflow_id,
+            workflow_name: workflow_name.to_string(),
+            entry_point: entry_point.to_string(),
+            description: description.to_string(),
+            prepared: prepare(&decode_code(workflow_code)?).ok()?,
+            workflow_code: workflow_code.to_string(),
+        })
+    }
+
     /// The stored source, prepared — its text is what `workflow_code`
     /// decodes to.
     pub fn prepared(&self) -> &Arc<Prepared> {
@@ -252,12 +203,28 @@ impl WorkflowEntity {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::RegistryError;
+    use crate::store::Op;
+
+    // The row form is private to the store; these tests reach it through
+    // the WAL records the store writes (`Op::to_value`) and replays
+    // (`Op::from_value`).
+
+    /// An insert's WAL record carrying `row` as the entity's row.
+    fn insert_record(table: &str, id: i64, row: Value) -> Value {
+        let mut v = Value::Null;
+        v.set("op", "insert").set("table", table).set("id", id).set("row", row);
+        v
+    }
 
     #[test]
     fn user_round_trip() {
         let u =
             UserEntity { user_id: 3, user_name: "zz46".into(), password_hash: hash_password("zz46", "pw") };
-        assert_eq!(UserEntity::from_row(&u.to_row()), Some(u));
+        match Op::from_value(&Op::InsertUser(u.clone()).to_value()) {
+            Ok(Op::InsertUser(back)) => assert_eq!(back, u),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
@@ -283,7 +250,9 @@ mod tests {
             code_embedding: Embedding::from_dense(&[0.5, -0.5]),
             desc_embedding: Embedding::from_dense(&[1.0, 0.0]),
         };
-        let back = PeEntity::from_row(&e.to_row()).unwrap();
+        let Ok(Op::InsertPe(back)) = Op::from_value(&Op::InsertPe(e.clone()).to_value()) else {
+            panic!("not a PE insert")
+        };
         assert_eq!(back, e);
         assert!(back.source().unwrap().contains("IsPrime"));
     }
@@ -293,13 +262,18 @@ mod tests {
         let source = "workflow IsPrimeWf { nodes { } }";
         let mut w = WorkflowEntity::new("IsPrimeWf", "isPrime", "prints primes", prepare(source).unwrap());
         w.workflow_id = 2;
-        assert_eq!(WorkflowEntity::from_row(&w.to_row()), Some(w.clone()));
+        let record = Op::InsertWorkflow(w.clone()).to_value();
+        match Op::from_value(&record) {
+            Ok(Op::InsertWorkflow(back)) => assert_eq!(back, w),
+            other => panic!("{other:?}"),
+        }
         assert_eq!(w.prepared().text(), source);
         assert_eq!(decode_code(&w.workflow_code).as_deref(), Some(source));
         // A row whose code does not prepare is corrupt, not an entity.
-        let mut row = w.to_row();
+        let mut row = record["row"].clone();
         row.set("workflowCode", encode_code("workflow {"));
-        assert_eq!(WorkflowEntity::from_row(&row), None);
+        let corrupt = insert_record(WorkflowEntity::TABLE, 2, row);
+        assert!(matches!(Op::from_value(&corrupt), Err(RegistryError::Storage(_))));
     }
 
     #[test]
@@ -312,9 +286,14 @@ mod tests {
 
     #[test]
     fn malformed_rows_rejected() {
-        assert!(UserEntity::from_row(&Value::Null).is_none());
+        let user = insert_record(UserEntity::TABLE, 1, Value::Null);
+        assert!(matches!(Op::from_value(&user), Err(RegistryError::Storage(_))));
         let mut bad = Value::Null;
         bad.set("peId", 1).set("peName", "X");
-        assert!(PeEntity::from_row(&bad).is_none(), "missing embeddings must fail");
+        let pe = insert_record(PeEntity::TABLE, 1, bad);
+        assert!(
+            matches!(Op::from_value(&pe), Err(RegistryError::Storage(_))),
+            "missing embeddings must fail"
+        );
     }
 }

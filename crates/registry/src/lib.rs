@@ -27,6 +27,8 @@
 //! assert_eq!(hits[0].id, pe.pe_id);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod dao;
 pub mod entities;
 pub mod error;

@@ -6,10 +6,11 @@
 //! performs the same CRUD it would against the paper's hosted database.
 //!
 //! This module owns how an entity is held in memory: tables hold the
-//! typed entities themselves. The JSON row form ([`Row::to_row`] /
-//! [`Row::from_row`]) exists only where bytes meet the disk — WAL append
-//! and replay, snapshot write and load — so a row that does not decode is
-//! rejected when the store is opened, never on a later read.
+//! typed entities themselves. The JSON row form (`RowCodec`, private to
+//! this module) exists only where bytes meet the disk — WAL append and
+//! replay, snapshot write and load — so a row that does not decode is
+//! rejected when the store is opened, never on a later read, and no code
+//! above this module can encode or decode one.
 //!
 //! A loaded store changes in one place, `Store::apply`, which runs one
 //! `Op`: live, after the WAL has taken it (`Dao::commit`), and on WAL
@@ -18,11 +19,34 @@
 
 use crate::entities::{PeEntity, UserEntity, WorkflowEntity};
 use crate::error::RegistryError;
+use laminar_embed::Embedding;
 use laminar_json::{to_string, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// What a [`Table`] needs from the entity it holds: its place in the
-/// schema and its on-disk row form.
+/// schema, its primary key and its unique column. The on-disk row form is
+/// not here but in `RowCodec`, which only this module can name:
+///
+/// ```compile_fail
+/// use laminar_registry::{Registry, Row};
+///
+/// let mut reg = Registry::in_memory();
+/// reg.register_user("zz46", "password").unwrap();
+/// let pe = reg.register_pe("zz46", "pe P : producer { output o; process { emit(1); } }", None).unwrap();
+/// assert_eq!(pe.unique_key(), "P");
+/// let _row = pe.to_row();
+/// ```
+///
+/// The same code without the row form compiles and runs:
+///
+/// ```
+/// use laminar_registry::{Registry, Row};
+///
+/// let mut reg = Registry::in_memory();
+/// reg.register_user("zz46", "password").unwrap();
+/// let pe = reg.register_pe("zz46", "pe P : producer { output o; process { emit(1); } }", None).unwrap();
+/// assert_eq!(pe.unique_key(), "P");
+/// ```
 pub trait Row: Clone {
     /// Table name in snapshots and WAL ops (`"pes"`).
     const TABLE: &'static str;
@@ -39,6 +63,12 @@ pub trait Row: Clone {
     fn set_id(&mut self, id: i64);
     /// Value of the unique column.
     fn unique_key(&self) -> &str;
+}
+
+/// An entity's on-disk row form: the JSON a WAL insert and a snapshot
+/// carry. Private to this module, so the row form stops at the
+/// persistence boundary.
+trait RowCodec: Row {
     /// Entity → on-disk row.
     fn to_row(&self) -> Value;
     /// On-disk row → entity; `None` when a required column is missing or
@@ -46,8 +76,81 @@ pub trait Row: Clone {
     fn from_row(row: &Value) -> Option<Self>;
 }
 
+impl RowCodec for UserEntity {
+    fn from_row(row: &Value) -> Option<UserEntity> {
+        Some(UserEntity {
+            user_id: row[Self::ID].as_i64()?,
+            user_name: row[Self::UNIQUE].as_str()?.to_string(),
+            password_hash: row["password"].as_str()?.to_string(),
+        })
+    }
+
+    fn to_row(&self) -> Value {
+        let mut v = Value::Null;
+        v.set(Self::ID, self.user_id)
+            .set(Self::UNIQUE, self.user_name.as_str())
+            .set("password", self.password_hash.as_str());
+        v
+    }
+}
+
+impl RowCodec for PeEntity {
+    fn from_row(row: &Value) -> Option<PeEntity> {
+        Some(PeEntity {
+            pe_id: row[Self::ID].as_i64()?,
+            pe_name: row[Self::UNIQUE].as_str()?.to_string(),
+            description: row["description"].as_str().unwrap_or("").to_string(),
+            description_generated: row["descriptionGenerated"].as_bool().unwrap_or(false),
+            pe_code: row["peCode"].as_str()?.to_string(),
+            pe_imports: row["peImports"]
+                .as_array()
+                .unwrap_or(&[])
+                .iter()
+                .filter_map(|v| v.as_str().map(str::to_string))
+                .collect(),
+            code_embedding: Embedding::from_value(&row["codeEmbedding"])?,
+            desc_embedding: Embedding::from_value(&row["descEmbedding"])?,
+        })
+    }
+
+    fn to_row(&self) -> Value {
+        let mut v = Value::Null;
+        v.set(Self::ID, self.pe_id)
+            .set(Self::UNIQUE, self.pe_name.as_str())
+            .set("description", self.description.as_str())
+            .set("descriptionGenerated", self.description_generated)
+            .set("peCode", self.pe_code.as_str())
+            .set("peImports", Value::Array(self.pe_imports.iter().map(|i| Value::Str(i.clone())).collect()))
+            .set("codeEmbedding", self.code_embedding.to_value())
+            .set("descEmbedding", self.desc_embedding.to_value());
+        v
+    }
+}
+
+impl RowCodec for WorkflowEntity {
+    fn from_row(row: &Value) -> Option<WorkflowEntity> {
+        WorkflowEntity::stored(
+            row[Self::ID].as_i64()?,
+            row["workflowName"].as_str()?,
+            row[Self::UNIQUE].as_str()?,
+            row["description"].as_str().unwrap_or(""),
+            row["workflowCode"].as_str()?,
+        )
+    }
+
+    fn to_row(&self) -> Value {
+        let mut v = Value::Null;
+        v.set(Self::ID, self.workflow_id)
+            .set("workflowName", self.workflow_name.as_str())
+            .set(Self::UNIQUE, self.entry_point.as_str())
+            .set("description", self.description.as_str())
+            .set("workflowCode", self.workflow_code.as_str());
+        v
+    }
+}
+
 /// Decode the on-disk row journaled under `id`.
-fn decode<T: Row>(id: i64, row: &Value) -> Result<T, RegistryError> {
+fn decode<T: RowCodec>(id: i64, row: &Value) -> Result<T, RegistryError> {
     T::from_row(row)
         .filter(|r| r.id() == id)
         .ok_or_else(|| RegistryError::Storage(format!("corrupt {} row {id}", T::TABLE)))
@@ -132,8 +235,12 @@ impl<T: Row> Table<T> {
         self.rows.values()
     }
 
-    /// Serialize the table for snapshots.
-    pub fn to_value(&self) -> Value {
+    /// Serialize the table for snapshots: the row form, so private to this
+    /// module.
+    fn to_value(&self) -> Value
+    where
+        T: RowCodec,
+    {
         let rows: Value = self
             .rows
             .iter()
@@ -153,7 +260,10 @@ impl<T: Row> Table<T> {
 
     /// Rebuild from a snapshot value. `next_id` never falls below a
     /// restored id, whatever the snapshot says.
-    pub fn from_value(v: &Value) -> Result<Table<T>, RegistryError> {
+    fn from_value(v: &Value) -> Result<Table<T>, RegistryError>
+    where
+        T: RowCodec,
+    {
         if v["name"].as_str() != Some(T::TABLE) {
             return Err(RegistryError::Storage(format!("snapshot is missing table '{}'", T::TABLE)));
         }
@@ -286,7 +396,7 @@ pub(crate) enum Op {
 impl Op {
     /// The WAL record, `{"op": "...", ...}`.
     pub(crate) fn to_value(&self) -> Value {
-        fn insert<'a, T: Row>(v: &'a mut Value, row: &T) -> &'a mut Value {
+        fn insert<'a, T: RowCodec>(v: &'a mut Value, row: &T) -> &'a mut Value {
             v.set("op", "insert").set("table", T::TABLE).set("id", row.id()).set("row", row.to_row())
         }
         let mut v = Value::Null;

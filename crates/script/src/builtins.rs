@@ -7,7 +7,7 @@
 //! library installer.
 
 use crate::error::{ErrorKind, ScriptError};
-use crate::runtime::{finite, MAX_ALLOC_BYTES};
+use crate::runtime::{finite, position, MAX_ALLOC_BYTES};
 use laminar_json::{Map, Value};
 
 type R = Result<Value, ScriptError>;
@@ -274,7 +274,7 @@ pub fn get(container: &Value, key: &Value, default: Option<&Value>) -> R {
     let found = match (container, key) {
         (Value::Null, _) => None,
         (Value::Object(m), Value::Str(k)) => m.get(k),
-        (Value::Array(a), Value::Int(i)) => a.get(*i as usize),
+        (Value::Array(a), Value::Int(i)) => position(*i, a.len()).map(|p| &a[p]),
         _ => return Err(get_err()),
     };
     Ok(found.or(default).cloned().unwrap_or(Value::Null))
@@ -489,6 +489,17 @@ mod tests {
         assert_eq!(c("values", std::slice::from_ref(&m)), jarr![1, 2]);
         assert_eq!(c("get", &[m.clone(), Value::Str("a".into())]), Value::Int(1));
         assert_eq!(c("get", &[m.clone(), Value::Str("z".into()), Value::Int(0)]), Value::Int(0));
+        // A list position counts from the end when negative, as `xs[i]` does.
+        let xs = jarr![1, 2];
+        assert_eq!(c("get", &[xs.clone(), Value::Int(-1), Value::Int(0)]), Value::Int(2));
+        assert_eq!(c("get", &[xs.clone(), Value::Int(-2), Value::Int(0)]), Value::Int(1));
+        for out in [2, -3, i64::MIN, i64::MAX] {
+            assert_eq!(
+                c("get", &[xs.clone(), Value::Int(out), Value::Int(0)]),
+                Value::Int(0),
+                "get(xs, {out}, 0)"
+            );
+        }
         assert_eq!(c("contains", &[m.clone(), Value::Str("b".into())]), Value::Bool(true));
         let removed = c("remove", &[m.clone(), Value::Str("a".into())]);
         assert!(removed.get("a").is_none());

@@ -41,6 +41,8 @@
 //! def-use extraction for the embedding models) and [`pretty`] (canonical
 //! source form stored in the registry).
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod ast;
 pub mod builtins;

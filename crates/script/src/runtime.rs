@@ -125,24 +125,23 @@ pub fn display_value(v: &Value) -> String {
     }
 }
 
+/// A list or string index's position, a negative one counting from the
+/// end: the one rule for `base[i]`, a path through a list and `get`.
+pub(crate) fn position(i: i64, len: usize) -> Option<usize> {
+    let real = if i < 0 { i + len as i64 } else { i };
+    (0..len as i64).contains(&real).then_some(real as usize)
+}
+
 /// `base[index]` on a list (negative counts from the end), string or map.
 pub fn index_value(base: &Value, index: &Value) -> Result<Value, ScriptError> {
     match (base, index) {
-        (Value::Array(a), Value::Int(i)) => {
-            let len = a.len() as i64;
-            let real = if *i < 0 { *i + len } else { *i };
-            a.get(real as usize).cloned().ok_or_else(|| {
-                ScriptError::new(ErrorKind::IndexError, format!("list index {i} out of range (len {len})"))
-            })
-        }
-        (Value::Str(s), Value::Int(i)) => {
-            let chars: Vec<char> = s.chars().collect();
-            let len = chars.len() as i64;
-            let real = if *i < 0 { *i + len } else { *i };
-            chars.get(real as usize).map(|c| Value::Str(c.to_string())).ok_or_else(|| {
-                ScriptError::new(ErrorKind::IndexError, format!("string index {i} out of range"))
-            })
-        }
+        (Value::Array(a), Value::Int(i)) => position(*i, a.len()).map(|p| a[p].clone()).ok_or_else(|| {
+            ScriptError::new(ErrorKind::IndexError, format!("list index {i} out of range (len {})", a.len()))
+        }),
+        (Value::Str(s), Value::Int(i)) => position(*i, s.chars().count())
+            .and_then(|p| s.chars().nth(p))
+            .map(|c| Value::Str(c.to_string()))
+            .ok_or_else(|| ScriptError::new(ErrorKind::IndexError, format!("string index {i} out of range"))),
         (Value::Object(m), Value::Str(k)) => Ok(m.get(k).cloned().unwrap_or(Value::Null)),
         (b, i) => Err(ScriptError::new(
             ErrorKind::TypeError,

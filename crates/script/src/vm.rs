@@ -26,7 +26,7 @@ use crate::compile::{
 };
 use crate::error::{ErrorKind, ScriptError};
 use crate::runtime::{
-    binary_op, index_value, truthy, Host, Sink, DEFAULT_FUEL, DEFAULT_SEED, MAX_CALL_DEPTH,
+    binary_op, index_value, position, truthy, Host, Sink, DEFAULT_FUEL, DEFAULT_SEED, MAX_CALL_DEPTH,
 };
 use laminar_json::{Map, Value};
 use rand::rngs::StdRng;
@@ -803,12 +803,6 @@ fn index_mut<'a>(b: &'a mut Value, i: &Value) -> Option<&'a mut Value> {
         (Value::Object(m), Value::Str(k)) => m.get_mut(k.as_str()),
         _ => None,
     }
-}
-
-/// A list index's position, a negative one counting from the end.
-fn position(i: i64, len: usize) -> Option<usize> {
-    let real = if i < 0 { i + len as i64 } else { i };
-    (0..len as i64).contains(&real).then_some(real as usize)
 }
 
 /// Owned-value indexing with the interpreter's exact error messages

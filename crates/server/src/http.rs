@@ -187,6 +187,10 @@ impl HttpServer {
     }
 
     fn start_with(server: impl Into<Arc<LaminarServer>>, limits: Limits) -> io::Result<HttpServer> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the edge's one listener; every accepted socket gets its deadlines in `Edge::admit`"
+        )]
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
         let edge = Arc::new(Edge {
@@ -245,6 +249,7 @@ impl HttpServer {
     fn shutdown_and_drain(&mut self) {
         self.edge.shutdown.store(true, Ordering::SeqCst);
         // Wake the acceptor with a dummy connection.
+        #[expect(clippy::disallowed_methods, reason = "a wake-up for the acceptor, never read or written")]
         let _ = TcpStream::connect(self.addr);
         if let Some(j) = self.join.take() {
             let _ = j.join();
@@ -553,6 +558,10 @@ impl HttpConnection {
                 return self.receive(kept);
             }
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the client's one connect; the deadlines are set on the next lines"
+        )]
         let stream = TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT)?;
         stream.set_nodelay(true)?;
         stream.set_write_timeout(Some(LIMITS.write_timeout))?;
@@ -596,6 +605,7 @@ pub fn http_call(addr: SocketAddr, request: &ApiRequest) -> io::Result<ApiRespon
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "tests drive the edge through raw sockets")]
 mod tests {
     use super::*;
     use laminar_json::jobj;

@@ -14,6 +14,8 @@
 //!   remote clients exercise real sockets, plus an in-process path for
 //!   local deployments.
 
+#![forbid(unsafe_code)]
+
 pub mod api;
 pub mod http;
 pub mod server;

@@ -5,6 +5,8 @@
 //! never reads, the connection cap, the idle timeout) sit beside the
 //! limits, in `http.rs`.
 
+#![allow(clippy::disallowed_methods, reason = "the edge is tested through raw sockets")]
+
 use laminar_json::{parse, Value};
 use laminar_server::http::HttpConnection;
 use laminar_server::{ApiRequest, HttpServer, LaminarServer, Method};

@@ -15,6 +15,8 @@
 //! * [`sustained`] — the many-tenants serving pulse of the
 //!   `sustained_load` bench: tiny jobs, full event-stream structure.
 
+#![forbid(unsafe_code)]
+
 pub mod astro;
 pub mod isprime;
 pub mod streaming;

@@ -24,6 +24,8 @@
 //! See `README.md` for a quickstart and `DESIGN.md` for the reproduction
 //! methodology.
 
+#![forbid(unsafe_code)]
+
 pub use laminar_client as client;
 pub use laminar_codec as codec;
 pub use laminar_core as core;
