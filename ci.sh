@@ -145,7 +145,9 @@ tier_chaos() {
   # first path argument: differential against the interpreter oracle.
   PROPTEST_CASES=512 cargo test -q -p laminar-script --test proptest_paths
   # A job ends in one place: a panic fails it, a resume outlives its first
-  # attempt's retention entry, and each of the seven ends settles once.
+  # attempt's retention entry, and each of seven jobs settles once (a
+  # panic, done, a failure, a cancel while running and while queued, and
+  # shutdown of a running and of a queued job).
   cargo test -q -p laminar-engine --lib -- \
     pool::tests::a_panicking_pe_fails_its_job_and_the_worker_serves_the_next \
     pool::tests::a_resumed_job_is_not_evicted_by_its_own_earlier_finish \

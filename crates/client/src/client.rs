@@ -1340,26 +1340,6 @@ mod tests {
         http.stop();
     }
 
-    #[test]
-    fn priority_and_deadline_ride_the_v1_options_object() {
-        let body = LaminarClient::run_body(
-            RunTarget::Registered("wf".into()),
-            &RunConfig::iterations(5).with_priority(7).with_deadline_ms(1500).with_checkpoints(4),
-        );
-        assert_eq!(body["options"]["priority"].as_i64(), Some(7));
-        assert_eq!(body["options"]["deadlineMs"].as_i64(), Some(1500));
-        assert_eq!(body["options"]["checkpointEvery"].as_i64(), Some(4));
-        assert_eq!(body["options"]["events"].as_bool(), Some(false));
-        // Nothing rides the envelope flat.
-        assert!(body["events"].is_null());
-        assert!(body["checkpoint_every"].is_null());
-        // And the engine-side decoder reads the nested object back.
-        let back = RunConfig::from_envelope(&body).unwrap();
-        assert_eq!(back.priority, 7);
-        assert_eq!(back.deadline_ms, Some(1500));
-        assert_eq!(back.checkpoint_every, 4);
-    }
-
     /// The POST bodies of the three constructors with every builder set,
     /// byte for byte: the client's part of the submit wire.
     #[test]
@@ -1370,8 +1350,6 @@ mod tests {
                 .with_resource("b.bin", vec![0, 255, 7])
                 .with_events(true)
                 .with_checkpoints(4)
-                .with_priority(-2)
-                .with_deadline_ms(1500)
         };
         let src = "pe X : producer { output o; process { emit(1); } }";
         let data = vec![Value::Int(1), Value::Str("x".into()), Value::Float(0.5)];
@@ -1380,17 +1358,17 @@ mod tests {
             (
                 RunTarget::Registered("wf".into()),
                 all(RunConfig::iterations(7)),
-                r#"{"input":7,"mapping":"MPI","options":{"checkpointEvery":4,"deadlineMs":1500,"events":true,"priority":-2},"processes":3,"resources":[{"data":"aGkK","name":"a.txt"},{"data":"AP8H","name":"b.bin"}],"workflow":"wf"}"#,
+                r#"{"input":7,"mapping":"MPI","options":{"checkpointEvery":4,"events":true},"processes":3,"resources":[{"data":"aGkK","name":"a.txt"},{"data":"AP8H","name":"b.bin"}],"workflow":"wf"}"#,
             ),
             (
                 RunTarget::Source(src.into()),
                 all(RunConfig::data(data)),
-                r#"{"input":[1,"x",0.5],"mapping":"MPI","options":{"checkpointEvery":4,"deadlineMs":1500,"events":true,"priority":-2},"processes":3,"resources":[{"data":"aGkK","name":"a.txt"},{"data":"AP8H","name":"b.bin"}],"source":"pe X : producer { output o; process { emit(1); } }"}"#,
+                r#"{"input":[1,"x",0.5],"mapping":"MPI","options":{"checkpointEvery":4,"events":true},"processes":3,"resources":[{"data":"aGkK","name":"a.txt"},{"data":"AP8H","name":"b.bin"}],"source":"pe X : producer { output o; process { emit(1); } }"}"#,
             ),
             (
                 RunTarget::Registered("17".into()),
                 all(RunConfig::unbounded(pace)).with_events(false),
-                r#"{"input":{"mode":"unbounded","pace_us":750},"mapping":"MPI","options":{"checkpointEvery":4,"deadlineMs":1500,"events":false,"priority":-2},"processes":3,"resources":[{"data":"aGkK","name":"a.txt"},{"data":"AP8H","name":"b.bin"}],"workflow":"17"}"#,
+                r#"{"input":{"mode":"unbounded","pace_us":750},"mapping":"MPI","options":{"checkpointEvery":4,"events":false},"processes":3,"resources":[{"data":"aGkK","name":"a.txt"},{"data":"AP8H","name":"b.bin"}],"workflow":"17"}"#,
             ),
             (
                 RunTarget::Registered("wf".into()),

@@ -61,7 +61,7 @@ pub use fault::FaultPlan;
 pub use graph::{Connection, NodeId, WorkflowGraph};
 pub use mapping::{
     fold_events, CancelToken, EventFold, MappingKind, RecordingObserver, ResumePoint, RunEvent, RunInput,
-    RunObserver, RunOptions, RunResult, RunStats, SourceGenerator, StageTimings,
+    RunObserver, RunOptions, RunResult, RunStats, StageTimings,
 };
 pub use pe::{consumer_fn, iterative_fn, producer_fn, NativePe, Pe, PeFactory, PeMeta, ScriptPeFactory};
 pub use planner::{ConcretePlan, InstanceId};

@@ -92,14 +92,8 @@ impl std::fmt::Display for MappingKind {
     }
 }
 
-/// Generator callback for [`RunInput::Unbounded`] sources: produces the
-/// datum for producer invocation `i`. Runs on worker threads, so it must
-/// be `Send + Sync`; it never crosses the wire (a remote unbounded run
-/// drives its producers by iteration count or host calls instead).
-pub type SourceGenerator = Arc<dyn Fn(usize) -> Value + Send + Sync>;
-
 /// What drives the root producers.
-#[derive(Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RunInput {
     /// Run each producer for `n` iterations (the paper's `input=5`).
     Iterations(i64),
@@ -109,53 +103,13 @@ pub enum RunInput {
     Data(Vec<Value>),
     /// Run producers until the run's [`CancelToken`] fires — the
     /// long-running streaming mode. Each source paces itself by sleeping
-    /// `pace` between its own iterations; `generator`, when present,
-    /// produces the datum for invocation `i` (bound to `input`), otherwise
-    /// producers are driven by bare iteration count exactly like
-    /// [`RunInput::Iterations`].
+    /// `pace` between its own iterations and is driven by bare iteration
+    /// count exactly like [`RunInput::Iterations`].
     Unbounded {
-        /// Optional per-invocation datum source.
-        generator: Option<SourceGenerator>,
         /// Sleep between a source instance's iterations (zero = as fast
         /// as the PE runs).
         pace: Duration,
     },
-}
-
-impl std::fmt::Debug for RunInput {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RunInput::Iterations(n) => f.debug_tuple("Iterations").field(n).finish(),
-            RunInput::Data(d) => f.debug_tuple("Data").field(d).finish(),
-            RunInput::Unbounded { generator, pace } => f
-                .debug_struct("Unbounded")
-                .field("generator", &generator.as_ref().map(|_| "<fn>"))
-                .field("pace", pace)
-                .finish(),
-        }
-    }
-}
-
-/// Two inputs are equal when they drive a run the same way; generators
-/// are compared by identity.
-impl PartialEq for RunInput {
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (RunInput::Iterations(a), RunInput::Iterations(b)) => a == b,
-            (RunInput::Data(a), RunInput::Data(b)) => a == b,
-            (
-                RunInput::Unbounded { generator: g, pace: p },
-                RunInput::Unbounded { generator: h, pace: q },
-            ) => {
-                p == q
-                    && match (g, h) {
-                        (Some(g), Some(h)) => Arc::ptr_eq(g, h),
-                        (g, h) => g.is_none() && h.is_none(),
-                    }
-            }
-            _ => false,
-        }
-    }
 }
 
 /// Options for one enactment.
@@ -235,7 +189,7 @@ impl RunOptions {
     /// Run producers until `cancel` fires (see [`RunInput::Unbounded`]),
     /// pacing each source instance by `pace` between iterations.
     pub fn unbounded(pace: Duration, cancel: CancelToken) -> RunOptions {
-        RunOptions { input: RunInput::Unbounded { generator: None, pace }, cancel, ..RunOptions::default() }
+        RunOptions { input: RunInput::Unbounded { pace }, cancel, ..RunOptions::default() }
     }
 
     /// Set the process count.
@@ -270,15 +224,6 @@ impl RunOptions {
         self
     }
 
-    /// Attach a generator callback to an [`RunInput::Unbounded`] drive
-    /// (no-op for bounded inputs).
-    pub fn with_generator(mut self, g: SourceGenerator) -> RunOptions {
-        if let RunInput::Unbounded { generator, .. } = &mut self.input {
-            *generator = Some(g);
-        }
-        self
-    }
-
     /// Number of producer invocations this input implies
     /// (`usize::MAX` for [`RunInput::Unbounded`] — use
     /// [`RunOptions::bounded_invocations`] in loops).
@@ -304,7 +249,7 @@ impl RunOptions {
     /// Per-source-instance inter-iteration sleep (zero for bounded runs).
     pub fn pace(&self) -> Duration {
         match &self.input {
-            RunInput::Unbounded { pace, .. } => *pace,
+            RunInput::Unbounded { pace } => *pace,
             _ => Duration::ZERO,
         }
     }
@@ -312,9 +257,8 @@ impl RunOptions {
     /// Datum for iteration `i` (None for pure iteration drive).
     pub fn datum_for(&self, i: usize) -> Option<Value> {
         match &self.input {
-            RunInput::Iterations(_) => None,
             RunInput::Data(d) => d.get(i).cloned(),
-            RunInput::Unbounded { generator, .. } => generator.as_ref().map(|g| g(i)),
+            RunInput::Iterations(_) | RunInput::Unbounded { .. } => None,
         }
     }
 }
@@ -444,14 +388,12 @@ mod tests {
         assert_eq!(o.bounded_invocations(), None);
         assert_eq!(o.invocations(), usize::MAX);
         assert_eq!(o.pace(), Duration::from_millis(1));
-        assert_eq!(o.datum_for(3), None, "no generator: iteration-driven");
-        let o = o.with_generator(Arc::new(|i| Value::Int(i as i64 * 2)));
-        assert_eq!(o.datum_for(3), Some(Value::Int(6)));
+        assert_eq!(o.datum_for(3), None, "iteration-driven");
         token.cancel();
         assert!(o.cancel.is_cancelled(), "options share the caller's token");
         assert!(format!("{:?}", o.input).contains("Unbounded"));
-        // Bounded runs have no pace and ignore with_generator.
-        let b = RunOptions::iterations(3).with_generator(Arc::new(|_| Value::Null));
+        // Bounded runs have no pace.
+        let b = RunOptions::iterations(3);
         assert_eq!(b.pace(), Duration::ZERO);
         assert_eq!(b.datum_for(0), None);
         assert!(!b.is_unbounded());

@@ -514,37 +514,6 @@ mod tests {
         assert!(outputs.0.load(std::sync::atomic::Ordering::SeqCst) >= 5);
     }
 
-    #[test]
-    fn unbounded_generator_feeds_sources_until_cancel() {
-        // A data-driven producer with no host: the Unbounded generator
-        // callback supplies each invocation's datum.
-        let src = "pe Relay : producer { output output; process { emit(input * 3); } }";
-        let mut g = WorkflowGraph::new("gen");
-        g.add_script_pe(src, "Relay").unwrap();
-        let token = CancelToken::new();
-        let observer = Arc::new(CancelAt { token: token.clone(), at: 8, events: Mutex::new(Vec::new()) });
-        let opts = RunOptions::unbounded(std::time::Duration::ZERO, token)
-            .with_generator(Arc::new(|i| Value::Int(i as i64)));
-        let err = Runtime::new(&g, &opts)
-            .sequential_observed(Some(Arc::clone(&observer) as Arc<dyn super::super::RunObserver>))
-            .unwrap_err();
-        assert_eq!(err, DataflowError::Cancelled);
-        let outputs: Vec<i64> = observer
-            .events
-            .lock()
-            .iter()
-            .filter_map(|e| match e {
-                RunEvent::Output { value, .. } => value.as_i64(),
-                _ => None,
-            })
-            .collect();
-        assert!(outputs.len() >= 2, "generator drove several invocations: {outputs:?}");
-        // The generator's data arrived in order: 0, 3, 6, ...
-        for (i, v) in outputs.iter().enumerate() {
-            assert_eq!(*v, i as i64 * 3);
-        }
-    }
-
     /// A graph whose downstream PE carries all three kinds of resumable
     /// state: `state.*` entries (group-by tallies), a running scalar, and
     /// the PRNG stream — if any of them is lost at an epoch boundary the

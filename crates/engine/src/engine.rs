@@ -154,7 +154,6 @@ pub struct ExecutionEngine {
     env: EnvironmentManager,
     hosts: HostRegistry,
     net: NetModel,
-    runs: u64,
 }
 
 impl Default for ExecutionEngine {
@@ -166,12 +165,7 @@ impl Default for ExecutionEngine {
 impl ExecutionEngine {
     /// A local engine (no network model, cold environments).
     pub fn new() -> ExecutionEngine {
-        ExecutionEngine {
-            env: EnvironmentManager::new(),
-            hosts: HostRegistry::new(),
-            net: NetModel::local(),
-            runs: 0,
-        }
+        ExecutionEngine { env: EnvironmentManager::new(), hosts: HostRegistry::new(), net: NetModel::local() }
     }
 
     /// An engine with free provisioning (unit tests).
@@ -180,7 +174,6 @@ impl ExecutionEngine {
             env: EnvironmentManager::new().instant(),
             hosts: HostRegistry::new(),
             net: NetModel::local(),
-            runs: 0,
         }
     }
 
@@ -206,20 +199,15 @@ impl ExecutionEngine {
 
     /// A sibling engine for pooled serving: shares the registered module
     /// hosts (one simulated service fleet per deployment) but owns its
-    /// environment caches and staged resources, so concurrent runs stay
-    /// isolated from each other.
+    /// environment caches, so concurrent runs stay isolated from each
+    /// other. Staged resources belong to each run's own host.
     pub fn fork(&self) -> ExecutionEngine {
-        ExecutionEngine { env: self.env.fork(), hosts: self.hosts.fork(), net: self.net, runs: 0 }
+        ExecutionEngine { env: self.env.fork(), hosts: self.hosts.clone(), net: self.net }
     }
 
     /// The host registry — workloads register simulated services here.
     pub fn hosts(&self) -> &HostRegistry {
         &self.hosts
-    }
-
-    /// Number of runs served.
-    pub fn runs(&self) -> u64 {
-        self.runs
     }
 
     /// Handle one execution request end-to-end.
@@ -254,7 +242,6 @@ impl ExecutionEngine {
         cancel: &CancelToken,
     ) -> Result<ExecutionOutput, DataflowError> {
         let t0 = Instant::now();
-        self.runs += 1;
 
         // 0. Network: the request crosses the link to the engine.
         self.net.charge(|| req.wire_size());
@@ -272,31 +259,20 @@ impl ExecutionEngine {
         let report = self.env.provision(&imports);
         let provision_time = report.setup_time + report.install_time;
 
-        // 3. Stage resources.
-        for (name, bytes) in &req.run.resources {
-            self.hosts.stage_resource(name, bytes.clone());
-        }
+        // 3. Stage resources: the run's own host carries them, beside the
+        //    module hosts registered now, and goes with the run.
+        let host = Arc::new(self.hosts.for_run(&req.run.resources));
 
         // 4. Build the graph. Initial-PE detection is automatic: the graph
         //    computes its roots during validation (paper §3.3).
-        let host: Arc<dyn laminar_script::Host + Send + Sync> = Arc::new(self.hosts.clone());
         let exec_t0 = Instant::now();
         let result = self.enact(req, prepared, host, observer, cancel);
-        // Cancelled or failed runs must not leak staged state into the
-        // worker's next job: tear down before propagating the error.
-        let result = match result {
-            Ok(r) => r,
-            Err(e) => {
-                self.hosts.clear_resources();
-                self.env.teardown();
-                return Err(e);
-            }
-        };
         let execute_time = exec_t0.elapsed();
 
-        // 5. Ephemeral teardown.
-        self.hosts.clear_resources();
+        // 5. Ephemeral teardown, whatever the outcome: a cancelled or
+        //    failed run leaves no environment to the worker's next job.
         self.env.teardown();
+        let result = result?;
 
         // 6. Network: the response returns to the client.
         let mut output = ExecutionOutput {
@@ -396,7 +372,6 @@ mod tests {
             vec!["the num 2 is prime", "the num 3 is prime", "the num 5 is prime", "the num 7 is prime",]
         );
         assert_eq!(out.processed["Seq"], 10);
-        assert_eq!(engine.runs(), 1);
     }
 
     #[test]
@@ -554,11 +529,11 @@ mod tests {
         );
         let out = engine.run(&req).unwrap();
         assert_eq!(out.port_values("Reader", "output").len(), 2);
-        // Ephemerality: resources are gone after the run.
-        assert!(engine.hosts().resource_names().is_empty());
-        // A second run without the resource fails inside the PE.
+        // Ephemerality: a second run without the resource fails inside the
+        // PE.
         let bare = ExecutionRequest::simple("u", src, 1);
-        assert!(engine.run(&bare).is_err());
+        let err = engine.run(&bare).unwrap_err().to_string();
+        assert!(err.contains("resource 'coords.txt' was not staged (available: [])"), "{err}");
     }
 
     #[test]

@@ -13,9 +13,7 @@ struct QueuedJob {
 /// of one global FIFO. Each pop serves the front lane once and rotates it
 /// to the back — so a tenant that floods the queue gets exactly its share
 /// of worker pulls and can no longer starve the rest. Within a lane the
-/// order is descending priority (the request's `RunConfig::priority`), FIFO
-/// among equals: priority jumps the tenant's *own* line, never another
-/// tenant's. A lane exists only while it holds work, and `active` names
+/// order is FIFO. A lane exists only while it holds work, and `active` names
 /// exactly those lanes, so the map stays bounded by the number of tenants
 /// with queued jobs.
 pub(crate) struct FairQueue {
@@ -44,10 +42,7 @@ impl FairQueue {
         if lane.is_empty() {
             self.active.push_back(owner.to_string());
         }
-        // Stable priority insert: after every job with >= priority.
-        let priority = req.run.priority;
-        let at = lane.iter().position(|j| j.req.run.priority < priority).unwrap_or(lane.len());
-        lane.insert(at, QueuedJob { id, req });
+        lane.push_back(QueuedJob { id, req });
         self.len += 1;
     }
 

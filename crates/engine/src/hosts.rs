@@ -2,20 +2,26 @@
 //! (simulated) external services.
 //!
 //! Workloads register module hosts (`vo.*` for the Virtual Observatory
-//! simulation, etc.); the engine always provides `resources.*` for the
-//! staged files of paper §3.3.
+//! simulation, etc.) on a [`HostRegistry`]. A run calls them through its
+//! own host, built once when the run starts from the modules registered
+//! then plus the run's staged files (`resources.*`, paper §3.3): a module
+//! registered while a run is going is seen from the next run.
 
 use laminar_json::Value;
 use laminar_script::{ErrorKind, Host, ScriptError};
 use parking_lot::RwLock;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-/// A composite host that routes module calls to registered sub-hosts.
+type Modules = HashMap<String, Arc<dyn Host + Send + Sync>>;
+
+/// The registered module hosts, shared by every engine forked from one
+/// prototype (one simulated service fleet per deployment). The map is
+/// copy-on-write: [`Self::register`] replaces it, so a run's snapshot is
+/// one `Arc` clone and the run's calls never touch the lock.
 #[derive(Clone, Default)]
 pub struct HostRegistry {
-    modules: Arc<RwLock<HashMap<String, Arc<dyn Host + Send + Sync>>>>,
-    resources: Arc<RwLock<HashMap<String, Vec<u8>>>>,
+    modules: Arc<RwLock<Arc<Modules>>>,
 }
 
 impl HostRegistry {
@@ -26,42 +32,39 @@ impl HostRegistry {
 
     /// Register a host for a module name (e.g. `"vo"`).
     pub fn register(&self, module: &str, host: Arc<dyn Host + Send + Sync>) {
-        self.modules.write().insert(module.to_string(), host);
+        Arc::make_mut(&mut self.modules.write()).insert(module.to_string(), host);
     }
 
-    /// A registry sharing this one's module hosts (one simulated service
-    /// fleet per deployment) but with an isolated resource store —
-    /// concurrently-running pooled engines must never see each other's
-    /// staged files.
-    pub fn fork(&self) -> HostRegistry {
-        HostRegistry { modules: Arc::clone(&self.modules), resources: Arc::default() }
-    }
-
-    /// Stage a resource file (the `resources/` directory of §3.3/§5.2).
-    pub fn stage_resource(&self, name: &str, bytes: Vec<u8>) {
-        self.resources.write().insert(name.to_string(), bytes);
-    }
-
-    /// Clear staged resources (ephemeral teardown).
-    pub fn clear_resources(&self) {
-        self.resources.write().clear();
-    }
-
-    /// Names of staged resources.
-    pub fn resource_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.resources.read().keys().cloned().collect();
-        v.sort();
-        v
+    /// The host one run calls: the modules registered now, and
+    /// `resources` (name, bytes) as the run's staged files — the
+    /// `resources/` directory of §3.3/§5.2.
+    pub(crate) fn for_run(&self, resources: &[(String, Vec<u8>)]) -> RunHost {
+        RunHost { modules: Arc::clone(&self.modules.read()), resources: resources.iter().cloned().collect() }
     }
 }
 
+/// A call on the registry itself (a graph built outside an engine run)
+/// sees the modules registered at the time of the call and no staged
+/// files.
 impl Host for HostRegistry {
+    fn call(&self, module: &str, name: &str, args: &[Value]) -> Result<Value, ScriptError> {
+        self.for_run(&[]).call(module, name, args)
+    }
+}
+
+/// One run's host: a snapshot of the registered modules and the run's
+/// staged files, dropped with the run.
+pub(crate) struct RunHost {
+    modules: Arc<Modules>,
+    resources: BTreeMap<String, Vec<u8>>,
+}
+
+impl Host for RunHost {
     fn call(&self, module: &str, name: &str, args: &[Value]) -> Result<Value, ScriptError> {
         if module == "resources" {
             return self.call_resources(name, args);
         }
-        let host = self.modules.read().get(module).cloned();
-        match host {
+        match self.modules.get(module) {
             Some(h) => h.call(module, name, args),
             None => Err(ScriptError::new(
                 ErrorKind::NameError,
@@ -71,10 +74,10 @@ impl Host for HostRegistry {
     }
 }
 
-impl HostRegistry {
+impl RunHost {
     fn call_resources(&self, name: &str, args: &[Value]) -> Result<Value, ScriptError> {
         let arg_name = match args {
-            [Value::Str(s)] => s.clone(),
+            [Value::Str(s)] => s,
             _ => {
                 return Err(ScriptError::new(
                     ErrorKind::ArgumentError,
@@ -82,15 +85,13 @@ impl HostRegistry {
                 ))
             }
         };
-        let res = self.resources.read();
-        let bytes = res.get(&arg_name).ok_or_else(|| {
+        let bytes = self.resources.get(arg_name).ok_or_else(|| {
             ScriptError::new(
                 ErrorKind::HostError,
-                format!("resource '{arg_name}' was not staged (available: {:?})", {
-                    let mut v: Vec<&String> = res.keys().collect();
-                    v.sort();
-                    v
-                }),
+                format!(
+                    "resource '{arg_name}' was not staged (available: {:?})",
+                    self.resources.keys().collect::<Vec<_>>()
+                ),
             )
         })?;
         match name {
@@ -125,50 +126,62 @@ mod tests {
         }
     }
 
+    fn staged(files: &[(&str, &[u8])]) -> RunHost {
+        let files: Vec<(String, Vec<u8>)> = files.iter().map(|(n, b)| (n.to_string(), b.to_vec())).collect();
+        HostRegistry::new().for_run(&files)
+    }
+
     #[test]
     fn routes_to_registered_module() {
         let reg = HostRegistry::new();
         reg.register("vo", Arc::new(Echo));
-        let out = reg.call("vo", "fetch", &[]).unwrap();
-        assert_eq!(out["module"].as_str(), Some("vo"));
-        let err = reg.call("unknown", "f", &[]).unwrap_err();
-        assert!(err.message.contains("not installed"));
+        for host in [&reg as &dyn Host, &reg.for_run(&[])] {
+            let out = host.call("vo", "fetch", &[]).unwrap();
+            assert_eq!(out["module"].as_str(), Some("vo"));
+            let err = host.call("unknown", "f", &[]).unwrap_err();
+            assert_eq!(err.message, "module 'unknown' is not installed on this engine");
+        }
+    }
+
+    #[test]
+    fn a_run_sees_the_modules_registered_when_it_started() {
+        let reg = HostRegistry::new();
+        reg.register("vo", Arc::new(Echo));
+        let running = reg.for_run(&[]);
+        reg.register("late", Arc::new(Echo));
+        assert!(running.call("vo", "fetch", &[]).is_ok());
+        assert!(running.call("late", "f", &[]).is_err(), "registered after the run started");
+        assert!(reg.for_run(&[]).call("late", "f", &[]).is_ok(), "seen from the next run");
+        assert!(reg.call("late", "f", &[]).is_ok());
     }
 
     #[test]
     fn resources_read_and_lines() {
-        let reg = HostRegistry::new();
-        reg.stage_resource("coordinates.txt", b"10.5 41.2\n\n83.8 -5.4\n".to_vec());
-        let text = reg.call("resources", "read", &[Value::Str("coordinates.txt".into())]).unwrap();
+        let host = staged(&[("coordinates.txt", b"10.5 41.2\n\n83.8 -5.4\n")]);
+        let text = host.call("resources", "read", &[Value::Str("coordinates.txt".into())]).unwrap();
         assert!(text.as_str().unwrap().contains("83.8"));
-        let lines = reg.call("resources", "lines", &[Value::Str("coordinates.txt".into())]).unwrap();
+        let lines = host.call("resources", "lines", &[Value::Str("coordinates.txt".into())]).unwrap();
         assert_eq!(lines.as_array().unwrap().len(), 2, "empty line dropped");
-        let size = reg.call("resources", "size", &[Value::Str("coordinates.txt".into())]).unwrap();
+        let size = host.call("resources", "size", &[Value::Str("coordinates.txt".into())]).unwrap();
         assert_eq!(size.as_i64(), Some(21));
-        assert_eq!(reg.resource_names(), vec!["coordinates.txt"]);
     }
 
     #[test]
     fn missing_resource_is_a_host_error() {
-        let reg = HostRegistry::new();
-        let err = reg.call("resources", "read", &[Value::Str("nope.txt".into())]).unwrap_err();
+        let host = staged(&[("b.txt", b""), ("a.txt", b"")]);
+        let err = host.call("resources", "read", &[Value::Str("nope.txt".into())]).unwrap_err();
         assert_eq!(err.kind, ErrorKind::HostError);
-        assert!(err.message.contains("nope.txt"));
+        assert_eq!(err.message, r#"resource 'nope.txt' was not staged (available: ["a.txt", "b.txt"])"#);
+        let err = HostRegistry::new().call("resources", "size", &[Value::Str("a.txt".into())]).unwrap_err();
+        assert_eq!(err.message, "resource 'a.txt' was not staged (available: [])");
     }
 
     #[test]
     fn bad_args_rejected() {
-        let reg = HostRegistry::new();
-        assert!(reg.call("resources", "read", &[]).is_err());
-        reg.stage_resource("f", vec![]);
-        assert!(reg.call("resources", "write", &[Value::Str("f".into())]).is_err());
-    }
-
-    #[test]
-    fn clear_resources_empties() {
-        let reg = HostRegistry::new();
-        reg.stage_resource("a", vec![1]);
-        reg.clear_resources();
-        assert!(reg.resource_names().is_empty());
+        let host = staged(&[("f", b"")]);
+        let err = host.call("resources", "read", &[]).unwrap_err();
+        assert_eq!(err.message, "resources.read(path) expects one string argument");
+        let err = host.call("resources", "write", &[Value::Str("f".into())]).unwrap_err();
+        assert_eq!(err.message, "unknown function resources.write");
     }
 }

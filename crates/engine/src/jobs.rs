@@ -344,26 +344,14 @@ impl Jobs {
 
     /// `Queued → Running` on `worker`. `None` when the job is no longer
     /// queued (it was cancelled while queued: its record is already
-    /// terminal and sealed). `Err` with the failure message when it waited
-    /// past its deadline: a submission deadline bounds *queue wait*, so the
-    /// job fails instead of burning a worker on a result its submitter
-    /// stopped wanting (the caller settles it).
-    pub(crate) fn start(
-        &mut self,
-        id: i64,
-        worker: usize,
-        deadline_ms: Option<u64>,
-    ) -> Option<Result<&JobRecord, String>> {
+    /// terminal and sealed).
+    pub(crate) fn start(&mut self, id: i64, worker: usize) -> Option<&JobRecord> {
         let rec = self.records.get_mut(&id).filter(|rec| rec.phase == JobPhase::Queued)?;
         rec.queue_wait = rec.submitted.elapsed();
-        if let Some(ms) = deadline_ms.filter(|&ms| rec.queue_wait > Duration::from_millis(ms)) {
-            let waited = rec.queue_wait.as_millis();
-            return Some(Err(format!("deadline exceeded: {ms}ms budget, {waited}ms in queue")));
-        }
         rec.phase = JobPhase::Running;
         rec.worker = Some(worker);
         self.running += 1;
-        Some(Ok(rec))
+        Some(rec)
     }
 
     /// End job `id`: write its terminal phase, seal its log, move its

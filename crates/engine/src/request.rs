@@ -52,15 +52,6 @@ pub struct RunConfig {
     /// per-job when the pool has a journal store. `0` (default) disables
     /// checkpointing.
     pub checkpoint_every: usize,
-    /// Intra-tenant scheduling priority: within the submitting tenant's
-    /// lane, higher-priority jobs run first (FIFO among equals). The
-    /// cross-tenant order is governed by the pool's fair scheduler, so
-    /// priority never lets one tenant cut another's line. Default 0.
-    pub priority: i64,
-    /// Queue-wait deadline in milliseconds: a job still waiting when the
-    /// deadline passes is failed fast (`deadline exceeded`) instead of
-    /// running uselessly late. `None` (default) waits indefinitely.
-    pub deadline_ms: Option<u64>,
 }
 
 impl RunConfig {
@@ -78,11 +69,9 @@ impl RunConfig {
     /// instance by `pace` between iterations. Only the async submit path
     /// takes it — the sync `run` endpoint rejects inputs that never
     /// complete — so this also turns on the event stream, the one place an
-    /// unbounded run's results can be consumed. Generator callbacks do not
-    /// cross the wire: a server-side unbounded run drives its producers by
-    /// iteration count or host calls.
+    /// unbounded run's results can be consumed.
     pub fn unbounded(pace: Duration) -> RunConfig {
-        RunConfig { events: true, ..RunConfig::driven_by(RunInput::Unbounded { generator: None, pace }) }
+        RunConfig { events: true, ..RunConfig::driven_by(RunInput::Unbounded { pace }) }
     }
 
     fn driven_by(input: RunInput) -> RunConfig {
@@ -93,8 +82,6 @@ impl RunConfig {
             resources: Vec::new(),
             events: false,
             checkpoint_every: 0,
-            priority: 0,
-            deadline_ms: None,
         }
     }
 
@@ -124,28 +111,15 @@ impl RunConfig {
         self
     }
 
-    /// Scheduling priority within the submitting user's lane (higher runs
-    /// first).
-    pub fn with_priority(mut self, priority: i64) -> RunConfig {
-        self.priority = priority;
-        self
-    }
-
-    /// Fail the job fast if it is still queued after `ms` milliseconds.
-    pub fn with_deadline_ms(mut self, ms: u64) -> RunConfig {
-        self.deadline_ms = Some(ms);
-        self
-    }
-
     /// Write this configuration into the request envelope `v`: `input`,
     /// `mapping`, `processes`, `resources` (base64 data) and the nested
-    /// `options` object (`events`, then `checkpointEvery`, `priority` and
-    /// `deadlineMs` when they differ from their defaults).
+    /// `options` object (`events`, then `checkpointEvery` when it is not
+    /// 0).
     pub fn write_envelope(&self, v: &mut Value) {
         let input = match &self.input {
             RunInput::Iterations(n) => Value::Int(*n),
             RunInput::Data(d) => Value::Array(d.clone()),
-            RunInput::Unbounded { pace, .. } => {
+            RunInput::Unbounded { pace } => {
                 let mut u = Value::Null;
                 u.set("mode", "unbounded").set("pace_us", pace.as_micros() as i64);
                 u
@@ -165,12 +139,6 @@ impl RunConfig {
         if self.checkpoint_every > 0 {
             options.set("checkpointEvery", self.checkpoint_every);
         }
-        if self.priority != 0 {
-            options.set("priority", self.priority);
-        }
-        if let Some(d) = self.deadline_ms {
-            options.set("deadlineMs", d as i64);
-        }
         v.set("input", input)
             .set("mapping", self.mapping.as_str())
             .set("processes", self.processes)
@@ -182,16 +150,18 @@ impl RunConfig {
     /// takes the envelope's default, which is not a constructor's: `input`
     /// 5 iterations, `mapping` SIMPLE, `processes` 5 (0 reads as 1), no
     /// resources, and each option its default (no `options` object at all
-    /// is every default). `None` when a field is malformed: an unknown
-    /// mapping, an object input without the unbounded mode tag, or a
-    /// resource without a name or with bad base64.
+    /// is every default). An option key this codec does not read is
+    /// ignored, so a journal meta written with options since removed
+    /// decodes, and resumes, as if it had none. `None` when a field is
+    /// malformed: an unknown mapping, an object input without the
+    /// unbounded mode tag, or a resource without a name or with bad
+    /// base64.
     pub fn from_envelope(v: &Value) -> Option<RunConfig> {
         let input = match &v["input"] {
             Value::Int(n) => RunInput::Iterations(*n),
             Value::Array(a) => RunInput::Data(a.clone()),
             Value::Null => RunInput::Iterations(5),
             obj @ Value::Object(_) if obj["mode"].as_str() == Some("unbounded") => RunInput::Unbounded {
-                generator: None,
                 pace: Duration::from_micros(obj["pace_us"].as_i64().unwrap_or(0).max(0) as u64),
             },
             _ => return None,
@@ -210,8 +180,6 @@ impl RunConfig {
             resources,
             events: opts["events"].as_bool().unwrap_or(false),
             checkpoint_every: opts["checkpointEvery"].as_i64().unwrap_or(0).max(0) as usize,
-            priority: opts["priority"].as_i64().unwrap_or(0),
-            deadline_ms: opts["deadlineMs"].as_i64().filter(|d| *d >= 0).map(|d| d as u64),
         })
     }
 }
@@ -381,10 +349,7 @@ mod tests {
         let req = ExecutionRequest::new("u", "src", RunConfig::unbounded(Duration::from_micros(750)));
         let back = ExecutionRequest::from_value(&req.to_value()).unwrap();
         match back.run.input {
-            RunInput::Unbounded { pace, generator } => {
-                assert_eq!(pace, std::time::Duration::from_micros(750));
-                assert!(generator.is_none(), "generators never cross the wire");
-            }
+            RunInput::Unbounded { pace } => assert_eq!(pace, std::time::Duration::from_micros(750)),
             other => panic!("expected unbounded input, got {other:?}"),
         }
         assert!(back.run.events);
@@ -412,16 +377,29 @@ mod tests {
         let req = ExecutionRequest::new(
             "u",
             "src",
-            RunConfig::iterations(5)
-                .with_events(true)
-                .with_checkpoints(16)
-                .with_priority(3)
-                .with_deadline_ms(2500),
+            RunConfig::iterations(5).with_events(true).with_checkpoints(16),
         );
         let back = ExecutionRequest::from_value(&req.to_value()).unwrap();
         assert_eq!(back.run, req.run);
-        assert_eq!(back.run.priority, 3);
-        assert_eq!(back.run.deadline_ms, Some(2500));
+    }
+
+    /// A journal meta written before `priority` and `deadlineMs` were
+    /// dropped still carries them in `options`: the keys are ignored, so
+    /// the job decodes to the configuration it was submitted with and
+    /// resumes.
+    #[test]
+    fn dropped_option_keys_decode_as_absent() {
+        let envelope = |options: &str| {
+            let text =
+                format!(r#"{{"input":5,"mapping":"MPI","options":{options},"processes":3,"resources":[]}}"#);
+            RunConfig::from_envelope(&laminar_json::parse(&text).unwrap())
+        };
+        let journaled = envelope(r#"{"checkpointEvery":16,"deadlineMs":2500,"events":true,"priority":3}"#);
+        let without = envelope(r#"{"checkpointEvery":16,"events":true}"#);
+        assert_eq!(journaled, without);
+        let run =
+            RunConfig::iterations(5).with_mapping(MappingKind::Mpi, 3).with_events(true).with_checkpoints(16);
+        assert_eq!(journaled, Some(run));
     }
 
     #[test]
@@ -434,11 +412,7 @@ mod tests {
         assert!(matches!(req.run.input, RunInput::Iterations(5)));
         assert_eq!(req.user, "anonymous");
         let run = &req.run;
-        assert_eq!(
-            (run.events, run.checkpoint_every, run.priority, run.deadline_ms),
-            (false, 0, 0, None),
-            "no options object, no options"
-        );
+        assert_eq!((run.events, run.checkpoint_every), (false, 0), "no options object, no options");
     }
 
     #[test]

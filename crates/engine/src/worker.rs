@@ -29,21 +29,12 @@ pub(crate) fn worker_loop(inner: &PoolInner, mut engine: ExecutionEngine, worker
         };
         let Some((id, req)) = job else { return };
 
-        let started = inner.jobs.lock().start(id, worker_id, req.run.deadline_ms).map(|started| {
-            started.map(|rec| {
-                (rec.streaming.then(|| Arc::clone(&rec.events)), rec.cancel.clone(), rec.owner.clone())
-            })
+        let started = inner.jobs.lock().start(id, worker_id).map(|rec| {
+            (rec.streaming.then(|| Arc::clone(&rec.events)), rec.cancel.clone(), rec.owner.clone())
         });
         // `None`: the job was cancelled while queued, so the popped queue
         // entry is simply dropped.
-        let Some(started) = started else { continue };
-        let (log, cancel, owner) = match started {
-            Ok(run) => run,
-            Err(deadline_missed) => {
-                inner.settle(id, End::Failed(deadline_missed));
-                continue;
-            }
-        };
+        let Some((log, cancel, owner)) = started else { continue };
         // Durable pools journal checkpointed jobs: the journal writer sits
         // behind the same observer as the event log, so epochs hit disk in
         // stream order. `create` reopens an existing journal on resume
@@ -68,7 +59,8 @@ pub(crate) fn worker_loop(inner: &PoolInner, mut engine: ExecutionEngine, worker
             Ok(Err(e)) => End::Failed(e.to_string()),
             // A PE on the Simple mapping runs on this thread, so its panic
             // unwinds to here. The job fails and the worker keeps serving,
-            // on a fresh fork: nothing the panicked run staged survives.
+            // on a fresh fork: the environment the panicked run provisioned
+            // and never tore down does not survive.
             Err(panic) => {
                 engine = engine.fork();
                 let payload = panic.downcast_ref::<&str>().copied();

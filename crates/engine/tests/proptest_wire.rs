@@ -122,9 +122,8 @@ proptest! {
     /// Every run configuration the envelope can carry survives
     /// `write_envelope → from_envelope` exactly: the three input kinds,
     /// every mapping, resources of any bytes and every option. What it can
-    /// carry: a process count of at least 1 (0 reads as 1), a pace in whole
-    /// µs, a deadline up to `i64::MAX` ms (a JSON integer), and no
-    /// generator (a generator never crosses the wire).
+    /// carry: a process count of at least 1 (0 reads as 1) and a pace in
+    /// whole µs.
     #[test]
     fn run_config_round_trips(
         kind in 0..3i64,
@@ -138,24 +137,13 @@ proptest! {
         resources in prop::collection::vec(("[ -~]{0,12}", prop::collection::vec(any::<u8>(), 0..40)), 0..4),
         events in any::<bool>(),
         checkpoint_every in 0..100_000usize,
-        priority in any::<i64>(),
-        deadline in (any::<bool>(), 0..=i64::MAX as u64),
     ) {
         let input = match kind {
             0 => RunInput::Iterations(n),
             1 => RunInput::Data(data.iter().map(|(tag, n)| leaf_value(*tag, *n)).collect()),
-            _ => RunInput::Unbounded { generator: None, pace: Duration::from_micros(pace_us) },
+            _ => RunInput::Unbounded { pace: Duration::from_micros(pace_us) },
         };
-        let config = RunConfig {
-            input,
-            mapping,
-            processes,
-            resources,
-            events,
-            checkpoint_every,
-            priority,
-            deadline_ms: deadline.0.then_some(deadline.1),
-        };
+        let config = RunConfig { input, mapping, processes, resources, events, checkpoint_every };
         let mut wire = Value::Null;
         config.write_envelope(&mut wire);
         prop_assert_eq!(RunConfig::from_envelope(&wire), Some(config.clone()));

@@ -84,10 +84,9 @@ impl LaminarServer {
     }
 
     /// The shared module-host registry. Module hosts registered here
-    /// (simulated services) are visible to every pool worker; the
-    /// *resource* store is NOT shared — each worker stages its own
-    /// per-request resources, so `stage_resource` on this handle reaches
-    /// no pooled engine (ship resources with the execution request).
+    /// (simulated services) are visible to every pool worker, from the
+    /// next run it starts. Resources are not staged here: they ship with
+    /// the execution request, into that run's own host.
     pub fn hosts(&self) -> &laminar_engine::HostRegistry {
         self.pool.hosts()
     }
