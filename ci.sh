@@ -37,7 +37,8 @@
 #                delivered event costs end to end, the allocator calls
 #                one reading of the group-by workload costs enacted, and
 #                the live bytes a retained event holds and an expired log
-#                gives back
+#                gives back, and the live heap behind a slow sink on the
+#                bounded Multi/MPI mesh
 #   chaos        durability fault-injection suite at full proptest depth:
 #                crash/resume chaos, cross-backend epoch parity, torn
 #                journal segments, the mid-stream worker-failure
@@ -45,8 +46,10 @@
 #                backpressure (PROPTEST_CASES env raises the depth) and a
 #                throttled producer losing nothing for a live slow
 #                consumer, the VM's read paths and lent builtin arguments
-#                against the interpreter oracle at 512 cases, the
-#                pool's end-of-job faults (a panicking PE, a resumed job's
+#                against the interpreter oracle at 512 cases, a
+#                panicking instance failing its run on Multi, MPI and
+#                Redis within a bound, the pool's end-of-job faults (a
+#                panicking PE on every mapping, a resumed job's
 #                retention, every terminal path settling once), and the
 #                registry's write path: the literal on-disk WAL and
 #                snapshot, interleaved writers against WAL replay, a
@@ -129,6 +132,9 @@ tier_streaming() {
   cargo test -q --test delivery_allocs
   cargo test -q --test enact_allocs
   cargo test -q -p laminar-engine --test retained_bytes
+  # A slow sink holds its upstream to a flat heap on Multi and MPI: each
+  # instance's inbox is bounded, counted in bursts.
+  cargo test -q -p laminar-dataflow --test mesh_inbox_bytes
 }
 
 tier_chaos() {
@@ -144,10 +150,13 @@ tier_chaos() {
   # A read through a path borrows its root and a builtin borrows its
   # first path argument: differential against the interpreter oracle.
   PROPTEST_CASES=512 cargo test -q -p laminar-script --test proptest_paths
-  # A job ends in one place: a panic fails it, a resume outlives its first
-  # attempt's retention entry, and each of seven jobs settles once (a
-  # panic, done, a failure, a cancel while running and while queued, and
-  # shutdown of a running and of a queued job).
+  # A panicking instance winds down like a failing one: its run ends with
+  # an error naming the panic on Multi, MPI and Redis, within a bound.
+  cargo test -q -p laminar-dataflow --lib mapping::runtime::tests::a_panicking_source_fails_its_run_on_every_parallel_mapping
+  # A job ends in one place: a panic fails it on every mapping, a resume
+  # outlives its first attempt's retention entry, and each of seven jobs
+  # settles once (a panic, done, a failure, a cancel while running and
+  # while queued, and shutdown of a running and of a queued job).
   cargo test -q -p laminar-engine --lib -- \
     pool::tests::a_panicking_pe_fails_its_job_and_the_worker_serves_the_next \
     pool::tests::a_resumed_job_is_not_evicted_by_its_own_earlier_finish \

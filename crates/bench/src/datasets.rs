@@ -414,7 +414,7 @@ pub fn rank_corpus(query: &Embedding, corpus: &[Embedding], k: usize) -> Vec<(us
 }
 
 /// Evaluate zero-shot text-to-code search: MRR of the matching document.
-pub fn eval_search(model: &dyn EmbeddingModel, ds: &SearchDataset) -> f64 {
+pub fn eval_search(model: &EmbeddingModel, ds: &SearchDataset) -> f64 {
     let corpus: Vec<_> = ds.examples.iter().map(|e| model.embed_code(&e.code)).collect();
     let mut ranks = Vec::with_capacity(ds.examples.len());
     for (i, ex) in ds.examples.iter().enumerate() {
@@ -486,7 +486,7 @@ pub fn gen_codenet(problems: usize, variants: usize, seed: u64) -> CloneDataset 
 }
 
 /// Clone-retrieval evaluation: (MAP@k, Precision@1).
-pub fn eval_clone(model: &dyn EmbeddingModel, ds: &CloneDataset, k: usize) -> (f64, f64) {
+pub fn eval_clone(model: &EmbeddingModel, ds: &CloneDataset, k: usize) -> (f64, f64) {
     let corpus: Vec<_> = ds.programs.iter().map(|p| model.embed_code(&p.code)).collect();
     let mut per_query = Vec::with_capacity(ds.queries.len());
     let mut top1 = Vec::with_capacity(ds.queries.len());
@@ -579,8 +579,8 @@ mod tests {
         let ds = gen_csn(60, 42);
         let tuned = model_by_name("unixcoder-code-search").unwrap();
         let base = model_by_name("unixcoder-base").unwrap();
-        let m_tuned = eval_search(tuned.as_ref(), &ds);
-        let m_base = eval_search(base.as_ref(), &ds);
+        let m_tuned = eval_search(&tuned, &ds);
+        let m_base = eval_search(&base, &ds);
         assert!(m_tuned > m_base, "fine-tuned must beat base: {m_tuned} vs {m_base}");
         assert!(m_tuned > 0.3, "fine-tuned MRR too low: {m_tuned}");
     }
@@ -589,7 +589,7 @@ mod tests {
     fn clone_eval_produces_sane_metrics() {
         let ds = gen_codenet(25, 6, 9);
         let reacc = model_by_name("ReACC-retriever-py").unwrap();
-        let (map, p1) = eval_clone(reacc.as_ref(), &ds, 100);
+        let (map, p1) = eval_clone(&reacc, &ds, 100);
         assert!(map > 0.0 && map <= 1.0);
         assert!(p1 > 0.2, "lexical retriever should often nail top-1, got {p1}");
     }

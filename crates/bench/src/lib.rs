@@ -99,23 +99,16 @@ pub fn run_astro_laminar_detailed(
     multi: bool,
     remote: bool,
 ) -> (Duration, laminar_engine::ExecutionOutput) {
-    use laminar_client::{LaminarClient, RunConfig};
-    use laminar_engine::{ExecutionEngine, NetModel};
-    use laminar_registry::Registry;
-    use laminar_server::{HttpServer, LaminarServer};
+    use laminar_client::RunConfig;
+    use laminar_core::{Deployment, LaminarSystem};
 
-    let engine =
-        if remote { ExecutionEngine::new().with_net(NetModel::wan()) } else { ExecutionEngine::new() };
-    engine.hosts().register("vo", Arc::new(VoService::new(cfg.vo_latency, 4)));
-    engine.hosts().register("astropy", Arc::new(VoService::new(Duration::ZERO, 4)));
-    let server = LaminarServer::new(Registry::in_memory(), engine);
-
-    let (mut client, http) = if remote {
-        let http = HttpServer::start(server).unwrap();
-        (LaminarClient::connect(http.addr()), Some(http))
-    } else {
-        (LaminarClient::in_process(server), None)
-    };
+    let deployment = if remote { Deployment::RemoteSimulated } else { Deployment::Local };
+    let hosts: [(&str, Arc<dyn Host + Send + Sync>); 2] = [
+        ("vo", Arc::new(VoService::new(cfg.vo_latency, 4))),
+        ("astropy", Arc::new(VoService::new(Duration::ZERO, 4))),
+    ];
+    let mut system = LaminarSystem::start_with_hosts(deployment, &hosts).unwrap();
+    let client = system.client_mut();
     client.register("bench", "password").unwrap();
     client.login("bench", "password").unwrap();
     // Register once (outside the timed window, like the paper's setup).
@@ -130,9 +123,7 @@ pub fn run_astro_laminar_detailed(
     let t0 = std::time::Instant::now();
     let output = client.run_registered("Astrophysics", config).unwrap();
     let elapsed = t0.elapsed();
-    if let Some(h) = http {
-        h.stop();
-    }
+    system.stop();
     (elapsed, output)
 }
 
@@ -183,7 +174,7 @@ pub fn table6() -> Table6 {
     const SEED: u64 = 42;
     let mrr = |model: &str, ds: &datasets::SearchDataset| {
         let model = laminar_embed::model_by_name(model).expect("model exists");
-        datasets::eval_search(model.as_ref(), ds) * 100.0
+        datasets::eval_search(&model, ds) * 100.0
     };
     let (cosqa, csn) = (datasets::gen_cosqa(N, SEED), datasets::gen_csn(N, SEED));
     let rows: Vec<(&'static str, f64, f64)> = ["unixcoder-base", "unixcoder-code-search"]
@@ -244,7 +235,7 @@ pub fn table7() -> Table7 {
         .into_iter()
         .map(|(model, paper_map, paper_p1)| {
             let m = laminar_embed::model_by_name(model).expect("model exists");
-            let (map, p1) = datasets::eval_clone(m.as_ref(), &ds, 100);
+            let (map, p1) = datasets::eval_clone(&m, &ds, 100);
             Table7Row { model, map: map * 100.0, p1: p1 * 100.0, paper_map, paper_p1 }
         })
         .collect();

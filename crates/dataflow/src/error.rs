@@ -50,6 +50,13 @@ impl fmt::Display for DataflowError {
 
 impl std::error::Error for DataflowError {}
 
+/// The message a caught panic carries: its `&str` or `String` payload, as
+/// `panic!` makes it, else a placeholder.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    let message = payload.downcast_ref::<&str>().copied();
+    message.or_else(|| payload.downcast_ref::<String>().map(String::as_str)).unwrap_or("non-string payload")
+}
+
 impl From<ScriptError> for DataflowError {
     fn from(e: ScriptError) -> Self {
         DataflowError::PeFailed { pe: "<unknown>".into(), error: e }

@@ -56,7 +56,7 @@ pub mod planner;
 pub mod ports;
 pub mod routing;
 
-pub use error::DataflowError;
+pub use error::{panic_message, DataflowError};
 pub use fault::FaultPlan;
 pub use graph::{Connection, NodeId, WorkflowGraph};
 pub use mapping::{

@@ -120,8 +120,6 @@ pub struct RunOptions {
     /// Requested process count for parallel mappings (the `args={'num': N}`
     /// parameter). Ignored by Simple.
     pub processes: usize,
-    /// Safety timeout for distributed queue pops.
-    pub queue_timeout: Duration,
     /// Cooperative stop signal, checked between PE invocations. Defaults
     /// to a fresh token nobody cancels; [`RunInput::Unbounded`] runs end
     /// *only* through it.
@@ -165,7 +163,6 @@ impl Default for RunOptions {
         RunOptions {
             input: RunInput::Iterations(5),
             processes: 5,
-            queue_timeout: Duration::from_secs(10),
             cancel: CancelToken::new(),
             checkpoint_every: 0,
             faults: crate::fault::FaultPlan::default(),
@@ -239,11 +236,6 @@ impl RunOptions {
             RunInput::Data(d) => Some(d.len()),
             RunInput::Unbounded { .. } => None,
         }
-    }
-
-    /// Whether the run ends only through its [`CancelToken`].
-    pub fn is_unbounded(&self) -> bool {
-        matches!(self.input, RunInput::Unbounded { .. })
     }
 
     /// Per-source-instance inter-iteration sleep (zero for bounded runs).
@@ -384,7 +376,6 @@ mod tests {
     fn unbounded_options_shape() {
         let token = CancelToken::new();
         let o = RunOptions::unbounded(Duration::from_millis(1), token.clone());
-        assert!(o.is_unbounded());
         assert_eq!(o.bounded_invocations(), None);
         assert_eq!(o.invocations(), usize::MAX);
         assert_eq!(o.pace(), Duration::from_millis(1));
@@ -396,7 +387,7 @@ mod tests {
         let b = RunOptions::iterations(3);
         assert_eq!(b.pace(), Duration::ZERO);
         assert_eq!(b.datum_for(0), None);
-        assert!(!b.is_unbounded());
+        assert_eq!(b.bounded_invocations(), Some(3));
     }
 
     #[test]
@@ -407,7 +398,6 @@ mod tests {
         assert_eq!(d.invocations(), 5);
         // The named constructors share the same defaults.
         assert_eq!(RunOptions::iterations(9).processes, 5);
-        assert_eq!(RunOptions::data(vec![]).queue_timeout, d.queue_timeout);
     }
 
     #[test]

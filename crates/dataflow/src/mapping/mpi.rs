@@ -18,20 +18,22 @@ use crate::ports::PortId;
 use laminar_codec::pickle;
 use laminar_json::{jarr, Value};
 
-/// Serialize one destination's burst as a list of `[port_id, value]`
-/// pairs. Port ids are the plan's interned [`PortId`]s — both ends hold the
-/// same plan, so a small integer is the whole port encoding. Shared with
-/// the Redis mapping's queue frames.
-pub(crate) fn encode_pairs(group: Burst) -> Value {
-    Value::Array(group.into_iter().map(|(pid, v)| jarr![pid.0 as i64, Value::unshare(v)]).collect())
+/// Serialize one destination's burst as the lampickle frame of a list of
+/// `[port_id, value]` pairs. Port ids are the plan's interned [`PortId`]s —
+/// both ends hold the same plan, so a small integer is the whole port
+/// encoding. The Redis mapping pushes the same frames onto its queues.
+pub(super) fn encode_frame(group: Burst) -> Vec<u8> {
+    pickle::dumps(&Value::Array(
+        group.into_iter().map(|(pid, v)| jarr![pid.0 as i64, Value::unshare(v)]).collect(),
+    ))
 }
 
-/// Decode a burst's `[port_id, value]` pairs, validating every port id
+/// Decode a frame written by [`encode_frame`], validating every port id
 /// against the plan's port table. Corrupt frames are enactment errors —
 /// data is never silently re-routed to a default port.
-pub(crate) fn decode_pairs(items: Value, plan: &ConcretePlan, what: &str) -> Result<Burst, DataflowError> {
-    let corrupt = |detail: &str| DataflowError::Enactment(format!("corrupt {what} frame: {detail}"));
-    let Value::Array(items) = items else {
+pub(super) fn decode_frame(frame: &[u8], plan: &ConcretePlan) -> Result<Burst, DataflowError> {
+    let corrupt = |detail: &str| DataflowError::Enactment(format!("corrupt frame: {detail}"));
+    let Value::Array(items) = pickle::loads(frame).map_err(|e| corrupt(&e.to_string()))? else {
         return Err(corrupt("expected a batch list"));
     };
     let mut out = Vec::with_capacity(items.len());
@@ -68,17 +70,7 @@ impl Mapping for MpiMapping {
         observer: Option<std::sync::Arc<dyn super::RunObserver>>,
     ) -> Result<RunResult, DataflowError> {
         Runtime::new(graph, options).threaded_observed(
-            |plan| {
-                Ok(mesh(
-                    plan,
-                    |burst| pickle::dumps(&encode_pairs(burst)),
-                    |bytes, plan| {
-                        let v = pickle::loads(&bytes)
-                            .map_err(|e| DataflowError::Enactment(format!("corrupt MPI frame: {e}")))?;
-                        decode_pairs(v, plan, "MPI")
-                    },
-                ))
-            },
+            |plan| Ok(mesh(plan, encode_frame, |frame, plan| decode_frame(&frame, plan))),
             observer,
         )
     }
@@ -92,6 +84,7 @@ mod tests {
 
     #[test]
     fn decode_pairs_rejects_corrupt_ports() {
+        let decode = |pairs: Value, plan: &ConcretePlan| decode_frame(&pickle::dumps(&pairs), plan);
         let mut g = WorkflowGraph::new("p");
         let a = g.add(producer_fn("Nums", Value::Int));
         let b = g.add(iterative_fn("Inc", Some));
@@ -99,19 +92,23 @@ mod tests {
         let plan = ConcretePlan::sequential(&g).unwrap();
         // Well-formed: a known interned port id.
         let input = plan.ports().id("input").unwrap();
-        let ok = decode_pairs(jarr![jarr![input.0 as i64, 7]], &plan, "MPI").unwrap();
+        let ok = decode(jarr![jarr![input.0 as i64, 7]], &plan).unwrap();
         assert_eq!(ok.len(), 1);
         assert_eq!(*ok[0].1, Value::Int(7));
         // Out-of-table port id, stringly-typed port (the legacy wire
         // format), and a non-list frame are all corruption, not "input".
-        assert!(decode_pairs(jarr![jarr![999, 7]], &plan, "MPI").is_err());
-        assert!(decode_pairs(jarr![jarr!["input", 7]], &plan, "MPI").is_err());
-        assert!(decode_pairs(Value::Int(3), &plan, "MPI").is_err());
-        assert!(decode_pairs(jarr![jarr![input.0 as i64]], &plan, "MPI").is_err());
+        assert!(decode(jarr![jarr![999, 7]], &plan).is_err());
+        assert!(decode(jarr![jarr!["input", 7]], &plan).is_err());
+        assert!(decode(Value::Int(3), &plan).is_err());
+        assert!(decode(jarr![jarr![input.0 as i64]], &plan).is_err());
         // Ids that only *truncate* into range (2^32 + id, negatives) are
         // corruption too, not aliases of valid ports.
-        assert!(decode_pairs(jarr![jarr![(1i64 << 32) + input.0 as i64, 7]], &plan, "MPI").is_err());
-        assert!(decode_pairs(jarr![jarr![-1, 7]], &plan, "MPI").is_err());
+        assert!(decode(jarr![jarr![(1i64 << 32) + input.0 as i64, 7]], &plan).is_err());
+        assert!(decode(jarr![jarr![-1, 7]], &plan).is_err());
+        // Bytes that are no lampickle frame at all, the empty frame (the
+        // Redis EOS) among them.
+        assert!(decode_frame(b"not a pickle", &plan).is_err());
+        assert!(decode_frame(&[], &plan).is_err());
     }
 
     #[test]

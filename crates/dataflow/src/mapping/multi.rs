@@ -1,11 +1,13 @@
 //! The Multi mapping: one thread per PE instance, `std::sync::mpsc`
 //! channels as the transport (the paper's multiprocessing back-end).
 //!
-//! The channel mesh here is shared with the MPI mapping: one unbounded
-//! channel per instance, every endpoint holding a sender to each channel
-//! and its own receiver. What differs is the frame a burst travels as —
-//! Multi moves the `Arc`-shared burst itself, MPI a lampickle byte frame
-//! (see [`mesh`]).
+//! The channel mesh here is shared with the MPI mapping: one bounded
+//! channel per instance, [`INBOX_BURSTS`] bursts deep, every endpoint
+//! holding a sender to each channel and its own receiver. A sender blocks
+//! while its receiver is that far behind, so a slow stage holds its
+//! upstream back instead of queueing without limit. What differs is the
+//! frame a burst travels as — Multi moves the `Arc`-shared burst itself,
+//! MPI a lampickle byte frame (see [`mesh`]).
 
 use super::runtime::Runtime;
 use super::worker::{drain_batch_groups, RoutedDatum, Transport, TransportMsg};
@@ -15,10 +17,17 @@ use crate::graph::WorkflowGraph;
 use crate::planner::{ConcretePlan, InstanceId};
 use crate::ports::PortId;
 use laminar_json::SharedValue;
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 /// Shared-memory parallel enactment.
 pub struct MultiMapping;
+
+/// How many messages (bursts or EOS) an instance's inbox holds before a
+/// sender blocks. The wait cannot deadlock: the graph is acyclic
+/// ([`WorkflowGraph::validate`]) and every instance keeps receiving until
+/// its last upstream EOS, on success, failure, panic or cancel (DESIGN
+/// §3.4).
+const INBOX_BURSTS: usize = 64;
 
 /// One emission burst for one instance: `(port, payload)` in send order.
 pub(super) type Burst = Vec<(PortId, SharedValue)>;
@@ -34,7 +43,7 @@ enum Msg<F> {
 pub(super) struct MeshTransport<F> {
     /// Senders indexed by dense instance id — a per-burst array index, not
     /// a per-datum map lookup.
-    senders: Vec<Sender<Msg<F>>>,
+    senders: Vec<SyncSender<Msg<F>>>,
     plan: ConcretePlan,
     receiver: Receiver<Msg<F>>,
     encode: fn(Burst) -> F,
@@ -51,7 +60,8 @@ pub(super) fn mesh<F>(
     encode: fn(Burst) -> F,
     decode: fn(F, &ConcretePlan) -> Result<Burst, DataflowError>,
 ) -> Vec<MeshTransport<F>> {
-    let (senders, receivers): (Vec<_>, Vec<_>) = (0..plan.total_processes).map(|_| channel()).unzip();
+    let (senders, receivers): (Vec<_>, Vec<_>) =
+        (0..plan.total_processes).map(|_| sync_channel(INBOX_BURSTS)).unzip();
     receivers
         .into_iter()
         .map(|receiver| MeshTransport {

@@ -1,24 +1,29 @@
 //! The Redis mapping: broker-queue enactment over [`laminar_redisim`].
 //!
 //! Every PE instance owns one broker list used as its work queue; workers
-//! communicate exclusively through the broker (serialized payloads), the
-//! way dispel4py's Redis mapping coordinates its worker processes. Each
-//! run takes a fresh number from the broker's `laminar:runs` counter and
-//! keeps its queues under it (`laminar:q:{run}:{node}:{index}`), so runs
-//! sharing one broker never see each other's data.
+//! communicate exclusively through the broker, the way dispel4py's Redis
+//! mapping coordinates its worker processes. A data frame is the MPI
+//! mapping's frame ([`encode_frame`]); end-of-stream is the empty frame,
+//! which no lampickle frame is. Each run takes a fresh number from the
+//! broker's `laminar:runs` counter and keeps its queues under it
+//! (`laminar:q:{run}:{node}:{index}`), so runs sharing one broker never
+//! see each other's data. A receiver waits for its next frame as long as
+//! it takes, as the channel mesh does: every instance gets all its EOS
+//! whether a peer succeeds, fails, panics or is cancelled (DESIGN §3.4).
 
-use super::cancel::CancelToken;
-use super::mpi::{decode_pairs, encode_pairs};
+use super::mpi::{decode_frame, encode_frame};
 use super::runtime::Runtime;
 use super::worker::{drain_batch_groups, RoutedDatum, Transport, TransportMsg};
 use super::{Mapping, MappingKind, RunOptions, RunResult};
 use crate::error::DataflowError;
 use crate::graph::WorkflowGraph;
 use crate::planner::{ConcretePlan, InstanceId};
-use laminar_codec::pickle;
-use laminar_json::jobj;
 use laminar_redisim::{Broker, BrokerError, RedisClient};
 use std::time::Duration;
+
+/// How long one `blpop` waits before the receiver pops again. Only a
+/// bound on one broker call: a receiver keeps popping until a frame comes.
+const POP_WAKE: Duration = Duration::from_secs(1);
 
 /// Broker-queue enactment. By default each run spins up a private broker;
 /// inject one with [`RedisMapping::with_broker`] to observe its queues or
@@ -45,16 +50,6 @@ struct RedisTransport {
     run: i64,
     my_queue: String,
     plan: ConcretePlan,
-    timeout: Duration,
-    /// Unbounded (run-until-cancelled) runs retry an empty-queue pop
-    /// instead of treating it as starvation: with no invocation bound
-    /// there is no moment by which a message *must* have arrived, and
-    /// cancellation guarantees EOS frames eventually wake every relay.
-    retry_on_timeout: bool,
-    /// The run's token: the retry loop bails out once it fires, so a
-    /// wedged relay (e.g. an upstream that died without EOS) can always
-    /// be unstuck by `DELETE .../job/{id}` or pool shutdown.
-    cancel: CancelToken,
 }
 
 impl RedisTransport {
@@ -68,58 +63,28 @@ impl RedisTransport {
 
 impl Transport for RedisTransport {
     fn send_batch(&mut self, batch: &mut Vec<RoutedDatum>) -> Result<(), DataflowError> {
-        // One pickled multi-datum frame — one broker round-trip — per
-        // destination per emission burst, not one per datum.
+        // One multi-datum frame — one broker round-trip — per destination
+        // per emission burst, not one per datum.
         let this = &*self;
-        drain_batch_groups(batch, |dest, group| {
-            this.push(dest, pickle::dumps(&jobj! { "kind" => "data", "items" => encode_pairs(group) }))
-        })
+        drain_batch_groups(batch, |dest, group| this.push(dest, encode_frame(group)))
     }
 
     fn send_eos(&mut self, dest: InstanceId) -> Result<(), DataflowError> {
-        self.push(dest, pickle::dumps(&jobj! { "kind" => "eos" }))
+        self.push(dest, Vec::new())
     }
 
     fn recv(&mut self) -> Result<TransportMsg, DataflowError> {
-        let bytes = loop {
-            match self.client.blpop(&self.my_queue, self.timeout) {
-                Ok(bytes) => break bytes,
-                // Cancelled: stop retrying. Normally EOS from the wound-
-                // down sources arrives first; this is the escape hatch
-                // when a peer died without sending it.
-                Err(BrokerError::Timeout) if self.cancel.is_cancelled() => {
-                    return Err(DataflowError::Cancelled)
-                }
-                Err(BrokerError::Timeout) if self.retry_on_timeout => continue,
-                Err(BrokerError::Timeout) => {
-                    return Err(DataflowError::Enactment(format!(
-                        "queue '{}' starved: no message within {:?}",
-                        self.my_queue, self.timeout
-                    )))
-                }
+        let frame = loop {
+            match self.client.blpop(&self.my_queue, POP_WAKE) {
+                Ok(frame) => break frame,
+                Err(BrokerError::Timeout) => continue,
                 Err(other) => return Err(DataflowError::Enactment(format!("broker pop failed: {other}"))),
             }
         };
-        let mut v = pickle::loads(&bytes)
-            .map_err(|e| DataflowError::Enactment(format!("corrupt queue frame: {e}")))?;
-        match v["kind"].as_str() {
-            Some("eos") => Ok(TransportMsg::Eos),
-            Some("data") => {
-                // A data frame without a well-formed item list is corrupt;
-                // it must surface as an error, never mis-route as a default
-                // port's data.
-                let items = match v.as_object_mut().and_then(|m| m.remove("items")) {
-                    Some(items) => items,
-                    None => {
-                        return Err(DataflowError::Enactment(
-                            "corrupt queue frame: data frame missing 'items'".into(),
-                        ))
-                    }
-                };
-                Ok(TransportMsg::Data(decode_pairs(items, &self.plan, "queue")?))
-            }
-            _ => Err(DataflowError::Enactment("queue frame missing 'kind'".into())),
+        if frame.is_empty() {
+            return Ok(TransportMsg::Eos);
         }
+        Ok(TransportMsg::Data(decode_frame(&frame, &self.plan)?))
     }
 }
 
@@ -156,12 +121,6 @@ impl Mapping for RedisMapping {
                 run,
                 my_queue: queue_key(run, inst),
                 plan: plan.clone(),
-                timeout: options.queue_timeout,
-                // An unbounded source may legitimately pause longer than
-                // any safety timeout (its pace is caller-chosen), so
-                // empty-queue pops retry until data or EOS arrives.
-                retry_on_timeout: options.is_unbounded(),
-                cancel: options.cancel.clone(),
             };
             Ok(plan.all_instances().into_iter().map(transport).collect())
         };
@@ -174,7 +133,8 @@ mod tests {
     use super::*;
     use crate::mapping::SimpleMapping;
     use crate::pe::{iterative_fn, producer_fn};
-    use laminar_json::Value;
+    use laminar_codec::pickle;
+    use laminar_json::{jobj, Value};
 
     #[test]
     fn matches_simple_as_multiset() {
@@ -195,11 +155,10 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_run_survives_queue_pops_slower_than_the_safety_timeout() {
-        // A paced unbounded source whose inter-message gap exceeds the
-        // queue safety timeout: relays must retry the empty pop (no
-        // invocation bound means no starvation deadline), not fail the
-        // run — it ends via the token, as Cancelled.
+    fn unbounded_run_survives_queue_pops_slower_than_the_wake_up() {
+        // A paced unbounded source whose inter-message gap exceeds one
+        // `blpop` wait: relays pop again until data or EOS arrives, and
+        // the run ends via the token, as Cancelled.
         use crate::mapping::{CancelToken, Mapping, RunEvent, RunObserver};
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Arc;
@@ -223,19 +182,47 @@ mod tests {
                 let a = g.add(producer_fn("Nums", Value::Int));
                 let b = g.add(iterative_fn("Relay", Some));
                 g.connect(a, "output", b, "input").unwrap();
-                let mut opts = RunOptions::unbounded(Duration::from_millis(60), token).with_processes(3);
-                opts.queue_timeout = Duration::from_millis(10); // << pace
+                let opts =
+                    RunOptions::unbounded(POP_WAKE + Duration::from_millis(200), token).with_processes(3);
                 RedisMapping::default().execute_observed(&g, &opts, Some(observer as Arc<dyn RunObserver>))
             })
         };
         let deadline = std::time::Instant::now() + Duration::from_secs(20);
-        while outputs.0.load(Ordering::SeqCst) < 3 {
+        while outputs.0.load(Ordering::SeqCst) < 2 {
             assert!(std::time::Instant::now() < deadline, "paced unbounded Redis run starved");
             std::thread::sleep(Duration::from_millis(2));
         }
         token.cancel();
         let result = handle.join().unwrap();
-        assert_eq!(result.unwrap_err(), DataflowError::Cancelled, "cancel, not queue starvation");
+        assert_eq!(result.unwrap_err(), DataflowError::Cancelled);
+    }
+
+    #[test]
+    fn a_queue_frame_is_the_mpi_frame_and_eos_is_empty() {
+        let mut g = WorkflowGraph::new("p");
+        let a = g.add(producer_fn("Nums", Value::Int));
+        let b = g.add(iterative_fn("Id", Some));
+        g.connect(a, "output", b, "input").unwrap();
+        let plan = ConcretePlan::distribute(&g, 3).unwrap();
+        let input = plan.ports().id("input").unwrap();
+        let dest = InstanceId { node: b, index: 1 };
+        let broker = Broker::new();
+        let (client, key) = (broker.client(), queue_key(7, dest));
+        let mut transport = RedisTransport { client: broker.client(), run: 7, my_queue: key.clone(), plan };
+        let burst = || vec![(input, Value::Int(4).into_shared()), (input, Value::from("x").into_shared())];
+        let send = |transport: &mut RedisTransport| {
+            let mut batch =
+                burst().into_iter().map(|(port, value)| RoutedDatum { dest, port, value }).collect();
+            transport.send_batch(&mut batch).unwrap();
+            transport.send_eos(dest).unwrap();
+        };
+        send(&mut transport);
+        assert_eq!(client.blpop(&key, Duration::ZERO).unwrap(), encode_frame(burst()));
+        assert_eq!(client.blpop(&key, Duration::ZERO).unwrap(), Vec::<u8>::new());
+        // The receiving end reads both back.
+        send(&mut transport);
+        assert_eq!(transport.recv().unwrap(), TransportMsg::Data(burst()));
+        assert_eq!(transport.recv().unwrap(), TransportMsg::Eos);
     }
 
     #[test]
@@ -308,7 +295,7 @@ mod tests {
     }
 
     #[test]
-    fn starved_queue_times_out() {
+    fn zero_iterations_end_by_eos() {
         // A consumer whose producer never produces: zero iterations means
         // sources immediately EOS, so this must terminate cleanly (not
         // hang), proving the EOS protocol works through the broker.

@@ -364,27 +364,21 @@ enum RoundOutcome {
     Done,
 }
 
-/// Join every worker, preferring the first real failure over secondary
-/// transport errors, panics, and cancellation bail-outs (a relay that
-/// stopped waiting because the token fired must not mask the PE error
-/// that actually killed the run).
+/// Join every worker and return the first error in plan order. A
+/// panicking instance fails like a failing one (see [`run_worker`]), so a
+/// thread that unwinds past it is only a panic in the wind-down itself.
 fn join_workers(
     handles: Vec<std::thread::ScopedJoinHandle<'_, Result<(), DataflowError>>>,
 ) -> Result<(), DataflowError> {
-    let mut first_err: Option<DataflowError> = None;
-    let note = |e: DataflowError, first_err: &mut Option<DataflowError>| match first_err {
-        None => *first_err = Some(e),
-        Some(DataflowError::Cancelled) if !matches!(e, DataflowError::Cancelled) => *first_err = Some(e),
-        Some(_) => {}
-    };
+    let mut outcome = Ok(());
     for h in handles {
-        match h.join() {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => note(e, &mut first_err),
-            Err(_) => note(DataflowError::Enactment("worker thread panicked".into()), &mut first_err),
+        let result =
+            h.join().unwrap_or_else(|_| Err(DataflowError::Enactment("worker thread panicked".into())));
+        if outcome.is_ok() {
+            outcome = result;
         }
     }
-    first_err.map_or(Ok(()), Err)
+    outcome
 }
 
 #[cfg(test)]
@@ -744,6 +738,32 @@ mod tests {
                 calls >= iterations as u64,
                 "{kind}: {calls} throttle calls for {iterations} source iterations"
             );
+        }
+    }
+
+    #[test]
+    fn a_panicking_source_fails_its_run_on_every_parallel_mapping() {
+        // The source panics at its fourth iteration while its relays wait
+        // for more: the panic winds down like a failure, so every relay
+        // gets its EOS and the run ends with an error naming the panic.
+        const BOUND: std::time::Duration = std::time::Duration::from_secs(5);
+        for kind in [MappingKind::Multi, MappingKind::Mpi, MappingKind::Redis] {
+            let (done, result) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let boom = |i| if i == 3 { panic!("boom at {i}") } else { Value::Int(i) };
+                let mut g = WorkflowGraph::new("boom");
+                let a = g.add(producer_fn("Boom", boom));
+                let b = g.add(iterative_fn("Relay", Some));
+                g.connect(a, "output", b, "input").unwrap();
+                let _ = done.send(kind.build().execute(&g, &RunOptions::iterations(10).with_processes(3)));
+            });
+            // A run that hangs leaves its thread behind and fails here.
+            let err = match result.recv_timeout(BOUND) {
+                Ok(result) => result.unwrap_err(),
+                Err(_) => panic!("{kind}: the run did not end within {BOUND:?}"),
+            };
+            let message = err.to_string();
+            assert!(message.contains("PE 'Boom' instance 0 panicked: boom at 3"), "{kind}: {message}");
         }
     }
 

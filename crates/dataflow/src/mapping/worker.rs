@@ -25,7 +25,7 @@
 //!   ([`Transport::send_batch`]), not one per datum.
 
 use super::events::{EventSink, RunEvent};
-use crate::error::DataflowError;
+use crate::error::{panic_message, DataflowError};
 use crate::graph::{NodeId, WorkflowGraph};
 use crate::pe::Pe;
 use crate::planner::{ConcretePlan, InstanceId};
@@ -33,6 +33,7 @@ use crate::ports::{PortId, PortTable};
 use crate::routing::Router;
 use laminar_json::{SharedValue, Value};
 use laminar_script::Sink;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// One outgoing edge from the perspective of a sender instance.
@@ -455,7 +456,7 @@ pub fn run_worker<T: Transport>(
     // Outstanding upstream EOS signals, tracked outside the drive phase so
     // the failure wind-down below knows how much is left to drain.
     let mut remaining = runner.expected_eos;
-    let mut drive = |runner: &mut InstanceRunner, transport: &mut T| -> Result<(), DataflowError> {
+    let drive = || -> Result<(), DataflowError> {
         if runner.is_source() {
             let siblings = plan.count(runner.inst.node);
             let my_index = runner.inst.index;
@@ -475,7 +476,7 @@ pub fn run_worker<T: Transport>(
                 }
                 if i % siblings == my_index {
                     runner.run_iteration(options.datum_for(i), &mut emissions)?;
-                    deliver(&mut emissions, transport)?;
+                    deliver(&mut emissions, &mut transport)?;
                     // Backpressure seam: sources (the rate-setters) park
                     // here when the observer's consumer is behind. Relay
                     // instances never throttle — they must keep draining
@@ -504,7 +505,7 @@ pub fn run_worker<T: Transport>(
                                 continue;
                             }
                             runner.run_datum(port, Value::unshare(value), &mut emissions)?;
-                            deliver(&mut emissions, transport)?;
+                            deliver(&mut emissions, &mut transport)?;
                         }
                     }
                     TransportMsg::Eos => remaining -= 1,
@@ -513,16 +514,25 @@ pub fn run_worker<T: Transport>(
         }
         Ok(())
     };
-    let failure = drive(runner, &mut transport).err();
+    // A panic out of the PE or the transport is this instance's failure:
+    // one unwind boundary per worker thread, not one per invocation.
+    let failure = match catch_unwind(AssertUnwindSafe(drive)) {
+        Ok(result) => result.err(),
+        Err(panic) => Some(DataflowError::Enactment(format!(
+            "PE '{pe}' instance {instance} panicked: {}",
+            panic_message(panic.as_ref())
+        ))),
+    };
     if failure.is_some() {
-        // A failing instance must not strand its peers: its receiver stays
-        // open while it drains the remaining upstream EOS signals
-        // (discarding data), and it still propagates EOS downstream before
-        // surfacing the error. Without this wind-down a relay waiting on
-        // the dead instance blocks in `recv` forever — every worker holds
-        // senders to every channel (including its own), so the channel
-        // never disconnects and the whole enactment deadlocks. Transport
-        // errors during wind-down are secondary: the PE failure wins.
+        // A failing or panicking instance must not strand its peers: its
+        // receiver stays open while it drains the remaining upstream EOS
+        // signals (discarding data), and it still propagates EOS downstream
+        // before surfacing the error. Without this wind-down a relay
+        // waiting on the dead instance blocks in `recv` forever, and on the
+        // bounded mesh an upstream sender blocks on its full inbox. So on
+        // every transport each instance gets all its EOS, whether a peer
+        // succeeds, fails, panics or is cancelled. Transport errors during
+        // wind-down are secondary: the PE failure wins.
         while remaining > 0 {
             match transport.recv() {
                 Ok(TransportMsg::Eos) => remaining -= 1,

@@ -21,7 +21,7 @@
 //! ranking metrics and the cross-encoder — lives in `laminar-bench`.
 //!
 //! ```
-//! use laminar_embed::models::{model_by_name, EmbeddingModel};
+//! use laminar_embed::models::model_by_name;
 //! use laminar_embed::embedding::cosine;
 //!
 //! let m = model_by_name("unixcoder-code-search").unwrap();

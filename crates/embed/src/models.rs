@@ -23,19 +23,6 @@ use crate::tokenizer::{
 use laminar_script::analysis::{def_use_pairs, subtokens};
 use laminar_script::parse_script;
 
-/// A bi-encoder model: embeds code and natural-language text into one
-/// space.
-pub trait EmbeddingModel: Send + Sync {
-    /// Model identifier as reported in the paper's tables.
-    fn name(&self) -> &str;
-    /// Embedding dimension.
-    fn dim(&self) -> usize;
-    /// Embed a code fragment.
-    fn embed_code(&self, code: &str) -> Embedding;
-    /// Embed a natural-language query or description.
-    fn embed_text(&self, text: &str) -> Embedding;
-}
-
 /// Channel weights for the generic hashed model.
 #[derive(Debug, Clone, Copy, Default)]
 struct Channels {
@@ -55,8 +42,9 @@ struct Channels {
     prose: f32,
 }
 
-/// A configurable hashed bi-encoder.
-pub struct HashedModel {
+/// A bi-encoder model: embeds code and natural-language text into one
+/// space, each model a configuration of the same hashed pipeline.
+pub struct EmbeddingModel {
     name: String,
     dim: usize,
     code: Channels,
@@ -68,7 +56,48 @@ pub struct HashedModel {
     text_char3: f32,
 }
 
-impl HashedModel {
+impl EmbeddingModel {
+    /// Model identifier as reported in the paper's tables.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Embedding dimension.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Embed a code fragment.
+    pub fn embed_code(&self, code: &str) -> Embedding {
+        let mut h = FeatureHasher::new(self.dim);
+        self.code_features(code, &mut h);
+        h.finish()
+    }
+
+    /// Embed a natural-language query or description.
+    pub fn embed_text(&self, text: &str) -> Embedding {
+        let mut h = FeatureHasher::new(self.dim);
+        let words = text_words(text);
+        if self.text_words > 0.0 {
+            for w in &words {
+                // Same "sub" prefix as code subtokens: this alignment IS the
+                // cross-modal fine-tuning.
+                h.add_channel("sub", w, self.text_words);
+            }
+        }
+        if self.text_bigrams > 0.0 {
+            for w in words.windows(2) {
+                h.add_channel("wb", &format!("{}_{}", w[0], w[1]), self.text_bigrams);
+            }
+        }
+        if self.text_char3 > 0.0 {
+            for g in char_trigrams(text) {
+                h.add_channel("c3", &g, self.text_char3);
+            }
+        }
+        h.finish()
+    }
+
     fn code_features(&self, code: &str, h: &mut FeatureHasher) {
         let ch = &self.code;
         let toks: Vec<CodeToken> = if ch.raw_tokens > 0.0 || ch.subtokens > 0.0 || ch.structure > 0.0 {
@@ -154,130 +183,91 @@ impl HashedModel {
     }
 }
 
-impl EmbeddingModel for HashedModel {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn embed_code(&self, code: &str) -> Embedding {
-        let mut h = FeatureHasher::new(self.dim);
-        self.code_features(code, &mut h);
-        h.finish()
-    }
-
-    fn embed_text(&self, text: &str) -> Embedding {
-        let mut h = FeatureHasher::new(self.dim);
-        let words = text_words(text);
-        if self.text_words > 0.0 {
-            for w in &words {
-                // Same "sub" prefix as code subtokens: this alignment IS the
-                // cross-modal fine-tuning.
-                h.add_channel("sub", w, self.text_words);
-            }
-        }
-        if self.text_bigrams > 0.0 {
-            for w in words.windows(2) {
-                h.add_channel("wb", &format!("{}_{}", w[0], w[1]), self.text_bigrams);
-            }
-        }
-        if self.text_char3 > 0.0 {
-            for g in char_trigrams(text) {
-                h.add_channel("c3", &g, self.text_char3);
-            }
-        }
-        h.finish()
-    }
-}
-
 /// Build every model of Table 7 (plus the two of Table 6, which are a
 /// subset), in the paper's naming.
-pub fn all_models() -> Vec<Box<dyn EmbeddingModel>> {
+pub fn all_models() -> Vec<EmbeddingModel> {
     vec![
         // CodeBERT, applied zero-shot to retrieval: reads code like prose.
-        Box::new(HashedModel {
+        EmbeddingModel {
             name: "CodeBERT".into(),
             dim: 64,
             code: Channels { prose: 1.0, ..Default::default() },
             text_words: 1.0,
             text_bigrams: 0.0,
             text_char3: 0.5,
-        }),
+        },
         // GraphCodeBERT: raw tokens plus dataflow edges.
-        Box::new(HashedModel {
+        EmbeddingModel {
             name: "GraphCodeBERT".into(),
             dim: 512,
             code: Channels { raw_tokens: 1.0, defuse: 1.5, ..Default::default() },
             text_words: 1.0,
             text_bigrams: 0.0,
             text_char3: 0.0,
-        }),
+        },
         // ReACC retriever: hybrid lexical/semantic tuned for partial-code
         // queries.
-        Box::new(HashedModel {
+        EmbeddingModel {
             name: "ReACC-retriever-py".into(),
             dim: 1024,
             code: Channels { lines: 2.0, raw_tokens: 1.0, char3: 0.5, ..Default::default() },
             text_words: 0.5,
             text_bigrams: 0.0,
             text_char3: 1.0,
-        }),
+        },
         // GTE-large: general text embedder, modest capacity on code.
-        Box::new(HashedModel {
+        EmbeddingModel {
             name: "thenlper/gte-large".into(),
             dim: 96,
             code: Channels { char3: 1.0, ..Default::default() },
             text_words: 0.5,
             text_bigrams: 0.0,
             text_char3: 1.0,
-        }),
+        },
         // BGE-large: stronger general text embedder.
-        Box::new(HashedModel {
+        EmbeddingModel {
             name: "BAAI/bge-large-en".into(),
             dim: 1024,
             code: Channels { char3: 1.0, prose: 0.5, lines: 0.5, ..Default::default() },
             text_words: 1.0,
             text_bigrams: 0.5,
             text_char3: 1.0,
-        }),
+        },
         // UniXcoder base: good code representation, weak NL/code alignment
         // (no retrieval fine-tune).
-        Box::new(HashedModel {
+        EmbeddingModel {
             name: "unixcoder-base".into(),
             dim: 768,
             code: Channels { raw_tokens: 1.0, structure: 1.0, subtokens: 0.6, ..Default::default() },
             text_words: 1.0,
             text_bigrams: 0.25,
             text_char3: 0.25,
-        }),
+        },
         // UniXcoder fine-tuned for code search on AdvTest: strong shared
         // subtoken space.
-        Box::new(HashedModel {
+        EmbeddingModel {
             name: "unixcoder-code-search".into(),
             dim: 768,
             code: Channels { subtokens: 2.0, structure: 0.75, raw_tokens: 0.5, ..Default::default() },
             text_words: 2.0,
             text_bigrams: 0.5,
             text_char3: 0.1,
-        }),
+        },
         // UniXcoder fine-tuned for clone detection: rename-invariant
         // structure dominates.
-        Box::new(HashedModel {
+        EmbeddingModel {
             name: "unixcoder-clone-detection".into(),
             dim: 768,
             code: Channels { structure: 3.0, subtokens: 0.75, ..Default::default() },
             text_words: 1.0,
             text_bigrams: 0.0,
             text_char3: 0.0,
-        }),
+        },
     ]
 }
 
 /// Look up a model by its table name.
-pub fn model_by_name(name: &str) -> Option<Box<dyn EmbeddingModel>> {
+pub fn model_by_name(name: &str) -> Option<EmbeddingModel> {
     all_models().into_iter().find(|m| m.name() == name)
 }
 
@@ -358,12 +348,12 @@ mod tests {
         let base = model_by_name("unixcoder-base").unwrap();
         let tuned = model_by_name("unixcoder-code-search").unwrap();
         let q = "check whether a number is prime";
-        let margin = |m: &dyn EmbeddingModel| {
+        let margin = |m: &EmbeddingModel| {
             let p = cosine(&m.embed_code(PRIME_PE), &m.embed_text(q));
             let w = cosine(&m.embed_code(WORDCOUNT_PE), &m.embed_text(q));
             p - w
         };
-        assert!(margin(tuned.as_ref()) > margin(base.as_ref()), "fine-tune must sharpen the margin");
+        assert!(margin(&tuned) > margin(&base), "fine-tune must sharpen the margin");
     }
 
     #[test]
@@ -375,12 +365,12 @@ mod tests {
             PRIME_PE.replace("num", "zz91").replace("prime", "flag_q").replace("IsPrime", "Checker");
         let clone_model = model_by_name("unixcoder-clone-detection").unwrap();
         let lexical = model_by_name("ReACC-retriever-py").unwrap();
-        let margin = |m: &dyn EmbeddingModel| {
+        let margin = |m: &EmbeddingModel| {
             let orig = m.embed_code(PRIME_PE);
             cosine(&orig, &m.embed_code(&renamed)) - cosine(&orig, &m.embed_code(WORDCOUNT_PE))
         };
-        let m_clone = margin(clone_model.as_ref());
-        let m_lex = margin(lexical.as_ref());
+        let m_clone = margin(&clone_model);
+        let m_lex = margin(&lexical);
         assert!(
             m_clone > m_lex,
             "structure model must discriminate renamed clones better: {m_clone} vs {m_lex}"
@@ -401,7 +391,7 @@ mod tests {
 
     /// FNV-1a over the dimension and every stored `(bucket, weight bits)`
     /// of each model's embeddings of this module's test inputs.
-    fn fingerprint(m: &dyn EmbeddingModel) -> u64 {
+    fn fingerprint(m: &EmbeddingModel) -> u64 {
         const CODE: [&str; 4] = [
             PRIME_PE,
             WORDCOUNT_PE,
@@ -448,7 +438,7 @@ mod tests {
             ("unixcoder-clone-detection", 0xaa51_0fb4_2aa2_7897),
         ];
         let got: Vec<(String, u64)> =
-            all_models().iter().map(|m| (m.name().to_string(), fingerprint(m.as_ref()))).collect();
+            all_models().iter().map(|m| (m.name().to_string(), fingerprint(m))).collect();
         let expected: Vec<(String, u64)> = expected.iter().map(|(n, fp)| (n.to_string(), *fp)).collect();
         assert_eq!(got, expected);
     }

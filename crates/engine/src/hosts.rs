@@ -37,8 +37,9 @@ impl HostRegistry {
 
     /// The host one run calls: the modules registered now, and
     /// `resources` (name, bytes) as the run's staged files — the
-    /// `resources/` directory of §3.3/§5.2.
-    pub(crate) fn for_run(&self, resources: &[(String, Vec<u8>)]) -> RunHost {
+    /// `resources/` directory of §3.3/§5.2. The host shares each file's
+    /// bytes with `resources`; it copies none.
+    pub(crate) fn for_run(&self, resources: &[(String, Arc<[u8]>)]) -> RunHost {
         RunHost { modules: Arc::clone(&self.modules.read()), resources: resources.iter().cloned().collect() }
     }
 }
@@ -56,7 +57,7 @@ impl Host for HostRegistry {
 /// staged files, dropped with the run.
 pub(crate) struct RunHost {
     modules: Arc<Modules>,
-    resources: BTreeMap<String, Vec<u8>>,
+    resources: BTreeMap<String, Arc<[u8]>>,
 }
 
 impl Host for RunHost {
@@ -127,7 +128,8 @@ mod tests {
     }
 
     fn staged(files: &[(&str, &[u8])]) -> RunHost {
-        let files: Vec<(String, Vec<u8>)> = files.iter().map(|(n, b)| (n.to_string(), b.to_vec())).collect();
+        let files: Vec<(String, Arc<[u8]>)> =
+            files.iter().map(|(n, b)| (n.to_string(), Arc::from(*b))).collect();
         HostRegistry::new().for_run(&files)
     }
 
@@ -164,6 +166,15 @@ mod tests {
         assert_eq!(lines.as_array().unwrap().len(), 2, "empty line dropped");
         let size = host.call("resources", "size", &[Value::Str("coordinates.txt".into())]).unwrap();
         assert_eq!(size.as_i64(), Some(21));
+    }
+
+    #[test]
+    fn a_run_reads_the_requests_bytes_not_a_copy() {
+        let bytes: Arc<[u8]> = Arc::from(&b"10.5 41.2\n"[..]);
+        let host = HostRegistry::new().for_run(&[("coordinates.txt".to_string(), Arc::clone(&bytes))]);
+        assert!(Arc::ptr_eq(&host.resources["coordinates.txt"], &bytes));
+        let size = host.call("resources", "size", &[Value::Str("coordinates.txt".into())]).unwrap();
+        assert_eq!(size.as_i64(), Some(10));
     }
 
     #[test]

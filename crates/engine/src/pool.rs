@@ -1634,20 +1634,50 @@ mod tests {
         }
     }
 
+    /// [`BOOM_SRC`]'s producer feeding a relay, for the parallel mappings.
+    const BOOM_WORKFLOW_SRC: &str = r#"
+        pe P : producer { output o; process { emit(boom.now()); } }
+        pe R : iterative { input i; output o; process { emit(i); } }
+        workflow W {
+            nodes { p = P; r = R; }
+            connect p.o -> r.i;
+        }
+    "#;
+
     #[test]
     fn a_panicking_pe_fails_its_job_and_the_worker_serves_the_next() {
-        let pool = boom_pool(4);
-        let id = pool.submit("u", ExecutionRequest::simple("u", BOOM_SRC, 1)).unwrap();
-        match pool.wait("u", id, Duration::from_secs(10)).unwrap() {
-            JobResult::Failed(message, _) => assert!(message.contains("panicked"), "{message}"),
-            other => panic!("expected Failed, got {other:?}"),
+        use laminar_dataflow::MappingKind;
+        // The scenario runs on its own thread with bounded waits: where a
+        // relay never learns of the panic, the job stays Running and
+        // `stop()` blocks, and this fails instead of hanging.
+        let scenario = std::thread::spawn(|| {
+            let mut pool = boom_pool(4);
+            for mapping in [MappingKind::Simple, MappingKind::Multi, MappingKind::Mpi, MappingKind::Redis] {
+                let run = RunConfig::iterations(5).with_mapping(mapping, 3);
+                let id = pool.submit("u", ExecutionRequest::new("u", BOOM_WORKFLOW_SRC, run)).unwrap();
+                match pool.wait("u", id, Duration::from_secs(10)).unwrap() {
+                    JobResult::Failed(message, _) => {
+                        assert!(message.contains("panicked: boom"), "{mapping}: {message}")
+                    }
+                    other => panic!("{mapping}: expected Failed, got {other:?}"),
+                }
+                let next = pool.submit("u", ExecutionRequest::simple("u", WF_SRC, 2)).unwrap();
+                match pool.wait("u", next, Duration::from_secs(10)).unwrap() {
+                    JobResult::Done(..) => {}
+                    other => panic!("{mapping}: the one worker must serve the next job, got {other:?}"),
+                }
+                assert_eq!(pool.stats().running, 0);
+            }
+            pool.stop();
+        });
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !scenario.is_finished() {
+            assert!(Instant::now() < deadline, "a job or stop() did not end within 60 s");
+            std::thread::sleep(Duration::from_millis(10));
         }
-        let next = pool.submit("u", ExecutionRequest::simple("u", WF_SRC, 2)).unwrap();
-        match pool.wait("u", next, Duration::from_secs(10)).unwrap() {
-            JobResult::Done(..) => {}
-            other => panic!("the one worker must serve the next job, got {other:?}"),
+        if let Err(panic) = scenario.join() {
+            std::panic::resume_unwind(panic);
         }
-        assert_eq!(pool.stats().running, 0);
     }
 
     /// A host module whose calls return in pairs: each call waits for the

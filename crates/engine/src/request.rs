@@ -41,8 +41,9 @@ pub struct RunConfig {
     /// Process count for parallel mappings (`args={'num': N}`).
     pub processes: usize,
     /// Named resources to stage, as (name, bytes) (`resources=True` +
-    /// resources dir).
-    pub resources: Vec<(String, Vec<u8>)>,
+    /// resources dir). The bytes are shared: the run's host reads this
+    /// allocation, not a copy of it.
+    pub resources: Vec<(String, Arc<[u8]>)>,
     /// Log the run's live event stream for the `/events` endpoint. Off by
     /// default except for [`Self::unbounded`]: batch jobs skip per-event
     /// wire conversion.
@@ -94,7 +95,7 @@ impl RunConfig {
 
     /// Stage a resource file.
     pub fn with_resource(mut self, name: &str, bytes: Vec<u8>) -> RunConfig {
-        self.resources.push((name.to_string(), bytes));
+        self.resources.push((name.to_string(), bytes.into()));
         self
     }
 
@@ -170,7 +171,7 @@ impl RunConfig {
         for r in v["resources"].as_array().unwrap_or(&[]) {
             let name = r["name"].as_str()?;
             let bytes = laminar_codec::base64::decode(r["data"].as_str()?).ok()?;
-            resources.push((name.to_string(), bytes));
+            resources.push((name.to_string(), bytes.into()));
         }
         let opts = &v["options"];
         Some(RunConfig {
@@ -330,7 +331,7 @@ mod tests {
         assert_eq!(back.run.processes, 5);
         assert!(matches!(back.run.input, RunInput::Iterations(7)));
         assert_eq!(back.run.resources[0].0, "coords.txt");
-        assert_eq!(back.run.resources[0].1, b"1 2");
+        assert_eq!(*back.run.resources[0].1, *b"1 2");
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::engine::ExecutionEngine;
 use crate::event_log::JobObserver;
 use crate::jobs::End;
 use crate::pool::PoolInner;
-use laminar_dataflow::{DataflowError, RunObserver};
+use laminar_dataflow::{panic_message, DataflowError, RunObserver};
 use laminar_json::Value;
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -58,14 +58,14 @@ pub(crate) fn worker_loop(inner: &PoolInner, mut engine: ExecutionEngine, worker
             Ok(Err(DataflowError::Cancelled)) => End::Cancelled,
             Ok(Err(e)) => End::Failed(e.to_string()),
             // A PE on the Simple mapping runs on this thread, so its panic
-            // unwinds to here. The job fails and the worker keeps serving,
-            // on a fresh fork: the environment the panicked run provisioned
-            // and never tore down does not survive.
+            // unwinds to here; on a parallel mapping the instance's worker
+            // catches it and the run returns it as an error. Either way the
+            // job fails and this worker keeps serving, here on a fresh
+            // fork: the environment the panicked run provisioned and never
+            // tore down does not survive.
             Err(panic) => {
                 engine = engine.fork();
-                let payload = panic.downcast_ref::<&str>().copied();
-                let payload = payload.or_else(|| panic.downcast_ref::<String>().map(String::as_str));
-                End::Failed(format!("worker panicked: {}", payload.unwrap_or("non-string payload")))
+                End::Failed(format!("worker panicked: {}", panic_message(panic.as_ref())))
             }
         };
         inner.settle(id, end);

@@ -143,6 +143,7 @@ proptest! {
             1 => RunInput::Data(data.iter().map(|(tag, n)| leaf_value(*tag, *n)).collect()),
             _ => RunInput::Unbounded { pace: Duration::from_micros(pace_us) },
         };
+        let resources = resources.into_iter().map(|(name, bytes)| (name, bytes.into())).collect();
         let config = RunConfig { input, mapping, processes, resources, events, checkpoint_every };
         let mut wire = Value::Null;
         config.write_envelope(&mut wire);

@@ -116,8 +116,8 @@ pub fn search(
 
 /// The registry's two models, built once per process so a timed scan
 /// measures the scan.
-fn models() -> &'static [Box<dyn EmbeddingModel>; 2] {
-    static MODELS: OnceLock<[Box<dyn EmbeddingModel>; 2]> = OnceLock::new();
+fn models() -> &'static [EmbeddingModel; 2] {
+    static MODELS: OnceLock<[EmbeddingModel; 2]> = OnceLock::new();
     MODELS.get_or_init(|| {
         ["unixcoder-code-search", "ReACC-retriever-py"].map(|name| model_by_name(name).expect("model exists"))
     })

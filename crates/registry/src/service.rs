@@ -79,8 +79,8 @@ pub struct SearchResponse {
 /// The registry service.
 pub struct Registry {
     dao: Dao,
-    search_model: Box<dyn EmbeddingModel>,
-    completion_model: Box<dyn EmbeddingModel>,
+    search_model: EmbeddingModel,
+    completion_model: EmbeddingModel,
     /// Total search calls served (atomic: search holds only a read lock).
     searches: AtomicU64,
 }
@@ -417,7 +417,7 @@ impl Registry {
         let uid = self.user_id(user)?;
         self.searches.fetch_add(1, Ordering::Relaxed);
         let mut embed_us = 0u64;
-        let mut embed = |model: &dyn EmbeddingModel, code: bool| {
+        let mut embed = |model: &EmbeddingModel, code: bool| {
             let t = Instant::now();
             let q = if code { model.embed_code(query) } else { model.embed_text(query) };
             embed_us = t.elapsed().as_micros() as u64;
@@ -430,12 +430,12 @@ impl Registry {
                 text_search_workflows(&self.dao, uid, query, opts)
             }
             (SearchType::Pe, QueryType::Text) => {
-                let q = embed(self.search_model.as_ref(), false);
+                let q = embed(&self.search_model, false);
                 rank_start = Instant::now();
                 ranked_pe_hits(&self.dao, uid, &q, VecField::Desc, opts)
             }
             (SearchType::Pe, QueryType::Code) | (SearchType::Both, QueryType::Code) => {
-                let q = embed(self.completion_model.as_ref(), true);
+                let q = embed(&self.completion_model, true);
                 rank_start = Instant::now();
                 ranked_pe_hits(&self.dao, uid, &q, VecField::Code, opts)
             }
