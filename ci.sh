@@ -17,10 +17,8 @@
 #                interpreter and the search index against the linear
 #                scan, both from the dev-only laminar-oracle crate) at a
 #                reduced case count (PROPTEST_CASES=8)
-#   stress       the concurrency stress suite (unrestricted test threads),
-#                the registry search-index differential proptests, and
-#                concurrent Redis runs on one shared broker (each must get
-#                back only its own data)
+#   stress       the concurrency stress suite (unrestricted test threads)
+#                and the registry search-index differential proptests
 #   edge         the HTTP edge: http.rs unit tests (cap, deadlines, idle
 #                close), the public-surface edge tests (among them: every
 #                event page on the wire is byte for byte the in-process
@@ -38,7 +36,7 @@
 #                one reading of the group-by workload costs enacted, and
 #                the live bytes a retained event holds and an expired log
 #                gives back, and the live heap behind a slow sink on the
-#                bounded Multi/MPI mesh
+#                bounded Multi/MPI mesh and Redis broker lists
 #   chaos        durability fault-injection suite at full proptest depth:
 #                crash/resume chaos, cross-backend epoch parity, torn
 #                journal segments, the mid-stream worker-failure
@@ -109,8 +107,6 @@ tier_stress() {
   # Registry search differential: indexed answers must equal the linear
   # scan under randomized mutation histories, and survive WAL replay.
   cargo test -q -p laminar-registry --test proptest_search
-  # Runs sharing one broker keep their queues apart.
-  cargo test -q -p laminar-dataflow --lib mapping::redis::tests::concurrent_runs_on_one_broker_keep_their_own_queues
 }
 
 tier_edge() {
@@ -132,8 +128,9 @@ tier_streaming() {
   cargo test -q --test delivery_allocs
   cargo test -q --test enact_allocs
   cargo test -q -p laminar-engine --test retained_bytes
-  # A slow sink holds its upstream to a flat heap on Multi and MPI: each
-  # instance's inbox is bounded, counted in bursts.
+  # A slow sink holds its upstream to a flat heap on Multi, MPI and Redis:
+  # each instance's inbox (a mesh channel or a broker list) is bounded,
+  # counted in bursts.
   cargo test -q -p laminar-dataflow --test mesh_inbox_bytes
 }
 

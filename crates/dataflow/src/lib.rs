@@ -22,8 +22,8 @@
 //! * **Mapping** — the enactment backend: [`mapping::SimpleMapping`]
 //!   (sequential), [`mapping::MultiMapping`] (threads + channels),
 //!   [`mapping::MpiMapping`] (serialized frames between ranks over the
-//!   same channels), [`mapping::RedisMapping`] (work queues on a
-//!   [`laminar_redisim::Broker`]).
+//!   same channels), [`mapping::RedisMapping`] (work queues on a broker
+//!   each run wires for itself).
 //!
 //! ## Quick start
 //!

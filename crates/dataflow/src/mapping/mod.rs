@@ -8,7 +8,7 @@
 //! | [`SimpleMapping`] | Simple (sequential) | in-process FIFO queue        |
 //! | [`MultiMapping`]  | Multi(processing)   | threads + a mesh of `std::sync::mpsc` channels |
 //! | [`MpiMapping`]    | MPI                 | the same mesh, lampickle byte frames |
-//! | [`RedisMapping`]  | Redis               | broker work queues, lampickle byte frames |
+//! | [`RedisMapping`]  | Redis               | a run's own broker: one bounded list per instance, lampickle byte frames |
 //!
 //! The orchestration they share — planning, source driving, routing, EOS
 //! propagation, output/stats collection — lives in [`runtime::Runtime`].
@@ -49,7 +49,7 @@ pub enum MappingKind {
     Multi,
     /// Message-passing execution: serialized frames between ranks.
     Mpi,
-    /// Broker-queue execution over laminar-redisim.
+    /// Broker-queue execution: one work queue per instance.
     Redis,
 }
 

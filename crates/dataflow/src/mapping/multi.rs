@@ -23,11 +23,11 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 pub struct MultiMapping;
 
 /// How many messages (bursts or EOS) an instance's inbox holds before a
-/// sender blocks. The wait cannot deadlock: the graph is acyclic
-/// ([`WorkflowGraph::validate`]) and every instance keeps receiving until
-/// its last upstream EOS, on success, failure, panic or cancel (DESIGN
-/// §3.4).
-const INBOX_BURSTS: usize = 64;
+/// sender blocks, on the mesh and on a Redis broker list alike. The wait
+/// cannot deadlock: the graph is acyclic ([`WorkflowGraph::validate`])
+/// and every instance keeps receiving until its last upstream EOS, on
+/// success, failure, panic or cancel (DESIGN §3.4).
+pub(super) const INBOX_BURSTS: usize = 64;
 
 /// One emission burst for one instance: `(port, payload)` in send order.
 pub(super) type Burst = Vec<(PortId, SharedValue)>;

@@ -1,86 +1,122 @@
-//! The Redis mapping: broker-queue enactment over [`laminar_redisim`].
+//! The Redis mapping: broker-queue enactment.
 //!
 //! Every PE instance owns one broker list used as its work queue; workers
 //! communicate exclusively through the broker, the way dispel4py's Redis
-//! mapping coordinates its worker processes. A data frame is the MPI
-//! mapping's frame ([`encode_frame`]); end-of-stream is the empty frame,
-//! which no lampickle frame is. Each run takes a fresh number from the
-//! broker's `laminar:runs` counter and keeps its queues under it
-//! (`laminar:q:{run}:{node}:{index}`), so runs sharing one broker never
-//! see each other's data. A receiver waits for its next frame as long as
-//! it takes, as the channel mesh does: every instance gets all its EOS
-//! whether a peer succeeds, fails, panics or is cancelled (DESIGN §3.4).
+//! mapping coordinates its worker processes. The broker belongs to one
+//! wiring of one run ([`Broker`]) and is dropped with it, so a queue key
+//! carries no run number: `laminar:q:{node}:{index}`. A data frame is the
+//! MPI mapping's frame ([`encode_frame`]); end-of-stream is the empty
+//! frame, which no lampickle frame is. A list holds at most
+//! [`INBOX_BURSTS`] frames, as a mesh inbox does: a push waits for room
+//! and a pop for a frame, each as long as it takes. Every instance gets
+//! all its EOS whether a peer succeeds, fails, panics or is cancelled, so
+//! neither wait needs a timeout (DESIGN §3.4).
 
 use super::mpi::{decode_frame, encode_frame};
+use super::multi::INBOX_BURSTS;
 use super::runtime::Runtime;
 use super::worker::{drain_batch_groups, RoutedDatum, Transport, TransportMsg};
 use super::{Mapping, MappingKind, RunOptions, RunResult};
 use crate::error::DataflowError;
 use crate::graph::WorkflowGraph;
 use crate::planner::{ConcretePlan, InstanceId};
-use laminar_redisim::{Broker, BrokerError, RedisClient};
-use std::time::Duration;
+use parking_lot::{Condvar, Mutex};
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
-/// How long one `blpop` waits before the receiver pops again. Only a
-/// bound on one broker call: a receiver keeps popping until a frame comes.
-const POP_WAKE: Duration = Duration::from_secs(1);
-
-/// Broker-queue enactment. By default each run spins up a private broker;
-/// inject one with [`RedisMapping::with_broker`] to observe its queues or
-/// to share a broker across runs (closer to a real deployment).
+/// Broker-queue enactment. Each run wires a broker of its own.
+/// `#[non_exhaustive]` keeps other crates on `RedisMapping::default()`,
+/// which they call throughout and which clippy would otherwise flag on a
+/// unit struct (`default_constructed_unit_structs`).
 #[derive(Default)]
-pub struct RedisMapping {
-    broker: Option<Broker>,
+#[non_exhaustive]
+pub struct RedisMapping;
+
+/// One broker list. Its condvar is woken by a push (for the popper) and
+/// by a pop (for a pusher waiting for room), so traffic on one list wakes
+/// no other list's waiters.
+#[derive(Default)]
+struct List {
+    frames: Mutex<VecDeque<Vec<u8>>>,
+    changed: Condvar,
 }
 
-impl RedisMapping {
-    /// Use an externally-managed broker.
-    pub fn with_broker(broker: Broker) -> RedisMapping {
-        RedisMapping { broker: Some(broker) }
+/// The slice of Redis the mapping sends: `RPUSH`, and `BLPOP key 0` (wait
+/// until a frame comes). It holds one list per instance from the start.
+/// Unlike Redis, a push waits while its list is full.
+struct Broker {
+    lists: HashMap<String, List>,
+}
+
+impl Broker {
+    fn new(keys: impl IntoIterator<Item = String>) -> Broker {
+        Broker { lists: keys.into_iter().map(|key| (key, List::default())).collect() }
+    }
+
+    /// Append to the tail of `key`'s list once it holds fewer than
+    /// [`INBOX_BURSTS`] frames.
+    fn rpush(&self, key: &str, frame: Vec<u8>) {
+        let list = &self.lists[key];
+        let mut frames = list.frames.lock();
+        while frames.len() >= INBOX_BURSTS {
+            list.changed.wait(&mut frames);
+        }
+        frames.push_back(frame);
+        drop(frames);
+        list.changed.notify_all();
+    }
+
+    /// Pop the head of `key`'s list, waiting until there is one.
+    fn blpop(&self, key: &str) -> Vec<u8> {
+        let list = &self.lists[key];
+        let mut frames = list.frames.lock();
+        loop {
+            if let Some(frame) = frames.pop_front() {
+                drop(frames);
+                list.changed.notify_all();
+                return frame;
+            }
+            list.changed.wait(&mut frames);
+        }
     }
 }
 
-fn queue_key(run: i64, inst: InstanceId) -> String {
-    format!("laminar:q:{run}:{}:{}", inst.node.0, inst.index)
+fn queue_key(inst: InstanceId) -> String {
+    format!("laminar:q:{}:{}", inst.node.0, inst.index)
 }
 
 struct RedisTransport {
-    client: RedisClient,
-    /// This run's queue namespace.
-    run: i64,
+    broker: Arc<Broker>,
     my_queue: String,
     plan: ConcretePlan,
 }
 
-impl RedisTransport {
-    fn push(&self, dest: InstanceId, frame: Vec<u8>) -> Result<(), DataflowError> {
-        self.client
-            .rpush(&queue_key(self.run, dest), frame)
-            .map(|_| ())
-            .map_err(|e| DataflowError::Enactment(format!("broker push failed: {e}")))
-    }
+/// One transport per instance of `plan`, in dense plan order, sharing a
+/// fresh broker.
+fn wire(plan: &ConcretePlan) -> Vec<RedisTransport> {
+    let keys: Vec<String> = plan.all_instances().into_iter().map(queue_key).collect();
+    let broker = Arc::new(Broker::new(keys.iter().cloned()));
+    let transport = |my_queue| RedisTransport { broker: Arc::clone(&broker), my_queue, plan: plan.clone() };
+    keys.into_iter().map(transport).collect()
 }
 
 impl Transport for RedisTransport {
     fn send_batch(&mut self, batch: &mut Vec<RoutedDatum>) -> Result<(), DataflowError> {
         // One multi-datum frame — one broker round-trip — per destination
         // per emission burst, not one per datum.
-        let this = &*self;
-        drain_batch_groups(batch, |dest, group| this.push(dest, encode_frame(group)))
+        drain_batch_groups(batch, |dest, group| {
+            self.broker.rpush(&queue_key(dest), encode_frame(group));
+            Ok(())
+        })
     }
 
     fn send_eos(&mut self, dest: InstanceId) -> Result<(), DataflowError> {
-        self.push(dest, Vec::new())
+        self.broker.rpush(&queue_key(dest), Vec::new());
+        Ok(())
     }
 
     fn recv(&mut self) -> Result<TransportMsg, DataflowError> {
-        let frame = loop {
-            match self.client.blpop(&self.my_queue, POP_WAKE) {
-                Ok(frame) => break frame,
-                Err(BrokerError::Timeout) => continue,
-                Err(other) => return Err(DataflowError::Enactment(format!("broker pop failed: {other}"))),
-            }
-        };
+        let frame = self.broker.blpop(&self.my_queue);
         if frame.is_empty() {
             return Ok(TransportMsg::Eos);
         }
@@ -99,32 +135,7 @@ impl Mapping for RedisMapping {
         options: &RunOptions,
         observer: Option<std::sync::Arc<dyn super::RunObserver>>,
     ) -> Result<RunResult, DataflowError> {
-        let owned_broker;
-        let broker = match &self.broker {
-            Some(b) => b,
-            None => {
-                owned_broker = Broker::new();
-                &owned_broker
-            }
-        };
-        // The counter sits outside the `laminar:q:` prefix, so a drained
-        // broker holds no queue key.
-        let run = broker
-            .client()
-            .incr("laminar:runs")
-            .map_err(|e| DataflowError::Enactment(format!("broker run counter failed: {e}")))?;
-        // Queues materialize lazily on first push; wiring only hands every
-        // instance a broker client pointed at its own work queue.
-        let wire = |plan: &ConcretePlan| {
-            let transport = |inst| RedisTransport {
-                client: broker.client(),
-                run,
-                my_queue: queue_key(run, inst),
-                plan: plan.clone(),
-            };
-            Ok(plan.all_instances().into_iter().map(transport).collect())
-        };
-        Runtime::new(graph, options).threaded_observed(wire, observer)
+        Runtime::new(graph, options).threaded_observed(|plan| Ok(wire(plan)), observer)
     }
 }
 
@@ -155,13 +166,13 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_run_survives_queue_pops_slower_than_the_wake_up() {
-        // A paced unbounded source whose inter-message gap exceeds one
-        // `blpop` wait: relays pop again until data or EOS arrives, and
-        // the run ends via the token, as Cancelled.
+    fn unbounded_run_survives_pops_that_wait_over_a_second() {
+        // A paced unbounded source whose inter-message gap exceeds a
+        // second: a relay's `blpop` waits the gap out, and the run ends
+        // via the token, as Cancelled.
         use crate::mapping::{CancelToken, Mapping, RunEvent, RunObserver};
         use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
+        use std::time::Duration;
 
         struct Count(AtomicUsize);
         impl RunObserver for Count {
@@ -182,8 +193,7 @@ mod tests {
                 let a = g.add(producer_fn("Nums", Value::Int));
                 let b = g.add(iterative_fn("Relay", Some));
                 g.connect(a, "output", b, "input").unwrap();
-                let opts =
-                    RunOptions::unbounded(POP_WAKE + Duration::from_millis(200), token).with_processes(3);
+                let opts = RunOptions::unbounded(Duration::from_millis(1200), token).with_processes(3);
                 RedisMapping::default().execute_observed(&g, &opts, Some(observer as Arc<dyn RunObserver>))
             })
         };
@@ -195,49 +205,6 @@ mod tests {
         token.cancel();
         let result = handle.join().unwrap();
         assert_eq!(result.unwrap_err(), DataflowError::Cancelled);
-    }
-
-    #[test]
-    fn a_queue_frame_is_the_mpi_frame_and_eos_is_empty() {
-        let mut g = WorkflowGraph::new("p");
-        let a = g.add(producer_fn("Nums", Value::Int));
-        let b = g.add(iterative_fn("Id", Some));
-        g.connect(a, "output", b, "input").unwrap();
-        let plan = ConcretePlan::distribute(&g, 3).unwrap();
-        let input = plan.ports().id("input").unwrap();
-        let dest = InstanceId { node: b, index: 1 };
-        let broker = Broker::new();
-        let (client, key) = (broker.client(), queue_key(7, dest));
-        let mut transport = RedisTransport { client: broker.client(), run: 7, my_queue: key.clone(), plan };
-        let burst = || vec![(input, Value::Int(4).into_shared()), (input, Value::from("x").into_shared())];
-        let send = |transport: &mut RedisTransport| {
-            let mut batch =
-                burst().into_iter().map(|(port, value)| RoutedDatum { dest, port, value }).collect();
-            transport.send_batch(&mut batch).unwrap();
-            transport.send_eos(dest).unwrap();
-        };
-        send(&mut transport);
-        assert_eq!(client.blpop(&key, Duration::ZERO).unwrap(), encode_frame(burst()));
-        assert_eq!(client.blpop(&key, Duration::ZERO).unwrap(), Vec::<u8>::new());
-        // The receiving end reads both back.
-        send(&mut transport);
-        assert_eq!(transport.recv().unwrap(), TransportMsg::Data(burst()));
-        assert_eq!(transport.recv().unwrap(), TransportMsg::Eos);
-    }
-
-    #[test]
-    fn external_broker_observes_traffic() {
-        let broker = Broker::new();
-        let mut g = WorkflowGraph::new("p");
-        let a = g.add(producer_fn("Nums", Value::Int));
-        let b = g.add(iterative_fn("Id", Some));
-        g.connect(a, "output", b, "input").unwrap();
-        let client = broker.client();
-        let mapping = RedisMapping::with_broker(broker);
-        let r = mapping.execute(&g, &RunOptions::iterations(10).with_processes(3)).unwrap();
-        assert_eq!(r.port_values("Id", "output").len(), 10);
-        // After a clean run, all queues have been drained.
-        assert!(client.keys_with_prefix("laminar:q:").is_empty());
     }
 
     #[test]
@@ -270,31 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_queue_frames_error_instead_of_misrouting() {
-        // Pre-seed the downstream work queues with two kinds of corruption:
-        // a legacy per-datum frame (no 'items' list) and raw garbage bytes.
-        // Both must surface as DataflowError — never be silently defaulted
-        // onto the 'input' port.
-        let broker = Broker::new();
-        let client = broker.client();
-        let mut g = WorkflowGraph::new("p");
-        let a = g.add(producer_fn("Nums", Value::Int));
-        let b = g.add(iterative_fn("Id", Some));
-        g.connect(a, "output", b, "input").unwrap();
-        let legacy = pickle::dumps(&jobj! { "kind" => "data", "port" => "input", "value" => 1 });
-        client.rpush("laminar:q:1:1:0", legacy).unwrap();
-        client.rpush("laminar:q:1:1:1", b"not a pickle".to_vec()).unwrap();
-        let mapping = RedisMapping::with_broker(broker);
-        let err = mapping.execute(&g, &RunOptions::iterations(5).with_processes(3)).unwrap_err();
-        match err {
-            DataflowError::Enactment(m) => {
-                assert!(m.contains("corrupt") || m.contains("frame"), "unexpected message: {m}")
-            }
-            other => panic!("expected an enactment error, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn zero_iterations_end_by_eos() {
         // A consumer whose producer never produces: zero iterations means
         // sources immediately EOS, so this must terminate cleanly (not
@@ -307,28 +249,120 @@ mod tests {
         assert_eq!(r.total_outputs(), 0);
     }
 
+    /// The transport of instance 1 of `Id` in a `Nums -> Id` run over 3
+    /// processes, and the `input` port id.
+    fn relay_transport() -> (RedisTransport, InstanceId, crate::ports::PortId) {
+        let mut g = WorkflowGraph::new("p");
+        let a = g.add(producer_fn("Nums", Value::Int));
+        let b = g.add(iterative_fn("Id", Some));
+        g.connect(a, "output", b, "input").unwrap();
+        let plan = ConcretePlan::distribute(&g, 3).unwrap();
+        let input = plan.ports().id("input").unwrap();
+        let dest = InstanceId { node: b, index: 1 };
+        (wire(&plan).swap_remove(plan.dense(dest)), dest, input)
+    }
+
     #[test]
-    fn concurrent_runs_on_one_broker_keep_their_own_queues() {
-        // Two runs at a time through one shared broker, each emitting its
-        // own value range: every run must get back exactly its own values,
-        // none of the other run's.
-        let mapping = RedisMapping::with_broker(Broker::new());
-        let run = |base: i64| {
-            let mut g = WorkflowGraph::new("p");
-            let a = g.add(producer_fn("Nums", move |i| Value::Int(base + i)));
-            let b = g.add(iterative_fn("Id", Some));
-            g.connect(a, "output", b, "input").unwrap();
-            let r = mapping.execute(&g, &RunOptions::iterations(200).with_processes(3)).unwrap();
-            let mut got: Vec<i64> =
-                r.port_values("Id", "output").iter().map(|v| v.as_i64().unwrap()).collect();
-            got.sort();
-            assert_eq!(got, (base..base + 200).collect::<Vec<_>>(), "run {base} got another run's data");
+    fn a_queue_frame_is_the_mpi_frame_and_eos_is_empty() {
+        let (mut transport, dest, input) = relay_transport();
+        assert_eq!(transport.my_queue, "laminar:q:1:1");
+        let burst = || vec![(input, Value::Int(4).into_shared()), (input, Value::from("x").into_shared())];
+        let send = |transport: &mut RedisTransport| {
+            let mut batch =
+                burst().into_iter().map(|(port, value)| RoutedDatum { dest, port, value }).collect();
+            transport.send_batch(&mut batch).unwrap();
+            transport.send_eos(dest).unwrap();
         };
-        for _ in 0..20 {
-            std::thread::scope(|s| {
-                s.spawn(|| run(0));
-                s.spawn(|| run(1000));
-            });
+        send(&mut transport);
+        assert_eq!(transport.broker.blpop(&transport.my_queue), encode_frame(burst()));
+        assert_eq!(transport.broker.blpop(&transport.my_queue), Vec::<u8>::new());
+        // The receiving end reads both back.
+        send(&mut transport);
+        assert_eq!(transport.recv().unwrap(), TransportMsg::Data(burst()));
+        assert_eq!(transport.recv().unwrap(), TransportMsg::Eos);
+    }
+
+    #[test]
+    fn corrupt_queue_frames_error_instead_of_misrouting() {
+        // Raw garbage bytes and a pickled non-list (a legacy per-datum
+        // frame) on an instance's list: each is an error from `recv`,
+        // never a datum silently defaulted onto the 'input' port.
+        let (mut transport, _, _) = relay_transport();
+        let legacy = pickle::dumps(&jobj! { "kind" => "data", "port" => "input", "value" => 1 });
+        for frame in [b"not a pickle".to_vec(), legacy] {
+            transport.broker.rpush(&transport.my_queue, frame);
+            match transport.recv() {
+                Err(DataflowError::Enactment(m)) => assert!(m.starts_with("corrupt frame"), "{m}"),
+                other => panic!("expected a corrupt-frame error, got {other:?}"),
+            }
         }
+    }
+
+    fn broker(keys: &[&str]) -> Broker {
+        Broker::new(keys.iter().map(|k| k.to_string()))
+    }
+
+    #[test]
+    fn list_fifo_order() {
+        let b = broker(&["q"]);
+        b.rpush("q", b"1".to_vec());
+        b.rpush("q", b"2".to_vec());
+        assert_eq!(b.blpop("q"), b"1");
+        assert_eq!(b.blpop("q"), b"2");
+    }
+
+    #[test]
+    fn blpop_wakes_on_push() {
+        let b = broker(&["jobs"]);
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| b.blpop("jobs"));
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            b.rpush("jobs", b"work".to_vec());
+            assert_eq!(waiter.join().unwrap(), b"work");
+        });
+    }
+
+    #[test]
+    fn a_push_to_a_full_list_waits_for_a_pop() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let b = broker(&["q"]);
+        for i in 0..INBOX_BURSTS {
+            b.rpush("q", vec![i as u8]);
+        }
+        let pushed = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                b.rpush("q", b"last".to_vec());
+                pushed.store(true, Ordering::SeqCst);
+            });
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            assert!(!pushed.load(Ordering::SeqCst), "a push went past the cap");
+            assert_eq!(b.blpop("q"), [0]);
+        });
+        assert!(pushed.load(Ordering::SeqCst));
+        assert_eq!(b.lists["q"].frames.lock().back().unwrap(), b"last");
+    }
+
+    #[test]
+    fn many_producers_one_consumer() {
+        let b = broker(&["work"]);
+        let (n_producers, per) = (4, 250);
+        std::thread::scope(|s| {
+            for p in 0..n_producers {
+                let b = &b;
+                s.spawn(move || {
+                    for i in 0..per {
+                        b.rpush("work", format!("{p}:{i}").into_bytes());
+                    }
+                });
+            }
+            let mut got: Vec<Vec<u8>> = (0..n_producers * per).map(|_| b.blpop("work")).collect();
+            got.sort();
+            let mut sent: Vec<Vec<u8>> = (0..n_producers)
+                .flat_map(|p| (0..per).map(move |i| format!("{p}:{i}").into_bytes()))
+                .collect();
+            sent.sort();
+            assert_eq!(got, sent, "every pushed frame is popped once");
+        });
     }
 }

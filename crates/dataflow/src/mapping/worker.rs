@@ -528,11 +528,12 @@ pub fn run_worker<T: Transport>(
         // receiver stays open while it drains the remaining upstream EOS
         // signals (discarding data), and it still propagates EOS downstream
         // before surfacing the error. Without this wind-down a relay
-        // waiting on the dead instance blocks in `recv` forever, and on the
-        // bounded mesh an upstream sender blocks on its full inbox. So on
-        // every transport each instance gets all its EOS, whether a peer
-        // succeeds, fails, panics or is cancelled. Transport errors during
-        // wind-down are secondary: the PE failure wins.
+        // waiting on the dead instance blocks in `recv` forever, and an
+        // upstream sender blocks on its full inbox (a mesh channel or a
+        // broker list). So on every transport each instance gets all its
+        // EOS, whether a peer succeeds, fails, panics or is cancelled.
+        // Transport errors during wind-down are secondary: the PE failure
+        // wins; DESIGN §3.4 says why none comes while a sender waits.
         while remaining > 0 {
             match transport.recv() {
                 Ok(TransportMsg::Eos) => remaining -= 1,

@@ -1,5 +1,6 @@
-//! What a slow stage costs its upstream on the channel mesh. Multi and MPI
-//! give each instance a bounded inbox, counted in bursts, so a fast source
+//! What a slow stage costs its upstream on every parallel mapping. Multi
+//! and MPI give each instance a bounded inbox on the channel mesh, and
+//! Redis a bounded broker list, both counted in bursts, so a fast source
 //! feeding a slow sink blocks once the sink's inbox is full instead of
 //! queueing without limit. This reads live heap bytes while an unbounded
 //! source runs at full speed into a sink that sleeps per datum: after the
@@ -46,8 +47,8 @@ const MARGIN: i64 = 1 << 20;
 const WATCH: Duration = Duration::from_secs(1);
 
 #[test]
-fn a_slow_sink_holds_its_upstream_to_a_flat_heap_on_multi_and_mpi() {
-    for kind in [MappingKind::Multi, MappingKind::Mpi] {
+fn a_slow_sink_holds_its_upstream_to_a_flat_heap_on_every_parallel_mapping() {
+    for kind in [MappingKind::Multi, MappingKind::Mpi, MappingKind::Redis] {
         let consumed = Arc::new(AtomicUsize::new(0));
         let mut g = WorkflowGraph::new("slow");
         let a = g.add(producer_fn("Fast", |i| Value::Str(format!("{i:>1024}"))));

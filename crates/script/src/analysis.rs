@@ -65,11 +65,6 @@ pub fn mentions_state(block: &Block) -> bool {
             }
         }
     });
-    if found {
-        return true;
-    }
-    // Assignment targets are exprs too, but walk_exprs covers them; `state`
-    // may also appear only as an assign target root which is still an Expr.
     found
 }
 

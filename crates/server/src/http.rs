@@ -80,9 +80,9 @@ pub fn percent_decode(s: &str) -> String {
     let mut i = 0;
     while i < bytes.len() {
         if bytes[i] == b'%' {
-            if let Some(hex) = bytes.get(i + 1..i + 3) {
-                if let Ok(v) = u8::from_str_radix(std::str::from_utf8(hex).unwrap_or("zz"), 16) {
-                    out.push(v);
+            if let Some(&[hi, lo]) = bytes.get(i + 1..i + 3) {
+                if let (Some(hi), Some(lo)) = (hex_digit(hi), hex_digit(lo)) {
+                    out.push(hi << 4 | lo);
                     i += 3;
                     continue;
                 }
@@ -92,6 +92,12 @@ pub fn percent_decode(s: &str) -> String {
         i += 1;
     }
     String::from_utf8_lossy(&out).into_owned()
+}
+
+/// One ASCII hex digit's value. `u8::from_str_radix` is no substitute: it
+/// takes a leading `+`, so it would read `%+f` as an escape.
+fn hex_digit(b: u8) -> Option<u8> {
+    (b as char).to_digit(16).map(|d| d as u8)
 }
 
 /// The live connections: the count the cap reads, a handle to each socket
@@ -619,6 +625,8 @@ mod tests {
         // Invalid escapes pass through.
         assert_eq!(percent_decode("100%zz"), "100%zz");
         assert_eq!(percent_decode("%2"), "%2");
+        assert_eq!(percent_decode("%+f"), "%+f");
+        assert_eq!(percent_decode("%+0"), "%+0");
     }
 
     #[test]

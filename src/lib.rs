@@ -11,7 +11,6 @@
 //! | [`json`] | laminar-json | JSON value model / parser / printer |
 //! | [`codec`] | laminar-codec | base64, CRC32, lampickle framing |
 //! | [`script`] | laminar-script | LamScript language (PE code as data) |
-//! | [`redisim`] | laminar-redisim | Redis-like broker |
 //! | [`dataflow`] | laminar-dataflow | PEs, graphs, the four mappings |
 //! | [`embed`] | laminar-embed | embedding models, summarizer (the evaluation's generators and metrics are in laminar-bench) |
 //! | [`registry`] | laminar-registry | entities, storage, searches |
@@ -33,7 +32,6 @@ pub use laminar_dataflow as dataflow;
 pub use laminar_embed as embed;
 pub use laminar_engine as engine;
 pub use laminar_json as json;
-pub use laminar_redisim as redisim;
 pub use laminar_registry as registry;
 pub use laminar_script as script;
 pub use laminar_server as server;
