@@ -36,7 +36,7 @@
 #                one reading of the group-by workload costs enacted, and
 #                the live bytes a retained event holds and an expired log
 #                gives back, and the live heap behind a slow sink on the
-#                bounded Multi/MPI mesh and Redis broker lists
+#                bounded inboxes Multi, MPI and Redis share
 #   chaos        durability fault-injection suite at full proptest depth:
 #                crash/resume chaos, cross-backend epoch parity, torn
 #                journal segments, the mid-stream worker-failure
@@ -129,8 +129,8 @@ tier_streaming() {
   cargo test -q --test enact_allocs
   cargo test -q -p laminar-engine --test retained_bytes
   # A slow sink holds its upstream to a flat heap on Multi, MPI and Redis:
-  # each instance's inbox (a mesh channel or a broker list) is bounded,
-  # counted in bursts.
+  # each instance's inbox on their shared mesh is bounded, counted in
+  # bursts.
   cargo test -q -p laminar-dataflow --test mesh_inbox_bytes
 }
 

@@ -3,7 +3,8 @@
 //! * **D1** — stored embeddings (embed-once at registration) vs
 //!   recomputing the corpus embedding per query;
 //! * **D2** — bi-encoder cosine retrieval vs cross-encoder pair scoring;
-//! * **D4** — mapping choice on the same abstract graph;
+//! * **D4** — mapping choice on the same abstract graph: median wall time
+//!   and voluntary context switches per mapping, and the measured order;
 //! * **D5** — cold vs warm engine environments.
 //!
 //! ```text
@@ -15,6 +16,7 @@ use laminar_bench::xencoder::cross_rank;
 use laminar_dataflow::mapping::{Mapping, MpiMapping, MultiMapping, RedisMapping, SimpleMapping};
 use laminar_dataflow::{RunOptions, WorkflowGraph};
 use laminar_embed::{cosine, model_by_name};
+use std::ffi::{c_int, c_long};
 use std::time::Instant;
 
 fn main() {
@@ -99,26 +101,70 @@ fn d2_bi_vs_cross() {
     );
 }
 
+/// Voluntary context switches this process has made so far, every thread
+/// included (exited ones too): `getrusage(RUSAGE_SELF)`'s `ru_nvcsw`.
+fn voluntary_context_switches() -> c_long {
+    /// Linux's `struct rusage`: two `struct timeval`s (two `long`s each),
+    /// then fourteen `long` counters, `ru_nvcsw` the thirteenth.
+    #[repr(C)]
+    struct Rusage {
+        times: [c_long; 4],
+        counters: [c_long; 14],
+    }
+    extern "C" {
+        fn getrusage(who: c_int, usage: *mut Rusage) -> c_int;
+    }
+    /// `RUSAGE_SELF` in Linux's `<sys/resource.h>`.
+    const RUSAGE_SELF: c_int = 0;
+    let mut usage = Rusage { times: [0; 4], counters: [0; 14] };
+    // SAFETY: `usage` is a live, writable value laid out as Linux's
+    // `struct rusage`, and `getrusage` writes nothing but that struct
+    // through the pointer.
+    let rc = unsafe { getrusage(RUSAGE_SELF, &mut usage) };
+    assert_eq!(rc, 0, "getrusage(RUSAGE_SELF) failed");
+    usage.counters[12]
+}
+
 fn d4_mapping_choice() {
     println!("== D4: mapping choice on the IsPrime graph (Figure 1 semantics) ==");
     let graph = WorkflowGraph::from_script(laminar_workloads::isprime::SOURCE_SEQUENTIAL, "IsPrime").unwrap();
-    let iters = 4000;
-    for (name, mapping) in [
-        ("SIMPLE", &SimpleMapping as &dyn Mapping),
-        ("MULTI", &MultiMapping),
-        ("MPI", &MpiMapping),
-        ("REDIS", &RedisMapping::default()),
-    ] {
-        let opts = RunOptions::iterations(iters).with_processes(5);
-        let t0 = Instant::now();
-        let r = mapping.execute(&graph, &opts).unwrap();
-        println!(
-            "  {name:<7} {:>10.3} ms   ({} data processed by IsPrime)",
-            t0.elapsed().as_secs_f64() * 1000.0,
-            r.stats.processed["IsPrime"]
-        );
+    let opts = RunOptions::iterations(4000).with_processes(5);
+    let redis = RedisMapping::default();
+    let mappings: [(&str, &dyn Mapping); 4] =
+        [("SIMPLE", &SimpleMapping), ("MULTI", &MultiMapping), ("MPI", &MpiMapping), ("REDIS", &redis)];
+    // Each round runs every mapping once, starting one further along, so
+    // no mapping always runs first; each figure is the median of its runs.
+    const ROUNDS: usize = 11;
+    let mut samples: Vec<(Vec<f64>, Vec<c_long>)> = vec![Default::default(); mappings.len()];
+    let mut processed = 0;
+    for round in 0..ROUNDS {
+        for k in 0..mappings.len() {
+            let m = (round + k) % mappings.len();
+            let (switches, t0) = (voluntary_context_switches(), Instant::now());
+            let r = mappings[m].1.execute(&graph, &opts).unwrap();
+            samples[m].0.push(t0.elapsed().as_secs_f64() * 1000.0);
+            samples[m].1.push(voluntary_context_switches() - switches);
+            processed = r.stats.processed["IsPrime"];
+        }
     }
-    println!("  (CPU-bound interpreter workload: transport overhead ranks SIMPLE < MULTI < MPI < REDIS)\n");
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let mut ranked = Vec::new();
+    for ((name, _), (ms, switches)) in mappings.iter().zip(&mut samples) {
+        let ms = median(ms);
+        switches.sort();
+        println!(
+            "  {name:<7} {ms:>10.3} ms   {:>6} voluntary context switches",
+            switches[switches.len() / 2]
+        );
+        ranked.push((ms, *name));
+    }
+    ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let order: Vec<&str> = ranked.iter().map(|(_, name)| *name).collect();
+    println!("  (medians of {ROUNDS} rounds, {processed} data processed by IsPrime per run)");
+    println!("  measured order, fastest first: {}\n", order.join(" < "));
 }
 
 fn d5_warm_environments() {

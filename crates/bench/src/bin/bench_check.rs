@@ -10,6 +10,10 @@
 //!   ratio must stay at or above [`VM_SPEEDUP_FLOOR`]× (the median over
 //!   interleaved pairs of interpreter / VM process CPU time in one fresh
 //!   run, so it needs no committed baseline and no noise margin);
+//! * **mesh** — `perf_report` mesh wall-time ratio of Multi, MPI and
+//!   Redis over Simple on ablation D4's graph must stay at or below
+//!   [`MESH_RATIO_CEILING`] (the median over interleaved pairs in one
+//!   fresh run);
 //! * **checkpoint overhead** — `durability_overhead` checkpointed-vs-plain
 //!   ratio per mapping must stay at or below
 //!   [`CHECKPOINT_OVERHEAD_CEILING`] (the median over interleaved pairs of
@@ -70,6 +74,14 @@ const VM_SPEEDUP_FLOOR: f64 = 1.5;
 /// so the bound is tight by design: blowing past it means an epoch started
 /// costing a re-enactment instead of a snapshot and a reconnect.
 const CHECKPOINT_OVERHEAD_CEILING: f64 = 1.25;
+
+/// A parallel mapping may take at most this factor of the Simple
+/// mapping's wall time on D4's IsPrime graph (4,000 data, 5 processes), in
+/// the same fresh `perf_report` smoke run. Fitted on 30 smoke runs of
+/// the inbox woken in batches (DESIGN §3.4) on a shared 2-vCPU machine:
+/// medians 1.24 (Multi) to 1.36 (MPI), highest 1.62. Waking the senders on
+/// every pop put the medians at 1.43 to 1.53.
+const MESH_RATIO_CEILING: f64 = 1.8;
 
 /// Indexed *text* search must beat the linear scan by at least this
 /// factor in the smoke run. The full-corpus floor is 5x (enforced by
@@ -183,6 +195,17 @@ fn main() {
         VM_SPEEDUP_FLOOR,
         true,
     );
+
+    // The parallel transports against Simple, paired in the same fresh
+    // report.
+    for mapping in &MAPPINGS[1..] {
+        check(
+            format!("mesh wall time ratio [{mapping}] / SIMPLE"),
+            number(&perf, "perf_report", &["runs", "mesh", mapping]),
+            MESH_RATIO_CEILING,
+            false,
+        );
+    }
 
     // Durability: epoch checkpointing overhead per mapping, paired in the
     // same fresh durability_overhead run.

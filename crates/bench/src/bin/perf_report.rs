@@ -21,6 +21,11 @@
 //! mapping) with `WindowStats`' body as shipped and cut down statement by
 //! statement, run in interleaved rounds; it reports each body's median
 //! process CPU time per reading. `bench_check` does not gate it.
+//!
+//! `mesh` prices the parallel transports against the Simple mapping on
+//! ablation D4's graph (IsPrime, 4,000 data, 5 processes): the median over
+//! interleaved pairs of wall time of Multi, MPI and Redis over Simple.
+//! `bench_check` gates the three ratios at one ceiling.
 
 use laminar_bench::{
     astro_graph, bench_mapping, figure1_graph, figure1_script_graph, paired_ratio, process_cpu_time,
@@ -133,6 +138,36 @@ fn vm_state(rounds: usize) -> Value {
     section
 }
 
+/// The `mesh` section: each parallel mapping's wall time over the Simple
+/// mapping's on D4's IsPrime graph, the median of `pairs` interleaved
+/// pairs, keyed by the parallel mapping's name.
+fn mesh(pairs: usize) -> Value {
+    const DATA: i64 = 4000;
+    const PROCESSES: usize = 5;
+    let graph = WorkflowGraph::from_script(laminar_workloads::isprime::SOURCE_SEQUENTIAL, "IsPrime")
+        .expect("the IsPrime workflow is valid");
+    let options = RunOptions::iterations(DATA).with_processes(PROCESSES);
+    let simple = MappingKind::Simple.build();
+    let once = |mapping: &dyn laminar_dataflow::mapping::Mapping| {
+        let t0 = std::time::Instant::now();
+        mapping.execute(&graph, &options).expect("bench run");
+        t0.elapsed()
+    };
+    eprintln!("mesh (IsPrime, {DATA} data, {PROCESSES} processes, {pairs} interleaved pairs, wall time):");
+    let mut section = Value::Null;
+    section.set("data", DATA).set("processes", PROCESSES).set("pairs", pairs);
+    for kind in [MappingKind::Multi, MappingKind::Mpi, MappingKind::Redis] {
+        let mapping = kind.build();
+        // Warm-up, one run a side, unrecorded.
+        once(mapping.as_ref());
+        once(simple.as_ref());
+        let ratio = paired_ratio(pairs, || once(mapping.as_ref()), || once(simple.as_ref()));
+        eprintln!("  {:<6} / SIMPLE {ratio:>6.3}", kind.as_str());
+        section.set(kind.as_str(), (ratio * 1000.0).round() / 1000.0);
+    }
+    section
+}
+
 fn main() {
     let flags = Flags::parse("perf_report", &[]);
     let smoke = flags.smoke;
@@ -195,12 +230,14 @@ fn main() {
         .set("vm_speedup_vs_interp", (vm_speedup * 1000.0).round() / 1000.0);
 
     let vm_state = vm_state(if smoke { 21 } else { 101 });
+    let mesh = mesh(if smoke { 21 } else { 41 });
 
     let mut runs = Value::Null;
     runs.set("figure1", figure1)
         .set("figure1_script", figure1_script)
         .set("table5", table5)
-        .set("vm_state", vm_state);
+        .set("vm_state", vm_state)
+        .set("mesh", mesh);
 
     let mut report = Value::Null;
     report
@@ -213,7 +250,8 @@ fn main() {
                 "figure1" => format!("native PE1->PE2->PE3 pipeline, {fig_iters} iterations, 5 processes"),
                 "figure1_script" => format!("LamScript PE1->PE2->PE3 pipeline, {fs_iters} iterations, Simple mapping, VM vs interpreter"),
                 "table5" => format!("Internal Extinction, {} coordinates, zero VO latency", t5_cfg.coordinates),
-                "vm_state" => "SensorWindows, 2000 readings, 16 sensors, Simple mapping, WindowStats cut down statement by statement"
+                "vm_state" => "SensorWindows, 2000 readings, 16 sensors, Simple mapping, WindowStats cut down statement by statement",
+                "mesh" => "IsPrime, 4000 data, 5 processes, Multi/MPI/Redis over Simple wall time in interleaved pairs"
             },
         )
         .set("runs", runs);

@@ -12,7 +12,7 @@ pub enum DataflowError {
     Validation(String),
     /// A PE failed at runtime; carries the PE name and the script error.
     PeFailed { pe: String, error: ScriptError },
-    /// A mapping back-end failed (worker panic, broker closed…).
+    /// A mapping back-end failed (worker panic, inbox closed…).
     Enactment(String),
     /// Run options were inconsistent (e.g. zero processes).
     Options(String),

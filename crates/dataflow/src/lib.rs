@@ -20,10 +20,10 @@
 //! * **Concrete workflow ([`planner::ConcretePlan`])** — instances +
 //!   routing, built automatically at enactment.
 //! * **Mapping** — the enactment backend: [`mapping::SimpleMapping`]
-//!   (sequential), [`mapping::MultiMapping`] (threads + channels),
+//!   (sequential), [`mapping::MultiMapping`] (threads + bounded inboxes),
 //!   [`mapping::MpiMapping`] (serialized frames between ranks over the
-//!   same channels), [`mapping::RedisMapping`] (work queues on a broker
-//!   each run wires for itself).
+//!   same inboxes), [`mapping::RedisMapping`] (the same inboxes as work
+//!   queues, carrying MPI's frames).
 //!
 //! ## Quick start
 //!

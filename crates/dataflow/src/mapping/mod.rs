@@ -6,9 +6,9 @@
 //! | Mapping  | Paper equivalent        | Transport                          |
 //! |----------|-------------------------|------------------------------------|
 //! | [`SimpleMapping`] | Simple (sequential) | in-process FIFO queue        |
-//! | [`MultiMapping`]  | Multi(processing)   | threads + a mesh of `std::sync::mpsc` channels |
+//! | [`MultiMapping`]  | Multi(processing)   | threads + a mesh of bounded inboxes, one per instance |
 //! | [`MpiMapping`]    | MPI                 | the same mesh, lampickle byte frames |
-//! | [`RedisMapping`]  | Redis               | a run's own broker: one bounded list per instance, lampickle byte frames |
+//! | [`RedisMapping`]  | Redis               | the same mesh, MPI's frames: each inbox is an instance's work queue |
 //!
 //! The orchestration they share — planning, source driving, routing, EOS
 //! propagation, output/stats collection — lives in [`runtime::Runtime`].
@@ -49,7 +49,7 @@ pub enum MappingKind {
     Multi,
     /// Message-passing execution: serialized frames between ranks.
     Mpi,
-    /// Broker-queue execution: one work queue per instance.
+    /// Queue execution: one work queue per instance.
     Redis,
 }
 

@@ -3,8 +3,8 @@
 //! Each PE instance is a *rank*, numbered by its dense plan id. Ranks
 //! share nothing: every burst is serialized to one lampickle byte frame
 //! (a list of `[port_id, value]` pairs) and sent point-to-point down the
-//! receiving rank's channel, the discipline a real `mpi4py`-backed
-//! dispel4py enactment follows. The channels are the Multi mapping's mesh
+//! receiving rank's inbox, the discipline a real `mpi4py`-backed
+//! dispel4py enactment follows. The inboxes are the Multi mapping's mesh
 //! ([`super::multi::mesh`]), which stands in for MPI itself (see
 //! DESIGN.md).
 
@@ -21,7 +21,7 @@ use laminar_json::{jarr, Value};
 /// Serialize one destination's burst as the lampickle frame of a list of
 /// `[port_id, value]` pairs. Port ids are the plan's interned [`PortId`]s —
 /// both ends hold the same plan, so a small integer is the whole port
-/// encoding. The Redis mapping pushes the same frames onto its queues.
+/// encoding. The Redis mapping sends the same frames.
 pub(super) fn encode_frame(group: Burst) -> Vec<u8> {
     pickle::dumps(&Value::Array(
         group.into_iter().map(|(pid, v)| jarr![pid.0 as i64, Value::unshare(v)]).collect(),
@@ -31,9 +31,9 @@ pub(super) fn encode_frame(group: Burst) -> Vec<u8> {
 /// Decode a frame written by [`encode_frame`], validating every port id
 /// against the plan's port table. Corrupt frames are enactment errors —
 /// data is never silently re-routed to a default port.
-pub(super) fn decode_frame(frame: &[u8], plan: &ConcretePlan) -> Result<Burst, DataflowError> {
+pub(super) fn decode_frame(frame: Vec<u8>, plan: &ConcretePlan) -> Result<Burst, DataflowError> {
     let corrupt = |detail: &str| DataflowError::Enactment(format!("corrupt frame: {detail}"));
-    let Value::Array(items) = pickle::loads(frame).map_err(|e| corrupt(&e.to_string()))? else {
+    let Value::Array(items) = pickle::loads(&frame).map_err(|e| corrupt(&e.to_string()))? else {
         return Err(corrupt("expected a batch list"));
     };
     let mut out = Vec::with_capacity(items.len());
@@ -69,10 +69,8 @@ impl Mapping for MpiMapping {
         options: &RunOptions,
         observer: Option<std::sync::Arc<dyn super::RunObserver>>,
     ) -> Result<RunResult, DataflowError> {
-        Runtime::new(graph, options).threaded_observed(
-            |plan| Ok(mesh(plan, encode_frame, |frame, plan| decode_frame(&frame, plan))),
-            observer,
-        )
+        Runtime::new(graph, options)
+            .threaded_observed(|plan| Ok(mesh(plan, encode_frame, decode_frame)), observer)
     }
 }
 
@@ -84,7 +82,7 @@ mod tests {
 
     #[test]
     fn decode_pairs_rejects_corrupt_ports() {
-        let decode = |pairs: Value, plan: &ConcretePlan| decode_frame(&pickle::dumps(&pairs), plan);
+        let decode = |pairs: Value, plan: &ConcretePlan| decode_frame(pickle::dumps(&pairs), plan);
         let mut g = WorkflowGraph::new("p");
         let a = g.add(producer_fn("Nums", Value::Int));
         let b = g.add(iterative_fn("Inc", Some));
@@ -105,10 +103,10 @@ mod tests {
         // corruption too, not aliases of valid ports.
         assert!(decode(jarr![jarr![(1i64 << 32) + input.0 as i64, 7]], &plan).is_err());
         assert!(decode(jarr![jarr![-1, 7]], &plan).is_err());
-        // Bytes that are no lampickle frame at all, the empty frame (the
-        // Redis EOS) among them.
-        assert!(decode_frame(b"not a pickle", &plan).is_err());
-        assert!(decode_frame(&[], &plan).is_err());
+        // Bytes that are no lampickle frame at all, the empty frame among
+        // them.
+        assert!(decode_frame(b"not a pickle".to_vec(), &plan).is_err());
+        assert!(decode_frame(Vec::new(), &plan).is_err());
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! The Multi mapping: one thread per PE instance, `std::sync::mpsc`
-//! channels as the transport (the paper's multiprocessing back-end).
+//! The Multi mapping: one thread per PE instance, a mesh of bounded
+//! inboxes as the transport (the paper's multiprocessing back-end).
 //!
-//! The channel mesh here is shared with the MPI mapping: one bounded
-//! channel per instance, [`INBOX_BURSTS`] bursts deep, every endpoint
-//! holding a sender to each channel and its own receiver. A sender blocks
-//! while its receiver is that far behind, so a slow stage holds its
-//! upstream back instead of queueing without limit. What differs is the
-//! frame a burst travels as — Multi moves the `Arc`-shared burst itself,
-//! MPI a lampickle byte frame (see [`mesh`]).
+//! The mesh here is shared with the MPI and Redis mappings: one [`Inbox`]
+//! per instance, [`INBOX_BURSTS`] messages deep, that every endpoint can
+//! push to and only its owner pops. A sender blocks while its receiver is
+//! that far behind, so a slow stage holds its upstream back instead of
+//! queueing without limit. What differs is the frame a burst travels as —
+//! Multi moves the `Arc`-shared burst itself, MPI and Redis a lampickle
+//! byte frame (see [`mesh`]).
 
 use super::runtime::Runtime;
 use super::worker::{drain_batch_groups, RoutedDatum, Transport, TransportMsg};
@@ -17,17 +17,26 @@ use crate::graph::WorkflowGraph;
 use crate::planner::{ConcretePlan, InstanceId};
 use crate::ports::PortId;
 use laminar_json::SharedValue;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use parking_lot::{Condvar, Mutex};
+use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Shared-memory parallel enactment.
 pub struct MultiMapping;
 
 /// How many messages (bursts or EOS) an instance's inbox holds before a
-/// sender blocks, on the mesh and on a Redis broker list alike. The wait
-/// cannot deadlock: the graph is acyclic ([`WorkflowGraph::validate`])
-/// and every instance keeps receiving until its last upstream EOS, on
-/// success, failure, panic or cancel (DESIGN §3.4).
+/// sender blocks. The wait cannot deadlock: the graph is acyclic
+/// ([`WorkflowGraph::validate`]) and every instance keeps receiving until
+/// its last upstream EOS, on success, failure, panic or cancel (DESIGN
+/// §3.4).
 pub(super) const INBOX_BURSTS: usize = 64;
+
+/// A receiver wakes the senders blocked on its full inbox once it has
+/// popped it down to this many messages, not on every pop, so a woken
+/// sender can push a run of bursts before it blocks again (the silly
+/// window rule of RFC 813). A pop that empties the inbox is at or below
+/// it too, so a receiver about to block has woken every blocked sender.
+const LOW_WATERMARK: usize = INBOX_BURSTS / 2;
 
 /// One emission burst for one instance: `(port, payload)` in send order.
 pub(super) type Burst = Vec<(PortId, SharedValue)>;
@@ -38,64 +47,131 @@ enum Msg<F> {
     Eos,
 }
 
-/// One instance's end of a channel mesh, carrying bursts as frames of
-/// type `F`.
+/// One instance's bounded FIFO: any instance pushes, only its owner pops.
+/// Each side signals the other only when it has set its waiter flag, under
+/// the lock, before waiting.
+struct Inbox<F> {
+    state: Mutex<InboxState<F>>,
+    not_empty: Condvar,
+    has_room: Condvar,
+}
+
+struct InboxState<F> {
+    queue: VecDeque<Msg<F>>,
+    receiver_waiting: bool,
+    senders_waiting: bool,
+    /// The receiving transport is gone: every later push fails.
+    closed: bool,
+}
+
+impl<F> Inbox<F> {
+    fn new() -> Inbox<F> {
+        let state = InboxState {
+            queue: VecDeque::with_capacity(INBOX_BURSTS),
+            receiver_waiting: false,
+            senders_waiting: false,
+            closed: false,
+        };
+        Inbox { state: Mutex::new(state), not_empty: Condvar::new(), has_room: Condvar::new() }
+    }
+
+    /// Append `msg`, waiting while the inbox holds [`INBOX_BURSTS`]
+    /// messages. Fails once the inbox is closed.
+    fn push(&self, msg: Msg<F>) -> Result<(), DataflowError> {
+        let mut state = self.state.lock();
+        while state.queue.len() >= INBOX_BURSTS && !state.closed {
+            state.senders_waiting = true;
+            self.has_room.wait(&mut state);
+        }
+        if state.closed {
+            return Err(closed());
+        }
+        state.queue.push_back(msg);
+        let wake = std::mem::take(&mut state.receiver_waiting);
+        drop(state);
+        if wake {
+            self.not_empty.notify_one();
+        }
+        Ok(())
+    }
+
+    /// Take the oldest message, waiting until there is one.
+    fn pop(&self) -> Msg<F> {
+        let mut state = self.state.lock();
+        loop {
+            if let Some(msg) = state.queue.pop_front() {
+                let wake = state.queue.len() <= LOW_WATERMARK && std::mem::take(&mut state.senders_waiting);
+                drop(state);
+                if wake {
+                    self.has_room.notify_all();
+                }
+                return msg;
+            }
+            state.receiver_waiting = true;
+            self.not_empty.wait(&mut state);
+        }
+    }
+
+    /// Fail every later push and free every sender blocked on this inbox.
+    fn close(&self) {
+        self.state.lock().closed = true;
+        self.has_room.notify_all();
+    }
+}
+
+fn closed() -> DataflowError {
+    DataflowError::Enactment("inbox closed mid-run (its receiver is gone)".into())
+}
+
+/// One instance's end of a mesh, carrying bursts as frames of type `F`.
+/// Dropping it closes the instance's inbox.
 pub(super) struct MeshTransport<F> {
-    /// Senders indexed by dense instance id — a per-burst array index, not
-    /// a per-datum map lookup.
-    senders: Vec<SyncSender<Msg<F>>>,
+    /// Every instance's inbox, indexed by dense instance id — a per-burst
+    /// array index, not a per-datum map lookup.
+    inboxes: Arc<[Inbox<F>]>,
+    /// This instance's dense id: the inbox it pops.
+    me: usize,
     plan: ConcretePlan,
-    receiver: Receiver<Msg<F>>,
     encode: fn(Burst) -> F,
     decode: fn(F, &ConcretePlan) -> Result<Burst, DataflowError>,
 }
 
-/// Wire a channel mesh for `plan`: one transport per instance, in dense
-/// plan order. `encode` turns a burst into the frame its channel carries
-/// and `decode` turns a received frame back into a burst. The mesh keeps
-/// no sender of its own, so a channel closes once every worker holding it
-/// is gone.
+/// Wire a mesh for `plan`: one transport per instance, in dense plan
+/// order, over a fresh inbox per instance. `encode` turns a burst into the
+/// frame an inbox carries and `decode` turns a received frame back into a
+/// burst.
 pub(super) fn mesh<F>(
     plan: &ConcretePlan,
     encode: fn(Burst) -> F,
     decode: fn(F, &ConcretePlan) -> Result<Burst, DataflowError>,
 ) -> Vec<MeshTransport<F>> {
-    let (senders, receivers): (Vec<_>, Vec<_>) =
-        (0..plan.total_processes).map(|_| sync_channel(INBOX_BURSTS)).unzip();
-    receivers
-        .into_iter()
-        .map(|receiver| MeshTransport {
-            senders: senders.clone(),
-            plan: plan.clone(),
-            receiver,
-            encode,
-            decode,
-        })
+    let inboxes: Arc<[Inbox<F>]> = (0..plan.total_processes).map(|_| Inbox::new()).collect();
+    (0..plan.total_processes)
+        .map(|me| MeshTransport { inboxes: Arc::clone(&inboxes), me, plan: plan.clone(), encode, decode })
         .collect()
-}
-
-fn closed() -> DataflowError {
-    DataflowError::Enactment("channel closed mid-run (peer worker died)".into())
 }
 
 impl<F> Transport for MeshTransport<F> {
     fn send_batch(&mut self, batch: &mut Vec<RoutedDatum>) -> Result<(), DataflowError> {
-        let MeshTransport { senders, plan, encode, .. } = self;
-        drain_batch_groups(batch, |dest, group| {
-            senders[plan.dense(dest)].send(Msg::Data(encode(group))).map_err(|_| closed())
-        })
+        let MeshTransport { inboxes, plan, encode, .. } = self;
+        drain_batch_groups(batch, |dest, group| inboxes[plan.dense(dest)].push(Msg::Data(encode(group))))
     }
 
     fn send_eos(&mut self, dest: InstanceId) -> Result<(), DataflowError> {
-        self.senders[self.plan.dense(dest)].send(Msg::Eos).map_err(|_| closed())
+        self.inboxes[self.plan.dense(dest)].push(Msg::Eos)
     }
 
     fn recv(&mut self) -> Result<TransportMsg, DataflowError> {
-        match self.receiver.recv() {
-            Ok(Msg::Data(frame)) => Ok(TransportMsg::Data((self.decode)(frame, &self.plan)?)),
-            Ok(Msg::Eos) => Ok(TransportMsg::Eos),
-            Err(_) => Err(DataflowError::Enactment("all upstream channels closed without EOS".into())),
+        match self.inboxes[self.me].pop() {
+            Msg::Data(frame) => Ok(TransportMsg::Data((self.decode)(frame, &self.plan)?)),
+            Msg::Eos => Ok(TransportMsg::Eos),
         }
+    }
+}
+
+impl<F> Drop for MeshTransport<F> {
+    fn drop(&mut self) {
+        self.inboxes[self.me].close();
     }
 }
 
@@ -110,7 +186,7 @@ impl Mapping for MultiMapping {
         options: &RunOptions,
         observer: Option<std::sync::Arc<dyn super::RunObserver>>,
     ) -> Result<RunResult, DataflowError> {
-        // Bursts cross the channel as they are: broadcast fan-out moves
+        // Bursts cross the inbox as they are: broadcast fan-out moves
         // refcounts, never copies.
         Runtime::new(graph, options)
             .threaded_observed(|plan| Ok(mesh(plan, |burst| burst, |burst, _| Ok(burst))), observer)
@@ -122,7 +198,7 @@ mod tests {
     use super::*;
     use crate::mapping::SimpleMapping;
     use crate::pe::{iterative_fn, producer_fn};
-    use laminar_json::{jarr, Value};
+    use laminar_json::Value;
 
     fn square_graph() -> WorkflowGraph {
         let mut g = WorkflowGraph::new("p");
@@ -235,11 +311,11 @@ mod tests {
         let a = g.add_script_pe(src, "Nums").unwrap();
         let b = g.add_script_pe(src, "Bad").unwrap();
         g.connect(a, "output", b, "x").unwrap();
-        let err = MultiMapping.execute(&g, &RunOptions::iterations(5).with_processes(3)).unwrap_err();
-        match err {
-            DataflowError::PeFailed { pe, .. } => assert_eq!(pe, "Bad"),
-            DataflowError::Enactment(_) => {} // peer saw the closed channel first
-            other => panic!("unexpected error {other:?}"),
+        for kind in [MappingKind::Multi, MappingKind::Mpi, MappingKind::Redis] {
+            match kind.build().execute(&g, &RunOptions::iterations(5).with_processes(3)) {
+                Err(DataflowError::PeFailed { pe, .. }) => assert_eq!(pe, "Bad", "{kind}"),
+                other => panic!("{kind}: expected the PE failure, got {other:?}"),
+            }
         }
     }
 
@@ -254,7 +330,7 @@ mod tests {
         // injected send delay pins the producer mid-stream at the moment
         // `Bad` dies, making the former deadlock deterministic. With the
         // failure wind-down in `run_worker` the run must end promptly, and
-        // with the *PE's* error: nobody observes a closed channel.
+        // with the *PE's* error: nobody observes a closed inbox.
         use crate::fault::FaultPlan;
         let src = r#"
             pe Nums : producer { output output; process { emit(iteration); } }
@@ -284,10 +360,143 @@ mod tests {
         assert_eq!(r.stats.emitted["Square"], 30);
     }
 
+    /// The payload of a data message.
+    fn data<F>(msg: Msg<F>) -> F {
+        match msg {
+            Msg::Data(frame) => frame,
+            Msg::Eos => panic!("expected a data message, got EOS"),
+        }
+    }
+
+    /// Fill `inbox` to the cap with `0..INBOX_BURSTS`.
+    fn fill(inbox: &Inbox<usize>) {
+        for i in 0..INBOX_BURSTS {
+            inbox.push(Msg::Data(i)).unwrap();
+        }
+    }
+
+    /// Wait until a sender has blocked on `inbox`'s cap.
+    fn until_a_sender_waits<F>(inbox: &Inbox<F>) {
+        while !inbox.state.lock().senders_waiting {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Whether `sender` ends within five seconds. If it does not, close
+    /// `inbox` to free it, so that the scope ends and the caller's assert
+    /// reports instead of hanging.
+    fn ends<T, F>(sender: &std::thread::ScopedJoinHandle<'_, T>, inbox: &Inbox<F>) -> bool {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while !sender.is_finished() {
+            if std::time::Instant::now() > deadline {
+                inbox.close();
+                return false;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        true
+    }
+
     #[test]
-    fn tuple_groupby_test_uses_jarr() {
-        // Silence unused-import lint while keeping jarr available for
-        // future edits.
-        assert_eq!(jarr![1].weight(), 2);
+    fn list_fifo_order() {
+        let inbox = Inbox::new();
+        inbox.push(Msg::Data(1)).unwrap();
+        inbox.push(Msg::Data(2)).unwrap();
+        assert_eq!(data(inbox.pop()), 1);
+        assert_eq!(data(inbox.pop()), 2);
+    }
+
+    #[test]
+    fn blpop_wakes_on_push() {
+        let inbox = Inbox::new();
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| data(inbox.pop()));
+            while !inbox.state.lock().receiver_waiting {
+                std::thread::yield_now();
+            }
+            inbox.push(Msg::Data("work")).unwrap();
+            assert_eq!(waiter.join().unwrap(), "work");
+        });
+    }
+
+    #[test]
+    fn a_push_to_a_full_list_waits_for_a_pop() {
+        // A sender blocked at the cap is woken by the pop that takes the
+        // inbox down to the watermark, not by the pops before it.
+        let inbox = Inbox::new();
+        fill(&inbox);
+        std::thread::scope(|s| {
+            let sender = s.spawn(|| inbox.push(Msg::Data(INBOX_BURSTS)));
+            until_a_sender_waits(&inbox);
+            for i in 0..INBOX_BURSTS - LOW_WATERMARK - 1 {
+                assert_eq!(data(inbox.pop()), i);
+            }
+            assert!(inbox.state.lock().senders_waiting, "a pop above the watermark woke the sender");
+            assert_eq!(data(inbox.pop()), INBOX_BURSTS - LOW_WATERMARK - 1);
+            assert!(ends(&sender, &inbox), "the pop to the watermark left the sender blocked");
+        });
+        assert_eq!(inbox.state.lock().queue.len(), LOW_WATERMARK + 1);
+        let last = (0..=LOW_WATERMARK).map(|_| data(inbox.pop())).last();
+        assert_eq!(last, Some(INBOX_BURSTS));
+    }
+
+    #[test]
+    fn a_receiver_about_to_block_wakes_a_sender_at_the_cap() {
+        // By the time the receiver has emptied its inbox, the sender that
+        // blocked at the cap has been woken, so the receiver's next pop
+        // gets that sender's message instead of both waiting forever.
+        let inbox = Inbox::new();
+        fill(&inbox);
+        std::thread::scope(|s| {
+            let sender = s.spawn(|| inbox.push(Msg::Data(INBOX_BURSTS)));
+            until_a_sender_waits(&inbox);
+            let popped: Vec<usize> = (0..INBOX_BURSTS).map(|_| data(inbox.pop())).collect();
+            assert_eq!(popped, (0..INBOX_BURSTS).collect::<Vec<_>>());
+            assert!(ends(&sender, &inbox), "an empty inbox left its sender blocked at the cap");
+            assert_eq!(data(inbox.pop()), INBOX_BURSTS);
+        });
+    }
+
+    #[test]
+    fn dropping_the_receiver_fails_a_blocked_sender() {
+        let plan = ConcretePlan::distribute(&square_graph(), 2).unwrap();
+        let [source, relay] = plan.all_instances()[..] else { panic!("expected two instances") };
+        let mut transports = mesh(&plan, |burst| burst, |burst, _| Ok(burst));
+        let receiver = transports.pop().unwrap();
+        let mut sender = transports.pop().unwrap();
+        assert_eq!((plan.dense(source), plan.dense(relay)), (0, 1));
+        for _ in 0..INBOX_BURSTS {
+            sender.send_eos(relay).unwrap();
+        }
+        let inboxes = Arc::clone(&receiver.inboxes);
+        std::thread::scope(|s| {
+            let blocked = s.spawn(move || sender.send_eos(relay));
+            until_a_sender_waits(&inboxes[1]);
+            drop(receiver);
+            assert!(ends(&blocked, &inboxes[1]), "dropping the receiver left its sender blocked");
+            assert_eq!(blocked.join().unwrap(), Err(closed()));
+        });
+    }
+
+    #[test]
+    fn many_producers_one_consumer() {
+        let inbox = Inbox::new();
+        let (n_producers, per) = (4, 250);
+        std::thread::scope(|s| {
+            for p in 0..n_producers {
+                let inbox = &inbox;
+                s.spawn(move || {
+                    for i in 0..per {
+                        inbox.push(Msg::Data(format!("{p}:{i}"))).unwrap();
+                    }
+                });
+            }
+            let mut got: Vec<String> = (0..n_producers * per).map(|_| data(inbox.pop())).collect();
+            got.sort();
+            let mut sent: Vec<String> =
+                (0..n_producers).flat_map(|p| (0..per).map(move |i| format!("{p}:{i}"))).collect();
+            sent.sort();
+            assert_eq!(got, sent, "every pushed message is popped once");
+        });
     }
 }

@@ -492,7 +492,7 @@ pub fn run_worker<T: Transport>(
             // Once cancellation is observed the instance stops *processing*
             // but keeps *draining*: in-flight data is discarded until every
             // upstream EOS arrives, so no peer ever blocks on a full or
-            // closed channel and the shutdown stays deadlock-free.
+            // closed inbox and the shutdown stays deadlock-free.
             let mut discard = false;
             while remaining > 0 {
                 match transport.recv()? {
@@ -529,11 +529,12 @@ pub fn run_worker<T: Transport>(
         // signals (discarding data), and it still propagates EOS downstream
         // before surfacing the error. Without this wind-down a relay
         // waiting on the dead instance blocks in `recv` forever, and an
-        // upstream sender blocks on its full inbox (a mesh channel or a
-        // broker list). So on every transport each instance gets all its
-        // EOS, whether a peer succeeds, fails, panics or is cancelled.
-        // Transport errors during wind-down are secondary: the PE failure
-        // wins; DESIGN §3.4 says why none comes while a sender waits.
+        // upstream sender blocks on its full inbox. So on every transport
+        // each instance gets all its EOS, whether a peer succeeds, fails,
+        // panics or is cancelled. Transport errors during wind-down are
+        // secondary: the PE failure wins. One that stops the drain early
+        // still frees the senders, since dropping a mesh transport closes
+        // its inbox (DESIGN §3.4).
         while remaining > 0 {
             match transport.recv() {
                 Ok(TransportMsg::Eos) => remaining -= 1,
