@@ -65,7 +65,10 @@
 #   lint         rustfmt + clippy (warnings are errors; clippy.toml's
 #                disallowed-methods keep every socket opened in the
 #                server's http.rs and every bench bin's command line and
-#                report file in laminar_bench), the check that neither
+#                report file in laminar_bench; rustc's unreachable_pub,
+#                on at every product crate root, keeps a crate's surface
+#                to its lib.rs), rustdoc with warnings as errors (no
+#                broken or private intra-doc link), the check that neither
 #                laminar-oracle nor laminar-bench is in any product crate's
 #                dependency tree (`cargo tree` of the laminar facade), and
 #                five text guards: script parsing and compiling behind
@@ -190,7 +193,12 @@ tier_bench_e2e() {
 
 tier_lint() {
   cargo fmt --check
+  # Every product crate root carries #![warn(unreachable_pub)], so this
+  # also fails on a `pub` item that its crate's surface does not reach.
   cargo clippy --workspace --all-targets -- -D warnings
+  # Rustdoc warnings are errors too: a broken intra-doc link, or a public
+  # item's doc linking to a private one.
+  RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
   # One script backend, one search path: the tree-walker and the linear
   # scan live in laminar-oracle, for the differential suites and the bench
   # bins. The paper's offline evaluation (dataset generators, ranking
@@ -216,7 +224,7 @@ tier_lint() {
   # One form for a run event: the job log and the pool hold and match the
   # typed `RunEvent`. Only the journal, whose records are JSON on disk,
   # may read an event's "type" field outside its tests.
-  # Kept as text until ROADMAP item 10 deletes the JSON event tree it guards.
+  # Kept as text until ROADMAP item 11 deletes the JSON event tree it guards.
   if awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
           !test && /\["type"\]/ { print FILENAME ":" FNR ": " $0; hit = 1 }
           END { exit !hit }' $(ls crates/engine/src/*.rs | grep -v '/journal\.rs$'); then
@@ -227,7 +235,7 @@ tier_lint() {
   # the text and `to_value` parses it, so no dataflow or engine source
   # builds an event's tree outside its tests (the reference tree the text
   # is checked against is laminar-oracle's).
-  # Kept as text until ROADMAP item 10 deletes the JSON event tree it guards.
+  # Kept as text until ROADMAP item 11 deletes the JSON event tree it guards.
   if awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
           !test && /set\("type"/ { print FILENAME ":" FNR ": " $0; hit = 1 }
           END { exit !hit }' $(find crates/dataflow/src crates/engine/src -name '*.rs'); then
@@ -238,7 +246,7 @@ tier_lint() {
   # an event page as the text the pool wrote from the typed log
   # (`events_text_wait`), so nothing it is built from may ask the pool for
   # the page of trees outside its tests.
-  # Kept as text until ROADMAP item 10 deletes the pool's tree page it guards.
+  # Kept as text until ROADMAP item 11 deletes the pool's tree page it guards.
   if awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
           !test && /\.events(_wait)?\(|EventPage/ { print FILENAME ":" FNR ": " $0; hit = 1 }
           END { exit !hit }' crates/server/src/*.rs; then
@@ -252,7 +260,7 @@ tier_lint() {
   # engine file may set or index one outside its tests.
   # Kept as text: a JSON key spelled as a string literal has no type to forbid.
   if awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
-          !test && /(\[|set\()"(input|mapping|processes|resources|options|checkpointEvery|deadlineMs|pace_us)"/ {
+          !test && /(\[|set\()"(input|mapping|processes|resources|options|checkpointEvery|pace_us)"/ {
             print FILENAME ":" FNR ": " $0; hit = 1 }
           END { exit !hit }' $(ls crates/{client,server,engine}/src/*.rs | grep -v '/engine/src/request\.rs$'); then
     echo "ci.sh: a run envelope is written and read by RunConfig in request.rs; the lines above spell its keys elsewhere" >&2

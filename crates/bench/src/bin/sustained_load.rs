@@ -35,9 +35,7 @@
 use laminar_bench::{percentile, Flags};
 use laminar_engine::{EnginePool, ExecutionEngine, ExecutionRequest, JobPhase, PoolError, RunConfig};
 use laminar_json::Value;
-use laminar_server::api::Method;
-use laminar_server::http::http_call;
-use laminar_server::{ApiRequest, HttpServer, LaminarServer};
+use laminar_server::{http_call, ApiRequest, HttpServer, LaminarServer, Method};
 use laminar_workloads::sustained;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};

@@ -396,7 +396,7 @@ impl Flags {
 /// interpreter. The payload is a small structured document: deep-cloning it
 /// per destination is exactly the overhead the datapath must avoid.
 pub fn figure1_graph() -> WorkflowGraph {
-    use laminar_dataflow::pe::{iterative_fn, producer_fn};
+    use laminar_dataflow::{iterative_fn, producer_fn};
     use laminar_json::{jarr, jobj};
     let mut g = WorkflowGraph::new("figure1");
     let p1 = g.add(producer_fn("PE1", |i| {

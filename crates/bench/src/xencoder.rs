@@ -8,8 +8,8 @@
 //! paper describes when justifying the bi-encoder choice.
 
 use crate::metrics::rank;
-use laminar_embed::tokenizer::{code_tokens, is_keyword, text_words, TokenClass};
-use laminar_script::analysis::subtokens;
+use laminar_embed::{code_tokens, is_keyword, text_words, TokenClass};
+use laminar_script::subtokens;
 use std::collections::HashMap;
 
 /// Pairwise relevance score between a natural-language query and a code

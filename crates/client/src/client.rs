@@ -110,18 +110,13 @@ impl LaminarClient {
         LaminarClient { transport: Box::new(TcpTransport::new(addr)), user: None }
     }
 
-    /// The logged-in user name.
-    pub fn user(&self) -> Option<&str> {
-        self.user.as_deref()
-    }
-
     fn call(&self, request: &laminar_server::ApiRequest) -> Result<Value, ClientError> {
         // GETs are idempotent reads (status, events, stats, registry
         // lookups): a transient connection failure is retried with the
         // client's standard 2→50 ms backoff, at most 3 attempts. POSTs,
         // PUTs and DELETEs are never retried — a request that mutates
         // state may have been applied before the connection dropped.
-        let attempts = if request.method == laminar_server::api::Method::Get { 3 } else { 1 };
+        let attempts = if request.method == laminar_server::Method::Get { 3 } else { 1 };
         let mut delay = Duration::from_millis(2);
         let mut resp: Result<ApiResponse, String>;
         let mut attempt = 0;
@@ -251,7 +246,7 @@ impl LaminarClient {
         let meta = self.call(&web::get(path))?;
         let source = meta["peCode"]
             .as_str()
-            .and_then(laminar_registry::entities::decode_code)
+            .and_then(laminar_registry::decode_code)
             .ok_or(ClientError::Transport("server returned undecodable PE code".into()))?;
         Ok((meta, source))
     }
@@ -266,7 +261,7 @@ impl LaminarClient {
         let meta = self.call(&web::get(path))?;
         let source = meta["workflowCode"]
             .as_str()
-            .and_then(laminar_registry::entities::decode_code)
+            .and_then(laminar_registry::decode_code)
             .ok_or(ClientError::Transport("server returned undecodable workflow code".into()))?;
         Ok((meta, source))
     }
@@ -312,7 +307,7 @@ impl LaminarClient {
             body.set("limit", limit as i64);
         }
         self.call(&laminar_server::ApiRequest::new(
-            laminar_server::api::Method::Get,
+            laminar_server::Method::Get,
             format!("/registry/{user}/search/{search}/type/{search_type}"),
             body,
         ))
@@ -411,7 +406,7 @@ impl LaminarClient {
     /// Poll a job's result: `Ok(Some(output))` once done, `Ok(None)` while
     /// queued or running, `Err` for unknown ids, failed executions, or
     /// cancelled jobs ([`ClientError::Cancelled`]).
-    pub fn job_result(&self, job_id: i64) -> Result<Option<ExecutionOutput>, ClientError> {
+    pub(crate) fn job_result(&self, job_id: i64) -> Result<Option<ExecutionOutput>, ClientError> {
         let user = self.current_user()?.to_string();
         let resp = self.call(&web::get(format!("/execution/{user}/job/{job_id}/result")))?;
         match resp["status"].as_str() {
@@ -457,7 +452,7 @@ impl LaminarClient {
     /// [`LaminarClient::wait_job_with_progress`] with nobody watching. On a
     /// job submitted with [`RunConfig::with_events`] that means fetching
     /// and dropping every page of its log; when only the result of such a
-    /// job matters, poll [`LaminarClient::job_result`] instead.
+    /// job matters, poll its result (`GET .../job/{id}/result`) instead.
     pub fn wait_job(&self, job_id: i64, timeout: Duration) -> Result<ExecutionOutput, ClientError> {
         self.wait_job_with_progress(job_id, timeout, |_| {})
     }
@@ -629,7 +624,7 @@ pub struct JobEventStream<'a> {
 
 impl JobEventStream<'_> {
     /// The job this stream follows.
-    pub fn job_id(&self) -> i64 {
+    pub(crate) fn job_id(&self) -> i64 {
         self.pages.job_id
     }
 

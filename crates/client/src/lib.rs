@@ -28,8 +28,9 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod client;
+mod client;
 pub mod web;
 
 pub use client::{ClientError, EventPage, JobEventStream, LaminarClient, RunConfig, RunTarget};

@@ -2,8 +2,7 @@
 //! envelope shaping between the client functions and the server API.
 
 use laminar_json::Value;
-use laminar_server::http::HttpConnection;
-use laminar_server::{api::Method, ApiRequest, ApiResponse, LaminarServer};
+use laminar_server::{ApiRequest, ApiResponse, HttpConnection, LaminarServer, Method};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -84,20 +83,20 @@ impl Transport for TcpTransport {
 /// Serialize LamScript source for the `code` field the way the paper's
 /// client pickles Python objects: lampickle + base64.
 pub fn serialize_code(source: &str) -> String {
-    laminar_registry::entities::encode_code(source)
+    laminar_registry::encode_code(source)
 }
 
 /// Import analysis (findimports equivalent) run client-side so the request
 /// can declare its dependencies (paper §3.4.2).
 pub fn analyze_imports(source: &str) -> Vec<String> {
     match laminar_script::parse_script(source) {
-        Ok(script) => laminar_script::analysis::imports(&script),
+        Ok(script) => laminar_script::imports(&script),
         Err(_) => Vec::new(),
     }
 }
 
 /// Build a GET request.
-pub fn get(path: impl Into<String>) -> ApiRequest {
+pub(crate) fn get(path: impl Into<String>) -> ApiRequest {
     ApiRequest::new(Method::Get, path, Value::Null)
 }
 
@@ -109,11 +108,6 @@ pub fn post(path: impl Into<String>, body: Value) -> ApiRequest {
 /// Build a DELETE request.
 pub fn delete(path: impl Into<String>) -> ApiRequest {
     ApiRequest::new(Method::Delete, path, Value::Null)
-}
-
-/// Build a PUT request.
-pub fn put(path: impl Into<String>) -> ApiRequest {
-    ApiRequest::new(Method::Put, path, Value::Null)
 }
 
 #[cfg(test)]
@@ -138,7 +132,7 @@ mod tests {
     fn serialize_code_round_trips() {
         let src = "pe X : producer { output o; process { emit(1); } }";
         let enc = serialize_code(src);
-        assert_eq!(laminar_registry::entities::decode_code(&enc).as_deref(), Some(src));
+        assert_eq!(laminar_registry::decode_code(&enc).as_deref(), Some(src));
     }
 
     #[test]

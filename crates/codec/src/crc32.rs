@@ -23,7 +23,7 @@ fn table() -> &'static [u32; 256] {
 
 /// Incremental CRC-32 state.
 #[derive(Debug, Clone)]
-pub struct Crc32 {
+pub(crate) struct Crc32 {
     state: u32,
 }
 
@@ -35,12 +35,12 @@ impl Default for Crc32 {
 
 impl Crc32 {
     /// Fresh hasher.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Crc32 { state: 0xFFFF_FFFF }
     }
 
     /// Feed bytes.
-    pub fn update(&mut self, data: &[u8]) {
+    pub(crate) fn update(&mut self, data: &[u8]) {
         let t = table();
         for &b in data {
             self.state = t[((self.state ^ b as u32) & 0xFF) as usize] ^ (self.state >> 8);
@@ -48,7 +48,7 @@ impl Crc32 {
     }
 
     /// Final checksum.
-    pub fn finish(&self) -> u32 {
+    pub(crate) fn finish(&self) -> u32 {
         self.state ^ 0xFFFF_FFFF
     }
 }

@@ -6,30 +6,33 @@
 //! byte string in base64 for registry storage, and ships it over the wire.
 //! This crate provides the equivalent building blocks, written from scratch:
 //!
-//! * [`base64`] — RFC 4648 standard-alphabet encode/decode.
-//! * [`crc32`] — CRC-32 (IEEE) integrity checksums on payload frames.
-//! * [`varint`] — LEB128 unsigned varints for compact length prefixes.
-//! * [`pickle`] — "lampickle", a tag-length-value binary codec for
-//!   [`laminar_json::Value`] trees with a framed, checksummed envelope.
+//! * [`base64_encode`]/[`base64_decode`] — RFC 4648 standard-alphabet base64.
+//! * [`checksum`] — CRC-32 (IEEE) integrity checksums on payload frames.
+//! * [`dumps`]/[`loads`] — "lampickle", a tag-length-value binary codec for
+//!   [`laminar_json::Value`] trees with a framed, checksummed envelope
+//!   (LEB128 varint length prefixes); [`dumps_b64`]/[`loads_b64`] are its
+//!   base64 text form.
 //!
 //! ```
 //! use laminar_json::jobj;
-//! use laminar_codec::pickle;
 //!
 //! let v = jobj! { "pe" => "NumberProducer", "iters" => 5 };
-//! let frame = pickle::dumps(&v);
-//! assert_eq!(pickle::loads(&frame).unwrap(), v);
+//! let frame = laminar_codec::dumps(&v);
+//! assert_eq!(laminar_codec::loads(&frame).unwrap(), v);
 //!
 //! // Registry storage form: base64 text, like the paper's `peCode` column.
-//! let text = laminar_codec::base64::encode(&frame);
-//! assert_eq!(laminar_codec::base64::decode(&text).unwrap(), frame);
+//! let text = laminar_codec::base64_encode(&frame);
+//! assert_eq!(laminar_codec::base64_decode(&text).unwrap(), frame);
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod base64;
-pub mod crc32;
-pub mod pickle;
-pub mod varint;
+mod base64;
+mod crc32;
+mod pickle;
+mod varint;
 
-pub use pickle::{dumps, loads, CodecError};
+pub use base64::{decode as base64_decode, encode as base64_encode, Base64Error};
+pub use crc32::checksum;
+pub use pickle::{dumps, dumps_b64, loads, loads_b64, CodecError};

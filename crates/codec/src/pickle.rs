@@ -21,9 +21,9 @@ use crate::varint;
 use laminar_json::{Map, Value};
 
 /// Frame magic bytes.
-pub const MAGIC: &[u8; 3] = b"LPK";
+pub(crate) const MAGIC: &[u8; 3] = b"LPK";
 /// Current frame version.
-pub const VERSION: u8 = 1;
+pub(crate) const VERSION: u8 = 1;
 
 const TAG_NULL: u8 = 0x00;
 const TAG_FALSE: u8 = 0x01;
@@ -39,7 +39,7 @@ const TAG_OBJECT: u8 = 0x07;
 pub enum CodecError {
     /// Frame shorter than the fixed header.
     Truncated,
-    /// Magic bytes did not match [`MAGIC`].
+    /// Magic bytes did not match the frame magic (`LPK`).
     BadMagic,
     /// Unknown frame version.
     BadVersion(u8),

@@ -1,7 +1,7 @@
 //! Unsigned LEB128 varints: compact length prefixes inside lampickle frames.
 
 /// Append `value` to `out` as a LEB128 varint. Returns bytes written (1–10).
-pub fn write_u64(out: &mut Vec<u8>, mut value: u64) -> usize {
+pub(crate) fn write_u64(out: &mut Vec<u8>, mut value: u64) -> usize {
     let mut n = 0;
     loop {
         let byte = (value & 0x7F) as u8;
@@ -19,7 +19,7 @@ pub fn write_u64(out: &mut Vec<u8>, mut value: u64) -> usize {
 ///
 /// Fails on truncated input and on encodings longer than 10 bytes (which
 /// cannot occur for a `u64` and indicate corruption).
-pub fn read_u64(input: &[u8]) -> Option<(u64, usize)> {
+pub(crate) fn read_u64(input: &[u8]) -> Option<(u64, usize)> {
     let mut value: u64 = 0;
     for (i, &byte) in input.iter().enumerate() {
         if i == 10 {

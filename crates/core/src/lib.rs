@@ -22,6 +22,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 use laminar_client::LaminarClient;
 use laminar_engine::{ExecutionEngine, NetModel};
@@ -45,7 +46,6 @@ pub enum Deployment {
 pub struct LaminarSystem {
     client: LaminarClient,
     http: Option<HttpServer>,
-    deployment: Deployment,
 }
 
 impl LaminarSystem {
@@ -76,17 +76,12 @@ impl LaminarSystem {
             }
             _ => (LaminarClient::in_process(server), None),
         };
-        Ok(LaminarSystem { client, http, deployment })
+        Ok(LaminarSystem { client, http })
     }
 
     /// The client bound to this system.
     pub fn client_mut(&mut self) -> &mut LaminarClient {
         &mut self.client
-    }
-
-    /// Which preset is running.
-    pub fn deployment(&self) -> Deployment {
-        self.deployment
     }
 
     /// Shut the system down (stops the HTTP listener if any).
@@ -112,7 +107,6 @@ mod tests {
         c.login("u", "password").unwrap();
         let out = c.run_source(SRC, RunConfig::iterations(3)).unwrap();
         assert_eq!(out.port_values("Gen", "output").len(), 3);
-        assert_eq!(sys.deployment(), Deployment::Test);
         sys.stop();
     }
 

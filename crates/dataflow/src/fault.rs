@@ -45,11 +45,6 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Is every fault unset?
-    pub fn is_empty(&self) -> bool {
-        *self == FaultPlan::default()
-    }
-
     /// Parse `key=value` pairs (`kill_at_epoch`, `stop_at_epoch`,
     /// `delay_send_us`) separated by commas. Unknown keys and malformed
     /// numbers are ignored.
@@ -69,12 +64,12 @@ impl FaultPlan {
     }
 
     /// Should the run die now, having just sealed `epoch`?
-    pub fn should_kill_after(&self, epoch: u64) -> bool {
+    pub(crate) fn should_kill_after(&self, epoch: u64) -> bool {
         self.kill_at_epoch.is_some_and(|n| epoch >= n)
     }
 
     /// Should the run finish cleanly now, having just sealed `epoch`?
-    pub fn should_stop_after(&self, epoch: u64) -> bool {
+    pub(crate) fn should_stop_after(&self, epoch: u64) -> bool {
         self.stop_at_epoch.is_some_and(|n| epoch >= n)
     }
 }
@@ -97,7 +92,7 @@ mod tests {
     fn parse_ignores_junk() {
         let plan = FaultPlan::parse("bogus=1,kill_at_epoch=abc,stop_at_epoch=2,,=");
         assert_eq!(plan, FaultPlan { stop_at_epoch: Some(2), ..FaultPlan::default() });
-        assert!(FaultPlan::parse("").is_empty());
+        assert_eq!(FaultPlan::parse(""), FaultPlan::none());
     }
 
     #[test]

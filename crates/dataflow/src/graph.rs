@@ -17,44 +17,29 @@ pub struct NodeId(pub usize);
 #[derive(Clone)]
 pub struct Connection {
     /// Source node.
-    pub from: NodeId,
+    pub(crate) from: NodeId,
     /// Source output port.
-    pub from_port: String,
+    pub(crate) from_port: String,
     /// Destination node.
-    pub to: NodeId,
+    pub(crate) to: NodeId,
     /// Destination input port.
-    pub to_port: String,
+    pub(crate) to_port: String,
     /// Routing policy among destination instances.
-    pub grouping: Grouping,
+    pub(crate) grouping: Grouping,
 }
 
 /// The abstract workflow: PE factories plus connections.
 pub struct WorkflowGraph {
-    name: String,
     nodes: Vec<Arc<dyn PeFactory>>,
     connections: Vec<Connection>,
-    description: Option<String>,
 }
 
 impl WorkflowGraph {
-    /// Empty graph with a name (the registry's `workflowName`).
-    pub fn new(name: impl Into<String>) -> Self {
-        WorkflowGraph { name: name.into(), nodes: Vec::new(), connections: Vec::new(), description: None }
-    }
-
-    /// Workflow name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Optional description.
-    pub fn description(&self) -> Option<&str> {
-        self.description.as_deref()
-    }
-
-    /// Set the description (used by the registry).
-    pub fn set_description(&mut self, d: impl Into<String>) {
-        self.description = Some(d.into());
+    /// Empty graph. The name (the registry's `workflowName`) labels the
+    /// graph at its call site only: nothing reads it back, and the
+    /// registry keeps a workflow's name and description itself.
+    pub fn new(_name: impl Into<String>) -> Self {
+        WorkflowGraph { nodes: Vec::new(), connections: Vec::new() }
     }
 
     /// Add a PE factory as a node.
@@ -116,17 +101,17 @@ impl WorkflowGraph {
     }
 
     /// Node lookup.
-    pub fn node(&self, id: NodeId) -> Result<&Arc<dyn PeFactory>, DataflowError> {
+    pub(crate) fn node(&self, id: NodeId) -> Result<&Arc<dyn PeFactory>, DataflowError> {
         self.nodes.get(id.0).ok_or_else(|| DataflowError::Graph(format!("unknown node id {}", id.0)))
     }
 
     /// All nodes in insertion order.
-    pub fn nodes(&self) -> &[Arc<dyn PeFactory>] {
+    pub(crate) fn nodes(&self) -> &[Arc<dyn PeFactory>] {
         &self.nodes
     }
 
     /// All connections.
-    pub fn connections(&self) -> &[Connection] {
+    pub(crate) fn connections(&self) -> &[Connection] {
         &self.connections
     }
 
@@ -150,7 +135,7 @@ impl WorkflowGraph {
     /// Intern every port name any node declares (plus the implicit
     /// `"input"` that drives data-fed producers). Called once at plan time;
     /// after this the enactment hot path never touches a port string.
-    pub fn port_table(&self) -> PortTable {
+    pub(crate) fn port_table(&self) -> PortTable {
         let mut table = PortTable::default();
         table.intern("input");
         for node in &self.nodes {
@@ -163,22 +148,6 @@ impl WorkflowGraph {
             }
         }
         table
-    }
-
-    /// Terminal output ports: `(node, port)` pairs with no outgoing
-    /// connection; their emissions are the workflow's observable output.
-    pub fn terminal_ports(&self) -> Vec<(NodeId, String)> {
-        let connected: HashSet<(NodeId, &str)> =
-            self.connections.iter().map(|c| (c.from, c.from_port.as_str())).collect();
-        let mut out = Vec::new();
-        for (i, node) in self.nodes.iter().enumerate() {
-            for port in &node.meta().outputs {
-                if !connected.contains(&(NodeId(i), port.as_str())) {
-                    out.push((NodeId(i), port.clone()));
-                }
-            }
-        }
-        out
     }
 
     /// Validate the graph for enactment: non-empty, has at least one root
@@ -283,9 +252,6 @@ impl WorkflowGraph {
             .find(|w| w.name == workflow_name)
             .ok_or_else(|| DataflowError::Graph(format!("source defines no workflow '{workflow_name}'")))?;
         let mut graph = WorkflowGraph::new(&decl.name);
-        if let Some(doc) = &decl.doc {
-            graph.set_description(doc.clone());
-        }
         let mut alias_to_id: BTreeMap<String, NodeId> = BTreeMap::new();
         for node in &decl.nodes {
             let pe = script.pe(&node.pe_name).ok_or_else(|| {
@@ -358,17 +324,7 @@ mod tests {
     fn roots_and_terminals() {
         let (g, a, _, _) = three_stage();
         assert_eq!(g.roots(), vec![a]);
-        assert!(g.terminal_ports().is_empty(), "all ports connected, consumer has none");
         assert!(g.validate().is_ok());
-    }
-
-    #[test]
-    fn terminal_port_detection() {
-        let mut g = WorkflowGraph::new("t");
-        let a = g.add(producer_fn("A", Value::Int));
-        let b = g.add(iterative_fn("B", Some));
-        g.connect(a, "output", b, "input").unwrap();
-        assert_eq!(g.terminal_ports(), vec![(b, "output".to_string())]);
     }
 
     #[test]
@@ -461,8 +417,6 @@ mod tests {
         "#;
         let g = WorkflowGraph::from_script(src, "IsPrimeWf").unwrap();
         assert_eq!(g.len(), 3);
-        assert_eq!(g.name(), "IsPrimeWf");
-        assert!(g.description().unwrap().contains("random numbers"));
         assert!(g.validate().is_ok());
         assert_eq!(g.roots().len(), 1);
         // Unknown workflow name

@@ -7,7 +7,7 @@
 //!
 //! * **Processing Element ([`Pe`])** — the computational unit. Four
 //!   archetypes: producer, iterative, consumer, generic. PEs can be
-//!   *native* (Rust closures/structs) or *scripted* ([`ScriptPe`] wrapping
+//!   *native* (Rust closures/structs) or *scripted* ([`ScriptPeFactory`] wrapping
 //!   LamScript source — the serverless path).
 //! * **Instance** — one runtime copy of a PE. Parallel mappings run several
 //!   instances per PE.
@@ -46,26 +46,28 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod error;
-pub mod fault;
-pub mod graph;
+mod error;
+mod fault;
+mod graph;
 pub mod mapping;
-pub mod pe;
-pub mod planner;
-pub mod ports;
-pub mod routing;
+mod pe;
+mod planner;
+mod ports;
+mod routing;
 
 pub use error::{panic_message, DataflowError};
 pub use fault::FaultPlan;
 pub use graph::{Connection, NodeId, WorkflowGraph};
 pub use mapping::{
-    fold_events, CancelToken, EventFold, MappingKind, RecordingObserver, ResumePoint, RunEvent, RunInput,
-    RunObserver, RunOptions, RunResult, RunStats, StageTimings,
+    fold_events, CancelToken, MappingKind, RecordingObserver, ResumePoint, RunEvent, RunInput, RunObserver,
+    RunOptions, RunResult, RunStats, StageTimings,
 };
-pub use pe::{consumer_fn, iterative_fn, producer_fn, NativePe, Pe, PeFactory, PeMeta, ScriptPeFactory};
-pub use planner::{ConcretePlan, InstanceId};
-pub use ports::{PortId, PortTable};
+pub use pe::{
+    consumer_fn, iterative_fn, producer_fn, NativePeFactory, Pe, PeFactory, PeMeta, ScriptPeFactory,
+};
+pub use planner::ConcretePlan;
 pub use routing::Grouping;
 
 pub use laminar_script::{Host, NullHost, Sink};

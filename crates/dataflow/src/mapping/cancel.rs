@@ -47,7 +47,7 @@ impl CancelToken {
     /// latency stays bounded by [`CancelToken::SLEEP_SLICE`], not by the
     /// caller-chosen pace (which may be minutes). Returns `true` when the
     /// wake-up was a cancellation.
-    pub fn sleep_cancellable(&self, dur: std::time::Duration) -> bool {
+    pub(crate) fn sleep_cancellable(&self, dur: std::time::Duration) -> bool {
         let deadline = std::time::Instant::now() + dur;
         loop {
             if self.is_cancelled() {
@@ -63,7 +63,7 @@ impl CancelToken {
 
     /// Granularity of [`CancelToken::sleep_cancellable`] — the worst-case
     /// extra latency a paced source adds to cancellation.
-    pub const SLEEP_SLICE: std::time::Duration = std::time::Duration::from_millis(5);
+    pub(crate) const SLEEP_SLICE: std::time::Duration = std::time::Duration::from_millis(5);
 }
 
 #[cfg(test)]

@@ -328,7 +328,7 @@ pub trait RunObserver: Send + Sync {
 /// Outputs and stats keys are accumulated under the events' shared names
 /// (refcount clones); strings are materialized once per key at finish.
 #[derive(Debug, Default)]
-pub struct EventFold {
+pub(crate) struct EventFold {
     outputs: BTreeMap<(Arc<str>, Arc<str>), Vec<Value>>,
     printed: Vec<String>,
     stats: RunStats,
@@ -338,7 +338,7 @@ pub struct EventFold {
 
 impl EventFold {
     /// Fold one event.
-    pub fn push(&mut self, event: RunEvent) {
+    pub(super) fn push(&mut self, event: RunEvent) {
         match event {
             RunEvent::PlanReady { pes } => {
                 self.count += 1;
@@ -379,7 +379,7 @@ impl EventFold {
     }
 
     /// The folded batch result.
-    pub fn finish(mut self) -> RunResult {
+    pub(super) fn finish(mut self) -> RunResult {
         self.stats.events = self.count;
         let mut result = RunResult { printed: self.printed, stats: self.stats, ..Default::default() };
         for ((pe, port), values) in self.outputs {
@@ -409,14 +409,14 @@ struct SinkInner {
 /// The runtime's event funnel: assigns sequence numbers, tees each event
 /// to the observer (if any), and folds it into the nascent [`RunResult`].
 /// Shared by every worker of one enactment.
-pub struct EventSink {
+pub(crate) struct EventSink {
     observer: Option<Arc<dyn RunObserver>>,
     inner: Mutex<SinkInner>,
 }
 
 impl EventSink {
     /// A sink for one enactment.
-    pub fn new(observer: Option<Arc<dyn RunObserver>>) -> EventSink {
+    pub(super) fn new(observer: Option<Arc<dyn RunObserver>>) -> EventSink {
         EventSink {
             observer,
             inner: Mutex::new(SinkInner {
@@ -429,18 +429,18 @@ impl EventSink {
     }
 
     /// Mark the start of the enact stage (the zero of `first_output`).
-    pub fn start_enact(&self) {
+    pub(crate) fn start_enact(&self) {
         self.inner.lock().enact_start = Some(Instant::now());
     }
 
     /// Push one event into the stream.
-    pub fn push(&self, event: RunEvent) {
+    pub(super) fn push(&self, event: RunEvent) {
         let mut inner = self.inner.lock();
         self.push_locked(&mut inner, event);
     }
 
     /// Push one burst of events under one lock.
-    pub fn extend(&self, events: impl IntoIterator<Item = RunEvent>) {
+    pub(super) fn extend(&self, events: impl IntoIterator<Item = RunEvent>) {
         let mut inner = self.inner.lock();
         for ev in events {
             self.push_locked(&mut inner, ev);
@@ -452,7 +452,7 @@ impl EventSink {
     /// resumed run's `RunResult` covers the whole job, while the observer
     /// (whose log was pre-filled separately) only sees the live tail.
     /// Advances `seq` so live events continue the journaled numbering.
-    pub fn preload(&self, events: impl IntoIterator<Item = RunEvent>) {
+    pub(crate) fn preload(&self, events: impl IntoIterator<Item = RunEvent>) {
         let mut inner = self.inner.lock();
         for ev in events {
             inner.seq += 1;
@@ -464,7 +464,7 @@ impl EventSink {
     /// capacity frees up ([`RunObserver::throttle`]). Deliberately does
     /// *not* take the sink lock: a parked worker must never hold up peers
     /// trying to push events.
-    pub fn throttle(&self) {
+    pub(super) fn throttle(&self) {
         if let Some(observer) = &self.observer {
             observer.throttle();
         }
@@ -485,7 +485,7 @@ impl EventSink {
 
     /// Take the fold (collect stage) along with the observed time-to-first-
     /// output. The sink stays usable for the terminal [`RunEvent::Finished`].
-    pub fn take_fold(&self) -> (EventFold, Option<Duration>) {
+    pub(crate) fn take_fold(&self) -> (EventFold, Option<Duration>) {
         let mut inner = self.inner.lock();
         (std::mem::take(&mut inner.fold), inner.first_output)
     }
@@ -493,7 +493,7 @@ impl EventSink {
     /// Emit the terminal event carrying the completed run's stats. Only
     /// the observer sees it — the fold was already taken — so the stats
     /// are copied only when there is one.
-    pub fn emit_finished(&self, stats: &RunStats) {
+    pub(crate) fn emit_finished(&self, stats: &RunStats) {
         self.emit_terminal(|| RunEvent::Finished { stats: Box::new(stats.clone()) });
     }
 
@@ -501,7 +501,7 @@ impl EventSink {
     /// cancelled stream. Only the observer sees it — the runtime returns
     /// [`crate::DataflowError::Cancelled`] instead of a result, so there
     /// is no fold to feed.
-    pub fn emit_cancelled(&self) {
+    pub(crate) fn emit_cancelled(&self) {
         self.emit_terminal(|| RunEvent::Cancelled);
     }
 

@@ -11,25 +11,24 @@
 //! | [`RedisMapping`]  | Redis               | the same mesh, MPI's frames: each inbox is an instance's work queue |
 //!
 //! The orchestration they share — planning, source driving, routing, EOS
-//! propagation, output/stats collection — lives in [`runtime::Runtime`].
-//! A parallel mapping is a [`worker::Transport`] plus the function that
-//! wires one per planned instance (see the [`runtime`] module docs).
+//! propagation, output/stats collection — lives in the crate's private
+//! `Runtime`. A parallel mapping is a `Transport` plus the function that
+//! wires one per planned instance (see the `runtime` module's docs).
 
-pub mod cancel;
-pub mod events;
+mod cancel;
+mod events;
 mod mpi;
 mod multi;
 mod redis;
-pub mod runtime;
+mod runtime;
 mod simple;
-pub mod worker;
+mod worker;
 
 pub use cancel::CancelToken;
-pub use events::{fold_events, EventFold, EventSink, RecordingObserver, RunEvent, RunObserver};
+pub use events::{fold_events, RecordingObserver, RunEvent, RunObserver};
 pub use mpi::MpiMapping;
 pub use multi::MultiMapping;
 pub use redis::RedisMapping;
-pub use runtime::Runtime;
 pub use simple::SimpleMapping;
 
 use crate::error::DataflowError;
@@ -123,12 +122,12 @@ pub struct RunOptions {
     /// Cooperative stop signal, checked between PE invocations. Defaults
     /// to a fresh token nobody cancels; [`RunInput::Unbounded`] runs end
     /// *only* through it.
-    pub cancel: CancelToken,
+    pub(crate) cancel: CancelToken,
     /// Checkpoint interval in source iterations. `0` (the default)
     /// disables checkpointing; `n > 0` makes the runtime enact in
     /// *rounds* of `n` iterations, draining to quiescence between rounds
     /// and emitting a [`RunEvent::Epoch`] snapshot of every instance's
-    /// durable state at each boundary (see [`runtime`] docs).
+    /// durable state at each boundary (see the `runtime` module's docs).
     pub checkpoint_every: usize,
     /// Deterministic fault schedule for the chaos suites (empty in
     /// production).
@@ -150,7 +149,7 @@ pub struct ResumePoint {
     /// of the epoch's [`RunEvent::Epoch`].
     pub snapshots: Value,
     /// The journaled event prefix up to and including that epoch, folded
-    /// into the resumed result via [`events::EventSink::preload`].
+    /// into the resumed result (`EventSink::preload`).
     pub events: Vec<RunEvent>,
 }
 
@@ -223,14 +222,14 @@ impl RunOptions {
 
     /// Number of producer invocations this input implies
     /// (`usize::MAX` for [`RunInput::Unbounded`] — use
-    /// [`RunOptions::bounded_invocations`] in loops).
+    /// `bounded_invocations` in loops).
     pub fn invocations(&self) -> usize {
         self.bounded_invocations().unwrap_or(usize::MAX)
     }
 
     /// The invocation bound, `None` when the run is unbounded
     /// (run-until-cancelled).
-    pub fn bounded_invocations(&self) -> Option<usize> {
+    pub(crate) fn bounded_invocations(&self) -> Option<usize> {
         match &self.input {
             RunInput::Iterations(n) => Some((*n).max(0) as usize),
             RunInput::Data(d) => Some(d.len()),
@@ -239,7 +238,7 @@ impl RunOptions {
     }
 
     /// Per-source-instance inter-iteration sleep (zero for bounded runs).
-    pub fn pace(&self) -> Duration {
+    pub(crate) fn pace(&self) -> Duration {
         match &self.input {
             RunInput::Unbounded { pace } => *pace,
             _ => Duration::ZERO,
@@ -247,7 +246,7 @@ impl RunOptions {
     }
 
     /// Datum for iteration `i` (None for pure iteration drive).
-    pub fn datum_for(&self, i: usize) -> Option<Value> {
+    pub(crate) fn datum_for(&self, i: usize) -> Option<Value> {
         match &self.input {
             RunInput::Data(d) => d.get(i).cloned(),
             RunInput::Iterations(_) | RunInput::Unbounded { .. } => None,
@@ -272,13 +271,6 @@ pub struct StageTimings {
     /// workflow, which was prepared at registration, and for a run driven
     /// straight off a graph.
     pub compile: Duration,
-}
-
-impl StageTimings {
-    /// Time spent outside pure enactment.
-    pub fn overhead(&self) -> Duration {
-        self.plan + self.collect
-    }
 }
 
 /// Per-run statistics.

@@ -15,7 +15,7 @@ use crate::error::DataflowError;
 use crate::graph::WorkflowGraph;
 use crate::planner::ConcretePlan;
 use crate::ports::PortId;
-use laminar_codec::pickle;
+use laminar_codec::{dumps, loads};
 use laminar_json::{jarr, Value};
 
 /// Serialize one destination's burst as the lampickle frame of a list of
@@ -23,9 +23,7 @@ use laminar_json::{jarr, Value};
 /// both ends hold the same plan, so a small integer is the whole port
 /// encoding. The Redis mapping sends the same frames.
 pub(super) fn encode_frame(group: Burst) -> Vec<u8> {
-    pickle::dumps(&Value::Array(
-        group.into_iter().map(|(pid, v)| jarr![pid.0 as i64, Value::unshare(v)]).collect(),
-    ))
+    dumps(&Value::Array(group.into_iter().map(|(pid, v)| jarr![pid.0 as i64, Value::unshare(v)]).collect()))
 }
 
 /// Decode a frame written by [`encode_frame`], validating every port id
@@ -33,7 +31,7 @@ pub(super) fn encode_frame(group: Burst) -> Vec<u8> {
 /// data is never silently re-routed to a default port.
 pub(super) fn decode_frame(frame: Vec<u8>, plan: &ConcretePlan) -> Result<Burst, DataflowError> {
     let corrupt = |detail: &str| DataflowError::Enactment(format!("corrupt frame: {detail}"));
-    let Value::Array(items) = pickle::loads(&frame).map_err(|e| corrupt(&e.to_string()))? else {
+    let Value::Array(items) = loads(&frame).map_err(|e| corrupt(&e.to_string()))? else {
         return Err(corrupt("expected a batch list"));
     };
     let mut out = Vec::with_capacity(items.len());
@@ -82,7 +80,7 @@ mod tests {
 
     #[test]
     fn decode_pairs_rejects_corrupt_ports() {
-        let decode = |pairs: Value, plan: &ConcretePlan| decode_frame(pickle::dumps(&pairs), plan);
+        let decode = |pairs: Value, plan: &ConcretePlan| decode_frame(dumps(&pairs), plan);
         let mut g = WorkflowGraph::new("p");
         let a = g.add(producer_fn("Nums", Value::Int));
         let b = g.add(iterative_fn("Inc", Some));

@@ -50,7 +50,7 @@ mod tests {
     use crate::mapping::SimpleMapping;
     use crate::pe::{iterative_fn, producer_fn};
     use crate::planner::{ConcretePlan, InstanceId};
-    use laminar_codec::pickle;
+    use laminar_codec::dumps;
     use laminar_json::{jobj, Value};
     use std::sync::Arc;
 
@@ -172,7 +172,7 @@ mod tests {
         let (source, dest) = (InstanceId { node: a, index: 0 }, InstanceId { node: b, index: 1 });
         let garbage: fn(Burst) -> Vec<u8> = |_| b"not a pickle".to_vec();
         let legacy: fn(Burst) -> Vec<u8> =
-            |_| pickle::dumps(&jobj! { "kind" => "data", "port" => "input", "value" => 1 });
+            |_| dumps(&jobj! { "kind" => "data", "port" => "input", "value" => 1 });
         for writer in [garbage, legacy] {
             let mut transports = mesh(&plan, writer, decode_frame);
             let mut batch = vec![RoutedDatum { dest, port: input, value: Value::Int(1).into_shared() }];

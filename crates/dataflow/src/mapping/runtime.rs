@@ -49,14 +49,14 @@ use std::time::Instant;
 
 /// The shared execution pipeline. Borrows the graph and options for the
 /// duration of one enactment.
-pub struct Runtime<'a> {
+pub(crate) struct Runtime<'a> {
     graph: &'a WorkflowGraph,
     options: &'a RunOptions,
 }
 
 impl<'a> Runtime<'a> {
     /// A runtime for one enactment of `graph` under `options`.
-    pub fn new(graph: &'a WorkflowGraph, options: &'a RunOptions) -> Runtime<'a> {
+    pub(super) fn new(graph: &'a WorkflowGraph, options: &'a RunOptions) -> Runtime<'a> {
         Runtime { graph, options }
     }
 
@@ -66,7 +66,7 @@ impl<'a> Runtime<'a> {
     /// memory stays flat (streaming, not batch). Every [`RunEvent`]
     /// reaches `observer` the moment it happens, and the returned result
     /// is the fold over that same stream.
-    pub fn sequential_observed(
+    pub(crate) fn sequential_observed(
         &self,
         observer: Option<Arc<dyn RunObserver>>,
     ) -> Result<RunResult, DataflowError> {
@@ -153,7 +153,7 @@ impl<'a> Runtime<'a> {
     /// flush their events per emission burst, so terminal outputs reach
     /// the fold and any observer while upstream instances are still
     /// producing.
-    pub fn threaded_observed<T: Transport + Send>(
+    pub(crate) fn threaded_observed<T: Transport + Send>(
         &self,
         mut wire: impl FnMut(&ConcretePlan) -> Result<Vec<T>, DataflowError>,
         observer: Option<Arc<dyn RunObserver>>,

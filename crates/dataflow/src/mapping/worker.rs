@@ -37,38 +37,38 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// One outgoing edge from the perspective of a sender instance.
-pub struct OutEdge {
+pub(super) struct OutEdge {
     /// Source port on this PE.
-    pub from_port: PortId,
+    pub(crate) from_port: PortId,
     /// Destination node.
-    pub to_node: NodeId,
+    pub(crate) to_node: NodeId,
     /// Destination input port.
-    pub to_port: PortId,
+    pub(crate) to_port: PortId,
     /// Stateful router over the destination's instances.
-    pub router: Router,
+    pub(crate) router: Router,
 }
 
 /// A datum addressed to a concrete destination instance.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RoutedDatum {
+pub(crate) struct RoutedDatum {
     /// Destination instance.
-    pub dest: InstanceId,
+    pub(crate) dest: InstanceId,
     /// Destination input port (interned).
-    pub port: PortId,
+    pub(crate) port: PortId,
     /// Payload, refcounted so fan-out never deep-copies.
-    pub value: SharedValue,
+    pub(crate) value: SharedValue,
 }
 
 /// Emissions of one `process` call, classified. Owned by the enactment
 /// loop and reused across calls (buffers are cleared, not reallocated).
 #[derive(Debug, Default)]
-pub struct Emissions {
+pub(super) struct Emissions {
     /// Data to forward to downstream instances.
-    pub routed: Vec<RoutedDatum>,
+    pub(crate) routed: Vec<RoutedDatum>,
     /// Terminal-port emissions `(port, value)`.
-    pub collected: Vec<(PortId, Value)>,
+    pub(crate) collected: Vec<(PortId, Value)>,
     /// Captured print lines.
-    pub printed: Vec<String>,
+    pub(crate) printed: Vec<String>,
 }
 
 impl Emissions {
@@ -81,11 +81,11 @@ impl Emissions {
 
 /// Per-instance stats counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct InstanceStats {
+pub(super) struct InstanceStats {
     /// Data (or producer iterations) processed.
-    pub processed: u64,
+    pub(crate) processed: u64,
     /// Data emitted on any port.
-    pub emitted: u64,
+    pub(crate) emitted: u64,
 }
 
 /// A [`Sink`] that resolves emitted port names against the interned
@@ -116,20 +116,20 @@ impl Sink for InternSink {
 }
 
 /// A PE instance plus its routing state.
-pub struct InstanceRunner {
+pub(super) struct InstanceRunner {
     /// Identity within the concrete plan.
-    pub inst: InstanceId,
+    pub(crate) inst: InstanceId,
     /// PE name (for events/results/stats) — refcounted so the event
     /// stream carries it without allocating.
-    pub node_name: Arc<str>,
+    pub(crate) node_name: Arc<str>,
     pe: Box<dyn Pe>,
     outgoing: Vec<OutEdge>,
     terminal_ports: Vec<PortId>,
     /// Number of upstream EOS signals this instance must observe before it
     /// can finish.
-    pub expected_eos: usize,
+    pub(crate) expected_eos: usize,
     /// Stats counters.
-    pub stats: InstanceStats,
+    pub(crate) stats: InstanceStats,
     iteration: i64,
     sink: InternSink,
     ports: Arc<PortTable>,
@@ -145,7 +145,7 @@ pub struct InstanceRunner {
 
 impl InstanceRunner {
     /// Build the runner for instance `inst` under `plan`.
-    pub fn new(
+    pub(super) fn new(
         graph: &WorkflowGraph,
         plan: &ConcretePlan,
         inst: InstanceId,
@@ -205,23 +205,27 @@ impl InstanceRunner {
     }
 
     /// The interned port table this runner resolves against.
-    pub fn ports(&self) -> &Arc<PortTable> {
+    pub(super) fn ports(&self) -> &Arc<PortTable> {
         &self.ports
     }
 
     /// Whether the instance is a source (no upstream edges).
-    pub fn is_source(&self) -> bool {
+    pub(super) fn is_source(&self) -> bool {
         self.expected_eos == 0
     }
 
     /// Run one producer iteration (sources only), filling `out`.
-    pub fn run_iteration(&mut self, datum: Option<Value>, out: &mut Emissions) -> Result<(), DataflowError> {
+    pub(super) fn run_iteration(
+        &mut self,
+        datum: Option<Value>,
+        out: &mut Emissions,
+    ) -> Result<(), DataflowError> {
         let datum = datum.or_else(|| self.feeds_iteration.then_some(Value::Int(self.iteration)));
         self.invoke(datum.map(|v| (self.input_port, v)), out)
     }
 
     /// Process one incoming datum, filling `out`.
-    pub fn run_datum(
+    pub(super) fn run_datum(
         &mut self,
         port: PortId,
         value: Value,
@@ -274,7 +278,7 @@ impl InstanceRunner {
     /// `iteration`, and the shuffle cursors of the outgoing routers. Must
     /// only be called at quiescence (no data in flight) — the round-based
     /// checkpoint driver guarantees that by draining each round to EOS.
-    pub fn snapshot(&self) -> Value {
+    pub(super) fn snapshot(&self) -> Value {
         let cursors = self.outgoing.iter().map(|e| Value::Int(e.router.cursor() as i64)).collect();
         let mut snap = Value::Null;
         snap.set("pe", self.pe.snapshot_state().unwrap_or(Value::Null))
@@ -289,7 +293,7 @@ impl InstanceRunner {
     /// `init` produced are discarded — a restored instance is a
     /// continuation, not a fresh start. Stats counters stay at zero: each
     /// round reports its own deltas and the event fold sums them.
-    pub fn restore(&mut self, snapshot: &Value) {
+    pub(super) fn restore(&mut self, snapshot: &Value) {
         if !snapshot["pe"].is_null() {
             self.pe.restore_state(&snapshot["pe"]);
         }
@@ -306,7 +310,7 @@ impl InstanceRunner {
 
     /// Downstream instances that must be told when this instance finishes:
     /// every instance of every successor node, once per outgoing edge.
-    pub fn eos_targets(&self, plan: &ConcretePlan) -> Vec<InstanceId> {
+    pub(super) fn eos_targets(&self, plan: &ConcretePlan) -> Vec<InstanceId> {
         let mut out = Vec::new();
         for edge in &self.outgoing {
             for i in 0..plan.count(edge.to_node) {
@@ -319,7 +323,7 @@ impl InstanceRunner {
 
 /// Plan-level instance counts in node order — the payload of
 /// [`RunEvent::PlanReady`].
-pub fn plan_pes(graph: &WorkflowGraph, plan: &ConcretePlan) -> Vec<(Arc<str>, usize)> {
+pub(super) fn plan_pes(graph: &WorkflowGraph, plan: &ConcretePlan) -> Vec<(Arc<str>, usize)> {
     graph
         .nodes()
         .iter()
@@ -358,7 +362,7 @@ pub(super) fn flush_emissions(
 
 /// A message as seen by a receiving instance.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TransportMsg {
+pub(crate) enum TransportMsg {
     /// One emission burst for this instance: `(port, payload)` in send
     /// order. Senders group a burst by destination, so a batch always came
     /// from one `process` call of one upstream instance — per-edge FIFO
@@ -369,7 +373,7 @@ pub enum TransportMsg {
 }
 
 /// The transport a parallel mapping provides to each worker.
-pub trait Transport {
+pub(super) trait Transport {
     /// Deliver one emission burst, draining `batch`. Implementations group
     /// the batch by destination ([`drain_batch_groups`]) and issue **one**
     /// transport frame per destination instead of one per datum.
@@ -383,7 +387,7 @@ pub trait Transport {
 /// Group a routed burst by destination, preserving per-destination send
 /// order (stable sort), and hand each group to `send`. Shared by every
 /// transport's [`Transport::send_batch`].
-pub fn drain_batch_groups(
+pub(super) fn drain_batch_groups(
     batch: &mut Vec<RoutedDatum>,
     mut send: impl FnMut(InstanceId, Vec<(PortId, SharedValue)>) -> Result<(), DataflowError>,
 ) -> Result<(), DataflowError> {
@@ -410,11 +414,11 @@ pub fn drain_batch_groups(
 /// `checkpoint_every`-sized rounds, so striping (`i % siblings`) and
 /// `datum_for(i)` see identical indices either way.
 #[derive(Debug, Clone, Copy)]
-pub struct SourceRange {
+pub(super) struct SourceRange {
     /// First global iteration of the window.
-    pub base: usize,
+    pub(crate) base: usize,
     /// One past the last iteration, `None` for unbounded.
-    pub end: Option<usize>,
+    pub(crate) end: Option<usize>,
 }
 
 /// Drive one instance to completion over `transport`, flushing its
@@ -425,7 +429,7 @@ pub struct SourceRange {
 /// consume data until every upstream instance has signalled EOS, then
 /// propagate EOS. The runner is borrowed, not consumed, so the checkpoint
 /// driver can snapshot it at the post-join quiescent point.
-pub fn run_worker<T: Transport>(
+pub(super) fn run_worker<T: Transport>(
     runner: &mut InstanceRunner,
     mut transport: T,
     plan: &ConcretePlan,

@@ -11,9 +11,8 @@
 
 use crate::error::DataflowError;
 use laminar_json::Value;
-use laminar_script::runtime::DEFAULT_SEED;
 use laminar_script::{
-    analysis, prepare, Host, NullHost, PeDecl, PeKind, PortDecl, Prepared, Program, Sink, Vm,
+    pe_imports, prepare, Host, NullHost, PeDecl, PeKind, PortDecl, Prepared, Program, Sink, Vm, DEFAULT_SEED,
 };
 use std::sync::Arc;
 
@@ -45,24 +44,24 @@ impl PeMeta {
             kind: decl.kind,
             inputs: decl.inputs.clone(),
             outputs: decl.outputs.clone(),
-            imports: analysis::pe_imports(decl),
+            imports: pe_imports(decl),
             description: decl.doc.clone(),
             stateful: decl.is_stateful(),
         }
     }
 
     /// Does this PE have an input port with the given name?
-    pub fn has_input(&self, port: &str) -> bool {
+    pub(crate) fn has_input(&self, port: &str) -> bool {
         self.inputs.iter().any(|p| p.name == port)
     }
 
     /// Does this PE have an output port with the given name?
-    pub fn has_output(&self, port: &str) -> bool {
+    pub(crate) fn has_output(&self, port: &str) -> bool {
         self.outputs.iter().any(|p| p == port)
     }
 
     /// Group-by key for an input port, if declared.
-    pub fn groupby(&self, port: &str) -> Option<usize> {
+    pub(crate) fn groupby(&self, port: &str) -> Option<usize> {
         self.inputs.iter().find(|p| p.name == port).and_then(|p| p.groupby)
     }
 }
@@ -172,7 +171,7 @@ impl PeFactory for ScriptPeFactory {
 }
 
 /// A running scripted PE instance.
-pub struct ScriptPe {
+pub(crate) struct ScriptPe {
     meta: PeMeta,
     host: Arc<dyn Host + Send + Sync>,
     program: Arc<Program>,
@@ -248,7 +247,7 @@ type NativeFn = dyn FnMut(Option<(&str, Value)>, i64, &mut dyn Sink) -> Result<(
 
 /// A PE whose behaviour is a Rust closure. Build via [`producer_fn`],
 /// [`iterative_fn`], [`consumer_fn`] or [`NativePe::generic`].
-pub struct NativePe {
+pub(crate) struct NativePe {
     meta: PeMeta,
     behaviour: Box<NativeFn>,
 }

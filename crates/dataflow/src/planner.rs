@@ -10,18 +10,18 @@ use std::sync::Arc;
 
 /// One PE instance in the concrete plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct InstanceId {
+pub(crate) struct InstanceId {
     /// Which abstract node.
-    pub node: NodeId,
+    pub(crate) node: NodeId,
     /// Instance index within the node (0-based).
-    pub index: usize,
+    pub(crate) index: usize,
 }
 
 /// A concrete enactment plan.
 ///
 /// Besides the instance counts, the plan owns the enactment-wide lookup
 /// structures resolved once so the hot path stays allocation-free: the
-/// interned [`PortTable`] and the dense instance numbering (prefix offsets)
+/// interned `PortTable` and the dense instance numbering (prefix offsets)
 /// that lets runtimes and transports index instances with a flat `Vec`
 /// instead of a per-datum map lookup.
 #[derive(Debug, Clone)]
@@ -29,7 +29,7 @@ pub struct ConcretePlan {
     /// Instance count per node, indexed by `NodeId.0`.
     pub instances: Vec<usize>,
     /// Total processes used.
-    pub total_processes: usize,
+    pub(crate) total_processes: usize,
     /// Prefix sums of `instances`: instance `(node, index)` has dense id
     /// `offsets[node] + index`.
     offsets: Vec<usize>,
@@ -49,14 +49,14 @@ impl ConcretePlan {
     }
 
     /// The interned port names of this plan's graph.
-    pub fn ports(&self) -> &Arc<PortTable> {
+    pub(crate) fn ports(&self) -> &Arc<PortTable> {
         &self.ports
     }
 
     /// Dense id of an instance: a contiguous `0..total_processes` numbering
     /// in `all_instances` order. Lets per-instance state live in a flat
     /// `Vec` instead of a `BTreeMap` keyed by [`InstanceId`].
-    pub fn dense(&self, inst: InstanceId) -> usize {
+    pub(crate) fn dense(&self, inst: InstanceId) -> usize {
         self.offsets[inst.node.0] + inst.index
     }
 
@@ -90,18 +90,18 @@ impl ConcretePlan {
     }
 
     /// A plan with exactly one instance per PE (the Simple mapping).
-    pub fn sequential(graph: &WorkflowGraph) -> Result<ConcretePlan, DataflowError> {
+    pub(crate) fn sequential(graph: &WorkflowGraph) -> Result<ConcretePlan, DataflowError> {
         graph.validate()?;
         Ok(Self::assemble(graph, vec![1; graph.len()]))
     }
 
     /// Instance count for a node.
-    pub fn count(&self, node: NodeId) -> usize {
+    pub(crate) fn count(&self, node: NodeId) -> usize {
         self.instances[node.0]
     }
 
     /// Enumerate all instances in (node, index) order.
-    pub fn all_instances(&self) -> Vec<InstanceId> {
+    pub(crate) fn all_instances(&self) -> Vec<InstanceId> {
         let mut out = Vec::with_capacity(self.total_processes);
         for (n, &c) in self.instances.iter().enumerate() {
             for i in 0..c {

@@ -16,20 +16,20 @@ use std::sync::Arc;
 /// Dense index of an interned port name. Valid only together with the
 /// [`PortTable`] of the plan that produced it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PortId(pub u32);
+pub(crate) struct PortId(pub u32);
 
 /// Interner mapping port names to dense [`PortId`]s. Built once per
 /// concrete plan; read-only (and shared) during enactment. Names are
 /// stored as `Arc<str>` so event streams can carry them by refcount.
 #[derive(Debug, Default, Clone)]
-pub struct PortTable {
+pub(crate) struct PortTable {
     names: Vec<Arc<str>>,
     index: HashMap<Arc<str>, PortId>,
 }
 
 impl PortTable {
     /// Intern `name`, returning its id (existing or fresh).
-    pub fn intern(&mut self, name: &str) -> PortId {
+    pub(crate) fn intern(&mut self, name: &str) -> PortId {
         if let Some(&id) = self.index.get(name) {
             return id;
         }
@@ -41,7 +41,7 @@ impl PortTable {
     }
 
     /// Resolve a name to its id without interning. Allocation-free.
-    pub fn id(&self, name: &str) -> Option<PortId> {
+    pub(crate) fn id(&self, name: &str) -> Option<PortId> {
         self.index.get(name).copied()
     }
 
@@ -49,7 +49,7 @@ impl PortTable {
     ///
     /// # Panics
     /// If `id` did not come from this table.
-    pub fn name(&self, id: PortId) -> &str {
+    pub(crate) fn name(&self, id: PortId) -> &str {
         &self.names[id.0 as usize]
     }
 
@@ -58,22 +58,24 @@ impl PortTable {
     ///
     /// # Panics
     /// If `id` did not come from this table.
-    pub fn shared_name(&self, id: PortId) -> Arc<str> {
+    pub(crate) fn shared_name(&self, id: PortId) -> Arc<str> {
         Arc::clone(&self.names[id.0 as usize])
     }
 
     /// Whether `id` is valid for this table (wire-format validation).
-    pub fn contains(&self, id: PortId) -> bool {
+    pub(crate) fn contains(&self, id: PortId) -> bool {
         (id.0 as usize) < self.names.len()
     }
 
     /// Number of interned names.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.names.len()
     }
 
     /// True when nothing has been interned.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.names.is_empty()
     }
 }

@@ -19,7 +19,7 @@ pub enum Grouping {
 
 /// Stateful router for one connection: owns the round-robin cursor.
 #[derive(Debug, Clone)]
-pub struct Router {
+pub(crate) struct Router {
     grouping: Grouping,
     n_dest: usize,
     cursor: usize,
@@ -27,7 +27,7 @@ pub struct Router {
 
 impl Router {
     /// Router over `n_dest` destination instances.
-    pub fn new(grouping: Grouping, n_dest: usize) -> Self {
+    pub(crate) fn new(grouping: Grouping, n_dest: usize) -> Self {
         assert!(n_dest > 0, "router needs at least one destination");
         Router { grouping, n_dest, cursor: 0 }
     }
@@ -35,18 +35,19 @@ impl Router {
     /// The round-robin cursor — the router's only mutable state, captured
     /// by epoch checkpoints so a resumed shuffle continues where the
     /// original left off.
-    pub fn cursor(&self) -> usize {
+    pub(crate) fn cursor(&self) -> usize {
         self.cursor
     }
 
     /// Restore a cursor captured by [`Router::cursor`].
-    pub fn set_cursor(&mut self, cursor: usize) {
+    pub(crate) fn set_cursor(&mut self, cursor: usize) {
         self.cursor = cursor % self.n_dest;
     }
 
     /// Destination instance indices for `datum`. One element except for
     /// `OneToAll`.
-    pub fn route(&mut self, datum: &Value) -> Vec<usize> {
+    #[cfg(test)]
+    fn route(&mut self, datum: &Value) -> Vec<usize> {
         let mut out = Vec::new();
         self.route_into(datum, &mut out);
         out
@@ -54,7 +55,7 @@ impl Router {
 
     /// Allocation-free routing: append the destination indices for `datum`
     /// to `out` (which the caller clears and reuses across datums).
-    pub fn route_into(&mut self, datum: &Value, out: &mut Vec<usize>) {
+    pub(crate) fn route_into(&mut self, datum: &Value, out: &mut Vec<usize>) {
         match self.grouping {
             Grouping::Shuffle => {
                 let i = self.cursor;
@@ -69,7 +70,7 @@ impl Router {
 
     /// The group-by hash rule: the index among `n_dest` instances that
     /// the datum's key maps to. [`Router::route_into`] routes by it.
-    pub fn groupby_index(datum: &Value, key_index: usize, n_dest: usize) -> usize {
+    pub(crate) fn groupby_index(datum: &Value, key_index: usize, n_dest: usize) -> usize {
         // The key is datum[key_index] for tuples/lists; scalar datums group
         // by their own value (a convenient degenerate case). Hashed by
         // reference — keys are never cloned on the routing path.

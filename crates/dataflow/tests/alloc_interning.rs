@@ -12,8 +12,7 @@
 //! must match to within noise.
 
 use laminar_dataflow::mapping::{Mapping, SimpleMapping};
-use laminar_dataflow::pe::{producer_fn, NativePeFactory, PeMeta};
-use laminar_dataflow::{RunOptions, WorkflowGraph};
+use laminar_dataflow::{producer_fn, NativePeFactory, PeMeta, RunOptions, WorkflowGraph};
 use laminar_json::Value;
 use laminar_script::{PeKind, PortDecl};
 use std::alloc::{GlobalAlloc, Layout, System};

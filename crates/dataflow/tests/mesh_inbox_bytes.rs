@@ -1,10 +1,9 @@
-//! What a slow stage costs its upstream on every parallel mapping. Multi
-//! and MPI give each instance a bounded inbox on the channel mesh, and
-//! Redis a bounded broker list, both counted in bursts, so a fast source
-//! feeding a slow sink blocks once the sink's inbox is full instead of
-//! queueing without limit. This reads live heap bytes while an unbounded
-//! source runs at full speed into a sink that sleeps per datum: after the
-//! inbox has filled, the heap holds flat.
+//! What a slow stage costs its upstream on every parallel mapping. Multi,
+//! MPI and Redis share one mesh: each instance has one bounded `Inbox`,
+//! counted in bursts, so a fast source feeding a slow sink blocks once the
+//! sink's inbox is full instead of queueing without limit. This reads live
+//! heap bytes while an unbounded source runs at full speed into a sink that
+//! sleeps per datum: after the inbox has filled, the heap holds flat.
 
 use laminar_dataflow::mapping::CancelToken;
 use laminar_dataflow::{consumer_fn, producer_fn, MappingKind, RunOptions, WorkflowGraph};

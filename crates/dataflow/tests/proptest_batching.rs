@@ -9,8 +9,7 @@
 //! Simple mapping.
 
 use laminar_dataflow::mapping::{Mapping, MpiMapping, MultiMapping, RedisMapping, SimpleMapping};
-use laminar_dataflow::routing::Grouping;
-use laminar_dataflow::{RunOptions, RunResult, WorkflowGraph};
+use laminar_dataflow::{Grouping, RunOptions, RunResult, WorkflowGraph};
 use proptest::prelude::*;
 
 /// A producer emitting `[key, seq]` tuples plus a checker that asserts the

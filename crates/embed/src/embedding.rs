@@ -84,13 +84,13 @@ fn fnv1a(parts: &[&[u8]]) -> u64 {
 }
 
 /// Accumulates weighted features into a hashed vector.
-pub struct FeatureHasher {
+pub(crate) struct FeatureHasher {
     values: Vec<f32>,
 }
 
 impl FeatureHasher {
     /// A hasher with output dimension `dim`.
-    pub fn new(dim: usize) -> FeatureHasher {
+    pub(crate) fn new(dim: usize) -> FeatureHasher {
         assert!(dim > 0);
         FeatureHasher { values: vec![0.0; dim] }
     }
@@ -98,13 +98,14 @@ impl FeatureHasher {
     /// Add one feature occurrence with a weight. The feature's hash picks
     /// the bucket; a second hash bit picks the sign (reduces collision
     /// bias).
-    pub fn add(&mut self, feature: &str, weight: f32) {
+    #[cfg(test)]
+    fn add(&mut self, feature: &str, weight: f32) {
         self.add_hashed(fnv1a(&[feature.as_bytes()]), weight);
     }
 
     /// Add one occurrence of `feature` in channel `prefix`: the feature
     /// `prefix:feature`, hashed as it streams.
-    pub fn add_channel(&mut self, prefix: &str, feature: &str, weight: f32) {
+    pub(crate) fn add_channel(&mut self, prefix: &str, feature: &str, weight: f32) {
         self.add_hashed(fnv1a(&[prefix.as_bytes(), b":", feature.as_bytes()]), weight);
     }
 
@@ -116,7 +117,7 @@ impl FeatureHasher {
     }
 
     /// Finish: L2-normalize, and keep the non-zero buckets.
-    pub fn finish(mut self) -> Embedding {
+    pub(crate) fn finish(mut self) -> Embedding {
         let norm: f32 = self.values.iter().map(|v| v * v).sum::<f32>().sqrt();
         if norm > 0.0 {
             for v in &mut self.values {

@@ -14,15 +14,15 @@
 //!   description used to fill missing registry descriptions (§3.1.1).
 //!
 //! This crate holds what the registry calls: seven [`models`] with
-//! distinct feature pipelines over one [`tokenizer`], the sparse
-//! [`embedding`] with its one score ([`cosine`]) and its one best-`k`
-//! selection ([`TopK`]), and the [`summarize`] rule-based summarizer. The
+//! distinct feature pipelines over one tokenizer ([`code_tokens`],
+//! [`text_words`]), the sparse [`Embedding`] with its one score
+//! ([`cosine`]) and its one best-`k` selection ([`TopK`]), and the
+//! rule-based summarizer ([`summarize_pe_source`]). The
 //! paper's offline evaluation — the CosQA / CSN / CodeNet generators, the
 //! ranking metrics and the cross-encoder — lives in `laminar-bench`.
 //!
 //! ```
-//! use laminar_embed::models::model_by_name;
-//! use laminar_embed::embedding::cosine;
+//! use laminar_embed::{cosine, model_by_name};
 //!
 //! let m = model_by_name("unixcoder-code-search").unwrap();
 //! let code = m.embed_code("pe IsPrime : iterative { input num; output output; process { emit(num); } }");
@@ -32,12 +32,14 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod embedding;
+mod embedding;
 pub mod models;
-pub mod summarize;
-pub mod tokenizer;
+mod summarize;
+mod tokenizer;
 
-pub use embedding::{cosine, Embedding, TopK};
-pub use models::{all_models, model_by_name, EmbeddingModel};
+pub use embedding::{cosine, cosine_of, Embedding, TopK};
+pub use models::{model_by_name, EmbeddingModel};
 pub use summarize::summarize_pe_source;
+pub use tokenizer::{code_tokens, is_keyword, text_words, CodeToken, TokenClass};

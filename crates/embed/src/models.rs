@@ -20,8 +20,7 @@ use crate::embedding::{Embedding, FeatureHasher};
 use crate::tokenizer::{
     char_trigrams, code_tokens, is_keyword, normalized_lines, text_words, CodeToken, TokenClass,
 };
-use laminar_script::analysis::{def_use_pairs, subtokens};
-use laminar_script::parse_script;
+use laminar_script::{def_use_pairs, parse_script, subtokens};
 
 /// Channel weights for the generic hashed model.
 #[derive(Debug, Clone, Copy, Default)]
@@ -58,12 +57,13 @@ pub struct EmbeddingModel {
 
 impl EmbeddingModel {
     /// Model identifier as reported in the paper's tables.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
     /// Embedding dimension.
-    pub fn dim(&self) -> usize {
+    #[cfg(test)]
+    fn dim(&self) -> usize {
         self.dim
     }
 
@@ -185,7 +185,7 @@ impl EmbeddingModel {
 
 /// Build every model of Table 7 (plus the two of Table 6, which are a
 /// subset), in the paper's naming.
-pub fn all_models() -> Vec<EmbeddingModel> {
+pub(crate) fn all_models() -> Vec<EmbeddingModel> {
     vec![
         // CodeBERT, applied zero-shot to retrieval: reads code like prose.
         EmbeddingModel {

@@ -5,8 +5,7 @@
 //! and composes an English sentence from: the PE name's subtokens, its
 //! archetype, port inventory, statefulness, calls, and control shape.
 
-use laminar_script::analysis::{subtokens, CodeFacts};
-use laminar_script::{parse_script, PeDecl, PeKind};
+use laminar_script::{parse_script, subtokens, CodeFacts, PeDecl, PeKind};
 
 /// Verbs recognized in PE names, mapped to sentence leads.
 const NAME_VERBS: &[(&str, &str)] = &[
@@ -44,7 +43,7 @@ pub fn summarize_pe_source(source: &str) -> Option<String> {
 }
 
 /// Summarize a parsed PE declaration.
-pub fn summarize_pe(pe: &PeDecl) -> String {
+pub(crate) fn summarize_pe(pe: &PeDecl) -> String {
     let facts = CodeFacts::collect(pe);
     let name_parts = subtokens(&pe.name);
 

@@ -28,7 +28,7 @@ pub struct CodeToken {
 
 /// LamScript keywords — kept when normalizing identifiers because they are
 /// structure, not naming.
-pub const KEYWORDS: &[&str] = &[
+pub(crate) const KEYWORDS: &[&str] = &[
     "pe",
     "workflow",
     "fn",
@@ -152,7 +152,7 @@ pub fn code_tokens(code: &str) -> Vec<CodeToken> {
 /// English stopwords removed from the shared NL/code word channel —
 /// without this, short descriptions win on scaffolding words ("a PE
 /// that...") rather than content.
-pub const STOPWORDS: &[&str] = &[
+pub(crate) const STOPWORDS: &[&str] = &[
     "a", "an", "the", "that", "this", "these", "those", "is", "are", "was", "were", "be", "been", "it",
     "its", "if", "of", "for", "to", "in", "on", "with", "and", "or", "each", "every", "when", "as", "by",
     "from", "into", "at", "then", "them", "their", "there", "what", "which", "who", "whether", "do", "does",
@@ -160,7 +160,7 @@ pub const STOPWORDS: &[&str] = &[
 ];
 
 /// Is this a stopword?
-pub fn is_stopword(w: &str) -> bool {
+pub(crate) fn is_stopword(w: &str) -> bool {
     STOPWORDS.contains(&w)
 }
 
@@ -176,7 +176,7 @@ pub fn text_words(text: &str) -> Vec<String> {
 
 /// Normalized source lines: whitespace squeezed, comments removed, empties
 /// dropped. The lexical retrieval channel (ReACC-style) hashes these.
-pub fn normalized_lines(code: &str) -> Vec<String> {
+pub(crate) fn normalized_lines(code: &str) -> Vec<String> {
     code.lines()
         .map(|l| {
             let without_comment = match l.find('#') {
@@ -191,7 +191,7 @@ pub fn normalized_lines(code: &str) -> Vec<String> {
 
 /// Character trigrams of lowercased text (padded), the pure-text channel
 /// used by the GTE/BGE-style models.
-pub fn char_trigrams(text: &str) -> Vec<String> {
+pub(crate) fn char_trigrams(text: &str) -> Vec<String> {
     let lower = text.to_lowercase();
     let padded: Vec<char> = std::iter::once(' ').chain(lower.chars()).chain(std::iter::once(' ')).collect();
     if padded.len() < 3 {

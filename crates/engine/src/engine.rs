@@ -9,7 +9,7 @@ use laminar_dataflow::{
     CancelToken, DataflowError, RunObserver, ScriptPeFactory, StageTimings, WorkflowGraph,
 };
 use laminar_json::Value;
-use laminar_script::{analysis, Prepared};
+use laminar_script::{imports, Prepared};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -190,8 +190,8 @@ impl ExecutionEngine {
     }
 
     /// Calibrate the simulated provisioning cost (µs per cost unit;
-    /// 0 = instant). Environment setup is [`crate::env::ENV_SETUP_UNITS`]
-    /// units, so e.g. `1000` makes every cold run pay ~400ms.
+    /// 0 = instant). Environment setup is 400 units (`ENV_SETUP_UNITS`),
+    /// so e.g. `1000` makes every cold run pay ~400ms.
     pub fn with_provision_scale(mut self, us_per_unit: u64) -> Self {
         self.env.time_scale_us = us_per_unit;
         self
@@ -216,9 +216,9 @@ impl ExecutionEngine {
     }
 
     /// Handle one execution request end-to-end, streaming the enactment's
-    /// [`RunEvent`]s to `observer` as they happen (instance lifecycle,
-    /// terminal-port outputs, prints, counters, final stats). The returned
-    /// output is the fold over that same stream.
+    /// [`laminar_dataflow::RunEvent`]s to `observer` as they happen
+    /// (instance lifecycle, terminal-port outputs, prints, counters, final
+    /// stats). The returned output is the fold over that same stream.
     pub fn run_streaming(
         &mut self,
         req: &ExecutionRequest,
@@ -235,7 +235,7 @@ impl ExecutionEngine {
     /// prefix of the run's stream. Unbounded requests
     /// ([`crate::RunConfig::unbounded`]) terminate *only* through
     /// the token.
-    pub fn run_controlled(
+    pub(crate) fn run_controlled(
         &mut self,
         req: &ExecutionRequest,
         observer: Option<Arc<dyn RunObserver>>,
@@ -253,7 +253,7 @@ impl ExecutionEngine {
             pe: "<request>".into(),
             error: rejected.error.clone(),
         })?;
-        let imports = analysis::imports(prepared.script());
+        let imports = imports(prepared.script());
 
         // 2. Provision the environment and install libraries.
         let report = self.env.provision(&imports);

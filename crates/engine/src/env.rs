@@ -26,28 +26,28 @@ fn install_cost_units(library: &str) -> u64 {
 
 /// Report of one provisioning round.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InstallReport {
+pub(crate) struct InstallReport {
     /// Libraries installed this round (cache misses).
-    pub installed: Vec<String>,
+    pub(crate) installed: Vec<String>,
     /// Simulated time spent installing.
-    pub install_time: Duration,
+    pub(crate) install_time: Duration,
     /// Simulated time spent creating the environment (zero when warm).
-    pub setup_time: Duration,
+    pub(crate) setup_time: Duration,
 }
 
 /// Manages the engine's (simulated) Python environments.
-pub struct EnvironmentManager {
+pub(crate) struct EnvironmentManager {
     installed: BTreeSet<String>,
     env_alive: bool,
     /// Whether teardown preserves the library cache (a warm engine).
-    pub keep_warm: bool,
+    pub(crate) keep_warm: bool,
     /// Microseconds per cost unit — calibrates simulated time. Zero makes
     /// provisioning free (unit tests).
-    pub time_scale_us: u64,
+    pub(crate) time_scale_us: u64,
 }
 
 /// Base cost (units) of creating a fresh environment.
-pub const ENV_SETUP_UNITS: u64 = 400;
+pub(crate) const ENV_SETUP_UNITS: u64 = 400;
 
 impl Default for EnvironmentManager {
     fn default() -> Self {
@@ -58,7 +58,7 @@ impl Default for EnvironmentManager {
 impl EnvironmentManager {
     /// Cold manager with the default time scale (100µs/unit ⇒ env setup
     /// ≈ 40ms, one library ≈ 3–12ms).
-    pub fn new() -> EnvironmentManager {
+    pub(crate) fn new() -> EnvironmentManager {
         EnvironmentManager {
             installed: BTreeSet::new(),
             env_alive: false,
@@ -68,14 +68,14 @@ impl EnvironmentManager {
     }
 
     /// Disable simulated delays (pure logic mode for tests).
-    pub fn instant(mut self) -> EnvironmentManager {
+    pub(crate) fn instant(mut self) -> EnvironmentManager {
         self.time_scale_us = 0;
         self
     }
 
     /// A fresh manager with the same calibration but cold caches — each
     /// pooled engine provisions its own environments.
-    pub fn fork(&self) -> EnvironmentManager {
+    pub(crate) fn fork(&self) -> EnvironmentManager {
         EnvironmentManager {
             keep_warm: self.keep_warm,
             time_scale_us: self.time_scale_us,
@@ -93,7 +93,7 @@ impl EnvironmentManager {
 
     /// Provision an environment able to run code with the given imports.
     /// Blocks for the simulated setup/install time and reports what it did.
-    pub fn provision(&mut self, imports: &[String]) -> InstallReport {
+    pub(crate) fn provision(&mut self, imports: &[String]) -> InstallReport {
         let mut setup_time = Duration::ZERO;
         if !self.env_alive {
             setup_time = self.sleep_units(ENV_SETUP_UNITS);
@@ -114,7 +114,7 @@ impl EnvironmentManager {
 
     /// Tear the environment down (serverless ephemerality). On a warm
     /// engine the library cache survives; cold engines forget everything.
-    pub fn teardown(&mut self) {
+    pub(crate) fn teardown(&mut self) {
         self.env_alive = false;
         if !self.keep_warm {
             self.installed.clear();
@@ -122,7 +122,8 @@ impl EnvironmentManager {
     }
 
     /// Is an environment currently alive?
-    pub fn is_alive(&self) -> bool {
+    #[cfg(test)]
+    fn is_alive(&self) -> bool {
         self.env_alive
     }
 }

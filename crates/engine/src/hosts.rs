@@ -26,7 +26,7 @@ pub struct HostRegistry {
 
 impl HostRegistry {
     /// Empty registry.
-    pub fn new() -> HostRegistry {
+    pub(crate) fn new() -> HostRegistry {
         HostRegistry::default()
     }
 

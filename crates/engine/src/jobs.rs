@@ -49,18 +49,18 @@ pub struct JobInfo {
     /// Lifecycle phase.
     pub phase: JobPhase,
     /// Time spent waiting in the queue (final once picked).
-    pub queue_wait: Duration,
+    pub(crate) queue_wait: Duration,
     /// Wall-clock run time (final once finished; zero while queued).
-    pub run_time: Duration,
+    pub(crate) run_time: Duration,
     /// Worker that picked the job, once one has.
-    pub worker: Option<usize>,
+    pub(crate) worker: Option<usize>,
     /// Failure message when `phase == Failed`.
-    pub error: Option<String>,
+    pub(crate) error: Option<String>,
 }
 
 impl JobInfo {
     /// Whether the job reached a terminal phase.
-    pub fn is_finished(&self) -> bool {
+    pub(crate) fn is_finished(&self) -> bool {
         matches!(self.phase, JobPhase::Done | JobPhase::Failed | JobPhase::Cancelled)
     }
 
@@ -145,15 +145,15 @@ impl std::error::Error for PoolError {}
 #[derive(Debug, Clone, Default)]
 pub struct PoolStats {
     /// Worker threads (= engines).
-    pub workers: usize,
+    pub(crate) workers: usize,
     /// Queue bound.
-    pub capacity: usize,
+    pub(crate) capacity: usize,
     /// Jobs currently waiting.
-    pub queued: usize,
+    pub(crate) queued: usize,
     /// Jobs currently enacting.
-    pub running: usize,
+    pub(crate) running: usize,
     /// Total accepted submissions.
-    pub submitted: u64,
+    pub(crate) submitted: u64,
     /// Total successful completions.
     pub completed: u64,
     /// Total failed executions.
@@ -161,16 +161,16 @@ pub struct PoolStats {
     /// Total jobs cancelled (while queued or mid-run).
     pub cancelled: u64,
     /// Total submissions rejected by admission control.
-    pub rejected: u64,
+    pub(crate) rejected: u64,
     /// Total submissions rejected by per-tenant rate limiting (counted
     /// separately from queue-full `rejected`: a rate-limited tenant is
     /// over *its* budget, not evidence the pool is saturated).
-    pub rate_limited: u64,
+    pub(crate) rate_limited: u64,
     /// Tenants with jobs currently waiting (fair-queue lanes with work).
-    pub queued_tenants: usize,
+    pub(crate) queued_tenants: usize,
     /// Journal I/O errors swallowed by job observers (a failing disk
     /// degrades durability silently; this makes it visible).
-    pub journal_errors: u64,
+    pub(crate) journal_errors: u64,
 }
 
 impl PoolStats {

@@ -31,7 +31,7 @@
 //! `tail.log` is never replayed: a resumed run re-executes the partial
 //! round deterministically from the checkpoint instead.
 
-use laminar_codec::crc32;
+use laminar_codec::checksum;
 use laminar_dataflow::RunEvent;
 use laminar_json::{parse, to_string, Value};
 use std::fs::{File, OpenOptions};
@@ -59,15 +59,15 @@ fn io_err<E: std::fmt::Display>(what: &str) -> impl FnOnce(E) -> JournalError + 
 #[derive(Debug, Clone)]
 pub struct ResumeData {
     /// The `meta.json` envelope: owner, request, failure flag.
-    pub meta: Value,
+    pub(crate) meta: Value,
     /// Last complete epoch (0 = no epoch sealed; resume is a fresh start).
     pub epoch: u64,
     /// Dense per-instance snapshot array from the epoch record.
-    pub snapshots: Value,
+    pub(crate) snapshots: Value,
     /// The records of `seg-1..seg-k` in order, each decoded once, here, as
     /// `(recorded seq, event)` — the exact stream prefix the original run
     /// produced up to and including epoch `k`.
-    pub events: Vec<(u64, RunEvent)>,
+    pub(crate) events: Vec<(u64, RunEvent)>,
 }
 
 /// The journal root: one directory per checkpointed job.
@@ -83,7 +83,8 @@ impl JournalStore {
     }
 
     /// The store's root directory.
-    pub fn root(&self) -> &Path {
+    #[cfg(test)]
+    fn root(&self) -> &Path {
         &self.root
     }
 
@@ -118,7 +119,7 @@ impl JournalStore {
     /// Flag the job's meta as failed, so store-wide auto-resume skips it
     /// (a deterministic failure would just fail again) while the journal
     /// stays on disk for post-mortem and *explicit* resume.
-    pub fn mark_failed(&self, id: i64) {
+    pub(crate) fn mark_failed(&self, id: i64) {
         let dir = self.job_dir(id);
         let Ok(text) = std::fs::read_to_string(dir.join("meta.json")) else { return };
         let Ok(mut meta) = parse(&text) else { return };
@@ -131,7 +132,7 @@ impl JournalStore {
 
     /// All journaled job ids with their metas, ascending by id (the
     /// auto-resume scan).
-    pub fn jobs(&self) -> Vec<(i64, Value)> {
+    pub(crate) fn jobs(&self) -> Vec<(i64, Value)> {
         let Ok(entries) = std::fs::read_dir(&self.root) else { return Vec::new() };
         let mut jobs: Vec<(i64, Value)> = entries
             .flatten()
@@ -239,7 +240,7 @@ impl JournalWriter {
         let bytes = payload.as_bytes();
         let mut frame = Vec::with_capacity(8 + bytes.len());
         frame.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32::checksum(bytes).to_le_bytes());
+        frame.extend_from_slice(&checksum(bytes).to_le_bytes());
         frame.extend_from_slice(bytes);
         self.tail.write_all(&frame).map_err(io_err("append record"))?;
         self.tail.flush().map_err(io_err("flush record"))
@@ -273,7 +274,7 @@ fn read_records(bytes: &[u8]) -> (Vec<(u64, RunEvent)>, bool) {
         let Some(payload) = bytes.get(at + 8..at + 8 + len) else {
             return (records, true);
         };
-        if crc32::checksum(payload) != crc {
+        if checksum(payload) != crc {
             return (records, true);
         }
         let value = std::str::from_utf8(payload).ok().and_then(|text| parse(text).ok());

@@ -8,30 +8,30 @@
 //! then tears the environment down.
 //!
 //! Hardware substitution (DESIGN.md): the conda environment and pip
-//! installs are modelled by [`env::EnvironmentManager`] with calibrated
-//! deterministic costs, and remote engines add the [`netmodel::NetModel`]
+//! installs are modelled by the engine's environment manager with calibrated
+//! deterministic costs, and remote engines add the [`NetModel`]
 //! WAN delay — together these reproduce the overhead structure that
 //! Table 5 measures.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod admission;
-pub mod engine;
-pub mod env;
+mod engine;
+mod env;
 mod event_log;
 mod fair_queue;
-pub mod hosts;
+mod hosts;
 mod jobs;
-pub mod journal;
-pub mod netmodel;
-pub mod pool;
-pub mod request;
+mod journal;
+mod netmodel;
+mod pool;
+mod request;
 mod worker;
 
 pub use engine::{ExecutionEngine, ExecutionOutput};
-pub use env::{EnvironmentManager, InstallReport};
 pub use hosts::HostRegistry;
-pub use journal::{JournalError, JournalStore, ResumeData};
+pub use journal::{JournalError, JournalStore, JournalWriter, ResumeData};
 pub use netmodel::NetModel;
 pub use pool::{EnginePool, EventPage, JobInfo, JobPhase, JobResult, PoolError, PoolStats};
 pub use request::{ExecutionRequest, RejectedSource, RunConfig};

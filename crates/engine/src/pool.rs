@@ -332,7 +332,7 @@ impl EnginePool {
     /// * **queued** — the job is cancelled on the spot: terminal
     ///   [`JobPhase::Cancelled`], event log sealed with the `cancelled`
     ///   marker, queue slot released; it will never run.
-    /// * **running** — the job's [`CancelToken`] fires; the enactment
+    /// * **running** — the job's [`crate::CancelToken`] fires; the enactment
     ///   stops cooperatively at its next invocation boundary and the
     ///   worker commits the `Cancelled` phase (poll `status` to observe
     ///   it). A run that finishes before noticing stays `done`.

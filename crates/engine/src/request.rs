@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct RejectedSource {
     /// The text as it was given.
-    pub text: String,
+    pub(crate) text: String,
     /// Why it does not parse or compile.
     pub error: ScriptError,
 }
@@ -131,7 +131,7 @@ impl RunConfig {
             .iter()
             .map(|(name, bytes)| {
                 let mut r = Value::Null;
-                r.set("name", name.as_str()).set("data", laminar_codec::base64::encode(bytes));
+                r.set("name", name.as_str()).set("data", laminar_codec::base64_encode(bytes));
                 r
             })
             .collect();
@@ -170,7 +170,7 @@ impl RunConfig {
         let mut resources = Vec::new();
         for r in v["resources"].as_array().unwrap_or(&[]) {
             let name = r["name"].as_str()?;
-            let bytes = laminar_codec::base64::decode(r["data"].as_str()?).ok()?;
+            let bytes = laminar_codec::base64_decode(r["data"].as_str()?).ok()?;
             resources.push((name.to_string(), bytes.into()));
         }
         let opts = &v["options"];
@@ -189,16 +189,16 @@ impl RunConfig {
 #[derive(Debug, Clone)]
 pub struct ExecutionRequest {
     /// Requesting user.
-    pub user: String,
+    pub(crate) user: String,
     /// The script defining the PEs and the workflow to run, prepared once
-    /// where the request was built — by [`Self::new`] / [`Self::from_value`]
+    /// where the request was built — by [`Self::new`] / `Self::from_value`
     /// from source text, or handed over already prepared by the registry
     /// ([`Self::with_script`]). However often the request then runs,
     /// nothing is parsed or compiled again.
     pub script: Result<Arc<Prepared>, RejectedSource>,
     /// Time [`Self::script`] took to prepare *for this request*: zero when
     /// the registry handed it over. Reported as the run's `compile_us`.
-    pub prepare_time: Duration,
+    pub(crate) prepare_time: Duration,
     /// Workflow name inside the script; `None` runs the first workflow
     /// present, or the single PE — as a one-node graph — if the script
     /// defines exactly one PE and no workflow (the FaaS-style use of
@@ -209,12 +209,12 @@ pub struct ExecutionRequest {
     /// Resume point injected by [`crate::EnginePool`]'s resume path.
     /// Never crosses the wire: clients POST `/resume` and the pool
     /// reconstructs this from the job's journal.
-    pub resume: Option<laminar_dataflow::mapping::ResumePoint>,
+    pub(crate) resume: Option<laminar_dataflow::mapping::ResumePoint>,
     /// Fault plan for the chaos harness. Never crosses the wire (a remote
     /// request cannot ask the engine to kill itself) and is read from
     /// nowhere else: in-process tests set it directly, and `None` runs
     /// with no faults.
-    pub faults: Option<laminar_dataflow::FaultPlan>,
+    pub(crate) faults: Option<laminar_dataflow::FaultPlan>,
 }
 
 impl ExecutionRequest {
@@ -262,7 +262,7 @@ impl ExecutionRequest {
     }
 
     /// The source text of [`Self::script`].
-    pub fn source(&self) -> &str {
+    pub(crate) fn source(&self) -> &str {
         match &self.script {
             Ok(prepared) => prepared.text(),
             Err(rejected) => &rejected.text,
@@ -270,7 +270,7 @@ impl ExecutionRequest {
     }
 
     /// Serialize to the JSON envelope the wire protocol uses.
-    pub fn to_value(&self) -> Value {
+    pub(crate) fn to_value(&self) -> Value {
         let mut v = Value::Null;
         v.set("user", self.user.as_str()).set("source", self.source()).set("workflow", self.workflow.clone());
         self.run.write_envelope(&mut v);
@@ -281,7 +281,7 @@ impl ExecutionRequest {
     /// resumes this way). `source` is required; an absent `user` is
     /// `anonymous`, an absent `workflow` runs the script's first, and the
     /// run configuration takes [`RunConfig::from_envelope`]'s defaults.
-    pub fn from_value(v: &Value) -> Option<ExecutionRequest> {
+    pub(crate) fn from_value(v: &Value) -> Option<ExecutionRequest> {
         let source = v["source"].as_str()?;
         let run = RunConfig::from_envelope(v)?;
         let mut req = Self::new(v["user"].as_str().unwrap_or("anonymous"), source, run);
@@ -304,7 +304,7 @@ impl ExecutionRequest {
     }
 
     /// Approximate wire size in bytes (drives the WAN transfer model).
-    pub fn wire_size(&self) -> usize {
+    pub(crate) fn wire_size(&self) -> usize {
         laminar_json::to_string(&self.to_value()).len()
     }
 }

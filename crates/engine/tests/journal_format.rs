@@ -135,7 +135,7 @@ fn a_segment_of_one_record_that_is_no_run_event_falls_back_one_epoch() {
     let root = parent_journal("foreign");
     let payload = br#"{"seq":8,"type":"done"}"#;
     let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
-    frame.extend_from_slice(&laminar_codec::crc32::checksum(payload).to_le_bytes());
+    frame.extend_from_slice(&laminar_codec::checksum(payload).to_le_bytes());
     frame.extend_from_slice(payload);
     std::fs::write(root.join("job-7").join("seg-2.log"), frame).unwrap();
     assert_eq!(JournalStore::open(&root).unwrap().load(7).unwrap().epoch, 1);

@@ -21,6 +21,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod error;
 mod map;

@@ -11,7 +11,7 @@ use std::borrow::Cow;
 
 /// Maximum nesting depth accepted by [`parse`]. The Laminar server parses
 /// untrusted client payloads, so recursion must be bounded.
-pub const MAX_DEPTH: usize = 256;
+pub(crate) const MAX_DEPTH: usize = 256;
 
 /// Parse a complete JSON document.
 ///

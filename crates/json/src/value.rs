@@ -108,7 +108,7 @@ impl Value {
     }
 
     /// Array element lookup; `None` for non-arrays or out-of-range.
-    pub fn at(&self, idx: usize) -> Option<&Value> {
+    pub(crate) fn at(&self, idx: usize) -> Option<&Value> {
         self.as_array().and_then(|a| a.get(idx))
     }
 

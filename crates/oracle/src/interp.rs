@@ -8,13 +8,11 @@
 //! operator costs one unit, exactly as the VM burns it.
 
 use laminar_json::{Map, Value};
-use laminar_script::ast::*;
-use laminar_script::builtins;
-use laminar_script::runtime::{
-    binary_op, display_value, index_value, truthy, Host, Sink, VecSink, DEFAULT_FUEL, DEFAULT_SEED,
+use laminar_script::{
+    binary_op, call_builtin, display_value, index_value, truthy, two_ints, BinOp, Block, ErrorKind, Expr,
+    FnDecl, Host, Item, PeDecl, Script, ScriptError, Sink, Stmt, UnOp, VecSink, DEFAULT_FUEL, DEFAULT_SEED,
     MAX_CALL_DEPTH,
 };
-use laminar_script::{ErrorKind, ScriptError};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
@@ -556,7 +554,7 @@ impl Interp {
         if module.is_none() || module == Some("random") {
             match name {
                 "randint" => {
-                    let (a, b) = builtins::two_ints(&args, "randint")?;
+                    let (a, b) = two_ints(&args, "randint")?;
                     if a > b {
                         return Err(ScriptError::new(ErrorKind::ArgumentError, "randint: empty range"));
                     }
@@ -612,7 +610,7 @@ impl Interp {
             }
         }
         // 4. builtin table.
-        if let Some(result) = builtins::call(module, name, &args) {
+        if let Some(result) = call_builtin(module, name, &args) {
             return result.map_err(|mut e| {
                 if e.line == 0 {
                     e.line = line;

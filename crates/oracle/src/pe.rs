@@ -9,8 +9,7 @@
 use crate::Interp;
 use laminar_dataflow::{DataflowError, NodeId, Pe, PeFactory, PeMeta, WorkflowGraph};
 use laminar_json::Value;
-use laminar_script::runtime::DEFAULT_SEED;
-use laminar_script::{parse_script, NullHost, PeDecl, Script, Sink};
+use laminar_script::{parse_script, NullHost, PeDecl, Script, Sink, DEFAULT_SEED};
 use std::sync::Arc;
 
 /// How a differential suite puts one scripted PE of `source` into a graph:

@@ -1,14 +1,13 @@
 //! The registry's linear scan: each search mode answered by walking the
 //! user's entities in the store and normalizing or scoring each one. Every
-//! function has its namesake's contract in [`laminar_registry::search`] —
+//! function has its namesake's contract in `laminar_registry`'s search module —
 //! same hits, same scores, same score-then-id order — which
 //! `proptest_search` pins.
 
 use laminar_embed::{cosine, model_by_name, Embedding, EmbeddingModel};
-use laminar_registry::dao::Dao;
-use laminar_registry::search::normalize_text;
 use laminar_registry::{
-    PeEntity, QueryType, Registry, RegistryError, SearchHit, SearchType, VecField, WorkflowEntity,
+    normalize_text, Dao, PeEntity, QueryType, Registry, RegistryError, SearchHit, SearchType, VecField,
+    WorkflowEntity,
 };
 use std::sync::OnceLock;
 

@@ -50,12 +50,12 @@ impl Dao {
     }
 
     /// The search index (query side).
-    pub fn index(&self) -> &SearchIndex {
+    pub(crate) fn index(&self) -> &SearchIndex {
         &self.index
     }
 
     /// Force a snapshot to disk (durable mode only).
-    pub fn checkpoint(&mut self) -> Result<(), RegistryError> {
+    pub(crate) fn checkpoint(&mut self) -> Result<(), RegistryError> {
         self.wal.snapshot(&self.store)
     }
 
@@ -97,7 +97,7 @@ impl Dao {
     }
 
     /// All users.
-    pub fn all_users(&self) -> impl Iterator<Item = &UserEntity> {
+    pub(crate) fn all_users(&self) -> impl Iterator<Item = &UserEntity> {
         self.store.users.scan()
     }
 
@@ -119,12 +119,12 @@ impl Dao {
     }
 
     /// PE by id.
-    pub fn pe_by_id(&self, id: i64) -> Result<&PeEntity, RegistryError> {
+    pub(crate) fn pe_by_id(&self, id: i64) -> Result<&PeEntity, RegistryError> {
         by_id(&self.store.pes, id)
     }
 
     /// PE by unique name.
-    pub fn pe_by_name(&self, name: &str) -> Result<&PeEntity, RegistryError> {
+    pub(crate) fn pe_by_name(&self, name: &str) -> Result<&PeEntity, RegistryError> {
         by_unique(&self.store.pes, name)
     }
 
@@ -161,12 +161,12 @@ impl Dao {
     }
 
     /// Workflow by id.
-    pub fn workflow_by_id(&self, id: i64) -> Result<&WorkflowEntity, RegistryError> {
+    pub(crate) fn workflow_by_id(&self, id: i64) -> Result<&WorkflowEntity, RegistryError> {
         by_id(&self.store.workflows, id)
     }
 
     /// Workflow by unique entry point.
-    pub fn workflow_by_entry(&self, entry: &str) -> Result<&WorkflowEntity, RegistryError> {
+    pub(crate) fn workflow_by_entry(&self, entry: &str) -> Result<&WorkflowEntity, RegistryError> {
         by_unique(&self.store.workflows, entry)
     }
 
@@ -187,7 +187,7 @@ impl Dao {
     }
 
     /// PEs belonging to a workflow.
-    pub fn pes_of_workflow(&self, workflow_id: i64) -> impl Iterator<Item = &PeEntity> {
+    pub(crate) fn pes_of_workflow(&self, workflow_id: i64) -> impl Iterator<Item = &PeEntity> {
         self.store.workflow_pes.rights_of(workflow_id).into_iter().filter_map(|id| self.store.pes.get(id))
     }
 

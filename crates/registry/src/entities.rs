@@ -98,7 +98,7 @@ impl Row for PeEntity {
 impl PeEntity {
     /// Decode the stored source code.
     pub fn source(&self) -> Option<String> {
-        let v = laminar_codec::pickle::loads_b64(&self.pe_code).ok()?;
+        let v = laminar_codec::loads_b64(&self.pe_code).ok()?;
         v["source"].as_str().map(str::to_string)
     }
 }
@@ -108,12 +108,12 @@ impl PeEntity {
 pub fn encode_code(source: &str) -> String {
     let mut v = Value::Null;
     v.set("source", source).set("format", "lamscript/1");
-    laminar_codec::pickle::dumps_b64(&v)
+    laminar_codec::dumps_b64(&v)
 }
 
 /// Inverse of [`encode_code`].
 pub fn decode_code(encoded: &str) -> Option<String> {
-    let v = laminar_codec::pickle::loads_b64(encoded).ok()?;
+    let v = laminar_codec::loads_b64(encoded).ok()?;
     v["source"].as_str().map(str::to_string)
 }
 
@@ -195,7 +195,7 @@ impl WorkflowEntity {
 
     /// The stored source, prepared — its text is what `workflow_code`
     /// decodes to.
-    pub fn prepared(&self) -> &Arc<Prepared> {
+    pub(crate) fn prepared(&self) -> &Arc<Prepared> {
         &self.prepared
     }
 }

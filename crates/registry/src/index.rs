@@ -53,8 +53,7 @@
 use crate::entities::{PeEntity, WorkflowEntity};
 use crate::search::normalize_text;
 use crate::store::Store;
-use laminar_embed::embedding::{cosine_of, TopK};
-use laminar_embed::Embedding;
+use laminar_embed::{cosine_of, Embedding, TopK};
 use laminar_json::Value;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -280,7 +279,7 @@ struct UserIndex {
     code: ByDim,
 }
 
-/// The registry-wide search index: one [`UserIndex`] per user that owns
+/// The registry-wide search index: one `UserIndex` per user that owns
 /// at least one entity. Owned and maintained by the DAO.
 #[derive(Debug, Default)]
 pub struct SearchIndex {
@@ -289,7 +288,7 @@ pub struct SearchIndex {
 
 impl SearchIndex {
     /// An empty index.
-    pub fn new() -> SearchIndex {
+    pub(crate) fn new() -> SearchIndex {
         SearchIndex::default()
     }
 
@@ -314,7 +313,7 @@ impl SearchIndex {
     // ---- maintenance (DAO write path) ---------------------------------
 
     /// Index a PE for one owner (registration or shared-owner link).
-    pub fn add_pe(&mut self, user_id: i64, pe: &PeEntity) {
+    pub(crate) fn add_pe(&mut self, user_id: i64, pe: &PeEntity) {
         let user = self.users.entry(user_id).or_default();
         user.pe_text.add(pe.pe_id, &[&pe.pe_name, &pe.description]);
         add_vector(&mut user.desc, pe.pe_id, &pe.desc_embedding);
@@ -324,7 +323,7 @@ impl SearchIndex {
     /// Drop a PE from one owner's slice (unlink or deletion). `pe` is the
     /// entity [`add_pe`](Self::add_pe) indexed: its vectors name the
     /// postings to drop.
-    pub fn remove_pe(&mut self, user_id: i64, pe: &PeEntity) {
+    pub(crate) fn remove_pe(&mut self, user_id: i64, pe: &PeEntity) {
         if let Some(user) = self.users.get_mut(&user_id) {
             user.pe_text.remove(pe.pe_id);
             remove_vector(&mut user.desc, pe.pe_id, &pe.desc_embedding);
@@ -333,13 +332,13 @@ impl SearchIndex {
     }
 
     /// Index a workflow for one owner.
-    pub fn add_workflow(&mut self, user_id: i64, wf: &WorkflowEntity) {
+    pub(crate) fn add_workflow(&mut self, user_id: i64, wf: &WorkflowEntity) {
         let user = self.users.entry(user_id).or_default();
         user.wf_text.add(wf.workflow_id, &[&wf.workflow_name, &wf.entry_point, &wf.description]);
     }
 
     /// Drop a workflow from one owner's slice.
-    pub fn remove_workflow(&mut self, user_id: i64, workflow_id: i64) {
+    pub(crate) fn remove_workflow(&mut self, user_id: i64, workflow_id: i64) {
         if let Some(user) = self.users.get_mut(&user_id) {
             user.wf_text.remove(workflow_id);
         }
@@ -349,18 +348,24 @@ impl SearchIndex {
 
     /// PE ids text-matching `needle` (already normalized), ascending, at
     /// most `limit`.
-    pub fn text_pes(&self, user_id: i64, needle: &str, limit: usize) -> Vec<i64> {
+    pub(crate) fn text_pes(&self, user_id: i64, needle: &str, limit: usize) -> Vec<i64> {
         self.users.get(&user_id).map(|u| u.pe_text.matching(needle, limit)).unwrap_or_default()
     }
 
     /// Workflow ids text-matching `needle`, ascending, at most `limit`.
-    pub fn text_workflows(&self, user_id: i64, needle: &str, limit: usize) -> Vec<i64> {
+    pub(crate) fn text_workflows(&self, user_id: i64, needle: &str, limit: usize) -> Vec<i64> {
         self.users.get(&user_id).map(|u| u.wf_text.matching(needle, limit)).unwrap_or_default()
     }
 
     /// Best `limit` PEs by cosine in `field` space, best-first, among the
     /// user's vectors of the query's dimension.
-    pub fn top_pes(&self, user_id: i64, field: VecField, query: &Embedding, limit: usize) -> Vec<(i64, f64)> {
+    pub(crate) fn top_pes(
+        &self,
+        user_id: i64,
+        field: VecField,
+        query: &Embedding,
+        limit: usize,
+    ) -> Vec<(i64, f64)> {
         let Some(user) = self.users.get(&user_id) else { return Vec::new() };
         let space = match field {
             VecField::Desc => &user.desc,
@@ -370,7 +375,7 @@ impl SearchIndex {
     }
 
     /// Observability snapshot for `/registry/stats`.
-    pub fn stats(&self) -> Value {
+    pub(crate) fn stats(&self) -> Value {
         let mut tokens = 0usize;
         let mut vectors = 0usize;
         for user in self.users.values() {

@@ -28,19 +28,25 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod dao;
-pub mod entities;
-pub mod error;
-pub mod index;
-pub mod search;
+mod dao;
+mod entities;
+mod error;
+mod index;
+mod search;
 pub mod service;
-pub mod store;
-pub mod wal;
+mod store;
+mod wal;
 
-pub use entities::{PeEntity, UserEntity, WorkflowEntity};
+pub use dao::Dao;
+pub use entities::{decode_code, encode_code, hash_password, PeEntity, UserEntity, WorkflowEntity};
 pub use error::RegistryError;
 pub use index::{SearchIndex, VecField};
-pub use search::{QueryType, SearchHit, SearchOptions, SearchType, DEFAULT_SEARCH_LIMIT};
-pub use service::{Registry, SearchResponse};
-pub use store::{Row, Store, Table};
+pub use search::{
+    normalize_text, ranked_pe_hits, text_search_pes, text_search_workflows, QueryType, SearchHit,
+    SearchOptions, SearchType, DEFAULT_SEARCH_LIMIT,
+};
+pub use service::{EntityKey, Registry, SearchResponse};
+pub use store::{Junction, Row, Store, Table};
+pub use wal::WalStore;

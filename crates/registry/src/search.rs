@@ -12,7 +12,7 @@
 
 use crate::dao::Dao;
 use crate::entities::{PeEntity, WorkflowEntity};
-pub use crate::index::VecField;
+pub(crate) use crate::index::VecField;
 use laminar_embed::Embedding;
 
 /// What to search over (the client's `search_type` parameter).

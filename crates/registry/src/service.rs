@@ -12,7 +12,7 @@ use crate::search::{
 use crate::store::Store;
 use crate::wal::WalStore;
 use laminar_embed::models::{model_by_name, EmbeddingModel};
-use laminar_embed::summarize::summarize_pe_source;
+use laminar_embed::summarize_pe_source;
 use laminar_json::Value;
 use laminar_script::{canonicalize, prepare, to_source, Item, PeDecl, Prepared, Script};
 use std::path::Path;
@@ -217,7 +217,7 @@ impl Registry {
             description: description.clone(),
             description_generated: generated,
             pe_code: encode_code(&canonical),
-            pe_imports: laminar_script::analysis::pe_imports(decl),
+            pe_imports: laminar_script::pe_imports(decl),
             code_embedding: self.completion_model.embed_code(&canonical),
             desc_embedding: self.search_model.embed_text(&description),
         };
@@ -495,29 +495,6 @@ impl Registry {
         Ok(out)
     }
 
-    /// `describe`: human text for a PE or workflow (client fn 11).
-    pub fn describe(&self, user: &str, key: &EntityKey) -> Result<String, RegistryError> {
-        if let Ok(pe) = self.owned_pe(user, key) {
-            return Ok(format!(
-                "PE {} (id {}): {}{}",
-                pe.pe_name,
-                pe.pe_id,
-                pe.description,
-                if pe.description_generated { " [auto-generated]" } else { "" }
-            ));
-        }
-        let wf = self.owned_workflow(user, key)?;
-        let names: Vec<&str> = self.dao.pes_of_workflow(wf.workflow_id).map(|p| p.pe_name.as_str()).collect();
-        Ok(format!(
-            "Workflow {} (id {}, entry '{}'): {} — PEs: [{}]",
-            wf.workflow_name,
-            wf.workflow_id,
-            wf.entry_point,
-            wf.description,
-            names.join(", ")
-        ))
-    }
-
     /// What running a registered workflow needs — its name and its
     /// prepared script — from one lookup and one ownership check.
     pub fn workflow_to_run(
@@ -750,19 +727,6 @@ mod tests {
         r.register_pe("zz46", PRIME_SRC, None).unwrap();
         let hits = r.search("zz46", "randint(1, 1000)", SearchType::Pe, QueryType::Code).unwrap();
         assert_eq!(hits[0].name, "NumberProducer", "hits: {hits:?}");
-    }
-
-    #[test]
-    fn describe_formats() {
-        let mut r = reg_with_user();
-        let standalone = PRIME_SRC.replace("IsPrime", "IsPrimeManual");
-        let pe = r.register_pe("zz46", &standalone, Some("manual words")).unwrap();
-        let d = r.describe("zz46", &EntityKey::Id(pe.pe_id)).unwrap();
-        assert!(d.contains("IsPrimeManual"));
-        assert!(d.contains("manual words"));
-        r.register_workflow("zz46", WF_SRC, "isPrime", None).unwrap();
-        let wd = r.describe("zz46", &"isPrime".into()).unwrap();
-        assert!(wd.contains("PEs: ["));
     }
 
     #[test]

@@ -173,17 +173,18 @@ impl<T: Row> Default for Table<T> {
 
 impl<T: Row> Table<T> {
     /// Empty table.
-    pub fn new() -> Table<T> {
+    pub(crate) fn new() -> Table<T> {
         Table { next_id: 1, rows: BTreeMap::new(), unique: BTreeMap::new() }
     }
 
     /// Number of rows.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.rows.len()
     }
 
     /// True when the table holds no rows.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
 
@@ -214,12 +215,12 @@ impl<T: Row> Table<T> {
     }
 
     /// Fetch an entity by id.
-    pub fn get(&self, id: i64) -> Option<&T> {
+    pub(crate) fn get(&self, id: i64) -> Option<&T> {
         self.rows.get(&id)
     }
 
     /// Look up a row id by the unique column.
-    pub fn find_unique(&self, key: &str) -> Option<i64> {
+    pub(crate) fn find_unique(&self, key: &str) -> Option<i64> {
         self.unique.get(key).copied()
     }
 
@@ -284,11 +285,6 @@ pub struct Junction {
 }
 
 impl Junction {
-    /// Empty junction.
-    pub fn new() -> Junction {
-        Junction::default()
-    }
-
     /// Link `left` and `right`. Returns false if already linked.
     fn link(&mut self, left: i64, right: i64) -> bool {
         self.pairs.insert((left, right))
@@ -300,18 +296,18 @@ impl Junction {
     }
 
     /// Is the pair linked?
-    pub fn linked(&self, left: i64, right: i64) -> bool {
+    pub(crate) fn linked(&self, left: i64, right: i64) -> bool {
         self.pairs.contains(&(left, right))
     }
 
     /// All right-ids linked to `left`, ascending: one range of the ordered
     /// pairs, not a walk over every link.
-    pub fn rights_of(&self, left: i64) -> Vec<i64> {
+    pub(crate) fn rights_of(&self, left: i64) -> Vec<i64> {
         self.pairs.range((left, i64::MIN)..=(left, i64::MAX)).map(|&(_, r)| r).collect()
     }
 
     /// All left-ids linked to `right`.
-    pub fn lefts_of(&self, right: i64) -> Vec<i64> {
+    pub(crate) fn lefts_of(&self, right: i64) -> Vec<i64> {
         self.pairs.iter().filter(|(_, r)| *r == right).map(|(l, _)| *l).collect()
     }
 
@@ -327,7 +323,7 @@ impl Junction {
 
     /// Iterate every `(left, right)` pair in ascending order (used to
     /// rebuild derived structures like the search index after recovery).
-    pub fn iter(&self) -> impl Iterator<Item = (i64, i64)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (i64, i64)> + '_ {
         self.pairs.iter().copied()
     }
 
@@ -342,12 +338,12 @@ impl Junction {
     }
 
     /// Serialize for snapshots.
-    pub fn to_value(&self) -> Value {
+    pub(crate) fn to_value(&self) -> Value {
         self.pairs.iter().map(|(l, r)| Value::Array(vec![Value::Int(*l), Value::Int(*r)])).collect()
     }
 
     /// Rebuild from a snapshot value; every pair must be two integers.
-    pub fn from_value(v: &Value) -> Result<Junction, RegistryError> {
+    pub(crate) fn from_value(v: &Value) -> Result<Junction, RegistryError> {
         let pair = |p: &Value| match p.as_array() {
             Some([l, r]) => l.as_i64().zip(r.as_i64()),
             _ => None,
@@ -450,17 +446,17 @@ impl Op {
 #[derive(Debug, Clone, Default)]
 pub struct Store {
     /// Users (unique `userName`).
-    pub users: Table<UserEntity>,
+    pub(crate) users: Table<UserEntity>,
     /// Processing Elements (unique `peName`).
     pub pes: Table<PeEntity>,
     /// Workflows (unique `entryPoint`).
-    pub workflows: Table<WorkflowEntity>,
+    pub(crate) workflows: Table<WorkflowEntity>,
     /// user ↔ PE ownership (one-way many-to-many).
     pub user_pes: Junction,
     /// user ↔ workflow ownership.
-    pub user_workflows: Junction,
+    pub(crate) user_workflows: Junction,
     /// workflow ↔ PE membership (two-way many-to-many).
-    pub workflow_pes: Junction,
+    pub(crate) workflow_pes: Junction,
 }
 
 impl Store {
@@ -509,7 +505,7 @@ impl Store {
     }
 
     /// Rebuild from a snapshot.
-    pub fn from_value(v: &Value) -> Result<Store, RegistryError> {
+    pub(crate) fn from_value(v: &Value) -> Result<Store, RegistryError> {
         Ok(Store {
             users: Table::from_value(&v["users"])?,
             pes: Table::from_value(&v["pes"])?,
@@ -617,7 +613,7 @@ mod tests {
 
     #[test]
     fn junction_queries() {
-        let mut j = Junction::new();
+        let mut j = Junction::default();
         assert!(j.link(1, 10));
         assert!(!j.link(1, 10));
         j.link(1, 11);
@@ -633,7 +629,7 @@ mod tests {
 
     #[test]
     fn rights_of_answers_what_filtering_every_pair_answers() {
-        let mut j = Junction::new();
+        let mut j = Junction::default();
         // Users interleaved in link order, rights at both ends of i64.
         let lefts = [i64::MIN, -3, 0, 1, 2, 7, i64::MAX];
         for right in [5, i64::MIN, 0, i64::MAX, -9, 42, 1] {

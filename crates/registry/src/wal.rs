@@ -155,7 +155,7 @@ impl WalStore {
     }
 
     /// Write a full snapshot and truncate the WAL.
-    pub fn snapshot(&mut self, store: &Store) -> Result<(), RegistryError> {
+    pub(crate) fn snapshot(&mut self, store: &Store) -> Result<(), RegistryError> {
         if self.wal.is_none() {
             return Ok(());
         }

@@ -8,12 +8,9 @@
 
 use laminar_embed::Embedding;
 use laminar_oracle::scan;
-use laminar_registry::dao::Dao;
-use laminar_registry::entities::{encode_code, hash_password};
-use laminar_registry::search::{ranked_pe_hits, text_search_pes, text_search_workflows};
-use laminar_registry::wal::WalStore;
 use laminar_registry::{
-    PeEntity, QueryType, Registry, RegistryError, SearchHit, SearchOptions, SearchType, UserEntity, VecField,
+    encode_code, hash_password, ranked_pe_hits, text_search_pes, text_search_workflows, Dao, PeEntity,
+    QueryType, Registry, RegistryError, SearchHit, SearchOptions, SearchType, UserEntity, VecField, WalStore,
     WorkflowEntity,
 };
 use std::path::PathBuf;

@@ -5,8 +5,7 @@
 //! the live store — pinning crash-recovery and concurrency semantics
 //! together.
 
-use laminar_registry::service::EntityKey;
-use laminar_registry::Registry;
+use laminar_registry::{EntityKey, Registry, WalStore};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier, RwLock};
@@ -119,7 +118,7 @@ proptest! {
         // What the concurrent writers produced in memory…
         let live = registry.read().unwrap().dao().store.to_value();
         // …must equal a cold sequential recovery from disk.
-        let (recovered, _) = laminar_registry::wal::WalStore::open(&dir).unwrap();
+        let (recovered, _) = WalStore::open(&dir).unwrap();
         prop_assert_eq!(
             laminar_json::to_string(&recovered.to_value()),
             laminar_json::to_string(&live),

@@ -15,13 +15,10 @@
 
 use laminar_embed::Embedding;
 use laminar_oracle::scan;
-use laminar_registry::dao::Dao;
-use laminar_registry::entities::encode_code;
-use laminar_registry::search::ranked_pe_hits;
-use laminar_registry::service::EntityKey;
-use laminar_registry::store::Store;
-use laminar_registry::wal::WalStore;
-use laminar_registry::{PeEntity, QueryType, Registry, SearchHit, SearchOptions, SearchType, VecField};
+use laminar_registry::{
+    encode_code, ranked_pe_hits, Dao, EntityKey, PeEntity, QueryType, Registry, SearchHit, SearchOptions,
+    SearchType, Store, VecField, WalStore,
+};
 use proptest::prelude::*;
 use std::path::PathBuf;
 

@@ -3,11 +3,9 @@
 
 use laminar_embed::Embedding;
 use laminar_oracle::scan;
-use laminar_registry::dao::Dao;
-use laminar_registry::search::ranked_pe_hits;
-use laminar_registry::store::Store;
-use laminar_registry::wal::WalStore;
-use laminar_registry::{PeEntity, SearchOptions, VecField, DEFAULT_SEARCH_LIMIT};
+use laminar_registry::{
+    ranked_pe_hits, Dao, PeEntity, SearchOptions, Store, VecField, WalStore, DEFAULT_SEARCH_LIMIT,
+};
 
 #[test]
 fn mixed_dimensions_rank_the_query_dimension_on_both_paths() {

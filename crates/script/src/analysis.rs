@@ -5,8 +5,8 @@
 //! * the **execution engine** calls [`imports`] (the `findimports`
 //!   equivalent from the paper's web_client layer) to build the library
 //!   install list;
-//! * the **embedding models** call [`identifiers`], [`subtokens`] and
-//!   [`def_use_pairs`] to build lexical, normalized and dataflow feature
+//! * the **embedding models** call [`subtokens`] and [`def_use_pairs`]
+//!   to build lexical, normalized and dataflow feature
 //!   sets (the GraphCodeBERT substitute consumes the def-use edges);
 //! * the **summarizer** calls [`CodeFacts::collect`] for its structural
 //!   inventory.
@@ -56,7 +56,7 @@ pub fn pe_imports(pe: &PeDecl) -> Vec<String> {
 
 /// Does a block reference the `state` variable? Used to classify PEs as
 /// stateful/stateless (paper §2.1).
-pub fn mentions_state(block: &Block) -> bool {
+pub(crate) fn mentions_state(block: &Block) -> bool {
     let mut found = false;
     walk_exprs(block, &mut |e| {
         if let Expr::Var { name, .. } = e {
@@ -68,59 +68,11 @@ pub fn mentions_state(block: &Block) -> bool {
     found
 }
 
-/// Every identifier occurring in a PE (ports, variables, called functions,
-/// fields, map keys), in order of first appearance.
-pub fn identifiers(pe: &PeDecl) -> Vec<String> {
-    let mut out: Vec<String> = Vec::new();
-    let mut seen = BTreeSet::new();
-    let mut push = |s: &str| {
-        if seen.insert(s.to_string()) {
-            out.push(s.to_string());
-        }
-    };
-    push(&pe.name);
-    for p in &pe.inputs {
-        push(&p.name);
-    }
-    for o in &pe.outputs {
-        push(o);
-    }
-    let visit = |block: &Block, push: &mut dyn FnMut(&str)| {
-        walk_exprs(block, &mut |e| match e {
-            Expr::Var { name, .. } => push(name),
-            Expr::Call { module, name, .. } => {
-                if let Some(m) = module {
-                    push(m);
-                }
-                push(name);
-            }
-            Expr::Field { field, .. } => push(field),
-            Expr::MapLit(pairs) => {
-                for (k, _) in pairs {
-                    push(k);
-                }
-            }
-            _ => {}
-        });
-        walk_stmts(block, &mut |s| match s {
-            Stmt::Let { name, .. } => push(name),
-            Stmt::For { var, .. } => push(var),
-            Stmt::EmitTo { port, .. } => push(port),
-            _ => {}
-        });
-    };
-    if let Some(init) = &pe.init {
-        visit(init, &mut push);
-    }
-    visit(&pe.process, &mut push);
-    out
-}
-
 /// Split an identifier into lowercase subtokens on `snake_case`,
 /// `camelCase`, `PascalCase` and digit boundaries.
 ///
 /// ```
-/// use laminar_script::analysis::subtokens;
+/// use laminar_script::subtokens;
 /// assert_eq!(subtokens("getVoTable42"), vec!["get", "vo", "table", "42"]);
 /// assert_eq!(subtokens("internal_ext"), vec!["internal", "ext"]);
 /// ```
@@ -197,7 +149,7 @@ pub fn def_use_pairs(pe: &PeDecl) -> Vec<DefUse> {
 }
 
 /// Root variable of an lvalue chain (`state.count[w]` → `state`).
-pub fn root_var(e: &Expr) -> Option<String> {
+pub(crate) fn root_var(e: &Expr) -> Option<String> {
     match e {
         Expr::Var { name, .. } => Some(name.clone()),
         Expr::Index { base, .. } | Expr::Field { base, .. } => root_var(base),
@@ -227,13 +179,13 @@ pub struct CodeFacts {
     /// Contains a loop.
     pub has_loop: bool,
     /// Contains branching.
-    pub has_branch: bool,
+    pub(crate) has_branch: bool,
     /// References `state`.
     pub uses_state: bool,
     /// Uses the RNG builtins.
     pub uses_random: bool,
     /// Number of statements (rough size).
-    pub stmt_count: usize,
+    pub(crate) stmt_count: usize,
 }
 
 impl CodeFacts {
@@ -286,7 +238,7 @@ impl CodeFacts {
 // ---- generic walkers ----------------------------------------------------
 
 /// Visit every statement in a block, recursively (pre-order).
-pub fn walk_stmts(block: &Block, visit: &mut dyn FnMut(&Stmt)) {
+pub(crate) fn walk_stmts(block: &Block, visit: &mut dyn FnMut(&Stmt)) {
     for s in &block.stmts {
         visit(s);
         match s {
@@ -303,7 +255,7 @@ pub fn walk_stmts(block: &Block, visit: &mut dyn FnMut(&Stmt)) {
 }
 
 /// Visit every expression in a block, recursively.
-pub fn walk_exprs(block: &Block, visit: &mut dyn FnMut(&Expr)) {
+pub(crate) fn walk_exprs(block: &Block, visit: &mut dyn FnMut(&Expr)) {
     walk_stmts(block, &mut |s| {
         let exprs: Vec<&Expr> = match s {
             Stmt::Let { value, .. } => vec![value],
@@ -324,7 +276,7 @@ pub fn walk_exprs(block: &Block, visit: &mut dyn FnMut(&Expr)) {
 }
 
 /// Visit an expression tree (pre-order).
-pub fn walk_expr(e: &Expr, visit: &mut dyn FnMut(&Expr)) {
+pub(crate) fn walk_expr(e: &Expr, visit: &mut dyn FnMut(&Expr)) {
     visit(e);
     match e {
         Expr::List(items) => {
@@ -415,20 +367,6 @@ mod tests {
         let pe = s.pe("CountWords").unwrap();
         assert!(pe.is_stateful());
         assert!(mentions_state(&pe.process));
-    }
-
-    #[test]
-    fn identifier_extraction() {
-        let s = parse_script(WORDCOUNT).unwrap();
-        let ids = identifiers(s.pe("CountWords").unwrap());
-        for expected in ["CountWords", "input", "output", "state", "count", "word", "get"] {
-            assert!(ids.iter().any(|i| i == expected), "missing {expected} in {ids:?}");
-        }
-        // Deduplicated.
-        let mut sorted = ids.clone();
-        sorted.sort();
-        sorted.dedup();
-        assert_eq!(sorted.len(), ids.len());
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub enum PeKind {
 impl PeKind {
     /// Parse from the source keyword (named like [`crate::parse_script`]'s
     /// helpers rather than `FromStr` because it returns an `Option`).
-    pub fn parse(s: &str) -> Option<PeKind> {
+    pub(crate) fn parse(s: &str) -> Option<PeKind> {
         Some(match s {
             "producer" => PeKind::Producer,
             "iterative" => PeKind::Iterative,
@@ -309,7 +309,7 @@ impl Expr {
     }
 
     /// Is this expression usable as an assignment target?
-    pub fn is_lvalue(&self) -> bool {
+    pub(crate) fn is_lvalue(&self) -> bool {
         match self {
             Expr::Var { .. } => true,
             Expr::Index { base, .. } | Expr::Field { base, .. } => base.is_lvalue(),

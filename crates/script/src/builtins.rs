@@ -34,7 +34,7 @@ pub fn two_ints(args: &[Value], name: &str) -> Result<(i64, i64), ScriptError> {
 }
 
 /// Names the engine treats as pre-installed modules (no install cost).
-pub const BUILTIN_MODULES: &[&str] = &["math", "strings", "random"];
+pub(crate) const BUILTIN_MODULES: &[&str] = &["math", "strings", "random"];
 
 /// Dispatch a builtin. Returns `None` when `(module, name)` is not a builtin,
 /// so the interpreter can fall through to user functions and host calls.
@@ -270,7 +270,7 @@ fn call_global(name: &str, args: &[Value]) -> Option<R> {
 /// `get(container, key, default?)`: the table's `get` and the VM's fused
 /// one. Null is treated as an empty map: uninitialized state reads fall
 /// back to the default instead of erroring.
-pub fn get(container: &Value, key: &Value, default: Option<&Value>) -> R {
+pub(crate) fn get(container: &Value, key: &Value, default: Option<&Value>) -> R {
     let found = match (container, key) {
         (Value::Null, _) => None,
         (Value::Object(m), Value::Str(k)) => m.get(k),

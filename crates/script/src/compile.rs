@@ -15,33 +15,33 @@
 //!   dispatch order (`print` → RNG builtins → user functions → builtin
 //!   table → host), so dispatch is a direct instruction;
 //! * `emit`/`print` are fused instructions that hand `Value`s straight to
-//!   the [`crate::runtime::Sink`];
+//!   the [`crate::Sink`];
 //! * a `.f`/`[i]` chain rooted at a name, with literal or local operands,
-//!   is a [`ReadPath`]: [`Instr::LoadPath`] walks the root by reference and
-//!   clones only the leaf (the read twin of [`Instr::StorePath`]), and a
-//!   builtin's first such argument is *lent* — [`Instr::CheckPath`] walks
+//!   is a `ReadPath`: `Instr::LoadPath` walks the root by reference and
+//!   clones only the leaf (the read twin of `Instr::StorePath`), and a
+//!   builtin's first such argument is *lent* — `Instr::CheckPath` walks
 //!   it at its turn in the argument order without copying, and the call
 //!   moves the leaf into the argument register and back. Builtins see
 //!   `&[Value]` and no expression assigns a local or the port binding, so
 //!   the call finds the leaf the check found (DESIGN.md §3.5);
 //! * the group-by read `get(path, key, default?)` with a literal or local
-//!   key and default is one [`Instr::Get`] (after the path's entry burns):
+//!   key and default is one `Instr::Get` (after the path's entry burns):
 //!   it walks the path and reads both operands in place and calls
-//!   [`crate::builtins::get`], the table's own `get`;
+//!   `builtins::get`, the table's own `get`;
 //! * an assignment's index that is a local other than its root is read in
-//!   place by the store ([`PathAcc::Local`]), not copied into a register;
+//!   place by the store (`PathAcc::Local`), not copied into a register;
 //! * a PE records whether its `process` names `input_port`
-//!   ([`PeProgram::names_input_port`]), so a run builds that string only
+//!   (`PeProgram::names_input_port`), so a run builds that string only
 //!   for a body that reads it; the datum's port-named alias shares the
 //!   `input` slot until the body assigns to either name.
 //!
 //! The lowering is *semantics-preserving by construction*: fuel is burned by
-//! explicit [`Instr::Fuel`] instructions (and fused into the leaf loads and
+//! explicit `Instr::Fuel` instructions (and fused into the leaf loads and
 //! path walks) in exactly the order the interpreter burns it, runtime
 //! checks (call depth, arity, undeclared ports) stay runtime checks with the
 //! interpreter's error kinds and messages, and names the compiler cannot
 //! resolve (the datum's per-invocation port binding) fall back to
-//! [`Instr::Dynamic`] lookups. `tests/proptest_vm.rs` differential-tests
+//! `Instr::Dynamic` lookups. `tests/proptest_vm.rs` differential-tests
 //! the VM against the interpreter over generated programs,
 //! `tests/proptest_paths.rs` over programs built around read paths and
 //! lent arguments, and `tests/vm_parity.rs` over a few fixed ones.
@@ -54,7 +54,7 @@ use std::collections::HashMap;
 
 /// RNG-backed builtins that consume the VM's seeded generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RandKind {
+pub(crate) enum RandKind {
     /// `randint(a, b)` — inclusive integer range.
     Randint,
     /// `random()` — float in `[0, 1)`.
@@ -65,7 +65,7 @@ pub enum RandKind {
 
 /// One accessor step of a compiled assignment path (`x[i].f = v`).
 #[derive(Debug, Clone, Copy)]
-pub enum PathAcc {
+pub(crate) enum PathAcc {
     /// Field access; index into [`Chunk::names`].
     Field(u16),
     /// Index access; the temporary register the index was evaluated into.
@@ -77,7 +77,7 @@ pub enum PathAcc {
 
 /// Where a read path starts.
 #[derive(Debug, Clone, Copy)]
-pub enum PathRoot {
+pub(crate) enum PathRoot {
     /// A local register slot.
     Local(u16),
     /// The dynamic port binding named `names[i]`, else `NameError`.
@@ -87,7 +87,7 @@ pub enum PathRoot {
 /// An operand read in place: an index in a read path, or a `get` key or
 /// default.
 #[derive(Debug, Clone, Copy)]
-pub enum Operand {
+pub(crate) enum Operand {
     /// `consts[idx]`: a literal (burns one unit, like `Const`).
     Const(u16),
     /// `regs[slot]`: a local (burns one unit at `line`, like `Local`).
@@ -96,7 +96,7 @@ pub enum Operand {
 
 impl Operand {
     /// The line its unit burns at.
-    pub fn line(self) -> u32 {
+    pub(crate) fn line(self) -> u32 {
         match self {
             Operand::Const(_) => 0,
             Operand::Local { line, .. } => line,
@@ -106,7 +106,7 @@ impl Operand {
 
 /// One accessor step of a compiled read path (`x.f[i]` read in place).
 #[derive(Debug, Clone, Copy)]
-pub enum ReadAcc {
+pub(crate) enum ReadAcc {
     /// `.names[name]`; `line` is the field expression's (its `TypeError`).
     Field { name: u16, line: u32 },
     /// `[operand]`.
@@ -117,45 +117,45 @@ pub enum ReadAcc {
 /// or locals other than the root, walked by reference (referenced by
 /// [`Instr::LoadPath`], [`Instr::CheckPath`] and a lent builtin argument).
 #[derive(Debug, Clone)]
-pub struct ReadPath {
+pub(crate) struct ReadPath {
     /// The root variable.
-    pub root: PathRoot,
+    pub(crate) root: PathRoot,
     /// The root variable's line (its burn and `NameError`).
-    pub line: u32,
+    pub(crate) line: u32,
     /// Accessors in application order (innermost first).
-    pub accs: Vec<ReadAcc>,
+    pub(crate) accs: Vec<ReadAcc>,
 }
 
 /// A builtin call site (referenced by [`Instr::CallBuiltin`]).
 #[derive(Debug, Clone, Copy)]
-pub struct BuiltinCall {
+pub(crate) struct BuiltinCall {
     /// Module name in [`Chunk::names`]; `None` for an unqualified call.
-    pub module: Option<u16>,
+    pub(crate) module: Option<u16>,
     /// Function name in [`Chunk::names`].
-    pub name: u16,
+    pub(crate) name: u16,
     /// The argument lent in place of a copy: its position among the
     /// arguments and its path in [`Chunk::reads`].
-    pub lend: Option<(u16, u16)>,
+    pub(crate) lend: Option<(u16, u16)>,
 }
 
 /// A fused `get(path, key, default?)` call (referenced by [`Instr::Get`]).
 #[derive(Debug, Clone, Copy)]
-pub struct GetCall {
+pub(crate) struct GetCall {
     /// The container's path in [`Chunk::reads`].
-    pub path: u16,
+    pub(crate) path: u16,
     /// The key.
-    pub key: Operand,
+    pub(crate) key: Operand,
     /// The default, when given.
-    pub default: Option<Operand>,
+    pub(crate) default: Option<Operand>,
     /// The call's line (its `ArgumentError`).
-    pub line: u32,
+    pub(crate) line: u32,
 }
 
 /// Bytecode instructions. Registers (`dst`, `src`, …) are frame-relative
 /// slots; `line` mirrors the AST node's source line for error parity with
 /// the interpreter.
 #[derive(Debug, Clone, Copy)]
-pub enum Instr {
+pub(crate) enum Instr {
     /// Burn one fuel unit (statement/operator entry).
     Fuel { line: u32 },
     /// `dst = consts[idx]` (burns one unit: literal evaluation).
@@ -240,32 +240,32 @@ pub enum Instr {
 
 /// A compiled function body, `init` block, or `process` block.
 #[derive(Debug, Clone)]
-pub struct Chunk {
+pub(crate) struct Chunk {
     /// Function name (used in arity-error messages); empty for PE chunks.
-    pub name: String,
+    pub(crate) name: String,
     /// Parameter count (function chunks).
-    pub arity: usize,
+    pub(crate) arity: usize,
     /// The instruction stream.
-    pub instrs: Vec<Instr>,
+    pub(crate) instrs: Vec<Instr>,
     /// Constant pool.
-    pub consts: Vec<Value>,
+    pub(crate) consts: Vec<Value>,
     /// Interned names: fields, ports, dynamic vars, map keys, call targets.
-    pub names: Vec<String>,
+    pub(crate) names: Vec<String>,
     /// Assignment path accessors (referenced by [`Instr::StorePath`]).
-    pub paths: Vec<PathAcc>,
+    pub(crate) paths: Vec<PathAcc>,
     /// Read paths (referenced by [`Instr::LoadPath`], [`Instr::CheckPath`]
     /// and [`BuiltinCall::lend`]).
-    pub reads: Vec<ReadPath>,
+    pub(crate) reads: Vec<ReadPath>,
     /// Builtin call sites (referenced by [`Instr::CallBuiltin`]).
-    pub builtins: Vec<BuiltinCall>,
+    pub(crate) builtins: Vec<BuiltinCall>,
     /// Fused `get` calls (referenced by [`Instr::Get`]).
-    pub gets: Vec<GetCall>,
+    pub(crate) gets: Vec<GetCall>,
     /// Precomputed errors (referenced by [`Instr::Raise`]).
-    pub errors: Vec<ScriptError>,
+    pub(crate) errors: Vec<ScriptError>,
     /// Frame size: number of registers this chunk needs.
-    pub n_regs: u16,
+    pub(crate) n_regs: u16,
     /// Default output port for fused `emit` (process chunks only).
-    pub default_output: Option<String>,
+    pub(crate) default_output: Option<String>,
 }
 
 /// A `process` chunk's fixed slots, in the interpreter's definition order:
@@ -280,17 +280,17 @@ pub(crate) const ITERATION: u16 = 3;
 
 /// A compiled PE: optional `init` plus the `process` body.
 #[derive(Debug, Clone)]
-pub struct PeProgram {
+pub(crate) struct PeProgram {
     /// The PE's name.
-    pub name: String,
+    pub(crate) name: String,
     /// Compiled `init { ... }` block, when declared.
-    pub init: Option<Chunk>,
+    pub(crate) init: Option<Chunk>,
     /// Compiled `process { ... }` body.
-    pub process: Chunk,
+    pub(crate) process: Chunk,
     /// Declared default input port (the datum's fallback binding name).
-    pub default_input: Option<String>,
+    pub(crate) default_input: Option<String>,
     /// Whether `process` names `input_port`; if not, the slot stays null.
-    pub names_input_port: bool,
+    pub(crate) names_input_port: bool,
 }
 
 /// A fully compiled script: shared function table plus per-PE chunks.
@@ -298,10 +298,10 @@ pub struct PeProgram {
 pub struct Program {
     /// User functions in first-declaration order (later same-name
     /// declarations overwrite in place, like the interpreter's map).
-    pub fns: Vec<Chunk>,
+    pub(crate) fns: Vec<Chunk>,
     /// Compiled PEs, one per name (first declaration wins, like
     /// `Script::pe`).
-    pub pes: Vec<PeProgram>,
+    pub(crate) pes: Vec<PeProgram>,
 }
 
 impl Program {

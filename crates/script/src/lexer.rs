@@ -8,7 +8,7 @@ use crate::error::{ErrorKind, ScriptError};
 
 /// Token kinds. Keywords are distinguished from identifiers at lex time.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     // Literals
     Int(i64),
     Float(f64),
@@ -109,26 +109,26 @@ impl TokenKind {
 
 /// A token with its 1-based source position.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub(crate) struct Token {
     /// What was lexed.
-    pub kind: TokenKind,
+    pub(crate) kind: TokenKind,
     /// 1-based line.
-    pub line: usize,
+    pub(crate) line: usize,
     /// 1-based column.
-    pub column: usize,
+    pub(crate) column: usize,
 }
 
 /// Lexer statistics consumed by `analysis` and the summarizer.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LexStats {
+pub(crate) struct LexStats {
     /// Number of `#` comments skipped.
-    pub comments: usize,
+    pub(crate) comments: usize,
     /// Total source lines seen.
-    pub lines: usize,
+    pub(crate) lines: usize,
 }
 
 /// Tokenize `source`, returning tokens (terminated by `Eof`) and stats.
-pub fn lex_with_stats(source: &str) -> Result<(Vec<Token>, LexStats), ScriptError> {
+pub(crate) fn lex_with_stats(source: &str) -> Result<(Vec<Token>, LexStats), ScriptError> {
     let mut tokens = Vec::new();
     let mut stats = LexStats::default();
     let bytes = source.as_bytes();
@@ -327,7 +327,7 @@ pub fn lex_with_stats(source: &str) -> Result<(Vec<Token>, LexStats), ScriptErro
 }
 
 /// Tokenize, discarding statistics.
-pub fn lex(source: &str) -> Result<Vec<Token>, ScriptError> {
+pub(crate) fn lex(source: &str) -> Result<Vec<Token>, ScriptError> {
     lex_with_stats(source).map(|(t, _)| t)
 }
 

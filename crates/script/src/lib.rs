@@ -31,36 +31,44 @@
 //! ## Pipeline
 //!
 //! [`prepare`] is the one door from source text to something runnable:
-//! [`lex`](lexer::lex) → [`parse`](parser::parse_script) (nesting bounded
-//! by [`parser::MAX_NESTING`]) → [`compile`](compile::compile_script),
-//! kept together as a [`Prepared`] that the [`Vm`](vm::Vm) (register
-//! bytecode, fuel-bounded) runs — the one backend. The language's plain
+//! lex → [`parse_script`] (nesting bounded by the parser's
+//! `MAX_NESTING`) → [`compile_script`], kept together as a [`Prepared`]
+//! that the [`Vm`] (register bytecode, fuel-bounded) runs — the one
+//! backend. The language's plain
 //! reference semantics, a tree-walking interpreter the differential suites
 //! compare the VM against, lives in the dev-only `laminar-oracle` crate.
-//! Beside them: [`analysis`] (imports à la `findimports`, identifier and
-//! def-use extraction for the embedding models) and [`pretty`] (canonical
-//! source form stored in the registry).
+//! Beside them: static analysis ([`imports`] à la `findimports`, and
+//! [`subtokens`] and [`def_use_pairs`] for the embedding models) and
+//! [`to_source`] (canonical source form stored in the registry).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod analysis;
-pub mod ast;
-pub mod builtins;
+mod analysis;
+mod ast;
+mod builtins;
 pub mod compile;
-pub mod error;
-pub mod lexer;
-pub mod parser;
-pub mod pretty;
-pub mod runtime;
-pub mod vm;
+mod error;
+mod lexer;
+mod parser;
+mod pretty;
+mod runtime;
+mod vm;
 
-pub use ast::{Block, Expr, Item, PeDecl, PeKind, PortDecl, Script, Stmt, WorkflowDecl};
+pub use analysis::{def_use_pairs, imports, pe_imports, subtokens, CodeFacts, DefUse};
+pub use ast::{
+    BinOp, Block, ConnectDecl, Expr, FnDecl, Item, NodeBinding, PeDecl, PeKind, PortDecl, Script, Stmt, UnOp,
+    WorkflowDecl,
+};
+pub use builtins::{call as call_builtin, two_ints};
 pub use compile::{compile_script, Program};
 pub use error::{ErrorKind, ScriptError};
-pub use lexer::{lex, Token, TokenKind};
 pub use parser::{parse_expr, parse_script};
 pub use pretty::to_source;
-pub use runtime::{Host, NullHost, Sink, VecSink};
+pub use runtime::{
+    binary_op, display_value, index_value, truthy, Host, NullHost, Sink, VecSink, DEFAULT_FUEL, DEFAULT_SEED,
+    MAX_CALL_DEPTH,
+};
 pub use vm::Vm;
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -23,7 +23,7 @@ use crate::lexer::{lex, Token, TokenKind};
 /// The parser, the compiler, the printer, the analyses and `Drop` all
 /// recurse over the tree, and source text arrives from the network onto
 /// 2 MiB thread stacks; this bound on the tree's depth bounds them all.
-pub const MAX_NESTING: usize = 64;
+pub(crate) const MAX_NESTING: usize = 64;
 
 /// Parse a full script (imports, functions, PEs, workflows).
 pub fn parse_script(source: &str) -> Result<Script, ScriptError> {

@@ -167,7 +167,7 @@ fn quote(s: &str) -> String {
 /// nested binary operand is wrapped, which keeps the printer simple and the
 /// output unambiguous (round-trip stability is what matters, not minimal
 /// parentheses).
-pub fn expr_src(e: &Expr) -> String {
+pub(crate) fn expr_src(e: &Expr) -> String {
     match e {
         Expr::Int(n) => n.to_string(),
         Expr::Float(f) => {

@@ -110,7 +110,7 @@ pub fn truthy(v: &Value) -> bool {
 }
 
 /// Equality with numeric coercion (`1 == 1.0`).
-pub fn value_eq(a: &Value, b: &Value) -> bool {
+pub(crate) fn value_eq(a: &Value, b: &Value) -> bool {
     match (a, b) {
         (Value::Int(x), Value::Float(y)) | (Value::Float(y), Value::Int(x)) => *x as f64 == *y,
         _ => a == b,

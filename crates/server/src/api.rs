@@ -17,7 +17,7 @@ pub enum Method {
 
 impl Method {
     /// Parse the wire form.
-    pub fn parse(s: &str) -> Option<Method> {
+    pub(crate) fn parse(s: &str) -> Option<Method> {
         [Method::Get, Method::Post, Method::Put, Method::Delete]
             .into_iter()
             .find(|method| s.eq_ignore_ascii_case(method.as_str()))
@@ -52,7 +52,7 @@ impl ApiRequest {
     }
 
     /// Path segments (empty segments dropped).
-    pub fn segments(&self) -> Vec<&str> {
+    pub(crate) fn segments(&self) -> Vec<&str> {
         self.path.split('/').filter(|s| !s.is_empty()).collect()
     }
 }
@@ -73,7 +73,7 @@ impl ApiResponse {
     }
 
     /// An error response from a registry error (standard envelope).
-    pub fn error(e: &laminar_registry::RegistryError) -> ApiResponse {
+    pub(crate) fn error(e: &laminar_registry::RegistryError) -> ApiResponse {
         ApiResponse { status: e.code() as u16, body: e.to_value() }
     }
 
@@ -88,12 +88,12 @@ impl ApiResponse {
     }
 
     /// 404 for unknown routes.
-    pub fn not_found(path: &str) -> ApiResponse {
+    pub(crate) fn not_found(path: &str) -> ApiResponse {
         Self::error_envelope(404, "NoSuchEndpoint", &format!("no route for {path}"))
     }
 
     /// 400 for malformed requests.
-    pub fn bad_request(message: &str) -> ApiResponse {
+    pub(crate) fn bad_request(message: &str) -> ApiResponse {
         Self::error_envelope(400, "BadRequest", message)
     }
 

@@ -62,7 +62,7 @@ const BODY_RESERVE: usize = 64 * 1024;
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Percent-encode a path segment (RFC 3986 unreserved set passes through).
-pub fn percent_encode(s: &str) -> String {
+pub(crate) fn percent_encode(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for b in s.bytes() {
         match b {
@@ -74,7 +74,7 @@ pub fn percent_encode(s: &str) -> String {
 }
 
 /// Percent-decode; invalid escapes pass through literally.
-pub fn percent_decode(s: &str) -> String {
+pub(crate) fn percent_decode(s: &str) -> String {
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;

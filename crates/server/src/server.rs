@@ -9,15 +9,14 @@
 use crate::api::{ApiRequest, ApiResponse, Method};
 use laminar_engine::{EnginePool, ExecutionEngine, ExecutionRequest, JobResult, PoolError, RunConfig};
 use laminar_json::{parse, write_value, Value};
-use laminar_registry::service::EntityKey;
-use laminar_registry::{QueryType, Registry, RegistryError, SearchOptions, SearchType};
+use laminar_registry::{EntityKey, QueryType, Registry, RegistryError, SearchOptions, SearchType};
 use parking_lot::RwLock;
 
 /// Default engine-pool sizing: enough workers to overlap provisioning
 /// sleeps on small machines without oversubscribing big ones.
-pub const DEFAULT_POOL_WORKERS: usize = 4;
+pub(crate) const DEFAULT_POOL_WORKERS: usize = 4;
 /// Default admission-control bound on queued (not yet running) jobs.
-pub const DEFAULT_QUEUE_CAPACITY: usize = 256;
+pub(crate) const DEFAULT_QUEUE_CAPACITY: usize = 256;
 /// The most instances a run may ask for: a parallel mapping runs one
 /// thread per instance, so the bound keeps one request from exhausting
 /// the server.
@@ -81,14 +80,6 @@ impl LaminarServer {
             registry: RwLock::new(registry),
             pool: EnginePool::start_durable(engine, workers, queue_capacity, journal_root)?,
         })
-    }
-
-    /// The shared module-host registry. Module hosts registered here
-    /// (simulated services) are visible to every pool worker, from the
-    /// next run it starts. Resources are not staged here: they ship with
-    /// the execution request, into that run's own host.
-    pub fn hosts(&self) -> &laminar_engine::HostRegistry {
-        self.pool.hosts()
     }
 
     /// The engine worker pool (introspection, tests).
@@ -222,7 +213,7 @@ impl LaminarServer {
         let description = body["description"].as_str();
         // The client ships code base64-pickled (paper §3.4.2); accept raw
         // source too for convenience.
-        let source = laminar_registry::entities::decode_code(&code).unwrap_or(code);
+        let source = laminar_registry::decode_code(&code).unwrap_or(code);
         let pe = self.registry.write().register_pe(user, &source, description)?;
         Ok(pe_summary(&pe))
     }
@@ -252,7 +243,7 @@ impl LaminarServer {
         let code = str_field(body, "code")?;
         let entry = str_field(body, "entryPoint")?;
         let description = body["description"].as_str();
-        let source = laminar_registry::entities::decode_code(&code).unwrap_or(code);
+        let source = laminar_registry::decode_code(&code).unwrap_or(code);
         let wf = self.registry.write().register_workflow(user, &source, &entry, description)?;
         Ok(wf_summary(&wf))
     }
@@ -562,7 +553,7 @@ fn is_events_segment(tail: &str) -> bool {
 /// is held for the duration — a parked reader counts against the HTTP
 /// edge's connection cap like any other live connection — so the server
 /// bounds it regardless of what the client asked for.
-pub const LONG_POLL_MAX_WAIT_MS: u64 = 30_000;
+pub(crate) const LONG_POLL_MAX_WAIT_MS: u64 = 30_000;
 
 /// Parse `<key>=<n>` out of an `events?...` segment: 0 when no query
 /// carries the key, the 400 envelope when it is present but not a

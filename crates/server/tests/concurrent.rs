@@ -7,9 +7,7 @@
 
 use laminar_engine::{ExecutionEngine, ExecutionRequest};
 use laminar_json::{jobj, Value};
-use laminar_server::api::Method;
-use laminar_server::http::http_call;
-use laminar_server::{ApiRequest, ApiResponse, HttpServer, LaminarServer};
+use laminar_server::{http_call, ApiRequest, ApiResponse, HttpServer, LaminarServer, Method};
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 

@@ -8,8 +8,7 @@
 #![allow(clippy::disallowed_methods, reason = "the edge is tested through raw sockets")]
 
 use laminar_json::{parse, Value};
-use laminar_server::http::HttpConnection;
-use laminar_server::{ApiRequest, HttpServer, LaminarServer, Method};
+use laminar_server::{ApiRequest, HttpConnection, HttpServer, LaminarServer, Method};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};

@@ -6,7 +6,7 @@
 //! via a cargo dependency rename (root `Cargo.toml`). It implements random
 //! generation only — no shrinking, no persistence of failing cases — which
 //! keeps it a few hundred lines while exercising the same properties. Each
-//! test runs [`ProptestConfig::cases`] deterministic cases seeded from the
+//! test runs [`test_runner::ProptestConfig::cases`] deterministic cases seeded from the
 //! test's name, so failures reproduce exactly on re-run.
 //!
 //! Supported surface: the [`proptest!`] macro (with an optional

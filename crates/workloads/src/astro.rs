@@ -92,9 +92,9 @@ pub fn coordinates_file(n: usize) -> String {
 
 /// Statistics the simulated VO service tracks.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct VoStats {
+pub(crate) struct VoStats {
     /// Queries served.
-    pub queries: u64,
+    pub(crate) queries: u64,
 }
 
 /// The simulated Virtual Observatory service: returns a deterministic
@@ -123,12 +123,13 @@ impl VoService {
     }
 
     /// Queries served so far.
-    pub fn stats(&self) -> VoStats {
+    #[cfg(test)]
+    fn stats(&self) -> VoStats {
         *self.stats.lock()
     }
 
     /// Build the deterministic catalog slice for a coordinate.
-    pub fn table_for(&self, ra: f64, dec: f64) -> VoTable {
+    pub(crate) fn table_for(&self, ra: f64, dec: f64) -> VoTable {
         let mut t = VoTable::new(vec![
             Field { name: "name".into(), datatype: "char".into() },
             Field { name: "logr25".into(), datatype: "double".into() },

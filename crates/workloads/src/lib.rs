@@ -7,7 +7,7 @@
 //!   grown into a full workflow;
 //! * [`astro`] — the Internal Extinction astrophysics workflow (§5.2):
 //!   a synthetic galaxy catalog, a simulated Virtual Observatory service
-//!   with configurable latency, and a from-scratch [`votable`] XML
+//!   with configurable latency, and a from-scratch VOTable XML
 //!   writer/parser standing in for astropy;
 //! * [`streaming`] — a long-running source-driven sensor scenario
 //!   (windowed aggregation + live alerts) exercising the enactment event
@@ -16,10 +16,11 @@
 //!   `sustained_load` bench: tiny jobs, full event-stream structure.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod astro;
 pub mod isprime;
 pub mod streaming;
 pub mod sustained;
-pub mod votable;
+mod votable;
 pub mod wordcount;

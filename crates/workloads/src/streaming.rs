@@ -12,8 +12,8 @@
 //! mapping without a clock: the fleet will not serve the second half of
 //! the readings until a window aggregate has been observed.
 //!
-//! Since the cancellation PR the scenario runs in its natural mode:
-//! **unbounded** ([`unbounded_options`]) — the fleet is polled until the
+//! The scenario runs in its natural mode: **unbounded**
+//! (`RunOptions::unbounded`) — the fleet is polled until the
 //! run's `CancelToken` fires, and the stream of window aggregates is
 //! sealed by the `Cancelled` marker. Fixed reading counts remain only
 //! where an exact workload size is the point (benchmarks, window-count
@@ -82,9 +82,9 @@ workflow SensorWindows {
 
 /// Statistics the simulated fleet tracks.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct SensorStats {
+pub(crate) struct SensorStats {
     /// Readings served.
-    pub reads: u64,
+    pub(crate) reads: u64,
 }
 
 /// The simulated sensor fleet: `sensors` deterministic sources, one
@@ -98,7 +98,7 @@ pub struct SensorFleet {
 
 impl SensorFleet {
     /// A fleet of `sensors` sensors with `latency` between readings.
-    pub fn new(sensors: usize, latency: Duration) -> SensorFleet {
+    pub(crate) fn new(sensors: usize, latency: Duration) -> SensorFleet {
         SensorFleet { sensors: sensors.max(1), latency, stats: Mutex::new(SensorStats::default()) }
     }
 
@@ -108,7 +108,8 @@ impl SensorFleet {
     }
 
     /// Readings served so far.
-    pub fn stats(&self) -> SensorStats {
+    #[cfg(test)]
+    fn stats(&self) -> SensorStats {
         *self.stats.lock()
     }
 
@@ -157,7 +158,8 @@ pub fn build_graph(fleet: std::sync::Arc<SensorFleet>) -> laminar_dataflow::Work
 /// aggregates it emitted up to that point are a valid stream prefix.
 /// Bounded runs (`RunOptions::iterations`) remain available for
 /// benchmarks that need an exact reading count.
-pub fn unbounded_options(
+#[cfg(test)]
+fn unbounded_options(
     processes: usize,
     pace: Duration,
     cancel: laminar_dataflow::CancelToken,

@@ -10,37 +10,37 @@ use laminar_json::{Map, Value};
 
 /// A column declaration.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Field {
+pub(crate) struct Field {
     /// Column name.
-    pub name: String,
+    pub(crate) name: String,
     /// IVOA datatype: `"char"`, `"double"`, `"int"`.
-    pub datatype: String,
+    pub(crate) datatype: String,
 }
 
 /// An in-memory VOTable.
 #[derive(Debug, Clone, PartialEq)]
-pub struct VoTable {
+pub(crate) struct VoTable {
     /// Column declarations.
-    pub fields: Vec<Field>,
+    pub(crate) fields: Vec<Field>,
     /// Rows, in field order.
-    pub rows: Vec<Vec<Value>>,
+    pub(crate) rows: Vec<Vec<Value>>,
 }
 
 impl VoTable {
     /// Build an empty table with the given fields.
-    pub fn new(fields: Vec<Field>) -> VoTable {
+    pub(crate) fn new(fields: Vec<Field>) -> VoTable {
         VoTable { fields, rows: Vec::new() }
     }
 
     /// Append a row (must match the field count).
-    pub fn push_row(&mut self, row: Vec<Value>) {
+    pub(crate) fn push_row(&mut self, row: Vec<Value>) {
         assert_eq!(row.len(), self.fields.len(), "row arity mismatch");
         self.rows.push(row);
     }
 
     /// Rows as JSON objects keyed by field name (what the script layer
     /// consumes).
-    pub fn rows_as_objects(&self) -> Vec<Value> {
+    pub(crate) fn rows_as_objects(&self) -> Vec<Value> {
         self.rows
             .iter()
             .map(|row| {
@@ -54,7 +54,7 @@ impl VoTable {
     }
 
     /// Serialize to VOTable XML.
-    pub fn to_xml(&self) -> String {
+    pub(crate) fn to_xml(&self) -> String {
         let mut out =
             String::from("<?xml version=\"1.0\"?>\n<VOTABLE version=\"1.4\">\n <RESOURCE>\n  <TABLE>\n");
         for f in &self.fields {
@@ -82,7 +82,7 @@ impl VoTable {
 
     /// Parse VOTable XML produced by [`Self::to_xml`] (or a compatible
     /// service).
-    pub fn parse(xml: &str) -> Result<VoTable, String> {
+    pub(crate) fn parse(xml: &str) -> Result<VoTable, String> {
         let mut fields = Vec::new();
         let mut rows = Vec::new();
         let mut pos = 0;
