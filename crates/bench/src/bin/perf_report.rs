@@ -20,7 +20,9 @@
 //! workflow (`SensorWindows`, 2,000 readings from 16 sensors, Simple
 //! mapping) with `WindowStats`' body as shipped and cut down statement by
 //! statement, run in interleaved rounds; it reports each body's median
-//! process CPU time per reading. `bench_check` does not gate it.
+//! process CPU time per reading, and `plus_sum_over_let_id`: the median of
+//! the body with both read-modify-writes over the median of the body with
+//! neither, from the same rounds. `bench_check` gates that ratio.
 //!
 //! `mesh` prices the parallel transports against the Simple mapping on
 //! ablation D4's graph (IsPrime, 4,000 data, 5 processes): the median over
@@ -125,6 +127,7 @@ fn vm_state(rounds: usize) -> Value {
         "vm_state (SensorWindows, {READINGS} readings, {SENSORS} sensors, Simple mapping, {rounds} rounds):"
     );
     let mut ladder = Vec::new();
+    let mut medians = Vec::new();
     for ((name, _), mut t) in bodies.iter().zip(times) {
         t.sort();
         let us = t[t.len() / 2].as_secs_f64() * 1e6 / READINGS as f64;
@@ -132,9 +135,19 @@ fn vm_state(rounds: usize) -> Value {
         let mut row = Value::Null;
         row.set("body", *name).set("us_per_reading", (us * 1000.0).round() / 1000.0);
         ladder.push(row);
+        medians.push(us);
     }
+    // The two read-modify-writes priced against the body without them.
+    let median = |body: &str| medians[bodies.iter().position(|(name, _)| *name == body).expect("a body")];
+    let updates = median("plus_sum") / median("let_id");
+    eprintln!("  plus_sum / let_id       {updates:>8.3}");
     let mut section = Value::Null;
-    section.set("readings", READINGS).set("sensors", SENSORS).set("rounds", rounds).set("bodies", ladder);
+    section
+        .set("readings", READINGS)
+        .set("sensors", SENSORS)
+        .set("rounds", rounds)
+        .set("bodies", ladder)
+        .set("plus_sum_over_let_id", (updates * 1000.0).round() / 1000.0);
     section
 }
 

@@ -28,6 +28,13 @@
 //!   key and default is one `Instr::Get` (after the path's entry burns):
 //!   it walks the path and reads both operands in place and calls
 //!   `builtins::get`, the table's own `get`;
+//! * a group-by update `P[k] = get(P, k, d?) op e` (`P` a local root other
+//!   than `input` and constant fields, `k` a local, `d` and `e` literals or
+//!   locals other than the root, `e` also a read path) keeps its
+//!   instructions and gains one `Instr::Update` ahead of them (side data in
+//!   `Chunk::updates`): a guarded fast path that finds the entry once,
+//!   writes it in place and burns at once the units the compiler counted
+//!   over the sequence, else falls through to the sequence;
 //! * an assignment's index that is a local other than its root is read in
 //!   place by the store (`PathAcc::Local`), not copied into a register;
 //! * a PE records whether its `process` names `input_port`
@@ -151,6 +158,32 @@ pub(crate) struct GetCall {
     pub(crate) line: u32,
 }
 
+/// What a fused update combines its entry with (see [`UpdateCall`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Rhs {
+    /// A literal, or a local other than the update's root, read in place.
+    Operand(Operand),
+    /// `reads[path]`, walked by reference and copied before the write.
+    Path(u16),
+}
+
+/// A fused group-by update `P[k] = get(P, k, d?) op e` (referenced by
+/// [`Instr::Update`], which precedes the statement's unchanged sequence).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct UpdateCall {
+    /// The statement's `get` in [`Chunk::gets`]: `P` (a local root other
+    /// than `input`, then constant fields), the local key `k` and `d`.
+    pub(crate) get: u16,
+    /// The operator.
+    pub(crate) op: BinOp,
+    /// `e`.
+    pub(crate) rhs: Rhs,
+    /// The fuel units the sequence burns when it completes.
+    pub(crate) units: u32,
+    /// The instruction past the sequence.
+    pub(crate) end: u32,
+}
+
 /// Bytecode instructions. Registers (`dst`, `src`, …) are frame-relative
 /// slots; `line` mirrors the AST node's source line for error parity with
 /// the interpreter.
@@ -211,6 +244,12 @@ pub(crate) enum Instr {
     /// reads the key and default in place, burning what [`Instr::CheckPath`]
     /// and their `Local`/`Const` would have, in that order.
     Get { dst: u16, call: u16 },
+    /// The fast path of `updates[call]`: when at least its units of fuel
+    /// are left, every field of its path is an object entry, the key is a
+    /// string and the operator succeeds, write the entry in place, burn
+    /// the units and jump to its end; else do nothing, and the sequence
+    /// that follows runs.
+    Update { call: u16 },
     /// Call a host function `names[module].names[name]`.
     CallHost { dst: u16, module: u16, name: u16, start: u16, argc: u16 },
     /// Fused `print(...)`: join args, hand to the sink, `dst = null`.
@@ -260,6 +299,8 @@ pub(crate) struct Chunk {
     pub(crate) builtins: Vec<BuiltinCall>,
     /// Fused `get` calls (referenced by [`Instr::Get`]).
     pub(crate) gets: Vec<GetCall>,
+    /// Fused updates (referenced by [`Instr::Update`]).
+    pub(crate) updates: Vec<UpdateCall>,
     /// Precomputed errors (referenced by [`Instr::Raise`]).
     pub(crate) errors: Vec<ScriptError>,
     /// Frame size: number of registers this chunk needs.
@@ -446,6 +487,23 @@ enum Arg {
     Local(u16, usize),
 }
 
+/// A name followed by zero or more constant fields: the name and the
+/// fields, outermost first.
+fn field_path(e: &Expr) -> Option<(&str, Vec<&str>)> {
+    let mut fields = Vec::new();
+    let mut cur = e;
+    loop {
+        match cur {
+            Expr::Var { name, .. } => return Some((name, fields)),
+            Expr::Field { base, field, .. } => {
+                fields.push(field.as_str());
+                cur = base;
+            }
+            _ => return None,
+        }
+    }
+}
+
 /// The value a literal expression evaluates to.
 fn literal(e: &Expr) -> Option<Value> {
     Some(match e {
@@ -486,6 +544,7 @@ impl<'a> Lowerer<'a> {
                 reads: Vec::new(),
                 builtins: Vec::new(),
                 gets: Vec::new(),
+                updates: Vec::new(),
                 errors: Vec::new(),
                 n_regs: 0,
                 default_output,
@@ -633,6 +692,12 @@ impl<'a> Lowerer<'a> {
         if let Some(e) = self.err.take() {
             return Err(e);
         }
+        let update = match s {
+            Stmt::Assign { target, value } if self.is_update(target, value) => {
+                Some(self.emit(Instr::Update { call: u16::MAX }))
+            }
+            _ => None,
+        };
         // Statement-entry burn, matching Interp::exec_stmt.
         self.emit(Instr::Fuel { line: 0 });
         let mark = self.next_reg;
@@ -786,6 +851,90 @@ impl<'a> Lowerer<'a> {
             }
         }
         self.next_reg = mark;
+        if let Some(at) = update {
+            self.fuse(at)?;
+        }
+        Ok(())
+    }
+
+    /// Whether `target = value` is a group-by update `P[k] = get(P, k,
+    /// d?) op e`: `P` a local root other than `input` followed by constant
+    /// fields and spelled the same both times, `k` a local other than the
+    /// root, `d` a literal or a local, `op` not short-circuit, and `e` a
+    /// literal, a local or a read path; no local operand is the root.
+    fn is_update(&self, target: &Expr, value: &Expr) -> bool {
+        let Expr::Index { base: path, index: key, .. } = target else { return false };
+        let Expr::Binary { op, lhs, rhs, .. } = value else { return false };
+        let Expr::Call { module: None, name, args, .. } = &**lhs else { return false };
+        let (get_path, get_key, default) = match &args[..] {
+            [p, k] => (p, k, None),
+            [p, k, d] => (p, k, Some(d)),
+            _ => return false,
+        };
+        let local = |e: &Expr| match e {
+            Expr::Var { name, .. } => self.resolve(name),
+            _ => None,
+        };
+        let Some((root, _)) = field_path(path) else { return false };
+        let Some(root) = self.resolve(root).filter(|slot| *slot != INPUT) else { return false };
+        let Some(key) = local(key).filter(|slot| *slot != root) else { return false };
+        let operand = |e: &Expr| literal(e).is_some() || local(e).is_some_and(|slot| slot != root);
+        let path_read =
+            |e: &Expr| matches!(e, Expr::Index { .. } | Expr::Field { .. }) && self.path_shape(e).is_some();
+        !matches!(op, BinOp::And | BinOp::Or)
+            && name == "get"
+            && matches!(self.classify(None, name), CallKind::Builtin)
+            && field_path(get_path) == field_path(path)
+            && local(get_key) == Some(key)
+            && default.is_none_or(operand)
+            && (operand(rhs) || path_read(rhs))
+    }
+
+    /// Fill in the [`Instr::Update`] at `at` from the sequence lowered
+    /// after it: its `get`, operator and right operand, the units it burns
+    /// when it completes, and its end.
+    fn fuse(&mut self, at: usize) -> Result<(), ScriptError> {
+        let chunk = &self.chunk;
+        let seq = &chunk.instrs[at + 1..];
+        let path_units = |path: u16| {
+            let indices = chunk.reads[path as usize].accs.iter().filter(|a| matches!(a, ReadAcc::Index(_)));
+            1 + indices.count()
+        };
+        let (mut units, mut get, mut bin) = (0, None, None);
+        for instr in seq {
+            units += match *instr {
+                Instr::Fuel { .. } | Instr::Const { .. } | Instr::Local { .. } => 1,
+                Instr::Get { call, .. } => {
+                    get = Some(call);
+                    let call = &chunk.gets[call as usize];
+                    path_units(call.path) + 1 + usize::from(call.default.is_some())
+                }
+                Instr::LoadPath { path, .. } => path_units(path),
+                Instr::Bin { op, b, .. } => {
+                    bin = Some((op, b));
+                    0
+                }
+                _ => 0,
+            };
+        }
+        let (Some(get), Some((op, b))) = (get, bin) else {
+            unreachable!("an update lowers to a get and an operator")
+        };
+        let rhs = seq
+            .iter()
+            .find_map(|instr| match *instr {
+                Instr::Const { dst, idx } if dst == b => Some(Rhs::Operand(Operand::Const(idx))),
+                Instr::Local { dst, slot, line } if dst == b => {
+                    Some(Rhs::Operand(Operand::Local { slot, line }))
+                }
+                Instr::LoadPath { dst, path } if dst == b => Some(Rhs::Path(path)),
+                _ => None,
+            })
+            .expect("an update's right operand is a literal, a local or a read path");
+        let update = UpdateCall { get, op, rhs, units: u32x(units)?, end: u32x(self.here())? };
+        let call = u16x(self.chunk.updates.len())?;
+        self.chunk.updates.push(update);
+        self.chunk.instrs[at] = Instr::Update { call };
         Ok(())
     }
 
@@ -1265,6 +1414,141 @@ mod tests {
         let src = "pe P : generic { input i; output o; process { emit(input_port); } }";
         let program = compile_script(&parse_script(src).unwrap()).unwrap();
         assert!(pe(&program, "P").names_input_port);
+    }
+
+    /// Every chunk's instructions, one a line, under its PE's name.
+    fn listing(program: &Program) -> String {
+        let mut out = String::new();
+        for pe in &program.pes {
+            let chunks = pe.init.iter().map(|c| ("init", c)).chain([("process", &pe.process)]);
+            for (part, chunk) in chunks {
+                out.push_str(&format!("{} {part}:\n", pe.name));
+                for instr in &chunk.instrs {
+                    out.push_str(&format!("    {instr:?}\n"));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn window_stats_updates_fuse_and_a_plain_store_does_not() {
+        let src = laminar_workloads::streaming::SOURCE;
+        let program = compile_script(&parse_script(src).unwrap()).unwrap();
+        let chunk = &pe(&program, "WindowStats").process;
+        // state.n[id] = get(state.n, id, 0) + 1 and state.sum[id] =
+        // get(state.sum, id, 0) + reading[1]; state.sum[id] = 0 stores.
+        let at: Vec<usize> =
+            (0..chunk.instrs.len()).filter(|&i| matches!(chunk.instrs[i], Instr::Update { .. })).collect();
+        assert_eq!(at.len(), 2);
+        let stores = chunk.instrs.iter().filter(|i| matches!(i, Instr::StorePath { .. })).count();
+        assert_eq!(stores, 3);
+        for (k, (&at, update)) in at.iter().zip(&chunk.updates).enumerate() {
+            assert!(matches!(chunk.instrs[at], Instr::Update { call } if call as usize == k));
+            assert!(matches!(chunk.instrs[at + 1], Instr::Fuel { line: 0 }), "the statement follows");
+            assert!(
+                matches!(chunk.instrs[update.end as usize - 1], Instr::StorePath { .. }),
+                "its store ends it"
+            );
+            assert_eq!(update.get as usize, k);
+            assert!(matches!(update.op, BinOp::Add));
+        }
+        // Five Fuel, the Get's three operands and the constant's unit; the
+        // sum reads reading[1] instead: its step's Fuel and two units.
+        assert_eq!(chunk.updates.iter().map(|u| u.units).collect::<Vec<_>>(), [9, 11]);
+        assert!(matches!(chunk.updates[0].rhs, Rhs::Operand(Operand::Const(_))));
+        assert!(matches!(chunk.updates[1].rhs, Rhs::Path(_)));
+    }
+
+    /// A statement that is not a group-by update gains no `Update` and
+    /// lowers to the instructions it did before the fusion existed: the
+    /// IsPrime and Beat workloads' listings, pinned.
+    #[test]
+    fn statements_of_other_shapes_keep_their_instructions() {
+        let isprime =
+            compile_script(&parse_script(laminar_workloads::isprime::SOURCE_SEQUENTIAL).unwrap()).unwrap();
+        let sustained = compile_script(&parse_script(laminar_workloads::sustained::SOURCE).unwrap()).unwrap();
+        for program in [&isprime, &sustained] {
+            assert!(program.pes.iter().all(|pe| pe.process.updates.is_empty()));
+        }
+        assert_eq!(
+            listing(&isprime),
+            r#"NumberProducer process:
+    Fuel { line: 0 }
+    Fuel { line: 5 }
+    Local { dst: 5, slot: 3, line: 5 }
+    Const { dst: 6, idx: 0 }
+    Bin { op: Add, dst: 4, a: 5, b: 6, line: 5 }
+    EmitDefault { src: 4 }
+    End
+IsPrime process:
+    Fuel { line: 0 }
+    Const { dst: 4, idx: 0 }
+    Fuel { line: 0 }
+    Fuel { line: 14 }
+    Dynamic { dst: 6, name: 0, line: 14 }
+    Const { dst: 7, idx: 1 }
+    Bin { op: Gt, dst: 5, a: 6, b: 7, line: 14 }
+    Fuel { line: 0 }
+    Fuel { line: 0 }
+    Fuel { line: 15 }
+    Fuel { line: 15 }
+    Local { dst: 8, slot: 4, line: 15 }
+    Local { dst: 9, slot: 4, line: 15 }
+    Bin { op: Mul, dst: 7, a: 8, b: 9, line: 15 }
+    Dynamic { dst: 8, name: 0, line: 15 }
+    Bin { op: Le, dst: 6, a: 7, b: 8, line: 15 }
+    JumpIfFalse { cond: 6, to: 38 }
+    Fuel { line: 0 }
+    Fuel { line: 16 }
+    Fuel { line: 16 }
+    Dynamic { dst: 8, name: 0, line: 16 }
+    Local { dst: 9, slot: 4, line: 16 }
+    Bin { op: Mod, dst: 7, a: 8, b: 9, line: 16 }
+    Const { dst: 8, idx: 2 }
+    Bin { op: Eq, dst: 6, a: 7, b: 8, line: 16 }
+    JumpIfFalse { cond: 6, to: 31 }
+    Fuel { line: 0 }
+    Const { dst: 6, idx: 3 }
+    StoreLocal { slot: 5, src: 6 }
+    Fuel { line: 0 }
+    Jump { to: 38 }
+    Fuel { line: 0 }
+    Fuel { line: 17 }
+    Local { dst: 7, slot: 4, line: 17 }
+    Const { dst: 8, idx: 1 }
+    Bin { op: Add, dst: 6, a: 7, b: 8, line: 17 }
+    StoreLocal { slot: 4, src: 6 }
+    Jump { to: 8 }
+    Fuel { line: 0 }
+    Local { dst: 6, slot: 5, line: 19 }
+    JumpIfFalse { cond: 6, to: 44 }
+    Fuel { line: 0 }
+    Dynamic { dst: 6, name: 0, line: 19 }
+    EmitDefault { src: 6 }
+    End
+PrintPrime process:
+    Fuel { line: 0 }
+    Fuel { line: 26 }
+    Const { dst: 5, idx: 0 }
+    Dynamic { dst: 6, name: 0, line: 26 }
+    Const { dst: 7, idx: 1 }
+    Print { dst: 4, start: 5, argc: 3 }
+    End
+"#
+        );
+        assert_eq!(
+            listing(&sustained),
+            r#"Pulse process:
+    Fuel { line: 0 }
+    Fuel { line: 2 }
+    Local { dst: 5, slot: 3, line: 2 }
+    Const { dst: 6, idx: 0 }
+    Bin { op: Add, dst: 4, a: 5, b: 6, line: 2 }
+    EmitDefault { src: 4 }
+    End
+"#
+        );
     }
 
     #[test]

@@ -16,13 +16,16 @@
 //! path borrows its root (`walk`) and clones only the leaf; a builtin's
 //! lent argument is moved into its register for the call and back after
 //! (`lend_leaf`); a fused `get` reads its container, key and default in
-//! place. An invocation copies only what it writes: the datum's port-named
-//! alias reads the `input` slot until either name is assigned.
+//! place, and a fused update walks its path mutably once and writes the
+//! entry in place when its guard holds, else leaves everything to the
+//! unchanged sequence after it. An invocation copies only what it writes:
+//! the datum's port-named alias reads the `input` slot until either name
+//! is assigned.
 
 use crate::builtins;
 use crate::compile::{
-    Chunk, Instr, Operand, PathAcc, PathRoot, Program, RandKind, ReadAcc, ReadPath, INPUT, INPUT_PORT,
-    ITERATION, STATE,
+    Chunk, Instr, Operand, PathAcc, PathRoot, Program, RandKind, ReadAcc, ReadPath, Rhs, UpdateCall, INPUT,
+    INPUT_PORT, ITERATION, STATE,
 };
 use crate::error::{ErrorKind, ScriptError};
 use crate::runtime::{
@@ -476,6 +479,12 @@ impl Machine {
                     let v = builtins::get(container, key, default).map_err(|e| at_call(e, call.line))?;
                     self.stack[base + dst as usize] = v;
                 }
+                Instr::Update { call } => {
+                    let update = &chunk.updates[call as usize];
+                    if self.update(chunk, base, update, dynamic) {
+                        pc = update.end as usize;
+                    }
+                }
                 Instr::CallHost { dst, module, name, start, argc } => {
                     let lo = base + start as usize;
                     let v = self.host.call(
@@ -583,6 +592,68 @@ impl Machine {
             }
         }
         Ok(Value::Null)
+    }
+
+    /// The fast path of a fused update `P[k] = get(P, k, d?) op e`: `e` is
+    /// read first (it may read the entry), then `P` is walked mutably once
+    /// and the entry replaced by `entry op e`, or `d op e` inserted. Runs
+    /// only where the sequence it stands for would complete, and does what
+    /// that sequence does: at least its units of fuel are left, every field
+    /// of `P` is an object entry, `P` is an object, the key a string, and
+    /// the operator and `e`'s read succeed. Then the units burn at once and
+    /// it returns `true`; otherwise it changes nothing and returns `false`.
+    fn update(&mut self, chunk: &Chunk, base: usize, update: &UpdateCall, dynamic: &Dynamic<'_>) -> bool {
+        if self.fuel.left < u64::from(update.units) {
+            return false;
+        }
+        let get = &chunk.gets[update.get as usize];
+        let path = &chunk.reads[get.path as usize];
+        let (PathRoot::Local(root), Operand::Local { slot: key, .. }) = (path.root, get.key) else {
+            return false;
+        };
+        let frame = &mut self.stack[base..];
+        let read = match update.rhs {
+            Rhs::Path(p) => {
+                let mut unmetered = Fuel { left: u64::MAX, limit: u64::MAX };
+                match walk(&chunk.reads[p as usize], chunk, frame, dynamic, &mut unmetered) {
+                    Ok(Leaf::Borrowed(v)) => v.clone(),
+                    Ok(Leaf::Fresh(v)) => v,
+                    Err(_) => return false,
+                }
+            }
+            Rhs::Operand(_) => Value::Null,
+        };
+        // The key, `d` and a local `e` are locals other than the root.
+        let (mut place, regs) = Beside::split(frame, root);
+        let in_place = |op: Operand| match op {
+            Operand::Const(idx) => &chunk.consts[idx as usize],
+            Operand::Local { slot, .. } => regs.get(slot),
+        };
+        for acc in &path.accs {
+            let ReadAcc::Field { name, .. } = *acc else { return false };
+            let field = chunk.names[name as usize].as_str();
+            let Some(v) = place.as_object_mut().and_then(|m| m.get_mut(field)) else { return false };
+            place = v;
+        }
+        let (Value::Object(m), Value::Str(k)) = (place, regs.get(key)) else { return false };
+        let rhs = match update.rhs {
+            Rhs::Operand(op) => in_place(op),
+            Rhs::Path(_) => &read,
+        };
+        match m.get_mut(k) {
+            Some(entry) => match binary_op(update.op, entry, rhs, 0) {
+                Ok(v) => *entry = v,
+                Err(_) => return false,
+            },
+            None => match binary_op(update.op, get.default.map_or(&Value::Null, in_place), rhs, 0) {
+                Ok(v) => {
+                    m.insert(k.as_str(), v);
+                }
+                Err(_) => return false,
+            },
+        }
+        self.fuel.left -= u64::from(update.units);
+        true
     }
 
     /// Assignment through an accessor path — `Interp::assign`'s walk with

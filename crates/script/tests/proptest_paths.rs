@@ -15,10 +15,12 @@
 //! aliasing ones (`merge(p, p)`, `get(x, x[0])`), nested ones and ones that
 //! fail while holding the lent leaf; and the group-by update
 //! `state.m[k] = get(state.m, k, 0) + 1`, whose state carries over to the
-//! next invocation. Compared per invocation: the result (value, or error
-//! kind, message, line and column), the state and the fuel left; at the
-//! end, every emission and print. Budgets of 1..400 land fuel exhaustion
-//! on every burn of a walk.
+//! next invocation; and updates `P[k] = get(P, k, d?) op e` of every shape
+//! around the one the VM fuses into one instruction, on its fast path and
+//! on each case that falls through. Compared per invocation: the result
+//! (value, or error kind, message, line and column), the state and the
+//! fuel left; at the end, every emission and print. Budgets of 1..400 land
+//! fuel exhaustion on every burn of a walk.
 
 use laminar_json::Value;
 use laminar_oracle::Interp;
@@ -469,6 +471,126 @@ fn a_fused_get_reads_every_container_and_then_fails_like_the_call() {
             check_every_datum(&format!(
                 "state.m[k] = get({container}, {key}, 0) + data[0]; emit(get({container}, {key})); emit(state.m);"
             ));
+        }
+    }
+}
+
+/// The group-by update `P[k] = get(P, k, d?) op e`, which the VM runs as
+/// one fused instruction ahead of its unchanged sequence: the fast path
+/// where the entry's container is an object reached through object fields
+/// and the key a string, and every case that falls through to the
+/// sequence: a null, list, scalar or missing container (written by the
+/// sequence, so the next invocation finds an object), a non-string key, a
+/// missing key with and without a default, an operator's type error, and
+/// an `e` whose read fails. `e` may read the very entry written
+/// (`state.m[key]`), and a default or `e` that is the root itself, or a
+/// root that is `input` or the alias, is never fused.
+fn arb_update_stmt() -> BoxedStrategy<String> {
+    let path = select(vec![
+        "state.m",
+        "state.m",
+        "state.m",
+        "state.s",
+        "state.a.b",
+        "state.a.b",
+        "state.nul",
+        "state.l",
+        "state.n",
+        "state.t",
+        "state.a.t",
+        "state.a.n.b",
+        "xm",
+        "xm",
+        "xl",
+        "x",
+        "input",
+        "data",
+    ]);
+    let key = select(vec!["key", "key", "key", "miss", "miss", "i", "x"]);
+    let default = select(vec!["", ", 0", ", 0", ", 2.5", ", \"s\"", ", null", ", i", ", key", ", ROOT"]);
+    let op = select(vec!["+", "+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">="]);
+    let rhs = select(vec![
+        "1",
+        "1",
+        "0",
+        "2.5",
+        "\"s\"",
+        "null",
+        "i",
+        "key",
+        "data[1]",
+        "data[0]",
+        "PATH[key]",
+        "state.m.a",
+        "xl[i]",
+        "ROOT",
+    ]);
+    (path, key, default, op, rhs)
+        .prop_map(|(path, key, default, op, rhs)| {
+            let root = path.split('.').next().expect("a root");
+            let default = default.replace("ROOT", root);
+            let rhs = rhs.replace("PATH", path).replace("ROOT", root);
+            format!("{path}[{key}] = get({path}, {key}{default}) {op} {rhs};")
+        })
+        .boxed()
+}
+
+fn arb_update_script() -> BoxedStrategy<String> {
+    let init = "init { state.m = {\"a\": 1, \"k\": 2.5}; state.s = {\"a\": \"x\"}; \
+                state.a = {\"b\": {\"a\": 3}, \"n\": 4}; state.nul = null; state.l = [1, 2]; state.n = 7; }";
+    let tail = select(vec!["", "emit(state);", "emit([xm, xl, x]);"]);
+    (arb_x(), select(vec![0, 1, -1]), vec(arb_update_stmt(), 1..5), tail)
+        .prop_map(move |(x, i, body, tail)| {
+            format!(
+                "pe {PE_NAME} : generic {{ input data; output output; {init} \
+                 process {{ let i = {i}; let key = \"a\"; let miss = \"nope\"; let xm = {{\"a\": 1}}; \
+                 let xl = [1, 2]; let x = {x}; {} {tail} }} }}",
+                body.join(" ")
+            )
+        })
+        .boxed()
+}
+
+proptest! {
+    /// VM == interpreter on group-by updates, fused or not.
+    #[test]
+    fn updates_match_interp(
+        src in arb_update_script(),
+        runs in vec((arb_input(), arb_port()), 1..4),
+    ) {
+        check_differential(&src, &runs, 200_000, 0);
+    }
+
+    /// Same, under budgets that run out in the prelude (15 to 26 units),
+    /// inside the updates (9 to 13 units each) and after them.
+    #[test]
+    fn updates_match_interp_under_fuel_pressure(
+        src in arb_update_script(),
+        runs in vec((arb_input(), arb_port()), 1..3),
+        fuel in 10..80u64,
+    ) {
+        check_differential(&src, &runs, fuel, 0);
+    }
+}
+
+/// A fused update under every budget from none left at its first unit to
+/// enough for the whole body: exhaustion lands on each of its units in
+/// turn, where the sequence burns it.
+#[test]
+fn every_budget_runs_out_where_the_sequence_burns() {
+    for update in [
+        "state.m[k] = get(state.m, k, 0) + 1;",
+        "state.m[k] = get(state.m, k) + data[1];",
+        "state.a.b[k] = get(state.a.b, k, d) * state.a.b[k];",
+    ] {
+        let src = format!(
+            "pe {PE_NAME} : generic {{ input data; output output; \
+             init {{ state.m = {{\"a\": 1}}; state.a = {{\"b\": {{\"a\": 2}}}}; }} \
+             process {{ let k = \"a\"; let d = 3; {update} emit(state); }} }}"
+        );
+        let runs = [(laminar_json::parse("[\"a\", 5]").expect("literal datum"), 1)];
+        for fuel in 1..40 {
+            check_differential(&src, &runs, fuel, 0);
         }
     }
 }

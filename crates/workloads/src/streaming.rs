@@ -21,7 +21,7 @@
 
 use laminar_json::{jarr, Value};
 use laminar_script::{ErrorKind, Host, ScriptError};
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Readings per sensor folded into one window aggregate. The same value
@@ -81,10 +81,11 @@ workflow SensorWindows {
 "#;
 
 /// Statistics the simulated fleet tracks.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct SensorStats {
+#[cfg(test)]
+#[derive(Debug, Clone, Copy)]
+struct SensorStats {
     /// Readings served.
-    pub(crate) reads: u64,
+    reads: u64,
 }
 
 /// The simulated sensor fleet: `sensors` deterministic sources, one
@@ -93,13 +94,15 @@ pub(crate) struct SensorStats {
 pub struct SensorFleet {
     sensors: usize,
     latency: Duration,
-    stats: Mutex<SensorStats>,
+    /// Readings served: a statistic that only tests read and that publishes no
+    /// other data, so `Relaxed`.
+    reads: AtomicU64,
 }
 
 impl SensorFleet {
     /// A fleet of `sensors` sensors with `latency` between readings.
     pub(crate) fn new(sensors: usize, latency: Duration) -> SensorFleet {
-        SensorFleet { sensors: sensors.max(1), latency, stats: Mutex::new(SensorStats::default()) }
+        SensorFleet { sensors: sensors.max(1), latency, reads: AtomicU64::new(0) }
     }
 
     /// Zero-latency fleet for unit tests.
@@ -110,7 +113,7 @@ impl SensorFleet {
     /// Readings served so far.
     #[cfg(test)]
     fn stats(&self) -> SensorStats {
-        *self.stats.lock()
+        SensorStats { reads: self.reads.load(Ordering::Relaxed) }
     }
 
     /// Deterministic reading for poll `i`: `[sensor_id, value]` with the
@@ -134,7 +137,7 @@ impl Host for SensorFleet {
                 if !self.latency.is_zero() {
                     std::thread::sleep(self.latency);
                 }
-                self.stats.lock().reads += 1;
+                self.reads.fetch_add(1, Ordering::Relaxed);
                 Ok(self.reading(i))
             }
             _ => {
@@ -181,6 +184,7 @@ mod tests {
     use super::*;
     use laminar_dataflow::mapping::{Mapping, MpiMapping, MultiMapping, RedisMapping, SimpleMapping};
     use laminar_dataflow::{fold_events, RunEvent, RunOptions};
+    use parking_lot::Mutex;
     use std::sync::Arc;
 
     fn run(
