@@ -5,7 +5,7 @@
 //! mode — once through the search index, once through the linear-scan
 //! oracle (`laminar_oracle::scan`) — and reports p50/p99 wall latency plus the
 //! indexed-vs-scan speedup for both the semantic (embedding top-k) and
-//! text (inverted-token) paths. It prices the incremental maintenance the
+//! text (trigram-indexed tokens) paths. It prices the incremental maintenance the
 //! write path pays with the median of `reps` timed `SearchIndex::build`s
 //! over the finished corpus's store: the same `add_pe` per owner link
 //! that registration runs, divided by the links. Every measured query pair is also compared
@@ -78,10 +78,22 @@ const SEMANTIC_QUERIES: [&str; 6] = [
 
 /// Text queries (SearchType::Both + QueryType::Text): normalized
 /// substring match over names, entry points and descriptions. Mix of
-/// single-token (vocabulary scan), multi-token (cached-doc scan),
-/// name-fragment and no-match shapes.
-const TEXT_QUERIES: [&str; 6] =
-    ["prime", "sensor anomaly", "wavelet", "scale0x1", "stream window", "zzz-none"];
+/// single-token, multi-token (pieces intersected, then verified),
+/// token-spanning (`ime stream` ends inside one token and starts
+/// another), two-byte (shorter than a trigram: a token scan),
+/// name-fragment and no-match shapes — `processor prime` has both pieces
+/// in every tenant but never in that order.
+const TEXT_QUERIES: [&str; 9] = [
+    "prime",
+    "sensor anomaly",
+    "wavelet",
+    "scale0x1",
+    "stream window",
+    "zzz-none",
+    "ime stream",
+    "ft",
+    "processor prime",
+];
 
 fn pe_name(tenant: usize, i: usize) -> String {
     format!("Scale{tenant}x{i}")
@@ -271,7 +283,8 @@ fn main() {
         .set("tenants", tenants as i64)
         .set("pes_per_tenant", per_tenant as i64)
         .set("total_pes", (tenants * per_tenant) as i64)
-        .set("queries_per_mode", (sample.len() * SEMANTIC_QUERIES.len()) as i64)
+        .set("semantic_queries", (sample.len() * SEMANTIC_QUERIES.len()) as i64)
+        .set("text_queries", (sample.len() * TEXT_QUERIES.len()) as i64)
         .set("smoke", smoke);
     let mut registration = Value::Null;
     registration

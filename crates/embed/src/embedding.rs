@@ -218,9 +218,11 @@ impl TopK {
         let entry = TopKEntry { score, id };
         if self.heap.len() < self.k {
             self.heap.push(entry);
-        } else if entry < *self.heap.peek().expect("non-empty at capacity") {
-            self.heap.pop();
-            self.heap.push(entry);
+        } else if let Some(mut weakest) = self.heap.peek_mut() {
+            // Replacing the root through `PeekMut` sifts once on drop.
+            if entry < *weakest {
+                *weakest = entry;
+            }
         }
     }
 

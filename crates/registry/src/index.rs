@@ -7,15 +7,24 @@
 //! sorted *all* hits. This module makes each search mode sub-linear in
 //! everything but the unavoidable score loop:
 //!
-//! * **Text** — a per-user inverted token index: posting lists keyed by
-//!   [`normalize_text`] tokens over the searchable fields (PE name +
-//!   description; workflow name + entry point + description), plus the
-//!   cached normalized field strings per entity. A space-free normalized
-//!   needle can never cross a token boundary (normalization joins tokens
-//!   with single spaces), so single-token queries reduce to a vocabulary
-//!   scan — no entity touched until hit materialization. Multi-token
-//!   needles fall back to a substring scan over the *cached* normalized
-//!   fields, still never re-normalizing an entity's text.
+//! * **Text** — per user, every [`normalize_text`] token of the
+//!   searchable fields (PE name + description; workflow name + entry
+//!   point + description) with its entities' ids as a sorted `Vec`, and
+//!   every byte trigram with the numbers of the tokens containing it
+//!   (Cox, "Regular Expression Matching with a Trigram Index", 2012),
+//!   plus the cached normalized field strings per entity. Normalization
+//!   joins tokens with single spaces, so a needle splits on its spaces
+//!   into pieces, each of which lies inside one token. A piece's tokens
+//!   are those on its shortest trigram list that really contain it; a
+//!   piece under 3 bytes has no trigram and scans the token texts, still
+//!   without touching an entity. A one-piece needle merges its tokens' id
+//!   lists and stops at `limit`; a longer one intersects its pieces' id
+//!   unions and verifies each candidate against the cached fields, in id
+//!   order, until `limit`. A token's trigrams are written when its first
+//!   id arrives and deleted when its last leaves. A PE whose name is its
+//!   own token pays a 40-byte token slot, two copies of the name, an
+//!   8-byte id list, a 24-byte map entry and 4 bytes per trigram of the
+//!   name: about 130 bytes for an 11-byte name.
 //! * **Semantic / code** — per user and per embedding space
 //!   (`desc`/`code`), one set of per-bucket postings per embedding
 //!   dimension present: for each bucket, the `(slot, weight)` of every
@@ -55,7 +64,9 @@ use crate::search::normalize_text;
 use crate::store::Store;
 use laminar_embed::{cosine_of, Embedding, TopK};
 use laminar_json::Value;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
 /// Which embedding space a ranked query runs over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,78 +87,221 @@ impl VecField {
     }
 }
 
-/// Per-user inverted token index over one entity kind's text fields.
+/// One live token of a [`TextIndex`]: its text and the entities holding it.
+#[derive(Debug)]
+struct Token {
+    text: Box<str>,
+    /// Ids of the entities holding the token in any indexed field, ascending.
+    ids: Vec<i64>,
+}
+
+/// Per-user text index over one entity kind's fields: each live token
+/// has a number, and each byte trigram lists the numbers of the tokens
+/// containing it. A token's number is its own for as long as it is live;
+/// a token's last id leaving frees its number for the next new token.
 #[derive(Debug, Default)]
 struct TextIndex {
-    /// token → ids of entities containing it (in any indexed field).
-    postings: BTreeMap<Box<str>, BTreeSet<i64>>,
-    /// id → normalized field strings (the multi-token fallback corpus).
+    /// token number → its token, or `None` while the number is free.
+    tokens: Vec<Option<Token>>,
+    /// Free token numbers, the most recently freed last.
+    free: Vec<u32>,
+    /// token text → its number.
+    numbers: HashMap<Box<str>, u32>,
+    /// byte trigram → numbers of the live tokens containing it, in no
+    /// particular order; a trigram no live token contains has no list.
+    trigrams: HashMap<[u8; 3], Vec<u32>>,
+    /// id → normalized field strings: what a needle spanning tokens is
+    /// verified against, and what [`remove`](Self::remove) unindexes.
     docs: BTreeMap<i64, Vec<String>>,
+}
+
+/// The distinct byte trigrams of `token`, ascending.
+fn trigrams_of(token: &str) -> Vec<[u8; 3]> {
+    let mut grams: Vec<[u8; 3]> = token.as_bytes().windows(3).map(|w| [w[0], w[1], w[2]]).collect();
+    grams.sort_unstable();
+    grams.dedup();
+    grams
+}
+
+/// The distinct tokens of normalized `fields`.
+fn tokens_of(fields: &[String]) -> Vec<&str> {
+    let mut tokens: Vec<&str> = fields.iter().flat_map(|f| f.split(' ')).filter(|t| !t.is_empty()).collect();
+    tokens.sort_unstable();
+    tokens.dedup();
+    tokens
+}
+
+/// Whether `text` holds `piece` of one or two bytes, compared in place:
+/// over `search_scale`'s tokens, `str::contains` or a slice comparison
+/// per window took about three times as long.
+fn holds_short(text: &[u8], piece: &[u8]) -> bool {
+    match *piece {
+        [a] => text.contains(&a),
+        [a, b] => text.windows(2).any(|w| w[0] == a && w[1] == b),
+        _ => unreachable!("a short piece has one or two bytes"),
+    }
+}
+
+/// The ascending union of ascending, non-empty `lists`, at most `limit`
+/// ids: a k-way merge that stops at `limit`.
+fn union(lists: &[&[i64]], limit: usize) -> Vec<i64> {
+    if let [only] = lists {
+        return only[..limit.min(only.len())].to_vec();
+    }
+    // Min-heap of each list's next id, with the list and the position.
+    let mut heads: BinaryHeap<Reverse<(i64, usize, usize)>> =
+        lists.iter().enumerate().map(|(l, ids)| Reverse((ids[0], l, 0))).collect();
+    let mut out = Vec::new();
+    while let Some(mut head) = heads.peek_mut() {
+        let Reverse((id, l, at)) = *head;
+        if out.last() != Some(&id) {
+            if out.len() == limit {
+                break;
+            }
+            out.push(id);
+        }
+        match lists[l].get(at + 1) {
+            Some(&next) => *head = Reverse((next, l, at + 1)),
+            None => {
+                PeekMut::pop(head);
+            }
+        }
+    }
+    out
 }
 
 impl TextIndex {
     fn add(&mut self, id: i64, fields: &[&str]) {
         let normalized: Vec<String> = fields.iter().map(|f| normalize_text(f)).collect();
-        for field in &normalized {
-            for token in field.split(' ').filter(|t| !t.is_empty()) {
-                self.postings.entry(token.into()).or_default().insert(id);
-            }
+        for token in tokens_of(&normalized) {
+            self.link(token, id);
         }
-        self.docs.insert(id, normalized);
+        let fresh = self.docs.insert(id, normalized).is_none();
+        debug_assert!(fresh, "entity {id} indexed twice for one owner");
     }
 
     fn remove(&mut self, id: i64) {
         let Some(fields) = self.docs.remove(&id) else { return };
-        for field in &fields {
-            for token in field.split(' ').filter(|t| !t.is_empty()) {
-                let emptied = match self.postings.get_mut(token) {
-                    Some(ids) => {
-                        ids.remove(&id);
-                        ids.is_empty()
-                    }
-                    None => false,
-                };
-                if emptied {
-                    self.postings.remove(token);
-                }
+        for token in tokens_of(&fields) {
+            self.unlink(token, id);
+        }
+    }
+
+    /// Add `id` to `token`'s ids; a new token gets a number and joins the
+    /// lists of its trigrams.
+    fn link(&mut self, token: &str, id: i64) {
+        if let Some(&number) = self.numbers.get(token) {
+            let ids = &mut self.live_mut(number).ids;
+            if let Err(at) = ids.binary_search(&id) {
+                ids.insert(at, id);
+            }
+            return;
+        }
+        let live = Some(Token { text: token.into(), ids: vec![id] });
+        let number = match self.free.pop() {
+            Some(number) => {
+                self.tokens[number as usize] = live;
+                number
+            }
+            None => {
+                self.tokens.push(live);
+                u32::try_from(self.tokens.len() - 1).expect("fewer than 2^32 tokens per user")
+            }
+        };
+        for gram in trigrams_of(token) {
+            self.trigrams.entry(gram).or_default().push(number);
+        }
+        self.numbers.insert(token.into(), number);
+    }
+
+    /// Take `id` from `token`'s ids; a token left with none leaves its
+    /// trigrams' lists, which are searched from their end, where the
+    /// newest tokens are, and its number is freed.
+    fn unlink(&mut self, token: &str, id: i64) {
+        let Some(&number) = self.numbers.get(token) else { return };
+        let ids = &mut self.live_mut(number).ids;
+        if let Ok(at) = ids.binary_search(&id) {
+            ids.remove(at);
+        }
+        if !ids.is_empty() {
+            return;
+        }
+        for gram in trigrams_of(token) {
+            let list = self.trigrams.get_mut(&gram).expect("every trigram of a live token has a list");
+            let at = list.iter().rposition(|&n| n == number).expect("a live token is on its trigrams' lists");
+            list.swap_remove(at);
+            if list.is_empty() {
+                self.trigrams.remove(&gram);
             }
         }
+        self.tokens[number as usize] = None;
+        self.free.push(number);
+        self.numbers.remove(token);
+    }
+
+    fn live_mut(&mut self, number: u32) -> &mut Token {
+        self.tokens[number as usize].as_mut().expect("a numbered token is live")
+    }
+
+    /// The id lists of the live tokens containing `piece` (non-empty, no
+    /// space). A piece of 3 bytes or more reads its shortest trigram
+    /// list, whose tokens hold every trigram of the piece, and keeps
+    /// those that contain it; a shorter piece has no trigram and scans
+    /// the token texts.
+    fn lists_containing(&self, piece: &str) -> Vec<&[i64]> {
+        if piece.len() < 3 {
+            let holds = |token: &&Token| holds_short(token.text.as_bytes(), piece.as_bytes());
+            return self.tokens.iter().flatten().filter(holds).map(|token| token.ids.as_slice()).collect();
+        }
+        let shortest = piece
+            .as_bytes()
+            .windows(3)
+            .map(|w| self.trigrams.get(&[w[0], w[1], w[2]]).map_or(&[][..], Vec::as_slice))
+            .min_by_key(|list| list.len())
+            .unwrap_or_default();
+        shortest
+            .iter()
+            .map(|&n| self.tokens[n as usize].as_ref().expect("a listed token is live"))
+            .filter(|token| token.text.contains(piece))
+            .map(|token| token.ids.as_slice())
+            .collect()
     }
 
     /// Ids whose normalized fields contain `needle` (itself already
     /// normalized), ascending, at most `limit`; none for an empty needle.
+    ///
+    /// Normalization joins tokens with single spaces, so a space-free
+    /// needle lies inside one token: the answer is the union of the ids
+    /// of the tokens containing it. A needle with spaces splits into
+    /// pieces, and a field containing it has, for each piece, a token
+    /// containing that piece; the intersection of the pieces' unions is
+    /// therefore a superset of the answer, and each candidate is verified
+    /// against its cached fields in id order.
     fn matching(&self, needle: &str, limit: usize) -> Vec<i64> {
         if needle.is_empty() {
-            Vec::new()
-        } else if needle.contains(' ') {
-            // A needle with internal spaces can span token boundaries:
-            // scan the cached normalized fields in id order.
-            let mut out = Vec::new();
-            for (id, fields) in &self.docs {
-                if out.len() >= limit {
-                    break;
-                }
-                if fields.iter().any(|f| f.contains(needle)) {
-                    out.push(*id);
-                }
-            }
-            out
-        } else {
-            // Space-free needle: any occurrence lies inside a single
-            // token, so scanning the vocabulary is exactly the oracle's
-            // substring scan. Union preserves ascending id order.
-            let mut out = BTreeSet::new();
-            for (token, ids) in &self.postings {
-                if token.contains(needle) {
-                    out.extend(ids.iter().copied());
-                }
-            }
-            out.into_iter().take(limit).collect()
+            return Vec::new();
         }
+        if !needle.contains(' ') {
+            return union(&self.lists_containing(needle), limit);
+        }
+        let mut pieces = needle.split(' ').map(|piece| union(&self.lists_containing(piece), usize::MAX));
+        let mut candidates = pieces.next().unwrap_or_default();
+        for ids in pieces {
+            if candidates.is_empty() {
+                break;
+            }
+            // Walk the shorter list, look ids up in the longer one.
+            let (mut kept, other) =
+                if ids.len() < candidates.len() { (ids, candidates) } else { (candidates, ids) };
+            kept.retain(|id| other.binary_search(id).is_ok());
+            candidates = kept;
+        }
+        let contains = |id: &i64| self.docs[id].iter().any(|f| f.contains(needle));
+        candidates.into_iter().filter(contains).take(limit).collect()
     }
 
     fn token_count(&self) -> usize {
-        self.postings.len()
+        self.numbers.len()
     }
 }
 
@@ -453,6 +607,38 @@ mod tests {
         assert_eq!(idx.text_pes(1, "prime", 25), Vec::<i64>::new());
         let user = idx.users.get(&1).unwrap();
         assert_eq!(user.pe_text.token_count(), 0, "posting lists garbage-collected");
+    }
+
+    #[test]
+    fn text_pieces_use_trigrams_verify_and_scan() {
+        let mut idx = SearchIndex::new();
+        idx.add_pe(1, &pe(10, "Aaaa", "größe naïve", &[1.0], &[1.0]));
+        idx.add_pe(1, &pe(11, "Aaa", "prime numbers", &[1.0], &[1.0]));
+        // "aaa" holds every trigram of "aaaa" but not "aaaa".
+        assert_eq!(idx.text_pes(1, "aaaa", 25), vec![10]);
+        // Shorter than a trigram: the token texts are scanned.
+        assert_eq!(idx.text_pes(1, "aa", 25), vec![10, 11]);
+        assert_eq!(idx.text_pes(1, "ö", 25), vec![10]);
+        assert_eq!(idx.text_pes(1, "öße naï", 25), vec![10]);
+        // Both pieces occur, but not in this order.
+        assert_eq!(idx.text_pes(1, "numbers prime", 25), Vec::<i64>::new());
+        let text = |idx: &SearchIndex| {
+            let user = &idx.users[&1].pe_text;
+            (user.token_count(), user.trigrams.len(), user.free.clone())
+        };
+        idx.remove_pe(1, &pe(10, "Aaaa", "größe naïve", &[1.0], &[1.0]));
+        // "aaaa", "größe" and "naïve" gave their numbers back; "aaa" keeps
+        // its trigram list.
+        let (tokens, trigrams, free) = text(&idx);
+        assert_eq!((tokens, free.len()), (3, 3));
+        assert!(trigrams > 0);
+        idx.remove_pe(1, &pe(11, "Aaa", "prime numbers", &[1.0], &[1.0]));
+        let (tokens, trigrams, free) = text(&idx);
+        assert_eq!((tokens, trigrams), (0, 0), "trigram lists garbage-collected");
+        // A new token takes the most recently freed number.
+        idx.add_pe(1, &pe(12, "Fresh", "", &[1.0], &[1.0]));
+        assert_eq!(idx.users[&1].pe_text.numbers["fresh"], *free.last().unwrap());
+        assert_eq!(idx.text_pes(1, "res", 25), vec![12]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The three registry search modes (paper §4), each served from the DAO's
 //! incrementally-maintained [`SearchIndex`](crate::index::SearchIndex):
-//! an inverted token index for text, per-bucket postings of the sparse
+//! trigram-indexed tokens for text, per-bucket postings of the sparse
 //! embeddings for semantic and code search. Only the winners are
 //! materialized into hits, through `pe_hit` / `workflow_hit`.
 //!

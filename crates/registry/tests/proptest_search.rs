@@ -314,3 +314,154 @@ proptest! {
         }
     }
 }
+
+/// PE names for the needle property: underscores split one name into
+/// several tokens.
+const NEEDLE_PE_NAMES: [&str; 4] = ["Gram_Scan0", "IsPrime_Fast", "Aaa_Aa_A", "SensorTap"];
+
+/// Workflow entry points for the needle property.
+const NEEDLE_ENTRY_POINTS: [&str; 3] = ["gram-flow", "Größe_Flow", "prime.stream"];
+
+/// Descriptions for the needle property: non-ASCII letters (which
+/// normalization keeps but does not lowercase), a token repeated, tokens
+/// whose trigrams repeat and one- and two-byte tokens.
+const NEEDLE_TEXTS: [&str; 5] = [
+    "checks prime numbers quickly",
+    "Zählt die Wörter eines Stroms: Größe, Maß!",
+    "naïve café ÉTÉ 東京 stream-stream",
+    "aaaaaaaa aaa aa a",
+    "scaled sensor values in windows",
+];
+
+/// One mutation of the needle property's registry.
+#[derive(Debug, Clone, Copy)]
+enum NeedleOp {
+    /// (user, name, description)
+    RegisterPe(u8, u8, u8),
+    RemovePe(u8, u8),
+    /// (user, entry point, description)
+    RegisterWorkflow(u8, u8, u8),
+    RemoveWorkflow(u8, u8),
+}
+
+fn arb_needle_op() -> impl Strategy<Value = NeedleOp> {
+    let (names, entries, texts) =
+        (NEEDLE_PE_NAMES.len() as u8, NEEDLE_ENTRY_POINTS.len() as u8, NEEDLE_TEXTS.len() as u8);
+    prop_oneof![
+        (0u8..USERS, 0u8..names, 0u8..texts).prop_map(|(u, n, t)| NeedleOp::RegisterPe(u, n, t)),
+        (0u8..USERS, 0u8..names).prop_map(|(u, n)| NeedleOp::RemovePe(u, n)),
+        (0u8..USERS, 0u8..entries, 0u8..texts).prop_map(|(u, e, t)| NeedleOp::RegisterWorkflow(u, e, t)),
+        (0u8..USERS, 0u8..entries).prop_map(|(u, e)| NeedleOp::RemoveWorkflow(u, e)),
+    ]
+}
+
+fn apply_needle_op(reg: &mut Registry, op: NeedleOp) {
+    // As in `apply`, duplicates and not-founds are legal outcomes.
+    match op {
+        NeedleOp::RegisterPe(u, n, t) => {
+            let name = NEEDLE_PE_NAMES[n as usize];
+            let source =
+                format!("pe {name} : iterative {{ input x; output output; process {{ emit(x + 1); }} }}");
+            let _ = reg.register_pe(&format!("user{u}"), &source, Some(NEEDLE_TEXTS[t as usize]));
+        }
+        NeedleOp::RemovePe(u, n) => {
+            let _ = reg.remove_pe(&format!("user{u}"), &EntityKey::Name(NEEDLE_PE_NAMES[n as usize].into()));
+        }
+        NeedleOp::RegisterWorkflow(u, e, t) => {
+            let source = format!(
+                "pe NeedleWf{e} : producer {{ output output; process {{ emit(iteration); }} }}
+                 workflow NeedleFlow{e} {{ nodes {{ p = NeedleWf{e}; }} }}"
+            );
+            let entry = NEEDLE_ENTRY_POINTS[e as usize];
+            let _ =
+                reg.register_workflow(&format!("user{u}"), &source, entry, Some(NEEDLE_TEXTS[t as usize]));
+        }
+        NeedleOp::RemoveWorkflow(u, e) => {
+            let key = EntityKey::Name(NEEDLE_ENTRY_POINTS[e as usize].into());
+            let _ = reg.remove_workflow(&format!("user{u}"), &key);
+        }
+    }
+}
+
+/// The bytes of `text` from about `at` for about `len`, both moved
+/// forward to character boundaries.
+fn slice_of(text: &str, at: usize, len: usize) -> &str {
+    let boundary = |mut i: usize| {
+        while !text.is_char_boundary(i) {
+            i += 1;
+        }
+        i
+    };
+    let start = boundary(at % text.len());
+    &text[start..boundary((start + len).min(text.len()))]
+}
+
+/// Needles cut from the registered names and texts: any length (often
+/// spanning tokens), one or two bytes, from the non-ASCII texts only, and
+/// absent ones — a cut followed by a pair that occurs nowhere.
+fn arb_needle() -> impl Strategy<Value = String> {
+    fn sources() -> Vec<&'static str> {
+        NEEDLE_PE_NAMES.iter().chain(&NEEDLE_ENTRY_POINTS).chain(&NEEDLE_TEXTS).copied().collect()
+    }
+    let cut = |texts: Vec<&'static str>, lens: std::ops::Range<usize>| {
+        (0..texts.len(), any::<usize>(), lens)
+            .prop_map(move |(t, at, len)| slice_of(texts[t], at, len).to_string())
+    };
+    prop_oneof![
+        cut(sources(), 1..16),
+        cut(sources(), 1..3),
+        cut(vec![NEEDLE_TEXTS[1], NEEDLE_TEXTS[2], NEEDLE_ENTRY_POINTS[1]], 1..10),
+        cut(sources(), 1..12).prop_map(|needle| needle + "qj"),
+    ]
+}
+
+/// Every (user, needle, text mode, limit) answered by the index vs the scan.
+fn assert_needles_match_scan(reg: &Registry, needles: &[String]) {
+    for u in 0..USERS {
+        let user = format!("user{u}");
+        for needle in needles {
+            for st in [SearchType::Both, SearchType::Workflow] {
+                for limit in [1usize, 2, 25] {
+                    let opts = SearchOptions { limit };
+                    let indexed = reg.search_with(&user, needle, st, QueryType::Text, &opts).unwrap().hits;
+                    let scanned = scan::search(reg, &user, needle, st, QueryType::Text, limit).unwrap();
+                    prop_assert_eq!(
+                        &indexed,
+                        &scanned,
+                        "index != scan for user {} needle {:?} mode {:?} limit {}",
+                        user,
+                        needle,
+                        st,
+                        limit
+                    );
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Text needles cut from what the registry holds — spanning tokens,
+    /// shorter than a trigram, non-ASCII or absent — answer exactly as the
+    /// scan does under register / shared-owner link / remove churn,
+    /// checked every fourth step and at the end.
+    #[test]
+    fn text_needles_equal_linear_scan(
+        script in prop::collection::vec(arb_needle_op(), 1..40),
+        needles in prop::collection::vec(arb_needle(), 12..13),
+    ) {
+        let mut reg = Registry::in_memory();
+        for u in 0..USERS {
+            reg.register_user(&format!("user{u}"), "password").unwrap();
+        }
+        let steps = script.len();
+        for (i, op) in script.into_iter().enumerate() {
+            apply_needle_op(&mut reg, op);
+            if i % 4 == 3 || i + 1 == steps {
+                assert_needles_match_scan(&reg, &needles);
+            }
+        }
+    }
+}

@@ -8,7 +8,7 @@
 
 use crate::api::{ApiRequest, ApiResponse, Method};
 use laminar_engine::{EnginePool, ExecutionEngine, ExecutionRequest, JobResult, PoolError, RunConfig};
-use laminar_json::{parse, write_value, Value};
+use laminar_json::{jobj, parse, write_value, Value};
 use laminar_registry::{EntityKey, QueryType, Registry, RegistryError, SearchOptions, SearchType};
 use parking_lot::RwLock;
 
@@ -322,14 +322,15 @@ impl LaminarServer {
             .hits
             .into_iter()
             .map(|h| {
-                let mut v = Value::Null;
-                v.set("id", h.id)
-                    .set("name", h.name.as_str())
-                    .set("kind", h.kind)
-                    .set("description", h.description.as_str())
-                    .set("auto", h.auto_described)
-                    .set("score", h.score);
-                v
+                // Keys in byte order, so each insert appends.
+                jobj! {
+                    "auto" => h.auto_described,
+                    "description" => h.description,
+                    "id" => h.id,
+                    "kind" => h.kind,
+                    "name" => h.name,
+                    "score" => h.score,
+                }
             })
             .collect();
         let mut out = Value::Null;
@@ -597,7 +598,6 @@ fn wf_summary(wf: &laminar_registry::WorkflowEntity) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use laminar_json::jobj;
 
     const WF_SRC: &str = r#"
         pe Seq : producer { output output; process { emit(iteration + 1); } }
@@ -759,6 +759,11 @@ mod tests {
         ));
         assert!(r.is_ok());
         assert_eq!(r.body["hits"].as_array().unwrap().len(), 2);
+        assert_eq!(
+            laminar_json::to_string(&r.body["hits"]),
+            r#"[{"auto":false,"description":"counter variant 0","id":1,"kind":"pe","name":"Counter0","score":1.0},{"auto":false,"description":"counter variant 1","id":2,"kind":"pe","name":"Counter1","score":1.0}]"#,
+            "the hits' wire bytes"
+        );
         let stats = s.handle(&ApiRequest::new(Method::Get, "/registry/stats", Value::Null));
         assert!(stats.is_ok());
         assert_eq!(stats.body["pes"].as_i64(), Some(4));
