@@ -4,8 +4,8 @@
 //! 100k PEs on the full run), then answers the same query pool twice per
 //! mode — once through the search index, once through the linear-scan
 //! oracle (`laminar_oracle::scan`) — and reports p50/p99 wall latency plus the
-//! indexed-vs-scan speedup for both the semantic (embedding top-k) and
-//! text (trigram-indexed tokens) paths. It prices the incremental maintenance the
+//! indexed-vs-scan speedup for the semantic and code-completion (embedding
+//! top-k) and text (trigram-indexed tokens) paths. It prices the incremental maintenance the
 //! write path pays with the median of `reps` timed `SearchIndex::build`s
 //! over the finished corpus's store: the same `add_pe` per owner link
 //! that registration runs, divided by the links. Every measured query pair is also compared
@@ -21,11 +21,14 @@
 //! differential match); smoke runs only emit the report, which
 //! `bench_check` then gates with looser smoke-sized bounds.
 //!
-//! The semantic speedup is reported but not gated. Both paths compute the
-//! same score, `laminar_embed::cosine`'s ascending sum over the buckets a
-//! PE shares with the query: the scan merges the query with each entity's
-//! sparse vector and recomputes both norms, the index reads only the
-//! postings of the query's buckets and caches the norms. The text scan
+//! The semantic and code speedups are reported but not gated. Both paths
+//! compute the same score, `laminar_embed::cosine`'s ascending sum over the
+//! buckets a PE shares with the query: the scan merges the query with each
+//! entity's sparse vector and recomputes both norms, the index reads only
+//! the postings of the query's buckets and caches the norms. Code queries
+//! rank over the code embeddings, where the corpus's near-identical PE
+//! bodies fill dozens of buckets in most PEs: the buckets the index keeps
+//! as dense columns. The text scan
 //! still normalizes every field of every entity per query, so its floor
 //! stays.
 
@@ -75,6 +78,12 @@ const SEMANTIC_QUERIES: [&str; 6] = [
     "merge and split packet clusters",
     "wavelet quantile summary",
 ];
+
+/// Code-completion queries (SearchType::Pe + QueryType::Code): embedded by
+/// the completion model, then ranked by cosine over the stored code
+/// embeddings. Fragments of the corpus's own bodies and unrelated code.
+const CODE_QUERIES: [&str; 4] =
+    ["emit(x * 3 + 1)", "emit(x", "let y = x * 2; emit(y)", "let total = sum(values)"];
 
 /// Text queries (SearchType::Both + QueryType::Text): normalized
 /// substring match over names, entry points and descriptions. Mix of
@@ -256,13 +265,15 @@ fn main() {
         (0..tenants.min(8)).map(|k| format!("tenant{}", k * tenants / tenants.min(8))).collect();
 
     let semantic = measure_mode(&reg, &sample, &SEMANTIC_QUERIES, SearchType::Pe, QueryType::Text, reps);
+    let code = measure_mode(&reg, &sample, &CODE_QUERIES, SearchType::Pe, QueryType::Code, reps);
     let text = measure_mode(&reg, &sample, &TEXT_QUERIES, SearchType::Both, QueryType::Text, reps);
     let (maintenance_per_pe, pe_links) = maintenance_per_pe_us(&reg, reps);
-    let differential_match = semantic.mismatches == 0 && text.mismatches == 0;
+    let differential_match = semantic.mismatches == 0 && code.mismatches == 0 && text.mismatches == 0;
 
     let semantic_v = semantic.into_value();
+    let code_v = code.into_value();
     let text_v = text.into_value();
-    for (name, v) in [("semantic", &semantic_v), ("text", &text_v)] {
+    for (name, v) in [("semantic", &semantic_v), ("code", &code_v), ("text", &text_v)] {
         eprintln!(
             "  {:<8} indexed p50 {:>6}us p99 {:>6}us | scan p50 {:>7}us p99 {:>7}us | speedup {:>6.2}x",
             name,
@@ -284,6 +295,7 @@ fn main() {
         .set("pes_per_tenant", per_tenant as i64)
         .set("total_pes", (tenants * per_tenant) as i64)
         .set("semantic_queries", (sample.len() * SEMANTIC_QUERIES.len()) as i64)
+        .set("code_queries", (sample.len() * CODE_QUERIES.len()) as i64)
         .set("text_queries", (sample.len() * TEXT_QUERIES.len()) as i64)
         .set("smoke", smoke);
     let mut registration = Value::Null;
@@ -295,6 +307,7 @@ fn main() {
         .set("report", "search_scale")
         .set("config", config)
         .set("semantic", semantic_v)
+        .set("code", code_v)
         .set("text", text_v)
         .set("registration", registration)
         .set("differential_match", differential_match);

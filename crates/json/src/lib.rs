@@ -45,12 +45,15 @@ pub use value::{SharedValue, Value};
 #[macro_export]
 macro_rules! jobj {
     () => { $crate::Value::Object($crate::Map::new()) };
-    ( $( $k:expr => $v:expr ),+ $(,)? ) => {{
-        // Room for every pair up front: one allocation.
-        let mut m = $crate::Map::with_capacity([$(::std::stringify!($k)),+].len());
-        $( m.insert($crate::Key::from($k), $crate::Value::from($v)); )+
-        $crate::Value::Object(m)
-    }};
+    ( $( $k:expr => $v:expr ),+ $(,)? ) => {
+        // One pass: the pairs are checked for key order once, and sorted
+        // (the later of equal keys winning) only when out of order.
+        $crate::Value::Object(
+            [$( ($crate::Key::from($k), $crate::Value::from($v)) ),+]
+                .into_iter()
+                .collect::<$crate::Map>(),
+        )
+    };
 }
 
 /// Construct a [`Value::Array`] from elements convertible to [`Value`].
@@ -79,6 +82,19 @@ mod macro_tests {
         assert_eq!(v["b"].as_str(), Some("x"));
         assert_eq!(v["nested"][0].as_bool(), Some(true));
         assert!(v["nested"][1].is_null());
+    }
+
+    #[test]
+    fn jobj_equals_the_inserted_object_whatever_the_key_order() {
+        let built = jobj! { "b" => 1, "a" => "x", "c" => 2.5, "a" => "later", "b" => Value::Null };
+        let mut m = crate::Map::new();
+        for (k, v) in [("b", Value::from(1)), ("a", "x".into()), ("c", 2.5.into()), ("a", "later".into())] {
+            m.insert(k, v);
+        }
+        m.insert("b", Value::Null);
+        assert_eq!(built, Value::Object(m));
+        assert_eq!(built.to_string(), r#"{"a":"later","b":null,"c":2.5}"#);
+        assert_eq!(jobj! { "k" => 1, "k" => 2 }, jobj! { "k" => 2 });
     }
 
     #[test]

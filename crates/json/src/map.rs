@@ -247,11 +247,6 @@ impl Map {
         Map(Repr::Flat(Vec::new()))
     }
 
-    /// An empty map with room for `n` entries before it reallocates.
-    pub fn with_capacity(n: usize) -> Map {
-        Map(Repr::Flat(Vec::with_capacity(n.min(Map::FLAT_MAX))))
-    }
-
     /// A map of `entries`, in any order; of two equal keys the later wins.
     pub(crate) fn from_entries(mut entries: Vec<(Key, Value)>) -> Map {
         if !entries.windows(2).all(|w| w[0].0 < w[1].0) {

@@ -27,21 +27,29 @@
 //!   name: about 130 bytes for an 11-byte name.
 //! * **Semantic / code** — per user and per embedding space
 //!   (`desc`/`code`), one set of per-bucket postings per embedding
-//!   dimension present: for each bucket, the `(slot, weight)` of every
-//!   vector storing it, with each slot's PE id and L2 norm cached at
+//!   dimension present, with each slot's PE id and L2 norm cached at
 //!   insert. The stand-in models' vectors are sparse (tens of the 768
-//!   description buckets, about a hundred of the 1,024 code buckets), so
-//!   a query is answered term at a time (Turtle & Flood, "Query
-//!   Evaluation: Strategies and Optimizations", IP&M 1995): only the
-//!   postings of the query's own buckets are read, then every live slot
-//!   goes through a bounded top-`k` heap, no norm recomputed, no full
-//!   sort. Vectors of another dimension cannot be compared with the
-//!   query, and are exactly what the scan leaves out too. Real models are
-//!   fixed-dimension, so a user normally has one set of postings per
-//!   space; a second appears for hand-built entities or a durable
-//!   registry reopened after a model change. A dense encoder would fill
-//!   every posting list, and this layout would then cost more than the
-//!   row-major matrix it replaced (DESIGN §3.8).
+//!   description buckets, about a hundred of the 1,024 code buckets), but
+//!   some buckets are held by most PEs: near-identical PE bodies fill the
+//!   same few dozen code buckets. So each bucket takes the layout its
+//!   occupancy calls for, as a Roaring bitmap picks one per container
+//!   (Chambi, Lemire et al., "Better bitmap performance with Roaring
+//!   bitmaps", SPE 2016): a list of `(slot, weight)` while fewer than half
+//!   the slots hold it, and a dense column of one `f32` per slot (`+0.0`
+//!   where absent) from half down to a quarter, below which it is a list
+//!   again. A column at half occupancy is no larger than its list and at
+//!   a quarter twice as large, so memory stays within twice the lists'.
+//!   A query is answered term at a time (Turtle & Flood, "Query
+//!   Evaluation: Strategies and Optimizations", IP&M 1995): only its own
+//!   buckets are read, a list entry by entry and a column in one
+//!   sequential pass over every slot, then every live slot goes through a
+//!   bounded top-`k` heap, no norm recomputed, no full sort. Vectors of
+//!   another dimension cannot be compared with the query, and are exactly
+//!   what the scan leaves out too. Real models are fixed-dimension, so a
+//!   user normally has one set of postings per space; a second appears
+//!   for hand-built entities or a durable registry reopened after a model
+//!   change. A dense encoder would turn every bucket into a column: the
+//!   row-major matrix the postings replaced, transposed (DESIGN §3.8).
 //!
 //! **Consistency.** The index is owned by the DAO and mutated in the
 //! same call that journals the mutation, under the registry's outer
@@ -55,9 +63,11 @@
 //! **Exactness.** Every query here answers exactly what the linear scan
 //! (`laminar_oracle::scan`, a dev-only crate) answers — same hits, same
 //! scores (each slot sums its shared buckets in ascending order, which is
-//! how [`cosine`](laminar_embed::cosine) defines the score), same
-//! score-then-id order — which is pinned by the differential proptests in
-//! `tests/proptest_search.rs`.
+//! how [`cosine`](laminar_embed::cosine) defines the score; a column adds
+//! `q * +0.0` for the slots it does not store, which leaves such a sum as
+//! it was unless `q` is not finite, and then only stored weights are
+//! added), same score-then-id order — which is pinned by the differential
+//! proptests in `tests/proptest_search.rs`.
 
 use crate::entities::{PeEntity, WorkflowEntity};
 use crate::search::normalize_text;
@@ -315,15 +325,32 @@ struct Slot {
     norm: f32,
 }
 
+/// One bucket's postings, in the layout its occupancy calls for (the
+/// per-container choice of Roaring bitmaps: Chambi, Lemire et al., SPE
+/// 2016).
+#[derive(Debug)]
+enum Bucket {
+    /// `(slot, weight)` of each vector storing the bucket, in no
+    /// particular slot order: while fewer than half the slots hold it.
+    List(Vec<(u32, f32)>),
+    /// One weight per slot, `+0.0` where the slot's vector does not store
+    /// the bucket (a stored weight is never `+0.0`), and how many slots
+    /// do: while at least a quarter of the slots hold it.
+    Column { weights: Vec<f32>, stored: usize },
+}
+
 /// Per-user postings for one embedding space and dimension: for every
-/// bucket, the `(slot, weight)` of each vector that stores it. A slot is
-/// a vector's number for as long as it is indexed; a removed vector's
-/// slot goes on the free list and the next insert takes it, so no other
-/// vector is ever renumbered.
+/// bucket, the vectors that store it, as a list or as a dense column. A
+/// slot is a vector's number for as long as it is indexed; a removed
+/// vector's slot goes on the free list and the next insert takes it, so
+/// no other vector is ever renumbered.
 #[derive(Debug)]
 struct VecIndex {
-    /// bucket → `(slot, weight)`, in no particular slot order.
-    postings: Vec<Vec<(u32, f32)>>,
+    /// bucket → its postings.
+    buckets: Vec<Bucket>,
+    /// The buckets stored as columns, in no particular order: what a new
+    /// slot extends.
+    columns: Vec<u32>,
     /// slot → its vector, or `None` while free.
     slots: Vec<Option<Slot>>,
     /// Free slots, the most recently freed last.
@@ -335,7 +362,8 @@ struct VecIndex {
 impl VecIndex {
     fn new(dim: usize) -> VecIndex {
         VecIndex {
-            postings: vec![Vec::new(); dim],
+            buckets: (0..dim).map(|_| Bucket::List(Vec::new())).collect(),
+            columns: Vec::new(),
             slots: Vec::new(),
             free: Vec::new(),
             slot_of: HashMap::new(),
@@ -345,7 +373,7 @@ impl VecIndex {
     /// Index `e` for `id`, which the postings do not hold: the DAO
     /// indexes a (user, PE) pair once, when the link is made.
     fn add(&mut self, id: i64, e: &Embedding) {
-        debug_assert_eq!(e.dim(), self.postings.len(), "a vector joins the postings of its own dimension");
+        debug_assert_eq!(e.dim(), self.buckets.len(), "a vector joins the postings of its own dimension");
         let live = Some(Slot { id, norm: e.norm() });
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -354,25 +382,101 @@ impl VecIndex {
             }
             None => {
                 self.slots.push(live);
+                self.grow_columns();
                 u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 vectors per user")
             }
         };
         let fresh = self.slot_of.insert(id, slot).is_none();
         debug_assert!(fresh, "PE {id} indexed twice for one owner");
+        let slots = self.slots.len();
         for &(bucket, w) in e.entries() {
-            self.postings[bucket as usize].push((slot, w));
+            match &mut self.buckets[bucket as usize] {
+                Bucket::List(list) => {
+                    list.push((slot, w));
+                    if 2 * list.len() >= slots {
+                        self.promote(bucket);
+                    }
+                }
+                Bucket::Column { weights, stored } => {
+                    weights[slot as usize] = w;
+                    *stored += 1;
+                }
+            }
         }
     }
 
+    /// A new slot: every column gains its `+0.0`, and a column now held
+    /// by fewer than a quarter of the slots goes back to a list.
+    fn grow_columns(&mut self) {
+        let slots = self.slots.len();
+        let mut at = 0;
+        while let Some(&bucket) = self.columns.get(at) {
+            let Bucket::Column { weights, stored } = &mut self.buckets[bucket as usize] else {
+                unreachable!("a listed column is a column")
+            };
+            weights.push(0.0);
+            if 4 * *stored < slots {
+                self.demote(at);
+            } else {
+                at += 1;
+            }
+        }
+    }
+
+    /// Turn list `bucket` into a column.
+    fn promote(&mut self, bucket: u32) {
+        let Bucket::List(list) = &self.buckets[bucket as usize] else { unreachable!("only a list promotes") };
+        let mut weights = vec![0.0f32; self.slots.len()];
+        for &(slot, w) in list {
+            weights[slot as usize] = w;
+        }
+        self.buckets[bucket as usize] = Bucket::Column { weights, stored: list.len() };
+        self.columns.push(bucket);
+    }
+
+    /// Turn the column at `self.columns[at]` back into a list of its
+    /// stored weights, `-0.0` included.
+    fn demote(&mut self, at: usize) {
+        let bucket = self.columns.swap_remove(at);
+        let Bucket::Column { weights, stored } = &self.buckets[bucket as usize] else {
+            unreachable!("only a column demotes")
+        };
+        let slot = |s: usize| u32::try_from(s).expect("fewer than 2^32 vectors per user");
+        let list: Vec<(u32, f32)> = weights
+            .iter()
+            .enumerate()
+            .filter(|(_, w)| w.to_bits() != 0)
+            .map(|(s, &w)| (slot(s), w))
+            .collect();
+        debug_assert_eq!(list.len(), *stored, "a column counts its stored weights");
+        self.buckets[bucket as usize] = Bucket::List(list);
+    }
+
     /// Unindex `id`, whose vector is `e`: its postings go and its slot is
-    /// freed. A posting list is searched from its end, where the newest
-    /// vectors are.
+    /// freed. A list is searched from its end, where the newest vectors
+    /// are; a column zeroes the slot's weight, and one now held by fewer
+    /// than a quarter of the slots goes back to a list.
     fn remove(&mut self, id: i64, e: &Embedding) {
         let Some(slot) = self.slot_of.remove(&id) else { return };
+        let slots = self.slots.len();
         for &(bucket, _) in e.entries() {
-            let list = &mut self.postings[bucket as usize];
-            let at = list.iter().rposition(|&(s, _)| s == slot).expect("every stored bucket has a posting");
-            list.swap_remove(at);
+            match &mut self.buckets[bucket as usize] {
+                Bucket::List(list) => {
+                    let at = list
+                        .iter()
+                        .rposition(|&(s, _)| s == slot)
+                        .expect("every stored bucket has a posting");
+                    list.swap_remove(at);
+                }
+                Bucket::Column { weights, stored } => {
+                    weights[slot as usize] = 0.0;
+                    *stored -= 1;
+                    if 4 * *stored < slots {
+                        let at = self.columns.iter().position(|&c| c == bucket).expect("a column is listed");
+                        self.demote(at);
+                    }
+                }
+            }
         }
         self.slots[slot as usize] = None;
         self.free.push(slot);
@@ -383,17 +487,37 @@ impl VecIndex {
     /// sort-then-truncate order.
     ///
     /// Term at a time: the query's buckets, ascending, each add
-    /// `q_b * w` into the score of every slot on the bucket's list, so
-    /// each slot sums its shared buckets in [`cosine`]'s order and gets
-    /// its bits. Every live slot is then offered, so a vector sharing no
-    /// bucket with the query still ranks, at 0.
+    /// `q_b * w` into the score of every slot storing the bucket, so each
+    /// slot sums its shared buckets in [`cosine`]'s order and gets its
+    /// bits. A column adds into every slot in one pass: a slot that does
+    /// not store the bucket adds `q_b * +0.0`, a zero, and a sum that
+    /// starts at `+0.0` is never `-0.0`, so adding a zero leaves it as it
+    /// was. A non-finite `q_b` would make that zero a NaN, so then only
+    /// the stored weights are added. Every live slot is then offered, so
+    /// a vector sharing no bucket with the query still ranks, at 0.
     ///
     /// [`cosine`]: laminar_embed::cosine
     fn top(&self, query: &Embedding, k: usize) -> Vec<(i64, f64)> {
         let mut dots = vec![0.0f32; self.slots.len()];
         for &(bucket, q) in query.entries() {
-            for &(slot, w) in &self.postings[bucket as usize] {
-                dots[slot as usize] += q * w;
+            match &self.buckets[bucket as usize] {
+                Bucket::List(list) => {
+                    for &(slot, w) in list {
+                        dots[slot as usize] += q * w;
+                    }
+                }
+                Bucket::Column { weights, .. } if q.is_finite() => {
+                    for (dot, &w) in dots.iter_mut().zip(weights) {
+                        *dot += q * w;
+                    }
+                }
+                Bucket::Column { weights, .. } => {
+                    for (dot, &w) in dots.iter_mut().zip(weights) {
+                        if w.to_bits() != 0 {
+                            *dot += q * w;
+                        }
+                    }
+                }
             }
         }
         let qnorm = query.norm();
@@ -683,7 +807,7 @@ mod tests {
         for p in &pes {
             idx.add_pe(1, p);
         }
-        // Frees slot 1; the postings of bucket 1 swap-remove its entry.
+        // Frees slot 1: both buckets are columns, which zero its weights.
         idx.remove_pe(1, &pes[1]);
         let q = emb(&[1.0, 0.0]);
         let scored = |idx: &SearchIndex| {
@@ -704,6 +828,106 @@ mod tests {
         idx.add_pe(1, &pe(9, "P9", "d", &[9.0, 1.0], &[1.0, 9.0]));
         assert_eq!(slots(&idx), [Some(0), Some(9), Some(2), Some(3)]);
         assert_eq!(scored(&idx), [9, 3, 2, 0]);
+    }
+
+    /// A bucket's layout and what it stores: whether it is a column, and
+    /// its `(slot, weight bits)` in slot order.
+    fn bucket(index: &VecIndex, b: usize) -> (bool, Vec<(u32, u32)>) {
+        match &index.buckets[b] {
+            Bucket::List(list) => {
+                let mut held: Vec<(u32, u32)> = list.iter().map(|&(s, w)| (s, w.to_bits())).collect();
+                held.sort_unstable();
+                (false, held)
+            }
+            Bucket::Column { weights, stored } => {
+                let held: Vec<(u32, u32)> = (0u32..)
+                    .zip(weights)
+                    .filter(|(_, w)| w.to_bits() != 0)
+                    .map(|(s, w)| (s, w.to_bits()))
+                    .collect();
+                assert_eq!(held.len(), *stored, "bucket {b}: a column counts what it stores");
+                assert_eq!(weights.len(), index.slots.len(), "bucket {b}: a column has a weight per slot");
+                (true, held)
+            }
+        }
+    }
+
+    /// Every query scores every live vector to [`cosine`]'s bits: a
+    /// negative weight adds `-0.0` into the slots a column does not
+    /// store, an infinite or NaN one must not add `inf * +0.0`.
+    fn assert_scores_are_cosines(index: &VecIndex, live: &BTreeMap<i64, Embedding>) {
+        let queries = [[1.0, 1.0, 1.0], [-1.0, -0.5, 0.0], [f32::INFINITY, 0.0, 0.0], [0.0, f32::NAN, 1.0]];
+        for q in queries.map(|q| emb(&q)) {
+            let mut got: Vec<(i64, u64)> =
+                index.top(&q, live.len()).into_iter().map(|(id, s)| (id, s.to_bits())).collect();
+            got.sort_unstable();
+            let want: Vec<(i64, u64)> =
+                live.iter().map(|(&id, e)| (id, (cosine(&q, e) as f64).to_bits())).collect();
+            assert_eq!(got, want, "query {q:?}");
+        }
+    }
+
+    #[test]
+    fn buckets_turn_columns_at_half_and_lists_below_a_quarter() {
+        // Bucket 2 is stored by every vector, so every norm is non-zero.
+        let b = emb(&[0.0, 0.5, 1.0]);
+        let a = |w: f32| emb(&[w, 0.0, 1.0]);
+        let half = 0.5f32.to_bits();
+        let mut live = BTreeMap::new();
+        let mut index = VecIndex::new(3);
+        let add = |index: &mut VecIndex, live: &mut BTreeMap<i64, Embedding>, id: i64, e: &Embedding| {
+            index.add(id, e);
+            live.insert(id, e.clone());
+            assert_scores_are_cosines(index, live);
+        };
+        for id in 1..=4 {
+            add(&mut index, &mut live, id, &b);
+        }
+        assert_eq!(bucket(&index, 1), (true, vec![(0, half), (1, half), (2, half), (3, half)]));
+        // Bucket 0 held by 1 of 5, 2 of 6 and 3 of 7 slots stays a list;
+        // 4 of 8 is half, a column. The `-0.0` is stored, and survives.
+        for (id, w) in [(5, -0.0), (6, 0.5), (7, 0.5)] {
+            add(&mut index, &mut live, id, &a(w));
+            assert!(!bucket(&index, 0).0, "{} of {id} slots", id - 4);
+        }
+        add(&mut index, &mut live, 8, &a(0.5));
+        let neg_zero = (-0.0f32).to_bits();
+        assert_eq!(bucket(&index, 0), (true, vec![(4, neg_zero), (5, half), (6, half), (7, half)]));
+        // Bucket 1 loses vectors: held by 3 and 2 of 8 slots it stays a
+        // column (a quarter is not fewer), by 1 of 8 it goes back to a
+        // list. A freed slot's weights are zeroed, so it is not on it.
+        for (id, column, held) in [(1, true, &[1, 2, 3][..]), (2, true, &[2, 3]), (3, false, &[3])] {
+            index.remove(id, &b);
+            live.remove(&id);
+            assert_scores_are_cosines(&index, &live);
+            let held: Vec<(u32, u32)> = held.iter().map(|&s| (s, half)).collect();
+            assert_eq!(bucket(&index, 1), (column, held), "after removing {id}");
+        }
+        // Freed slots are reused, the most recently freed first.
+        add(&mut index, &mut live, 9, &a(-0.0));
+        assert_eq!((index.slot_of[&9], bucket(&index, 1).1), (2, vec![(3, half)]));
+        for id in [10, 11] {
+            add(&mut index, &mut live, id, &b);
+        }
+        assert_eq!(bucket(&index, 1), (false, vec![(0, half), (1, half), (3, half)]));
+        assert_eq!(index.slots.len(), 8);
+        // A new slot extends every column: bucket 0, held by 5 slots,
+        // stays a column up to 20 slots and is a list at 21. On the way
+        // bucket 1 turns column at 5 of 10.
+        for id in 12..=23 {
+            add(&mut index, &mut live, id, &b);
+            assert!(bucket(&index, 0).0, "5 of {} slots", index.slots.len());
+            assert_eq!(
+                bucket(&index, 1).0,
+                index.slots.len() >= 10,
+                "bucket 1 over {} slots",
+                index.slots.len()
+            );
+        }
+        assert_eq!(index.slots.len(), 20);
+        add(&mut index, &mut live, 24, &b);
+        let held: Vec<(u32, u32)> = [(2, neg_zero), (4, neg_zero), (5, half), (6, half), (7, half)].into();
+        assert_eq!(bucket(&index, 0), (false, held), "5 of 21 slots");
     }
 
     #[test]

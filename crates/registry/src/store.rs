@@ -279,20 +279,34 @@ impl<T: Row> Table<T> {
 }
 
 /// A many-to-many junction table (unordered pairs of foreign keys).
+///
+/// `pairs` is the table; `owners` holds the same links as
+/// `(right, left)`, so the lefts of one right are a range too. It is
+/// derived: written beside every change of `pairs`, rebuilt on load, never
+/// serialized.
 #[derive(Debug, Clone, Default)]
 pub struct Junction {
     pairs: BTreeSet<(i64, i64)>,
+    owners: BTreeSet<(i64, i64)>,
 }
 
 impl Junction {
     /// Link `left` and `right`. Returns false if already linked.
     fn link(&mut self, left: i64, right: i64) -> bool {
-        self.pairs.insert((left, right))
+        let fresh = self.pairs.insert((left, right));
+        if fresh {
+            self.owners.insert((right, left));
+        }
+        fresh
     }
 
     /// Remove a link.
     fn unlink(&mut self, left: i64, right: i64) -> bool {
-        self.pairs.remove(&(left, right))
+        let linked = self.pairs.remove(&(left, right));
+        if linked {
+            self.owners.remove(&(right, left));
+        }
+        linked
     }
 
     /// Is the pair linked?
@@ -303,22 +317,27 @@ impl Junction {
     /// All right-ids linked to `left`, ascending: one range of the ordered
     /// pairs, not a walk over every link.
     pub(crate) fn rights_of(&self, left: i64) -> Vec<i64> {
-        self.pairs.range((left, i64::MIN)..=(left, i64::MAX)).map(|&(_, r)| r).collect()
+        seconds(&self.pairs, left)
     }
 
-    /// All left-ids linked to `right`.
+    /// All left-ids linked to `right`, ascending: one range of the owner
+    /// index.
     pub(crate) fn lefts_of(&self, right: i64) -> Vec<i64> {
-        self.pairs.iter().filter(|(_, r)| *r == right).map(|(l, _)| *l).collect()
+        seconds(&self.owners, right)
     }
 
     /// Remove every pair touching `left` on the left side.
     fn remove_left(&mut self, left: i64) {
-        self.pairs.retain(|(l, _)| *l != left);
+        for right in self.rights_of(left) {
+            self.unlink(left, right);
+        }
     }
 
     /// Remove every pair touching `right` on the right side.
     fn remove_right(&mut self, right: i64) {
-        self.pairs.retain(|(_, r)| *r != right);
+        for left in self.lefts_of(right) {
+            self.unlink(left, right);
+        }
     }
 
     /// Iterate every `(left, right)` pair in ascending order (used to
@@ -349,9 +368,20 @@ impl Junction {
             _ => None,
         };
         let corrupt = |p: &Value| RegistryError::Storage(format!("corrupt junction pair {}", to_string(p)));
-        let pairs = v.as_array().unwrap_or(&[]).iter().map(|p| pair(p).ok_or_else(|| corrupt(p)));
-        Ok(Junction { pairs: pairs.collect::<Result<_, _>>()? })
+        let pairs: BTreeSet<(i64, i64)> = v
+            .as_array()
+            .unwrap_or(&[])
+            .iter()
+            .map(|p| pair(p).ok_or_else(|| corrupt(p)))
+            .collect::<Result<_, _>>()?;
+        let owners = pairs.iter().map(|&(l, r)| (r, l)).collect();
+        Ok(Junction { pairs, owners })
     }
+}
+
+/// The second members of `set`'s pairs whose first is `first`, ascending.
+fn seconds(set: &BTreeSet<(i64, i64)>, first: i64) -> Vec<i64> {
+    set.range((first, i64::MIN)..=(first, i64::MAX)).map(|&(_, second)| second).collect()
 }
 
 /// A junction table, as a link op names it.
@@ -643,5 +673,34 @@ mod tests {
             let filtered: Vec<i64> = j.iter().filter(|&(l, _)| l == left).map(|(_, r)| r).collect();
             assert_eq!(j.rights_of(left), filtered, "left {left}");
         }
+    }
+
+    #[test]
+    fn lefts_of_answers_what_filtering_every_pair_answers() {
+        let mut j = Junction::default();
+        // Rights interleaved in link order, lefts at both ends of i64.
+        let rights = [i64::MIN, -3, 0, 1, 2, 7, i64::MAX];
+        for left in [5, i64::MIN, 0, i64::MAX, -9, 42, 1] {
+            for (k, &right) in rights.iter().enumerate() {
+                if (left as i128 + k as i128) % 3 != 0 {
+                    j.link(left, right);
+                }
+            }
+        }
+        // Unlinks and both removals keep the owner index in step.
+        j.unlink(42, 0);
+        j.unlink(42, 0);
+        j.remove_left(-9);
+        j.remove_right(7);
+        let reloaded = Junction::from_value(&j.to_value()).unwrap();
+        for j in [&j, &reloaded] {
+            for right in rights.into_iter().chain([-4, 3, 8]) {
+                let filtered: Vec<i64> = j.iter().filter(|&(_, r)| r == right).map(|(l, _)| l).collect();
+                assert_eq!(j.lefts_of(right), filtered, "right {right}");
+            }
+            assert_eq!(j.owners.len(), j.len(), "one owner entry per pair");
+        }
+        assert!(j.rights_of(-9).is_empty() && j.lefts_of(7).is_empty());
+        assert!(!j.linked(42, 0) && j.linked(42, -3));
     }
 }

@@ -11,7 +11,9 @@
 //!
 //! The model-built corpus has one embedding dimension per space, so the
 //! third property drives the DAO with hand-built entities of mixed
-//! dimensions, where the index keeps one matrix per dimension.
+//! dimensions, where the index keeps one matrix per dimension, and the
+//! fourth with vectors sharing most of their buckets, which the index
+//! keeps as dense columns.
 
 use laminar_embed::Embedding;
 use laminar_oracle::scan;
@@ -175,12 +177,17 @@ fn arb_vector() -> impl Strategy<Value = Vec<f32>> {
 }
 
 fn arb_vec_op() -> impl Strategy<Value = VecOp> {
+    vec_ops(arb_vector(), arb_vector())
+}
+
+/// Inserts of PEs whose description and code vectors `desc` and `code`
+/// draw, links and removes, equally often.
+fn vec_ops(
+    desc: impl Strategy<Value = Vec<f32>> + 'static,
+    code: impl Strategy<Value = Vec<f32>> + 'static,
+) -> impl Strategy<Value = VecOp> {
     prop_oneof![
-        (1i64..3, arb_vector(), arb_vector()).prop_map(|(owner, desc, code)| VecOp::Insert {
-            owner,
-            desc,
-            code
-        }),
+        (1i64..3, desc, code).prop_map(|(owner, desc, code)| VecOp::Insert { owner, desc, code }),
         (1i64..3, 0usize..16).prop_map(|(user, pick)| VecOp::Link { user, pick }),
         (1i64..3, 0usize..16).prop_map(|(user, pick)| VecOp::Remove { user, pick }),
     ]
@@ -220,12 +227,17 @@ fn apply_vec_op(dao: &mut Dao, step: usize, op: &VecOp) {
 /// Every (user, space, query dimension, limit) ranked by the index and by
 /// the scan: the same hits, and scores equal to the bit.
 fn assert_ranked_index_matches_scan(dao: &Dao) {
-    let queries = [vec![0.5], vec![1.0, -0.5], vec![0.5, 1.0, -1.0]];
+    assert_ranked_queries_match_scan(dao, &[vec![0.5], vec![1.0, -0.5], vec![0.5, 1.0, -1.0]], &[1, 25]);
+}
+
+/// Every (user, space, query, limit) ranked by the index and by the scan:
+/// the same hits, and scores equal to the bit.
+fn assert_ranked_queries_match_scan(dao: &Dao, queries: &[Vec<f32>], limits: &[usize]) {
     for user in 1..3 {
         for field in [VecField::Desc, VecField::Code] {
-            for query in &queries {
+            for query in queries {
                 let query = Embedding::from_dense(query);
-                for limit in [1usize, 25] {
+                for &limit in limits {
                     let ranked = |force_scan| {
                         let hits = if force_scan {
                             scan::ranked_pe_hits(dao, user, &query, field, limit)
@@ -238,16 +250,35 @@ fn assert_ranked_index_matches_scan(dao: &Dao) {
                     prop_assert_eq!(
                         ranked(false),
                         ranked(true),
-                        "index != scan for user {} {:?} dim {} limit {}",
+                        "index != scan for user {} {:?} query {:?} limit {}",
                         user,
                         field,
-                        query.dim(),
+                        query,
                         limit
                     );
                 }
             }
         }
     }
+}
+
+/// Dimension of the shared-bucket property's vectors.
+const SHARED_DIM: usize = 6;
+
+/// A vector of [`SHARED_DIM`] whose bucket `b` is stored with probability
+/// about `(8 - b) / 8`: the low buckets are held by nearly every vector
+/// and the high ones by about a third, so under churn buckets cross both
+/// the half that makes a column and the quarter that makes a list again.
+/// `-0.0` weights occur, and are stored.
+fn arb_shared_vector() -> impl Strategy<Value = Vec<f32>> {
+    prop::collection::vec((0usize..8, -5i64..5), SHARED_DIM..SHARED_DIM + 1).prop_map(|coords| {
+        let weight = |(b, (keep, x)): (usize, (usize, i64))| match x {
+            _ if keep + b >= 8 => 0.0,
+            -5 => -0.0,
+            x => x as f32 * 0.5,
+        };
+        coords.into_iter().enumerate().map(weight).collect()
+    })
 }
 
 fn tmpdir(tag: &str, case: u64) -> PathBuf {
@@ -311,6 +342,31 @@ proptest! {
         for (step, op) in script.iter().enumerate() {
             apply_vec_op(&mut dao, step, op);
             assert_ranked_index_matches_scan(&dao);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Vectors sharing most of their buckets, so each user's buckets turn
+    /// dense columns and back into lists under insert / shared-link /
+    /// unlink / remove churn, and freed slots are reused: every ranking,
+    /// checked after every step, equals the scan's, scores to the bit.
+    #[test]
+    fn shared_bucket_ranking_equals_linear_scan(
+        script in prop::collection::vec(vec_ops(arb_shared_vector(), arb_shared_vector()), 1..60),
+    ) {
+        let queries = [
+            vec![1.0; SHARED_DIM],
+            vec![0.5, -1.0, 0.0, 2.0, -0.0, -0.5],
+            vec![0.0, 0.0, 0.0, 0.0, 0.0, 1.5],
+            vec![-1.0, 0.0, 0.5, 0.0, 1.0, 0.0],
+        ];
+        let mut dao = Dao::new(Store::new(), WalStore::ephemeral());
+        for (step, op) in script.iter().enumerate() {
+            apply_vec_op(&mut dao, step, op);
+            assert_ranked_queries_match_scan(&dao, &queries, &[1, 2, 25]);
         }
     }
 }
