@@ -5,7 +5,10 @@
 //! mode — once through the search index, once through the linear-scan
 //! oracle (`laminar_oracle::scan`) — and reports p50/p99 wall latency plus the
 //! indexed-vs-scan speedup for the semantic and code-completion (embedding
-//! top-k) and text (trigram-indexed tokens) paths. It prices the incremental maintenance the
+//! top-k) and text (trigram-indexed tokens) paths. One more tenant of as
+//! many PEs, three in four of them sharing one description, is the
+//! tie-heavy mode (`ties`): semantic queries whose scores tie exactly,
+//! at the top and at the 25th place. It prices the incremental maintenance the
 //! write path pays with the median of `reps` timed `SearchIndex::build`s
 //! over the finished corpus's store: the same `add_pe` per owner link
 //! that registration runs, divided by the links. Every measured query pair is also compared
@@ -104,6 +107,15 @@ const TEXT_QUERIES: [&str; 9] = [
     "processor prime",
 ];
 
+/// The description three in four PEs of the tie-heavy tenant share: their
+/// description vectors are identical, so a semantic query scores them
+/// all alike, at the top and at the 25th place, across every block of
+/// the index's slots, and the ranking rests on the id tie-break.
+const TIE_DESCRIPTION: &str = "sliding window median filter";
+
+/// The tie-heavy tenant's user name.
+const TIE_TENANT: &str = "ties";
+
 fn pe_name(tenant: usize, i: usize) -> String {
     format!("Scale{tenant}x{i}")
 }
@@ -137,6 +149,18 @@ fn build_corpus(reg: &mut Registry, tenants: usize, per_tenant: usize) {
         for i in 0..per_tenant {
             reg.register_pe(&user, &pe_source(t, i), Some(&description(t, i))).expect("register pe");
         }
+    }
+}
+
+/// Register the tie-heavy tenant: `pes` PEs, three in four described as
+/// [`TIE_DESCRIPTION`], the others as a corpus tenant's are.
+fn build_tie_tenant(reg: &mut Registry, pes: usize) {
+    reg.register_user(TIE_TENANT, "password").expect("register tie tenant");
+    for i in 0..pes {
+        let text = if i % 4 == 0 { description(0, i) } else { TIE_DESCRIPTION.to_string() };
+        let source =
+            format!("pe Tie{i} : iterative {{ input x; output output; process {{ emit(x + {i}); }} }}");
+        reg.register_pe(TIE_TENANT, &source, Some(&text)).expect("register pe");
     }
 }
 
@@ -256,6 +280,7 @@ fn main() {
     let mut reg = Registry::in_memory();
     let t0 = Instant::now();
     build_corpus(&mut reg, tenants, per_tenant);
+    build_tie_tenant(&mut reg, per_tenant);
     eprintln!("  corpus registered in {:.1?}", t0.elapsed());
 
     // Sample users spread across the tenant range: search cost is
@@ -267,13 +292,17 @@ fn main() {
     let semantic = measure_mode(&reg, &sample, &SEMANTIC_QUERIES, SearchType::Pe, QueryType::Text, reps);
     let code = measure_mode(&reg, &sample, &CODE_QUERIES, SearchType::Pe, QueryType::Code, reps);
     let text = measure_mode(&reg, &sample, &TEXT_QUERIES, SearchType::Both, QueryType::Text, reps);
+    let tie_queries: Vec<&str> = SEMANTIC_QUERIES.iter().copied().chain([TIE_DESCRIPTION]).collect();
+    let ties =
+        measure_mode(&reg, &[TIE_TENANT.to_string()], &tie_queries, SearchType::Pe, QueryType::Text, reps);
     let (maintenance_per_pe, pe_links) = maintenance_per_pe_us(&reg, reps);
-    let differential_match = semantic.mismatches == 0 && code.mismatches == 0 && text.mismatches == 0;
+    let differential_match = [&semantic, &code, &text, &ties].iter().all(|mode| mode.mismatches == 0);
 
     let semantic_v = semantic.into_value();
     let code_v = code.into_value();
     let text_v = text.into_value();
-    for (name, v) in [("semantic", &semantic_v), ("code", &code_v), ("text", &text_v)] {
+    let ties_v = ties.into_value();
+    for (name, v) in [("semantic", &semantic_v), ("code", &code_v), ("text", &text_v), ("ties", &ties_v)] {
         eprintln!(
             "  {:<8} indexed p50 {:>6}us p99 {:>6}us | scan p50 {:>7}us p99 {:>7}us | speedup {:>6.2}x",
             name,
@@ -297,6 +326,8 @@ fn main() {
         .set("semantic_queries", (sample.len() * SEMANTIC_QUERIES.len()) as i64)
         .set("code_queries", (sample.len() * CODE_QUERIES.len()) as i64)
         .set("text_queries", (sample.len() * TEXT_QUERIES.len()) as i64)
+        .set("tie_pes", per_tenant as i64)
+        .set("tie_queries", tie_queries.len() as i64)
         .set("smoke", smoke);
     let mut registration = Value::Null;
     registration
@@ -309,6 +340,7 @@ fn main() {
         .set("semantic", semantic_v)
         .set("code", code_v)
         .set("text", text_v)
+        .set("ties", ties_v)
         .set("registration", registration)
         .set("differential_match", differential_match);
 

@@ -2,7 +2,10 @@
 //!
 //! Every model maps an input to a bag of weighted string features; features
 //! are hashed into a fixed-dimension vector with a sign hash, then
-//! L2-normalized. A description or a PE's code touches tens to about a
+//! L2-normalized. A feature is hashed from its parts as it streams — the
+//! channel prefix, its separators, its words or the UTF-8 of its
+//! characters — so no feature string is built, and the hash is the one its
+//! string would have had. A description or a PE's code touches tens to about a
 //! hundred of the 768–1,024 buckets, so an [`Embedding`] holds only its
 //! non-zero `(bucket, weight)` pairs, in ascending bucket order. That
 //! sparsity belongs to these stand-in models: a real encoder's vectors are
@@ -13,6 +16,8 @@
 //! fixed summation order, so every ranking built on it — the registry's
 //! per-bucket index, its scan oracle and the bench's evaluation — scores
 //! to the same bits, and [`TopK`] is the one selection they rank through.
+//! [`TopK::push`] returns the floor a later candidate must reach, so a
+//! caller holding many scores offers only those that can still win.
 
 use laminar_json::Value;
 
@@ -72,9 +77,11 @@ impl Embedding {
     }
 }
 
-/// FNV-1a, 64-bit — the feature hash — over the concatenation of `parts`,
-/// so a prefixed feature hashes without being built as one string.
-fn fnv1a(parts: &[&[u8]]) -> u64 {
+/// FNV-1a, 64-bit — the feature hash — over the concatenation of `parts`:
+/// a feature is hashed from its pieces (channel prefix, separators, words,
+/// the UTF-8 of each character) and never built as one string. FNV folds
+/// one byte at a time, so the pieces hash exactly as their concatenation.
+pub(crate) fn fnv1a(parts: &[&[u8]]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in parts.iter().flat_map(|part| part.iter()) {
         h ^= b as u64;
@@ -95,21 +102,10 @@ impl FeatureHasher {
         FeatureHasher { values: vec![0.0; dim] }
     }
 
-    /// Add one feature occurrence with a weight. The feature's hash picks
-    /// the bucket; a second hash bit picks the sign (reduces collision
-    /// bias).
-    #[cfg(test)]
-    fn add(&mut self, feature: &str, weight: f32) {
-        self.add_hashed(fnv1a(&[feature.as_bytes()]), weight);
-    }
-
-    /// Add one occurrence of `feature` in channel `prefix`: the feature
-    /// `prefix:feature`, hashed as it streams.
-    pub(crate) fn add_channel(&mut self, prefix: &str, feature: &str, weight: f32) {
-        self.add_hashed(fnv1a(&[prefix.as_bytes(), b":", feature.as_bytes()]), weight);
-    }
-
-    fn add_hashed(&mut self, h: u64, weight: f32) {
+    /// Add one occurrence of the feature whose [`fnv1a`] hash is `h`, with
+    /// a weight. The hash picks the bucket; its top bit picks the sign
+    /// (reduces collision bias).
+    pub(crate) fn add(&mut self, h: u64, weight: f32) {
         let dim = self.values.len() as u64;
         let bucket = (h % dim) as usize;
         let sign = if (h >> 63) & 1 == 1 { -1.0 } else { 1.0 };
@@ -210,20 +206,29 @@ impl TopK {
         TopK { k, heap: std::collections::BinaryHeap::with_capacity(k.saturating_add(1)) }
     }
 
-    /// Offer one candidate.
-    pub fn push(&mut self, id: i64, score: f64) {
+    /// Offer one candidate, and return the floor a later candidate must
+    /// reach to enter: `-inf` while fewer than `k` are kept, then the
+    /// weakest kept score (a tie there still enters if its id is lower),
+    /// `+inf` when `k` is 0. A caller may skip any candidate scoring below
+    /// the floor without changing the winners, unless a score is NaN: NaN
+    /// is unordered, so then every candidate must be offered.
+    pub fn push(&mut self, id: i64, score: f64) -> f64 {
         if self.k == 0 {
-            return;
+            return f64::INFINITY;
         }
         let entry = TopKEntry { score, id };
         if self.heap.len() < self.k {
             self.heap.push(entry);
+            if self.heap.len() < self.k {
+                return f64::NEG_INFINITY;
+            }
         } else if let Some(mut weakest) = self.heap.peek_mut() {
             // Replacing the root through `PeekMut` sifts once on drop.
             if entry < *weakest {
                 *weakest = entry;
             }
         }
+        self.heap.peek().map_or(f64::NEG_INFINITY, |weakest| weakest.score)
     }
 
     /// Winners, best-first (score descending, ties toward the lower id).
@@ -240,7 +245,7 @@ mod tests {
     fn embed(features: &[(&str, f32)], dim: usize) -> Embedding {
         let mut h = FeatureHasher::new(dim);
         for (f, w) in features {
-            h.add(f, *w);
+            h.add(fnv1a(&[f.as_bytes()]), *w);
         }
         h.finish()
     }
@@ -330,6 +335,19 @@ mod tests {
             oracle.truncate(k);
             assert_eq!(sel.into_sorted(), oracle, "k = {k}");
         }
+    }
+
+    #[test]
+    fn top_k_push_returns_the_floor() {
+        assert_eq!(TopK::new(0).push(1, 0.5), f64::INFINITY, "nothing enters a top-0");
+        let mut top = TopK::new(2);
+        let floors: Vec<f64> = [(1, 0.5), (2, 0.9), (3, 0.7), (4, 0.1), (0, 0.7)]
+            .into_iter()
+            .map(|(id, score)| top.push(id, score))
+            .collect();
+        assert_eq!(floors, [f64::NEG_INFINITY, 0.5, 0.7, 0.7, 0.7]);
+        // A tie at the floor entered with its lower id.
+        assert_eq!(top.into_sorted(), [(2, 0.9), (0, 0.7)]);
     }
 
     /// One component: mostly an exact zero of either sign, otherwise a

@@ -16,9 +16,9 @@
 //! | `unixcoder-code-search` | subtoken channel shared between NL and code (the fine-tune) |
 //! | `unixcoder-clone-detection` | identifier-normalized structure (rename-invariant) |
 
-use crate::embedding::{Embedding, FeatureHasher};
+use crate::embedding::{fnv1a, Embedding, FeatureHasher};
 use crate::tokenizer::{
-    char_trigrams, code_tokens, is_keyword, normalized_lines, text_words, CodeToken, TokenClass,
+    code_tokens, is_keyword, normalized_lines, padded_lower_chars, text_words, CodeToken, TokenClass,
 };
 use laminar_script::{def_use_pairs, parse_script, subtokens};
 
@@ -70,116 +70,133 @@ impl EmbeddingModel {
     /// Embed a code fragment.
     pub fn embed_code(&self, code: &str) -> Embedding {
         let mut h = FeatureHasher::new(self.dim);
-        self.code_features(code, &mut h);
+        self.code_features(code, &mut |feature, weight| h.add(feature, weight));
         h.finish()
     }
 
     /// Embed a natural-language query or description.
     pub fn embed_text(&self, text: &str) -> Embedding {
         let mut h = FeatureHasher::new(self.dim);
+        self.text_features(text, &mut |feature, weight| h.add(feature, weight));
+        h.finish()
+    }
+
+    /// Each weighted feature of `text`, as its [`fnv1a`] hash, in order.
+    fn text_features(&self, text: &str, add: &mut impl FnMut(u64, f32)) {
         let words = text_words(text);
         if self.text_words > 0.0 {
             for w in &words {
                 // Same "sub" prefix as code subtokens: this alignment IS the
                 // cross-modal fine-tuning.
-                h.add_channel("sub", w, self.text_words);
+                add(fnv1a(&[b"sub:", w.as_bytes()]), self.text_words);
             }
         }
         if self.text_bigrams > 0.0 {
             for w in words.windows(2) {
-                h.add_channel("wb", &format!("{}_{}", w[0], w[1]), self.text_bigrams);
+                add(fnv1a(&[b"wb:", w[0].as_bytes(), b"_", w[1].as_bytes()]), self.text_bigrams);
             }
         }
         if self.text_char3 > 0.0 {
-            for g in char_trigrams(text) {
-                h.add_channel("c3", &g, self.text_char3);
-            }
+            char_trigrams(text, self.text_char3, add);
         }
-        h.finish()
     }
 
-    fn code_features(&self, code: &str, h: &mut FeatureHasher) {
+    /// Each weighted feature of `code`, as its [`fnv1a`] hash, in order.
+    fn code_features(&self, code: &str, add: &mut impl FnMut(u64, f32)) {
         let ch = &self.code;
         let toks: Vec<CodeToken> = if ch.raw_tokens > 0.0 || ch.subtokens > 0.0 || ch.structure > 0.0 {
             code_tokens(code)
         } else {
             Vec::new()
         };
+        let sub = |word: &str| fnv1a(&[b"sub:", word.as_bytes()]);
         if ch.raw_tokens > 0.0 {
             for t in &toks {
-                h.add_channel("raw", &t.text, ch.raw_tokens);
+                add(fnv1a(&[b"raw:", t.text.as_bytes()]), ch.raw_tokens);
             }
         }
         if ch.subtokens > 0.0 {
             for t in &toks {
                 match t.class {
                     TokenClass::Word if !is_keyword(&t.text) => {
-                        for sub in subtokens(&t.text) {
-                            h.add_channel("sub", &sub, ch.subtokens);
+                        for s in subtokens(&t.text) {
+                            add(sub(&s), ch.subtokens);
                         }
                     }
                     TokenClass::Str => {
                         // Words inside string literals align with queries too
                         // (docstring-like evidence).
                         for w in text_words(&t.text) {
-                            h.add_channel("sub", &w, ch.subtokens * 0.75);
+                            add(sub(&w), ch.subtokens * 0.75);
                         }
                     }
                     // Numeric literals share the NL space too: the query
                     // "sum of the first 7 numbers" must match the constant 7.
-                    TokenClass::Number => {
-                        h.add_channel("sub", &t.text, ch.subtokens * 1.5);
-                    }
+                    TokenClass::Number => add(sub(&t.text), ch.subtokens * 1.5),
                     _ => {}
                 }
             }
         }
         if ch.structure > 0.0 {
-            let shapes: Vec<&str> = toks
+            let shapes: Vec<&[u8]> = toks
                 .iter()
                 .map(|t| match t.class {
-                    TokenClass::Word if is_keyword(&t.text) => t.text.as_str(),
-                    TokenClass::Word => "V",
+                    TokenClass::Word if is_keyword(&t.text) => t.text.as_bytes(),
+                    TokenClass::Word => b"V",
                     // Constants stay literal: clones share them, sibling
                     // problems (same template, different parameter) do not.
-                    TokenClass::Number => &t.text,
-                    TokenClass::Str => "S",
-                    TokenClass::Punct => &t.text,
+                    TokenClass::Number => t.text.as_bytes(),
+                    TokenClass::Str => b"S",
+                    TokenClass::Punct => t.text.as_bytes(),
                 })
                 .collect();
             for w in shapes.windows(3) {
-                h.add_channel("st", &w.join("_"), ch.structure);
+                add(fnv1a(&[b"st:", w[0], b"_", w[1], b"_", w[2]]), ch.structure);
             }
         }
         if ch.lines > 0.0 {
             let lines = normalized_lines(code);
             for l in &lines {
-                h.add_channel("ln", l, ch.lines);
+                add(fnv1a(&[b"ln:", l.as_bytes()]), ch.lines);
             }
             for w in lines.windows(2) {
-                h.add_channel("lb", &format!("{}|{}", w[0], w[1]), ch.lines * 0.5);
+                add(fnv1a(&[b"lb:", w[0].as_bytes(), b"|", w[1].as_bytes()]), ch.lines * 0.5);
             }
         }
         if ch.char3 > 0.0 {
-            for g in char_trigrams(code) {
-                h.add_channel("c3", &g, ch.char3);
-            }
+            char_trigrams(code, ch.char3, add);
         }
         if ch.defuse > 0.0 {
             // Parse if possible; silently skip for non-LamScript snippets.
             if let Ok(script) = parse_script(code) {
                 for pe in script.pes() {
                     for edge in def_use_pairs(pe) {
-                        h.add_channel("du", &format!("{}>{}", edge.def_var, edge.use_var), ch.defuse);
+                        add(
+                            fnv1a(&[b"du:", edge.def_var.as_bytes(), b">", edge.use_var.as_bytes()]),
+                            ch.defuse,
+                        );
                     }
                 }
             }
         }
         if ch.prose > 0.0 {
             for w in code.split_whitespace() {
-                h.add_channel("pw", &w.to_lowercase(), ch.prose);
+                add(fnv1a(&[b"pw:", w.to_lowercase().as_bytes()]), ch.prose);
             }
         }
+    }
+}
+
+/// The character-trigram channel of `text`: each window of 3 over its
+/// lowercased, space-padded characters, hashed from the characters' UTF-8.
+fn char_trigrams(text: &str, weight: f32, add: &mut impl FnMut(u64, f32)) {
+    for w in padded_lower_chars(text).windows(3) {
+        let mut utf8 = [0u8; 12];
+        let mut len = 0;
+        for c in w {
+            len += c.encode_utf8(&mut utf8[len..]).len();
+        }
+        add(fnv1a(&[b"c3:", &utf8[..len]]), weight);
     }
 }
 
@@ -441,6 +458,197 @@ mod tests {
             all_models().iter().map(|m| (m.name().to_string(), fingerprint(m))).collect();
         let expected: Vec<(String, u64)> = expected.iter().map(|(n, fp)| (n.to_string(), *fp)).collect();
         assert_eq!(got, expected);
+    }
+
+    /// The feature pipelines as they were before features were hashed in
+    /// place: each feature built as its `prefix:feature` string. Kept only
+    /// as the reference the in-place hashes are checked against.
+    mod feature_strings {
+        use super::super::{Channels, EmbeddingModel};
+        use crate::tokenizer::{
+            char_trigrams, code_tokens, is_keyword, normalized_lines, text_words, CodeToken, TokenClass,
+        };
+        use laminar_script::{def_use_pairs, parse_script, subtokens};
+
+        pub(super) fn text(m: &EmbeddingModel, text: &str) -> Vec<(String, f32)> {
+            let mut out = Vec::new();
+            let mut add = |prefix: &str, feature: &str, w: f32| out.push((format!("{prefix}:{feature}"), w));
+            let words = text_words(text);
+            if m.text_words > 0.0 {
+                for w in &words {
+                    add("sub", w, m.text_words);
+                }
+            }
+            if m.text_bigrams > 0.0 {
+                for w in words.windows(2) {
+                    add("wb", &format!("{}_{}", w[0], w[1]), m.text_bigrams);
+                }
+            }
+            if m.text_char3 > 0.0 {
+                for g in char_trigrams(text) {
+                    add("c3", &g, m.text_char3);
+                }
+            }
+            out
+        }
+
+        pub(super) fn code(m: &EmbeddingModel, code: &str) -> Vec<(String, f32)> {
+            let mut out = Vec::new();
+            let mut add = |prefix: &str, feature: &str, w: f32| out.push((format!("{prefix}:{feature}"), w));
+            let ch: &Channels = &m.code;
+            let toks: Vec<CodeToken> = if ch.raw_tokens > 0.0 || ch.subtokens > 0.0 || ch.structure > 0.0 {
+                code_tokens(code)
+            } else {
+                Vec::new()
+            };
+            if ch.raw_tokens > 0.0 {
+                for t in &toks {
+                    add("raw", &t.text, ch.raw_tokens);
+                }
+            }
+            if ch.subtokens > 0.0 {
+                for t in &toks {
+                    match t.class {
+                        TokenClass::Word if !is_keyword(&t.text) => {
+                            for sub in subtokens(&t.text) {
+                                add("sub", &sub, ch.subtokens);
+                            }
+                        }
+                        TokenClass::Str => {
+                            for w in text_words(&t.text) {
+                                add("sub", &w, ch.subtokens * 0.75);
+                            }
+                        }
+                        TokenClass::Number => add("sub", &t.text, ch.subtokens * 1.5),
+                        _ => {}
+                    }
+                }
+            }
+            if ch.structure > 0.0 {
+                let shapes: Vec<&str> = toks
+                    .iter()
+                    .map(|t| match t.class {
+                        TokenClass::Word if is_keyword(&t.text) => t.text.as_str(),
+                        TokenClass::Word => "V",
+                        TokenClass::Number => &t.text,
+                        TokenClass::Str => "S",
+                        TokenClass::Punct => &t.text,
+                    })
+                    .collect();
+                for w in shapes.windows(3) {
+                    add("st", &w.join("_"), ch.structure);
+                }
+            }
+            if ch.lines > 0.0 {
+                let lines = normalized_lines(code);
+                for l in &lines {
+                    add("ln", l, ch.lines);
+                }
+                for w in lines.windows(2) {
+                    add("lb", &format!("{}|{}", w[0], w[1]), ch.lines * 0.5);
+                }
+            }
+            if ch.char3 > 0.0 {
+                for g in char_trigrams(code) {
+                    add("c3", &g, ch.char3);
+                }
+            }
+            if ch.defuse > 0.0 {
+                if let Ok(script) = parse_script(code) {
+                    for pe in script.pes() {
+                        for edge in def_use_pairs(pe) {
+                            add("du", &format!("{}>{}", edge.def_var, edge.use_var), ch.defuse);
+                        }
+                    }
+                }
+            }
+            if ch.prose > 0.0 {
+                for w in code.split_whitespace() {
+                    add("pw", &w.to_lowercase(), ch.prose);
+                }
+            }
+            out
+        }
+    }
+
+    /// Every model hashes `input`'s features, as text and as code, to the
+    /// hashes of the strings [`feature_strings`] builds, in the same order
+    /// with the same weights, and so embeds it to the same bits.
+    fn assert_features_hash_as_their_strings(input: &str) {
+        for m in all_models() {
+            let hashed = |features: Vec<(String, f32)>| -> Vec<(u64, u32)> {
+                features.iter().map(|(f, w)| (fnv1a(&[f.as_bytes()]), w.to_bits())).collect()
+            };
+            let embedded = |features: Vec<(String, f32)>| {
+                let mut h = FeatureHasher::new(m.dim);
+                for (f, w) in features {
+                    h.add(fnv1a(&[f.as_bytes()]), w);
+                }
+                h.finish()
+            };
+            let mut text = Vec::new();
+            m.text_features(input, &mut |f, w| text.push((f, w.to_bits())));
+            assert_eq!(text, hashed(feature_strings::text(&m, input)), "{} text of {input:?}", m.name());
+            assert_eq!(m.embed_text(input), embedded(feature_strings::text(&m, input)), "{}", m.name());
+            let mut code = Vec::new();
+            m.code_features(input, &mut |f, w| code.push((f, w.to_bits())));
+            assert_eq!(code, hashed(feature_strings::code(&m, input)), "{} code of {input:?}", m.name());
+            assert_eq!(m.embed_code(input), embedded(feature_strings::code(&m, input)), "{}", m.name());
+        }
+    }
+
+    #[test]
+    fn in_place_features_hash_as_their_strings() {
+        let cases = [
+            "",
+            "x",
+            "İ",
+            "ab",
+            "ẞİ",
+            "İstanbul ẞtraße ΣΟΦΟΣ",
+            "Σ σς ﬁ ŉ ǅ",
+            PRIME_PE,
+            WORDCOUNT_PE,
+            "let a = 1;\n\n  # note\nlet İb = a * 2; # ẞ\nemit(İb)",
+            "@@@ not code at all ∆∆∆ \"unterminated",
+        ];
+        for input in cases {
+            assert_features_hash_as_their_strings(input);
+        }
+    }
+
+    /// Characters that lowercase to other lengths or to several
+    /// characters, letters of several scripts, code punctuation and line
+    /// breaks.
+    const EDGE_CHARS: [char; 24] = [
+        'İ', 'ẞ', 'Σ', 'ς', 'ŉ', 'ǅ', 'ﬁ', 'K', 'Å', 'é', '中', '🦀', 'a', 'Z', '_', '0', '7', ' ', '\n',
+        '\t', '#', '"', ';', '{',
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Arbitrary Unicode text — any scalar value, mixed with the edge
+        /// characters above and with lines of a real PE — hashes its
+        /// features as their strings did.
+        #[test]
+        fn arbitrary_text_hashes_as_its_feature_strings(
+            units in proptest::collection::vec((0u8..4, proptest::prelude::any::<u32>()), 0..48),
+        ) {
+            let lines: Vec<&str> = PRIME_PE.lines().collect();
+            let mut input = String::new();
+            for (kind, x) in units {
+                match kind {
+                    0 => input.push(char::from_u32(x % 0x11_0000).unwrap_or('\u{fffd}')),
+                    1 | 2 => input.push(EDGE_CHARS[x as usize % EDGE_CHARS.len()]),
+                    _ => {
+                        input.push_str(lines[x as usize % lines.len()]);
+                        input.push('\n');
+                    }
+                }
+            }
+            assert_features_hash_as_their_strings(&input);
+        }
     }
 
     #[test]

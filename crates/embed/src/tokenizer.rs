@@ -189,8 +189,21 @@ pub(crate) fn normalized_lines(code: &str) -> Vec<String> {
         .collect()
 }
 
-/// Character trigrams of lowercased text (padded), the pure-text channel
-/// used by the GTE/BGE-style models.
+/// The characters of lowercased `text` with a space before and after:
+/// the pure-text channel used by the GTE/BGE-style models hashes each of
+/// its windows of 3. The whole text is lowercased at once, as
+/// `str::to_lowercase` does it (a final `Σ` becomes `ς`; `İ` becomes two
+/// characters).
+pub(crate) fn padded_lower_chars(text: &str) -> Vec<char> {
+    let lower = text.to_lowercase();
+    std::iter::once(' ').chain(lower.chars()).chain(std::iter::once(' ')).collect()
+}
+
+/// Character trigrams of lowercased text (padded), built as strings: the
+/// feature strings the trigram channel hashed before it hashed windows of
+/// [`padded_lower_chars`] in place, kept as the reference that hashing
+/// is checked against.
+#[cfg(test)]
 pub(crate) fn char_trigrams(text: &str) -> Vec<String> {
     let lower = text.to_lowercase();
     let padded: Vec<char> = std::iter::once(' ').chain(lower.chars()).chain(std::iter::once(' ')).collect();

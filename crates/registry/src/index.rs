@@ -28,7 +28,8 @@
 //! * **Semantic / code** — per user and per embedding space
 //!   (`desc`/`code`), one set of per-bucket postings per embedding
 //!   dimension present, with each slot's PE id and L2 norm cached at
-//!   insert. The stand-in models' vectors are sparse (tens of the 768
+//!   insert in two parallel arrays (a free slot holds a sentinel id).
+//!   The stand-in models' vectors are sparse (tens of the 768
 //!   description buckets, about a hundred of the 1,024 code buckets), but
 //!   some buckets are held by most PEs: near-identical PE bodies fill the
 //!   same few dozen code buckets. So each bucket takes the layout its
@@ -42,8 +43,13 @@
 //!   A query is answered term at a time (Turtle & Flood, "Query
 //!   Evaluation: Strategies and Optimizations", IP&M 1995): only its own
 //!   buckets are read, a list entry by entry and a column in one
-//!   sequential pass over every slot, then every live slot goes through a
-//!   bounded top-`k` heap, no norm recomputed, no full sort. Vectors of
+//!   sequential pass over every slot; one more pass turns each slot's dot
+//!   into its score, no norm recomputed. Only the slots that can still
+//!   win go through a bounded top-`k` heap, no full sort: block-max
+//!   top-`k` (Ding & Suel, "Faster Top-k Document Retrieval Using
+//!   Block-Max Indexes", SIGIR 2011) starts the floor at the `k`-th
+//!   largest maximum of the blocks of 8 slots, and the heap's weakest
+//!   score raises it once `k` are kept. Vectors of
 //!   another dimension cannot be compared with the query, and are exactly
 //!   what the scan leaves out too. Real models are fixed-dimension, so a
 //!   user normally has one set of postings per space; a second appears
@@ -66,8 +72,11 @@
 //! how [`cosine`](laminar_embed::cosine) defines the score; a column adds
 //! `q * +0.0` for the slots it does not store, which leaves such a sum as
 //! it was unless `q` is not finite, and then only stored weights are
-//! added), same score-then-id order — which is pinned by the differential
-//! proptests in `tests/proptest_search.rs`.
+//! added), same score-then-id order. A slot below the floor is strictly
+//! worse than `k` others, and a tie at the floor is offered, so skipping
+//! slots changes no winner; a query under which any vector scores NaN,
+//! which is unordered, offers every slot as the scan does. This is pinned
+//! by the differential proptests in `tests/proptest_search.rs`.
 
 use crate::entities::{PeEntity, WorkflowEntity};
 use crate::search::normalize_text;
@@ -315,15 +324,11 @@ impl TextIndex {
     }
 }
 
-/// One live vector of a [`VecIndex`]: its PE and its cached norm.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    id: i64,
-    /// [`Embedding::norm`], computed once at insert: the norm
-    /// [`cosine`](laminar_embed::cosine) divides by, so scores stay
-    /// bit-identical to a from-scratch cosine.
-    norm: f32,
-}
+/// The id of a free slot in [`VecIndex::ids`]: no PE has it.
+const FREE: i64 = i64::MIN;
+
+/// Slots per block of [`VecIndex::top`]'s block maxima.
+const BLOCK: usize = 8;
 
 /// One bucket's postings, in the layout its occupancy calls for (the
 /// per-container choice of Roaring bitmaps: Chambi, Lemire et al., SPE
@@ -351,8 +356,12 @@ struct VecIndex {
     /// The buckets stored as columns, in no particular order: what a new
     /// slot extends.
     columns: Vec<u32>,
-    /// slot → its vector, or `None` while free.
-    slots: Vec<Option<Slot>>,
+    /// slot → its vector's PE id, or [`FREE`].
+    ids: Vec<i64>,
+    /// slot → its vector's [`Embedding::norm`], computed once at insert:
+    /// the norm [`cosine`](laminar_embed::cosine) divides by, so scores
+    /// stay bit-identical to a from-scratch cosine. `0.0` while free.
+    norms: Vec<f32>,
     /// Free slots, the most recently freed last.
     free: Vec<u32>,
     /// peId → slot.
@@ -364,7 +373,8 @@ impl VecIndex {
         VecIndex {
             buckets: (0..dim).map(|_| Bucket::List(Vec::new())).collect(),
             columns: Vec::new(),
-            slots: Vec::new(),
+            ids: Vec::new(),
+            norms: Vec::new(),
             free: Vec::new(),
             slot_of: HashMap::new(),
         }
@@ -374,21 +384,23 @@ impl VecIndex {
     /// indexes a (user, PE) pair once, when the link is made.
     fn add(&mut self, id: i64, e: &Embedding) {
         debug_assert_eq!(e.dim(), self.buckets.len(), "a vector joins the postings of its own dimension");
-        let live = Some(Slot { id, norm: e.norm() });
+        debug_assert_ne!(id, FREE, "no PE has the free slots' id");
         let slot = match self.free.pop() {
             Some(slot) => {
-                self.slots[slot as usize] = live;
+                self.ids[slot as usize] = id;
+                self.norms[slot as usize] = e.norm();
                 slot
             }
             None => {
-                self.slots.push(live);
+                self.ids.push(id);
+                self.norms.push(e.norm());
                 self.grow_columns();
-                u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 vectors per user")
+                u32::try_from(self.ids.len() - 1).expect("fewer than 2^32 vectors per user")
             }
         };
         let fresh = self.slot_of.insert(id, slot).is_none();
         debug_assert!(fresh, "PE {id} indexed twice for one owner");
-        let slots = self.slots.len();
+        let slots = self.ids.len();
         for &(bucket, w) in e.entries() {
             match &mut self.buckets[bucket as usize] {
                 Bucket::List(list) => {
@@ -408,7 +420,7 @@ impl VecIndex {
     /// A new slot: every column gains its `+0.0`, and a column now held
     /// by fewer than a quarter of the slots goes back to a list.
     fn grow_columns(&mut self) {
-        let slots = self.slots.len();
+        let slots = self.ids.len();
         let mut at = 0;
         while let Some(&bucket) = self.columns.get(at) {
             let Bucket::Column { weights, stored } = &mut self.buckets[bucket as usize] else {
@@ -426,7 +438,7 @@ impl VecIndex {
     /// Turn list `bucket` into a column.
     fn promote(&mut self, bucket: u32) {
         let Bucket::List(list) = &self.buckets[bucket as usize] else { unreachable!("only a list promotes") };
-        let mut weights = vec![0.0f32; self.slots.len()];
+        let mut weights = vec![0.0f32; self.ids.len()];
         for &(slot, w) in list {
             weights[slot as usize] = w;
         }
@@ -458,7 +470,7 @@ impl VecIndex {
     /// than a quarter of the slots goes back to a list.
     fn remove(&mut self, id: i64, e: &Embedding) {
         let Some(slot) = self.slot_of.remove(&id) else { return };
-        let slots = self.slots.len();
+        let slots = self.ids.len();
         for &(bucket, _) in e.entries() {
             match &mut self.buckets[bucket as usize] {
                 Bucket::List(list) => {
@@ -478,7 +490,8 @@ impl VecIndex {
                 }
             }
         }
-        self.slots[slot as usize] = None;
+        self.ids[slot as usize] = FREE;
+        self.norms[slot as usize] = 0.0;
         self.free.push(slot);
     }
 
@@ -487,32 +500,44 @@ impl VecIndex {
     /// sort-then-truncate order.
     ///
     /// Term at a time: the query's buckets, ascending, each add
-    /// `q_b * w` into the score of every slot storing the bucket, so each
+    /// `q_b * w` into the dot of every slot storing the bucket, so each
     /// slot sums its shared buckets in [`cosine`]'s order and gets its
     /// bits. A column adds into every slot in one pass: a slot that does
     /// not store the bucket adds `q_b * +0.0`, a zero, and a sum that
     /// starts at `+0.0` is never `-0.0`, so adding a zero leaves it as it
     /// was. A non-finite `q_b` would make that zero a NaN, so then only
-    /// the stored weights are added. Every live slot is then offered, so
-    /// a vector sharing no bucket with the query still ranks, at 0.
+    /// the stored weights are added. One pass then turns each dot into
+    /// its score in place, with [`cosine_of`]; a free slot scores `-inf`.
+    ///
+    /// Every live vector ranks, a vector sharing no bucket with the query
+    /// at 0, but only those that can still win are offered to [`TopK`]
+    /// (block-max top-`k`: Ding & Suel, SIGIR 2011): those scoring at
+    /// least a floor. The floor starts at the `k`-th largest of the
+    /// maxima of the blocks of [`BLOCK`] slots: those `k` maxima are
+    /// scores of `k` distinct live slots, so it is at most the `k`-th best
+    /// score, and a slot below it cannot be among the best `k`. Once the
+    /// heap holds `k`, the floor rises to its weakest score. A slot tied
+    /// at the floor is offered, and the heap breaks the tie by id. NaN is
+    /// unordered, so a query under which any live vector scores NaN
+    /// offers every live slot, in slot order, as the scan does.
     ///
     /// [`cosine`]: laminar_embed::cosine
     fn top(&self, query: &Embedding, k: usize) -> Vec<(i64, f64)> {
-        let mut dots = vec![0.0f32; self.slots.len()];
+        let mut scores = vec![0.0f32; self.ids.len()];
         for &(bucket, q) in query.entries() {
             match &self.buckets[bucket as usize] {
                 Bucket::List(list) => {
                     for &(slot, w) in list {
-                        dots[slot as usize] += q * w;
+                        scores[slot as usize] += q * w;
                     }
                 }
                 Bucket::Column { weights, .. } if q.is_finite() => {
-                    for (dot, &w) in dots.iter_mut().zip(weights) {
+                    for (dot, &w) in scores.iter_mut().zip(weights) {
                         *dot += q * w;
                     }
                 }
                 Bucket::Column { weights, .. } => {
-                    for (dot, &w) in dots.iter_mut().zip(weights) {
+                    for (dot, &w) in scores.iter_mut().zip(weights) {
                         if w.to_bits() != 0 {
                             *dot += q * w;
                         }
@@ -521,14 +546,38 @@ impl VecIndex {
             }
         }
         let qnorm = query.norm();
+        for ((score, &id), &norm) in scores.iter_mut().zip(&self.ids).zip(&self.norms) {
+            *score = if id == FREE { f32::NEG_INFINITY } else { cosine_of(*score, qnorm, norm) };
+        }
         let mut top = TopK::new(k);
-        for (slot, dot) in self.slots.iter().zip(dots) {
-            if let Some(Slot { id, norm }) = *slot {
-                top.push(id, cosine_of(dot, qnorm, norm) as f64);
+        let live = self.ids.iter().zip(&scores).filter(|&(&id, _)| id != FREE);
+        if scores.iter().any(|s| s.is_nan()) {
+            for (&id, &score) in live {
+                top.push(id, f64::from(score));
+            }
+            return top.into_sorted();
+        }
+        let mut floor = f64::from(kth_block_max(&scores, k));
+        for (&id, &score) in live {
+            let score = f64::from(score);
+            if score >= floor {
+                floor = floor.max(top.push(id, score));
             }
         }
         top.into_sorted()
     }
+}
+
+/// The `k`-th largest of the maxima of `scores`' blocks of [`BLOCK`], or
+/// `-inf` when there are fewer than `k` blocks. No score is NaN.
+fn kth_block_max(scores: &[f32], k: usize) -> f32 {
+    let mut maxima: Vec<f32> =
+        scores.chunks(BLOCK).map(|block| block.iter().copied().fold(f32::NEG_INFINITY, f32::max)).collect();
+    if k == 0 || k > maxima.len() {
+        return f32::NEG_INFINITY;
+    }
+    let (_, &mut kth, _) = maxima.select_nth_unstable_by(k - 1, |a, b| b.total_cmp(a));
+    kth
 }
 
 /// One user's postings for one embedding space, keyed by dimension.
@@ -821,7 +870,7 @@ mod tests {
         };
         assert_eq!(scored(&idx), [3, 2, 0]);
         let slots = |idx: &SearchIndex| {
-            idx.users[&1].desc[&2].slots.iter().map(|s| s.map(|s| s.id)).collect::<Vec<_>>()
+            idx.users[&1].desc[&2].ids.iter().map(|&id| (id != FREE).then_some(id)).collect::<Vec<_>>()
         };
         assert_eq!(slots(&idx), [Some(0), None, Some(2), Some(3)], "no other vector renumbered");
         // The next vector takes the freed slot.
@@ -846,7 +895,7 @@ mod tests {
                     .map(|(s, w)| (s, w.to_bits()))
                     .collect();
                 assert_eq!(held.len(), *stored, "bucket {b}: a column counts what it stores");
-                assert_eq!(weights.len(), index.slots.len(), "bucket {b}: a column has a weight per slot");
+                assert_eq!(weights.len(), index.ids.len(), "bucket {b}: a column has a weight per slot");
                 (true, held)
             }
         }
@@ -910,24 +959,96 @@ mod tests {
             add(&mut index, &mut live, id, &b);
         }
         assert_eq!(bucket(&index, 1), (false, vec![(0, half), (1, half), (3, half)]));
-        assert_eq!(index.slots.len(), 8);
+        assert_eq!(index.ids.len(), 8);
         // A new slot extends every column: bucket 0, held by 5 slots,
         // stays a column up to 20 slots and is a list at 21. On the way
         // bucket 1 turns column at 5 of 10.
         for id in 12..=23 {
             add(&mut index, &mut live, id, &b);
-            assert!(bucket(&index, 0).0, "5 of {} slots", index.slots.len());
-            assert_eq!(
-                bucket(&index, 1).0,
-                index.slots.len() >= 10,
-                "bucket 1 over {} slots",
-                index.slots.len()
-            );
+            assert!(bucket(&index, 0).0, "5 of {} slots", index.ids.len());
+            assert_eq!(bucket(&index, 1).0, index.ids.len() >= 10, "bucket 1 over {} slots", index.ids.len());
         }
-        assert_eq!(index.slots.len(), 20);
+        assert_eq!(index.ids.len(), 20);
         add(&mut index, &mut live, 24, &b);
         let held: Vec<(u32, u32)> = [(2, neg_zero), (4, neg_zero), (5, half), (6, half), (7, half)].into();
         assert_eq!(bucket(&index, 0), (false, held), "5 of 21 slots");
+    }
+
+    /// What offering every live slot to [`TopK`] in slot order returns,
+    /// as `(id, score bits)`: what the floored selection must return.
+    fn offer_every_slot(
+        index: &VecIndex,
+        live: &BTreeMap<i64, Embedding>,
+        q: &Embedding,
+        k: usize,
+    ) -> Vec<(i64, u64)> {
+        let mut top = TopK::new(k);
+        for &id in index.ids.iter().filter(|&&id| id != FREE) {
+            top.push(id, f64::from(cosine(q, &live[&id])));
+        }
+        top.into_sorted().into_iter().map(|(id, s)| (id, s.to_bits())).collect()
+    }
+
+    #[test]
+    fn floored_selection_returns_what_offering_every_slot_returns() {
+        let (tie, low, far) =
+            (emb(&[1.0, 1.0, 0.0, 0.0]), emb(&[1.0, 0.0, 0.0, 0.0]), emb(&[0.0, 0.0, 1.0, 0.0]));
+        // 200 slots in 25 blocks of 8, each block holding one `tie` at a
+        // different offset: under the first query the 25 block maxima are
+        // 25 tied slots, so with k = 25 the floor is exactly the 25th
+        // score and every tied slot is needed. Ids fall as slots rise, so
+        // a tie breaks toward the later slot.
+        let mut index = VecIndex::new(4);
+        let mut live = BTreeMap::new();
+        let add = |index: &mut VecIndex, live: &mut BTreeMap<i64, Embedding>, id: i64, e: &Embedding| {
+            index.add(id, e);
+            live.insert(id, e.clone());
+        };
+        for slot in 0..200 {
+            let e = match slot {
+                _ if slot % 8 == (slot / 8) % 8 => &tie,
+                _ if slot % 20 == 3 => &far,
+                _ => &low,
+            };
+            add(&mut index, &mut live, 10_000 - slot, e);
+        }
+        let queries = [
+            // Ties at the k-th score, across every block.
+            [1.0, 1.0, 0.0, 0.0],
+            // Only the 10 `far` vectors score above 0: fewer than k.
+            [0.0, 0.0, 1.0, 0.0],
+            // Every score negative.
+            [-1.0, -1.0, -1.0, -0.5],
+            // Non-finite weights: the query norm is infinite or NaN, and
+            // some or all scores are NaN.
+            [f32::INFINITY, 0.0, 0.0, 0.0],
+            [f32::NEG_INFINITY, 1.0, 0.0, 0.0],
+            [0.0, 0.0, f32::NAN, 0.0],
+            [f32::NAN, 1.0, 1.0, 0.0],
+        ]
+        .map(|q| emb(&q));
+        let check = |index: &VecIndex, live: &BTreeMap<i64, Embedding>, when: &str| {
+            for q in &queries {
+                for k in [0, 1, 2, 24, 25, 26, live.len() - 1, live.len(), live.len() + 5] {
+                    let got: Vec<(i64, u64)> =
+                        index.top(q, k).into_iter().map(|(id, s)| (id, s.to_bits())).collect();
+                    assert_eq!(got, offer_every_slot(index, live, q, k), "{when}: query {q:?}, k = {k}");
+                }
+            }
+        };
+        check(&index, &live, "all live");
+        // Free every third slot, tied ones among them: fewer than 25 ties
+        // remain, and free slots sit inside blocks.
+        for slot in (0..200).step_by(3) {
+            let id = 10_000 - slot;
+            index.remove(id, &live.remove(&id).unwrap());
+        }
+        check(&index, &live, "every third slot free");
+        // New vectors take some of the freed slots, the others stay free.
+        for id in 20_000..20_030 {
+            add(&mut index, &mut live, id, if id % 2 == 0 { &tie } else { &far });
+        }
+        check(&index, &live, "freed slots partly reused");
     }
 
     #[test]

@@ -11,9 +11,11 @@
 //!
 //! The model-built corpus has one embedding dimension per space, so the
 //! third property drives the DAO with hand-built entities of mixed
-//! dimensions, where the index keeps one matrix per dimension, and the
+//! dimensions, where the index keeps one matrix per dimension, the
 //! fourth with vectors sharing most of their buckets, which the index
-//! keeps as dense columns.
+//! keeps as dense columns, and the fifth with many PEs holding identical
+//! model vectors, whose exact ties the index's floored selection must
+//! break as the scan does.
 
 use laminar_embed::Embedding;
 use laminar_oracle::scan;
@@ -367,6 +369,75 @@ proptest! {
         for (step, op) in script.iter().enumerate() {
             apply_vec_op(&mut dao, step, op);
             assert_ranked_queries_match_scan(&dao, &queries, &[1, 2, 25]);
+        }
+    }
+}
+
+/// Descriptions for the tie-heavy property: few, so many PEs hold the
+/// same description vector and tie exactly.
+const TIE_TEXTS: [&str; 3] = ["checks prime numbers quickly", "counts the words of a stream", "prime stream"];
+
+/// PE bodies for the tie-heavy property, likewise shared.
+const TIE_BODIES: [&str; 2] = ["let y = x * 2; emit(y);", "emit(x * 3 + 1);"];
+
+/// `e` as its dense components.
+fn dense(e: &Embedding) -> Vec<f32> {
+    let mut values = vec![0.0; e.dim()];
+    for &(bucket, w) in e.entries() {
+        values[bucket as usize] = w;
+    }
+    values
+}
+
+/// The registry's two models' vectors of [`TIE_TEXTS`] (description
+/// space) and of [`TIE_BODIES`] (code space).
+fn tie_vectors() -> (Vec<Vec<f32>>, Vec<Vec<f32>>) {
+    let model = |name| laminar_embed::model_by_name(name).unwrap();
+    let (search, completion) = (model("unixcoder-code-search"), model("ReACC-retriever-py"));
+    (
+        TIE_TEXTS.iter().map(|t| dense(&search.embed_text(t))).collect(),
+        TIE_BODIES.iter().map(|b| dense(&completion.embed_code(b))).collect(),
+    )
+}
+
+/// Inserts (two in three ops) of PEs whose description and code vectors
+/// are drawn from [`tie_vectors`], links and removes.
+fn tie_ops() -> impl Strategy<Value = VecOp> {
+    let (texts, bodies) = tie_vectors();
+    (0u8..6, 1i64..3, 0..texts.len(), 0..bodies.len(), 0usize..64).prop_map(
+        move |(kind, user, t, b, pick)| match kind {
+            0..=3 => VecOp::Insert { owner: user, desc: texts[t].clone(), code: bodies[b].clone() },
+            4 => VecOp::Link { user, pick },
+            _ => VecOp::Remove { user, pick },
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Many PEs with identical descriptions or code, so scores tie exactly
+    /// at the top, at the `limit`-th place and across the index's blocks
+    /// of slots, under insert / shared-link / unlink / remove churn:
+    /// every ranking, checked every fourth step and at the end, equals
+    /// the scan's, ties broken toward the lower id, scores to the bit.
+    #[test]
+    fn tie_heavy_ranking_equals_linear_scan(script in prop::collection::vec(tie_ops(), 1..120)) {
+        let (texts, bodies) = tie_vectors();
+        let model = |name| laminar_embed::model_by_name(name).unwrap();
+        let queries: Vec<Vec<f32>> = texts
+            .into_iter()
+            .chain(bodies)
+            .chain([dense(&model("unixcoder-code-search").embed_text("prime"))])
+            .chain([dense(&model("ReACC-retriever-py").embed_code("emit(x"))])
+            .collect();
+        let mut dao = Dao::new(Store::new(), WalStore::ephemeral());
+        let steps = script.len();
+        for (step, op) in script.iter().enumerate() {
+            apply_vec_op(&mut dao, step, op);
+            if step % 4 == 3 || step + 1 == steps {
+                assert_ranked_queries_match_scan(&dao, &queries, &[1, 2, 25]);
+            }
         }
     }
 }

@@ -92,7 +92,8 @@ struct SensorStats {
 /// reading per poll, each poll paying an inter-arrival latency — the
 /// "source-driven" part of the scenario.
 pub struct SensorFleet {
-    sensors: usize,
+    /// Each sensor's name, `s0`, `s1`, ...: a reading clones one.
+    names: Vec<String>,
     latency: Duration,
     /// Readings served: a statistic that only tests read and that publishes no
     /// other data, so `Relaxed`.
@@ -102,7 +103,8 @@ pub struct SensorFleet {
 impl SensorFleet {
     /// A fleet of `sensors` sensors with `latency` between readings.
     pub(crate) fn new(sensors: usize, latency: Duration) -> SensorFleet {
-        SensorFleet { sensors: sensors.max(1), latency, reads: AtomicU64::new(0) }
+        let names = (0..sensors.max(1)).map(|sensor| format!("s{sensor}")).collect();
+        SensorFleet { names, latency, reads: AtomicU64::new(0) }
     }
 
     /// Zero-latency fleet for unit tests.
@@ -119,10 +121,10 @@ impl SensorFleet {
     /// Deterministic reading for poll `i`: `[sensor_id, value]` with the
     /// value in `0.0..1.0`.
     pub fn reading(&self, i: i64) -> Value {
-        let sensor = (i.rem_euclid(self.sensors as i64)) as usize;
+        let sensor = (i.rem_euclid(self.names.len() as i64)) as usize;
         let h = (i.wrapping_mul(2654435761)).wrapping_add(sensor as i64 * 97);
         let value = (h.unsigned_abs() % 1000) as f64 / 1000.0;
-        jarr![format!("s{sensor}"), value]
+        jarr![self.names[sensor].clone(), value]
     }
 }
 
