@@ -10,7 +10,10 @@
 #   ./ci.sh --list              # show the tiers
 #
 # Tiers:
-#   build        release build of the workspace + examples
+#   build        release build of the workspace + examples, and of the
+#                benchmark package (bench_e2e/, outside the workspace), so
+#                a product edit that breaks an API the benchmark uses
+#                fails --quick too, not only the bench-e2e tier
 #   test         the whole test suite
 #   test-quick   the whole suite with property tests (including the
 #                differential suites that run the VM against the
@@ -92,6 +95,7 @@ QUICK_TIERS=(build test-quick)
 tier_build() {
   cargo build --release --workspace
   cargo build --examples
+  cargo build --release --offline --manifest-path bench_e2e/Cargo.toml
 }
 
 tier_test() {

@@ -13,8 +13,8 @@
 
 use laminar_bench::datasets::{gen_csn, rank_corpus};
 use laminar_bench::xencoder::cross_rank;
-use laminar_dataflow::mapping::{Mapping, MpiMapping, MultiMapping, RedisMapping, SimpleMapping};
-use laminar_dataflow::{RunOptions, WorkflowGraph};
+use laminar_dataflow::mapping::Mapping;
+use laminar_dataflow::{MappingKind, RunOptions, WorkflowGraph};
 use laminar_embed::{cosine, model_by_name};
 use std::ffi::{c_int, c_long};
 use std::time::Instant;
@@ -129,9 +129,7 @@ fn d4_mapping_choice() {
     println!("== D4: mapping choice on the IsPrime graph (Figure 1 semantics) ==");
     let graph = WorkflowGraph::from_script(laminar_workloads::isprime::SOURCE_SEQUENTIAL, "IsPrime").unwrap();
     let opts = RunOptions::iterations(4000).with_processes(5);
-    let redis = RedisMapping::default();
-    let mappings: [(&str, &dyn Mapping); 4] =
-        [("SIMPLE", &SimpleMapping), ("MULTI", &MultiMapping), ("MPI", &MpiMapping), ("REDIS", &redis)];
+    let mappings = [MappingKind::Simple, MappingKind::Multi, MappingKind::Mpi, MappingKind::Redis];
     // Each round runs every mapping once, starting one further along, so
     // no mapping always runs first; each figure is the median of its runs.
     const ROUNDS: usize = 11;
@@ -141,7 +139,7 @@ fn d4_mapping_choice() {
         for k in 0..mappings.len() {
             let m = (round + k) % mappings.len();
             let (switches, t0) = (voluntary_context_switches(), Instant::now());
-            let r = mappings[m].1.execute(&graph, &opts).unwrap();
+            let r = mappings[m].execute(&graph, &opts).unwrap();
             samples[m].0.push(t0.elapsed().as_secs_f64() * 1000.0);
             samples[m].1.push(voluntary_context_switches() - switches);
             processed = r.stats.processed["IsPrime"];
@@ -152,14 +150,15 @@ fn d4_mapping_choice() {
         v[v.len() / 2]
     };
     let mut ranked = Vec::new();
-    for ((name, _), (ms, switches)) in mappings.iter().zip(&mut samples) {
+    for (kind, (ms, switches)) in mappings.iter().zip(&mut samples) {
+        let name = kind.as_str();
         let ms = median(ms);
         switches.sort();
         println!(
             "  {name:<7} {ms:>10.3} ms   {:>6} voluntary context switches",
             switches[switches.len() / 2]
         );
-        ranked.push((ms, *name));
+        ranked.push((ms, name));
     }
     ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
     let order: Vec<&str> = ranked.iter().map(|(_, name)| *name).collect();

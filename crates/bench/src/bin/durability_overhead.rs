@@ -22,7 +22,7 @@
 //! whatever holds the CPU, which measures the neighbours, not the epoch.
 
 use laminar_bench::{paired_ratio, process_cpu_time, Flags};
-use laminar_dataflow::mapping::MappingKind;
+use laminar_dataflow::mapping::{Mapping, MappingKind};
 use laminar_dataflow::{
     DataflowError, FaultPlan, RecordingObserver, ResumePoint, RunEvent, RunObserver, RunOptions,
     WorkflowGraph,
@@ -74,7 +74,7 @@ fn time_pairs(
 ) -> (Duration, Duration, f64) {
     let once = |opts: &RunOptions, times: &mut Vec<Duration>| {
         let cpu = process_cpu_time();
-        kind.build().execute(g, opts).expect("bench run");
+        kind.execute(g, opts).expect("bench run");
         let used = process_cpu_time() - cpu;
         times.push(used);
         used
@@ -117,7 +117,6 @@ fn time_recovery(kind: MappingKind, g: &WorkflowGraph, opts: &RunOptions, kill_a
     let recorder = RecordingObserver::new();
     let crash = opts.clone().with_faults(FaultPlan { kill_at_epoch: Some(kill_at), ..FaultPlan::none() });
     let err = kind
-        .build()
         .execute_observed(g, &crash, Some(recorder.clone() as Arc<dyn RunObserver>))
         .expect_err("injected crash");
     assert_eq!(err, DataflowError::Injected { epoch: kill_at });
@@ -128,7 +127,7 @@ fn time_recovery(kind: MappingKind, g: &WorkflowGraph, opts: &RunOptions, kill_a
     };
     let resume = opts.clone().with_resume(ResumePoint { epoch: kill_at, snapshots, events });
     let t0 = Instant::now();
-    kind.build().execute(g, &resume).expect("resumed run");
+    kind.execute(g, &resume).expect("resumed run");
     t0.elapsed()
 }
 
@@ -152,7 +151,7 @@ fn main() {
         let plain_opts = RunOptions::iterations(iterations).with_processes(processes);
         let ck_opts = plain_opts.clone().with_checkpoints(chunk);
         // Warm up so neither side pays first-run costs.
-        kind.build().execute(&g, &RunOptions::iterations(16).with_processes(processes)).unwrap();
+        kind.execute(&g, &RunOptions::iterations(16).with_processes(processes)).unwrap();
         let (plain, checkpointed, ratio) = time_pairs(kind, &g, &plain_opts, &ck_opts, pairs);
         let recovery = time_recovery(kind, &g, &ck_opts, epochs / 2);
         let row = Row { mapping: kind.as_str().to_string(), plain, checkpointed, ratio, epochs, recovery };

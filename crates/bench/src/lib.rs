@@ -17,8 +17,8 @@ pub mod datasets;
 pub mod metrics;
 pub mod xencoder;
 
-use laminar_dataflow::mapping::{Mapping, MultiMapping, RunStats, SimpleMapping};
-use laminar_dataflow::{RunOptions, WorkflowGraph};
+use laminar_dataflow::mapping::{Mapping, RunStats};
+use laminar_dataflow::{MappingKind, RunOptions, WorkflowGraph};
 use laminar_json::Value;
 use laminar_script::Host;
 use laminar_workloads::astro::{coordinates_file, VoService, SOURCE as ASTRO_SOURCE};
@@ -79,9 +79,9 @@ pub fn run_astro_direct(cfg: &Table5Config, multi: bool) -> Duration {
     let options = RunOptions::data(vec![Value::Str("coordinates.txt".into())]).with_processes(cfg.processes);
     let t0 = std::time::Instant::now();
     if multi {
-        MultiMapping.execute(&graph, &options).unwrap();
+        MappingKind::Multi.execute(&graph, &options).unwrap();
     } else {
-        SimpleMapping.execute(&graph, &options).unwrap();
+        MappingKind::Simple.execute(&graph, &options).unwrap();
     }
     t0.elapsed()
 }
@@ -547,9 +547,8 @@ pub fn bench_mapping(
     options: &RunOptions,
     reps: usize,
 ) -> BenchRun {
-    let mapping = kind.build();
-    mapping.execute(graph, options).expect("warm-up run");
-    let stats = (0..reps.max(1)).map(|_| mapping.execute(graph, options).expect("bench run").stats).collect();
+    kind.execute(graph, options).expect("warm-up run");
+    let stats = (0..reps.max(1)).map(|_| kind.execute(graph, options).expect("bench run").stats).collect();
     BenchRun::median(kind, options, stats)
 }
 

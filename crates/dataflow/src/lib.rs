@@ -19,16 +19,16 @@
 //! * **Abstract workflow ([`WorkflowGraph`])** — what the user describes.
 //! * **Concrete workflow ([`planner::ConcretePlan`])** — instances +
 //!   routing, built automatically at enactment.
-//! * **Mapping** — the enactment backend: [`mapping::SimpleMapping`]
-//!   (sequential), [`mapping::MultiMapping`] (threads + bounded inboxes),
-//!   [`mapping::MpiMapping`] (serialized frames between ranks over the
-//!   same inboxes), [`mapping::RedisMapping`] (the same inboxes as work
-//!   queues, carrying MPI's frames).
+//! * **Mapping** — the enactment backend, a [`MappingKind`]:
+//!   [`MappingKind::Simple`] (sequential), [`MappingKind::Multi`]
+//!   (threads + bounded inboxes), [`MappingKind::Mpi`] (serialized frames
+//!   between ranks over the same inboxes), [`MappingKind::Redis`] (MPI's
+//!   code under its own name: each inbox is an instance's work queue).
 //!
 //! ## Quick start
 //!
 //! ```
-//! use laminar_dataflow::{WorkflowGraph, ScriptPeFactory, mapping::{Mapping, SimpleMapping}, RunOptions};
+//! use laminar_dataflow::{WorkflowGraph, ScriptPeFactory, mapping::Mapping, MappingKind, RunOptions};
 //!
 //! let src = r#"
 //!     pe Producer : producer { output output; process { emit(iteration); } }
@@ -39,7 +39,7 @@
 //! let d = graph.add_script_pe(src, "Double").unwrap();
 //! graph.connect(p, "output", d, "x").unwrap();
 //!
-//! let result = SimpleMapping.execute(&graph, &RunOptions::iterations(5)).unwrap();
+//! let result = MappingKind::Simple.execute(&graph, &RunOptions::iterations(5)).unwrap();
 //! let doubled: Vec<i64> = result.port_values("Double", "output")
 //!     .iter().map(|v| v.as_i64().unwrap()).collect();
 //! assert_eq!(doubled, vec![0, 2, 4, 6, 8]);

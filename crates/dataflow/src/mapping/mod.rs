@@ -1,35 +1,38 @@
 //! Enactment back-ends ("mappings" in dispel4py terminology).
 //!
-//! All mappings execute the same abstract graph with identical semantics;
-//! they differ in the transport between PE instances:
+//! A mapping is a [`MappingKind`]: all four execute the same abstract
+//! graph with identical semantics, and differ only in the transport
+//! between PE instances:
 //!
 //! | Mapping  | Paper equivalent        | Transport                          |
 //! |----------|-------------------------|------------------------------------|
-//! | [`SimpleMapping`] | Simple (sequential) | in-process FIFO queue        |
-//! | [`MultiMapping`]  | Multi(processing)   | threads + a mesh of bounded inboxes, one per instance |
-//! | [`MpiMapping`]    | MPI                 | the same mesh, lampickle byte frames |
-//! | [`RedisMapping`]  | Redis               | the same mesh, MPI's frames: each inbox is an instance's work queue |
+//! | [`MappingKind::Simple`] | Simple (sequential) | in-process FIFO queue  |
+//! | [`MappingKind::Multi`]  | Multi(processing)   | threads + a mesh of bounded inboxes, one per instance |
+//! | [`MappingKind::Mpi`]    | MPI                 | the same mesh, lampickle byte frames |
+//! | [`MappingKind::Redis`]  | Redis               | MPI's code under its own name: each inbox is an instance's work queue |
 //!
 //! The orchestration they share — planning, source driving, routing, EOS
 //! propagation, output/stats collection — lives in the crate's private
 //! `Runtime`. A parallel mapping is a `Transport` plus the function that
-//! wires one per planned instance (see the `runtime` module's docs).
+//! wires one per planned instance (see the `runtime` module's docs); the
+//! one `impl Mapping for MappingKind` picks the entry point and the
+//! mesh's frame.
 
 mod cancel;
 mod events;
 mod mpi;
 mod multi;
-mod redis;
 mod runtime;
+#[cfg(test)]
 mod simple;
 mod worker;
 
 pub use cancel::CancelToken;
 pub use events::{fold_events, RecordingObserver, RunEvent, RunObserver};
-pub use mpi::MpiMapping;
-pub use multi::MultiMapping;
-pub use redis::RedisMapping;
-pub use simple::SimpleMapping;
+// The paper's names for the four mappings.
+pub use MappingKind::{
+    Mpi as MpiMapping, Multi as MultiMapping, Redis as RedisMapping, Simple as SimpleMapping,
+};
 
 use crate::error::DataflowError;
 use crate::graph::WorkflowGraph;
@@ -38,8 +41,12 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Which mapping to use — the client's `process=` parameter accepts these
-/// names (paper §3.4.1: SIMPLE, MULTI, MPI, REDIS).
+use mpi::{decode_frame, encode_frame};
+use multi::mesh;
+use runtime::Runtime;
+
+/// A mapping — the client's `process=` parameter accepts these names
+/// (paper §3.4.1: SIMPLE, MULTI, MPI, REDIS).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MappingKind {
     /// Sequential in-process execution.
@@ -71,16 +78,6 @@ impl MappingKind {
             MappingKind::Multi => "MULTI",
             MappingKind::Mpi => "MPI",
             MappingKind::Redis => "REDIS",
-        }
-    }
-
-    /// Instantiate the mapping back-end.
-    pub fn build(&self) -> Box<dyn Mapping> {
-        match self {
-            MappingKind::Simple => Box::new(SimpleMapping),
-            MappingKind::Multi => Box::new(MultiMapping),
-            MappingKind::Mpi => Box::new(MpiMapping),
-            MappingKind::Redis => Box::new(RedisMapping::default()),
         }
     }
 }
@@ -318,11 +315,8 @@ impl RunResult {
     }
 }
 
-/// An enactment back-end.
+/// An enactment back-end: [`MappingKind`] is the one implementation.
 pub trait Mapping {
-    /// Which kind this is.
-    fn kind(&self) -> MappingKind;
-
     /// Execute the graph to completion, streaming [`RunEvent`]s to
     /// `observer` as they happen. The returned batch result is the fold
     /// over that same stream ([`fold_events`]), so observers and callers
@@ -337,6 +331,30 @@ pub trait Mapping {
     /// Execute the graph to completion (batch: no observer).
     fn execute(&self, graph: &WorkflowGraph, options: &RunOptions) -> Result<RunResult, DataflowError> {
         self.execute_observed(graph, options, None)
+    }
+}
+
+impl Mapping for MappingKind {
+    fn execute_observed(
+        &self,
+        graph: &WorkflowGraph,
+        options: &RunOptions,
+        observer: Option<Arc<dyn RunObserver>>,
+    ) -> Result<RunResult, DataflowError> {
+        let runtime = Runtime::new(graph, options);
+        match self {
+            MappingKind::Simple => runtime.sequential_observed(observer),
+            // Bursts cross the inbox as they are: broadcast fan-out moves
+            // refcounts, never copies.
+            MappingKind::Multi => {
+                runtime.threaded_observed(|plan| mesh(plan, |burst| burst, |burst, _| Ok(burst)), observer)
+            }
+            // Every burst is a lampickle byte frame; Redis's inboxes are its
+            // instances' work queues.
+            MappingKind::Mpi | MappingKind::Redis => {
+                runtime.threaded_observed(|plan| mesh(plan, encode_frame, decode_frame), observer)
+            }
+        }
     }
 }
 
@@ -390,12 +408,5 @@ mod tests {
         assert_eq!(d.invocations(), 5);
         // The named constructors share the same defaults.
         assert_eq!(RunOptions::iterations(9).processes, 5);
-    }
-
-    #[test]
-    fn build_constructs_each_kind() {
-        for k in [MappingKind::Simple, MappingKind::Multi, MappingKind::Mpi, MappingKind::Redis] {
-            assert_eq!(k.build().kind(), k);
-        }
     }
 }

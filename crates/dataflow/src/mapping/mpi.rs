@@ -1,4 +1,4 @@
-//! The MPI mapping: message-passing enactment.
+//! The frames of the MPI and Redis mappings: message-passing enactment.
 //!
 //! Each PE instance is a *rank*, numbered by its dense plan id. Ranks
 //! share nothing: every burst is serialized to one lampickle byte frame
@@ -6,13 +6,12 @@
 //! receiving rank's inbox, the discipline a real `mpi4py`-backed
 //! dispel4py enactment follows. The inboxes are the Multi mapping's mesh
 //! ([`super::multi::mesh`]), which stands in for MPI itself (see
-//! DESIGN.md).
+//! DESIGN.md). Redis runs this same code under its own name: each inbox
+//! is an instance's work queue, the way dispel4py's Redis mapping
+//! coordinates its worker processes.
 
-use super::multi::{mesh, Burst};
-use super::runtime::Runtime;
-use super::{Mapping, MappingKind, RunOptions, RunResult};
+use super::multi::Burst;
 use crate::error::DataflowError;
-use crate::graph::WorkflowGraph;
 use crate::planner::ConcretePlan;
 use crate::ports::PortId;
 use laminar_codec::{dumps, loads};
@@ -21,7 +20,7 @@ use laminar_json::{jarr, Value};
 /// Serialize one destination's burst as the lampickle frame of a list of
 /// `[port_id, value]` pairs. Port ids are the plan's interned [`PortId`]s —
 /// both ends hold the same plan, so a small integer is the whole port
-/// encoding. The Redis mapping sends the same frames.
+/// encoding.
 pub(super) fn encode_frame(group: Burst) -> Vec<u8> {
     dumps(&Value::Array(group.into_iter().map(|(pid, v)| jarr![pid.0 as i64, Value::unshare(v)]).collect()))
 }
@@ -53,30 +52,17 @@ pub(super) fn decode_frame(frame: Vec<u8>, plan: &ConcretePlan) -> Result<Burst,
     Ok(out)
 }
 
-/// Message-passing enactment.
-pub struct MpiMapping;
-
-impl Mapping for MpiMapping {
-    fn kind(&self) -> MappingKind {
-        MappingKind::Mpi
-    }
-
-    fn execute_observed(
-        &self,
-        graph: &WorkflowGraph,
-        options: &RunOptions,
-        observer: Option<std::sync::Arc<dyn super::RunObserver>>,
-    ) -> Result<RunResult, DataflowError> {
-        Runtime::new(graph, options)
-            .threaded_observed(|plan| Ok(mesh(plan, encode_frame, decode_frame)), observer)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::SimpleMapping;
+    use crate::graph::WorkflowGraph;
+    use crate::mapping::multi::mesh;
+    use crate::mapping::worker::{RoutedDatum, Transport};
+    use crate::mapping::{Mapping, MpiMapping, RedisMapping, RunOptions, SimpleMapping};
     use crate::pe::{iterative_fn, producer_fn};
+    use crate::planner::InstanceId;
+    use laminar_json::jobj;
+    use std::sync::Arc;
 
     #[test]
     fn decode_pairs_rejects_corrupt_ports() {
@@ -176,6 +162,89 @@ mod tests {
         }
         for (w, n) in best {
             assert_eq!(n, 10, "key {w}");
+        }
+    }
+
+    #[test]
+    fn unbounded_run_survives_pops_that_wait_over_a_second() {
+        // A paced unbounded source whose inter-message gap exceeds a
+        // second: a relay's pop waits the gap out, and the run ends via
+        // the token, as Cancelled.
+        use crate::mapping::{CancelToken, RunEvent, RunObserver};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::time::Duration;
+
+        struct Count(AtomicUsize);
+        impl RunObserver for Count {
+            fn on_event(&self, _seq: u64, event: &RunEvent) {
+                if matches!(event, RunEvent::Output { .. }) {
+                    self.0.fetch_add(1, Ordering::SeqCst);
+                }
+            }
+        }
+
+        let token = CancelToken::new();
+        let outputs = Arc::new(Count(AtomicUsize::new(0)));
+        let handle = {
+            let token = token.clone();
+            let observer = Arc::clone(&outputs);
+            std::thread::spawn(move || {
+                let mut g = WorkflowGraph::new("slow");
+                let a = g.add(producer_fn("Nums", Value::Int));
+                let b = g.add(iterative_fn("Relay", Some));
+                g.connect(a, "output", b, "input").unwrap();
+                let opts = RunOptions::unbounded(Duration::from_millis(1200), token).with_processes(3);
+                RedisMapping.execute_observed(&g, &opts, Some(observer as Arc<dyn RunObserver>))
+            })
+        };
+        let deadline = std::time::Instant::now() + Duration::from_secs(20);
+        while outputs.0.load(Ordering::SeqCst) < 2 {
+            assert!(std::time::Instant::now() < deadline, "paced unbounded Redis run starved");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        token.cancel();
+        let result = handle.join().unwrap();
+        assert_eq!(result.unwrap_err(), DataflowError::Cancelled);
+    }
+
+    #[test]
+    fn zero_iterations_end_by_eos() {
+        // A consumer whose producer never produces: zero iterations means
+        // sources immediately EOS, so this must terminate cleanly (not
+        // hang), proving the EOS protocol works through the queues.
+        let mut g = WorkflowGraph::new("p");
+        let a = g.add(producer_fn("Nums", Value::Int));
+        let b = g.add(iterative_fn("Id", Some));
+        g.connect(a, "output", b, "input").unwrap();
+        let r = RedisMapping.execute(&g, &RunOptions::iterations(0).with_processes(3)).unwrap();
+        assert_eq!(r.total_outputs(), 0);
+    }
+
+    #[test]
+    fn corrupt_queue_frames_error_instead_of_misrouting() {
+        // Raw garbage bytes and a pickled non-list (a legacy per-datum
+        // frame) in an instance's inbox: each is an error from `recv`,
+        // never a datum silently defaulted onto the 'input' port. The
+        // sending end writes the frame; the receiving end decodes it as
+        // the MPI and Redis mappings do.
+        let mut g = WorkflowGraph::new("p");
+        let a = g.add(producer_fn("Nums", Value::Int));
+        let b = g.add(iterative_fn("Id", Some));
+        g.connect(a, "output", b, "input").unwrap();
+        let plan = ConcretePlan::distribute(&g, 3).unwrap();
+        let input = plan.ports().id("input").unwrap();
+        let (source, dest) = (InstanceId { node: a, index: 0 }, InstanceId { node: b, index: 1 });
+        let garbage: fn(Burst) -> Vec<u8> = |_| b"not a pickle".to_vec();
+        let legacy: fn(Burst) -> Vec<u8> =
+            |_| dumps(&jobj! { "kind" => "data", "port" => "input", "value" => 1 });
+        for writer in [garbage, legacy] {
+            let mut transports = mesh(&plan, writer, decode_frame);
+            let mut batch = vec![RoutedDatum { dest, port: input, value: Value::Int(1).into_shared() }];
+            transports[plan.dense(source)].send_batch(&mut batch).unwrap();
+            match transports[plan.dense(dest)].recv() {
+                Err(DataflowError::Enactment(m)) => assert!(m.starts_with("corrupt frame"), "{m}"),
+                other => panic!("expected a corrupt-frame error, got {other:?}"),
+            }
         }
     }
 }

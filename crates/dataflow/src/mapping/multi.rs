@@ -1,7 +1,8 @@
-//! The Multi mapping: one thread per PE instance, a mesh of bounded
-//! inboxes as the transport (the paper's multiprocessing back-end).
+//! The mesh behind the parallel mappings: one thread per PE instance and
+//! a mesh of bounded inboxes as the transport (the Multi mapping is the
+//! paper's multiprocessing back-end).
 //!
-//! The mesh here is shared with the MPI and Redis mappings: one [`Inbox`]
+//! The mesh is shared with the MPI and Redis mappings: one [`Inbox`]
 //! per instance, [`INBOX_BURSTS`] messages deep, that every endpoint can
 //! push to and only its owner pops. A sender blocks while its receiver is
 //! that far behind, so a slow stage holds its upstream back instead of
@@ -9,20 +10,14 @@
 //! Multi moves the `Arc`-shared burst itself, MPI and Redis a lampickle
 //! byte frame (see [`mesh`]).
 
-use super::runtime::Runtime;
 use super::worker::{drain_batch_groups, RoutedDatum, Transport, TransportMsg};
-use super::{Mapping, MappingKind, RunOptions, RunResult};
 use crate::error::DataflowError;
-use crate::graph::WorkflowGraph;
 use crate::planner::{ConcretePlan, InstanceId};
 use crate::ports::PortId;
 use laminar_json::SharedValue;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::Arc;
-
-/// Shared-memory parallel enactment.
-pub struct MultiMapping;
 
 /// How many messages (bursts or EOS) an instance's inbox holds before a
 /// sender blocks. The wait cannot deadlock: the graph is acyclic
@@ -175,28 +170,11 @@ impl<F> Drop for MeshTransport<F> {
     }
 }
 
-impl Mapping for MultiMapping {
-    fn kind(&self) -> MappingKind {
-        MappingKind::Multi
-    }
-
-    fn execute_observed(
-        &self,
-        graph: &WorkflowGraph,
-        options: &RunOptions,
-        observer: Option<std::sync::Arc<dyn super::RunObserver>>,
-    ) -> Result<RunResult, DataflowError> {
-        // Bursts cross the inbox as they are: broadcast fan-out moves
-        // refcounts, never copies.
-        Runtime::new(graph, options)
-            .threaded_observed(|plan| Ok(mesh(plan, |burst| burst, |burst, _| Ok(burst))), observer)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::SimpleMapping;
+    use crate::graph::WorkflowGraph;
+    use crate::mapping::{Mapping, MappingKind, MultiMapping, RunOptions, SimpleMapping};
     use crate::pe::{iterative_fn, producer_fn};
     use laminar_json::Value;
 
@@ -312,7 +290,7 @@ mod tests {
         let b = g.add_script_pe(src, "Bad").unwrap();
         g.connect(a, "output", b, "x").unwrap();
         for kind in [MappingKind::Multi, MappingKind::Mpi, MappingKind::Redis] {
-            match kind.build().execute(&g, &RunOptions::iterations(5).with_processes(3)) {
+            match kind.execute(&g, &RunOptions::iterations(5).with_processes(3)) {
                 Err(DataflowError::PeFailed { pe, .. }) => assert_eq!(pe, "Bad", "{kind}"),
                 other => panic!("{kind}: expected the PE failure, got {other:?}"),
             }

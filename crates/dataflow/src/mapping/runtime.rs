@@ -155,7 +155,7 @@ impl<'a> Runtime<'a> {
     /// producing.
     pub(crate) fn threaded_observed<T: Transport + Send>(
         &self,
-        mut wire: impl FnMut(&ConcretePlan) -> Result<Vec<T>, DataflowError>,
+        mut wire: impl FnMut(&ConcretePlan) -> Vec<T>,
         observer: Option<Arc<dyn RunObserver>>,
     ) -> Result<RunResult, DataflowError> {
         let t0 = Instant::now();
@@ -167,7 +167,7 @@ impl<'a> Runtime<'a> {
         // in flight on any transport, making the epoch snapshot consistent
         // without a barrier protocol.
         self.enact(t0, &plan, &sink, |runners, range| {
-            let transports = wire(&plan)?;
+            let transports = wire(&plan);
             assert_eq!(transports.len(), runners.len(), "wire returns one transport per instance");
             let (plan, sink) = (&plan, &sink);
             std::thread::scope(|scope| {
@@ -405,7 +405,7 @@ mod tests {
         let g = square_graph();
         let opts = RunOptions::iterations(20).with_processes(4);
         for kind in [MappingKind::Simple, MappingKind::Multi, MappingKind::Mpi, MappingKind::Redis] {
-            let r = kind.build().execute(&g, &opts).unwrap();
+            let r = kind.execute(&g, &opts).unwrap();
             let t = r.stats.timings;
             assert!(
                 t.plan + t.enact + t.collect <= r.stats.elapsed,
@@ -555,9 +555,9 @@ mod tests {
         let g = stateful_graph();
         for kind in [MappingKind::Simple, MappingKind::Multi, MappingKind::Mpi, MappingKind::Redis] {
             let opts = RunOptions::iterations(20).with_processes(4);
-            let plain = kind.build().execute(&g, &opts).unwrap();
+            let plain = kind.execute(&g, &opts).unwrap();
             let opts = RunOptions::iterations(20).with_processes(4).with_checkpoints(6);
-            let ck = kind.build().execute(&g, &opts).unwrap();
+            let ck = kind.execute(&g, &opts).unwrap();
             // 20 iterations in chunks of 6: epochs after 6, 12, 18, then a
             // partial round [18, 20). Group-by state, the noise accumulator
             // and the PRNG stream all cross three restore boundaries.
@@ -703,12 +703,12 @@ mod tests {
             v.sort();
             v
         };
-        for mapping in [&MultiMapping as &dyn Mapping, &MpiMapping, &RedisMapping::default()] {
+        for mapping in [MultiMapping, MpiMapping, RedisMapping] {
             let r = mapping.execute(&g, &opts).unwrap();
             let mut got: Vec<i64> =
                 r.port_values("Square", "output").iter().filter_map(Value::as_i64).collect();
             got.sort();
-            assert_eq!(got, baseline, "{} diverged from Simple", mapping.kind());
+            assert_eq!(got, baseline, "{mapping} diverged from Simple");
         }
     }
 
@@ -730,8 +730,7 @@ mod tests {
         for kind in [MappingKind::Simple, MappingKind::Multi, MappingKind::Mpi, MappingKind::Redis] {
             let pacer = Arc::new(Pacer(AtomicU64::new(0)));
             let opts = RunOptions::iterations(iterations).with_processes(4);
-            kind.build()
-                .execute_observed(&g, &opts, Some(Arc::clone(&pacer) as Arc<dyn super::super::RunObserver>))
+            kind.execute_observed(&g, &opts, Some(Arc::clone(&pacer) as Arc<dyn super::super::RunObserver>))
                 .unwrap();
             let calls = pacer.0.load(Ordering::SeqCst);
             assert!(
@@ -755,7 +754,7 @@ mod tests {
                 let a = g.add(producer_fn("Boom", boom));
                 let b = g.add(iterative_fn("Relay", Some));
                 g.connect(a, "output", b, "input").unwrap();
-                let _ = done.send(kind.build().execute(&g, &RunOptions::iterations(10).with_processes(3)));
+                let _ = done.send(kind.execute(&g, &RunOptions::iterations(10).with_processes(3)));
             });
             // A run that hangs leaves its thread behind and fails here.
             let err = match result.recv_timeout(BOUND) {
@@ -812,7 +811,7 @@ mod tests {
             wirings += 1;
             let tagged =
                 |wired_for| Tagged { wired_for, sent: Arc::clone(&sent), received: Arc::clone(&received) };
-            Ok((0..plan.total_processes).map(tagged).collect())
+            (0..plan.total_processes).map(tagged).collect()
         };
         Runtime::new(&g, &opts).threaded_observed(wire, None).unwrap();
         assert_eq!(wirings, 3, "one wiring per round");

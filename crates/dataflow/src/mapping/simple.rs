@@ -1,31 +1,10 @@
-//! The Simple mapping: sequential in-process enactment, one instance per PE.
+//! Tests of the Simple mapping: sequential in-process enactment, one
+//! instance per PE, driven by `Runtime::sequential_observed`.
 
-use super::runtime::Runtime;
-use super::{Mapping, MappingKind, RunOptions, RunResult};
+use super::{Mapping, RunOptions, SimpleMapping};
 use crate::error::DataflowError;
 use crate::graph::WorkflowGraph;
 
-/// Sequential enactment. Deterministic: producers run iteration by
-/// iteration and data flows breadth-first through the runtime's in-process
-/// FIFO (`Runtime::sequential_observed`).
-pub struct SimpleMapping;
-
-impl Mapping for SimpleMapping {
-    fn kind(&self) -> MappingKind {
-        MappingKind::Simple
-    }
-
-    fn execute_observed(
-        &self,
-        graph: &WorkflowGraph,
-        options: &RunOptions,
-        observer: Option<std::sync::Arc<dyn super::RunObserver>>,
-    ) -> Result<RunResult, DataflowError> {
-        Runtime::new(graph, options).sequential_observed(observer)
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::pe::{consumer_fn, iterative_fn, producer_fn};

@@ -5,7 +5,7 @@
 //! heap bytes while an unbounded source runs at full speed into a sink that
 //! sleeps per datum: after the inbox has filled, the heap holds flat.
 
-use laminar_dataflow::mapping::CancelToken;
+use laminar_dataflow::mapping::{CancelToken, Mapping};
 use laminar_dataflow::{consumer_fn, producer_fn, MappingKind, RunOptions, WorkflowGraph};
 use laminar_json::Value;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -61,7 +61,7 @@ fn a_slow_sink_holds_its_upstream_to_a_flat_heap_on_every_parallel_mapping() {
         let opts = RunOptions::unbounded(Duration::ZERO, token.clone()).with_processes(2);
 
         let growth = std::thread::scope(|s| {
-            let run = s.spawn(|| kind.build().execute(&g, &opts));
+            let run = s.spawn(|| kind.execute(&g, &opts));
             // The first reading comes once the sink has taken 100 datums,
             // by when a bounded inbox has long been full.
             while consumed.load(Ordering::Relaxed) < 100 {

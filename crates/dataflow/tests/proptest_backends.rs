@@ -133,22 +133,22 @@ proptest! {
         prop_assert_eq!(&vm.printed, &interp.printed, "simple prints diverged");
 
         let opts = opts.with_processes(procs);
-        for mapping in [&MultiMapping as &dyn Mapping, &MpiMapping, &RedisMapping::default()] {
+        for mapping in [&MultiMapping, &MpiMapping, &RedisMapping] {
             let vm = mapping.execute(&vm_g, &opts).unwrap();
             let interp = mapping.execute(&interp_g, &opts).unwrap();
             prop_assert_eq!(
                 sorted_strings(&vm, "Fmt"),
                 sorted_strings(&interp, "Fmt"),
-                "{} outputs diverged", mapping.kind()
+                "{} outputs diverged", mapping
             );
             prop_assert_eq!(
                 sorted_prints(&vm),
                 sorted_prints(&interp),
-                "{} prints diverged", mapping.kind()
+                "{} prints diverged", mapping
             );
             prop_assert_eq!(
                 &vm.stats.processed, &interp.stats.processed,
-                "{} processed counts diverged", mapping.kind()
+                "{} processed counts diverged", mapping
             );
         }
     }
@@ -181,10 +181,10 @@ proptest! {
         let (vm_g, interp_g) = both_backends(&src, &[("Dice", ""), ("Tag", "x")]);
 
         for mapping in [
-            &SimpleMapping as &dyn Mapping,
+            &SimpleMapping,
             &MultiMapping,
             &MpiMapping,
-            &RedisMapping::default(),
+            &RedisMapping,
         ] {
             let opts = RunOptions::iterations(iters).with_processes(procs);
             let vm = mapping.execute(&vm_g, &opts).unwrap();
@@ -192,7 +192,7 @@ proptest! {
             prop_assert_eq!(
                 sorted_strings(&vm, "Tag"),
                 sorted_strings(&interp, "Tag"),
-                "{} rng streams diverged", mapping.kind()
+                "{} rng streams diverged", mapping
             );
         }
     }
@@ -219,10 +219,10 @@ proptest! {
         let (vm_g, interp_g) = build_workload(&src);
 
         for mapping in [
-            &SimpleMapping as &dyn Mapping,
+            &SimpleMapping,
             &MultiMapping,
             &MpiMapping,
-            &RedisMapping::default(),
+            &RedisMapping,
         ] {
             let opts = RunOptions::iterations(iters).with_processes(procs).with_checkpoints(chunk);
             let vm = epoch_states(mapping, &vm_g, &opts);
@@ -231,9 +231,9 @@ proptest! {
             prop_assert_eq!(
                 ids,
                 (1..=epochs).collect::<Vec<u64>>(),
-                "{} epoch ids off", mapping.kind()
+                "{} epoch ids off", mapping
             );
-            prop_assert_eq!(vm, interp, "{} snapshots diverged between backends", mapping.kind());
+            prop_assert_eq!(vm, interp, "{} snapshots diverged between backends", mapping);
         }
     }
 
@@ -268,12 +268,12 @@ proptest! {
         let interp = SimpleMapping.execute(&interp_g, &opts).unwrap_err();
         prop_assert_eq!(vm.to_string(), interp.to_string(), "simple error text diverged");
 
-        for mapping in [&MultiMapping as &dyn Mapping, &MpiMapping, &RedisMapping::default()] {
+        for mapping in [&MultiMapping, &MpiMapping, &RedisMapping] {
             let opts = opts.clone().with_processes(procs);
             let vm = mapping.execute(&vm_g, &opts);
             let interp = mapping.execute(&interp_g, &opts);
-            prop_assert!(vm.is_err(), "{} vm run should fail", mapping.kind());
-            prop_assert!(interp.is_err(), "{} interp run should fail", mapping.kind());
+            prop_assert!(vm.is_err(), "{} vm run should fail", mapping);
+            prop_assert!(interp.is_err(), "{} interp run should fail", mapping);
         }
     }
 }

@@ -79,10 +79,10 @@ proptest! {
     ) {
         let g = fifo_graph(groupings()[gi], groupings()[gj]);
         let opts = RunOptions::iterations(iters).with_processes(procs);
-        for mapping in [&MultiMapping as &dyn Mapping, &MpiMapping, &RedisMapping::default()] {
+        for mapping in [&MultiMapping, &MpiMapping, &RedisMapping] {
             let r = mapping.execute(&g, &opts).unwrap();
             let (violations, _) = observations(&r);
-            prop_assert_eq!(violations, 0, "{} reordered a FIFO edge", mapping.kind());
+            prop_assert_eq!(violations, 0, "{} reordered a FIFO edge", mapping);
         }
     }
 
@@ -104,13 +104,13 @@ proptest! {
         prop_assert_eq!(base_viol, 0);
         let opts = RunOptions::iterations(iters).with_processes(procs);
         let count_invariant = |grp: Grouping| !matches!(grp, Grouping::OneToAll);
-        for mapping in [&MultiMapping as &dyn Mapping, &MpiMapping, &RedisMapping::default()] {
+        for mapping in [&MultiMapping, &MpiMapping, &RedisMapping] {
             let r = mapping.execute(&g, &opts).unwrap();
             let (violations, seen) = observations(&r);
             prop_assert_eq!(violations, 0);
             if count_invariant(g1) && count_invariant(g2) {
                 // No broadcast: exact multiset equivalence.
-                prop_assert_eq!(&seen, &base_seen, "{} diverged from Simple", mapping.kind());
+                prop_assert_eq!(&seen, &base_seen, "{} diverged from Simple", mapping);
             } else {
                 // Broadcast scales with the instance count; the distinct
                 // sequence numbers still agree.
@@ -118,7 +118,7 @@ proptest! {
                 a.dedup();
                 let mut b = base_seen.clone();
                 b.dedup();
-                prop_assert_eq!(&a, &b, "{} lost or invented data", mapping.kind());
+                prop_assert_eq!(&a, &b, "{} lost or invented data", mapping);
             }
         }
     }
@@ -129,7 +129,7 @@ proptest! {
     fn batched_stats_conservation(iters in 1..40i64, procs in 2..6usize) {
         let g = fifo_graph(Grouping::Shuffle, Grouping::GroupBy(0));
         let opts = RunOptions::iterations(iters).with_processes(procs);
-        for mapping in [&MultiMapping as &dyn Mapping, &MpiMapping, &RedisMapping::default()] {
+        for mapping in [&MultiMapping, &MpiMapping, &RedisMapping] {
             let r = mapping.execute(&g, &opts).unwrap();
             prop_assert_eq!(r.stats.processed["Src"], iters as u64);
             // Two edges leave the source: Check processes 2x the source's

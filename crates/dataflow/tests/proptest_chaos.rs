@@ -91,7 +91,7 @@ fn sorted_prints(r: &RunResult) -> Vec<String> {
 /// result together with the events the crashed run left behind, so a
 /// caller can crash the *resumed* run again.
 fn crash_once(
-    mapping: &dyn Mapping,
+    mapping: &MappingKind,
     g: &WorkflowGraph,
     opts: &RunOptions,
     kill_at: u64,
@@ -105,7 +105,7 @@ fn crash_once(
     }
     let err =
         mapping.execute_observed(g, &crash, Some(recorder.clone() as Arc<dyn RunObserver>)).unwrap_err();
-    assert_eq!(err, DataflowError::Injected { epoch: kill_at }, "{} wrong crash", mapping.kind());
+    assert_eq!(err, DataflowError::Injected { epoch: kill_at }, "{} wrong crash", mapping);
 
     // The journal after the crash: everything already persisted before
     // this attempt plus everything the attempt streamed, which by the
@@ -113,7 +113,7 @@ fn crash_once(
     let mut events = journal;
     events.extend(recorder.take().into_iter().map(|(_, _, e)| e));
     let (epoch, snapshots) = last_epoch(&events);
-    assert_eq!(epoch, kill_at, "{} journal should end at the kill epoch", mapping.kind());
+    assert_eq!(epoch, kill_at, "{} journal should end at the kill epoch", mapping);
     let resumed = opts.clone().with_resume(ResumePoint { epoch, snapshots, events: events.clone() });
     (resumed, events)
 }
@@ -129,17 +129,17 @@ fn last_epoch(events: &[RunEvent]) -> (u64, laminar_json::Value) {
         .expect("no epoch in recorded stream")
 }
 
-fn assert_refolds(mapping: &dyn Mapping, resumed: &RunResult, batch: &RunResult) {
-    if mapping.kind() == MappingKind::Simple {
+fn assert_refolds(mapping: &MappingKind, resumed: &RunResult, batch: &RunResult) {
+    if *mapping == MappingKind::Simple {
         // Sequential enactment is fully deterministic: exact equality.
         assert_eq!(resumed.outputs, batch.outputs, "simple outputs diverged");
         assert_eq!(resumed.printed, batch.printed, "simple prints diverged");
     } else {
-        assert_eq!(sorted_outputs(resumed), sorted_outputs(batch), "{} outputs diverged", mapping.kind());
-        assert_eq!(sorted_prints(resumed), sorted_prints(batch), "{} prints diverged", mapping.kind());
+        assert_eq!(sorted_outputs(resumed), sorted_outputs(batch), "{} outputs diverged", mapping);
+        assert_eq!(sorted_prints(resumed), sorted_prints(batch), "{} prints diverged", mapping);
     }
-    assert_eq!(&resumed.stats.processed, &batch.stats.processed, "{} processed diverged", mapping.kind());
-    assert_eq!(&resumed.stats.emitted, &batch.stats.emitted, "{} emitted diverged", mapping.kind());
+    assert_eq!(&resumed.stats.processed, &batch.stats.processed, "{} processed diverged", mapping);
+    assert_eq!(&resumed.stats.emitted, &batch.stats.emitted, "{} emitted diverged", mapping);
 }
 
 /// Explicit `with_cases` beats the `PROPTEST_CASES` environment variable
@@ -175,10 +175,10 @@ proptest! {
         let g = build(&src, [WorkflowGraph::add_script_pe, oracle::add_pe][backend]);
 
         for mapping in [
-            &SimpleMapping as &dyn Mapping,
+            &SimpleMapping,
             &MultiMapping,
             &MpiMapping,
-            &RedisMapping::default(),
+            &RedisMapping,
         ] {
             let opts = RunOptions::iterations(iters).with_processes(procs).with_checkpoints(chunk);
             let batch = mapping
@@ -214,10 +214,10 @@ proptest! {
         let g = build(&src, WorkflowGraph::add_script_pe);
 
         for mapping in [
-            &SimpleMapping as &dyn Mapping,
+            &SimpleMapping,
             &MultiMapping,
             &MpiMapping,
-            &RedisMapping::default(),
+            &RedisMapping,
         ] {
             let opts = RunOptions::iterations(iters).with_processes(procs).with_checkpoints(chunk);
             let batch = mapping

@@ -56,9 +56,9 @@ proptest! {
         let g = build(&src);
         let baseline = sorted_outputs(&SimpleMapping.execute(&g, &RunOptions::iterations(iters)).unwrap());
         let opts = RunOptions::iterations(iters).with_processes(procs);
-        for mapping in [&MultiMapping as &dyn Mapping, &MpiMapping, &RedisMapping::default()] {
+        for mapping in [&MultiMapping, &MpiMapping, &RedisMapping] {
             let got = sorted_outputs(&mapping.execute(&g, &opts).unwrap());
-            prop_assert_eq!(&got, &baseline, "{} diverged", mapping.kind());
+            prop_assert_eq!(&got, &baseline, "{} diverged", mapping);
         }
     }
 
@@ -103,9 +103,9 @@ proptest! {
 
         let baseline = expected(&SimpleMapping.execute(&g, &RunOptions::iterations(iters)).unwrap());
         let opts = RunOptions::iterations(iters).with_processes(procs);
-        for mapping in [&MultiMapping as &dyn Mapping, &MpiMapping, &RedisMapping::default()] {
+        for mapping in [&MultiMapping, &MpiMapping, &RedisMapping] {
             let got = expected(&mapping.execute(&g, &opts).unwrap());
-            prop_assert_eq!(&got, &baseline, "{} diverged", mapping.kind());
+            prop_assert_eq!(&got, &baseline, "{} diverged", mapping);
         }
     }
 
@@ -117,10 +117,10 @@ proptest! {
         let g = build(&src);
         let opts = RunOptions::iterations(iters).with_processes(procs);
         for mapping in [
-            &SimpleMapping as &dyn Mapping,
+            &SimpleMapping,
             &MultiMapping,
             &MpiMapping,
-            &RedisMapping::default(),
+            &RedisMapping,
         ] {
             let r = mapping.execute(&g, &opts).unwrap();
             prop_assert_eq!(r.stats.processed["Src"], iters as u64);
@@ -147,19 +147,19 @@ proptest! {
         let g = build(&src);
         let opts = RunOptions::iterations(iters).with_processes(procs);
         for mapping in [
-            &SimpleMapping as &dyn Mapping,
+            &SimpleMapping,
             &MultiMapping,
             &MpiMapping,
-            &RedisMapping::default(),
+            &RedisMapping,
         ] {
             let recorder = RecordingObserver::new();
             let result = mapping
                 .execute_observed(&g, &opts, Some(recorder.clone() as Arc<dyn RunObserver>))
                 .unwrap();
             let refolded = fold_events(recorder.take().into_iter().map(|(_, _, e)| e));
-            prop_assert_eq!(&refolded.outputs, &result.outputs, "{} outputs diverged", mapping.kind());
-            prop_assert_eq!(&refolded.printed, &result.printed, "{} prints diverged", mapping.kind());
-            prop_assert_eq!(&refolded.stats, &result.stats, "{} stats diverged", mapping.kind());
+            prop_assert_eq!(&refolded.outputs, &result.outputs, "{} outputs diverged", mapping);
+            prop_assert_eq!(&refolded.printed, &result.printed, "{} prints diverged", mapping);
+            prop_assert_eq!(&refolded.stats, &result.stats, "{} stats diverged", mapping);
         }
     }
 
@@ -171,20 +171,20 @@ proptest! {
         let g = build(&src);
         let opts = RunOptions::iterations(iters).with_processes(procs);
         for mapping in [
-            &SimpleMapping as &dyn Mapping,
+            &SimpleMapping,
             &MultiMapping,
             &MpiMapping,
-            &RedisMapping::default(),
+            &RedisMapping,
         ] {
             let batch = mapping.execute(&g, &opts).unwrap();
             let recorder = RecordingObserver::new();
             let observed = mapping
                 .execute_observed(&g, &opts, Some(recorder.clone() as Arc<dyn RunObserver>))
                 .unwrap();
-            prop_assert_eq!(sorted_outputs(&batch), sorted_outputs(&observed), "{}", mapping.kind());
-            prop_assert_eq!(&batch.stats.processed, &observed.stats.processed, "{}", mapping.kind());
-            prop_assert_eq!(&batch.stats.emitted, &observed.stats.emitted, "{}", mapping.kind());
-            prop_assert_eq!(batch.stats.events, observed.stats.events, "{}", mapping.kind());
+            prop_assert_eq!(sorted_outputs(&batch), sorted_outputs(&observed), "{}", mapping);
+            prop_assert_eq!(&batch.stats.processed, &observed.stats.processed, "{}", mapping);
+            prop_assert_eq!(&batch.stats.emitted, &observed.stats.emitted, "{}", mapping);
+            prop_assert_eq!(batch.stats.events, observed.stats.events, "{}", mapping);
         }
     }
 }

@@ -4,7 +4,7 @@ use crate::env::EnvironmentManager;
 use crate::hosts::HostRegistry;
 use crate::netmodel::NetModel;
 use crate::request::ExecutionRequest;
-use laminar_dataflow::mapping::{RunOptions, RunResult};
+use laminar_dataflow::mapping::{Mapping, RunOptions, RunResult};
 use laminar_dataflow::{
     CancelToken, DataflowError, RunObserver, ScriptPeFactory, StageTimings, WorkflowGraph,
 };
@@ -332,7 +332,7 @@ impl ExecutionEngine {
                 graph
             }
         };
-        req.run.mapping.build().execute_observed(&graph, &options, observer)
+        req.run.mapping.execute_observed(&graph, &options, observer)
     }
 }
 

@@ -143,17 +143,6 @@ impl Value {
         }
     }
 
-    /// Deep size in datum units: scalars count 1, containers count their
-    /// recursive element total plus 1. Used by the engine's transfer-cost
-    /// model.
-    pub fn weight(&self) -> usize {
-        match self {
-            Value::Array(a) => 1 + a.iter().map(Value::weight).sum::<usize>(),
-            Value::Object(m) => 1 + m.values().map(Value::weight).sum::<usize>(),
-            _ => 1,
-        }
-    }
-
     /// Stable 64-bit hash of the value, used for group-by routing.
     ///
     /// FNV-1a over a canonical byte walk. Stable across processes and runs
@@ -381,13 +370,6 @@ mod tests {
         assert_eq!(Value::from(vec![1, 2]), crate::jarr![1, 2]);
         assert_eq!(Value::from(None::<i64>), Value::Null);
         assert_eq!(Value::from(Some(3i64)), Value::Int(3));
-    }
-
-    #[test]
-    fn weight_counts_recursively() {
-        let v = crate::jarr![1, crate::jarr![2, 3], "s"];
-        // outer(1) + 1 + inner(1 + 2) + "s"(1)
-        assert_eq!(v.weight(), 6);
     }
 
     #[test]

@@ -52,13 +52,4 @@ proptest! {
     fn parser_never_panics(s in "\\PC{0,64}") {
         let _ = parse(&s);
     }
-
-    /// Weight is at least 1 and monotone under wrapping in an array.
-    #[test]
-    fn weight_positive_and_monotone(v in arb_value()) {
-        let w = v.weight();
-        prop_assert!(w >= 1);
-        let wrapped = Value::Array(vec![v]);
-        prop_assert_eq!(wrapped.weight(), w + 1);
-    }
 }

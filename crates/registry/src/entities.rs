@@ -98,8 +98,7 @@ impl Row for PeEntity {
 impl PeEntity {
     /// Decode the stored source code.
     pub fn source(&self) -> Option<String> {
-        let v = laminar_codec::loads_b64(&self.pe_code).ok()?;
-        v["source"].as_str().map(str::to_string)
+        decode_code(&self.pe_code)
     }
 }
 

@@ -118,19 +118,9 @@ pub(crate) struct Token {
     pub(crate) column: usize,
 }
 
-/// Lexer statistics consumed by `analysis` and the summarizer.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct LexStats {
-    /// Number of `#` comments skipped.
-    pub(crate) comments: usize,
-    /// Total source lines seen.
-    pub(crate) lines: usize,
-}
-
-/// Tokenize `source`, returning tokens (terminated by `Eof`) and stats.
-pub(crate) fn lex_with_stats(source: &str) -> Result<(Vec<Token>, LexStats), ScriptError> {
+/// Tokenize `source`, returning tokens terminated by `Eof`.
+pub(crate) fn lex(source: &str) -> Result<Vec<Token>, ScriptError> {
     let mut tokens = Vec::new();
-    let mut stats = LexStats::default();
     let bytes = source.as_bytes();
     let mut pos = 0usize;
     let mut line = 1usize;
@@ -156,7 +146,6 @@ pub(crate) fn lex_with_stats(source: &str) -> Result<(Vec<Token>, LexStats), Scr
                 col = 1;
             }
             b'#' => {
-                stats.comments += 1;
                 while pos < bytes.len() && bytes[pos] != b'\n' {
                     pos += 1;
                 }
@@ -321,14 +310,8 @@ pub(crate) fn lex_with_stats(source: &str) -> Result<(Vec<Token>, LexStats), Scr
             }
         }
     }
-    stats.lines = line;
     tokens.push(Token { kind: TokenKind::Eof, line, column: col });
-    Ok((tokens, stats))
-}
-
-/// Tokenize, discarding statistics.
-pub(crate) fn lex(source: &str) -> Result<Vec<Token>, ScriptError> {
-    lex_with_stats(source).map(|(t, _)| t)
+    Ok(tokens)
 }
 
 fn lex_string(bytes: &[u8], line: usize, col: usize) -> Result<(String, usize, usize), ScriptError> {
@@ -495,10 +478,20 @@ mod tests {
     }
 
     #[test]
-    fn comments_counted() {
-        let (toks, stats) = lex_with_stats("# header\nlet x = 1; # trailing\n").unwrap();
-        assert_eq!(stats.comments, 2);
-        assert_eq!(toks[0].kind, TokenKind::Let);
+    fn comments_skipped() {
+        let toks = lex("# header\nlet x = 1; # trailing\n").unwrap();
+        let kinds: Vec<TokenKind> = toks.into_iter().map(|t| t.kind).collect();
+        assert_eq!(
+            kinds,
+            vec![
+                TokenKind::Let,
+                TokenKind::Ident("x".into()),
+                TokenKind::Assign,
+                TokenKind::Int(1),
+                TokenKind::Semi,
+                TokenKind::Eof,
+            ]
+        );
     }
 
     #[test]

@@ -237,14 +237,14 @@ mod tests {
             v.sort();
             v
         };
-        for mapping in [&MultiMapping as &dyn Mapping, &MpiMapping, &RedisMapping::default()] {
+        for mapping in [&MultiMapping, &MpiMapping, &RedisMapping] {
             let mut got: Vec<String> = run(mapping, 96, 3, 5, Duration::ZERO)
                 .port_values("WindowStats", "output")
                 .iter()
                 .map(laminar_json::to_string)
                 .collect();
             got.sort();
-            assert_eq!(got, baseline, "{} diverged", mapping.kind());
+            assert_eq!(got, baseline, "{} diverged", mapping);
         }
     }
 
@@ -324,7 +324,6 @@ mod tests {
             let graph = laminar_dataflow::WorkflowGraph::from_script_with_host(SOURCE, "SensorWindows", host)
                 .expect("streaming source is valid");
             let result = kind
-                .build()
                 .execute_observed(
                     &graph,
                     &RunOptions::iterations(READINGS).with_processes(4),
@@ -380,7 +379,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let graph = build_graph(Arc::new(SensorFleet::instant(2)));
                     let options = super::unbounded_options(4, Duration::from_micros(100), token);
-                    kind.build().execute_observed(
+                    kind.execute_observed(
                         &graph,
                         &options,
                         Some(watch as Arc<dyn laminar_dataflow::RunObserver>),

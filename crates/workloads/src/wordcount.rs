@@ -92,9 +92,9 @@ mod tests {
     fn counts_match_reference_under_parallel_mappings() {
         let g = WorkflowGraph::from_script(SOURCE, "WordCount").unwrap();
         let expected = reference_counts(12);
-        for mapping in [&MultiMapping as &dyn Mapping, &RedisMapping::default()] {
+        for mapping in [&MultiMapping, &RedisMapping] {
             let r = mapping.execute(&g, &RunOptions::iterations(12).with_processes(6)).unwrap();
-            assert_eq!(final_counts(&r), expected, "{} diverged", mapping.kind());
+            assert_eq!(final_counts(&r), expected, "{} diverged", mapping);
         }
     }
 }

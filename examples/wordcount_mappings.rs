@@ -15,13 +15,8 @@ fn main() {
     let expected = reference_counts(iterations as usize);
 
     println!("WordCount over {iterations} sentences, 4 mappings, 6 processes:\n");
-    let mappings: Vec<(&str, Box<dyn Mapping>)> = vec![
-        ("SIMPLE", Box::new(SimpleMapping)),
-        ("MULTI", Box::new(MultiMapping)),
-        ("MPI", Box::new(MpiMapping)),
-        ("REDIS", Box::new(RedisMapping::default())),
-    ];
-    for (name, mapping) in &mappings {
+    for mapping in [MappingKind::Simple, MappingKind::Multi, MappingKind::Mpi, MappingKind::Redis] {
+        let name = mapping.as_str();
         let t0 = std::time::Instant::now();
         let result = mapping
             .execute(&graph, &RunOptions::iterations(iterations).with_processes(6))

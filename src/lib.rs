@@ -41,10 +41,7 @@ pub use laminar_workloads as workloads;
 pub mod prelude {
     pub use laminar_client::{ClientError, LaminarClient, RunConfig, RunTarget};
     pub use laminar_core::{Deployment, LaminarSystem};
-    pub use laminar_dataflow::{
-        mapping::{Mapping, MpiMapping, MultiMapping, RedisMapping, SimpleMapping},
-        MappingKind, RunOptions, WorkflowGraph,
-    };
+    pub use laminar_dataflow::{mapping::Mapping, MappingKind, RunOptions, WorkflowGraph};
     pub use laminar_json::{jarr, jobj, Value};
     pub use laminar_server::LaminarServer;
 }

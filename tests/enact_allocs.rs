@@ -49,7 +49,7 @@ const SENSORS: usize = 16;
 /// Allocator calls per reading of one enactment.
 fn calls_per_reading(graph: &WorkflowGraph) -> f64 {
     let before = CALLS.load(Ordering::Relaxed);
-    let r = SimpleMapping.execute(graph, &RunOptions::iterations(READINGS)).unwrap();
+    let r = MappingKind::Simple.execute(graph, &RunOptions::iterations(READINGS)).unwrap();
     let calls = CALLS.load(Ordering::Relaxed) - before;
     assert_eq!(r.stats.processed["SensorPoll"], READINGS as u64);
     calls as f64 / READINGS as f64

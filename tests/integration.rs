@@ -302,10 +302,9 @@ fn fold_of_event_stream_reproduces_batch_result_for_every_mapping() {
     g.connect(h, "output", n, "x").unwrap();
 
     let opts = RunOptions::iterations(40).with_processes(5);
-    for mapping in [&SimpleMapping as &dyn Mapping, &MultiMapping, &MpiMapping, &RedisMapping::default()] {
-        let kind = mapping.kind();
+    for kind in [MappingKind::Simple, MappingKind::Multi, MappingKind::Mpi, MappingKind::Redis] {
         let recorder = RecordingObserver::new();
-        let result = mapping
+        let result = kind
             .execute_observed(&g, &opts, Some(recorder.clone() as std::sync::Arc<dyn RunObserver>))
             .unwrap();
         let recorded = recorder.take();
@@ -527,11 +526,10 @@ fn four_mappings_same_graph_same_outputs_and_counts() {
         (out, r.stats.processed.clone(), r.stats.emitted.clone(), r.stats.timings)
     };
 
-    let (base_out, base_processed, base_emitted, _) = collect(&SimpleMapping);
+    let (base_out, base_processed, base_emitted, _) = collect(&MappingKind::Simple);
     assert_eq!(base_out.len(), 20, "evens of 1..=40, halved then scaled");
-    for mapping in [&MultiMapping as &dyn Mapping, &MpiMapping, &RedisMapping::default()] {
-        let (out, processed, emitted, timings) = collect(mapping);
-        let kind = mapping.kind();
+    for kind in [MappingKind::Multi, MappingKind::Mpi, MappingKind::Redis] {
+        let (out, processed, emitted, timings) = collect(&kind);
         assert_eq!(out, base_out, "{kind}: terminal outputs diverged");
         assert_eq!(processed, base_processed, "{kind}: processed counts diverged");
         assert_eq!(emitted, base_emitted, "{kind}: emitted counts diverged");
